@@ -44,6 +44,12 @@ does):
   survivors re-enter the selection at their canonical positions, stealing
   members from later covers they also cover.
 
+Each step finds the filters it has to test — who covers this one, whom
+does it cover — through a two-way
+:class:`~repro.filters.covering_cache.CoveringIndex` over the input
+entries, so its cost follows the structurally comparable entries, not the
+size of the selection.
+
 Events that would perturb the canonical *order* (a filter's first
 contributing row disappearing while later rows survive) are rare and are
 handled by re-running the reduction over the maintained entries — still
@@ -67,7 +73,7 @@ update the desired pairs in O(1) exactly like the covering mode.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, insort
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.filters.covering_cache import (
@@ -118,8 +124,8 @@ class NeighbourForwardingState:
         "pair_refs",
         "pending",
         "_max_pos",
-        "_selection_index",
-        "_selection_by_pos",
+        "_index",
+        "_key_at",
     )
 
     def __init__(self, covers: CoversFn, merging: bool = False) -> None:
@@ -156,17 +162,20 @@ class NeighbourForwardingState:
         #: flush; the refresh only needs to look at these.
         self.pending: Set[Tuple[Any, str]] = set()
         self._max_pos = 0
-        #: CoveringIndex over the current selection, so `_first_cover`
-        #: only tests candidates that could possibly cover instead of
-        #: scanning the whole selection (maintained in the covering mode
-        #: only; merging selections hold synthesised filters and are
-        #: rebuilt wholesale anyway).
-        self._selection_index: Optional[CoveringIndex] = (
+        #: CoveringIndex over the input entries (by canonical position),
+        #: so every covering question the selection maintenance asks —
+        #: who covers this filter, whom does it cover — only tests the
+        #: structurally comparable entries.  It spans *all* inputs, not
+        #: just the selection, because a resurrected filter steals dropped
+        #: members of other covers, which a selection index cannot see.
+        #: Maintained in the covering mode only; merging selections hold
+        #: synthesised filters and are rebuilt wholesale anyway.
+        self._index: Optional[CoveringIndex] = (
             CoveringIndex() if covers is not None and self.merge_state is None else None
         )
-        #: selection position -> selected filter key, mirrored with the
-        #: index so pruned candidates resolve back to selection entries.
-        self._selection_by_pos: Dict[int, Any] = {}
+        #: canonical position -> input filter key, mirrored with the index
+        #: so candidate positions resolve back to entries.
+        self._key_at: Dict[int, Any] = {}
 
     # ------------------------------------------------------------------
     # Desired-pair bookkeeping
@@ -286,32 +295,31 @@ class NeighbourForwardingState:
     # ------------------------------------------------------------------
     # Selection maintenance
     # ------------------------------------------------------------------
+    def _candidate_keys(self, positions: Optional[List[int]]) -> List[Any]:
+        """Input keys at the index's candidate *positions*, in canonical order.
+
+        ``None`` is the index's "cannot prune" answer: every input.
+        """
+        key_at = self._key_at
+        return [key_at[pos] for pos in sorted(key_at if positions is None else positions)]
+
     def _first_cover(self, filter_: Filter) -> Optional[Any]:
         """Key of the first selected filter (input order) covering *filter_*.
 
-        With the selection index active, only the structurally comparable
-        candidates are tested (a sound superset of the real coverers, see
-        :class:`~repro.filters.covering_cache.CoveringIndex`); positions
-        are visited in ascending order, which *is* selection order, so the
-        pruned walk returns exactly what the full scan would.
+        Only the structurally comparable inputs are tested (a sound
+        superset of the real coverers, see
+        :class:`~repro.filters.covering_cache.CoveringIndex`), in ascending
+        position, which *is* selection order, so the pruned walk returns
+        exactly what a scan of the selection would.  Covering mode only.
         """
         covers = self.covers
         if covers is None:
             return None
         entries = self.entries
-        index = self._selection_index
-        if index is not None:
-            candidates = index.candidate_positions(filter_)
-            if candidates is not None:
-                by_pos = self._selection_by_pos
-                for pos in sorted(candidates):
-                    selected_key = by_pos[pos]
-                    if covers(entries[selected_key].filter, filter_):
-                        return selected_key
-                return None
-        for _, selected_key in self.selection:
-            if covers(entries[selected_key].filter, filter_):
-                return selected_key
+        selected = self.selected
+        for key in self._candidate_keys(self._index.candidate_positions(filter_)):
+            if key in selected and covers(entries[key].filter, filter_):
+                return key
         return None
 
     def _select(self, entry: _InputEntry) -> None:
@@ -319,22 +327,21 @@ class NeighbourForwardingState:
         self.selected.add(entry.key)
         self.assigned[entry.key] = entry.key
         self.members[entry.key] = {entry.key}
-        if self._selection_index is not None:
-            self._selection_index.add(entry.pos, entry.filter)
-            self._selection_by_pos[entry.pos] = entry.key
 
     def _deselect(self, pos: int, key: Any) -> None:
-        """Remove ``(pos, key)`` from the selection (and the index)."""
-        self.selection.remove((pos, key))
+        """Remove ``(pos, key)`` from the selection."""
+        # (pos,) sorts immediately before (pos, key) and positions are
+        # unique, so the bisection never compares keys.
+        del self.selection[bisect_left(self.selection, (pos,))]
         self.selected.discard(key)
-        if self._selection_index is not None:
-            self._selection_index.remove(pos)
-            self._selection_by_pos.pop(pos, None)
 
     def _filter_added(self, entry: _InputEntry) -> None:
         """A filter appended at the end of the canonical input order."""
         covers = self.covers
+        evicted: List[Any] = []
         if covers is not None:
+            self._index.add(entry.pos, entry.filter)
+            self._key_at[entry.pos] = entry.key
             cover_key = self._first_cover(entry.filter)
             if cover_key is not None:
                 # Covered by (or equivalent to) an earlier selected filter:
@@ -344,13 +351,15 @@ class NeighbourForwardingState:
                 return
             # Nothing selected covers it: it joins the selection and evicts
             # the selected filters it (strictly, by the check above) covers.
+            entries = self.entries
+            selected = self.selected
             evicted = [
-                selected_key
-                for _, selected_key in self.selection
-                if covers(entry.filter, self.entries[selected_key].filter)
+                key
+                for key in self._candidate_keys(
+                    self._index.covered_candidate_positions(entry.filter)
+                )
+                if key in selected and covers(entry.filter, entries[key].filter)
             ]
-        else:
-            evicted = []
         for evicted_key in evicted:
             self._deselect(self.entries[evicted_key].pos, evicted_key)
         self._select(entry)
@@ -367,6 +376,10 @@ class NeighbourForwardingState:
     def _filter_removed(self, entry: _InputEntry) -> None:
         """A filter left the input (its last contributing row died)."""
         key = entry.key
+        index = self._index
+        if index is not None:
+            index.remove(entry.pos)
+            del self._key_at[entry.pos]
         if key not in self.selected:
             # Dropped filters cannot resurrect anything: whoever covered
             # them still stands.
@@ -387,6 +400,7 @@ class NeighbourForwardingState:
         candidates = [
             member for member in by_pos if self._first_cover(entries[member].filter) is None
         ]
+        candidate_set = set(candidates)
         # Reduce the candidates among themselves with minimal_cover_set
         # semantics: dropped iff another candidate strictly covers it, or
         # an earlier equivalent one does.  (Non-candidate inputs cannot
@@ -396,8 +410,8 @@ class NeighbourForwardingState:
             candidate_filter = entries[candidate].filter
             candidate_pos = entries[candidate].pos
             dropped = False
-            for other in candidates:
-                if other is candidate:
+            for other in self._candidate_keys(index.candidate_positions(candidate_filter)):
+                if other == candidate or other not in candidate_set:
                     continue
                 other_filter = entries[other].filter
                 if covers(other_filter, candidate_filter) and (
@@ -411,45 +425,43 @@ class NeighbourForwardingState:
         for kept in resurrected:
             self._select(entries[kept])
             self._move_pairs(kept, key, kept)
-        kept_set = set(resurrected)
         for member in by_pos:
-            if member in kept_set:
+            if member in self.selected:
                 continue
             new_cover = self._first_cover(entries[member].filter)
             self.assigned[member] = new_cover
             self.members[new_cover].add(member)
             self._move_pairs(member, key, new_cover)
-        if resurrected:
-            self._steal_members(resurrected)
+        self._steal_members(resurrected)
 
     def _steal_members(self, resurrected: Sequence[Any]) -> None:
         """Reassign members of later covers that a resurrected filter covers.
 
         A resurrected filter re-enters the selection at its canonical
-        position; any input currently assigned to a cover *after* that
-        position whose filter it covers now has an earlier first cover.
+        position; any dropped input currently assigned to a cover *after*
+        that position whose filter it covers now has an earlier first
+        cover.  *resurrected* is in canonical order, so an input covered
+        by several of them ends up with the earliest.
         """
         entries = self.entries
         covers = self.covers
-        ordered = sorted(resurrected, key=lambda kept: entries[kept].pos)
-        first_pos = entries[ordered[0]].pos
-        resurrected_set = set(ordered)
-        for cover_pos, cover_key in list(self.selection):
-            if cover_pos <= first_pos or cover_key in resurrected_set:
-                continue
-            for member in list(self.members[cover_key]):
-                if member == cover_key:
+        assigned = self.assigned
+        selected = self.selected
+        for kept in resurrected:
+            kept_entry = entries[kept]
+            for member in self._candidate_keys(
+                self._index.covered_candidate_positions(kept_entry.filter)
+            ):
+                if member in selected:
                     continue
-                member_filter = entries[member].filter
-                for kept in ordered:
-                    if entries[kept].pos >= cover_pos:
-                        break
-                    if covers(entries[kept].filter, member_filter):
-                        self.members[cover_key].discard(member)
-                        self.assigned[member] = kept
-                        self.members[kept].add(member)
-                        self._move_pairs(member, cover_key, kept)
-                        break
+                cover_key = assigned[member]
+                if entries[cover_key].pos > kept_entry.pos and covers(
+                    kept_entry.filter, entries[member].filter
+                ):
+                    self.members[cover_key].discard(member)
+                    assigned[member] = kept
+                    self.members[kept].add(member)
+                    self._move_pairs(member, cover_key, kept)
 
     # ------------------------------------------------------------------
     # Rebuilds
@@ -503,9 +515,12 @@ class NeighbourForwardingState:
         self.desired = {}
         self.pair_refs = {}
         self.pending.clear()
-        if self._selection_index is not None:
-            self._selection_index = CoveringIndex()
-            self._selection_by_pos = {}
+        if self._index is not None:
+            self._index = CoveringIndex()
+            self._key_at = {}
+            for entry in ordered:
+                self._index.add(entry.pos, entry.filter)
+                self._key_at[entry.pos] = entry.key
         if self.merge_state is not None:
             self._rebuild_merging_reduction(ordered, cache)
             self.order_dirty = False
@@ -524,9 +539,6 @@ class NeighbourForwardingState:
             self.selected.add(entry.key)
             self.assigned[entry.key] = entry.key
             self.members[entry.key] = {entry.key}
-            if self._selection_index is not None:
-                self._selection_index.add(entry.pos, entry.filter)
-                self._selection_by_pos[entry.pos] = entry.key
         for entry in ordered:
             if entry.key in self.selected:
                 cover_key = entry.key

@@ -34,6 +34,10 @@ class MovementGraph:
 
     def __init__(self, locations: Optional[Iterable[Location]] = None) -> None:
         self._adjacency: Dict[Location, Set[Location]] = {}
+        #: (location, steps) -> ploc set; shared by every PlocFunction over
+        #: this graph and dropped whenever an edge is added (a new, still
+        #: isolated location changes no existing answer).
+        self._reachable: Dict[Tuple[Location, int], FrozenSet[Location]] = {}
         if locations:
             for location in locations:
                 self.add_location(location)
@@ -55,6 +59,7 @@ class MovementGraph:
         self.add_location(right)
         self._adjacency[left].add(right)
         self._adjacency[right].add(left)
+        self._reachable.clear()
 
     @classmethod
     def from_edges(
@@ -165,35 +170,35 @@ class MovementGraph:
 
         Staying put counts as a (trivial) move, so the result always
         contains *location* and is monotone in *steps* (Equation 1 of the
-        paper).
+        paper).  Results are memoised until the graph next changes.
         """
-        self._require(location)
-        if steps < 0:
-            raise MovementGraphError("steps must be non-negative")
-        depths = self._bfs_depths(location)
-        return frozenset(loc for loc, depth in depths.items() if depth <= steps)
+        key = (location, steps)
+        cached = self._reachable.get(key)
+        if cached is None:
+            self._require(location)
+            if steps < 0:
+                raise MovementGraphError("steps must be non-negative")
+            depths = self._bfs_depths(location)
+            cached = frozenset(loc for loc, depth in depths.items() if depth <= steps)
+            self._reachable[key] = cached
+        return cached
 
 
 class PlocFunction:
-    """The ``ploc`` function for one movement graph, with memoisation.
+    """The ``ploc`` function for one movement graph.
 
     The per-hop filters of the logical-mobility scheme query
-    ``ploc(current_location, level)`` on every location change; caching the
-    BFS results keeps that cheap for the Figure 9 workloads.
+    ``ploc(current_location, level)`` on every location change; the graph
+    memoises the BFS results, so every subscription state at every hop
+    over the same graph shares them.
     """
 
     def __init__(self, graph: MovementGraph) -> None:
         self.graph = graph
-        self._cache: Dict[Tuple[Location, int], FrozenSet[Location]] = {}
 
     def __call__(self, location: Location, steps: int) -> FrozenSet[Location]:
         """``ploc(location, steps)`` as a frozen set of locations."""
-        key = (location, steps)
-        cached = self._cache.get(key)
-        if cached is None:
-            cached = self.graph.reachable_within(location, steps)
-            self._cache[key] = cached
-        return cached
+        return self.graph.reachable_within(location, steps)
 
     def saturation_level(self) -> int:
         """The smallest q with ``ploc(x, q)`` equal for all connected x (the diameter)."""

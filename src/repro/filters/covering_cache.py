@@ -17,7 +17,9 @@ ways:
   selective constraint (equality/set values first, then attribute names),
   mirroring the :class:`~repro.filters.matching.MatchingEngine` layout, so
   that :func:`minimal_cover_set_cached` only tests pairs that could
-  possibly be related and skips provably incomparable ones.
+  possibly be related and skips provably incomparable ones.  It answers
+  the opposite question too — which indexed filters can a given filter
+  cover — for the delta forwarding state's eviction and stealing steps.
 
 :func:`minimal_cover_set_cached` is result-identical to
 :func:`~repro.filters.covering.minimal_cover_set` (same kept filters,
@@ -105,11 +107,12 @@ def get_covering_cache() -> CoveringCache:
 
 
 class CoveringIndex:
-    """Candidate-pruning index over potential covering filters.
+    """Two-way candidate-pruning index over a set of filters.
 
-    Mirrors the :class:`~repro.filters.matching.MatchingEngine` bucket
-    layout: each indexed filter is anchored under its **most selective**
-    finite-valued strict constraint — chosen by the shared
+    **Who covers F?**  Mirrors the
+    :class:`~repro.filters.matching.MatchingEngine` bucket layout: each
+    indexed filter is anchored, as a potential *coverer*, under its **most
+    selective** finite-valued strict constraint — chosen by the shared
     :func:`~repro.filters.selectivity.pick_anchor` policy, which prefers
     the emptiest value buckets so one equality shared by every filter
     (``service=parking``) stops defeating the pruning — with one bucket
@@ -126,27 +129,54 @@ class CoveringIndex:
       that attribute, so it can only cover an ``F`` whose constraint there
       is also finite and value-wise contained — in particular ``F``'s
       first accepted value must be in the coverer's bucket.
+
+    **Whom does F cover?**  The same two facts read the other way round:
+    ``F`` covers ``G`` only if ``G`` constrains every strict attribute of
+    ``F``, and where ``F``'s constraint is finite ``G``'s is finite too
+    with its first accepted value among ``F``'s.  So each filter is also
+    filed, as potentially *covered*, under every attribute name it
+    constrains and under the first value of each of its finite
+    constraints, and :meth:`covered_candidate_positions` answers from
+    whichever strict constraint of ``F`` has the least-loaded buckets.
+    Any one strict constraint is a necessary condition, so picking the
+    emptiest is sound; only an ``F`` without strict constraints (it covers
+    everything) still means "all positions".
     """
 
-    __slots__ = ("_universal", "_by_attr", "_by_value", "_placements")
+    __slots__ = ("_universal", "_by_attr", "_by_value", "_covered", "_placements")
 
     def __init__(self) -> None:
         self._universal: List[int] = []
         self._by_attr: Dict[str, List[int]] = {}
         self._by_value: Dict[Tuple[str, Any], List[int]] = {}
-        # position -> where `add` placed it, so `remove` can undo the
-        # placement even though the anchor choice was load-dependent.
-        self._placements: Dict[int, Tuple[Any, ...]] = {}
+        # The covered-side buckets: attribute name -> filters constraining
+        # it, (attribute, value key) -> filters whose finite constraint
+        # there starts with that value, ``None`` -> MatchNone filters
+        # (covered by everything, so part of every answer).
+        self._covered: Dict[Any, List[int]] = {}
+        # position -> (coverer placement, covered bucket keys), so `remove`
+        # can undo `add` even though the anchor choice was load-dependent.
+        self._placements: Dict[int, Tuple[Tuple[Any, ...], List[Any]]] = {}
 
     def add(self, position: int, filter_: Filter) -> None:
-        """Index *filter_* (a potential coverer) under *position*."""
+        """Index *filter_* under *position*, for both queries."""
+        covered_keys: List[Any] = [None] if isinstance(filter_, MatchNone) else []
+        for name, constraint in filter_.constraint_items():
+            covered_keys.append(name)
+            values = _finite_value_keys(constraint)
+            if values:
+                covered_keys.append((name, values[0]))
+        for key in covered_keys:
+            self._covered.setdefault(key, []).append(position)
+        self._placements[position] = (self._add_coverer(position, filter_), covered_keys)
+
+    def _add_coverer(self, position: int, filter_: Filter) -> Tuple[Any, ...]:
         anchor = pick_anchor(filter_, self._bucket_load)
         if anchor is not None:
             anchor_attr, anchor_values = anchor
             for value in anchor_values:
                 self._by_value.setdefault((anchor_attr, value), []).append(position)
-            self._placements[position] = ("value", anchor_attr, anchor_values)
-            return
+            return ("value", anchor_attr, anchor_values)
         fallback_attr: Optional[str] = None
         for name, constraint in filter_.constraint_items():
             if constraint.matches_absent():
@@ -155,21 +185,26 @@ class CoveringIndex:
             break
         if fallback_attr is not None:
             self._by_attr.setdefault(fallback_attr, []).append(position)
-            self._placements[position] = ("attr", fallback_attr)
-        else:
-            self._universal.append(position)
-            self._placements[position] = ("universal",)
+            return ("attr", fallback_attr)
+        self._universal.append(position)
+        return ("universal",)
 
     def remove(self, position: int) -> None:
         """Unindex a previously added *position* (no-op when unknown).
 
         The one-shot reduction (:func:`minimal_cover_set_cached`) never
         removes; long-lived indexes over a churning set — the delta
-        forwarding state's selection index — do.
+        forwarding state's input index — do.
         """
-        placement = self._placements.pop(position, None)
-        if placement is None:
+        placed = self._placements.pop(position, None)
+        if placed is None:
             return
+        placement, covered_keys = placed
+        for key in covered_keys:
+            bucket = self._covered[key]
+            bucket.remove(position)
+            if not bucket:
+                del self._covered[key]
         if placement[0] == "value":
             _, anchor_attr, anchor_values = placement
             for value in anchor_values:
@@ -209,6 +244,31 @@ class CoveringIndex:
                 value_bucket = by_value.get((name, values[0]))
                 if value_bucket:
                     out.extend(value_bucket)
+        return out
+
+    def covered_candidate_positions(self, filter_: Filter) -> Optional[List[int]]:
+        """Positions of indexed filters that *filter_* might cover.
+
+        Returns ``None`` when every indexed filter must be considered
+        (*filter_* has no strict constraint: it covers everything).
+        """
+        covered = self._covered
+        best: Optional[List[List[int]]] = None
+        best_load = 0
+        for name, constraint in filter_.constraint_items():
+            if constraint.matches_absent():
+                continue
+            values = _finite_value_keys(constraint)
+            keys: Iterable[Any] = [(name, value) for value in values] if values else (name,)
+            buckets = [covered[key] for key in keys if key in covered]
+            load = sum(map(len, buckets))
+            if best is None or load < best_load:
+                best, best_load = buckets, load
+        if best is None:
+            return None
+        out = list(covered.get(None, ()))
+        for bucket in best:
+            out.extend(bucket)
         return out
 
 

@@ -1,0 +1,56 @@
+"""Scaling tripwire for subscription admission under covering routing.
+
+Admitting a subscription asks two covering questions at every broker on
+its path: who covers the new filter, and whom does it cover.  Both are
+answered from the two-way :class:`~repro.filters.covering_cache.CoveringIndex`
+of the neighbour's delta state, so the number of raw covering tests per
+admission follows the number of *comparable* filters, not the size of the
+selection.  The test pins that on a deterministic counter: with the
+eviction question answered by a scan of the selection, quadrupling an
+all-distinct population multiplied the raw covering tests by 15.
+"""
+
+import random
+
+from repro.broker.network import PubSubNetwork
+from repro.filters.covering import covering_stats
+from repro.filters.covering_cache import get_covering_cache
+from repro.topology.builders import balanced_tree_topology
+
+
+def _settle_distinct_population(count):
+    """Raw covering tests to settle *count* all-distinct ``location ∈ {…}``
+    subscriptions (1–3 locations each, every location shared by about four
+    filters whatever the size) on the depth-3 tree."""
+    covering_stats.reset()
+    get_covering_cache().clear()
+    topology = balanced_tree_topology(depth=3, fanout=2)
+    network = PubSubNetwork(topology, strategy="covering", latency=0.005)
+    leaves = topology.leaves()
+    producer = network.add_client("producer", leaves[0])
+    producer.advertise({"service": "parking"})
+    network.settle()
+    rng = random.Random(13)
+    pool = ["loc-{:04d}".format(index) for index in range(count // 2)]
+    seen = set()
+    for index in range(count):
+        locations = tuple(sorted(rng.sample(pool, 1 + index % 3)))
+        while locations in seen:
+            locations = tuple(sorted(rng.sample(pool, 1 + index % 3)))
+        seen.add(locations)
+        client = network.add_client("c{}".format(index), leaves[1 + index % (len(leaves) - 1)])
+        client.subscribe({"service": "parking", "location": ("in", locations)})
+    network.settle()
+    assert network.routing_table_sizes()[leaves[0]] > 0
+    return covering_stats.filter_covers_calls
+
+
+def test_covering_tests_grow_with_the_population_not_its_square():
+    small = _settle_distinct_population(420)
+    large = _settle_distinct_population(1680)
+    # 4× the subscriptions: linear growth reads 4×, the selection scan read
+    # 15.5×, the index 4.9×.
+    assert large <= 6 * small
+    # Few enough distinct pairs that the process-wide cache never had to
+    # clear itself and re-evaluate from cold.
+    assert get_covering_cache().stats()["evictions"] == 0

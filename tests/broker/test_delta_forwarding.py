@@ -10,8 +10,10 @@ resurrected filter stealing members from later covers.
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.broker.base import Broker, BrokerConfig
+from repro.filters.covering import minimal_cover_set
 from repro.filters.filter import Filter
 from repro.routing.strategies import make_strategy
 from repro.sim.engine import Simulator
@@ -437,9 +439,9 @@ def test_roaming_chain_three_mode_equivalence(seed):
 
 
 # ---------------------------------------------------------------------------
-# Selection-index pruning: `_first_cover` consults a CoveringIndex over the
-# current selection instead of scanning it, and must return exactly what
-# the unpruned scan would — first selected cover in selection order.
+# Index pruning: every covering question the selection maintenance asks goes
+# through a two-way CoveringIndex over the input entries.  The brute-force
+# scans it replaced live on here as the oracle.
 # ---------------------------------------------------------------------------
 
 
@@ -452,24 +454,75 @@ def _scan_first_cover(state, filter_):
     return None
 
 
-class TestSelectionIndexPruning:
-    def test_selection_index_tracks_selection_membership(self):
+def _assert_state_is_from_scratch(broker):
+    """Selection, assignment, members and desired pairs of every covering
+    delta state equal ``minimal_cover_set`` + ``Broker._find_cover`` run
+    from scratch over the state's inputs in canonical order."""
+    _assert_in_sync(broker)  # also performs the rebuilds a refresh would
+    for state in broker._delta_states.values():
+        ordered = sorted(state.entries.values(), key=lambda entry: entry.pos)
+        selection = minimal_cover_set([entry.filter for entry in ordered])
+        assert [key for _, key in state.selection] == [f.key() for f in selection]
+        assert state.selected == {f.key() for f in selection}
+        assigned = {
+            entry.key: Broker._find_cover(selection, entry.filter).key() for entry in ordered
+        }
+        assert state.assigned == assigned
+        members = {}
+        desired = {}
+        for entry in ordered:
+            cover_key = assigned[entry.key]
+            members.setdefault(cover_key, set()).add(entry.key)
+            for subject in entry.subjects:
+                desired[(cover_key, subject)] = state.entries[cover_key].filter
+        assert state.members == members
+        assert state.desired == desired
+        assert state._key_at == {entry.pos: entry.key for entry in ordered}
+
+
+class TestIndexPruning:
+    def test_index_tracks_input_membership(self):
         broker, _ = _make_broker(neighbours=("N1",))
         table = broker.subscription_table
         state = broker._delta_states["N1"]
         narrow = _loc_filter("a")
         broad = _loc_filter("a", "b")
         table.add(narrow, "c1", "s1")
-        _assert_in_sync(broker)
-        assert sorted(state._selection_by_pos.values()) == [narrow.key()]
-        # The broader filter evicts the narrow one from selection *and*
-        # from the index.
+        _assert_state_is_from_scratch(broker)
+        # The broader filter evicts the narrow one from the selection, but
+        # both stay indexed: a later resurrection must find the narrow one.
         table.add(broad, "c2", "s2")
-        _assert_in_sync(broker)
-        assert sorted(state._selection_by_pos.values()) == [broad.key()]
+        _assert_state_is_from_scratch(broker)
+        assert state.selected == {broad.key()}
+        assert set(state._key_at.values()) == {narrow.key(), broad.key()}
         table.remove(broad, "c2", "s2")
-        _assert_in_sync(broker)
-        assert sorted(state._selection_by_pos.values()) == [narrow.key()]
+        _assert_state_is_from_scratch(broker)
+        assert state.selected == {narrow.key()}
+        table.remove(narrow, "c1", "s1")
+        _assert_state_is_from_scratch(broker)
+        assert state._key_at == {}
+        assert state._index.candidate_positions(narrow) == []
+
+    def test_resurrected_filter_steals_from_a_structurally_unrelated_cover(self):
+        """The later cover constrains a different attribute than the
+        resurrected filter, so no index over the *selection* relates the
+        two; the stolen member has to be found among the inputs."""
+        broker, _ = _make_broker(neighbours=("N1",))
+        table = broker.subscription_table
+        state = broker._delta_states["N1"]
+        kept = Filter({"location": "a"})
+        cover = Filter({"service": "parking"})
+        wide = Filter({"location": ("in", ("a", "b"))})
+        member = Filter({"service": "parking", "location": "a"})
+        table.add(kept, "c1", "s1")
+        table.add(cover, "c1", "s2")
+        table.add(wide, "c1", "s3")  # evicts ``kept``
+        table.add(member, "c1", "s4")  # first cover in input order: ``cover``
+        _assert_state_is_from_scratch(broker)
+        assert state.assigned[member.key()] == cover.key()
+        table.remove(wide, "c1", "s3")
+        _assert_state_is_from_scratch(broker)
+        assert state.assigned[member.key()] == kept.key()
 
     @pytest.mark.parametrize("seed", [3, 19, 77])
     def test_randomized_first_cover_equals_unpruned_scan(self, seed):
@@ -511,15 +564,96 @@ class TestSelectionIndexPruning:
                 subject = "s{}".format(rng.randint(0, 20))
                 table.add(filter_, destination, subject)
                 live.append((filter_, destination, subject))
-            _assert_in_sync(broker)
+            _assert_state_is_from_scratch(broker)
             # The pruned walk and the unpruned scan agree on every live filter.
             for filter_, _, _ in live:
                 assert state._first_cover(filter_) == _scan_first_cover(state, filter_)
-            if len(state.selection) >= 4:
+            if len(state.entries) >= 4:
                 probe = live[rng.randrange(len(live))][0]
-                candidates = state._selection_index.candidate_positions(probe)
-                if candidates is not None and len(candidates) < len(state.selection):
-                    pruned_at_least_once = True
+                for candidates in (
+                    state._index.candidate_positions(probe),
+                    state._index.covered_candidate_positions(probe),
+                ):
+                    if candidates is not None and len(candidates) < len(state.entries):
+                        pruned_at_least_once = True
         # The workload must actually exercise the pruning, not just agree
         # vacuously on tiny selections.
         assert pruned_at_least_once
+
+
+# Eviction-heavy schedules: many narrow filters, then wide ones that evict
+# them, then the wide ones leave again (resurrection, pairwise reduction of
+# the orphans, stealing from later covers) — the three paths that ask the
+# index "whom does this filter cover?".
+
+_EVICTION_LOCATIONS = ["a", "b", "c", "d", "e", "f"]
+
+
+def _eviction_filter(services, locations, cost):
+    template = {}
+    if services:
+        template["service"] = services[0] if len(services) == 1 else ("in", tuple(services))
+    if locations:
+        template["location"] = ("in", tuple(locations))
+    if cost is not None:
+        template["cost"] = cost
+    return Filter(template)
+
+
+def _eviction_filters(max_locations, min_size, max_size):
+    return st.lists(
+        st.builds(
+            _eviction_filter,
+            st.lists(st.sampled_from(["parking", "fuel"]), max_size=2, unique=True),
+            st.lists(st.sampled_from(_EVICTION_LOCATIONS), max_size=max_locations, unique=True),
+            st.one_of(
+                st.none(),
+                st.integers(0, 3),
+                st.tuples(st.just("between"), st.integers(0, 1), st.integers(2, 3)),
+                st.tuples(st.just("<"), st.integers(1, 4)),
+            ),
+        ),
+        min_size=min_size,
+        max_size=max_size,
+    )
+
+
+@given(
+    narrow=_eviction_filters(max_locations=2, min_size=3, max_size=10),
+    wide=_eviction_filters(max_locations=6, min_size=1, max_size=3),
+    late=_eviction_filters(max_locations=2, min_size=0, max_size=4),
+    removal_order=st.randoms(use_true_random=False),
+)
+@settings(max_examples=150, deadline=None)
+def test_eviction_heavy_schedules_match_from_scratch(narrow, wide, late, removal_order):
+    broker, _ = _make_broker(neighbours=("N1",))
+    table = broker.subscription_table
+    rows = []
+
+    def add(filter_):
+        rows.append((filter_, "c{}".format(len(rows) % 3), "s{}".format(len(rows))))
+        table.add(*rows[-1])
+        _assert_state_is_from_scratch(broker)
+
+    def remove(row):
+        rows.remove(row)
+        table.remove(*row)
+        _assert_state_is_from_scratch(broker)
+
+    for filter_ in narrow:
+        add(filter_)
+    for filter_ in wide:
+        add(filter_)
+    wide_rows = rows[len(narrow) :]
+    # Narrow filters arriving under the wide covers are dropped on arrival
+    # and only surface (or get stolen) once the covers leave.
+    for filter_ in late:
+        add(filter_)
+    removal_order.shuffle(wide_rows)
+    for row in wide_rows:
+        remove(row)
+    remaining = list(rows)
+    removal_order.shuffle(remaining)
+    for row in remaining:
+        remove(row)
+    assert broker._delta_states["N1"].entries == {}

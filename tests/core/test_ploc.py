@@ -69,6 +69,19 @@ class TestPloc:
         ploc = PlocFunction(graph)
         assert ploc("a", 1) == graph.reachable_within("a", 1)
         assert ploc("a", 1) is ploc("a", 1)  # memoised
+        # The memo lives on the graph: a second function over it hits too.
+        assert PlocFunction(graph)("a", 1) is ploc("a", 1)
+
+    def test_graph_mutation_invalidates_the_memo(self):
+        graph = MovementGraph.line(["a", "b", "c"])
+        ploc = PlocFunction(graph)
+        assert ploc("a", 1) == frozenset("ab")
+        graph.add_edge("a", "c")
+        assert ploc("a", 1) == frozenset("abc")
+        graph.add_location("island")
+        graph.add_edge("island", "a")
+        assert ploc("a", 1) == frozenset({"a", "b", "c", "island"})
+        assert graph.reachable_within("island", 0) == frozenset({"island"})
 
     def test_monotonicity_equation_1(self):
         ploc = PlocFunction(MovementGraph.paper_example())

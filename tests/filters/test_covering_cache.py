@@ -157,6 +157,89 @@ class TestCoveringIndex:
         assert [f.key() for f in cached] == [f.key() for f in expected]
 
 
+class TestCoveredCandidates:
+    """The dual query: whom might a filter cover?"""
+
+    def _candidates(self, indexed, coverer):
+        index = CoveringIndex()
+        for position, filter_ in enumerate(indexed):
+            index.add(position, filter_)
+        return _covered_candidates(index, coverer, len(indexed))
+
+    def test_half_open_degenerate_interval_found_under_its_value(self):
+        # [5, 5) accepts nothing but the closed [5, 5] covers it, and a=5
+        # or a∈{4,5} cover the closed one: zero-width intervals must sit in
+        # the value bucket their finite coverers query.
+        from repro.filters.constraints import Between
+
+        closed = Filter({"a": Between(5, 5)})
+        half_open = Filter({"a": Between(5, 5, low_inclusive=False)})
+        indexed = [half_open, closed, F(a=6)]
+        assert filter_covers(closed, half_open)
+        assert self._candidates(indexed, closed) == {0, 1}
+        for coverer in (F(a=5), F(a=("in", [4, 5]))):
+            assert filter_covers(coverer, closed)
+            assert self._candidates(indexed, coverer) == {0, 1}
+
+    def test_special_filters_on_either_side(self):
+        indexed = [F(a=1), MatchNone(), MatchAll(), Filter({}), F(b=2)]
+        everything = set(range(len(indexed)))
+        # No strict constraint: covers everything, nothing can be pruned.
+        for coverer in (MatchAll(), Filter({}), F(a=("any",)), MatchNone()):
+            assert self._candidates(indexed, coverer) == everything
+        # MatchNone is covered by every filter; the universal filters only
+        # by coverers without strict constraints.
+        assert self._candidates(indexed, F(a=1)) == {0, 1}
+        assert self._candidates(indexed, F(zzz=1)) == {1}
+
+    def test_bare_range_filter_uses_the_emptier_attribute_bucket(self):
+        # `cost between` has no finite constraint besides the service
+        # equality every filter shares; the answer comes from the filters
+        # that constrain cost at all.
+        indexed = [F(service="parking", location=name) for name in "abcdef"]
+        indexed.append(F(service="parking", cost=3))
+        indexed.append(F(service="parking", cost=("between", 2, 4), location="a"))
+        coverer = F(service="parking", cost=("between", 1, 5))
+        assert self._candidates(indexed, coverer) == {6, 7}
+        # The shared equality alone cannot prune anything.
+        assert self._candidates(indexed, F(service="parking")) == set(range(8))
+
+    def test_least_loaded_constraint_answers(self):
+        indexed = [F(service="parking", location=name) for name in "aabbbc"]
+        coverer = F(service="parking", location=("in", ["a", "c"]))
+        assert self._candidates(indexed, coverer) == {0, 1, 5}
+
+    def test_remove_undoes_every_placement(self):
+        from repro.filters.constraints import Between
+
+        index = CoveringIndex()
+        filters = [
+            F(service="parking", location=("in", ["a", "b"]), cost=("<", 5)),
+            F(cost=("between", 1, 5)),
+            Filter({"a": Between(5, 5, high_inclusive=False), "b": ("any",)}),
+            MatchNone(),
+            MatchAll(),
+        ]
+        for position, filter_ in enumerate(filters):
+            index.add(position, filter_)
+        index.add(99, F(service="parking", cost=1))
+        index.remove(99)
+        assert 99 not in _covered_candidates(index, F(service="parking"), 0)
+        for position in range(len(filters)):
+            index.remove(position)
+        index.remove(0)  # unknown positions are a no-op
+        for name in CoveringIndex.__slots__:
+            assert not getattr(index, name), name
+
+
+def _covered_candidates(index, coverer, indexed_count):
+    positions = index.covered_candidate_positions(coverer)
+    if positions is None:
+        return set(range(indexed_count))
+    assert len(positions) == len(set(positions))
+    return set(positions)
+
+
 ATTRIBUTES = ["service", "location", "cost"]
 LOCATIONS = ["a", "b", "c", "d", "e"]
 
@@ -205,3 +288,28 @@ def test_cache_agrees_with_filter_covers(filters):
     for left in filters:
         for right in filters:
             assert cache.covers(left, right) == filter_covers(left, right)
+
+
+@given(random_filters())
+@settings(max_examples=300, deadline=None)
+def test_both_candidate_queries_are_sound(filters):
+    """Brute force is the oracle: neither query may hide a covering pair,
+    including after a removal re-shuffled the buckets."""
+    index = CoveringIndex()
+    for position, filter_ in enumerate(filters):
+        index.add(position, filter_)
+    live = dict(enumerate(filters))
+    for _ in range(2):
+        for probe in filters:
+            coverers = index.candidate_positions(probe)
+            covered = index.covered_candidate_positions(probe)
+            for position, other in live.items():
+                if coverers is not None and filter_covers(other, probe):
+                    assert position in coverers
+                if covered is not None and filter_covers(probe, other):
+                    assert position in covered
+            for positions in (coverers, covered):
+                assert positions is None or set(positions) <= set(live)
+        for position in list(live)[::2]:
+            index.remove(position)
+            del live[position]
