@@ -1350,15 +1350,13 @@ class Broker:
                 peer=record.client_id,
                 attrs={"sequence": sequence},
             )
+        # One record per delivery, shared by the trace and the client.
+        delivery = None
         if self.trace is not None:
-            self.trace.record_delivery(
-                self.clock.now,
-                record.client_id,
-                record.subscription_id,
-                notification,
-                sequence=sequence,
+            delivery = self.trace.record_delivery(
+                self.clock.now, record.client_id, record.subscription_id, notification, sequence
             )
-        registration.client.deliver(record.subscription_id, notification, sequence)
+        registration.client.deliver(record.subscription_id, notification, sequence, delivery)
 
     # ------------------------------------------------------------------
     # Plain subscription / advertisement handling

@@ -14,13 +14,14 @@ mobility-facing operations this reproduction adds on top:
   application-level location so that its location-dependent subscriptions
   (Section 5) adapt automatically.
 
-The client records every delivered notification (with its delivery time
-and sequence number), which the QoS checkers and experiments consume.
+The client keeps every delivered notification as a
+:class:`~repro.runtime.trace.DeliveryRecord` (delivery time, subscription,
+sequence number, the notification) — the very object the border broker
+put into the trace — which the QoS checkers and experiments consume.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.adaptivity import UncertaintyPlan
@@ -28,21 +29,7 @@ from repro.core.location_filter import LocationDependentFilter
 from repro.core.ploc import MovementGraph
 from repro.filters.filter import Filter
 from repro.messages.notification import Notification
-
-
-@dataclass
-class ReceivedNotification:
-    """One notification as seen by the client (used by tests and experiments)."""
-
-    time: float
-    subscription_id: str
-    sequence: int
-    notification: Notification
-
-    @property
-    def identity(self) -> Tuple[str, int]:
-        """Global identity of the received notification."""
-        return self.notification.identity
+from repro.runtime.trace import DeliveryRecord
 
 
 class ClientError(RuntimeError):
@@ -94,7 +81,7 @@ class Client:
         self._publish_seq = 0
 
         # Everything ever delivered to this client, in delivery order.
-        self.received: List[ReceivedNotification] = []
+        self.received: List[DeliveryRecord] = []
 
         # Logical location (``None`` until set_location is called).
         self.current_location: Optional[str] = None
@@ -312,8 +299,18 @@ class Client:
         """Whether *subscription_id* was registered with ``durable=True``."""
         return subscription_id in self._durable
 
-    def deliver(self, subscription_id: str, notification: Notification, sequence: int) -> None:
+    def deliver(
+        self,
+        subscription_id: str,
+        notification: Notification,
+        sequence: int,
+        record: Optional[DeliveryRecord] = None,
+    ) -> None:
         """``notify``: called by the border broker to deliver a notification.
+
+        *record* is the broker's delivery record of this call; it is kept
+        in ``received`` as is.  Without one (a caller that is not a broker)
+        the client makes its own.
 
         For durable subscriptions the client enforces the at-least-once
         contract's client-facing half: a sequence number at or below the
@@ -334,15 +331,10 @@ class Client:
                 self._gap_ranges.setdefault(subscription_id, []).append(
                     (previous + 1, sequence - 1)
                 )
-        time = self._broker.clock.now if self._broker is not None else 0.0
-        self.received.append(
-            ReceivedNotification(
-                time=time,
-                subscription_id=subscription_id,
-                sequence=sequence,
-                notification=notification,
-            )
-        )
+        if record is None:
+            time = self._broker.clock.now if self._broker is not None else 0.0
+            record = DeliveryRecord(time, self.client_id, subscription_id, notification, sequence)
+        self.received.append(record)
         previous = self._last_sequence.get(subscription_id, 0)
         if sequence > previous:
             self._last_sequence[subscription_id] = sequence

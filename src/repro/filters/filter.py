@@ -37,7 +37,7 @@ class Filter:
         :func:`repro.filters.constraints.constraint_from_tuple`.
     """
 
-    __slots__ = ("_constraints", "_key", "_hash")
+    __slots__ = ("_constraints", "_key", "_hash", "_repr", "_wire")
 
     def __init__(self, constraints: Optional[Mapping[str, Any]] = None, **kwargs: Any) -> None:
         merged: Dict[str, Any] = {}
@@ -54,6 +54,10 @@ class Filter:
             sorted((name, c.key()) for name, c in built.items())
         )
         self._hash = hash(self._key)
+        # Memos of the two renderings of an immutable filter: ``repr`` and
+        # the wire payload (owned by :func:`repro.filters.wire.filter_to_wire`).
+        self._repr: Optional[str] = None
+        self._wire: Optional[Dict[str, Any]] = None
 
     # -- construction helpers -----------------------------------------------
     @classmethod
@@ -150,11 +154,13 @@ class Filter:
     def __repr__(self) -> str:
         if not self._constraints:
             return "Filter(<all>)"
-        parts = ", ".join(
-            "{}{}".format(name, _render_constraint(c))
-            for name, c in sorted(self._constraints.items())
-        )
-        return "Filter({})".format(parts)
+        if self._repr is None:
+            parts = ", ".join(
+                "{}{}".format(name, _render_constraint(c))
+                for name, c in sorted(self._constraints.items())
+            )
+            self._repr = "Filter({})".format(parts)
+        return self._repr
 
     # -- serialisation (used by traces and debugging tools) ---------------------
     def to_dict(self) -> Dict[str, Any]:

@@ -108,6 +108,11 @@ def _merge_constraints(left: Constraint, right: Constraint) -> Optional[Constrai
 
 def _merge_intervals(left: Between, right: Between) -> Optional[Between]:
     """Merge two intervals when their union is a single interval."""
+    # A zero-width interval with an exclusive bound accepts nothing (its
+    # closed bound is not a member either): the union is the other side.
+    for empty, other in ((left, right), (right, left)):
+        if empty.low == empty.high and not empty.is_degenerate():
+            return other
     ok, sign = try_compare(left.low, right.low)
     if not ok:
         return None

@@ -113,17 +113,27 @@ def constraint_from_wire(payload: Sequence[Any]) -> Constraint:
 
 
 def filter_to_wire(filter_: Filter) -> Dict[str, Any]:
-    """A JSON-friendly representation of *filter_* built on canonical keys."""
-    if isinstance(filter_, MatchNone):
-        return {"kind": "none"}
-    if isinstance(filter_, MatchAll):
-        return {"kind": "all"}
-    return {
-        "kind": "filter",
-        "constraints": [
-            [name, constraint_to_wire(constraint)] for name, constraint in filter_
-        ],
-    }
+    """A JSON-friendly representation of *filter_* built on canonical keys.
+
+    Filters are immutable and the same one is journalled and encoded at
+    every hop, so the payload is built once and kept on the instance:
+    callers embed or encode it and must not change it.
+    """
+    payload = filter_._wire
+    if payload is None:
+        if isinstance(filter_, MatchNone):
+            payload = {"kind": "none"}
+        elif isinstance(filter_, MatchAll):
+            payload = {"kind": "all"}
+        else:
+            payload = {
+                "kind": "filter",
+                "constraints": [
+                    [name, constraint_to_wire(constraint)] for name, constraint in filter_
+                ],
+            }
+        filter_._wire = payload
+    return payload
 
 
 def filter_from_wire(payload: Dict[str, Any]) -> Filter:

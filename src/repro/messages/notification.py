@@ -26,7 +26,7 @@ class Notification(Message):
 
     kind = MessageKind.NOTIFICATION
 
-    __slots__ = ("attributes", "publisher", "publisher_seq", "publish_time")
+    __slots__ = ("attributes", "publisher", "publisher_seq", "publish_time", "identity")
 
     def __init__(
         self,
@@ -42,15 +42,14 @@ class Notification(Message):
             if not isinstance(name, str) or not name:
                 raise ValueError("attribute names must be non-empty strings: {!r}".format(name))
             validated[name] = coerce_value(value)
-        self.attributes: Dict[str, Any] = validated
+        # Kept in name order: the trace, the wire codec and ``describe`` all
+        # want the sorted form, and a notification never changes once built.
+        self.attributes: Dict[str, Any] = dict(sorted(validated.items()))
         self.publisher = publisher
         self.publisher_seq = int(publisher_seq)
         self.publish_time = float(publish_time)
-
-    @property
-    def identity(self) -> Tuple[str, int]:
-        """Global identity ``(publisher, publisher_seq)`` of the event."""
-        return (self.publisher, self.publisher_seq)
+        #: Global identity ``(publisher, publisher_seq)`` of the event.
+        self.identity: Tuple[str, int] = (publisher, self.publisher_seq)
 
     def get(self, name: str, default: Any = None) -> Any:
         """Value of attribute *name*, or *default*."""
@@ -64,12 +63,12 @@ class Notification(Message):
 
     def describe(self) -> str:
         return "Notification({}#{}, {})".format(
-            self.publisher, self.publisher_seq, dict(sorted(self.attributes.items()))
+            self.publisher, self.publisher_seq, self.attributes
         )
 
     def _wire_body(self) -> Dict[str, Any]:
         return {
-            "attributes": dict(sorted(self.attributes.items())),
+            "attributes": dict(self.attributes),
             "publisher": self.publisher,
             "publisher_seq": self.publisher_seq,
             "publish_time": self.publish_time,

@@ -161,7 +161,7 @@ def measure_blackout(
             continue
         if window_end is not None and record.time > window_end:
             continue
-        if filter_.matches(dict(record.attributes)):
+        if filter_.matches(record.notification.attributes):
             matching.append((record.time, record.identity))
     matching.sort()
 

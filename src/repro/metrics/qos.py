@@ -81,7 +81,7 @@ def expected_identities(
             continue
         if until is not None and record.time > until:
             continue
-        if filter_.matches(dict(record.attributes)):
+        if filter_.matches(record.notification.attributes):
             out.add(record.identity)
     return out
 
@@ -250,7 +250,7 @@ def flooding_reference_set(
     """
     expected: Set[Identity] = set()
     for record in publishes:
-        attributes = dict(record.attributes)
+        attributes = record.notification.attributes
         if not base_filter.matches(attributes):
             continue
         location_value = attributes.get(location_attribute)

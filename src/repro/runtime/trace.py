@@ -11,50 +11,64 @@ simulator backend (:mod:`repro.runtime.sim`) and the asyncio backend
 (:mod:`repro.runtime.aio`) feed the same record types — which is what
 lets the backend-parity tests compare traces across backends directly.
 (:mod:`repro.sim.trace` re-exports these names for compatibility.)
+
+Records are **references, not copies**: each holds the time, the
+endpoints and the message (or notification) itself, and renders
+``description`` / ``attributes`` only when something reads them.  That is
+sound because no message changes after it has been sent — the contract
+``docs/observability.md`` ("Trace records") spells out and
+``tests/runtime/test_trace_records.py`` checks on every experiment.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple
 
 from repro.messages.base import Message, MessageKind
 from repro.messages.notification import Notification
 
 
-@dataclass(frozen=True)
-class LinkRecord:
-    """One message crossing one link (counted once per traversal)."""
+class _MessageRecord:
+    """A message seen on a link; everything about it is read through."""
 
-    time: float
-    source: str
-    target: str
-    kind: MessageKind
-    message_type: str
-    message_id: int
-    description: str = ""
+    __slots__ = ("time", "source", "target", "message")
 
-
-@dataclass(frozen=True)
-class DeliveryRecord:
-    """One notification handed to a client's ``notify`` callback."""
-
-    time: float
-    client_id: str
-    subscription_id: str
-    publisher: str
-    publisher_seq: int
-    sequence: Optional[int]
-    attributes: Tuple[Tuple[str, Any], ...]
+    def __init__(self, time: float, source: str, target: str, message: Message) -> None:
+        self.time = time
+        self.source = source
+        self.target = target
+        self.message = message
 
     @property
-    def identity(self) -> Tuple[str, int]:
-        """Global identity of the delivered notification."""
-        return (self.publisher, self.publisher_seq)
+    def kind(self) -> MessageKind:
+        return self.message.kind
+
+    @property
+    def message_type(self) -> str:
+        return type(self.message).__name__
+
+    @property
+    def message_id(self) -> int:
+        return self.message.message_id
+
+    @property
+    def description(self) -> str:
+        """``message.describe()``, rendered when read."""
+        return self.message.describe()
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return "{}({}, {}->{}, {})".format(
+            type(self).__name__, self.time, self.source, self.target, self.description
+        )
 
 
-@dataclass(frozen=True)
-class DropRecord:
+class LinkRecord(_MessageRecord):
+    """One message crossing one link (counted once per traversal)."""
+
+    __slots__ = ()
+
+
+class DropRecord(_MessageRecord):
     """One message lost by fault injection, attributed to its cause.
 
     *reason* names the fault that consumed the message: ``"loss"`` for
@@ -65,27 +79,75 @@ class DropRecord:
     deliveries to the fault schedule instead of guessing.
     """
 
-    time: float
-    source: str
-    target: str
-    kind: MessageKind
-    message_type: str
-    message_id: int
-    reason: str
+    __slots__ = ("reason",)
+
+    def __init__(
+        self, time: float, source: str, target: str, message: Message, reason: str
+    ) -> None:
+        super().__init__(time, source, target, message)
+        self.reason = reason
 
 
-@dataclass(frozen=True)
-class PublishRecord:
-    """One notification injected into the system by a producer."""
+class _NotificationRecord:
+    """A notification seen at a client boundary; its content is read through."""
 
-    time: float
-    publisher: str
-    publisher_seq: int
-    attributes: Tuple[Tuple[str, Any], ...]
+    __slots__ = ("time", "notification")
+
+    def __init__(self, time: float, notification: Notification) -> None:
+        self.time = time
+        self.notification = notification
+
+    @property
+    def publisher(self) -> str:
+        return self.notification.publisher
+
+    @property
+    def publisher_seq(self) -> int:
+        return self.notification.publisher_seq
+
+    @property
+    def attributes(self) -> Tuple[Tuple[str, Any], ...]:
+        """The notification's attributes as a name-sorted tuple of pairs."""
+        return tuple(self.notification.attributes.items())
 
     @property
     def identity(self) -> Tuple[str, int]:
-        return (self.publisher, self.publisher_seq)
+        """Global identity of the notification."""
+        return self.notification.identity
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return "{}({}, {})".format(type(self).__name__, self.time, self.notification.describe())
+
+
+class PublishRecord(_NotificationRecord):
+    """One notification injected into the system by a producer."""
+
+    __slots__ = ()
+
+
+class DeliveryRecord(_NotificationRecord):
+    """One notification handed to a client's ``notify`` callback.
+
+    The same object sits in ``TraceRecorder.delivery_records`` and in the
+    receiving ``Client.received``.
+    """
+
+    __slots__ = ("client_id", "subscription_id", "sequence")
+
+    def __init__(
+        self,
+        time: float,
+        client_id: str,
+        subscription_id: str,
+        notification: Notification,
+        sequence: Optional[int] = None,
+    ) -> None:
+        # Flat on purpose (no ``super().__init__``): built once per delivery.
+        self.time = time
+        self.client_id = client_id
+        self.subscription_id = subscription_id
+        self.notification = notification
+        self.sequence = sequence
 
 
 class TraceRecorder:
@@ -100,44 +162,17 @@ class TraceRecorder:
     # -- recording hooks ----------------------------------------------------
     def record_link(self, time: float, source: str, target: str, message: Message) -> None:
         """Record that *message* crossed the link from *source* to *target*."""
-        self.link_records.append(
-            LinkRecord(
-                time=time,
-                source=source,
-                target=target,
-                kind=message.kind,
-                message_type=type(message).__name__,
-                message_id=message.message_id,
-                description=message.describe(),
-            )
-        )
+        self.link_records.append(LinkRecord(time, source, target, message))
 
     def record_drop(
         self, time: float, source: str, target: str, message: Message, reason: str
     ) -> None:
         """Record that *message* was lost between *source* and *target*."""
-        self.drop_records.append(
-            DropRecord(
-                time=time,
-                source=source,
-                target=target,
-                kind=message.kind,
-                message_type=type(message).__name__,
-                message_id=message.message_id,
-                reason=reason,
-            )
-        )
+        self.drop_records.append(DropRecord(time, source, target, message, reason))
 
     def record_publish(self, time: float, notification: Notification) -> None:
         """Record a notification being published by its producer."""
-        self.publish_records.append(
-            PublishRecord(
-                time=time,
-                publisher=notification.publisher,
-                publisher_seq=notification.publisher_seq,
-                attributes=tuple(sorted(notification.attributes.items())),
-            )
-        )
+        self.publish_records.append(PublishRecord(time, notification))
 
     def record_delivery(
         self,
@@ -146,19 +181,11 @@ class TraceRecorder:
         subscription_id: str,
         notification: Notification,
         sequence: Optional[int] = None,
-    ) -> None:
-        """Record a notification being delivered to a client."""
-        self.delivery_records.append(
-            DeliveryRecord(
-                time=time,
-                client_id=client_id,
-                subscription_id=subscription_id,
-                publisher=notification.publisher,
-                publisher_seq=notification.publisher_seq,
-                sequence=sequence,
-                attributes=tuple(sorted(notification.attributes.items())),
-            )
-        )
+    ) -> DeliveryRecord:
+        """Record a notification being delivered to a client; returns the record."""
+        record = DeliveryRecord(time, client_id, subscription_id, notification, sequence)
+        self.delivery_records.append(record)
+        return record
 
     # -- queries --------------------------------------------------------------
     def deliveries_for(self, client_id: str) -> List[DeliveryRecord]:
@@ -216,7 +243,7 @@ class TraceRecorder:
         return [r for r in self.publish_records if r.time <= until]
 
     def clear(self) -> None:
-        """Forget all recorded data."""
+        """Forget all recorded data (and with it the messages it kept alive)."""
         self.link_records.clear()
         self.delivery_records.clear()
         self.publish_records.clear()

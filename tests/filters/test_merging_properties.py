@@ -12,7 +12,7 @@ Greedy set merging is **order-dependent** in which partition it picks
 (documented and pinned below) but never in the accepted union.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.filters.constraints import (
     AnyValue,
@@ -92,6 +92,10 @@ def events():
 
 
 @given(constraints(), constraints())
+# An empty half-open interval must not lend its closed bound to the union
+# (the merge used to return Between(5, 6) closed at 5, accepting 5.0).
+@example(Between(5, 6, low_inclusive=False), Between(5, 5, high_inclusive=False))
+@example(Between(5, 5, low_inclusive=False), Between(4, 5, high_inclusive=False))
 @settings(max_examples=400, deadline=None)
 def test_merge_constraints_accepts_exactly_the_union(left, right):
     """A successful ``_merge_constraints`` is the exact union of both sides."""

@@ -368,6 +368,22 @@ def test_filter_wire_round_trip(filter_):
     assert decoded.key() == filter_.key()
 
 
+@settings(max_examples=100, deadline=None)
+@given(filter_=filters)
+def test_filter_wire_payload_is_built_once_and_survives_reuse(filter_):
+    """The payload is memoised on the filter; encoding it leaves it intact."""
+    payload = filter_to_wire(filter_)
+    assert filter_to_wire(filter_) is payload
+    before = json.dumps(payload)
+    for message in (Subscribe(filter_, subject="s"), Unsubscribe(filter_, subject="s")):
+        assert message.to_wire()["filter"] is payload
+        assert decode_message(encode_message(message)) == message
+    assert json.dumps(filter_to_wire(filter_)) == before
+    assert filter_from_wire(json.loads(before)) == filter_
+    if len(filter_):
+        assert repr(filter_) is repr(filter_)
+
+
 @settings(max_examples=300, deadline=None)
 @given(message=messages)
 def test_message_wire_round_trip(message):
