@@ -68,10 +68,9 @@ COUNTER_FIELDS = (
     "disk_records_recovered",
     "disk_snapshots_written",
     "retention_replayed",
-    # Vectorised dispatch: counter bumps and mask operations are
-    # deterministic costs — creeping back up means the bitset plane (or
-    # its shared-predicate skipping) stopped doing its job.
-    "count_increments",
+    # Bitset dispatch: mask operations are a deterministic cost —
+    # creeping up means the bitset plane (or its shared-predicate
+    # skipping) stopped doing its job.
     "mask_ops",
 )
 #: extra_info fields where a *decrease* is a lost speedup.
@@ -82,7 +81,6 @@ RATIO_FIELDS = (
     "settle_time_ratio",
     "event_ratio",
     "constraint_eval_ratio",
-    "count_increment_ratio",
 )
 #: extra_info fields describing the workload; any change requires regeneration.
 #: ``backend`` names the runtime the numbers were produced on (a string,

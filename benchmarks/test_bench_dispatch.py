@@ -1,36 +1,24 @@
-"""Data-plane benchmark: vectorised vs counting vs linear-scan dispatch.
+"""Data-plane benchmark: what a notification costs on the bitset dispatch plane.
 
 The control-plane benchmarks (scale, merging) gate how much work a
 *routing change* costs; this suite gates how much work a *notification*
-costs.  Three implementations coexist behind ``BrokerConfig``:
+costs.  Every broker matches through its ``DispatchPlan``: all table
+filters are decomposed into shared predicates, satisfied predicates are
+added into bit-plane counters over big-int filter masks, near-universal
+predicates are lifted out of counting entirely (shared-predicate
+skipping), and batched link flushes reuse match results across
+identical-attribute runs.
 
-* **scan** (``indexed_dispatch=False``) — the routing table's candidate
-  engine evaluates every candidate filter with ``Filter.matches``, twice
-  per notification (once for the forwarding set, once for the local
-  rows);
-* **counting** (``indexed_dispatch=True, vectorised_dispatch=False``) —
-  the broker's ``DispatchPlan`` decomposes all table filters into shared
-  predicates and answers both questions in one counting pass with a
-  per-filter counter increment per satisfied predicate;
-* **vectorised** (the default) — the same predicate index feeds a
-  bitset-compiled matcher: satisfied predicates are OR-ed into bit-plane
-  counters over big-int filter masks, near-universal predicates are
-  lifted out of counting entirely (shared-predicate skipping), and
-  batched link flushes reuse match results across identical-attribute
-  runs.
-
-All modes must produce **byte-identical behaviour**: the same deliveries
-(identities per client), the same admin traffic and the same routing
-tables.  Two hard, deterministic criteria during the publish phase:
-
-* the scan/vectorised raw constraint-evaluation ratio is ≥ 5× (the
-  original counting-index bar, which vectorisation must not lose), with
-  the vectorised mode performing *exactly* the counting mode's residual
-  evaluations — the bitset plane changes bookkeeping, not semantics;
-* the counting/vectorised ``count_increments`` ratio is ≥ 5× — the
-  tentpole criterion: per-filter counter bumps collapse into wide mask
-  operations (``mask_ops``), so the vectorised mode performs at least
-  5× fewer increments per delivered notification.
+Each workload is run twice, on the plan and on the brute-force
+specification of ``tests/oracles/matching.py`` (every row's
+``Filter.matches``, a linear advertisement-gate scan), and must produce
+**byte-identical behaviour**: the same deliveries (identities per
+client), the same admin traffic and the same routing tables.  One hard,
+deterministic criterion during the publish phase: the plan performs at
+least 5× fewer raw constraint evaluations than the brute force (the
+original counting-index bar).  The plan's own counters — ``mask_ops``,
+``constraint_evals``, ``bitset_rebuilds``, ``batched_groups`` — are
+recorded and regression-gated by ``check_bench.py``.
 
 Wall-clock numbers (including the Figure 9 publish phase) are recorded
 but never gated.  The suite is backend-parameterised
@@ -40,7 +28,6 @@ sim-only.
 
 import time
 
-from repro.broker.base import BrokerConfig
 from repro.broker.network import PubSubNetwork
 from repro.experiments import fig9_message_counts
 from repro.metrics.counters import (
@@ -52,16 +39,12 @@ from repro.runtime.factory import make_runtime
 from repro.sim.rng import DeterministicRandom
 from repro.topology.builders import balanced_tree_topology
 
+from tests.oracles.matching import oracle_dispatch
+
 LOCATIONS = ["loc-{:02d}".format(index) for index in range(24)]
 
 SUBSCRIBERS_PER_LEAF = 70  # 3 populated leaves -> 210 overlapping subscriptions
 PUBLISHES = 200
-
-MODE_CONFIGS = {
-    "vectorised": {"indexed_dispatch": True, "vectorised_dispatch": True},
-    "counting": {"indexed_dispatch": True, "vectorised_dispatch": False},
-    "scan": {"indexed_dispatch": False},
-}
 
 # Batching amortisation workload: bursts of identical-attribute
 # notifications published at one instant share a link flush run, so the
@@ -70,19 +53,18 @@ BURSTS = 40
 BURST_SIZE = 5
 
 
-def _make_network(mode: str, backend: str, latency: float) -> PubSubNetwork:
-    """A covering-strategy network in *mode* on *backend*."""
+def _make_network(backend: str, latency: float) -> PubSubNetwork:
+    """A covering-strategy network on *backend*."""
     topology = balanced_tree_topology(depth=3, fanout=2)
-    config = BrokerConfig(**MODE_CONFIGS[mode])
     if backend == "sim":
-        return PubSubNetwork(topology, strategy="covering", latency=latency, config=config)
+        return PubSubNetwork(topology, strategy="covering", latency=latency)
     runtime = make_runtime(backend, latency=latency)
-    return PubSubNetwork(topology, strategy="covering", runtime=runtime, config=config)
+    return PubSubNetwork(topology, strategy="covering", runtime=runtime)
 
 
-def _run_publish_workload(mode: str = "vectorised", backend: str = "sim"):
+def _run_publish_workload(backend: str = "sim"):
     """Settle an overlapping subscriber population, then publish heavily."""
-    network = _make_network(mode, backend, latency=0.005)
+    network = _make_network(backend, latency=0.005)
     leaves = network.graph.leaves()
     producer = network.add_client("producer", leaves[0])
     producer.advertise({"service": "parking"})
@@ -97,9 +79,8 @@ def _run_publish_workload(mode: str = "vectorised", backend: str = "sim"):
             start = rng.randint(0, len(LOCATIONS) - span)
             if client_index == 0:
                 # One wide "monitor everything parking" subscriber per
-                # leaf: its filter has arity 1, which exercises the
-                # counting matcher's arity-1 fast path (and the bitset
-                # matcher's zero-residual-arity planes) on every publish.
+                # leaf: its only predicate is the hot one, which exercises
+                # the matcher's zero-residual-arity planes on every publish.
                 template = {"service": "parking"}
             else:
                 template = {
@@ -136,11 +117,7 @@ def _run_publish_workload(mode: str = "vectorised", backend: str = "sim"):
     result = {
         "publish_seconds": publish_seconds,
         "constraint_evals": stats["constraint_evals"],
-        "filter_matches": stats["filter_matches"],
         "dispatch_matches": stats["dispatch_matches"],
-        "count_increments": stats["dispatch_count_increments"],
-        "count_increments_per_delivery": stats["dispatch_count_increments_per_delivery"],
-        "arity1_fast_matches": stats["dispatch_arity1_fast_matches"],
         "mask_ops": stats["dispatch_mask_ops"],
         "bitset_rebuilds": stats["dispatch_bitset_rebuilds"],
         "predicates_skipped_shared": stats["dispatch_predicates_skipped_shared"],
@@ -157,42 +134,26 @@ def _run_publish_workload(mode: str = "vectorised", backend: str = "sim"):
 
 
 def test_dispatch_count_increment_reduction(benchmark, bench_backend):
-    """Vectorised dispatch: ≥5× fewer counter bumps, identical behaviour."""
+    """Publish phase: counting done in wide mask operations, behaviour of the oracle."""
     vectorised = benchmark.pedantic(
-        _run_publish_workload, args=("vectorised", bench_backend), iterations=1, rounds=1
+        _run_publish_workload, args=(bench_backend,), iterations=1, rounds=1
     )
-    counting = _run_publish_workload("counting", bench_backend)
-    scan = _run_publish_workload("scan", bench_backend)
+    with oracle_dispatch():
+        oracle = _run_publish_workload(bench_backend)
 
-    # Byte-identical data-plane behaviour across all three modes.
-    for other in (counting, scan):
-        assert vectorised["received"] == other["received"]
-        assert vectorised["delivered"] == other["delivered"]
-        assert vectorised["admin_messages"] == other["admin_messages"]
-        assert vectorised["table_sizes"] == other["table_sizes"]
+    # Byte-identical data-plane behaviour.
+    assert vectorised["received"] == oracle["received"]
+    assert vectorised["delivered"] == oracle["delivered"]
+    assert vectorised["admin_messages"] == oracle["admin_messages"]
+    assert vectorised["table_sizes"] == oracle["table_sizes"]
 
     delivered = vectorised["delivered"]
     assert delivered > 0
-    eval_ratio = scan["constraint_evals"] / max(vectorised["constraint_evals"], 1)
-    increment_ratio = counting["count_increments"] / max(vectorised["count_increments"], 1)
+    eval_ratio = oracle["constraint_evals"] / max(vectorised["constraint_evals"], 1)
 
-    # The bitset plane replaces bookkeeping, not match semantics: the
-    # vectorised mode performs exactly the counting mode's residual
-    # constraint evaluations.
-    assert vectorised["constraint_evals"] == counting["constraint_evals"]
-
-    # Arity-1 fast path (ROADMAP "counting inner loop"): a satisfied
-    # predicate whose filter has arity 1 is a match immediately, with no
-    # counter bump; each avoided bump is recorded in arity1_fast_matches.
-    # The stat belongs to the counting matcher — the bitset matcher has
-    # no counters to skip — so it is gated on the counting run: the wide
-    # one-constraint subscribers match on every publish, so the skip
-    # count must reach at least one per publish.
-    assert counting["arity1_fast_matches"] >= PUBLISHES
-
-    # The vectorised data plane actually ran: wide mask operations did
-    # the counting, and the near-universal ``service == parking``
-    # predicate was lifted out of counting arity entirely.
+    # The bitset plane actually ran: wide mask operations did the
+    # counting, and the near-universal ``service == parking`` predicate
+    # was lifted out of counting arity entirely.
     assert vectorised["mask_ops"] > 0
     assert vectorised["predicates_skipped_shared"] > 0
 
@@ -202,46 +163,29 @@ def test_dispatch_count_increment_reduction(benchmark, bench_backend):
             "publishes": PUBLISHES,
             "delivered": delivered,
             "constraint_evals_vectorised": vectorised["constraint_evals"],
-            "constraint_evals_counting": counting["constraint_evals"],
-            "constraint_evals_scan": scan["constraint_evals"],
+            "constraint_evals_oracle": oracle["constraint_evals"],
             "constraint_eval_ratio": round(eval_ratio, 1),
-            "count_increments": vectorised["count_increments"],
-            "count_increments_counting": counting["count_increments"],
-            "count_increment_ratio": round(increment_ratio, 1),
-            "count_increments_per_delivery": vectorised["count_increments_per_delivery"],
-            "count_increments_per_delivery_counting": counting["count_increments_per_delivery"],
             "mask_ops": vectorised["mask_ops"],
             "bitset_rebuilds": vectorised["bitset_rebuilds"],
             "predicates_skipped_shared": vectorised["predicates_skipped_shared"],
-            "arity1_fast_matches_counting": counting["arity1_fast_matches"],
             "evals_per_delivery_vectorised": round(vectorised["constraint_evals"] / delivered, 3),
-            "evals_per_delivery_scan": round(scan["constraint_evals"] / delivered, 3),
-            "filter_matches_scan": scan["filter_matches"],
             "dispatch_matches": vectorised["dispatch_matches"],
             "advert_gate_hits": vectorised["advert_gate_hits"],
             "advert_gate_misses": vectorised["advert_gate_misses"],
             "publish_seconds_vectorised": round(vectorised["publish_seconds"], 4),
-            "publish_seconds_counting": round(counting["publish_seconds"], 4),
-            "publish_seconds_scan": round(scan["publish_seconds"], 4),
         }
     )
-    # The original counting-index acceptance criterion, which the bitset
-    # plane must not lose: at least 5× fewer raw constraint evaluations
-    # than the scan path.  The observed ratio is far higher (see
-    # BENCH_dispatch.json) because the workload's equality/set/range
-    # constraints are all answered by bucket lookups and bisections.
+    # The original counting-index acceptance criterion: at least 5× fewer
+    # raw constraint evaluations than evaluating the rows one by one.
+    # The observed ratio is far higher (see BENCH_dispatch.json) because
+    # the workload's equality/set/range constraints are all answered by
+    # bucket lookups and bisections.
     assert eval_ratio >= 5.0
-    # The tentpole criterion: per-filter counter increments collapse
-    # into wide mask operations — at least 5× fewer increments than the
-    # counting mode at unchanged constraint-evaluation counts.  (The
-    # pure-bitset path performs none at all; the floor keeps the gate
-    # meaningful if a future hybrid reintroduces some.)
-    assert increment_ratio >= 5.0
 
 
-def _run_batched_workload(mode: str = "vectorised", backend: str = "sim"):
+def _run_batched_workload(backend: str = "sim"):
     """Publish identical-attribute bursts so link flushes carry runs."""
-    network = _make_network(mode, backend, latency=0.005)
+    network = _make_network(backend, latency=0.005)
     leaves = network.graph.leaves()
     producer = network.add_client("producer", leaves[0])
     producer.advertise({"service": "telemetry"})
@@ -265,7 +209,6 @@ def _run_batched_workload(mode: str = "vectorised", backend: str = "sim"):
     stats = data_plane_breakdown(network.brokers.values())
     result = {
         "seconds": seconds,
-        "count_increments": stats["dispatch_count_increments"],
         "batched_groups": stats["dispatch_batched_groups"],
         "dispatch_matches": stats["dispatch_matches"],
         "constraint_evals": stats["constraint_evals"],
@@ -279,26 +222,24 @@ def _run_batched_workload(mode: str = "vectorised", backend: str = "sim"):
 def test_dispatch_batching_amortisation(benchmark, bench_backend):
     """Identical-attribute bursts: match once per run, identical deliveries."""
     vectorised = benchmark.pedantic(
-        _run_batched_workload, args=("vectorised", bench_backend), iterations=1, rounds=1
+        _run_batched_workload, args=(bench_backend,), iterations=1, rounds=1
     )
-    counting = _run_batched_workload("counting", bench_backend)
-    scan = _run_batched_workload("scan", bench_backend)
+    with oracle_dispatch():
+        oracle = _run_batched_workload(bench_backend)
 
-    for other in (counting, scan):
-        assert vectorised["received"] == other["received"]
-        assert vectorised["delivered"] == other["delivered"]
+    assert vectorised["received"] == oracle["received"]
+    assert vectorised["delivered"] == oracle["delivered"]
     assert vectorised["delivered"] > 0
-    # Mode-independent residual work.
-    assert vectorised["constraint_evals"] == counting["constraint_evals"]
 
     if bench_backend == "sim":
         # Batched link flushes are a sim-runtime feature (the asyncio
         # channels deliver per message); on sim, every burst's repeated
-        # signature must be amortised at least once somewhere.
+        # signature must be amortised at least once somewhere ...
         assert vectorised["batched_groups"] >= BURSTS
-        # ...and the cache hits shrink the dispatch passes themselves:
-        # fewer index probes than one-per-notification-per-broker.
-        assert vectorised["dispatch_matches"] < counting["dispatch_matches"]
+        # ... and the cache hits shrink the dispatch passes themselves:
+        # fewer index probes than one per notification per broker on the
+        # five-broker path from the producer's leaf to the subscribers'.
+        assert vectorised["dispatch_matches"] < 5 * BURSTS * BURST_SIZE
 
     benchmark.extra_info.update(
         {
@@ -307,23 +248,17 @@ def test_dispatch_batching_amortisation(benchmark, bench_backend):
             "delivered": vectorised["delivered"],
             "batched_groups": vectorised["batched_groups"],
             "dispatch_matches_vectorised": vectorised["dispatch_matches"],
-            "dispatch_matches_counting": counting["dispatch_matches"],
             "burst_seconds_vectorised": round(vectorised["seconds"], 4),
-            "burst_seconds_counting": round(counting["seconds"], 4),
         }
     )
 
 
 def test_fig9_publish_phase_wall_time(benchmark):
-    """Figure 9 workload, vectorised vs scan: same messages, recorded wall time."""
+    """Figure 9 workload, plan vs oracle: same messages, recorded wall time."""
 
-    def run(mode):
+    def run():
         reset_data_plane_stats()
-        config = fig9_message_counts.Fig9Config(
-            horizon=20.0,
-            sample_interval=10.0,
-            broker_config=BrokerConfig(**MODE_CONFIGS[mode]),
-        )
+        config = fig9_message_counts.Fig9Config(horizon=20.0, sample_interval=10.0)
         started = time.perf_counter()
         result = fig9_message_counts.run(config)
         seconds = time.perf_counter() - started
@@ -335,17 +270,16 @@ def test_fig9_publish_phase_wall_time(benchmark):
             "delivered": {series.label: series.delivered for series in result.series},
         }
 
-    vectorised = benchmark.pedantic(run, args=("vectorised",), iterations=1, rounds=1)
-    scan = run("scan")
-    # The dispatch mode must not change a single Figure 9 message count.
-    assert vectorised["totals"] == scan["totals"]
-    assert vectorised["delivered"] == scan["delivered"]
+    vectorised = benchmark.pedantic(run, iterations=1, rounds=1)
+    with oracle_dispatch():
+        oracle = run()
+    # The dispatch plane must not change a single Figure 9 message count.
+    assert vectorised["totals"] == oracle["totals"]
+    assert vectorised["delivered"] == oracle["delivered"]
     benchmark.extra_info.update(
         {
             "fig9_total_messages": sum(vectorised["totals"].values()),
             "fig9_seconds_vectorised": round(vectorised["seconds"], 4),
-            "fig9_seconds_scan": round(scan["seconds"], 4),
             "fig9_constraint_evals_vectorised": vectorised["constraint_evals"],
-            "fig9_constraint_evals_scan": scan["constraint_evals"],
         }
     )

@@ -5,17 +5,20 @@ to simple routing, and merging reduces it further.  The benchmark
 registers many overlapping location subscriptions from clients spread over
 a broker tree and reports the resulting routing-table sizes and
 administrative traffic per strategy, plus a raw matching-throughput
-microbenchmark of the filter index.
+microbenchmark of the dispatch plan.
 """
 
 import pytest
 
 from repro.broker.network import PubSubNetwork
+from repro.dispatch.plan import DispatchPlan
 from repro.filters.filter import Filter
-from repro.filters.matching import MatchingEngine
 from repro.metrics.counters import MessageCounter
+from repro.routing.table import RoutingTable
 from repro.sim.rng import DeterministicRandom
 from repro.topology.builders import balanced_tree_topology
+
+from tests.oracles.matching import checked_match
 
 LOCATIONS = ["loc-{:02d}".format(index) for index in range(12)]
 
@@ -71,17 +74,20 @@ def test_covering_and_merging_shrink_tables(benchmark):
 
 
 def test_matching_engine_throughput(benchmark):
-    """Microbenchmark: matching a notification against 1000 indexed filters."""
-    engine = MatchingEngine()
+    """Microbenchmark: matching a notification against 1000 routing rows."""
+    table = RoutingTable()
+    plan = DispatchPlan(table, RoutingTable())
     rng = DeterministicRandom(5)
     for index in range(1000):
         location = LOCATIONS[rng.randint(0, len(LOCATIONS) - 1)]
-        engine.add(
+        table.add(
             Filter({"service": "parking", "location": location, "cost": ("<", rng.randint(1, 9))}),
-            index,
+            "link-{}".format(index),
+            "subject",
         )
     notification = {"service": "parking", "location": LOCATIONS[3], "cost": 2}
 
-    matches = benchmark(engine.matching_payloads, notification)
+    matches = benchmark(plan.match, notification)
     benchmark.extra_info["matching_filters"] = len(matches)
     assert matches
+    checked_match(plan, table, notification)

@@ -43,7 +43,7 @@ from repro.dispatch.plan import DispatchPlan
 from repro.dispatch.stats import dispatch_stats
 from repro.core.physical import RelocationBuffer, RelocationRecord, VirtualCounterpart
 from repro.filters.attributes import canonical_key
-from repro.filters.covering import filter_covers, filters_overlap_hint
+from repro.filters.covering import filter_covers
 from repro.filters.covering_cache import CoveringCache, get_covering_cache
 from repro.filters.filter import Filter, MatchNone
 from repro.broker.recovery import (
@@ -138,6 +138,15 @@ def _forwarding_sort_key(item: Tuple[Tuple[Any, str], Filter]) -> Tuple[Any, str
     return (token, subject)
 
 
+def _in_emission_order(diff: Dict[Tuple[Any, str], Filter]) -> List[Tuple[Tuple[Any, str], Filter]]:
+    """The items of a forwarding diff in their deterministic emission order."""
+    if len(diff) < 2:
+        # Nothing to order (the norm on the delta path): do not build and
+        # memoise a sort token for the filter key.
+        return list(diff.items())
+    return sorted(diff.items(), key=_forwarding_sort_key)
+
+
 def _entry_sort_key(entry: Any) -> Tuple[str, int]:
     """Stable order for matched routing rows: destination, then creation seq."""
     return (entry.destination, entry.seq)
@@ -204,31 +213,6 @@ class BrokerConfig:
         cache (:mod:`repro.filters.merge_state`).  When ``False``, the
         PR 1 per-refresh incremental path is used.  All three modes
         produce identical messages, routing tables and deliveries.
-    indexed_dispatch:
-        When ``True`` (the default), the broker matches notifications
-        through a compiled :class:`~repro.dispatch.plan.DispatchPlan`: a
-        counting :class:`~repro.dispatch.predicate_index.PredicateIndex`
-        over the subscription table answers the forwarding *and* the
-        local-delivery question in one pass, and a per-neighbour
-        :class:`~repro.dispatch.plan.AdvertisementOverlapIndex` answers
-        the ``_advertised_via`` gate without scanning the advertisement
-        entries.  Both structures are maintained incrementally from the
-        routing tables' row-level deltas.  When ``False``, notifications
-        are matched by the routing table's candidate engine and the gate
-        scans linearly (the original behaviour, kept as the byte-identical
-        oracle: same deliveries, same admin traffic, same RNG order).
-    vectorised_dispatch:
-        Selects the matcher inside the ``DispatchPlan`` (only meaningful
-        with ``indexed_dispatch`` on).  When ``True`` (the default), the
-        plan matches through the
-        :class:`~repro.dispatch.counting.BitsetMatcher`: predicate→filter
-        sets compiled into big-int bitmasks, per-filter counts kept in
-        bit-sliced planes, and near-universal ("hot") predicates lifted
-        out of the counting arity (see ``docs/performance.md``,
-        "Vectorised dispatch").  When ``False``, the scalar
-        :class:`~repro.dispatch.counting.CountingMatcher` runs instead.
-        All three dispatch modes — vectorised, counting, scan — produce
-        byte-identical deliveries and traces.
     forward_retention:
         When set to an integer ``W``, every broker→broker notification
         forward is wrapped in a :class:`~repro.messages.control.
@@ -248,8 +232,6 @@ class BrokerConfig:
     propagate_unchanged_location_updates: bool = True
     incremental_forwarding: bool = True
     delta_forwarding: bool = True
-    indexed_dispatch: bool = True
-    vectorised_dispatch: bool = True
     forward_retention: Optional[int] = None
 
 
@@ -438,16 +420,8 @@ class Broker:
         # Compiled notification data plane: a counting index over the
         # subscription table plus per-neighbour advertisement overlap
         # indexes, maintained from both tables' row-level deltas (see
-        # repro.dispatch).  ``None`` selects the scan oracle.
-        self._dispatch_plan: Optional[DispatchPlan] = (
-            DispatchPlan(
-                self.subscription_table,
-                self.advertisement_table,
-                vectorised=self.config.vectorised_dispatch,
-            )
-            if self.config.indexed_dispatch
-            else None
-        )
+        # repro.dispatch).
+        self._dispatch_plan = DispatchPlan(self.subscription_table, self.advertisement_table)
         # Fresh empty per-neighbour state for links that already exist
         # (no-op on first init, where no link is registered yet).
         for neighbour in self._links:
@@ -563,14 +537,10 @@ class Broker:
         between the messages of one run (only admin traffic moves them,
         and admin messages split the run), so the reuse is exact.
         """
-        plan = self._dispatch_plan
-        if len(run) == 1 or plan is None or not plan.vectorised:
-            # Nothing to amortise (the scan oracle derives its forwarding
-            # set separately, and the pure-counting mode stays a strict
-            # per-message oracle; both keep the single-message path).
-            for notification in run:
-                self.counters["notifications_received"] += 1
-                self._handle_notification(notification, from_destination)
+        if len(run) == 1:
+            # Nothing to amortise.
+            self.counters["notifications_received"] += 1
+            self._handle_notification(run[0], from_destination)
             return
         matched_cache: Dict[Any, List[Any]] = {}
         reused_signatures: Set[Any] = set()
@@ -1154,7 +1124,7 @@ class Broker:
         notification: Notification,
         from_destination: Optional[str],
         matched_entries: Optional[List[Any]] = None,
-    ) -> Optional[List[Any]]:
+    ) -> List[Any]:
         """Forward and deliver one notification; returns the matched rows.
 
         *matched_entries* short-circuits the dispatch pass with rows a
@@ -1162,39 +1132,19 @@ class Broker:
         (see :meth:`_dispatch_notification_run`); the forwarding set and
         every side effect are still computed per message.
         """
-        attributes = notification.attributes
-        plan = self._dispatch_plan
-        if plan is not None:
+        if matched_entries is None:
             # One counting pass answers both questions: which neighbours
             # the notification must be forwarded to, and which local rows
             # it is delivered against.
-            if matched_entries is None:
-                increments_before = dispatch_stats.current.count_increments
-                matched_entries = plan.match(attributes)
-                count_increments = dispatch_stats.current.count_increments - increments_before
-            else:
-                count_increments = 0
-            if self.strategy.floods_notifications:
-                forward_to = set(self._links)
-            else:
-                forward_to = {
-                    entry.destination
-                    for entry in matched_entries
-                    if entry.destination in self._links
-                }
+            matched_entries = self._dispatch_plan.match(notification.attributes)
+        if self.strategy.floods_notifications:
+            forward_to = set(self._links)
         else:
-            # Scan oracle: the routing table's candidate engine, queried
-            # once for the forwarding set and once for the local rows.
-            count_increments = 0
-            if self.strategy.floods_notifications:
-                forward_to = set(self._links)
-            else:
-                forward_to = {
-                    destination
-                    for destination in self.subscription_table.matching_destinations(attributes)
-                    if destination in self._links
-                }
-            matched_entries = self.subscription_table.matching_entries(attributes)
+            forward_to = {
+                entry.destination
+                for entry in matched_entries
+                if entry.destination in self._links
+            }
         if from_destination in forward_to:
             forward_to.discard(from_destination)
         telemetry = self._telemetry
@@ -1210,10 +1160,6 @@ class Broker:
                 },
             )
             self.metrics.observe("dispatch_fanout", len(forward_to))
-            # Per-notification counting cost, dispatch_fanout-style: how
-            # many per-filter counter bumps this match performed (0 on
-            # the vectorised path and on reused batched matches).
-            self.metrics.observe("dispatch_count_increments", count_increments)
         retention = self.config.forward_retention
         for neighbour in sorted(forward_to):
             self.counters["notifications_forwarded"] += 1
@@ -1307,10 +1253,10 @@ class Broker:
         from_destination: Optional[str],
         matched_entries: Sequence[Any],
     ) -> None:
-        # Both dispatch modes produce the same *set* of matched rows but
-        # in implementation-specific orders; sort on the stable (row
+        # The dispatch plan returns the matched rows in index order, which
+        # depends on the churn that built it; sort on the stable (row
         # destination, row creation seq) key so delivery order — and with
-        # it every trace — is deterministic and mode-independent.
+        # it every trace — is deterministic.
         for entry in sorted(matched_entries, key=_entry_sort_key):
             destination = entry.destination
             if destination in self._links or destination == from_destination:
@@ -1551,10 +1497,10 @@ class Broker:
         link = self._links[neighbour]
         # Subscribe before unsubscribing so covering replacements never
         # leave a gap in which matching notifications would not be routed.
-        for (filter_key, subject), filter_ in sorted(to_add.items(), key=_forwarding_sort_key):
+        for (filter_key, subject), filter_ in _in_emission_order(to_add):
             forwarded[(filter_key, subject)] = filter_
             link.send(Subscribe(filter_, subject=subject))
-        for (filter_key, subject), filter_ in sorted(to_remove.items(), key=_forwarding_sort_key):
+        for (filter_key, subject), filter_ in _in_emission_order(to_remove):
             del forwarded[(filter_key, subject)]
             link.send(Unsubscribe(filter_, subject=subject))
 
@@ -1704,20 +1650,13 @@ class Broker:
         In incremental mode the verdict is memoised per (neighbour, filter
         key); the memo for a neighbour is discarded wholesale whenever that
         neighbour's advertisement rows change (tracked by the table's
-        per-destination epoch), so it can never go stale.  With
-        ``indexed_dispatch`` on, memo misses (and every query in
-        non-incremental mode) are answered by the dispatch plan's
-        per-neighbour overlap index instead of a linear scan over the
-        neighbour's advertisement entries; both return identical verdicts.
+        per-destination epoch), so it can never go stale.  Memo misses
+        (and every query in non-incremental mode) are answered by the
+        dispatch plan's per-neighbour overlap index.
         """
         plan = self._dispatch_plan
         if not self.config.incremental_forwarding:
-            if plan is not None:
-                return plan.advertised_via(neighbour, filter_)
-            for entry in self.advertisement_table.entries_for_destination(neighbour):
-                if filters_overlap_hint(entry.filter, filter_):
-                    return True
-            return False
+            return plan.advertised_via(neighbour, filter_)
         epoch = self.advertisement_table.destination_epoch(neighbour)
         cached = self._advertised_via_cache.get(neighbour)
         if cached is None or cached[0] != epoch:
@@ -1730,15 +1669,7 @@ class Broker:
             self.counters["advert_gate_misses"] += 1
             if len(verdicts) >= self._memo_limit:
                 verdicts.clear()
-            if plan is not None:
-                verdict = plan.advertised_via(neighbour, filter_)
-            else:
-                verdict = False
-                for entry in self.advertisement_table.entries_for_destination(neighbour):
-                    if filters_overlap_hint(entry.filter, filter_):
-                        verdict = True
-                        break
-            verdicts[key] = verdict
+            verdict = verdicts[key] = plan.advertised_via(neighbour, filter_)
         else:
             self.counters["advert_gate_hits"] += 1
         return verdict

@@ -8,26 +8,19 @@ A filter matches exactly when its counter reaches its arity (its number
 of presence-requiring predicates), because each predicate fires at most
 once per notification.
 
-Two matchers implement that contract:
+The :class:`BitsetMatcher` does that counting word-wide.  Each
+predicate's referencing-filter set is compiled into one big-int bitmask,
+per-filter counts are kept in **bit-sliced planes** (plane ``i`` holds
+bit ``i`` of every filter's count), and a satisfied predicate is applied
+to *all* its filters with a handful of word-wide AND/XOR operations
+instead of a scalar loop.  Near-universal ("hot") predicates are lifted
+out of the counting arity entirely: a satisfied hot predicate costs
+nothing, an unsatisfied one vetoes its filters with a single mask.  Masks
+are recompiled lazily and bucket-wise from the index's structural-change
+notifications (dirty predicates only, never a full rebuild on churn).
 
-* :class:`CountingMatcher` — the scalar oracle.  Flat per-fid scratch
-  arrays with a generation stamp: a counting pass allocates nothing and
-  never needs to reset the arrays, but it still performs one increment
-  per (satisfied predicate, referencing filter) pair.
-* :class:`BitsetMatcher` — the vectorised data plane (the default behind
-  ``BrokerConfig.vectorised_dispatch``).  Each predicate's referencing-
-  filter set is compiled into one big-int bitmask, per-filter counts are
-  kept in **bit-sliced planes** (plane ``i`` holds bit ``i`` of every
-  filter's count), and a satisfied predicate is applied to *all* its
-  filters with a handful of word-wide AND/XOR operations instead of a
-  scalar loop.  Near-universal ("hot") predicates are lifted out of the
-  counting arity entirely: a satisfied hot predicate costs nothing, an
-  unsatisfied one vetoes its filters with a single mask.  Masks are
-  recompiled lazily and bucket-wise from the index's structural-change
-  notifications (dirty predicates only, never a full rebuild on churn).
-
-Both return the same match set for every notification — the equivalence
-is pinned against brute force in ``tests/dispatch/test_vectorised.py``.
+The match set is pinned against the brute force of
+``tests/oracles/matching.py`` in ``tests/dispatch/``.
 """
 
 from __future__ import annotations
@@ -49,80 +42,6 @@ else:  # pragma: no cover - the py3.9 CI axis
         return bin(value).count("1")
 
 
-class CountingMatcher:
-    """Evaluate notifications against a :class:`PredicateIndex` by counting."""
-
-    __slots__ = ("index", "_counts", "_stamps", "_generation")
-
-    def __init__(self, index: PredicateIndex) -> None:
-        self.index = index
-        self._counts: List[int] = []
-        self._stamps: List[int] = []
-        self._generation = 0
-
-    def match(self, attributes: Mapping[str, Any]) -> List[Filter]:
-        """All registered filters matching *attributes* (arbitrary order)."""
-        index = self.index
-        fid_filter = index.fid_filter
-        matched_fids = self.match_fids(attributes)
-        return [fid_filter[fid] for fid in matched_fids]
-
-    def match_fids(self, attributes: Mapping[str, Any]) -> List[int]:
-        """Fids of the matching filters (the allocation-light core)."""
-        index = self.index
-        satisfied = index.satisfied_pids(attributes)
-        counts = self._counts
-        stamps = self._stamps
-        capacity = len(index.fid_filter)
-        if len(counts) < capacity:
-            grow = capacity - len(counts)
-            counts.extend([0] * grow)
-            stamps.extend([0] * grow)
-        self._generation += 1
-        generation = self._generation
-        pid_fids = index.pid_fids
-        fid_arity = index.fid_arity
-        matched: List[int] = list(index.always_fids)
-        increments = 0
-        arity1_skips = 0
-        for pid in satisfied:
-            for fid in pid_fids[pid]:
-                arity = fid_arity[fid]
-                if arity == 1:
-                    # Arity-1 fast path: this satisfied predicate is the
-                    # filter's only predicate, so the filter matches right
-                    # here — no counter bump, no stamp.  (Each predicate
-                    # fires at most once per notification, so the fid
-                    # cannot be appended twice.)
-                    arity1_skips += 1
-                    matched.append(fid)
-                    continue
-                increments += 1
-                if stamps[fid] != generation:
-                    stamps[fid] = generation
-                    count = 1
-                else:
-                    count = counts[fid] + 1
-                counts[fid] = count
-                if count == arity:
-                    matched.append(fid)
-        stats = dispatch_stats.current
-        if index.opaque_fids:
-            fid_filter = index.fid_filter
-            for fid in index.opaque_fids:
-                # A whole-filter evaluation the index could not answer
-                # from its buckets: counted like the residual evals.
-                stats.constraint_evals += 1
-                if fid_filter[fid].matches(attributes):
-                    matched.append(fid)
-        stats.matches += 1
-        stats.satisfied_predicates += len(satisfied)
-        stats.count_increments += increments
-        stats.arity1_fast_matches += arity1_skips
-        stats.filters_matched += len(matched)
-        return matched
-
-
 #: A predicate is "hot" when at least this many filters reference it ...
 _HOT_MIN_SHARERS = 8
 #: ... and they make up at least this fraction of the counted filters.
@@ -130,7 +49,7 @@ _HOT_FRACTION = 0.75
 
 
 class BitsetMatcher:
-    """Bitset-compiled counting: same contract as :class:`CountingMatcher`.
+    """Evaluate notifications against a :class:`PredicateIndex` by bitset counting.
 
     Compiled state (all lazily rebuilt, see ``_recompile``):
 
@@ -315,8 +234,7 @@ class BitsetMatcher:
             fid_filter = index.fid_filter
             for fid in index.opaque_fids:
                 # A whole-filter evaluation the index could not answer
-                # from its buckets: counted exactly like the counting
-                # matcher does, so constraint_evals stay mode-identical.
+                # from its buckets: counted like the residual evals.
                 stats.constraint_evals += 1
                 if fid_filter[fid].matches(attributes):
                     out.append(fid)

@@ -10,23 +10,24 @@ rescan on churn.  A whole-table change (``clear``) only marks the plan
 invalid; it is rebuilt lazily from the table on its next use, which is
 also the oracle path the equivalence tests drive directly.
 
-:meth:`DispatchPlan.match` fuses what the scan path does in two passes —
-``matching_destinations`` for forwarding plus ``matching_entries`` for
-local delivery — into a single counting pass returning the matched
-routing rows; the broker derives both answers from it.
-:meth:`DispatchPlan.advertised_via` replaces the broker's linear
-``filters_overlap_hint`` loop over a neighbour's advertisement entries
-with a value-bucketed disjointness test that returns the **same verdict**
-for every input (the hint only proves disjointness through incompatible
-equality/set constraints on a shared attribute, which is exactly what the
-buckets can decide).
+:meth:`DispatchPlan.match` answers the forwarding question (which
+neighbours) and the local-delivery question (which rows) in a single
+counting pass returning the matched routing rows; the broker derives
+both answers from it.  :meth:`DispatchPlan.advertised_via` answers the
+subscription-forwarding gate with a value-bucketed disjointness test that
+returns the **same verdict** as a linear
+:func:`~repro.filters.covering.filters_overlap_hint` loop over the
+neighbour's advertisement rows (the hint only proves disjointness through
+incompatible equality/set constraints on a shared attribute, which is
+exactly what the buckets can decide).  Both specifications live in
+``tests/oracles/matching.py``.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
 
-from repro.dispatch.counting import BitsetMatcher, CountingMatcher
+from repro.dispatch.counting import BitsetMatcher
 from repro.dispatch.predicate_index import PredicateIndex
 from repro.filters.constraints import Constraint, Equals, InSet
 from repro.filters.filter import Filter, MatchNone
@@ -182,16 +183,11 @@ class _AdvertisementDeltaListener:
 class DispatchPlan:
     """Compiled, delta-maintained matching state for one broker."""
 
-    def __init__(self, subscription_table, advertisement_table, vectorised: bool = True) -> None:
+    def __init__(self, subscription_table, advertisement_table) -> None:
         self._subscription_table = subscription_table
         self._advertisement_table = advertisement_table
-        #: Selects the matcher compiled over the predicate index: the
-        #: bitset data plane (default) or the scalar counting oracle
-        #: (``BrokerConfig.vectorised_dispatch=False``).  Both are
-        #: maintained from the same row-level table deltas.
-        self.vectorised = vectorised
         self.index = PredicateIndex()
-        self.matcher = self._make_matcher()
+        self.matcher = BitsetMatcher(self.index)
         # filter key -> {destination: RoutingEntry} (mirrors the live rows)
         self._rows: Dict[Any, Dict[str, Any]] = {}
         #: ``False`` until the first (lazy) build from the table, and again
@@ -231,16 +227,10 @@ class DispatchPlan:
     # ------------------------------------------------------------------
     # Rebuilds (first use, and after whole-table resets)
     # ------------------------------------------------------------------
-    def _make_matcher(self):
-        """A fresh matcher over :attr:`index` (bitset or counting)."""
-        if self.vectorised:
-            return BitsetMatcher(self.index)
-        return CountingMatcher(self.index)
-
     def rebuild(self) -> None:
         """Rebuild the subscription side from one table scan."""
         self.index.clear()
-        self.matcher = self._make_matcher()
+        self.matcher = BitsetMatcher(self.index)
         self._rows = {}
         self.valid = True
         for row in self._subscription_table.entries():

@@ -26,7 +26,7 @@ and indexes it by ``(attribute, operator class)``:
 Filters are registered with a reference count and decomposed into
 predicate ids; :meth:`PredicateIndex.satisfied_pids` computes the
 satisfied predicate set for a notification, and the
-:class:`~repro.dispatch.counting.CountingMatcher` maps it back to matching
+:class:`~repro.dispatch.counting.BitsetMatcher` maps it back to matching
 filters.  ``AnyValue`` constraints are dropped during decomposition (they
 hold for present *and* absent attributes); every other constraint type
 requires the attribute to be present, which is what makes per-filter
@@ -37,7 +37,7 @@ single attribute).
 
 Special cases: ``MatchNone`` never matches and is rejected by
 :meth:`add`; ``MatchAll`` and empty filters decompose to zero predicates
-and are kept in an always-match set; :class:`Filter` subclasses that are
+and match every notification; :class:`Filter` subclasses that are
 not plain conjunctions (defensive — none exist in routing tables today)
 fall back to a whole-filter scan list.
 """
@@ -100,12 +100,9 @@ class PredicateIndex:
         # -- filters ----------------------------------------------------
         self._fids: Dict[Tuple[Any, ...], int] = {}  # filter key -> fid
         self.fid_filter: List[Optional[Filter]] = []
-        self.fid_arity: List[int] = []
         self._fid_refs: List[int] = []
         self._fid_pids: List[Tuple[int, ...]] = []
         self._free_fids: List[int] = []
-        #: Live fids that match every notification (no predicates).
-        self.always_fids: Set[int] = set()
         #: Live fids of non-conjunctive Filter subclasses, evaluated whole.
         self.opaque_fids: Set[int] = set()
         # -- predicates -------------------------------------------------
@@ -173,9 +170,6 @@ class PredicateIndex:
                 continue  # satisfied whether present or absent: no predicate
             pids.append(self._intern_predicate(name, constraint, fid))
         self._fid_pids[fid] = tuple(pids)
-        self.fid_arity[fid] = len(pids)
-        if not pids:
-            self.always_fids.add(fid)
         for observer in self._observers:
             observer.filter_added(fid, self._fid_pids[fid])
         return True
@@ -192,7 +186,6 @@ class PredicateIndex:
         if self._fid_refs[fid] > 0:
             return True
         del self._fids[key]
-        self.always_fids.discard(fid)
         self.opaque_fids.discard(fid)
         removed_pids = self._fid_pids[fid]
         for pid in removed_pids:
@@ -277,13 +270,11 @@ class PredicateIndex:
         if self._free_fids:
             fid = self._free_fids.pop()
             self.fid_filter[fid] = filter_
-            self.fid_arity[fid] = 0
             self._fid_refs[fid] = 1
             self._fid_pids[fid] = ()
             return fid
         fid = len(self.fid_filter)
         self.fid_filter.append(filter_)
-        self.fid_arity.append(0)
         self._fid_refs.append(1)
         self._fid_pids.append(())
         return fid

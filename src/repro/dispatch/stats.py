@@ -1,12 +1,12 @@
 """Counters describing the work the counting dispatch engine performs.
 
-The scan path's cost shows up in
+Evaluating a filter directly shows up in
 :data:`repro.filters.stats.matching_stats` (every constraint evaluated by
 ``Filter.matches``).  The counting engine replaces most of those
 evaluations with bucket lookups and bisections; what little it still
 evaluates directly (residual constraints, interval candidates, opaque
 filters) is counted both here *and* in ``matching_stats.constraint_evals``
-so that a single counter compares fairly across dispatch modes.
+so that a single counter compares fairly against the brute-force oracle.
 
 Like :mod:`repro.filters.stats`, the process-wide :data:`dispatch_stats`
 is an aggregate facade: hot paths write through ``dispatch_stats.current``
@@ -29,8 +29,6 @@ class DispatchStats:
     __slots__ = (
         "matches",
         "satisfied_predicates",
-        "count_increments",
-        "arity1_fast_matches",
         "constraint_evals",
         "filters_matched",
         "mask_ops",
@@ -48,13 +46,6 @@ class DispatchStats:
         self.matches = 0
         #: Predicates satisfied across all passes (bucket/bisect hits).
         self.satisfied_predicates = 0
-        #: Per-filter count bumps (the inner loop of the counting pass).
-        self.count_increments = 0
-        #: Matches decided by the arity-1 fast path: a satisfied predicate
-        #: whose filter has exactly one predicate is a match immediately,
-        #: with no counter bump (each such skip is an increment the
-        #: pre-fast-path inner loop would have performed).
-        self.arity1_fast_matches = 0
         #: Raw ``Constraint.matches`` / ``Filter.matches`` evaluations the
         #: index could not answer from its buckets.
         self.constraint_evals = 0
@@ -62,8 +53,8 @@ class DispatchStats:
         self.filters_matched = 0
         #: Whole-mask big-int operations performed by the bitset matcher
         #: (plane carries, hot-predicate vetoes, the final combine): the
-        #: vectorised path's unit of work, each one standing in for up to
-        #: one operation *per filter* on the scalar counting path.
+        #: matcher's unit of work, each one standing in for up to one
+        #: counter bump *per filter* of a scalar counting pass.
         self.mask_ops = 0
         #: Predicate masks recompiled from ``pid_fids`` (dirty buckets
         #: only on churn; every live bucket on a full rebuild).
@@ -81,8 +72,6 @@ class DispatchStats:
         return {
             "matches": self.matches,
             "satisfied_predicates": self.satisfied_predicates,
-            "count_increments": self.count_increments,
-            "arity1_fast_matches": self.arity1_fast_matches,
             "constraint_evals": self.constraint_evals,
             "filters_matched": self.filters_matched,
             "mask_ops": self.mask_ops,

@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.broker.base import BrokerConfig
 from repro.broker.network import PubSubNetwork
 from repro.core.adaptivity import UncertaintyPlan
 from repro.core.location_filter import MYLOC
@@ -55,10 +54,6 @@ class Fig9Config:
     publish_rate_per_producer: float = 2.0
     producers: int = 4
     seed: int = 42
-    #: Broker tuning (e.g. ``indexed_dispatch``) applied to every broker;
-    #: ``None`` keeps the defaults.  Used by the dispatch benchmark to
-    #: compare data-plane modes on the Figure 9 workload.
-    broker_config: Optional[BrokerConfig] = None
 
 
 @dataclass
@@ -135,7 +130,6 @@ def _build_network(
         topology,
         strategy=strategy,
         latency=config.link_latency,
-        config=config.broker_config,
         runtime_factory=runtime_factory,
     )
     leaves = topology.leaves()

@@ -42,7 +42,6 @@ from repro.filters.constraints import (
 from repro.filters.filter import Filter, MatchAll, MatchNone
 from repro.filters.covering import constraint_covers, filter_covers, filters_identical
 from repro.filters.merging import merge_filters, try_merge_pair
-from repro.filters.matching import MatchingEngine
 
 __all__ = [
     "AttributeValue",
@@ -69,5 +68,4 @@ __all__ = [
     "filters_identical",
     "merge_filters",
     "try_merge_pair",
-    "MatchingEngine",
 ]

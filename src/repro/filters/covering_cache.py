@@ -15,8 +15,7 @@ ways:
   churn and is safely shared by every broker in a process.
 * :class:`CoveringIndex` buckets potential covering filters by their most
   selective constraint (equality/set values first, then attribute names),
-  mirroring the :class:`~repro.filters.matching.MatchingEngine` layout, so
-  that :func:`minimal_cover_set_cached` only tests pairs that could
+  so that :func:`minimal_cover_set_cached` only tests pairs that could
   possibly be related and skips provably incomparable ones.  It answers
   the opposite question too — which indexed filters can a given filter
   cover — for the delta forwarding state's eviction and stealing steps.
@@ -109,8 +108,7 @@ def get_covering_cache() -> CoveringCache:
 class CoveringIndex:
     """Two-way candidate-pruning index over a set of filters.
 
-    **Who covers F?**  Mirrors the
-    :class:`~repro.filters.matching.MatchingEngine` bucket layout: each
+    **Who covers F?**  Each
     indexed filter is anchored, as a potential *coverer*, under its **most
     selective** finite-valued strict constraint — chosen by the shared
     :func:`~repro.filters.selectivity.pick_anchor` policy, which prefers

@@ -1,16 +1,15 @@
 """Shared anchor-selection policy for the filter indexes.
 
-Three structures bucket filters by the values a constraint accepts so that
+Two structures bucket filters by the values a constraint accepts so that
 a query only touches structurally compatible candidates:
 
 * :class:`~repro.filters.covering_cache.CoveringIndex` (covering-candidate
   pruning),
-* :class:`~repro.filters.matching.MatchingEngine` (routing-table matching),
 * the counting :class:`~repro.dispatch.predicate_index.PredicateIndex`
   (which indexes *every* constraint and therefore needs no anchor, but
   reuses :func:`finite_value_keys` for its equality buckets).
 
-The first two must pick **one** constraint per filter to bucket it under.
+The first must pick **one** constraint per filter to bucket it under.
 Picking the first (or the lexicographically smallest) attribute defeats
 the index on workloads dominated by one shared equality — every
 ``service=parking`` filter lands in the same bucket and the scan is back.

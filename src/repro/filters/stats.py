@@ -1,12 +1,13 @@
 """Counters of raw matching work: per-sink instances behind a process facade.
 
 The data-plane benchmarks compare how much *raw* constraint evaluation the
-different dispatch implementations perform for the same workload: the
-linear scan path funnels through :meth:`repro.filters.filter.Filter.matches`
-(counted here), while the counting index of :mod:`repro.dispatch` only
-evaluates the residual constraints its buckets cannot answer (counted in
+dispatch plane and its brute-force oracle perform for the same workload:
+evaluating rows one by one funnels through
+:meth:`repro.filters.filter.Filter.matches` (counted here), while the
+counting index of :mod:`repro.dispatch` only evaluates the residual
+constraints its buckets cannot answer (counted in
 :data:`repro.dispatch.stats.dispatch_stats` *and* here, so this module's
-``constraint_evals`` is the mode-independent total).
+``constraint_evals`` is the one total both sides are read from).
 
 Since the telemetry subsystem the counters are **attributable**: every
 broker owns a plain :class:`MatchingStats` sink inside its

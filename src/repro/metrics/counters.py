@@ -99,16 +99,15 @@ def data_plane_breakdown(brokers: Iterable[Any] = ()) -> Dict[str, float]:
       ``Filter.matches`` *plus* the residual evaluations of the counting
       index (one mode-independent total; see
       :mod:`repro.filters.stats`);
-    * ``filter_matches`` — whole-filter evaluations (the scan path's unit
-      of work);
-    * ``dispatch_*`` — the counting/bitset engines' own accounting
-      (passes, satisfied predicates, count increments, mask operations,
-      shared-predicate skips, residual evaluations, filters matched; see
+    * ``filter_matches`` — whole-filter ``Filter.matches`` evaluations
+      (takeover replay, QoS metrics, the test oracles; the dispatch plane
+      performs none outside opaque filters);
+    * ``dispatch_*`` — the bitset engine's own accounting (passes,
+      satisfied predicates, mask operations, shared-predicate skips,
+      residual evaluations, filters matched; see
       :mod:`repro.dispatch.stats`);
-    * ``notifications_delivered`` and
-      ``dispatch_count_increments_per_delivery`` — the per-delivered-
-      notification view of the counting cost (summed over *brokers*);
-      the raw total alone hid how the cost scaled with fan-out;
+    * ``notifications_delivered`` — summed over *brokers*, the
+      denominator for per-delivery views of the counters above;
     * ``advert_gate_hits`` / ``advert_gate_misses`` — per-broker
       ``_advertised_via_cache`` memo accounting, summed over *brokers*.
     """
@@ -129,9 +128,6 @@ def data_plane_breakdown(brokers: Iterable[Any] = ()) -> Dict[str, float]:
     out["advert_gate_misses"] = gate_misses
     out["advert_gate_cached_verdicts"] = gate_cached_verdicts
     out["notifications_delivered"] = delivered
-    out["dispatch_count_increments_per_delivery"] = (
-        round(out["dispatch_count_increments"] / delivered, 3) if delivered else 0.0
-    )
     return out
 
 

@@ -16,26 +16,33 @@ The same structure is reused for the advertisement table.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.filters.filter import Filter
-from repro.filters.matching import MatchingEngine
 
 
-@dataclass
 class RoutingEntry:
-    """One (filter, destination) routing-table row with its subject set."""
+    """One (filter, destination) routing-table row with its subject set.
 
-    filter: Filter
-    destination: str
-    subjects: Set[str] = field(default_factory=set)
-    #: Monotonic creation sequence number (table-wide).  Because rows are
-    #: stored in an insertion-ordered dict, iterating :meth:`RoutingTable.
-    #: entries` yields rows in increasing ``seq`` order; delta consumers
-    #: use it as a stable position for order-sensitive reductions.
-    seq: int = 0
+    ``seq`` is the row's monotonic creation sequence number (table-wide).
+    Because rows are stored in an insertion-ordered dict, iterating
+    :meth:`RoutingTable.entries` yields rows in increasing ``seq`` order;
+    delta consumers use it as a stable position for order-sensitive
+    reductions.
+    """
+
+    __slots__ = ("filter", "destination", "subjects", "seq")
+
+    def __init__(self, filter: Filter, destination: str, subjects: Set[str], seq: int) -> None:
+        self.filter = filter
+        self.destination = destination
+        self.subjects = subjects
+        self.seq = seq
+
+    def __repr__(self) -> str:
+        return "RoutingEntry(filter={!r}, destination={!r}, subjects={!r}, seq={!r})".format(
+            self.filter, self.destination, self.subjects, self.seq
+        )
 
     def describe(self) -> str:
         """Human-readable rendering used in traces and debugging output."""
@@ -43,7 +50,13 @@ class RoutingEntry:
 
 
 class RoutingTable:
-    """Routing table: filters keyed by destination, indexed for matching.
+    """Routing table: the (filter, destination) rows, stored once.
+
+    The table holds no matching index of its own.  Notifications are
+    matched by the :class:`~repro.dispatch.plan.DispatchPlan` a broker
+    attaches through :meth:`add_delta_listener`; the specification that
+    plan is checked against is the brute force over :meth:`entries` in
+    ``tests/oracles/matching.py``.
 
     The table publishes its changes so dependents can maintain incremental
     state: every observable mutation bumps :attr:`epoch` and invokes the
@@ -55,12 +68,10 @@ class RoutingTable:
     """
 
     def __init__(self) -> None:
-        # (filter key, destination) -> entry
-        self._entries: Dict[Tuple[Any, str], RoutingEntry] = {}
-        # matching index: payload is the destination
-        self._index = MatchingEngine()
-        # destination -> set of filter keys
-        self._by_destination: Dict[str, Set[Any]] = defaultdict(set)
+        # row key (see _row_key) -> entry
+        self._entries: Dict[Tuple[bool, Any, str], RoutingEntry] = {}
+        # destination -> number of rows pointing at it
+        self._row_counts: Dict[str, int] = {}
         # change publication
         self._epoch = 0
         self._destination_epochs: Dict[str, int] = {}
@@ -69,8 +80,20 @@ class RoutingTable:
         self._row_seq = 0
 
     @staticmethod
-    def _filter_key(filter_: Filter) -> Any:
-        return (type(filter_).__name__ == "MatchNone", filter_.key())
+    def _row_key(filter_: Filter, destination: str) -> Tuple[bool, Any, str]:
+        return (type(filter_).__name__ == "MatchNone", filter_.key(), destination)
+
+    def _insert(self, key: Tuple[bool, Any, str], entry: RoutingEntry) -> None:
+        self._entries[key] = entry
+        self._row_counts[entry.destination] = self._row_counts.get(entry.destination, 0) + 1
+
+    def _forget(self, key: Tuple[bool, Any, str], entry: RoutingEntry) -> None:
+        del self._entries[key]
+        remaining = self._row_counts[entry.destination] - 1
+        if remaining:
+            self._row_counts[entry.destination] = remaining
+        else:
+            del self._row_counts[entry.destination]
 
     # -- change publication ------------------------------------------------
     @property
@@ -113,7 +136,7 @@ class RoutingTable:
         the affected destination), delta listeners receive the exact row
         mutation and can maintain derived state in O(change).  Both broker
         tables publish these deltas: the subscription table feeds the
-        delta-forwarding state *and* the dispatch plan's counting index,
+        delta-forwarding state *and* the dispatch plan's predicate index,
         the advertisement table feeds the plan's per-neighbour overlap
         indexes (see :mod:`repro.dispatch.plan`).
 
@@ -145,7 +168,7 @@ class RoutingTable:
 
         Returns ``True`` when a new (filter, destination) row was created.
         """
-        key = (self._filter_key(filter_), destination)
+        key = self._row_key(filter_, destination)
         entry = self._entries.get(key)
         if entry is not None:
             if subject not in entry.subjects:
@@ -158,9 +181,7 @@ class RoutingTable:
         entry = RoutingEntry(
             filter=filter_, destination=destination, subjects={subject}, seq=self._row_seq
         )
-        self._entries[key] = entry
-        self._index.add(filter_, destination)
-        self._by_destination[destination].add(self._filter_key(filter_))
+        self._insert(key, entry)
         for listener in self._delta_listeners:
             listener.row_subject_added(entry, subject, True)
         self._notify(destination)
@@ -173,7 +194,7 @@ class RoutingTable:
         its remaining subjects.  The row disappears once its subject set is
         empty.  Returns ``True`` when the row was removed entirely.
         """
-        key = (self._filter_key(filter_), destination)
+        key = self._row_key(filter_, destination)
         entry = self._entries.get(key)
         if entry is None:
             return False
@@ -190,13 +211,7 @@ class RoutingTable:
         else:
             dying_subjects = tuple(entry.subjects)
             entry.subjects.clear()
-        del self._entries[key]
-        self._index.remove(filter_, destination)
-        bucket = self._by_destination.get(destination)
-        if bucket is not None:
-            bucket.discard(self._filter_key(filter_))
-            if not bucket:
-                del self._by_destination[destination]
+        self._forget(key, entry)
         for listener in self._delta_listeners:
             listener.row_subjects_removed(entry, dying_subjects, True)
         self._notify(destination)
@@ -212,13 +227,7 @@ class RoutingTable:
                 row_removed = not entry.subjects
                 if row_removed:
                     removed.append(entry)
-                    del self._entries[key]
-                    self._index.remove(entry.filter, entry.destination)
-                    bucket = self._by_destination.get(entry.destination)
-                    if bucket is not None:
-                        bucket.discard(self._filter_key(entry.filter))
-                        if not bucket:
-                            del self._by_destination[entry.destination]
+                    self._forget(key, entry)
                 for listener in self._delta_listeners:
                     listener.row_subjects_removed(entry, (subject,), row_removed)
                 self._notify(entry.destination)
@@ -232,10 +241,9 @@ class RoutingTable:
             if entry.destination == destination:
                 removed.append(entry)
                 del self._entries[key]
-                self._index.remove(entry.filter, entry.destination)
                 for listener in self._delta_listeners:
                     listener.row_subjects_removed(entry, tuple(entry.subjects), True)
-        self._by_destination.pop(destination, None)
+        self._row_counts.pop(destination, None)
         if removed:
             self._notify(destination)
         return removed
@@ -255,7 +263,7 @@ class RoutingTable:
         the same way live mutations build them.  Rows must be restored in
         their original insertion order.
         """
-        key = (self._filter_key(filter_), destination)
+        key = self._row_key(filter_, destination)
         if key in self._entries:
             raise ValueError(
                 "cannot restore duplicate row ({}, {})".format(filter_, destination)
@@ -265,9 +273,7 @@ class RoutingTable:
         entry = RoutingEntry(
             filter=filter_, destination=destination, subjects=set(), seq=int(seq)
         )
-        self._entries[key] = entry
-        self._index.add(filter_, destination)
-        self._by_destination[destination].add(self._filter_key(filter_))
+        self._insert(key, entry)
         self._row_seq = max(self._row_seq, entry.seq)
         created = True
         for subject in subjects:
@@ -282,35 +288,13 @@ class RoutingTable:
         """Remove every row."""
         had_entries = bool(self._entries)
         self._entries.clear()
-        self._index.clear()
-        self._by_destination.clear()
+        self._row_counts.clear()
         if had_entries:
             for listener in self._delta_listeners:
                 listener.table_reset()
             self._notify(None)
 
     # -- queries -----------------------------------------------------------
-    def matching_destinations(self, attributes: Mapping[str, Any]) -> Set[str]:
-        """Destinations with at least one filter matching *attributes*."""
-        return {str(payload) for payload in self._index.matching_payloads(attributes)}
-
-    def matching_entries(self, attributes: Mapping[str, Any]) -> List[RoutingEntry]:
-        """All rows whose filter matches *attributes*.
-
-        Row order follows the matching engine's bucket order, which is
-        not deterministic across processes; order-sensitive callers must
-        sort (the broker delivers in ``(destination, seq)`` order — see
-        ``Broker._deliver_locally``, the single canonical sort site for
-        both dispatch modes).
-        """
-        out: List[RoutingEntry] = []
-        for filter_, destinations in self._index.match(attributes):
-            for destination in destinations:
-                entry = self._entries.get((self._filter_key(filter_), str(destination)))
-                if entry is not None:
-                    out.append(entry)
-        return out
-
     def entries(self) -> List[RoutingEntry]:
         """All rows (copy of the list, entries shared)."""
         return list(self._entries.values())
@@ -334,19 +318,19 @@ class RoutingTable:
 
     def destinations(self) -> List[str]:
         """All destinations that have at least one row, sorted."""
-        return sorted(self._by_destination)
+        return sorted(self._row_counts)
 
     def has_destination(self, destination: str) -> bool:
         """O(1): ``True`` when at least one row points at *destination*."""
-        return destination in self._by_destination
+        return destination in self._row_counts
 
     def has_entry(self, filter_: Filter, destination: str) -> bool:
         """``True`` when an exact (filter, destination) row exists."""
-        return (self._filter_key(filter_), destination) in self._entries
+        return self._row_key(filter_, destination) in self._entries
 
     def find_entry(self, filter_: Filter, destination: str) -> Optional[RoutingEntry]:
         """The exact (filter, destination) row, or ``None``."""
-        return self._entries.get((self._filter_key(filter_), destination))
+        return self._entries.get(self._row_key(filter_, destination))
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -356,7 +340,4 @@ class RoutingTable:
 
     def size_by_destination(self) -> Dict[str, int]:
         """Number of rows per destination (used by the routing ablation bench)."""
-        counts: Dict[str, int] = defaultdict(int)
-        for entry in self._entries.values():
-            counts[entry.destination] += 1
-        return dict(counts)
+        return dict(self._row_counts)

@@ -220,7 +220,4 @@ def scoped_data_plane_breakdown(
         out["dispatch_" + name] = value
     out["merge_try_merge_calls"] = merge_calls
     out["notifications_delivered"] = delivered
-    out["dispatch_count_increments_per_delivery"] = (
-        round(dispatch.count_increments / delivered, 3) if delivered else 0.0
-    )
     return out

@@ -18,12 +18,10 @@ from repro.filters.covering_cache import get_covering_cache
 from repro.topology.builders import balanced_tree_topology
 
 
-def _settle_distinct_population(count):
-    """Raw covering tests to settle *count* all-distinct ``location ∈ {…}``
+def distinct_population(count):
+    """A settled depth-3 tree with *count* all-distinct ``location ∈ {…}``
     subscriptions (1–3 locations each, every location shared by about four
-    filters whatever the size) on the depth-3 tree."""
-    covering_stats.reset()
-    get_covering_cache().clear()
+    filters whatever the size)."""
     topology = balanced_tree_topology(depth=3, fanout=2)
     network = PubSubNetwork(topology, strategy="covering", latency=0.005)
     leaves = topology.leaves()
@@ -42,6 +40,14 @@ def _settle_distinct_population(count):
         client.subscribe({"service": "parking", "location": ("in", locations)})
     network.settle()
     assert network.routing_table_sizes()[leaves[0]] > 0
+    return network
+
+
+def _settle_distinct_population(count):
+    """Raw covering tests to settle :func:`distinct_population`."""
+    covering_stats.reset()
+    get_covering_cache().clear()
+    distinct_population(count)
     return covering_stats.filter_covers_calls
 
 

@@ -1,11 +1,15 @@
 """White-box tests of broker internals: forwarding refresh, junction
  detection, counterpart handling and introspection helpers."""
 
+import itertools
+
 import pytest
 
+from repro.broker import base
 from repro.broker.base import subscription_token
 from repro.broker.network import PubSubNetwork
 from repro.filters.filter import Filter
+from repro.messages.admin import Subscribe, Unsubscribe
 from repro.messages.base import MessageKind
 from repro.topology.builders import line_topology
 
@@ -89,6 +93,61 @@ class TestForwardingRefresh:
         consumer.subscribe({"topic": "news"})
         network.settle()
         assert admin_messages_on(network, "B1", "B2") == []
+
+
+class TestForwardingDiffEmission:
+    """``_emit_forwarding_diff`` sends a diff in one deterministic order:
+    Subscribes before Unsubscribes, each by type-ranked filter key, then
+    subject — whatever order the diff dicts were filled in, and without
+    paying for sort keys when there is nothing to order."""
+
+    class _RecordingLink:
+        def __init__(self):
+            self.sent = []
+
+        def send(self, message):
+            self.sent.append((type(message), message.filter.key(), message.subject))
+
+    def _emit(self, to_add, to_remove):
+        broker = PubSubNetwork(line_topology(2), strategy="covering", latency=0.01).broker("B1")
+        link = broker._links["B2"] = self._RecordingLink()
+        to_add, to_remove = dict(to_add), dict(to_remove)
+        forwarded = dict(to_remove)
+        broker._emit_forwarding_diff("B2", forwarded, to_add, to_remove)
+        assert forwarded == to_add
+        return link.sent
+
+    @staticmethod
+    def _sorted_as_before(message_type, diff):
+        # The pre-change emission order: always sorted(), always keyed.
+        return [
+            (message_type, filter_key, subject)
+            for (filter_key, subject), _ in sorted(diff, key=base._forwarding_sort_key)
+        ]
+
+    def test_multi_element_diff_is_emitted_in_sorted_order(self):
+        # Keys mixing numbers, strings, booleans and operator tuples do not
+        # compare natively; two subjects share one filter.
+        filters = [Filter({"a": value}) for value in (1, "x", True, ("<", 3))]
+        adds = [((f.key(), "s1"), f) for f in filters] + [((filters[0].key(), "s0"), filters[0])]
+        removes = [((Filter({"c": value}).key(), "s2"), Filter({"c": value})) for value in (2, 1)]
+        expected = self._sorted_as_before(Subscribe, adds) + self._sorted_as_before(
+            Unsubscribe, removes
+        )
+        assert len({message[1:] for message in expected}) == 7
+        for permutation in itertools.permutations(adds):
+            assert self._emit(permutation, reversed(removes)) == expected
+
+    def test_tiny_diffs_skip_the_sort_tokens(self):
+        filter_ = Filter({"never": "tokenised"})
+        item = ((filter_.key(), "s1"), filter_)
+        assert self._emit([item], []) == self._sorted_as_before(Subscribe, [item])
+        assert self._emit([], [item]) == self._sorted_as_before(Unsubscribe, [item])
+        assert self._emit([], []) == []
+        base._SORT_TOKEN_CACHE.pop(filter_.key())  # memoised by _sorted_as_before only
+        self._emit([item], [])
+        self._emit([], [item])
+        assert filter_.key() not in base._SORT_TOKEN_CACHE
 
 
 class TestJunctionAndCounterparts:

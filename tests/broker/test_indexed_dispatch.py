@@ -1,13 +1,18 @@
-"""Dispatch-mode equivalence: vectorised vs counting vs scan vs rebuild.
+"""The dispatch plan against its specification on a churning network.
 
-The dispatch plan (``BrokerConfig.indexed_dispatch`` selecting the
-predicate index, ``BrokerConfig.vectorised_dispatch`` selecting the
-bitset matcher over the pure-counting one) must be a pure data-plane
-optimisation: on identical workloads, every mode must produce
-byte-identical deliveries, admin traffic, routing tables and forwarded
-sets.  The ``rebuild`` mode invalidates every broker's (vectorised)
-plan after each settle so the lazy rebuild path is exercised as heavily
-as the incremental delta maintenance.
+Every broker matches notifications and gates subscription forwarding
+through its ``DispatchPlan``.  On identical workloads the plan must be
+indistinguishable from the brute-force specification in
+``tests/oracles/matching.py``: byte-identical deliveries, admin traffic,
+routing tables and forwarded sets.  Four ways of running the same
+schedule are compared:
+
+* ``incremental`` — the production path, plan maintained from row deltas;
+* ``rebuild`` — every broker's plan is invalidated after each settle, so
+  the lazy rebuild path is exercised as heavily as delta maintenance;
+* ``unmemoised`` — ``incremental_forwarding=False``, which sends every
+  advertisement-gate query to the plan instead of the per-neighbour memo;
+* ``oracle`` — both plan queries answered by the specification.
 """
 
 import pytest
@@ -15,28 +20,22 @@ import pytest
 from repro.broker.base import Broker, BrokerConfig
 from repro.broker.network import PubSubNetwork
 from repro.filters.filter import Filter
-from repro.metrics.counters import MessageCounter
+from repro.messages.notification import Notification
+from repro.metrics.counters import MessageCounter, data_plane_breakdown, reset_data_plane_stats
 from repro.routing.strategies import make_strategy
 from repro.sim.engine import Simulator
 from repro.sim.network import FixedLatency, Link
 from repro.sim.rng import DeterministicRandom
 from repro.topology.builders import balanced_tree_topology
 
+from tests.oracles.matching import oracle_dispatch
+
 LOCATIONS = ["loc-{:02d}".format(index) for index in range(12)]
-
-MODES = ("vectorised", "counting", "scan", "rebuild")
-
-
-def _mode_config(mode):
-    if mode == "scan":
-        return BrokerConfig(indexed_dispatch=False)
-    return BrokerConfig(vectorised_dispatch=(mode != "counting"))
 
 
 def _invalidate_plans(network):
     for broker in network.brokers.values():
-        if broker._dispatch_plan is not None:
-            broker._dispatch_plan.invalidate()
+        broker._dispatch_plan.invalidate()
 
 
 def _window(rng):
@@ -47,9 +46,8 @@ def _window(rng):
 
 def _run_churn(mode, seed, strategy="covering"):
     topology = balanced_tree_topology(depth=2, fanout=3)
-    network = PubSubNetwork(
-        topology, strategy=strategy, latency=0.01, config=_mode_config(mode)
-    )
+    config = BrokerConfig(incremental_forwarding=(mode != "unmemoised"))
+    network = PubSubNetwork(topology, strategy=strategy, latency=0.01, config=config)
     leaves = topology.leaves()
     rng = DeterministicRandom(seed)
 
@@ -133,48 +131,32 @@ def _run_churn(mode, seed, strategy="covering"):
 @pytest.mark.parametrize("strategy", ["covering", "merging", "flooding"])
 @pytest.mark.parametrize("seed", [3, 19])
 def test_four_mode_churn_equivalence(strategy, seed):
-    """Vectorised, counting, scan and rebuild agree on everything observable."""
-    scan = _run_churn("scan", seed, strategy)
-    for mode in ("vectorised", "counting", "rebuild"):
-        assert _run_churn(mode, seed, strategy) == scan
+    """Incremental, rebuilt and unmemoised plans leave what the oracle leaves."""
+    with oracle_dispatch():
+        oracle = _run_churn("oracle", seed, strategy)
+    for mode in ("incremental", "rebuild", "unmemoised"):
+        assert _run_churn(mode, seed, strategy) == oracle, mode
 
 
 def test_indexed_dispatch_skips_table_matching():
-    """The hot path must not fall back to the table's candidate engine."""
+    """The hot path must not evaluate table filters one by one."""
     simulator = Simulator()
     broker = Broker("B", simulator, make_strategy("covering"), config=BrokerConfig())
     sink = []
     broker.add_link(
         Link(simulator, "B", "N1", lambda message, link: sink.append(message), FixedLatency(0.0))
     )
-    broker.subscription_table.add(Filter({"service": "parking"}), "N1", "s1")
-    calls = []
-    original_entries = broker.subscription_table.matching_entries
-    original_destinations = broker.subscription_table.matching_destinations
-    broker.subscription_table.matching_entries = (
-        lambda attributes: calls.append("entries") or original_entries(attributes)
-    )
-    broker.subscription_table.matching_destinations = (
-        lambda attributes: calls.append("destinations") or original_destinations(attributes)
-    )
-    from repro.messages.notification import Notification
-
+    for floor in range(20):
+        broker.subscription_table.add(Filter({"service": "parking", "floor": floor}), "N1", "s")
+    reset_data_plane_stats()
     broker._handle_notification(
-        Notification({"service": "parking"}, "p", 1), from_destination="c1"
+        Notification({"service": "parking", "floor": 3}, "p", 1), from_destination="c1"
     )
-    assert calls == []
+    stats = data_plane_breakdown([broker])
+    assert stats["dispatch_matches"] == 1
+    assert stats["filter_matches"] == 0
+    assert stats["constraint_evals"] == 0
     assert broker.counters["notifications_forwarded"] == 1
-
-
-def test_scan_mode_has_no_dispatch_plan():
-    simulator = Simulator()
-    broker = Broker(
-        "B",
-        simulator,
-        make_strategy("covering"),
-        config=BrokerConfig(indexed_dispatch=False),
-    )
-    assert broker._dispatch_plan is None
 
 
 def test_advert_gate_counters_account_hits_and_misses():

@@ -3,17 +3,18 @@
 The plan maintains a counting index over the subscription table and
 per-neighbour overlap indexes over the advertisement table through the
 tables' row-level deltas; after *every* mutation its answers must equal
-the table oracles (``matching_entries`` and the linear
-``filters_overlap_hint`` scan) — including ``remove_subject`` /
-``remove_destination`` bulk removals, ``clear`` resets, and lazy rebuilds.
+the brute-force specification of ``tests/oracles/matching.py`` —
+including ``remove_subject`` / ``remove_destination`` bulk removals,
+``clear`` resets, and lazy rebuilds.
 """
 
 import random
 
 from repro.dispatch.plan import AdvertisementOverlapIndex, DispatchPlan
-from repro.filters.covering import filters_overlap_hint
 from repro.filters.filter import Filter, MatchAll, MatchNone
 from repro.routing.table import RoutingTable
+
+from tests.oracles.matching import advertised_via, matching_rows, row_ids
 
 
 def F(**constraints):
@@ -28,18 +29,11 @@ def make_plan():
 
 
 def plan_rows(plan, attributes):
-    return sorted((e.destination, e.seq) for e in plan.match(attributes))
+    return row_ids(plan.match(attributes))
 
 
 def table_rows(table, attributes):
-    return sorted((e.destination, e.seq) for e in table.matching_entries(attributes))
-
-
-def scan_advertised_via(table, destination, filter_):
-    return any(
-        filters_overlap_hint(entry.filter, filter_)
-        for entry in table.entries_for_destination(destination)
-    )
+    return row_ids(matching_rows(table, attributes))
 
 
 class TestSubscriptionSide:
@@ -192,7 +186,7 @@ class TestAdvertisementSide:
                 live.append((filter_, destination, subject))
             query = rng.choice(pool)
             for destination in ("N1", "N2"):
-                assert plan.advertised_via(destination, query) == scan_advertised_via(
+                assert plan.advertised_via(destination, query) == advertised_via(
                     adverts, destination, query
                 ), (step, destination, query)
 

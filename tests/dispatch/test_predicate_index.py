@@ -1,9 +1,9 @@
 """The counting engine must agree with brute-force ``Filter.matches``.
 
 Unit tests pin the index structures (equality buckets, bisected
-comparison arrays, interval lists, residual scans, always-match and
-refcount bookkeeping); hypothesis properties check exhaustively that
-``PredicateIndex`` + ``CountingMatcher`` return exactly the brute-force
+comparison arrays, interval lists, residual scans and refcount
+bookkeeping); hypothesis properties check exhaustively that
+``PredicateIndex`` + ``BitsetMatcher`` return exactly the brute-force
 match set over generated filters and notifications — including
 ``MatchNone``, ``MatchAll`` and attribute-absence edge cases.
 """
@@ -12,7 +12,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro.dispatch.counting import CountingMatcher
+from repro.dispatch.counting import BitsetMatcher
 from repro.dispatch.predicate_index import PredicateIndex
 from repro.filters.constraints import AnyValue, Between, Exists, NotEquals, Prefix
 from repro.filters.filter import Filter, MatchAll, MatchNone
@@ -26,7 +26,7 @@ def make_matcher(*filters):
     index = PredicateIndex()
     for filter_ in filters:
         index.add(filter_)
-    return index, CountingMatcher(index)
+    return index, BitsetMatcher(index)
 
 
 def match_keys(matcher, attributes):
@@ -94,7 +94,7 @@ class TestEdgeCases:
     def test_any_value_constraint_is_not_a_predicate(self):
         filter_ = Filter({"service": "parking", "note": AnyValue()})
         index, matcher = make_matcher(filter_)
-        assert index.fid_arity[0] == 1  # only the equality counts
+        assert len(index._fid_pids[0]) == 1  # only the equality counts
         assert match_keys(matcher, {"service": "parking"}) == {filter_.key()}
         assert match_keys(matcher, {"service": "parking", "note": 42}) == {filter_.key()}
 
@@ -107,7 +107,7 @@ class TestEdgeCases:
         index = PredicateIndex()
         assert index.add(MatchNone()) is False
         assert len(index) == 0
-        assert CountingMatcher(index).match({"a": 1}) == []
+        assert BitsetMatcher(index).match({"a": 1}) == []
 
     def test_opaque_subclass_falls_back_to_whole_filter_evaluation(self):
         class Oddball(Filter):
@@ -145,7 +145,7 @@ class TestRefcountingAndRemoval:
         assert index.remove(filter_) is True
         assert len(index) == 0
         assert index.predicate_count == 0
-        assert CountingMatcher(index).match({"service": "parking"}) == []
+        assert BitsetMatcher(index).match({"service": "parking"}) == []
 
     def test_structures_are_empty_after_full_removal(self):
         filters = [
@@ -162,7 +162,6 @@ class TestRefcountingAndRemoval:
         assert index.predicate_count == 0
         assert index._eq == {} and index._cmp == {}
         assert index._interval_lows == {} and index._residual == {}
-        assert index.always_fids == set()
 
     def test_randomized_add_remove_matches_brute_force(self):
         rng = random.Random(9)
@@ -175,7 +174,7 @@ class TestRefcountingAndRemoval:
             MatchAll(),
         ]
         index = PredicateIndex()
-        matcher = CountingMatcher(index)
+        matcher = BitsetMatcher(index)
         live = []
         for step in range(300):
             if live and rng.random() < 0.45:
@@ -252,7 +251,7 @@ def test_counting_match_equals_brute_force(filters, notification):
     index = PredicateIndex()
     for filter_ in filters:
         index.add(filter_)
-    matcher = CountingMatcher(index)
+    matcher = BitsetMatcher(index)
     expected = {
         f.key() for f in filters if not isinstance(f, MatchNone) and f.matches(notification)
     }
@@ -275,7 +274,7 @@ def test_counting_match_survives_removals(filters, removals, notification):
             break
         filter_ = live.pop(position % len(live))
         index.remove(filter_)
-    matcher = CountingMatcher(index)
+    matcher = BitsetMatcher(index)
     expected = {
         f.key() for f in live if not isinstance(f, MatchNone) and f.matches(notification)
     }
@@ -283,22 +282,8 @@ def test_counting_match_survives_removals(filters, removals, notification):
 
 
 class TestArity1FastPath:
-    """A satisfied predicate whose filter has arity 1 matches immediately —
-    no counter bump, no stamp — and the skip is accounted in the stats."""
-
-    def test_arity1_match_skips_counter_bumps(self):
-        from repro.dispatch.stats import dispatch_stats
-
-        wide = F(service="parking")                       # arity 1
-        narrow = F(service="parking", cost=("<", 3))      # arity 2
-        index, matcher = make_matcher(wide, narrow)
-        dispatch_stats.reset()
-        matched = matcher.match({"service": "parking", "cost": 1})
-        assert sorted(map(repr, matched)) == sorted(map(repr, [wide, narrow]))
-        # The wide filter's single predicate took the fast path; only the
-        # narrow filter's two predicates were counted.
-        assert dispatch_stats.arity1_fast_matches == 1
-        assert dispatch_stats.count_increments == 2
+    """A filter with a single predicate matches as soon as that predicate
+    fires — on the bit planes with no special case — and is reported once."""
 
     def test_arity1_filter_matches_at_most_once_per_pass(self):
         wide = F(location=("in", ["a", "b", "c"]))        # one InSet predicate

@@ -1,24 +1,23 @@
-"""The bitset matcher must agree with counting and brute force.
+"""The bitset matcher must agree with brute force.
 
 ``BitsetMatcher`` compiles the predicate index's predicate→filter sets
 into big-int masks and counts satisfied predicates in bit-sliced planes;
 near-universal "hot" predicates are lifted out of counting arity and
 applied as a single veto mask.  None of that may change a single match:
-these properties pin bitset ≡ counting ≡ brute-force ``Filter.matches``
-over generated filter sets and churn — including ``MatchAll``,
-``MatchNone``, attribute absence, arity-1 and opaque-filter edge cases —
-plus the dirty-bucket recompile's equivalence with (and cheapness
-relative to) a from-scratch rebuild, and the cross-notification
-batching entry point on a live broker network.
+these properties pin bitset ≡ brute-force ``Filter.matches`` over
+generated filter sets and churn — including ``MatchAll``, ``MatchNone``,
+attribute absence, arity-1 and opaque-filter edge cases — plus the
+dirty-bucket recompile's equivalence with (and cheapness relative to) a
+from-scratch rebuild, and the cross-notification batching entry point on
+a live broker network.
 """
 
 import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro.broker.base import BrokerConfig
 from repro.broker.network import PubSubNetwork
-from repro.dispatch.counting import BitsetMatcher, CountingMatcher
+from repro.dispatch.counting import BitsetMatcher
 from repro.dispatch.predicate_index import PredicateIndex
 from repro.dispatch.stats import dispatch_stats
 from repro.filters.filter import Filter, MatchAll, MatchNone
@@ -30,6 +29,7 @@ from tests.dispatch.test_predicate_index import (
     any_filters,
     notifications,
 )
+from tests.oracles.matching import oracle_dispatch
 
 
 def make_bitset_matcher(*filters):
@@ -52,18 +52,15 @@ def expected_keys(live, notification):
 
 
 # ---------------------------------------------------------------------------
-# Hypothesis properties: bitset == counting == brute force
+# Hypothesis properties: bitset == brute force
 # ---------------------------------------------------------------------------
 
 
 @settings(max_examples=300, deadline=None)
 @given(filters=st.lists(any_filters(), max_size=8), notification=notifications())
-def test_bitset_match_equals_counting_and_brute_force(filters, notification):
-    index, bitset = make_bitset_matcher(*filters)
-    counting = CountingMatcher(index)
-    expected = expected_keys(filters, notification)
-    assert keys_of(bitset.match(notification)) == expected
-    assert keys_of(counting.match(notification)) == expected
+def test_bitset_match_equals_brute_force(filters, notification):
+    _, bitset = make_bitset_matcher(*filters)
+    assert keys_of(bitset.match(notification)) == expected_keys(filters, notification)
 
 
 @settings(max_examples=150, deadline=None)
@@ -87,11 +84,8 @@ def test_bitset_match_survives_churn(filters, removals, notifications_):
             break
         filter_ = live.pop(position % len(live))
         index.remove(filter_)
-    counting = CountingMatcher(index)
     for notification in notifications_:
-        expected = expected_keys(live, notification)
-        assert keys_of(bitset.match(notification)) == expected
-        assert keys_of(counting.match(notification)) == expected
+        assert keys_of(bitset.match(notification)) == expected_keys(live, notification)
 
 
 def test_randomized_churn_matches_brute_force():
@@ -99,7 +93,6 @@ def test_randomized_churn_matches_brute_force():
     rng = random.Random(23)
     index = PredicateIndex()
     bitset = BitsetMatcher(index)
-    counting = CountingMatcher(index)
     pool = [
         F(service="parking"),
         F(service="fuel"),
@@ -127,9 +120,7 @@ def test_randomized_churn_matches_brute_force():
         }
         # The index refcounts structurally identical filters, so the
         # brute-force expectation is deduplicated by filter key.
-        expected = expected_keys(live, notification)
-        assert keys_of(bitset.match(notification)) == expected
-        assert keys_of(counting.match(notification)) == expected
+        assert keys_of(bitset.match(notification)) == expected_keys(live, notification)
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +143,6 @@ class TestSharedPredicateSkipping:
         matched = matcher.match({"service": "parking", "floor": 3})
         assert keys_of(matched) == {F(service="parking", floor=3).key(), F(floor=3).key()}
         assert dispatch_stats.predicates_skipped_shared == 1
-        # The bitset matcher never touches per-filter counters at all.
-        assert dispatch_stats.count_increments == 0
         assert dispatch_stats.mask_ops > 0
 
     def test_unsatisfied_hot_predicate_vetoes_its_sharers(self):
@@ -177,7 +166,7 @@ class TestSharedPredicateSkipping:
 
 
 # ---------------------------------------------------------------------------
-# Edge cases the counting matcher also covers
+# Edge cases
 # ---------------------------------------------------------------------------
 
 
@@ -268,13 +257,8 @@ class TestDirtyBucketRecompile:
 
 
 class TestCrossNotificationBatching:
-    def _run(self, vectorised):
-        network = PubSubNetwork(
-            line_topology(2),
-            strategy="covering",
-            latency=0.01,
-            config=BrokerConfig(vectorised_dispatch=vectorised),
-        )
+    def _run(self):
+        network = PubSubNetwork(line_topology(2), strategy="covering", latency=0.01)
         brokers = sorted(network.brokers)
         producer = network.add_client("p", brokers[0])
         producer.advertise({"service": "s"})
@@ -299,15 +283,13 @@ class TestCrossNotificationBatching:
         return received, stats
 
     def test_batched_runs_amortise_matching_without_changing_deliveries(self):
-        vectorised_received, vectorised_stats = self._run(vectorised=True)
-        counting_received, counting_stats = self._run(vectorised=False)
-        assert vectorised_received == counting_received
-        assert sum(len(ids) for ids in vectorised_received.values()) > 0
+        received, stats = self._run()
+        with oracle_dispatch():
+            oracle_received, _ = self._run()
+        assert received == oracle_received
+        assert sum(len(ids) for ids in received.values()) > 0
         # Every burst's repeated signature was amortised at least once,
-        # and the reuse shows up as fewer index probes.
-        assert vectorised_stats["dispatch_batched_groups"] >= 5
-        assert (
-            vectorised_stats["dispatch_matches"] < counting_stats["dispatch_matches"]
-        )
-        # The pure-counting mode stays a strict per-message oracle.
-        assert counting_stats["dispatch_batched_groups"] == 0
+        # and the reuse shows up as fewer index probes than one per
+        # notification per broker (5 bursts of 4, two brokers).
+        assert stats["dispatch_batched_groups"] >= 5
+        assert stats["dispatch_matches"] < 5 * 4 * 2

@@ -1,109 +1,164 @@
-"""Unit tests for the matching engine (the routing-table index)."""
+"""The matcher's contract, case by case, on the production path.
 
+The cases speak of ``(filter, payload)`` pairs: a payload is the
+destination of a routing row.  They drive the routing tables' one
+matcher — a ``RoutingTable`` with its ``DispatchPlan`` attached, as a
+broker wires them — and every answer is also held against the brute
+force of ``tests/oracles/matching.py``.  The bookkeeping cases look at
+the structures behind it: the plan's ``PredicateIndex`` buckets and the
+anchor policy of ``repro.filters.selectivity``.
+"""
+
+from collections import Counter
+
+from repro.dispatch.plan import DispatchPlan
 from repro.filters.filter import Filter, MatchNone
-from repro.filters.matching import MatchingEngine
+from repro.filters.selectivity import pick_anchor
+from repro.routing.table import RoutingTable
+
+from tests.oracles.matching import checked_match
 
 
 def F(**kwargs):
     return Filter(kwargs)
 
 
+class Matcher:
+    """A routing table and its plan, spoken to in (filter, payload) terms."""
+
+    def __init__(self):
+        self.table = RoutingTable()
+        self.plan = DispatchPlan(self.table, RoutingTable())
+        self.plan.rebuild()  # from here on the plan lives on row deltas
+        self.index = self.plan.index
+
+    def add(self, filter_, payload):
+        return self.table.add(filter_, str(payload), "subject")
+
+    def remove(self, filter_, payload):
+        return self.table.remove(filter_, str(payload), "subject")
+
+    def remove_filter(self, filter_):
+        rows = [row for row in self.table.entries() if row.filter == filter_]
+        for row in rows:
+            self.table.remove(row.filter, row.destination)
+        return bool(rows)
+
+    def match(self, attributes):
+        return checked_match(self.plan, self.table, attributes)
+
+    def matching_payloads(self, attributes):
+        return {row.destination for row in self.match(attributes)}
+
+
 class TestAddRemove:
     def test_add_and_match(self):
-        engine = MatchingEngine()
-        engine.add(F(service="parking"), "link-1")
-        assert engine.matching_payloads({"service": "parking"}) == {"link-1"}
-        assert engine.matching_payloads({"service": "fuel"}) == set()
+        matcher = Matcher()
+        matcher.add(F(service="parking"), "link-1")
+        assert matcher.matching_payloads({"service": "parking"}) == {"link-1"}
+        assert matcher.matching_payloads({"service": "fuel"}) == set()
 
     def test_multiple_payloads_per_filter(self):
-        engine = MatchingEngine()
-        assert engine.add(F(a=1), "x") is True
-        assert engine.add(F(a=1), "y") is False
-        assert engine.matching_payloads({"a": 1}) == {"x", "y"}
+        matcher = Matcher()
+        matcher.add(F(a=1), "x")
+        matcher.add(F(a=1), "y")
+        # Two rows, one indexed filter.
+        assert len(matcher.table) == 2
+        assert len(matcher.index) == 1
+        assert matcher.matching_payloads({"a": 1}) == {"x", "y"}
 
     def test_remove_payload_keeps_entry(self):
-        engine = MatchingEngine()
-        engine.add(F(a=1), "x")
-        engine.add(F(a=1), "y")
-        assert engine.remove(F(a=1), "x")
-        assert engine.matching_payloads({"a": 1}) == {"y"}
-        assert len(engine) == 1
+        matcher = Matcher()
+        matcher.add(F(a=1), "x")
+        matcher.add(F(a=1), "y")
+        assert matcher.remove(F(a=1), "x")
+        assert matcher.matching_payloads({"a": 1}) == {"y"}
+        assert len(matcher.index) == 1
 
     def test_remove_last_payload_drops_entry(self):
-        engine = MatchingEngine()
-        engine.add(F(a=1), "x")
-        assert engine.remove(F(a=1), "x")
-        assert len(engine) == 0
-        assert not engine.remove(F(a=1), "x")
+        matcher = Matcher()
+        matcher.add(F(a=1), "x")
+        assert matcher.remove(F(a=1), "x")
+        assert len(matcher.index) == 0
+        assert not matcher.remove(F(a=1), "x")
 
     def test_remove_filter_entirely(self):
-        engine = MatchingEngine()
-        engine.add(F(a=1), "x")
-        engine.add(F(a=1), "y")
-        assert engine.remove_filter(F(a=1))
-        assert len(engine) == 0
+        matcher = Matcher()
+        matcher.add(F(a=1), "x")
+        matcher.add(F(a=1), "y")
+        assert matcher.remove_filter(F(a=1))
+        assert len(matcher.index) == 0
+        assert matcher.matching_payloads({"a": 1}) == set()
 
     def test_match_none_is_never_indexed(self):
-        engine = MatchingEngine()
-        assert engine.add(MatchNone(), "x") is False
-        assert engine.matching_payloads({"a": 1}) == set()
+        matcher = Matcher()
+        assert matcher.add(MatchNone(), "x")  # the row exists ...
+        assert len(matcher.index) == 0  # ... but nothing can ever match it
+        assert matcher.matching_payloads({"a": 1}) == set()
+        assert matcher.remove(MatchNone(), "x")
 
     def test_clear(self):
-        engine = MatchingEngine()
-        engine.add(F(a=1), "x")
-        engine.add(F(b=("<", 3)), "y")
-        engine.clear()
-        assert len(engine) == 0
-        assert engine.matching_payloads({"a": 1}) == set()
+        matcher = Matcher()
+        matcher.add(F(a=1), "x")
+        matcher.add(F(b=("<", 3)), "y")
+        matcher.table.clear()
+        assert not matcher.plan.valid
+        assert matcher.matching_payloads({"a": 1}) == set()
+        assert len(matcher.index) == 0
 
 
 class TestIndexedAndScanned:
     def test_non_equality_filters_still_match(self):
-        engine = MatchingEngine()
-        engine.add(F(cost=("<", 3)), "cheap")
-        engine.add(F(cost=(">=", 3)), "pricey")
-        assert engine.matching_payloads({"cost": 2}) == {"cheap"}
-        assert engine.matching_payloads({"cost": 5}) == {"pricey"}
+        matcher = Matcher()
+        matcher.add(F(cost=("<", 3)), "cheap")
+        matcher.add(F(cost=(">=", 3)), "pricey")
+        assert matcher.matching_payloads({"cost": 2}) == {"cheap"}
+        assert matcher.matching_payloads({"cost": 5}) == {"pricey"}
 
     def test_mixed_index_and_scan(self):
-        engine = MatchingEngine()
-        engine.add(F(service="parking", cost=("<", 3)), "indexed")
-        engine.add(F(cost=("<", 3)), "scanned")
-        payloads = engine.matching_payloads({"service": "parking", "cost": 1})
-        assert payloads == {"indexed", "scanned"}
+        matcher = Matcher()
+        matcher.add(F(service="parking", cost=("<", 3)), "both")
+        matcher.add(F(cost=("<", 3)), "range-only")
+        payloads = matcher.matching_payloads({"service": "parking", "cost": 1})
+        assert payloads == {"both", "range-only"}
+        # The shared ``cost < 3`` predicate is stored once.
+        assert matcher.index.predicate_count == 2
 
     def test_many_disjoint_equalities(self):
-        engine = MatchingEngine()
+        matcher = Matcher()
         for index in range(200):
-            engine.add(F(symbol="SYM{}".format(index)), index)
-        assert engine.matching_payloads({"symbol": "SYM42"}) == {42}
-        assert engine.matching_payloads({"symbol": "NOPE"}) == set()
+            matcher.add(F(symbol="SYM{}".format(index)), index)
+        assert matcher.matching_payloads({"symbol": "SYM42"}) == {"42"}
+        assert matcher.matching_payloads({"symbol": "NOPE"}) == set()
 
     def test_match_returns_filters_and_payloads(self):
-        engine = MatchingEngine()
-        engine.add(F(a=1), "x")
-        results = engine.match({"a": 1})
-        assert len(results) == 1
-        matched_filter, payloads = results[0]
-        assert matched_filter == F(a=1)
-        assert payloads == {"x"}
+        matcher = Matcher()
+        matcher.add(F(a=1), "x")
+        (row,) = matcher.match({"a": 1})
+        assert row.filter == F(a=1)
+        assert row.destination == "x"
+        # The table's own row, not a copy.
+        assert row is matcher.table.find_entry(F(a=1), "x")
 
     def test_contains_and_iteration(self):
-        engine = MatchingEngine()
-        engine.add(F(a=1), "x")
-        assert F(a=1) in engine
-        assert F(a=2) not in engine
-        assert [payloads for _, payloads in engine] == [{"x"}]
+        matcher = Matcher()
+        matcher.add(F(a=1), "x")
+        assert matcher.table.has_entry(F(a=1), "x")
+        assert not matcher.table.has_entry(F(a=2), "x")
+        assert [row.destination for row in matcher.table] == ["x"]
 
     def test_payloads_for(self):
-        engine = MatchingEngine()
-        engine.add(F(a=1), "x")
-        assert engine.payloads_for(F(a=1)) == {"x"}
-        assert engine.payloads_for(F(a=2)) == set()
+        matcher = Matcher()
+        matcher.add(F(a=1), "x")
+        matcher.add(F(a=1), "y")
+        matcher.add(F(a=2), "z")
+        # Per indexed filter, the plan keeps the rows it hands out.
+        assert set(matcher.plan._rows[F(a=1).key()]) == {"x", "y"}
+        assert F(a=3).key() not in matcher.plan._rows
 
     def test_agreement_with_bruteforce(self):
-        """The indexed engine returns exactly the brute-force result."""
-        engine = MatchingEngine()
+        """The indexed matcher returns exactly the brute-force result."""
+        matcher = Matcher()
         filters = [
             F(service="parking"),
             F(service="parking", cost=("<", 3)),
@@ -112,7 +167,7 @@ class TestIndexedAndScanned:
             F(location="c", service="fuel"),
         ]
         for index, filter_ in enumerate(filters):
-            engine.add(filter_, index)
+            matcher.add(filter_, index)
         notifications = [
             {"service": "parking", "cost": 1, "location": "a"},
             {"service": "fuel", "cost": 9, "location": "c"},
@@ -121,111 +176,116 @@ class TestIndexedAndScanned:
             {"cost": 6},
         ]
         for notification in notifications:
-            expected = {i for i, f in enumerate(filters) if f.matches(notification)}
-            assert engine.matching_payloads(notification) == expected
+            expected = {str(i) for i, f in enumerate(filters) if f.matches(notification)}
+            assert matcher.matching_payloads(notification) == expected
 
 
 class TestRemovalAndIndexPositions:
     """Removal bookkeeping and index-position edge cases.
 
-    The engine remembers which equality bucket (or the scan list) each
-    filter was registered under; these tests pin down the cleanup paths
-    the covering/forwarding refactor leans on.
+    The predicate index remembers which bucket, comparison array or scan
+    list each predicate lives in; these cases pin down the cleanup paths
+    and the anchor policy the covering index still shares.
     """
 
     def test_removal_cleans_equality_bucket(self):
-        engine = MatchingEngine()
-        engine.add(F(service="parking"), "x")
-        assert engine.remove(F(service="parking"), "x")
-        assert engine._equality_index == {}
-        assert engine._index_position == {}
-        assert engine._scan_list == set()
+        matcher = Matcher()
+        matcher.add(F(service="parking"), "x")
+        assert matcher.index._eq
+        assert matcher.remove(F(service="parking"), "x")
+        assert matcher.index._eq == {}
+        assert matcher.index.predicate_count == 0
+        assert matcher.plan._rows == {}
 
     def test_removal_cleans_scan_list(self):
-        engine = MatchingEngine()
-        engine.add(F(cost=("<", 3)), "x")
-        assert engine.remove(F(cost=("<", 3)), "x")
-        assert engine._scan_list == set()
-        assert engine._index_position == {}
+        matcher = Matcher()
+        matcher.add(F(cost=("<", 3), note=("!=", "x")), "x")
+        assert matcher.index._cmp and matcher.index._residual
+        assert matcher.remove(F(cost=("<", 3), note=("!=", "x")), "x")
+        assert matcher.index._cmp == {}
+        assert matcher.index._residual == {}
 
     def test_index_position_tie_breaks_lexicographically(self):
-        # On an empty index every bucket is equally (un)loaded; the shared
-        # selectivity policy then falls back to the lexicographically
-        # smallest attribute, matching the engine's historical behaviour.
-        engine = MatchingEngine()
-        engine.add(F(zebra="z", alpha="a", cost=("<", 3)), "x")
-        ((position, keys),) = engine._equality_index.items()
-        assert position[0] == "alpha"
-        assert len(keys) == 1
+        # With every bucket equally (un)loaded the shared selectivity
+        # policy falls back to the lexicographically smallest attribute.
+        anchor = pick_anchor(F(zebra="z", alpha="a", cost=("<", 3)), lambda name, value: 0)
+        assert anchor == ("alpha", (("string", "a"),))
 
     def test_shared_equality_stops_attracting_anchors(self):
         # A value bucket shared by every filter prunes nothing; once it
         # fills up, later filters must anchor on their more selective
-        # constraint instead (the covering-index anchor policy, shared via
-        # repro.filters.selectivity.pick_anchor).
-        engine = MatchingEngine()
+        # constraint instead.
+        load = Counter()
+
+        def anchor(filter_):
+            name, values = pick_anchor(filter_, lambda name, value: load[(name, value)])
+            for value in values:
+                load[(name, value)] += 1
+            return name
+
         # "area" sorts before "zone", so the first filter anchors on the
         # shared equality; every later one finds that bucket occupied and
         # anchors on its distinct zone value instead.
-        engine.add(F(area="center", zone="a"), 0)
-        for index, zone in enumerate(["b", "c", "d"]):
-            engine.add(F(area="center", zone=zone), index + 1)
-        assert len(engine._equality_index[("area", ("string", "center"))]) == 1
+        assert anchor(F(area="center", zone="a")) == "area"
         for zone in ("b", "c", "d"):
-            assert len(engine._equality_index[("zone", ("string", zone))]) == 1
+            assert anchor(F(area="center", zone=zone)) == "zone"
 
     def test_in_set_anchor_registers_one_bucket_per_value(self):
-        engine = MatchingEngine()
-        # Fill the service bucket so the InSet anchor becomes cheaper.
-        engine.add(F(service="parking"), "other")
+        matcher = Matcher()
+        matcher.add(F(service="parking"), "other")
         filter_ = F(service="parking", location=("in", ["a", "b"]))
-        engine.add(filter_, "x")
+        matcher.add(filter_, "x")
         for value in ("a", "b"):
-            assert engine._equality_index[("location", ("string", value))]
-        assert engine.matching_payloads({"service": "parking", "location": "a"}) == {
+            assert matcher.index._eq[("location", ("string", value))]
+        assert matcher.matching_payloads({"service": "parking", "location": "a"}) == {
             "other",
             "x",
         }
-        assert engine.matching_payloads({"service": "parking", "location": "z"}) == {"other"}
-        assert engine.remove(filter_, "x")
-        assert ("location", ("string", "a")) not in engine._equality_index
-        assert ("location", ("string", "b")) not in engine._equality_index
+        assert matcher.matching_payloads({"service": "parking", "location": "z"}) == {"other"}
+        assert matcher.remove(filter_, "x")
+        assert ("location", ("string", "a")) not in matcher.index._eq
+        assert ("location", ("string", "b")) not in matcher.index._eq
 
     def test_shared_bucket_survives_partial_removal(self):
-        engine = MatchingEngine()
-        engine.add(F(service="parking"), "x")
-        engine.add(F(service="parking", cost=("<", 3)), "y")
-        assert engine.remove_filter(F(service="parking"))
-        # The bucket for (service, parking) must still index the second filter.
-        assert engine.matching_payloads({"service": "parking", "cost": 1}) == {"y"}
+        matcher = Matcher()
+        matcher.add(F(service="parking"), "x")
+        matcher.add(F(service="parking", cost=("<", 3)), "y")
+        assert matcher.remove_filter(F(service="parking"))
+        # The (service, parking) predicate must still serve the second filter.
+        assert matcher.matching_payloads({"service": "parking", "cost": 1}) == {"y"}
 
     def test_remove_absent_payload_is_a_noop(self):
-        engine = MatchingEngine()
-        engine.add(F(a=1), "x")
-        assert engine.remove(F(a=1), "y") is False
-        assert engine.matching_payloads({"a": 1}) == {"x"}
+        matcher = Matcher()
+        matcher.add(F(a=1), "x")
+        assert matcher.remove(F(a=1), "y") is False
+        assert matcher.matching_payloads({"a": 1}) == {"x"}
 
     def test_readd_after_removal_reindexes(self):
-        engine = MatchingEngine()
-        engine.add(F(service="parking"), "x")
-        engine.remove(F(service="parking"), "x")
-        engine.add(F(service="parking"), "z")
-        assert engine.matching_payloads({"service": "parking"}) == {"z"}
+        matcher = Matcher()
+        matcher.add(F(service="parking"), "x")
+        matcher.remove(F(service="parking"), "x")
+        matcher.add(F(service="parking"), "z")
+        assert matcher.matching_payloads({"service": "parking"}) == {"z"}
 
     def test_equal_numeric_values_share_one_bucket(self):
-        engine = MatchingEngine()
-        engine.add(F(cost=1), "int")
-        engine.add(F(cost=1.0), "float")
-        # 1 and 1.0 are the same number: one entry, two payloads.
-        assert len(engine) == 1
-        assert engine.matching_payloads({"cost": 1}) == {"int", "float"}
-        assert engine.remove(F(cost=1.0), "int")
-        assert engine.matching_payloads({"cost": 1}) == {"float"}
+        matcher = Matcher()
+        matcher.add(F(cost=1), "int")
+        matcher.add(F(cost=1.0), "float")
+        # 1 and 1.0 are the same number: one indexed filter, two rows.
+        assert len(matcher.index) == 1
+        assert matcher.matching_payloads({"cost": 1}) == {"int", "float"}
+        assert matcher.remove(F(cost=1.0), "int")
+        assert matcher.matching_payloads({"cost": 1}) == {"float"}
 
     def test_unhashable_notification_value_falls_back_to_scan(self):
-        engine = MatchingEngine()
-        engine.add(F(service="parking"), "eq")
-        engine.add(F(cost=("<", 3)), "scan")
-        # A list-valued attribute cannot be hashed into the equality index;
-        # the engine must not crash and the scan list must still be used.
-        assert engine.matching_payloads({"service": ["not", "hashable"], "cost": 2}) == {"scan"}
+        matcher = Matcher()
+        matcher.add(F(service="parking"), "eq")
+        matcher.add(F(cost=("<", 3)), "range")
+        matcher.add(F(service=("exists",)), "residual")
+        # A list-valued attribute cannot be hashed into the value buckets;
+        # the matcher must not crash, the other attributes still count and
+        # the residual scan list still sees the value.  (``Equals`` refuses
+        # to compare a list, so the brute force is undefined here and the
+        # expectation is literal.)
+        rows = matcher.plan.match({"service": ["not", "hashable"], "cost": 2})
+        assert {row.destination for row in rows} == {"range", "residual"}

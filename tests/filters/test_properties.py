@@ -9,15 +9,19 @@ correctness:
   filters (on arbitrary sampled notifications);
 * minimal-cover-set equivalence — reducing a filter set never changes the
   union of accepted notifications;
-* matching-engine agreement with brute force.
+* matching-engine agreement with brute force: the routing table's one
+  matcher, the dispatch plan, returns the rows the oracle returns.
 """
 
 from hypothesis import given, settings, strategies as st
 
+from repro.dispatch.plan import DispatchPlan
 from repro.filters.covering import filter_covers, minimal_cover_set
 from repro.filters.filter import Filter
-from repro.filters.matching import MatchingEngine
 from repro.filters.merging import merge_filters, try_merge_pair
+from repro.routing.table import RoutingTable
+
+from tests.oracles.matching import checked_match
 
 ATTRIBUTES = ["service", "location", "cost", "floor"]
 STRING_VALUES = ["parking", "fuel", "a", "b", "c", "d"]
@@ -101,11 +105,14 @@ def test_minimal_cover_set_preserves_union(filter_list, notification):
 @settings(max_examples=100, deadline=None)
 @given(filter_list=st.lists(filters(), min_size=0, max_size=8), notification=notifications())
 def test_matching_engine_agrees_with_bruteforce(filter_list, notification):
-    engine = MatchingEngine()
+    table = RoutingTable()
+    plan = DispatchPlan(table, RoutingTable())
     for index, filter_ in enumerate(filter_list):
-        engine.add(filter_, index)
+        table.add(filter_, "link-{}".format(index), "s")
     expected = {index for index, filter_ in enumerate(filter_list) if filter_.matches(notification)}
-    assert engine.matching_payloads(notification) == expected
+    assert {row.destination for row in checked_match(plan, table, notification)} == {
+        "link-{}".format(index) for index in expected
+    }
 
 
 @settings(max_examples=100, deadline=None)

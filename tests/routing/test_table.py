@@ -1,19 +1,33 @@
-"""Unit tests for the routing table."""
+"""Unit tests for the routing table.
 
+The table stores rows and publishes their changes; matching is the job of
+the ``DispatchPlan`` listening to it.  The cases that ask "which rows
+match" therefore attach a plan the way a broker does and hold its answer
+against the brute force of ``tests/oracles/matching.py``.
+"""
+
+from repro.dispatch.plan import DispatchPlan
 from repro.filters.filter import Filter
 from repro.routing.table import RoutingTable
+
+from tests.oracles.matching import checked_match
 
 
 def F(**kwargs):
     return Filter(kwargs)
 
 
+def matched_destinations(table, plan, attributes):
+    return {row.destination for row in checked_match(plan, table, attributes)}
+
+
 class TestAddRemove:
     def test_add_and_match_destinations(self):
         table = RoutingTable()
+        plan = DispatchPlan(table, RoutingTable())
         assert table.add(F(a=1), "link-1", "client/sub")
-        assert table.matching_destinations({"a": 1}) == {"link-1"}
-        assert table.matching_destinations({"a": 2}) == set()
+        assert matched_destinations(table, plan, {"a": 1}) == {"link-1"}
+        assert matched_destinations(table, plan, {"a": 2}) == set()
 
     def test_same_row_multiple_subjects(self):
         table = RoutingTable()
@@ -45,13 +59,14 @@ class TestAddRemove:
 
     def test_remove_subject_across_rows(self):
         table = RoutingTable()
+        plan = DispatchPlan(table, RoutingTable())
         table.add(F(a=1), "link-1", "c1/s1")
         table.add(F(b=2), "link-2", "c1/s1")
         table.add(F(b=2), "link-2", "c2/s2")
         removed = table.remove_subject("c1/s1")
         assert len(removed) == 1
         assert len(table) == 1
-        assert table.matching_destinations({"b": 2}) == {"link-2"}
+        assert matched_destinations(table, plan, {"b": 2}) == {"link-2"}
 
     def test_remove_destination(self):
         table = RoutingTable()
@@ -64,20 +79,24 @@ class TestAddRemove:
 
     def test_clear(self):
         table = RoutingTable()
+        plan = DispatchPlan(table, RoutingTable())
         table.add(F(a=1), "link-1", "s")
+        assert matched_destinations(table, plan, {"a": 1}) == {"link-1"}
         table.clear()
         assert len(table) == 0
-        assert table.matching_destinations({"a": 1}) == set()
+        assert matched_destinations(table, plan, {"a": 1}) == set()
 
 
 class TestQueries:
     def test_matching_entries(self):
         table = RoutingTable()
+        plan = DispatchPlan(table, RoutingTable())
         table.add(F(a=1), "link-1", "s1")
         table.add(F(a=1), "link-2", "s2")
         table.add(F(b=2), "link-1", "s3")
-        entries = table.matching_entries({"a": 1})
+        entries = checked_match(plan, table, {"a": 1})
         assert {entry.destination for entry in entries} == {"link-1", "link-2"}
+        assert all(entry is table.find_entry(F(a=1), entry.destination) for entry in entries)
 
     def test_entries_for_subject_and_destination(self):
         table = RoutingTable()

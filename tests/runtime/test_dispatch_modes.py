@@ -1,40 +1,35 @@
-"""Dispatch-mode trace identity on every runtime backend.
+"""Dispatch-plan trace identity with the oracle on every runtime backend.
 
-The vectorised data plane (bitset matching, shared-predicate skipping,
-cross-notification batching) must be invisible in every observable:
-on each backend — sim, virtual-time asyncio over memory pipes, and over
-loopback TCP — the vectorised, counting and scan modes must produce
-**byte-identical traces**, timestamps included: the same deliveries in
-the same order, the same link traversals (admin messages included), the
-same drops and publishes.  The workload mixes identical-attribute
-bursts (exercising the batched-run reuse on the sim backend) with
-varied publishes and subscription churn (exercising the dirty-bucket
-recompiles) so every stage of the vectorised path is on trial.
+The compiled data plane (bitset matching, shared-predicate skipping,
+cross-notification batching) must be invisible in every observable: on
+each backend — sim, virtual-time asyncio over memory pipes, and over
+loopback TCP — running on the delta-maintained plan, on a plan rebuilt
+from the tables before every round, and on the brute-force specification
+of ``tests/oracles/matching.py`` must produce **byte-identical traces**,
+timestamps included: the same deliveries in the same order, the same
+link traversals (admin messages included), the same drops and publishes.
+The workload mixes identical-attribute bursts (exercising the batched-run
+reuse on the sim backend) with varied publishes and subscription churn
+(exercising the dirty-bucket recompiles) so every stage of the plan is
+on trial.
 """
 
 import pytest
 
-from repro.broker.base import BrokerConfig
 from repro.broker.network import PubSubNetwork
 from repro.runtime.factory import BACKENDS, make_runtime
 from repro.sim.rng import DeterministicRandom
 from repro.topology.builders import balanced_tree_topology
 
+from tests.oracles.matching import oracle_dispatch
 from tests.runtime.test_backend_parity import _trace_fingerprint
 
-MODE_CONFIGS = {
-    "vectorised": {"indexed_dispatch": True, "vectorised_dispatch": True},
-    "counting": {"indexed_dispatch": True, "vectorised_dispatch": False},
-    "scan": {"indexed_dispatch": False},
-}
 
-
-def _run_workload(backend, mode):
+def _run_workload(backend, rebuild=False):
     network = PubSubNetwork(
         balanced_tree_topology(depth=2, fanout=2),
         strategy="covering",
         runtime=make_runtime(backend, latency=0.01),
-        config=BrokerConfig(**MODE_CONFIGS[mode]),
     )
     leaves = network.graph.leaves()
     rng = DeterministicRandom(29)
@@ -53,6 +48,9 @@ def _run_workload(backend, mode):
     network.settle()
 
     for round_ in range(6):
+        if rebuild:
+            for broker in network.brokers.values():
+                broker._dispatch_plan.invalidate()
         # An identical-attribute burst at one instant: on the sim backend
         # these share one link flush and go through receive_batch.
         for _ in range(3):
@@ -62,9 +60,9 @@ def _run_workload(backend, mode):
             {"service": "parking", "floor": rng.randint(0, 6), "seq": rng.randint(0, 999)}
         )
         network.settle()
-        # Churn between bursts: the vectorised matcher must recompile
-        # exactly the dirtied predicate buckets, with no observable
-        # difference from the per-message modes.
+        # Churn between bursts: the matcher must recompile exactly the
+        # dirtied predicate buckets, with no observable difference from
+        # the specification.
         client, subscription_id = subscriptions[round_ % len(subscriptions)]
         client.unsubscribe(subscription_id)
         subscriptions[round_ % len(subscriptions)] = (
@@ -82,16 +80,14 @@ def _run_workload(backend, mode):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_three_mode_trace_identity(backend):
-    """Vectorised, counting and scan leave byte-identical traces."""
+    """Delta-maintained plan, rebuilt plan and oracle leave byte-identical traces."""
     try:
-        vectorised = _run_workload(backend, "vectorised")
+        with oracle_dispatch():
+            oracle = _run_workload(backend)
     except OSError as error:  # pragma: no cover - sandboxed environments
         pytest.skip("loopback sockets unavailable: {}".format(error))
-    for mode in ("counting", "scan"):
-        other = _run_workload(backend, mode)
-        assert other[0]["deliveries"] == vectorised[0]["deliveries"], (backend, mode)
-        assert other[0]["links"] == vectorised[0]["links"], (backend, mode)
-        assert other[0]["drops"] == vectorised[0]["drops"], (backend, mode)
-        assert other[0]["publishes"] == vectorised[0]["publishes"], (backend, mode)
-        assert other[1] == vectorised[1], (backend, mode)
-        assert other[2] == vectorised[2], (backend, mode)
+    for rebuild in (False, True):
+        production = _run_workload(backend, rebuild=rebuild)
+        for observable in ("deliveries", "links", "drops", "publishes"):
+            assert production[0][observable] == oracle[0][observable], (backend, rebuild)
+        assert production[1:] == oracle[1:], (backend, rebuild)

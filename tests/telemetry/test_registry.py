@@ -1,12 +1,10 @@
 """Per-broker metric registries, the stats facades, and network scoping."""
 
-from repro.broker.base import BrokerConfig
 from repro.broker.network import PubSubNetwork
 from repro.dispatch.stats import dispatch_stats
 from repro.filters.merging import merge_stats
 from repro.filters.stats import matching_stats
 from repro.metrics.counters import data_plane_breakdown, reset_data_plane_stats
-from repro.telemetry import RingBufferSink, TelemetryConfig
 from repro.telemetry.registry import Histogram, MetricRegistry
 from repro.topology.builders import line_topology
 
@@ -15,8 +13,7 @@ def _run_workload(network, publishes=5, tag="news"):
     producer = network.add_client("P", "B3")
     producer.advertise({"topic": tag})
     consumer = network.add_client("C", "B1")
-    # Two attributes so matching exercises real constraint evaluations
-    # (a single-constraint filter takes the arity-1 fast path).
+    # Two attributes so a match needs both predicates counted.
     consumer.subscribe({"topic": tag, "grade": "a"})
     network.settle()
     for index in range(publishes):
@@ -126,42 +123,6 @@ class TestPerNetworkScoping:
             assert scoped[key] == sum(snapshot[key] for snapshot in snapshots)
         delivered = sum(snapshot["notifications_delivered"] for snapshot in snapshots)
         assert delivered == 6
-
-
-class TestCountIncrementHistogram:
-    def test_per_notification_counting_cost_is_observed(self):
-        """With telemetry on, every handled notification records its
-        counter-bump cost in the ``dispatch_count_increments`` histogram
-        (``dispatch_fanout``-style): positive sums under the counting
-        matcher, all-zero observations under the bitset matcher — with
-        the same observation count, since the modes handle the same
-        notifications."""
-
-        def run(vectorised):
-            network = PubSubNetwork(
-                line_topology(3),
-                strategy="covering",
-                latency=0.01,
-                config=BrokerConfig(vectorised_dispatch=vectorised),
-                telemetry=TelemetryConfig(sink_factory=RingBufferSink),
-            )
-            _run_workload(network, publishes=5)
-            histograms = {}
-            for broker in network.brokers.values():
-                snapshot = broker.metrics.histogram_snapshot()
-                if "dispatch_count_increments" in snapshot:
-                    histograms[broker.name] = snapshot["dispatch_count_increments"]
-            network.close()
-            return histograms
-
-        counting = run(vectorised=False)
-        vectorised = run(vectorised=True)
-        assert counting and vectorised
-        assert sum(h["sum"] for h in counting.values()) > 0
-        assert sum(h["sum"] for h in vectorised.values()) == 0
-        assert sum(h["count"] for h in counting.values()) == sum(
-            h["count"] for h in vectorised.values()
-        )
 
 
 class TestResetUnification:
