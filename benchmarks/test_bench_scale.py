@@ -1,26 +1,24 @@
 """Scale benchmark for the routing-change hot path.
 
 Every subscribe, unsubscribe, attach/detach and relocation step funnels
-through ``Broker.refresh_forwarding``.  Three implementations coexist
-behind ``BrokerConfig``:
-
-* **scratch** — rebuild each neighbour's desired set with an O(n²)
-  covering sweep on every refresh (~O(n³) to settle n subscriptions);
-* **incremental** (PR 1) — covering cache + per-neighbour dirty tracking
-  + reused strategy reductions, but still a Θ(n) table rescan per dirty
-  refresh;
-* **delta** (this PR, the default) — routing-table row deltas applied
-  directly to the cached per-neighbour desired dict, O(Δ) per change.
+through ``Broker.refresh_forwarding``, which keeps each neighbour's
+desired set in a delta-maintained ``NeighbourForwardingState``: routing-
+table row deltas are applied directly to the cached desired dict, O(Δ)
+per change.  The reference is the from-scratch specification of
+``tests/oracles/forwarding.py`` — rebuild each neighbour's desired set
+with an O(n²) covering sweep on every refresh (~O(n³) to settle n
+subscriptions) — swapped in with ``scratch_forwarding()``.
 
 On top, links batch same-instant messages into one flush event each
 (``Link(batch=True)``), collapsing the event-loop cost of a refresh that
 emits k administrative messages from k events to one.
 
-All modes must produce **byte-identical routing behaviour**: the same
-administrative message counts, the same routing-table sizes, and the
-same delivered notifications.  The workload is a deep broker tree with
-overlapping subscribers plus a roaming phase (physical relocations
-mid-run), i.e. the Figure 5/9 scenarios at up to 100× the paper's scale.
+Production and specification must produce **byte-identical routing
+behaviour**: the same administrative message counts, the same
+routing-table sizes, and the same delivered notifications.  The workload
+is a deep broker tree with overlapping subscribers plus a roaming phase
+(physical relocations mid-run), i.e. the Figure 5/9 scenarios at up to
+100× the paper's scale.
 
 The overlapping population collapses to a few dozen distinct filters, so
 it never exercises subscription *admission* against a large covering
@@ -34,7 +32,6 @@ import time
 
 import pytest
 
-from repro.broker.base import BrokerConfig
 from repro.broker.network import PubSubNetwork
 from repro.filters.covering import covering_stats
 from repro.filters.covering_cache import get_covering_cache
@@ -42,21 +39,16 @@ from repro.metrics.counters import MessageCounter
 from repro.sim.rng import DeterministicRandom
 from repro.topology.builders import balanced_tree_topology
 
+from tests.oracles.forwarding import scratch_forwarding
+
 LOCATIONS = ["loc-{:02d}".format(index) for index in range(24)]
 
 SUBSCRIBERS_PER_LEAF = 70  # 3 populated leaves -> 210 overlapping subscriptions
-SCALE_SUBSCRIBERS_PER_LEAF = 700  # -> 2100 subscriptions (delta mode only)
+SCALE_SUBSCRIBERS_PER_LEAF = 700  # -> 2100 subscriptions (production path only)
 ROAMING_CLIENTS = 20
-
-MODE_CONFIGS = {
-    "scratch": {"incremental_forwarding": False},
-    "incremental": {"incremental_forwarding": True, "delta_forwarding": False},
-    "delta": {"incremental_forwarding": True, "delta_forwarding": True},
-}
 
 
 def _run_scale_workload(
-    mode: str = "delta",
     subscribers_per_leaf: int = SUBSCRIBERS_PER_LEAF,
     batch_links: bool = True,
     distinct: bool = False,
@@ -70,10 +62,7 @@ def _run_scale_workload(
     covering_stats.reset()
     get_covering_cache().clear()
     topology = balanced_tree_topology(depth=3, fanout=2)
-    config = BrokerConfig(**MODE_CONFIGS[mode])
-    network = PubSubNetwork(
-        topology, strategy="covering", latency=0.005, config=config, batch_links=batch_links
-    )
+    network = PubSubNetwork(topology, strategy="covering", latency=0.005, batch_links=batch_links)
     leaves = topology.leaves()
     producer = network.add_client("producer", leaves[0])
     producer.advertise({"service": "parking"})
@@ -131,60 +120,41 @@ def _run_scale_workload(
 
 
 def test_delta_refresh_speedup_and_equivalence(benchmark):
-    """Delta vs incremental vs from-scratch: cheaper, byte-identical behaviour."""
-    # Take the best of two delta runs so a scheduler hiccup cannot
-    # masquerade as a regression; the baselines run once (noise only
-    # inflates them, and they are far slower to begin with).
-    delta = benchmark.pedantic(_run_scale_workload, args=("delta",), iterations=1, rounds=1)
-    second = _run_scale_workload("delta")
-    delta["settle_seconds"] = min(delta["settle_seconds"], second["settle_seconds"])
-    incremental = _run_scale_workload("incremental")
-    scratch = _run_scale_workload("scratch")
+    """Delta-maintained vs from-scratch: cheaper, byte-identical behaviour."""
+    delta = benchmark.pedantic(_run_scale_workload, iterations=1, rounds=1)
+    with scratch_forwarding():
+        scratch = _run_scale_workload()
 
-    # Byte-identical routing behaviour across all three modes.
-    for baseline in (incremental, scratch):
-        assert delta["admin_messages"] == baseline["admin_messages"]
-        assert delta["table_sizes"] == baseline["table_sizes"]
-        assert delta["delivered"] == baseline["delivered"]
+    assert delta["admin_messages"] == scratch["admin_messages"]
+    assert delta["table_sizes"] == scratch["table_sizes"]
+    assert delta["delivered"] == scratch["delivered"]
 
     call_ratio = scratch["covering_calls"] / max(delta["covering_calls"], 1)
-    time_ratio = scratch["settle_seconds"] / max(delta["settle_seconds"], 1e-9)
     benchmark.extra_info.update(
         {
             "covering_calls_delta": delta["covering_calls"],
-            "covering_calls_incremental": incremental["covering_calls"],
             "covering_calls_scratch": scratch["covering_calls"],
             "covering_call_ratio": round(call_ratio, 1),
             "settle_seconds_delta": round(delta["settle_seconds"], 4),
-            "settle_seconds_incremental": round(incremental["settle_seconds"], 4),
             "settle_seconds_scratch": round(scratch["settle_seconds"], 4),
-            "settle_time_ratio": round(time_ratio, 2),
             "cache_hits": delta["cache_stats"]["hits"],
             "cache_misses": delta["cache_stats"]["misses"],
         }
     )
     # The covering-test count is deterministic: the hard criterion.  The
-    # observed ratio is ~330× at 210 subscriptions (see BENCH_scale.json).
+    # observed ratio is ~550× at 210 subscriptions (see BENCH_scale.json).
+    # Wall time is recorded, not gated.
     assert call_ratio >= 50.0
-    # Wall time is machine-noise-bound: the observed ratio is ~15-19×; the
-    # assertion is only a loose sanity floor — losing the delta path
-    # entirely would read ~1× — so a loaded CI box cannot flake the suite.
-    assert time_ratio >= 3.0
-    # Delta stays in the same ballpark as the PR 1 incremental path in raw
-    # covering work (both are cache-bound; they touch slightly different
-    # uncached pairs, so exact equality is not expected).
-    assert delta["covering_calls"] <= incremental["covering_calls"] * 1.25
 
 
 @pytest.mark.parametrize("subscribers_per_leaf", [70, 250, SCALE_SUBSCRIBERS_PER_LEAF])
 def test_delta_settle_scales(benchmark, subscribers_per_leaf):
-    """Absolute settle cost of the delta path at increasing scale.
+    """Absolute settle cost of the production path at increasing scale.
 
-    The largest point settles ≥2000 overlapping subscriptions — the
-    next order of magnitude beyond the PR 1 practical ceiling (~200).
+    The largest point settles ≥2000 overlapping subscriptions.
     """
     stats = benchmark.pedantic(
-        _run_scale_workload, args=("delta", subscribers_per_leaf), iterations=1, rounds=2
+        _run_scale_workload, args=(subscribers_per_leaf,), iterations=1, rounds=2
     )
     benchmark.extra_info.update(
         {
@@ -206,7 +176,7 @@ def test_delta_settle_scales_distinct(benchmark, subscribers_per_leaf):
     """
     stats = benchmark.pedantic(
         _run_scale_workload,
-        args=("delta", subscribers_per_leaf),
+        args=(subscribers_per_leaf,),
         kwargs={"distinct": True},
         iterations=1,
         rounds=2,
@@ -227,7 +197,7 @@ def test_scale_settles_2000_subscriptions(benchmark):
     """Acceptance: the scale bench settles ≥2000 overlapping subscriptions."""
     stats = benchmark.pedantic(
         _run_scale_workload,
-        args=("delta", SCALE_SUBSCRIBERS_PER_LEAF),
+        args=(SCALE_SUBSCRIBERS_PER_LEAF,),
         iterations=1,
         rounds=1,
     )
@@ -248,9 +218,9 @@ def test_scale_settles_2000_subscriptions(benchmark):
 def test_batched_links_collapse_events(benchmark):
     """Batched flushes deliver identical behaviour with far fewer events."""
     batched = benchmark.pedantic(
-        _run_scale_workload, args=("delta", SUBSCRIBERS_PER_LEAF, True), iterations=1, rounds=1
+        _run_scale_workload, args=(SUBSCRIBERS_PER_LEAF, True), iterations=1, rounds=1
     )
-    unbatched = _run_scale_workload("delta", SUBSCRIBERS_PER_LEAF, batch_links=False)
+    unbatched = _run_scale_workload(SUBSCRIBERS_PER_LEAF, batch_links=False)
     assert batched["admin_messages"] == unbatched["admin_messages"]
     assert batched["table_sizes"] == unbatched["table_sizes"]
     assert batched["delivered"] == unbatched["delivered"]

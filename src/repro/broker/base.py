@@ -43,7 +43,6 @@ from repro.dispatch.plan import DispatchPlan
 from repro.dispatch.stats import dispatch_stats
 from repro.core.physical import RelocationBuffer, RelocationRecord, VirtualCounterpart
 from repro.filters.attributes import canonical_key
-from repro.filters.covering import filter_covers
 from repro.filters.covering_cache import CoveringCache, get_covering_cache
 from repro.filters.filter import Filter, MatchNone
 from repro.broker.recovery import (
@@ -141,8 +140,8 @@ def _forwarding_sort_key(item: Tuple[Tuple[Any, str], Filter]) -> Tuple[Any, str
 def _in_emission_order(diff: Dict[Tuple[Any, str], Filter]) -> List[Tuple[Tuple[Any, str], Filter]]:
     """The items of a forwarding diff in their deterministic emission order."""
     if len(diff) < 2:
-        # Nothing to order (the norm on the delta path): do not build and
-        # memoise a sort token for the filter key.
+        # Nothing to order (the norm for a pending-pair diff): do not build
+        # and memoise a sort token for the filter key.
         return list(diff.items())
     return sorted(diff.items(), key=_forwarding_sort_key)
 
@@ -189,30 +188,6 @@ class BrokerConfig:
         every link of the subscription path even if the corresponding
         ``ploc`` set did not change; when ``False``, propagation stops at
         the first hop whose upstream filter is unaffected (an ablation).
-    incremental_forwarding:
-        When ``True`` (the default), :meth:`Broker.refresh_forwarding`
-        only recomputes a neighbour's desired forwarding set when routing
-        state relevant to that neighbour actually changed, reuses the
-        previous strategy reduction incrementally, and memoises covering
-        tests in the shared :class:`~repro.filters.covering_cache.CoveringCache`.
-        When ``False``, every refresh recomputes everything from scratch
-        (the original behaviour, kept as the benchmark baseline).  Both
-        modes produce identical messages and routing tables.
-    delta_forwarding:
-        When ``True`` (the default) *and* ``incremental_forwarding`` is
-        on *and* the strategy supports it (see
-        :attr:`~repro.routing.strategies.RoutingStrategy.delta_reduction`),
-        each neighbour's desired forwarding set is maintained **as a
-        delta-driven cache**: routing-table row changes are applied
-        directly to the cached desired dict (including cover
-        reassignment when an added/removed filter changes the minimal
-        cover selection), so a routing change costs O(affected entries)
-        instead of a Θ(table) rescan per dirty refresh.  Merging
-        strategies additionally maintain the greedy merge result through
-        an incremental merge forest backed by the bounded merge-pair
-        cache (:mod:`repro.filters.merge_state`).  When ``False``, the
-        PR 1 per-refresh incremental path is used.  All three modes
-        produce identical messages, routing tables and deliveries.
     forward_retention:
         When set to an integer ``W``, every broker→broker notification
         forward is wrapped in a :class:`~repro.messages.control.
@@ -230,8 +205,6 @@ class BrokerConfig:
     use_advertisements: bool = True
     counterpart_max_buffer: Optional[int] = None
     propagate_unchanged_location_updates: bool = True
-    incremental_forwarding: bool = True
-    delta_forwarding: bool = True
     forward_retention: Optional[int] = None
 
 
@@ -355,7 +328,6 @@ class Broker:
         re-established on restart) and get fresh empty per-neighbour
         state.
         """
-        strategy = self.strategy
         self.subscription_table = RoutingTable()
         self.advertisement_table = RoutingTable()
         # Liveness: neighbour -> clock reading of the last heartbeat heard
@@ -374,48 +346,25 @@ class Broker:
         self._forwarded_subscriptions: Dict[str, Dict[Tuple[Any, str], Filter]] = {}
         self._forwarded_advertisements: Dict[str, Dict[Tuple[Any, str], Filter]] = {}
 
-        # Incremental forwarding refresh: per-neighbour dirty flags driven
-        # by the routing tables' per-destination change deltas, plus the
-        # per-neighbour strategy reduction reused across refreshes.  A
-        # change to subscription rows of destination D affects the desired
-        # set of every neighbour except D; an advertisement row of
-        # destination D only gates what is forwarded *to* D.
+        # Desired forwarding sets: one NeighbourForwardingState per
+        # neighbour, fed by the subscription table's row-level deltas.  A
+        # subscription row of destination D contributes to the state of
+        # every neighbour except D; an advertisement row of destination D
+        # only gates what is forwarded *to* D.
         self._covering_cache: CoveringCache = get_covering_cache()
-        self._forwarding_dirty: Dict[str, bool] = {}
-        self._selection_states: Dict[str, Any] = {}
-        # Delta-driven desired sets: one NeighbourForwardingState per
-        # neighbour, fed by the subscription table's row-level deltas.
-        # Active when both config flags are on and the strategy's
-        # reduction can be maintained incrementally.
-        self._delta_mode = (
-            self.config.incremental_forwarding
-            and self.config.delta_forwarding
-            and strategy.delta_reduction is not None
-            and not strategy.floods_notifications
-        )
-        self._delta_covers = (
-            self._covering_cache.covers
-            if strategy.delta_reduction in ("covering", "merging")
-            else None
-        )
-        # Merging strategies maintain a greedy-merge forest between the
-        # input entries and the covering selection (see
-        # repro.filters.merge_state).
-        self._delta_merging = strategy.delta_reduction == "merging"
         self._delta_states: Dict[str, NeighbourForwardingState] = {}
         # neighbour -> (advertisement-table epoch for that neighbour,
         #               {filter key: overlap verdict}) — see _advertised_via.
         self._advertised_via_cache: Dict[str, Tuple[int, Dict[Any, bool]]] = {}
-        # neighbour -> (selection list, {filter key: assigned cover});
-        # valid while the strategy returns the identical selection object.
-        self._cover_memo: Dict[str, Tuple[List[Filter], Dict[Any, Filter]]] = {}
-        # Bound for the two per-neighbour memo dicts above: they are
-        # cleared (not evicted entry-wise) when they grow past this, the
-        # same policy the global CoveringCache uses.
+        # Bound for each neighbour's verdict dict: it is cleared (not
+        # evicted entry-wise) when it grows past this, the same policy the
+        # global CoveringCache uses.
         self._memo_limit = 65536
-        self.subscription_table.add_listener(self._on_subscription_rows_changed)
         self.advertisement_table.add_listener(self._on_advertisement_rows_changed)
-        if self._delta_mode:
+        if not self.strategy.floods_notifications:
+            # A flooding broker forwards no subscription, so its states
+            # never receive a contribution: every refresh reconciles the
+            # forwarded set with an empty desired set.
             self.subscription_table.add_delta_listener(self)
         # Compiled notification data plane: a counting index over the
         # subscription table plus per-neighbour advertisement overlap
@@ -427,11 +376,14 @@ class Broker:
         for neighbour in self._links:
             self._forwarded_subscriptions[neighbour] = {}
             self._forwarded_advertisements[neighbour] = {}
-            self._forwarding_dirty[neighbour] = True
-            if self._delta_mode:
-                self._delta_states[neighbour] = NeighbourForwardingState(
-                    self._delta_covers, merging=self._delta_merging
-                )
+            self._delta_states[neighbour] = self._new_forwarding_state()
+
+    def _new_forwarding_state(self) -> NeighbourForwardingState:
+        reduction = self.strategy.delta_reduction
+        return NeighbourForwardingState(
+            None if reduction == "none" else self._covering_cache.covers,
+            merging=reduction == "merging",
+        )
 
     # ------------------------------------------------------------------
     # Wiring
@@ -445,11 +397,8 @@ class Broker:
         self._links[link.target] = link
         self._forwarded_subscriptions.setdefault(link.target, {})
         self._forwarded_advertisements.setdefault(link.target, {})
-        self._forwarding_dirty[link.target] = True
-        if self._delta_mode and link.target not in self._delta_states:
-            self._delta_states[link.target] = NeighbourForwardingState(
-                self._delta_covers, merging=self._delta_merging
-            )
+        if link.target not in self._delta_states:
+            self._delta_states[link.target] = self._new_forwarding_state()
 
     def attach_telemetry(self, telemetry: Optional[Any]) -> None:
         """Attach (or with ``None``, detach) the per-broker event emitter.
@@ -733,7 +682,7 @@ class Broker:
                 self._replaying = False
             replayed = len(tail)
             self.counters["recovery_log_replayed"] += replayed
-        self._mark_all_forwarding_dirty()
+        self._invalidate_forwarding_states()
         if self._telemetry is not None:
             self._telemetry.log(
                 "info", "broker restarted ({} log records replayed)".format(replayed)
@@ -1075,7 +1024,7 @@ class Broker:
         self._logical_forwarded_to[token] = set()
         # Logical tokens are excluded from the generic refresh, so the set
         # of logical states is an input of every neighbour's desired set.
-        self._mark_all_forwarding_dirty()
+        self._invalidate_forwarding_states()
         self.subscription_table.add(record.filter, client_id, token)
         message = LocationDependentSubscribe(
             client_id=client_id,
@@ -1368,41 +1317,27 @@ class Broker:
     # ------------------------------------------------------------------
     # Subscription forwarding (the strategy-driven refresh primitive)
     # ------------------------------------------------------------------
-    def _on_subscription_rows_changed(self, destination: Optional[str]) -> None:
-        """Routing-table delta: rows of *destination* changed.
-
-        The desired forwarding set of neighbour ``N`` is computed from the
-        rows of every destination *except* ``N``, so only ``N ==
-        destination`` stays clean.
-        """
-        for neighbour in self._forwarding_dirty:
-            if neighbour != destination:
-                self._forwarding_dirty[neighbour] = True
-
     def _on_advertisement_rows_changed(self, destination: Optional[str]) -> None:
         """Advertisement delta: rows of *destination* changed.
 
-        Advertisements received from ``N`` gate which subscriptions are
-        forwarded *to* ``N``, so only that neighbour becomes dirty.
+        Advertisements received from ``N`` gate which filters enter the
+        input of ``N``'s forwarding state, and the per-filter verdicts may
+        flip wholesale, so that state is rebuilt from the table on its
+        next refresh.
         """
         if destination is None:
-            self._mark_all_forwarding_dirty()
+            self._invalidate_forwarding_states()
             return
-        if destination in self._forwarding_dirty:
-            self._forwarding_dirty[destination] = True
-        # Advertisements gate which filters enter this neighbour's input;
-        # the per-filter verdicts may flip wholesale, so the delta state
-        # must be rebuilt from the table on its next refresh.
         state = self._delta_states.get(destination)
         if state is not None:
             state.valid = False
 
-    def _mark_all_forwarding_dirty(self) -> None:
-        for neighbour in self._forwarding_dirty:
-            self._forwarding_dirty[neighbour] = True
-        # Logical-mobility changes (the callers of this method) alter
-        # which subjects count as plain, which the delta states gate on:
-        # rebuild them from the table on their next refresh.
+    def _invalidate_forwarding_states(self) -> None:
+        """Have every neighbour's state rebuilt from the table on its next refresh.
+
+        Logical-mobility changes (the callers of this method) alter which
+        subjects count as plain, which every state gates on.
+        """
         for state in self._delta_states.values():
             state.valid = False
 
@@ -1443,8 +1378,7 @@ class Broker:
                 state.remove_contribution(filter_key, subject, row.seq)
 
     def table_reset(self) -> None:
-        for state in self._delta_states.values():
-            state.valid = False
+        self._invalidate_forwarding_states()
 
     def _refresh_all_forwarding(self, exclude: Optional[str] = None) -> None:
         for neighbour in self.neighbours():
@@ -1459,32 +1393,19 @@ class Broker:
             # Not a neighbour (e.g. a locally attached client named as the
             # source of a replayed log entry): nothing is forwarded there.
             return
-        incremental = self.config.incremental_forwarding
-        if incremental and not self._forwarding_dirty.get(neighbour, True):
-            # Nothing relevant to this neighbour changed since the last
-            # refresh, so the forwarded set already equals the desired set.
+        state = self._delta_states[neighbour]
+        if state.settled():
             return
-        if self._delta_mode:
-            state = self._delta_states[neighbour]
-            if not state.valid:
-                self._rebuild_delta_state(neighbour, state)
-            elif state.order_dirty:
-                # Canonical input positions shifted (a filter's first
-                # contributing row died while later rows survived) or a
-                # merging state's input filters changed structurally:
-                # re-reduce from the maintained entries — no table scan.
-                state.rebuild_reduction(self._covering_cache)
-            self._forwarding_dirty[neighbour] = False
-            forwarded = self._forwarded_subscriptions[neighbour]
-            to_add, to_remove = state.diff_against(forwarded)
-            self._emit_forwarding_diff(neighbour, forwarded, to_add, to_remove)
-            return
-        desired = self._desired_forwarding(neighbour)
-        if incremental:
-            self._forwarding_dirty[neighbour] = False
+        if not state.valid:
+            self._rebuild_delta_state(neighbour, state)
+        elif state.order_dirty:
+            # Canonical input positions shifted (a filter's first
+            # contributing row died while later rows survived) or a
+            # merging state's input filters changed structurally:
+            # re-reduce from the maintained entries — no table scan.
+            state.rebuild_reduction(self._covering_cache)
         forwarded = self._forwarded_subscriptions[neighbour]
-        to_add = {key: filt for key, filt in desired.items() if key not in forwarded}
-        to_remove = {key: filt for key, filt in forwarded.items() if key not in desired}
+        to_add, to_remove = state.diff_against(forwarded)
         self._emit_forwarding_diff(neighbour, forwarded, to_add, to_remove)
 
     def _emit_forwarding_diff(
@@ -1505,7 +1426,16 @@ class Broker:
             link.send(Unsubscribe(filter_, subject=subject))
 
     def _rebuild_delta_state(self, neighbour: str, state: NeighbourForwardingState) -> None:
-        """Rebuild a neighbour's delta state from one subscription-table scan."""
+        """Rebuild a neighbour's state from one subscription-table scan.
+
+        The gating here is the one :meth:`row_subject_added` /
+        :meth:`row_subjects_removed` apply row by row: a ``MatchNone``
+        filter accepts nothing, so forwarding it would only cost
+        administrative traffic; location-dependent subjects are propagated
+        by their own protocol (``LocationDependentSubscribe`` /
+        ``LocationUpdate``); and a filter only travels toward a neighbour
+        that advertised something overlapping it.
+        """
         no_logical = not self._logical_states
         use_advertisements = self.config.use_advertisements
 
@@ -1524,139 +1454,19 @@ class Broker:
                 return None
             return subjects
 
-        state.rebuild_from_rows(
-            self.subscription_table.entries(), plain_subjects, self._covering_cache
-        )
-
-    def _desired_forwarding(self, neighbour: str) -> Dict[Tuple[Any, str], Filter]:
-        """The (filter, subject) pairs that should be registered at *neighbour*."""
-        if self.strategy.floods_notifications:
-            return {}
-        incremental = self.config.incremental_forwarding
-        if (
-            incremental
-            and self.config.use_advertisements
-            and not self.advertisement_table.has_destination(neighbour)
-        ):
-            # No advertisement was ever received from this neighbour, so
-            # the gate below rejects every entry: skip the table scan.
-            return self._assign_covers_incremental(neighbour, [])
-        entries = []
-        no_logical = not self._logical_states
-        for entry in self.subscription_table.entries():
-            if entry.destination == neighbour:
-                continue
-            # A MatchNone subscription accepts nothing: forwarding it
-            # upstream would only cost administrative traffic.  Every
-            # forwarding mode skips such rows (the delta path drops them
-            # in row_subject_added / _rebuild_delta_state).
-            if isinstance(entry.filter, MatchNone):
-                continue
-            # Location-dependent subscriptions are propagated by their own
-            # protocol (LocationDependentSubscribe / LocationUpdate), not by
-            # the generic refresh.
-            if no_logical:
-                # Read-only use of the entry's own subject set; avoids one
-                # set copy per entry on the hot path.
-                plain_subjects = entry.subjects
-            else:
-                plain_subjects = {
-                    subject for subject in entry.subjects if subject not in self._logical_states
-                }
-            if not plain_subjects:
-                continue
-            if self.config.use_advertisements and not self._advertised_via(neighbour, entry.filter):
-                continue
-            entries.append((entry.filter, plain_subjects))
-        if incremental:
-            return self._assign_covers_incremental(neighbour, entries)
-        if not entries:
-            return {}
-        filters = [filter_ for filter_, _ in entries]
-        selected = self.strategy.desired_forwarding_set(filters)
-        desired: Dict[Tuple[Any, str], Filter] = {}
-        for filter_, subjects in entries:
-            cover = self._find_cover(selected, filter_)
-            if cover is None:
-                # The strategy should always produce a cover; fall back to
-                # forwarding the filter itself to stay correct.
-                cover = filter_
-            for subject in subjects:
-                desired[(cover.key(), subject)] = cover
-        return desired
-
-    def _assign_covers_incremental(
-        self, neighbour: str, entries: Sequence[Tuple[Filter, Set[str]]]
-    ) -> Dict[Tuple[Any, str], Filter]:
-        """Incremental-path equivalent of the from-scratch tail of
-        :meth:`_desired_forwarding`: reuse the previous strategy reduction
-        and memoise both covering tests and per-filter cover assignment.
-        """
-        filters = [filter_ for filter_, _ in entries]
-        selected, state = self.strategy.update_forwarding_set(
-            self._selection_states.get(neighbour), filters, cache=self._covering_cache
-        )
-        self._selection_states[neighbour] = state
-        if not entries:
-            return {}
-        # Cover assignment depends only on the selection (content *and*
-        # order), so the per-filter-key memo stays valid for as long as the
-        # strategy keeps returning the very same selection list.
-        memo = self._cover_memo.get(neighbour)
-        if memo is None or memo[0] is not selected:
-            memo = (selected, {})
-            self._cover_memo[neighbour] = memo
-        cover_by_key = memo[1]
-        covers = self._covering_cache.covers
-        selected_by_key = None
-        desired: Dict[Tuple[Any, str], Filter] = {}
-        for filter_, subjects in entries:
-            filter_key = filter_.key()
-            cover = cover_by_key.get(filter_key)
-            if cover is None:
-                if len(cover_by_key) >= self._memo_limit:
-                    cover_by_key.clear()
-                if selected_by_key is None:
-                    selected_by_key = {candidate.key(): candidate for candidate in selected}
-                cover = selected_by_key.get(filter_key)
-                if cover is None:
-                    for candidate in selected:
-                        if covers(candidate, filter_):
-                            cover = candidate
-                            break
-                if cover is None:
-                    # The strategy should always produce a cover; fall back
-                    # to forwarding the filter itself to stay correct.
-                    cover = filter_
-                cover_by_key[filter_key] = cover
-            cover_key = cover.key()
-            for subject in subjects:
-                desired[(cover_key, subject)] = cover
-        return desired
-
-    @staticmethod
-    def _find_cover(selected: Sequence[Filter], filter_: Filter) -> Optional[Filter]:
-        for candidate in selected:
-            if candidate.key() == filter_.key():
-                return candidate
-        for candidate in selected:
-            if filter_covers(candidate, filter_):
-                return candidate
-        return None
+        # A flooding broker forwards no subscription: no row contributes.
+        rows = () if self.strategy.floods_notifications else self.subscription_table.entries()
+        state.rebuild_from_rows(rows, plain_subjects, self._covering_cache)
 
     def _advertised_via(self, neighbour: str, filter_: Filter) -> bool:
         """Whether an overlapping advertisement was received from *neighbour*.
 
-        In incremental mode the verdict is memoised per (neighbour, filter
-        key); the memo for a neighbour is discarded wholesale whenever that
-        neighbour's advertisement rows change (tracked by the table's
-        per-destination epoch), so it can never go stale.  Memo misses
-        (and every query in non-incremental mode) are answered by the
-        dispatch plan's per-neighbour overlap index.
+        The verdict is memoised per (neighbour, filter key); the memo for
+        a neighbour is discarded wholesale whenever that neighbour's
+        advertisement rows change (tracked by the table's per-destination
+        epoch), so it can never go stale.  Memo misses are answered by
+        the dispatch plan's per-neighbour overlap index.
         """
-        plan = self._dispatch_plan
-        if not self.config.incremental_forwarding:
-            return plan.advertised_via(neighbour, filter_)
         epoch = self.advertisement_table.destination_epoch(neighbour)
         cached = self._advertised_via_cache.get(neighbour)
         if cached is None or cached[0] != epoch:
@@ -1669,7 +1479,7 @@ class Broker:
             self.counters["advert_gate_misses"] += 1
             if len(verdicts) >= self._memo_limit:
                 verdicts.clear()
-            verdict = verdicts[key] = plan.advertised_via(neighbour, filter_)
+            verdict = verdicts[key] = self._dispatch_plan.advertised_via(neighbour, filter_)
         else:
             self.counters["advert_gate_hits"] += 1
         return verdict
@@ -1705,10 +1515,7 @@ class Broker:
             forwarded[(message.filter.key(), token)] = message.filter
             # The forwarded set was changed behind refresh_forwarding's
             # back; force the next refresh to reconcile it.
-            self._forwarding_dirty[neighbour] = True
-            state = self._delta_states.get(neighbour)
-            if state is not None:
-                state.full_diff = True
+            self._delta_states[neighbour].full_diff = True
             self._links[neighbour].send(message)
             count += 1
         return count
@@ -2012,7 +1819,7 @@ class Broker:
             hop_index=message.hop_index,
         )
         self._logical_states[token] = state
-        self._mark_all_forwarding_dirty()
+        self._invalidate_forwarding_states()
         self.subscription_table.add(state.current_filter(), from_destination, token)
         self._forward_location_dependent_subscribe(message.for_next_hop(), exclude=from_destination)
 
@@ -2025,7 +1832,7 @@ class Broker:
     def _teardown_logical_subscription(self, token: str, forward: bool = True) -> None:
         state = self._logical_states.pop(token, None)
         if state is not None:
-            self._mark_all_forwarding_dirty()
+            self._invalidate_forwarding_states()
         self.subscription_table.remove_subject(token)
         forwarded_to = self._logical_forwarded_to.pop(token, set())
         if state is None or not forward:

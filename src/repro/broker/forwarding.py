@@ -1,28 +1,25 @@
-"""Delta-driven desired forwarding sets.
+"""Delta-maintained desired forwarding sets.
 
 :meth:`repro.broker.base.Broker.refresh_forwarding` needs, per neighbour,
 the *desired* set of (filter, subject) pairs that should be registered
-there.  The from-scratch path rescans the whole subscription table and
-re-reduces all filters on every refresh; the PR 1 incremental path skips
-clean neighbours and reuses strategy reductions but still pays a Θ(n)
-table scan per dirty refresh.  This module removes that last scan: each
-neighbour keeps a :class:`NeighbourForwardingState` that applies the
-routing table's row-level deltas (see
+there.  Each neighbour keeps a :class:`NeighbourForwardingState` that
+applies the routing table's row-level deltas (see
 :meth:`repro.routing.table.RoutingTable.add_delta_listener`) directly to
 a cached desired dict, so a routing change costs O(affected entries), not
-O(table).
+O(table).  What the state must hold after any sequence of deltas is
+written down from scratch — table scan, gating, Section 2.2 reduction,
+first-cover assignment — in ``tests/oracles/forwarding.py``.
 
 The state maintains, per neighbour:
 
 * the gated *input entries* — one per distinct filter key, aggregating the
   plain (non-logical) subjects of every contributing table row, ordered by
   the first contributing row's ``seq`` (which equals the canonical input
-  order the from-scratch path sees);
+  order a scan of the table sees);
 * the *selection* — exactly ``minimal_cover_set`` over the ordered input
   filters (or the identity for non-reducing strategies);
 * the *cover assignment* — for every input filter, the first selected
-  filter (in input order) that covers it, mirroring
-  ``Broker._find_cover``;
+  filter (in input order) that covers it;
 * the *desired dict* ``{(cover key, subject): cover filter}`` with
   refcounts, plus the set of pairs that changed since the last flush so
   the refresh emits messages in O(changes).
@@ -61,8 +58,8 @@ the next refresh rebuilds it from one table scan.
 :class:`~repro.filters.merge_state.MergeState` maintains the greedy merge
 result (a forest of merge groups backed by the bounded merge-pair cache)
 over the canonical input order, the covering selection then runs over the
-*merged* filters, and the cover assignment mirrors
-``Broker._find_cover`` over that selection.  Because greedy merging is
+*merged* filters, and each input is assigned the selected filter equal to
+it, else the first one covering it.  Because greedy merging is
 order-dependent and non-local (one changed input can repartition several
 groups), any structural input change marks the reduction dirty and the
 next refresh re-reduces from the maintained entries — no table scan, and
@@ -546,8 +543,7 @@ class NeighbourForwardingState:
                 cover_key = self._first_cover(entry.filter)
                 if cover_key is None:
                     # The reduction should always produce a cover; fall
-                    # back to the filter itself to stay correct (mirrors
-                    # Broker._find_cover).
+                    # back to the filter itself to stay correct.
                     cover_key = entry.key
                     self.members.setdefault(cover_key, set())
                 self.assigned[entry.key] = cover_key
@@ -564,12 +560,11 @@ class NeighbourForwardingState:
     ) -> None:
         """Merging-mode reduction: merge forest → covering → assignment.
 
-        Mirrors the from-scratch pipeline exactly:
-        ``minimal_cover_set(merge_filters(inputs))`` for the selection and
-        ``Broker._find_cover`` (key equality over the whole selection
-        first, then first covering filter in selection order) for the
-        per-input cover, so the desired pairs are byte-identical to the
-        scratch path.  The merge runs through the shared
+        Mirrors the specification exactly:
+        ``minimal_cover_set(merge_filters(inputs))`` for the selection and,
+        for the per-input cover, key equality over the whole selection
+        first, then the first covering filter in selection order.  The
+        merge runs through the shared
         :class:`~repro.filters.merge_state.MergeState` so only pairs
         involving changed filters are evaluated raw.
         """
@@ -594,8 +589,7 @@ class NeighbourForwardingState:
                     # The reduction should always produce a cover (merged
                     # roots cover their members and the covering reduction
                     # keeps a coverer for everything it drops); fall back
-                    # to the filter itself to stay correct (mirrors
-                    # Broker._find_cover).
+                    # to the filter itself to stay correct.
                     cover = entry.filter
                     self.cover_filters.setdefault(cover.key(), cover)
             cover_key = cover.key()
@@ -606,6 +600,10 @@ class NeighbourForwardingState:
     # ------------------------------------------------------------------
     # Flush support
     # ------------------------------------------------------------------
+    def settled(self) -> bool:
+        """Nothing changed since the last flush: forwarded equals desired."""
+        return self.valid and not (self.order_dirty or self.full_diff or self.pending)
+
     def diff_against(
         self, forwarded: Dict[Tuple[Any, str], Filter]
     ) -> Tuple[Dict[Tuple[Any, str], Filter], Dict[Tuple[Any, str], Filter]]:

@@ -4,8 +4,8 @@
 registered filters with :func:`~repro.filters.merging.merge_filters`, a
 greedy fixpoint of :func:`~repro.filters.merging.try_merge_pair` attempts.
 Routing changes re-run that fixpoint over almost exactly the same filters,
-so — as with covering before PR 1 — nearly all of the work is
-recomputation.  This module removes it in two layers:
+so nearly all of the work is recomputation.  This module removes it in
+two layers:
 
 * :class:`MergePairCache` memoises ``try_merge_pair`` results keyed by the
   two filters' canonical :meth:`~repro.filters.filter.Filter.key` tuples.
@@ -32,9 +32,9 @@ recomputation.  This module removes it in two layers:
 Greedy merging is *order-dependent* (two differing attributes can each be
 "the one mergeable attribute" depending on which pair merges first; see
 ``tests/filters/test_merging_properties.py`` for a pinned example), so the
-incremental engine must preserve the exact canonical input order the
-from-scratch path sees — the same row-``seq`` order the delta forwarding
-state already maintains.
+incremental engine must preserve the exact canonical input order a scan
+of the table sees — the same row-``seq`` order the forwarding state
+already maintains.
 """
 
 from __future__ import annotations

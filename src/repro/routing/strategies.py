@@ -10,6 +10,13 @@ set against what they have already forwarded and emit the corresponding
 relocation handling uniform and makes each strategy easy to test in
 isolation.
 
+:meth:`RoutingStrategy.desired_forwarding_set` is the *definition*.
+Brokers do not call it per refresh: they maintain its result under
+routing-table deltas (:mod:`repro.broker.forwarding`, selected by
+:attr:`RoutingStrategy.delta_reduction`), and
+``tests/oracles/forwarding.py`` holds that maintained result to this
+definition.
+
 The strategies correspond to Section 2.2 of the paper:
 
 * :class:`FloodingStrategy` — notifications are flooded, so no
@@ -18,8 +25,7 @@ The strategies correspond to Section 2.2 of the paper:
   routing tables"; every filter is forwarded (duplicates collapse because
   the desired set is a set of canonical filters).
 * :class:`IdentityStrategy` — equal filters are combined, i.e. forwarded
-  once; for canonical filters this coincides with :class:`SimpleStrategy`,
-  but it additionally drops empty-set location filters.
+  once; for canonical filters this coincides with :class:`SimpleStrategy`.
 * :class:`CoveringStrategy` — filters covered by another filter in the set
   are not forwarded.
 * :class:`MergingStrategy` — filters are perfectly merged before the
@@ -28,33 +34,11 @@ The strategies correspond to Section 2.2 of the paper:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from repro.filters.covering import minimal_cover_set
-from repro.filters.covering_cache import (
-    CoveringCache,
-    get_covering_cache,
-    minimal_cover_set_cached,
-)
 from repro.filters.filter import Filter, MatchNone
 from repro.filters.merging import merge_filters
-
-
-class ForwardingSelection:
-    """Cached result of one neighbour's desired-forwarding reduction.
-
-    Brokers keep one instance per neighbour and hand it back to
-    :meth:`RoutingStrategy.update_forwarding_set` on the next refresh so
-    the strategy can diff the new input against the previous one instead
-    of recomputing the whole reduction.
-    """
-
-    __slots__ = ("input_keys", "selected", "selected_keys")
-
-    def __init__(self, input_keys: Tuple[Any, ...], selected: List[Filter]) -> None:
-        self.input_keys = input_keys
-        self.selected = selected
-        self.selected_keys = {filter_.key() for filter_ in selected}
 
 
 class RoutingStrategy:
@@ -67,37 +51,17 @@ class RoutingStrategy:
     #: of the routing table (flooding) or only along matching table entries.
     floods_notifications: bool = False
 
-    #: How the delta-driven forwarding engine
-    #: (:mod:`repro.broker.forwarding`) can maintain this strategy's
-    #: reduction incrementally: ``"covering"`` (maintain a minimal cover
-    #: set), ``"merging"`` (maintain the greedy merge through an
-    #: incremental merge forest — :mod:`repro.filters.merge_state` — and
-    #: run the covering selection over the merged filters), ``"none"``
-    #: (no reduction; forward every canonical filter), or ``None``
-    #: (unsupported — the broker falls back to the per-refresh
-    #: incremental path).
-    delta_reduction: Optional[str] = None
+    #: How :class:`~repro.broker.forwarding.NeighbourForwardingState`
+    #: maintains this strategy's reduction: ``"covering"`` (maintain a
+    #: minimal cover set), ``"merging"`` (maintain the greedy merge
+    #: through an incremental merge forest — :mod:`repro.filters.merge_state`
+    #: — and run the covering selection over the merged filters) or
+    #: ``"none"`` (no reduction; forward every canonical filter).
+    delta_reduction: str = "none"
 
     def desired_forwarding_set(self, filters: Sequence[Filter]) -> List[Filter]:
         """The filters that should be forwarded, given registered *filters*."""
         raise NotImplementedError
-
-    def update_forwarding_set(
-        self,
-        state: Optional[ForwardingSelection],
-        filters: Sequence[Filter],
-        cache: Optional[CoveringCache] = None,
-    ) -> Tuple[List[Filter], Optional[ForwardingSelection]]:
-        """Incrementally maintained :meth:`desired_forwarding_set`.
-
-        *state* is the :class:`ForwardingSelection` returned by the
-        previous call for the same neighbour (``None`` on the first call).
-        Returns ``(selected, new_state)`` where ``selected`` is **exactly**
-        what ``desired_forwarding_set(filters)`` would return.  The base
-        implementation is stateless; strategies whose reduction is
-        expensive override it.
-        """
-        return self.desired_forwarding_set(filters), None
 
     @staticmethod
     def _canonicalise(filters: Sequence[Filter]) -> List[Filter]:
@@ -132,7 +96,6 @@ class SimpleStrategy(RoutingStrategy):
     """Forward every registered filter unchanged."""
 
     name = "simple"
-    delta_reduction = "none"
 
     def desired_forwarding_set(self, filters: Sequence[Filter]) -> List[Filter]:
         return self._canonicalise(filters)
@@ -142,7 +105,6 @@ class IdentityStrategy(RoutingStrategy):
     """Forward each distinct filter exactly once (combine equal filters)."""
 
     name = "identity"
-    delta_reduction = "none"
 
     def desired_forwarding_set(self, filters: Sequence[Filter]) -> List[Filter]:
         # Canonicalisation already collapses identical filters; the class
@@ -160,80 +122,6 @@ class CoveringStrategy(RoutingStrategy):
     def desired_forwarding_set(self, filters: Sequence[Filter]) -> List[Filter]:
         return minimal_cover_set(self._canonicalise(filters))
 
-    def update_forwarding_set(
-        self,
-        state: Optional[ForwardingSelection],
-        filters: Sequence[Filter],
-        cache: Optional[CoveringCache] = None,
-    ) -> Tuple[List[Filter], Optional[ForwardingSelection]]:
-        """Incremental covering reduction.
-
-        The common routing events are handled without re-reducing:
-
-        * unchanged input reuses the previous selection outright;
-        * removing only *non-selected* filters cannot resurrect anything
-          (covering is transitive), so the selection is reused;
-        * filters appended at the end are tested against the current
-          selection only — a new filter covered by a selected one leaves
-          the selection untouched, otherwise it joins the selection and
-          evicts the selected filters it strictly covers.
-
-        Anything else (removal of a selected filter, reordering,
-        mid-sequence insertion) falls back to a full — but cached and
-        candidate-pruned — reduction.  The result is always identical to
-        ``minimal_cover_set(self._canonicalise(filters))``.
-        """
-        if cache is None:
-            cache = get_covering_cache()
-        canonical = self._canonicalise(filters)
-        new_keys = tuple(filter_.key() for filter_ in canonical)
-        if state is not None:
-            if state.input_keys == new_keys:
-                return state.selected, state
-            updated = self._incremental_update(state, canonical, new_keys, cache)
-            if updated is not None:
-                return updated.selected, updated
-        selected = minimal_cover_set_cached(canonical, cache)
-        return selected, ForwardingSelection(new_keys, selected)
-
-    @staticmethod
-    def _incremental_update(
-        state: ForwardingSelection,
-        canonical: List[Filter],
-        new_keys: Tuple[Any, ...],
-        cache: CoveringCache,
-    ) -> Optional[ForwardingSelection]:
-        old_keys = state.input_keys
-        old_key_set = set(old_keys)
-        new_key_set = set(new_keys)
-        # Locate the suffix of genuinely new filters; everything before it
-        # must be the old sequence minus removals, in unchanged order.
-        split = len(new_keys)
-        for position, key in enumerate(new_keys):
-            if key not in old_key_set:
-                split = position
-                break
-        if any(key in old_key_set for key in new_keys[split:]):
-            return None  # an addition landed mid-sequence: recompute
-        if new_keys[:split] != tuple(key for key in old_keys if key in new_key_set):
-            return None  # survivors were reordered: recompute
-        if any(key in state.selected_keys for key in old_key_set - new_key_set):
-            return None  # a selected filter disappeared: recompute
-        covers = cache.covers
-        selected = state.selected
-        for filter_ in canonical[split:]:
-            if any(covers(kept, filter_) for kept in selected):
-                # Covered (or equivalent to) an already-selected, earlier
-                # filter: the selection is unchanged.
-                continue
-            # Nothing selected covers the new filter, so it joins the
-            # selection and evicts whatever it (strictly) covers.
-            selected = [kept for kept in selected if not covers(filter_, kept)]
-            selected.append(filter_)
-        if selected is state.selected:
-            return ForwardingSelection(new_keys, state.selected)
-        return ForwardingSelection(new_keys, selected)
-
 
 class MergingStrategy(RoutingStrategy):
     """Merge filters into covers before forwarding (plus covering reduction)."""
@@ -244,37 +132,6 @@ class MergingStrategy(RoutingStrategy):
     def desired_forwarding_set(self, filters: Sequence[Filter]) -> List[Filter]:
         merged = merge_filters(self._canonicalise(filters))
         return minimal_cover_set(merged)
-
-    def update_forwarding_set(
-        self,
-        state: Optional[ForwardingSelection],
-        filters: Sequence[Filter],
-        cache: Optional[CoveringCache] = None,
-    ) -> Tuple[List[Filter], Optional[ForwardingSelection]]:
-        """Cached merging reduction (the PR 1 baseline path).
-
-        Unchanged input reuses the previous selection.  Any change
-        recomputes the greedy merge — merging can combine a new filter
-        with interior, non-selected filters, so covering-style shortcuts
-        would change results — but both the merge and the final covering
-        reduction run against the shared covering cache, which removes the
-        dominant (quadratic covering-test) cost of the recomputation.
-
-        This path is only used when ``BrokerConfig.delta_forwarding`` is
-        off; the default delta path maintains the merge itself
-        incrementally (:mod:`repro.filters.merge_state`) and is kept
-        byte-identical to both this and the from-scratch reduction by the
-        churn tests in ``tests/broker/test_delta_forwarding.py``.
-        """
-        if cache is None:
-            cache = get_covering_cache()
-        canonical = self._canonicalise(filters)
-        new_keys = tuple(filter_.key() for filter_ in canonical)
-        if state is not None and state.input_keys == new_keys:
-            return state.selected, state
-        merged = merge_filters(canonical, covers=cache.covers)
-        selected = minimal_cover_set_cached(merged, cache)
-        return selected, ForwardingSelection(new_keys, selected)
 
 
 _STRATEGIES: Dict[str, type] = {

@@ -61,10 +61,12 @@ class RoutingTable:
     The table publishes its changes so dependents can maintain incremental
     state: every observable mutation bumps :attr:`epoch` and invokes the
     registered change listeners with the affected destination (``None``
-    for whole-table operations such as :meth:`clear`).  Brokers use these
-    per-destination deltas for dirty tracking — a change to rows of
-    destination ``D`` can only affect the desired forwarding of neighbours
-    other than ``D``.
+    for whole-table operations such as :meth:`clear`), and row-level delta
+    listeners receive the exact mutation.  Brokers listen coarsely on the
+    advertisement table (a change to the rows of destination ``D`` re-gates
+    what is forwarded to ``D``) and row by row on the subscription table
+    (each row feeds the forwarding state of every neighbour but its own
+    destination).
     """
 
     def __init__(self) -> None:
@@ -136,9 +138,10 @@ class RoutingTable:
         the affected destination), delta listeners receive the exact row
         mutation and can maintain derived state in O(change).  Both broker
         tables publish these deltas: the subscription table feeds the
-        delta-forwarding state *and* the dispatch plan's predicate index,
-        the advertisement table feeds the plan's per-neighbour overlap
-        indexes (see :mod:`repro.dispatch.plan`).
+        per-neighbour forwarding states (:mod:`repro.broker.forwarding`)
+        *and* the dispatch plan's predicate index, the advertisement table
+        feeds the plan's per-neighbour overlap indexes (see
+        :mod:`repro.dispatch.plan`).
 
         * ``listener.row_subject_added(entry, subject, created_row)`` —
           *subject* was registered on *entry*; ``created_row`` is ``True``
@@ -306,15 +309,6 @@ class RoutingTable:
     def entries_for_subject(self, subject: str) -> List[RoutingEntry]:
         """All rows registered on behalf of *subject*."""
         return [e for e in self._entries.values() if subject in e.subjects]
-
-    def filters_except_destination(self, excluded: str) -> List[Filter]:
-        """Filters of all rows whose destination differs from *excluded*.
-
-        This is the input of the subscription-forwarding computation: the
-        filters a broker must make reachable through a given neighbour are
-        exactly those registered from *other* directions.
-        """
-        return [e.filter for e in self._entries.values() if e.destination != excluded]
 
     def destinations(self) -> List[str]:
         """All destinations that have at least one row, sorted."""

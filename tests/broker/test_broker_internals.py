@@ -1,6 +1,7 @@
 """White-box tests of broker internals: forwarding refresh, junction
  detection, counterpart handling and introspection helpers."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -249,6 +250,16 @@ class TestBrokerGuards:
 
     def test_subscription_token_format(self):
         assert subscription_token("car", "sub-1") == "car/sub-1"
+
+    def test_broker_config_fields_are_pinned(self):
+        """Every field is a configuration axis tests and benchmarks must
+        cover: adding one is a conscious edit of this list."""
+        assert [field.name for field in dataclasses.fields(base.BrokerConfig)] == [
+            "use_advertisements",
+            "counterpart_max_buffer",
+            "propagate_unchanged_location_updates",
+            "forward_retention",
+        ]
 
     def test_is_border_broker(self):
         network = PubSubNetwork(line_topology(3), strategy="covering", latency=0.01)

@@ -1,10 +1,10 @@
-"""Unit tests for the delta-driven desired forwarding sets.
+"""Unit tests for the delta-maintained desired forwarding sets.
 
-``NeighbourForwardingState`` must track the from-scratch
-``Broker._desired_forwarding`` byte-for-byte under arbitrary routing-table
-churn — including the hard covering cases: a new filter evicting selected
-covers, removal of a selected cover resurrecting its members, and a
-resurrected filter stealing members from later covers.
+``NeighbourForwardingState`` must track the from-scratch specification
+(``tests/oracles/forwarding.py``) byte-for-byte under arbitrary
+routing-table churn — including the hard covering cases: a new filter
+evicting selected covers, removal of a selected cover resurrecting its
+members, and a resurrected filter stealing members from later covers.
 """
 
 import random
@@ -14,10 +14,14 @@ from hypothesis import given, settings, strategies as st
 
 from repro.broker.base import Broker, BrokerConfig
 from repro.filters.covering import minimal_cover_set
-from repro.filters.filter import Filter
+from repro.filters.filter import Filter, MatchAll, MatchNone
+from repro.messages.admin import Unsubscribe
 from repro.routing.strategies import make_strategy
 from repro.sim.engine import Simulator
 from repro.sim.network import FixedLatency, Link
+
+from tests.dispatch.test_plan_oracle import mutate
+from tests.oracles.forwarding import desired_forwarding, first_cover, scratch_forwarding
 
 
 def _make_broker(strategy="covering", neighbours=("N1", "N2"), use_advertisements=False):
@@ -38,17 +42,6 @@ def _make_broker(strategy="covering", neighbours=("N1", "N2"), use_advertisement
     return broker, sink
 
 
-def _scratch_desired(broker, neighbour):
-    """The from-scratch reference, bypassing every incremental path."""
-    config = broker.config
-    previous = config.incremental_forwarding
-    config.incremental_forwarding = False
-    try:
-        return broker._desired_forwarding(neighbour)
-    finally:
-        config.incremental_forwarding = previous
-
-
 def _delta_desired(broker, neighbour):
     """The maintained desired dict, rebuilding exactly when a refresh would."""
     state = broker._delta_states[neighbour]
@@ -61,7 +54,7 @@ def _delta_desired(broker, neighbour):
 
 def _assert_in_sync(broker):
     for neighbour in broker.neighbours():
-        assert _delta_desired(broker, neighbour) == _scratch_desired(broker, neighbour)
+        assert _delta_desired(broker, neighbour) == desired_forwarding(broker, neighbour)
 
 
 def _loc_filter(*locations):
@@ -149,8 +142,6 @@ class TestCoverReassignment:
 
     def test_matchnone_rows_are_skipped_in_every_mode(self):
         """MatchNone subscriptions are forwarded by no mode (equivalence)."""
-        from repro.filters.filter import MatchNone
-
         broker, _ = _make_broker()
         table = broker.subscription_table
         table.add(MatchNone(), "c1", "s1")
@@ -190,13 +181,28 @@ class TestModesAndFlags:
 
     def test_merging_strategy_uses_delta_mode(self):
         broker, _ = _make_broker(strategy="merging")
-        assert broker._delta_mode
         assert all(state.merge_state is not None for state in broker._delta_states.values())
 
-    def test_flooding_strategy_does_not_use_delta_mode(self):
-        broker, _ = _make_broker(strategy="flooding")
-        assert not broker._delta_mode
-        assert broker._delta_states == {}
+    def test_flooding_states_receive_no_contribution(self):
+        broker, sink = _make_broker(strategy="flooding")
+        broker.subscription_table.add(_loc_filter("a"), "c1", "s1")
+        broker.subscription_table.add(_loc_filter("b"), "N2", "s2")
+        _assert_in_sync(broker)
+        broker._refresh_all_forwarding()
+        broker.simulator.run()
+        assert all(state.entries == {} for state in broker._delta_states.values())
+        assert sink == []
+        # A pair the relocation protocol wrote behind the refresh's back
+        # is reconciled away by the next refresh: one Unsubscribe.
+        moved = _loc_filter("c")
+        broker._forwarded_subscriptions["N1"][(moved.key(), "tok")] = moved
+        broker._delta_states["N1"].full_diff = True
+        broker._refresh_all_forwarding()
+        broker.simulator.run()
+        assert [(type(message), message.filter, message.subject) for message in sink] == [
+            (Unsubscribe, moved, "tok")
+        ]
+        assert broker._forwarded_subscriptions["N1"] == {}
 
     def test_refresh_applies_deltas_without_table_scan(self):
         broker, _ = _make_broker()
@@ -308,8 +314,6 @@ class TestMergingDeltaState:
 @pytest.mark.parametrize("seed", [5, 23])
 def test_stepwise_randomized_equivalence(strategy, seed):
     """After *every* table mutation the delta state matches from-scratch."""
-    from repro.filters.filter import MatchNone
-
     rng = random.Random(seed)
     broker, _ = _make_broker(strategy=strategy)
     locations = ["l{}".format(index) for index in range(10)]
@@ -340,21 +344,20 @@ def test_stepwise_randomized_equivalence(strategy, seed):
 
 
 # ---------------------------------------------------------------------------
-# Network-level three-mode equivalence on a roaming location-dependent
-# workload (the paper's Fig. 5 shape): per-hop window filters differ only
-# in their ``ploc`` location constraint — the perfect-merge case the
-# mobility algorithms lean on — and roaming is modelled as the
-# resubscribe baseline does it (unsubscribe the old window, subscribe the
-# shifted one).
+# Network-level equivalence on a roaming location-dependent workload (the
+# paper's Fig. 5 shape): per-hop window filters differ only in their
+# ``ploc`` location constraint — the perfect-merge case the mobility
+# algorithms lean on — and roaming is modelled as the resubscribe baseline
+# does it (unsubscribe the old window, subscribe the shifted one).  Three
+# ways of running the same schedule must agree:
+#
+# * ``delta`` — the production path, states maintained from row deltas;
+# * ``rebuild`` — every state is invalidated after each settle, so the
+#   table-scan rebuild is exercised as heavily as delta maintenance;
+# * ``scratch`` — every refresh answered by the specification.
 # ---------------------------------------------------------------------------
 
 ROAM_LOCATIONS = ["loc-{:02d}".format(index) for index in range(12)]
-
-MODES = {
-    "scratch": {"incremental_forwarding": False},
-    "incremental": {"incremental_forwarding": True, "delta_forwarding": False},
-    "delta": {"incremental_forwarding": True, "delta_forwarding": True},
-}
 
 
 def _window_filter(start, span=2):
@@ -370,13 +373,18 @@ def _roaming_chain_churn(mode, seed, strategy="merging"):
     from repro.sim.rng import DeterministicRandom
     from repro.topology.builders import balanced_tree_topology
 
+    def settle():
+        network.settle()
+        if mode == "rebuild":
+            for broker in network.brokers.values():
+                broker._invalidate_forwarding_states()
+
     topology = balanced_tree_topology(depth=2, fanout=2)
-    config = BrokerConfig(**MODES[mode])
-    network = PubSubNetwork(topology, strategy=strategy, latency=0.01, config=config)
+    network = PubSubNetwork(topology, strategy=strategy, latency=0.01)
     leaves = topology.leaves()
     producer = network.add_client("producer", leaves[0])
     producer.advertise({"service": "parking"})
-    network.settle()
+    settle()
 
     rng = DeterministicRandom(seed)
     clients = []
@@ -388,7 +396,7 @@ def _roaming_chain_churn(mode, seed, strategy="merging"):
         positions[client.client_id] = start
         subscription_ids[client.client_id] = client.subscribe(_window_filter(start))
         clients.append(client)
-    network.settle()
+    settle()
 
     for _ in range(36):
         action = rng.choice(["roam", "roam", "roam", "move", "publish"])
@@ -410,7 +418,7 @@ def _roaming_chain_churn(mode, seed, strategy="merging"):
                     "seq": rng.randint(0, 10_000),
                 }
             )
-        network.settle()
+        settle()
 
     counter = MessageCounter(network.trace)
     breakdown = counter.breakdown()
@@ -432,10 +440,11 @@ def _roaming_chain_churn(mode, seed, strategy="merging"):
 
 @pytest.mark.parametrize("seed", [7, 41])
 def test_roaming_chain_three_mode_equivalence(seed):
-    """Delta, incremental and from-scratch merging agree on roaming chains."""
-    scratch = _roaming_chain_churn("scratch", seed)
-    assert _roaming_chain_churn("incremental", seed) == scratch
+    """Delta-maintained, rebuilt and from-scratch merging agree on roaming chains."""
+    with scratch_forwarding():
+        scratch = _roaming_chain_churn("scratch", seed)
     assert _roaming_chain_churn("delta", seed) == scratch
+    assert _roaming_chain_churn("rebuild", seed) == scratch
 
 
 # ---------------------------------------------------------------------------
@@ -456,8 +465,8 @@ def _scan_first_cover(state, filter_):
 
 def _assert_state_is_from_scratch(broker):
     """Selection, assignment, members and desired pairs of every covering
-    delta state equal ``minimal_cover_set`` + ``Broker._find_cover`` run
-    from scratch over the state's inputs in canonical order."""
+    delta state equal ``minimal_cover_set`` + the oracle's ``first_cover``
+    run from scratch over the state's inputs in canonical order."""
     _assert_in_sync(broker)  # also performs the rebuilds a refresh would
     for state in broker._delta_states.values():
         ordered = sorted(state.entries.values(), key=lambda entry: entry.pos)
@@ -465,7 +474,7 @@ def _assert_state_is_from_scratch(broker):
         assert [key for _, key in state.selection] == [f.key() for f in selection]
         assert state.selected == {f.key() for f in selection}
         assigned = {
-            entry.key: Broker._find_cover(selection, entry.filter).key() for entry in ordered
+            entry.key: first_cover(selection, entry.filter).key() for entry in ordered
         }
         assert state.assigned == assigned
         members = {}
@@ -600,22 +609,22 @@ def _eviction_filter(services, locations, cost):
     return Filter(template)
 
 
-def _eviction_filters(max_locations, min_size, max_size):
-    return st.lists(
-        st.builds(
-            _eviction_filter,
-            st.lists(st.sampled_from(["parking", "fuel"]), max_size=2, unique=True),
-            st.lists(st.sampled_from(_EVICTION_LOCATIONS), max_size=max_locations, unique=True),
-            st.one_of(
-                st.none(),
-                st.integers(0, 3),
-                st.tuples(st.just("between"), st.integers(0, 1), st.integers(2, 3)),
-                st.tuples(st.just("<"), st.integers(1, 4)),
-            ),
+def _eviction_filter_draws(max_locations):
+    return st.builds(
+        _eviction_filter,
+        st.lists(st.sampled_from(["parking", "fuel"]), max_size=2, unique=True),
+        st.lists(st.sampled_from(_EVICTION_LOCATIONS), max_size=max_locations, unique=True),
+        st.one_of(
+            st.none(),
+            st.integers(0, 3),
+            st.tuples(st.just("between"), st.integers(0, 1), st.integers(2, 3)),
+            st.tuples(st.just("<"), st.integers(1, 4)),
         ),
-        min_size=min_size,
-        max_size=max_size,
     )
+
+
+def _eviction_filters(max_locations, min_size, max_size):
+    return st.lists(_eviction_filter_draws(max_locations), min_size=min_size, max_size=max_size)
 
 
 @given(
@@ -657,3 +666,91 @@ def test_eviction_heavy_schedules_match_from_scratch(narrow, wide, late, removal
     for row in remaining:
         remove(row)
     assert broker._delta_states["N1"].entries == {}
+
+
+# ---------------------------------------------------------------------------
+# Gating: what enters a neighbour's input depends on the advertisements
+# received from it and on which subjects are location-dependent.  Either
+# can flip wholesale, so the state is invalidated and rebuilt from a table
+# scan; the step-wise tests above build ungated brokers and never see it.
+# ---------------------------------------------------------------------------
+
+_GATED_NEIGHBOURS = ("N1", "N2", "N3")
+_GATED_SUBJECTS = ["s0", "s1", "s2", "s3", "s4"]
+
+
+def _gated_filters():
+    conjunctive = _eviction_filter_draws(max_locations=3)
+    return st.one_of(conjunctive, conjunctive, st.just(MatchNone()), st.just(MatchAll()))
+
+
+def _gated_operations():
+    """Steps of the gating property.  ``add`` / ``remove`` / ``remove_subject``
+    have the shapes ``tests/dispatch/test_plan_oracle.mutate`` applies; the
+    ``advertise`` / ``unadvertise`` pair is the same on the other table."""
+    neighbour = st.sampled_from(_GATED_NEIGHBOURS)
+    destination = st.sampled_from(_GATED_NEIGHBOURS + ("c1", "c2"))
+    subject = st.sampled_from(_GATED_SUBJECTS)
+    position = st.integers(min_value=0, max_value=31)
+    add = st.tuples(st.just("add"), _gated_filters(), destination, subject)
+    remove = st.tuples(st.just("remove"), position, st.booleans())
+    refresh = st.tuples(st.just("refresh"), st.sets(neighbour))
+    # Weighted toward row churn between refreshes of a state that stays
+    # valid; each gating change invalidates one state or all of them.
+    return st.one_of(
+        add,
+        add,
+        add,
+        remove,
+        remove,
+        st.tuples(st.just("remove_subject"), subject),
+        refresh,
+        refresh,
+        refresh,
+        st.tuples(st.just("advertise"), _gated_filters(), neighbour, subject),
+        st.tuples(st.just("unadvertise"), position),
+        st.tuples(st.just("toggle_logical"), subject),
+    )
+
+
+@given(
+    strategy=st.sampled_from(["covering", "simple", "merging"]),
+    advertisers=st.sets(st.sampled_from(_GATED_NEIGHBOURS)),
+    schedule=st.lists(_gated_operations(), min_size=12, max_size=60),
+    check_every_step=st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_gated_states_match_from_scratch(strategy, advertisers, schedule, check_every_step):
+    """Under advertisement and logical-subject churn the states hold the
+    specification's pairs, and every refresh leaves exactly them forwarded.
+    *advertisers* start out having advertised everything."""
+    broker, _ = _make_broker(strategy, neighbours=_GATED_NEIGHBOURS, use_advertisements=True)
+    for neighbour in sorted(advertisers):
+        broker.advertisement_table.add(Filter({}), neighbour, "a0")
+    for operation in schedule:
+        kind = operation[0]
+        if kind in ("add", "remove", "remove_subject"):
+            mutate(broker.subscription_table, operation)
+        elif kind == "advertise":
+            mutate(broker.advertisement_table, ("add",) + operation[1:])
+        elif kind == "unadvertise":
+            mutate(broker.advertisement_table, ("remove", operation[1], True))
+        elif kind == "toggle_logical":
+            # Only membership is read on the forwarding path.
+            if broker._logical_states.pop(operation[1], None) is None:
+                broker._logical_states[operation[1]] = object()
+            broker._invalidate_forwarding_states()
+        else:
+            # An empty draw refreshes every neighbour.
+            for neighbour in sorted(operation[1]) or _GATED_NEIGHBOURS:
+                broker.refresh_forwarding(neighbour)
+                assert broker._forwarded_subscriptions[neighbour] == desired_forwarding(
+                    broker, neighbour
+                )
+        if check_every_step:
+            # Performs the rebuilds a refresh would; without it the states
+            # stay invalid or dirty across steps, as they do in production.
+            _assert_in_sync(broker)
+    broker._refresh_all_forwarding()
+    for neighbour in _GATED_NEIGHBOURS:
+        assert broker._forwarded_subscriptions[neighbour] == desired_forwarding(broker, neighbour)

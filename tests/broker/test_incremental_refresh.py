@@ -1,22 +1,24 @@
-"""Equivalence of the incremental and delta-driven refresh with the from-scratch path.
+"""The delta-maintained forwarding refresh against its specification.
 
-The incremental machinery (per-neighbour dirty tracking, reused strategy
-reductions, the covering cache, the advertisement-overlap memo) and the
-delta-driven desired sets (routing-table row deltas applied directly to
-the cached per-neighbour desired dict, including cover reassignment) are
-pure optimisation: under any sequence of subscribes, unsubscribes and
-physical relocations all modes must emit the same administrative
-messages, build the same routing tables, forward the same (filter,
-subject) pairs and deliver the same notifications.
+Per-neighbour forwarding states fed by routing-table row deltas, the
+covering cache and the advertisement-overlap memo are pure optimisation:
+under any sequence of subscribes, unsubscribes and physical relocations
+the production refresh must emit the same administrative messages, build
+the same routing tables, forward the same (filter, subject) pairs and
+deliver the same notifications as the from-scratch specification in
+``tests/oracles/forwarding.py``.
 """
 
 import pytest
 
-from repro.broker.base import BrokerConfig
+from repro.broker.forwarding import NeighbourForwardingState
 from repro.broker.network import PubSubNetwork
 from repro.metrics.counters import MessageCounter
+from repro.routing.strategies import available_strategies
 from repro.sim.rng import DeterministicRandom
 from repro.topology.builders import balanced_tree_topology, line_topology
+
+from tests.oracles.forwarding import scratch_forwarding
 
 LOCATIONS = ["loc-{}".format(index) for index in range(8)]
 
@@ -40,18 +42,9 @@ def _snapshot(network, clients):
     }
 
 
-#: Forwarding-mode fixtures: BrokerConfig kwargs per mode name.
-MODES = {
-    "scratch": {"incremental_forwarding": False},
-    "incremental": {"incremental_forwarding": True, "delta_forwarding": False},
-    "delta": {"incremental_forwarding": True, "delta_forwarding": True},
-}
-
-
-def _random_churn(mode: str, seed: int, strategy: str):
+def _random_churn(seed: int, strategy: str):
     topology = balanced_tree_topology(depth=2, fanout=2)
-    config = BrokerConfig(**MODES[mode])
-    network = PubSubNetwork(topology, strategy=strategy, latency=0.01, config=config)
+    network = PubSubNetwork(topology, strategy=strategy, latency=0.01)
     leaves = topology.leaves()
     producer = network.add_client("producer", leaves[0])
     producer.advertise({"service": "parking"})
@@ -93,17 +86,16 @@ def _random_churn(mode: str, seed: int, strategy: str):
     return _snapshot(network, clients)
 
 
-@pytest.mark.parametrize("strategy", ["covering", "merging", "simple"])
+@pytest.mark.parametrize("strategy", available_strategies())
 @pytest.mark.parametrize("seed", [3, 17, 99])
 def test_randomized_churn_equivalence(strategy, seed):
-    """Delta-driven, incremental and from-scratch refresh are behaviourally identical."""
-    scratch = _random_churn("scratch", seed, strategy)
-    assert _random_churn("incremental", seed, strategy) == scratch
-    assert _random_churn("delta", seed, strategy) == scratch
+    """The production refresh is behaviourally identical to the specification."""
+    with scratch_forwarding():
+        scratch = _random_churn(seed, strategy)
+    assert _random_churn(seed, strategy) == scratch
 
 
-def test_clean_neighbours_are_skipped():
-    """A refresh with no relevant change must not recompute the desired set."""
+def _settled_line():
     network = PubSubNetwork(line_topology(3), strategy="covering", latency=0.01)
     producer = network.add_client("P", "B1")
     producer.advertise({"topic": "news"})
@@ -111,64 +103,31 @@ def test_clean_neighbours_are_skipped():
     consumer.subscribe({"topic": "news"})
     network.settle()
     middle = network.broker("B2")
-    # Drain any neighbour left dirty by refresh exclusions, then verify a
-    # further refresh recomputes nothing at all.
+    # Flush whatever refresh exclusions left pending.
     middle._refresh_all_forwarding()
-    assert all(not dirty for dirty in middle._forwarding_dirty.values())
+    return network, middle
+
+
+def test_clean_neighbours_are_skipped(monkeypatch):
+    """A refresh with nothing pending sends nothing, scans no table, diffs nothing."""
+    network, middle = _settled_line()
+    assert all(state.settled() for state in middle._delta_states.values())
     calls = []
-    middle._desired_forwarding = lambda neighbour: calls.append(neighbour) or {}
+    monkeypatch.setattr(middle.subscription_table, "entries", lambda: calls.append("scan"))
+    monkeypatch.setattr(
+        NeighbourForwardingState, "diff_against", lambda *args: calls.append("diff")
+    )
+    sent_before = len(network.trace.link_records)
     middle._refresh_all_forwarding()
     assert calls == []
+    assert len(network.trace.link_records) == sent_before
 
 
 def test_table_change_marks_other_neighbours_dirty():
-    network = PubSubNetwork(line_topology(3), strategy="covering", latency=0.01)
-    producer = network.add_client("P", "B1")
-    producer.advertise({"topic": "news"})
-    consumer = network.add_client("C", "B3")
-    consumer.subscribe({"topic": "news"})
-    network.settle()
-    middle = network.broker("B2")
-    middle._refresh_all_forwarding()  # drain dirty flags left by exclusions
+    _, middle = _settled_line()
+    (row,) = middle.subscription_table.entries_for_destination("B3")
     # A change to rows of destination B3 affects the desired set of every
     # neighbour except B3 itself.
-    middle.subscription_table.add(
-        consumer._subscriptions[next(iter(consumer._subscriptions))], "B3", "C/extra"
-    )
-    assert middle._forwarding_dirty["B1"] is True
-    assert middle._forwarding_dirty["B3"] is False
-
-
-def test_routing_table_epoch_and_listener():
-    from repro.filters.filter import Filter
-    from repro.routing.table import RoutingTable
-
-    table = RoutingTable()
-    events = []
-    table.add_listener(events.append)
-    filter_ = Filter({"a": 1})
-    table.add(filter_, "west", "s1")
-    assert events == ["west"]
-    first_epoch = table.epoch
-    assert table.destination_epoch("west") == first_epoch
-    # Subject-only growth on an existing row is an observable change.
-    table.add(filter_, "west", "s2")
-    assert len(events) == 2
-    # Re-adding an existing subject is not.
-    table.add(filter_, "west", "s2")
-    assert len(events) == 2
-    # Subject removal that keeps the row alive still notifies.
-    table.remove(filter_, "west", "s1")
-    assert len(events) == 3
-    # Removing an absent subject does not.
-    table.remove(filter_, "west", "missing")
-    assert len(events) == 3
-    table.remove(filter_, "west", "s2")
-    assert len(events) == 4
-    assert table.epoch > first_epoch
-    assert not table.has_destination("west")
-    # clear() publishes a whole-table change as destination None.
-    table.add(filter_, "east", "s1")
-    table.clear()
-    assert events[-1] is None
-    assert table.destination_epoch("east") == table.epoch
+    middle.subscription_table.add(row.filter, "B3", "C/extra")
+    assert middle._delta_states["B3"].settled()
+    assert middle._delta_states["B1"].pending == {(row.filter.key(), "C/extra")}

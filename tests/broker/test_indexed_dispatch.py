@@ -10,8 +10,9 @@ schedule are compared:
 * ``incremental`` — the production path, plan maintained from row deltas;
 * ``rebuild`` — every broker's plan is invalidated after each settle, so
   the lazy rebuild path is exercised as heavily as delta maintenance;
-* ``unmemoised`` — ``incremental_forwarding=False``, which sends every
-  advertisement-gate query to the plan instead of the per-neighbour memo;
+* ``unmemoised`` — forwarding refreshed from its own specification
+  (``tests/oracles/forwarding.py``), which sends every advertisement-gate
+  query of a refresh to the plan instead of the per-neighbour memo;
 * ``oracle`` — both plan queries answered by the specification.
 """
 
@@ -28,6 +29,7 @@ from repro.sim.network import FixedLatency, Link
 from repro.sim.rng import DeterministicRandom
 from repro.topology.builders import balanced_tree_topology
 
+from tests.oracles.forwarding import scratch_forwarding
 from tests.oracles.matching import oracle_dispatch
 
 LOCATIONS = ["loc-{:02d}".format(index) for index in range(12)]
@@ -46,8 +48,7 @@ def _window(rng):
 
 def _run_churn(mode, seed, strategy="covering"):
     topology = balanced_tree_topology(depth=2, fanout=3)
-    config = BrokerConfig(incremental_forwarding=(mode != "unmemoised"))
-    network = PubSubNetwork(topology, strategy=strategy, latency=0.01, config=config)
+    network = PubSubNetwork(topology, strategy=strategy, latency=0.01)
     leaves = topology.leaves()
     rng = DeterministicRandom(seed)
 
@@ -134,8 +135,10 @@ def test_four_mode_churn_equivalence(strategy, seed):
     """Incremental, rebuilt and unmemoised plans leave what the oracle leaves."""
     with oracle_dispatch():
         oracle = _run_churn("oracle", seed, strategy)
-    for mode in ("incremental", "rebuild", "unmemoised"):
+    for mode in ("incremental", "rebuild"):
         assert _run_churn(mode, seed, strategy) == oracle, mode
+    with scratch_forwarding():
+        assert _run_churn("unmemoised", seed, strategy) == oracle
 
 
 def test_indexed_dispatch_skips_table_matching():

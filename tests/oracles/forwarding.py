@@ -1,0 +1,91 @@
+"""From-scratch specification of subscription forwarding.
+
+A broker keeps each neighbour's desired ``(filter, subject)`` pairs in a
+delta-maintained :class:`~repro.broker.forwarding.NeighbourForwardingState`;
+what those pairs must be is written down here in the most obvious way
+possible, over nothing but the tables' rows:
+
+* scan the subscription table, skipping rows that point at the neighbour,
+  ``MatchNone`` filters, location-dependent subjects (they travel by their
+  own protocol) and filters the neighbour advertised nothing for;
+* reduce the surviving filters with the strategy's Section 2.2 definition
+  (:meth:`~repro.routing.strategies.RoutingStrategy.desired_forwarding_set`);
+* register every subject under the first selected filter covering its own.
+
+:func:`scratch_forwarding` swaps this in for every
+:meth:`~repro.broker.base.Broker.refresh_forwarding` in the process, so
+whole networks can be run on it and compared with the production path.
+"""
+
+from contextlib import contextmanager
+
+from repro.broker.base import Broker
+from repro.filters.covering import filter_covers
+from repro.filters.filter import MatchNone
+
+
+def first_cover(selected, filter_):
+    """The selected filter equal to *filter_*, else the first one covering it."""
+    for candidate in selected:
+        if candidate.key() == filter_.key():
+            return candidate
+    for candidate in selected:
+        if filter_covers(candidate, filter_):
+            return candidate
+    # The reduction should always leave a cover; forward the filter itself.
+    return filter_
+
+
+def desired_forwarding(broker, neighbour):
+    """``{(filter key, subject): filter}`` *broker* should have registered at *neighbour*."""
+    if broker.strategy.floods_notifications:
+        # Nothing is forwarded.  This has to precede the reduction: a
+        # flooding strategy selects no filter, so every input would take
+        # the "forward the filter itself" way out of ``first_cover``.
+        return {}
+    gated = broker.config.use_advertisements
+    entries = []
+    for row in broker.subscription_table.entries():
+        if row.destination == neighbour or isinstance(row.filter, MatchNone):
+            continue
+        subjects = [s for s in row.subjects if s not in broker._logical_states]
+        if not subjects:
+            continue
+        # Asked of the plan, not of the broker's memo, so that production
+        # (memoised) is also checked against an unmemoised gate.
+        if gated and not broker._dispatch_plan.advertised_via(neighbour, row.filter):
+            continue
+        entries.append((row.filter, subjects))
+    selected = broker.strategy.desired_forwarding_set([filter_ for filter_, _ in entries])
+    desired = {}
+    for filter_, subjects in entries:
+        cover = first_cover(selected, filter_)
+        for subject in subjects:
+            desired[(cover.key(), subject)] = cover
+    return desired
+
+
+def _scratch_refresh(broker, neighbour):
+    if neighbour not in broker._links:
+        return
+    desired = desired_forwarding(broker, neighbour)
+    forwarded = broker._forwarded_subscriptions[neighbour]
+    to_add = {pair: filt for pair, filt in desired.items() if pair not in forwarded}
+    to_remove = {pair: filt for pair, filt in forwarded.items() if pair not in desired}
+    broker._emit_forwarding_diff(neighbour, forwarded, to_add, to_remove)
+
+
+@contextmanager
+def scratch_forwarding():
+    """Answer every forwarding refresh in the process from the specification.
+
+    Brokers built inside the block never rebuild their forwarding states,
+    so the states stay invalid and ignore every delta: the run pays for
+    the specification only.
+    """
+    production = Broker.refresh_forwarding
+    Broker.refresh_forwarding = _scratch_refresh
+    try:
+        yield
+    finally:
+        Broker.refresh_forwarding = production

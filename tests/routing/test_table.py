@@ -105,13 +105,6 @@ class TestQueries:
         assert len(table.entries_for_subject("c/s")) == 2
         assert len(table.entries_for_destination("link-1")) == 1
 
-    def test_filters_except_destination(self):
-        table = RoutingTable()
-        table.add(F(a=1), "link-1", "s1")
-        table.add(F(b=2), "link-2", "s2")
-        filters = table.filters_except_destination("link-1")
-        assert filters == [F(b=2)]
-
     def test_size_by_destination(self):
         table = RoutingTable()
         table.add(F(a=1), "link-1", "s1")
@@ -125,3 +118,35 @@ class TestQueries:
         assert table.has_entry(F(a=1), "link-1")
         assert not table.has_entry(F(a=1), "link-2")
         assert len(list(iter(table))) == 1
+
+
+def test_routing_table_epoch_and_listener():
+    table = RoutingTable()
+    events = []
+    table.add_listener(events.append)
+    filter_ = Filter({"a": 1})
+    table.add(filter_, "west", "s1")
+    assert events == ["west"]
+    first_epoch = table.epoch
+    assert table.destination_epoch("west") == first_epoch
+    # Subject-only growth on an existing row is an observable change.
+    table.add(filter_, "west", "s2")
+    assert len(events) == 2
+    # Re-adding an existing subject is not.
+    table.add(filter_, "west", "s2")
+    assert len(events) == 2
+    # Subject removal that keeps the row alive still notifies.
+    table.remove(filter_, "west", "s1")
+    assert len(events) == 3
+    # Removing an absent subject does not.
+    table.remove(filter_, "west", "missing")
+    assert len(events) == 3
+    table.remove(filter_, "west", "s2")
+    assert len(events) == 4
+    assert table.epoch > first_epoch
+    assert not table.has_destination("west")
+    # clear() publishes a whole-table change as destination None.
+    table.add(filter_, "east", "s1")
+    table.clear()
+    assert events[-1] is None
+    assert table.destination_epoch("east") == table.epoch
