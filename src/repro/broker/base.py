@@ -38,7 +38,7 @@ from repro.core.location_filter import (
     LocationDependentUnsubscribe,
 )
 from repro.broker.forwarding import NeighbourForwardingState
-from repro.core.logical import LogicalSubscriptionState
+from repro.core.logical import LogicalSubscriptionState, PlocFilters
 from repro.dispatch.plan import DispatchPlan
 from repro.dispatch.stats import dispatch_stats
 from repro.core.physical import RelocationBuffer, RelocationRecord, VirtualCounterpart
@@ -284,10 +284,10 @@ class Broker:
         self._clients: Dict[str, _ClientRegistration] = {}
         self._counterparts: Dict[str, VirtualCounterpart] = {}
 
-        # Logical mobility: token -> per-broker subscription state, and the
-        # neighbours the location-dependent subscription was forwarded to.
+        # Logical mobility: token -> per-broker subscription state, over
+        # the one table of instantiated ploc filters they all share.
         self._logical_states: Dict[str, LogicalSubscriptionState] = {}
-        self._logical_forwarded_to: Dict[str, Set[str]] = {}
+        self._ploc_filters = PlocFilters()
 
         # Relocation bookkeeping (benchmarks read this).
         self.relocation_records: List[RelocationRecord] = []
@@ -645,7 +645,6 @@ class Broker:
         self._clients.clear()
         self._counterparts.clear()
         self._logical_states.clear()
-        self._logical_forwarded_to.clear()
 
     def restart(self) -> int:
         """Bring a crashed broker back, recovering routing state.
@@ -767,16 +766,14 @@ class Broker:
             return
         token = record.token
         if record.logical is not None:
-            self._journal(
-                client_id,
-                LocationDependentUnsubscribe(
-                    client_id=client_id, subscription_id=subscription_id
-                ),
+            message = LocationDependentUnsubscribe(
+                client_id=client_id, subscription_id=subscription_id
             )
-            self._teardown_logical_subscription(token)
+            self._journal(client_id, message)
+            self._handle_location_dependent_unsubscribe(message, client_id)
         else:
             self._journal(client_id, Unsubscribe(record.filter, subject=token))
-        self.subscription_table.remove(record.filter, client_id, token)
+            self.subscription_table.remove(record.filter, client_id, token)
         self._refresh_all_forwarding(exclude=client_id)
 
     @_attributed
@@ -991,7 +988,7 @@ class Broker:
     ) -> None:
         """Register a location-dependent subscription for a local client (Section 5)."""
         registration = self._require_client(client_id)
-        state = LogicalSubscriptionState(
+        message = LocationDependentSubscribe(
             client_id=client_id,
             subscription_id=subscription_id,
             location_filter=location_filter,
@@ -1000,42 +997,14 @@ class Broker:
             current_location=initial_location,
             hop_index=0,
         )
-        record = _SubscriptionRecord(
+        self._journal(client_id, message)
+        state = self._handle_location_dependent_subscribe(message, client_id)
+        registration.subscriptions[subscription_id] = _SubscriptionRecord(
             client_id=client_id,
             subscription_id=subscription_id,
-            filter=state.current_filter(),
+            filter=state.stored_filter,
             logical=state,
         )
-        registration.subscriptions[subscription_id] = record
-        token = record.token
-        self._journal(
-            client_id,
-            LocationDependentSubscribe(
-                client_id=client_id,
-                subscription_id=subscription_id,
-                location_filter=location_filter,
-                movement_graph=movement_graph,
-                plan=plan,
-                current_location=initial_location,
-                hop_index=0,
-            ),
-        )
-        self._logical_states[token] = state
-        self._logical_forwarded_to[token] = set()
-        # Logical tokens are excluded from the generic refresh, so the set
-        # of logical states is an input of every neighbour's desired set.
-        self._invalidate_forwarding_states()
-        self.subscription_table.add(record.filter, client_id, token)
-        message = LocationDependentSubscribe(
-            client_id=client_id,
-            subscription_id=subscription_id,
-            location_filter=location_filter,
-            movement_graph=movement_graph,
-            plan=plan,
-            current_location=initial_location,
-            hop_index=1,
-        )
-        self._forward_location_dependent_subscribe(message, exclude=client_id)
 
     def client_set_location(self, client_id: str, new_location: str) -> None:
         """Handle a location change of a locally attached, logically mobile client."""
@@ -1043,17 +1012,15 @@ class Broker:
         for record in registration.subscriptions.values():
             if record.logical is None:
                 continue
-            self._journal(
-                client_id,
-                LocationUpdate(
-                    client_id=client_id,
-                    subscription_id=record.subscription_id,
-                    old_location=record.logical.current_location,
-                    new_location=new_location,
-                    hop_index=record.logical.hop_index,
-                ),
+            message = LocationUpdate(
+                client_id=client_id,
+                subscription_id=record.subscription_id,
+                old_location=record.logical.current_location,
+                new_location=new_location,
+                hop_index=record.logical.hop_index,
             )
-            self._apply_location_change(record.token, new_location, from_destination=client_id)
+            self._journal(client_id, message)
+            self._handle_location_update(message, client_id)
 
     def client_last_delivered_sequence(self, client_id: str, subscription_id: str) -> int:
         """The last sequence number delivered to a local subscription (0 if none)."""
@@ -1333,13 +1300,19 @@ class Broker:
             state.valid = False
 
     def _invalidate_forwarding_states(self) -> None:
-        """Have every neighbour's state rebuilt from the table on its next refresh.
-
-        Logical-mobility changes (the callers of this method) alter which
-        subjects count as plain, which every state gates on.
-        """
+        """Have every neighbour's state rebuilt from the table on its next refresh."""
         for state in self._delta_states.values():
             state.valid = False
+
+    def _is_logical_row(self, row, subject: str) -> bool:
+        """Whether *row* is the one a location-dependent *subject* is stored in.
+
+        That row travels by the Section 5 protocol, not by the generic
+        refresh; tested per row, so that writing, moving and removing it
+        changes no forwarding state's input.
+        """
+        state = self._logical_states.get(subject)
+        return state is not None and state.owns(row)
 
     # ------------------------------------------------------------------
     # Routing-table delta listener (see RoutingTable.add_delta_listener):
@@ -1347,7 +1320,7 @@ class Broker:
     # desired sets, making routing changes O(affected entries).
     # ------------------------------------------------------------------
     def row_subject_added(self, row, subject: str, created_row: bool) -> None:
-        if subject in self._logical_states or isinstance(row.filter, MatchNone):
+        if isinstance(row.filter, MatchNone) or self._is_logical_row(row, subject):
             return
         filter_ = row.filter
         destination = row.destination
@@ -1362,7 +1335,7 @@ class Broker:
     def row_subjects_removed(self, row, subjects: Sequence[str], removed_row: bool) -> None:
         if isinstance(row.filter, MatchNone):
             return
-        plain = [subject for subject in subjects if subject not in self._logical_states]
+        plain = [subject for subject in subjects if not self._is_logical_row(row, subject)]
         if not plain:
             return
         filter_ = row.filter
@@ -1431,10 +1404,11 @@ class Broker:
         The gating here is the one :meth:`row_subject_added` /
         :meth:`row_subjects_removed` apply row by row: a ``MatchNone``
         filter accepts nothing, so forwarding it would only cost
-        administrative traffic; location-dependent subjects are propagated
-        by their own protocol (``LocationDependentSubscribe`` /
-        ``LocationUpdate``); and a filter only travels toward a neighbour
-        that advertised something overlapping it.
+        administrative traffic; the rows of location-dependent
+        subscriptions are propagated by their own protocol
+        (``LocationDependentSubscribe`` / ``LocationUpdate``); and a filter
+        only travels toward a neighbour that advertised something
+        overlapping it.
         """
         no_logical = not self._logical_states
         use_advertisements = self.config.use_advertisements
@@ -1446,7 +1420,7 @@ class Broker:
                 subjects = row.subjects
             else:
                 subjects = [
-                    subject for subject in row.subjects if subject not in self._logical_states
+                    subject for subject in row.subjects if not self._is_logical_row(row, subject)
                 ]
                 if not subjects:
                     return None
@@ -1752,24 +1726,32 @@ class Broker:
     # ------------------------------------------------------------------
     # Logical mobility (Section 5)
     # ------------------------------------------------------------------
-    def _forward_location_dependent_subscribe(
-        self, message: LocationDependentSubscribe, exclude: Optional[str]
+    def _logical_route_open(self, state: LogicalSubscriptionState, neighbour: str) -> bool:
+        """Whether *neighbour* advertised something *state*'s subscription could match."""
+        return not self.config.use_advertisements or self._advertised_via(
+            neighbour, state.location_filter.base_filter
+        )
+
+    def _store_logical_row(
+        self, state: LogicalSubscriptionState, filter_: Optional[Filter]
     ) -> None:
-        token = subscription_token(message.client_id, message.subscription_id)
-        forwarded_to = self._logical_forwarded_to.setdefault(token, set())
-        if self.strategy.floods_notifications:
-            # Under flooding, notifications reach every broker anyway; the
-            # location-dependent part degenerates to pure client-side
-            # filtering at the border broker (Figure 3b).
-            return
-        probe_filter = message.location_filter.base_filter
-        for neighbour in self.neighbours():
-            if neighbour == exclude:
-                continue
-            if self.config.use_advertisements and not self._advertised_via(neighbour, probe_filter):
-                continue
-            forwarded_to.add(neighbour)
-            self._links[neighbour].send(message)
+        """Move *state*'s routing row to *filter_* (``None``: remove it).
+
+        The only writer of these rows: ``stored_filter`` names the row at
+        every table mutation, which is what :meth:`_is_logical_row` reads.
+        """
+        table = self.subscription_table
+        if state.stored_filter is not None:
+            table.remove(state.stored_filter, state.destination, state.token)
+            state.stored_filter = None
+        if filter_ is not None:
+            row = table.find_entry(filter_, state.destination)
+            if row is not None and state.token in row.subjects:
+                # The token already holds this row as an ordinary
+                # subscription: withdraw it as one before taking it over.
+                table.remove(filter_, state.destination, state.token)
+            state.stored_filter = filter_
+            table.add(filter_, state.destination, state.token)
 
     def _reforward_logical_subscriptions(self, toward: str) -> None:
         """Forward held location-dependent subscriptions toward a newly advertised direction.
@@ -1782,118 +1764,90 @@ class Broker:
         """
         if toward not in self._links or self.strategy.floods_notifications:
             return
-        for token, state in self._logical_states.items():
-            forwarded_to = self._logical_forwarded_to.setdefault(token, set())
-            if toward in forwarded_to:
-                continue
-            if self.config.use_advertisements and not self._advertised_via(
-                toward, state.location_filter.base_filter
-            ):
-                continue
-            forwarded_to.add(toward)
-            self._links[toward].send(
-                LocationDependentSubscribe(
-                    client_id=state.client_id,
-                    subscription_id=state.subscription_id,
-                    location_filter=state.location_filter,
-                    movement_graph=state.movement_graph,
-                    plan=state.plan,
-                    current_location=state.current_location,
-                    hop_index=state.hop_index + 1,
-                )
-            )
+        for state in self._logical_states.values():
+            if toward not in state.forwarded_to and self._logical_route_open(state, toward):
+                state.forwarded_to += (toward,)
+                self._links[toward].send(state.subscribe_message(state.hop_index + 1))
 
     def _handle_location_dependent_subscribe(
         self, message: LocationDependentSubscribe, from_destination: Optional[str]
-    ) -> None:
+    ) -> LogicalSubscriptionState:
         if from_destination is None:
             raise ValueError("LocationDependentSubscribe over a link requires a source")
-        token = subscription_token(message.client_id, message.subscription_id)
-        state = LogicalSubscriptionState(
-            client_id=message.client_id,
-            subscription_id=message.subscription_id,
-            location_filter=message.location_filter,
-            movement_graph=message.movement_graph,
-            plan=message.plan,
-            current_location=message.current_location,
-            hop_index=message.hop_index,
+        state = LogicalSubscriptionState.from_subscribe(
+            message, from_destination, self._ploc_filters
         )
-        self._logical_states[token] = state
-        self._invalidate_forwarding_states()
-        self.subscription_table.add(state.current_filter(), from_destination, token)
-        self._forward_location_dependent_subscribe(message.for_next_hop(), exclude=from_destination)
+        replaced = self._logical_states.get(state.token)
+        if replaced is not None:
+            self._store_logical_row(replaced, None)
+        # Registered before its row is written, so the row is never plain.
+        self._logical_states[state.token] = state
+        self._store_logical_row(state, state.current_filter())
+        forward = message.for_next_hop()
+        # Under flooding, notifications reach every broker anyway; the
+        # location-dependent part degenerates to pure client-side
+        # filtering at the border broker (Figure 3b).
+        if not self.strategy.floods_notifications:
+            for neighbour in self.neighbours():
+                if neighbour != from_destination and self._logical_route_open(state, neighbour):
+                    state.forwarded_to += (neighbour,)
+                    self._links[neighbour].send(forward)
+        return state
 
     def _handle_location_dependent_unsubscribe(
         self, message: LocationDependentUnsubscribe, from_destination: Optional[str]
     ) -> None:
-        token = subscription_token(message.client_id, message.subscription_id)
-        self._teardown_logical_subscription(token, forward=True)
-
-    def _teardown_logical_subscription(self, token: str, forward: bool = True) -> None:
-        state = self._logical_states.pop(token, None)
-        if state is not None:
-            self._invalidate_forwarding_states()
-        self.subscription_table.remove_subject(token)
-        forwarded_to = self._logical_forwarded_to.pop(token, set())
-        if state is None or not forward:
+        state = self._logical_states.get(
+            subscription_token(message.client_id, message.subscription_id)
+        )
+        if state is None:
             return
-        message = LocationDependentUnsubscribe(
+        # The row goes before the token is forgotten, so it is never plain.
+        self._store_logical_row(state, None)
+        del self._logical_states[state.token]
+        forward = LocationDependentUnsubscribe(
             client_id=state.client_id, subscription_id=state.subscription_id
         )
-        for neighbour in forwarded_to:
+        for neighbour in state.forwarded_to:
             if neighbour in self._links:
-                self._links[neighbour].send(message)
+                self._links[neighbour].send(forward)
 
     def _handle_location_update(
         self, message: LocationUpdate, from_destination: Optional[str]
     ) -> None:
-        token = subscription_token(message.client_id, message.subscription_id)
-        self._apply_location_change(token, message.new_location, from_destination)
-
-    def _apply_location_change(
-        self, token: str, new_location: str, from_destination: Optional[str]
-    ) -> None:
-        state = self._logical_states.get(token)
+        state = self._logical_states.get(
+            subscription_token(message.client_id, message.subscription_id)
+        )
         if state is None:
             return
-        old_location = state.current_location
+        old_location, new_location = state.current_location, message.new_location
         delta = state.apply_location_change(new_location)
 
         # Update the stored routing entry (and, at the border broker, the
         # client-side filter used for exact delivery filtering).
-        entries = list(self.subscription_table.entries_for_subject(token))
-        for entry in entries:
-            self.subscription_table.remove(entry.filter, entry.destination, token)
-            self.subscription_table.add(delta.new_filter, entry.destination, token)
-        client_id, _, subscription_id = token.partition("/")
-        registration = self._clients.get(client_id)
+        self._store_logical_row(state, delta.new_filter)
+        registration = self._clients.get(state.client_id)
         if registration is not None:
-            record = registration.subscriptions.get(subscription_id)
+            record = registration.subscriptions.get(state.subscription_id)
             if record is not None and record.logical is state:
                 record.filter = delta.new_filter
 
         # Decide whether the update needs to travel further toward the
         # producers.  The next hop's filter changes iff ploc at its level
         # differs between old and new location.
-        forward = True
-        if not self.config.propagate_unchanged_location_updates:
-            next_level = state.plan.level_for_hop(state.hop_index + 1)
-            next_steps = next_level + state.location_filter.vicinity
-            ploc = state._ploc  # deliberate: reuse the memoised ploc
-            forward = ploc(old_location, next_steps) != ploc(new_location, next_steps)
-        if not forward:
+        if not self.config.propagate_unchanged_location_updates and state.location_set(
+            old_location, ahead=1
+        ) == state.location_set(new_location, ahead=1):
             return
         update = LocationUpdate(
-            client_id=client_id,
-            subscription_id=subscription_id,
+            client_id=state.client_id,
+            subscription_id=state.subscription_id,
             old_location=old_location,
             new_location=new_location,
             hop_index=state.hop_index + 1,
         )
-        for neighbour in self._logical_forwarded_to.get(token, set()):
-            if neighbour == from_destination:
-                continue
-            if neighbour in self._links:
+        for neighbour in state.forwarded_to:
+            if neighbour != from_destination and neighbour in self._links:
                 self._links[neighbour].send(update)
 
     # ------------------------------------------------------------------

@@ -57,7 +57,8 @@ SnapshotRow = Tuple[Filter, str, Tuple[str, ...], int]
 ForwardedPair = Tuple[Filter, str]
 
 #: One snapshotted logical-mobility state: the LocationDependentSubscribe
-#: message equivalent to the state, plus the neighbours it was forwarded to.
+#: message equivalent to the state, plus the neighbours it was forwarded to
+#: (in forwarding order; the state's destination is its routing row's).
 LogicalEntry = Tuple[LocationDependentSubscribe, Tuple[str, ...]]
 
 
@@ -613,19 +614,8 @@ def build_snapshot(broker: Any, log_index: int) -> RoutingSnapshot:
             for neighbour, mapping in broker._forwarded_advertisements.items()
         },
         logical_states=[
-            (
-                LocationDependentSubscribe(
-                    client_id=state.client_id,
-                    subscription_id=state.subscription_id,
-                    location_filter=state.location_filter,
-                    movement_graph=state.movement_graph,
-                    plan=state.plan,
-                    current_location=state.current_location,
-                    hop_index=state.hop_index,
-                ),
-                tuple(sorted(broker._logical_forwarded_to.get(token, ()))),
-            )
-            for token, state in broker._logical_states.items()
+            (state.subscribe_message(state.hop_index), state.forwarded_to)
+            for state in broker._logical_states.values()
         ],
     )
 
@@ -642,8 +632,20 @@ def apply_snapshot(broker: Any, snapshot: RoutingSnapshot) -> int:
         raise ValueError(
             "snapshot of {} cannot restore broker {}".format(snapshot.broker, broker.name)
         )
+    # Logical states come back first and claim their routing rows as these
+    # are restored (the snapshot keeps a state's subscription, the table
+    # its destination), so no forwarding state ever sees such a row as plain.
+    for subscribe, forwarded_to in snapshot.logical_states:
+        state = LogicalSubscriptionState.from_subscribe(subscribe, None, broker._ploc_filters)
+        state.forwarded_to = forwarded_to
+        broker._logical_states[state.token] = state
     restored = 0
     for filter_, destination, subjects, seq in snapshot.subscription_rows:
+        for state in map(broker._logical_states.get, subjects):
+            if state is not None and state.stored_filter is None:
+                stored = state.current_filter()
+                if stored.key() == filter_.key():
+                    state.destination, state.stored_filter, filter_ = destination, stored, stored
         broker.subscription_table.restore_row(filter_, destination, subjects, seq)
         restored += 1
     broker.subscription_table.advance_row_seq(snapshot.subscription_row_seq)
@@ -661,16 +663,4 @@ def apply_snapshot(broker: Any, snapshot: RoutingSnapshot) -> int:
         mapping.clear()
         for filter_, subject in pairs:
             mapping[(filter_.key(), subject)] = filter_
-    for subscribe, forwarded_to in snapshot.logical_states:
-        token = "{}/{}".format(subscribe.client_id, subscribe.subscription_id)
-        broker._logical_states[token] = LogicalSubscriptionState(
-            client_id=subscribe.client_id,
-            subscription_id=subscribe.subscription_id,
-            location_filter=subscribe.location_filter,
-            movement_graph=subscribe.movement_graph,
-            plan=subscribe.plan,
-            current_location=subscribe.current_location,
-            hop_index=subscribe.hop_index,
-        )
-        broker._logical_forwarded_to[token] = set(forwarded_to)
     return restored

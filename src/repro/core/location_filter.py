@@ -40,15 +40,17 @@ from repro.messages.base import Message, MessageKind
 
 
 def movement_graph_to_wire(graph: MovementGraph) -> Dict[str, Any]:
-    """Locations and (deduplicated, sorted) edges of a movement graph."""
-    locations = graph.locations()
-    edges = [
-        [location, neighbour]
-        for location in locations
-        for neighbour in graph.neighbours(location)
-        if location < neighbour
-    ]
-    return {"locations": locations, "edges": edges}
+    """Locations and (deduplicated, sorted) edges of a movement graph, built once per graph."""
+    if graph._wire is None:
+        locations = graph.locations()
+        edges = [
+            [location, neighbour]
+            for location in locations
+            for neighbour in graph.neighbours(location)
+            if location < neighbour
+        ]
+        graph._wire = {"locations": locations, "edges": edges}
+    return graph._wire
 
 
 def movement_graph_from_wire(payload: Dict[str, Any]) -> MovementGraph:

@@ -18,17 +18,58 @@ non-decreasing levels of the plan).
 On a location change the state computes which locations to subscribe to
 and which to unsubscribe from (the routing-table delta the paper describes
 as "removing certain locations and adding new locations").
+
+The scheme keeps one state per (subscription, hop), so a state is a
+slot-backed record of references: the ``ploc`` sets belong to the movement
+graph, the concrete filters to the broker's :class:`PlocFilters`.  Besides
+the subscription a state carries what its broker did with it: the
+downstream ``destination``, the routing row's ``stored_filter`` and the
+neighbours it was ``forwarded_to``, in forwarding order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional
+from typing import Any, FrozenSet, List, Optional, Tuple
+from weakref import WeakValueDictionary
 
 from repro.core.adaptivity import UncertaintyPlan
-from repro.core.location_filter import LocationDependentFilter
+from repro.core.location_filter import LocationDependentFilter, LocationDependentSubscribe
 from repro.core.ploc import Location, MovementGraph, PlocFunction
 from repro.filters.filter import Filter
+
+
+class PlocFilters:
+    """One broker's instantiated ``ploc`` filters and movement graphs, each held once.
+
+    Held weakly: a filter lives as long as a state or a routing row refers
+    to it, a graph as long as a state does — the tables pin nothing.
+    """
+
+    __slots__ = ("_filters", "_graphs")
+
+    def __init__(self) -> None:
+        #: (LocationDependentFilter.key(), ploc set) -> instantiated filter
+        self._filters: "WeakValueDictionary[Any, Filter]" = WeakValueDictionary()
+        #: MovementGraph.canonical_key() -> the graph every state here shares
+        self._graphs: "WeakValueDictionary[Any, MovementGraph]" = WeakValueDictionary()
+
+    def graph(self, graph: MovementGraph) -> MovementGraph:
+        """This broker's one graph equal to *graph* (a decoded copy is dropped)."""
+        return self._graphs.setdefault(graph.canonical_key(), graph)
+
+    def instantiate(
+        self, location_filter: LocationDependentFilter, locations: FrozenSet[Location]
+    ) -> Filter:
+        """``location_filter.instantiate(locations)``, built once per distinct pair."""
+        key = (location_filter.key(), locations)
+        filter_ = self._filters.get(key)
+        if filter_ is None:
+            filter_ = self._filters[key] = location_filter.instantiate(locations)
+        return filter_
+
+    def __len__(self) -> int:
+        return len(self._filters)
 
 
 @dataclass
@@ -57,6 +98,21 @@ class LocationChangeDelta:
 class LogicalSubscriptionState:
     """State a broker keeps for one location-dependent subscription."""
 
+    __slots__ = (
+        "client_id",
+        "subscription_id",
+        "token",
+        "location_filter",
+        "movement_graph",
+        "plan",
+        "current_location",
+        "hop_index",
+        "destination",
+        "stored_filter",
+        "forwarded_to",
+        "_filters",
+    )
+
     def __init__(
         self,
         client_id: str,
@@ -66,50 +122,94 @@ class LogicalSubscriptionState:
         plan: UncertaintyPlan,
         current_location: Location,
         hop_index: int,
+        destination: Optional[str] = None,
+        filters: Optional[PlocFilters] = None,
     ) -> None:
         self.client_id = client_id
         self.subscription_id = subscription_id
+        #: The subscription token ``client/subscription`` used as routing subject.
+        self.token = "{}/{}".format(client_id, subscription_id)
         self.location_filter = location_filter
-        self.movement_graph = movement_graph
+        self._filters = filters if filters is not None else PlocFilters()
+        self.movement_graph = self._filters.graph(movement_graph)
         self.plan = plan
         self.current_location = current_location
         self.hop_index = int(hop_index)
-        self._ploc = PlocFunction(movement_graph)
+        #: Where the subscription came from: the routing row's destination.
+        self.destination = destination
+        #: The filter of the routing row the broker stored for this state
+        #: (``None`` while it stores none); set by the broker with the row.
+        self.stored_filter: Optional[Filter] = None
+        #: Neighbours the subscription was forwarded to, in forwarding order.
+        self.forwarded_to: Tuple[str, ...] = ()
 
-    # -- identity -----------------------------------------------------------
-    @property
-    def token(self) -> str:
-        """The subscription token ``client/subscription`` used as routing subject."""
-        return "{}/{}".format(self.client_id, self.subscription_id)
+    @classmethod
+    def from_subscribe(
+        cls,
+        message: LocationDependentSubscribe,
+        destination: Optional[str],
+        filters: Optional[PlocFilters] = None,
+    ) -> "LogicalSubscriptionState":
+        """The state of the broker that received *message* from *destination*."""
+        return cls(
+            message.client_id,
+            message.subscription_id,
+            message.location_filter,
+            message.movement_graph,
+            message.plan,
+            message.current_location,
+            message.hop_index,
+            destination,
+            filters,
+        )
 
-    # -- level / location-set computation -------------------------------------
-    def level(self) -> int:
-        """The uncertainty level this broker uses (plan level for its hop)."""
-        return self.plan.level_for_hop(self.hop_index)
+    def subscribe_message(self, hop_index: int) -> LocationDependentSubscribe:
+        """This subscription as the message a broker at *hop_index* receives."""
+        return LocationDependentSubscribe(
+            client_id=self.client_id,
+            subscription_id=self.subscription_id,
+            location_filter=self.location_filter,
+            movement_graph=self.movement_graph,
+            plan=self.plan,
+            current_location=self.current_location,
+            hop_index=hop_index,
+        )
 
-    def effective_steps(self) -> int:
-        """Level plus the subscription's vicinity widening (Section 3.3)."""
-        return self.level() + self.location_filter.vicinity
+    def owns(self, row: Any) -> bool:
+        """Whether *row* is the routing row stored for this state."""
+        return (
+            self.stored_filter is not None
+            and row.destination == self.destination
+            and row.filter.key() == self.stored_filter.key()
+        )
 
-    def location_set(self, location: Optional[Location] = None) -> FrozenSet[Location]:
-        """``ploc(location, level)`` for this hop (default: current location)."""
-        where = location if location is not None else self.current_location
-        return self._ploc(where, self.effective_steps())
+    # -- location sets and filters ---------------------------------------------
+    def location_set(
+        self, location: Optional[Location] = None, ahead: int = 0
+    ) -> FrozenSet[Location]:
+        """``ploc(location, level)`` at this hop (default: the current location).
+
+        The level is the plan's for the hop plus the subscription's
+        vicinity widening (Section 3.3); *ahead* = 1 asks for the next hop
+        toward the producers.
+        """
+        steps = self.plan.level_for_hop(self.hop_index + ahead) + self.location_filter.vicinity
+        return self.movement_graph.reachable_within(location or self.current_location, steps)
+
+    def _filter(self, locations: FrozenSet[Location]) -> Filter:
+        return self._filters.instantiate(self.location_filter, locations)
 
     def current_filter(self) -> Filter:
         """The concrete filter this broker stores for the downstream direction."""
-        return self.location_filter.instantiate(self.location_set())
+        return self._filter(self.location_set())
 
     def filter_at(self, location: Location) -> Filter:
         """The concrete filter this hop would store if the client were at *location*."""
-        return self.location_filter.instantiate(self.location_set(location))
+        return self._filter(self.location_set(location))
 
     def next_hop_filter(self) -> Filter:
         """The filter to register at the next hop toward the producers."""
-        steps = self.plan.level_for_hop(self.hop_index + 1) + self.location_filter.vicinity
-        return self.location_filter.instantiate(
-            self._ploc(self.current_location, steps)
-        )
+        return self._filter(self.location_set(ahead=1))
 
     # -- location changes --------------------------------------------------------
     def apply_location_change(self, new_location: Location) -> LocationChangeDelta:
@@ -118,17 +218,11 @@ class LogicalSubscriptionState:
             raise ValueError(
                 "location {!r} is not part of the movement graph".format(new_location)
             )
-        old_location = self.current_location
-        old_set = self.location_set(old_location)
-        new_set = self.location_set(new_location)
-        old_filter = self.location_filter.instantiate(old_set)
-        new_filter = self.location_filter.instantiate(new_set)
+        old_set = self.location_set()
         self.current_location = new_location
+        new_set = self.location_set()
         return LocationChangeDelta(
-            old_filter=old_filter,
-            new_filter=new_filter,
-            added=frozenset(new_set - old_set),
-            removed=frozenset(old_set - new_set),
+            self._filter(old_set), self._filter(new_set), new_set - old_set, old_set - new_set
         )
 
     # -- invariants -----------------------------------------------------------------
@@ -151,7 +245,7 @@ class LogicalSubscriptionState:
             "LogicalSubscriptionState(token={}, hop={}, level={}, loc={}, set={})".format(
                 self.token,
                 self.hop_index,
-                self.level(),
+                self.plan.level_for_hop(self.hop_index),
                 self.current_location,
                 sorted(self.location_set()),
             )
@@ -159,14 +253,8 @@ class LogicalSubscriptionState:
 
     def fork_for_next_hop(self) -> "LogicalSubscriptionState":
         """The state a broker one hop further from the client would keep."""
-        return LogicalSubscriptionState(
-            client_id=self.client_id,
-            subscription_id=self.subscription_id,
-            location_filter=self.location_filter,
-            movement_graph=self.movement_graph,
-            plan=self.plan,
-            current_location=self.current_location,
-            hop_index=self.hop_index + 1,
+        return LogicalSubscriptionState.from_subscribe(
+            self.subscribe_message(self.hop_index + 1), self.destination, self._filters
         )
 
 

@@ -10,12 +10,18 @@ filter chain relies on.
 
 Table 1 of the paper lists ``ploc(x, t)`` for the four-node example graph;
 :meth:`PlocFunction.table` regenerates exactly that table.
+
+Every per-hop filter of Section 5 is ``base ∧ location ∈ ploc(x, q)``, and
+the graph is where those sets are computed *and kept*: each ``(x, q)``
+answer is memoised and grown from ``(x, q - 1)`` by one frontier ring, so a
+broker pays for the distinct (location, level) pairs it serves, not for
+its subscriptions.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 Location = str
 
@@ -34,10 +40,12 @@ class MovementGraph:
 
     def __init__(self, locations: Optional[Iterable[Location]] = None) -> None:
         self._adjacency: Dict[Location, Set[Location]] = {}
-        #: (location, steps) -> ploc set; shared by every PlocFunction over
-        #: this graph and dropped whenever an edge is added (a new, still
-        #: isolated location changes no existing answer).
+        #: (location, steps) -> ploc set.  The three memos are shared by
+        #: everything that asks this graph and dropped when it changes;
+        #: ``_wire`` belongs to location_filter.movement_graph_to_wire.
         self._reachable: Dict[Tuple[Location, int], FrozenSet[Location]] = {}
+        self._wire: Optional[Dict[str, Any]] = None
+        self._key: Optional[FrozenSet[Any]] = None
         if locations:
             for location in locations:
                 self.add_location(location)
@@ -49,7 +57,13 @@ class MovementGraph:
             raise MovementGraphError(
                 "locations must be non-empty strings: {!r}".format(location)
             )
-        self._adjacency.setdefault(location, set())
+        if location not in self._adjacency:
+            self._adjacency[location] = set()
+            self._changed()
+
+    def _changed(self) -> None:
+        self._reachable.clear()
+        self._wire = self._key = None
 
     def add_edge(self, left: Location, right: Location) -> None:
         """Declare that a consumer can move between *left* and *right* in one step."""
@@ -59,7 +73,7 @@ class MovementGraph:
         self.add_location(right)
         self._adjacency[left].add(right)
         self._adjacency[right].add(left)
-        self._reachable.clear()
+        self._changed()
 
     @classmethod
     def from_edges(
@@ -140,6 +154,21 @@ class MovementGraph:
     def __len__(self) -> int:
         return len(self._adjacency)
 
+    def canonical_key(self) -> FrozenSet[Any]:
+        """Hashable identity of the graph: its locations and ``(left, right)`` edges.
+
+        Equal for equal graphs however they were built (a broker interns
+        decoded graphs by it); a frozenset hashes once, whatever its size.
+        """
+        if self._key is None:
+            self._key = frozenset(self._adjacency).union(
+                (left, right)
+                for left, neighbours in self._adjacency.items()
+                for right in neighbours
+                if left < right
+            )
+        return self._key
+
     def diameter(self) -> int:
         """The largest number of steps needed between any two connected locations."""
         best = 0
@@ -170,27 +199,39 @@ class MovementGraph:
 
         Staying put counts as a (trivial) move, so the result always
         contains *location* and is monotone in *steps* (Equation 1 of the
-        paper).  Results are memoised until the graph next changes.
+        paper).  Results are memoised until the graph next changes; a miss
+        grows the set of ``steps - 1`` by the neighbours of its frontier
+        ring (what it added to ``steps - 2``) instead of searching again.
         """
-        key = (location, steps)
-        cached = self._reachable.get(key)
-        if cached is None:
-            self._require(location)
-            if steps < 0:
-                raise MovementGraphError("steps must be non-negative")
-            depths = self._bfs_depths(location)
-            cached = frozenset(loc for loc, depth in depths.items() if depth <= steps)
-            self._reachable[key] = cached
-        return cached
+        memo = self._reachable
+        cached = memo.get((location, steps))
+        if cached is not None:
+            return cached
+        self._require(location)
+        if steps < 0:
+            raise MovementGraphError("steps must be non-negative")
+        inner: FrozenSet[Location] = frozenset()
+        current = memo.setdefault((location, 0), frozenset((location,)))
+        for radius in range(1, steps + 1):
+            if len(current) == len(inner):
+                break  # the last ring was empty: every further level is this set
+            grown = memo.get((location, radius))
+            if grown is None:
+                grown = current.union(*[self._adjacency[member] for member in current - inner])
+                if len(grown) == len(current):
+                    grown = current
+                memo[(location, radius)] = grown
+            inner, current = current, grown
+        memo[(location, steps)] = current
+        return current
 
 
 class PlocFunction:
     """The ``ploc`` function for one movement graph.
 
-    The per-hop filters of the logical-mobility scheme query
-    ``ploc(current_location, level)`` on every location change; the graph
-    memoises the BFS results, so every subscription state at every hop
-    over the same graph shares them.
+    A thin callable view used by the tables, the adaptivity plans and the
+    tests; the answers (and their memo) belong to the graph, which the
+    per-hop subscription states ask directly.
     """
 
     def __init__(self, graph: MovementGraph) -> None:

@@ -392,6 +392,9 @@ class InSet(Constraint):
         self.values: Tuple[AttributeValue, ...] = tuple(
             by_key[k] for k in sorted(by_key, key=repr)
         )
+        # Sorted once: equality, hashing, covering and the wire form all
+        # ask for the key, and a ploc set has dozens of members.
+        self._key: Tuple[Any, ...] = (self.op, tuple(sorted(by_key)))
 
     def matches(self, value: AttributeValue) -> bool:
         return canonical_key(value) in self._by_key
@@ -406,7 +409,7 @@ class InSet(Constraint):
         return False
 
     def key(self) -> Tuple[Any, ...]:
-        return (self.op, tuple(sorted(self._by_key)))
+        return self._key
 
     def union(self, other: "InSet") -> "InSet":
         """Return an :class:`InSet` accepting the union of both value sets."""

@@ -37,7 +37,9 @@ class Filter:
         :func:`repro.filters.constraints.constraint_from_tuple`.
     """
 
-    __slots__ = ("_constraints", "_key", "_hash", "_repr", "_wire")
+    # ``__weakref__``: a broker's table of instantiated ploc filters holds
+    # its values weakly (see repro.core.logical.PlocFilters).
+    __slots__ = ("_constraints", "_key", "_hash", "_repr", "_wire", "__weakref__")
 
     def __init__(self, constraints: Optional[Mapping[str, Any]] = None, **kwargs: Any) -> None:
         merged: Dict[str, Any] = {}

@@ -13,9 +13,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.broker.base import Broker, BrokerConfig
+from repro.core.adaptivity import UncertaintyPlan
+from repro.core.location_filter import (
+    MYLOC,
+    LocationDependentFilter,
+    LocationDependentSubscribe,
+    LocationDependentUnsubscribe,
+)
+from repro.core.ploc import MovementGraph
 from repro.filters.covering import minimal_cover_set
 from repro.filters.filter import Filter, MatchAll, MatchNone
 from repro.messages.admin import Unsubscribe
+from repro.messages.mobility import LocationUpdate
 from repro.routing.strategies import make_strategy
 from repro.sim.engine import Simulator
 from repro.sim.network import FixedLatency, Link
@@ -670,18 +679,36 @@ def test_eviction_heavy_schedules_match_from_scratch(narrow, wide, late, removal
 
 # ---------------------------------------------------------------------------
 # Gating: what enters a neighbour's input depends on the advertisements
-# received from it and on which subjects are location-dependent.  Either
-# can flip wholesale, so the state is invalidated and rebuilt from a table
-# scan; the step-wise tests above build ungated brokers and never see it.
+# received from it and on which rows belong to location-dependent
+# subscriptions.  Advertisements can flip wholesale, so the state is
+# invalidated and rebuilt from a table scan; a location-dependent
+# subscription only ever writes its own row, which is excluded row by row.
+# The step-wise tests above build ungated brokers and see neither.
 # ---------------------------------------------------------------------------
 
 _GATED_NEIGHBOURS = ("N1", "N2", "N3")
-_GATED_SUBJECTS = ["s0", "s1", "s2", "s3", "s4"]
+#: Tokens, so that the Section 5 handlers can register them; plain rows
+#: use the same ones, so a token can own ordinary rows next to its
+#: location-dependent one.
+_GATED_SUBJECTS = ["k/s0", "k/s1", "k/s2", "k/s3", "k/s4"]
+#: Instantiates to the very filters ``_eviction_filter_draws`` produces, so
+#: location-dependent and plain subscriptions meet in the same rows.
+_GATED_TEMPLATE = LocationDependentFilter({"service": "parking", "location": MYLOC})
+_GATED_GRAPH = MovementGraph.line(_EVICTION_LOCATIONS)
 
 
 def _gated_filters():
     conjunctive = _eviction_filter_draws(max_locations=3)
-    return st.one_of(conjunctive, conjunctive, st.just(MatchNone()), st.just(MatchAll()))
+    # What a location-dependent subscription stores at some hop: plain rows
+    # that coincide with the row such a subscription writes (or wrote).
+    stored = st.builds(
+        lambda location, steps: _GATED_TEMPLATE.instantiate(
+            _GATED_GRAPH.reachable_within(location, steps)
+        ),
+        st.sampled_from(_EVICTION_LOCATIONS),
+        st.integers(0, 2),
+    )
+    return st.one_of(conjunctive, conjunctive, stored, st.just(MatchNone()), st.just(MatchAll()))
 
 
 def _gated_operations():
@@ -697,6 +724,11 @@ def _gated_operations():
     refresh = st.tuples(st.just("refresh"), st.sets(neighbour))
     # Weighted toward row churn between refreshes of a state that stays
     # valid; each gating change invalidates one state or all of them.
+    # Few tokens, few places and one plan, so that registrations, moves and
+    # twins of one token keep meeting in the same rows.
+    token = st.sampled_from(_GATED_SUBJECTS[:2])
+    location = st.sampled_from(_EVICTION_LOCATIONS[:3])
+    move = st.tuples(st.just("move_logical"), token, location)
     return st.one_of(
         add,
         add,
@@ -709,8 +741,72 @@ def _gated_operations():
         refresh,
         st.tuples(st.just("advertise"), _gated_filters(), neighbour, subject),
         st.tuples(st.just("unadvertise"), position),
-        st.tuples(st.just("toggle_logical"), subject),
+        st.tuples(st.just("toggle_logical"), token, destination, location, st.integers(0, 2)),
+        move,
+        move,
+        st.tuples(st.just("twin_logical"), token, location),
     )
+
+
+def _logical_step(broker, operation):
+    """Register, move or withdraw a location-dependent subscription the way
+    a neighbour's (or a local client's) message does."""
+    kind, token = operation[:2]
+    client_id, _, subscription_id = token.partition("/")
+    if kind == "twin_logical":
+        # An ordinary registration of the row the subscription would be
+        # stored in at that location: a later move there finds it taken.
+        state = broker._logical_states.get(token)
+        if state is not None:
+            broker.subscription_table.add(
+                state.filter_at(operation[2]), state.destination, token
+            )
+    elif kind == "move_logical":
+        broker._handle_location_update(
+            LocationUpdate(client_id, subscription_id, None, operation[2]), None
+        )
+    elif token in broker._logical_states:
+        broker._handle_location_dependent_unsubscribe(
+            LocationDependentUnsubscribe(client_id, subscription_id), None
+        )
+    else:
+        _, _, destination, location, hop = operation
+        broker._handle_location_dependent_subscribe(
+            LocationDependentSubscribe(
+                client_id,
+                subscription_id,
+                _GATED_TEMPLATE,
+                _GATED_GRAPH,
+                UncertaintyPlan.static(3),
+                location,
+                hop_index=hop,
+            ),
+            destination,
+        )
+
+
+def test_logical_registration_takes_over_a_plain_row_of_its_token(table_scan_calls):
+    """A token that already holds, as an ordinary subscription, the very row
+    its location-dependent subscription stores: the ordinary registration
+    is withdrawn from the forwarding states, and other rows of the token
+    stay ordinary."""
+    broker, _ = _make_broker(neighbours=_GATED_NEIGHBOURS)
+    table = broker.subscription_table
+    stored = _GATED_TEMPLATE.instantiate(_GATED_GRAPH.reachable_within("a", 1))
+    table.add(stored, "N1", "k/s0")
+    table.add(_loc_filter("e", "f"), "N1", "k/s0")
+    broker._refresh_all_forwarding()
+    settled = dict(table_scan_calls)
+    _logical_step(broker, ("toggle_logical", "k/s0", "N1", "a", 1))
+    assert broker._logical_states["k/s0"].owns(table.find_entry(stored, "N1"))
+    for neighbour in ("N2", "N3"):
+        broker.refresh_forwarding(neighbour)
+        assert broker._forwarded_subscriptions[neighbour] == desired_forwarding(broker, neighbour)
+        assert [subject for _, subject in broker._forwarded_subscriptions[neighbour]] == ["k/s0"]
+    _logical_step(broker, ("toggle_logical", "k/s0"))
+    assert table.find_entry(stored, "N1") is None
+    _assert_in_sync(broker)
+    assert table_scan_calls == settled
 
 
 @given(
@@ -721,9 +817,10 @@ def _gated_operations():
 )
 @settings(max_examples=200, deadline=None)
 def test_gated_states_match_from_scratch(strategy, advertisers, schedule, check_every_step):
-    """Under advertisement and logical-subject churn the states hold the
-    specification's pairs, and every refresh leaves exactly them forwarded.
-    *advertisers* start out having advertised everything."""
+    """Under advertisement churn, and with location-dependent subscriptions
+    coming, moving and going through the Section 5 handlers, the states hold
+    the specification's pairs, and every refresh leaves exactly them
+    forwarded.  *advertisers* start out having advertised everything."""
     broker, _ = _make_broker(strategy, neighbours=_GATED_NEIGHBOURS, use_advertisements=True)
     for neighbour in sorted(advertisers):
         broker.advertisement_table.add(Filter({}), neighbour, "a0")
@@ -735,11 +832,8 @@ def test_gated_states_match_from_scratch(strategy, advertisers, schedule, check_
             mutate(broker.advertisement_table, ("add",) + operation[1:])
         elif kind == "unadvertise":
             mutate(broker.advertisement_table, ("remove", operation[1], True))
-        elif kind == "toggle_logical":
-            # Only membership is read on the forwarding path.
-            if broker._logical_states.pop(operation[1], None) is None:
-                broker._logical_states[operation[1]] = object()
-            broker._invalidate_forwarding_states()
+        elif kind.endswith("_logical"):
+            _logical_step(broker, operation)
         else:
             # An empty draw refreshes every neighbour.
             for neighbour in sorted(operation[1]) or _GATED_NEIGHBOURS:

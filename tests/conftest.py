@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.broker.forwarding import NeighbourForwardingState
 from repro.broker.network import PubSubNetwork
 from repro.core.ploc import MovementGraph
 from repro.sim.rng import DeterministicRandom
+from repro.routing.table import RoutingTable
 from repro.topology.builders import line_topology
 
 
@@ -12,6 +14,27 @@ from repro.topology.builders import line_topology
 def rng():
     """A deterministic RNG with a fixed seed."""
     return DeterministicRandom(1234)
+
+
+@pytest.fixture
+def table_scan_calls(monkeypatch):
+    """Calls, by name, of the three O(table) entry points while the test runs:
+    a forwarding state's rebuild from the rows, and the table's two scans
+    for a subject's rows."""
+    counted = {}
+    for owner, name in (
+        (NeighbourForwardingState, "rebuild_from_rows"),
+        (RoutingTable, "entries_for_subject"),
+        (RoutingTable, "remove_subject"),
+    ):
+        counted[name] = 0
+
+        def counting(self, *args, _production=getattr(owner, name), _name=name, **kwargs):
+            counted[_name] += 1
+            return _production(self, *args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+    return counted
 
 
 @pytest.fixture

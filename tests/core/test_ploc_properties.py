@@ -1,8 +1,12 @@
 """Property-based tests (hypothesis) for ploc and the uncertainty plans."""
 
+from collections import deque
+
 from hypothesis import given, settings, strategies as st
 
 from repro.core.adaptivity import UncertaintyPlan, adaptive_levels
+from repro.core.location_filter import MYLOC, LocationDependentFilter
+from repro.core.logical import LogicalSubscriptionState, PlocFilters
 from repro.core.ploc import MovementGraph, PlocFunction
 
 
@@ -24,6 +28,101 @@ def movement_graphs(draw):
         if left != right:
             graph.add_edge(names[left], names[right])
     return graph
+
+
+def within_by_definition(edges, source, steps):
+    """Locations at breadth-first depth <= *steps* from *source*, from the edge list."""
+    depths = {source: 0}
+    frontier = deque([source])
+    while frontier:
+        current = frontier.popleft()
+        for left, right in edges:
+            for here, there in ((left, right), (right, left)):
+                if here == current and there not in depths:
+                    depths[there] = depths[current] + 1
+                    frontier.append(there)
+    return frozenset(location for location, depth in depths.items() if depth <= steps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    size=st.integers(min_value=1, max_value=9),
+    edge_draws=st.lists(
+        st.tuples(st.integers(0, 8), st.integers(0, 8), st.booleans()), max_size=14
+    ),
+    queries=st.lists(st.tuples(st.integers(0, 8), st.integers(0, 7)), min_size=1, max_size=12),
+)
+def test_frontier_grown_ploc_equals_the_bfs_definition(size, edge_draws, queries):
+    """Growing the memoised set ring by ring answers what a fresh breadth-first
+    search does — on disconnected graphs too, in any order of queries, and
+    after every ``add_edge`` (which may join components the memo kept apart)."""
+    names = ["L{}".format(index) for index in range(size)]
+    graph = MovementGraph(names)
+    edges = []
+
+    def check():
+        for location_index, steps in queries:
+            location = names[location_index % size]
+            assert graph.reachable_within(location, steps) == within_by_definition(
+                edges, location, steps
+            )
+
+    check()
+    for left, right, query_between in edge_draws:
+        left, right = names[left % size], names[right % size]
+        if left == right:
+            continue
+        graph.add_edge(left, right)
+        edges.append((left, right))
+        if query_between:
+            check()
+    check()
+    for location in names:
+        # Saturated levels share the set of the level that saturated.
+        assert graph.reachable_within(location, size + 1) is graph.reachable_within(
+            location, size + 2
+        )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    graph=movement_graphs(),
+    levels=st.lists(st.integers(1, 3), max_size=3).map(lambda drawn: [0] + sorted(drawn)),
+    vicinity=st.integers(0, 2),
+    walk=st.lists(st.integers(0, 7), min_size=1, max_size=6),
+)
+def test_interned_filters_equal_fresh_instantiations(graph, levels, vicinity, walk):
+    """What a state hands out from its broker's table is, by key, what the
+    location-dependent filter instantiates from scratch — at every hop, after
+    every move — and equal requests get the very same filter object."""
+    location_filter = LocationDependentFilter(
+        {"service": "parking", "location": MYLOC}, vicinity=vicinity
+    )
+    plan = UncertaintyPlan(levels=levels, name="drawn")
+    locations = graph.locations()
+    filters = PlocFilters()
+    states = [
+        LogicalSubscriptionState(
+            "C", "s", location_filter, graph, plan, locations[0], hop, filters=filters
+        )
+        for hop in range(len(levels) + 1)
+    ]
+    for step in walk:
+        location = locations[step % len(locations)]
+        for state in states:
+            delta = state.apply_location_change(location)
+            assert delta.new_filter is state.current_filter()
+            fresh = location_filter.instantiate(state.location_set())
+            assert state.current_filter().key() == fresh.key()
+            assert state.next_hop_filter().key() == (
+                location_filter.instantiate(state.location_set(ahead=1)).key()
+            )
+            assert state.filter_at(locations[-1]).key() == (
+                location_filter.instantiate(state.location_set(locations[-1])).key()
+            )
+        for near, far in zip(states, states[1:]):
+            assert near.next_hop_filter() is far.current_filter()
+            assert far.chain_is_consistent(near)
 
 
 @settings(max_examples=100, deadline=None)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.filters.attributes import canonical_key
 from repro.filters.constraints import (
     AnyValue,
     Between,
@@ -74,6 +75,16 @@ class TestMatching:
     def test_in_set_requires_values(self):
         with pytest.raises(ValueError):
             InSet([])
+
+    def test_in_set_key_is_sorted_once(self):
+        """The key is the from-scratch value — operator plus the sorted
+        canonical keys of the distinct members — and every call returns the
+        tuple built at construction."""
+        constraint = InSet(["b", "a", 3, 3.0, True, "b"])
+        members = {canonical_key(value) for value in ("a", "b", 3, True)}
+        assert constraint.key() == ("in", tuple(sorted(members)))
+        assert constraint.key() is constraint.key()
+        assert InSet(["a", True, 3.0, "b"]).key() == constraint.key()
 
     def test_in_set_union(self):
         union = InSet(["a"]).union(InSet(["b", "c"]))

@@ -6,10 +6,16 @@ with client-side filtering would deliver), and the message-count contrast
 with flooding.
 """
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.broker.base import BrokerConfig
 from repro.broker.network import PubSubNetwork
+from repro.broker.recovery import encode_table
 from repro.core.adaptivity import UncertaintyPlan
 from repro.core.location_filter import MYLOC
 from repro.core.ploc import MovementGraph, PlocFunction
@@ -23,6 +29,7 @@ from repro.metrics.qos import (
 )
 from repro.mobility.driver import ItineraryDriver
 from repro.mobility.itinerary import LogicalItinerary
+from repro.runtime.aio import AioRuntime
 from repro.topology.builders import line_topology
 
 
@@ -243,3 +250,138 @@ class TestCostContrast:
         # ploc(a,2) == ploc(b,2) == everything, so the update stops before
         # the last hop: fewer than 3 link messages.
         assert 0 < after - before < 3
+
+
+class TestCrashRecovery:
+    @pytest.mark.parametrize("snapshot_first", [True, False])
+    def test_restarted_broker_owns_its_logical_row_again(self, snapshot_first):
+        """A path broker comes back from its snapshot (or from the journal
+        alone) with the state, the state's routing row and the forwarding
+        order it had, and keeps following the client."""
+        networks = []
+        for crash in (False, True):
+            graph = MovementGraph.paper_example()
+            network = PubSubNetwork(line_topology(4), strategy="covering", latency=0.05)
+            network.enable_recovery("B2")
+            producer = network.add_client("P", "B4")
+            producer.advertise({"service": "parking"})
+            consumer = network.add_client("C", "B1")
+            subscription = consumer.subscribe_location_dependent(
+                {"service": "parking", "location": MYLOC},
+                movement_graph=graph,
+                plan=UncertaintyPlan.static(3),
+                initial_location="a",
+            )
+            network.settle()
+            if crash:
+                if snapshot_first:
+                    network.snapshot_broker("B2")
+                network.crash_broker("B2")
+                network.restart_broker("B2")
+                state = network.broker("B2").logical_state_for("C", subscription)
+                assert (state.destination, state.forwarded_to) == ("B1", ("B3",))
+                row = network.broker("B2").subscription_table.find_entry(state.stored_filter, "B1")
+                assert state.owns(row) and row.filter is state.current_filter()
+            consumer.set_location("d")
+            network.settle()
+            publish_everywhere(producer)
+            network.settle()
+            assert [r.notification.get("location") for r in consumer.received] == ["d"]
+            networks.append(network)
+        oracle, crashed = (network.broker("B2") for network in networks)
+        assert encode_table(crashed.subscription_table) == encode_table(oracle.subscription_table)
+        assert crashed._forwarded_subscriptions == oracle._forwarded_subscriptions == {
+            "B1": {},
+            "B3": {},
+        }
+
+
+class TestSharedMovementGraph:
+    def test_decoded_graphs_are_interned_per_broker(self):
+        """Over real frames every LocationDependentSubscribe decodes into a
+        graph of its own; each broker keeps the first and points every later
+        state at it, so one street map has one ploc memo per broker and the
+        memo grows with the distinct (location, level) pairs, not with the
+        subscriptions."""
+        network = PubSubNetwork(line_topology(4), strategy="covering", runtime=AioRuntime())
+        try:
+            network.add_client("P", "B4").advertise({"service": "traffic"})
+            network.settle()
+            grid = MovementGraph.grid(8, 8)
+            blocks = grid.locations()[:20]
+            for index in range(40):
+                car = network.add_client("car{}".format(index), "B1")
+                car.subscribe_location_dependent(
+                    {"service": "traffic", "location": MYLOC},
+                    movement_graph=grid,
+                    plan=UncertaintyPlan.static(3),
+                    initial_location=blocks[index % len(blocks)],
+                )
+            network.settle()
+            shared = []
+            for hop, name in enumerate(("B1", "B2", "B3", "B4")):
+                states = list(network.broker(name)._logical_states.values())
+                assert len(states) == 40
+                graphs = {id(state.movement_graph): state.movement_graph for state in states}
+                assert len(graphs) == 1
+                (graph,) = graphs.values()
+                shared.append(graph)
+                assert graph.canonical_key() == grid.canonical_key()
+                # One memo entry per frontier expansion, plus each block
+                # itself: levels 0..hop of the static plan, per block.
+                assert len(graph._reachable) <= len(blocks) * (hop + 1)
+            assert shared[0] is grid
+            assert len({id(graph) for graph in shared}) == 4
+        finally:
+            network.close()
+
+
+_HUB_SCENARIO = """
+from repro.broker.network import PubSubNetwork
+from repro.core.adaptivity import UncertaintyPlan
+from repro.core.location_filter import MYLOC
+from repro.core.ploc import MovementGraph
+from repro.topology.builders import star_topology
+
+network = PubSubNetwork(star_topology(6), strategy="covering", latency=0.01)
+for arm in range(1, 7):
+    network.add_client("P{}".format(arm), "B{}".format(arm)).advertise({"service": "parking"})
+network.settle()
+car = network.add_client("C", "B0")
+subscription = car.subscribe_location_dependent(
+    {"service": "parking", "location": MYLOC},
+    movement_graph=MovementGraph.paper_example(),
+    plan=UncertaintyPlan.static(1),
+    initial_location="a",
+)
+network.settle()
+car.set_location("b")
+network.settle()
+car.unsubscribe(subscription)
+network.settle()
+for kind in ("LocationUpdate", "LocationDependentUnsubscribe"):
+    print(kind, ",".join(r.target for r in network.trace.link_records if r.message_type == kind))
+"""
+
+
+class TestEmissionOrder:
+    def test_send_order_does_not_depend_on_the_hash_seed(self):
+        """A hub forwarding to six advertised arms: the LocationUpdate and
+        LocationDependentUnsubscribe sends follow the forwarding order (the
+        sorted neighbours), whatever order a set of names would iterate in."""
+        source_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        outputs = []
+        for hash_seed in ("0", "2"):
+            environment = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=source_root)
+            completed = subprocess.run(
+                [sys.executable, "-c", _HUB_SCENARIO],
+                env=environment,
+                capture_output=True,
+                text=True,
+                timeout=120,
+                check=True,
+            )
+            outputs.append(completed.stdout)
+        arms = "B1,B2,B3,B4,B5,B6"
+        assert outputs[0] == "LocationUpdate {0}\nLocationDependentUnsubscribe {0}\n".format(arms)
+        assert outputs[1] == outputs[0]

@@ -6,8 +6,10 @@ what those pairs must be is written down here in the most obvious way
 possible, over nothing but the tables' rows:
 
 * scan the subscription table, skipping rows that point at the neighbour,
-  ``MatchNone`` filters, location-dependent subjects (they travel by their
-  own protocol) and filters the neighbour advertised nothing for;
+  ``MatchNone`` filters, the row each location-dependent subscription is
+  stored in (it travels by its own protocol; any *other* row carrying the
+  same token is an ordinary subscription) and filters the neighbour
+  advertised nothing for;
 * reduce the surviving filters with the strategy's Section 2.2 definition
   (:meth:`~repro.routing.strategies.RoutingStrategy.desired_forwarding_set`);
 * register every subject under the first selected filter covering its own.
@@ -36,6 +38,17 @@ def first_cover(selected, filter_):
     return filter_
 
 
+def stored_by_logical_protocol(broker, row, subject):
+    """Whether *row* is where the location-dependent *subject* keeps its filter."""
+    state = broker._logical_states.get(subject)
+    return (
+        state is not None
+        and state.stored_filter is not None
+        and state.destination == row.destination
+        and state.stored_filter.key() == row.filter.key()
+    )
+
+
 def desired_forwarding(broker, neighbour):
     """``{(filter key, subject): filter}`` *broker* should have registered at *neighbour*."""
     if broker.strategy.floods_notifications:
@@ -48,7 +61,7 @@ def desired_forwarding(broker, neighbour):
     for row in broker.subscription_table.entries():
         if row.destination == neighbour or isinstance(row.filter, MatchNone):
             continue
-        subjects = [s for s in row.subjects if s not in broker._logical_states]
+        subjects = [s for s in row.subjects if not stored_by_logical_protocol(broker, row, s)]
         if not subjects:
             continue
         # Asked of the plan, not of the broker's memo, so that production
