@@ -352,7 +352,7 @@ class Broker:
         # every neighbour except D; an advertisement row of destination D
         # only gates what is forwarded *to* D.
         self._covering_cache: CoveringCache = get_covering_cache()
-        self._delta_states: Dict[str, NeighbourForwardingState] = {}
+        self._forwarding_states: Dict[str, NeighbourForwardingState] = {}
         # neighbour -> (advertisement-table epoch for that neighbour,
         #               {filter key: overlap verdict}) — see _advertised_via.
         self._advertised_via_cache: Dict[str, Tuple[int, Dict[Any, bool]]] = {}
@@ -376,7 +376,7 @@ class Broker:
         for neighbour in self._links:
             self._forwarded_subscriptions[neighbour] = {}
             self._forwarded_advertisements[neighbour] = {}
-            self._delta_states[neighbour] = self._new_forwarding_state()
+            self._forwarding_states[neighbour] = self._new_forwarding_state()
 
     def _new_forwarding_state(self) -> NeighbourForwardingState:
         reduction = self.strategy.delta_reduction
@@ -397,8 +397,8 @@ class Broker:
         self._links[link.target] = link
         self._forwarded_subscriptions.setdefault(link.target, {})
         self._forwarded_advertisements.setdefault(link.target, {})
-        if link.target not in self._delta_states:
-            self._delta_states[link.target] = self._new_forwarding_state()
+        if link.target not in self._forwarding_states:
+            self._forwarding_states[link.target] = self._new_forwarding_state()
 
     def attach_telemetry(self, telemetry: Optional[Any]) -> None:
         """Attach (or with ``None``, detach) the per-broker event emitter.
@@ -527,11 +527,14 @@ class Broker:
             # only.  Control traffic (heartbeats, forward acks): liveness
             # and retention windows are volatile by design.
             return
-        if isinstance(message, FetchRequest):
+        if isinstance(message, (FetchRequest, Replay, RelocationComplete)):
             # A FetchRequest's table effect depends on volatile state (is
             # there a counterpart here?) that a replay cannot reconstruct;
             # _handle_fetch_request journals the equivalent Subscribe /
             # Unsubscribe operations for the branch it actually took.
+            # Replay / RelocationComplete change no routing state: they are
+            # forwarded along existing rows and fill relocation buffers,
+            # which crash() clears, so replaying them would do nothing.
             return
         self.recovery.append(origin, message, self.clock.now)
 
@@ -1295,13 +1298,13 @@ class Broker:
         if destination is None:
             self._invalidate_forwarding_states()
             return
-        state = self._delta_states.get(destination)
+        state = self._forwarding_states.get(destination)
         if state is not None:
             state.valid = False
 
     def _invalidate_forwarding_states(self) -> None:
         """Have every neighbour's state rebuilt from the table on its next refresh."""
-        for state in self._delta_states.values():
+        for state in self._forwarding_states.values():
             state.valid = False
 
     def _is_logical_row(self, row, subject: str) -> bool:
@@ -1325,7 +1328,7 @@ class Broker:
         filter_ = row.filter
         destination = row.destination
         use_advertisements = self.config.use_advertisements
-        for neighbour, state in self._delta_states.items():
+        for neighbour, state in self._forwarding_states.items():
             if neighbour == destination or not state.valid:
                 continue
             if use_advertisements and not self._advertised_via(neighbour, filter_):
@@ -1342,7 +1345,7 @@ class Broker:
         filter_key = filter_.key()
         destination = row.destination
         use_advertisements = self.config.use_advertisements
-        for neighbour, state in self._delta_states.items():
+        for neighbour, state in self._forwarding_states.items():
             if neighbour == destination or not state.valid:
                 continue
             if use_advertisements and not self._advertised_via(neighbour, filter_):
@@ -1366,11 +1369,11 @@ class Broker:
             # Not a neighbour (e.g. a locally attached client named as the
             # source of a replayed log entry): nothing is forwarded there.
             return
-        state = self._delta_states[neighbour]
+        state = self._forwarding_states[neighbour]
         if state.settled():
             return
         if not state.valid:
-            self._rebuild_delta_state(neighbour, state)
+            self._rebuild_forwarding_state(neighbour, state)
         elif state.order_dirty:
             # Canonical input positions shifted (a filter's first
             # contributing row died while later rows survived) or a
@@ -1398,7 +1401,7 @@ class Broker:
             del forwarded[(filter_key, subject)]
             link.send(Unsubscribe(filter_, subject=subject))
 
-    def _rebuild_delta_state(self, neighbour: str, state: NeighbourForwardingState) -> None:
+    def _rebuild_forwarding_state(self, neighbour: str, state: NeighbourForwardingState) -> None:
         """Rebuild a neighbour's state from one subscription-table scan.
 
         The gating here is the one :meth:`row_subject_added` /
@@ -1485,11 +1488,11 @@ class Broker:
                 neighbour, message.filter
             ):
                 continue
-            forwarded = self._forwarded_subscriptions[neighbour]
-            forwarded[(message.filter.key(), token)] = message.filter
-            # The forwarded set was changed behind refresh_forwarding's
-            # back; force the next refresh to reconcile it.
-            self._delta_states[neighbour].full_diff = True
+            pair = (message.filter.key(), token)
+            self._forwarded_subscriptions[neighbour][pair] = message.filter
+            # Written behind refresh_forwarding's back: have its next diff
+            # look at the pair (an Unsubscribe if it is not desired).
+            self._forwarding_states[neighbour].pending.add(pair)
             self._links[neighbour].send(message)
             count += 1
         return count

@@ -140,8 +140,7 @@ class NeighbourForwardingState:
         #: Canonical positions shifted; re-reduce from the kept entries.
         self.order_dirty = False
         #: The next flush must diff desired against forwarded completely
-        #: (after rebuilds, or when the forwarded set was mutated behind
-        #: the refresh's back by the relocation protocol).
+        #: (after rebuilds).
         self.full_diff = True
         self.entries: Dict[Any, _InputEntry] = {}
         #: Selected covers as (pos, filter key), sorted by pos.  Positions
@@ -155,8 +154,8 @@ class NeighbourForwardingState:
         self.members: Dict[Any, Set[Any]] = {}
         self.desired: Dict[Tuple[Any, str], Filter] = {}
         self.pair_refs: Dict[Tuple[Any, str], int] = {}
-        #: Desired pairs whose membership may have changed since the last
-        #: flush; the refresh only needs to look at these.
+        #: Pairs whose membership in desired or forwarded may have changed
+        #: since the last flush; the refresh only needs to look at these.
         self.pending: Set[Tuple[Any, str]] = set()
         self._max_pos = 0
         #: CoveringIndex over the input entries (by canonical position),
@@ -609,9 +608,9 @@ class NeighbourForwardingState:
     ) -> Tuple[Dict[Tuple[Any, str], Filter], Dict[Tuple[Any, str], Filter]]:
         """(to_add, to_remove) closing the gap from *forwarded* to desired.
 
-        Uses the pending-pair set when the forwarded dict has only been
-        written by previous flushes; falls back to a full diff after
-        rebuilds or out-of-band forwarded-set mutations.
+        Looks at the pending pairs only — a writer of the forwarded dict
+        other than the flushes adds the pair it wrote to them — except
+        after a rebuild, which diffs in full.
         """
         desired = self.desired
         if self.full_diff:

@@ -10,9 +10,9 @@ JSON the asyncio backend puts on real links):
   plus the per-neighbour forwarded (filter, subject) sets, taken at a
   quiescent instant, and
 * an append-only log of :class:`AdminLogRecord` entries — every admin or
-  mobility message the broker processed *after* the snapshot, tagged
-  with the destination it arrived from (a neighbour link or a locally
-  attached client).
+  mobility message that changed the broker's routing state *after* the
+  snapshot, tagged with the destination it arrived from (a neighbour
+  link or a locally attached client).
 
 Restart decodes the snapshot (:func:`apply_snapshot` recreates each row
 with its original ``seq`` via :meth:`~repro.routing.table.RoutingTable.
@@ -25,7 +25,8 @@ The derived structures (``DispatchPlan``, ``NeighbourForwardingState``)
 are *not* snapshotted: they are rebuilt lazily from the recovered tables
 the first time they are consulted.
 
-The store keeps bytes, not objects — :meth:`RecoveryStore.snapshot` and
+The store keeps bytes, not objects — the log is one buffer of journal
+frames, and :meth:`RecoveryStore.snapshot` and
 :meth:`RecoveryStore.log_tail` decode on demand — which is what makes
 the crash-oracle test meaningful: everything a restart sees has survived
 a full encode/decode round trip.
@@ -44,6 +45,7 @@ from repro.filters.wire import filter_from_wire, filter_to_wire
 from repro.messages.base import Message, MessageKind
 from repro.messages.wire import (
     FRAME_HEADER_SIZE,
+    WireError,
     decode_frame_payload,
     decode_message,
     encode_message,
@@ -233,61 +235,71 @@ class AdminLogRecord(Message):
     original state transition.  *sequence* numbers the log (1-based,
     contiguous per broker); *logged_at* is the clock reading when the
     entry was appended.
+
+    A record never travels over a link: its one encoding is the journal
+    frame payload, canonical JSON ``[sequence, logged_at, origin, entry]``
+    (:meth:`encode` / :meth:`decode`).
     """
 
     kind = MessageKind.ADMIN
 
-    __slots__ = ("broker", "origin", "sequence", "logged_at", "entry")
+    __slots__ = ("origin", "sequence", "logged_at", "entry")
 
-    def __init__(
-        self,
-        broker: str,
-        origin: str,
-        sequence: int,
-        logged_at: float,
-        entry: Message,
-        meta: Optional[Dict[str, Any]] = None,
-    ) -> None:
-        super().__init__(meta)
-        self.broker = broker
+    def __init__(self, origin: str, sequence: int, logged_at: float, entry: Message) -> None:
+        super().__init__()
         self.origin = origin
         self.sequence = int(sequence)
         self.logged_at = float(logged_at)
         self.entry = entry
 
     def describe(self) -> str:
-        return "AdminLogRecord#{}({} seq={} entry={})".format(
-            self.message_id, self.broker, self.sequence, self.entry.describe()
+        return "AdminLogRecord#{}(seq={} entry={})".format(
+            self.message_id, self.sequence, self.entry.describe()
         )
 
-    def _wire_body(self) -> Dict[str, Any]:
-        return {
-            "broker": self.broker,
-            "origin": self.origin,
-            "sequence": self.sequence,
-            "logged_at": self.logged_at,
-            "entry": self.entry.to_wire(),
-        }
+    def encode(self) -> bytes:
+        payload = [self.sequence, self.logged_at, self.origin, self.entry.to_wire()]
+        return json.dumps(payload, separators=(",", ":"), sort_keys=True).encode("utf-8")
 
     @classmethod
-    def _from_wire_body(cls, payload: Dict[str, Any]) -> "AdminLogRecord":
-        return cls(
-            broker=payload["broker"],
-            origin=payload["origin"],
-            sequence=int(payload["sequence"]),
-            logged_at=float(payload["logged_at"]),
-            entry=message_from_payload(payload["entry"]),
-        )
+    def decode(cls, data: bytes) -> "AdminLogRecord":
+        sequence, logged_at, origin, entry = json.loads(data)
+        return cls(origin, sequence, logged_at, message_from_payload(entry))
+
+
+def _scan_frames(frames: bytes) -> Tuple[List[Tuple[int, AdminLogRecord]], bool]:
+    """Decode a run of journal frames: ``([(end offset, record), ...], torn)``.
+
+    Stops at the first torn frame — short header, short payload or
+    undecodable bytes, what a crash in the middle of an append leaves.
+    """
+    records = []
+    offset = 0
+    while offset < len(frames):
+        start = offset + FRAME_HEADER_SIZE
+        try:
+            end = start + decode_frame_payload(frames[offset:start])
+            if end > len(frames):
+                raise WireError("journal frame payload is short")
+            record = AdminLogRecord.decode(frames[start:end])
+        except Exception:
+            return records, True
+        records.append((end, record))
+        offset = end
+    return records, False
 
 
 class RecoveryStore:
     """Persistent-state stand-in: snapshot bytes plus an append-only log.
 
-    Everything is stored encoded (:func:`~repro.messages.wire.
-    encode_message` bytes) and decoded on demand, so recovery always
-    exercises the full wire round trip.  :meth:`install_snapshot`
-    truncates the log prefix the snapshot covers — the paper's usual
-    checkpoint-plus-tail layout.
+    Everything is stored encoded and decoded on demand, so recovery
+    always exercises the full wire round trip: the snapshot as
+    :func:`~repro.messages.wire.encode_message` bytes, the log as one
+    buffer of length-prefixed frames — the bytes
+    :class:`DiskRecoveryStore` writes to its journal.  Sequences are
+    contiguous, so the buffer plus the first retained sequence number is
+    the whole log.  :meth:`install_snapshot` truncates the log prefix the
+    snapshot covers — the paper's usual checkpoint-plus-tail layout.
 
     This in-memory implementation is the default test double; it doubles
     as the storage *interface*.  Durable backends
@@ -301,9 +313,10 @@ class RecoveryStore:
     def __init__(self, broker_name: str) -> None:
         self.broker_name = broker_name
         self._snapshot_bytes: Optional[bytes] = None
-        #: Retained records as (sequence, encoded bytes) pairs, ascending
-        #: by sequence — truncation never re-decodes a record.
-        self._log: List[Tuple[int, bytes]] = []
+        #: Retained records as journal frames; the first is numbered
+        #: ``_first_sequence``.
+        self._frames = bytearray()
+        self._first_sequence = 1
         self._next_sequence = 1
         self.snapshot_count = 0
 
@@ -314,33 +327,28 @@ class RecoveryStore:
 
     def append(self, origin: str, entry: Message, logged_at: float) -> AdminLogRecord:
         """Append one admin message to the log and return its record."""
-        record = AdminLogRecord(
-            broker=self.broker_name,
-            origin=origin,
-            sequence=self._next_sequence,
-            logged_at=logged_at,
-            entry=entry,
-        )
+        record = AdminLogRecord(origin, self._next_sequence, logged_at, entry)
         self._next_sequence += 1
-        data = encode_message(record)
-        self._log.append((record.sequence, data))
+        data = record.encode()
+        self._frames += len(data).to_bytes(FRAME_HEADER_SIZE, "big")
+        self._frames += data
         self._persist_record(data)
         return record
 
     def install_snapshot(self, snapshot: RoutingSnapshot) -> None:
         """Store *snapshot* and drop the log prefix it covers.
 
-        The log is kept ascending by sequence, so the covered records
-        are a prefix; scanning back from the end makes truncation
-        O(tail) without decoding a single retained record.
+        The covered records are a prefix of the buffer; walking their
+        frame headers finds where it ends without decoding a record.
         """
         data = encode_message(snapshot)
         self._snapshot_bytes = data
-        covered = snapshot.log_index
-        cut = len(self._log)
-        while cut and self._log[cut - 1][0] > covered:
-            cut -= 1
-        del self._log[:cut]
+        frames = self._frames
+        cut = 0
+        while self._first_sequence <= snapshot.log_index and cut < len(frames):
+            cut += FRAME_HEADER_SIZE + int.from_bytes(frames[cut : cut + FRAME_HEADER_SIZE], "big")
+            self._first_sequence += 1
+        del frames[:cut]
         self.snapshot_count += 1
         self._persist_snapshot(data)
 
@@ -355,27 +363,21 @@ class RecoveryStore:
 
     def log_tail(self) -> List[AdminLogRecord]:
         """Decode the retained log records, in append order."""
-        records = []
-        for _, data in self._log:
-            decoded = decode_message(data)
-            if not isinstance(decoded, AdminLogRecord):
-                raise TypeError("recovery log holds a non-log message")
-            records.append(decoded)
-        return records
+        return [record for _, record in _scan_frames(self._frames)[0]]
 
     def log_size(self) -> int:
         """Number of retained (post-snapshot) log records."""
-        return len(self._log)
+        return self._next_sequence - self._first_sequence
 
     def stored_bytes(self) -> int:
-        """Total persisted size: snapshot plus retained log, in bytes."""
+        """Total persisted size: snapshot plus retained record payloads, in bytes."""
         total = len(self._snapshot_bytes) if self._snapshot_bytes else 0
-        return total + sum(len(data) for _, data in self._log)
+        return total + len(self._frames) - FRAME_HEADER_SIZE * self.log_size()
 
     # -- storage hooks (no-ops for the in-memory double) ----------------
 
     def _persist_record(self, data: bytes) -> None:
-        """Called after a record is appended, with its encoded bytes."""
+        """Called after a record is appended, with its frame payload."""
 
     def _persist_snapshot(self, data: bytes) -> None:
         """Called after a snapshot is installed, with its encoded bytes."""
@@ -407,8 +409,8 @@ class DiskRecoveryStore(RecoveryStore):
     journal is scanned frame by frame, a torn final record (short
     header, short payload, or undecodable bytes) is discarded and the
     file truncated back to the last complete record, and the in-memory
-    mirror / sequence counter resume exactly where the last fsync
-    landed.
+    mirror (a slice of the file's bytes) and sequence counter resume
+    exactly where the last fsync landed.
     """
 
     SNAPSHOT_NAME = "snapshot.bin"
@@ -460,49 +462,27 @@ class DiskRecoveryStore(RecoveryStore):
 
     def _load_journal(self, covered: int) -> None:
         """Scan the journal, keep records past *covered*, drop a torn tail."""
-        valid_end = 0
-        highest = covered
+        raw = b""
         if os.path.exists(self._journal_path):
             with open(self._journal_path, "rb") as handle:
                 raw = handle.read()
-            offset = 0
-            while True:
-                header = raw[offset : offset + FRAME_HEADER_SIZE]
-                if not header:
-                    break
-                if len(header) < FRAME_HEADER_SIZE:
-                    self.counters["disk_torn_records"] += 1
-                    break
-                try:
-                    length = decode_frame_payload(header)
-                except Exception:
-                    self.counters["disk_torn_records"] += 1
-                    break
-                payload = raw[
-                    offset + FRAME_HEADER_SIZE : offset + FRAME_HEADER_SIZE + length
-                ]
-                if len(payload) < length:
-                    self.counters["disk_torn_records"] += 1
-                    break
-                try:
-                    decoded = decode_message(payload)
-                    if not isinstance(decoded, AdminLogRecord):
-                        raise TypeError("journal frame holds a non-log message")
-                except Exception:
-                    self.counters["disk_torn_records"] += 1
-                    break
-                offset += FRAME_HEADER_SIZE + length
-                valid_end = offset
-                highest = max(highest, decoded.sequence)
-                if decoded.sequence > covered:
-                    self._log.append((decoded.sequence, payload))
-                self.counters["disk_records_recovered"] += 1
-            self._journal = open(self._journal_path, "r+b")
-            self._journal.truncate(valid_end)
-            self._journal.seek(valid_end)
-        else:
-            self._journal = open(self._journal_path, "wb")
+        records, torn = _scan_frames(raw)
+        self.counters["disk_records_recovered"] += len(records)
+        self.counters["disk_torn_records"] += int(torn)
+        start = valid_end = retained = 0
+        highest = covered
+        for end, record in records:
+            if record.sequence <= covered:
+                start = end
+            else:
+                retained += 1
+            valid_end = end
+            highest = max(highest, record.sequence)
+        self._frames = bytearray(raw[start:valid_end])
         self._next_sequence = highest + 1
+        self._first_sequence = self._next_sequence - retained
+        self._journal = open(self._journal_path, "ab")
+        self._journal.truncate(valid_end)
 
     # -- storage hooks ----------------------------------------------------
 

@@ -4,7 +4,12 @@ from __future__ import annotations
 
 import enum
 import itertools
-from typing import Any, Dict, Optional
+from types import MappingProxyType
+from typing import Any, Dict, Mapping, Optional
+
+#: The ``meta`` of every message built without one: shared and read-only,
+#: so an empty ``meta`` costs no dict per message.
+EMPTY_META: Mapping[str, Any] = MappingProxyType({})
 
 
 class MessageKind(enum.Enum):
@@ -34,14 +39,16 @@ class Message:
     Every message carries a globally unique ``message_id`` (assigned from
     a process-wide counter; the simulation is single-process so this is
     also deterministic) and an optional free-form ``meta`` dictionary used
-    by traces and tests.
+    by traces and tests (without one, the read-only :data:`EMPTY_META`).
 
     Every concrete message type is wire-codable: :meth:`to_wire` returns
     a JSON-friendly payload (type name, message id, meta, plus the
     subclass body from :meth:`_wire_body`) and :meth:`from_wire` rebuilds
     an equal message from it.  ``meta`` must therefore hold only
     JSON-representable values.  The asyncio backend serialises every
-    message through this codec (see :mod:`repro.messages.wire`).
+    message through this codec (see :mod:`repro.messages.wire`).  The
+    recovery log's records never cross a link and encode as journal
+    frames instead (:class:`~repro.broker.recovery.AdminLogRecord`).
     """
 
     kind: MessageKind = MessageKind.ADMIN
@@ -52,7 +59,7 @@ class Message:
 
     def __init__(self, meta: Optional[Dict[str, Any]] = None) -> None:
         self.message_id: int = next(Message._id_counter)
-        self.meta: Dict[str, Any] = dict(meta) if meta else {}
+        self.meta: Mapping[str, Any] = dict(meta) if meta else EMPTY_META
 
     def describe(self) -> str:
         """Short human-readable description used by traces."""

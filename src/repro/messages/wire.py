@@ -48,7 +48,7 @@ def _message_types() -> Dict[str, Type[Message]]:
     :mod:`repro.messages.base`, so importing it at module scope would
     make the codec's import order load-bearing.
     """
-    from repro.broker.recovery import AdminLogRecord, RoutingSnapshot
+    from repro.broker.recovery import RoutingSnapshot
     from repro.core.location_filter import (
         LocationDependentSubscribe,
         LocationDependentUnsubscribe,
@@ -80,7 +80,6 @@ def _message_types() -> Dict[str, Type[Message]]:
         LocationDependentSubscribe,
         LocationDependentUnsubscribe,
         RoutingSnapshot,
-        AdminLogRecord,
         Heartbeat,
         SequencedForward,
         ForwardAck,

@@ -314,10 +314,6 @@ class RoutingTable:
         """All destinations that have at least one row, sorted."""
         return sorted(self._row_counts)
 
-    def has_destination(self, destination: str) -> bool:
-        """O(1): ``True`` when at least one row points at *destination*."""
-        return destination in self._row_counts
-
     def has_entry(self, filter_: Filter, destination: str) -> bool:
         """``True`` when an exact (filter, destination) row exists."""
         return self._row_key(filter_, destination) in self._entries

@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 from typing import Any, Dict, Optional
 
-from repro.messages.base import Message, MessageKind
+from repro.messages.base import EMPTY_META, Message, MessageKind
 
 #: Span hop kinds, in causal order within one broker.
 HOP_DISPATCH = "dispatch"  #: a broker dequeued + matched the notification
@@ -58,7 +58,7 @@ class TelemetryEvent(Message):
         # their own counter so an instrumented run assigns exactly the
         # same message ids as an uninstrumented one.
         self.message_id = next(TelemetryEvent._event_id_counter)
-        self.meta = dict(meta) if meta else {}
+        self.meta = dict(meta) if meta else EMPTY_META
 
     @classmethod
     def reset_id_counter(cls) -> None:

@@ -53,9 +53,9 @@ def _make_broker(strategy="covering", neighbours=("N1", "N2"), use_advertisement
 
 def _delta_desired(broker, neighbour):
     """The maintained desired dict, rebuilding exactly when a refresh would."""
-    state = broker._delta_states[neighbour]
+    state = broker._forwarding_states[neighbour]
     if not state.valid:
-        broker._rebuild_delta_state(neighbour, state)
+        broker._rebuild_forwarding_state(neighbour, state)
     elif state.order_dirty:
         state.rebuild_reduction(broker._covering_cache)
     return state.desired
@@ -80,7 +80,7 @@ class TestCoverReassignment:
         table.add(mid, "c1", "s2")
         _assert_in_sync(broker)
         # ``mid`` covers ``narrow``: only mid is forwarded.
-        state = broker._delta_states["N1"]
+        state = broker._forwarding_states["N1"]
         assert [key for _, key in state.selection] == [mid.key()]
         # A broader filter evicts mid and adopts both members.
         broad = _loc_filter("a", "b", "c")
@@ -100,7 +100,7 @@ class TestCoverReassignment:
         table.add(other, "c1", "s2")
         table.add(broad, "c2", "s3")
         _assert_in_sync(broker)
-        state = broker._delta_states["N1"]
+        state = broker._forwarding_states["N1"]
         assert narrow.key() not in state.selected
         # Removing the cover resurrects the member at its original position.
         table.remove(broad, "c2", "s3")
@@ -122,7 +122,7 @@ class TestCoverReassignment:
         table.add(x, "c1", "s3")
         table.add(f, "c2", "s4")
         _assert_in_sync(broker)
-        state = broker._delta_states["N1"]
+        state = broker._forwarding_states["N1"]
         assert [key for _, key in state.selection] == [c.key(), f.key()]
         assert state.assigned[x.key()] == c.key()
         table.remove(f, "c2", "s4")
@@ -147,7 +147,7 @@ class TestCoverReassignment:
         _assert_in_sync(broker)
         table.remove_subject("tok")  # removes both rows of ``shared``
         _assert_in_sync(broker)
-        assert shared.key() not in broker._delta_states["N1"].entries
+        assert shared.key() not in broker._forwarding_states["N1"].entries
 
     def test_matchnone_rows_are_skipped_in_every_mode(self):
         """MatchNone subscriptions are forwarded by no mode (equivalence)."""
@@ -172,7 +172,7 @@ class TestCoverReassignment:
         # Killing the *first* contributing row of ``shared`` moves its
         # canonical position behind the other filter.
         table.remove(shared, "c1", "s1")
-        state = broker._delta_states["N1"]
+        state = broker._forwarding_states["N1"]
         assert state.order_dirty
         _assert_in_sync(broker)
         assert not state.order_dirty
@@ -185,12 +185,12 @@ class TestModesAndFlags:
         table.add(_loc_filter("a"), "c1", "s1")
         table.add(_loc_filter("a", "b"), "c1", "s2")
         _assert_in_sync(broker)
-        state = broker._delta_states["N1"]
+        state = broker._forwarding_states["N1"]
         assert len(state.selection) == 2
 
     def test_merging_strategy_uses_delta_mode(self):
         broker, _ = _make_broker(strategy="merging")
-        assert all(state.merge_state is not None for state in broker._delta_states.values())
+        assert all(state.merge_state is not None for state in broker._forwarding_states.values())
 
     def test_flooding_states_receive_no_contribution(self):
         broker, sink = _make_broker(strategy="flooding")
@@ -199,13 +199,13 @@ class TestModesAndFlags:
         _assert_in_sync(broker)
         broker._refresh_all_forwarding()
         broker.simulator.run()
-        assert all(state.entries == {} for state in broker._delta_states.values())
+        assert all(state.entries == {} for state in broker._forwarding_states.values())
         assert sink == []
         # A pair the relocation protocol wrote behind the refresh's back
         # is reconciled away by the next refresh: one Unsubscribe.
         moved = _loc_filter("c")
         broker._forwarded_subscriptions["N1"][(moved.key(), "tok")] = moved
-        broker._delta_states["N1"].full_diff = True
+        broker._forwarding_states["N1"].full_diff = True
         broker._refresh_all_forwarding()
         broker.simulator.run()
         assert [(type(message), message.filter, message.subject) for message in sink] == [
@@ -236,10 +236,10 @@ class TestModesAndFlags:
         _assert_in_sync(broker)
         table.remove(shared, "c1", "tok")
         _assert_in_sync(broker)
-        assert (shared.key(), "tok") in broker._delta_states["N1"].desired
+        assert (shared.key(), "tok") in broker._forwarding_states["N1"].desired
         table.remove(shared, "c2", "tok")
         _assert_in_sync(broker)
-        assert broker._delta_states["N1"].desired == {}
+        assert broker._forwarding_states["N1"].desired == {}
 
 
 class TestMergingDeltaState:
@@ -292,7 +292,7 @@ class TestMergingDeltaState:
         table.add(_loc_filter("a"), "c1", "s1")
         table.add(_loc_filter("b"), "c2", "s2")
         broker._refresh_all_forwarding()
-        state = broker._delta_states["N1"]
+        state = broker._forwarding_states["N1"]
         replays_before = state.merge_state.replays
         # A second subject on an existing filter must not re-merge.
         table.add(_loc_filter("a"), "c1", "s3")
@@ -477,7 +477,7 @@ def _assert_state_is_from_scratch(broker):
     delta state equal ``minimal_cover_set`` + the oracle's ``first_cover``
     run from scratch over the state's inputs in canonical order."""
     _assert_in_sync(broker)  # also performs the rebuilds a refresh would
-    for state in broker._delta_states.values():
+    for state in broker._forwarding_states.values():
         ordered = sorted(state.entries.values(), key=lambda entry: entry.pos)
         selection = minimal_cover_set([entry.filter for entry in ordered])
         assert [key for _, key in state.selection] == [f.key() for f in selection]
@@ -502,7 +502,7 @@ class TestIndexPruning:
     def test_index_tracks_input_membership(self):
         broker, _ = _make_broker(neighbours=("N1",))
         table = broker.subscription_table
-        state = broker._delta_states["N1"]
+        state = broker._forwarding_states["N1"]
         narrow = _loc_filter("a")
         broad = _loc_filter("a", "b")
         table.add(narrow, "c1", "s1")
@@ -527,7 +527,7 @@ class TestIndexPruning:
         two; the stolen member has to be found among the inputs."""
         broker, _ = _make_broker(neighbours=("N1",))
         table = broker.subscription_table
-        state = broker._delta_states["N1"]
+        state = broker._forwarding_states["N1"]
         kept = Filter({"location": "a"})
         cover = Filter({"service": "parking"})
         wide = Filter({"location": ("in", ("a", "b"))})
@@ -551,7 +551,7 @@ class TestIndexPruning:
         rng = random.Random(seed)
         broker, _ = _make_broker(neighbours=("N1",))
         table = broker.subscription_table
-        state = broker._delta_states["N1"]
+        state = broker._forwarding_states["N1"]
         locations = ["l{}".format(index) for index in range(8)]
         services = ["svc{}".format(index) for index in range(12)]
         live = []
@@ -674,7 +674,7 @@ def test_eviction_heavy_schedules_match_from_scratch(narrow, wide, late, removal
     removal_order.shuffle(remaining)
     for row in remaining:
         remove(row)
-    assert broker._delta_states["N1"].entries == {}
+    assert broker._forwarding_states["N1"].entries == {}
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from repro.routing.strategies import available_strategies
 from repro.sim.rng import DeterministicRandom
 from repro.topology.builders import balanced_tree_topology, line_topology
 
-from tests.oracles.forwarding import scratch_forwarding
+from tests.oracles.forwarding import desired_forwarding, scratch_forwarding
 
 LOCATIONS = ["loc-{}".format(index) for index in range(8)]
 
@@ -111,7 +111,7 @@ def _settled_line():
 def test_clean_neighbours_are_skipped(monkeypatch):
     """A refresh with nothing pending sends nothing, scans no table, diffs nothing."""
     network, middle = _settled_line()
-    assert all(state.settled() for state in middle._delta_states.values())
+    assert all(state.settled() for state in middle._forwarding_states.values())
     calls = []
     monkeypatch.setattr(middle.subscription_table, "entries", lambda: calls.append("scan"))
     monkeypatch.setattr(
@@ -129,5 +129,59 @@ def test_table_change_marks_other_neighbours_dirty():
     # A change to rows of destination B3 affects the desired set of every
     # neighbour except B3 itself.
     middle.subscription_table.add(row.filter, "B3", "C/extra")
-    assert middle._delta_states["B3"].settled()
-    assert middle._delta_states["B1"].pending == {(row.filter.key(), "C/extra")}
+    assert middle._forwarding_states["B3"].settled()
+    assert middle._forwarding_states["B1"].pending == {(row.filter.key(), "C/extra")}
+
+
+def test_handovers_reconcile_moved_subscribes_without_a_full_diff(monkeypatch):
+    """A forwarded MovedSubscribe is reconciled through the pending pairs.
+
+    ``_forward_moved_subscribe`` registers the roamer's own filter at the
+    next hop, behind the refresh's back.  Where a wider filter covers it,
+    that pair is not desired and the next refresh must withdraw it — by
+    looking at that one pair, not by diffing the whole forwarded set.
+    """
+    topology = balanced_tree_topology(depth=2, fanout=2)
+    network = PubSubNetwork(topology, strategy="covering", latency=0.01)
+    leaves = topology.leaves()
+    producer = network.add_client("producer", leaves[0])
+    producer.advertise({"service": "parking"})
+    for leaf in leaves[1:]:
+        network.add_client("wide-" + leaf, leaf).subscribe({"service": "parking"})
+    roamers = [
+        network.add_client("r{}".format(index), leaves[1 + index % 3]) for index in range(4)
+    ]
+    for index, roamer in enumerate(roamers):
+        roamer.subscribe({"service": "parking", "location": LOCATIONS[index]})
+    network.settle()
+    for broker in network.brokers.values():
+        broker._refresh_all_forwarding()
+
+    full_diffs = []
+    diff_against = NeighbourForwardingState.diff_against
+
+    def counted(state, forwarded):
+        full_diffs.append(state.full_diff)
+        return diff_against(state, forwarded)
+
+    monkeypatch.setattr(NeighbourForwardingState, "diff_against", counted)
+    moves = 0
+    for round_ in range(3):
+        for index, roamer in enumerate(roamers):
+            roamer.detach()
+            producer.publish({"service": "parking", "location": LOCATIONS[index]})
+            network.settle()
+            roamer.move_to(network.broker(leaves[1 + (index + round_ + 1) % 3]))
+            network.settle()
+            moves += 1
+            for broker in network.brokers.values():
+                for neighbour, state in broker._forwarding_states.items():
+                    desired = desired_forwarding(broker, neighbour)
+                    assert state.desired == desired, (broker.name, neighbour)
+                    # A refresh that excluded this neighbour may have left it
+                    # behind; what it missed must be pending, or the next
+                    # refresh, which diffs only those pairs, would keep it.
+                    forwarded = broker._forwarded_subscriptions[neighbour]
+                    assert forwarded.keys() ^ desired.keys() <= state.pending
+    assert sum(broker.counters["replays_sent"] for broker in network.brokers.values()) >= moves
+    assert full_diffs and not any(full_diffs)

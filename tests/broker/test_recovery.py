@@ -14,11 +14,12 @@ from repro.broker.network import PubSubNetwork
 from repro.broker.recovery import RecoveryStore, ReplaySink, encode_table
 from repro.filters.filter import Filter
 from repro.messages.admin import Subscribe
+from repro.messages.mobility import RelocationComplete, Replay
 from repro.messages.notification import Notification
 from repro.metrics.counters import delivery_dedup_breakdown
 from repro.metrics.qos import check_completeness, check_no_duplicates
 from repro.sim.rng import DeterministicRandom
-from repro.topology.builders import line_topology
+from repro.topology.builders import balanced_tree_topology, line_topology
 
 
 # ----------------------------------------------------------------------
@@ -286,3 +287,44 @@ class TestCrashOracle:
         report = check_completeness(network.trace, "durable", Filter({"topic": "news"}))
         assert report.complete
         assert durable.counters["gaps_detected"] == 0
+
+
+def _handovers(crash_every_broker):
+    """Roamers hop between leaves of a tree; optionally crash + restart everyone."""
+    topology = balanced_tree_topology(depth=2, fanout=2)
+    network = PubSubNetwork(topology, latency=0.02)
+    network.enable_recovery()
+    leaves = topology.leaves()
+    producer = network.add_client("producer", leaves[0])
+    producer.advertise({"topic": "news"})
+    roamers = [network.add_client("r{}".format(index), leaves[1 + index]) for index in range(3)]
+    for roamer in roamers:
+        roamer.subscribe({"topic": "news"}, subscription_id="s")
+    network.settle()
+    for round_ in range(2):
+        for index, roamer in enumerate(roamers):
+            roamer.detach()
+            producer.publish({"topic": "news", "round": round_})
+            network.settle()
+            roamer.move_to(network.broker(leaves[1 + (index + round_ + 1) % 3]))
+            network.settle()
+    if crash_every_broker:
+        for name in network.brokers:
+            network.crash_broker(name)
+            network.restart_broker(name)
+    return network
+
+
+def test_relocation_traffic_is_not_journaled():
+    """Replay / RelocationComplete change no routing state, so no log holds them.
+
+    Restarting every broker on the relocation paths from its log must still
+    give the tables of a twin that never crashed.
+    """
+    twin = _handovers(crash_every_broker=False)
+    relayed = [record.message_type for record in twin.trace.link_records]
+    assert relayed.count("Replay") > 0 and relayed.count("RelocationComplete") > 0
+    for broker in twin.brokers.values():
+        entries = [type(record.entry) for record in broker.recovery.log_tail()]
+        assert Replay not in entries and RelocationComplete not in entries
+    assert _table_fingerprints(_handovers(crash_every_broker=True)) == _table_fingerprints(twin)

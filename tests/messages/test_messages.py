@@ -7,7 +7,7 @@ from repro.core.location_filter import LocationDependentFilter, LocationDependen
 from repro.core.ploc import MovementGraph
 from repro.filters.filter import Filter
 from repro.messages.admin import Advertise, Subscribe, Unadvertise, Unsubscribe
-from repro.messages.base import MessageKind
+from repro.messages.base import EMPTY_META, MessageKind
 from repro.messages.mobility import (
     FetchRequest,
     LocationUpdate,
@@ -16,6 +16,7 @@ from repro.messages.mobility import (
     Replay,
 )
 from repro.messages.notification import Notification, SequencedNotification
+from repro.telemetry.events import LogEvent
 
 
 class TestNotification:
@@ -50,6 +51,28 @@ class TestNotification:
         sequenced = SequencedNotification(notification, "client", "sub", 7)
         assert sequenced.sequence == 7
         assert "seq=7" in sequenced.describe()
+
+
+class TestMeta:
+    def test_empty_meta_is_one_shared_read_only_mapping(self):
+        notification = Notification({"a": 1}, publisher="p", publisher_seq=1)
+        subscribe = Subscribe(Filter({"a": 1}), subject="s", meta={})
+        event = LogEvent("B1", 0.0, "info", "up")
+        assert notification.meta is subscribe.meta is event.meta is EMPTY_META
+        with pytest.raises(TypeError):
+            notification.meta["trace"] = 1
+        assert "meta" not in notification.to_wire()
+        assert Notification.from_wire(notification.to_wire()).meta is EMPTY_META
+
+    def test_given_meta_stays_a_private_dict_across_the_wire(self):
+        given = {"trace": 7}
+        subscribe = Subscribe(Filter({"a": 1}), subject="s", meta=given)
+        assert subscribe.meta == given and subscribe.meta is not given
+        payload = subscribe.to_wire()
+        assert payload["meta"] == given
+        decoded = Subscribe.from_wire(payload)
+        assert type(decoded.meta) is dict and decoded.meta == given
+        assert decoded == subscribe
 
 
 class TestAdminMessages:

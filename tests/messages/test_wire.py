@@ -40,7 +40,7 @@ from repro.filters.constraints import (
     NotEquals,
     Prefix,
 )
-from repro.broker.recovery import AdminLogRecord, RoutingSnapshot
+from repro.broker.recovery import RoutingSnapshot
 from repro.filters.filter import Filter, MatchAll, MatchNone
 from repro.filters.wire import filter_from_wire, filter_to_wire
 from repro.messages.admin import Advertise, Subscribe, Unadvertise, Unsubscribe
@@ -243,40 +243,10 @@ def routing_snapshots(draw):
     )
 
 
-#: Log entries wrap any admin/mobility message (never notifications).
-log_entries = st.one_of(
-    _admin(Subscribe),
-    _admin(Unsubscribe),
-    _admin(Advertise),
-    _admin(Unadvertise),
-    st.builds(
-        MovedSubscribe,
-        client_id=identifiers,
-        subscription_id=identifiers,
-        filter_=filters,
-        last_sequence=st.integers(0, 10_000),
-        new_border=identifiers,
-        meta=metas,
-    ),
-    location_dependent_subscribes(),
-)
-
-admin_log_records = st.builds(
-    AdminLogRecord,
-    broker=identifiers,
-    origin=identifiers,
-    sequence=st.integers(1, 100_000),
-    logged_at=st.floats(0, 1e6, allow_nan=False),
-    entry=log_entries,
-    meta=metas,
-)
-
-
 messages = st.one_of(
     notifications,
     sequenced_notifications,
     routing_snapshots(),
-    admin_log_records,
     _admin(Subscribe),
     _admin(Unsubscribe),
     _admin(Advertise),
@@ -428,7 +398,6 @@ def test_registry_covers_every_concrete_message_type():
         "LocationDependentSubscribe",
         "LocationDependentUnsubscribe",
         "RoutingSnapshot",
-        "AdminLogRecord",
         "Heartbeat",
         "SequencedForward",
         "ForwardAck",

@@ -144,7 +144,7 @@ def test_routing_table_epoch_and_listener():
     table.remove(filter_, "west", "s2")
     assert len(events) == 4
     assert table.epoch > first_epoch
-    assert not table.has_destination("west")
+    assert "west" not in table.destinations()
     # clear() publishes a whole-table change as destination None.
     table.add(filter_, "east", "s1")
     table.clear()
