@@ -20,6 +20,7 @@ Wall-clock numbers are recorded but, as everywhere else, never gated;
 the deterministic event counts are gated exactly as workload fields.
 """
 
+import gc
 import time
 
 from repro.broker.network import PubSubNetwork
@@ -73,6 +74,11 @@ def _run_publish_workload(telemetry: bool):
             clients.append(client)
     network.settle()
 
+    # Start from a collected heap: otherwise a full collection owed by the
+    # set-up (or by the previous run in this process) lands in one side's
+    # timed window or the other's depending only on how many objects the
+    # set-up happened to allocate.
+    gc.collect()
     started = time.perf_counter()
     for index in range(PUBLISHES):
         producer.publish(

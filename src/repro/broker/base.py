@@ -1215,13 +1215,13 @@ class Broker:
                 peer=record.client_id,
                 attrs={"sequence": sequence},
             )
-        # One record per delivery, shared by the trace and the client.
-        delivery = None
+        # One trace row per delivery; the client's ``received`` keeps its number.
+        row = None
         if self.trace is not None:
-            delivery = self.trace.record_delivery(
+            row = self.trace.record_delivery(
                 self.clock.now, record.client_id, record.subscription_id, notification, sequence
             )
-        registration.client.deliver(record.subscription_id, notification, sequence, delivery)
+        registration.client.deliver(record.subscription_id, notification, sequence, row)
 
     # ------------------------------------------------------------------
     # Plain subscription / advertisement handling

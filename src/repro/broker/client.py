@@ -14,10 +14,11 @@ mobility-facing operations this reproduction adds on top:
   application-level location so that its location-dependent subscriptions
   (Section 5) adapt automatically.
 
-The client keeps every delivered notification as a
+The client keeps every delivered notification as a row of the border
+broker's trace: ``Client.received`` is a view that builds a
 :class:`~repro.runtime.trace.DeliveryRecord` (delivery time, subscription,
-sequence number, the notification) — the very object the border broker
-put into the trace — which the QoS checkers and experiments consume.
+sequence number, the notification) per row when read, which the QoS
+checkers and experiments consume.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from repro.core.location_filter import LocationDependentFilter
 from repro.core.ploc import MovementGraph
 from repro.filters.filter import Filter
 from repro.messages.notification import Notification
-from repro.runtime.trace import DeliveryRecord
+from repro.runtime.trace import DeliveryRecord, ReceivedRecords
 
 
 class ClientError(RuntimeError):
@@ -81,7 +82,7 @@ class Client:
         self._publish_seq = 0
 
         # Everything ever delivered to this client, in delivery order.
-        self.received: List[DeliveryRecord] = []
+        self.received = ReceivedRecords()
 
         # Logical location (``None`` until set_location is called).
         self.current_location: Optional[str] = None
@@ -304,13 +305,14 @@ class Client:
         subscription_id: str,
         notification: Notification,
         sequence: int,
-        record: Optional[DeliveryRecord] = None,
+        row: Optional[int] = None,
     ) -> None:
         """``notify``: called by the border broker to deliver a notification.
 
-        *record* is the broker's delivery record of this call; it is kept
-        in ``received`` as is.  Without one (a caller that is not a broker)
-        the client makes its own.
+        *row* is this delivery's row in the border broker's trace, and is
+        what ``received`` keeps.  Without one (a broker without a recorder,
+        or a caller that is not a broker) the client logs the delivery into
+        a private recorder of its own.
 
         For durable subscriptions the client enforces the at-least-once
         contract's client-facing half: a sequence number at or below the
@@ -331,10 +333,11 @@ class Client:
                 self._gap_ranges.setdefault(subscription_id, []).append(
                     (previous + 1, sequence - 1)
                 )
-        if record is None:
+        if row is None or not self.received.add(self._broker.trace, row):
             time = self._broker.clock.now if self._broker is not None else 0.0
-            record = DeliveryRecord(time, self.client_id, subscription_id, notification, sequence)
-        self.received.append(record)
+            self.received.add_unrecorded(
+                DeliveryRecord(time, self.client_id, subscription_id, notification, sequence)
+            )
         previous = self._last_sequence.get(subscription_id, 0)
         if sequence > previous:
             self._last_sequence[subscription_id] = sequence

@@ -11,7 +11,8 @@ routing ablation benchmark.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -47,10 +48,12 @@ class MessageCounter:
     ) -> MessageBreakdown:
         """Totals per message kind within a time window."""
         result = MessageBreakdown()
-        for record in self.trace.link_messages(until=until, since=since):
-            if record.kind == MessageKind.NOTIFICATION:
+        messages = self.trace.link_columns.messages
+        for row in self.trace.link_rows(until=until, since=since):
+            kind = messages[row].kind
+            if kind == MessageKind.NOTIFICATION:
                 result.notifications += 1
-            elif record.kind == MessageKind.ADMIN:
+            elif kind == MessageKind.ADMIN:
                 result.admin += 1
             else:
                 result.mobility += 1
@@ -62,17 +65,15 @@ class MessageCounter:
 
     def per_link(self, until: Optional[float] = None) -> Dict[Tuple[str, str], int]:
         """Traversal counts per (source, target) link."""
-        counts: Dict[Tuple[str, str], int] = defaultdict(int)
-        for record in self.trace.link_messages(until=until):
-            counts[(record.source, record.target)] += 1
-        return dict(counts)
+        links = self.trace.link_columns
+        counts = Counter(links.pair_ids[row] for row in self.trace.link_rows(until=until))
+        return {links.pairs[pair_id]: count for pair_id, count in counts.items()}
 
     def per_message_type(self, until: Optional[float] = None) -> Dict[str, int]:
         """Traversal counts per concrete message class name."""
-        counts: Dict[str, int] = defaultdict(int)
-        for record in self.trace.link_messages(until=until):
-            counts[record.message_type] += 1
-        return dict(counts)
+        messages = self.trace.link_columns.messages
+        rows = self.trace.link_rows(until=until)
+        return dict(Counter(type(messages[row]).__name__ for row in rows))
 
 
 def reset_data_plane_stats() -> None:
@@ -160,19 +161,12 @@ def cumulative_message_series(
     """Cumulative message counts at the given sample times (Figure 9 series).
 
     Returns ``[(t, count_of_link_messages_up_to_t), ...]`` for each ``t``
-    in *sample_times*.  The implementation sorts the link records once and
-    sweeps, so long traces with many sample points stay cheap.
+    in *sample_times*.  The implementation sorts the link times once and
+    bisects, so long traces with many sample points stay cheap.
     """
-    records = sorted(trace.link_records, key=lambda record: record.time)
-    if kind is not None:
-        records = [record for record in records if record.kind == kind]
-    series: List[Tuple[float, int]] = []
-    index = 0
-    for sample in sorted(sample_times):
-        while index < len(records) and records[index].time <= sample:
-            index += 1
-        series.append((sample, index))
-    return series
+    times = trace.link_columns.times
+    ordered = sorted(times[row] for row in trace.link_rows(kind=kind))
+    return [(sample, bisect_right(ordered, sample)) for sample in sorted(sample_times)]
 
 
 def messages_per_second(
@@ -183,8 +177,8 @@ def messages_per_second(
         raise ValueError("bucket width must be positive")
     buckets = int(horizon / bucket) + 1
     counts = [0] * buckets
-    for record in trace.link_records:
-        if record.time > horizon:
+    for time in trace.link_columns.times:
+        if time > horizon:
             continue
-        counts[int(record.time / bucket)] += 1
+        counts[int(time / bucket)] += 1
     return [(index * bucket, count) for index, count in enumerate(counts)]

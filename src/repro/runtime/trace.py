@@ -18,17 +18,41 @@ endpoints and the message (or notification) itself, and renders
 sound because no message changes after it has been sent — the contract
 ``docs/observability.md`` ("Trace records") spells out and
 ``tests/runtime/test_trace_records.py`` checks on every experiment.
+
+Link traversals and deliveries, the two high-volume kinds, are kept as
+**columns** (:class:`LinkColumns`, :class:`DeliveryColumns`), and
+``link_records`` / ``delivery_records`` are :class:`RecordView` s that
+build a record per row only when one is read.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from array import array
+from collections.abc import Sequence
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.messages.base import Message, MessageKind
 from repro.messages.notification import Notification
 
+#: What ``DeliveryColumns.sequences`` holds for a delivery without a sequence.
+_NO_SEQUENCE = -(2**63)
 
-class _MessageRecord:
+
+class _Record:
+    """Value equality over the stored fields, the message by identity."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
+class _MessageRecord(_Record):
     """A message seen on a link; everything about it is read through."""
 
     __slots__ = ("time", "source", "target", "message")
@@ -38,6 +62,9 @@ class _MessageRecord:
         self.source = source
         self.target = target
         self.message = message
+
+    def _key(self) -> Tuple[Any, ...]:
+        return (self.time, self.source, self.target, id(self.message))
 
     @property
     def kind(self) -> MessageKind:
@@ -87,8 +114,11 @@ class DropRecord(_MessageRecord):
         super().__init__(time, source, target, message)
         self.reason = reason
 
+    def _key(self) -> Tuple[Any, ...]:
+        return super()._key() + (self.reason,)
 
-class _NotificationRecord:
+
+class _NotificationRecord(_Record):
     """A notification seen at a client boundary; its content is read through."""
 
     __slots__ = ("time", "notification")
@@ -96,6 +126,9 @@ class _NotificationRecord:
     def __init__(self, time: float, notification: Notification) -> None:
         self.time = time
         self.notification = notification
+
+    def _key(self) -> Tuple[Any, ...]:
+        return (self.time, id(self.notification))
 
     @property
     def publisher(self) -> str:
@@ -128,8 +161,9 @@ class PublishRecord(_NotificationRecord):
 class DeliveryRecord(_NotificationRecord):
     """One notification handed to a client's ``notify`` callback.
 
-    The same object sits in ``TraceRecorder.delivery_records`` and in the
-    receiving ``Client.received``.
+    Built on read from a row of :class:`DeliveryColumns`, by
+    ``TraceRecorder.delivery_records`` and the receiving
+    ``Client.received`` alike; the two build equal records.
     """
 
     __slots__ = ("client_id", "subscription_id", "sequence")
@@ -142,27 +176,172 @@ class DeliveryRecord(_NotificationRecord):
         notification: Notification,
         sequence: Optional[int] = None,
     ) -> None:
-        # Flat on purpose (no ``super().__init__``): built once per delivery.
+        # Flat on purpose (no ``super().__init__``): built on every read of a row.
         self.time = time
         self.client_id = client_id
         self.subscription_id = subscription_id
         self.notification = notification
         self.sequence = sequence
 
+    def _key(self) -> Tuple[Any, ...]:
+        return super()._key() + (self.client_id, self.subscription_id, self.sequence)
 
-class TraceRecorder:
-    """Collects link, publish and delivery records for one simulation run."""
+
+class _Columns:
+    """Observations of one kind as parallel columns, one row each.
+
+    A row is a time, an id into *pairs* — the recorder's interned table of
+    ``(source, target)`` and ``(client_id, subscription_id)`` pairs — and
+    the message (for a delivery: the notification) itself.
+    """
+
+    __slots__ = ("pairs", "times", "pair_ids", "messages")
+
+    def __init__(self, pairs: List[Tuple[str, str]]) -> None:
+        self.pairs = pairs
+        self.times = array("d")
+        self.pair_ids = array("I")
+        self.messages: List[Message] = []
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+
+class LinkColumns(_Columns):
+    """Link traversals: time, ``(source, target)`` id, message."""
+
+    __slots__ = ()
+
+    def record(self, row: int) -> LinkRecord:
+        return LinkRecord(self.times[row], *self.pairs[self.pair_ids[row]], self.messages[row])
+
+
+class DeliveryColumns(_Columns):
+    """Deliveries: time, ``(client_id, subscription_id)`` id, notification, sequence."""
+
+    __slots__ = ("sequences",)
+
+    def __init__(self, pairs: List[Tuple[str, str]]) -> None:
+        super().__init__(pairs)
+        self.sequences = array("q")
+
+    def record(self, row: int) -> DeliveryRecord:
+        sequence = self.sequences[row]
+        return DeliveryRecord(
+            self.times[row],
+            *self.pairs[self.pair_ids[row]],
+            self.messages[row],
+            None if sequence == _NO_SEQUENCE else sequence,
+        )
+
+
+class RecordView(Sequence):
+    """A read-only sequence of records, each built from *columns* when read.
+
+    Over every row of *columns* (rows recorded later show up), or over
+    the row numbers in *rows*.  A slice is a list of records; a view
+    equals a list (or view) of equal records, so ``view == []`` holds
+    exactly when it is empty.
+    """
+
+    __slots__ = ("_columns", "_rows")
+
+    def __init__(self, columns: Any, rows: Optional[array] = None) -> None:
+        self._columns = columns
+        self._rows = rows
+
+    def _row_numbers(self) -> Sequence:
+        return range(len(self._columns)) if self._rows is None else self._rows
+
+    def __len__(self) -> int:
+        return len(self._row_numbers())
+
+    def __getitem__(self, index: Any) -> Any:
+        rows = self._row_numbers()
+        if isinstance(index, slice):
+            return [self._columns.record(row) for row in rows[index]]
+        row = rows[index]
+        return self._columns.record(row)
+
+    def __iter__(self) -> Any:
+        for row in self._row_numbers():
+            yield self._columns.record(row)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (RecordView, list)):
+            return NotImplemented
+        return len(self) == len(other) and list(self) == list(other)
+
+
+class ReceivedRecords(RecordView):
+    """``Client.received``: the client's rows of a recorder's delivery columns.
+
+    The rows come from the border broker's recorder.  A delivery no
+    recorder saw, or one recorded in other columns than the earlier rows
+    (another recorder, or the same one after ``clear()``), goes into a
+    private recorder, which from then on holds every row of the view.
+    """
+
+    __slots__ = ("_own",)
 
     def __init__(self) -> None:
-        self.link_records: List[LinkRecord] = []
-        self.delivery_records: List[DeliveryRecord] = []
+        super().__init__(None, array("I"))
+        self._own: Optional[TraceRecorder] = None
+
+    def add(self, trace: TraceRecorder, row: int) -> bool:
+        """Keep *row* of *trace*; ``False`` when the earlier rows live elsewhere."""
+        columns = trace.delivery_columns
+        if columns is not self._columns:
+            if self._rows:
+                return False
+            self._columns = columns
+        self._rows.append(row)
+        return True
+
+    def add_unrecorded(self, record: DeliveryRecord) -> None:
+        """Keep a delivery that the recorder of the earlier rows does not hold."""
+        records = [record]
+        if self._own is None:
+            self._own, records = TraceRecorder(), list(self) + records
+            self._columns, self._rows = self._own.delivery_columns, array("I")
+        for r in records:
+            fields = (r.time, r.client_id, r.subscription_id, r.notification, r.sequence)
+            self._rows.append(self._own.record_delivery(*fields))
+
+
+class TraceRecorder:
+    """Collects link, publish, drop and delivery observations for one run."""
+
+    def __init__(self) -> None:
         self.publish_records: List[PublishRecord] = []
         self.drop_records: List[DropRecord] = []
+        self._new_columns()
+
+    def _new_columns(self) -> None:
+        # Replaced, not emptied: a view taken earlier (a ``Client.received``)
+        # keeps reading the old columns for as long as it lives.
+        self._pair_ids: Dict[Tuple[str, str], int] = {}
+        self._pairs: List[Tuple[str, str]] = []
+        self.link_columns = LinkColumns(self._pairs)
+        self.delivery_columns = DeliveryColumns(self._pairs)
+        # Every link traversal / delivery, as records built on read.
+        self.link_records = RecordView(self.link_columns)
+        self.delivery_records = RecordView(self.delivery_columns)
+
+    def _pair_id(self, pair: Tuple[str, str]) -> int:
+        pair_id = self._pair_ids.get(pair)
+        if pair_id is None:
+            pair_id = self._pair_ids[pair] = len(self._pairs)
+            self._pairs.append(pair)
+        return pair_id
 
     # -- recording hooks ----------------------------------------------------
     def record_link(self, time: float, source: str, target: str, message: Message) -> None:
         """Record that *message* crossed the link from *source* to *target*."""
-        self.link_records.append(LinkRecord(time, source, target, message))
+        links = self.link_columns
+        links.times.append(time)
+        links.pair_ids.append(self._pair_id((source, target)))
+        links.messages.append(message)
 
     def record_drop(
         self, time: float, source: str, target: str, message: Message, reason: str
@@ -181,16 +360,41 @@ class TraceRecorder:
         subscription_id: str,
         notification: Notification,
         sequence: Optional[int] = None,
-    ) -> DeliveryRecord:
-        """Record a notification being delivered to a client; returns the record."""
-        record = DeliveryRecord(time, client_id, subscription_id, notification, sequence)
-        self.delivery_records.append(record)
-        return record
+    ) -> int:
+        """Record a notification being delivered to a client; returns its row."""
+        deliveries = self.delivery_columns
+        row = len(deliveries.times)
+        deliveries.times.append(time)
+        deliveries.pair_ids.append(self._pair_id((client_id, subscription_id)))
+        deliveries.messages.append(notification)
+        deliveries.sequences.append(_NO_SEQUENCE if sequence is None else sequence)
+        return row
 
     # -- queries --------------------------------------------------------------
     def deliveries_for(self, client_id: str) -> List[DeliveryRecord]:
         """All deliveries to *client_id*, in delivery order."""
-        return [r for r in self.delivery_records if r.client_id == client_id]
+        deliveries = self.delivery_columns
+        wanted = {i for i, pair in enumerate(deliveries.pairs) if pair[0] == client_id}
+        rows = [row for row, pair_id in enumerate(deliveries.pair_ids) if pair_id in wanted]
+        return [deliveries.record(row) for row in rows]
+
+    def link_rows(
+        self,
+        kind: Optional[MessageKind] = None,
+        until: Optional[float] = None,
+        since: Optional[float] = None,
+    ) -> Sequence:
+        """Rows of ``link_columns`` matching kind and time window; builds no record."""
+        links = self.link_columns
+        rows: Sequence = range(len(links))
+        if until is not None or since is not None:
+            low = float("-inf") if since is None else since
+            high = float("inf") if until is None else until
+            rows = [row for row, time in enumerate(links.times) if low <= time <= high]
+        if kind is not None:
+            messages = links.messages
+            rows = [row for row in rows if messages[row].kind == kind]
+        return rows
 
     def link_messages(
         self,
@@ -199,14 +403,8 @@ class TraceRecorder:
         since: Optional[float] = None,
     ) -> List[LinkRecord]:
         """Link traversals filtered by message kind and time window."""
-        out = self.link_records
-        if kind is not None:
-            out = [r for r in out if r.kind == kind]
-        if until is not None:
-            out = [r for r in out if r.time <= until]
-        if since is not None:
-            out = [r for r in out if r.time >= since]
-        return list(out)
+        record = self.link_columns.record
+        return [record(row) for row in self.link_rows(kind, until, since)]
 
     def count_link_messages(
         self,
@@ -215,7 +413,7 @@ class TraceRecorder:
         since: Optional[float] = None,
     ) -> int:
         """Number of link traversals matching the given filters."""
-        return len(self.link_messages(kind=kind, until=until, since=since))
+        return len(self.link_rows(kind, until, since))
 
     def drops(
         self,
@@ -243,8 +441,7 @@ class TraceRecorder:
         return [r for r in self.publish_records if r.time <= until]
 
     def clear(self) -> None:
-        """Forget all recorded data (and with it the messages it kept alive)."""
-        self.link_records.clear()
-        self.delivery_records.clear()
+        """Forget all recorded data (and with it the messages only it kept alive)."""
         self.publish_records.clear()
         self.drop_records.clear()
+        self._new_columns()

@@ -1,10 +1,12 @@
-"""Tripwire: what observing one delivery keeps in memory.
+"""Tripwires: what observing one delivery or one link traversal keeps in memory.
 
-The trace and ``Client.received`` hold one shared, by-reference
-:class:`~repro.runtime.trace.DeliveryRecord` per delivery (about 90 bytes
-with the two list slots).  The eager records this replaced cost about
-540 bytes per delivery: a sorted attribute tuple, a dict-backed record
-and a second, client-side record.  The bound sits between the two.
+The trace stores deliveries and link traversals as columns — a time, an
+id into the recorder's interned endpoint pairs, the message reference
+and, for a delivery, its sequence number — and ``Client.received`` keeps
+one row number per delivery, shared with the trace.  That is about 34
+bytes per delivery (trace and client) and about 23 per link traversal.
+One ``__slots__`` record per observation, referenced from lists, cost
+about 89 and 75; each bound sits between.
 """
 
 import tracemalloc
@@ -14,7 +16,27 @@ from repro.topology.builders import line_topology
 
 SUBSCRIBERS = 150
 PUBLISHES = 200
-BYTES_PER_DELIVERY = 160
+BYTES_PER_DELIVERY = 48
+
+HOPS = 20
+LINK_PUBLISHES = 500
+BYTES_PER_LINK_TRAVERSAL = 32
+
+
+def _live_bytes(snapshot, *files):
+    observed = snapshot.filter_traces([tracemalloc.Filter(True, "*/" + name) for name in files])
+    return sum(statistic.size for statistic in observed.statistics("filename"))
+
+
+def _publish_traced(network, producer, publishes):
+    tracemalloc.start()
+    try:
+        for n in range(publishes):
+            producer.publish({"topic": "news", "n": n, "price": n * 0.5, "venue": "x"})
+        network.settle()
+        return tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
 
 
 def test_observing_a_delivery_stays_small_and_shared():
@@ -26,26 +48,34 @@ def test_observing_a_delivery_stays_small_and_shared():
         consumer.subscribe({"topic": "news"})
     network.settle()
 
-    tracemalloc.start()
-    try:
-        for n in range(PUBLISHES):
-            producer.publish({"topic": "news", "n": n, "price": n * 0.5, "venue": "x"})
-        network.settle()
-        snapshot = tracemalloc.take_snapshot()
-    finally:
-        tracemalloc.stop()
+    snapshot = _publish_traced(network, producer, PUBLISHES)
 
     deliveries = SUBSCRIBERS * PUBLISHES
     assert len(network.trace.delivery_records) == deliveries
-    observed = snapshot.filter_traces(
-        [
-            tracemalloc.Filter(True, "*/repro/runtime/trace.py"),
-            tracemalloc.Filter(True, "*/repro/broker/client.py"),
-        ]
-    )
-    live = sum(statistic.size for statistic in observed.statistics("filename"))
+    live = _live_bytes(snapshot, "repro/runtime/trace.py", "repro/broker/client.py")
     assert 0 < live <= BYTES_PER_DELIVERY * deliveries, live / deliveries
 
-    received = {id(record) for consumer in consumers for record in consumer.received}
-    assert len(received) == deliveries
-    assert received == {id(record) for record in network.trace.delivery_records}
+    # Each client's rows are the trace's rows for it: equal records, in order.
+    traced = {}
+    for record in network.trace.delivery_records:
+        traced.setdefault(record.client_id, []).append(record)
+    for consumer in consumers:
+        assert len(consumer.received) == PUBLISHES
+        assert consumer.received == traced[consumer.client_id]
+
+
+def test_observing_a_link_traversal_stays_small():
+    # Flooding crosses every link without a subscriber: nothing but links is observed.
+    network = PubSubNetwork(line_topology(HOPS + 1), strategy="flooding", latency=0.01)
+    producer = network.add_client("producer", "B1")
+    producer.advertise({"topic": "news"})
+    network.settle()
+    before = len(network.trace.link_records)
+
+    snapshot = _publish_traced(network, producer, LINK_PUBLISHES)
+
+    traversals = len(network.trace.link_records) - before
+    assert traversals == HOPS * LINK_PUBLISHES
+    # (The one ``PublishRecord`` per publish adds about 3 bytes per traversal.)
+    live = _live_bytes(snapshot, "repro/runtime/trace.py")
+    assert 0 < live <= BYTES_PER_LINK_TRAVERSAL * traversals, live / traversals

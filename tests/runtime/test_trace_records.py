@@ -8,9 +8,9 @@ Two things make that safe and are pinned here:
   all three backends, the lazily rendered properties must still say the
   same.
 * **The read API is unchanged**: the four record types answer the same
-  attribute names with the same values as the eager records did, one
-  record object serves both ``Client.received`` and the trace, and
-  ``clear()`` lets go of the messages.
+  attribute names with the same values as the eager records did,
+  ``Client.received`` holds rows of the trace and builds records equal
+  to the trace's, and ``clear()`` lets go of the messages.
 """
 
 import gc
@@ -72,9 +72,9 @@ class SnapshottingRecorder(TraceRecorder):
         self.publish_snapshots.append(_rendered_notification(notification))
 
     def record_delivery(self, time, client_id, subscription_id, notification, sequence=None):
-        record = super().record_delivery(time, client_id, subscription_id, notification, sequence)
+        row = super().record_delivery(time, client_id, subscription_id, notification, sequence)
         self.delivery_snapshots.append(_rendered_notification(notification))
-        return record
+        return row
 
     def assert_nothing_changed_since_recording(self):
         def read_message(record):
@@ -147,10 +147,10 @@ def test_publish_and_delivery_records_read_through_to_the_notification():
     trace = TraceRecorder()
     notification = _notification()
     trace.record_publish(0.5, notification)
-    returned = trace.record_delivery(1.5, "client", "sub-1", notification, sequence=3)
+    row = trace.record_delivery(1.5, "client", "sub-1", notification, sequence=3)
     (publish,), (delivery,) = trace.publish_records, trace.delivery_records
     assert isinstance(publish, PublishRecord) and isinstance(delivery, DeliveryRecord)
-    assert returned is delivery
+    assert row == 0 and trace.delivery_records[row] == delivery
     assert publish.time == 0.5
     assert (delivery.time, delivery.client_id, delivery.subscription_id, delivery.sequence) == (
         1.5,
@@ -167,7 +167,9 @@ def test_publish_and_delivery_records_read_through_to_the_notification():
     # Sorted once, when the notification is built; the identity is built once too.
     assert list(notification.attributes) == ["a", "b"]
     assert publish.identity is delivery.identity is notification.identity
-    assert trace.record_delivery(2.0, "client", "sub-1", notification).sequence is None
+    assert trace.delivery_records[trace.record_delivery(2.0, "client", "sub-1", notification)] == (
+        DeliveryRecord(2.0, "client", "sub-1", notification, None)
+    )
 
 
 def test_deliveries_for_filters_by_client_in_delivery_order():
@@ -214,8 +216,12 @@ def test_client_and_trace_share_one_record_per_delivery():
         producer.publish({"topic": "news", "n": n})
     network.settle()
     assert len(consumer.received) == 3
+    # One row per delivery: the client reads the trace's row, so the two
+    # build equal records around the very same notification.
+    assert consumer.received == network.trace.delivery_records
     assert all(
-        mine is traced for mine, traced in zip(consumer.received, network.trace.delivery_records)
+        mine.notification is traced.notification
+        for mine, traced in zip(consumer.received, network.trace.delivery_records)
     )
     assert [r.client_id for r in consumer.received] == ["consumer"] * 3
     assert [r.time for r in consumer.received] == [r.time for r in network.trace.delivery_records]
@@ -230,7 +236,8 @@ def test_suppressed_durable_redelivery_is_in_the_trace_but_not_received():
     broker._deliver_to_client(subscription, notification, 1)  # the broker redelivers seq 1
     assert [r.sequence for r in network.trace.deliveries_for("consumer")] == [1, 1]
     assert [r.sequence for r in consumer.received] == [1]
-    assert consumer.received[0] is network.trace.delivery_records[0]
+    assert consumer.received[0] == network.trace.delivery_records[0]
+    assert consumer.received == network.trace.delivery_records[:1]
     assert consumer.counters["duplicates_suppressed"] == 1
 
 
