@@ -135,13 +135,24 @@ def decode_message(data: bytes) -> Message:
     return message_from_payload(payload)
 
 
-def message_from_payload(payload: Dict[str, Any]) -> Message:
-    """Rebuild a message from an already-parsed wire payload."""
-    type_name = payload.get("type")
+def message_from_payload(payload: Any) -> Message:
+    """Rebuild a message from an already-parsed wire payload.
+
+    Every malformed payload — not an object, no string ``type``, an
+    unknown type, a missing or mistyped field — raises :class:`WireError`.
+    """
+    type_name = payload.get("type") if isinstance(payload, dict) else None
+    if not isinstance(type_name, str):
+        raise WireError(
+            "wire payload is not an object with a string type: {}".format(type(payload).__name__)
+        )
     message_type = message_type_registry().get(type_name)
     if message_type is None:
         raise WireError("unknown message type on the wire: {!r}".format(type_name))
-    return message_type.from_wire(payload)
+    try:
+        return message_type.from_wire(payload)
+    except (LookupError, TypeError, ValueError, AttributeError) as error:
+        raise WireError("malformed {} payload: {!r}".format(type_name, error)) from error
 
 
 def encode_frame(message: Message) -> bytes:

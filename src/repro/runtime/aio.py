@@ -11,11 +11,20 @@ e.g., TCP connections" (Section 2.1), for real.
 Two transports:
 
 * ``memory`` (default) — an in-process duplex byte pipe per direction.
-  Messages are still *fully* encoded to bytes and re-decoded on arrival
-  (no object sharing), so the codec is exercised end to end, but no
-  sockets are involved and delivery scheduling is deterministic.
+  Messages are still *fully* encoded to bytes and decoded on arrival, so
+  the codec is exercised end to end, but no sockets are involved and
+  delivery scheduling is deterministic.
 * ``tcp`` — one real TCP connection per directed channel over loopback,
   using ``asyncio.start_server`` / ``open_connection``.
+
+Codec sharing: a broker forwards one message object to each neighbour
+in turn, so the runtime frames it once per fan-out (it remembers the
+last message framed, by identity), and it decodes each distinct payload
+once (a bounded FIFO map from payload bytes to message).  Equal payloads
+are equal messages — the JSON is canonical and the message id crosses
+the wire — and no message changes after it was sent, so every hop after
+the first shares one decoded object, as every hop on the simulator
+shares the sender's.
 
 Execution model: client operations (subscribe, publish, move_to, ...)
 are plain synchronous calls made while the loop is parked; they enqueue
@@ -51,7 +60,7 @@ import asyncio
 import functools
 import heapq
 import itertools
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.messages.base import Message
 from repro.messages.wire import (
@@ -68,6 +77,11 @@ from repro.runtime.latency import (
     resolve_latency,
 )
 from repro.runtime.trace import TraceRecorder
+
+#: How many distinct payloads a runtime keeps decoded (oldest out first).
+#: A paced load repeats a payload within a few frames; a burst wider than
+#: this decodes again at every hop, as it would without the map.
+DECODED_PAYLOADS = 64
 
 
 class _WallTimer:
@@ -399,7 +413,7 @@ class AioChannel:
                 self._drop(now, message, "loss")
                 return
         copies = 2 if (self.fault_model is not None and self.fault_model.should_duplicate()) else 1
-        frame = encode_frame(message)
+        frame = runtime._frame(message)
         for _ in range(copies):
             if runtime.virtual_time:
                 # One latency sample and FIFO clamp per copy — the exact
@@ -430,7 +444,7 @@ class AioChannel:
             # counter ever increments (so `settle` still terminates).
             # Decode it for the drop record — attribution needs the
             # message, and the bytes are about to be discarded anyway.
-            message = decode_message(frame[FRAME_HEADER_SIZE:])
+            message = runtime._decode(frame[FRAME_HEADER_SIZE:])
             self._drop(runtime.clock.now, message, "broker-down")
             return
         runtime._message_sent()
@@ -479,7 +493,7 @@ class AioChannel:
             header = await stream.readexactly(FRAME_HEADER_SIZE)
             length = decode_frame_payload(header)
             payload = await stream.readexactly(length)
-            message = decode_message(payload)
+            message = runtime._decode(payload)
             self.delivered_count += 1
             try:
                 self._deliver(message, self)
@@ -593,6 +607,9 @@ class AioRuntime:
         self._idle_event: Optional[asyncio.Event] = None
         self._drain_delivered = 0
         self._drain_cap: Optional[int] = None
+        # Codec sharing (see the module docstring).
+        self._last_framed: Tuple[Optional[Message], bytes] = (None, b"")
+        self._decoded: Dict[bytes, Message] = {}
 
     # ------------------------------------------------------------------
     # Runtime protocol
@@ -719,6 +736,28 @@ class AioRuntime:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _frame(self, message: Message) -> bytes:
+        """``encode_frame(message)``, encoded once for back-to-back sends of one object."""
+        last, frame = self._last_framed
+        if last is not message:
+            frame = encode_frame(message)
+            self._last_framed = (message, frame)
+        return frame
+
+    def _decode(self, payload: bytes) -> Message:
+        """``decode_message(payload)``, one shared object per remembered payload.
+
+        A payload that raises is not remembered, so it raises again.
+        """
+        decoded = self._decoded
+        message = decoded.get(payload)
+        if message is None:
+            message = decode_message(payload)
+            if len(decoded) >= DECODED_PAYLOADS:
+                del decoded[next(iter(decoded))]
+            decoded[payload] = message
+        return message
+
     def _message_sent(self) -> None:
         self._in_flight += 1
 

@@ -18,6 +18,7 @@ plans.
 
 import json
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.adaptivity import UncertaintyPlan
@@ -54,6 +55,7 @@ from repro.messages.mobility import (
 )
 from repro.messages.notification import Notification, SequencedNotification
 from repro.messages.wire import (
+    WireError,
     decode_message,
     encode_frame,
     encode_message,
@@ -378,6 +380,69 @@ def test_message_byte_round_trip(message):
     frame = encode_frame(message)
     assert frame[4:] == encoded
     assert int.from_bytes(frame[:4], "big") == len(encoded)
+
+
+#: What a mutated field is retyped to.
+RETYPED_VALUES = [None, True, -1, 2.5, "x", [], [1], {}, {"type": 1}]
+
+
+def _containers(node):
+    """Every non-empty dict and list inside *node*, *node* included."""
+    if not isinstance(node, (dict, list)):
+        return
+    if node:
+        yield node
+    for child in node.values() if isinstance(node, dict) else node:
+        yield from _containers(child)
+
+
+@st.composite
+def mutated_payloads(draw):
+    """A valid payload with one field dropped, retyped or wrapped, or wrapped whole."""
+    payload = json.loads(encode_message(draw(messages)))
+    mutation = draw(st.sampled_from(["drop", "retype", "wrap", "wrap whole"]))
+    if mutation == "wrap whole":
+        return json.dumps([payload]).encode("utf-8")
+    node = draw(st.sampled_from(list(_containers(payload))))
+    key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+    if mutation == "drop":
+        del node[key]
+    elif mutation == "retype":
+        node[key] = draw(st.sampled_from(RETYPED_VALUES))
+    else:
+        node[key] = [node[key]]
+    return json.dumps(payload).encode("utf-8")
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=mutated_payloads())
+def test_malformed_payloads_raise_wire_error_only(data):
+    """A malformed payload raises ``WireError`` (the one error a reader
+    catches), never another exception; one that decodes decodes the same
+    way every time."""
+    try:
+        decoded = decode_message(data)
+    except WireError:
+        return
+    assert decoded.to_wire() == decode_message(data).to_wire()
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"[1,2]",
+        b'"s"',
+        b"null",
+        b'{"type":[1]}',
+        b'{"type":"Notification"}',
+        b'{"type":"Notification","id":1,"attributes":{},"publisher":"p",'
+        b'"publisher_seq":"x","publish_time":0}',
+    ],
+    ids=["list", "string", "null", "list-type", "missing-fields", "mistyped-field"],
+)
+def test_valid_json_of_the_wrong_shape_is_a_wire_error(data):
+    with pytest.raises(WireError):
+        decode_message(data)
 
 
 def test_registry_covers_every_concrete_message_type():

@@ -4,14 +4,28 @@ Covers the failure paths the parity scenarios never hit: broker crashes
 inside message processing must surface from ``settle`` (not hang the
 quiescence loop or vanish with the reader task), runaway message loops
 must trip the delivery cap, and conflicting construction parameters must
-be rejected loudly.
+be rejected loudly.  Also the codec sharing: a frame encoded once per
+run of sends of one object, a payload decoded once while the runtime
+remembers it — and either way the same bytes and messages as a fresh
+encode or decode.
 """
 
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.broker.network import PubSubNetwork
+from repro.messages.notification import Notification
+from repro.messages.wire import WireError, decode_message, encode_frame, encode_message
+from repro.runtime import aio
 from repro.runtime.aio import AioRuntime
+from repro.runtime.factory import make_runtime
+from repro.runtime.faults import FaultModel
+from repro.sim.rng import DeterministicRandom
 from repro.topology.builders import line_topology
+from tests.messages.test_wire import messages
+from tests.runtime.test_backend_parity import AIO_BACKENDS, _trace_fingerprint
 
 
 def _exploding_network(error):
@@ -110,3 +124,130 @@ def test_close_is_idempotent():
     network.close()
     network.close()
     runtime.close()
+
+
+# ---------------------------------------------------------------------------
+# Codec sharing: encode once per fan-out, decode once per payload
+# ---------------------------------------------------------------------------
+
+
+def _fresh(message):
+    return decode_message(encode_message(message)).to_wire()
+
+
+@pytest.mark.parametrize("backend", AIO_BACKENDS)
+@settings(max_examples=30, deadline=None)
+@given(
+    pool=st.lists(messages, min_size=1, max_size=5),
+    picks=st.lists(st.integers(0, 5), min_size=1, max_size=30),
+    seed=st.integers(0, 1000),
+)
+def test_shared_codec_sends_and_delivers_what_a_fresh_codec_would(backend, pool, picks, seed):
+    # An equal but distinct object: the frame is encoded again, the payload
+    # is one the runtime already decoded.
+    pool = pool + [decode_message(encode_message(pool[0]))]
+    sent = [pool[pick % len(pool)] for pick in picks]
+    runtime = make_runtime(backend)
+    received = []
+
+    def deliver(message, channel):
+        assert len(runtime._decoded) <= aio.DECODED_PAYLOADS
+        received.append(message)
+
+    try:
+        channel = runtime.connect("A", "B", deliver)
+        faults = FaultModel(DeterministicRandom(seed), duplicate_probability=0.3)
+        duplicated = []
+        decide = faults.should_duplicate
+        faults.should_duplicate = lambda: duplicated.append(decide()) or duplicated[-1]
+        channel.fault_model = faults
+        # A small bound, so repeats both hit and miss.
+        with mock.patch.object(aio, "DECODED_PAYLOADS", 3):
+            for message in sent:
+                channel.send(message)
+                framed, frame = runtime._last_framed
+                assert framed is message and frame == encode_frame(message)
+            runtime.settle()
+    except OSError as error:  # pragma: no cover - sandboxed environments
+        pytest.skip("loopback sockets unavailable: {}".format(error))
+    finally:
+        runtime.close()
+
+    expected = [
+        _fresh(message) for message, twice in zip(sent, duplicated) for _ in range(1 + twice)
+    ]
+    assert [message.to_wire() for message in received] == expected
+
+
+@pytest.mark.parametrize("backend", AIO_BACKENDS)
+def test_decoded_payloads_are_bounded_oldest_out_first(backend):
+    runtime = make_runtime(backend)
+    try:
+        payloads = [
+            encode_message(Notification({"n": n}, "p", n + 1))
+            for n in range(3 * aio.DECODED_PAYLOADS)
+        ]
+        first = runtime._decode(payloads[0])
+        assert runtime._decode(payloads[0]) is first
+        for payload in payloads[1:]:
+            runtime._decode(payload)
+            assert len(runtime._decoded) <= aio.DECODED_PAYLOADS
+        assert list(runtime._decoded) == payloads[-aio.DECODED_PAYLOADS :]
+        # Forgotten, so decoded afresh: equal, not the same object.
+        again = runtime._decode(payloads[0])
+        assert again is not first and again == first
+    finally:
+        runtime.close()
+
+
+@pytest.mark.parametrize("backend", AIO_BACKENDS)
+def test_a_payload_that_raised_raises_again(backend):
+    runtime = make_runtime(backend)
+    received = []
+    try:
+        channel = runtime.connect("A", "B", lambda message, channel: received.append(message))
+        for _ in range(2):
+            with pytest.raises(WireError):
+                runtime._decode(b"[1,2]")
+        assert runtime._decoded == {}
+        # On a channel, the reader that read it fails and ``settle`` says so.
+        channel._feed_frame(len(b"[1,2]").to_bytes(4, "big") + b"[1,2]")
+        with pytest.raises(WireError):
+            runtime.settle()
+        assert received == [] and runtime._decoded == {}
+    except OSError as error:  # pragma: no cover - sandboxed environments
+        pytest.skip("loopback sockets unavailable: {}".format(error))
+    finally:
+        runtime.close()
+
+
+def _faulty_run(network):
+    producer = network.add_client("P", "B4")
+    producer.advertise({"topic": "news"})
+    for i in (1, 2):
+        network.add_client("C{}".format(i), "B{}".format(i)).subscribe({"topic": "news"})
+    network.settle()
+    faults = FaultModel(DeterministicRandom(7), drop_probability=0.1, duplicate_probability=0.3)
+    for link in network.links.values():
+        link.fault_model = faults
+    for index in range(40):
+        producer.publish({"topic": "news", "index": index})
+        if index % 4 == 3:
+            network.settle()
+    network.settle()
+    return _trace_fingerprint(network.trace)
+
+
+@pytest.mark.parametrize("backend", AIO_BACKENDS)
+def test_iid_faults_leave_virtual_time_parity_intact(backend):
+    """Duplicated frames reuse a decoded object; drops and duplicates still
+    land exactly where the simulator puts them, timestamps included."""
+    expected = _faulty_run(PubSubNetwork(line_topology(4), strategy="covering"))
+    network = PubSubNetwork(line_topology(4), strategy="covering", runtime=make_runtime(backend))
+    try:
+        assert _faulty_run(network) == expected
+    except OSError as error:  # pragma: no cover - sandboxed environments
+        pytest.skip("loopback sockets unavailable: {}".format(error))
+    finally:
+        network.close()
+    assert expected["drops"] and len(expected["deliveries"]) > 40

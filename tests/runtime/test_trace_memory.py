@@ -7,11 +7,20 @@ one row number per delivery, shared with the trace.  That is about 34
 bytes per delivery (trace and client) and about 23 per link traversal.
 One ``__slots__`` record per observation, referenced from lists, cost
 about 89 and 75; each bound sits between.
+
+On the asyncio runtime a traversal's message is a decoded copy, and the
+trace keeps it alive.  The runtime decodes each distinct payload once, so
+a notification flooded down a line is two objects — the publisher's and
+one decoded — about 160 bytes of decoder output and notification per
+traversal; decoding at every hop kept five objects, about 500 bytes.
 """
 
 import tracemalloc
 
+import pytest
+
 from repro.broker.network import PubSubNetwork
+from repro.runtime.factory import make_runtime
 from repro.topology.builders import line_topology
 
 SUBSCRIBERS = 150
@@ -22,17 +31,23 @@ HOPS = 20
 LINK_PUBLISHES = 500
 BYTES_PER_LINK_TRAVERSAL = 32
 
+WIRE_HOPS = 5
+WIRE_PUBLISHES = 200
+BYTES_DECODED_PER_LINK_TRAVERSAL = 300
+
 
 def _live_bytes(snapshot, *files):
     observed = snapshot.filter_traces([tracemalloc.Filter(True, "*/" + name) for name in files])
     return sum(statistic.size for statistic in observed.statistics("filename"))
 
 
-def _publish_traced(network, producer, publishes):
+def _publish_traced(network, producer, publishes, settle_each=False):
     tracemalloc.start()
     try:
         for n in range(publishes):
             producer.publish({"topic": "news", "n": n, "price": n * 0.5, "venue": "x"})
+            if settle_each:
+                network.settle()
         network.settle()
         return tracemalloc.take_snapshot()
     finally:
@@ -79,3 +94,30 @@ def test_observing_a_link_traversal_stays_small():
     # (The one ``PublishRecord`` per publish adds about 3 bytes per traversal.)
     live = _live_bytes(snapshot, "repro/runtime/trace.py")
     assert 0 < live <= BYTES_PER_LINK_TRAVERSAL * traversals, live / traversals
+
+
+@pytest.mark.parametrize("backend", ["aio-memory", "aio-tcp"])
+def test_forwarded_notifications_share_one_decoded_object(backend):
+    network = PubSubNetwork(
+        line_topology(WIRE_HOPS + 1), strategy="flooding", runtime=make_runtime(backend)
+    )
+    try:
+        producer = network.add_client("producer", "B1")
+        producer.advertise({"topic": "news"})
+        network.settle()
+        before = len(network.trace.link_columns)
+
+        # Paced, like a live publisher: a burst wider than the runtime's
+        # decoded-payload bound would push each payload out before its next hop.
+        snapshot = _publish_traced(network, producer, WIRE_PUBLISHES, settle_each=True)
+    except OSError as error:  # pragma: no cover - sandboxed environments
+        pytest.skip("loopback sockets unavailable: {}".format(error))
+    finally:
+        network.close()
+
+    messages = network.trace.link_columns.messages[before:]
+    assert len(messages) == WIRE_HOPS * WIRE_PUBLISHES
+    # The publisher's object on the first hop, one decoded object on every later hop.
+    assert len({id(message) for message in messages}) <= 2 * WIRE_PUBLISHES
+    live = _live_bytes(snapshot, "json/decoder.py", "repro/messages/notification.py")
+    assert 0 < live <= BYTES_DECODED_PER_LINK_TRAVERSAL * len(messages), live / len(messages)

@@ -84,6 +84,24 @@ def test_collector_tolerates_torn_final_frame():
         assert [log.text for log in collector.aggregate.log_list()] == ["whole frame"]
 
 
+def test_collector_skips_a_malformed_frame_and_keeps_reading():
+    """A whole frame whose payload is valid JSON of the wrong shape is
+    skipped; the connection's handler survives it and ingests the rest."""
+    with TelemetryCollector() as collector:
+        host, port = collector.address
+        before = encode_frame(LogEvent("B1", 1.0, "info", "before"))
+        malformed = len(b"[1,2]").to_bytes(4, "big") + b"[1,2]"
+        after = encode_frame(LogEvent("B1", 2.0, "info", "after"))
+        sock = socket.create_connection((host, port))
+        try:
+            sock.sendall(before + malformed + after)
+        finally:
+            sock.close()
+        assert _wait_until(lambda: collector.aggregate.events_ingested == 2)
+        assert [log.text for log in collector.aggregate.log_list()] == ["before", "after"]
+        assert collector.aggregate.torn_frames == 0
+
+
 def test_collector_scopes_snapshots_per_connection():
     """Two networks reusing broker names stream over distinct connections;
     the collector must sum them, not let one overwrite the other."""
