@@ -11,7 +11,8 @@ identical-attribute runs.
 
 Each workload is run twice, on the plan and on the brute-force
 specification of ``tests/oracles/matching.py`` (every row's
-``Filter.matches``, a linear advertisement-gate scan), and must produce
+``Filter.matches``, a linear advertisement-gate scan, its constraint
+evaluations counted by the specification itself), and must produce
 **byte-identical behaviour**: the same deliveries (identities per
 client), the same admin traffic and the same routing tables.  One hard,
 deterministic criterion during the publish phase: the plan performs at
@@ -30,11 +31,7 @@ import time
 
 from repro.broker.network import PubSubNetwork
 from repro.experiments import fig9_message_counts
-from repro.metrics.counters import (
-    MessageCounter,
-    data_plane_breakdown,
-    reset_data_plane_stats,
-)
+from repro.metrics.counters import MessageCounter, data_plane_breakdown
 from repro.runtime.factory import make_runtime
 from repro.sim.rng import DeterministicRandom
 from repro.topology.builders import balanced_tree_topology
@@ -62,8 +59,26 @@ def _make_network(backend: str, latency: float) -> PubSubNetwork:
     return PubSubNetwork(topology, strategy="covering", runtime=runtime)
 
 
-def _run_publish_workload(backend: str = "sim"):
-    """Settle an overlapping subscriber population, then publish heavily."""
+def _data_plane_counts(brokers, work):
+    """The brokers' data-plane breakdown, plus the specification's raw
+    constraint evaluations when *work* (its counter) is given."""
+    counts = data_plane_breakdown(brokers)
+    if work is not None:
+        counts["constraint_evals"] += work.constraint_evals
+    return counts
+
+
+def _phase_delta(before, after):
+    """Per-key growth of a data-plane breakdown over one phase."""
+    return {key: value - before.get(key, 0) for key, value in after.items()}
+
+
+def _run_publish_workload(backend: str = "sim", work=None):
+    """Settle an overlapping subscriber population, then publish heavily.
+
+    *work* is the specification's raw-work counter when the run is on
+    the brute force (``with oracle_dispatch() as work``).
+    """
     network = _make_network(backend, latency=0.005)
     leaves = network.graph.leaves()
     producer = network.add_client("producer", leaves[0])
@@ -98,7 +113,7 @@ def _run_publish_workload(backend: str = "sim"):
     network.settle()
 
     # Publish phase: the measured part.
-    reset_data_plane_stats()
+    before = _data_plane_counts(network.brokers.values(), work)
     started = time.perf_counter()
     for index in range(PUBLISHES):
         producer.publish(
@@ -111,7 +126,8 @@ def _run_publish_workload(backend: str = "sim"):
         )
     network.settle()
     publish_seconds = time.perf_counter() - started
-    stats = data_plane_breakdown(network.brokers.values())
+    totals = _data_plane_counts(network.brokers.values(), work)
+    stats = _phase_delta(before, totals)
 
     counter = MessageCounter(network.trace)
     result = {
@@ -123,8 +139,8 @@ def _run_publish_workload(backend: str = "sim"):
         "predicates_skipped_shared": stats["dispatch_predicates_skipped_shared"],
         "batched_groups": stats["dispatch_batched_groups"],
         "admin_messages": counter.breakdown().admin,
-        "advert_gate_hits": stats["advert_gate_hits"],
-        "advert_gate_misses": stats["advert_gate_misses"],
+        "advert_gate_hits": totals["advert_gate_hits"],
+        "advert_gate_misses": totals["advert_gate_misses"],
         "delivered": sum(len(client.received) for client in clients),
         "received": {c.client_id: c.received_identities() for c in clients},
         "table_sizes": network.routing_table_sizes(),
@@ -138,8 +154,8 @@ def test_dispatch_count_increment_reduction(benchmark, bench_backend):
     vectorised = benchmark.pedantic(
         _run_publish_workload, args=(bench_backend,), iterations=1, rounds=1
     )
-    with oracle_dispatch():
-        oracle = _run_publish_workload(bench_backend)
+    with oracle_dispatch() as work:
+        oracle = _run_publish_workload(bench_backend, work)
 
     # Byte-identical data-plane behaviour.
     assert vectorised["received"] == oracle["received"]
@@ -196,7 +212,7 @@ def _run_batched_workload(backend: str = "sim"):
         subscribers.append(client)
     network.settle()
 
-    reset_data_plane_stats()
+    before = data_plane_breakdown(network.brokers.values())
     started = time.perf_counter()
     for burst in range(BURSTS):
         # Same attributes within a burst, published at one instant: the
@@ -206,7 +222,7 @@ def _run_batched_workload(backend: str = "sim"):
             producer.publish({"service": "telemetry", "shard": burst % 8})
         network.settle()
     seconds = time.perf_counter() - started
-    stats = data_plane_breakdown(network.brokers.values())
+    stats = _phase_delta(before, data_plane_breakdown(network.brokers.values()))
     result = {
         "seconds": seconds,
         "batched_groups": stats["dispatch_batched_groups"],
@@ -257,15 +273,12 @@ def test_fig9_publish_phase_wall_time(benchmark):
     """Figure 9 workload, plan vs oracle: same messages, recorded wall time."""
 
     def run():
-        reset_data_plane_stats()
         config = fig9_message_counts.Fig9Config(horizon=20.0, sample_interval=10.0)
         started = time.perf_counter()
         result = fig9_message_counts.run(config)
         seconds = time.perf_counter() - started
-        stats = data_plane_breakdown()
         return {
             "seconds": seconds,
-            "constraint_evals": stats["constraint_evals"],
             "totals": {series.label: series.total_messages for series in result.series},
             "delivered": {series.label: series.delivered for series in result.series},
         }
@@ -280,6 +293,5 @@ def test_fig9_publish_phase_wall_time(benchmark):
         {
             "fig9_total_messages": sum(vectorised["totals"].values()),
             "fig9_seconds_vectorised": round(vectorised["seconds"], 4),
-            "fig9_constraint_evals_vectorised": vectorised["constraint_evals"],
         }
     )

@@ -19,8 +19,9 @@ subscribe the shifted window, unsubscribe the old one) — under the
 
 Both must produce **byte-identical** routing behaviour (admin message
 counts, routing-table sizes, deliveries).  The hard criterion is the
-deterministic count of raw merge-pair evaluations
-(``merge_stats.try_merge_calls``): the production path must do at least 5×
+deterministic count of raw merge-pair evaluations (the network's
+merge-pair cache misses; the specification counts its own): the
+production path must do at least 5×
 fewer than from-scratch (the observed ratio is far higher; see
 ``BENCH_merging.json``), enforced in CI by ``benchmarks/check_bench.py``
 via the ``merge_eval_ratio`` field.
@@ -29,10 +30,6 @@ via the ``merge_eval_ratio`` field.
 import time
 
 from repro.broker.network import PubSubNetwork
-from repro.filters.covering import covering_stats
-from repro.filters.covering_cache import get_covering_cache
-from repro.filters.merge_state import get_merge_pair_cache
-from repro.filters.merging import merge_stats
 from repro.metrics.counters import MessageCounter
 from repro.sim.rng import DeterministicRandom
 from repro.topology.builders import balanced_tree_topology
@@ -53,14 +50,20 @@ def _window(start):
     }
 
 
-def _run_roaming_workload():
-    """Tree + ploc-window subscribers + roaming chains; behaviour + cost."""
-    covering_stats.reset()
-    merge_stats.reset()
-    get_covering_cache().clear()
-    get_merge_pair_cache().clear()
+def _run_roaming_workload(work=None):
+    """Tree + ploc-window subscribers + roaming chains; behaviour + cost.
+
+    The raw merge evaluations are the network's merge-pair cache misses,
+    plus — on the specification (``with scratch_forwarding() as work``) —
+    the ones *work* counted.
+    """
     topology = balanced_tree_topology(depth=3, fanout=2)
     network = PubSubNetwork(topology, strategy="merging", latency=0.005)
+    caches = network.filter_caches
+
+    def merge_evals():
+        return caches.merge_pairs.misses + (work.merge_calls if work else 0)
+
     leaves = topology.leaves()
     producer = network.add_client("producer", leaves[0])
     producer.advertise({"service": "parking"})
@@ -79,8 +82,7 @@ def _run_roaming_workload():
             subscription_ids[client.client_id] = client.subscribe(_window(start))
             clients.append(client)
     network.settle()
-    setup_merge_evals = merge_stats.try_merge_calls
-    merge_stats.reset()
+    setup_merge_evals = merge_evals()
 
     # Roaming phase: each roamer walks a chain of adjacent locations; every
     # hop slides its ploc window by one (subscribe new, unsubscribe old —
@@ -109,21 +111,21 @@ def _run_roaming_workload():
     return {
         "settle_seconds": settle_seconds,
         "setup_merge_evals": setup_merge_evals,
-        "roam_merge_evals": merge_stats.try_merge_calls,
+        "roam_merge_evals": merge_evals() - setup_merge_evals,
         "roam_changes": roam_changes,
-        "covering_calls": covering_stats.filter_covers_calls,
+        "covering_calls": caches.covering.misses,
         "admin_messages": counter.breakdown().admin,
         "delivered": sum(len(client.received) for client in clients),
         "table_sizes": network.routing_table_sizes(),
-        "pair_cache_stats": get_merge_pair_cache().stats(),
+        "pair_cache_stats": caches.merge_pairs.stats(),
     }
 
 
 def test_merging_roam_speedup_and_equivalence(benchmark):
     """Delta-maintained vs from-scratch merging: fewer evals, same behaviour."""
     delta = benchmark.pedantic(_run_roaming_workload, iterations=1, rounds=1)
-    with scratch_forwarding():
-        scratch = _run_roaming_workload()
+    with scratch_forwarding() as work:
+        scratch = _run_roaming_workload(work)
 
     assert delta["admin_messages"] == scratch["admin_messages"]
     assert delta["table_sizes"] == scratch["table_sizes"]

@@ -33,8 +33,6 @@ import time
 import pytest
 
 from repro.broker.network import PubSubNetwork
-from repro.filters.covering import covering_stats
-from repro.filters.covering_cache import get_covering_cache
 from repro.metrics.counters import MessageCounter
 from repro.sim.rng import DeterministicRandom
 from repro.topology.builders import balanced_tree_topology
@@ -52,15 +50,17 @@ def _run_scale_workload(
     subscribers_per_leaf: int = SUBSCRIBERS_PER_LEAF,
     batch_links: bool = True,
     distinct: bool = False,
+    work=None,
 ):
     """Deep tree + subscribers + roaming; returns behaviour + cost.
 
     Subscribers hold overlapping windows over the 24 ``LOCATIONS`` or,
     with *distinct*, one to three locations each out of a pool that grows
-    with the population, no two subscribers the same set.
+    with the population, no two subscribers the same set.  The raw
+    covering tests are the network's covering-cache misses, plus — on the
+    specification (``with scratch_forwarding() as work``) — the ones
+    *work* counted.
     """
-    covering_stats.reset()
-    get_covering_cache().clear()
     topology = balanced_tree_topology(depth=3, fanout=2)
     network = PubSubNetwork(topology, strategy="covering", latency=0.005, batch_links=batch_links)
     leaves = topology.leaves()
@@ -108,22 +108,23 @@ def _run_scale_workload(
     network.settle()
 
     counter = MessageCounter(network.trace)
+    cache_stats = network.filter_caches.covering.stats()
     return {
         "settle_seconds": settle_seconds,
         "settle_events": settle_events,
-        "covering_calls": covering_stats.filter_covers_calls,
+        "covering_calls": cache_stats["misses"] + (work.covering_calls if work else 0),
         "admin_messages": counter.breakdown().admin,
         "delivered": sum(len(client.received) for client in clients),
         "table_sizes": network.routing_table_sizes(),
-        "cache_stats": get_covering_cache().stats(),
+        "cache_stats": cache_stats,
     }
 
 
 def test_delta_refresh_speedup_and_equivalence(benchmark):
     """Delta-maintained vs from-scratch: cheaper, byte-identical behaviour."""
     delta = benchmark.pedantic(_run_scale_workload, iterations=1, rounds=1)
-    with scratch_forwarding():
-        scratch = _run_scale_workload()
+    with scratch_forwarding() as work:
+        scratch = _run_scale_workload(work=work)
 
     assert delta["admin_messages"] == scratch["admin_messages"]
     assert delta["table_sizes"] == scratch["table_sizes"]

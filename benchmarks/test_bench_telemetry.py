@@ -99,7 +99,6 @@ def _run_publish_workload(telemetry: bool):
     return {
         "publish_seconds": publish_seconds,
         "constraint_evals": stats["constraint_evals"],
-        "filter_matches": stats["filter_matches"],
         "dispatch_matches": stats["dispatch_matches"],
         "admin_messages": counter.breakdown().admin,
         "delivered": sum(len(client.received) for client in clients),
@@ -118,7 +117,6 @@ def test_telemetry_overhead(benchmark):
     # Faithfulness: not a single data-plane decision may differ.
     for key in (
         "constraint_evals",
-        "filter_matches",
         "dispatch_matches",
         "admin_messages",
         "delivered",

@@ -27,7 +27,6 @@ keeps the broker's behaviour consistent across all of them.
 
 from __future__ import annotations
 
-import functools
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, Iterable, List, Optional, Sequence, Set, Tuple
@@ -40,11 +39,10 @@ from repro.core.location_filter import (
 from repro.broker.forwarding import NeighbourForwardingState
 from repro.core.logical import LogicalSubscriptionState, PlocFilters
 from repro.dispatch.plan import DispatchPlan
-from repro.dispatch.stats import dispatch_stats
 from repro.core.physical import RelocationBuffer, RelocationRecord, VirtualCounterpart
 from repro.filters.attributes import canonical_key
-from repro.filters.covering_cache import CoveringCache, get_covering_cache
 from repro.filters.filter import Filter, MatchNone
+from repro.filters.merge_state import FilterCaches
 from repro.broker.recovery import (
     RecoveryStore,
     ReplaySink,
@@ -76,27 +74,6 @@ def subscription_token(client_id: str, subscription_id: str) -> str:
     return "{}/{}".format(client_id, subscription_id)
 
 
-def _attributed(method):
-    """Attribute data-plane stats recorded during *method* to this broker.
-
-    Entry points wrapped with this point the process-wide stats facades'
-    hot-path sinks at the broker's :class:`MetricRegistry` for the
-    duration of the call (see :meth:`MetricRegistry.activate`).  Both
-    runtime backends execute broker code on one thread, so the
-    save/restore pair nests safely when one entry point reaches another.
-    """
-
-    @functools.wraps(method)
-    def wrapper(self, *args, **kwargs):
-        saved = self.metrics.activate()
-        try:
-            return method(self, *args, **kwargs)
-        finally:
-            MetricRegistry.restore(saved)
-
-    return wrapper
-
-
 # ---------------------------------------------------------------------------
 # Deterministic ordering of (filter key, subject) pairs
 # ---------------------------------------------------------------------------
@@ -106,11 +83,8 @@ def _attributed(method):
 # types (strings, numbers, booleans, tuples), which do not compare across
 # types, so a total order needs type tagging.  Sorting by ``repr`` of the
 # whole key worked but allocated a string per entry per refresh; instead we
-# map each key once to a comparable type-ranked token and memoise it (the
-# same filter keys recur on every refresh).
-
-_SORT_TOKEN_CACHE: Dict[Any, Any] = {}
-_SORT_TOKEN_CACHE_LIMIT = 65536
+# map each key once to a comparable type-ranked token and memoise it on the
+# (immutable) filter, since the same filters recur on every refresh.
 
 
 def _sortable_token(value: Any) -> Any:
@@ -127,13 +101,10 @@ def _sortable_token(value: Any) -> Any:
 
 
 def _forwarding_sort_key(item: Tuple[Tuple[Any, str], Filter]) -> Tuple[Any, str]:
-    filter_key, subject = item[0]
-    token = _SORT_TOKEN_CACHE.get(filter_key)
+    (_, subject), filter_ = item
+    token = filter_._sort_token
     if token is None:
-        if len(_SORT_TOKEN_CACHE) >= _SORT_TOKEN_CACHE_LIMIT:
-            _SORT_TOKEN_CACHE.clear()
-        token = _sortable_token(filter_key)
-        _SORT_TOKEN_CACHE[filter_key] = token
+        token = filter_._sort_token = _sortable_token(filter_.key())
     return (token, subject)
 
 
@@ -141,7 +112,7 @@ def _in_emission_order(diff: Dict[Tuple[Any, str], Filter]) -> List[Tuple[Tuple[
     """The items of a forwarding diff in their deterministic emission order."""
     if len(diff) < 2:
         # Nothing to order (the norm for a pending-pair diff): do not build
-        # and memoise a sort token for the filter key.
+        # and memoise a sort token for the filter.
         return list(diff.items())
     return sorted(diff.items(), key=_forwarding_sort_key)
 
@@ -244,6 +215,7 @@ class Broker:
         strategy: RoutingStrategy,
         trace: Optional[TraceRecorder] = None,
         config: Optional[BrokerConfig] = None,
+        filter_caches: Optional[FilterCaches] = None,
     ) -> None:
         self.name = name
         self.clock = clock
@@ -255,6 +227,9 @@ class Broker:
         self.strategy = strategy
         self.trace = trace
         self.config = config or BrokerConfig()
+        # Covering / merge-pair memos: the network's, shared by all of its
+        # brokers; a broker built on its own gets its own.
+        self.filter_caches = filter_caches if filter_caches is not None else FilterCaches()
 
         # Observability: every broker owns one metric registry (the
         # single home for its instrumentation); ``counters`` below is the
@@ -351,14 +326,13 @@ class Broker:
         # subscription row of destination D contributes to the state of
         # every neighbour except D; an advertisement row of destination D
         # only gates what is forwarded *to* D.
-        self._covering_cache: CoveringCache = get_covering_cache()
         self._forwarding_states: Dict[str, NeighbourForwardingState] = {}
         # neighbour -> (advertisement-table epoch for that neighbour,
         #               {filter key: overlap verdict}) — see _advertised_via.
         self._advertised_via_cache: Dict[str, Tuple[int, Dict[Any, bool]]] = {}
         # Bound for each neighbour's verdict dict: it is cleared (not
         # evicted entry-wise) when it grows past this, the same policy the
-        # global CoveringCache uses.
+        # CoveringCache uses.
         self._memo_limit = 65536
         self.advertisement_table.add_listener(self._on_advertisement_rows_changed)
         if not self.strategy.floods_notifications:
@@ -369,8 +343,11 @@ class Broker:
         # Compiled notification data plane: a counting index over the
         # subscription table plus per-neighbour advertisement overlap
         # indexes, maintained from both tables' row-level deltas (see
-        # repro.dispatch).
-        self._dispatch_plan = DispatchPlan(self.subscription_table, self.advertisement_table)
+        # repro.dispatch).  It counts its work in the broker's registry,
+        # the same sink across crashes.
+        self._dispatch_plan = DispatchPlan(
+            self.subscription_table, self.advertisement_table, self.metrics.dispatch
+        )
         # Fresh empty per-neighbour state for links that already exist
         # (no-op on first init, where no link is registered yet).
         for neighbour in self._links:
@@ -379,11 +356,7 @@ class Broker:
             self._forwarding_states[neighbour] = self._new_forwarding_state()
 
     def _new_forwarding_state(self) -> NeighbourForwardingState:
-        reduction = self.strategy.delta_reduction
-        return NeighbourForwardingState(
-            None if reduction == "none" else self._covering_cache.covers,
-            merging=reduction == "merging",
-        )
+        return NeighbourForwardingState(self.filter_caches, self.strategy.delta_reduction)
 
     # ------------------------------------------------------------------
     # Wiring
@@ -472,7 +445,6 @@ class Broker:
         if run:
             self._dispatch_notification_run(run, link.source)
 
-    @_attributed
     def _dispatch_notification_run(
         self, run: Sequence[Notification], from_destination: str
     ) -> None:
@@ -507,7 +479,7 @@ class Broker:
             else:
                 if signature not in reused_signatures:
                     reused_signatures.add(signature)
-                    dispatch_stats.current.batched_groups += 1
+                    self.metrics.dispatch.batched_groups += 1
                 self._handle_notification(
                     notification, from_destination, matched_entries=cached
                 )
@@ -538,7 +510,6 @@ class Broker:
             return
         self.recovery.append(origin, message, self.clock.now)
 
-    @_attributed
     def _dispatch(self, message: Message, from_destination: Optional[str]) -> None:
         if isinstance(message, Notification):
             self.counters["notifications_received"] += 1
@@ -745,7 +716,6 @@ class Broker:
             counterpart.created_at = self.clock.now
             self._counterparts[token] = counterpart
 
-    @_attributed
     def client_subscribe(
         self, client_id: str, subscription_id: str, filter_: Filter
     ) -> None:
@@ -760,7 +730,6 @@ class Broker:
         self.subscription_table.add(filter_, client_id, token)
         self._refresh_all_forwarding(exclude=client_id)
 
-    @_attributed
     def client_unsubscribe(self, client_id: str, subscription_id: str) -> None:
         """Withdraw a local client's subscription and propagate the change."""
         registration = self._require_client(client_id)
@@ -779,7 +748,6 @@ class Broker:
             self.subscription_table.remove(record.filter, client_id, token)
         self._refresh_all_forwarding(exclude=client_id)
 
-    @_attributed
     def client_advertise(self, client_id: str, advertisement_id: str, filter_: Filter) -> None:
         """Register a local client's advertisement and flood it to neighbours."""
         registration = self._require_client(client_id)
@@ -791,7 +759,6 @@ class Broker:
         # A new local advertisement can make remote subscriptions routable
         # toward us; nothing to refresh locally (we are the producer side).
 
-    @_attributed
     def client_unadvertise(self, client_id: str, advertisement_id: str) -> None:
         """Withdraw a local client's advertisement."""
         registration = self._require_client(client_id)
@@ -803,7 +770,6 @@ class Broker:
         self.advertisement_table.remove(filter_, client_id, subject)
         self._withdraw_advertisement(filter_, subject, exclude=client_id)
 
-    @_attributed
     def client_publish(self, client_id: str, notification: Notification) -> None:
         """Inject a notification published by a locally attached client."""
         self._require_client(client_id)
@@ -812,7 +778,6 @@ class Broker:
         self.counters["notifications_received"] += 1
         self._handle_notification(notification, from_destination=client_id)
 
-    @_attributed
     def client_moved_subscribe(
         self,
         client_id: str,
@@ -906,7 +871,6 @@ class Broker:
                 started.completed_at = self.clock.now
         self._refresh_all_forwarding(exclude=client_id)
 
-    @_attributed
     def takeover_subscribe(
         self,
         client_id: str,
@@ -1362,7 +1326,6 @@ class Broker:
                 continue
             self.refresh_forwarding(neighbour)
 
-    @_attributed
     def refresh_forwarding(self, neighbour: str) -> None:
         """Bring the subscriptions forwarded to *neighbour* in line with the tables."""
         if neighbour not in self._links:
@@ -1379,7 +1342,7 @@ class Broker:
             # contributing row died while later rows survived) or a
             # merging state's input filters changed structurally:
             # re-reduce from the maintained entries — no table scan.
-            state.rebuild_reduction(self._covering_cache)
+            state.rebuild_reduction()
         forwarded = self._forwarded_subscriptions[neighbour]
         to_add, to_remove = state.diff_against(forwarded)
         self._emit_forwarding_diff(neighbour, forwarded, to_add, to_remove)
@@ -1433,7 +1396,7 @@ class Broker:
 
         # A flooding broker forwards no subscription: no row contributes.
         rows = () if self.strategy.floods_notifications else self.subscription_table.entries()
-        state.rebuild_from_rows(rows, plain_subjects, self._covering_cache)
+        state.rebuild_from_rows(rows, plain_subjects)
 
     def _advertised_via(self, neighbour: str, filter_: Filter) -> bool:
         """Whether an overlapping advertisement was received from *neighbour*.

@@ -73,17 +73,9 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.filters.covering_cache import (
-    CoveringCache,
-    CoveringIndex,
-    minimal_cover_set_cached,
-)
+from repro.filters.covering_cache import CoveringIndex, minimal_cover_set_cached
 from repro.filters.filter import Filter
-from repro.filters.merge_state import MergeState
-
-#: ``covers(covering, covered)`` — the (cached) covering test used for the
-#: reduction, or ``None`` for strategies that forward every filter.
-CoversFn = Optional[Callable[[Filter, Filter], bool]]
+from repro.filters.merge_state import FilterCaches, MergeState
 
 
 class _InputEntry:
@@ -103,9 +95,16 @@ class _InputEntry:
 
 
 class NeighbourForwardingState:
-    """Delta-maintained desired forwarding set for one neighbour."""
+    """Delta-maintained desired forwarding set for one neighbour.
+
+    *reduction* is the strategy's
+    :attr:`~repro.routing.strategies.RoutingStrategy.delta_reduction`;
+    the reducing modes run their covering (and merge-pair) tests through
+    the broker's shared *caches*.
+    """
 
     __slots__ = (
+        "cache",
         "covers",
         "merge_state",
         "cover_filters",
@@ -125,12 +124,19 @@ class NeighbourForwardingState:
         "_key_at",
     )
 
-    def __init__(self, covers: CoversFn, merging: bool = False) -> None:
-        self.covers = covers
+    def __init__(self, caches: FilterCaches, reduction: str) -> None:
+        self.cache = caches.covering
+        #: The cached covering test ``covers(covering, covered)``, or
+        #: ``None`` for strategies that forward every filter.
+        self.covers: Optional[Callable[[Filter, Filter], bool]] = (
+            None if reduction == "none" else caches.covering.covers
+        )
         #: Incremental greedy-merge forest (merging strategies only); the
         #: selection is then computed over the merged filters and covers
         #: may be synthesised filters that are not input entries.
-        self.merge_state: Optional[MergeState] = MergeState() if merging else None
+        self.merge_state: Optional[MergeState] = (
+            MergeState(caches.merge_pairs) if reduction == "merging" else None
+        )
         #: cover filter key -> cover filter, for covers that are *merged*
         #: filters (not entries).  Empty in non-merging modes.
         self.cover_filters: Dict[Any, Filter] = {}
@@ -166,9 +172,7 @@ class NeighbourForwardingState:
         #: members of other covers, which a selection index cannot see.
         #: Maintained in the covering mode only; merging selections hold
         #: synthesised filters and are rebuilt wholesale anyway.
-        self._index: Optional[CoveringIndex] = (
-            CoveringIndex() if covers is not None and self.merge_state is None else None
-        )
+        self._index: Optional[CoveringIndex] = CoveringIndex() if reduction == "covering" else None
         #: canonical position -> input filter key, mirrored with the index
         #: so candidate positions resolve back to entries.
         self._key_at: Dict[int, Any] = {}
@@ -466,7 +470,6 @@ class NeighbourForwardingState:
         self,
         rows: Iterable[Any],
         plain_subjects: Callable[[Any], Optional[Iterable[str]]],
-        cache: Optional[CoveringCache] = None,
     ) -> None:
         """Rebuild the gated input from a table scan, then re-reduce.
 
@@ -492,10 +495,10 @@ class NeighbourForwardingState:
                 contributed += 1
                 entry.subjects[subject] = entry.subjects.get(subject, 0) + 1
             entry.rows[row.seq] = contributed
-        self.rebuild_reduction(cache)
+        self.rebuild_reduction()
         self.valid = True
 
-    def rebuild_reduction(self, cache: Optional[CoveringCache] = None) -> None:
+    def rebuild_reduction(self) -> None:
         """Re-run selection, assignment and desired pairs over the entries."""
         for entry in self.entries.values():
             # Positions may be stale after an order perturbation (see
@@ -518,7 +521,7 @@ class NeighbourForwardingState:
                 self._index.add(entry.pos, entry.filter)
                 self._key_at[entry.pos] = entry.key
         if self.merge_state is not None:
-            self._rebuild_merging_reduction(ordered, cache)
+            self._rebuild_merging_reduction(ordered)
             self.order_dirty = False
             self.full_diff = True
             self.pending.clear()
@@ -527,7 +530,7 @@ class NeighbourForwardingState:
             selected_filters = [entry.filter for entry in ordered]
         else:
             selected_filters = minimal_cover_set_cached(
-                [entry.filter for entry in ordered], cache
+                [entry.filter for entry in ordered], self.cache
             )
         for filter_ in selected_filters:
             entry = self.entries[filter_.key()]
@@ -554,21 +557,19 @@ class NeighbourForwardingState:
         self.full_diff = True
         self.pending.clear()
 
-    def _rebuild_merging_reduction(
-        self, ordered: Sequence[_InputEntry], cache: Optional[CoveringCache]
-    ) -> None:
+    def _rebuild_merging_reduction(self, ordered: Sequence[_InputEntry]) -> None:
         """Merging-mode reduction: merge forest → covering → assignment.
 
         Mirrors the specification exactly:
         ``minimal_cover_set(merge_filters(inputs))`` for the selection and,
         for the per-input cover, key equality over the whole selection
         first, then the first covering filter in selection order.  The
-        merge runs through the shared
+        merge runs through the state's
         :class:`~repro.filters.merge_state.MergeState` so only pairs
         involving changed filters are evaluated raw.
         """
         merged, _ = self.merge_state.update([entry.filter for entry in ordered])
-        selected = minimal_cover_set_cached(merged, cache)
+        selected = minimal_cover_set_cached(merged, self.cache)
         covers = self.covers
         for position, filter_ in enumerate(selected):
             key = filter_.key()

@@ -23,12 +23,13 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 from repro.broker.base import Broker, BrokerConfig
 from repro.broker.client import Client
 from repro.broker.recovery import RecoveryStore
+from repro.filters.merge_state import FilterCaches
+from repro.metrics.counters import data_plane_breakdown
 from repro.routing.strategies import RoutingStrategy, make_strategy
 from repro.runtime.protocols import Clock, Runtime
 from repro.runtime.trace import TraceRecorder
 from repro.telemetry import TelemetryConfig, active_telemetry_config
 from repro.telemetry.emitter import BrokerTelemetry
-from repro.telemetry.registry import scoped_data_plane_breakdown
 from repro.topology.graph import BrokerGraph
 
 #: Kept for backwards-compatible imports only; the authoritative default
@@ -99,6 +100,10 @@ class PubSubNetwork:
             strategy_name = strategy.name
             strategy_factory = lambda: make_strategy(strategy_name)
 
+        # One covering cache and one merge-pair cache for the whole
+        # network: every broker tests the same filters along a path, and a
+        # second network in the process starts cold.
+        self.filter_caches = FilterCaches()
         self.brokers: Dict[str, Broker] = {}
         for name in graph.brokers():
             self.brokers[name] = Broker(
@@ -107,6 +112,7 @@ class PubSubNetwork:
                 strategy=strategy_factory(),
                 trace=self.trace,
                 config=self.config,
+                filter_caches=self.filter_caches,
             )
         self.links: Dict[Tuple[str, str], Any] = {}
         for left, right in graph.edges():
@@ -368,16 +374,9 @@ class PubSubNetwork:
         return {name: broker.routing_table_size() for name, broker in self.brokers.items()}
 
     def data_plane_breakdown(self) -> Dict[str, int]:
-        """Matching/dispatch work attributable to *this* network's brokers.
-
-        Unlike the process-global
-        :func:`repro.metrics.counters.data_plane_breakdown`, this sums the
-        per-broker metric registries, so two concurrently live networks
-        never bleed into each other's numbers.
-        """
-        return scoped_data_plane_breakdown(
-            [self.brokers[name].metrics for name in sorted(self.brokers)]
-        )
+        """Matching/dispatch work of this network's brokers (see
+        :func:`repro.metrics.counters.data_plane_breakdown`)."""
+        return data_plane_breakdown(self.brokers[name] for name in sorted(self.brokers))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "PubSubNetwork(brokers={}, clients={}, t={:.3f})".format(

@@ -20,7 +20,7 @@ the brute force in ``tests/oracles/matching.py``.
 from repro.dispatch.counting import BitsetMatcher
 from repro.dispatch.plan import AdvertisementOverlapIndex, DispatchPlan
 from repro.dispatch.predicate_index import PredicateIndex
-from repro.dispatch.stats import DispatchStats, dispatch_stats
+from repro.dispatch.stats import DispatchStats
 
 __all__ = [
     "AdvertisementOverlapIndex",
@@ -28,5 +28,4 @@ __all__ = [
     "DispatchPlan",
     "DispatchStats",
     "PredicateIndex",
-    "dispatch_stats",
 ]

@@ -28,7 +28,6 @@ from __future__ import annotations
 from typing import Any, Dict, List, Mapping, Set, Tuple
 
 from repro.dispatch.predicate_index import PredicateIndex
-from repro.dispatch.stats import dispatch_stats
 from repro.filters.filter import Filter
 
 if hasattr(int, "bit_count"):  # Python >= 3.10
@@ -70,7 +69,8 @@ class BitsetMatcher:
     planes: a filter's count only ever reaches its own residual arity,
     which sized the planes.
 
-    The matcher registers itself as a structural observer on *index*;
+    The matcher counts its work in the index's stats sink and registers
+    itself as a structural observer on *index*;
     after ``index.clear()`` (which drops observers) a new matcher must be
     built, mirroring how :class:`~repro.dispatch.plan.DispatchPlan`
     recreates its matcher on a full rebuild.
@@ -78,6 +78,7 @@ class BitsetMatcher:
 
     __slots__ = (
         "index",
+        "stats",
         "_pid_masks",
         "_arity_planes",
         "_counted_mask",
@@ -88,6 +89,7 @@ class BitsetMatcher:
 
     def __init__(self, index: PredicateIndex) -> None:
         self.index = index
+        self.stats = index.stats
         self._pid_masks: Dict[int, int] = {}
         self._arity_planes: List[int] = []
         self._counted_mask = 0
@@ -178,7 +180,7 @@ class BitsetMatcher:
                     rebuilt += 1
             self._dirty_pids.clear()
         if rebuilt:
-            dispatch_stats.current.bitset_rebuilds += rebuilt
+            self.stats.bitset_rebuilds += rebuilt
 
     # -- matching ------------------------------------------------------
     def match(self, attributes: Mapping[str, Any]) -> List[Filter]:
@@ -223,7 +225,7 @@ class BitsetMatcher:
                 # that required it.
                 matched &= ~masks[pid]
                 ops += 1
-        stats = dispatch_stats.current
+        stats = self.stats
         stats.filters_matched += _popcount(matched)
         out: List[int] = []
         while matched:

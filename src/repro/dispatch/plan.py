@@ -29,6 +29,7 @@ from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.dispatch.counting import BitsetMatcher
 from repro.dispatch.predicate_index import PredicateIndex
+from repro.dispatch.stats import DispatchStats
 from repro.filters.constraints import Constraint, Equals, InSet
 from repro.filters.filter import Filter, MatchNone
 
@@ -181,12 +182,19 @@ class _AdvertisementDeltaListener:
 
 
 class DispatchPlan:
-    """Compiled, delta-maintained matching state for one broker."""
+    """Compiled, delta-maintained matching state for one broker.
 
-    def __init__(self, subscription_table, advertisement_table) -> None:
+    *stats* is the owning broker's dispatch sink (a private one when
+    omitted); the index and the matcher count their work in it, across
+    rebuilds.
+    """
+
+    def __init__(
+        self, subscription_table, advertisement_table, stats: Optional[DispatchStats] = None
+    ) -> None:
         self._subscription_table = subscription_table
         self._advertisement_table = advertisement_table
-        self.index = PredicateIndex()
+        self.index = PredicateIndex(stats)
         self.matcher = BitsetMatcher(self.index)
         # filter key -> {destination: RoutingEntry} (mirrors the live rows)
         self._rows: Dict[Any, Dict[str, Any]] = {}

@@ -59,8 +59,7 @@ from repro.filters.constraints import (
     LessThan,
 )
 from repro.filters.filter import Filter, MatchAll, MatchNone
-from repro.filters.stats import matching_stats
-from repro.dispatch.stats import dispatch_stats
+from repro.dispatch.stats import DispatchStats
 
 #: Slot kinds a predicate can be stored under (recorded for removal).
 _KIND_EQ = 0
@@ -94,9 +93,15 @@ class _CmpArray:
 
 
 class PredicateIndex:
-    """Refcounted filters decomposed into shared, indexed predicates."""
+    """Refcounted filters decomposed into shared, indexed predicates.
 
-    def __init__(self) -> None:
+    *stats* is the sink the index and its matchers count their work in
+    (the owning broker's, handed down by its dispatch plan; a private
+    one when omitted).
+    """
+
+    def __init__(self, stats: Optional[DispatchStats] = None) -> None:
+        self.stats = DispatchStats() if stats is None else stats
         # -- filters ----------------------------------------------------
         self._fids: Dict[Tuple[Any, ...], int] = {}  # filter key -> fid
         self.fid_filter: List[Optional[Filter]] = []
@@ -201,8 +206,8 @@ class PredicateIndex:
         return True
 
     def clear(self) -> None:
-        """Remove everything."""
-        self.__init__()
+        """Remove everything (the stats sink stays)."""
+        self.__init__(self.stats)
 
     # ------------------------------------------------------------------
     # Queries
@@ -259,8 +264,7 @@ class PredicateIndex:
                     if constraint.matches(value):
                         out.append(pid)
         if evals:
-            dispatch_stats.current.constraint_evals += evals
-            matching_stats.current.constraint_evals += evals
+            self.stats.constraint_evals += evals
         return out
 
     # ------------------------------------------------------------------

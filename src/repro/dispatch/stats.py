@@ -1,30 +1,24 @@
 """Counters describing the work the counting dispatch engine performs.
 
-Evaluating a filter directly shows up in
-:data:`repro.filters.stats.matching_stats` (every constraint evaluated by
-``Filter.matches``).  The counting engine replaces most of those
-evaluations with bucket lookups and bisections; what little it still
-evaluates directly (residual constraints, interval candidates, opaque
-filters) is counted both here *and* in ``matching_stats.constraint_evals``
-so that a single counter compares fairly against the brute-force oracle.
-
-Like :mod:`repro.filters.stats`, the process-wide :data:`dispatch_stats`
-is an aggregate facade: hot paths write through ``dispatch_stats.current``
-(a plain :class:`DispatchStats` sink — the broker's own while one of its
-entry points is on the stack, the unattributed base otherwise) and every
-read sums all registered sinks, so the totals are byte-identical to the
-pre-facade globals while per-broker attribution comes for free.
+Every broker owns one :class:`DispatchStats` sink (in its
+:class:`~repro.telemetry.registry.MetricRegistry`) and hands it to its
+:class:`~repro.dispatch.plan.DispatchPlan`, which passes it on to the
+:class:`~repro.dispatch.predicate_index.PredicateIndex` and the
+:class:`~repro.dispatch.counting.BitsetMatcher` — the components that do
+the work write the counts, nothing else does.  The counting engine
+replaces most constraint evaluations with bucket lookups and bisections;
+what little it still evaluates directly (residual constraints, interval
+candidates, opaque filters) is ``constraint_evals``, the one count that
+compares against the brute-force oracle's raw evaluations.
 """
 
 from __future__ import annotations
 
 from typing import Dict
 
-from repro.filters.stats import AggregatedStats, _install_aggregate_properties
-
 
 class DispatchStats:
-    """Counters for one counting-index sink (see module docstring)."""
+    """Counters for one broker's dispatch plane (see module docstring)."""
 
     __slots__ = (
         "matches",
@@ -35,7 +29,6 @@ class DispatchStats:
         "bitset_rebuilds",
         "predicates_skipped_shared",
         "batched_groups",
-        "__weakref__",
     )
 
     def __init__(self) -> None:
@@ -68,33 +61,5 @@ class DispatchStats:
         self.batched_groups = 0
 
     def snapshot(self) -> Dict[str, int]:
-        """Current counter values (used by benchmarks and metrics)."""
-        return {
-            "matches": self.matches,
-            "satisfied_predicates": self.satisfied_predicates,
-            "constraint_evals": self.constraint_evals,
-            "filters_matched": self.filters_matched,
-            "mask_ops": self.mask_ops,
-            "bitset_rebuilds": self.bitset_rebuilds,
-            "predicates_skipped_shared": self.predicates_skipped_shared,
-            "batched_groups": self.batched_groups,
-        }
-
-
-class DispatchStatsAggregate(AggregatedStats):
-    """Process-wide view over every dispatch-stats sink."""
-
-    sink_type = DispatchStats
-    fields = DispatchStats.__slots__[:-1]  # without __weakref__
-
-    def snapshot(self) -> Dict[str, int]:
-        # Key order pinned to the historical sink snapshot.
-        return {field: self._total(field) for field in self.fields}
-
-
-_install_aggregate_properties(DispatchStatsAggregate)
-
-
-#: Global facade incremented (through ``.current``) by the counting
-#: matcher; reads sum the base sink and every broker registry's sink.
-dispatch_stats = DispatchStatsAggregate()
+        """Current counter values, in slot order."""
+        return {name: getattr(self, name) for name in self.__slots__}

@@ -23,28 +23,6 @@ from repro.filters.constraints import Constraint, Equals, InSet
 from repro.filters.filter import Filter, MatchAll, MatchNone
 
 
-class CoveringStats:
-    """Process-wide counter of raw (uncached) covering evaluations.
-
-    Benchmarks and tests read :data:`covering_stats` to verify that the
-    covering cache actually eliminates recomputation on the broker hot
-    path; the counter only tracks genuine :func:`filter_covers` runs, not
-    cache hits.
-    """
-
-    __slots__ = ("filter_covers_calls",)
-
-    def __init__(self) -> None:
-        self.filter_covers_calls = 0
-
-    def reset(self) -> None:
-        self.filter_covers_calls = 0
-
-
-#: Global counters incremented by :func:`filter_covers`.
-covering_stats = CoveringStats()
-
-
 def constraint_covers(covering: Constraint, covered: Constraint) -> bool:
     """Constraint-level covering: does *covering* accept a superset of *covered*?"""
     return covering.covers(covered)
@@ -56,7 +34,6 @@ def filter_covers(covering: Filter, covered: Filter) -> bool:
     ``MatchAll`` covers everything; ``MatchNone`` is covered by everything
     and covers only ``MatchNone``.
     """
-    covering_stats.filter_covers_calls += 1
     if isinstance(covered, MatchNone):
         return True
     if isinstance(covering, MatchNone):

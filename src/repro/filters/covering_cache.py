@@ -12,7 +12,10 @@ ways:
   two filters' canonical :meth:`~repro.filters.filter.Filter.key` tuples.
   Covering is a pure function of filter structure, so cached results
   **never need invalidation** — the cache survives arbitrary routing-table
-  churn and is safely shared by every broker in a process.
+  churn and is safely shared by every broker of a network (each
+  :class:`~repro.broker.network.PubSubNetwork` owns one, see
+  :class:`~repro.filters.merge_state.FilterCaches`); its ``misses`` are the
+  raw covering tests that network performed.
 * :class:`CoveringIndex` buckets potential covering filters by their most
   selective constraint (equality/set values first, then attribute names),
   so that :func:`minimal_cover_set_cached` only tests pairs that could
@@ -95,14 +98,6 @@ class CoveringCache:
     def __len__(self) -> int:
         return len(self._results)
 
-
-#: The process-wide shared cache used by routing strategies and brokers.
-_GLOBAL_CACHE = CoveringCache()
-
-
-def get_covering_cache() -> CoveringCache:
-    """The shared process-wide covering cache."""
-    return _GLOBAL_CACHE
 
 
 class CoveringIndex:
@@ -270,20 +265,16 @@ class CoveringIndex:
         return out
 
 
-def minimal_cover_set_cached(
-    filters: Sequence[Filter], cache: Optional[CoveringCache] = None
-) -> List[Filter]:
+def minimal_cover_set_cached(filters: Sequence[Filter], cache: CoveringCache) -> List[Filter]:
     """Result-identical, cached and candidate-pruned ``minimal_cover_set``.
 
     Same semantics as :func:`repro.filters.covering.minimal_cover_set`: a
     filter is dropped when another (distinct) filter in the set covers it;
     of two equivalent filters the one appearing first is kept; input
-    order is preserved.  Covering tests go through *cache* (the shared
-    global cache by default) and only structurally comparable pairs —
-    per :class:`CoveringIndex` — are tested at all.
+    order is preserved.  Covering tests go through *cache* and only
+    structurally comparable pairs — per :class:`CoveringIndex` — are
+    tested at all.
     """
-    if cache is None:
-        cache = _GLOBAL_CACHE
     count = len(filters)
     if count <= 1:
         return list(filters)

@@ -20,7 +20,6 @@ from __future__ import annotations
 from typing import Any, Dict, Iterator, Mapping, Optional, Tuple
 
 from repro.filters.constraints import Constraint, constraint_from_tuple
-from repro.filters.stats import matching_stats
 
 
 class Filter:
@@ -39,7 +38,7 @@ class Filter:
 
     # ``__weakref__``: a broker's table of instantiated ploc filters holds
     # its values weakly (see repro.core.logical.PlocFilters).
-    __slots__ = ("_constraints", "_key", "_hash", "_repr", "_wire", "__weakref__")
+    __slots__ = ("_constraints", "_key", "_hash", "_repr", "_wire", "_sort_token", "__weakref__")
 
     def __init__(self, constraints: Optional[Mapping[str, Any]] = None, **kwargs: Any) -> None:
         merged: Dict[str, Any] = {}
@@ -56,10 +55,13 @@ class Filter:
             sorted((name, c.key()) for name, c in built.items())
         )
         self._hash = hash(self._key)
-        # Memos of the two renderings of an immutable filter: ``repr`` and
-        # the wire payload (owned by :func:`repro.filters.wire.filter_to_wire`).
+        # Memos of three renderings of an immutable filter: ``repr``, the
+        # wire payload (owned by :func:`repro.filters.wire.filter_to_wire`)
+        # and the forwarding emission-order token (owned by
+        # :func:`repro.broker.base._forwarding_sort_key`).
         self._repr: Optional[str] = None
         self._wire: Optional[Dict[str, Any]] = None
+        self._sort_token: Any = None
 
     # -- construction helpers -----------------------------------------------
     @classmethod
@@ -123,10 +125,7 @@ class Filter:
         *attributes* is the name/value mapping of a notification (or a
         :class:`~repro.messages.notification.Notification`'s ``attributes``).
         """
-        stats = matching_stats.current
-        stats.filter_matches += 1
         for name, constraint in self._constraints.items():
-            stats.constraint_evals += 1
             if name in attributes:
                 if not constraint.matches(attributes[name]):
                     return False

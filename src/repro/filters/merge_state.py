@@ -12,8 +12,8 @@ two layers:
   A pair merge is a pure function of filter structure, so cached results
   (including the *failed* merges, cached as ``None``) **never need
   invalidation**; the cache survives arbitrary routing churn, is shared by
-  every broker in a process, and is bounded (clear-on-cap, like the
-  covering cache).  Because the greedy replay is deterministic, the
+  every broker of a network (:class:`FilterCaches`), and is bounded
+  (clear-on-cap, like the covering cache).  Because the greedy replay is deterministic, the
   *intermediate* merged filters it creates recur between replays too and
   hit the cache just like the inputs do — a re-merge after a delta only
   evaluates pairs involving changed filters.
@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.filters.covering_cache import get_covering_cache
+from repro.filters.covering_cache import CoveringCache
 from repro.filters.filter import Filter, MatchNone
 from repro.filters.merging import try_merge_pair
 
@@ -61,11 +61,15 @@ class MergePairCache:
     A size cap bounds memory: when the cap is reached the cache is simply
     cleared, trading a one-off warm-up for a hard memory ceiling — the
     same policy as :class:`~repro.filters.covering_cache.CoveringCache`.
+    ``misses`` counts the raw ``try_merge_pair`` runs.  Covering tests
+    inside a merge run against *covering*, which is result-identical to
+    the raw test.
     """
 
-    __slots__ = ("_results", "hits", "misses", "evictions", "max_entries")
+    __slots__ = ("covering", "_results", "hits", "misses", "evictions", "max_entries")
 
-    def __init__(self, max_entries: int = 500_000) -> None:
+    def __init__(self, covering: CoveringCache, max_entries: int = 500_000) -> None:
+        self.covering = covering
         self._results: Dict[Tuple[Any, Any], Optional[Filter]] = {}
         self.hits = 0
         self.misses = 0
@@ -73,18 +77,13 @@ class MergePairCache:
         self.max_entries = max_entries
 
     def merge(self, left: Filter, right: Filter) -> Optional[Filter]:
-        """Cached equivalent of ``try_merge_pair(left, right)``.
-
-        Covering tests inside the merge run against the shared global
-        :class:`~repro.filters.covering_cache.CoveringCache`, which is
-        result-identical to the raw test.
-        """
+        """Cached equivalent of ``try_merge_pair(left, right)``."""
         key = (left.key(), right.key())
         cached = self._results.get(key, _ABSENT)
         if cached is not _ABSENT:
             self.hits += 1
             return cached  # type: ignore[return-value]
-        result = try_merge_pair(left, right, covers=get_covering_cache().covers)
+        result = try_merge_pair(left, right, covers=self.covering.covers)
         if len(self._results) >= self.max_entries:
             self._results.clear()
             self.evictions += 1
@@ -112,13 +111,20 @@ class MergePairCache:
         return len(self._results)
 
 
-#: The process-wide shared cache used by every broker's merge states.
-_GLOBAL_PAIR_CACHE = MergePairCache()
+class FilterCaches:
+    """The covering and merge-pair caches one network's brokers share.
 
+    Both memoise pure functions of two filters, so every broker of a
+    :class:`~repro.broker.network.PubSubNetwork` can share one pair —
+    brokers on a path test the same filters — while a second network
+    starts cold and its caches' ``misses`` count only its own raw work.
+    """
 
-def get_merge_pair_cache() -> MergePairCache:
-    """The shared process-wide merge-pair cache."""
-    return _GLOBAL_PAIR_CACHE
+    __slots__ = ("covering", "merge_pairs")
+
+    def __init__(self) -> None:
+        self.covering = CoveringCache()
+        self.merge_pairs = MergePairCache(self.covering)
 
 
 def merge_filters_annotated(
@@ -224,8 +230,8 @@ class MergeState:
         "replays",
     )
 
-    def __init__(self, pair_cache: Optional[MergePairCache] = None) -> None:
-        self.pair_cache = pair_cache or _GLOBAL_PAIR_CACHE
+    def __init__(self, pair_cache: MergePairCache) -> None:
+        self.pair_cache = pair_cache
         self._keys: Optional[Tuple[Any, ...]] = None
         self._key_set: set = set()
         self.result: List[Filter] = []

@@ -27,50 +27,6 @@ from repro.filters.constraints import AnyValue, Between, Constraint, Equals, InS
 from repro.filters.covering import filter_covers
 from repro.filters.filter import Filter, MatchNone
 from repro.filters.attributes import try_compare
-from repro.filters.stats import AggregatedStats, _install_aggregate_properties
-
-
-class MergingStats:
-    """Counter of raw (uncached) merge-pair evaluations (one sink).
-
-    Mirrors :class:`repro.filters.covering.CoveringStats`: benchmarks and
-    tests read :data:`merge_stats` to verify that the merge-pair cache
-    (:class:`repro.filters.merge_state.MergePairCache`) actually removes
-    re-merge work from the broker hot path.  Only genuine
-    :func:`try_merge_pair` runs are counted, never cache hits.
-    """
-
-    __slots__ = ("try_merge_calls", "__weakref__")
-
-    def __init__(self) -> None:
-        self.try_merge_calls = 0
-
-    def reset(self) -> None:
-        self.try_merge_calls = 0
-
-    def snapshot(self) -> dict:
-        """Current counter values (used by benchmarks and metrics)."""
-        return {"try_merge_calls": self.try_merge_calls}
-
-
-class MergingStatsAggregate(AggregatedStats):
-    """Process-wide view over every merging-stats sink.
-
-    Same facade pattern as :data:`repro.filters.stats.matching_stats`:
-    :func:`try_merge_pair` writes through ``merge_stats.current`` (the
-    active broker's sink, or the unattributed base), reads sum every
-    registered sink — totals stay byte-identical, attribution is new.
-    """
-
-    sink_type = MergingStats
-    fields = ("try_merge_calls",)
-
-
-_install_aggregate_properties(MergingStatsAggregate)
-
-
-#: Global facade incremented (through ``.current``) by :func:`try_merge_pair`.
-merge_stats = MergingStatsAggregate()
 
 
 def _merge_constraints(left: Constraint, right: Constraint) -> Optional[Constraint]:
@@ -157,7 +113,6 @@ def try_merge_pair(left: Filter, right: Filter, covers=filter_covers) -> Optiona
     :class:`repro.filters.covering_cache.CoveringCache`) without changing
     semantics.
     """
-    merge_stats.current.try_merge_calls += 1
     if isinstance(left, MatchNone):
         return right
     if isinstance(right, MatchNone):

@@ -16,9 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.dispatch.stats import dispatch_stats
-from repro.filters.merging import merge_stats
-from repro.filters.stats import matching_stats
+from repro.dispatch.stats import DispatchStats
 from repro.messages.base import MessageKind
 from repro.runtime.trace import TraceRecorder
 
@@ -76,59 +74,41 @@ class MessageCounter:
         return dict(Counter(type(messages[row]).__name__ for row in rows))
 
 
-def reset_data_plane_stats() -> None:
-    """Reset the process-wide data-plane counters (benchmark prologue).
-
-    Covers all three stat families — matching, dispatch *and* merging.
-    (Merge stats were historically left out, so a benchmark prologue
-    leaked the previous workload's ``try_merge_calls`` into the next;
-    the unified reset goes through every facade.)
-    """
-    matching_stats.reset()
-    dispatch_stats.reset()
-    merge_stats.reset()
-
-
-def data_plane_breakdown(brokers: Iterable[Any] = ()) -> Dict[str, float]:
-    """Counters describing per-message *data-plane* work.
+def data_plane_breakdown(brokers: Iterable[Any]) -> Dict[str, int]:
+    """Counters describing per-message *data-plane* work, summed over *brokers*.
 
     The control-plane benchmarks gate covering-call and admin-message
     counts; this breakdown reports what each notification (and each
     advertisement-gate query) actually cost:
 
-    * ``constraint_evals`` — raw constraint evaluations performed by
-      ``Filter.matches`` *plus* the residual evaluations of the counting
-      index (one mode-independent total; see
-      :mod:`repro.filters.stats`);
-    * ``filter_matches`` — whole-filter ``Filter.matches`` evaluations
-      (takeover replay, QoS metrics, the test oracles; the dispatch plane
-      performs none outside opaque filters);
+    * ``constraint_evals`` — raw constraint evaluations the dispatch plane
+      could not answer from its buckets (the count the brute-force
+      oracle's evaluations compare against; equal to
+      ``dispatch_constraint_evals``);
     * ``dispatch_*`` — the bitset engine's own accounting (passes,
       satisfied predicates, mask operations, shared-predicate skips,
       residual evaluations, filters matched; see
       :mod:`repro.dispatch.stats`);
-    * ``notifications_delivered`` — summed over *brokers*, the
-      denominator for per-delivery views of the counters above;
-    * ``advert_gate_hits`` / ``advert_gate_misses`` — per-broker
-      ``_advertised_via_cache`` memo accounting, summed over *brokers*.
+    * ``notifications_delivered`` — the denominator for per-delivery
+      views of the counters above;
+    * ``advert_gate_hits`` / ``advert_gate_misses`` /
+      ``advert_gate_cached_verdicts`` — per-broker
+      ``_advertised_via_cache`` memo accounting.
+
+    Every count comes from the brokers' own registries, so two networks
+    in one process never read each other's work.
     """
-    out: Dict[str, float] = dict(matching_stats.snapshot())
-    for name, value in dispatch_stats.snapshot().items():
-        out["dispatch_" + name] = value
-    gate_hits = 0
-    gate_misses = 0
-    gate_cached_verdicts = 0
-    delivered = 0
+    broker_counters = ("advert_gate_hits", "advert_gate_misses", "notifications_delivered")
+    out = dict.fromkeys(["dispatch_" + name for name in DispatchStats.__slots__], 0)
+    out.update(dict.fromkeys(broker_counters + ("advert_gate_cached_verdicts",), 0))
     for broker in brokers:
-        gate_hits += broker.counters.get("advert_gate_hits", 0)
-        gate_misses += broker.counters.get("advert_gate_misses", 0)
-        delivered += broker.counters.get("notifications_delivered", 0)
+        for name, value in broker.metrics.dispatch.snapshot().items():
+            out["dispatch_" + name] += value
+        for name in broker_counters:
+            out[name] += broker.counters.get(name, 0)
         for _, verdicts in broker._advertised_via_cache.values():
-            gate_cached_verdicts += len(verdicts)
-    out["advert_gate_hits"] = gate_hits
-    out["advert_gate_misses"] = gate_misses
-    out["advert_gate_cached_verdicts"] = gate_cached_verdicts
-    out["notifications_delivered"] = delivered
+            out["advert_gate_cached_verdicts"] += len(verdicts)
+    out["constraint_evals"] = out["dispatch_constraint_evals"]
     return out
 
 

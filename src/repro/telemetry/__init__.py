@@ -5,7 +5,7 @@ The package is organised around four pieces (see
 
 * :mod:`repro.telemetry.registry` — per-broker
   :class:`~repro.telemetry.registry.MetricRegistry`; the single home for
-  counters, data-plane stats sinks, gauges and histograms.
+  counters, the dispatch stats sink, gauges and histograms.
 * :mod:`repro.telemetry.events` — typed, wire-codable event records
   (metric snapshots, spans, logs).
 * :mod:`repro.telemetry.sinks` — where events go (ring buffer, framed
@@ -39,11 +39,7 @@ from repro.telemetry.events import (
     TelemetryEvent,
     trace_id_of,
 )
-from repro.telemetry.registry import (
-    Histogram,
-    MetricRegistry,
-    scoped_data_plane_breakdown,
-)
+from repro.telemetry.registry import Histogram, MetricRegistry
 from repro.telemetry.sinks import (
     FramedFileSink,
     RingBufferSink,
@@ -69,7 +65,6 @@ __all__ = [
     "active_telemetry_config",
     "disable_telemetry",
     "enable_telemetry",
-    "scoped_data_plane_breakdown",
     "telemetry_enabled",
     "trace_id_of",
 ]

@@ -13,8 +13,6 @@ all-distinct population multiplied the raw covering tests by 15.
 import random
 
 from repro.broker.network import PubSubNetwork
-from repro.filters.covering import covering_stats
-from repro.filters.covering_cache import get_covering_cache
 from repro.topology.builders import balanced_tree_topology
 
 
@@ -44,11 +42,9 @@ def distinct_population(count):
 
 
 def _settle_distinct_population(count):
-    """Raw covering tests to settle :func:`distinct_population`."""
-    covering_stats.reset()
-    get_covering_cache().clear()
-    distinct_population(count)
-    return covering_stats.filter_covers_calls
+    """Covering-cache stats (``misses`` = raw covering tests) of settling
+    :func:`distinct_population`."""
+    return distinct_population(count).filter_caches.covering.stats()
 
 
 def test_covering_tests_grow_with_the_population_not_its_square():
@@ -56,7 +52,7 @@ def test_covering_tests_grow_with_the_population_not_its_square():
     large = _settle_distinct_population(1680)
     # 4× the subscriptions: linear growth reads 4×, the selection scan read
     # 15.5×, the index 4.9×.
-    assert large <= 6 * small
-    # Few enough distinct pairs that the process-wide cache never had to
+    assert large["misses"] <= 6 * small["misses"]
+    # Few enough distinct pairs that the network's cache never had to
     # clear itself and re-evaluate from cold.
-    assert get_covering_cache().stats()["evictions"] == 0
+    assert large["evictions"] == 0

@@ -145,10 +145,10 @@ class TestForwardingDiffEmission:
         assert self._emit([item], []) == self._sorted_as_before(Subscribe, [item])
         assert self._emit([], [item]) == self._sorted_as_before(Unsubscribe, [item])
         assert self._emit([], []) == []
-        base._SORT_TOKEN_CACHE.pop(filter_.key())  # memoised by _sorted_as_before only
+        filter_._sort_token = None  # memoised by _sorted_as_before only
         self._emit([item], [])
         self._emit([], [item])
-        assert filter_.key() not in base._SORT_TOKEN_CACHE
+        assert filter_._sort_token is None
 
 
 class TestJunctionAndCounterparts:

@@ -57,7 +57,7 @@ def _delta_desired(broker, neighbour):
     if not state.valid:
         broker._rebuild_forwarding_state(neighbour, state)
     elif state.order_dirty:
-        state.rebuild_reduction(broker._covering_cache)
+        state.rebuild_reduction()
     return state.desired
 
 

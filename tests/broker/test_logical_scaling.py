@@ -27,7 +27,6 @@ from repro.broker.network import PubSubNetwork
 from repro.core.adaptivity import UncertaintyPlan
 from repro.core.location_filter import MYLOC
 from repro.core.ploc import MovementGraph
-from repro.filters.covering_cache import get_covering_cache
 from repro.topology.builders import balanced_tree_topology
 
 from tests.broker.test_admission_scaling import distinct_population
@@ -63,7 +62,6 @@ def _interleaved_phase(network):
 
 
 def _settled_then_interleaved(plain, calls):
-    get_covering_cache().clear()
     network = distinct_population(plain)
     for name in calls:
         calls[name] = 0

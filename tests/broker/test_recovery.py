@@ -97,6 +97,9 @@ class TestCrashLifecycle:
     def test_restart_replays_journal_and_resumes_delivery(self):
         network, producer, consumer = self._network()
         broker = network.broker("B2")
+        producer.publish({"topic": "news", "n": 0})
+        network.settle()
+        matched_before_crash = broker.metrics.dispatch.matches
         before = encode_table(broker.subscription_table), encode_table(broker.advertisement_table)
         network.crash_broker("B2")
         replayed = network.restart_broker("B2")
@@ -106,7 +109,10 @@ class TestCrashLifecycle:
         assert after == before
         producer.publish({"topic": "news", "n": 1})
         network.settle()
-        assert [record.sequence for record in consumer.received] == [1]
+        assert [record.sequence for record in consumer.received] == [1, 2]
+        # The dispatch plan the crash rebuilt counts in the broker's same
+        # registry sink: the counters keep accumulating.
+        assert broker.metrics.dispatch.matches == matched_before_crash + 1 == 2
 
     def test_restart_from_snapshot_skips_covered_records(self):
         network, producer, consumer = self._network()

@@ -19,9 +19,8 @@ from hypothesis import given, settings, strategies as st
 from repro.broker.network import PubSubNetwork
 from repro.dispatch.counting import BitsetMatcher
 from repro.dispatch.predicate_index import PredicateIndex
-from repro.dispatch.stats import dispatch_stats
 from repro.filters.filter import Filter, MatchAll, MatchNone
-from repro.metrics.counters import data_plane_breakdown, reset_data_plane_stats
+from repro.metrics.counters import data_plane_breakdown
 from repro.topology.builders import line_topology
 
 from tests.dispatch.test_predicate_index import (
@@ -139,11 +138,10 @@ class TestSharedPredicateSkipping:
 
     def test_satisfied_hot_predicate_is_skipped_not_counted(self):
         (index, matcher), filters = self._hot_population()
-        dispatch_stats.reset()
         matched = matcher.match({"service": "parking", "floor": 3})
         assert keys_of(matched) == {F(service="parking", floor=3).key(), F(floor=3).key()}
-        assert dispatch_stats.predicates_skipped_shared == 1
-        assert dispatch_stats.mask_ops > 0
+        assert matcher.stats.predicates_skipped_shared == 1
+        assert matcher.stats.mask_ops > 0
 
     def test_unsatisfied_hot_predicate_vetoes_its_sharers(self):
         (index, matcher), filters = self._hot_population()
@@ -158,11 +156,10 @@ class TestSharedPredicateSkipping:
         _, matcher = make_bitset_matcher(
             F(service="parking", floor=1), F(service="parking", floor=2)
         )
-        dispatch_stats.reset()
         assert keys_of(matcher.match({"service": "parking", "floor": 2})) == {
             F(service="parking", floor=2).key()
         }
-        assert dispatch_stats.predicates_skipped_shared == 0
+        assert matcher.stats.predicates_skipped_shared == 0
 
 
 # ---------------------------------------------------------------------------
@@ -211,14 +208,15 @@ class TestDirtyBucketRecompile:
         filters = [F(service="parking", floor=floor) for floor in range(20)]
         index, matcher = make_bitset_matcher(*filters)
         matcher.match({"service": "parking", "floor": 0})  # initial full compile
-        dispatch_stats.reset()
+        stats = index.stats  # the index's sink, shared by every matcher over it
+        stats.reset()
         index.add(F(service="parking", floor=99))
         matcher.match({"service": "parking", "floor": 99})
-        incremental = dispatch_stats.bitset_rebuilds
-        dispatch_stats.reset()
+        incremental = stats.bitset_rebuilds
+        stats.reset()
         fresh = BitsetMatcher(index)
         fresh.match({"service": "parking", "floor": 99})
-        full = dispatch_stats.bitset_rebuilds
+        full = stats.bitset_rebuilds
         # The add dirtied exactly the touched predicates (the shared
         # service predicate and the new floor bucket), not all 21 masks.
         assert incremental == 2
@@ -269,7 +267,7 @@ class TestCrossNotificationBatching:
             subscribers.append(client)
         network.settle()
 
-        reset_data_plane_stats()
+        before = data_plane_breakdown(network.brokers.values())
         for burst in range(5):
             # Identical attributes published at one instant share delivery
             # times on the broker-broker link, so one flush hands the
@@ -277,7 +275,8 @@ class TestCrossNotificationBatching:
             for _ in range(4):
                 producer.publish({"service": "s", "level": burst % 3})
             network.settle()
-        stats = data_plane_breakdown(network.brokers.values())
+        after = data_plane_breakdown(network.brokers.values())
+        stats = {key: after[key] - before[key] for key in after}
         received = {c.client_id: c.received_identities() for c in subscribers}
         network.close()
         return received, stats

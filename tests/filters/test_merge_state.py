@@ -12,19 +12,32 @@ routing behaviour.
 
 import random
 
+import repro.filters.merge_state as merge_state
 from repro.filters.covering import filter_covers
+from repro.filters.covering_cache import CoveringCache
 from repro.filters.filter import Filter, MatchNone
-from repro.filters.merge_state import (
-    MergePairCache,
-    MergeState,
-    get_merge_pair_cache,
-    merge_filters_annotated,
-)
-from repro.filters.merging import merge_filters, merge_stats, try_merge_pair
+from repro.filters.merge_state import MergePairCache, MergeState, merge_filters_annotated
+from repro.filters.merging import merge_filters, try_merge_pair
 
 
 def F(**kwargs):
     return Filter(kwargs)
+
+
+def _pair_cache(**kwargs):
+    return MergePairCache(CoveringCache(), **kwargs)
+
+
+def _count_raw_merges(monkeypatch):
+    """Record every raw ``try_merge_pair`` a merge-pair cache runs from now on."""
+    raw_merges = []
+
+    def counted(left, right, covers):
+        raw_merges.append((left, right))
+        return try_merge_pair(left, right, covers)
+
+    monkeypatch.setattr(merge_state, "try_merge_pair", counted)
+    return raw_merges
 
 
 def _loc(*locations):
@@ -33,7 +46,7 @@ def _loc(*locations):
 
 class TestMergePairCache:
     def test_hit_miss_accounting(self):
-        cache = MergePairCache()
+        cache = _pair_cache()
         left, right = _loc("a"), _loc("b")
         merged = cache.merge(left, right)
         assert merged == _loc("a", "b")
@@ -44,32 +57,32 @@ class TestMergePairCache:
         assert cache.merge(right, left) == merged
         assert cache.stats()["misses"] == 2
 
-    def test_failed_merges_are_cached(self):
-        cache = MergePairCache()
+    def test_failed_merges_are_cached(self, monkeypatch):
+        cache = _pair_cache()
         left, right = F(a=1), F(b=2)
         assert cache.merge(left, right) is None
-        merge_stats.reset()
+        raw_merges = _count_raw_merges(monkeypatch)
         assert cache.merge(left, right) is None
-        assert merge_stats.try_merge_calls == 0
+        assert raw_merges == []
         assert cache.stats()["hits"] == 1
 
-    def test_cached_result_skips_recomputation(self):
-        cache = MergePairCache()
+    def test_cached_result_skips_recomputation(self, monkeypatch):
+        cache = _pair_cache()
         left, right = _loc("a"), _loc("b")
         cache.merge(left, right)
-        merge_stats.reset()
+        raw_merges = _count_raw_merges(monkeypatch)
         cache.merge(left, right)
-        assert merge_stats.try_merge_calls == 0
+        assert raw_merges == []
 
     def test_equal_keys_share_cache_entries(self):
-        cache = MergePairCache()
+        cache = _pair_cache()
         cache.merge(F(a=1, b=2), F(a=2, b=2))
         # A structurally identical pair must hit, not miss.
         assert cache.merge(F(b=2, a=1), F(b=2, a=2)) == F(a=("in", (1, 2)), b=2)
         assert cache.stats()["hits"] == 1
 
     def test_eviction_respects_bound_and_stays_correct(self):
-        cache = MergePairCache(max_entries=2)
+        cache = _pair_cache(max_entries=2)
         pairs = [(_loc("a"), _loc(chr(ord("b") + index))) for index in range(4)]
         for left, right in pairs:
             expected = try_merge_pair(left, right)
@@ -80,18 +93,25 @@ class TestMergePairCache:
         for left, right in pairs:
             assert cache.merge(left, right) == try_merge_pair(left, right)
 
+    def test_covering_tests_inside_a_merge_use_its_covering_cache(self):
+        covering = CoveringCache()
+        cache = MergePairCache(covering)
+        # Neither direction is known yet: both covering tests run raw, once.
+        assert cache.merge(_loc("a"), _loc("a", "b")) == _loc("a", "b")
+        assert covering.stats()["misses"] == 2
+        # A new pair whose covering tests are already cached runs none.
+        assert cache.merge(_loc("a", "b"), _loc("a")) == _loc("a", "b")
+        assert covering.stats()["misses"] == 2
+
     def test_match_none_is_neutral_through_the_cache(self):
-        cache = MergePairCache()
+        cache = _pair_cache()
         assert cache.merge(MatchNone(), F(a=1)) == F(a=1)
         assert cache.merge(F(a=1), MatchNone()) == F(a=1)
-
-    def test_global_cache_is_shared(self):
-        assert get_merge_pair_cache() is get_merge_pair_cache()
 
 
 class TestAnnotatedMerge:
     def test_matches_merge_filters_and_reports_membership(self):
-        cache = MergePairCache()
+        cache = _pair_cache()
         inputs = [_loc("a"), _loc("b"), F(service="fuel"), _loc("c")]
         result, member_root, root_members, intermediates = merge_filters_annotated(
             inputs, cache.merge
@@ -112,7 +132,7 @@ class TestAnnotatedMerge:
         assert merged_key in intermediates
 
     def test_every_member_is_covered_by_its_root(self):
-        cache = MergePairCache()
+        cache = _pair_cache()
         inputs = [_loc("a"), _loc("a", "b"), F(cost=("<", 5)), F(cost=("<", 9))]
         result, member_root, _, _ = merge_filters_annotated(inputs, cache.merge)
         by_key = {f.key(): f for f in result}
@@ -123,7 +143,7 @@ class TestAnnotatedMerge:
 
 class TestMergeStateFastPaths:
     def test_unchanged_input_is_reused(self):
-        state = MergeState(MergePairCache())
+        state = MergeState(_pair_cache())
         inputs = [_loc("a"), _loc("b")]
         first, _ = state.update(inputs)
         second, _ = state.update(list(inputs))
@@ -131,7 +151,7 @@ class TestMergeStateFastPaths:
         assert state.stats()["reuses"] == 1
 
     def test_append_that_merges_with_nothing_is_fast(self):
-        state = MergeState(MergePairCache())
+        state = MergeState(_pair_cache())
         state.update([F(a=1), F(b=2)])
         assert state.stats()["replays"] == 1
         merged, member_root = state.update([F(a=1), F(b=2), F(c=3)])
@@ -143,7 +163,7 @@ class TestMergeStateFastPaths:
         assert member_root[F(c=3).key()] == F(c=3).key()
 
     def test_append_that_merges_falls_back_to_replay(self):
-        state = MergeState(MergePairCache())
+        state = MergeState(_pair_cache())
         state.update([_loc("a"), F(b=2)])
         merged, _ = state.update([_loc("a"), F(b=2), _loc("c")])
         assert state.stats()["fast_appends"] == 0
@@ -154,7 +174,7 @@ class TestMergeStateFastPaths:
 
     def test_append_merging_with_an_intermediate_falls_back(self):
         """The conservative test runs against intermediates, not just roots."""
-        state = MergeState(MergePairCache())
+        state = MergeState(_pair_cache())
         # a+b and then +c collapse into one root {a, b, c}; a new filter
         # equal to the *intermediate* {a, b} merges (covering) with it.
         state.update([_loc("a"), _loc("b"), _loc("c")])
@@ -165,7 +185,7 @@ class TestMergeStateFastPaths:
         ]
 
     def test_singleton_removal_is_fast(self):
-        state = MergeState(MergePairCache())
+        state = MergeState(_pair_cache())
         state.update([F(a=1), F(b=2), F(c=3)])
         merged, member_root = state.update([F(a=1), F(c=3)])
         assert state.stats()["fast_removes"] == 1
@@ -174,7 +194,7 @@ class TestMergeStateFastPaths:
         assert F(b=2).key() not in member_root
 
     def test_group_member_removal_falls_back_to_replay(self):
-        state = MergeState(MergePairCache())
+        state = MergeState(_pair_cache())
         state.update([_loc("a"), _loc("b"), F(c=3)])
         merged, _ = state.update([_loc("a"), F(c=3)])
         assert state.stats()["fast_removes"] == 0
@@ -182,7 +202,7 @@ class TestMergeStateFastPaths:
         assert [f.key() for f in merged] == [f.key() for f in merge_filters([_loc("a"), F(c=3)])]
 
     def test_simultaneous_singleton_removal_and_inert_append(self):
-        state = MergeState(MergePairCache())
+        state = MergeState(_pair_cache())
         state.update([F(a=1), F(b=2)])
         merged, _ = state.update([F(a=1), F(c=3)])
         assert state.stats()["fast_removes"] == 1
@@ -191,14 +211,14 @@ class TestMergeStateFastPaths:
         assert [f.key() for f in merged] == [f.key() for f in merge_filters([F(a=1), F(c=3)])]
 
     def test_reorder_falls_back_to_replay(self):
-        state = MergeState(MergePairCache())
+        state = MergeState(_pair_cache())
         state.update([F(a=1), F(b=2)])
         state.update([F(b=2), F(a=1)])
         assert state.stats()["replays"] == 2
 
     def test_fast_append_then_later_merge_against_it(self):
         """A fast-appended filter becomes a merge candidate for the next append."""
-        state = MergeState(MergePairCache())
+        state = MergeState(_pair_cache())
         state.update([F(a=1)])
         state.update([F(a=1), _loc("x")])  # fast append (no merge possible)
         assert state.stats()["fast_appends"] == 1
@@ -229,7 +249,7 @@ def test_randomized_churn_is_result_identical_to_merge_filters():
     """Under arbitrary add/remove churn the forest equals the from-scratch merge."""
     for seed in (3, 17, 99):
         rng = random.Random(seed)
-        state = MergeState(MergePairCache())
+        state = MergeState(_pair_cache())
         inputs = []
         seen = set()
         for _ in range(160):

@@ -2,7 +2,8 @@
 
 from repro.broker.base import Broker, BrokerConfig
 from repro.filters.filter import Filter
-from repro.metrics.counters import data_plane_breakdown, reset_data_plane_stats
+from repro.messages.notification import Notification
+from repro.metrics.counters import data_plane_breakdown
 from repro.routing.strategies import make_strategy
 from repro.sim.engine import Simulator
 from repro.sim.network import FixedLatency, Link
@@ -18,30 +19,26 @@ def _make_broker():
 
 
 def test_breakdown_counts_scan_and_indexed_work():
-    reset_data_plane_stats()
-    before = data_plane_breakdown()
+    broker = _make_broker()
+    before = data_plane_breakdown([broker])
     assert before["constraint_evals"] == 0
     assert before["dispatch_matches"] == 0
-    # Scan work: a direct Filter.matches evaluation.
+    # Indexed work: the equality is a bucket hit.  Scan work: the ``!=``
+    # constraint sits in a residual scan list and is evaluated.
+    broker.subscription_table.add(Filter({"service": "parking", "note": ("!=", "x")}), "N1", "s1")
+    # A direct Filter.matches is a pure function: no broker counts it.
     assert Filter({"service": "parking"}).matches({"service": "parking"})
-    # Indexed work: one counting pass through a broker's dispatch plan.
-    broker = _make_broker()
-    broker.subscription_table.add(Filter({"service": "parking"}), "N1", "s1")
-    from repro.messages.notification import Notification
-
     broker._handle_notification(
-        Notification({"service": "parking"}, "p", 1), from_destination="c1"
+        Notification({"service": "parking", "note": "y"}, "p", 1), from_destination="c1"
     )
     after = data_plane_breakdown([broker])
-    assert after["constraint_evals"] >= 1
-    assert after["filter_matches"] >= 1
+    assert after["constraint_evals"] == after["dispatch_constraint_evals"] == 1
     assert after["dispatch_matches"] == 1
-    assert after["dispatch_satisfied_predicates"] == 1
+    assert after["dispatch_satisfied_predicates"] == 2
     assert after["dispatch_filters_matched"] == 1
 
 
 def test_breakdown_exposes_advert_gate_cache():
-    reset_data_plane_stats()
     broker = _make_broker()
     broker.advertisement_table.add(Filter({"service": "parking"}), "N1", "a1")
     query = Filter({"service": "parking", "location": "a"})

@@ -16,7 +16,9 @@ possible, over nothing but the tables' rows:
 
 :func:`scratch_forwarding` swaps this in for every
 :meth:`~repro.broker.base.Broker.refresh_forwarding` in the process, so
-whole networks can be run on it and compared with the production path.
+whole networks can be run on it and compared with the production path;
+it yields the :class:`~tests.oracles.counting.RawWork` the specification
+counted its covering tests and pair merges in.
 """
 
 from contextlib import contextmanager
@@ -25,14 +27,16 @@ from repro.broker.base import Broker
 from repro.filters.covering import filter_covers
 from repro.filters.filter import MatchNone
 
+from tests.oracles.counting import RawWork
 
-def first_cover(selected, filter_):
+
+def first_cover(selected, filter_, covers=filter_covers):
     """The selected filter equal to *filter_*, else the first one covering it."""
     for candidate in selected:
         if candidate.key() == filter_.key():
             return candidate
     for candidate in selected:
-        if filter_covers(candidate, filter_):
+        if covers(candidate, filter_):
             return candidate
     # The reduction should always leave a cover; forward the filter itself.
     return filter_
@@ -49,8 +53,12 @@ def stored_by_logical_protocol(broker, row, subject):
     )
 
 
-def desired_forwarding(broker, neighbour):
-    """``{(filter key, subject): filter}`` *broker* should have registered at *neighbour*."""
+def desired_forwarding(broker, neighbour, work=None):
+    """``{(filter key, subject): filter}`` *broker* should have registered at *neighbour*.
+
+    The raw tests it makes are counted in *work*, when given.
+    """
+    work = RawWork() if work is None else work
     if broker.strategy.floods_notifications:
         # Nothing is forwarded.  This has to precede the reduction: a
         # flooding strategy selects no filter, so every input would take
@@ -69,19 +77,20 @@ def desired_forwarding(broker, neighbour):
         if gated and not broker._dispatch_plan.advertised_via(neighbour, row.filter):
             continue
         entries.append((row.filter, subjects))
-    selected = broker.strategy.desired_forwarding_set([filter_ for filter_, _ in entries])
+    with work.counting_library_reductions():
+        selected = broker.strategy.desired_forwarding_set([filter_ for filter_, _ in entries])
     desired = {}
     for filter_, subjects in entries:
-        cover = first_cover(selected, filter_)
+        cover = first_cover(selected, filter_, work.covers)
         for subject in subjects:
             desired[(cover.key(), subject)] = cover
     return desired
 
 
-def _scratch_refresh(broker, neighbour):
+def _scratch_refresh(broker, neighbour, work):
     if neighbour not in broker._links:
         return
-    desired = desired_forwarding(broker, neighbour)
+    desired = desired_forwarding(broker, neighbour, work)
     forwarded = broker._forwarded_subscriptions[neighbour]
     to_add = {pair: filt for pair, filt in desired.items() if pair not in forwarded}
     to_remove = {pair: filt for pair, filt in forwarded.items() if pair not in desired}
@@ -94,11 +103,13 @@ def scratch_forwarding():
 
     Brokers built inside the block never rebuild their forwarding states,
     so the states stay invalid and ignore every delta: the run pays for
-    the specification only.
+    the specification only, whose raw work the yielded
+    :class:`~tests.oracles.counting.RawWork` counts.
     """
+    work = RawWork()
     production = Broker.refresh_forwarding
-    Broker.refresh_forwarding = _scratch_refresh
+    Broker.refresh_forwarding = lambda broker, neighbour: _scratch_refresh(broker, neighbour, work)
     try:
-        yield
+        yield work
     finally:
         Broker.refresh_forwarding = production

@@ -10,7 +10,9 @@ nothing but the tables' rows:
 
 :func:`oracle_dispatch` swaps the specification in for every
 :class:`~repro.dispatch.plan.DispatchPlan` in the process, so whole
-networks can be run on it and compared with the production path.
+networks can be run on it and compared with the production path; it
+yields the :class:`~tests.oracles.counting.RawWork` the specification
+counted its constraint evaluations in.
 """
 
 from contextlib import contextmanager
@@ -18,10 +20,16 @@ from contextlib import contextmanager
 from repro.dispatch.plan import DispatchPlan
 from repro.filters.covering import filters_overlap_hint
 
+from tests.oracles.counting import RawWork
 
-def matching_rows(table, attributes):
-    """Every row of *table* whose filter matches *attributes*."""
-    return [row for row in table.entries() if row.filter.matches(attributes)]
+
+def matching_rows(table, attributes, work=None):
+    """Every row of *table* whose filter matches *attributes*.
+
+    The constraint evaluations are counted in *work*, when given.
+    """
+    matches = (RawWork() if work is None else work).matches
+    return [row for row in table.entries() if matches(row.filter, attributes)]
 
 
 def advertised_via(table, neighbour, filter_):
@@ -47,14 +55,15 @@ def checked_match(plan, table, attributes):
 @contextmanager
 def oracle_dispatch():
     """Answer every plan query in the process from the specification."""
+    work = RawWork()
     production = (DispatchPlan.match, DispatchPlan.advertised_via)
     DispatchPlan.match = lambda plan, attributes: matching_rows(
-        plan._subscription_table, attributes
+        plan._subscription_table, attributes, work
     )
     DispatchPlan.advertised_via = lambda plan, neighbour, filter_: advertised_via(
         plan._advertisement_table, neighbour, filter_
     )
     try:
-        yield
+        yield work
     finally:
         DispatchPlan.match, DispatchPlan.advertised_via = production

@@ -15,8 +15,6 @@ import tracemalloc
 
 import pytest
 
-from repro.filters.covering_cache import get_covering_cache
-
 from tests.broker.test_admission_scaling import distinct_population
 
 SUBSCRIPTIONS = 420
@@ -24,7 +22,6 @@ BYTES_PER_ROW = 4600
 
 
 def test_a_routing_row_stays_small():
-    get_covering_cache().clear()
     tracemalloc.start()
     try:
         network = distinct_population(SUBSCRIPTIONS)

@@ -1,12 +1,15 @@
-"""Per-broker metric registries, the stats facades, and network scoping."""
+"""Per-broker metric registries and network scoping: nothing is process-wide."""
 
+from itertools import zip_longest
+
+import pytest
+
+from repro.broker.base import Broker
 from repro.broker.network import PubSubNetwork
-from repro.dispatch.stats import dispatch_stats
-from repro.filters.merging import merge_stats
-from repro.filters.stats import matching_stats
-from repro.metrics.counters import data_plane_breakdown, reset_data_plane_stats
+from repro.routing.strategies import make_strategy
+from repro.sim.engine import Simulator
 from repro.telemetry.registry import Histogram, MetricRegistry
-from repro.topology.builders import line_topology
+from repro.topology.builders import balanced_tree_topology, line_topology
 
 
 def _run_workload(network, publishes=5, tag="news"):
@@ -40,58 +43,138 @@ class TestHistogram:
 class TestMetricRegistry:
     def test_counters_gauges_histograms(self):
         registry = MetricRegistry("B")
-        try:
-            registry.inc("things")
-            registry.inc("things", 2)
-            registry.set_gauge("depth", 3)
-            registry.set_gauge("depth", 1)
-            registry.observe("fanout", 4)
-            assert registry.counters["things"] == 3
-            assert registry.gauge_snapshot() == {"depth": {"last": 1, "high": 3}}
-            assert registry.histogram_snapshot()["fanout"]["count"] == 1
-        finally:
-            registry.close()
-
-    def test_activate_restore_nesting(self):
-        outer = MetricRegistry("outer")
-        inner = MetricRegistry("inner")
-        try:
-            saved_outer = outer.activate()
-            matching_stats.current.constraint_evals += 1
-            saved_inner = inner.activate()
-            matching_stats.current.constraint_evals += 10
-            MetricRegistry.restore(saved_inner)
-            matching_stats.current.constraint_evals += 1
-            MetricRegistry.restore(saved_outer)
-            assert outer.matching.constraint_evals == 2
-            assert inner.matching.constraint_evals == 10
-        finally:
-            outer.close()
-            inner.close()
+        registry.inc("things")
+        registry.inc("things", 2)
+        registry.set_gauge("depth", 3)
+        registry.set_gauge("depth", 1)
+        registry.observe("fanout", 4)
+        assert registry.counters["things"] == 3
+        assert registry.gauge_snapshot() == {"depth": {"last": 1, "high": 3}}
+        assert registry.histogram_snapshot()["fanout"]["count"] == 1
 
     def test_queue_depth_probe_feeds_gauge_and_histogram(self):
         registry = MetricRegistry("B")
-        try:
-            probe = registry.queue_depth_probe("B->C")
-            probe(2)
-            probe(5)
-            probe(1)
-            assert registry.gauge_snapshot()["queue_depth:B->C"] == {
-                "last": 1,
-                "high": 5,
-            }
-            assert registry.histogram_snapshot()["link_queue_depth"]["count"] == 3
-        finally:
-            registry.close()
+        probe = registry.queue_depth_probe("B->C")
+        probe(2)
+        probe(5)
+        probe(1)
+        assert registry.gauge_snapshot()["queue_depth:B->C"] == {
+            "last": 1,
+            "high": 5,
+        }
+        assert registry.histogram_snapshot()["link_queue_depth"]["count"] == 3
+
+
+# ---------------------------------------------------------------------------
+# Two networks in one process share nothing
+# ---------------------------------------------------------------------------
+
+WINDOWS = [("l0", "l1"), ("l1", "l2"), ("l2", "l3"), ("l0", "l1", "l2"), ("l3",)]
+
+
+def _scripted_run(network):
+    """Subscribe, publish, relocate, publish, unsubscribe; yields between steps."""
+    leaves = network.graph.leaves()
+    producer = network.add_client("producer", leaves[0])
+    producer.advertise({"service": "parking"})
+    network.settle()
+    yield
+    subscribers = []
+    for index, window in enumerate(WINDOWS):
+        client = network.add_client("c{}".format(index), leaves[1 + index % 3])
+        # Windows differing in the location only: perfect merges too.
+        subscription = client.subscribe({"service": "parking", "location": ("in", window)})
+        subscribers.append((client, subscription))
+        yield
+    network.settle()
+    yield
+    for round_ in range(2):
+        for index in range(8):
+            location = "l{}".format(index % 4)
+            producer.publish({"service": "parking", "location": location, "index": index})
+        network.settle()
+        yield
+        if round_ == 0:
+            for index, (client, _) in enumerate(subscribers[:3]):
+                client.move_to(network.broker(leaves[(index + 2) % 4]))
+                yield
+            network.settle()
+            yield
+    client, subscription = subscribers[-1]
+    client.unsubscribe(subscription)
+    network.settle()
+
+
+def _observe(network):
+    """Everything a network computed and counted."""
+    caches = network.filter_caches
+    return {
+        "breakdown": network.data_plane_breakdown(),
+        "covering_cache": caches.covering.stats(),
+        "pair_cache": caches.merge_pairs.stats(),
+        "tables": {
+            name: [
+                (row.destination, row.filter.key(), sorted(row.subjects))
+                for row in broker.subscription_table.entries()
+            ]
+            for name, broker in sorted(network.brokers.items())
+        },
+        "deliveries": {
+            client_id: [
+                (record.time, record.subscription_id, record.identity)
+                for record in network.trace.deliveries_for(client_id)
+            ]
+            for client_id in sorted(network.clients)
+        },
+        "link_messages": network.total_messages(),
+    }
+
+
+def _network(strategy):
+    return PubSubNetwork(balanced_tree_topology(depth=2, fanout=2), strategy=strategy, latency=0.01)
 
 
 class TestPerNetworkScoping:
+    @pytest.mark.parametrize("strategy", ["covering", "merging"])
+    def test_two_networks_in_one_process_share_nothing(self, strategy):
+        """Two identical networks driven step by step in turn each compute
+        and count exactly what the same script computes alone: no covering
+        or merge result, counter or routing decision crosses over."""
+        solo = _network(strategy)
+        for _ in _scripted_run(solo):
+            pass
+        expected = _observe(solo)
+        assert expected["covering_cache"]["misses"] > 0
+        assert expected["breakdown"]["dispatch_matches"] > 0
+        if strategy == "merging":
+            assert expected["pair_cache"]["misses"] > 0
+
+        first, second = _network(strategy), _network(strategy)
+        for _ in zip_longest(_scripted_run(first), _scripted_run(second)):
+            pass
+        assert _observe(first) == expected
+        assert _observe(second) == expected
+
+    def test_brokers_of_one_network_share_its_filter_caches(self):
+        network = PubSubNetwork(line_topology(3), strategy="merging", latency=0.01)
+        caches = network.filter_caches
+        assert all(broker.filter_caches is caches for broker in network.brokers.values())
+        assert caches.merge_pairs.covering is caches.covering
+        other = PubSubNetwork(line_topology(3), strategy="merging", latency=0.01)
+        assert other.filter_caches is not caches
+
+    def test_a_broker_built_alone_gets_filter_caches_of_its_own(self):
+        clock = Simulator()
+        first = Broker("B1", clock, make_strategy("covering"))
+        second = Broker("B2", clock, make_strategy("covering"))
+        assert first.filter_caches is not second.filter_caches
+        assert first.filter_caches.merge_pairs.covering is first.filter_caches.covering
+
     def test_two_concurrent_networks_do_not_bleed(self):
         """Regression: two live PubSubNetworks used to share one process-
         global stats object, so the second network's matching work
         polluted the first's breakdown.  The per-broker registries make
         ``network.data_plane_breakdown()`` attributable per network."""
-        reset_data_plane_stats()
         network_a = PubSubNetwork(line_topology(3), strategy="covering", latency=0.01)
         network_b = PubSubNetwork(line_topology(3), strategy="covering", latency=0.01)
 
@@ -105,13 +188,7 @@ class TestPerNetworkScoping:
         breakdown_b = network_b.data_plane_breakdown()
         assert breakdown_b["dispatch_matches"] > breakdown_a["dispatch_matches"]
 
-        # The process-global facade still sums over everything.
-        global_breakdown = data_plane_breakdown()
-        for key in ("constraint_evals", "filter_matches", "dispatch_matches"):
-            assert global_breakdown[key] == breakdown_a[key] + breakdown_b[key]
-
     def test_broker_counter_snapshot_reconciles_with_breakdown(self):
-        reset_data_plane_stats()
         network = PubSubNetwork(line_topology(3), strategy="covering", latency=0.01)
         consumer = _run_workload(network, publishes=6)
         assert len(consumer.received) == 6
@@ -119,38 +196,7 @@ class TestPerNetworkScoping:
         scoped = network.data_plane_breakdown()
         assert scoped["dispatch_matches"] > 0
         snapshots = [broker.metrics.counter_snapshot() for broker in network.brokers.values()]
-        for key in ("constraint_evals", "filter_matches", "dispatch_matches"):
+        for key in ("constraint_evals", "dispatch_matches"):
             assert scoped[key] == sum(snapshot[key] for snapshot in snapshots)
         delivered = sum(snapshot["notifications_delivered"] for snapshot in snapshots)
         assert delivered == 6
-
-
-class TestResetUnification:
-    def test_reset_data_plane_stats_resets_merge_stats_too(self):
-        """Pin for the historical bug: ``reset_data_plane_stats`` skipped
-        the merging family, leaking ``try_merge_calls`` across benchmark
-        prologues."""
-        merge_stats.current.try_merge_calls += 3
-        matching_stats.current.constraint_evals += 1
-        dispatch_stats.current.matches += 1
-        assert merge_stats.try_merge_calls >= 3
-        reset_data_plane_stats()
-        assert merge_stats.try_merge_calls == 0
-        assert matching_stats.constraint_evals == 0
-        assert dispatch_stats.matches == 0
-
-    def test_facade_snapshot_sums_base_and_registries(self):
-        reset_data_plane_stats()
-        registry = MetricRegistry("X")
-        try:
-            matching_stats.current.constraint_evals += 2  # unattributed (base)
-            saved = registry.activate()
-            matching_stats.current.constraint_evals += 5  # attributed
-            MetricRegistry.restore(saved)
-            assert matching_stats.base.constraint_evals == 2
-            assert registry.matching.constraint_evals == 5
-            assert matching_stats.constraint_evals == 7
-            assert matching_stats.snapshot()["constraint_evals"] == 7
-        finally:
-            registry.close()
-        reset_data_plane_stats()

@@ -97,3 +97,100 @@ def test_importing_the_core_does_not_load_the_simulator():
         env=environment,
     )
     assert result.returncode == 0, result.stderr or result.stdout
+
+
+# ---------------------------------------------------------------------------
+# No process-global mutable state
+# ---------------------------------------------------------------------------
+
+#: Module-level bindings allowed to hold a mutable object or a call's
+#: result, by ``module.name``.  Anything else bound at module level to a
+#: dict / list / set display, a comprehension or a call — and any
+#: ``global`` statement — is process-global state a second network in the
+#: same process would inherit; give it an owner instead.
+MODULE_STATE_ALLOWED = {
+    # Read-only lookup tables.
+    "repro.cli._FIGURES",
+    "repro.cli._TABLES",
+    "repro.dispatch.predicate_index._CMP_OPS",
+    "repro.experiments.fig2_naive_roaming.EVENT_FILTER",
+    "repro.experiments.table1_ploc.PAPER_TABLE_1",
+    "repro.experiments.table2_filters.PAPER_TABLE_2",
+    "repro.experiments.table3_endpoints.ALL_LOCATIONS",
+    "repro.experiments.table3_endpoints.PAPER_TABLE_3_FLOODING",
+    "repro.experiments.table3_endpoints.PAPER_TABLE_3_TRIVIAL",
+    "repro.experiments.table4_adaptive.PAPER_TABLE_4",
+    "repro.filters.constraints._OPERATORS",
+    "repro.filters.wire._SCALAR_OPS",
+    "repro.messages.base.EMPTY_META",
+    # Type variables.
+    "repro.core.dynamic_filter.State",
+    "repro.sim.rng.T",
+    # Sentinels.
+    "repro.core.location_filter.MYLOC",
+    "repro.filters.merge_state._ABSENT",
+    # By design: the wire codec's and the strategies' name registries
+    # (filled once, at import) and the enable_telemetry() default.
+    "repro.messages.wire._REGISTRY",
+    "repro.routing.strategies._STRATEGIES",
+    "repro.telemetry.__init__._ACTIVE_CONFIG",
+}
+
+_STATEFUL_VALUES = (
+    ast.Dict,
+    ast.List,
+    ast.Set,
+    ast.ListComp,
+    ast.DictComp,
+    ast.SetComp,
+    ast.GeneratorExp,
+    ast.Call,
+)
+
+
+def _module_level(statements):
+    """Statements run at import (nested blocks included, ``__main__`` guards not)."""
+    for node in statements:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if isinstance(node, ast.If) and "__main__" in ast.unparse(node.test):
+            continue
+        yield node
+        for field in ("body", "orelse", "finalbody", "handlers"):
+            yield from _module_level(getattr(node, field, None) or [])
+
+
+def _module_state(path, module):
+    """``module.name`` of every global statement and stateful module-level binding."""
+    with open(path) as handle:
+        tree = ast.parse(handle.read(), filename=path)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Global):
+            for name in node.names:
+                yield "{}.{}".format(module, name)
+    for node in _module_level(tree.body):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets = [node.target]
+        else:
+            continue
+        if not isinstance(node.value, _STATEFUL_VALUES):
+            continue
+        for target in targets:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name) and name.id != "__all__":
+                    yield "{}.{}".format(module, name.id)
+
+
+def test_no_new_process_global_state():
+    """AST check: module-level mutable state is an explicit, short list."""
+    found = set()
+    for dirpath, _, filenames in os.walk(os.path.join(SRC, "repro")):
+        for filename in filenames:
+            if filename.endswith(".py"):
+                path = os.path.join(dirpath, filename)
+                module = os.path.relpath(path, SRC)[: -len(".py")].replace(os.sep, ".")
+                found.update(_module_state(path, module))
+    unexpected = sorted(found - MODULE_STATE_ALLOWED)
+    assert not unexpected, "process-global state in src/repro: {}".format(unexpected)
