@@ -10,9 +10,10 @@ along a location chain (modelled as the resubscribe baseline does it:
 subscribe the shifted window, unsubscribe the old one) — under the
 ``merging`` strategy, twice:
 
-* on the production path, where each ``NeighbourForwardingState`` keeps a
-  ``MergeState`` forest backed by the bounded merge-pair cache, so only
-  pairs involving changed filters are evaluated;
+* on the production path, where each ``NeighbourForwardingState``
+  re-runs ``merge_filters`` after a structural change through the
+  network's bounded merge-pair cache, so only pairs involving changed
+  filters (or the merge products they create) are evaluated raw;
 * on the from-scratch specification of ``tests/oracles/forwarding.py``
   (``scratch_forwarding()``), which re-runs the greedy merge on every
   refresh.

@@ -42,7 +42,7 @@ from repro.dispatch.plan import DispatchPlan
 from repro.core.physical import RelocationBuffer, RelocationRecord, VirtualCounterpart
 from repro.filters.attributes import canonical_key
 from repro.filters.filter import Filter, MatchNone
-from repro.filters.merge_state import FilterCaches
+from repro.filters.merging import FilterCaches
 from repro.broker.recovery import (
     RecoveryStore,
     ReplaySink,

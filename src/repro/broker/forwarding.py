@@ -54,17 +54,18 @@ no table scan.  Advertisement changes and logical-mobility changes can
 flip the per-filter gating wholesale, so they invalidate the state and
 the next refresh rebuilds it from one table scan.
 
-**Merging strategies** route the inputs through an extra layer: a
-:class:`~repro.filters.merge_state.MergeState` maintains the greedy merge
-result (a forest of merge groups backed by the bounded merge-pair cache)
-over the canonical input order, the covering selection then runs over the
-*merged* filters, and each input is assigned the selected filter equal to
-it, else the first one covering it.  Because greedy merging is
-order-dependent and non-local (one changed input can repartition several
-groups), any structural input change marks the reduction dirty and the
-next refresh re-reduces from the maintained entries — no table scan, and
-thanks to the merge-pair/covering caches only pairs involving changed
-filters are evaluated raw.  Subject-only changes keep the assignment and
+**Merging strategies** reduce with the specification itself:
+:func:`~repro.filters.merging.merge_filters` over the canonical input
+order, run through the network's
+:class:`~repro.filters.merging.MergePairCache`, then the covering
+selection over the *merged* filters; each input is assigned the selected
+filter equal to it, else the first one covering it.  Because greedy
+merging is order-dependent and non-local (one changed input can
+repartition several groups), any structural input change marks the
+reduction dirty and the next refresh re-reduces from the maintained
+entries — no table scan, and thanks to the merge-pair/covering caches
+only pairs involving changed filters (or the new merge products they
+create) are evaluated raw.  Subject-only changes keep the assignment and
 update the desired pairs in O(1) exactly like the covering mode.
 """
 
@@ -75,7 +76,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set,
 
 from repro.filters.covering_cache import CoveringIndex, minimal_cover_set_cached
 from repro.filters.filter import Filter
-from repro.filters.merge_state import FilterCaches, MergeState
+from repro.filters.merging import FilterCaches, MergePairCache, merge_filters
 
 
 class _InputEntry:
@@ -106,7 +107,7 @@ class NeighbourForwardingState:
     __slots__ = (
         "cache",
         "covers",
-        "merge_state",
+        "merge_pairs",
         "cover_filters",
         "valid",
         "order_dirty",
@@ -131,11 +132,11 @@ class NeighbourForwardingState:
         self.covers: Optional[Callable[[Filter, Filter], bool]] = (
             None if reduction == "none" else caches.covering.covers
         )
-        #: Incremental greedy-merge forest (merging strategies only); the
+        #: The network's pair-merge memo (merging strategies only); the
         #: selection is then computed over the merged filters and covers
         #: may be synthesised filters that are not input entries.
-        self.merge_state: Optional[MergeState] = (
-            MergeState(caches.merge_pairs) if reduction == "merging" else None
+        self.merge_pairs: Optional[MergePairCache] = (
+            caches.merge_pairs if reduction == "merging" else None
         )
         #: cover filter key -> cover filter, for covers that are *merged*
         #: filters (not entries).  Empty in non-merging modes.
@@ -209,7 +210,7 @@ class NeighbourForwardingState:
 
     def _cover_filter(self, cover_key: Any) -> Filter:
         """The filter forwarded for *cover_key* (an entry, or a merged filter)."""
-        if self.merge_state is not None:
+        if self.merge_pairs is not None:
             return self.cover_filters[cover_key]
         return self.entries[cover_key].filter
 
@@ -230,7 +231,7 @@ class NeighbourForwardingState:
                 self.order_dirty = True
             else:
                 self._max_pos = seq
-            if self.merge_state is not None:
+            if self.merge_pairs is not None:
                 # A new input filter can repartition the greedy merge in
                 # non-local ways; re-reduce from the entries at the next
                 # refresh (the merge-pair cache keeps it O(changed pairs)).
@@ -246,7 +247,7 @@ class NeighbourForwardingState:
         entry.rows[seq] = entry.rows.get(seq, 0) + 1
         count = entry.subjects.get(subject, 0)
         entry.subjects[subject] = count + 1
-        if count == 0 and not (self.merge_state is not None and self.order_dirty):
+        if count == 0 and not (self.merge_pairs is not None and self.order_dirty):
             # A pending merge re-reduction rebuilds the desired pairs
             # wholesale (and the assignment may not know this key yet), so
             # eager pair maintenance only runs while the assignment is
@@ -265,7 +266,7 @@ class NeighbourForwardingState:
         count = entry.subjects.get(subject, 0)
         if count <= 1:
             entry.subjects.pop(subject, None)
-            if count == 1 and not (self.merge_state is not None and self.order_dirty):
+            if count == 1 and not (self.merge_pairs is not None and self.order_dirty):
                 self._pair_remove(self.assigned[filter_key], subject)
         else:
             entry.subjects[subject] = count - 1
@@ -283,7 +284,7 @@ class NeighbourForwardingState:
                 # the order_dirty rebuild recompute every position.
                 self.order_dirty = True
             return
-        if self.merge_state is not None:
+        if self.merge_pairs is not None:
             # Losing an input filter can resurrect or repartition merge
             # groups; re-reduce from the remaining entries at the next
             # refresh.
@@ -520,7 +521,7 @@ class NeighbourForwardingState:
             for entry in ordered:
                 self._index.add(entry.pos, entry.filter)
                 self._key_at[entry.pos] = entry.key
-        if self.merge_state is not None:
+        if self.merge_pairs is not None:
             self._rebuild_merging_reduction(ordered)
             self.order_dirty = False
             self.full_diff = True
@@ -558,17 +559,17 @@ class NeighbourForwardingState:
         self.pending.clear()
 
     def _rebuild_merging_reduction(self, ordered: Sequence[_InputEntry]) -> None:
-        """Merging-mode reduction: merge forest → covering → assignment.
+        """Merging-mode reduction: greedy merge → covering → assignment.
 
-        Mirrors the specification exactly:
+        The specification verbatim:
         ``minimal_cover_set(merge_filters(inputs))`` for the selection and,
         for the per-input cover, key equality over the whole selection
-        first, then the first covering filter in selection order.  The
-        merge runs through the state's
-        :class:`~repro.filters.merge_state.MergeState` so only pairs
-        involving changed filters are evaluated raw.
+        first, then the first covering filter in selection order — with
+        both tests run through the network's caches.
         """
-        merged, _ = self.merge_state.update([entry.filter for entry in ordered])
+        merged = merge_filters(
+            [entry.filter for entry in ordered], pair_merge=self.merge_pairs.merge
+        )
         selected = minimal_cover_set_cached(merged, self.cache)
         covers = self.covers
         for position, filter_ in enumerate(selected):

@@ -23,7 +23,7 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 from repro.broker.base import Broker, BrokerConfig
 from repro.broker.client import Client
 from repro.broker.recovery import RecoveryStore
-from repro.filters.merge_state import FilterCaches
+from repro.filters.merging import FilterCaches
 from repro.metrics.counters import data_plane_breakdown
 from repro.routing.strategies import RoutingStrategy, make_strategy
 from repro.runtime.protocols import Clock, Runtime

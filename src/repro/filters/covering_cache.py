@@ -14,7 +14,7 @@ ways:
   **never need invalidation** — the cache survives arbitrary routing-table
   churn and is safely shared by every broker of a network (each
   :class:`~repro.broker.network.PubSubNetwork` owns one, see
-  :class:`~repro.filters.merge_state.FilterCaches`); its ``misses`` are the
+  :class:`~repro.filters.merging.FilterCaches`); its ``misses`` are the
   raw covering tests that network performed.
 * :class:`CoveringIndex` buckets potential covering filters by their most
   selective constraint (equality/set values first, then attribute names),

@@ -13,18 +13,22 @@ This is exactly the situation produced by location-dependent
 subscriptions, whose per-hop filters differ only in the ``location ∈
 ploc(x, q)`` constraint.
 
-We additionally provide an **imperfect merge** helper that simply widens
-the differing attribute to "any value"; imperfect merges trade extra
-notification traffic for smaller routing tables, as discussed in the
-Rebeca routing evaluation the paper cites [21].
+Brokers re-run :func:`merge_filters` over almost the same filters after
+every routing change, so they pass it a :class:`MergePairCache`: a pair
+merge is a pure function of the two filters' structure, so its results
+(failed merges included) never need invalidation, and the intermediate
+filters a greedy run creates recur between runs and hit the cache too.
+Each :class:`~repro.broker.network.PubSubNetwork` owns one, inside its
+:class:`FilterCaches`.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.filters.constraints import AnyValue, Between, Constraint, Equals, InSet
+from repro.filters.constraints import Between, Constraint, Equals, InSet
 from repro.filters.covering import filter_covers
+from repro.filters.covering_cache import CoveringCache
 from repro.filters.filter import Filter, MatchNone
 from repro.filters.attributes import try_compare
 
@@ -143,17 +147,22 @@ def try_merge_pair(left: Filter, right: Filter, covers=filter_covers) -> Optiona
     return left.with_constraint(name, merged_constraint)
 
 
-def merge_filters(filters: Sequence[Filter], covers=filter_covers) -> List[Filter]:
+def merge_filters(
+    filters: Sequence[Filter],
+    pair_merge: Optional[Callable[[Filter, Filter], Optional[Filter]]] = None,
+) -> List[Filter]:
     """Greedily merge a collection of filters.
 
     Repeatedly merges any pair with a perfect merge until no further merge
     is possible.  The result is a (usually much smaller) list of filters
     whose union of accepted notifications equals the union of the input
     filters.  Input order is preserved as far as possible so that routing
-    tables stay stable.  *covers* is forwarded to
-    :func:`try_merge_pair` so the covering-heavy part of merging can run
-    against a shared memoised test.
+    tables stay stable.  *pair_merge* replaces :func:`try_merge_pair`
+    (looked up at call time when omitted) with a result-identical one,
+    such as :meth:`MergePairCache.merge`.
     """
+    if pair_merge is None:
+        pair_merge = try_merge_pair
     working: List[Filter] = [f for f in filters if not isinstance(f, MatchNone)]
     if not working:
         return []
@@ -169,7 +178,7 @@ def merge_filters(filters: Sequence[Filter], covers=filter_covers) -> List[Filte
             for j in range(i + 1, len(working)):
                 if consumed[j]:
                     continue
-                merged = try_merge_pair(current, working[j], covers=covers)
+                merged = pair_merge(current, working[j])
                 if merged is not None:
                     current = merged
                     consumed[j] = True
@@ -179,29 +188,80 @@ def merge_filters(filters: Sequence[Filter], covers=filter_covers) -> List[Filte
     return working
 
 
-def imperfect_merge(filters: Sequence[Filter], attribute: str) -> Optional[Filter]:
-    """Widen *attribute* to "any value" across structurally similar filters.
+#: Cache slot marker distinguishing "merge failed (cached ``None``)" from
+#: "pair never evaluated".
+_ABSENT = object()
 
-    All filters must constrain the same attribute set.  The result covers
-    every input filter but may also accept notifications none of them
-    accepts (an *imperfect* merge).  Returns ``None`` when the inputs do
-    not share an attribute set or differ on more than the widened
-    attribute.
+
+class MergePairCache:
+    """Memoise :func:`try_merge_pair` keyed by canonical filter-key pairs.
+
+    The merged filter (or ``None`` for unmergeable pairs) depends only on
+    the two filters' structure, so the cache never requires invalidation.
+    A size cap bounds memory: when the cap is reached the cache is simply
+    cleared, trading a one-off warm-up for a hard memory ceiling — the
+    same policy as :class:`~repro.filters.covering_cache.CoveringCache`.
+    ``misses`` counts the raw ``try_merge_pair`` runs.  Covering tests
+    inside a merge run against *covering*, which is result-identical to
+    the raw test.
     """
-    concrete = [f for f in filters if not isinstance(f, MatchNone)]
-    if not concrete:
-        return None
-    names = set(concrete[0].attribute_names())
-    for f in concrete[1:]:
-        if set(f.attribute_names()) != names:
-            return None
-    if attribute not in names:
-        return None
-    base = concrete[0]
-    for f in concrete[1:]:
-        for name in names:
-            if name == attribute:
-                continue
-            if f.constraint_for(name) != base.constraint_for(name):
-                return None
-    return base.with_constraint(attribute, AnyValue())
+
+    __slots__ = ("covering", "_results", "hits", "misses", "evictions", "max_entries")
+
+    def __init__(self, covering: CoveringCache, max_entries: int = 500_000) -> None:
+        self.covering = covering
+        self._results: Dict[Tuple[Any, Any], Optional[Filter]] = {}
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+        self.max_entries = max_entries
+
+    def merge(self, left: Filter, right: Filter) -> Optional[Filter]:
+        """Cached equivalent of ``try_merge_pair(left, right)``."""
+        key = (left.key(), right.key())
+        cached = self._results.get(key, _ABSENT)
+        if cached is not _ABSENT:
+            self.hits += 1
+            return cached  # type: ignore[return-value]
+        result = try_merge_pair(left, right, covers=self.covering.covers)
+        if len(self._results) >= self.max_entries:
+            self._results.clear()
+            self.evictions += 1
+        self._results[key] = result
+        self.misses += 1
+        return result
+
+    def clear(self) -> None:
+        """Drop all cached results and reset the counters."""
+        self._results.clear()
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+
+    def stats(self) -> Dict[str, int]:
+        """Hit/miss accounting (used by benchmarks and tests)."""
+        return {
+            "hits": self.hits,
+            "misses": self.misses,
+            "evictions": self.evictions,
+            "entries": len(self._results),
+        }
+
+    def __len__(self) -> int:
+        return len(self._results)
+
+
+class FilterCaches:
+    """The covering and merge-pair caches one network's brokers share.
+
+    Both memoise pure functions of two filters, so every broker of a
+    :class:`~repro.broker.network.PubSubNetwork` can share one pair —
+    brokers on a path test the same filters — while a second network
+    starts cold and its caches' ``misses`` count only its own raw work.
+    """
+
+    __slots__ = ("covering", "merge_pairs")
+
+    def __init__(self) -> None:
+        self.covering = CoveringCache()
+        self.merge_pairs = MergePairCache(self.covering)

@@ -53,9 +53,9 @@ class RoutingStrategy:
 
     #: How :class:`~repro.broker.forwarding.NeighbourForwardingState`
     #: maintains this strategy's reduction: ``"covering"`` (maintain a
-    #: minimal cover set), ``"merging"`` (maintain the greedy merge
-    #: through an incremental merge forest — :mod:`repro.filters.merge_state`
-    #: — and run the covering selection over the merged filters) or
+    #: minimal cover set), ``"merging"`` (re-run the greedy merge through
+    #: the network's pair-merge cache after each structural change, then
+    #: the covering selection over the merged filters) or
     #: ``"none"`` (no reduction; forward every canonical filter).
     delta_reduction: str = "none"
 

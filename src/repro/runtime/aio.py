@@ -41,13 +41,13 @@ Two clock modes:
   zero at runtime creation.  ``settle`` does not wait for *timers*
   (real time cannot be fast-forwarded); use :meth:`AioRuntime.run_until`
   to let scheduled callbacks fire after genuinely sleeping.
-* **virtual time** (``virtual_time=True``) — the runtime owns a
-  manually advanced clock backed by its own timer heap
-  (:class:`VirtualClock`).  ``settle`` alternates *draining* the network
-  to frame quiescence with *jumping* the clock to the next scheduled
-  call, until both the network and the timer queue are quiescent —
-  exactly the simulator's ``drain`` semantics, including fast-forwarded
-  itineraries, blackout windows and failure schedules.  Channels
+* **virtual time** (``virtual_time=True``) — the clock *is* a
+  :class:`~repro.sim.engine.Simulator`, used as a plain event queue:
+  ``settle`` alternates *draining* the network to frame quiescence with
+  *stepping* the simulator to its next scheduled call, until both the
+  network and the event queue are quiescent — the simulator's ``drain``
+  semantics, including fast-forwarded itineraries, blackout windows and
+  failure schedules, because it is the simulator's queue.  Channels
   additionally apply the same latency models as the simulator's links
   (delivery of an encoded frame is itself a scheduled call), so delivery
   *timestamps*, not just delivery orders, line up with the simulator
@@ -58,8 +58,6 @@ from __future__ import annotations
 
 import asyncio
 import functools
-import heapq
-import itertools
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.messages.base import Message
@@ -161,127 +159,6 @@ class AioClock:
         return _WallTimer(self._loop.call_at(self._start + time, callback, *args), label=label)
 
 
-class VirtualTimer:
-    """One scheduled call on the :class:`VirtualClock` heap.
-
-    Mirrors the simulator's ``Event``: absolute time, insertion order as
-    the tie-break, lazy cancellation.  Satisfies the
-    :class:`~repro.runtime.protocols.ScheduledCall` protocol.
-    """
-
-    __slots__ = ("time", "order", "callback", "args", "kwargs", "cancelled", "label")
-
-    def __init__(
-        self,
-        time: float,
-        order: int,
-        callback: Callable[..., Any],
-        args: tuple,
-        kwargs: dict,
-        label: str = "",
-    ) -> None:
-        self.time = time
-        self.order = order
-        self.callback = callback
-        self.args = args
-        self.kwargs = kwargs
-        self.cancelled = False
-        self.label = label
-
-    def cancel(self) -> None:
-        """Prevent the scheduled callback from running (idempotent)."""
-        self.cancelled = True
-
-    def _run(self) -> None:
-        self.callback(*self.args, **self.kwargs)
-
-    def __lt__(self, other: "VirtualTimer") -> bool:
-        return (self.time, self.order) < (other.time, other.order)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else "pending"
-        return "VirtualTimer(t={:.6f}, {}, {})".format(
-            self.time, self.label or self.callback, state
-        )
-
-
-class VirtualClock:
-    """A manually advanced clock: a timer heap with (time, order) order.
-
-    ``now`` only moves when the runtime's drive loop jumps it to the
-    next scheduled call — the asyncio loop's real time is never
-    consulted.  Scheduling semantics mirror the simulator exactly: a
-    callback may be scheduled at the current instant (it runs after the
-    calls already queued for that instant), never in the past, and ties
-    are broken by insertion order so runs are fully deterministic.
-    """
-
-    def __init__(self, start_time: float = 0.0) -> None:
-        self._now = float(start_time)
-        self._heap: List[VirtualTimer] = []
-        self._order = itertools.count()
-
-    @property
-    def now(self) -> float:
-        """Current virtual time."""
-        return self._now
-
-    def schedule(
-        self,
-        delay: float,
-        callback: Callable[..., Any],
-        *args: Any,
-        label: str = "",
-        **kwargs: Any,
-    ) -> VirtualTimer:
-        """Run ``callback`` *delay* virtual seconds from now."""
-        if delay < 0:
-            raise ValueError(
-                "cannot schedule {!r} in the past (delay={})".format(label or callback, delay)
-            )
-        return self.schedule_at(self._now + delay, callback, *args, label=label, **kwargs)
-
-    def schedule_at(
-        self,
-        time: float,
-        callback: Callable[..., Any],
-        *args: Any,
-        label: str = "",
-        **kwargs: Any,
-    ) -> VirtualTimer:
-        """Run ``callback`` at absolute virtual time *time* (``now`` allowed)."""
-        if time < self._now:
-            raise ValueError(
-                "cannot schedule {!r} in the past (time={} < now={})".format(
-                    label or callback, time, self._now
-                )
-            )
-        timer = VirtualTimer(float(time), next(self._order), callback, args, kwargs, label=label)
-        heapq.heappush(self._heap, timer)
-        return timer
-
-    def pending_timers(self) -> int:
-        """Number of scheduled, not-yet-cancelled calls."""
-        return sum(1 for timer in self._heap if not timer.cancelled)
-
-    # -- driving (runtime internal) -----------------------------------------
-    def _pop_due(self, limit: Optional[float]) -> Optional[VirtualTimer]:
-        """Pop the earliest live timer with ``time <= limit`` (None = no bound)."""
-        while self._heap:
-            timer = self._heap[0]
-            if timer.cancelled:
-                heapq.heappop(self._heap)
-                continue
-            if limit is not None and timer.time > limit:
-                return None
-            return heapq.heappop(self._heap)
-        return None
-
-    def _advance(self, time: float) -> None:
-        if time > self._now:
-            self._now = time
-
-
 class _BytePipe:
     """A minimal in-process FIFO byte stream (single reader)."""
 
@@ -325,10 +202,9 @@ class AioChannel:
     and entering the transport is itself a scheduled call on the virtual
     clock — so the frame's bytes hit the pipe (or socket) exactly when
     the simulator would have delivered the message.  An optional
-    :class:`~repro.runtime.faults.FaultModel` is consulted at send time
-    with the same check order as the simulator's link (scheduled windows
-    first, then the iid drop/duplicate decisions), keeping RNG streams
-    identical across backends.
+    :class:`~repro.runtime.faults.FaultModel` decides each frame's fate
+    at send time, exactly as it does for the simulator's link, keeping
+    RNG streams identical across backends.
     """
 
     def __init__(
@@ -402,17 +278,12 @@ class AioChannel:
             # wait for quiescence that can never come.
             self._drop(now, message, "broker-down")
             return
+        copies = 1
         if self.fault_model is not None:
-            # Scheduled faults are checked first and consume no RNG draw,
-            # so a failure schedule leaves the iid fault stream intact.
-            down_reason = self.fault_model.link_down_reason(self.source, self.target, now)
-            if down_reason is not None:
-                self._drop(now, message, down_reason)
+            drop_reason, copies = self.fault_model.decide(self.source, self.target, now)
+            if drop_reason is not None:
+                self._drop(now, message, drop_reason)
                 return
-            if self.fault_model.should_drop():
-                self._drop(now, message, "loss")
-                return
-        copies = 2 if (self.fault_model is not None and self.fault_model.should_duplicate()) else 1
         frame = runtime._frame(message)
         for _ in range(copies):
             if runtime.virtual_time:
@@ -559,16 +430,16 @@ class AioChannel:
 class AioRuntime:
     """Runtime backend executing brokers on an asyncio event loop.
 
-    With ``virtual_time=True`` the runtime owns a :class:`VirtualClock`
-    and ``settle``/``run_until`` gain the simulator's semantics: the
-    drive loop alternates between draining in-flight frames and jumping
-    the clock to the next scheduled call, one call at a time, until both
-    the network and the timer heap are quiescent (or, for ``run_until``,
-    until the next call lies beyond the horizon, whose time the clock
-    then takes).  *latency* (same spec as the sim backend: constant,
-    per-edge mapping, or factory) assigns each channel a latency model;
-    it requires virtual time — a wall-clock backend measures latency,
-    it cannot model it.
+    With ``virtual_time=True`` the runtime's clock is a
+    :class:`~repro.sim.engine.Simulator` and ``settle``/``run_until``
+    gain its semantics: the drive loop alternates between draining
+    in-flight frames and stepping the simulator one scheduled call at a
+    time, until both the network and the event queue are quiescent (or,
+    for ``run_until``, until the next call lies beyond the horizon, whose
+    time the clock then takes).  *latency* (same spec as the sim backend:
+    constant, per-edge mapping, or factory) assigns each channel a
+    latency model; it requires virtual time — a wall-clock backend
+    measures latency, it cannot model it.
     """
 
     def __init__(
@@ -594,7 +465,9 @@ class AioRuntime:
             self._latency_spec: Optional[LatencySpec] = (
                 latency if latency is not None else DEFAULT_LINK_LATENCY
             )
-            self._clock: Any = VirtualClock()
+            from repro.sim.engine import Simulator
+
+            self._clock: Any = Simulator()
         else:
             self._latency_spec = None
             self._clock = AioClock(self.loop)
@@ -711,13 +584,10 @@ class AioRuntime:
         Virtual time: process every scheduled call with ``call.time <=
         time`` — including calls those calls schedule — drain the frames
         they produced, then set the clock to *time* (the simulator's
-        inclusive ``run_until``).  Wall clock: genuinely sleep the loop.
+        ``run_until``, which also rejects a *time* in the past).  Wall
+        clock: genuinely sleep the loop.
         """
         if self.virtual_time:
-            if time < self._clock.now:
-                raise ValueError(
-                    "run_until target {} is before current time {}".format(time, self._clock.now)
-                )
             return self.loop.run_until_complete(self._virtual_drive(time, 1_000_000))
         delay = time - self._clock.now
         if delay > 0:
@@ -799,29 +669,26 @@ class AioRuntime:
         return await self._drain(max_events)
 
     async def _virtual_drive(self, until: Optional[float], max_events: int) -> int:
-        """The virtual-time drive loop: drain frames, jump to the next call.
+        """The virtual-time drive loop: drain frames, step the simulator.
 
         Scheduled calls execute strictly in (time, insertion order) —
         the simulator's event ordering — and the network is drained to
         quiescence after every single call, so a call's entire causal
         cascade (frames it feeds, messages those deliveries send) is
-        either completed or latency-scheduled on the heap before the
+        either completed or latency-scheduled on the queue before the
         next call runs.  With ``until=None`` the loop runs until both
         queues are empty (settle); otherwise calls beyond *until* stay
         scheduled and the clock finishes exactly at *until*.
         """
         await self._start_channels()
-        clock: VirtualClock = self._clock
+        clock = self._clock
         delivered = 0
         while True:
             delivered += await self._drain(max_events - delivered)
-            timer = clock._pop_due(until)
-            if timer is None:
+            if not clock.step(until):
                 break
-            clock._advance(timer.time)
-            timer._run()
         if until is not None:
-            clock._advance(until)
+            clock.run_until(until)
         return delivered
 
     async def _drain(self, max_events: int) -> int:

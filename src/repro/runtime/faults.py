@@ -4,10 +4,11 @@
 *enforcing* it is the sending channel's job, so the model itself is
 independent of the backend.  The simulator's :class:`~repro.sim.network.Link`
 and the asyncio backend's :class:`~repro.runtime.aio.AioChannel` both
-consult an attached model at send time with identical check order
-(scheduled windows first — no RNG draw — then the iid drop and duplicate
-decisions), which keeps the RNG stream, and therefore entire failure
-runs, byte-identical across backends.
+ask an attached model's :meth:`FaultModel.decide` at send time, which
+fixes the check order (scheduled windows first — no RNG draw — then the
+iid drop and duplicate decisions) in one place and so keeps the RNG
+stream, and therefore entire failure runs, byte-identical across
+backends.
 
 Historically this lived in :mod:`repro.sim.network`, which still
 re-exports it for compatibility.
@@ -68,6 +69,22 @@ class FaultModel:
         return (
             self.duplicate_probability > 0 and self._rng.random() < self.duplicate_probability
         )
+
+    def decide(self, source: str, target: str, now: float) -> Tuple[Optional[str], int]:
+        """The fate of one message sent on *source* -> *target* at *now*.
+
+        Returns ``(drop_reason, copies)``: a reason (``"partition"``,
+        ``"broker-down"`` or ``"loss"``) and no copies when the message
+        is dropped, else ``None`` and 1 or 2 (duplicated) copies.
+        Scheduled windows are checked first and consume no RNG draw; the
+        duplicate decision is drawn only for messages that were not lost.
+        """
+        down_reason = self.link_down_reason(source, target, now)
+        if down_reason is not None:
+            return down_reason, 0
+        if self.should_drop():
+            return "loss", 0
+        return None, 2 if self.should_duplicate() else 1
 
     # -- scheduled faults ---------------------------------------------------
     @staticmethod

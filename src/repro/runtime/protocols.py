@@ -35,9 +35,10 @@ class ScheduledCall(Protocol):
     """A cancellable handle returned by :meth:`Clock.schedule`.
 
     Every backend returns a handle with the same surface — the
-    simulator's ``Event``, the asyncio backend's wall-clock and
-    virtual-time timers all satisfy it structurally — so itinerary and
-    scenario code can schedule and cancel without knowing the backend.
+    simulator's ``Event`` (also what the asyncio backend's virtual clock
+    returns, since that clock is a simulator) and the asyncio wall-clock
+    timer both satisfy it structurally — so itinerary and scenario code
+    can schedule and cancel without knowing the backend.
     """
 
     #: ``True`` once :meth:`cancel` ran; the callback will never fire.

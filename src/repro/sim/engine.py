@@ -155,16 +155,22 @@ class Simulator:
         return event
 
     # -- execution --------------------------------------------------------------
-    def step(self) -> bool:
-        """Execute the next pending event.
+    def step(self, until: Optional[float] = None) -> bool:
+        """Execute the next pending event, if it is due by *until*.
 
-        Returns ``False`` when the queue is empty (nothing was executed).
+        Returns ``False`` when nothing was executed: the queue is empty,
+        or its next live event lies beyond the horizon *until*.
         """
-        while self._queue:
-            event = heapq.heappop(self._queue)
+        queue = self._queue
+        while queue:
+            event = queue[0]
             if event.cancelled:
                 # Already subtracted from the live count when cancelled.
+                heapq.heappop(queue)
                 continue
+            if until is not None and event.time > until:
+                return False
+            heapq.heappop(queue)
             self._live -= 1
             # The event has left the queue; a late cancel() must not touch
             # the live count again.
@@ -189,8 +195,8 @@ class Simulator:
             executed += 1
         return executed
 
-    def run_until(self, end_time: float, inclusive: bool = True) -> int:
-        """Run events up to (and, by default, including) *end_time*.
+    def run_until(self, end_time: float) -> int:
+        """Run events up to and including *end_time*.
 
         The clock is advanced to *end_time* even if the queue drains
         earlier, so subsequent scheduling is relative to the requested
@@ -201,15 +207,7 @@ class Simulator:
                 "run_until target {} is before current time {}".format(end_time, self._now)
             )
         executed = 0
-        while self._queue:
-            head = self._queue[0]
-            if head.cancelled:
-                heapq.heappop(self._queue)
-                continue
-            beyond = head.time > end_time if inclusive else head.time >= end_time
-            if beyond:
-                break
-            self.step()
+        while self.step(end_time):
             executed += 1
         if self._now < end_time:
             self._now = end_time

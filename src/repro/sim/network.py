@@ -111,21 +111,14 @@ class Link:
             self.depth_probe(self.sent_count - self.delivered_count - self.dropped_count)
         if self.trace is not None:
             self.trace.record_link(now, self.source, self.target, message)
+        copies = 1
         if self.fault_model is not None:
-            # Scheduled faults are checked first and consume no RNG draw,
-            # so a failure schedule leaves the iid fault stream intact.
-            down_reason = self.fault_model.link_down_reason(self.source, self.target, now)
-            if down_reason is not None:
+            drop_reason, copies = self.fault_model.decide(self.source, self.target, now)
+            if drop_reason is not None:
                 self.dropped_count += 1
                 if self.trace is not None:
-                    self.trace.record_drop(now, self.source, self.target, message, down_reason)
+                    self.trace.record_drop(now, self.source, self.target, message, drop_reason)
                 return
-            if self.fault_model.should_drop():
-                self.dropped_count += 1
-                if self.trace is not None:
-                    self.trace.record_drop(now, self.source, self.target, message, "loss")
-                return
-        copies = 2 if (self.fault_model is not None and self.fault_model.should_duplicate()) else 1
         for _ in range(copies):
             delay = self.latency.sample()
             delivery_time = max(self.simulator.now + delay, self._last_delivery_time)

@@ -70,6 +70,38 @@ def _loc_filter(*locations):
     return Filter({"service": "parking", "location": ("in", tuple(locations))})
 
 
+#: Filters on different attributes: no pair of them merges.
+_A1, _B2, _C3 = Filter({"a": 1}), Filter({"b": 2}), Filter({"c": 3})
+
+#: name -> (steps, expected covers in selection order).  The first step
+#: lists the filters subscribed up front, each later one the
+#: ("add" | "remove", filter) changes applied before one refresh.
+_MERGE_SCENARIOS = {
+    "inert_append": ([[_A1, _B2], [("add", _C3)]], [_A1, _B2, _C3]),
+    "merging_append": (
+        [[_loc_filter("a"), _B2], [("add", _loc_filter("c"))]],
+        [_loc_filter("a", "c"), _B2],
+    ),
+    # The new filter equals an intermediate of the earlier merge, not a root.
+    "append_covered_by_a_merge_product": (
+        [[_loc_filter("a"), _loc_filter("b"), _loc_filter("c")], [("add", _loc_filter("a", "b"))]],
+        [_loc_filter("a", "b", "c")],
+    ),
+    "singleton_removal": ([[_A1, _B2, _C3], [("remove", _B2)]], [_A1, _C3]),
+    "group_member_removal": (
+        [[_loc_filter("a"), _loc_filter("b"), _C3], [("remove", _loc_filter("b"))]],
+        [_loc_filter("a"), _C3],
+    ),
+    "removal_and_inert_append": ([[_A1, _B2], [("remove", _B2), ("add", _C3)]], [_A1, _C3]),
+    # _A1's first row dies while a later one survives: it moves behind _B2.
+    "reorder": ([[_A1, _B2], [("add", _A1), ("remove", _A1)]], [_B2, _A1]),
+    "later_append_merges_with_an_inert_one": (
+        [[_A1], [("add", _loc_filter("x"))], [("add", _loc_filter("y"))]],
+        [_A1, _loc_filter("x", "y")],
+    ),
+}
+
+
 class TestCoverReassignment:
     def test_new_filter_evicts_covers_and_reassigns_members(self):
         broker, _ = _make_broker()
@@ -190,7 +222,10 @@ class TestModesAndFlags:
 
     def test_merging_strategy_uses_delta_mode(self):
         broker, _ = _make_broker(strategy="merging")
-        assert all(state.merge_state is not None for state in broker._forwarding_states.values())
+        pair_cache = broker.filter_caches.merge_pairs
+        assert all(
+            state.merge_pairs is pair_cache for state in broker._forwarding_states.values()
+        )
 
     def test_flooding_states_receive_no_contribution(self):
         broker, sink = _make_broker(strategy="flooding")
@@ -293,15 +328,68 @@ class TestMergingDeltaState:
         table.add(_loc_filter("b"), "c2", "s2")
         broker._refresh_all_forwarding()
         state = broker._forwarding_states["N1"]
-        replays_before = state.merge_state.replays
+        pair_cache = state.merge_pairs
+        lookups_before = pair_cache.hits + pair_cache.misses
         # A second subject on an existing filter must not re-merge.
         table.add(_loc_filter("a"), "c1", "s3")
         assert not state.order_dirty
         broker._refresh_all_forwarding()
+        assert pair_cache.hits + pair_cache.misses == lookups_before
         _assert_in_sync(broker)
-        assert state.merge_state.replays == replays_before
         merged = _loc_filter("a", "b")
         assert (merged.key(), "s3") in state.desired
+
+    def test_re_reduction_of_unchanged_inputs_runs_no_raw_merge(self):
+        broker, _ = _make_broker(strategy="merging", neighbours=("N1",))
+        table = broker.subscription_table
+        for index, location in enumerate("abc"):
+            table.add(_loc_filter(location), "c1", "s{}".format(index))
+        table.add(Filter({"service": "fuel"}), "c2", "s3")
+        broker._refresh_all_forwarding()
+        state = broker._forwarding_states["N1"]
+        desired = dict(state.desired)
+        misses = state.merge_pairs.misses
+        # A wholesale rebuild over the same inputs: every pair, the merge
+        # products included, is answered from the network's pair cache.
+        broker._invalidate_forwarding_states()
+        assert _delta_desired(broker, "N1") == desired
+        assert state.merge_pairs.misses == misses
+
+    @pytest.mark.parametrize("scenario", sorted(_MERGE_SCENARIOS))
+    def test_structural_change_re_reduces_to_the_specification(self, scenario):
+        """Each kind of structural input change re-reduces to ``merge_filters``.
+
+        The filters of a scenario's first step are subscribed in order;
+        every later step applies all of its table changes before one
+        refresh.  A ``remove`` takes away the filter's earliest row.
+        """
+        steps, covers = _MERGE_SCENARIOS[scenario]
+        broker, _ = _make_broker(strategy="merging", neighbours=("N1",))
+        table = broker.subscription_table
+        rows = {}
+        numbers = iter(range(100))
+
+        def add(filter_):
+            # A client of its own: every add is a new row.
+            number = next(numbers)
+            row = ("c{}".format(number), "s{}".format(number))
+            rows.setdefault(filter_.key(), []).append(row)
+            table.add(filter_, *row)
+
+        initial, *changes = steps
+        for filter_ in initial:
+            add(filter_)
+        _assert_in_sync(broker)
+        for change in changes:
+            for kind, filter_ in change:
+                if kind == "add":
+                    add(filter_)
+                else:
+                    table.remove(filter_, *rows[filter_.key()].pop(0))
+            _assert_in_sync(broker)
+        state = broker._forwarding_states["N1"]
+        assert [key for _, key in state.selection] == [filter_.key() for filter_ in covers]
+        assert {key for key, _ in state.desired} == {filter_.key() for filter_ in covers}
 
     def test_merging_refresh_applies_deltas_without_table_scan(self):
         broker, _ = _make_broker(strategy="merging")

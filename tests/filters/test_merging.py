@@ -1,8 +1,19 @@
-"""Unit tests for filter merging."""
+"""Unit tests for filter merging and the pair-merge cache.
 
+:class:`~repro.filters.merging.MergePairCache` must be a transparent,
+bounded memo of ``try_merge_pair`` (hit/miss accounting, bound respected,
+results identical after eviction): the broker's merging mode runs
+``merge_filters`` through it and must stay result-identical to the
+uncached definition.
+"""
+
+import random
+
+import repro.filters.merging as merging
 from repro.filters.covering import filter_covers
+from repro.filters.covering_cache import CoveringCache
 from repro.filters.filter import Filter, MatchNone
-from repro.filters.merging import imperfect_merge, merge_filters, try_merge_pair
+from repro.filters.merging import MergePairCache, merge_filters, try_merge_pair
 
 
 def F(**kwargs):
@@ -100,18 +111,139 @@ class TestSetMerging:
         assert merge_filters([MatchNone()]) == []
 
 
-class TestImperfectMerge:
-    def test_widens_one_attribute(self):
-        merged = imperfect_merge(
-            [F(service="parking", location="a"), F(service="parking", location="b")],
-            attribute="location",
-        )
-        assert merged is not None
-        assert merged.matches({"service": "parking", "location": "z"})
-        assert not merged.matches({"service": "fuel", "location": "a"})
+def _pair_cache(**kwargs):
+    return MergePairCache(CoveringCache(), **kwargs)
 
-    def test_requires_same_attribute_sets(self):
-        assert imperfect_merge([F(a=1), F(a=1, b=2)], attribute="a") is None
 
-    def test_requires_other_attributes_equal(self):
-        assert imperfect_merge([F(a=1, b=1), F(a=2, b=2)], attribute="a") is None
+def _count_raw_merges(monkeypatch):
+    """Record every raw ``try_merge_pair`` a merge-pair cache runs from now on."""
+    raw_merges = []
+
+    def counted(left, right, covers):
+        raw_merges.append((left, right))
+        return try_merge_pair(left, right, covers)
+
+    monkeypatch.setattr(merging, "try_merge_pair", counted)
+    return raw_merges
+
+
+def _loc(*locations):
+    return Filter({"service": "parking", "location": ("in", tuple(locations))})
+
+
+class TestMergePairCache:
+    def test_hit_miss_accounting(self):
+        cache = _pair_cache()
+        left, right = _loc("a"), _loc("b")
+        merged = cache.merge(left, right)
+        assert merged == _loc("a", "b")
+        assert cache.stats() == {"hits": 0, "misses": 1, "evictions": 0, "entries": 1}
+        assert cache.merge(left, right) == merged
+        assert cache.stats()["hits"] == 1
+        # The reverse direction is a distinct key pair.
+        assert cache.merge(right, left) == merged
+        assert cache.stats()["misses"] == 2
+
+    def test_failed_merges_are_cached(self, monkeypatch):
+        cache = _pair_cache()
+        left, right = F(a=1), F(b=2)
+        assert cache.merge(left, right) is None
+        raw_merges = _count_raw_merges(monkeypatch)
+        assert cache.merge(left, right) is None
+        assert raw_merges == []
+        assert cache.stats()["hits"] == 1
+
+    def test_cached_result_skips_recomputation(self, monkeypatch):
+        cache = _pair_cache()
+        left, right = _loc("a"), _loc("b")
+        cache.merge(left, right)
+        raw_merges = _count_raw_merges(monkeypatch)
+        cache.merge(left, right)
+        assert raw_merges == []
+
+    def test_equal_keys_share_cache_entries(self):
+        cache = _pair_cache()
+        cache.merge(F(a=1, b=2), F(a=2, b=2))
+        # A structurally identical pair must hit, not miss.
+        assert cache.merge(F(b=2, a=1), F(b=2, a=2)) == F(a=("in", (1, 2)), b=2)
+        assert cache.stats()["hits"] == 1
+
+    def test_eviction_respects_bound_and_stays_correct(self):
+        cache = _pair_cache(max_entries=2)
+        pairs = [(_loc("a"), _loc(chr(ord("b") + index))) for index in range(4)]
+        for left, right in pairs:
+            expected = try_merge_pair(left, right)
+            assert cache.merge(left, right) == expected
+        assert cache.evictions >= 1
+        assert len(cache) <= 2
+        # Results after an eviction are identical to the raw computation.
+        for left, right in pairs:
+            assert cache.merge(left, right) == try_merge_pair(left, right)
+
+    def test_covering_tests_inside_a_merge_use_its_covering_cache(self):
+        covering = CoveringCache()
+        cache = MergePairCache(covering)
+        # Neither direction is known yet: both covering tests run raw, once.
+        assert cache.merge(_loc("a"), _loc("a", "b")) == _loc("a", "b")
+        assert covering.stats()["misses"] == 2
+        # A new pair whose covering tests are already cached runs none.
+        assert cache.merge(_loc("a", "b"), _loc("a")) == _loc("a", "b")
+        assert covering.stats()["misses"] == 2
+
+    def test_match_none_is_neutral_through_the_cache(self):
+        cache = _pair_cache()
+        assert cache.merge(MatchNone(), F(a=1)) == F(a=1)
+        assert cache.merge(F(a=1), MatchNone()) == F(a=1)
+
+    def test_merge_filters_through_the_cache_equals_the_uncached_result(self):
+        inputs = [_loc("a"), _loc("b"), F(service="fuel"), _loc("c")]
+        cached = merge_filters(inputs, pair_merge=_pair_cache().merge)
+        assert cached == merge_filters(inputs) == [_loc("a", "b", "c"), F(service="fuel")]
+
+    def test_repeated_reduction_runs_no_raw_merge(self, monkeypatch):
+        cache = _pair_cache()
+        inputs = [_loc("a"), _loc("b"), F(service="fuel"), _loc("c")]
+        first = merge_filters(inputs, pair_merge=cache.merge)
+        raw_merges = _count_raw_merges(monkeypatch)
+        # Input pairs and merge products alike are answered from the cache.
+        assert merge_filters(list(inputs), pair_merge=cache.merge) == first
+        assert raw_merges == []
+
+
+LOCATIONS = ["l{}".format(index) for index in range(8)]
+
+
+def _random_filter(rng):
+    roll = rng.random()
+    if roll < 0.5:
+        span = rng.randint(1, 3)
+        start = rng.randint(0, len(LOCATIONS) - span)
+        return _loc(*LOCATIONS[start : start + span])
+    if roll < 0.7:
+        return F(cost=("between", rng.randint(0, 4), rng.randint(5, 9)))
+    if roll < 0.85:
+        return F(service=rng.choice(["fuel", "towing"]))
+    return Filter({"x": rng.randint(1, 3), "y": rng.randint(1, 3)})
+
+
+def test_cached_merge_under_churn_is_result_identical():
+    """One cache kept across add/remove churn never changes a merge result."""
+    for seed in (3, 17, 99):
+        rng = random.Random(seed)
+        cache = _pair_cache()
+        inputs = []
+        seen = set()
+        for _ in range(160):
+            if inputs and rng.random() < 0.45:
+                removed = inputs.pop(rng.randrange(len(inputs)))
+                seen.discard(removed.key())
+            else:
+                candidate = _random_filter(rng)
+                if candidate.key() in seen:
+                    continue
+                seen.add(candidate.key())
+                inputs.append(candidate)
+            cached = merge_filters(inputs, pair_merge=cache.merge)
+            assert [f.key() for f in cached] == [f.key() for f in merge_filters(inputs)]
+        # Recurring pairs (intermediates included) were answered from the cache.
+        assert cache.hits > cache.misses

@@ -154,8 +154,8 @@ def test_merge_filters_preserves_the_union(filter_list, samples):
 # Scanning [A, B, C] merges A+B on x first (then AB and C differ in both
 # x and y), while scanning [B, C, A] merges B+C on y first (then BC and A
 # differ in both).  The resulting *partitions* differ; the accepted union
-# is identical either way.  This is why the incremental merge engine
-# (repro.filters.merge_state) must preserve the exact canonical input
+# is identical either way.  This is why the broker's merging mode
+# (repro.broker.forwarding) must merge its inputs in the exact canonical
 # order the from-scratch reduction sees.
 # ---------------------------------------------------------------------------
 

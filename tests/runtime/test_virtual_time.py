@@ -1,10 +1,11 @@
 """Virtual-time asyncio backend: clock semantics and edge cases.
 
-The virtual clock must behave exactly like the simulator's event queue:
-same past-scheduling errors, same time/insertion-order execution, same
-inclusive ``run_until`` boundary, same cancellation surface.  These
-tests pin each rule directly against the simulator — every scenario
-runs on both and compares the observable outcome — plus the edge cases
+The virtual clock *is* the simulator's event queue, so it must behave
+exactly like the sim backend: same past-scheduling errors, same
+time/insertion-order execution, same inclusive ``run_until`` boundary,
+same cancellation surface.  These tests pin each rule directly against
+the simulator — every scenario runs on both and compares the observable
+outcome — plus the edge cases
 the drive loop has to get right: a timer at exactly ``now``, cascades
 where timers enqueue frames that schedule further timers, and a broker
 going down while a timer is still pending.
@@ -16,6 +17,7 @@ from repro.broker.network import PubSubNetwork
 from repro.runtime.aio import AioRuntime
 from repro.runtime.factory import make_runtime
 from repro.runtime.sim import SimRuntime
+from repro.sim.engine import SimulationError
 from repro.topology.builders import line_topology
 
 
@@ -39,16 +41,22 @@ CLOCK_BACKENDS = {
 # ---------------------------------------------------------------------------
 
 
-def test_past_scheduling_rejected_on_virtual_clock():
-    runtime = _virtual_runtime()
+@pytest.mark.parametrize("label", ["sim", "aio-virtual"])
+def test_past_scheduling_rejected_on_virtual_clock(label):
+    """Both virtual clocks reject the past with the simulator's exception."""
+    make, _ = CLOCK_BACKENDS[label]
+    runtime = make()
     clock = runtime.clock
-    with pytest.raises(ValueError):
+    with pytest.raises(SimulationError):
         clock.schedule(-0.5, lambda: None)
     clock.schedule(1.0, lambda: None)
     runtime.settle()
     assert clock.now == 1.0
-    with pytest.raises(ValueError):
+    with pytest.raises(SimulationError):
         clock.schedule_at(0.5, lambda: None)
+    with pytest.raises(SimulationError):
+        runtime.run_until(0.5)
+    assert clock.now == 1.0
     runtime.close()
 
 
@@ -112,8 +120,6 @@ def test_run_until_advances_clock_with_empty_queue():
     runtime = _virtual_runtime()
     runtime.run_until(5.0)
     assert runtime.clock.now == 5.0
-    with pytest.raises(ValueError):
-        runtime.run_until(4.0)  # backwards, like the simulator
     runtime.close()
 
 

@@ -146,6 +146,16 @@ class TestRunControl:
     def test_step_returns_false_when_empty(self):
         assert Simulator().step() is False
 
+    def test_step_horizon_leaves_later_events_and_clock_alone(self):
+        simulator = Simulator()
+        seen = []
+        simulator.schedule_at(1.0, lambda: None).cancel()
+        simulator.schedule_at(2.0, seen.append, 2.0)
+        assert simulator.step(until=1.5) is False
+        assert (seen, simulator.now) == ([], 0.0)
+        assert simulator.step(until=2.0) is True
+        assert (seen, simulator.now) == ([2.0], 2.0)
+
     def test_pending_events_count(self):
         simulator = Simulator()
         event = simulator.schedule(1.0, lambda: None)

@@ -74,6 +74,21 @@ class TestFaultModelSchedule:
         baseline = DeterministicRandom(7)
         assert fault.should_drop() == (baseline.random() < 0.5)
 
+    def test_decide_checks_window_then_drop_then_duplicate(self):
+        """Both backends' senders take this order, and with it the RNG stream."""
+        fault = make_fault(drop_probability=0.5, duplicate_probability=0.5)
+        fault.partition("A", "B", 1.0, 2.0)
+        baseline = DeterministicRandom(7)
+        for step in range(40):
+            in_window = step % 4 == 0
+            if in_window:
+                expected = ("partition", 0)
+            elif baseline.random() < 0.5:
+                expected = ("loss", 0)  # a lost message draws no duplicate decision
+            else:
+                expected = (None, 2 if baseline.random() < 0.5 else 1)
+            assert fault.decide("A", "B", 1.5 if in_window else 0.0) == expected
+
 
 class TestLinkDropRecording:
     def _link(self, fault):

@@ -13,7 +13,9 @@ core transport-agnostic: ``repro.broker``, ``repro.routing`` and
   src/repro/dispatch`` must be empty — comments and docstrings count);
 * a subprocess import: loading the three packages must not pull any
   simulator module into ``sys.modules`` (the default ``SimRuntime`` is
-  imported lazily, only when a caller asks for it).
+  imported lazily, only when a caller asks for it) — nor may a
+  wall-clock asyncio runtime, whose virtual-time twin runs on the
+  simulator's event queue.
 """
 
 import ast
@@ -78,14 +80,12 @@ def test_core_sources_do_not_mention_the_simulator_package():
     assert not offenders, "core sources mention the simulator package:\n" + "\n".join(offenders)
 
 
-def test_importing_the_core_does_not_load_the_simulator():
-    """Runtime check: the core's import graph is simulator-free."""
+def _assert_loads_no_simulator(statements):
+    """Run *statements* in a fresh interpreter; no simulator module may load."""
     program = (
         "import sys\n"
-        "import repro.broker, repro.routing, repro.dispatch\n"
-        "import repro.broker.base, repro.broker.network, repro.broker.client\n"
-        "import repro.broker.forwarding\n"
-        "loaded = sorted(m for m in sys.modules if m.startswith('repro.' + 'sim'))\n"
+        + statements
+        + "loaded = sorted(m for m in sys.modules if m.startswith('repro.' + 'sim'))\n"
         "sys.exit('simulator modules loaded: {}'.format(loaded) if loaded else 0)\n"
     )
     environment = dict(os.environ)
@@ -97,6 +97,23 @@ def test_importing_the_core_does_not_load_the_simulator():
         env=environment,
     )
     assert result.returncode == 0, result.stderr or result.stdout
+
+
+def test_importing_the_core_does_not_load_the_simulator():
+    """Runtime check: the core's import graph is simulator-free."""
+    _assert_loads_no_simulator(
+        "import repro.broker, repro.routing, repro.dispatch\n"
+        "import repro.broker.base, repro.broker.network, repro.broker.client\n"
+        "import repro.broker.forwarding\n"
+    )
+
+
+def test_wall_clock_aio_runtime_does_not_load_the_simulator():
+    """Only the virtual-time branch imports the simulator it runs on."""
+    _assert_loads_no_simulator(
+        "from repro.runtime.aio import AioRuntime\n"
+        "AioRuntime().close()\n"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +145,7 @@ MODULE_STATE_ALLOWED = {
     "repro.sim.rng.T",
     # Sentinels.
     "repro.core.location_filter.MYLOC",
-    "repro.filters.merge_state._ABSENT",
+    "repro.filters.merging._ABSENT",
     # By design: the wire codec's and the strategies' name registries
     # (filled once, at import) and the enable_telemetry() default.
     "repro.messages.wire._REGISTRY",
