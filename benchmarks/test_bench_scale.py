@@ -9,9 +9,9 @@ per change.  The reference is the from-scratch specification of
 with an O(n²) covering sweep on every refresh (~O(n³) to settle n
 subscriptions) — swapped in with ``scratch_forwarding()``.
 
-On top, links batch same-instant messages into one flush event each
-(``Link(batch=True)``), collapsing the event-loop cost of a refresh that
-emits k administrative messages from k events to one.
+On top, links batch same-instant messages into one flush event each,
+collapsing the event-loop cost of a refresh that emits k administrative
+messages from k events to one.
 
 Production and specification must produce **byte-identical routing
 behaviour**: the same administrative message counts, the same
@@ -48,7 +48,6 @@ ROAMING_CLIENTS = 20
 
 def _run_scale_workload(
     subscribers_per_leaf: int = SUBSCRIBERS_PER_LEAF,
-    batch_links: bool = True,
     distinct: bool = False,
     work=None,
 ):
@@ -59,10 +58,12 @@ def _run_scale_workload(
     with the population, no two subscribers the same set.  The raw
     covering tests are the network's covering-cache misses, plus — on the
     specification (``with scratch_forwarding() as work``) — the ones
-    *work* counted.
+    *work* counted.  ``unbatched_settle_events`` is what the settle would
+    have cost with one event per delivered message instead of one per
+    link flush.
     """
     topology = balanced_tree_topology(depth=3, fanout=2)
-    network = PubSubNetwork(topology, strategy="covering", latency=0.005, batch_links=batch_links)
+    network = PubSubNetwork(topology, strategy="covering", latency=0.005)
     leaves = topology.leaves()
     producer = network.add_client("producer", leaves[0])
     producer.advertise({"service": "parking"})
@@ -70,6 +71,9 @@ def _run_scale_workload(
 
     started = time.perf_counter()
     events_before = network.simulator.processed_events
+    links = network.links.values()
+    flushes_before = sum(link.flush_count for link in links)
+    deliveries_before = sum(link.delivered_count for link in links)
     rng = DeterministicRandom(17)
     clients = []
     pool = LOCATIONS
@@ -100,6 +104,8 @@ def _run_scale_workload(
     network.settle()
     settle_seconds = time.perf_counter() - started
     settle_events = network.simulator.processed_events - events_before
+    flushes = sum(link.flush_count for link in links) - flushes_before
+    deliveries = sum(link.delivered_count for link in links) - deliveries_before
 
     for index in range(10):
         producer.publish(
@@ -112,6 +118,7 @@ def _run_scale_workload(
     return {
         "settle_seconds": settle_seconds,
         "settle_events": settle_events,
+        "unbatched_settle_events": settle_events - flushes + deliveries,
         "covering_calls": cache_stats["misses"] + (work.covering_calls if work else 0),
         "admin_messages": counter.breakdown().admin,
         "delivered": sum(len(client.received) for client in clients),
@@ -217,19 +224,21 @@ def test_scale_settles_2000_subscriptions(benchmark):
 
 
 def test_batched_links_collapse_events(benchmark):
-    """Batched flushes deliver identical behaviour with far fewer events."""
+    """Batched flushes cost far fewer events than one per delivered message.
+
+    A link without flushes would spend one event per delivery and none on
+    flushes, so its count follows exactly from the batched run's link
+    counters (``tests/sim/test_network.py`` holds the flushing link to
+    that per-message reference, deliveries and times included).
+    """
     batched = benchmark.pedantic(
-        _run_scale_workload, args=(SUBSCRIBERS_PER_LEAF, True), iterations=1, rounds=1
+        _run_scale_workload, args=(SUBSCRIBERS_PER_LEAF,), iterations=1, rounds=1
     )
-    unbatched = _run_scale_workload(SUBSCRIBERS_PER_LEAF, batch_links=False)
-    assert batched["admin_messages"] == unbatched["admin_messages"]
-    assert batched["table_sizes"] == unbatched["table_sizes"]
-    assert batched["delivered"] == unbatched["delivered"]
-    event_ratio = unbatched["settle_events"] / max(batched["settle_events"], 1)
+    event_ratio = batched["unbatched_settle_events"] / max(batched["settle_events"], 1)
     benchmark.extra_info.update(
         {
             "settle_events_batched": batched["settle_events"],
-            "settle_events_unbatched": unbatched["settle_events"],
+            "settle_events_unbatched": batched["unbatched_settle_events"],
             "event_ratio": round(event_ratio, 1),
         }
     )

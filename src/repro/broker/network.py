@@ -32,11 +32,6 @@ from repro.telemetry import TelemetryConfig, active_telemetry_config
 from repro.telemetry.emitter import BrokerTelemetry
 from repro.topology.graph import BrokerGraph
 
-#: Kept for backwards-compatible imports only; the authoritative default
-#: lives in :mod:`repro.runtime.sim` next to the latency models it
-#: parameterises (``PubSubNetwork`` defers to it via ``latency=None``).
-DEFAULT_LINK_LATENCY = 0.05  # 50 ms, a typical wide-area broker link
-
 
 class PubSubNetwork:
     """A broker network with attached clients, on a pluggable runtime."""
@@ -49,7 +44,6 @@ class PubSubNetwork:
         simulator: Optional[Clock] = None,
         trace: Optional[TraceRecorder] = None,
         config: Optional[BrokerConfig] = None,
-        batch_links: bool = True,
         runtime: Optional[Runtime] = None,
         telemetry: Optional[TelemetryConfig] = None,
     ) -> None:
@@ -64,26 +58,13 @@ class PubSubNetwork:
             from repro.runtime.sim import SimRuntime
 
             sim_kwargs = {} if latency is None else {"latency": latency}
-            runtime = SimRuntime(
-                simulator=simulator,
-                trace=trace,
-                batch_links=batch_links,
-                **sim_kwargs,
-            )
+            runtime = SimRuntime(simulator=simulator, trace=trace, **sim_kwargs)
         else:
-            # The four sim-backend parameters configure the *default*
+            # The three sim-backend parameters configure the *default*
             # runtime; combining them with an explicit one would silently
             # drop them, so reject the conflict loudly.
-            conflicting = [
-                name
-                for name, passed in (
-                    ("latency", latency is not None),
-                    ("simulator", simulator is not None),
-                    ("trace", trace is not None),
-                    ("batch_links", batch_links is not True),
-                )
-                if passed
-            ]
+            passed = {"latency": latency, "simulator": simulator, "trace": trace}
+            conflicting = [name for name, value in passed.items() if value is not None]
             if conflicting:
                 raise ValueError(
                     "PubSubNetwork got both an explicit runtime and the "
@@ -155,16 +136,10 @@ class PubSubNetwork:
     def _connect(self, left: str, right: str) -> None:
         left_broker = self.brokers[left]
         right_broker = self.brokers[right]
-        forward = self.runtime.connect(left, right, right_broker.receive)
-        backward = self.runtime.connect(right, left, left_broker.receive)
-        # Sim links batch all messages due at one flush; hand the whole
-        # run to the broker so it can amortise dispatch work across
-        # notifications with identical attributes (the asyncio channels
-        # deliver strictly per message and have no such hook).
-        if hasattr(forward, "deliver_batch"):
-            forward.deliver_batch = right_broker.receive_batch
-        if hasattr(backward, "deliver_batch"):
-            backward.deliver_batch = left_broker.receive_batch
+        forward = self.runtime.connect(
+            left, right, right_broker.receive, right_broker.receive_batch
+        )
+        backward = self.runtime.connect(right, left, left_broker.receive, left_broker.receive_batch)
         left_broker.add_link(forward)
         right_broker.add_link(backward)
         self.links[(left, right)] = forward
@@ -191,12 +166,6 @@ class PubSubNetwork:
         client = Client(client_id, notify=notify)
         client.attach(self.brokers[broker_name])
         self.clients[client_id] = client
-        return client
-
-    def attach_existing_client(self, client: Client, broker_name: str) -> Client:
-        """Attach an externally created client to a border broker."""
-        client.attach(self.brokers[broker_name])
-        self.clients[client.client_id] = client
         return client
 
     # ------------------------------------------------------------------

@@ -18,13 +18,13 @@ Two transports:
   using ``asyncio.start_server`` / ``open_connection``.
 
 Codec sharing: a broker forwards one message object to each neighbour
-in turn, so the runtime frames it once per fan-out (it remembers the
-last message framed, by identity), and it decodes each distinct payload
-once (a bounded FIFO map from payload bytes to message).  Equal payloads
-are equal messages — the JSON is canonical and the message id crosses
-the wire — and no message changes after it was sent, so every hop after
-the first shares one decoded object, as every hop on the simulator
-shares the sender's.
+in turn, so the runtime frames each message object once (a bounded FIFO
+map keyed by identity, holding the messages it framed), and it decodes
+each distinct payload once (a bounded FIFO map from payload bytes to
+message).  Equal payloads are equal messages — the JSON is canonical and
+the message id crosses the wire — and no message changes after it was
+sent, so every hop after the first shares one decoded object, as every
+hop on the simulator shares the sender's.
 
 Execution model: client operations (subscribe, publish, move_to, ...)
 are plain synchronous calls made while the loop is parked; they enqueue
@@ -38,20 +38,19 @@ sent, so quiescence means the whole causal cascade has completed.
 Two clock modes:
 
 * **wall clock** (default) — the loop's monotonic clock, rebased to
-  zero at runtime creation.  ``settle`` does not wait for *timers*
-  (real time cannot be fast-forwarded); use :meth:`AioRuntime.run_until`
-  to let scheduled callbacks fire after genuinely sleeping.
+  zero at runtime creation; channels send immediately.  ``settle`` does
+  not wait for *timers* (real time cannot be fast-forwarded); use
+  :meth:`AioRuntime.run_until` to let scheduled callbacks fire after
+  genuinely sleeping.
 * **virtual time** (``virtual_time=True``) — the clock *is* a
-  :class:`~repro.sim.engine.Simulator`, used as a plain event queue:
-  ``settle`` alternates *draining* the network to frame quiescence with
-  *stepping* the simulator to its next scheduled call, until both the
-  network and the event queue are quiescent — the simulator's ``drain``
-  semantics, including fast-forwarded itineraries, blackout windows and
-  failure schedules, because it is the simulator's queue.  Channels
-  additionally apply the same latency models as the simulator's links
-  (delivery of an encoded frame is itself a scheduled call), so delivery
-  *timestamps*, not just delivery orders, line up with the simulator
-  run for run — the property the backend-parity suite pins.
+  :class:`~repro.sim.engine.Simulator`, and the channels are the
+  simulator's own :class:`~repro.sim.network.Link` s on it, each
+  delivering into an :class:`AioChannel` that frames the message onto
+  its pipe (or socket).  ``settle`` alternates *draining* the network to
+  frame quiescence with *stepping* the simulator to its next scheduled
+  call, until both are quiescent — the simulator's ``drain`` semantics,
+  so delivery *timestamps*, not just delivery orders, line up with the
+  simulator run for run — the property the backend-parity suite pins.
 """
 
 from __future__ import annotations
@@ -67,19 +66,18 @@ from repro.messages.wire import (
     decode_message,
     encode_frame,
 )
-from repro.runtime.faults import FaultModel
-from repro.runtime.latency import (
-    DEFAULT_LINK_LATENCY,
-    LatencyModel,
-    LatencySpec,
-    resolve_latency,
-)
+from repro.runtime.latency import DEFAULT_LINK_LATENCY, LatencySpec, resolve_latency
 from repro.runtime.trace import TraceRecorder
 
 #: How many distinct payloads a runtime keeps decoded (oldest out first).
 #: A paced load repeats a payload within a few frames; a burst wider than
 #: this decodes again at every hop, as it would without the map.
 DECODED_PAYLOADS = 64
+
+#: How many sent message objects a runtime keeps framed (oldest out
+#: first).  Under virtual time a fan-out's frames are built at flush time,
+#: when other links' flushes may have framed other messages in between.
+FRAMED_MESSAGES = 64
 
 
 class _WallTimer:
@@ -189,23 +187,37 @@ class _BytePipe:
 
 
 class AioChannel:
-    """A unidirectional FIFO channel carrying wire frames.
+    """A unidirectional FIFO byte stream carrying wire frames.
 
-    Satisfies the :class:`~repro.runtime.protocols.Channel` protocol.
-    ``send`` encodes the message into a frame and hands the bytes to the
-    transport; a reader task reassembles frames, decodes the message and
-    invokes the delivery callback.  Per-channel FIFO order follows from
-    the byte stream.
+    The transport: :meth:`carry` frames a message and feeds the bytes to
+    the in-memory pipe or the TCP socket; a reader task reassembles
+    frames, decodes the message and invokes the delivery callback.
+    Per-channel FIFO order follows from the byte stream.
 
-    Under virtual time the channel behaves like the simulator's ``Link``:
-    each frame gets a latency sample and a FIFO-clamped delivery time,
-    and entering the transport is itself a scheduled call on the virtual
-    clock — so the frame's bytes hit the pipe (or socket) exactly when
-    the simulator would have delivered the message.  An optional
-    :class:`~repro.runtime.faults.FaultModel` decides each frame's fate
-    at send time, exactly as it does for the simulator's link, keeping
-    RNG streams identical across backends.
+    On the wall clock the runtime hands out the channel itself, and
+    :meth:`send` carries at once.  Under virtual time it hands out a
+    :class:`~repro.sim.network.Link` whose delivery callback is
+    :meth:`carry`.  The slots leave no room for a latency or fault
+    model: those need a modelled clock.
     """
+
+    __slots__ = (
+        "runtime",
+        "source",
+        "target",
+        "_deliver",
+        "sent_count",
+        "delivered_count",
+        "dropped_count",
+        "torn",
+        "_started",
+        "depth_probe",
+        "_pipe",
+        "_backlog",
+        "_server",
+        "_writer",
+        "_read_task",
+    )
 
     def __init__(
         self,
@@ -213,40 +225,24 @@ class AioChannel:
         source: str,
         target: str,
         deliver: Callable[[Message, "AioChannel"], None],
-        latency: Optional[LatencyModel] = None,
     ) -> None:
         self.runtime = runtime
         self.source = source
         self.target = target
         self._deliver = deliver
-        #: Latency model applied per frame (virtual-time mode only).
-        self.latency = latency
-        #: Optional fault injection, consulted at send time like the
-        #: simulator's link (assignable after construction, as the
-        #: failure experiments do).
-        self.fault_model: Optional[FaultModel] = None
         self.sent_count = 0
         self.delivered_count = 0
         self.dropped_count = 0
-        #: When ``True`` (a crashed endpoint, see
-        #: :meth:`AioRuntime.set_broker_down`) frames are dropped at send
-        #: time instead of being enqueued.
-        self.down = False
         #: When ``True`` (the *target* broker crashed, see
-        #: :meth:`AioRuntime.teardown_broker`) the channel's transport is
-        #: torn down and frames are dropped at their scheduled *delivery*
-        #: time — the moment the dead process would have read them —
-        #: matching the simulator's receive-time gating byte for byte.
-        #: Unlike ``down``, frames sent before the crash and scheduled to
-        #: arrive after it are dropped too (they reach a dead process).
+        #: :meth:`AioRuntime.teardown_broker`) the transport is torn down
+        #: and messages reaching it are dropped, as the simulator's
+        #: crashed broker drops them on receipt.
         self.torn = False
         self._started = False
         # Telemetry hook: called with the channel's in-flight depth after
         # each send.  Wired by the network only when telemetry is
         # enabled, so the off path costs one ``is not None`` check.
         self.depth_probe: Optional[Callable[[int], None]] = None
-        # FIFO clamp: delivery times on one channel never decrease.
-        self._last_delivery_time = runtime.clock.now
         # Memory transport state.
         self._pipe = _BytePipe()
         # TCP transport state.
@@ -255,70 +251,40 @@ class AioChannel:
         self._writer: Optional[asyncio.StreamWriter] = None
         self._read_task: Optional[asyncio.Task] = None
 
-    @property
-    def name(self) -> str:
-        """Human-readable channel identifier ``source->target``."""
-        return "{}->{}".format(self.source, self.target)
-
     # ------------------------------------------------------------------
     # Sending (synchronous; callable while the loop is parked)
     # ------------------------------------------------------------------
     def send(self, message: Message) -> None:
-        """Frame and enqueue *message* for FIFO delivery."""
+        """Wall clock: record the traversal and carry *message* at once."""
         self.sent_count += 1
-        runtime = self.runtime
-        now = runtime.clock.now
         if self.depth_probe is not None:
             self.depth_probe(self.sent_count - self.delivered_count - self.dropped_count)
-        if runtime.trace is not None:
-            runtime.trace.record_link(now, self.source, self.target, message)
-        if self.down:
-            # Drop BEFORE the in-flight counter increments: a frame that
-            # counts as in flight but is never read would make `settle`
-            # wait for quiescence that can never come.
-            self._drop(now, message, "broker-down")
-            return
-        copies = 1
-        if self.fault_model is not None:
-            drop_reason, copies = self.fault_model.decide(self.source, self.target, now)
-            if drop_reason is not None:
-                self._drop(now, message, drop_reason)
-                return
-        frame = runtime._frame(message)
-        for _ in range(copies):
-            if runtime.virtual_time:
-                # One latency sample and FIFO clamp per copy — the exact
-                # send-time semantics of the simulator's Link.
-                delay = self.latency.sample() if self.latency is not None else 0.0
-                delivery_time = max(now + delay, self._last_delivery_time)
-                self._last_delivery_time = delivery_time
-                runtime.clock.schedule_at(
-                    delivery_time,
-                    self._feed_frame,
-                    frame,
-                    label="deliver {} on {}".format(type(message).__name__, self.name),
-                )
-            else:
-                self._feed_frame(frame)
-
-    def _drop(self, now: float, message: Message, reason: str) -> None:
-        self.dropped_count += 1
-        if self.runtime.trace is not None:
-            self.runtime.trace.record_drop(now, self.source, self.target, message, reason)
-
-    def _feed_frame(self, frame: bytes) -> None:
-        """Hand the encoded frame to the transport (it is now in flight)."""
         runtime = self.runtime
+        runtime.trace.record_link(runtime.clock.now, self.source, self.target, message)
+        self.carry(message)
+
+    def carry(self, message: Message, link: Any = None) -> None:
+        """Put *message* on the transport, or drop it if the channel is torn.
+
+        Under virtual time the channel's :class:`~repro.sim.network.Link`
+        calls this (passing itself as *link*) when the message is due.
+        """
         if self.torn:
             # The receiving broker is down and its transport gone: the
-            # frame dies here, at delivery time, before the in-flight
-            # counter ever increments (so `settle` still terminates).
-            # Decode it for the drop record — attribution needs the
-            # message, and the bytes are about to be discarded anyway.
-            message = runtime._decode(frame[FRAME_HEADER_SIZE:])
-            self._drop(runtime.clock.now, message, "broker-down")
+            # message dies here, before the in-flight counter ever
+            # increments (so `settle` still terminates).
+            self.dropped_count += 1
+            runtime = self.runtime
+            runtime.trace.record_drop(
+                runtime.clock.now, self.source, self.target, message, "broker-down"
+            )
             return
-        runtime._message_sent()
+        self._feed(self.runtime._frame(message))
+
+    def _feed(self, frame: bytes) -> None:
+        """Hand an encoded frame to the transport (it is now in flight)."""
+        runtime = self.runtime
+        runtime._in_flight += 1
         if runtime.transport == "memory":
             self._pipe.feed(frame)
         elif self._writer is not None:
@@ -381,24 +347,16 @@ class AioChannel:
         replaced, so nothing half-read survives; ``_started`` resets so a
         later :meth:`AioRuntime.restore_broker` re-establishes the
         transport (fresh pipe, or a brand-new TCP connection) on the next
-        settle.  The FIFO clamp is deliberately *not* reset — link
-        timing, like the simulator's, is a property of the wire, not of
-        the endpoint's lifecycle.
+        settle.  Under virtual time the channel's link — latency, FIFO
+        clamp, pending messages — is untouched: link timing, as on the
+        simulator, is a property of the wire, not of the endpoint's
+        lifecycle.
         """
         self.torn = True
         await self._close()
         self._started = False
         self._pipe = _BytePipe()
         self._backlog = []
-
-    def _re_establish(self) -> None:
-        """Restart teardown's inverse: frames flow again from now on.
-
-        Purely a flag flip — the transport itself comes back lazily via
-        ``_start`` on the next settle, exactly like the initial lazy
-        connection establishment.
-        """
-        self.torn = False
 
     async def _close(self) -> None:
         if self._read_task is not None:
@@ -424,7 +382,7 @@ class AioChannel:
             self._server = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "AioChannel({})".format(self.name)
+        return "AioChannel({}->{})".format(self.source, self.target)
 
 
 class AioRuntime:
@@ -437,9 +395,9 @@ class AioRuntime:
     time, until both the network and the event queue are quiescent (or,
     for ``run_until``, until the next call lies beyond the horizon, whose
     time the clock then takes).  *latency* (same spec as the sim backend:
-    constant, per-edge mapping, or factory) assigns each channel a
-    latency model; it requires virtual time — a wall-clock backend
-    measures latency, it cannot model it.
+    constant, per-edge mapping, or factory) is the latency model of its
+    links; it requires virtual time — a wall-clock backend measures
+    latency, it cannot model it.
     """
 
     def __init__(
@@ -461,15 +419,12 @@ class AioRuntime:
         self.host = host
         self.virtual_time = virtual_time
         self.loop = asyncio.new_event_loop()
+        self._latency_spec = latency if latency is not None else DEFAULT_LINK_LATENCY
         if virtual_time:
-            self._latency_spec: Optional[LatencySpec] = (
-                latency if latency is not None else DEFAULT_LINK_LATENCY
-            )
             from repro.sim.engine import Simulator
 
             self._clock: Any = Simulator()
         else:
-            self._latency_spec = None
             self._clock = AioClock(self.loop)
         self._trace = trace if trace is not None else TraceRecorder()
         self._channels: List[AioChannel] = []
@@ -481,7 +436,7 @@ class AioRuntime:
         self._drain_delivered = 0
         self._drain_cap: Optional[int] = None
         # Codec sharing (see the module docstring).
-        self._last_framed: Tuple[Optional[Message], bytes] = (None, b"")
+        self._framed: Dict[int, Tuple[Message, bytes]] = {}
         self._decoded: Dict[bytes, Message] = {}
 
     # ------------------------------------------------------------------
@@ -496,48 +451,38 @@ class AioRuntime:
         return self._trace
 
     def connect(
-        self, source: str, target: str, deliver: Callable[[Message, AioChannel], None]
-    ) -> AioChannel:
-        """Create the framed FIFO channel from *source* to *target*."""
-        latency = None
-        if self._latency_spec is not None:
-            latency = resolve_latency(self._latency_spec, source, target)
-        channel = AioChannel(self, source, target, deliver, latency=latency)
-        self._channels.append(channel)
-        return channel
+        self,
+        source: str,
+        target: str,
+        deliver: Callable[[Message, AioChannel], None],
+        deliver_batch: Optional[Callable[..., None]] = None,
+    ) -> Any:
+        """The FIFO channel from *source* to *target*.
 
-    def set_broker_down(self, name: str, down: bool = True) -> int:
-        """Mark every channel into or out of broker *name* as down.
-
-        Frames sent on a downed channel are dropped (and recorded in the
-        trace with reason ``"broker-down"``) instead of enqueued — the
-        byte-stream analogue of the simulator's
-        :meth:`~repro.runtime.faults.FaultModel.broker_down` windows.
-        Frames already in flight (or, under virtual time, already
-        latency-scheduled) still deliver, exactly like messages already
-        on a simulated link when its endpoint dies.  Returns the number
-        of channels toggled.
+        Wall clock: the :class:`AioChannel` itself.  Virtual time: a
+        :class:`~repro.sim.network.Link` on the runtime's simulator, whose
+        deliveries the channel carries.  Every message crosses the codec
+        on its own, so *deliver_batch* never applies.
         """
-        toggled = 0
-        for channel in self._channels:
-            if name in (channel.source, channel.target):
-                channel.down = down
-                toggled += 1
-        return toggled
+        channel = AioChannel(self, source, target, deliver)
+        self._channels.append(channel)
+        if not self.virtual_time:
+            return channel
+        from repro.sim.network import Link
+
+        latency = resolve_latency(self._latency_spec, source, target)
+        return Link(self._clock, source, target, channel.carry, latency, trace=self._trace)
 
     def teardown_broker(self, name: str) -> int:
         """Crash teardown: tear the channels *into* broker *name*.
 
-        The broker-level crash/restart of the simulator backend needs no
-        transport work — the dead broker's ``receive`` gate drops at
-        delivery time.  Here the process model is real: the dead
-        broker's reading ends are closed, and every frame scheduled to
-        arrive on them — including frames already in flight when the
-        crash happened — is dropped at its delivery time with reason
-        ``"broker-down"``, producing the identical trace records.
-        Channels *out* of the dead broker stay up: messages it sent
-        before dying are on the wire and deliver normally, exactly as on
-        the simulator.  Returns the number of channels torn.
+        The dead broker's reading ends are closed, and every message that
+        reaches them — including messages already on the wire when the
+        crash happened — is dropped with reason ``"broker-down"``: the
+        trace records the simulator's crashed broker writes on receipt.
+        Channels *out* of the dead broker stay up: messages it sent before
+        dying deliver normally, exactly as on the simulator.  Returns the
+        number of channels torn.
         """
         torn = 0
         for channel in self._channels:
@@ -559,7 +504,7 @@ class AioRuntime:
         restored = 0
         for channel in self._channels:
             if channel.target == name and channel.torn:
-                channel._re_establish()
+                channel.torn = False
                 restored += 1
         return restored
 
@@ -607,12 +552,19 @@ class AioRuntime:
     # Internals
     # ------------------------------------------------------------------
     def _frame(self, message: Message) -> bytes:
-        """``encode_frame(message)``, encoded once for back-to-back sends of one object."""
-        last, frame = self._last_framed
-        if last is not message:
-            frame = encode_frame(message)
-            self._last_framed = (message, frame)
-        return frame
+        """``encode_frame(message)``, one frame per remembered message object.
+
+        The map holds the messages it framed, so no remembered id can be
+        reused by another object.
+        """
+        framed = self._framed
+        entry = framed.get(id(message))
+        if entry is None:
+            entry = (message, encode_frame(message))
+            if len(framed) >= FRAMED_MESSAGES:
+                del framed[next(iter(framed))]
+            framed[id(message)] = entry
+        return entry[1]
 
     def _decode(self, payload: bytes) -> Message:
         """``decode_message(payload)``, one shared object per remembered payload.
@@ -627,9 +579,6 @@ class AioRuntime:
                 del decoded[next(iter(decoded))]
             decoded[payload] = message
         return message
-
-    def _message_sent(self) -> None:
-        self._in_flight += 1
 
     def _message_done(self) -> None:
         self._in_flight -= 1

@@ -5,9 +5,9 @@ Experiments and the CLI runner pick their backend with a single string:
 * ``"sim"`` — the discrete-event simulator
   (:class:`~repro.runtime.sim.SimRuntime`), the default and the oracle.
 * ``"aio-memory"`` — the asyncio backend in **virtual-time** mode over
-  in-process byte pipes: every message crosses the wire codec, scheduled
-  calls and latency live on the simulator's event queue
-  (:class:`~repro.sim.engine.Simulator`) used as a virtual clock.
+  in-process byte pipes: every message crosses the wire codec, and the
+  clock and the links are the simulator's own
+  (:class:`~repro.sim.engine.Simulator`, :class:`~repro.sim.network.Link`).
 * ``"aio-tcp"`` — the same, over real loopback TCP connections.
 
 Both asyncio variants are created with ``virtual_time=True`` because the

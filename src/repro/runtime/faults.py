@@ -1,17 +1,15 @@
 """Fault injection for channels (backend-neutral).
 
 :class:`FaultModel` describes *which* messages are lost or duplicated;
-*enforcing* it is the sending channel's job, so the model itself is
-independent of the backend.  The simulator's :class:`~repro.sim.network.Link`
-and the asyncio backend's :class:`~repro.runtime.aio.AioChannel` both
-ask an attached model's :meth:`FaultModel.decide` at send time, which
-fixes the check order (scheduled windows first — no RNG draw — then the
-iid drop and duplicate decisions) in one place and so keeps the RNG
-stream, and therefore entire failure runs, byte-identical across
-backends.
-
-Historically this lived in :mod:`repro.sim.network`, which still
-re-exports it for compatibility.
+*enforcing* it is the sending link's job.  The one link that enforces
+it is :class:`~repro.sim.network.Link`, on the simulator and on the
+virtual-time asyncio backend alike: it asks an attached model's
+:meth:`FaultModel.decide` at send time, which fixes the check order
+(scheduled windows first — no RNG draw — then the iid drop and duplicate
+decisions) in one place and so keeps the RNG stream, and therefore
+entire failure runs, byte-identical across backends.  Fault injection
+needs a modelled clock: a wall-clock asyncio channel has no
+``fault_model`` to set.
 """
 
 from __future__ import annotations

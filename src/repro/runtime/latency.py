@@ -2,16 +2,13 @@
 
 The paper's communication model is "point-to-point, FIFO order
 communication links" with some transmission delay; how that delay is
-*realised* differs per backend.  The discrete-event simulator samples a
-latency model and schedules the delivery event; the asyncio backend in
-virtual-time mode does exactly the same on its virtual clock (see
+*realised* differs per backend.  The simulator's link samples a latency
+model and schedules the delivery; the asyncio backend in virtual-time
+mode runs the very same link on its virtual clock (see
 :mod:`repro.runtime.aio`), which is what makes delivery *times* — not
 just delivery *orders* — comparable across backends.  Wall-clock
 backends measure latency instead of modelling it and ignore these
 classes.
-
-Historically these models lived in :mod:`repro.sim.network`, which still
-re-exports them for compatibility.
 
 A :data:`LatencySpec` is the user-facing shorthand accepted by the
 runtimes and :class:`~repro.broker.network.PubSubNetwork`: a constant

@@ -98,8 +98,14 @@ class Runtime(Protocol):
         """The trace recorder channels and brokers report into."""
         ...
 
-    def connect(self, source: str, target: str, deliver: DeliverFn) -> Channel:
-        """Create the FIFO channel from *source* to *target*."""
+    def connect(
+        self, source: str, target: str, deliver: DeliverFn, deliver_batch: Any = None
+    ) -> Channel:
+        """Create the FIFO channel from *source* to *target*.
+
+        *deliver_batch(messages, channel)* may receive messages that
+        arrive together; a backend that delivers one at a time ignores it.
+        """
         ...
 
     def settle(self, max_events: int = 1_000_000) -> int:

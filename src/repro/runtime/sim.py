@@ -4,20 +4,20 @@
 :class:`~repro.runtime.protocols.Runtime` protocol: the
 :class:`~repro.sim.engine.Simulator` *is* the clock (it satisfies the
 :class:`~repro.runtime.protocols.Clock` protocol structurally), channels
-are :class:`~repro.sim.network.Link` objects with a latency model, and
-execution is the simulator's deterministic event loop.  Behaviour is
-byte-identical to the pre-split code: same classes, same construction
-parameters, same event ordering.
+are :class:`~repro.sim.network.Link` objects with a latency model that
+deliver straight into the receiving broker, and execution is the
+simulator's deterministic event loop.
 
-The latency specification accepted here (a constant, a per-edge mapping,
-or a factory) is shared with the virtual-time asyncio backend — see
-:mod:`repro.runtime.latency` — so one spec produces the same modelled
-delays on both backends.
+The virtual-time asyncio backend runs the same :class:`Link` on its own
+simulator (see :mod:`repro.runtime.aio`), and the latency specification
+accepted here (a constant, a per-edge mapping, or a factory — see
+:mod:`repro.runtime.latency`) means the same delays on both, so delivery
+times line up run for run.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, List, Optional
 
 from repro.messages.base import Message
 from repro.runtime.latency import (
@@ -40,12 +40,10 @@ class SimRuntime:
         simulator: Optional[Simulator] = None,
         trace: Optional[TraceRecorder] = None,
         latency: LatencySpec = DEFAULT_LINK_LATENCY,
-        batch_links: bool = True,
     ) -> None:
         self.simulator = simulator or Simulator()
         self._trace = trace or TraceRecorder()
         self._latency_spec = latency
-        self.batch_links = batch_links
 
     # ------------------------------------------------------------------
     # Runtime protocol
@@ -60,18 +58,27 @@ class SimRuntime:
         return self._trace
 
     def connect(
-        self, source: str, target: str, deliver: Callable[[Message, Link], None]
+        self,
+        source: str,
+        target: str,
+        deliver: Callable[[Message, Link], None],
+        deliver_batch: Optional[Callable[[List[Message], Link], None]] = None,
     ) -> Link:
-        """A FIFO :class:`Link` with the configured latency model."""
-        return Link(
+        """A FIFO :class:`Link` with the configured latency model.
+
+        The link delivers straight into the receiver, so it hands every
+        run of messages one flush delivers to *deliver_batch*, when given.
+        """
+        link = Link(
             simulator=self.simulator,
             source=source,
             target=target,
             deliver=deliver,
             latency=resolve_latency(self._latency_spec, source, target),
             trace=self._trace,
-            batch=self.batch_links,
         )
+        link.deliver_batch = deliver_batch
+        return link
 
     def settle(self, max_events: int = 1_000_000) -> int:
         """Run the event queue to quiescence."""
@@ -85,4 +92,4 @@ class SimRuntime:
         """Nothing to release: the simulator holds no external resources."""
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "SimRuntime(t={:.3f}, batch={})".format(self.simulator.now, self.batch_links)
+        return "SimRuntime(t={:.3f})".format(self.simulator.now)

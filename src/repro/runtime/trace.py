@@ -10,7 +10,6 @@ The recorder depends only on :mod:`repro.messages`, so both the
 simulator backend (:mod:`repro.runtime.sim`) and the asyncio backend
 (:mod:`repro.runtime.aio`) feed the same record types — which is what
 lets the backend-parity tests compare traces across backends directly.
-(:mod:`repro.sim.trace` re-exports these names for compatibility.)
 
 Records are **references, not copies**: each holds the time, the
 endpoints and the message (or notification) itself, and renders

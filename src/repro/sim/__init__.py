@@ -9,28 +9,15 @@ that model with a single-threaded discrete-event simulator:
 * :class:`~repro.sim.network.Link` — a FIFO link with a latency model and
   optional fault injection (used only by robustness tests; the default is
   the paper's lossless model).
-* :class:`~repro.sim.trace.TraceRecorder` — records every link traversal
-  and every client delivery, which is what the metrics and QoS checkers
-  consume.
 * :class:`~repro.sim.rng.DeterministicRandom` — a seeded RNG wrapper so
   experiments are exactly reproducible.
+
+Latency models, fault models and the trace recorder are backend-neutral
+and live in :mod:`repro.runtime`.
 """
 
 from repro.sim.engine import Event, Simulator
-from repro.sim.network import FaultModel, LatencyModel, Link, FixedLatency, UniformLatency
+from repro.sim.network import Link
 from repro.sim.rng import DeterministicRandom
-from repro.sim.trace import DeliveryRecord, LinkRecord, TraceRecorder
 
-__all__ = [
-    "Simulator",
-    "Event",
-    "Link",
-    "LatencyModel",
-    "FixedLatency",
-    "UniformLatency",
-    "FaultModel",
-    "DeterministicRandom",
-    "TraceRecorder",
-    "LinkRecord",
-    "DeliveryRecord",
-]
+__all__ = ["Simulator", "Event", "Link", "DeterministicRandom"]

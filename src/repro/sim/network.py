@@ -1,11 +1,17 @@
-"""Simulated point-to-point links.
+"""Point-to-point FIFO links on a virtual clock.
 
 The paper assumes "point-to-point, FIFO order communication links, e.g.,
 TCP connections, that are error-free, a common assumption that can be
 relieved later" (Section 2.1).  :class:`Link` implements exactly that —
 a unidirectional FIFO channel with a latency model — plus an optional
-:class:`FaultModel` used by robustness tests to "relieve" the error-free
-assumption (message drop and duplication injection).
+:class:`~repro.runtime.faults.FaultModel` used by robustness tests to
+"relieve" the error-free assumption (drops, duplicates, scheduled
+partitions and broker-down windows).
+
+It is the one link of every backend that models time: the simulator
+runtime's links deliver straight into a broker, the virtual-time asyncio
+runtime's into an :class:`~repro.runtime.aio.AioChannel`, which frames
+each message onto its byte stream.
 
 FIFO order is enforced even under a jittering latency model: a message
 never overtakes a previously sent one because the delivery time is clamped
@@ -19,38 +25,24 @@ from typing import Callable, Deque, List, Optional, Tuple
 
 from repro.messages.base import Message
 from repro.runtime.faults import FaultModel
-from repro.runtime.latency import FixedLatency, LatencyModel, UniformLatency
+from repro.runtime.latency import LatencyModel
+from repro.runtime.trace import TraceRecorder
 from repro.sim.engine import Simulator
-from repro.sim.trace import TraceRecorder
-
-__all__ = [
-    "FaultModel",
-    "FixedLatency",
-    "LatencyModel",
-    "Link",
-    "UniformLatency",
-]
 
 
 class Link:
     """A unidirectional FIFO link from *source* to *target*.
 
     The *deliver* callback is invoked (via the simulator) with
-    ``(message, link)`` once the latency has elapsed.  Bidirectional
-    broker connections are modelled as a pair of links created by
-    :func:`connect`.
+    ``(message, link)`` once the latency has elapsed.
 
-    With ``batch=True`` (the default) the link coalesces its scheduled
-    deliveries into per-link *flush* events: each message still gets its
-    own latency sample, FIFO clamp and fault decision **at send time**
-    (so per-message semantics, RNG draw order and delivery times are
-    unchanged), but instead of one simulator event per message the link
-    keeps one pending flush event that delivers every queued message
-    whose delivery time has been reached, then re-arms for the next one.
-    A broker emitting k administrative messages on one link at the same
-    instant therefore costs one event, not k — the dominant event-loop
-    saving on the routing-churn hot path.  ``batch=False`` restores the
-    one-event-per-message behaviour (kept as an equivalence baseline).
+    Each message gets its own latency sample, FIFO clamp and fault
+    decision **at send time**, but the link coalesces its deliveries into
+    *flush* events: it keeps one pending flush event that delivers every
+    queued message whose delivery time has been reached, then re-arms for
+    the next one.  A broker emitting k administrative messages on one
+    link at the same instant therefore costs one event, not k — the
+    dominant event-loop saving on the routing-churn hot path.
     """
 
     def __init__(
@@ -62,7 +54,6 @@ class Link:
         latency: LatencyModel,
         trace: Optional[TraceRecorder] = None,
         fault_model: Optional[FaultModel] = None,
-        batch: bool = True,
     ) -> None:
         self.simulator = simulator
         self.source = source
@@ -71,7 +62,6 @@ class Link:
         self.latency = latency
         self.trace = trace
         self.fault_model = fault_model
-        self.batch = batch
         self._last_delivery_time = simulator.now
         self.sent_count = 0
         self.delivered_count = 0
@@ -85,11 +75,10 @@ class Link:
         # each send.  Wired by the network only when telemetry is
         # enabled, so the off path costs one ``is not None`` check.
         self.depth_probe: Optional[Callable[[int], None]] = None
-        # Batch-delivery hook: when set, a flush hands the whole due run
-        # to this callable (``deliver_batch(messages, link)``) instead of
-        # invoking *deliver* once per message, letting the receiver
-        # amortise repeated dispatch work across the run (see
-        # ``Broker.receive_batch``).  ``None`` keeps per-message delivery.
+        # Batch-delivery hook: when set, a flush hands a due run of two or
+        # more to ``deliver_batch(messages, link)`` instead of *deliver*,
+        # letting the receiver amortise dispatch work across the run (see
+        # ``Broker.receive_batch``).  Only the simulator runtime sets it.
         self.deliver_batch: Optional[Callable[[List[Message], "Link"], None]] = None
 
     @property
@@ -123,14 +112,6 @@ class Link:
             delay = self.latency.sample()
             delivery_time = max(self.simulator.now + delay, self._last_delivery_time)
             self._last_delivery_time = delivery_time
-            if not self.batch:
-                self.simulator.schedule_at(
-                    delivery_time,
-                    self._on_deliver,
-                    message,
-                    label="deliver {} on {}".format(type(message).__name__, self.name),
-                )
-                continue
             self._pending.append((delivery_time, message))
             if not self._flush_scheduled:
                 # The queue was empty, so this delivery time is the
@@ -170,12 +151,8 @@ class Link:
             self._flush_scheduled = False
 
     def pending_count(self) -> int:
-        """Number of messages currently on the wire (batched mode only)."""
+        """Number of messages currently on the wire."""
         return len(self._pending)
-
-    def _on_deliver(self, message: Message) -> None:
-        self.delivered_count += 1
-        self._deliver(message, self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "Link({})".format(self.name)

@@ -26,8 +26,9 @@ from repro.filters.filter import Filter, MatchAll, MatchNone
 from repro.messages.admin import Unsubscribe
 from repro.messages.mobility import LocationUpdate
 from repro.routing.strategies import make_strategy
+from repro.runtime.latency import FixedLatency
 from repro.sim.engine import Simulator
-from repro.sim.network import FixedLatency, Link
+from repro.sim.network import Link
 
 from tests.dispatch.test_plan_oracle import mutate
 from tests.oracles.forwarding import desired_forwarding, first_cover, scratch_forwarding

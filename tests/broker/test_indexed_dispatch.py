@@ -24,8 +24,9 @@ from repro.filters.filter import Filter
 from repro.messages.notification import Notification
 from repro.metrics.counters import MessageCounter, data_plane_breakdown
 from repro.routing.strategies import make_strategy
+from repro.runtime.latency import FixedLatency
 from repro.sim.engine import Simulator
-from repro.sim.network import FixedLatency, Link
+from repro.sim.network import Link
 from repro.sim.rng import DeterministicRandom
 from repro.topology.builders import balanced_tree_topology
 

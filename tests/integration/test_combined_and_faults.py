@@ -17,7 +17,8 @@ from repro.core.location_filter import MYLOC
 from repro.core.ploc import MovementGraph
 from repro.filters.filter import Filter
 from repro.metrics.qos import check_completeness, check_fifo, check_no_duplicates
-from repro.sim.network import FaultModel, FixedLatency, UniformLatency
+from repro.runtime.faults import FaultModel
+from repro.runtime.latency import FixedLatency, UniformLatency
 from repro.sim.rng import DeterministicRandom
 from repro.topology.builders import line_topology
 from repro.workload.scenarios import ParkingScenario, SmartBuildingScenario, StockTickerScenario

@@ -6,7 +6,7 @@ from repro.messages.mobility import LocationUpdate
 from repro.messages.notification import Notification
 from repro.metrics.blackout import measure_blackout
 from repro.metrics.counters import MessageCounter, cumulative_message_series, messages_per_second
-from repro.sim.trace import TraceRecorder
+from repro.runtime.trace import TraceRecorder
 
 
 def notification(seq, **attrs):

@@ -13,7 +13,7 @@ from repro.metrics.qos import (
     expected_identities,
     flooding_reference_set,
 )
-from repro.sim.trace import TraceRecorder
+from repro.runtime.trace import TraceRecorder
 
 
 def notification(seq, **attrs):

@@ -3,11 +3,11 @@
 Covers the failure paths the parity scenarios never hit: broker crashes
 inside message processing must surface from ``settle`` (not hang the
 quiescence loop or vanish with the reader task), runaway message loops
-must trip the delivery cap, and conflicting construction parameters must
-be rejected loudly.  Also the codec sharing: a frame encoded once per
-run of sends of one object, a payload decoded once while the runtime
-remembers it — and either way the same bytes and messages as a fresh
-encode or decode.
+must trip the delivery cap, and conflicting construction parameters (or
+a latency / fault model on a wall-clock channel) must be rejected
+loudly.  Also the codec sharing: a message object framed once and a
+payload decoded once while the runtime remembers them — and either way
+the same bytes and messages as a fresh encode or decode.
 """
 
 from unittest import mock
@@ -15,6 +15,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.broker.base import Broker
 from repro.broker.network import PubSubNetwork
 from repro.messages.notification import Notification
 from repro.messages.wire import WireError, decode_message, encode_frame, encode_message
@@ -22,10 +23,18 @@ from repro.runtime import aio
 from repro.runtime.aio import AioRuntime
 from repro.runtime.factory import make_runtime
 from repro.runtime.faults import FaultModel
+from repro.runtime.latency import FixedLatency
+from repro.runtime.trace import TraceRecorder
+from repro.sim.engine import Simulator
 from repro.sim.rng import DeterministicRandom
 from repro.topology.builders import line_topology
 from tests.messages.test_wire import messages
-from tests.runtime.test_backend_parity import AIO_BACKENDS, _trace_fingerprint
+from tests.runtime.test_backend_parity import (
+    AIO_BACKENDS,
+    EXPERIMENTS,
+    RecordingFactory,
+    _trace_fingerprint,
+)
 
 
 def _exploding_network(error):
@@ -90,14 +99,29 @@ def test_settle_caps_runaway_message_loops():
 
 
 def test_sim_parameters_conflict_with_explicit_runtime():
-    """latency/simulator/trace/batch_links configure the *default* runtime
-    only; passing them alongside an explicit runtime is rejected."""
+    """latency/simulator/trace configure the *default* runtime only;
+    passing them alongside an explicit runtime is rejected."""
     runtime = AioRuntime()
     try:
         with pytest.raises(ValueError, match="latency"):
             PubSubNetwork(line_topology(2), latency=0.2, runtime=runtime)
-        with pytest.raises(ValueError, match="batch_links"):
-            PubSubNetwork(line_topology(2), batch_links=False, runtime=runtime)
+        with pytest.raises(ValueError, match="simulator"):
+            PubSubNetwork(line_topology(2), simulator=Simulator(), runtime=runtime)
+        with pytest.raises(ValueError, match="trace"):
+            PubSubNetwork(line_topology(2), trace=TraceRecorder(), runtime=runtime)
+    finally:
+        runtime.close()
+
+
+def test_wall_clock_channels_take_no_latency_or_fault_model():
+    """Both need a modelled clock: setting one on the wall clock fails loudly."""
+    runtime = AioRuntime()
+    try:
+        channel = runtime.connect("A", "B", lambda message, channel: None)
+        with pytest.raises(AttributeError):
+            channel.fault_model = FaultModel(DeterministicRandom(1))
+        with pytest.raises(AttributeError):
+            channel.latency = FixedLatency(0.1)
     finally:
         runtime.close()
 
@@ -152,6 +176,7 @@ def test_shared_codec_sends_and_delivers_what_a_fresh_codec_would(backend, pool,
 
     def deliver(message, channel):
         assert len(runtime._decoded) <= aio.DECODED_PAYLOADS
+        assert len(runtime._framed) <= aio.FRAMED_MESSAGES
         received.append(message)
 
     try:
@@ -161,13 +186,13 @@ def test_shared_codec_sends_and_delivers_what_a_fresh_codec_would(backend, pool,
         decide = faults.should_duplicate
         faults.should_duplicate = lambda: duplicated.append(decide()) or duplicated[-1]
         channel.fault_model = faults
-        # A small bound, so repeats both hit and miss.
-        with mock.patch.object(aio, "DECODED_PAYLOADS", 3):
+        # Small bounds, so repeats both hit and miss.
+        with mock.patch.multiple(aio, DECODED_PAYLOADS=3, FRAMED_MESSAGES=3):
             for message in sent:
                 channel.send(message)
-                framed, frame = runtime._last_framed
-                assert framed is message and frame == encode_frame(message)
             runtime.settle()
+        for key, (message, frame) in runtime._framed.items():
+            assert key == id(message) and frame == encode_frame(message)
     except OSError as error:  # pragma: no cover - sandboxed environments
         pytest.skip("loopback sockets unavailable: {}".format(error))
     finally:
@@ -177,6 +202,36 @@ def test_shared_codec_sends_and_delivers_what_a_fresh_codec_would(backend, pool,
         _fresh(message) for message, twice in zip(sent, duplicated) for _ in range(1 + twice)
     ]
     assert [message.to_wire() for message in received] == expected
+
+
+#: ``encode_frame`` / ``decode_message`` calls over the ten parity
+#: experiments, as measured: a frame or payload memo that misses more
+#: raises them.
+PARITY_ENCODES = 1662
+PARITY_DECODES = 1106
+
+
+@pytest.mark.parametrize("backend", AIO_BACKENDS)
+def test_parity_experiments_encode_and_decode_once_per_message(backend):
+    """Codec calls stay pinned, and no flush ever skips the codec.
+
+    ``Broker.receive_batch`` is the simulator link's hook for a run of
+    messages delivered together; on the asyncio backend every message
+    must cross the codec on its own.
+    """
+    encode = mock.Mock(wraps=aio.encode_frame)
+    decode = mock.Mock(wraps=aio.decode_message)
+    receive_batch = mock.Mock(side_effect=AssertionError("receive_batch on an aio backend"))
+    try:
+        with mock.patch.multiple(aio, encode_frame=encode, decode_message=decode):
+            with mock.patch.object(Broker, "receive_batch", receive_batch):
+                for name in sorted(EXPERIMENTS):
+                    EXPERIMENTS[name](RecordingFactory(backend))
+    except OSError as error:  # pragma: no cover - sandboxed environments
+        pytest.skip("loopback sockets unavailable: {}".format(error))
+    assert 0 < encode.call_count <= PARITY_ENCODES
+    assert 0 < decode.call_count <= PARITY_DECODES
+    assert receive_batch.call_count == 0
 
 
 @pytest.mark.parametrize("backend", AIO_BACKENDS)
@@ -205,13 +260,14 @@ def test_a_payload_that_raised_raises_again(backend):
     runtime = make_runtime(backend)
     received = []
     try:
-        channel = runtime.connect("A", "B", lambda message, channel: received.append(message))
+        runtime.connect("A", "B", lambda message, channel: received.append(message))
         for _ in range(2):
             with pytest.raises(WireError):
                 runtime._decode(b"[1,2]")
         assert runtime._decoded == {}
         # On a channel, the reader that read it fails and ``settle`` says so.
-        channel._feed_frame(len(b"[1,2]").to_bytes(4, "big") + b"[1,2]")
+        (transport,) = runtime._channels
+        transport._feed(len(b"[1,2]").to_bytes(4, "big") + b"[1,2]")
         with pytest.raises(WireError):
             runtime.settle()
         assert received == [] and runtime._decoded == {}

@@ -230,13 +230,13 @@ class RecordingFactory:
 
 
 def _trace_fingerprint(trace):
-    """Everything a trace records, timestamps included, message ids excluded.
+    """Everything a trace records in record order, timestamps included.
 
     ``message_id`` is a process-global counter (it differs by how many
     messages earlier runs in the same process created) and is the only
-    field excluded.  Link and drop records are compared as sorted
-    multisets: the simulator's batched links may coalesce same-time
-    deliveries into a different append order than per-frame channels.
+    field excluded.  Every backend that models time runs the same
+    ``Link``, so even the append order of link and drop records is the
+    same — except on :data:`LINK_ORDER_EXEMPT`.
     """
     deliveries = [
         (
@@ -250,7 +250,7 @@ def _trace_fingerprint(trace):
         )
         for record in trace.delivery_records
     ]
-    links = sorted(
+    links = [
         (
             record.time,
             record.source,
@@ -260,8 +260,8 @@ def _trace_fingerprint(trace):
             record.description,
         )
         for record in trace.link_records
-    )
-    drops = sorted(
+    ]
+    drops = [
         (
             record.time,
             record.source,
@@ -271,7 +271,7 @@ def _trace_fingerprint(trace):
             record.reason,
         )
         for record in trace.drop_records
-    )
+    ]
     publishes = [
         (record.time, record.publisher, record.publisher_seq, record.attributes)
         for record in trace.publish_records
@@ -282,6 +282,17 @@ def _trace_fingerprint(trace):
 def _quick_fig9_config():
     return fig9_message_counts.Fig9Config(horizon=30.0)
 
+
+#: Experiments whose link records agree only as multisets.  A flush whose
+#: link still holds later messages re-arms itself once its run is
+#: delivered.  On the simulator the receiver handles the run inside the
+#: flush, so the sends it makes are queued before the re-arm; on the
+#: asyncio backend it handles the frames after the flush returned, so a
+#: re-arm for the same instant as those sends runs first.  On
+#: ``fig5-multi`` (B3->B4 carries a run at 0.85 s and re-arms for 0.9 s,
+#: when B4->B5 flushes too) that swaps two same-time flushes; deliveries,
+#: drops and every timestamp still agree.
+LINK_ORDER_EXEMPT = {"fig5-multi"}
 
 #: name -> callable(factory) running one experiment on that backend.
 EXPERIMENTS = {
@@ -334,8 +345,9 @@ def test_experiment_parity(name, backend, sim_baseline):
     # messages included), the same drops and publishes.
     aio_fingerprints = factory.fingerprints()
     assert len(aio_fingerprints) == len(sim_fingerprints)
+    order = sorted if name in LINK_ORDER_EXEMPT else list
     for aio_fp, sim_fp in zip(aio_fingerprints, sim_fingerprints):
         assert aio_fp["deliveries"] == sim_fp["deliveries"]
-        assert aio_fp["links"] == sim_fp["links"]
+        assert order(aio_fp["links"]) == order(sim_fp["links"])
         assert aio_fp["drops"] == sim_fp["drops"]
         assert aio_fp["publishes"] == sim_fp["publishes"]

@@ -6,10 +6,12 @@ from repro.broker.network import PubSubNetwork
 from repro.messages.base import MessageKind
 from repro.messages.notification import Notification
 from repro.metrics.recovery import dropped_by_reason
+from repro.runtime.faults import FaultModel
+from repro.runtime.latency import FixedLatency
+from repro.runtime.trace import TraceRecorder
 from repro.sim.engine import Simulator
-from repro.sim.network import FaultModel, FixedLatency, Link
+from repro.sim.network import Link
 from repro.sim.rng import DeterministicRandom
-from repro.sim.trace import TraceRecorder
 from repro.topology.builders import line_topology
 
 

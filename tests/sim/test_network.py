@@ -5,10 +5,13 @@ import pytest
 from repro.messages.admin import Subscribe
 from repro.messages.notification import Notification
 from repro.filters.filter import Filter
+from repro.runtime.faults import FaultModel
+from repro.runtime.latency import FixedLatency, UniformLatency
+from repro.runtime.trace import TraceRecorder
 from repro.sim.engine import Simulator
-from repro.sim.network import FaultModel, FixedLatency, Link, UniformLatency
+from repro.sim.network import Link
 from repro.sim.rng import DeterministicRandom
-from repro.sim.trace import TraceRecorder
+from tests.oracles.link import PerMessageLink
 
 
 def make_notification(seq: int) -> Notification:
@@ -126,9 +129,9 @@ class TestFaultInjection:
 
 
 class TestBatchedDelivery:
-    """Batched flush events must preserve per-message link semantics."""
+    """Flush events must preserve the per-message link of tests/oracles/link.py."""
 
-    def _run_workload(self, batch, seed, messages=300):
+    def _run_workload(self, link_class, seed, messages=300):
         """Random bursts + jitter + faults; returns (deliveries, link, events)."""
         simulator = Simulator()
         delivered = []
@@ -136,14 +139,13 @@ class TestBatchedDelivery:
         fault = FaultModel(
             DeterministicRandom(seed + 1), drop_probability=0.1, duplicate_probability=0.1
         )
-        link = Link(
+        link = link_class(
             simulator,
             "A",
             "B",
             lambda message, _: delivered.append((simulator.now, message.publisher_seq)),
             UniformLatency(0.0, 0.5, DeterministicRandom(seed + 2)),
             fault_model=fault,
-            batch=batch,
         )
         sequence = 0
         # Bursts of same-instant sends interleaved with time advances, so
@@ -157,10 +159,10 @@ class TestBatchedDelivery:
         return delivered, link, simulator.processed_events
 
     @pytest.mark.parametrize("seed", [7, 19, 42])
-    def test_batched_matches_unbatched_per_message(self, seed):
-        """Same deliveries, same times, same drops/dups — batch only cuts events."""
-        batched, batched_link, batched_events = self._run_workload(True, seed)
-        plain, plain_link, plain_events = self._run_workload(False, seed)
+    def test_batched_matches_per_message_oracle(self, seed):
+        """Same deliveries, same times, same drops/dups — flushing only cuts events."""
+        batched, batched_link, batched_events = self._run_workload(Link, seed)
+        plain, plain_link, plain_events = self._run_workload(PerMessageLink, seed)
         assert batched == plain
         assert batched_link.dropped_count == plain_link.dropped_count
         assert batched_link.delivered_count == plain_link.delivered_count
@@ -169,7 +171,7 @@ class TestBatchedDelivery:
     @pytest.mark.parametrize("seed", [3, 11])
     def test_fifo_clamp_under_batched_flush(self, seed):
         """Delivery order equals send order and times never regress."""
-        delivered, _, _ = self._run_workload(True, seed)
+        delivered, _, _ = self._run_workload(Link, seed)
         sequences = [sequence for _, sequence in delivered]
         # Duplicates repeat a sequence number back-to-back; stripping them
         # must leave a strictly increasing send order.

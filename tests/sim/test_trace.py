@@ -4,7 +4,7 @@ from repro.messages.base import MessageKind
 from repro.messages.admin import Subscribe
 from repro.messages.notification import Notification
 from repro.filters.filter import Filter
-from repro.sim.trace import TraceRecorder
+from repro.runtime.trace import TraceRecorder
 
 
 def make_notification(seq: int, **attrs) -> Notification:

@@ -23,7 +23,7 @@ import json
 import os
 
 from repro.experiments import failure_schedule, runner
-from tests.runtime.test_backend_parity import EXPERIMENTS, RecordingFactory
+from tests.runtime.test_backend_parity import EXPERIMENTS, RecordingFactory, _trace_fingerprint
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -56,51 +56,13 @@ def test_failure_schedule_disk_store_report(request, tmp_path):
     _compare(request, "failure_schedule_disk_store.txt", result.format_text() + "\n")
 
 
-def _trace_sections(trace):
-    """Deliveries, link traversals and drops, each in record order."""
-    deliveries = [
-        (
-            record.time,
-            record.client_id,
-            record.subscription_id,
-            record.publisher,
-            record.publisher_seq,
-            record.sequence,
-            record.attributes,
-        )
-        for record in trace.delivery_records
-    ]
-    links = [
-        (
-            record.time,
-            record.source,
-            record.target,
-            record.kind.name,
-            record.message_type,
-            record.description,
-        )
-        for record in trace.link_records
-    ]
-    drops = [
-        (
-            record.time,
-            record.source,
-            record.target,
-            record.kind.name,
-            record.message_type,
-            record.reason,
-        )
-        for record in trace.drop_records
-    ]
-    return deliveries, links, drops
-
-
 def _digest(name):
     factory = RecordingFactory("sim")
     hasher = hashlib.sha256(EXPERIMENTS[name](factory).format_text().encode())
     for runtime in factory.runtimes:
-        for section in _trace_sections(runtime.trace):
-            hasher.update(repr(section).encode())
+        fingerprint = _trace_fingerprint(runtime.trace)
+        for section in ("deliveries", "links", "drops"):
+            hasher.update(repr(fingerprint[section]).encode())
     return hasher.hexdigest()
 
 
