@@ -37,11 +37,6 @@ from repro.filters.covering import filter_covers
 from repro.filters.filter import Filter, MatchNone
 from repro.filters.selectivity import finite_value_keys, pick_anchor
 
-#: Backwards-compatible alias: the classifier moved to
-#: :mod:`repro.filters.selectivity` so the matching and dispatch indexes
-#: can share it.
-_finite_value_keys = finite_value_keys
-
 
 class CoveringCache:
     """Memoise :func:`filter_covers` keyed by canonical filter-key pairs.
@@ -79,13 +74,6 @@ class CoveringCache:
         self.misses += 1
         return result
 
-    def clear(self) -> None:
-        """Drop all cached results and reset the counters."""
-        self._results.clear()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
     def stats(self) -> Dict[str, int]:
         """Hit/miss accounting (used by benchmarks and tests)."""
         return {
@@ -97,7 +85,6 @@ class CoveringCache:
 
     def __len__(self) -> int:
         return len(self._results)
-
 
 
 class CoveringIndex:
@@ -156,7 +143,7 @@ class CoveringIndex:
         covered_keys: List[Any] = [None] if isinstance(filter_, MatchNone) else []
         for name, constraint in filter_.constraint_items():
             covered_keys.append(name)
-            values = _finite_value_keys(constraint)
+            values = finite_value_keys(constraint)
             if values:
                 covered_keys.append((name, values[0]))
         for key in covered_keys:
@@ -232,7 +219,7 @@ class CoveringIndex:
             bucket = by_attr.get(name)
             if bucket:
                 out.extend(bucket)
-            values = _finite_value_keys(constraint)
+            values = finite_value_keys(constraint)
             if values:
                 value_bucket = by_value.get((name, values[0]))
                 if value_bucket:
@@ -251,7 +238,7 @@ class CoveringIndex:
         for name, constraint in filter_.constraint_items():
             if constraint.matches_absent():
                 continue
-            values = _finite_value_keys(constraint)
+            values = finite_value_keys(constraint)
             keys: Iterable[Any] = [(name, value) for value in values] if values else (name,)
             buckets = [covered[key] for key in keys if key in covered]
             load = sum(map(len, buckets))

@@ -231,13 +231,6 @@ class MergePairCache:
         self.misses += 1
         return result
 
-    def clear(self) -> None:
-        """Drop all cached results and reset the counters."""
-        self._results.clear()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
     def stats(self) -> Dict[str, int]:
         """Hit/miss accounting (used by benchmarks and tests)."""
         return {

@@ -24,7 +24,14 @@ each distinct payload once (a bounded FIFO map from payload bytes to
 message).  Equal payloads are equal messages — the JSON is canonical and
 the message id crosses the wire — and no message changes after it was
 sent, so every hop after the first shares one decoded object, as every
-hop on the simulator shares the sender's.
+hop on the simulator shares the sender's.  Filters are shared too: a
+decoded message that carries one (the four admin messages,
+``MovedSubscribe``, ``FetchRequest``) takes the runtime's live ``Filter``
+of the same type and key, from a weak-value map that pins nothing, and
+its decoded copy is dropped before any broker sees it.  Every routing
+row, forwarding state, dispatch-plan key and wire memo in the process
+then refers to one object per distinct filter.  The type is part of the
+key because ``MatchAll`` and ``Filter()`` share one.
 
 Execution model: client operations (subscribe, publish, move_to, ...)
 are plain synchronous calls made while the loop is parked; they enqueue
@@ -58,10 +65,13 @@ from __future__ import annotations
 import asyncio
 import functools
 from typing import Any, Callable, Dict, List, Optional, Tuple
+from weakref import WeakValueDictionary
 
+from repro.filters.filter import Filter
 from repro.messages.base import Message
 from repro.messages.wire import (
     FRAME_HEADER_SIZE,
+    WireError,
     decode_frame_payload,
     decode_message,
     encode_frame,
@@ -209,6 +219,7 @@ class AioChannel:
         "sent_count",
         "delivered_count",
         "dropped_count",
+        "malformed_count",
         "torn",
         "_started",
         "depth_probe",
@@ -233,6 +244,8 @@ class AioChannel:
         self.sent_count = 0
         self.delivered_count = 0
         self.dropped_count = 0
+        #: Frames whose payload did not decode (also counted as dropped).
+        self.malformed_count = 0
         #: When ``True`` (the *target* broker crashed, see
         #: :meth:`AioRuntime.teardown_broker`) the transport is torn down
         #: and messages reaching it are dropped, as the simulator's
@@ -324,13 +337,25 @@ class AioChannel:
         self._backlog.clear()
 
     async def _read_loop(self, stream: Any) -> None:
-        """Reassemble frames, decode and deliver — the receive half."""
+        """Reassemble frames, decode and deliver — the receive half.
+
+        A payload that does not decode is counted and dropped, and the
+        reader goes on with the next frame: the header said where that
+        one starts.  A bad header leaves no such place, so it ends the
+        reader and surfaces from ``settle``.
+        """
         runtime = self.runtime
         while True:
             header = await stream.readexactly(FRAME_HEADER_SIZE)
             length = decode_frame_payload(header)
             payload = await stream.readexactly(length)
-            message = runtime._decode(payload)
+            try:
+                message = runtime._decode(payload)
+            except WireError:
+                self.malformed_count += 1
+                self.dropped_count += 1
+                runtime._message_done()
+                continue
             self.delivered_count += 1
             try:
                 self._deliver(message, self)
@@ -438,6 +463,7 @@ class AioRuntime:
         # Codec sharing (see the module docstring).
         self._framed: Dict[int, Tuple[Message, bytes]] = {}
         self._decoded: Dict[bytes, Message] = {}
+        self._filters: "WeakValueDictionary[Tuple[type, Any], Filter]" = WeakValueDictionary()
 
     # ------------------------------------------------------------------
     # Runtime protocol
@@ -569,12 +595,18 @@ class AioRuntime:
     def _decode(self, payload: bytes) -> Message:
         """``decode_message(payload)``, one shared object per remembered payload.
 
-        A payload that raises is not remembered, so it raises again.
+        A decoded message's filter is the runtime's live one with the same
+        type and key.  A payload that raises is not remembered, so it
+        raises again.
         """
         decoded = self._decoded
         message = decoded.get(payload)
         if message is None:
             message = decode_message(payload)
+            filter_ = getattr(message, "filter", None)
+            if filter_ is not None:
+                key = (type(filter_), filter_.key())
+                message.filter = self._filters.setdefault(key, filter_)
             if len(decoded) >= DECODED_PAYLOADS:
                 del decoded[next(iter(decoded))]
             decoded[payload] = message

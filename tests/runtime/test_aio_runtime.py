@@ -5,11 +5,14 @@ inside message processing must surface from ``settle`` (not hang the
 quiescence loop or vanish with the reader task), runaway message loops
 must trip the delivery cap, and conflicting construction parameters (or
 a latency / fault model on a wall-clock channel) must be rejected
-loudly.  Also the codec sharing: a message object framed once and a
-payload decoded once while the runtime remembers them — and either way
-the same bytes and messages as a fresh encode or decode.
+loudly.  Also the codec sharing: a message object framed once, a
+payload decoded once while the runtime remembers them, and one live
+filter per type and key — and either way the same bytes and messages as
+a fresh encode or decode.  And a reader that drops a malformed payload
+and reads on.
 """
 
+import gc
 from unittest import mock
 
 import pytest
@@ -17,8 +20,17 @@ from hypothesis import given, settings, strategies as st
 
 from repro.broker.base import Broker
 from repro.broker.network import PubSubNetwork
+from repro.filters.filter import Filter, MatchAll, MatchNone
+from repro.filters.wire import filter_to_wire
 from repro.messages.notification import Notification
-from repro.messages.wire import WireError, decode_message, encode_frame, encode_message
+from repro.messages.wire import (
+    FRAME_HEADER_SIZE,
+    MAX_FRAME_PAYLOAD,
+    WireError,
+    decode_message,
+    encode_frame,
+    encode_message,
+)
 from repro.runtime import aio
 from repro.runtime.aio import AioRuntime
 from repro.runtime.factory import make_runtime
@@ -28,7 +40,7 @@ from repro.runtime.trace import TraceRecorder
 from repro.sim.engine import Simulator
 from repro.sim.rng import DeterministicRandom
 from repro.topology.builders import line_topology
-from tests.messages.test_wire import messages
+from tests.messages.test_wire import messages, mutated_payloads
 from tests.runtime.test_backend_parity import (
     AIO_BACKENDS,
     EXPERIMENTS,
@@ -255,6 +267,11 @@ def test_decoded_payloads_are_bounded_oldest_out_first(backend):
         runtime.close()
 
 
+def _frame_of(payload):
+    """A well-formed frame around any payload bytes."""
+    return len(payload).to_bytes(FRAME_HEADER_SIZE, "big") + payload
+
+
 @pytest.mark.parametrize("backend", AIO_BACKENDS)
 def test_a_payload_that_raised_raises_again(backend):
     runtime = make_runtime(backend)
@@ -265,16 +282,146 @@ def test_a_payload_that_raised_raises_again(backend):
             with pytest.raises(WireError):
                 runtime._decode(b"[1,2]")
         assert runtime._decoded == {}
-        # On a channel, the reader that read it fails and ``settle`` says so.
+        # On a channel, the reader counts each bad frame once, drops it and
+        # delivers the next good one; ``settle`` returns.
         (transport,) = runtime._channels
-        transport._feed(len(b"[1,2]").to_bytes(4, "big") + b"[1,2]")
-        with pytest.raises(WireError):
+        good = Notification({"n": 1}, "p", 1)
+        transport._feed(_frame_of(b"[1,2]"))
+        transport._feed(_frame_of(b"[1,2]"))
+        transport._feed(encode_frame(good))
+        runtime.settle()
+        assert (transport.malformed_count, transport.dropped_count) == (2, 2)
+        assert [message.to_wire() for message in received] == [_fresh(good)]
+        assert list(runtime._decoded) == [encode_message(good)]
+        # A bad header leaves the stream out of step: that reader ends, and
+        # ``settle`` says so.
+        transport._feed((MAX_FRAME_PAYLOAD + 1).to_bytes(FRAME_HEADER_SIZE, "big"))
+        with pytest.raises(WireError, match="over the cap"):
             runtime.settle()
-        assert received == [] and runtime._decoded == {}
     except OSError as error:  # pragma: no cover - sandboxed environments
         pytest.skip("loopback sockets unavailable: {}".format(error))
     finally:
         runtime.close()
+
+
+@st.composite
+def _bad_payloads(draw):
+    """Truncated, garbage or wrong-shape payload bytes."""
+    kind = draw(st.sampled_from(["truncated", "garbage", "wrong shape"]))
+    if kind == "truncated":
+        payload = encode_message(draw(messages))
+        return payload[: draw(st.integers(0, len(payload) - 1))]
+    if kind == "garbage":
+        return draw(st.binary(max_size=64))
+    return draw(mutated_payloads())
+
+
+@pytest.mark.parametrize("backend", AIO_BACKENDS)
+@settings(max_examples=25, deadline=None)
+@given(first=messages, bad=st.lists(_bad_payloads(), min_size=1, max_size=4), last=messages)
+def test_reader_drops_malformed_payloads_and_keeps_reading(backend, first, bad, last):
+    payloads = [encode_message(first), *bad, encode_message(last)]
+    expected, malformed = [], 0
+    for payload in payloads:
+        try:
+            expected.append(decode_message(payload).to_wire())
+        except WireError:
+            malformed += 1
+    runtime = make_runtime(backend)
+    received = []
+    try:
+        runtime.connect("A", "B", lambda message, channel: received.append(message))
+        (transport,) = runtime._channels
+        for payload in payloads:
+            transport._feed(_frame_of(payload))
+        runtime.settle()
+    except OSError as error:  # pragma: no cover - sandboxed environments
+        pytest.skip("loopback sockets unavailable: {}".format(error))
+    finally:
+        runtime.close()
+    assert transport.malformed_count == transport.dropped_count == malformed
+    assert [message.to_wire() for message in received] == expected
+
+
+#: Filters the sharing property draws from: ``MatchAll`` and ``Filter()``
+#: share a key, ``MatchNone`` has its own.
+SHARING_FILTERS = (
+    MatchAll(),
+    Filter(),
+    MatchNone(),
+    Filter({"topic": "news"}),
+    Filter({"topic": "news", "n": ("<", 3)}),
+)
+
+sharing_steps = st.lists(
+    st.tuples(
+        st.sampled_from(["subscribe", "unsubscribe", "advertise", "unadvertise"]),
+        st.integers(0, 2),
+        st.integers(0, len(SHARING_FILTERS) - 1),
+    ),
+    max_size=12,
+)
+
+
+def _assert_shared_like_fresh(delivered):
+    """Each decoded filter is what a fresh decode gives, one object per type and key."""
+    shared = {}
+    for payload, message in delivered:
+        filter_ = getattr(message, "filter", None)
+        if filter_ is None:
+            continue
+        fresh = decode_message(payload).filter
+        assert type(filter_) is type(fresh) and filter_.key() == fresh.key()
+        assert filter_to_wire(filter_) == filter_to_wire(fresh)
+        # ``delivered`` keeps every one alive, so an equal one must be this one.
+        assert shared.setdefault((type(filter_), filter_.key()), filter_) is filter_
+
+
+@pytest.mark.parametrize("backend", AIO_BACKENDS)
+@settings(max_examples=20, deadline=None)
+@given(steps=sharing_steps)
+def test_decoded_filters_are_shared_per_type_and_key(backend, steps):
+    runtime = make_runtime(backend)
+    network = PubSubNetwork(line_topology(3), runtime=runtime)
+    delivered = []
+    decode = runtime._decode
+
+    def recording_decode(payload):
+        message = decode(payload)
+        delivered.append((payload, message))
+        return message
+
+    runtime._decode = recording_decode
+    try:
+        clients = [network.add_client("C{}".format(i), "B{}".format(i + 1)) for i in range(3)]
+        held = [{"subscribe": [], "advertise": []} for _ in clients]
+        for action, index, pick in steps:
+            client, ids = clients[index], held[index][action.replace("un", "", 1)]
+            if not action.startswith("un"):
+                ids.append(getattr(client, action)(SHARING_FILTERS[pick]))
+            elif ids:
+                getattr(client, action)(ids.pop(pick % len(ids)))
+            network.settle()
+        for client, ids in zip(clients, held):
+            for subscription_id in ids["subscribe"]:
+                client.unsubscribe(subscription_id)
+            for advertisement_id in ids["advertise"]:
+                client.unadvertise(advertisement_id)
+        network.settle()
+    except OSError as error:  # pragma: no cover - sandboxed environments
+        pytest.skip("loopback sockets unavailable: {}".format(error))
+    finally:
+        network.close()
+
+    _assert_shared_like_fresh(delivered)
+    # The trace and the codec memos keep recent messages by design; without
+    # them nothing (rows, forwarding states, plans, caches) keeps a filter.
+    delivered.clear()
+    network.trace.clear()
+    runtime._decoded.clear()
+    runtime._framed.clear()
+    gc.collect()
+    assert len(runtime._filters) == 0, list(runtime._filters)
 
 
 def _faulty_run(network):

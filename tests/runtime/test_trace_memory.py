@@ -13,13 +13,20 @@ trace keeps it alive.  The runtime decodes each distinct payload once, so
 a notification flooded down a line is two objects — the publisher's and
 one decoded — about 160 bytes of decoder output and notification per
 traversal; decoding at every hop kept five objects, about 500 bytes.
+
+A forwarded subscription's filter is a decoded copy too, and every row,
+forwarding state and dispatch plan on its path keeps it.  The runtime
+shares one live ``Filter`` per distinct type and key, so the brokers hold
+one object per distinct filter, besides the clients' own.
 """
 
+import gc
 import tracemalloc
 
 import pytest
 
 from repro.broker.network import PubSubNetwork
+from repro.filters.filter import Filter
 from repro.runtime.factory import make_runtime
 from repro.topology.builders import line_topology
 
@@ -34,6 +41,9 @@ BYTES_PER_LINK_TRAVERSAL = 32
 WIRE_HOPS = 5
 WIRE_PUBLISHES = 200
 BYTES_DECODED_PER_LINK_TRAVERSAL = 300
+
+FILTER_BROKERS = 7
+FILTER_BORDERS = ("B1", "B4", "B7")
 
 
 def _live_bytes(snapshot, *files):
@@ -121,3 +131,46 @@ def test_forwarded_notifications_share_one_decoded_object(backend):
     assert len({id(message) for message in messages}) <= 2 * WIRE_PUBLISHES
     live = _live_bytes(snapshot, "json/decoder.py", "repro/messages/notification.py")
     assert 0 < live <= BYTES_DECODED_PER_LINK_TRAVERSAL * len(messages), live / len(messages)
+
+
+@pytest.mark.parametrize("backend", ["aio-memory", "aio-tcp"])
+def test_forwarded_subscriptions_share_one_decoded_filter(backend):
+    # Kept alive, so no filter made here can reuse the id of an earlier one.
+    earlier = [obj for obj in gc.get_objects() if isinstance(obj, Filter)]
+    earlier_ids = {id(obj) for obj in earlier}
+    network = PubSubNetwork(
+        line_topology(FILTER_BROKERS), strategy="simple", runtime=make_runtime(backend)
+    )
+    try:
+        client_filters = []
+        for index, border in enumerate(FILTER_BORDERS):
+            client = network.add_client("C{}".format(index), border)
+            own = [
+                Filter({"topic": "news"}),  # equal at every border
+                Filter({"topic": "news"}),  # equal again, as a second subscription
+                Filter({"topic": "news", "n": ("<", index)}),  # distinct per border
+            ]
+            client.advertise(own[0])
+            for filter_ in own:
+                client.subscribe(filter_)
+            client_filters.extend(own)
+        network.settle()
+    except OSError as error:  # pragma: no cover - sandboxed environments
+        pytest.skip("loopback sockets unavailable: {}".format(error))
+    finally:
+        network.close()
+
+    shared = {}
+    for broker in network.brokers.values():
+        for table in (broker.subscription_table, broker.advertisement_table):
+            for row in table:
+                if row.destination in network.brokers:  # came over the wire
+                    key = (type(row.filter), row.filter.key())
+                    assert shared.setdefault(key, row.filter) is row.filter, row.describe()
+    assert len(shared) == 4
+
+    gc.collect()
+    live = [
+        obj for obj in gc.get_objects() if isinstance(obj, Filter) and id(obj) not in earlier_ids
+    ]
+    assert len(live) <= len(shared) + len(client_filters), len(live)

@@ -12,7 +12,12 @@ the simulator to its own committed past:
   over its rendered report and, for every network it built, the trace in
   record order: deliveries, link traversals and drops, timestamps
   included and message ids excluded (ids come from a process-wide
-  counter).
+  counter);
+* ``e2e_counts.json`` — every count-unit metric of the end-to-end
+  benchmark's traced run (``run.run_traced(name, 1, 1, 1, scale=0.02)``)
+  on the five simulator workloads, computed in a fresh interpreter with
+  ``PYTHONHASHSEED=0`` as the benchmark runs itself.  ``wire_tcp`` is left
+  out: its codec counts follow wall-clock timing.
 
 A change that means to alter one rewrites them with
 ``pytest tests/test_goldens.py --update-goldens`` and says why.
@@ -21,11 +26,14 @@ A change that means to alter one rewrites them with
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 from repro.experiments import failure_schedule, runner
 from tests.runtime.test_backend_parity import EXPERIMENTS, RecordingFactory, _trace_fingerprint
 
-GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+GOLDEN = os.path.join(ROOT, "tests", "golden")
 
 
 def _compare(request, name, text):
@@ -69,3 +77,35 @@ def _digest(name):
 def test_parity_experiment_digests(request):
     digests = {name: _digest(name) for name in sorted(EXPERIMENTS)}
     _compare(request, "parity_digests.json", json.dumps(digests, indent=1) + "\n")
+
+
+E2E_SIM_WORKLOADS = (
+    "match_selective",
+    "fanout_burst",
+    "roam_physical",
+    "roam_logical",
+    "churn_mixed",
+)
+
+_E2E_COUNTS = """
+import json, sys
+import run
+counts = {}
+for name in sys.argv[1:]:
+    metrics, _, _ = run.run_traced(name, 1, 1, 1, scale=0.02)
+    counts[name] = {key: value for key, (value, unit) in metrics.items() if unit == "count"}
+print(json.dumps(counts, indent=1, sort_keys=True))
+"""
+
+
+def test_e2e_traced_counts(request):
+    path = os.pathsep.join([os.path.join(ROOT, "benchmarks", "e2e"), os.path.join(ROOT, "src")])
+    done = subprocess.run(
+        [sys.executable, "-c", _E2E_COUNTS, *E2E_SIM_WORKLOADS],
+        env=dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=path),
+        cwd=ROOT,
+        stdout=subprocess.PIPE,
+        timeout=120,
+        check=True,
+    )
+    _compare(request, "e2e_counts.json", done.stdout.decode())
