@@ -34,15 +34,15 @@ a full encode/decode round trip.
 
 from __future__ import annotations
 
-import json
 import os
+from json.encoder import encode_basestring_ascii
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.location_filter import LocationDependentSubscribe
 from repro.core.logical import LogicalSubscriptionState
 from repro.filters.filter import Filter
 from repro.filters.wire import filter_from_wire, filter_to_wire
-from repro.messages.base import Message, MessageKind
+from repro.messages.base import CANONICAL_JSON, Message, MessageKind
 from repro.messages.wire import (
     FRAME_HEADER_SIZE,
     WireError,
@@ -50,6 +50,7 @@ from repro.messages.wire import (
     decode_message,
     encode_message,
     message_from_payload,
+    parse_payload,
 )
 
 #: One snapshotted routing-table row: (filter, destination, subjects, seq).
@@ -258,12 +259,21 @@ class AdminLogRecord(Message):
         )
 
     def encode(self) -> bytes:
-        payload = [self.sequence, self.logged_at, self.origin, self.entry.to_wire()]
-        return json.dumps(payload, separators=(",", ":"), sort_keys=True).encode("utf-8")
+        """The frame payload: the head as the canonical encoder renders a
+        string origin and a (clock, so finite) time, then the entry's ``wire_json()``."""
+        origin = encode_basestring_ascii(self.origin)
+        head = "[%d,%r,%s," % (self.sequence, self.logged_at, origin)
+        return (head + self.entry.wire_json() + "]").encode("utf-8")
 
     @classmethod
     def decode(cls, data: bytes) -> "AdminLogRecord":
-        sequence, logged_at, origin, entry = json.loads(data)
+        """Rebuild a record from :meth:`encode` output; a malformed one
+        (bytes, shape, field types or entry) raises :class:`WireError`."""
+        record = parse_payload(data)
+        types = tuple(map(type, record)) if type(record) is list else ()
+        if len(types) != 4 or types[:3] != (int, float, str):
+            raise WireError("journal record is not [sequence, logged_at, origin, entry]")
+        sequence, logged_at, origin, entry = record
         return cls(origin, sequence, logged_at, message_from_payload(entry))
 
 
@@ -282,7 +292,7 @@ def _scan_frames(frames: bytes) -> Tuple[List[Tuple[int, AdminLogRecord]], bool]
             if end > len(frames):
                 raise WireError("journal frame payload is short")
             record = AdminLogRecord.decode(frames[start:end])
-        except Exception:
+        except WireError:
             return records, True
         records.append((end, record))
         offset = end
@@ -447,10 +457,10 @@ class DiskRecoveryStore(RecoveryStore):
         try:
             decoded = decode_message(data)
             if not isinstance(decoded, RoutingSnapshot):
-                raise TypeError("snapshot file holds a non-snapshot message")
+                raise WireError("snapshot file holds a non-snapshot message")
             if decoded.broker != self.broker_name:
-                raise ValueError("snapshot file belongs to another broker")
-        except Exception:
+                raise WireError("snapshot file belongs to another broker")
+        except WireError:
             # Torn or foreign snapshot: ignore it entirely; the journal
             # still holds the full history (it is only truncated
             # logically), so replay-from-empty recovers the same state.
@@ -518,14 +528,6 @@ class DiskRecoveryStore(RecoveryStore):
         finally:
             os.close(fd)
 
-    def disk_bytes(self) -> int:
-        """Bytes currently on disk (journal including covered prefix)."""
-        total = 0
-        for path in (self._snapshot_path, self._journal_path):
-            if os.path.exists(path):
-                total += os.path.getsize(path)
-        return total
-
     def close(self) -> None:
         if self._journal is not None:
             self._journal.close()
@@ -572,7 +574,7 @@ def encode_table(table: Any) -> bytes:
         "rows": [_row_to_wire(row) for row in table_rows(table)],
         "row_seq": table.row_seq,
     }
-    return json.dumps(payload, separators=(",", ":"), sort_keys=True).encode("utf-8")
+    return CANONICAL_JSON.encode(payload).encode("utf-8")
 
 
 def build_snapshot(broker: Any, log_index: int) -> RoutingSnapshot:

@@ -4,7 +4,7 @@ The simulator backend passes message *objects* between brokers; the
 asyncio backend (:mod:`repro.runtime.aio`) sends *bytes* over framed
 streams, so every concrete :class:`~repro.messages.base.Message` type is
 serialisable: :func:`encode_message` produces a canonical JSON payload
-(via the message's ``to_wire``), :func:`decode_message` dispatches on the
+(the message's ``wire_json``), :func:`decode_message` dispatches on the
 ``type`` field and rebuilds an equal message via the class's
 ``from_wire``.  Filters and constraints travel as their canonical keys
 (:mod:`repro.filters.wire`), so routing-table identity survives the wire.
@@ -27,7 +27,9 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Type
 
-from repro.messages.base import Message
+from repro.filters.filter import Filter
+from repro.filters.wire import filter_to_wire
+from repro.messages.base import CANONICAL_JSON, Message
 
 #: Upper bound on one frame's payload (a defensive cap, not a protocol
 #: constant): a corrupted length prefix must not trigger a giant read.
@@ -119,20 +121,31 @@ def message_type_registry() -> Dict[str, Type[Message]]:
     return _REGISTRY
 
 
+def filter_json(filter_: Filter) -> str:
+    """The canonical JSON of :func:`~repro.filters.wire.filter_to_wire`, built
+    once per (immutable) filter: the same one is journalled and sent at every hop."""
+    text = filter_._wire
+    if text is None:
+        text = filter_._wire = CANONICAL_JSON.encode(filter_to_wire(filter_))
+    return text
+
+
 def encode_message(message: Message) -> bytes:
     """Serialise *message* to canonical UTF-8 JSON bytes."""
-    return json.dumps(
-        message.to_wire(), separators=(",", ":"), sort_keys=True
-    ).encode("utf-8")
+    return message.wire_json().encode("utf-8")
+
+
+def parse_payload(data: bytes) -> Any:
+    """The JSON value of *data*; bytes that are not UTF-8 JSON raise :class:`WireError`."""
+    try:
+        return json.loads(data.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        raise WireError("undecodable payload: {}".format(error)) from error
 
 
 def decode_message(data: bytes) -> Message:
     """Rebuild a message from :func:`encode_message` output."""
-    try:
-        payload = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
-        raise WireError("undecodable message payload: {}".format(error)) from error
-    return message_from_payload(payload)
+    return message_from_payload(parse_payload(data))
 
 
 def message_from_payload(payload: Any) -> Message:

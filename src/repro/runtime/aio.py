@@ -227,6 +227,7 @@ class AioChannel:
         "_backlog",
         "_server",
         "_writer",
+        "_server_writer",
         "_read_task",
     )
 
@@ -262,6 +263,8 @@ class AioChannel:
         self._backlog: List[bytes] = []
         self._server: Optional[asyncio.AbstractServer] = None
         self._writer: Optional[asyncio.StreamWriter] = None
+        # The accepted end's writer: unused, but it owns that end's transport.
+        self._server_writer: Optional[asyncio.StreamWriter] = None
         self._read_task: Optional[asyncio.Task] = None
 
     # ------------------------------------------------------------------
@@ -330,7 +333,7 @@ class AioChannel:
         self._server = await asyncio.start_server(on_accept, self.runtime.host, 0)
         port = self._server.sockets[0].getsockname()[1]
         _, self._writer = await asyncio.open_connection(self.runtime.host, port)
-        reader, _ = await accepted
+        reader, self._server_writer = await accepted
         self._read_task = asyncio.get_event_loop().create_task(self._read_loop(reader))
         for frame in self._backlog:
             self._writer.write(frame)
@@ -391,13 +394,14 @@ class AioChannel:
             except (asyncio.CancelledError, Exception):
                 pass
             self._read_task = None
-        if self._writer is not None:
-            self._writer.close()
-            try:
-                await self._writer.wait_closed()
-            except Exception:
-                pass
-            self._writer = None
+        for writer in (self._writer, self._server_writer):
+            if writer is not None:
+                writer.close()
+                try:
+                    await writer.wait_closed()
+                except Exception:
+                    pass
+        self._writer = self._server_writer = None
         if self._server is not None:
             self._server.close()
             try:

@@ -12,23 +12,34 @@ and cost what it stores.
 import json
 import tempfile
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.broker.recovery import DiskRecoveryStore, RecoveryStore, RoutingSnapshot
+from repro.broker.recovery import (
+    AdminLogRecord,
+    DiskRecoveryStore,
+    RecoveryStore,
+    RoutingSnapshot,
+    _scan_frames,
+)
+from repro.filters import wire as filter_wire
 from repro.filters.filter import Filter
 from repro.messages.admin import Advertise, Subscribe, Unadvertise, Unsubscribe
 from repro.messages.mobility import MovedSubscribe
-from repro.messages.wire import encode_message
+from repro.messages.wire import WireError, decode_message, encode_message
 
 from tests.messages.test_wire import (
+    RETYPED_VALUES,
     _admin,
     filters,
     identifiers,
     location_dependent_subscribes,
     metas,
+    mutated_payloads,
+    subjects,
 )
 
 #: Journaled entries: admin and state-changing mobility messages.
@@ -52,7 +63,7 @@ log_entries = st.one_of(
 operations = st.lists(
     st.one_of(
         st.tuples(
-            st.just("append"), identifiers, st.floats(0, 1e6, allow_nan=False), log_entries
+            st.just("append"), subjects, st.floats(0, 1e6, allow_nan=False), log_entries
         ),
         # Cover this fraction of the records appended since the last snapshot.
         st.tuples(st.just("snapshot"), st.floats(0, 1)),
@@ -63,9 +74,14 @@ operations = st.lists(
 
 
 def _payload(sequence, origin, logged_at, wire):
+    """The specification of a frame payload: ``json.dumps`` of the record."""
     return json.dumps(
         [sequence, logged_at, origin, wire], separators=(",", ":"), sort_keys=True
     ).encode("utf-8")
+
+
+def _frame(payload):
+    return len(payload).to_bytes(4, "big") + payload
 
 
 def _snapshot(log_index):
@@ -114,6 +130,9 @@ def test_the_log_is_the_records_past_the_last_snapshot(disk, operations):
                 assert tail == expected
                 assert store.log_index == len(appended)
                 assert store.log_size() == len(expected)
+                # The byte oracle: every retained frame is the canonical
+                # JSON of its record, whatever splicing built it.
+                assert store._frames == b"".join(_frame(_payload(*item)) for item in expected)
                 payloads = sum(len(_payload(*item)) for item in expected)
                 assert store.stored_bytes() == snapshot_bytes + payloads
                 if disk:
@@ -155,3 +174,73 @@ def test_a_journal_record_costs_its_frame():
     ours = snapshot.filter_traces([tracemalloc.Filter(True, "*/src/repro/*")])
     live = sum(statistic.size for statistic in ours.statistics("filename"))
     assert store.stored_bytes() <= live <= BYTES_PER_RECORD * RECORDS, live / RECORDS
+
+
+def test_admin_appends_encode_each_filter_once():
+    """1,000 admin appends over 10 filters: no ``json.dumps`` (it builds an
+    encoder per call), and each filter's constraints are put in wire form
+    once, when its canonical text is first memoised."""
+    kinds = (Subscribe, Unsubscribe, Advertise, Unadvertise)
+    shared = [Filter({"topic": "t{}".format(index)}) for index in range(10)]
+    store = RecoveryStore("B1")
+    with mock.patch("json.dumps", wraps=json.dumps) as dumps, mock.patch.object(
+        filter_wire, "constraint_to_wire", wraps=filter_wire.constraint_to_wire
+    ) as constraint_to_wire:
+        for index in range(1000):
+            entry = kinds[index % 4](shared[index % 10], subject="client/s{}".format(index))
+            store.append("client-{}".format(index % 7), entry, float(index))
+    assert dumps.call_count == 0
+    assert constraint_to_wire.call_count <= 10
+    assert store.log_size() == 1000
+
+
+#: A record field, by position, and the JSON type a valid record has there.
+RECORD_TYPES = (int, float, str, dict)
+
+
+@st.composite
+def torn_record_payloads(draw):
+    """A journal record payload that is truncated, garbage or of the wrong shape."""
+    good = AdminLogRecord("B2", 1, 0.5, draw(log_entries)).encode()
+    kind = draw(st.sampled_from(["truncated", "garbage", "drop", "extra", "retype", "not a list"]))
+    if kind == "truncated":
+        return good[: draw(st.integers(0, len(good) - 1))]
+    if kind == "garbage":
+        return draw(st.binary(max_size=40))
+    record = json.loads(good)
+    if kind == "drop":
+        del record[draw(st.integers(0, 3))]
+    elif kind == "extra":
+        record.append(draw(st.sampled_from(RETYPED_VALUES)))
+    elif kind == "retype":
+        index = draw(st.integers(0, 3))
+        wrong = [value for value in RETYPED_VALUES if type(value) is not RECORD_TYPES[index]]
+        record[index] = draw(st.sampled_from(wrong + [{}, {"type": 1}] if index == 3 else wrong))
+    else:
+        record = draw(st.sampled_from([{"record": record}, record[3], "record", None]))
+    return json.dumps(record).encode("utf-8")
+
+
+@settings(max_examples=300, deadline=None)
+@given(bad=torn_record_payloads(), entry=log_entries)
+def test_a_malformed_record_reads_as_torn(bad, entry):
+    """Decoding a bad record raises ``WireError`` and nothing else, and the
+    frame scan stops there: the records before it survive, torn is reported."""
+    with pytest.raises(WireError):
+        AdminLogRecord.decode(bad)
+    good = AdminLogRecord("B2", 1, 0.5, entry).encode()
+    records, torn = _scan_frames(_frame(good) + _frame(bad) + _frame(good))
+    assert torn
+    assert [record.sequence for _, record in records] == [1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=mutated_payloads())
+def test_a_mutated_entry_decodes_or_raises_wire_error(data):
+    """An entry with a field dropped, retyped or wrapped either decodes, as
+    the message codec decodes it, or raises ``WireError`` — nothing else."""
+    try:
+        record = AdminLogRecord.decode(b'[1,0.5,"B2",' + data + b"]")
+    except WireError:
+        return
+    assert record.entry.to_wire() == decode_message(data).to_wire()

@@ -59,6 +59,7 @@ from repro.messages.wire import (
     decode_message,
     encode_frame,
     encode_message,
+    filter_json,
     message_type_registry,
 )
 
@@ -130,6 +131,9 @@ identifiers = st.text(
     alphabet="abcdefghijklmnopqrstuvwxyz0123456789-", min_size=1, max_size=8
 )
 
+#: Subjects and subscription ids of admin messages: any text, non-ASCII too.
+subjects = st.one_of(identifiers, st.text(max_size=6))
+
 notifications = st.builds(
     Notification,
     attributes=attribute_maps,
@@ -152,8 +156,8 @@ def _admin(message_type):
     return st.builds(
         message_type,
         filter_=filters,
-        subject=identifiers,
-        subscription_id=st.one_of(st.none(), identifiers),
+        subject=subjects,
+        subscription_id=st.one_of(st.none(), subjects),
         meta=metas,
     )
 
@@ -340,20 +344,38 @@ def test_filter_wire_round_trip(filter_):
     assert decoded.key() == filter_.key()
 
 
+def canonical(payload):
+    """The codec's specification: canonical JSON as ``json.dumps`` writes it."""
+    return json.dumps(payload, separators=(",", ":"), sort_keys=True)
+
+
 @settings(max_examples=100, deadline=None)
 @given(filter_=filters)
 def test_filter_wire_payload_is_built_once_and_survives_reuse(filter_):
-    """The payload is memoised on the filter; encoding it leaves it intact."""
+    """The canonical text is memoised on the filter and is what admin
+    messages encode; the payload dict is the caller's own, built afresh."""
+    text = filter_json(filter_)
+    assert filter_json(filter_) is text
+    assert text == canonical(filter_to_wire(filter_))
     payload = filter_to_wire(filter_)
-    assert filter_to_wire(filter_) is payload
-    before = json.dumps(payload)
+    assert filter_to_wire(filter_) is not payload
+    payload["kind"] = "changed by a caller"
     for message in (Subscribe(filter_, subject="s"), Unsubscribe(filter_, subject="s")):
-        assert message.to_wire()["filter"] is payload
+        assert encode_message(message).startswith(b'{"filter":' + text.encode() + b",")
         assert decode_message(encode_message(message)) == message
-    assert json.dumps(filter_to_wire(filter_)) == before
-    assert filter_from_wire(json.loads(before)) == filter_
+    assert filter_json(filter_) is text
+    assert filter_from_wire(json.loads(text)) == filter_
     if len(filter_):
         assert repr(filter_) is repr(filter_)
+
+
+@settings(max_examples=300, deadline=None)
+@given(message=messages)
+def test_encode_message_is_canonical_json_of_to_wire(message):
+    """The byte oracle: whatever the codec splices or renders directly, it
+    writes exactly what ``json.dumps`` writes for the wire payload (meta,
+    ``None`` subscription ids and non-ASCII text included)."""
+    assert encode_message(message) == canonical(message.to_wire()).encode("utf-8")
 
 
 @settings(max_examples=300, deadline=None)

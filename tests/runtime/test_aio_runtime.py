@@ -13,6 +13,7 @@ and reads on.
 """
 
 import gc
+import warnings
 from unittest import mock
 
 import pytest
@@ -160,6 +161,21 @@ def test_close_is_idempotent():
     network.close()
     network.close()
     runtime.close()
+
+
+def test_closing_a_tcp_network_closes_both_ends_of_every_connection():
+    """No transport is left for the collector to find: with every
+    ``ResourceWarning`` recorded, collecting a closed aio-tcp network
+    warns about nothing ("unclosed transport" was the accepted end's)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        network = PubSubNetwork(line_topology(3), runtime=make_runtime("aio-tcp"))
+        network.add_client("p", "B1").advertise({"t": 1})
+        network.settle()
+        network.close()
+        del network
+        gc.collect()
+    assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,13 @@ the simulator to its own committed past:
   benchmark's traced run (``run.run_traced(name, 1, 1, 1, scale=0.02)``)
   on the five simulator workloads, computed in a fresh interpreter with
   ``PYTHONHASHSEED=0`` as the benchmark runs itself.  ``wire_tcp`` is left
-  out: its codec counts follow wall-clock timing.
+  out: its codec counts follow wall-clock timing;
+* ``journal_digest.json`` — the end-to-end benchmark's ``roam_physical``
+  set-up and warm-up (seed 1, scale 0.02), in a fresh interpreter with
+  ``PYTHONHASHSEED=0``: per broker the number of journal records, their
+  frame bytes and the SHA-256 of those frames, and the SHA-256 of
+  ``encode_frame`` over every message sent on a link, message ids
+  included.
 
 A change that means to alter one rewrites them with
 ``pytest tests/test_goldens.py --update-goldens`` and says why.
@@ -98,14 +104,51 @@ print(json.dumps(counts, indent=1, sort_keys=True))
 """
 
 
-def test_e2e_traced_counts(request):
+def _run_with_e2e(program, *args):
+    """Stdout of *program*, run with the e2e benchmark's modules importable."""
     path = os.pathsep.join([os.path.join(ROOT, "benchmarks", "e2e"), os.path.join(ROOT, "src")])
     done = subprocess.run(
-        [sys.executable, "-c", _E2E_COUNTS, *E2E_SIM_WORKLOADS],
+        [sys.executable, "-c", program, *args],
         env=dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=path),
         cwd=ROOT,
         stdout=subprocess.PIPE,
         timeout=120,
         check=True,
     )
-    _compare(request, "e2e_counts.json", done.stdout.decode())
+    return done.stdout.decode()
+
+
+def test_e2e_traced_counts(request):
+    _compare(request, "e2e_counts.json", _run_with_e2e(_E2E_COUNTS, *E2E_SIM_WORKLOADS))
+
+
+_JOURNAL_DIGEST = """
+import hashlib, json
+import harness
+from repro.messages.wire import encode_frame
+from repro.sim.network import Link
+from workloads import make_workload
+
+links = hashlib.sha256()
+send = Link.send
+
+
+def hashing_send(link, message):
+    links.update(encode_frame(message))
+    send(link, message)
+
+
+Link.send = hashing_send
+driver, _ = harness.set_up(make_workload("roam_physical", 1, 0.02))
+harness.warm_up(driver)
+journals = {}
+for name, broker in sorted(driver.network.brokers.items()):
+    frames = bytes(broker.recovery._frames)
+    journals[name] = [broker.recovery.log_size(), len(frames), hashlib.sha256(frames).hexdigest()]
+driver.close()
+print(json.dumps({"journals": journals, "link_frames": links.hexdigest()}, indent=1))
+"""
+
+
+def test_journal_and_link_frame_digest(request):
+    _compare(request, "journal_digest.json", _run_with_e2e(_JOURNAL_DIGEST))
