@@ -35,7 +35,6 @@ a full encode/decode round trip.
 from __future__ import annotations
 
 import os
-from json.encoder import encode_basestring_ascii
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.location_filter import LocationDependentSubscribe
@@ -259,11 +258,8 @@ class AdminLogRecord(Message):
         )
 
     def encode(self) -> bytes:
-        """The frame payload: the head as the canonical encoder renders a
-        string origin and a (clock, so finite) time, then the entry's ``wire_json()``."""
-        origin = encode_basestring_ascii(self.origin)
-        head = "[%d,%r,%s," % (self.sequence, self.logged_at, origin)
-        return (head + self.entry.wire_json() + "]").encode("utf-8")
+        payload = [self.sequence, self.logged_at, self.origin, self.entry.to_wire()]
+        return CANONICAL_JSON.encode(payload).encode("utf-8")
 
     @classmethod
     def decode(cls, data: bytes) -> "AdminLogRecord":

@@ -56,11 +56,11 @@ class Filter:
         )
         self._hash = hash(self._key)
         # Memos of three renderings of an immutable filter: ``repr``, the
-        # canonical wire JSON (owned by :func:`repro.messages.wire.filter_json`)
+        # wire payload (owned by :func:`repro.filters.wire.filter_to_wire`)
         # and the forwarding emission-order token (owned by
         # :func:`repro.broker.base._forwarding_sort_key`).
         self._repr: Optional[str] = None
-        self._wire: Optional[str] = None
+        self._wire: Optional[Dict[str, Any]] = None
         self._sort_token: Any = None
 
     # -- construction helpers -----------------------------------------------

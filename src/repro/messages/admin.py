@@ -9,13 +9,11 @@ messages originating at a border broker's client) or a broker identifier
 
 from __future__ import annotations
 
-from json.encoder import encode_basestring_ascii
 from typing import Any, Dict, Optional
 
 from repro.filters.filter import Filter
 from repro.filters.wire import filter_from_wire, filter_to_wire
 from repro.messages.base import Message, MessageKind
-from repro.messages.wire import filter_json
 
 
 class _FilterAdminMessage(Message):
@@ -50,23 +48,6 @@ class _FilterAdminMessage(Message):
             "subject": self.subject,
             "subscription_id": self.subscription_id,
         }
-
-    def wire_json(self) -> str:
-        """:meth:`to_wire` as canonical JSON around the filter's memoised text.
-
-        ``"filter"`` sorts first among the keys, so the text opens the object;
-        the rest of a meta-less body is rendered as the encoder renders it.
-        """
-        if self.meta:
-            return super().wire_json()
-        subscription_id = self.subscription_id
-        return '{"filter":%s,"id":%d,"subject":%s,"subscription_id":%s,"type":%s}' % (
-            filter_json(self.filter),
-            self.message_id,
-            encode_basestring_ascii(self.subject),
-            "null" if subscription_id is None else encode_basestring_ascii(subscription_id),
-            encode_basestring_ascii(type(self).__name__),
-        )
 
     @classmethod
     def _from_wire_body(cls, payload: Dict[str, Any]) -> "_FilterAdminMessage":

@@ -89,10 +89,6 @@ class Message:
         payload.update(self._wire_body())
         return payload
 
-    def wire_json(self) -> str:
-        """The canonical JSON text of :meth:`to_wire` (what the codec encodes)."""
-        return CANONICAL_JSON.encode(self.to_wire())
-
     def _wire_body(self) -> Dict[str, Any]:
         """Subclass-specific payload fields (overridden by every subclass)."""
         raise NotImplementedError(

@@ -4,7 +4,7 @@ The simulator backend passes message *objects* between brokers; the
 asyncio backend (:mod:`repro.runtime.aio`) sends *bytes* over framed
 streams, so every concrete :class:`~repro.messages.base.Message` type is
 serialisable: :func:`encode_message` produces a canonical JSON payload
-(the message's ``wire_json``), :func:`decode_message` dispatches on the
+(via the message's ``to_wire``), :func:`decode_message` dispatches on the
 ``type`` field and rebuilds an equal message via the class's
 ``from_wire``.  Filters and constraints travel as their canonical keys
 (:mod:`repro.filters.wire`), so routing-table identity survives the wire.
@@ -27,8 +27,6 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Type
 
-from repro.filters.filter import Filter
-from repro.filters.wire import filter_to_wire
 from repro.messages.base import CANONICAL_JSON, Message
 
 #: Upper bound on one frame's payload (a defensive cap, not a protocol
@@ -121,18 +119,9 @@ def message_type_registry() -> Dict[str, Type[Message]]:
     return _REGISTRY
 
 
-def filter_json(filter_: Filter) -> str:
-    """The canonical JSON of :func:`~repro.filters.wire.filter_to_wire`, built
-    once per (immutable) filter: the same one is journalled and sent at every hop."""
-    text = filter_._wire
-    if text is None:
-        text = filter_._wire = CANONICAL_JSON.encode(filter_to_wire(filter_))
-    return text
-
-
 def encode_message(message: Message) -> bytes:
     """Serialise *message* to canonical UTF-8 JSON bytes."""
-    return message.wire_json().encode("utf-8")
+    return CANONICAL_JSON.encode(message.to_wire()).encode("utf-8")
 
 
 def parse_payload(data: bytes) -> Any:

@@ -131,7 +131,7 @@ def test_the_log_is_the_records_past_the_last_snapshot(disk, operations):
                 assert store.log_index == len(appended)
                 assert store.log_size() == len(expected)
                 # The byte oracle: every retained frame is the canonical
-                # JSON of its record, whatever splicing built it.
+                # JSON of its record, as ``json.dumps`` writes it.
                 assert store._frames == b"".join(_frame(_payload(*item)) for item in expected)
                 payloads = sum(len(_payload(*item)) for item in expected)
                 assert store.stored_bytes() == snapshot_bytes + payloads
@@ -179,7 +179,7 @@ def test_a_journal_record_costs_its_frame():
 def test_admin_appends_encode_each_filter_once():
     """1,000 admin appends over 10 filters: no ``json.dumps`` (it builds an
     encoder per call), and each filter's constraints are put in wire form
-    once, when its canonical text is first memoised."""
+    once, when its payload is first memoised."""
     kinds = (Subscribe, Unsubscribe, Advertise, Unadvertise)
     shared = [Filter({"topic": "t{}".format(index)}) for index in range(10)]
     store = RecoveryStore("B1")
