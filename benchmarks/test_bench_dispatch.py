@@ -6,8 +6,7 @@ costs.  Every broker matches through its ``DispatchPlan``: all table
 filters are decomposed into shared predicates, satisfied predicates are
 added into bit-plane counters over big-int filter masks, near-universal
 predicates are lifted out of counting entirely (shared-predicate
-skipping), and batched link flushes reuse match results across
-identical-attribute runs.
+skipping).
 
 Each workload is run twice, on the plan and on the brute-force
 specification of ``tests/oracles/matching.py`` (every row's
@@ -18,7 +17,7 @@ client), the same admin traffic and the same routing tables.  One hard,
 deterministic criterion during the publish phase: the plan performs at
 least 5× fewer raw constraint evaluations than the brute force (the
 original counting-index bar).  The plan's own counters — ``mask_ops``,
-``constraint_evals``, ``bitset_rebuilds``, ``batched_groups`` — are
+``constraint_evals``, ``bitset_rebuilds`` — are
 recorded and regression-gated by ``check_bench.py``.
 
 Wall-clock numbers (including the Figure 9 publish phase) are recorded
@@ -42,12 +41,6 @@ LOCATIONS = ["loc-{:02d}".format(index) for index in range(24)]
 
 SUBSCRIBERS_PER_LEAF = 70  # 3 populated leaves -> 210 overlapping subscriptions
 PUBLISHES = 200
-
-# Batching amortisation workload: bursts of identical-attribute
-# notifications published at one instant share a link flush run, so the
-# receiving broker matches the signature once and replays the result.
-BURSTS = 40
-BURST_SIZE = 5
 
 
 def _make_network(backend: str, latency: float) -> PubSubNetwork:
@@ -137,7 +130,6 @@ def _run_publish_workload(backend: str = "sim", work=None):
         "mask_ops": stats["dispatch_mask_ops"],
         "bitset_rebuilds": stats["dispatch_bitset_rebuilds"],
         "predicates_skipped_shared": stats["dispatch_predicates_skipped_shared"],
-        "batched_groups": stats["dispatch_batched_groups"],
         "admin_messages": counter.breakdown().admin,
         "advert_gate_hits": totals["advert_gate_hits"],
         "advert_gate_misses": totals["advert_gate_misses"],
@@ -197,76 +189,6 @@ def test_dispatch_count_increment_reduction(benchmark, bench_backend):
     # the workload's equality/set/range constraints are all answered by
     # bucket lookups and bisections.
     assert eval_ratio >= 5.0
-
-
-def _run_batched_workload(backend: str = "sim"):
-    """Publish identical-attribute bursts so link flushes carry runs."""
-    network = _make_network(backend, latency=0.005)
-    leaves = network.graph.leaves()
-    producer = network.add_client("producer", leaves[0])
-    producer.advertise({"service": "telemetry"})
-    subscribers = []
-    for index in range(20):
-        client = network.add_client("s-{}".format(index), leaves[-1])
-        client.subscribe({"service": "telemetry", "shard": ("<", 1 + index % 8)})
-        subscribers.append(client)
-    network.settle()
-
-    before = data_plane_breakdown(network.brokers.values())
-    started = time.perf_counter()
-    for burst in range(BURSTS):
-        # Same attributes within a burst, published at one instant: the
-        # notifications share delivery times on every broker-broker
-        # link, so each flush hands the whole run to receive_batch.
-        for _ in range(BURST_SIZE):
-            producer.publish({"service": "telemetry", "shard": burst % 8})
-        network.settle()
-    seconds = time.perf_counter() - started
-    stats = _phase_delta(before, data_plane_breakdown(network.brokers.values()))
-    result = {
-        "seconds": seconds,
-        "batched_groups": stats["dispatch_batched_groups"],
-        "dispatch_matches": stats["dispatch_matches"],
-        "constraint_evals": stats["constraint_evals"],
-        "delivered": sum(len(client.received) for client in subscribers),
-        "received": {c.client_id: c.received_identities() for c in subscribers},
-    }
-    network.close()
-    return result
-
-
-def test_dispatch_batching_amortisation(benchmark, bench_backend):
-    """Identical-attribute bursts: match once per run, identical deliveries."""
-    vectorised = benchmark.pedantic(
-        _run_batched_workload, args=(bench_backend,), iterations=1, rounds=1
-    )
-    with oracle_dispatch():
-        oracle = _run_batched_workload(bench_backend)
-
-    assert vectorised["received"] == oracle["received"]
-    assert vectorised["delivered"] == oracle["delivered"]
-    assert vectorised["delivered"] > 0
-
-    if bench_backend == "sim":
-        # Batched link flushes are a sim-runtime feature (the asyncio
-        # channels deliver per message); on sim, every burst's repeated
-        # signature must be amortised at least once somewhere ...
-        assert vectorised["batched_groups"] >= BURSTS
-        # ... and the cache hits shrink the dispatch passes themselves:
-        # fewer index probes than one per notification per broker on the
-        # five-broker path from the producer's leaf to the subscribers'.
-        assert vectorised["dispatch_matches"] < 5 * BURSTS * BURST_SIZE
-
-    benchmark.extra_info.update(
-        {
-            "bursts": BURSTS,
-            "burst_size": BURST_SIZE,
-            "delivered": vectorised["delivered"],
-            "batched_groups": vectorised["batched_groups"],
-            "dispatch_matches_vectorised": vectorised["dispatch_matches"],
-            "burst_seconds_vectorised": round(vectorised["seconds"], 4),
-        }
-    )
 
 
 def test_fig9_publish_phase_wall_time(benchmark):

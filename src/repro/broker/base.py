@@ -40,7 +40,6 @@ from repro.broker.forwarding import NeighbourForwardingState
 from repro.core.logical import LogicalSubscriptionState, PlocFilters
 from repro.dispatch.plan import DispatchPlan
 from repro.core.physical import RelocationBuffer, RelocationRecord, VirtualCounterpart
-from repro.filters.attributes import canonical_key
 from repro.filters.filter import Filter, MatchNone
 from repro.filters.merging import FilterCaches
 from repro.broker.recovery import (
@@ -120,22 +119,6 @@ def _in_emission_order(diff: Dict[Tuple[Any, str], Filter]) -> List[Tuple[Tuple[
 def _entry_sort_key(entry: Any) -> Tuple[str, int]:
     """Stable order for matched routing rows: destination, then creation seq."""
     return (entry.destination, entry.seq)
-
-
-def _attribute_signature(attributes: Any) -> Optional[Tuple[Any, ...]]:
-    """Hashable identity of a notification's attribute values.
-
-    Two notifications with equal signatures match exactly the same
-    filters, so a batched run can share one dispatch pass between them.
-    Values the canonical key cannot represent (unhashable exotica) yield
-    ``None``: such messages are matched individually.
-    """
-    try:
-        return tuple(
-            sorted((name, canonical_key(value)) for name, value in attributes.items())
-        )
-    except TypeError:
-        return None
 
 
 @dataclass
@@ -412,77 +395,14 @@ class Broker:
         self._dispatch(message, from_destination=link.source)
 
     def receive_batch(self, messages: Sequence[Message], link: Channel) -> None:
-        """Handle a run of messages delivered together by one link flush.
+        """:meth:`receive` each of *messages* in order.
 
-        Behaviourally identical to calling :meth:`receive` once per
-        message in order — same deliveries, same forwards, same traces —
-        but runs of consecutive :class:`Notification`\\ s carrying the
-        same attribute signature share one matching pass: the dispatch
-        plan is probed once per distinct signature and the per-message
-        side effects (counters, spans, forwards, local delivery) replay
-        in arrival order.  The sim backend's batched links call this
-        instead of per-message ``receive`` (see
-        ``PubSubNetwork._connect``); everything else keeps the
-        one-message entry point.
+        No link calls this; it stays because the end-to-end benchmark's
+        span table names it, and a missing name there counts as an
+        unresolved target.
         """
-        run: List[Notification] = []
         for message in messages:
-            if self._crashed:
-                self.counters["messages_dropped_down"] += 1
-                if self.trace is not None:
-                    self.trace.record_drop(
-                        self.clock.now, link.source, self.name, message, "broker-down"
-                    )
-                continue
-            if type(message) is Notification:
-                run.append(message)
-                continue
-            if run:
-                self._dispatch_notification_run(run, link.source)
-                run = []
-            self._journal(link.source, message)
-            self._dispatch(message, from_destination=link.source)
-        if run:
-            self._dispatch_notification_run(run, link.source)
-
-    def _dispatch_notification_run(
-        self, run: Sequence[Notification], from_destination: str
-    ) -> None:
-        """Process consecutive notifications, amortising repeated matches.
-
-        Notifications are journaled by nobody (:meth:`_journal` skips
-        them) and handled in arrival order; within the run, messages with
-        the same canonical attribute signature reuse the first message's
-        matched rows instead of re-probing the index.  Matching is a pure
-        function of the attributes, and the routing tables cannot change
-        between the messages of one run (only admin traffic moves them,
-        and admin messages split the run), so the reuse is exact.
-        """
-        if len(run) == 1:
-            # Nothing to amortise.
-            self.counters["notifications_received"] += 1
-            self._handle_notification(run[0], from_destination)
-            return
-        matched_cache: Dict[Any, List[Any]] = {}
-        reused_signatures: Set[Any] = set()
-        for notification in run:
-            self.counters["notifications_received"] += 1
-            signature = _attribute_signature(notification.attributes)
-            if signature is None:
-                self._handle_notification(notification, from_destination)
-                continue
-            cached = matched_cache.get(signature)
-            if cached is None:
-                matched_cache[signature] = self._handle_notification(
-                    notification, from_destination
-                )
-            else:
-                if signature not in reused_signatures:
-                    reused_signatures.add(signature)
-                    self.metrics.dispatch.batched_groups += 1
-                self._handle_notification(
-                    notification, from_destination, matched_entries=cached
-                )
+            self.receive(message, link)
 
     def _journal(self, origin: str, message: Message) -> None:
         """Append an admin/mobility message to the recovery log.
@@ -989,37 +909,17 @@ class Broker:
             self._journal(client_id, message)
             self._handle_location_update(message, client_id)
 
-    def client_last_delivered_sequence(self, client_id: str, subscription_id: str) -> int:
-        """The last sequence number delivered to a local subscription (0 if none)."""
-        registration = self._clients.get(client_id)
-        if registration is None:
-            return 0
-        record = registration.subscriptions.get(subscription_id)
-        if record is None:
-            return 0
-        return record.next_sequence - 1
-
     # ------------------------------------------------------------------
     # Notification handling
     # ------------------------------------------------------------------
     def _handle_notification(
-        self,
-        notification: Notification,
-        from_destination: Optional[str],
-        matched_entries: Optional[List[Any]] = None,
-    ) -> List[Any]:
-        """Forward and deliver one notification; returns the matched rows.
-
-        *matched_entries* short-circuits the dispatch pass with rows a
-        batched run already matched for an identical attribute signature
-        (see :meth:`_dispatch_notification_run`); the forwarding set and
-        every side effect are still computed per message.
-        """
-        if matched_entries is None:
-            # One counting pass answers both questions: which neighbours
-            # the notification must be forwarded to, and which local rows
-            # it is delivered against.
-            matched_entries = self._dispatch_plan.match(notification.attributes)
+        self, notification: Notification, from_destination: Optional[str]
+    ) -> None:
+        """Forward and deliver one notification."""
+        # One counting pass answers both questions: which neighbours the
+        # notification must be forwarded to, and which local rows it is
+        # delivered against.
+        matched_entries = self._dispatch_plan.match(notification.attributes)
         if self.strategy.floods_notifications:
             forward_to = set(self._links)
         else:
@@ -1055,7 +955,6 @@ class Broker:
 
         # Local delivery (including buffering into counterparts).
         self._deliver_locally(notification, from_destination, matched_entries)
-        return matched_entries
 
     # ------------------------------------------------------------------
     # In-flight retention (config.forward_retention)

@@ -45,6 +45,9 @@ class Client:
         client_id: str,
         notify: Optional[Callable[[str, Notification, int], None]] = None,
     ) -> None:
+        if "/" in client_id:
+            # A broker's subject token is "client/subscription".
+            raise ValueError("client id {!r} must not contain '/'".format(client_id))
         self.client_id = client_id
         self._notify_callback = notify
         self._broker: Optional[Any] = None  # the current border Broker
@@ -295,10 +298,6 @@ class Client:
         )
         self._broker.client_publish(self.client_id, notification)
         return notification
-
-    def is_durable(self, subscription_id: str) -> bool:
-        """Whether *subscription_id* was registered with ``durable=True``."""
-        return subscription_id in self._durable
 
     def deliver(
         self,

@@ -136,10 +136,8 @@ class PubSubNetwork:
     def _connect(self, left: str, right: str) -> None:
         left_broker = self.brokers[left]
         right_broker = self.brokers[right]
-        forward = self.runtime.connect(
-            left, right, right_broker.receive, right_broker.receive_batch
-        )
-        backward = self.runtime.connect(right, left, left_broker.receive, left_broker.receive_batch)
+        forward = self.runtime.connect(left, right, right_broker.receive)
+        backward = self.runtime.connect(right, left, left_broker.receive)
         left_broker.add_link(forward)
         right_broker.add_link(backward)
         self.links[(left, right)] = forward

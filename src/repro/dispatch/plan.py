@@ -198,6 +198,8 @@ class DispatchPlan:
         self.matcher = BitsetMatcher(self.index)
         # filter key -> {destination: RoutingEntry} (mirrors the live rows)
         self._rows: Dict[Any, Dict[str, Any]] = {}
+        # (probe key, matched rows) of the last memoisable match, or None.
+        self._last_match: Optional[Tuple[Any, Tuple[Any, ...]]] = None
         #: ``False`` until the first (lazy) build from the table, and again
         #: after a whole-table reset.
         self.valid = False
@@ -210,15 +212,28 @@ class DispatchPlan:
     # ------------------------------------------------------------------
     # Notification matching
     # ------------------------------------------------------------------
-    def match(self, attributes: Mapping[str, Any]) -> List[Any]:
-        """All subscription-table rows whose filter matches *attributes*."""
+    def match(self, attributes: Mapping[str, Any]) -> Tuple[Any, ...]:
+        """All subscription-table rows whose filter matches *attributes*.
+
+        The plan remembers its last answer for plain str / int / float /
+        bool values: the same names, values and value types again (a
+        burst of one event, say) reuse it until a row changes.  The value
+        types keep ``True`` apart from ``1``.
+        """
         if not self.valid:
             self.rebuild()
+        key = (tuple(attributes.items()), tuple(map(type, attributes.values())))
+        last = self._last_match
+        if last is not None and last[0] == key:
+            return last[1]
         rows = self._rows
         out: List[Any] = []
         for filter_ in self.matcher.match(attributes):
             out.extend(rows[filter_.key()].values())
-        return out
+        matched = tuple(out)
+        if {str, int, float, bool}.issuperset(key[1]):
+            self._last_match = (key, matched)
+        return matched
 
     # ------------------------------------------------------------------
     # Advertisement gate
@@ -240,6 +255,7 @@ class DispatchPlan:
         self.index.clear()
         self.matcher = BitsetMatcher(self.index)
         self._rows = {}
+        self._last_match = None
         self.valid = True
         for row in self._subscription_table.entries():
             self._subscription_row_added(row)
@@ -262,6 +278,7 @@ class DispatchPlan:
     def _subscription_row_added(self, row) -> None:
         if not self.valid or isinstance(row.filter, MatchNone):
             return
+        self._last_match = None
         key = row.filter.key()
         destinations = self._rows.get(key)
         if destinations is None:
@@ -276,6 +293,7 @@ class DispatchPlan:
         destinations = self._rows.get(key)
         if destinations is None or row.destination not in destinations:
             return
+        self._last_match = None
         del destinations[row.destination]
         if not destinations:
             del self._rows[key]

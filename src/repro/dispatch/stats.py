@@ -28,14 +28,14 @@ class DispatchStats:
         "mask_ops",
         "bitset_rebuilds",
         "predicates_skipped_shared",
-        "batched_groups",
     )
 
     def __init__(self) -> None:
         self.reset()
 
     def reset(self) -> None:
-        #: Counting passes performed (one per notification per broker).
+        #: Counting passes performed (one per notification per broker,
+        #: unless it repeats the plan's previous probe).
         self.matches = 0
         #: Predicates satisfied across all passes (bucket/bisect hits).
         self.satisfied_predicates = 0
@@ -56,9 +56,6 @@ class DispatchStats:
         #: counting arity: each one is a bucket whose whole fan-out cost
         #: nothing at all.
         self.predicates_skipped_shared = 0
-        #: Notification groups (same attribute signature inside one link
-        #: flush) whose match result was computed once and reused.
-        self.batched_groups = 0
 
     def snapshot(self) -> Dict[str, int]:
         """Current counter values, in slot order."""

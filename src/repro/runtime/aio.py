@@ -481,18 +481,13 @@ class AioRuntime:
         return self._trace
 
     def connect(
-        self,
-        source: str,
-        target: str,
-        deliver: Callable[[Message, AioChannel], None],
-        deliver_batch: Optional[Callable[..., None]] = None,
+        self, source: str, target: str, deliver: Callable[[Message, AioChannel], None]
     ) -> Any:
         """The FIFO channel from *source* to *target*.
 
         Wall clock: the :class:`AioChannel` itself.  Virtual time: a
         :class:`~repro.sim.network.Link` on the runtime's simulator, whose
-        deliveries the channel carries.  Every message crosses the codec
-        on its own, so *deliver_batch* never applies.
+        deliveries the channel carries.
         """
         channel = AioChannel(self, source, target, deliver)
         self._channels.append(channel)

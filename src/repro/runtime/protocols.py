@@ -98,13 +98,10 @@ class Runtime(Protocol):
         """The trace recorder channels and brokers report into."""
         ...
 
-    def connect(
-        self, source: str, target: str, deliver: DeliverFn, deliver_batch: Any = None
-    ) -> Channel:
+    def connect(self, source: str, target: str, deliver: DeliverFn) -> Channel:
         """Create the FIFO channel from *source* to *target*.
 
-        *deliver_batch(messages, channel)* may receive messages that
-        arrive together; a backend that delivers one at a time ignores it.
+        *deliver(message, channel)* receives each message in send order.
         """
         ...
 

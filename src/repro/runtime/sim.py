@@ -17,7 +17,7 @@ times line up run for run.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 from repro.messages.base import Message
 from repro.runtime.latency import (
@@ -58,18 +58,10 @@ class SimRuntime:
         return self._trace
 
     def connect(
-        self,
-        source: str,
-        target: str,
-        deliver: Callable[[Message, Link], None],
-        deliver_batch: Optional[Callable[[List[Message], Link], None]] = None,
+        self, source: str, target: str, deliver: Callable[[Message, Link], None]
     ) -> Link:
-        """A FIFO :class:`Link` with the configured latency model.
-
-        The link delivers straight into the receiver, so it hands every
-        run of messages one flush delivers to *deliver_batch*, when given.
-        """
-        link = Link(
+        """A FIFO :class:`Link` with the configured latency model."""
+        return Link(
             simulator=self.simulator,
             source=source,
             target=target,
@@ -77,8 +69,6 @@ class SimRuntime:
             latency=resolve_latency(self._latency_spec, source, target),
             trace=self._trace,
         )
-        link.deliver_batch = deliver_batch
-        return link
 
     def settle(self, max_events: int = 1_000_000) -> int:
         """Run the event queue to quiescence."""

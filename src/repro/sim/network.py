@@ -75,11 +75,6 @@ class Link:
         # each send.  Wired by the network only when telemetry is
         # enabled, so the off path costs one ``is not None`` check.
         self.depth_probe: Optional[Callable[[int], None]] = None
-        # Batch-delivery hook: when set, a flush hands a due run of two or
-        # more to ``deliver_batch(messages, link)`` instead of *deliver*,
-        # letting the receiver amortise dispatch work across the run (see
-        # ``Broker.receive_batch``).  Only the simulator runtime sets it.
-        self.deliver_batch: Optional[Callable[[List[Message], "Link"], None]] = None
 
     @property
     def name(self) -> str:
@@ -137,12 +132,8 @@ class Link:
         while pending and pending[0][0] <= now:
             due.append(pending.popleft()[1])
         self.delivered_count += len(due)
-        deliver_batch = self.deliver_batch
-        if deliver_batch is not None and len(due) > 1:
-            deliver_batch(due, self)
-        else:
-            for message in due:
-                self._deliver(message, self)
+        for message in due:
+            self._deliver(message, self)
         if pending:
             self.simulator.schedule_at(
                 pending[0][0], self._on_flush, label="flush {}".format(self.name)

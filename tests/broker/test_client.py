@@ -44,6 +44,16 @@ class TestLifecycle:
         client.detach()
         assert not client.attached
 
+    def test_client_id_with_a_slash_is_rejected(self, network):
+        # A border broker keys a subscription as "client/subscription"; an
+        # id with a '/' of its own would be split there and lose every
+        # delivery.
+        with pytest.raises(ValueError):
+            network.add_client("team/alice", "B1")
+        assert "team/alice" not in network.clients
+        with pytest.raises(ValueError):
+            Client("a/b")
+
     def test_move_to_same_broker_is_a_noop(self, network):
         client = network.add_client("c", "B1")
         broker = client.border_broker

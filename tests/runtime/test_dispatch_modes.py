@@ -51,11 +51,11 @@ def _run_workload(backend, rebuild=False):
         if rebuild:
             for broker in network.brokers.values():
                 broker._dispatch_plan.invalidate()
-        # An identical-attribute burst at one instant: on the sim backend
-        # these share one link flush and go through receive_batch.
+        # An identical-attribute burst at one instant: every broker
+        # answers the repeats from the dispatch plan's last match.
         for _ in range(3):
             producer.publish({"service": "parking", "floor": round_ % 5})
-        # Plus varied publishes that defeat the signature cache.
+        # Plus varied publishes that the last match does not cover.
         producer.publish(
             {"service": "parking", "floor": rng.randint(0, 6), "seq": rng.randint(0, 999)}
         )
