@@ -37,7 +37,7 @@ from repro.core.location_filter import (
     LocationDependentUnsubscribe,
 )
 from repro.broker.forwarding import NeighbourForwardingState
-from repro.core.logical import LogicalSubscriptionState, PlocFilters
+from repro.core.logical import LogicalSubscriptionState
 from repro.dispatch.plan import DispatchPlan
 from repro.core.physical import RelocationBuffer, RelocationRecord, VirtualCounterpart
 from repro.filters.filter import Filter, MatchNone
@@ -210,8 +210,9 @@ class Broker:
         self.strategy = strategy
         self.trace = trace
         self.config = config or BrokerConfig()
-        # Covering / merge-pair memos: the network's, shared by all of its
-        # brokers; a broker built on its own gets its own.
+        # Covering / merge-pair memos and the live-filter table: the
+        # network's, shared by all of its brokers; a broker built on its
+        # own gets its own.
         self.filter_caches = filter_caches if filter_caches is not None else FilterCaches()
 
         # Observability: every broker owns one metric registry (the
@@ -242,10 +243,8 @@ class Broker:
         self._clients: Dict[str, _ClientRegistration] = {}
         self._counterparts: Dict[str, VirtualCounterpart] = {}
 
-        # Logical mobility: token -> per-broker subscription state, over
-        # the one table of instantiated ploc filters they all share.
+        # Logical mobility: token -> per-broker subscription state.
         self._logical_states: Dict[str, LogicalSubscriptionState] = {}
-        self._ploc_filters = PlocFilters()
 
         # Relocation bookkeeping (benchmarks read this).
         self.relocation_records: List[RelocationRecord] = []
@@ -445,22 +444,22 @@ class Broker:
             self._handle_heartbeat(message, from_destination)
         elif isinstance(message, Subscribe):
             self.counters["admin_received"] += 1
-            self._handle_subscribe(message, from_destination)
+            self._handle_subscribe(self._shared(message), from_destination)
         elif isinstance(message, Unsubscribe):
             self.counters["admin_received"] += 1
-            self._handle_unsubscribe(message, from_destination)
+            self._handle_unsubscribe(self._shared(message), from_destination)
         elif isinstance(message, Advertise):
             self.counters["admin_received"] += 1
-            self._handle_advertise(message, from_destination)
+            self._handle_advertise(self._shared(message), from_destination)
         elif isinstance(message, Unadvertise):
             self.counters["admin_received"] += 1
-            self._handle_unadvertise(message, from_destination)
+            self._handle_unadvertise(self._shared(message), from_destination)
         elif isinstance(message, MovedSubscribe):
             self.counters["mobility_received"] += 1
-            self._handle_moved_subscribe(message, from_destination)
+            self._handle_moved_subscribe(self._shared(message), from_destination)
         elif isinstance(message, FetchRequest):
             self.counters["mobility_received"] += 1
-            self._handle_fetch_request(message, from_destination)
+            self._handle_fetch_request(self._shared(message), from_destination)
         elif isinstance(message, Replay):
             self.counters["mobility_received"] += 1
             self._handle_replay(message, from_destination)
@@ -478,6 +477,15 @@ class Broker:
             self._handle_location_update(message, from_destination)
         else:
             raise TypeError("broker {} cannot handle message {!r}".format(self.name, message))
+
+    def _shared(self, message: Any) -> Any:
+        """*message*, carrying the network's live filter instead of its own.
+
+        A decoded or replayed copy gives way to the live one, on the
+        message too, since a trace keeps the message.
+        """
+        message.filter = self.filter_caches.intern(message.filter)
+        return message
 
     # ------------------------------------------------------------------
     # Crash / restart lifecycle
@@ -1630,6 +1638,10 @@ class Broker:
         if toward not in self._links or self.strategy.floods_notifications:
             return
         for state in self._logical_states.values():
+            if state.destination == toward:
+                # The subscription came from there: sending it back would
+                # replace the state it came from.
+                continue
             if toward not in state.forwarded_to and self._logical_route_open(state, toward):
                 state.forwarded_to += (toward,)
                 self._links[toward].send(state.subscribe_message(state.hop_index + 1))
@@ -1640,7 +1652,13 @@ class Broker:
         if from_destination is None:
             raise ValueError("LocationDependentSubscribe over a link requires a source")
         state = LogicalSubscriptionState.from_subscribe(
-            message, from_destination, self._ploc_filters
+            message, from_destination, self.filter_caches
+        )
+        # The state holds the network's live filter and graph; so does the
+        # message (a trace keeps it), and with it every hop it is sent on.
+        message.location_filter, message.movement_graph = (
+            state.location_filter,
+            state.movement_graph,
         )
         replaced = self._logical_states.get(state.token)
         if replaced is not None:

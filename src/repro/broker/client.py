@@ -27,6 +27,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.adaptivity import UncertaintyPlan
 from repro.core.location_filter import LocationDependentFilter
+from repro.core.logical import shared_graph, shared_location_filter
 from repro.core.ploc import MovementGraph
 from repro.filters.filter import Filter
 from repro.messages.notification import Notification
@@ -116,6 +117,7 @@ class Client:
         if self._broker is not None:
             raise ClientError("client {} is already attached".format(self.client_id))
         self._broker = broker
+        self._hold_shared_filters()
         broker.attach_client(self)
         for advertisement_id, filter_ in self._advertisements.items():
             broker.client_advertise(self.client_id, advertisement_id, filter_)
@@ -157,6 +159,7 @@ class Client:
         if self._broker is not None:
             self.detach()
         self._broker = broker
+        self._hold_shared_filters()
         broker.attach_client(self)
         for advertisement_id, filter_ in self._advertisements.items():
             broker.client_advertise(self.client_id, advertisement_id, filter_)
@@ -215,6 +218,7 @@ class Client:
                 )
             )
         self._broker = broker
+        self._hold_shared_filters()
         broker.attach_client(self)
         for advertisement_id, filter_ in self._advertisements.items():
             broker.client_advertise(self.client_id, advertisement_id, filter_)
@@ -242,6 +246,26 @@ class Client:
             )
             self._registered_once.add(subscription_id)
 
+    def _shared(self, filter_: Filter) -> Filter:
+        """*filter_*, or while attached the network's live equal one."""
+        if self._broker is None:
+            return filter_
+        return self._broker.filter_caches.intern(filter_)
+
+    def _hold_shared_filters(self) -> None:
+        """Swap every held filter and graph for the new border's network's live one.
+
+        The client then pays no memory of its own for a filter others
+        hold too (see :class:`~repro.filters.merging.FilterCaches`).
+        """
+        caches = self._broker.filter_caches
+        for held in (self._advertisements, self._subscriptions):
+            for key, filter_ in held.items():
+                held[key] = caches.intern(filter_)
+        for spec in self._logical_subscriptions.values():
+            spec["filter"] = shared_location_filter(caches, spec["filter"])
+            spec["graph"] = shared_graph(caches, spec["graph"])
+
     # ------------------------------------------------------------------
     # The four pub/sub primitives
     # ------------------------------------------------------------------
@@ -265,7 +289,7 @@ class Client:
         the duplicate/miss anomalies the naive-roaming baseline
         deliberately exhibits.
         """
-        resolved = filter_ if isinstance(filter_, Filter) else Filter(filter_)
+        resolved = self._shared(filter_ if isinstance(filter_, Filter) else Filter(filter_))
         subscription_id = subscription_id or self._next_id("sub")
         self._subscriptions[subscription_id] = resolved
         self._last_sequence.setdefault(subscription_id, 0)
@@ -348,7 +372,7 @@ class Client:
     # ------------------------------------------------------------------
     def advertise(self, filter_: Any, advertisement_id: Optional[str] = None) -> str:
         """Announce the notifications this client is about to publish."""
-        resolved = filter_ if isinstance(filter_, Filter) else Filter(filter_)
+        resolved = self._shared(filter_ if isinstance(filter_, Filter) else Filter(filter_))
         advertisement_id = advertisement_id or self._next_id("adv")
         self._advertisements[advertisement_id] = resolved
         if self._broker is not None:
@@ -383,6 +407,10 @@ class Client:
         location_filter = LocationDependentFilter(
             template, location_attribute=location_attribute, vicinity=vicinity
         )
+        if self._broker is not None:
+            caches = self._broker.filter_caches
+            location_filter = shared_location_filter(caches, location_filter)
+            movement_graph = shared_graph(caches, movement_graph)
         subscription_id = subscription_id or self._next_id("locsub")
         self._logical_subscriptions[subscription_id] = {
             "filter": location_filter,

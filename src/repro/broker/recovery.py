@@ -610,15 +610,18 @@ def apply_snapshot(broker: Any, snapshot: RoutingSnapshot) -> int:
         raise ValueError(
             "snapshot of {} cannot restore broker {}".format(snapshot.broker, broker.name)
         )
+    # Every decoded filter gives way to the network's live one.
+    intern = broker.filter_caches.intern
     # Logical states come back first and claim their routing rows as these
     # are restored (the snapshot keeps a state's subscription, the table
     # its destination), so no forwarding state ever sees such a row as plain.
     for subscribe, forwarded_to in snapshot.logical_states:
-        state = LogicalSubscriptionState.from_subscribe(subscribe, None, broker._ploc_filters)
+        state = LogicalSubscriptionState.from_subscribe(subscribe, None, broker.filter_caches)
         state.forwarded_to = forwarded_to
         broker._logical_states[state.token] = state
     restored = 0
     for filter_, destination, subjects, seq in snapshot.subscription_rows:
+        filter_ = intern(filter_)
         for state in map(broker._logical_states.get, subjects):
             if state is not None and state.stored_filter is None:
                 stored = state.current_filter()
@@ -628,17 +631,17 @@ def apply_snapshot(broker: Any, snapshot: RoutingSnapshot) -> int:
         restored += 1
     broker.subscription_table.advance_row_seq(snapshot.subscription_row_seq)
     for filter_, destination, subjects, seq in snapshot.advertisement_rows:
-        broker.advertisement_table.restore_row(filter_, destination, subjects, seq)
+        broker.advertisement_table.restore_row(intern(filter_), destination, subjects, seq)
         restored += 1
     broker.advertisement_table.advance_row_seq(snapshot.advertisement_row_seq)
     for neighbour, pairs in snapshot.forwarded_subscriptions.items():
         mapping = broker._forwarded_subscriptions.setdefault(neighbour, {})
         mapping.clear()
         for filter_, subject in pairs:
-            mapping[(filter_.key(), subject)] = filter_
+            mapping[(filter_.key(), subject)] = intern(filter_)
     for neighbour, pairs in snapshot.forwarded_advertisements.items():
         mapping = broker._forwarded_advertisements.setdefault(neighbour, {})
         mapping.clear()
         for filter_, subject in pairs:
-            mapping[(filter_.key(), subject)] = filter_
+            mapping[(filter_.key(), subject)] = intern(filter_)
     return restored

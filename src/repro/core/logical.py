@@ -21,8 +21,10 @@ as "removing certain locations and adding new locations").
 
 The scheme keeps one state per (subscription, hop), so a state is a
 slot-backed record of references: the ``ploc`` sets belong to the movement
-graph, the concrete filters to the broker's :class:`PlocFilters`.  Besides
-the subscription a state carries what its broker did with it: the
+graph; the graph, the location-dependent filter and the concrete filters
+to the network's live-filter table (:class:`~repro.filters.merging.
+FilterCaches`), which every broker and client of the network shares.
+Besides the subscription a state carries what its broker did with it: the
 downstream ``destination``, the routing row's ``stored_filter`` and the
 neighbours it was ``forwarded_to``, in forwarding order.
 """
@@ -31,45 +33,31 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Any, FrozenSet, List, Optional, Tuple
-from weakref import WeakValueDictionary
 
 from repro.core.adaptivity import UncertaintyPlan
 from repro.core.location_filter import LocationDependentFilter, LocationDependentSubscribe
 from repro.core.ploc import Location, MovementGraph, PlocFunction
 from repro.filters.filter import Filter
+from repro.filters.merging import FilterCaches
 
 
-class PlocFilters:
-    """One broker's instantiated ``ploc`` filters and movement graphs, each held once.
+def shared_graph(caches: FilterCaches, graph: MovementGraph) -> MovementGraph:
+    """The network's one graph equal to *graph* (a decoded copy gives way to it)."""
+    return caches.live.setdefault((MovementGraph, graph.canonical_key()), graph)
 
-    Held weakly: a filter lives as long as a state or a routing row refers
-    to it, a graph as long as a state does — the tables pin nothing.
+
+def shared_location_filter(
+    caches: FilterCaches, location_filter: LocationDependentFilter
+) -> LocationDependentFilter:
+    """The network's one location-dependent filter equal to *location_filter*.
+
+    The first of its kind adopts the network's live base filter, so a
+    plain subscription with the same filter shares it too.
     """
-
-    __slots__ = ("_filters", "_graphs")
-
-    def __init__(self) -> None:
-        #: (LocationDependentFilter.key(), ploc set) -> instantiated filter
-        self._filters: "WeakValueDictionary[Any, Filter]" = WeakValueDictionary()
-        #: MovementGraph.canonical_key() -> the graph every state here shares
-        self._graphs: "WeakValueDictionary[Any, MovementGraph]" = WeakValueDictionary()
-
-    def graph(self, graph: MovementGraph) -> MovementGraph:
-        """This broker's one graph equal to *graph* (a decoded copy is dropped)."""
-        return self._graphs.setdefault(graph.canonical_key(), graph)
-
-    def instantiate(
-        self, location_filter: LocationDependentFilter, locations: FrozenSet[Location]
-    ) -> Filter:
-        """``location_filter.instantiate(locations)``, built once per distinct pair."""
-        key = (location_filter.key(), locations)
-        filter_ = self._filters.get(key)
-        if filter_ is None:
-            filter_ = self._filters[key] = location_filter.instantiate(locations)
-        return filter_
-
-    def __len__(self) -> int:
-        return len(self._filters)
+    live = caches.intern(location_filter)
+    if live is location_filter:
+        live.base_filter = caches.intern(live.base_filter)
+    return live
 
 
 @dataclass
@@ -110,7 +98,7 @@ class LogicalSubscriptionState:
         "destination",
         "stored_filter",
         "forwarded_to",
-        "_filters",
+        "_caches",
     )
 
     def __init__(
@@ -123,15 +111,15 @@ class LogicalSubscriptionState:
         current_location: Location,
         hop_index: int,
         destination: Optional[str] = None,
-        filters: Optional[PlocFilters] = None,
+        caches: Optional[FilterCaches] = None,
     ) -> None:
         self.client_id = client_id
         self.subscription_id = subscription_id
         #: The subscription token ``client/subscription`` used as routing subject.
         self.token = "{}/{}".format(client_id, subscription_id)
-        self.location_filter = location_filter
-        self._filters = filters if filters is not None else PlocFilters()
-        self.movement_graph = self._filters.graph(movement_graph)
+        self._caches = caches if caches is not None else FilterCaches()
+        self.location_filter = shared_location_filter(self._caches, location_filter)
+        self.movement_graph = shared_graph(self._caches, movement_graph)
         self.plan = plan
         self.current_location = current_location
         self.hop_index = int(hop_index)
@@ -148,7 +136,7 @@ class LogicalSubscriptionState:
         cls,
         message: LocationDependentSubscribe,
         destination: Optional[str],
-        filters: Optional[PlocFilters] = None,
+        caches: Optional[FilterCaches] = None,
     ) -> "LogicalSubscriptionState":
         """The state of the broker that received *message* from *destination*."""
         return cls(
@@ -160,7 +148,7 @@ class LogicalSubscriptionState:
             message.current_location,
             message.hop_index,
             destination,
-            filters,
+            caches,
         )
 
     def subscribe_message(self, hop_index: int) -> LocationDependentSubscribe:
@@ -197,7 +185,18 @@ class LogicalSubscriptionState:
         return self.movement_graph.reachable_within(location or self.current_location, steps)
 
     def _filter(self, locations: FrozenSet[Location]) -> Filter:
-        return self._filters.instantiate(self.location_filter, locations)
+        """``location_filter.instantiate(locations)``, built once per network.
+
+        The three-part key keeps the instantiation apart from the filters
+        the table holds by ``(type, key)``.
+        """
+        caches = self._caches
+        key = (LocationDependentFilter, self.location_filter.key(), locations)
+        filter_ = caches.live.get(key)
+        if filter_ is None:
+            filter_ = self.location_filter.instantiate(locations)
+            filter_ = caches.live[key] = caches.intern(filter_)
+        return filter_
 
     def current_filter(self) -> Filter:
         """The concrete filter this broker stores for the downstream direction."""
@@ -254,7 +253,7 @@ class LogicalSubscriptionState:
     def fork_for_next_hop(self) -> "LogicalSubscriptionState":
         """The state a broker one hop further from the client would keep."""
         return LogicalSubscriptionState.from_subscribe(
-            self.subscribe_message(self.hop_index + 1), self.destination, self._filters
+            self.subscribe_message(self.hop_index + 1), self.destination, self._caches
         )
 
 

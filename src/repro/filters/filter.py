@@ -36,8 +36,8 @@ class Filter:
         :func:`repro.filters.constraints.constraint_from_tuple`.
     """
 
-    # ``__weakref__``: a broker's table of instantiated ploc filters holds
-    # its values weakly (see repro.core.logical.PlocFilters).
+    # ``__weakref__``: the network's live-filter table holds its values
+    # weakly (see repro.filters.merging.FilterCaches).
     __slots__ = ("_constraints", "_key", "_hash", "_repr", "_wire", "_sort_token", "__weakref__")
 
     def __init__(self, constraints: Optional[Mapping[str, Any]] = None, **kwargs: Any) -> None:

@@ -25,6 +25,7 @@ Each :class:`~repro.broker.network.PubSubNetwork` owns one, inside its
 from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from weakref import WeakValueDictionary
 
 from repro.filters.constraints import Between, Constraint, Equals, InSet
 from repro.filters.covering import filter_covers
@@ -245,16 +246,35 @@ class MergePairCache:
 
 
 class FilterCaches:
-    """The covering and merge-pair caches one network's brokers share.
+    """The covering and merge-pair caches and the live-filter table one network shares.
 
-    Both memoise pure functions of two filters, so every broker of a
-    :class:`~repro.broker.network.PubSubNetwork` can share one pair —
+    Both caches memoise pure functions of two filters, so every broker of
+    a :class:`~repro.broker.network.PubSubNetwork` can share one pair —
     brokers on a path test the same filters — while a second network
     starts cold and its caches' ``misses`` count only its own raw work.
+
+    ``live`` is the network's one copy of each filter: every way a filter
+    enters a broker or a client goes through :meth:`intern`, so rows,
+    forwarding states, clients and ``_wire`` memos on every hop share one
+    object per ``(type, key)`` (the type keeps ``MatchAll`` and
+    ``Filter()`` apart).  The logical-mobility layer keeps its movement
+    graphs and ``ploc`` instantiations in the same table, under keys of
+    its own.  Held weakly: an entry lives as long as something else holds
+    its object, so the table pins nothing.
     """
 
-    __slots__ = ("covering", "merge_pairs")
+    __slots__ = ("covering", "merge_pairs", "live")
 
     def __init__(self) -> None:
         self.covering = CoveringCache()
         self.merge_pairs = MergePairCache(self.covering)
+        self.live: "WeakValueDictionary[Any, Any]" = WeakValueDictionary()
+
+    def intern(self, filter_: Any) -> Any:
+        """The network's live object of *filter_*'s type and key.
+
+        That is *filter_* itself when no equal one is alive; anything with
+        a canonical ``key()`` (a :class:`~repro.filters.filter.Filter`, a
+        location-dependent filter) can be interned.
+        """
+        return self.live.setdefault((type(filter_), filter_.key()), filter_)

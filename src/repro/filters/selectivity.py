@@ -42,8 +42,9 @@ def finite_value_keys(constraint: Constraint) -> Optional[Tuple[Any, ...]]:
     if isinstance(constraint, Equals):
         return (canonical_key(constraint.value),)
     if isinstance(constraint, InSet):
-        # ``_by_key`` already holds the canonical keys (insertion order).
-        return tuple(constraint._by_key)
+        # The key's sorted canonical keys: equal constraints answer alike,
+        # however their values were listed.
+        return constraint.key()[1]
     if isinstance(constraint, Between):
         # Any zero-width interval accepts at most {low} — including the
         # half-open ones (which accept nothing).  They must be classified

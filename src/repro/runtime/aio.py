@@ -22,16 +22,13 @@ in turn, so the runtime frames each message object once (a bounded FIFO
 map keyed by identity, holding the messages it framed), and it decodes
 each distinct payload once (a bounded FIFO map from payload bytes to
 message).  Equal payloads are equal messages — the JSON is canonical and
-the message id crosses the wire — and no message changes after it was
-sent, so every hop after the first shares one decoded object, as every
-hop on the simulator shares the sender's.  Filters are shared too: a
-decoded message that carries one (the four admin messages,
-``MovedSubscribe``, ``FetchRequest``) takes the runtime's live ``Filter``
-of the same type and key, from a weak-value map that pins nothing, and
-its decoded copy is dropped before any broker sees it.  Every routing
-row, forwarding state, dispatch-plan key and wire memo in the process
-then refers to one object per distinct filter.  The type is part of the
-key because ``MatchAll`` and ``Filter()`` share one.
+the message id crosses the wire — and no message's content changes
+after it was sent, so every hop after the first shares one decoded
+object, as every hop on the simulator shares the sender's.  Decoded
+filters are not the runtime's business: the receiving broker swaps a
+message's filter for the network's live equal one
+(:meth:`~repro.filters.merging.FilterCaches.intern`), on every backend
+alike.
 
 Execution model: client operations (subscribe, publish, move_to, ...)
 are plain synchronous calls made while the loop is parked; they enqueue
@@ -65,9 +62,7 @@ from __future__ import annotations
 import asyncio
 import functools
 from typing import Any, Callable, Dict, List, Optional, Tuple
-from weakref import WeakValueDictionary
 
-from repro.filters.filter import Filter
 from repro.messages.base import Message
 from repro.messages.wire import (
     FRAME_HEADER_SIZE,
@@ -467,7 +462,6 @@ class AioRuntime:
         # Codec sharing (see the module docstring).
         self._framed: Dict[int, Tuple[Message, bytes]] = {}
         self._decoded: Dict[bytes, Message] = {}
-        self._filters: "WeakValueDictionary[Tuple[type, Any], Filter]" = WeakValueDictionary()
 
     # ------------------------------------------------------------------
     # Runtime protocol
@@ -594,18 +588,12 @@ class AioRuntime:
     def _decode(self, payload: bytes) -> Message:
         """``decode_message(payload)``, one shared object per remembered payload.
 
-        A decoded message's filter is the runtime's live one with the same
-        type and key.  A payload that raises is not remembered, so it
-        raises again.
+        A payload that raises is not remembered, so it raises again.
         """
         decoded = self._decoded
         message = decoded.get(payload)
         if message is None:
             message = decode_message(payload)
-            filter_ = getattr(message, "filter", None)
-            if filter_ is not None:
-                key = (type(filter_), filter_.key())
-                message.filter = self._filters.setdefault(key, filter_)
             if len(decoded) >= DECODED_PAYLOADS:
                 del decoded[next(iter(decoded))]
             decoded[payload] = message

@@ -11,12 +11,13 @@ While every registration and withdrawal invalidated every neighbour's
 state, the interleaved phase below rebuilt 600–800 states from the table
 and took 1.4 s next to 200 plain subscriptions, 9.1 s next to 800.
 
-A state itself is a slot-backed record over one table of instantiated
-``ploc`` filters per broker: on the car population below it keeps about
-1.35 KB of live ``repro`` allocations (CPython 3.11; messages held by the
-trace included), where the dict-backed state with its own
-``PlocFunction``, forwarded-to set and second token string kept about
-1.8 KB.  The bound sits between the two.
+A state itself is a slot-backed record over the network's one table of
+live filters: on the car population below it keeps about 0.96 KB of live
+``repro`` allocations (CPython 3.11; messages held by the trace included).
+With one table of instantiated ``ploc`` filters per broker, and a
+location-dependent filter per car, it kept about 1.27 KB; the dict-backed
+state with its own ``PlocFunction``, forwarded-to set and second token
+string kept about 1.8 KB.  The bound sits between the first two.
 """
 
 import gc
@@ -27,6 +28,7 @@ from repro.broker.network import PubSubNetwork
 from repro.core.adaptivity import UncertaintyPlan
 from repro.core.location_filter import MYLOC
 from repro.core.ploc import MovementGraph
+from repro.filters.filter import Filter
 from repro.topology.builders import balanced_tree_topology
 
 from tests.broker.test_admission_scaling import distinct_population
@@ -85,7 +87,7 @@ def test_logical_churn_does_not_follow_the_plain_population(table_scan_calls):
 # ---------------------------------------------------------------------------
 
 CARS = 600
-BYTES_PER_STATE = 1580
+BYTES_PER_STATE = 1150
 
 
 def car_population(cars):
@@ -137,11 +139,13 @@ def test_a_logical_state_stays_small():
 
 def test_the_filter_table_empties_with_the_last_subscription():
     network, subscriptions = car_population(60)
-    brokers = list(network.brokers.values())
-    assert all(len(broker._ploc_filters) > 0 for broker in brokers if broker._logical_states)
-    assert sum(len(broker._ploc_filters) for broker in brokers) > 60
+    live = network.filter_caches.live
+    assert len(live) > 60
     for car, subscription in subscriptions:
         car.unsubscribe(subscription)
     network.settle()
+    # The trace keeps every LocationDependentSubscribe, with its filter and graph.
+    network.trace.clear()
     gc.collect()
-    assert [len(broker._ploc_filters) for broker in brokers] == [0] * len(brokers)
+    # Left: the sensors' advertisement, which they still hold.
+    assert list(live) == [(Filter, Filter({"service": "traffic"}).key())]

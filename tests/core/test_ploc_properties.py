@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.adaptivity import UncertaintyPlan, adaptive_levels
 from repro.core.location_filter import MYLOC, LocationDependentFilter
-from repro.core.logical import LogicalSubscriptionState, PlocFilters
+from repro.core.logical import LogicalSubscriptionState
+from repro.filters.merging import FilterCaches
 from repro.core.ploc import MovementGraph, PlocFunction
 
 
@@ -92,7 +93,7 @@ def test_frontier_grown_ploc_equals_the_bfs_definition(size, edge_draws, queries
     walk=st.lists(st.integers(0, 7), min_size=1, max_size=6),
 )
 def test_interned_filters_equal_fresh_instantiations(graph, levels, vicinity, walk):
-    """What a state hands out from its broker's table is, by key, what the
+    """What a state hands out from its network's table is, by key, what the
     location-dependent filter instantiates from scratch — at every hop, after
     every move — and equal requests get the very same filter object."""
     location_filter = LocationDependentFilter(
@@ -100,10 +101,10 @@ def test_interned_filters_equal_fresh_instantiations(graph, levels, vicinity, wa
     )
     plan = UncertaintyPlan(levels=levels, name="drawn")
     locations = graph.locations()
-    filters = PlocFilters()
+    caches = FilterCaches()
     states = [
         LogicalSubscriptionState(
-            "C", "s", location_filter, graph, plan, locations[0], hop, filters=filters
+            "C", "s", location_filter, graph, plan, locations[0], hop, caches=caches
         )
         for hop in range(len(levels) + 1)
     ]

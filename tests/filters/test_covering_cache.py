@@ -130,6 +130,30 @@ class TestCoveringIndex:
             if filter_covers(coverer, target):
                 assert position in candidates
 
+    def test_equal_filters_are_placed_alike_however_their_values_were_listed(self):
+        # An `in` constraint's anchor bucket is its first canonical key, not
+        # its first listed value: equal filters answer alike, so the covering
+        # work of a run does not depend on which equal object a row holds.
+        listed = [
+            F(service="parking", location=("in", ["loc-4", "loc-1"])),
+            F(service="parking", location=("in", ["loc-1", "loc-4"])),
+        ]
+        assert listed[0] == listed[1]
+        others = [F(service="parking", location=name) for name in ("loc-1", "loc-4", "loc-4")]
+        indexes = []
+        for filter_ in listed:
+            index = CoveringIndex()
+            for position, other in enumerate(others + [filter_]):
+                index.add(position, other)
+            indexes.append(index)
+        first, second = indexes
+        assert first._placements == second._placements
+        for probe in others + listed:
+            assert first.candidate_positions(probe) == second.candidate_positions(probe)
+            assert first.covered_candidate_positions(probe) == (
+                second.covered_candidate_positions(probe)
+            )
+
     def test_match_none_target_scans_everything(self):
         index = CoveringIndex()
         index.add(0, F(a=1))

@@ -128,6 +128,22 @@ class TestFilterChain:
         delivered = sorted(r.notification.get("location") for r in consumer.received)
         assert delivered == ["a", "b", "c"]  # ploc(a, 1)
 
+    def test_a_new_producer_at_the_border_does_not_bounce_the_subscription(self):
+        """An advertisement reaching a hop from the direction its subscription
+        came from must not send the subscription back there: the border would
+        replace its client's state with one pointing away from the client."""
+        network, producer, consumer, subscription, _ = build_logical_network(brokers=3)
+        network.add_client("Q", "B1").advertise({"service": "parking"})
+        network.settle()
+        assert network.broker("B1").logical_state_for("C", subscription).destination == "C"
+        assert network.broker("B2").logical_state_for("C", subscription).forwarded_to == ("B3",)
+        publish_everywhere(producer)
+        network.settle()
+        assert [r.notification.get("location") for r in consumer.received] == ["a"]
+        consumer.unsubscribe(subscription)
+        network.settle()
+        assert not any(broker._logical_states for broker in network.brokers.values())
+
 
 class TestEpochSemantics:
     @pytest.mark.parametrize("plan_name", ["static", "trivial", "adaptive"])
@@ -297,12 +313,12 @@ class TestCrashRecovery:
 
 
 class TestSharedMovementGraph:
-    def test_decoded_graphs_are_interned_per_broker(self):
+    def test_decoded_graphs_are_interned_per_network(self):
         """Over real frames every LocationDependentSubscribe decodes into a
-        graph of its own; each broker keeps the first and points every later
-        state at it, so one street map has one ploc memo per broker and the
-        memo grows with the distinct (location, level) pairs, not with the
-        subscriptions."""
+        graph of its own; every broker points its states at the network's
+        live one — here the clients' own — so one street map has one ploc
+        memo per network and the memo grows with the distinct (location,
+        level) pairs, not with the subscriptions or the hops."""
         network = PubSubNetwork(line_topology(4), strategy="covering", runtime=AioRuntime())
         try:
             network.add_client("P", "B4").advertise({"service": "traffic"})
@@ -318,20 +334,13 @@ class TestSharedMovementGraph:
                     initial_location=blocks[index % len(blocks)],
                 )
             network.settle()
-            shared = []
-            for hop, name in enumerate(("B1", "B2", "B3", "B4")):
+            for name in ("B1", "B2", "B3", "B4"):
                 states = list(network.broker(name)._logical_states.values())
                 assert len(states) == 40
-                graphs = {id(state.movement_graph): state.movement_graph for state in states}
-                assert len(graphs) == 1
-                (graph,) = graphs.values()
-                shared.append(graph)
-                assert graph.canonical_key() == grid.canonical_key()
-                # One memo entry per frontier expansion, plus each block
-                # itself: levels 0..hop of the static plan, per block.
-                assert len(graph._reachable) <= len(blocks) * (hop + 1)
-            assert shared[0] is grid
-            assert len({id(graph) for graph in shared}) == 4
+                assert all(state.movement_graph is grid for state in states)
+            # One memo entry per frontier expansion, plus each block itself:
+            # levels 0..3 of the static plan over the four hops, per block.
+            assert len(grid._reachable) <= len(blocks) * 4
         finally:
             network.close()
 

@@ -350,14 +350,15 @@ def test_reader_drops_malformed_payloads_and_keeps_reading(backend, first, bad, 
     assert [message.to_wire() for message in received] == expected
 
 
-#: Filters the sharing property draws from: ``MatchAll`` and ``Filter()``
-#: share a key, ``MatchNone`` has its own.
+#: Makers of the filters the sharing property draws from: ``MatchAll`` and
+#: ``Filter()`` share a key, ``MatchNone`` has its own.  Each step builds a
+#: fresh one, so nothing outside the network keeps a filter alive.
 SHARING_FILTERS = (
-    MatchAll(),
-    Filter(),
-    MatchNone(),
-    Filter({"topic": "news"}),
-    Filter({"topic": "news", "n": ("<", 3)}),
+    MatchAll,
+    Filter,
+    MatchNone,
+    lambda: Filter({"topic": "news"}),
+    lambda: Filter({"topic": "news", "n": ("<", 3)}),
 )
 
 sharing_steps = st.lists(
@@ -405,7 +406,7 @@ def test_decoded_filters_are_shared_per_type_and_key(backend, steps):
         for action, index, pick in steps:
             client, ids = clients[index], held[index][action.replace("un", "", 1)]
             if not action.startswith("un"):
-                ids.append(getattr(client, action)(SHARING_FILTERS[pick]))
+                ids.append(getattr(client, action)(SHARING_FILTERS[pick]()))
             elif ids:
                 getattr(client, action)(ids.pop(pick % len(ids)))
             network.settle()
@@ -422,13 +423,14 @@ def test_decoded_filters_are_shared_per_type_and_key(backend, steps):
 
     _assert_shared_like_fresh(delivered)
     # The trace and the codec memos keep recent messages by design; without
-    # them nothing (rows, forwarding states, plans, caches) keeps a filter.
+    # them nothing (clients, rows, forwarding states, plans, caches) keeps a
+    # filter, and the network's table holds none.
     delivered.clear()
     network.trace.clear()
     runtime._decoded.clear()
     runtime._framed.clear()
     gc.collect()
-    assert len(runtime._filters) == 0, list(runtime._filters)
+    assert len(network.filter_caches.live) == 0, list(network.filter_caches.live)
 
 
 def _faulty_run(network):

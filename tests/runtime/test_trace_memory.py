@@ -15,9 +15,13 @@ one decoded — about 160 bytes of decoder output and notification per
 traversal; decoding at every hop kept five objects, about 500 bytes.
 
 A forwarded subscription's filter is a decoded copy too, and every row,
-forwarding state and dispatch plan on its path keeps it.  The runtime
-shares one live ``Filter`` per distinct type and key, so the brokers hold
-one object per distinct filter, besides the clients' own.
+forwarding state and dispatch plan on its path keeps it.  Each network
+keeps one live filter per distinct type and key, and every way a filter
+enters a client or a broker goes through it: client operations, received
+and replayed messages, snapshot restore, ``ploc`` instantiation and the
+movement graphs.  On every backend, then, a network holds one object (and
+one ``_wire`` memo) per distinct filter, where it held one per client, hop
+and broker.
 """
 
 import gc
@@ -26,9 +30,12 @@ import tracemalloc
 import pytest
 
 from repro.broker.network import PubSubNetwork
-from repro.filters.filter import Filter
-from repro.runtime.factory import make_runtime
-from repro.topology.builders import line_topology
+from repro.core.adaptivity import UncertaintyPlan
+from repro.core.location_filter import MYLOC, LocationDependentFilter
+from repro.core.ploc import MovementGraph
+from repro.filters.filter import Filter, MatchAll
+from repro.runtime.factory import BACKENDS, make_runtime
+from repro.topology.builders import balanced_tree_topology, line_topology
 
 SUBSCRIBERS = 150
 PUBLISHES = 200
@@ -174,3 +181,139 @@ def test_forwarded_subscriptions_share_one_decoded_filter(backend):
         obj for obj in gc.get_objects() if isinstance(obj, Filter) and id(obj) not in earlier_ids
     ]
     assert len(live) <= len(shared) + len(client_filters), len(live)
+
+
+#: Equal filters, each listed two ways.
+PERMUTED_TEMPLATES = (
+    (
+        {"service": "parking", "zone": ("in", ["z4", "z1"])},
+        {"zone": ("in", ["z1", "z4"]), "service": "parking"},
+    ),
+    ({"service": "parking", "price": ("<", 3)}, {"price": ("<", 3), "service": "parking"}),
+)
+
+
+def _made(template):
+    return template() if callable(template) else Filter(template)
+
+
+def _live_census(earlier_ids):
+    gc.collect()
+    return [
+        obj
+        for obj in gc.get_objects()
+        if isinstance(obj, (Filter, LocationDependentFilter, MovementGraph))
+        and id(obj) not in earlier_ids
+    ]
+
+
+def _assert_one_object_per_key(earlier_ids):
+    live = _live_census(earlier_ids)
+    filters = [obj for obj in live if not isinstance(obj, MovementGraph)]
+    distinct = {(type(obj), obj.key()) for obj in filters}
+    assert len(filters) <= len(distinct), len(filters) - len(distinct)
+    wired = [obj for obj in filters if getattr(obj, "_wire", None) is not None]
+    assert wired and len(wired) <= len(distinct)
+    assert len([obj for obj in live if isinstance(obj, MovementGraph)]) == 1
+
+
+def _shared_filter_scenario(network):
+    """Clients on a 7-broker tree, with every way a filter enters a broker.
+
+    Subscriptions and advertisements listed in permuted orders, two
+    location-dependent subscriptions, a ``move_to``, and a crash + restart
+    of two path brokers: one from its journal alone, one from a snapshot.
+    Returns ``[(client, subscription ids, advertisement ids)]`` and
+    ``[(client, subscription id, the type it was made as)]``.
+    """
+    network.enable_recovery("B2", "B3")
+    held, made = [], []
+
+    def join(client_id, border, templates, advertised=None):
+        client = network.add_client(client_id, border)
+        ids = []
+        for template in templates:
+            filter_ = _made(template)
+            ids.append(client.subscribe(filter_, durable=True))
+            made.append((client, ids[-1], type(filter_)))
+        adverts = [] if advertised is None else [client.advertise(_made(advertised))]
+        held.append((client, ids, adverts))
+        return client
+
+    zone, price = PERMUTED_TEMPLATES
+    join("P", "B7", (), {"service": "parking"})
+    join("Q", "B4", (), zone[0])
+    roamer = join("C0", "B4", (zone[0], price[0]))
+    roamer_ids = held[-1][1]
+    join("C1", "B5", (zone[1], price[1]), zone[1])
+    graph = MovementGraph.grid(4, 4)
+    for index, border in enumerate(("B4", "B6")):
+        car = network.add_client("car{}".format(index), border)
+        template = {"service": "parking", "location": MYLOC}
+        if index:
+            template = dict(reversed(list(template.items())))
+        subscription = car.subscribe_location_dependent(
+            template, graph, UncertaintyPlan.static(2), graph.locations()[index]
+        )
+        held.append((car, [subscription], []))
+    network.settle()
+    network.clients["car0"].set_location(graph.locations()[5])
+    roamer.detach()
+    # Made while detached: the client holds its own copy until it attaches.
+    roamer_ids.append(roamer.subscribe(_made(price[1]), durable=True))
+    made.append((roamer, roamer_ids[-1], Filter))
+    roamer.move_to(network.broker("B5"))
+    network.settle()
+    # After the move: had a MatchAll covered the roamer's filters toward its
+    # old border, the relocation would have left that border's row for them
+    # in place after the last unsubscribe (a gap of the relocation's
+    # garbage collection, not of the filter table).
+    join("C2", "B6", (zone[0], price[1], MatchAll, Filter), zone[1])  # one key, two types
+    network.settle()
+    network.crash_broker("B2")
+    network.restart_broker("B2")
+    network.snapshot_broker("B3")
+    network.crash_broker("B3")
+    network.restart_broker("B3")
+    network.clients["P"].publish(
+        {"service": "parking", "zone": "z1", "price": 2, "location": graph.locations()[5]}
+    )
+    network.settle()
+    return held, made
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_one_live_filter_per_distinct_filter(backend):
+    """Every client, row, forwarding state, logical state and ``_wire`` memo
+    of a network refers to one object per (type, key) — decoded, replayed
+    and restored copies included — and the network's table holds them only
+    while something else does."""
+    # Kept alive, so no object made here can reuse the id of an earlier one.
+    earlier = _live_census(())
+    earlier_ids = {id(obj) for obj in earlier}
+    runtime = make_runtime(backend)
+    network = PubSubNetwork(balanced_tree_topology(depth=2, fanout=2), runtime=runtime)
+    try:
+        held, made = _shared_filter_scenario(network)
+        _assert_one_object_per_key(earlier_ids)
+        # MatchAll and Filter() share a key: each client keeps the type it gave.
+        for client, subscription_id, kind in made:
+            assert type(client._subscriptions[subscription_id]) is kind
+        assert all(network.clients[name].received for name in ("C0", "C1", "C2", "car0"))
+
+        for client, subscription_ids, advertisement_ids in held:
+            for subscription_id in subscription_ids:
+                client.unsubscribe(subscription_id)
+            for advertisement_id in advertisement_ids:
+                client.unadvertise(advertisement_id)
+        network.settle()
+    except OSError as error:  # pragma: no cover - sandboxed environments
+        pytest.skip("loopback sockets unavailable: {}".format(error))
+    finally:
+        network.close()
+    # The trace and the codec memos keep recent messages by design.
+    network.trace.clear()
+    for memo in ("_decoded", "_framed"):
+        getattr(runtime, memo, {}).clear()
+    gc.collect()
+    assert len(network.filter_caches.live) == 0, list(network.filter_caches.live)
