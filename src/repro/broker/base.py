@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.location_filter import (
     LocationDependentFilter,
@@ -50,7 +50,7 @@ from repro.broker.recovery import (
     build_snapshot,
 )
 from repro.messages.admin import Advertise, Subscribe, Unadvertise, Unsubscribe
-from repro.messages.base import Message, MessageKind
+from repro.messages.base import Message
 from repro.messages.control import ForwardAck, Heartbeat, SequencedForward
 from repro.messages.mobility import (
     FetchRequest,
@@ -202,11 +202,6 @@ class Broker:
     ) -> None:
         self.name = name
         self.clock = clock
-        # Historical alias: the clock used to be the Simulator instance.
-        # The broker only ever reads ``now`` from it, which any backend
-        # clock provides; tests and client code written against the old
-        # attribute keep working.
-        self.simulator = clock
         self.strategy = strategy
         self.trace = trace
         self.config = config or BrokerConfig()
@@ -230,7 +225,7 @@ class Broker:
         # Crash recovery: ``recovery`` holds the (optional) persistent
         # store, ``_crashed`` gates message intake while down, and
         # ``_replaying`` suppresses journaling while the log tail is
-        # re-executed through the normal dispatch path on restart.
+        # re-applied on restart.
         self.recovery: Optional[RecoveryStore] = None
         self._crashed = False
         self._replaying = False
@@ -310,7 +305,7 @@ class Broker:
         # only gates what is forwarded *to* D.
         self._forwarding_states: Dict[str, NeighbourForwardingState] = {}
         # neighbour -> (advertisement-table epoch for that neighbour,
-        #               {filter key: overlap verdict}) — see _advertised_via.
+        #               {filter key: overlap verdict}) — see _may_forward.
         self._advertised_via_cache: Dict[str, Tuple[int, Dict[Any, bool]]] = {}
         # Bound for each neighbour's verdict dict: it is cleared (not
         # evicted entry-wise) when it grows past this, the same policy the
@@ -390,8 +385,7 @@ class Broker:
                     self.clock.now, link.source, self.name, message, "broker-down"
                 )
             return
-        self._journal(link.source, message)
-        self._dispatch(message, from_destination=link.source)
+        self._apply(message, link.source, received=True)
 
     def receive_batch(self, messages: Sequence[Message], link: Channel) -> None:
         """:meth:`receive` each of *messages* in order.
@@ -403,89 +397,37 @@ class Broker:
         for message in messages:
             self.receive(message, link)
 
-    def _journal(self, origin: str, message: Message) -> None:
-        """Append an admin/mobility message to the recovery log.
+    def _apply(self, message: Message, origin: str, received: bool = False) -> Any:
+        """Apply one message from *origin* through its row of :attr:`_MESSAGE_TABLE`.
 
-        Notifications are never journaled: the routing state is a
-        function of administrative traffic only, and durable redelivery
-        is the counterpart/sequence machinery's job, not the log's.
+        The one way into the broker: a link (:meth:`receive`), the
+        recovery log on :meth:`restart` and every client operation all
+        come here.  The row says whether the message is journaled and
+        whether it carries a filter to swap for the network's live one;
+        its handler does the rest, and what the handler returns is
+        returned.  With *received* the row's counter counts it.
+        """
+        row = self._MESSAGE_TABLE.get(type(message))
+        if row is None:
+            raise TypeError("broker {} cannot handle message {!r}".format(self.name, message))
+        counter, journaled, interns, handler = row
+        if received:
+            self.counters[counter] += 1
+        if journaled:
+            self._journal(origin, message)
+        if interns:
+            # A decoded or replayed copy gives way to the live filter, on
+            # the message too, since a trace keeps the message.
+            message.filter = self.filter_caches.intern(message.filter)
+        return handler(self, message, origin)
+
+    def _journal(self, origin: str, message: Message) -> None:
+        """Append a routing-state change to the recovery log.
+
         Replayed entries are not re-journaled.
         """
-        if self.recovery is None or self._replaying:
-            return
-        if message.kind in (MessageKind.NOTIFICATION, MessageKind.CONTROL):
-            # Notifications: routing state is a function of admin traffic
-            # only.  Control traffic (heartbeats, forward acks): liveness
-            # and retention windows are volatile by design.
-            return
-        if isinstance(message, (FetchRequest, Replay, RelocationComplete)):
-            # A FetchRequest's table effect depends on volatile state (is
-            # there a counterpart here?) that a replay cannot reconstruct;
-            # _handle_fetch_request journals the equivalent Subscribe /
-            # Unsubscribe operations for the branch it actually took.
-            # Replay / RelocationComplete change no routing state: they are
-            # forwarded along existing rows and fill relocation buffers,
-            # which crash() clears, so replaying them would do nothing.
-            return
-        self.recovery.append(origin, message, self.clock.now)
-
-    def _dispatch(self, message: Message, from_destination: Optional[str]) -> None:
-        if isinstance(message, Notification):
-            self.counters["notifications_received"] += 1
-            self._handle_notification(message, from_destination)
-        elif isinstance(message, SequencedForward):
-            self.counters["notifications_received"] += 1
-            self._handle_sequenced_forward(message, from_destination)
-        elif isinstance(message, ForwardAck):
-            self.counters["control_received"] += 1
-            self._handle_forward_ack(message, from_destination)
-        elif isinstance(message, Heartbeat):
-            self.counters["control_received"] += 1
-            self._handle_heartbeat(message, from_destination)
-        elif isinstance(message, Subscribe):
-            self.counters["admin_received"] += 1
-            self._handle_subscribe(self._shared(message), from_destination)
-        elif isinstance(message, Unsubscribe):
-            self.counters["admin_received"] += 1
-            self._handle_unsubscribe(self._shared(message), from_destination)
-        elif isinstance(message, Advertise):
-            self.counters["admin_received"] += 1
-            self._handle_advertise(self._shared(message), from_destination)
-        elif isinstance(message, Unadvertise):
-            self.counters["admin_received"] += 1
-            self._handle_unadvertise(self._shared(message), from_destination)
-        elif isinstance(message, MovedSubscribe):
-            self.counters["mobility_received"] += 1
-            self._handle_moved_subscribe(self._shared(message), from_destination)
-        elif isinstance(message, FetchRequest):
-            self.counters["mobility_received"] += 1
-            self._handle_fetch_request(self._shared(message), from_destination)
-        elif isinstance(message, Replay):
-            self.counters["mobility_received"] += 1
-            self._handle_replay(message, from_destination)
-        elif isinstance(message, RelocationComplete):
-            self.counters["mobility_received"] += 1
-            self._handle_relocation_complete(message, from_destination)
-        elif isinstance(message, LocationDependentSubscribe):
-            self.counters["mobility_received"] += 1
-            self._handle_location_dependent_subscribe(message, from_destination)
-        elif isinstance(message, LocationDependentUnsubscribe):
-            self.counters["mobility_received"] += 1
-            self._handle_location_dependent_unsubscribe(message, from_destination)
-        elif isinstance(message, LocationUpdate):
-            self.counters["mobility_received"] += 1
-            self._handle_location_update(message, from_destination)
-        else:
-            raise TypeError("broker {} cannot handle message {!r}".format(self.name, message))
-
-    def _shared(self, message: Any) -> Any:
-        """*message*, carrying the network's live filter instead of its own.
-
-        A decoded or replayed copy gives way to the live one, on the
-        message too, since a trace keeps the message.
-        """
-        message.filter = self.filter_caches.intern(message.filter)
-        return message
+        if self.recovery is not None and not self._replaying:
+            self.recovery.append(origin, message, self.clock.now)
 
     # ------------------------------------------------------------------
     # Crash / restart lifecycle
@@ -553,7 +495,7 @@ class Broker:
 
         Applies the stored snapshot (rows recreated with their pinned
         creation sequence numbers), then replays the log tail through
-        the normal dispatch path with every outgoing link swapped for a
+        :meth:`_apply` with every outgoing link swapped for a
         :class:`~repro.broker.recovery.ReplaySink` — the replay must
         evolve local state exactly as the first execution did without
         re-sending anything.  Derived structures are invalidated and
@@ -577,7 +519,7 @@ class Broker:
             self._replaying = True
             try:
                 for record in tail:
-                    self._dispatch(record.entry, from_destination=record.origin)
+                    self._apply(record.entry, record.origin, received=True)
             finally:
                 self._links = real_links
                 self._replaying = False
@@ -653,10 +595,7 @@ class Broker:
             client_id=client_id, subscription_id=subscription_id, filter=filter_
         )
         registration.subscriptions[subscription_id] = record
-        token = record.token
-        self._journal(client_id, Subscribe(filter_, subject=token))
-        self.subscription_table.add(filter_, client_id, token)
-        self._refresh_all_forwarding(exclude=client_id)
+        self._apply(Subscribe(filter_, subject=record.token), client_id)
 
     def client_unsubscribe(self, client_id: str, subscription_id: str) -> None:
         """Withdraw a local client's subscription and propagate the change."""
@@ -664,16 +603,11 @@ class Broker:
         record = registration.subscriptions.pop(subscription_id, None)
         if record is None:
             return
-        token = record.token
-        if record.logical is not None:
-            message = LocationDependentUnsubscribe(
-                client_id=client_id, subscription_id=subscription_id
-            )
-            self._journal(client_id, message)
-            self._handle_location_dependent_unsubscribe(message, client_id)
-        else:
-            self._journal(client_id, Unsubscribe(record.filter, subject=token))
-            self.subscription_table.remove(record.filter, client_id, token)
+        if record.logical is None:
+            self._apply(Unsubscribe(record.filter, subject=record.token), client_id)
+            return
+        message = LocationDependentUnsubscribe(client_id=client_id, subscription_id=subscription_id)
+        self._apply(message, client_id)
         self._refresh_all_forwarding(exclude=client_id)
 
     def client_advertise(self, client_id: str, advertisement_id: str, filter_: Filter) -> None:
@@ -681,11 +615,7 @@ class Broker:
         registration = self._require_client(client_id)
         registration.advertisements[advertisement_id] = filter_
         subject = subscription_token(client_id, advertisement_id)
-        self._journal(client_id, Advertise(filter_, subject=subject))
-        self.advertisement_table.add(filter_, client_id, subject)
-        self._propagate_advertisement(filter_, subject, exclude=client_id)
-        # A new local advertisement can make remote subscriptions routable
-        # toward us; nothing to refresh locally (we are the producer side).
+        self._apply(Advertise(filter_, subject=subject), client_id)
 
     def client_unadvertise(self, client_id: str, advertisement_id: str) -> None:
         """Withdraw a local client's advertisement."""
@@ -694,17 +624,15 @@ class Broker:
         if filter_ is None:
             return
         subject = subscription_token(client_id, advertisement_id)
-        self._journal(client_id, Unadvertise(filter_, subject=subject))
-        self.advertisement_table.remove(filter_, client_id, subject)
-        self._withdraw_advertisement(filter_, subject, exclude=client_id)
+        self._apply(Unadvertise(filter_, subject=subject), client_id)
 
     def client_publish(self, client_id: str, notification: Notification) -> None:
         """Inject a notification published by a locally attached client."""
         self._require_client(client_id)
         if self.trace is not None:
             self.trace.record_publish(self.clock.now, notification)
-        self.counters["notifications_received"] += 1
-        self._handle_notification(notification, from_destination=client_id)
+        # A publish counts as received, like a notification off a link.
+        self._apply(notification, client_id, received=True)
 
     def client_moved_subscribe(
         self,
@@ -742,62 +670,40 @@ class Broker:
         local_counterpart = self._counterparts.pop(token, None)
         if local_counterpart is not None:
             # Only the table row survives a crash of this branch (the
-            # counterpart is volatile), so the log records a plain
+            # counterpart is volatile), so it is applied as a plain
             # Subscribe: replaying a MovedSubscribe against a recovered
             # table without the counterpart would forward it upstream,
             # which the original execution never did.
-            self._journal(client_id, Subscribe(filter_, subject=token))
+            subscribe = Subscribe(filter_, subject=token)
             started.old_border = self.name
             replayed = local_counterpart.replay_after(last_sequence)
-            self.subscription_table.add(filter_, client_id, token)
             for sequenced in replayed:
                 self._deliver_to_client(record, sequenced.notification, sequenced.sequence)
             if replayed:
                 record.next_sequence = replayed[-1].sequence + 1
             started.replayed = len(replayed)
             started.completed_at = self.clock.now
-            self._refresh_all_forwarding(exclude=client_id)
+            self._apply(subscribe, client_id)
             return
 
         # Normal case: buffer new-path notifications until the replay
-        # arrives, register the subscription locally, and look for the
+        # arrives, then register the subscription and look for the
         # junction starting at this broker.
-        self._journal(
-            client_id,
-            MovedSubscribe(
-                client_id=client_id,
-                subscription_id=subscription_id,
-                filter_=filter_,
-                last_sequence=last_sequence,
-                new_border=self.name,
-            ),
-        )
         record.relocation_buffer = RelocationBuffer(client_id, subscription_id, last_sequence)
-        old_destinations = self._token_destinations(token, exclude={client_id})
-        self.subscription_table.add(filter_, client_id, token)
-        if old_destinations:
-            # This broker already lies on the old delivery path: it is the
-            # junction itself.
-            self._act_as_junction(token, filter_, last_sequence, old_destinations)
-        else:
-            forwarded = self._forward_moved_subscribe(
-                MovedSubscribe(
-                    client_id=client_id,
-                    subscription_id=subscription_id,
-                    filter_=filter_,
-                    last_sequence=last_sequence,
-                    new_border=self.name,
-                ),
-                exclude=client_id,
-            )
-            if forwarded == 0:
-                # No direction could possibly lead to the old location (an
-                # isolated broker, or no matching advertisements at all):
-                # complete the relocation immediately with an empty replay
-                # so the client does not wait forever.
-                record.relocation_buffer = None
-                started.completed_at = self.clock.now
-        self._refresh_all_forwarding(exclude=client_id)
+        moved = MovedSubscribe(
+            client_id=client_id,
+            subscription_id=subscription_id,
+            filter_=filter_,
+            last_sequence=last_sequence,
+            new_border=self.name,
+        )
+        if not self._apply(moved, client_id):
+            # No direction could possibly lead to the old location (an
+            # isolated broker, or no matching advertisements at all):
+            # complete the relocation immediately with an empty replay so
+            # the client does not wait forever.
+            record.relocation_buffer = None
+            started.completed_at = self.clock.now
 
     def takeover_subscribe(
         self,
@@ -837,13 +743,12 @@ class Broker:
             next_sequence=last_sequence + 1,
         )
         registration.subscriptions[subscription_id] = record
-        for entry in list(self.subscription_table.entries_for_subject(token)):
-            if entry.destination != dead_border:
-                continue
-            self._journal(dead_border, Unsubscribe(entry.filter, subject=token))
-            self.subscription_table.remove(entry.filter, dead_border, token)
-        self._journal(client_id, Subscribe(filter_, subject=token))
-        self.subscription_table.add(filter_, client_id, token)
+        dead_rows = [
+            row
+            for row in self.subscription_table.entries_for_subject(token)
+            if row.destination == dead_border
+        ]
+        self._divert(token, dead_rows, filter_, client_id)
         replayed = 0
         if self.config.forward_retention is not None:
             seen = set(seen_identities)
@@ -892,8 +797,7 @@ class Broker:
             current_location=initial_location,
             hop_index=0,
         )
-        self._journal(client_id, message)
-        state = self._handle_location_dependent_subscribe(message, client_id)
+        state = self._apply(message, client_id)
         registration.subscriptions[subscription_id] = _SubscriptionRecord(
             client_id=client_id,
             subscription_id=subscription_id,
@@ -914,8 +818,7 @@ class Broker:
                 new_location=new_location,
                 hop_index=record.logical.hop_index,
             )
-            self._journal(client_id, message)
-            self._handle_location_update(message, client_id)
+            self._apply(message, client_id)
 
     # ------------------------------------------------------------------
     # Notification handling
@@ -1097,62 +1000,42 @@ class Broker:
     # ------------------------------------------------------------------
     # Plain subscription / advertisement handling
     # ------------------------------------------------------------------
-    def _handle_subscribe(self, message: Subscribe, from_destination: Optional[str]) -> None:
-        if from_destination is None:
-            raise ValueError("broker-level Subscribe requires a source destination")
+    def _handle_subscribe(self, message: Subscribe, from_destination: str) -> None:
         self.subscription_table.add(message.filter, from_destination, message.subject)
         self._refresh_all_forwarding(exclude=from_destination)
 
-    def _handle_unsubscribe(self, message: Unsubscribe, from_destination: Optional[str]) -> None:
-        if from_destination is None:
-            raise ValueError("broker-level Unsubscribe requires a source destination")
+    def _handle_unsubscribe(self, message: Unsubscribe, from_destination: str) -> None:
         self.subscription_table.remove(message.filter, from_destination, message.subject)
         self._refresh_all_forwarding(exclude=from_destination)
 
-    def _handle_advertise(self, message: Advertise, from_destination: Optional[str]) -> None:
-        if from_destination is None:
-            raise ValueError("broker-level Advertise requires a source destination")
+    def _handle_advertise(self, message: Advertise, from_destination: str) -> None:
         self.advertisement_table.add(message.filter, from_destination, message.subject)
-        self._propagate_advertisement(message.filter, message.subject, exclude=from_destination)
-        # Subscriptions may now become forwardable toward the advertiser.
-        self.refresh_forwarding(from_destination)
-        self._reforward_logical_subscriptions(toward=from_destination)
+        self._forward_advertisement(message, from_destination, withdraw=False)
+        if from_destination in self._links:
+            # Subscriptions may now become forwardable toward the advertiser.
+            self.refresh_forwarding(from_destination)
+            self._reforward_logical_subscriptions(toward=from_destination)
 
-    def _handle_unadvertise(self, message: Unadvertise, from_destination: Optional[str]) -> None:
-        if from_destination is None:
-            raise ValueError("broker-level Unadvertise requires a source destination")
+    def _handle_unadvertise(self, message: Unadvertise, from_destination: str) -> None:
         self.advertisement_table.remove(message.filter, from_destination, message.subject)
-        self._withdraw_advertisement(message.filter, message.subject, exclude=from_destination)
-        self.refresh_forwarding(from_destination)
+        self._forward_advertisement(message, from_destination, withdraw=True)
+        if from_destination in self._links:
+            self.refresh_forwarding(from_destination)
 
-    def _propagate_advertisement(
-        self, filter_: Filter, subject: str, exclude: Optional[str]
-    ) -> None:
+    def _forward_advertisement(self, message: Any, exclude: str, withdraw: bool) -> None:
+        """Pass an (un)advertisement on to every neighbour but *exclude* that lacks (holds) it."""
+        filter_ = message.filter
+        key = (filter_.key(), message.subject)
         for neighbour in self.neighbours():
-            if neighbour == exclude:
-                continue
             forwarded = self._forwarded_advertisements[neighbour]
-            key = (filter_.key(), subject)
-            if key in forwarded:
+            if neighbour == exclude or (key in forwarded) != withdraw:
                 continue
-            forwarded[key] = filter_
+            if withdraw:
+                del forwarded[key]
+            else:
+                forwarded[key] = filter_
             self._links[neighbour].send(
-                Advertise(filter_, subject=self.name, subscription_id=subject)
-            )
-
-    def _withdraw_advertisement(
-        self, filter_: Filter, subject: str, exclude: Optional[str]
-    ) -> None:
-        for neighbour in self.neighbours():
-            if neighbour == exclude:
-                continue
-            forwarded = self._forwarded_advertisements[neighbour]
-            key = (filter_.key(), subject)
-            if key not in forwarded:
-                continue
-            del forwarded[key]
-            self._links[neighbour].send(
-                Unadvertise(filter_, subject=self.name, subscription_id=subject)
+                type(message)(filter_, subject=self.name, subscription_id=message.subject)
             )
 
     # ------------------------------------------------------------------
@@ -1198,13 +1081,11 @@ class Broker:
             return
         filter_ = row.filter
         destination = row.destination
-        use_advertisements = self.config.use_advertisements
         for neighbour, state in self._forwarding_states.items():
             if neighbour == destination or not state.valid:
                 continue
-            if use_advertisements and not self._advertised_via(neighbour, filter_):
-                continue
-            state.add_contribution(filter_, subject, row.seq)
+            if self._may_forward(neighbour, filter_):
+                state.add_contribution(filter_, subject, row.seq)
 
     def row_subjects_removed(self, row, subjects: Sequence[str], removed_row: bool) -> None:
         if isinstance(row.filter, MatchNone):
@@ -1215,11 +1096,10 @@ class Broker:
         filter_ = row.filter
         filter_key = filter_.key()
         destination = row.destination
-        use_advertisements = self.config.use_advertisements
         for neighbour, state in self._forwarding_states.items():
             if neighbour == destination or not state.valid:
                 continue
-            if use_advertisements and not self._advertised_via(neighbour, filter_):
+            if not self._may_forward(neighbour, filter_):
                 continue
             for subject in plain:
                 state.remove_contribution(filter_key, subject, row.seq)
@@ -1284,7 +1164,6 @@ class Broker:
         overlapping it.
         """
         no_logical = not self._logical_states
-        use_advertisements = self.config.use_advertisements
 
         def plain_subjects(row):
             if row.destination == neighbour or isinstance(row.filter, MatchNone):
@@ -1297,23 +1176,25 @@ class Broker:
                 ]
                 if not subjects:
                     return None
-            if use_advertisements and not self._advertised_via(neighbour, row.filter):
-                return None
-            return subjects
+            return subjects if self._may_forward(neighbour, row.filter) else None
 
         # A flooding broker forwards no subscription: no row contributes.
         rows = () if self.strategy.floods_notifications else self.subscription_table.entries()
         state.rebuild_from_rows(rows, plain_subjects)
 
-    def _advertised_via(self, neighbour: str, filter_: Filter) -> bool:
-        """Whether an overlapping advertisement was received from *neighbour*.
+    def _may_forward(self, neighbour: str, filter_: Filter) -> bool:
+        """Whether *filter_* may travel toward *neighbour*.
 
-        The verdict is memoised per (neighbour, filter key); the memo for
-        a neighbour is discarded wholesale whenever that neighbour's
+        Without advertisements it always may; with them, only toward a
+        neighbour an overlapping advertisement was received from.  That
+        verdict is memoised per (neighbour, filter key); the memo for a
+        neighbour is discarded wholesale whenever that neighbour's
         advertisement rows change (tracked by the table's per-destination
         epoch), so it can never go stale.  Memo misses are answered by
         the dispatch plan's per-neighbour overlap index.
         """
+        if not self.config.use_advertisements:
+            return True
         epoch = self.advertisement_table.destination_epoch(neighbour)
         cached = self._advertised_via_cache.get(neighbour)
         if cached is None or cached[0] != epoch:
@@ -1334,17 +1215,27 @@ class Broker:
     # ------------------------------------------------------------------
     # Physical mobility: relocation protocol (Section 4)
     # ------------------------------------------------------------------
-    def _token_destinations(self, token: str, exclude: Set[str]) -> List[str]:
-        """Destinations of existing routing entries registered for *token*."""
-        return sorted(
-            {
-                entry.destination
-                for entry in self.subscription_table.entries_for_subject(token)
-                if entry.destination not in exclude
-            }
-        )
+    def _token_rows(self, token: str, exclude: str) -> List[Any]:
+        """The first routing row of *token* per destination but *exclude*, by destination."""
+        rows: Dict[str, Any] = {}
+        for row in self.subscription_table.entries_for_subject(token):
+            if row.destination != exclude:
+                rows.setdefault(row.destination, row)
+        return [rows[destination] for destination in sorted(rows)]
 
-    def _forward_moved_subscribe(self, message: MovedSubscribe, exclude: Optional[str]) -> int:
+    def _divert(self, token: str, rows: Sequence[Any], filter_: Filter, destination: str) -> None:
+        """Move *token* off *rows* onto one row of *filter_* toward *destination*.
+
+        Each write is journaled as the Unsubscribe / Subscribe it amounts
+        to.  The caller refreshes the forwarding once, when it is done.
+        """
+        for row in rows:
+            self._journal(row.destination, Unsubscribe(row.filter, subject=token))
+            self.subscription_table.remove(row.filter, row.destination, token)
+        self._journal(destination, Subscribe(filter_, subject=token))
+        self.subscription_table.add(filter_, destination, token)
+
+    def _forward_moved_subscribe(self, message: MovedSubscribe, exclude: str) -> int:
         """Propagate a MovedSubscribe toward producers (it must find the junction).
 
         Returns the number of neighbours the message was forwarded to.
@@ -1352,11 +1243,7 @@ class Broker:
         token = subscription_token(message.client_id, message.subscription_id)
         count = 0
         for neighbour in self.neighbours():
-            if neighbour == exclude:
-                continue
-            if self.config.use_advertisements and not self._advertised_via(
-                neighbour, message.filter
-            ):
+            if neighbour == exclude or not self._may_forward(neighbour, message.filter):
                 continue
             pair = (message.filter.key(), token)
             self._forwarded_subscriptions[neighbour][pair] = message.filter
@@ -1367,27 +1254,37 @@ class Broker:
             count += 1
         return count
 
-    def _handle_moved_subscribe(
-        self, message: MovedSubscribe, from_destination: Optional[str]
-    ) -> None:
-        if from_destination is None:
-            raise ValueError("MovedSubscribe over a link requires a source")
+    def _handle_moved_subscribe(self, message: MovedSubscribe, from_destination: str) -> bool:
+        """Register the roamer's row and find the junction (Section 4.1).
+
+        Returns whether the relocation is under way: this broker is the
+        junction, or the message went on toward at least one producer.
+        """
         token = subscription_token(message.client_id, message.subscription_id)
-        exclude = {from_destination}
-        old_destinations = self._token_destinations(token, exclude=exclude)
+        old_rows = self._token_rows(token, exclude=from_destination)
         self.subscription_table.add(message.filter, from_destination, token)
-        if old_destinations:
-            self._act_as_junction(token, message.filter, message.last_sequence, old_destinations)
+        if old_rows:
+            # This broker already lies on the old delivery path: it is the
+            # junction itself.
+            self._act_as_junction(token, message.filter, message.last_sequence, old_rows)
+            under_way = True
         else:
-            self._forward_moved_subscribe(message, exclude=from_destination)
+            if from_destination in self._clients:
+                # A roaming client's own message is its journal record;
+                # the one that travels on is the broker's.
+                message = MovedSubscribe(
+                    client_id=message.client_id,
+                    subscription_id=message.subscription_id,
+                    filter_=message.filter,
+                    last_sequence=message.last_sequence,
+                    new_border=message.new_border,
+                )
+            under_way = self._forward_moved_subscribe(message, exclude=from_destination) > 0
         self._refresh_all_forwarding(exclude=from_destination)
+        return under_way
 
     def _act_as_junction(
-        self,
-        token: str,
-        filter_: Filter,
-        last_sequence: int,
-        old_destinations: Sequence[str],
+        self, token: str, filter_: Filter, last_sequence: int, old_rows: Sequence[Any]
     ) -> None:
         """Junction behaviour: divert the old path and request the replay.
 
@@ -1398,21 +1295,13 @@ class Broker:
         notifications from P along the new path").
         """
         client_id, _, subscription_id = token.partition("/")
-        for destination in old_destinations:
-            entry = None
-            for candidate in self.subscription_table.entries_for_subject(token):
-                if candidate.destination == destination:
-                    entry = candidate
-                    break
-            if entry is None:
-                continue
-            self.subscription_table.remove(entry.filter, destination, token)
-            counterpart = self._counterparts.get(token)
+        for row in old_rows:
+            destination = row.destination
+            self.subscription_table.remove(row.filter, destination, token)
             if destination not in self._links:
                 # The "old path" ends right here: this broker hosts the
                 # virtual counterpart (it is the old border broker).
-                if counterpart is not None:
-                    self._replay_counterpart(token, last_sequence, toward=None)
+                self._replay_counterpart(token, last_sequence, toward=None)
                 continue
             self.counters["fetch_requests_sent"] += 1
             self._links[destination].send(
@@ -1426,37 +1315,32 @@ class Broker:
                 )
             )
 
-    def _handle_fetch_request(self, message: FetchRequest, from_destination: Optional[str]) -> None:
-        if from_destination is None:
-            raise ValueError("FetchRequest over a link requires a source")
+    def _handle_fetch_request(self, message: FetchRequest, from_destination: str) -> None:
         token = subscription_token(message.client_id, message.subscription_id)
-
-        # The old border broker: replay the buffered notifications.
+        rows = list(self.subscription_table.entries_for_subject(token))
         if token in self._counterparts:
-            # Divert our routing entry for the token toward the fetch sender
-            # so that the replay (and any straggler notifications) flow back
-            # toward the junction and on to the new location.
-            for entry in list(self.subscription_table.entries_for_subject(token)):
-                self._journal(entry.destination, Unsubscribe(entry.filter, subject=token))
-                self.subscription_table.remove(entry.filter, entry.destination, token)
-            self._journal(from_destination, Subscribe(message.filter, subject=token))
-            self.subscription_table.add(message.filter, from_destination, token)
+            # The old border broker: divert our routing entry for the token
+            # toward the fetch sender so that the replay (and any straggler
+            # notifications) flow back toward the junction and on to the
+            # new location, then replay the buffered notifications.
+            self._divert(token, rows, message.filter, from_destination)
             self._replay_counterpart(token, message.last_sequence, toward=from_destination)
             self._refresh_all_forwarding(exclude=from_destination)
             return
-
-        # An intermediate broker on the old path: divert the routing entry
-        # toward the fetch sender and forward the fetch along the old path.
-        old_entries = [
-            entry
-            for entry in self.subscription_table.entries_for_subject(token)
-            if entry.destination != from_destination
-        ]
-        if not old_entries:
+        if all(row.destination == from_destination for row in rows):
             # Nothing known about this subscription (already cleaned up, or
             # a duplicate fetch from a second junction): drop the request.
             return
-        link_bound = [entry for entry in old_entries if entry.destination in self._links]
+        # An intermediate broker on the old path: divert the routing entry
+        # toward the fetch sender and forward the fetch along the old path.
+        link_bound = [
+            row
+            for row in rows
+            if row.destination != from_destination and row.destination in self._links
+        ]
+        self._divert(token, link_bound, message.filter, from_destination)
+        for row in link_bound:
+            self._links[row.destination].send(message)
         if not link_bound:
             # The remaining entries point at locally attached clients, not
             # along an old path — this happens when the old border crashed
@@ -1465,35 +1349,7 @@ class Broker:
             # terminate the protocol: answer with an empty replay so the
             # requester's relocation buffer flushes instead of waiting
             # forever.  The local client rows are left untouched.
-            self._journal(from_destination, Subscribe(message.filter, subject=token))
-            self.subscription_table.add(message.filter, from_destination, token)
-            self.counters["replays_sent"] += 1
-            link = self._links.get(from_destination)
-            if link is not None:
-                link.send(
-                    Replay(
-                        client_id=message.client_id,
-                        subscription_id=message.subscription_id,
-                        notifications=[],
-                        origin_border=self.name,
-                    )
-                )
-                link.send(
-                    RelocationComplete(
-                        client_id=message.client_id,
-                        subscription_id=message.subscription_id,
-                        origin_border=self.name,
-                    )
-                )
-            self._refresh_all_forwarding(exclude=from_destination)
-            return
-        for entry in link_bound:
-            destination = entry.destination
-            self._journal(destination, Unsubscribe(entry.filter, subject=token))
-            self.subscription_table.remove(entry.filter, destination, token)
-            self._links[destination].send(message)
-        self._journal(from_destination, Subscribe(message.filter, subject=token))
-        self.subscription_table.add(message.filter, from_destination, token)
+            self._send_replay(token, [], toward=from_destination)
         self._refresh_all_forwarding(exclude=from_destination)
 
     def _replay_counterpart(self, token: str, last_sequence: int, toward: Optional[str]) -> None:
@@ -1501,110 +1357,84 @@ class Broker:
         counterpart = self._counterparts.pop(token, None)
         if counterpart is None:
             return
-        client_id, _, subscription_id = token.partition("/")
-        replayed = counterpart.replay_after(last_sequence)
-        self.counters["replays_sent"] += 1
-        replay = Replay(
-            client_id=client_id,
-            subscription_id=subscription_id,
-            notifications=replayed,
-            origin_border=self.name,
-        )
-        complete = RelocationComplete(
-            client_id=client_id,
-            subscription_id=subscription_id,
-            origin_border=self.name,
-        )
-        if toward is not None and toward in self._links:
-            self._links[toward].send(replay)
-            self._links[toward].send(complete)
-        else:
-            # The junction is this broker itself (old border == junction):
-            # route the replay along the token's current entries.
-            self._route_for_token(replay, token, exclude=None)
-            self._route_for_token(complete, token, exclude=None)
+        self._send_replay(token, counterpart.replay_after(last_sequence), toward)
         # The old client registration (if any) can now be garbage collected.
+        client_id, _, subscription_id = token.partition("/")
         registration = self._clients.get(client_id)
         if registration is not None and not registration.attached:
             registration.subscriptions.pop(subscription_id, None)
             if not registration.subscriptions:
                 self._clients.pop(client_id, None)
 
-    def _route_for_token(self, message: Message, token: str, exclude: Optional[str]) -> bool:
-        """Forward *message* along the routing entries registered for *token*.
+    def _send_replay(self, token: str, notifications: Sequence[Any], toward: Optional[str]) -> None:
+        """Answer a fetch: a Replay of *notifications*, then RelocationComplete.
 
-        Returns ``True`` when the message was forwarded to at least one
-        neighbour or handled locally.
+        Both go to the neighbour *toward*; without one (the junction is
+        this broker itself) they are routed along the token's rows.
         """
-        routed = False
-        for entry in self.subscription_table.entries_for_subject(token):
-            destination = entry.destination
-            if destination == exclude:
+        client_id, _, subscription_id = token.partition("/")
+        self.counters["replays_sent"] += 1
+        replay = Replay(client_id, subscription_id, notifications, origin_border=self.name)
+        complete = RelocationComplete(client_id, subscription_id, origin_border=self.name)
+        for message in (replay, complete):
+            if toward in self._links:
+                self._links[toward].send(message)
+            else:
+                self._handle_relocation_message(message, None)
+
+    def _handle_relocation_message(self, message: Any, from_destination: Optional[str]) -> None:
+        """Route a Replay / RelocationComplete on along its token's rows.
+
+        A row toward a local client ends the path: this is the new border
+        broker, and the message feeds the client's relocation buffer.
+        """
+        token = subscription_token(message.client_id, message.subscription_id)
+        for row in self.subscription_table.entries_for_subject(token):
+            destination = row.destination
+            if destination == from_destination:
                 continue
             if destination in self._links:
                 self._links[destination].send(message)
-                routed = True
             else:
-                routed = self._handle_token_message_locally(message, token) or routed
-        return routed
+                self._relocation_message_arrived(message, token)
 
-    def _handle_token_message_locally(self, message: Message, token: str) -> bool:
-        """Deliver a Replay / RelocationComplete that reached the new border broker."""
+    def _relocation_message_arrived(self, message: Any, token: str) -> None:
+        """A Replay fills the relocation buffer; a RelocationComplete flushes it."""
         client_id, _, subscription_id = token.partition("/")
         registration = self._clients.get(client_id)
         if registration is None:
-            return False
+            return
         record = registration.subscriptions.get(subscription_id)
         if record is None or record.relocation_buffer is None:
-            return False
-        buffer_ = record.relocation_buffer
-        if isinstance(message, Replay):
-            buffer_.accept_replay(message.notifications)
-            return True
-        if isinstance(message, RelocationComplete):
-            replayed, fresh = buffer_.flush()
-            for sequenced in replayed:
-                self._deliver_to_client(record, sequenced.notification, sequenced.sequence)
-            if replayed:
-                record.next_sequence = max(record.next_sequence, replayed[-1].sequence + 1)
-            for notification in fresh:
-                sequence = record.next_sequence
-                record.next_sequence += 1
-                self._deliver_to_client(record, notification, sequence)
-            record.relocation_buffer = None
-            for relocation in reversed(self.relocation_records):
-                if (
-                    relocation.client_id == client_id
-                    and relocation.subscription_id == subscription_id
-                    and relocation.completed_at is None
-                ):
-                    relocation.completed_at = self.clock.now
-                    relocation.old_border = message.origin_border
-                    relocation.replayed = len(replayed)
-                    relocation.fresh = len(fresh)
-                    break
-            return True
-        return False
-
-    def _handle_replay(self, message: Replay, from_destination: Optional[str]) -> None:
-        token = subscription_token(message.client_id, message.subscription_id)
-        self._route_for_token(message, token, exclude=from_destination)
-
-    def _handle_relocation_complete(
-        self, message: RelocationComplete, from_destination: Optional[str]
-    ) -> None:
-        token = subscription_token(message.client_id, message.subscription_id)
-        self._route_for_token(message, token, exclude=from_destination)
+            return
+        if type(message) is Replay:
+            record.relocation_buffer.accept_replay(message.notifications)
+            return
+        replayed, fresh = record.relocation_buffer.flush()
+        for sequenced in replayed:
+            self._deliver_to_client(record, sequenced.notification, sequenced.sequence)
+        if replayed:
+            record.next_sequence = max(record.next_sequence, replayed[-1].sequence + 1)
+        for notification in fresh:
+            sequence = record.next_sequence
+            record.next_sequence += 1
+            self._deliver_to_client(record, notification, sequence)
+        record.relocation_buffer = None
+        for relocation in reversed(self.relocation_records):
+            if (
+                relocation.client_id == client_id
+                and relocation.subscription_id == subscription_id
+                and relocation.completed_at is None
+            ):
+                relocation.completed_at = self.clock.now
+                relocation.old_border = message.origin_border
+                relocation.replayed = len(replayed)
+                relocation.fresh = len(fresh)
+                break
 
     # ------------------------------------------------------------------
     # Logical mobility (Section 5)
     # ------------------------------------------------------------------
-    def _logical_route_open(self, state: LogicalSubscriptionState, neighbour: str) -> bool:
-        """Whether *neighbour* advertised something *state*'s subscription could match."""
-        return not self.config.use_advertisements or self._advertised_via(
-            neighbour, state.location_filter.base_filter
-        )
-
     def _store_logical_row(
         self, state: LogicalSubscriptionState, filter_: Optional[Filter]
     ) -> None:
@@ -1635,22 +1465,20 @@ class Broker:
         sent after it (the same late binding the generic
         :meth:`refresh_forwarding` performs for plain subscriptions).
         """
-        if toward not in self._links or self.strategy.floods_notifications:
+        if self.strategy.floods_notifications:
             return
         for state in self._logical_states.values():
-            if state.destination == toward:
-                # The subscription came from there: sending it back would
-                # replace the state it came from.
+            if state.destination == toward or toward in state.forwarded_to:
+                # Sending it back where it came from would replace the
+                # state it came from; sending it twice would do nothing.
                 continue
-            if toward not in state.forwarded_to and self._logical_route_open(state, toward):
+            if self._may_forward(toward, state.location_filter.base_filter):
                 state.forwarded_to += (toward,)
                 self._links[toward].send(state.subscribe_message(state.hop_index + 1))
 
     def _handle_location_dependent_subscribe(
-        self, message: LocationDependentSubscribe, from_destination: Optional[str]
+        self, message: LocationDependentSubscribe, from_destination: str
     ) -> LogicalSubscriptionState:
-        if from_destination is None:
-            raise ValueError("LocationDependentSubscribe over a link requires a source")
         state = LogicalSubscriptionState.from_subscribe(
             message, from_destination, self.filter_caches
         )
@@ -1671,8 +1499,9 @@ class Broker:
         # location-dependent part degenerates to pure client-side
         # filtering at the border broker (Figure 3b).
         if not self.strategy.floods_notifications:
+            base_filter = state.location_filter.base_filter
             for neighbour in self.neighbours():
-                if neighbour != from_destination and self._logical_route_open(state, neighbour):
+                if neighbour != from_destination and self._may_forward(neighbour, base_filter):
                     state.forwarded_to += (neighbour,)
                     self._links[neighbour].send(forward)
         return state
@@ -1770,3 +1599,45 @@ class Broker:
         return "Broker({}, strategy={}, clients={}, table={})".format(
             self.name, self.strategy.name, sorted(self._clients), len(self.subscription_table)
         )
+
+    # ------------------------------------------------------------------
+    # The message table: how each message a broker link carries enters
+    # ------------------------------------------------------------------
+    #: ``type(message) -> (counter of its kind's received messages,
+    #: journaled, interns its filter, handler)``, read by :meth:`_apply`.
+    #: The routing state is a function of the journaled messages alone.
+    #: Notifications are not among them (durable redelivery is the
+    #: counterparts' and sequence numbers' job), nor is control traffic
+    #: (liveness and retention windows are volatile by design).  A
+    #: FetchRequest's table effect depends on volatile state (is there a
+    #: counterpart here?), so its handler journals the Unsubscribe /
+    #: Subscribe writes of the branch it took.  Replay and
+    #: RelocationComplete change no routing state: they fill relocation
+    #: buffers, which a crash clears.
+    _MESSAGE_TABLE: Dict[type, Tuple[str, bool, bool, Callable[..., Any]]] = {
+        Notification: ("notifications_received", False, False, _handle_notification),
+        SequencedForward: ("notifications_received", False, False, _handle_sequenced_forward),
+        ForwardAck: ("control_received", False, False, _handle_forward_ack),
+        Heartbeat: ("control_received", False, False, _handle_heartbeat),
+        Subscribe: ("admin_received", True, True, _handle_subscribe),
+        Unsubscribe: ("admin_received", True, True, _handle_unsubscribe),
+        Advertise: ("admin_received", True, True, _handle_advertise),
+        Unadvertise: ("admin_received", True, True, _handle_unadvertise),
+        MovedSubscribe: ("mobility_received", True, True, _handle_moved_subscribe),
+        FetchRequest: ("mobility_received", False, True, _handle_fetch_request),
+        Replay: ("mobility_received", False, False, _handle_relocation_message),
+        RelocationComplete: ("mobility_received", False, False, _handle_relocation_message),
+        LocationDependentSubscribe: (
+            "mobility_received",
+            True,
+            False,
+            _handle_location_dependent_subscribe,
+        ),
+        LocationDependentUnsubscribe: (
+            "mobility_received",
+            True,
+            False,
+            _handle_location_dependent_unsubscribe,
+        ),
+        LocationUpdate: ("mobility_received", True, False, _handle_location_update),
+    }

@@ -228,11 +228,11 @@ class RoutingSnapshot(Message):
 class AdminLogRecord(Message):
     """One logged admin/mobility message, wrapped with its provenance.
 
-    *origin* is the ``from_destination`` the broker dispatched the entry
-    with — a neighbour broker name for link traffic, a client id for
-    operations of locally attached clients.  Replaying the entry through
-    ``Broker._dispatch(entry, from_destination=origin)`` reproduces the
-    original state transition.  *sequence* numbers the log (1-based,
+    *origin* is the origin the broker applied the entry with — a
+    neighbour broker name for link traffic, a client id for operations
+    of locally attached clients.  Replaying the entry through
+    ``Broker._apply(entry, origin)`` reproduces the original state
+    transition.  *sequence* numbers the log (1-based,
     contiguous per broker); *logged_at* is the clock reading when the
     entry was appended.
 

@@ -38,8 +38,12 @@ from repro.filters.constraints import (
 from repro.filters.filter import Filter, MatchAll, MatchNone
 
 
-class WireDecodeError(ValueError):
-    """Raised for malformed filter or constraint payloads."""
+class WireError(ValueError):
+    """Raised for malformed payloads: filters, constraints, messages and frames.
+
+    The one decode error of the codec; :mod:`repro.messages.wire` raises
+    and re-exports it.
+    """
 
 
 def _value_to_wire(canonical: Sequence[Any]) -> List[Any]:
@@ -50,13 +54,13 @@ def _value_to_wire(canonical: Sequence[Any]) -> List[Any]:
 def _value_from_wire(payload: Sequence[Any]) -> Any:
     """Invert :func:`_value_to_wire` back to a plain attribute value."""
     if not isinstance(payload, (list, tuple)) or len(payload) != 2:
-        raise WireDecodeError("malformed value key: {!r}".format(payload))
+        raise WireError("malformed value key: {!r}".format(payload))
     tag, value = payload
     if tag == "number":
         return float(value)
     if tag in ("string", "boolean"):
         return value
-    raise WireDecodeError("unknown value type tag: {!r}".format(tag))
+    raise WireError("unknown value type tag: {!r}".format(tag))
 
 
 def constraint_to_wire(constraint: Constraint) -> List[Any]:
@@ -73,7 +77,7 @@ def constraint_to_wire(constraint: Constraint) -> List[Any]:
         return [op, [_value_to_wire(value_key) for value_key in key[1]]]
     if op == "prefix":
         return [op, key[1]]
-    raise WireDecodeError("constraint {!r} has no wire form".format(constraint))
+    raise WireError("constraint {!r} has no wire form".format(constraint))
 
 
 _SCALAR_OPS = {
@@ -89,7 +93,7 @@ _SCALAR_OPS = {
 def constraint_from_wire(payload: Sequence[Any]) -> Constraint:
     """Rebuild a constraint from its wire form (inverse of ``constraint_to_wire``)."""
     if not isinstance(payload, (list, tuple)) or not payload:
-        raise WireDecodeError("malformed constraint payload: {!r}".format(payload))
+        raise WireError("malformed constraint payload: {!r}".format(payload))
     op = payload[0]
     if op == "any":
         return AnyValue()
@@ -109,7 +113,7 @@ def constraint_from_wire(payload: Sequence[Any]) -> Constraint:
         return InSet([_value_from_wire(value_key) for value_key in payload[1]])
     if op == "prefix":
         return Prefix(payload[1])
-    raise WireDecodeError("unknown constraint operator: {!r}".format(op))
+    raise WireError("unknown constraint operator: {!r}".format(op))
 
 
 def filter_to_wire(filter_: Filter) -> Dict[str, Any]:
@@ -144,11 +148,11 @@ def filter_from_wire(payload: Dict[str, Any]) -> Filter:
     if kind == "all":
         return MatchAll()
     if kind != "filter":
-        raise WireDecodeError("unknown filter kind: {!r}".format(kind))
+        raise WireError("unknown filter kind: {!r}".format(kind))
     constraints: Dict[str, Constraint] = {}
     for item in payload.get("constraints", ()):
         if not isinstance(item, (list, tuple)) or len(item) != 2:
-            raise WireDecodeError("malformed filter constraint entry: {!r}".format(item))
+            raise WireError("malformed filter constraint entry: {!r}".format(item))
         name, spec = item
         constraints[name] = constraint_from_wire(spec)
     return Filter(constraints)

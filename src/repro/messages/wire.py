@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Type
 
+from repro.filters.wire import WireError
 from repro.messages.base import CANONICAL_JSON, Message
 
 #: Upper bound on one frame's payload (a defensive cap, not a protocol
@@ -35,10 +36,6 @@ MAX_FRAME_PAYLOAD = 64 * 1024 * 1024
 
 #: Number of bytes of the frame's length prefix.
 FRAME_HEADER_SIZE = 4
-
-
-class WireError(ValueError):
-    """Raised for unknown message types and malformed frames."""
 
 
 def _message_types() -> Dict[str, Type[Message]]:

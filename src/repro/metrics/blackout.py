@@ -75,14 +75,12 @@ class NodeLossBlackout:
 
     Reuses the Figure-3 blackout machinery, but anchored on a *crash*
     instead of a subscription: which matching notifications published
-    while (and shortly after) a broker was down reached the subscriber,
-    and how long after the crash deliveries resumed.
+    while (and shortly after) a broker was down reached the subscriber.
     """
 
     crash_time: float
     restore_time: Optional[float]
     report: BlackoutReport
-    delivery_times: List[float]
 
     @property
     def lost(self) -> List[Tuple[float, Identity]]:
@@ -93,14 +91,6 @@ class NodeLossBlackout:
     def lost_count(self) -> int:
         """Number of matching notifications lost to the outage."""
         return len(self.lost)
-
-    @property
-    def resumption_delay(self) -> Optional[float]:
-        """Crash-to-first-post-crash-delivery delay (``None``: none arrived)."""
-        post = [t for t in self.delivery_times if t >= self.crash_time]
-        if not post:
-            return None
-        return min(post) - self.crash_time
 
 
 def measure_node_loss_blackout(
@@ -128,17 +118,7 @@ def measure_node_loss_blackout(
         window_end=window_end,
         subscription_id=subscription_id,
     )
-    delivery_times = [
-        record.time
-        for record in trace.deliveries_for(client_id)
-        if subscription_id is None or record.subscription_id == subscription_id
-    ]
-    return NodeLossBlackout(
-        crash_time=crash_time,
-        restore_time=restore_time,
-        report=report,
-        delivery_times=delivery_times,
-    )
+    return NodeLossBlackout(crash_time=crash_time, restore_time=restore_time, report=report)
 
 
 def measure_blackout(

@@ -12,7 +12,6 @@ from typing import TYPE_CHECKING, Any, List, Optional, Tuple
 
 from repro.broker.client import Client
 from repro.mobility.itinerary import LogicalItinerary, RoamingItinerary, RoamingStep
-from repro.runtime.protocols import ScheduledCall
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.broker.network import PubSubNetwork
@@ -33,10 +32,6 @@ class ItineraryDriver:
         self.client = client
         self.realised_locations: List[Tuple[float, str]] = []
         self.realised_attachments: List[Tuple[float, Optional[str]]] = []
-        #: Handles of every movement step scheduled but not yet applied;
-        #: every backend's clock returns a cancellable
-        #: :class:`~repro.runtime.protocols.ScheduledCall`.
-        self.pending: List[ScheduledCall] = []
 
     # -- logical mobility ---------------------------------------------------
     def schedule_logical(self, itinerary: LogicalItinerary) -> None:
@@ -51,13 +46,11 @@ class ItineraryDriver:
             if step.time <= clock.now:
                 self._apply_location(step.location)
             else:
-                self.pending.append(
-                    clock.schedule_at(
-                        step.time,
-                        self._apply_location,
-                        step.location,
-                        label="set_location {}".format(step.location),
-                    )
+                clock.schedule_at(
+                    step.time,
+                    self._apply_location,
+                    step.location,
+                    label="set_location {}".format(step.location),
                 )
 
     def _apply_location(self, location: str) -> None:
@@ -81,7 +74,7 @@ class ItineraryDriver:
             if step.time <= clock.now:
                 callback(*args)
             else:
-                self.pending.append(clock.schedule_at(step.time, callback, *args, label=label))
+                clock.schedule_at(step.time, callback, *args, label=label)
 
     def _apply_detach(self) -> None:
         self.client.detach()
@@ -93,24 +86,6 @@ class ItineraryDriver:
         # subscriptions) and genuine relocations (moved subscriptions).
         self.client.move_to(broker)
         self.realised_attachments.append((self.network.clock.now, broker_name))
-
-    # -- cancellation -------------------------------------------------------
-    def cancel_pending(self) -> int:
-        """Cancel every movement step not yet applied.
-
-        Used to cut an itinerary short (e.g. the scenario crashes the
-        client's broker and the rest of the journey no longer makes
-        sense).  Cancelling a step that already executed is harmless on
-        every backend (the handle has left the queue).  Returns the
-        number of handles cancelled by this call.
-        """
-        cancelled = 0
-        for handle in self.pending:
-            if not handle.cancelled:
-                handle.cancel()
-                cancelled += 1
-        self.pending.clear()
-        return cancelled
 
     # -- results ------------------------------------------------------------------
     def location_timeline(self) -> List[Tuple[float, str]]:

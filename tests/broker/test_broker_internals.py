@@ -10,8 +10,9 @@ from repro.broker import base
 from repro.broker.base import subscription_token
 from repro.broker.network import PubSubNetwork
 from repro.filters.filter import Filter
-from repro.messages.admin import Subscribe, Unsubscribe
+from repro.messages.admin import Advertise, Subscribe, Unsubscribe
 from repro.messages.base import MessageKind
+from repro.messages.wire import message_type_registry
 from repro.topology.builders import line_topology
 
 
@@ -234,7 +235,7 @@ class TestBrokerGuards:
         network = PubSubNetwork(line_topology(2), strategy="covering", latency=0.01)
         broker = network.broker("B1")
         with pytest.raises(TypeError):
-            broker._dispatch(object(), from_destination="B2")  # type: ignore[arg-type]
+            broker.receive(object(), network.links[("B2", "B1")])  # type: ignore[arg-type]
 
     def test_link_source_must_match_broker(self):
         network = PubSubNetwork(line_topology(2), strategy="covering", latency=0.01)
@@ -266,3 +267,68 @@ class TestBrokerGuards:
         network.add_client("C", "B1")
         assert network.broker("B1").is_border_broker()
         assert not network.broker("B2").is_border_broker()
+
+
+class TestMessageTable:
+    """``Broker._MESSAGE_TABLE``: one row per message type a broker link
+    carries, saying how it enters the broker."""
+
+    #: Registered on the wire but never sent over a broker link: telemetry
+    #: travels to sinks and collectors, a snapshot to stable storage, and a
+    #: sequenced notification only inside a ``Replay``.
+    NOT_ON_LINKS = {
+        "LogEvent",
+        "MetricSnapshotEvent",
+        "SpanEvent",
+        "RoutingSnapshot",
+        "SequencedNotification",
+    }
+    JOURNALED = {
+        "Subscribe",
+        "Unsubscribe",
+        "Advertise",
+        "Unadvertise",
+        "MovedSubscribe",
+        "LocationDependentSubscribe",
+        "LocationDependentUnsubscribe",
+        "LocationUpdate",
+    }
+    RECEIVED_COUNTER = {
+        MessageKind.NOTIFICATION: "notifications_received",
+        MessageKind.ADMIN: "admin_received",
+        MessageKind.MOBILITY: "mobility_received",
+        MessageKind.CONTROL: "control_received",
+    }
+
+    def test_every_link_message_type_has_exactly_one_row(self):
+        link_types = {
+            message_type
+            for name, message_type in message_type_registry().items()
+            if name not in self.NOT_ON_LINKS
+        }
+        assert len(link_types) == 15
+        assert set(base.Broker._MESSAGE_TABLE) == link_types
+
+    def test_journaled_rows(self):
+        journaled = {
+            message_type.__name__
+            for message_type, (_, is_journaled, _, _) in base.Broker._MESSAGE_TABLE.items()
+            if is_journaled
+        }
+        assert journaled == self.JOURNALED
+
+    def test_each_row_counts_its_kinds_received_counter(self):
+        for message_type, (counter, _, _, _) in base.Broker._MESSAGE_TABLE.items():
+            assert counter == self.RECEIVED_COUNTER[message_type.kind], message_type
+
+    def test_client_operations_are_journaled_but_not_counted_as_received(self):
+        network = PubSubNetwork(line_topology(2), strategy="covering", latency=0.01)
+        broker = network.broker("B1")
+        broker.enable_recovery()
+        network.add_client("P", "B2").advertise({"topic": "news"})
+        network.settle()
+        network.add_client("C", "B1").subscribe({"topic": "news"})
+        network.settle()
+        journal = [(record.origin, type(record.entry)) for record in broker.recovery.log_tail()]
+        assert journal == [("B2", Advertise), ("C", Subscribe)]
+        assert broker.counters["admin_received"] == 1

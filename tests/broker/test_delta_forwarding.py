@@ -234,7 +234,7 @@ class TestModesAndFlags:
         broker.subscription_table.add(_loc_filter("b"), "N2", "s2")
         _assert_in_sync(broker)
         broker._refresh_all_forwarding()
-        broker.simulator.run()
+        broker.clock.run()
         assert all(state.entries == {} for state in broker._forwarding_states.values())
         assert sink == []
         # A pair the relocation protocol wrote behind the refresh's back
@@ -243,7 +243,7 @@ class TestModesAndFlags:
         broker._forwarded_subscriptions["N1"][(moved.key(), "tok")] = moved
         broker._forwarding_states["N1"].full_diff = True
         broker._refresh_all_forwarding()
-        broker.simulator.run()
+        broker.clock.run()
         assert [(type(message), message.filter, message.subject) for message in sink] == [
             (Unsubscribe, moved, "tok")
         ]

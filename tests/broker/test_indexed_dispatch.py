@@ -179,7 +179,7 @@ def test_advert_gate_counters_account_hits_and_misses():
     )
     broker.advertisement_table.add(Filter({"service": "parking"}), "N1", "a1")
     filter_ = Filter({"service": "parking", "location": "a"})
-    assert broker._advertised_via("N1", filter_) is True
+    assert broker._may_forward("N1", filter_) is True
     assert broker.counters["advert_gate_misses"] == 1
-    assert broker._advertised_via("N1", filter_) is True
+    assert broker._may_forward("N1", filter_) is True
     assert broker.counters["advert_gate_hits"] == 1

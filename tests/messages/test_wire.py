@@ -43,7 +43,7 @@ from repro.filters.constraints import (
 )
 from repro.broker.recovery import RoutingSnapshot
 from repro.filters.filter import Filter, MatchAll, MatchNone
-from repro.filters.wire import filter_from_wire, filter_to_wire
+from repro.filters.wire import constraint_from_wire, filter_from_wire, filter_to_wire
 from repro.messages.admin import Advertise, Subscribe, Unadvertise, Unsubscribe
 from repro.messages.control import ForwardAck, Heartbeat, SequencedForward
 from repro.messages.mobility import (
@@ -461,6 +461,25 @@ def test_malformed_payloads_raise_wire_error_only(data):
 def test_valid_json_of_the_wrong_shape_is_a_wire_error(data):
     with pytest.raises(WireError):
         decode_message(data)
+
+
+@pytest.mark.parametrize(
+    "decode, payload",
+    [
+        (filter_from_wire, {"kind": "some"}),
+        (filter_from_wire, {"kind": "filter", "constraints": [["a"]]}),
+        (filter_from_wire, {"kind": "filter", "constraints": [["a", ["near", 1]]]}),
+        (constraint_from_wire, []),
+        (constraint_from_wire, ["eq", ["colour", "red"]]),
+        (constraint_from_wire, ["eq", "red"]),
+    ],
+    ids=["filter-kind", "filter-entry", "filter-operator", "empty", "value-tag", "value-shape"],
+)
+def test_filter_decoders_raise_the_message_codecs_wire_error(decode, payload):
+    """Filters and constraints decode below the message codec, and fail with
+    its one error type: a reader catching ``WireError`` catches them too."""
+    with pytest.raises(WireError):
+        decode(payload)
 
 
 def test_registry_covers_every_concrete_message_type():

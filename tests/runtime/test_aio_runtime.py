@@ -53,10 +53,10 @@ def _exploding_network(error):
     network = PubSubNetwork(line_topology(2), runtime=AioRuntime())
     broker = network.broker("B2")
 
-    def boom(message, from_destination=None):
+    def boom(message, origin, received=False):
         raise error
 
-    broker._dispatch = boom
+    broker._apply = boom
     return network
 
 

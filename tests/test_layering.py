@@ -141,7 +141,6 @@ MODULE_STATE_ALLOWED = {
     "repro.filters.wire._SCALAR_OPS",
     "repro.messages.base.EMPTY_META",
     # Type variables.
-    "repro.core.dynamic_filter.State",
     "repro.sim.rng.T",
     # Sentinels.
     "repro.core.location_filter.MYLOC",
