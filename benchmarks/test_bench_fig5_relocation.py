@@ -33,7 +33,7 @@ def _relocation_with_disconnection(notifications_while_away: int):
     network.settle()
     consumer.move_to(network.broker("B1"))
     network.settle()
-    relocation = network.broker("B1").relocation_records[-1]
+    relocation = network.broker("B1").physical.relocation_records[-1]
     report = check_completeness(network.trace, "C", Filter({"topic": "news"}))
     assert report.complete
     assert check_no_duplicates(network.trace, "C").clean

@@ -85,7 +85,7 @@ def main() -> None:
     relocations = [
         record
         for broker in network.brokers.values()
-        for record in broker.relocation_records
+        for record in broker.physical.relocation_records
         if record.completed_at is not None
     ]
     if relocations:

@@ -8,11 +8,12 @@ A :class:`Broker` owns
   filters are forwarded to which neighbours,
 * outgoing links to its neighbour brokers,
 * registrations of locally attached clients (making it a *border broker*
-  for those clients), and
-* the per-subscription mobility state of both protocols: virtual
-  counterparts and relocation buffers for physical mobility (Section 4),
-  and :class:`~repro.core.logical.LogicalSubscriptionState` records for
-  logical mobility (Section 5).
+  for those clients) and their relocation buffers, and
+* three components, each beside the state it owns and declaring its rows
+  of :attr:`Broker._MESSAGE_TABLE`: :class:`~repro.core.physical.
+  PhysicalMobility` (Section 4), :class:`~repro.core.logical.
+  LogicalMobility` (Section 5) and :class:`~repro.broker.recovery.
+  Reliability` (journal, retention window, heartbeats).
 
 Subscription forwarding is organised around a single primitive,
 :meth:`Broker.refresh_forwarding`: for a neighbour ``N`` the broker
@@ -27,38 +28,20 @@ keeps the broker's behaviour consistent across all of them.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.location_filter import (
-    LocationDependentFilter,
-    LocationDependentSubscribe,
-    LocationDependentUnsubscribe,
-)
+from repro.core.location_filter import LocationDependentUnsubscribe
 from repro.broker.forwarding import NeighbourForwardingState
-from repro.core.logical import LogicalSubscriptionState
+from repro.core.logical import LogicalMobility, LogicalSubscriptionState
 from repro.dispatch.plan import DispatchPlan
-from repro.core.physical import RelocationBuffer, RelocationRecord, VirtualCounterpart
+from repro.core.physical import PhysicalMobility, RelocationBuffer
 from repro.filters.filter import Filter, MatchNone
 from repro.filters.merging import FilterCaches
-from repro.broker.recovery import (
-    RecoveryStore,
-    ReplaySink,
-    RoutingSnapshot,
-    apply_snapshot,
-    build_snapshot,
-)
+from repro.broker.recovery import RecoveryStore, Reliability
 from repro.messages.admin import Advertise, Subscribe, Unadvertise, Unsubscribe
 from repro.messages.base import Message
-from repro.messages.control import ForwardAck, Heartbeat, SequencedForward
-from repro.messages.mobility import (
-    FetchRequest,
-    LocationUpdate,
-    MovedSubscribe,
-    RelocationComplete,
-    Replay,
-)
+from repro.messages.mobility import subscription_token
 from repro.messages.notification import Notification
 from repro.routing.strategies import RoutingStrategy
 from repro.routing.table import RoutingTable
@@ -66,11 +49,6 @@ from repro.runtime.protocols import Channel, Clock
 from repro.runtime.trace import TraceRecorder
 from repro.telemetry.events import HOP_DELIVER, HOP_DISPATCH, HOP_FORWARD, trace_id_of
 from repro.telemetry.registry import MetricRegistry
-
-
-def subscription_token(client_id: str, subscription_id: str) -> str:
-    """The routing subject used for one client subscription."""
-    return "{}/{}".format(client_id, subscription_id)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +127,7 @@ class BrokerConfig:
         oldest evicted first) until the receiving broker's cumulative
         :class:`~repro.messages.control.ForwardAck` releases it.  The
         retained, unacknowledged window is what
-        :meth:`Broker.takeover_subscribe` replays to a durable
+        :meth:`~repro.core.physical.PhysicalMobility.takeover_subscribe` replays to a durable
         subscriber failing over from a crashed neighbour — closing the
         in-flight loss window the paper's failure-free model never had
         to consider.  ``None`` (the default) keeps the paper's bare
@@ -172,10 +150,10 @@ class _SubscriptionRecord:
     next_sequence: int = 1
     relocation_buffer: Optional[RelocationBuffer] = None
     logical: Optional[LogicalSubscriptionState] = None
+    token: str = field(init=False)
 
-    @property
-    def token(self) -> str:
-        return subscription_token(self.client_id, self.subscription_id)
+    def __post_init__(self) -> None:
+        self.token = subscription_token(self.client_id, self.subscription_id)
 
 
 @dataclass
@@ -184,6 +162,7 @@ class _ClientRegistration:
 
     client: Any
     attached: bool = True
+    #: token -> record
     subscriptions: Dict[str, _SubscriptionRecord] = field(default_factory=dict)
     advertisements: Dict[str, Filter] = field(default_factory=dict)
 
@@ -223,26 +202,12 @@ class Broker:
         self._links: Dict[str, Channel] = {}
 
         # Crash recovery: ``recovery`` holds the (optional) persistent
-        # store, ``_crashed`` gates message intake while down, and
-        # ``_replaying`` suppresses journaling while the log tail is
-        # re-applied on restart.
+        # store, which survives a crash; ``_crashed`` gates message intake
+        # while down.
         self.recovery: Optional[RecoveryStore] = None
         self._crashed = False
-        self._replaying = False
-        self.crashed_at: Optional[float] = None
-        self.restarted_at: Optional[float] = None
 
         self._init_routing_state()
-
-        # Border-broker state.
-        self._clients: Dict[str, _ClientRegistration] = {}
-        self._counterparts: Dict[str, VirtualCounterpart] = {}
-
-        # Logical mobility: token -> per-broker subscription state.
-        self._logical_states: Dict[str, LogicalSubscriptionState] = {}
-
-        # Relocation bookkeeping (benchmarks read this).
-        self.relocation_records: List[RelocationRecord] = []
 
         # Counters used by tests and diagnostics.  This is *the same
         # dict* as ``self.metrics.counters`` — the registry sees every
@@ -274,26 +239,18 @@ class Broker:
         """(Re)create every piece of volatile routing state.
 
         Called once from ``__init__`` and again by :meth:`crash`: the
-        routing tables, forwarded bookkeeping and all derived caches are
-        exactly what a process crash destroys, so resetting them *is* the
-        crash.  Existing links survive (they model the network's wiring,
-        re-established on restart) and get fresh empty per-neighbour
-        state.
+        routing tables, forwarded bookkeeping, derived caches, client
+        registrations and the three components are exactly what a process
+        crash destroys, so building them anew *is* the crash.  Existing
+        links survive (they model the network's wiring, re-established on
+        restart) and get fresh empty per-neighbour state.
         """
         self.subscription_table = RoutingTable()
         self.advertisement_table = RoutingTable()
-        # Liveness: neighbour -> clock reading of the last heartbeat heard
-        # from it.  Volatile on purpose — a restarted broker must re-earn
-        # its lease before neighbours consider it alive again.
-        self.heartbeat_last_heard: Dict[str, float] = {}
-        # In-flight retention (config.forward_retention): per-neighbour
-        # window of (link_seq, notification) forwards not yet acked, the
-        # next outgoing link sequence, and the highest link sequence
-        # processed from each neighbour.  All volatile: the *upstream*
-        # copy is what protects a crashing broker's in-flight traffic.
-        self._retained_forwards: Dict[str, Deque[Tuple[int, Notification]]] = {}
-        self._forward_link_seq: Dict[str, int] = {}
-        self._forward_recv_seq: Dict[str, int] = {}
+        self._clients: Dict[str, _ClientRegistration] = {}
+        self.physical = PhysicalMobility(self)
+        self.logical = LogicalMobility(self)
+        self.reliability = Reliability(self)
         # neighbour -> {(filter key, subject): Filter} already forwarded there
         self._forwarded_subscriptions: Dict[str, Dict[Tuple[Any, str], Filter]] = {}
         self._forwarded_advertisements: Dict[str, Dict[Tuple[Any, str], Filter]] = {}
@@ -369,7 +326,7 @@ class Broker:
 
     def is_border_broker(self) -> bool:
         """``True`` when at least one client is (or was) attached here."""
-        return bool(self._clients) or bool(self._counterparts)
+        return bool(self._clients or self.physical.counterparts)
 
     # ------------------------------------------------------------------
     # Message entry points
@@ -410,24 +367,16 @@ class Broker:
         row = self._MESSAGE_TABLE.get(type(message))
         if row is None:
             raise TypeError("broker {} cannot handle message {!r}".format(self.name, message))
-        counter, journaled, interns, handler = row
+        counter, journaled, interns, component, handler = row
         if received:
             self.counters[counter] += 1
         if journaled:
-            self._journal(origin, message)
+            self.reliability.journal(origin, message)
         if interns:
             # A decoded or replayed copy gives way to the live filter, on
             # the message too, since a trace keeps the message.
             message.filter = self.filter_caches.intern(message.filter)
-        return handler(self, message, origin)
-
-    def _journal(self, origin: str, message: Message) -> None:
-        """Append a routing-state change to the recovery log.
-
-        Replayed entries are not re-journaled.
-        """
-        if self.recovery is not None and not self._replaying:
-            self.recovery.append(origin, message, self.clock.now)
+        return handler(self if component is None else getattr(self, component), message, origin)
 
     # ------------------------------------------------------------------
     # Crash / restart lifecycle
@@ -437,94 +386,34 @@ class Broker:
         """Whether the broker is currently down (between crash and restart)."""
         return self._crashed
 
-    def enable_recovery(self, store: Optional[RecoveryStore] = None) -> RecoveryStore:
-        """Attach a recovery store; admin traffic is journaled from now on.
-
-        *store* selects the backend — any :class:`RecoveryStore`
-        implementation, e.g. a :class:`~repro.broker.recovery.
-        DiskRecoveryStore`; ``None`` attaches the in-memory default.
-        Enable recovery *before* routing state is built up (or take a
-        snapshot right after enabling) — the log only captures traffic
-        processed while the store is attached.
-        """
-        if self.recovery is None:
-            self.recovery = store if store is not None else RecoveryStore(self.name)
-        elif store is not None and store is not self.recovery:
-            raise ValueError(
-                "broker {} already has a recovery store attached".format(self.name)
-            )
-        return self.recovery
-
-    def take_snapshot(self) -> RoutingSnapshot:
-        """Checkpoint the routing state into the recovery store.
-
-        The snapshot covers the log written so far, so the store drops
-        that prefix; a subsequent restart decodes the snapshot and
-        replays only the tail.
-        """
-        if self.recovery is None:
-            raise ValueError("broker {} has no recovery store".format(self.name))
-        snapshot = build_snapshot(self, log_index=self.recovery.log_index)
-        self.recovery.install_snapshot(snapshot)
-        return snapshot
-
     def crash(self) -> None:
         """Simulate a process crash: all volatile state is lost.
 
-        The broker object survives — its name and links are the
-        network's wiring, re-established on restart — but routing
-        tables, forwarding bookkeeping, derived caches, client
-        registrations, virtual counterparts, relocation buffers and
-        logical-mobility state are gone.  Messages arriving while down
-        are dropped (recorded with reason ``"broker-down"``).  The
-        recovery store, modelling stable storage, survives.
+        The broker object survives — its name and links are the network's
+        wiring — but everything :meth:`_init_routing_state` builds is built
+        anew.  Messages arriving while down are dropped (recorded with
+        reason ``"broker-down"``).  The recovery store, modelling stable
+        storage, survives.
         """
         if self._crashed:
             raise ValueError("broker {} is already down".format(self.name))
         self._crashed = True
-        self.crashed_at = self.clock.now
         if self._telemetry is not None:
             self._telemetry.log("error", "broker crashed")
         self._init_routing_state()
-        self._clients.clear()
-        self._counterparts.clear()
-        self._logical_states.clear()
 
     def restart(self) -> int:
         """Bring a crashed broker back, recovering routing state.
 
-        Applies the stored snapshot (rows recreated with their pinned
-        creation sequence numbers), then replays the log tail through
-        :meth:`_apply` with every outgoing link swapped for a
-        :class:`~repro.broker.recovery.ReplaySink` — the replay must
-        evolve local state exactly as the first execution did without
-        re-sending anything.  Derived structures are invalidated and
-        rebuilt lazily from the recovered tables.  Returns the number of
-        log records replayed.
+        The recovery store's snapshot and log tail rebuild the tables
+        (:meth:`~repro.broker.recovery.Reliability.recover`); derived
+        structures are invalidated and rebuilt lazily from them.  Returns
+        the number of log records replayed.
         """
         if not self._crashed:
             raise ValueError("broker {} is not down".format(self.name))
         self._crashed = False
-        self.restarted_at = self.clock.now
-        replayed = 0
-        if self.recovery is not None:
-            snapshot = self.recovery.snapshot()
-            if snapshot is not None:
-                apply_snapshot(self, snapshot)
-            tail = self.recovery.log_tail()
-            real_links = self._links
-            self._links = {
-                neighbour: ReplaySink(self.name, neighbour) for neighbour in real_links
-            }
-            self._replaying = True
-            try:
-                for record in tail:
-                    self._apply(record.entry, record.origin, received=True)
-            finally:
-                self._links = real_links
-                self._replaying = False
-            replayed = len(tail)
-            self.counters["recovery_log_replayed"] += replayed
+        replayed = self.reliability.recover()
         self._invalidate_forwarding_states()
         if self._telemetry is not None:
             self._telemetry.log(
@@ -556,10 +445,6 @@ class Broker:
     def detach_client(self, client_id: str, keep_counterpart: bool = True) -> None:
         """Detach a client, converting its subscriptions into virtual counterparts.
 
-        The routing entries stay in place so matching notifications keep
-        flowing here and get buffered — the "virtual counterpart of a
-        roaming client at the last known location" of Section 4.1.
-
         With ``keep_counterpart=False`` the broker keeps the routing
         entries but buffers nothing; matching notifications arriving for
         the absent client are simply lost.  This is the behaviour of an
@@ -570,41 +455,34 @@ class Broker:
         if registration is None:
             return
         registration.attached = False
-        if not keep_counterpart:
-            return
-        for record in registration.subscriptions.values():
-            token = record.token
-            if token in self._counterparts:
-                continue
-            counterpart = VirtualCounterpart(
-                client_id=record.client_id,
-                subscription_id=record.subscription_id,
-                filter_=record.filter,
-                next_sequence=record.next_sequence,
-                max_buffer=self.config.counterpart_max_buffer,
-            )
-            counterpart.created_at = self.clock.now
-            self._counterparts[token] = counterpart
+        if keep_counterpart:
+            self.physical.keep_counterparts(registration.subscriptions.values())
+
+    def _add_subscription(
+        self, client_id: str, subscription_id: str, filter_: Filter, next_sequence: int = 1
+    ) -> _SubscriptionRecord:
+        """Record a subscription of the attached client *client_id*."""
+        registration = self._require_client(client_id)
+        record = _SubscriptionRecord(client_id, subscription_id, filter_, next_sequence)
+        registration.subscriptions[record.token] = record
+        return record
 
     def client_subscribe(
         self, client_id: str, subscription_id: str, filter_: Filter
     ) -> None:
         """Register a plain (location-independent) subscription for a local client."""
-        registration = self._require_client(client_id)
-        record = _SubscriptionRecord(
-            client_id=client_id, subscription_id=subscription_id, filter=filter_
-        )
-        registration.subscriptions[subscription_id] = record
+        record = self._add_subscription(client_id, subscription_id, filter_)
         self._apply(Subscribe(filter_, subject=record.token), client_id)
 
     def client_unsubscribe(self, client_id: str, subscription_id: str) -> None:
         """Withdraw a local client's subscription and propagate the change."""
         registration = self._require_client(client_id)
-        record = registration.subscriptions.pop(subscription_id, None)
+        token = subscription_token(client_id, subscription_id)
+        record = registration.subscriptions.pop(token, None)
         if record is None:
             return
         if record.logical is None:
-            self._apply(Unsubscribe(record.filter, subject=record.token), client_id)
+            self._apply(Unsubscribe(record.filter, subject=token), client_id)
             return
         message = LocationDependentUnsubscribe(client_id=client_id, subscription_id=subscription_id)
         self._apply(message, client_id)
@@ -634,191 +512,19 @@ class Broker:
         # A publish counts as received, like a notification off a link.
         self._apply(notification, client_id, received=True)
 
-    def client_moved_subscribe(
-        self,
-        client_id: str,
-        subscription_id: str,
-        filter_: Filter,
-        last_sequence: int,
-    ) -> None:
-        """Handle the re-issued subscription of a client that roamed to this broker.
+    # A client's mobility operations belong to their components; the
+    # broker keeps their names, by which the e2e benchmark times them.
+    def client_moved_subscribe(self, *args: Any) -> None:
+        """:meth:`~repro.core.physical.PhysicalMobility.client_moved_subscribe`."""
+        self.physical.client_moved_subscribe(*args)
 
-        This is step 3 of the paper's Figure 5: the client re-issues the
-        subscription together with the last received sequence number
-        (``(C, F, 123)``).  Neither the client nor this broker needs to
-        know the old border broker.
-        """
-        registration = self._require_client(client_id)
-        token = subscription_token(client_id, subscription_id)
-        record = _SubscriptionRecord(
-            client_id=client_id,
-            subscription_id=subscription_id,
-            filter=filter_,
-            next_sequence=last_sequence + 1,
-        )
-        registration.subscriptions[subscription_id] = record
-        started = RelocationRecord(
-            client_id=client_id,
-            subscription_id=subscription_id,
-            old_border=None,
-            new_border=self.name,
-            started_at=self.clock.now,
-        )
-        self.relocation_records.append(started)
+    def client_location_dependent_subscribe(self, *args: Any) -> None:
+        """:meth:`~repro.core.logical.LogicalMobility.client_location_dependent_subscribe`."""
+        self.logical.client_location_dependent_subscribe(*args)
 
-        # Degenerate case: the client re-attached at its old border broker.
-        local_counterpart = self._counterparts.pop(token, None)
-        if local_counterpart is not None:
-            # Only the table row survives a crash of this branch (the
-            # counterpart is volatile), so it is applied as a plain
-            # Subscribe: replaying a MovedSubscribe against a recovered
-            # table without the counterpart would forward it upstream,
-            # which the original execution never did.
-            subscribe = Subscribe(filter_, subject=token)
-            started.old_border = self.name
-            replayed = local_counterpart.replay_after(last_sequence)
-            for sequenced in replayed:
-                self._deliver_to_client(record, sequenced.notification, sequenced.sequence)
-            if replayed:
-                record.next_sequence = replayed[-1].sequence + 1
-            started.replayed = len(replayed)
-            started.completed_at = self.clock.now
-            self._apply(subscribe, client_id)
-            return
-
-        # Normal case: buffer new-path notifications until the replay
-        # arrives, then register the subscription and look for the
-        # junction starting at this broker.
-        record.relocation_buffer = RelocationBuffer(client_id, subscription_id, last_sequence)
-        moved = MovedSubscribe(
-            client_id=client_id,
-            subscription_id=subscription_id,
-            filter_=filter_,
-            last_sequence=last_sequence,
-            new_border=self.name,
-        )
-        if not self._apply(moved, client_id):
-            # No direction could possibly lead to the old location (an
-            # isolated broker, or no matching advertisements at all):
-            # complete the relocation immediately with an empty replay so
-            # the client does not wait forever.
-            record.relocation_buffer = None
-            started.completed_at = self.clock.now
-
-    def takeover_subscribe(
-        self,
-        client_id: str,
-        subscription_id: str,
-        filter_: Filter,
-        last_sequence: int,
-        dead_border: str,
-        seen_identities: Iterable[Tuple[str, int]] = (),
-    ) -> None:
-        """Adopt a durable subscription whose border broker crashed.
-
-        Neighbour takeover reuses the relocation bookkeeping but not the
-        fetch/replay handshake: the old border is known to be *dead*, so
-        there is no counterpart to fetch from — whatever it had buffered
-        died with it (the durable guarantee is preserved because takeover
-        happens while the delivery path through this broker is intact, so
-        matching notifications keep flowing here rather than into the
-        crashed broker).  Routing entries pointing at the dead broker are
-        dropped and the client's row is added.
-
-        With ``config.forward_retention`` on, the retained unacked window
-        toward *dead_border* is the exact set of notifications that may
-        have died in flight inside the crashed broker; the matching ones
-        the client has not already seen (*seen_identities*, the
-        ``(publisher, publisher_seq)`` pairs it received) are redelivered
-        here with fresh sequence numbers — closing the in-flight loss
-        window.  Without retention the relocation completes with zero
-        replay, as before.
-        """
-        registration = self._require_client(client_id)
-        token = subscription_token(client_id, subscription_id)
-        record = _SubscriptionRecord(
-            client_id=client_id,
-            subscription_id=subscription_id,
-            filter=filter_,
-            next_sequence=last_sequence + 1,
-        )
-        registration.subscriptions[subscription_id] = record
-        dead_rows = [
-            row
-            for row in self.subscription_table.entries_for_subject(token)
-            if row.destination == dead_border
-        ]
-        self._divert(token, dead_rows, filter_, client_id)
-        replayed = 0
-        if self.config.forward_retention is not None:
-            seen = set(seen_identities)
-            for _, notification in list(self._retained_forwards.get(dead_border, ())):
-                if notification.identity in seen:
-                    continue
-                if not filter_.matches(notification.attributes):
-                    continue
-                seen.add(notification.identity)
-                sequence = record.next_sequence
-                record.next_sequence += 1
-                self.counters["retention_replayed"] += 1
-                self._deliver_to_client(record, notification, sequence)
-                replayed += 1
-        now = self.clock.now
-        self.relocation_records.append(
-            RelocationRecord(
-                client_id=client_id,
-                subscription_id=subscription_id,
-                old_border=dead_border,
-                new_border=self.name,
-                started_at=now,
-                completed_at=now,
-                replayed=replayed,
-            )
-        )
-        self._refresh_all_forwarding(exclude=client_id)
-
-    def client_location_dependent_subscribe(
-        self,
-        client_id: str,
-        subscription_id: str,
-        location_filter: LocationDependentFilter,
-        movement_graph: Any,
-        plan: Any,
-        initial_location: str,
-    ) -> None:
-        """Register a location-dependent subscription for a local client (Section 5)."""
-        registration = self._require_client(client_id)
-        message = LocationDependentSubscribe(
-            client_id=client_id,
-            subscription_id=subscription_id,
-            location_filter=location_filter,
-            movement_graph=movement_graph,
-            plan=plan,
-            current_location=initial_location,
-            hop_index=0,
-        )
-        state = self._apply(message, client_id)
-        registration.subscriptions[subscription_id] = _SubscriptionRecord(
-            client_id=client_id,
-            subscription_id=subscription_id,
-            filter=state.stored_filter,
-            logical=state,
-        )
-
-    def client_set_location(self, client_id: str, new_location: str) -> None:
-        """Handle a location change of a locally attached, logically mobile client."""
-        registration = self._require_client(client_id)
-        for record in registration.subscriptions.values():
-            if record.logical is None:
-                continue
-            message = LocationUpdate(
-                client_id=client_id,
-                subscription_id=record.subscription_id,
-                old_location=record.logical.current_location,
-                new_location=new_location,
-                hop_index=record.logical.hop_index,
-            )
-            self._apply(message, client_id)
+    def client_set_location(self, *args: Any) -> None:
+        """:meth:`~repro.core.logical.LogicalMobility.client_set_location`."""
+        self.logical.client_set_location(*args)
 
     # ------------------------------------------------------------------
     # Notification handling
@@ -862,83 +568,10 @@ class Broker:
             if retention is None:
                 self._links[neighbour].send(notification)
             else:
-                self._send_retained_forward(neighbour, notification, retention)
+                self.reliability.send_retained_forward(neighbour, notification, retention)
 
         # Local delivery (including buffering into counterparts).
         self._deliver_locally(notification, from_destination, matched_entries)
-
-    # ------------------------------------------------------------------
-    # In-flight retention (config.forward_retention)
-    # ------------------------------------------------------------------
-    def _send_retained_forward(
-        self, neighbour: str, notification: Notification, window: int
-    ) -> None:
-        """Forward *notification* wrapped with a link sequence, retaining it.
-
-        The copy stays in the per-neighbour window until the neighbour's
-        cumulative ack covers it; a bounded window evicts oldest-first
-        (``retention_evicted`` counts the evictions — an eviction is a
-        reopened loss window, so sizing shows up in the counters).
-        """
-        sequence = self._forward_link_seq.get(neighbour, 0) + 1
-        self._forward_link_seq[neighbour] = sequence
-        buffer = self._retained_forwards.setdefault(neighbour, deque())
-        buffer.append((sequence, notification))
-        self.counters["forwards_retained"] += 1
-        while len(buffer) > window:
-            buffer.popleft()
-            self.counters["retention_evicted"] += 1
-        self._links[neighbour].send(
-            SequencedForward(notification, sender=self.name, link_seq=sequence)
-        )
-
-    def _handle_sequenced_forward(
-        self, message: SequencedForward, from_destination: Optional[str]
-    ) -> None:
-        """Unwrap a retained forward, process it, and ack it cumulatively."""
-        if from_destination is not None:
-            previous = self._forward_recv_seq.get(from_destination, 0)
-            self._forward_recv_seq[from_destination] = max(previous, message.link_seq)
-        self._handle_notification(message.notification, from_destination)
-        if from_destination in self._links and not self._replaying:
-            self._links[from_destination].send(
-                ForwardAck(
-                    sender=self.name,
-                    upto=self._forward_recv_seq.get(from_destination, message.link_seq),
-                )
-            )
-
-    def _handle_forward_ack(
-        self, message: ForwardAck, from_destination: Optional[str]
-    ) -> None:
-        buffer = self._retained_forwards.get(from_destination)
-        if not buffer:
-            return
-        while buffer and buffer[0][0] <= message.upto:
-            buffer.popleft()
-            self.counters["forwards_acked"] += 1
-
-    def retained_forwards(self, neighbour: str) -> List[Tuple[int, Notification]]:
-        """The currently retained (unacked) window toward *neighbour*."""
-        return list(self._retained_forwards.get(neighbour, ()))
-
-    # ------------------------------------------------------------------
-    # Heartbeats (liveness beacons consumed by the failure detector)
-    # ------------------------------------------------------------------
-    def emit_heartbeats(self) -> None:
-        """Send one :class:`Heartbeat` to every neighbour (no-op while down)."""
-        if self._crashed:
-            return
-        now = self.clock.now
-        for neighbour in self.neighbours():
-            self.counters["heartbeats_sent"] += 1
-            self._links[neighbour].send(Heartbeat(sender=self.name, sent_at=now))
-
-    def _handle_heartbeat(
-        self, message: Heartbeat, from_destination: Optional[str]
-    ) -> None:
-        if from_destination is not None:
-            self.heartbeat_last_heard[from_destination] = self.clock.now
 
     def _deliver_locally(
         self,
@@ -950,21 +583,21 @@ class Broker:
         # depends on the churn that built it; sort on the stable (row
         # destination, row creation seq) key so delivery order — and with
         # it every trace — is deterministic.
+        counterparts = self.physical.counterparts
         for entry in sorted(matched_entries, key=_entry_sort_key):
             destination = entry.destination
             if destination in self._links or destination == from_destination:
                 continue
             registration = self._clients.get(destination)
             for token in sorted(entry.subjects):
-                counterpart = self._counterparts.get(token)
+                counterpart = counterparts.get(token)
                 if counterpart is not None:
                     counterpart.buffer(notification)
                     self.counters["notifications_buffered_counterpart"] += 1
                     continue
                 if registration is None or not registration.attached:
                     continue
-                client_id, _, subscription_id = token.partition("/")
-                record = registration.subscriptions.get(subscription_id)
+                record = registration.subscriptions.get(token)
                 if record is None:
                     continue
                 if record.relocation_buffer is not None and not record.relocation_buffer.complete:
@@ -1014,7 +647,7 @@ class Broker:
         if from_destination in self._links:
             # Subscriptions may now become forwardable toward the advertiser.
             self.refresh_forwarding(from_destination)
-            self._reforward_logical_subscriptions(toward=from_destination)
+            self.logical.reforward_subscriptions(toward=from_destination)
 
     def _handle_unadvertise(self, message: Unadvertise, from_destination: str) -> None:
         self.advertisement_table.remove(message.filter, from_destination, message.subject)
@@ -1061,23 +694,13 @@ class Broker:
         for state in self._forwarding_states.values():
             state.valid = False
 
-    def _is_logical_row(self, row, subject: str) -> bool:
-        """Whether *row* is the one a location-dependent *subject* is stored in.
-
-        That row travels by the Section 5 protocol, not by the generic
-        refresh; tested per row, so that writing, moving and removing it
-        changes no forwarding state's input.
-        """
-        state = self._logical_states.get(subject)
-        return state is not None and state.owns(row)
-
     # ------------------------------------------------------------------
     # Routing-table delta listener (see RoutingTable.add_delta_listener):
     # applies row-level changes directly to the cached per-neighbour
     # desired sets, making routing changes O(affected entries).
     # ------------------------------------------------------------------
     def row_subject_added(self, row, subject: str, created_row: bool) -> None:
-        if isinstance(row.filter, MatchNone) or self._is_logical_row(row, subject):
+        if isinstance(row.filter, MatchNone) or self.logical.is_logical_row(row, subject):
             return
         filter_ = row.filter
         destination = row.destination
@@ -1090,7 +713,8 @@ class Broker:
     def row_subjects_removed(self, row, subjects: Sequence[str], removed_row: bool) -> None:
         if isinstance(row.filter, MatchNone):
             return
-        plain = [subject for subject in subjects if not self._is_logical_row(row, subject)]
+        is_logical_row = self.logical.is_logical_row
+        plain = [subject for subject in subjects if not is_logical_row(row, subject)]
         if not plain:
             return
         filter_ = row.filter
@@ -1163,7 +787,8 @@ class Broker:
         only travels toward a neighbour that advertised something
         overlapping it.
         """
-        no_logical = not self._logical_states
+        logical = self.logical
+        no_logical = not logical.states
 
         def plain_subjects(row):
             if row.destination == neighbour or isinstance(row.filter, MatchNone):
@@ -1172,7 +797,7 @@ class Broker:
                 subjects = row.subjects
             else:
                 subjects = [
-                    subject for subject in row.subjects if not self._is_logical_row(row, subject)
+                    subject for subject in row.subjects if not logical.is_logical_row(row, subject)
                 ]
                 if not subjects:
                     return None
@@ -1213,356 +838,6 @@ class Broker:
         return verdict
 
     # ------------------------------------------------------------------
-    # Physical mobility: relocation protocol (Section 4)
-    # ------------------------------------------------------------------
-    def _token_rows(self, token: str, exclude: str) -> List[Any]:
-        """The first routing row of *token* per destination but *exclude*, by destination."""
-        rows: Dict[str, Any] = {}
-        for row in self.subscription_table.entries_for_subject(token):
-            if row.destination != exclude:
-                rows.setdefault(row.destination, row)
-        return [rows[destination] for destination in sorted(rows)]
-
-    def _divert(self, token: str, rows: Sequence[Any], filter_: Filter, destination: str) -> None:
-        """Move *token* off *rows* onto one row of *filter_* toward *destination*.
-
-        Each write is journaled as the Unsubscribe / Subscribe it amounts
-        to.  The caller refreshes the forwarding once, when it is done.
-        """
-        for row in rows:
-            self._journal(row.destination, Unsubscribe(row.filter, subject=token))
-            self.subscription_table.remove(row.filter, row.destination, token)
-        self._journal(destination, Subscribe(filter_, subject=token))
-        self.subscription_table.add(filter_, destination, token)
-
-    def _forward_moved_subscribe(self, message: MovedSubscribe, exclude: str) -> int:
-        """Propagate a MovedSubscribe toward producers (it must find the junction).
-
-        Returns the number of neighbours the message was forwarded to.
-        """
-        token = subscription_token(message.client_id, message.subscription_id)
-        count = 0
-        for neighbour in self.neighbours():
-            if neighbour == exclude or not self._may_forward(neighbour, message.filter):
-                continue
-            pair = (message.filter.key(), token)
-            self._forwarded_subscriptions[neighbour][pair] = message.filter
-            # Written behind refresh_forwarding's back: have its next diff
-            # look at the pair (an Unsubscribe if it is not desired).
-            self._forwarding_states[neighbour].pending.add(pair)
-            self._links[neighbour].send(message)
-            count += 1
-        return count
-
-    def _handle_moved_subscribe(self, message: MovedSubscribe, from_destination: str) -> bool:
-        """Register the roamer's row and find the junction (Section 4.1).
-
-        Returns whether the relocation is under way: this broker is the
-        junction, or the message went on toward at least one producer.
-        """
-        token = subscription_token(message.client_id, message.subscription_id)
-        old_rows = self._token_rows(token, exclude=from_destination)
-        self.subscription_table.add(message.filter, from_destination, token)
-        if old_rows:
-            # This broker already lies on the old delivery path: it is the
-            # junction itself.
-            self._act_as_junction(token, message.filter, message.last_sequence, old_rows)
-            under_way = True
-        else:
-            if from_destination in self._clients:
-                # A roaming client's own message is its journal record;
-                # the one that travels on is the broker's.
-                message = MovedSubscribe(
-                    client_id=message.client_id,
-                    subscription_id=message.subscription_id,
-                    filter_=message.filter,
-                    last_sequence=message.last_sequence,
-                    new_border=message.new_border,
-                )
-            under_way = self._forward_moved_subscribe(message, exclude=from_destination) > 0
-        self._refresh_all_forwarding(exclude=from_destination)
-        return under_way
-
-    def _act_as_junction(
-        self, token: str, filter_: Filter, last_sequence: int, old_rows: Sequence[Any]
-    ) -> None:
-        """Junction behaviour: divert the old path and request the replay.
-
-        The junction removes its routing entries toward the old location,
-        sends a fetch request along each of them, and from this moment on
-        routes newly received notifications along the new path only
-        (Section 4.1: "already starts routing all newly received
-        notifications from P along the new path").
-        """
-        client_id, _, subscription_id = token.partition("/")
-        for row in old_rows:
-            destination = row.destination
-            self.subscription_table.remove(row.filter, destination, token)
-            if destination not in self._links:
-                # The "old path" ends right here: this broker hosts the
-                # virtual counterpart (it is the old border broker).
-                self._replay_counterpart(token, last_sequence, toward=None)
-                continue
-            self.counters["fetch_requests_sent"] += 1
-            self._links[destination].send(
-                FetchRequest(
-                    client_id=client_id,
-                    subscription_id=subscription_id,
-                    filter_=filter_,
-                    last_sequence=last_sequence,
-                    junction=self.name,
-                    new_border=self.name,
-                )
-            )
-
-    def _handle_fetch_request(self, message: FetchRequest, from_destination: str) -> None:
-        token = subscription_token(message.client_id, message.subscription_id)
-        rows = list(self.subscription_table.entries_for_subject(token))
-        if token in self._counterparts:
-            # The old border broker: divert our routing entry for the token
-            # toward the fetch sender so that the replay (and any straggler
-            # notifications) flow back toward the junction and on to the
-            # new location, then replay the buffered notifications.
-            self._divert(token, rows, message.filter, from_destination)
-            self._replay_counterpart(token, message.last_sequence, toward=from_destination)
-            self._refresh_all_forwarding(exclude=from_destination)
-            return
-        if all(row.destination == from_destination for row in rows):
-            # Nothing known about this subscription (already cleaned up, or
-            # a duplicate fetch from a second junction): drop the request.
-            return
-        # An intermediate broker on the old path: divert the routing entry
-        # toward the fetch sender and forward the fetch along the old path.
-        link_bound = [
-            row
-            for row in rows
-            if row.destination != from_destination and row.destination in self._links
-        ]
-        self._divert(token, link_bound, message.filter, from_destination)
-        for row in link_bound:
-            self._links[row.destination].send(message)
-        if not link_bound:
-            # The remaining entries point at locally attached clients, not
-            # along an old path — this happens when the old border crashed
-            # and the subscription was adopted here by takeover.  There is
-            # no counterpart anywhere (it died with the old border), so
-            # terminate the protocol: answer with an empty replay so the
-            # requester's relocation buffer flushes instead of waiting
-            # forever.  The local client rows are left untouched.
-            self._send_replay(token, [], toward=from_destination)
-        self._refresh_all_forwarding(exclude=from_destination)
-
-    def _replay_counterpart(self, token: str, last_sequence: int, toward: Optional[str]) -> None:
-        """Ship the buffered suffix back toward the new location and clean up."""
-        counterpart = self._counterparts.pop(token, None)
-        if counterpart is None:
-            return
-        self._send_replay(token, counterpart.replay_after(last_sequence), toward)
-        # The old client registration (if any) can now be garbage collected.
-        client_id, _, subscription_id = token.partition("/")
-        registration = self._clients.get(client_id)
-        if registration is not None and not registration.attached:
-            registration.subscriptions.pop(subscription_id, None)
-            if not registration.subscriptions:
-                self._clients.pop(client_id, None)
-
-    def _send_replay(self, token: str, notifications: Sequence[Any], toward: Optional[str]) -> None:
-        """Answer a fetch: a Replay of *notifications*, then RelocationComplete.
-
-        Both go to the neighbour *toward*; without one (the junction is
-        this broker itself) they are routed along the token's rows.
-        """
-        client_id, _, subscription_id = token.partition("/")
-        self.counters["replays_sent"] += 1
-        replay = Replay(client_id, subscription_id, notifications, origin_border=self.name)
-        complete = RelocationComplete(client_id, subscription_id, origin_border=self.name)
-        for message in (replay, complete):
-            if toward in self._links:
-                self._links[toward].send(message)
-            else:
-                self._handle_relocation_message(message, None)
-
-    def _handle_relocation_message(self, message: Any, from_destination: Optional[str]) -> None:
-        """Route a Replay / RelocationComplete on along its token's rows.
-
-        A row toward a local client ends the path: this is the new border
-        broker, and the message feeds the client's relocation buffer.
-        """
-        token = subscription_token(message.client_id, message.subscription_id)
-        for row in self.subscription_table.entries_for_subject(token):
-            destination = row.destination
-            if destination == from_destination:
-                continue
-            if destination in self._links:
-                self._links[destination].send(message)
-            else:
-                self._relocation_message_arrived(message, token)
-
-    def _relocation_message_arrived(self, message: Any, token: str) -> None:
-        """A Replay fills the relocation buffer; a RelocationComplete flushes it."""
-        client_id, _, subscription_id = token.partition("/")
-        registration = self._clients.get(client_id)
-        if registration is None:
-            return
-        record = registration.subscriptions.get(subscription_id)
-        if record is None or record.relocation_buffer is None:
-            return
-        if type(message) is Replay:
-            record.relocation_buffer.accept_replay(message.notifications)
-            return
-        replayed, fresh = record.relocation_buffer.flush()
-        for sequenced in replayed:
-            self._deliver_to_client(record, sequenced.notification, sequenced.sequence)
-        if replayed:
-            record.next_sequence = max(record.next_sequence, replayed[-1].sequence + 1)
-        for notification in fresh:
-            sequence = record.next_sequence
-            record.next_sequence += 1
-            self._deliver_to_client(record, notification, sequence)
-        record.relocation_buffer = None
-        for relocation in reversed(self.relocation_records):
-            if (
-                relocation.client_id == client_id
-                and relocation.subscription_id == subscription_id
-                and relocation.completed_at is None
-            ):
-                relocation.completed_at = self.clock.now
-                relocation.old_border = message.origin_border
-                relocation.replayed = len(replayed)
-                relocation.fresh = len(fresh)
-                break
-
-    # ------------------------------------------------------------------
-    # Logical mobility (Section 5)
-    # ------------------------------------------------------------------
-    def _store_logical_row(
-        self, state: LogicalSubscriptionState, filter_: Optional[Filter]
-    ) -> None:
-        """Move *state*'s routing row to *filter_* (``None``: remove it).
-
-        The only writer of these rows: ``stored_filter`` names the row at
-        every table mutation, which is what :meth:`_is_logical_row` reads.
-        """
-        table = self.subscription_table
-        if state.stored_filter is not None:
-            table.remove(state.stored_filter, state.destination, state.token)
-            state.stored_filter = None
-        if filter_ is not None:
-            row = table.find_entry(filter_, state.destination)
-            if row is not None and state.token in row.subjects:
-                # The token already holds this row as an ordinary
-                # subscription: withdraw it as one before taking it over.
-                table.remove(filter_, state.destination, state.token)
-            state.stored_filter = filter_
-            table.add(filter_, state.destination, state.token)
-
-    def _reforward_logical_subscriptions(self, toward: str) -> None:
-        """Forward held location-dependent subscriptions toward a newly advertised direction.
-
-        A location-dependent subscription issued before the matching
-        advertisement has propagated cannot be forwarded immediately; when
-        the advertisement later arrives from *toward*, the subscription is
-        sent after it (the same late binding the generic
-        :meth:`refresh_forwarding` performs for plain subscriptions).
-        """
-        if self.strategy.floods_notifications:
-            return
-        for state in self._logical_states.values():
-            if state.destination == toward or toward in state.forwarded_to:
-                # Sending it back where it came from would replace the
-                # state it came from; sending it twice would do nothing.
-                continue
-            if self._may_forward(toward, state.location_filter.base_filter):
-                state.forwarded_to += (toward,)
-                self._links[toward].send(state.subscribe_message(state.hop_index + 1))
-
-    def _handle_location_dependent_subscribe(
-        self, message: LocationDependentSubscribe, from_destination: str
-    ) -> LogicalSubscriptionState:
-        state = LogicalSubscriptionState.from_subscribe(
-            message, from_destination, self.filter_caches
-        )
-        # The state holds the network's live filter and graph; so does the
-        # message (a trace keeps it), and with it every hop it is sent on.
-        message.location_filter, message.movement_graph = (
-            state.location_filter,
-            state.movement_graph,
-        )
-        replaced = self._logical_states.get(state.token)
-        if replaced is not None:
-            self._store_logical_row(replaced, None)
-        # Registered before its row is written, so the row is never plain.
-        self._logical_states[state.token] = state
-        self._store_logical_row(state, state.current_filter())
-        forward = message.for_next_hop()
-        # Under flooding, notifications reach every broker anyway; the
-        # location-dependent part degenerates to pure client-side
-        # filtering at the border broker (Figure 3b).
-        if not self.strategy.floods_notifications:
-            base_filter = state.location_filter.base_filter
-            for neighbour in self.neighbours():
-                if neighbour != from_destination and self._may_forward(neighbour, base_filter):
-                    state.forwarded_to += (neighbour,)
-                    self._links[neighbour].send(forward)
-        return state
-
-    def _handle_location_dependent_unsubscribe(
-        self, message: LocationDependentUnsubscribe, from_destination: Optional[str]
-    ) -> None:
-        state = self._logical_states.get(
-            subscription_token(message.client_id, message.subscription_id)
-        )
-        if state is None:
-            return
-        # The row goes before the token is forgotten, so it is never plain.
-        self._store_logical_row(state, None)
-        del self._logical_states[state.token]
-        forward = LocationDependentUnsubscribe(
-            client_id=state.client_id, subscription_id=state.subscription_id
-        )
-        for neighbour in state.forwarded_to:
-            if neighbour in self._links:
-                self._links[neighbour].send(forward)
-
-    def _handle_location_update(
-        self, message: LocationUpdate, from_destination: Optional[str]
-    ) -> None:
-        state = self._logical_states.get(
-            subscription_token(message.client_id, message.subscription_id)
-        )
-        if state is None:
-            return
-        old_location, new_location = state.current_location, message.new_location
-        delta = state.apply_location_change(new_location)
-
-        # Update the stored routing entry (and, at the border broker, the
-        # client-side filter used for exact delivery filtering).
-        self._store_logical_row(state, delta.new_filter)
-        registration = self._clients.get(state.client_id)
-        if registration is not None:
-            record = registration.subscriptions.get(state.subscription_id)
-            if record is not None and record.logical is state:
-                record.filter = delta.new_filter
-
-        # Decide whether the update needs to travel further toward the
-        # producers.  The next hop's filter changes iff ploc at its level
-        # differs between old and new location.
-        if not self.config.propagate_unchanged_location_updates and state.location_set(
-            old_location, ahead=1
-        ) == state.location_set(new_location, ahead=1):
-            return
-        update = LocationUpdate(
-            client_id=state.client_id,
-            subscription_id=state.subscription_id,
-            old_location=old_location,
-            new_location=new_location,
-            hop_index=state.hop_index + 1,
-        )
-        for neighbour in state.forwarded_to:
-            if neighbour != from_destination and neighbour in self._links:
-                self._links[neighbour].send(update)
-
-    # ------------------------------------------------------------------
     # Introspection helpers used by tests, experiments and benchmarks
     # ------------------------------------------------------------------
     def routing_table_size(self) -> int:
@@ -1572,20 +847,6 @@ class Broker:
     def forwarded_subscription_count(self, neighbour: str) -> int:
         """Number of (filter, subject) pairs currently forwarded to *neighbour*."""
         return len(self._forwarded_subscriptions.get(neighbour, {}))
-
-    def counterpart_for(self, client_id: str, subscription_id: str) -> Optional[VirtualCounterpart]:
-        """The virtual counterpart for a subscription, if one exists here."""
-        return self._counterparts.get(subscription_token(client_id, subscription_id))
-
-    def has_counterparts(self) -> bool:
-        """``True`` when any virtual counterpart is currently held here."""
-        return bool(self._counterparts)
-
-    def logical_state_for(
-        self, client_id: str, subscription_id: str
-    ) -> Optional[LogicalSubscriptionState]:
-        """The logical-mobility state for a subscription, if this broker has one."""
-        return self._logical_states.get(subscription_token(client_id, subscription_id))
 
     def _require_client(self, client_id: str) -> _ClientRegistration:
         registration = self._clients.get(client_id)
@@ -1604,40 +865,21 @@ class Broker:
     # The message table: how each message a broker link carries enters
     # ------------------------------------------------------------------
     #: ``type(message) -> (counter of its kind's received messages,
-    #: journaled, interns its filter, handler)``, read by :meth:`_apply`.
+    #: journaled, interns its filter, component, handler)``, read by
+    #: :meth:`_apply`.  *component* names the broker attribute whose
+    #: object the handler is a method of (``None``: the broker itself);
+    #: each component declares its rows beside its handlers.
     #: The routing state is a function of the journaled messages alone.
     #: Notifications are not among them (durable redelivery is the
     #: counterparts' and sequence numbers' job), nor is control traffic
-    #: (liveness and retention windows are volatile by design).  A
-    #: FetchRequest's table effect depends on volatile state (is there a
-    #: counterpart here?), so its handler journals the Unsubscribe /
-    #: Subscribe writes of the branch it took.  Replay and
-    #: RelocationComplete change no routing state: they fill relocation
-    #: buffers, which a crash clears.
-    _MESSAGE_TABLE: Dict[type, Tuple[str, bool, bool, Callable[..., Any]]] = {
-        Notification: ("notifications_received", False, False, _handle_notification),
-        SequencedForward: ("notifications_received", False, False, _handle_sequenced_forward),
-        ForwardAck: ("control_received", False, False, _handle_forward_ack),
-        Heartbeat: ("control_received", False, False, _handle_heartbeat),
-        Subscribe: ("admin_received", True, True, _handle_subscribe),
-        Unsubscribe: ("admin_received", True, True, _handle_unsubscribe),
-        Advertise: ("admin_received", True, True, _handle_advertise),
-        Unadvertise: ("admin_received", True, True, _handle_unadvertise),
-        MovedSubscribe: ("mobility_received", True, True, _handle_moved_subscribe),
-        FetchRequest: ("mobility_received", False, True, _handle_fetch_request),
-        Replay: ("mobility_received", False, False, _handle_relocation_message),
-        RelocationComplete: ("mobility_received", False, False, _handle_relocation_message),
-        LocationDependentSubscribe: (
-            "mobility_received",
-            True,
-            False,
-            _handle_location_dependent_subscribe,
-        ),
-        LocationDependentUnsubscribe: (
-            "mobility_received",
-            True,
-            False,
-            _handle_location_dependent_unsubscribe,
-        ),
-        LocationUpdate: ("mobility_received", True, False, _handle_location_update),
+    #: (liveness and retention windows are volatile by design).
+    _MESSAGE_TABLE: Dict[type, Tuple[str, bool, bool, Optional[str], Callable[..., Any]]] = {
+        Notification: ("notifications_received", False, False, None, _handle_notification),
+        Subscribe: ("admin_received", True, True, None, _handle_subscribe),
+        Unsubscribe: ("admin_received", True, True, None, _handle_unsubscribe),
+        Advertise: ("admin_received", True, True, None, _handle_advertise),
+        Unadvertise: ("admin_received", True, True, None, _handle_unadvertise),
+        **PhysicalMobility.MESSAGES,
+        **LogicalMobility.MESSAGES,
+        **Reliability.MESSAGES,
     }

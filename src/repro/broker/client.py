@@ -23,7 +23,8 @@ checkers and experiments consume.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from functools import partial
+from typing import AbstractSet, Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.adaptivity import UncertaintyPlan
 from repro.core.location_filter import LocationDependentFilter
@@ -47,7 +48,7 @@ class Client:
         notify: Optional[Callable[[str, Notification, int], None]] = None,
     ) -> None:
         if "/" in client_id:
-            # A broker's subject token is "client/subscription".
+            # Keeps repro.messages.mobility.subscription_token unique.
             raise ValueError("client id {!r} must not contain '/'".format(client_id))
         self.client_id = client_id
         self._notify_callback = notify
@@ -116,24 +117,7 @@ class Client:
         """
         if self._broker is not None:
             raise ClientError("client {} is already attached".format(self.client_id))
-        self._broker = broker
-        self._hold_shared_filters()
-        broker.attach_client(self)
-        for advertisement_id, filter_ in self._advertisements.items():
-            broker.client_advertise(self.client_id, advertisement_id, filter_)
-        for subscription_id, filter_ in self._subscriptions.items():
-            broker.client_subscribe(self.client_id, subscription_id, filter_)
-            self._registered_once.add(subscription_id)
-        for subscription_id, spec in self._logical_subscriptions.items():
-            broker.client_location_dependent_subscribe(
-                self.client_id,
-                subscription_id,
-                spec["filter"],
-                spec["graph"],
-                spec["plan"],
-                spec["location"],
-            )
-            self._registered_once.add(subscription_id)
+        self._register_at(broker)
 
     def detach(self) -> None:
         """Disconnect from the current border broker (power saving, out of range).
@@ -158,37 +142,10 @@ class Client:
             return
         if self._broker is not None:
             self.detach()
-        self._broker = broker
-        self._hold_shared_filters()
-        broker.attach_client(self)
-        for advertisement_id, filter_ in self._advertisements.items():
-            broker.client_advertise(self.client_id, advertisement_id, filter_)
-        for subscription_id, filter_ in self._subscriptions.items():
-            if subscription_id in self._registered_once:
-                broker.client_moved_subscribe(
-                    self.client_id,
-                    subscription_id,
-                    filter_,
-                    self._last_sequence.get(subscription_id, 0),
-                )
-            else:
-                # First ever registration: no old location exists, so a
-                # plain subscription suffices.
-                broker.client_subscribe(self.client_id, subscription_id, filter_)
-                self._registered_once.add(subscription_id)
-        for subscription_id, spec in self._logical_subscriptions.items():
-            # Logical subscriptions re-register from scratch at the new
-            # broker (combining both mobility forms is future work in the
-            # paper; re-registration is the conservative behaviour).
-            broker.client_location_dependent_subscribe(
-                self.client_id,
-                subscription_id,
-                spec["filter"],
-                spec["graph"],
-                spec["plan"],
-                spec["location"],
-            )
-            self._registered_once.add(subscription_id)
+        # A subscription never registered has no old location: a plain
+        # subscription suffices for it.
+        moved = partial(broker.client_moved_subscribe, self.client_id)
+        self._register_at(broker, moved, set(self._registered_once))
 
     def drop_connection(self) -> None:
         """Sever the link to a crashed border broker (no detach handshake).
@@ -205,7 +162,7 @@ class Client:
         """Emergency re-attach after the border broker *dead_border* crashed.
 
         Durable subscriptions are adopted by the takeover broker via
-        :meth:`~repro.broker.base.Broker.takeover_subscribe` (the dead
+        :meth:`~repro.core.physical.PhysicalMobility.takeover_subscribe` (the dead
         broker's routing entries are dropped, no fetch is attempted —
         nothing is left to fetch from).  Plain subscriptions are
         re-issued as fresh subscriptions: at-most-once semantics permit
@@ -217,21 +174,36 @@ class Client:
                     self.client_id
                 )
             )
+
+        def takeover(subscription_id: str, filter_: Filter, last_sequence: int) -> None:
+            seen = self.received_identities(subscription_id)
+            broker.physical.takeover_subscribe(
+                self.client_id, subscription_id, filter_, last_sequence, dead_border, seen
+            )
+
+        self._register_at(broker, takeover, self._durable & self._registered_once)
+
+    def _register_at(
+        self,
+        broker: Any,
+        resume: Optional[Callable[[str, Filter, int], None]] = None,
+        resumable: AbstractSet[str] = frozenset(),
+    ) -> None:
+        """Attach to *broker* and register everything this client holds there.
+
+        A subscription in *resumable* is handed to *resume* with its last
+        received sequence number, every other one is registered as a plain
+        subscription.  Location-dependent subscriptions re-register from
+        scratch (combining both mobility forms is future work in the paper).
+        """
         self._broker = broker
         self._hold_shared_filters()
         broker.attach_client(self)
         for advertisement_id, filter_ in self._advertisements.items():
             broker.client_advertise(self.client_id, advertisement_id, filter_)
         for subscription_id, filter_ in self._subscriptions.items():
-            if subscription_id in self._durable and subscription_id in self._registered_once:
-                broker.takeover_subscribe(
-                    self.client_id,
-                    subscription_id,
-                    filter_,
-                    self._last_sequence.get(subscription_id, 0),
-                    dead_border,
-                    seen_identities=self.received_identities(subscription_id),
-                )
+            if subscription_id in resumable:
+                resume(subscription_id, filter_, self._last_sequence.get(subscription_id, 0))
             else:
                 broker.client_subscribe(self.client_id, subscription_id, filter_)
                 self._registered_once.add(subscription_id)

@@ -186,11 +186,11 @@ class PubSubNetwork:
         names = broker_names or tuple(self.brokers)
         for name in names:
             store = store_factory(name) if store_factory is not None else None
-            self.brokers[name].enable_recovery(store)
+            self.brokers[name].reliability.enable_recovery(store)
 
     def snapshot_broker(self, name: str) -> int:
         """Checkpoint *name*'s routing state, truncating its journal."""
-        return self.brokers[name].take_snapshot()
+        return self.brokers[name].reliability.take_snapshot()
 
     def crash_broker(self, name: str, takeover: Optional[str] = None) -> int:
         """Crash broker *name*, failing its clients over to *takeover*.
@@ -410,7 +410,7 @@ class FailureDetector:
         now = self.network.now
         brokers = self.network.brokers
         for name in sorted(brokers):
-            brokers[name].emit_heartbeats()
+            brokers[name].reliability.emit_heartbeats()
         for name in sorted(brokers):
             observer = brokers[name]
             if observer.is_crashed:
@@ -418,7 +418,7 @@ class FailureDetector:
             for neighbour in observer.neighbours():
                 if neighbour in self._suspected:
                     continue
-                last_heard = observer.heartbeat_last_heard.get(
+                last_heard = observer.reliability.heartbeat_last_heard.get(
                     neighbour, self.started_at
                 )
                 if now - last_heard > self.lease_timeout + 1e-9:

@@ -14,8 +14,8 @@ JSON the asyncio backend puts on real links):
   snapshot, tagged with the destination it arrived from (a neighbour
   link or a locally attached client).
 
-Restart decodes the snapshot (:func:`apply_snapshot` recreates each row
-with its original ``seq`` via :meth:`~repro.routing.table.RoutingTable.
+Restart decodes the snapshot (:meth:`Reliability.recover` recreates each
+row with its original ``seq`` via :meth:`~repro.routing.table.RoutingTable.
 restore_row`, so every delta consumer observes the rows exactly as the
 live mutations produced them), then replays the log tail through the
 broker's normal dispatch with its outgoing links swapped for
@@ -30,18 +30,23 @@ frames, and :meth:`RecoveryStore.snapshot` and
 :meth:`RecoveryStore.log_tail` decode on demand — which is what makes
 the crash-oracle test meaningful: everything a restart sees has survived
 a full encode/decode round trip.
+
+:class:`Reliability` is one broker's user of all this, and of the two
+volatile safeguards beside it: the retention window and heartbeats.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from collections import deque
+from typing import Any, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.location_filter import LocationDependentSubscribe
-from repro.core.logical import LogicalSubscriptionState
 from repro.filters.filter import Filter
 from repro.filters.wire import filter_from_wire, filter_to_wire
 from repro.messages.base import CANONICAL_JSON, Message, MessageKind
+from repro.messages.control import ForwardAck, Heartbeat, SequencedForward
+from repro.messages.notification import Notification
 from repro.messages.wire import (
     FRAME_HEADER_SIZE,
     WireError,
@@ -573,75 +578,225 @@ def encode_table(table: Any) -> bytes:
     return CANONICAL_JSON.encode(payload).encode("utf-8")
 
 
-def build_snapshot(broker: Any, log_index: int) -> RoutingSnapshot:
-    """Capture *broker*'s routing state as a :class:`RoutingSnapshot`."""
-    return RoutingSnapshot(
-        broker=broker.name,
-        taken_at=broker.clock.now,
-        log_index=log_index,
-        subscription_rows=table_rows(broker.subscription_table),
-        subscription_row_seq=broker.subscription_table.row_seq,
-        advertisement_rows=table_rows(broker.advertisement_table),
-        advertisement_row_seq=broker.advertisement_table.row_seq,
-        forwarded_subscriptions={
-            neighbour: [(filter_, subject) for (_, subject), filter_ in mapping.items()]
-            for neighbour, mapping in broker._forwarded_subscriptions.items()
-        },
-        forwarded_advertisements={
-            neighbour: [(filter_, subject) for (_, subject), filter_ in mapping.items()]
-            for neighbour, mapping in broker._forwarded_advertisements.items()
-        },
-        logical_states=[
-            (state.subscribe_message(state.hop_index), state.forwarded_to)
-            for state in broker._logical_states.values()
-        ],
-    )
+class Reliability:
+    """One broker's crash recovery, in-flight retention window and heartbeats.
 
-
-def apply_snapshot(broker: Any, snapshot: RoutingSnapshot) -> int:
-    """Restore *broker*'s tables and forwarded sets from *snapshot*.
-
-    Returns the number of routing rows restored.  The broker's tables
-    must be empty (freshly crashed); rows are recreated in snapshot
-    order with their pinned creation sequence numbers, so every delta
-    consumer rebuilds exactly the state it held before the crash.
+    Everything held here is volatile: the broker builds a new one with the
+    rest of its routing state.  The store this journals into is the
+    broker's ``recovery``, which stands for stable storage and survives.
     """
-    if snapshot.broker != broker.name:
-        raise ValueError(
-            "snapshot of {} cannot restore broker {}".format(snapshot.broker, broker.name)
+
+    def __init__(self, broker: Any) -> None:
+        self.broker = broker
+        #: Set while a restart replays the log tail: nothing is journaled
+        #: again, and no ack goes out.
+        self.replaying = False
+        #: Liveness: neighbour -> clock reading of the last heartbeat heard
+        #: from it.  A restarted broker must re-earn its lease.
+        self.heartbeat_last_heard: Dict[str, float] = {}
+        # In-flight retention (config.forward_retention): per-neighbour
+        # window of (link_seq, notification) forwards not yet acked, the
+        # next outgoing link sequence, and the highest link sequence
+        # processed from each neighbour.  The *upstream* copy is what
+        # protects a crashing broker's in-flight traffic.
+        self._retained_forwards: Dict[str, Deque[Tuple[int, Notification]]] = {}
+        self._forward_link_seq: Dict[str, int] = {}
+        self._forward_recv_seq: Dict[str, int] = {}
+
+    def journal(self, origin: str, message: Message) -> None:
+        """Append a routing-state change to the recovery log (not while replaying it)."""
+        store = self.broker.recovery
+        if store is not None and not self.replaying:
+            store.append(origin, message, self.broker.clock.now)
+
+    def enable_recovery(self, store: Optional[RecoveryStore] = None) -> RecoveryStore:
+        """Attach a recovery store; admin traffic is journaled from now on.
+
+        *store* selects the backend — any :class:`RecoveryStore`
+        implementation, e.g. a :class:`DiskRecoveryStore`; ``None``
+        attaches the in-memory default.  Enable recovery *before* routing
+        state is built up (or take a snapshot right after enabling) — the
+        log only captures traffic processed while the store is attached.
+        """
+        broker = self.broker
+        if broker.recovery is None:
+            broker.recovery = store if store is not None else RecoveryStore(broker.name)
+        elif store is not None and store is not broker.recovery:
+            raise ValueError(
+                "broker {} already has a recovery store attached".format(broker.name)
+            )
+        return broker.recovery
+
+    def take_snapshot(self) -> RoutingSnapshot:
+        """Checkpoint the routing state into the recovery store.
+
+        The snapshot covers the log written so far, so the store drops
+        that prefix; a subsequent restart decodes the snapshot and
+        replays only the tail.
+        """
+        broker = self.broker
+        if broker.recovery is None:
+            raise ValueError("broker {} has no recovery store".format(broker.name))
+        snapshot = RoutingSnapshot(
+            broker=broker.name,
+            taken_at=broker.clock.now,
+            log_index=broker.recovery.log_index,
+            subscription_rows=table_rows(broker.subscription_table),
+            subscription_row_seq=broker.subscription_table.row_seq,
+            advertisement_rows=table_rows(broker.advertisement_table),
+            advertisement_row_seq=broker.advertisement_table.row_seq,
+            forwarded_subscriptions={
+                neighbour: [(filter_, subject) for (_, subject), filter_ in mapping.items()]
+                for neighbour, mapping in broker._forwarded_subscriptions.items()
+            },
+            forwarded_advertisements={
+                neighbour: [(filter_, subject) for (_, subject), filter_ in mapping.items()]
+                for neighbour, mapping in broker._forwarded_advertisements.items()
+            },
+            logical_states=broker.logical.snapshot_entries(),
         )
-    # Every decoded filter gives way to the network's live one.
-    intern = broker.filter_caches.intern
-    # Logical states come back first and claim their routing rows as these
-    # are restored (the snapshot keeps a state's subscription, the table
-    # its destination), so no forwarding state ever sees such a row as plain.
-    for subscribe, forwarded_to in snapshot.logical_states:
-        state = LogicalSubscriptionState.from_subscribe(subscribe, None, broker.filter_caches)
-        state.forwarded_to = forwarded_to
-        broker._logical_states[state.token] = state
-    restored = 0
-    for filter_, destination, subjects, seq in snapshot.subscription_rows:
-        filter_ = intern(filter_)
-        for state in map(broker._logical_states.get, subjects):
-            if state is not None and state.stored_filter is None:
-                stored = state.current_filter()
-                if stored.key() == filter_.key():
-                    state.destination, state.stored_filter, filter_ = destination, stored, stored
-        broker.subscription_table.restore_row(filter_, destination, subjects, seq)
-        restored += 1
-    broker.subscription_table.advance_row_seq(snapshot.subscription_row_seq)
-    for filter_, destination, subjects, seq in snapshot.advertisement_rows:
-        broker.advertisement_table.restore_row(intern(filter_), destination, subjects, seq)
-        restored += 1
-    broker.advertisement_table.advance_row_seq(snapshot.advertisement_row_seq)
-    for neighbour, pairs in snapshot.forwarded_subscriptions.items():
-        mapping = broker._forwarded_subscriptions.setdefault(neighbour, {})
-        mapping.clear()
-        for filter_, subject in pairs:
-            mapping[(filter_.key(), subject)] = intern(filter_)
-    for neighbour, pairs in snapshot.forwarded_advertisements.items():
-        mapping = broker._forwarded_advertisements.setdefault(neighbour, {})
-        mapping.clear()
-        for filter_, subject in pairs:
-            mapping[(filter_.key(), subject)] = intern(filter_)
-    return restored
+        broker.recovery.install_snapshot(snapshot)
+        return snapshot
+
+    def recover(self) -> int:
+        """Rebuild the routing state of a freshly crashed broker from its store.
+
+        Applies the stored snapshot, then replays the log tail through
+        ``Broker._apply`` with every outgoing link swapped for a
+        :class:`ReplaySink` — the replay must evolve local state exactly
+        as the first execution did without re-sending anything.  Returns
+        the number of log records replayed.
+        """
+        broker = self.broker
+        if broker.recovery is None:
+            return 0
+        snapshot = broker.recovery.snapshot()
+        if snapshot is not None:
+            self._restore(snapshot)
+        tail = broker.recovery.log_tail()
+        real_links = broker._links
+        broker._links = {neighbour: ReplaySink(broker.name, neighbour) for neighbour in real_links}
+        self.replaying = True
+        try:
+            for record in tail:
+                broker._apply(record.entry, record.origin, received=True)
+        finally:
+            broker._links = real_links
+            self.replaying = False
+        broker.counters["recovery_log_replayed"] += len(tail)
+        return len(tail)
+
+    def _restore(self, snapshot: RoutingSnapshot) -> None:
+        """Restore the broker's tables and forwarded sets from *snapshot*.
+
+        The broker's tables must be empty (freshly crashed); rows are
+        recreated in snapshot order with their pinned creation sequence
+        numbers, so every delta consumer rebuilds exactly the state it
+        held before the crash.
+        """
+        broker = self.broker
+        if snapshot.broker != broker.name:
+            raise ValueError(
+                "snapshot of {} cannot restore broker {}".format(snapshot.broker, broker.name)
+            )
+        # Every decoded filter gives way to the network's live one.
+        intern = broker.filter_caches.intern
+        # Logical states come back first and claim their routing rows as
+        # these are restored.
+        broker.logical.restore(snapshot.logical_states)
+        for filter_, destination, subjects, seq in snapshot.subscription_rows:
+            filter_ = broker.logical.claim_row(intern(filter_), destination, subjects)
+            broker.subscription_table.restore_row(filter_, destination, subjects, seq)
+        broker.subscription_table.advance_row_seq(snapshot.subscription_row_seq)
+        for filter_, destination, subjects, seq in snapshot.advertisement_rows:
+            broker.advertisement_table.restore_row(intern(filter_), destination, subjects, seq)
+        broker.advertisement_table.advance_row_seq(snapshot.advertisement_row_seq)
+        for neighbour, pairs in snapshot.forwarded_subscriptions.items():
+            mapping = broker._forwarded_subscriptions.setdefault(neighbour, {})
+            mapping.clear()
+            for filter_, subject in pairs:
+                mapping[(filter_.key(), subject)] = intern(filter_)
+        for neighbour, pairs in snapshot.forwarded_advertisements.items():
+            mapping = broker._forwarded_advertisements.setdefault(neighbour, {})
+            mapping.clear()
+            for filter_, subject in pairs:
+                mapping[(filter_.key(), subject)] = intern(filter_)
+
+    # ------------------------------------------------------------------
+    # In-flight retention (config.forward_retention)
+    # ------------------------------------------------------------------
+    def send_retained_forward(
+        self, neighbour: str, notification: Notification, window: int
+    ) -> None:
+        """Forward *notification* wrapped with a link sequence, retaining it.
+
+        The copy stays in the per-neighbour window until the neighbour's
+        cumulative ack covers it; a bounded window evicts oldest-first
+        (``retention_evicted`` counts the evictions — an eviction is a
+        reopened loss window, so sizing shows up in the counters).
+        """
+        broker = self.broker
+        sequence = self._forward_link_seq.get(neighbour, 0) + 1
+        self._forward_link_seq[neighbour] = sequence
+        buffer = self._retained_forwards.setdefault(neighbour, deque())
+        buffer.append((sequence, notification))
+        broker.counters["forwards_retained"] += 1
+        while len(buffer) > window:
+            buffer.popleft()
+            broker.counters["retention_evicted"] += 1
+        broker._links[neighbour].send(
+            SequencedForward(notification, sender=broker.name, link_seq=sequence)
+        )
+
+    def handle_forward(
+        self, message: SequencedForward, from_destination: Optional[str]
+    ) -> None:
+        """Unwrap a retained forward, process it, and ack it cumulatively."""
+        broker = self.broker
+        if from_destination is not None:
+            previous = self._forward_recv_seq.get(from_destination, 0)
+            self._forward_recv_seq[from_destination] = max(previous, message.link_seq)
+        broker._handle_notification(message.notification, from_destination)
+        if from_destination in broker._links and not self.replaying:
+            broker._links[from_destination].send(
+                ForwardAck(
+                    sender=broker.name,
+                    upto=self._forward_recv_seq.get(from_destination, message.link_seq),
+                )
+            )
+
+    def handle_forward_ack(self, message: ForwardAck, from_destination: Optional[str]) -> None:
+        buffer = self._retained_forwards.get(from_destination)
+        if not buffer:
+            return
+        while buffer and buffer[0][0] <= message.upto:
+            buffer.popleft()
+            self.broker.counters["forwards_acked"] += 1
+
+    def retained_forwards(self, neighbour: str) -> List[Tuple[int, Notification]]:
+        """The currently retained (unacked) window toward *neighbour*."""
+        return list(self._retained_forwards.get(neighbour, ()))
+
+    # ------------------------------------------------------------------
+    # Heartbeats (liveness beacons consumed by the failure detector)
+    # ------------------------------------------------------------------
+    def emit_heartbeats(self) -> None:
+        """Send one :class:`Heartbeat` to every neighbour (no-op while down)."""
+        broker = self.broker
+        if broker.is_crashed:
+            return
+        now = broker.clock.now
+        for neighbour in broker.neighbours():
+            broker.counters["heartbeats_sent"] += 1
+            broker._links[neighbour].send(Heartbeat(sender=broker.name, sent_at=now))
+
+    def handle_heartbeat(self, message: Heartbeat, from_destination: Optional[str]) -> None:
+        if from_destination is not None:
+            self.heartbeat_last_heard[from_destination] = self.broker.clock.now
+
+    #: This component's rows of ``Broker._MESSAGE_TABLE`` (see there).
+    MESSAGES = {
+        SequencedForward: ("notifications_received", False, False, "reliability", handle_forward),
+        ForwardAck: ("control_received", False, False, "reliability", handle_forward_ack),
+        Heartbeat: ("control_received", False, False, "reliability", handle_heartbeat),
+    }

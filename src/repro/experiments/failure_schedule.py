@@ -282,7 +282,7 @@ def run_crash_restart(
     redelivered = sum(
         record.replayed
         for broker in network.brokers.values()
-        for record in broker.relocation_records
+        for record in broker.physical.relocation_records
     )
     retention_replayed = sum(
         broker.counters.get("retention_replayed", 0)
@@ -299,7 +299,7 @@ def run_crash_restart(
         retention_replayed=retention_replayed,
     )
     counterparts_collected = not any(
-        broker.has_counterparts() for broker in network.brokers.values()
+        broker.physical.counterparts for broker in network.brokers.values()
     )
     detection_time: Optional[float] = None
     detected_by: Optional[str] = None

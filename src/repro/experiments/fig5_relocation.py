@@ -134,7 +134,7 @@ def run(
     consumer.detach()
     publish_round("disconnected")
     network.settle()
-    counterpart = network.broker("B6").counterpart_for("C", subscription_id)
+    counterpart = network.broker("B6").physical.counterpart_for("C", subscription_id)
     buffered = counterpart.buffered_count() if counterpart is not None else 0
 
     # Phase 3: reconnect at the new location (steps 1-6 of Figure 5).
@@ -142,7 +142,7 @@ def run(
     publish_round("connected-new")
     network.settle()
 
-    relocations = network.broker("B1").relocation_records
+    relocations = network.broker("B1").physical.relocation_records
     relocation = relocations[-1] if relocations else None
 
     filter_ = Filter({"topic": "news"})
@@ -150,7 +150,7 @@ def run(
     duplicates = check_no_duplicates(network.trace, "C")
     fifo = check_fifo(network.trace, "C")
 
-    counterparts_collected = not network.broker("B6").has_counterparts()
+    counterparts_collected = not network.broker("B6").physical.counterparts
     network.close()
     return Fig5Result(
         producers=producers,

@@ -105,7 +105,7 @@ def _operational_chain(
         sets: List[FrozenSet[str]] = []
         for hop in range(hops + 1):
             broker = network.broker("B{}".format(hop + 1))
-            state = broker.logical_state_for("consumer", subscription_id)
+            state = broker.logical.state_for("consumer", subscription_id)
             sets.append(state.location_set() if state is not None else frozenset())
         out[step] = sets
     network.close()

@@ -34,6 +34,14 @@ from repro.messages.base import Message, MessageKind
 from repro.messages.notification import SequencedNotification
 
 
+def subscription_token(client_id: str, subscription_id: str) -> str:
+    """The routing subject of one client subscription: ``client/subscription``.
+
+    Unique because client ids carry no ``/`` (``Client`` rejects them).
+    """
+    return "{}/{}".format(client_id, subscription_id)
+
+
 class MovedSubscribe(Message):
     """Re-issued subscription of a relocated client: ``(C, F, last_seq)``."""
 

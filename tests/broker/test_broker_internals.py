@@ -7,11 +7,14 @@ import itertools
 import pytest
 
 from repro.broker import base
-from repro.broker.base import subscription_token
 from repro.broker.network import PubSubNetwork
+from repro.broker.recovery import Reliability
+from repro.core.logical import LogicalMobility
+from repro.core.physical import PhysicalMobility
 from repro.filters.filter import Filter
 from repro.messages.admin import Advertise, Subscribe, Unsubscribe
 from repro.messages.base import MessageKind
+from repro.messages.mobility import subscription_token
 from repro.messages.wire import message_type_registry
 from repro.topology.builders import line_topology
 
@@ -163,8 +166,8 @@ class TestJunctionAndCounterparts:
         network.settle()
         consumer.detach()
         broker = network.broker("B1")
-        assert broker.counterpart_for("C", first) is not None
-        assert broker.counterpart_for("C", second) is not None
+        assert broker.physical.counterpart_for("C", first) is not None
+        assert broker.physical.counterpart_for("C", second) is not None
 
     def test_detach_without_counterpart_drops_notifications(self):
         network = PubSubNetwork(line_topology(2), strategy="covering", latency=0.01)
@@ -177,7 +180,7 @@ class TestJunctionAndCounterparts:
         producer.publish({"topic": "news"})
         network.settle()
         assert consumer.received == []
-        assert not network.broker("B1").has_counterparts()
+        assert not network.broker("B1").physical.counterparts
 
     def test_junction_is_detected_where_new_path_meets_old_tree(self):
         """With the producer at B3, the old delivery tree is B3-B4-B5-B6; the
@@ -213,7 +216,7 @@ class TestJunctionAndCounterparts:
         network.settle()
         consumer.move_to(network.broker("B1"))
         network.settle()
-        records = network.broker("B1").relocation_records
+        records = network.broker("B1").physical.relocation_records
         assert len(records) == 1
         assert records[0].completed_at is not None
         assert records[0].replayed == 1
@@ -299,6 +302,20 @@ class TestMessageTable:
         MessageKind.MOBILITY: "mobility_received",
         MessageKind.CONTROL: "control_received",
     }
+    #: The component whose state a message type's handler works on; the
+    #: other rows (routing and notifications) are the broker's own.
+    OWNERS = {
+        "MovedSubscribe": PhysicalMobility,
+        "FetchRequest": PhysicalMobility,
+        "Replay": PhysicalMobility,
+        "RelocationComplete": PhysicalMobility,
+        "LocationDependentSubscribe": LogicalMobility,
+        "LocationDependentUnsubscribe": LogicalMobility,
+        "LocationUpdate": LogicalMobility,
+        "Heartbeat": Reliability,
+        "ForwardAck": Reliability,
+        "SequencedForward": Reliability,
+    }
 
     def test_every_link_message_type_has_exactly_one_row(self):
         link_types = {
@@ -312,19 +329,27 @@ class TestMessageTable:
     def test_journaled_rows(self):
         journaled = {
             message_type.__name__
-            for message_type, (_, is_journaled, _, _) in base.Broker._MESSAGE_TABLE.items()
+            for message_type, (_, is_journaled, _, _, _) in base.Broker._MESSAGE_TABLE.items()
             if is_journaled
         }
         assert journaled == self.JOURNALED
 
     def test_each_row_counts_its_kinds_received_counter(self):
-        for message_type, (counter, _, _, _) in base.Broker._MESSAGE_TABLE.items():
+        for message_type, (counter, _, _, _, _) in base.Broker._MESSAGE_TABLE.items():
             assert counter == self.RECEIVED_COUNTER[message_type.kind], message_type
+
+    def test_each_handler_belongs_to_the_component_that_owns_its_state(self):
+        broker = PubSubNetwork(line_topology(2), strategy="covering", latency=0.01).broker("B1")
+        for message_type, (_, _, _, component, handler) in base.Broker._MESSAGE_TABLE.items():
+            owner_class = self.OWNERS.get(message_type.__name__, base.Broker)
+            owner = broker if component is None else getattr(broker, component)
+            assert type(owner) is owner_class, message_type
+            assert getattr(owner_class, handler.__name__) is handler, message_type
 
     def test_client_operations_are_journaled_but_not_counted_as_received(self):
         network = PubSubNetwork(line_topology(2), strategy="covering", latency=0.01)
         broker = network.broker("B1")
-        broker.enable_recovery()
+        broker.reliability.enable_recovery()
         network.add_client("P", "B2").advertise({"topic": "news"})
         network.settle()
         network.add_client("C", "B1").subscribe({"topic": "news"})

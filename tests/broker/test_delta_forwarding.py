@@ -845,22 +845,22 @@ def _logical_step(broker, operation):
     if kind == "twin_logical":
         # An ordinary registration of the row the subscription would be
         # stored in at that location: a later move there finds it taken.
-        state = broker._logical_states.get(token)
+        state = broker.logical.states.get(token)
         if state is not None:
             broker.subscription_table.add(
                 state.filter_at(operation[2]), state.destination, token
             )
     elif kind == "move_logical":
-        broker._handle_location_update(
+        broker.logical.handle_update(
             LocationUpdate(client_id, subscription_id, None, operation[2]), None
         )
-    elif token in broker._logical_states:
-        broker._handle_location_dependent_unsubscribe(
+    elif token in broker.logical.states:
+        broker.logical.handle_unsubscribe(
             LocationDependentUnsubscribe(client_id, subscription_id), None
         )
     else:
         _, _, destination, location, hop = operation
-        broker._handle_location_dependent_subscribe(
+        broker.logical.handle_subscribe(
             LocationDependentSubscribe(
                 client_id,
                 subscription_id,
@@ -887,7 +887,7 @@ def test_logical_registration_takes_over_a_plain_row_of_its_token(table_scan_cal
     broker._refresh_all_forwarding()
     settled = dict(table_scan_calls)
     _logical_step(broker, ("toggle_logical", "k/s0", "N1", "a", 1))
-    assert broker._logical_states["k/s0"].owns(table.find_entry(stored, "N1"))
+    assert broker.logical.states["k/s0"].owns(table.find_entry(stored, "N1"))
     for neighbour in ("N2", "N3"):
         broker.refresh_forwarding(neighbour)
         assert broker._forwarded_subscriptions[neighbour] == desired_forwarding(broker, neighbour)

@@ -52,9 +52,9 @@ class TestFailureDetection:
         network.settle()
         b2 = network.broker("B2")
         assert b2.counters["heartbeats_sent"] > 0
-        assert set(b2.heartbeat_last_heard) == {"B1", "B3"}
+        assert set(b2.reliability.heartbeat_last_heard) == {"B1", "B3"}
         # Beacons arrive one link latency after the tick that sent them.
-        assert b2.heartbeat_last_heard["B1"] > 0
+        assert b2.reliability.heartbeat_last_heard["B1"] > 0
 
     def test_detector_rejects_degenerate_parameters(self):
         network, _, _ = _network()
@@ -133,7 +133,7 @@ class TestForwardRetention:
         b2 = network.broker("B2")
         assert b2.counters["forwards_retained"] > 0
         assert b2.counters["forwards_acked"] == b2.counters["forwards_retained"]
-        assert b2.retained_forwards("B1") == []
+        assert b2.reliability.retained_forwards("B1") == []
         assert len(consumer.received) == 1
         network.close()
 
@@ -144,7 +144,7 @@ class TestForwardRetention:
             producer.publish({"topic": "news", "n": index})
         network.settle()
         b2 = network.broker("B2")
-        window = b2.retained_forwards("B1")
+        window = b2.reliability.retained_forwards("B1")
         assert [seq for seq, _ in window] == [1, 2, 3]
         assert b2.counters["forwards_acked"] == 0
         network.close()
@@ -156,7 +156,7 @@ class TestForwardRetention:
             producer.publish({"topic": "news", "n": index})
         network.settle()
         b2 = network.broker("B2")
-        assert [seq for seq, _ in b2.retained_forwards("B1")] == [4, 5]
+        assert [seq for seq, _ in b2.reliability.retained_forwards("B1")] == [4, 5]
         assert b2.counters["retention_evicted"] == 3
         network.close()
 
@@ -173,7 +173,7 @@ class TestForwardRetention:
         assert adopted == 1
         b2 = network.broker("B2")
         assert b2.counters["retention_replayed"] == 3
-        assert b2.relocation_records[-1].replayed == 3
+        assert b2.physical.relocation_records[-1].replayed == 3
         # Zero loss, exactly once, sequence numbering intact.
         assert [record.sequence for record in consumer.received] == [1, 2, 3, 4]
         assert consumer.unfilled_gap_ranges() == []

@@ -68,7 +68,7 @@ def _settled_then_interleaved(plain, calls):
     for name in calls:
         calls[name] = 0
     seconds = _interleaved_phase(network)
-    assert not any(broker._logical_states for broker in network.brokers.values())
+    assert not any(broker.logical.states for broker in network.brokers.values())
     return seconds
 
 
@@ -130,7 +130,7 @@ def test_a_logical_state_stays_small():
     finally:
         tracemalloc.stop()
 
-    states = sum(len(broker._logical_states) for broker in network.brokers.values())
+    states = sum(len(broker.logical.states) for broker in network.brokers.values())
     assert states > 6 * CARS
     ours = snapshot.filter_traces([tracemalloc.Filter(True, "*/src/repro/*")])
     live = sum(statistic.size for statistic in ours.statistics("filename"))

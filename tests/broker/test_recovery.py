@@ -10,8 +10,12 @@ durable subscriber permanently losing a matching notification.
 
 import pytest
 
+from repro.broker.base import BrokerConfig
 from repro.broker.network import PubSubNetwork
 from repro.broker.recovery import RecoveryStore, ReplaySink, encode_table
+from repro.core.adaptivity import UncertaintyPlan
+from repro.core.location_filter import MYLOC
+from repro.core.ploc import MovementGraph
 from repro.filters.filter import Filter
 from repro.messages.admin import Subscribe
 from repro.messages.mobility import RelocationComplete, Replay
@@ -45,7 +49,7 @@ class TestRecoveryStore:
         client.subscribe({"topic": "news"}, subscription_id="s1")
         network.settle()
         assert broker.recovery.log_size() == 1
-        broker.take_snapshot()
+        broker.reliability.take_snapshot()
         assert broker.recovery.log_size() == 0
         client.subscribe({"topic": "misc"}, subscription_id="s2")
         network.settle()
@@ -82,6 +86,42 @@ class TestCrashLifecycle:
         assert broker.is_crashed
         with pytest.raises(ValueError):
             broker.crash()
+
+    def test_crash_builds_every_component_anew_but_keeps_the_store(self):
+        config = BrokerConfig(forward_retention=8)
+        network = PubSubNetwork(line_topology(3), latency=0.05, config=config)
+        network.enable_recovery()
+        broker = network.broker("B2")
+        store = broker.recovery
+        network.add_client("far", "B1").subscribe({"service": "parking"})
+        local = network.add_client("local", "B2")
+        local.advertise({"service": "parking"})
+        roamer = network.add_client("roamer", "B2")
+        roamer.subscribe({"service": "parking"})
+        network.add_client("car", "B2").subscribe_location_dependent(
+            {"service": "parking", "location": MYLOC},
+            movement_graph=MovementGraph.paper_example(),
+            plan=UncertaintyPlan.static(2),
+            initial_location="a",
+        )
+        network.settle()
+        roamer.detach()
+        network.broker("B1").reliability.emit_heartbeats()
+        network.settle()
+        local.publish({"service": "parking", "location": "a"})  # B1 has not acked it yet
+        held = (
+            broker.physical.counterparts,
+            broker.logical.states,
+            broker.reliability.retained_forwards("B1"),
+            broker.reliability.heartbeat_last_heard,
+        )
+        assert all(held)
+        broker.crash()
+        assert not broker.physical.counterparts
+        assert not broker.logical.states
+        assert broker.reliability.retained_forwards("B1") == []
+        assert broker.reliability.heartbeat_last_heard == {}
+        assert broker.recovery is store
 
     def test_messages_to_a_crashed_broker_are_dropped_and_attributed(self):
         network, producer, consumer = self._network()
@@ -183,7 +223,7 @@ class TestDurableSubscriptions:
         assert [record.sequence for record in consumer.received] == [1, 2]
         assert check_no_duplicates(network.trace, "consumer").clean
 
-        takeover = network.broker("B2").relocation_records[-1]
+        takeover = network.broker("B2").physical.relocation_records[-1]
         assert takeover.old_border == "B1"
         assert takeover.new_border == "B2"
         assert takeover.replayed == 0
@@ -207,9 +247,9 @@ class TestDurableSubscriptions:
         producer.publish({"topic": "news", "n": 2})
         network.settle()
         assert [record.sequence for record in consumer.received] == [1, 2]
-        rehome = network.broker("B1").relocation_records[-1]
+        rehome = network.broker("B1").physical.relocation_records[-1]
         assert rehome.old_border == "B2"
-        assert not network.broker("B2").has_counterparts()
+        assert not network.broker("B2").physical.counterparts
 
 
 # ----------------------------------------------------------------------

@@ -85,7 +85,9 @@ class TestLocationChanges:
 class TestChainConsistency:
     def test_fork_for_next_hop(self):
         state = make_state(1)
-        upstream = state.fork_for_next_hop()
+        upstream = LogicalSubscriptionState.from_subscribe(
+            state.subscribe_message(state.hop_index + 1), state.destination
+        )
         assert upstream.hop_index == 2
         assert upstream.chain_is_consistent(state)
 

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.core.physical import (
-    BufferOverflowPolicy,
-    RelocationBuffer,
-    RelocationRecord,
-    VirtualCounterpart,
-)
+from repro.core.physical import RelocationBuffer, RelocationRecord, VirtualCounterpart
 from repro.filters.filter import Filter
 from repro.messages.notification import Notification
 
@@ -34,7 +29,6 @@ class TestVirtualCounterpart:
             counterpart.buffer(make_notification(seq))
         replayed = counterpart.replay_after(3)
         assert [s.sequence for s in replayed] == [4, 5]
-        assert counterpart.fetched
 
     def test_replay_after_zero_returns_everything(self):
         counterpart = VirtualCounterpart("C", "sub", Filter({}), next_sequence=1)
@@ -49,23 +43,6 @@ class TestVirtualCounterpart:
         assert counterpart.overflowed == 2
         replayed = counterpart.replay_after(0)
         assert [s.sequence for s in replayed] == [3, 4]
-
-    def test_bounded_buffer_drop_newest(self):
-        counterpart = VirtualCounterpart(
-            "C",
-            "sub",
-            Filter({}),
-            next_sequence=1,
-            max_buffer=2,
-            overflow_policy=BufferOverflowPolicy.DROP_NEWEST,
-        )
-        for seq in range(1, 5):
-            counterpart.buffer(make_notification(seq))
-        assert [s.sequence for s in counterpart.replay_after(0)] == [1, 2]
-
-    def test_invalid_overflow_policy(self):
-        with pytest.raises(ValueError):
-            VirtualCounterpart("C", "sub", Filter({}), 1, overflow_policy="explode")
 
     def test_drain(self):
         counterpart = VirtualCounterpart("C", "sub", Filter({}), next_sequence=1)

@@ -61,16 +61,16 @@ class TestFilterChain:
         network, _, _, subscription, graph = build_logical_network()
         ploc = PlocFunction(graph)
         for hop, broker_name in enumerate(["B1", "B2", "B3", "B4"]):
-            state = network.broker(broker_name).logical_state_for("C", subscription)
+            state = network.broker(broker_name).logical.state_for("C", subscription)
             assert state is not None
             assert state.hop_index == hop
             assert state.location_set() == ploc("a", min(hop, 2))
 
     def test_set_inclusion_along_the_path(self):
         network, _, _, subscription, _ = build_logical_network()
-        downstream = network.broker("B1").logical_state_for("C", subscription)
+        downstream = network.broker("B1").logical.state_for("C", subscription)
         for broker_name in ("B2", "B3", "B4"):
-            upstream = network.broker(broker_name).logical_state_for("C", subscription)
+            upstream = network.broker(broker_name).logical.state_for("C", subscription)
             assert upstream.location_set() >= downstream.location_set()
             downstream = upstream
 
@@ -94,7 +94,7 @@ class TestFilterChain:
         network.settle()
         ploc = PlocFunction(graph)
         for hop, broker_name in enumerate(["B1", "B2", "B3", "B4"]):
-            state = network.broker(broker_name).logical_state_for("C", subscription)
+            state = network.broker(broker_name).logical.state_for("C", subscription)
             assert state.current_location == "b"
             assert state.location_set() == ploc("b", min(hop, 2))
 
@@ -103,7 +103,7 @@ class TestFilterChain:
         consumer.unsubscribe(subscription)
         network.settle()
         for broker_name in ("B1", "B2", "B3", "B4"):
-            assert network.broker(broker_name).logical_state_for("C", subscription) is None
+            assert network.broker(broker_name).logical.state_for("C", subscription) is None
         publish_everywhere(producer)
         network.settle()
         assert consumer.received == []
@@ -135,14 +135,14 @@ class TestFilterChain:
         network, producer, consumer, subscription, _ = build_logical_network(brokers=3)
         network.add_client("Q", "B1").advertise({"service": "parking"})
         network.settle()
-        assert network.broker("B1").logical_state_for("C", subscription).destination == "C"
-        assert network.broker("B2").logical_state_for("C", subscription).forwarded_to == ("B3",)
+        assert network.broker("B1").logical.state_for("C", subscription).destination == "C"
+        assert network.broker("B2").logical.state_for("C", subscription).forwarded_to == ("B3",)
         publish_everywhere(producer)
         network.settle()
         assert [r.notification.get("location") for r in consumer.received] == ["a"]
         consumer.unsubscribe(subscription)
         network.settle()
-        assert not any(broker._logical_states for broker in network.brokers.values())
+        assert not any(broker.logical.states for broker in network.brokers.values())
 
 
 class TestEpochSemantics:
@@ -294,7 +294,7 @@ class TestCrashRecovery:
                     network.snapshot_broker("B2")
                 network.crash_broker("B2")
                 network.restart_broker("B2")
-                state = network.broker("B2").logical_state_for("C", subscription)
+                state = network.broker("B2").logical.state_for("C", subscription)
                 assert (state.destination, state.forwarded_to) == ("B1", ("B3",))
                 row = network.broker("B2").subscription_table.find_entry(state.stored_filter, "B1")
                 assert state.owns(row) and row.filter is state.current_filter()
@@ -335,7 +335,7 @@ class TestSharedMovementGraph:
                 )
             network.settle()
             for name in ("B1", "B2", "B3", "B4"):
-                states = list(network.broker(name)._logical_states.values())
+                states = list(network.broker(name).logical.states.values())
                 assert len(states) == 40
                 assert all(state.movement_graph is grid for state in states)
             # One memo entry per frontier expansion, plus each block itself:

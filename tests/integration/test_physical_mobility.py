@@ -48,7 +48,7 @@ class TestBasicRelocation:
         for index in range(3, 8):
             producer.publish({"topic": "news", "index": index})
         network.settle()
-        assert network.broker("B6").has_counterparts()
+        assert network.broker("B6").physical.counterparts
 
         consumer.move_to(network.broker("B1"))
         for index in range(8, 11):
@@ -57,7 +57,7 @@ class TestBasicRelocation:
 
         assert len(consumer.received) == 11
         assert_guarantees(network)
-        assert not network.broker("B6").has_counterparts()
+        assert not network.broker("B6").physical.counterparts
 
     def test_interface_is_unchanged_after_relocation(self):
         """After relocating, plain pub/sub keeps working through the same client object."""
@@ -93,7 +93,7 @@ class TestBasicRelocation:
         network.settle()
         assert len(consumer.received) == 4
         assert_guarantees(network)
-        assert not network.broker("B1").has_counterparts()
+        assert not network.broker("B1").physical.counterparts
 
     def test_relocation_without_prior_traffic(self):
         network = build(line_topology(4))
@@ -152,7 +152,7 @@ class TestBasicRelocation:
         producer.publish({"topic": "news", "index": 3})
         network.settle()
         assert [record.notification.get("index") for record in consumer.received] == [1, 2, 3]
-        assert not network.broker("B1").has_counterparts()
+        assert not network.broker("B1").physical.counterparts
 
 
 class TestFigure5Scenarios:
@@ -172,7 +172,7 @@ class TestFigure5Scenarios:
         assert len(consumer.received) == 5
         assert_guarantees(network)
         # Old border broker garbage-collected its counterpart.
-        assert not network.broker("B6").has_counterparts()
+        assert not network.broker("B6").physical.counterparts
 
     def test_two_producers_walkthrough(self):
         graph = figure5_topology()
@@ -227,7 +227,7 @@ class TestRepeatedRoaming:
 
         assert len(consumer.received) == index
         assert_guarantees(network)
-        assert not any(broker.has_counterparts() for broker in network.brokers.values())
+        assert not any(broker.physical.counterparts for broker in network.brokers.values())
 
     def test_relocation_with_publications_in_flight(self):
         """Publications racing the relocation control messages are not lost."""
@@ -267,7 +267,8 @@ class TestBufferLimits:
         for index in range(10):
             producer.publish({"topic": "news", "index": index})
         network.settle()
-        counterpart = network.broker("B1").counterpart_for("C", consumer.subscription_ids()[0])
+        physical = network.broker("B1").physical
+        counterpart = physical.counterpart_for("C", consumer.subscription_ids()[0])
         assert counterpart.buffered_count() == 3
         assert counterpart.overflowed == 7
         consumer.move_to(network.broker("B2"))

@@ -44,7 +44,7 @@ def first_cover(selected, filter_, covers=filter_covers):
 
 def stored_by_logical_protocol(broker, row, subject):
     """Whether *row* is where the location-dependent *subject* keeps its filter."""
-    state = broker._logical_states.get(subject)
+    state = broker.logical.states.get(subject)
     return (
         state is not None
         and state.stored_filter is not None

@@ -18,7 +18,7 @@ from repro.filters.filter import Filter
 from repro.messages.admin import Subscribe
 from repro.messages.base import MessageKind
 from repro.messages.control import Heartbeat
-from repro.messages.mobility import LocationUpdate
+from repro.messages.mobility import LocationUpdate, subscription_token
 from repro.messages.notification import Notification
 from repro.metrics.counters import MessageCounter, cumulative_message_series, messages_per_second
 from repro.runtime.trace import DeliveryRecord
@@ -158,7 +158,8 @@ def test_columns_and_views_equal_the_reference_recorder(schedule):
             (client_id, subscription_id, durable), note, sequence = arguments
             client, notification = clients[client_id], messages[note]
             if client.attached:
-                subscription = broker._clients[client_id].subscriptions[subscription_id]
+                token = subscription_token(client_id, subscription_id)
+                subscription = broker._clients[client_id].subscriptions[token]
                 broker._deliver_to_client(subscription, notification, sequence)
                 time = network.clock.now
                 record = reference.record_delivery(

@@ -232,7 +232,7 @@ def test_suppressed_durable_redelivery_is_in_the_trace_but_not_received():
     notification = producer.publish({"topic": "news", "n": 1})
     network.settle()
     broker = network.broker("B2")
-    subscription = broker._clients["consumer"].subscriptions["s1"]
+    subscription = broker._clients["consumer"].subscriptions["consumer/s1"]
     broker._deliver_to_client(subscription, notification, 1)  # the broker redelivers seq 1
     assert [r.sequence for r in network.trace.deliveries_for("consumer")] == [1, 1]
     assert [r.sequence for r in consumer.received] == [1]
