@@ -13,9 +13,12 @@ also the oracle path the equivalence tests drive directly.
 :meth:`DispatchPlan.match` answers the forwarding question (which
 neighbours) and the local-delivery question (which rows) in a single
 counting pass returning the matched routing rows; the broker derives
-both answers from it.  :meth:`DispatchPlan.advertised_via` answers the
-subscription-forwarding gate with a value-bucketed disjointness test that
-returns the **same verdict** as a linear
+both answers from it.  The index holds each distinct filter once, under
+a fid; the plan keeps the filter's rows as one tuple, ``fid_rows[fid]``,
+which is also the filter's reference count, and a match extends the
+answer from those tuples directly.  :meth:`DispatchPlan.advertised_via`
+answers the subscription-forwarding gate with a value-bucketed
+disjointness test that returns the **same verdict** as a linear
 :func:`~repro.filters.covering.filters_overlap_hint` loop over the
 neighbour's advertisement rows (the hint only proves disjointness through
 incompatible equality/set constraints on a shared attribute, which is
@@ -196,8 +199,9 @@ class DispatchPlan:
         self._advertisement_table = advertisement_table
         self.index = PredicateIndex(stats)
         self.matcher = BitsetMatcher(self.index)
-        # filter key -> {destination: RoutingEntry} (mirrors the live rows)
-        self._rows: Dict[Any, Dict[str, Any]] = {}
+        #: fid -> the live rows of that filter, in the order they were
+        #: created (``()`` for a free fid); the rows are the refcount.
+        self.fid_rows: List[Tuple[Any, ...]] = []
         # (probe key, matched rows) of the last memoisable match, or None.
         self._last_match: Optional[Tuple[Any, Tuple[Any, ...]]] = None
         #: ``False`` until the first (lazy) build from the table, and again
@@ -226,10 +230,10 @@ class DispatchPlan:
         last = self._last_match
         if last is not None and last[0] == key:
             return last[1]
-        rows = self._rows
+        fid_rows = self.fid_rows
         out: List[Any] = []
-        for filter_ in self.matcher.match(attributes):
-            out.extend(rows[filter_.key()].values())
+        for fid in self.matcher.match_fids(attributes):
+            out.extend(fid_rows[fid])
         matched = tuple(out)
         if {str, int, float, bool}.issuperset(key[1]):
             self._last_match = (key, matched)
@@ -253,8 +257,7 @@ class DispatchPlan:
     def rebuild(self) -> None:
         """Rebuild the subscription side from one table scan."""
         self.index.clear()
-        self.matcher = BitsetMatcher(self.index)
-        self._rows = {}
+        self.fid_rows = []
         self._last_match = None
         self.valid = True
         for row in self._subscription_table.entries():
@@ -279,25 +282,27 @@ class DispatchPlan:
         if not self.valid or isinstance(row.filter, MatchNone):
             return
         self._last_match = None
-        key = row.filter.key()
-        destinations = self._rows.get(key)
-        if destinations is None:
-            destinations = self._rows[key] = {}
-            self.index.add(row.filter)
-        destinations[row.destination] = row
+        fid = self.index.fid_of(row.filter)
+        if fid is None:
+            fid = self.index.add(row.filter)
+            if fid == len(self.fid_rows):
+                self.fid_rows.append(())
+        self.fid_rows[fid] += (row,)
 
     def _subscription_row_removed(self, row) -> None:
         if not self.valid or isinstance(row.filter, MatchNone):
             return
-        key = row.filter.key()
-        destinations = self._rows.get(key)
-        if destinations is None or row.destination not in destinations:
+        fid = self.index.fid_of(row.filter)
+        if fid is None:
+            return
+        rows = self.fid_rows[fid]
+        kept = tuple(other for other in rows if other.destination != row.destination)
+        if len(kept) == len(rows):
             return
         self._last_match = None
-        del destinations[row.destination]
-        if not destinations:
-            del self._rows[key]
-            self.index.remove(row.filter)
+        self.fid_rows[fid] = kept
+        if not kept:
+            self.index.remove(fid)
 
     def _advertisement_row_added(self, row) -> None:
         if not self.advert_valid:

@@ -23,9 +23,18 @@ and indexes it by ``(attribute, operator class)``:
   per-attribute scan lists that are evaluated only when the attribute is
   present.
 
-Filters are registered with a reference count and decomposed into
-predicate ids; :meth:`PredicateIndex.satisfied_pids` computes the
-satisfied predicate set for a notification, and the
+Each distinct filter gets a dense id (*fid*) and each distinct predicate
+an id (*pid*), and every fact is stored once: ``pid_masks[pid]`` is one
+big int with bit ``fid`` set per filter referencing the predicate,
+written in place by :meth:`~PredicateIndex.add` and
+:meth:`~PredicateIndex.remove`; a predicate is dropped when its mask
+reaches 0, from the slots :func:`_placement` recomputes for it.  The index
+keeps no reference counts: its owner, the
+:class:`~repro.dispatch.plan.DispatchPlan`, adds each distinct filter once
+and removes it by fid with its last routing row (it never adds
+``MatchNone``, which cannot match).
+:meth:`PredicateIndex.satisfied_pids` computes the satisfied predicate
+set for a notification, and the
 :class:`~repro.dispatch.counting.BitsetMatcher` maps it back to matching
 filters.  ``AnyValue`` constraints are dropped during decomposition (they
 hold for present *and* absent attributes); every other constraint type
@@ -33,13 +42,10 @@ requires the attribute to be present, which is what makes per-filter
 satisfaction *counting* sound: a filter with ``k`` indexed predicates
 matches a notification exactly when ``k`` of its predicates fire, and
 each predicate can fire at most once per notification (it is tied to a
-single attribute).
-
-Special cases: ``MatchNone`` never matches and is rejected by
-:meth:`add`; ``MatchAll`` and empty filters decompose to zero predicates
-and match every notification; :class:`Filter` subclasses that are
-not plain conjunctions (defensive — none exist in routing tables today)
-fall back to a whole-filter scan list.
+single attribute).  ``MatchAll`` and empty filters decompose to zero
+predicates and match every notification; :class:`Filter` subclasses that
+are not plain conjunctions (defensive — none exist in routing tables
+today) fall back to a whole-filter scan list.
 """
 
 from __future__ import annotations
@@ -58,16 +64,42 @@ from repro.filters.constraints import (
     LessEqual,
     LessThan,
 )
-from repro.filters.filter import Filter, MatchAll, MatchNone
+from repro.filters.filter import Filter, MatchAll
 from repro.dispatch.stats import DispatchStats
 
-#: Slot kinds a predicate can be stored under (recorded for removal).
+#: Slot kinds a predicate can be stored under (see ``_placement``).
 _KIND_EQ = 0
 _KIND_CMP = 1
 _KIND_INTERVAL = 2
 _KIND_RESIDUAL = 3
 
 _CMP_OPS = {LessThan: "lt", LessEqual: "le", GreaterThan: "gt", GreaterEqual: "ge"}
+
+
+def _placement(name: str, constraint: Constraint) -> Tuple[int, Any, Any]:
+    """Where predicate *name*/*constraint* lives: ``(kind, slot, pivot)``.
+
+    The one answer both placing and dropping a predicate use: equality
+    buckets (a tuple of ``(attribute, value key)`` positions, one per
+    ``InSet`` member), a comparison array and its pivot, an interval list
+    and its low bound, or a residual scan list.
+    """
+    if isinstance(constraint, Equals):
+        return _KIND_EQ, ((name, canonical_key(constraint.value)),), None
+    if isinstance(constraint, InSet):
+        return _KIND_EQ, tuple((name, value_key) for value_key in constraint._by_key), None
+    op = _CMP_OPS.get(type(constraint))
+    if op is not None:
+        return _KIND_CMP, (name, value_type_of(constraint.value), op), constraint.value
+    if isinstance(constraint, Between):
+        low_key = canonical_key(constraint.low)
+        if constraint.low_inclusive and constraint.high_inclusive and (
+            low_key == canonical_key(constraint.high)
+        ):
+            # Closed degenerate interval [x, x]: exactly an equality.
+            return _KIND_EQ, ((name, low_key),), None
+        return _KIND_INTERVAL, (name, value_type_of(constraint.low)), constraint.low
+    return _KIND_RESIDUAL, name, None
 
 
 class _CmpArray:
@@ -93,28 +125,31 @@ class _CmpArray:
 
 
 class PredicateIndex:
-    """Refcounted filters decomposed into shared, indexed predicates.
+    """Distinct filters decomposed into shared, indexed predicates.
 
     *stats* is the sink the index and its matchers count their work in
     (the owning broker's, handed down by its dispatch plan; a private
-    one when omitted).
+    one when omitted).  ``version`` changes with every filter added or
+    removed, so a matcher knows when to recompile its metadata.
     """
 
     def __init__(self, stats: Optional[DispatchStats] = None) -> None:
         self.stats = DispatchStats() if stats is None else stats
+        self.version = 0
         # -- filters ----------------------------------------------------
         self._fids: Dict[Tuple[Any, ...], int] = {}  # filter key -> fid
         self.fid_filter: List[Optional[Filter]] = []
-        self._fid_refs: List[int] = []
         self._fid_pids: List[Tuple[int, ...]] = []
         self._free_fids: List[int] = []
         #: Live fids of non-conjunctive Filter subclasses, evaluated whole.
         self.opaque_fids: Set[int] = set()
         # -- predicates -------------------------------------------------
         self._pids: Dict[Tuple[str, Tuple[Any, ...]], int] = {}
-        self.pid_fids: List[Set[int]] = []
-        self._pid_refs: List[int] = []
-        self._pid_slot: List[Any] = []  # removal descriptor per pid
+        #: Bit ``fid`` set for every live filter referencing the predicate.
+        self.pid_masks: List[int] = []
+        # predicate key (a filter key's own item) and constraint per pid
+        self._pid_keys: List[Optional[Tuple[str, Tuple[Any, ...]]]] = []
+        self._pid_constraints: List[Optional[Constraint]] = []
         self._free_pids: List[int] = []
         # -- structures -------------------------------------------------
         self._eq: Dict[Tuple[str, Any], List[int]] = {}
@@ -123,19 +158,6 @@ class PredicateIndex:
         self._interval_lows: Dict[Tuple[str, str], List[Any]] = {}
         self._interval_entries: Dict[Tuple[str, str], List[Tuple[int, Constraint]]] = {}
         self._residual: Dict[str, List[Tuple[int, Constraint]]] = {}
-        # -- observers --------------------------------------------------
-        #: Matchers keeping compiled state over this index.  Notified on
-        #: *structural* changes only (a filter actually indexed or
-        #: unindexed, never a bare refcount bump) with the fid and the
-        #: pids it references, so they can invalidate exactly the touched
-        #: buckets.  ``clear()`` resets the list: compiled matchers must
-        #: be rebuilt against the fresh index.
-        self._observers: List[Any] = []
-
-    def add_observer(self, observer: Any) -> None:
-        """Register *observer* for ``filter_added(fid, pids)`` /
-        ``filter_removed(fid, pids)`` structural-change callbacks."""
-        self._observers.append(observer)
 
     def __len__(self) -> int:
         return len(self._fids)
@@ -145,69 +167,67 @@ class PredicateIndex:
         """Number of distinct live predicates."""
         return len(self._pids)
 
+    def fid_of(self, filter_: Filter) -> Optional[int]:
+        """The fid *filter_* (or an equal-keyed filter) is indexed under, if any."""
+        return self._fids.get(filter_.key())
+
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
-    def add(self, filter_: Filter) -> bool:
-        """Register *filter_* (refcounted).  Returns ``True`` when new.
+    def add(self, filter_: Filter) -> int:
+        """Index *filter_*, which must not be indexed yet; returns its fid.
 
-        ``MatchNone`` filters are rejected (they can never match).
+        Every predicate mask it references is written in place (counted
+        in ``stats.bitset_rebuilds``).
         """
-        if isinstance(filter_, MatchNone):
-            return False
-        key = filter_.key()
-        fid = self._fids.get(key)
-        if fid is not None:
-            self._fid_refs[fid] += 1
-            return False
-        fid = self._allocate_fid(filter_)
-        self._fids[key] = fid
+        if self._free_fids:
+            fid = self._free_fids.pop()
+            self.fid_filter[fid] = filter_
+        else:
+            fid = len(self.fid_filter)
+            self.fid_filter.append(filter_)
+            self._fid_pids.append(())
+        self._fids[filter_.key()] = fid
+        self.version += 1
         if not (type(filter_) is Filter or isinstance(filter_, MatchAll)):
             # Defensive: a Filter subclass may override ``matches``; its
             # behaviour cannot be reconstructed from its constraints.
             self.opaque_fids.add(fid)
-            for observer in self._observers:
-                observer.filter_added(fid, ())
-            return True
+            return fid
+        bit = 1 << fid
         pids = []
-        for name, constraint in filter_.constraint_items():
-            if constraint.matches_absent():
-                continue  # satisfied whether present or absent: no predicate
-            pids.append(self._intern_predicate(name, constraint, fid))
+        for predicate_key in filter_.key():
+            constraint = filter_.constraint_for(predicate_key[0])
+            if not constraint.matches_absent():  # else no predicate: always holds
+                pid = self._intern_predicate(predicate_key, constraint)
+                self.pid_masks[pid] |= bit
+                pids.append(pid)
         self._fid_pids[fid] = tuple(pids)
-        for observer in self._observers:
-            observer.filter_added(fid, self._fid_pids[fid])
-        return True
+        self.stats.bitset_rebuilds += len(pids)
+        return fid
 
-    def remove(self, filter_: Filter) -> bool:
-        """Drop one reference to *filter_*; unindex it at refcount zero."""
-        if isinstance(filter_, MatchNone):
-            return False
-        key = filter_.key()
-        fid = self._fids.get(key)
-        if fid is None:
-            return False
-        self._fid_refs[fid] -= 1
-        if self._fid_refs[fid] > 0:
-            return True
-        del self._fids[key]
+    def remove(self, fid: int) -> None:
+        """Unindex the filter *fid*, dropping the predicates only it referenced."""
+        del self._fids[self.fid_filter[fid].key()]
         self.opaque_fids.discard(fid)
-        removed_pids = self._fid_pids[fid]
-        for pid in removed_pids:
-            self.pid_fids[pid].discard(fid)
-            self._pid_refs[pid] -= 1
-            if self._pid_refs[pid] == 0:
+        keep = ~(1 << fid)
+        masks = self.pid_masks
+        pids = self._fid_pids[fid]
+        for pid in pids:
+            masks[pid] &= keep
+            if not masks[pid]:
                 self._drop_predicate(pid)
+        self.stats.bitset_rebuilds += len(pids)
         self.fid_filter[fid] = None
         self._fid_pids[fid] = ()
         self._free_fids.append(fid)
-        for observer in self._observers:
-            observer.filter_removed(fid, removed_pids)
-        return True
+        self.version += 1
 
     def clear(self) -> None:
-        """Remove everything (the stats sink stays)."""
+        """Remove everything (the stats sink stays; matchers recompile)."""
+        version = self.version
         self.__init__(self.stats)
+        self.version = version + 1
 
     # ------------------------------------------------------------------
     # Queries
@@ -270,98 +290,57 @@ class PredicateIndex:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _allocate_fid(self, filter_: Filter) -> int:
-        if self._free_fids:
-            fid = self._free_fids.pop()
-            self.fid_filter[fid] = filter_
-            self._fid_refs[fid] = 1
-            self._fid_pids[fid] = ()
-            return fid
-        fid = len(self.fid_filter)
-        self.fid_filter.append(filter_)
-        self._fid_refs.append(1)
-        self._fid_pids.append(())
-        return fid
-
-    def _intern_predicate(self, name: str, constraint: Constraint, fid: int) -> int:
-        predicate_key = (name, constraint.key())
+    def _intern_predicate(self, predicate_key: Tuple[str, Any], constraint: Constraint) -> int:
         pid = self._pids.get(predicate_key)
         if pid is not None:
-            self.pid_fids[pid].add(fid)
-            self._pid_refs[pid] += 1
             return pid
         if self._free_pids:
             pid = self._free_pids.pop()
-            self.pid_fids[pid] = {fid}
-            self._pid_refs[pid] = 1
+            self._pid_keys[pid] = predicate_key
+            self._pid_constraints[pid] = constraint
         else:
-            pid = len(self.pid_fids)
-            self.pid_fids.append({fid})
-            self._pid_refs.append(1)
-            self._pid_slot.append(None)
+            pid = len(self.pid_masks)
+            self.pid_masks.append(0)
+            self._pid_keys.append(predicate_key)
+            self._pid_constraints.append(constraint)
         self._pids[predicate_key] = pid
-        self._pid_slot[pid] = (predicate_key, self._index_predicate(name, constraint, pid))
-        return pid
-
-    def _index_predicate(self, name: str, constraint: Constraint, pid: int) -> Tuple[Any, ...]:
-        """Place the predicate in its structure; return a removal descriptor."""
-        if isinstance(constraint, Equals):
-            position = (name, canonical_key(constraint.value))
-            self._eq.setdefault(position, []).append(pid)
-            return (_KIND_EQ, (position,))
-        if isinstance(constraint, InSet):
-            positions = tuple((name, value_key) for value_key in constraint._by_key)
-            for position in positions:
+        kind, slot, pivot = _placement(predicate_key[0], constraint)
+        if kind == _KIND_EQ:
+            for position in slot:
                 self._eq.setdefault(position, []).append(pid)
-            return (_KIND_EQ, positions)
-        op = _CMP_OPS.get(type(constraint))
-        if op is not None:
-            pivot = constraint.value
-            slot = (name, value_type_of(pivot), op)
+        elif kind == _KIND_CMP:
             array = self._cmp.get(slot)
             if array is None:
                 array = self._cmp[slot] = _CmpArray()
             array.insert(pivot, pid)
-            return (_KIND_CMP, slot, pivot)
-        if isinstance(constraint, Between):
-            low_key = canonical_key(constraint.low)
-            if constraint.low_inclusive and constraint.high_inclusive and (
-                low_key == canonical_key(constraint.high)
-            ):
-                # Closed degenerate interval [x, x]: exactly an equality.
-                position = (name, low_key)
-                self._eq.setdefault(position, []).append(pid)
-                return (_KIND_EQ, (position,))
-            slot = (name, value_type_of(constraint.low))
+        elif kind == _KIND_INTERVAL:
             lows = self._interval_lows.setdefault(slot, [])
-            entries = self._interval_entries.setdefault(slot, [])
-            position = bisect_right(lows, constraint.low)
-            lows.insert(position, constraint.low)
-            entries.insert(position, (pid, constraint))
-            return (_KIND_INTERVAL, slot, constraint.low)
-        self._residual.setdefault(name, []).append((pid, constraint))
-        return (_KIND_RESIDUAL, name)
+            position = bisect_right(lows, pivot)
+            lows.insert(position, pivot)
+            self._interval_entries.setdefault(slot, []).insert(position, (pid, constraint))
+        else:
+            self._residual.setdefault(slot, []).append((pid, constraint))
+        return pid
 
     def _drop_predicate(self, pid: int) -> None:
-        predicate_key, descriptor = self._pid_slot[pid]
-        kind = descriptor[0]
+        predicate_key = self._pid_keys[pid]
+        constraint = self._pid_constraints[pid]
+        kind, slot, pivot = _placement(predicate_key[0], constraint)
         if kind == _KIND_EQ:
-            for position in descriptor[1]:
+            for position in slot:
                 bucket = self._eq[position]
                 bucket.remove(pid)
                 if not bucket:
                     del self._eq[position]
         elif kind == _KIND_CMP:
-            _, slot, pivot = descriptor
             array = self._cmp[slot]
             array.remove(pivot, pid)
             if not array.pids:
                 del self._cmp[slot]
         elif kind == _KIND_INTERVAL:
-            _, slot, low = descriptor
             lows = self._interval_lows[slot]
             entries = self._interval_entries[slot]
-            position = bisect_left(lows, low)
+            position = bisect_left(lows, pivot)
             while entries[position][0] != pid:
                 position += 1
             del lows[position]
@@ -370,11 +349,10 @@ class PredicateIndex:
                 del self._interval_lows[slot]
                 del self._interval_entries[slot]
         else:
-            scans = self._residual[descriptor[1]]
+            scans = self._residual[slot]
             scans[:] = [item for item in scans if item[0] != pid]
             if not scans:
-                del self._residual[descriptor[1]]
+                del self._residual[slot]
         del self._pids[predicate_key]
-        self._pid_slot[pid] = None
-        self.pid_fids[pid] = set()
+        self._pid_keys[pid] = self._pid_constraints[pid] = None
         self._free_pids.append(pid)

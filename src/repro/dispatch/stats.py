@@ -49,8 +49,9 @@ class DispatchStats:
         #: matcher's unit of work, each one standing in for up to one
         #: counter bump *per filter* of a scalar counting pass.
         self.mask_ops = 0
-        #: Predicate masks recompiled from ``pid_fids`` (dirty buckets
-        #: only on churn; every live bucket on a full rebuild).
+        #: Predicate masks written in place: one per predicate a filter
+        #: added to or removed from the index references (a plan rebuild
+        #: writes every live filter's again).
         self.bitset_rebuilds = 0
         #: Satisfied hot (near-universal) predicates lifted out of the
         #: counting arity: each one is a bucket whose whole fan-out cost

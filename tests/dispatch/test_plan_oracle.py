@@ -25,7 +25,7 @@ probe after every mutation, back to back with look-alike probes
 from hypothesis import given, settings, strategies as st
 
 from repro.dispatch.plan import DispatchPlan
-from repro.filters.filter import Filter, MatchAll
+from repro.filters.filter import Filter, MatchAll, MatchNone
 from repro.routing.table import RoutingTable
 
 from tests.dispatch.test_predicate_index import (
@@ -234,3 +234,107 @@ def test_a_probe_with_a_mutable_value_is_not_remembered():
     assert plan.match(attributes) == ()
     tags.append("b")
     assert row_ids(plan.match(attributes)) == row_ids(subscriptions.entries())
+
+
+# ---------------------------------------------------------------------------
+# The compact plane: each fact stored once, and nothing left behind
+# ---------------------------------------------------------------------------
+
+
+def every_constraint_kind():
+    """One constraint of each kind the index places differently."""
+    return st.one_of(
+        st.sampled_from(STRING_VALUES),  # Equals
+        st.tuples(st.just("in"), st.lists(st.sampled_from(STRING_VALUES), min_size=1, max_size=3)),
+        st.sampled_from(NUMBER_VALUES).map(lambda value: ("between", value, value)),
+        st.tuples(
+            st.just("between"),
+            st.sampled_from(NUMBER_VALUES),
+            st.sampled_from(NUMBER_VALUES),
+        ).filter(lambda spec: spec[1] < spec[2]),
+        st.tuples(st.sampled_from(["<", "<=", ">", ">="]), st.sampled_from(NUMBER_VALUES)),
+        st.tuples(st.sampled_from(["!=", "prefix"]), st.sampled_from(STRING_VALUES)),  # residual
+        st.just(("any",)),  # no predicate at all
+    )
+
+
+def every_filter_kind():
+    constraints = st.dictionaries(st.sampled_from(ATTRIBUTES), every_constraint_kind(), max_size=3)
+    return st.one_of(
+        constraints.map(Filter),
+        constraints.map(Filter),
+        constraints.map(_TagCount),  # opaque
+        st.just(MatchAll()),
+        st.just(MatchNone()),
+    )
+
+
+def compact_operations():
+    destination = st.sampled_from(DESTINATIONS)
+    return st.one_of(
+        st.tuples(st.just("add"), every_filter_kind(), destination, st.sampled_from(SUBJECTS)),
+        st.tuples(st.just("add"), every_filter_kind(), destination, st.sampled_from(SUBJECTS)),
+        st.tuples(st.just("remove"), st.integers(min_value=0, max_value=31), st.booleans()),
+        st.tuples(st.just("invalidate")),
+        st.tuples(st.just("notify"), notifications()),
+    )
+
+
+def placed_pids(index):
+    """Every pid the index's structures hold, with repeats (one per InSet member)."""
+    pids = [pid for bucket in index._eq.values() for pid in bucket]
+    pids += [pid for array in index._cmp.values() for pid in array.pids]
+    pids += [pid for entries in index._interval_entries.values() for pid, _ in entries]
+    pids += [pid for scans in index._residual.values() for pid, _ in scans]
+    return pids
+
+
+def check_compact(plan, table):
+    """Each fact once: masks, predicates and row tuples equal a from-scratch derivation."""
+    index = plan.index
+    live = [fid for fid, filter_ in enumerate(index.fid_filter) if filter_ is not None]
+    masks = [0] * len(index.pid_masks)
+    for fid in live:
+        if fid in index.opaque_fids:
+            continue
+        for name, constraint in index.fid_filter[fid].constraint_items():
+            if not constraint.matches_absent():
+                masks[index._pids[(name, constraint.key())]] |= 1 << fid
+    assert index.pid_masks == masks
+    live_pids = {pid for pid, mask in enumerate(masks) if mask}
+    assert set(index._pids.values()) == live_pids
+    assert set(placed_pids(index)) == live_pids
+    grouped = {}
+    for row in table.entries():
+        if not isinstance(row.filter, MatchNone):
+            grouped.setdefault(row.filter.key(), []).append(row)
+    assert {index.fid_filter[fid].key(): list(plan.fid_rows[fid]) for fid in live} == grouped
+    assert not any(plan.fid_rows[fid] for fid in range(len(plan.fid_rows)) if fid not in live)
+
+
+@settings(max_examples=300, deadline=None)
+@given(schedule=st.lists(compact_operations(), min_size=1, max_size=40))
+def test_the_compact_plane_stores_each_fact_once(schedule):
+    subscriptions = RoutingTable()
+    plan = DispatchPlan(subscriptions, RoutingTable())
+    for operation in schedule:
+        if operation[0] == "invalidate":
+            plan.invalidate()
+        elif operation[0] == "notify":
+            try:
+                plan.match(operation[1])
+            except TypeError:
+                pass  # a value no constraint can compare; see check_notification
+        else:
+            mutate(subscriptions, operation)
+        if plan.valid:
+            check_compact(plan, subscriptions)
+    plan.match({})  # built, so the removals below arrive as row deltas
+    check_compact(plan, subscriptions)
+    for row in subscriptions.entries():
+        subscriptions.remove(row.filter, row.destination)
+    index = plan.index
+    assert index._eq == {} and index._cmp == {} and index._residual == {}
+    assert index._interval_lows == {} and index._interval_entries == {}
+    assert index._pids == {} and index._fids == {} and not index.opaque_fids
+    assert not any(index.pid_masks) and not any(plan.fid_rows)

@@ -1,11 +1,14 @@
 """The counting engine must agree with brute-force ``Filter.matches``.
 
 Unit tests pin the index structures (equality buckets, bisected
-comparison arrays, interval lists, residual scans and refcount
-bookkeeping); hypothesis properties check exhaustively that
-``PredicateIndex`` + ``BitsetMatcher`` return exactly the brute-force
-match set over generated filters and notifications — including
-``MatchNone``, ``MatchAll`` and attribute-absence edge cases.
+comparison arrays, interval lists, residual scans and predicate masks);
+hypothesis properties check exhaustively that ``PredicateIndex`` +
+``BitsetMatcher`` return exactly the brute-force match set over
+generated filters and notifications — including ``MatchNone``,
+``MatchAll`` and attribute-absence edge cases.  The index holds each
+distinct filter once; :class:`Filters` feeds it the way the dispatch
+plan does, whose rows are the reference count (pinned at plan level in
+``TestRefcountingAndRemoval``).
 """
 
 import random
@@ -13,19 +16,51 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from repro.dispatch.counting import BitsetMatcher
+from repro.dispatch.plan import DispatchPlan
 from repro.dispatch.predicate_index import PredicateIndex
 from repro.filters.constraints import AnyValue, Between, Exists, NotEquals, Prefix
 from repro.filters.filter import Filter, MatchAll, MatchNone
+from repro.routing.table import RoutingTable
 
 
 def F(**constraints):
     return Filter(constraints)
 
 
+class Filters:
+    """A ``PredicateIndex`` fed the way the dispatch plan feeds it.
+
+    Each distinct filter is indexed once and removed by fid with its last
+    reference; ``MatchNone`` is never indexed.
+    """
+
+    def __init__(self, *filters):
+        self.index = PredicateIndex()
+        self.references = {}  # filter key -> [fid, references]
+        for filter_ in filters:
+            self.add(filter_)
+
+    def add(self, filter_):
+        if isinstance(filter_, MatchNone):
+            return
+        entry = self.references.get(filter_.key())
+        if entry is None:
+            self.references[filter_.key()] = [self.index.add(filter_), 1]
+        else:
+            entry[1] += 1
+
+    def remove(self, filter_):
+        entry = self.references.get(filter_.key())
+        if entry is None:
+            return
+        entry[1] -= 1
+        if not entry[1]:
+            del self.references[filter_.key()]
+            self.index.remove(entry[0])
+
+
 def make_matcher(*filters):
-    index = PredicateIndex()
-    for filter_ in filters:
-        index.add(filter_)
+    index = Filters(*filters).index
     return index, BitsetMatcher(index)
 
 
@@ -94,7 +129,7 @@ class TestEdgeCases:
     def test_any_value_constraint_is_not_a_predicate(self):
         filter_ = Filter({"service": "parking", "note": AnyValue()})
         index, matcher = make_matcher(filter_)
-        assert len(index._fid_pids[0]) == 1  # only the equality counts
+        assert index.predicate_count == 1  # only the equality counts
         assert match_keys(matcher, {"service": "parking"}) == {filter_.key()}
         assert match_keys(matcher, {"service": "parking", "note": 42}) == {filter_.key()}
 
@@ -104,10 +139,12 @@ class TestEdgeCases:
         assert len(matcher.match({"service": "parking"})) == 2
 
     def test_match_none_is_rejected(self):
-        index = PredicateIndex()
-        assert index.add(MatchNone()) is False
-        assert len(index) == 0
-        assert BitsetMatcher(index).match({"a": 1}) == []
+        # The plan keeps a MatchNone row out of its index: it can never match.
+        table = RoutingTable()
+        plan = DispatchPlan(table, RoutingTable())
+        table.add(MatchNone(), "N1", "s1")
+        assert plan.match({"a": 1}) == ()
+        assert len(plan.index) == 0
 
     def test_opaque_subclass_falls_back_to_whole_filter_evaluation(self):
         class Oddball(Filter):
@@ -136,16 +173,22 @@ class TestRefcountingAndRemoval:
         assert index.predicate_count == 3  # one shared eq + two locations
 
     def test_refcounted_add_remove(self):
-        index = PredicateIndex()
+        # The plan's rows are the reference count: a filter stays indexed,
+        # once, while any of its rows lives.
+        table = RoutingTable()
+        plan = DispatchPlan(table, RoutingTable())
+        plan.rebuild()
         filter_ = F(service="parking")
-        assert index.add(filter_) is True
-        assert index.add(filter_) is False
-        assert index.remove(filter_) is True  # still referenced
-        assert len(index) == 1
-        assert index.remove(filter_) is True
-        assert len(index) == 0
-        assert index.predicate_count == 0
-        assert BitsetMatcher(index).match({"service": "parking"}) == []
+        table.add(filter_, "N1", "s1")
+        table.add(filter_, "N2", "s2")
+        assert len(plan.index) == 1
+        table.remove(filter_, "N1")  # still referenced
+        assert len(plan.index) == 1
+        assert [row.destination for row in plan.match({"service": "parking"})] == ["N2"]
+        table.remove(filter_, "N2")
+        assert len(plan.index) == 0
+        assert plan.index.predicate_count == 0
+        assert plan.match({"service": "parking"}) == ()
 
     def test_structures_are_empty_after_full_removal(self):
         filters = [
@@ -155,11 +198,11 @@ class TestRefcountingAndRemoval:
             MatchAll(),
         ]
         index = PredicateIndex()
-        for filter_ in filters:
-            index.add(filter_)
-        for filter_ in filters:
-            assert index.remove(filter_)
-        assert index.predicate_count == 0
+        fids = [index.add(filter_) for filter_ in filters]
+        for fid in fids:
+            index.remove(fid)
+        assert len(index) == 0 and index.predicate_count == 0
+        assert not any(index.pid_masks)
         assert index._eq == {} and index._cmp == {}
         assert index._interval_lows == {} and index._residual == {}
 
@@ -173,16 +216,16 @@ class TestRefcountingAndRemoval:
             F(note=("!=", "x")),
             MatchAll(),
         ]
-        index = PredicateIndex()
-        matcher = BitsetMatcher(index)
+        population = Filters()
+        matcher = BitsetMatcher(population.index)
         live = []
         for step in range(300):
             if live and rng.random() < 0.45:
                 filter_ = live.pop(rng.randrange(len(live)))
-                index.remove(filter_)
+                population.remove(filter_)
             else:
                 filter_ = rng.choice(pool)
-                index.add(filter_)
+                population.add(filter_)
                 live.append(filter_)
             notification = {
                 "service": rng.choice(["parking", "fuel", "bus"]),
@@ -248,10 +291,7 @@ def notifications():
 @settings(max_examples=300, deadline=None)
 @given(filters=st.lists(any_filters(), max_size=8), notification=notifications())
 def test_counting_match_equals_brute_force(filters, notification):
-    index = PredicateIndex()
-    for filter_ in filters:
-        index.add(filter_)
-    matcher = BitsetMatcher(index)
+    _, matcher = make_matcher(*filters)
     expected = {
         f.key() for f in filters if not isinstance(f, MatchNone) and f.matches(notification)
     }
@@ -265,16 +305,14 @@ def test_counting_match_equals_brute_force(filters, notification):
     notification=notifications(),
 )
 def test_counting_match_survives_removals(filters, removals, notification):
-    index = PredicateIndex()
-    for filter_ in filters:
-        index.add(filter_)
+    population = Filters(*filters)
     live = list(filters)
     for position in removals:
         if not live:
             break
         filter_ = live.pop(position % len(live))
-        index.remove(filter_)
-    matcher = BitsetMatcher(index)
+        population.remove(filter_)
+    matcher = BitsetMatcher(population.index)
     expected = {
         f.key() for f in live if not isinstance(f, MatchNone) and f.matches(notification)
     }
@@ -308,7 +346,7 @@ class TestArity1FastPath:
                 attributes["cost"] = rng.randint(0, 9)
             if rng.random() < 0.5:
                 attributes["floor"] = rng.randint(0, 5)
-            # The index refcounts structurally identical filters, so the
+            # Structurally identical filters are indexed once, so the
             # brute-force expectation is deduplicated by filter key.
             expected = {f.key(): f for f in filters if f.matches(attributes)}
             got = matcher.match(attributes)

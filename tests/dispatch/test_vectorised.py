@@ -1,13 +1,13 @@
 """The bitset matcher must agree with brute force.
 
-``BitsetMatcher`` compiles the predicate index's predicate→filter sets
-into big-int masks and counts satisfied predicates in bit-sliced planes;
+``BitsetMatcher`` counts satisfied predicates in bit-sliced planes over
+the predicate index's big-int masks (one per predicate, kept in place);
 near-universal "hot" predicates are lifted out of counting arity and
 applied as a single veto mask.  None of that may change a single match:
 these properties pin bitset ≡ brute-force ``Filter.matches`` over
 generated filter sets and churn — including ``MatchAll``, ``MatchNone``,
 attribute absence, arity-1 and opaque-filter edge cases — plus the
-dirty-bucket recompile's equivalence with (and cheapness relative to) a
+in-place mask writes' equivalence with (and cheapness relative to) a
 from-scratch rebuild, and a burst of one event on a live broker network
 costing one match per broker.
 """
@@ -19,25 +19,28 @@ from hypothesis import given, settings, strategies as st
 
 from repro.broker.network import PubSubNetwork
 from repro.dispatch.counting import BitsetMatcher
-from repro.dispatch.predicate_index import PredicateIndex
+from repro.dispatch.plan import DispatchPlan
 from repro.filters.filter import Filter, MatchAll, MatchNone
+from repro.routing.table import RoutingTable
 from repro.runtime.factory import make_runtime
 from repro.topology.builders import line_topology
 
 from tests.dispatch.test_predicate_index import (
     F,
+    Filters,
     any_filters,
     notifications,
 )
 
 
 def make_bitset_matcher(*filters):
-    """An index observed by a ``BitsetMatcher`` from birth, then populated."""
-    index = PredicateIndex()
-    matcher = BitsetMatcher(index)
+    """A ``BitsetMatcher`` over an index from birth, then populated;
+    returns the :class:`Filters` feeding the index and the matcher."""
+    population = Filters()
+    matcher = BitsetMatcher(population.index)
     for filter_ in filters:
-        index.add(filter_)
-    return index, matcher
+        population.add(filter_)
+    return population, matcher
 
 
 def keys_of(matched):
@@ -69,20 +72,20 @@ def test_bitset_match_equals_brute_force(filters, notification):
     notifications_=st.lists(notifications(), min_size=1, max_size=3),
 )
 def test_bitset_match_survives_churn(filters, removals, notifications_):
-    """Removals drive the observer/dirty-bucket path, not a fresh compile.
+    """Removals drive the in-place mask writes, not a fresh compile.
 
-    The matcher observes the index from birth and is matched *between*
-    the structural changes, so every removal exercises an incremental
-    recompile of already-compiled masks rather than a first build.
+    The matcher watches the index from birth and is matched *between*
+    the structural changes, so every removal clears bits of masks a
+    match already used and recompiles metadata already compiled.
     """
-    index, bitset = make_bitset_matcher(*filters)
-    bitset.match(notifications_[0])  # force the initial full compile
+    population, bitset = make_bitset_matcher(*filters)
+    bitset.match(notifications_[0])  # force the initial compile
     live = list(filters)
     for position in removals:
         if not live:
             break
         filter_ = live.pop(position % len(live))
-        index.remove(filter_)
+        population.remove(filter_)
     for notification in notifications_:
         assert keys_of(bitset.match(notification)) == expected_keys(live, notification)
 
@@ -90,8 +93,7 @@ def test_bitset_match_survives_churn(filters, removals, notifications_):
 def test_randomized_churn_matches_brute_force():
     """Long interleaved add/remove/match run: bitset tracks brute force."""
     rng = random.Random(23)
-    index = PredicateIndex()
-    bitset = BitsetMatcher(index)
+    population, bitset = make_bitset_matcher()
     pool = [
         F(service="parking"),
         F(service="fuel"),
@@ -106,10 +108,10 @@ def test_randomized_churn_matches_brute_force():
     for _ in range(400):
         if live and rng.random() < 0.45:
             filter_ = live.pop(rng.randrange(len(live)))
-            index.remove(filter_)
+            population.remove(filter_)
         else:
             filter_ = rng.choice(pool)
-            index.add(filter_)
+            population.add(filter_)
             live.append(filter_)
         notification = {
             "service": rng.choice(["parking", "fuel", "bus"]),
@@ -117,7 +119,7 @@ def test_randomized_churn_matches_brute_force():
             "location": rng.choice(["a", "b", "c", "d"]),
             "floor": rng.randint(0, 13),
         }
-        # The index refcounts structurally identical filters, so the
+        # Structurally identical filters are indexed once, so the
         # brute-force expectation is deduplicated by filter key.
         assert keys_of(bitset.match(notification)) == expected_keys(live, notification)
 
@@ -137,14 +139,14 @@ class TestSharedPredicateSkipping:
         return make_bitset_matcher(*filters), filters
 
     def test_satisfied_hot_predicate_is_skipped_not_counted(self):
-        (index, matcher), filters = self._hot_population()
+        (_, matcher), filters = self._hot_population()
         matched = matcher.match({"service": "parking", "floor": 3})
         assert keys_of(matched) == {F(service="parking", floor=3).key(), F(floor=3).key()}
         assert matcher.stats.predicates_skipped_shared == 1
         assert matcher.stats.mask_ops > 0
 
     def test_unsatisfied_hot_predicate_vetoes_its_sharers(self):
-        (index, matcher), filters = self._hot_population()
+        (_, matcher), filters = self._hot_population()
         # service != parking: all 30 sharers are vetoed by one mask
         # operation; the filter without the hot predicate still matches.
         matched = matcher.match({"service": "fuel", "floor": 3})
@@ -174,10 +176,14 @@ class TestEdgeCases:
         assert len(matcher.match({"service": "parking"})) == 2
 
     def test_match_none_is_rejected_by_the_index(self):
-        index = PredicateIndex()
-        matcher = BitsetMatcher(index)
-        assert index.add(MatchNone()) is False
-        assert matcher.match({"a": 1}) == []
+        # The plan never hands a MatchNone row's filter to its index.
+        table = RoutingTable()
+        plan = DispatchPlan(table, RoutingTable())
+        plan.rebuild()  # from here on the plan lives on row deltas
+        table.add(MatchNone(), "N1", "s1")
+        table.add(MatchAll(), "N2", "s2")
+        assert keys_of(plan.matcher.match({"a": 1})) == {MatchAll().key()}
+        assert len(plan.index) == 1
 
     def test_absent_attribute_fails_presence_constraints(self):
         _, matcher = make_bitset_matcher(F(service="parking", cost=("<", 3)))
@@ -192,55 +198,54 @@ class TestEdgeCases:
                 return attributes.get("cost", 0) % 2 == 1
 
         odd = Oddball({"service": "parking"})
-        index, matcher = make_bitset_matcher(odd)
-        assert index.opaque_fids
+        population, matcher = make_bitset_matcher(odd)
+        assert population.index.opaque_fids
         assert keys_of(matcher.match({"cost": 3})) == {odd.key()}
         assert matcher.match({"cost": 2}) == []
 
 
 # ---------------------------------------------------------------------------
-# Dirty-bucket recompile vs full rebuild
+# In-place mask writes vs full rebuild
 # ---------------------------------------------------------------------------
 
 
 class TestDirtyBucketRecompile:
     def test_incremental_recompile_rebuilds_fewer_masks(self):
         filters = [F(service="parking", floor=floor) for floor in range(20)]
-        index, matcher = make_bitset_matcher(*filters)
-        matcher.match({"service": "parking", "floor": 0})  # initial full compile
-        stats = index.stats  # the index's sink, shared by every matcher over it
+        population, matcher = make_bitset_matcher(*filters)
+        stats = population.index.stats  # the index's sink, shared by every matcher over it
+        assert stats.bitset_rebuilds == 40  # two masks written per filter added
+        matcher.match({"service": "parking", "floor": 0})
         stats.reset()
-        index.add(F(service="parking", floor=99))
+        population.add(F(service="parking", floor=99))
         matcher.match({"service": "parking", "floor": 99})
-        incremental = stats.bitset_rebuilds
-        stats.reset()
-        fresh = BitsetMatcher(index)
-        fresh.match({"service": "parking", "floor": 99})
-        full = stats.bitset_rebuilds
-        # The add dirtied exactly the touched predicates (the shared
-        # service predicate and the new floor bucket), not all 21 masks.
-        assert incremental == 2
-        assert incremental < full
+        # The add wrote exactly the masks of the predicates it touched
+        # (the shared service predicate and the new floor one), in place;
+        # matching wrote none.
+        assert stats.bitset_rebuilds == 2
+        # Building the same 21 filters from scratch writes all 42 again.
+        fresh = Filters(*filters, F(service="parking", floor=99))
+        assert fresh.index.stats.bitset_rebuilds == 42
 
     def test_incremental_recompile_equals_full_rebuild(self):
         rng = random.Random(7)
         pool = [F(service="parking", floor=floor) for floor in range(10)]
         pool += [F(cost=("<", bound)) for bound in range(1, 5)]
         pool.append(MatchAll())
-        index, incremental = make_bitset_matcher()
+        population, incremental = make_bitset_matcher()
         live = []
         for step in range(120):
             if live and rng.random() < 0.4:
-                index.remove(live.pop(rng.randrange(len(live))))
+                population.remove(live.pop(rng.randrange(len(live))))
             else:
                 filter_ = rng.choice(pool)
-                index.add(filter_)
+                population.add(filter_)
                 live.append(filter_)
             if step % 10 == 0:
                 incremental.match({"service": "parking", "floor": rng.randint(0, 11)})
         # A matcher compiled from scratch over the final index state must
         # agree with the incrementally maintained one on every probe.
-        fresh = BitsetMatcher(index)
+        fresh = BitsetMatcher(population.index)
         for floor in range(-1, 12):
             for cost in range(-1, 6):
                 attributes = {"service": "parking", "floor": floor, "cost": cost}

@@ -153,8 +153,9 @@ class TestIndexedAndScanned:
         matcher.add(F(a=1), "y")
         matcher.add(F(a=2), "z")
         # Per indexed filter, the plan keeps the rows it hands out.
-        assert set(matcher.plan._rows[F(a=1).key()]) == {"x", "y"}
-        assert F(a=3).key() not in matcher.plan._rows
+        fid = matcher.index.fid_of(F(a=1))
+        assert [row.destination for row in matcher.plan.fid_rows[fid]] == ["x", "y"]
+        assert matcher.index.fid_of(F(a=3)) is None
 
     def test_agreement_with_bruteforce(self):
         """The indexed matcher returns exactly the brute-force result."""
@@ -183,9 +184,9 @@ class TestIndexedAndScanned:
 class TestRemovalAndIndexPositions:
     """Removal bookkeeping and index-position edge cases.
 
-    The predicate index remembers which bucket, comparison array or scan
-    list each predicate lives in; these cases pin down the cleanup paths
-    and the anchor policy the covering index still shares.
+    The predicate index recomputes which bucket, comparison array or scan
+    list a predicate lives in when it drops it; these cases pin down the
+    cleanup paths and the anchor policy the covering index still shares.
     """
 
     def test_removal_cleans_equality_bucket(self):
@@ -195,7 +196,8 @@ class TestRemovalAndIndexPositions:
         assert matcher.remove(F(service="parking"), "x")
         assert matcher.index._eq == {}
         assert matcher.index.predicate_count == 0
-        assert matcher.plan._rows == {}
+        assert matcher.index.fid_of(F(service="parking")) is None
+        assert not any(matcher.plan.fid_rows)
 
     def test_removal_cleans_scan_list(self):
         matcher = Matcher()
