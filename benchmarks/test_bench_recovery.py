@@ -87,7 +87,7 @@ def test_disk_cold_restart_recovers_journal(benchmark, tmp_path, records):
 
 def _loaded_border(subscriptions: int, snapshot: bool) -> PubSubNetwork:
     """A 3-broker line whose border B1 carries *subscriptions* client rows."""
-    network = PubSubNetwork(line_topology(3), strategy="identity", latency=0.02)
+    network = PubSubNetwork(line_topology(3), strategy="simple", latency=0.02)
     network.enable_recovery("B1")
     consumer = network.add_client("consumer", "B1")
     for index in range(subscriptions):

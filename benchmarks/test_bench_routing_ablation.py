@@ -52,7 +52,7 @@ def _build_and_subscribe(strategy: str, subscribers_per_leaf: int = 6):
     }
 
 
-@pytest.mark.parametrize("strategy", ["simple", "identity", "covering", "merging"])
+@pytest.mark.parametrize("strategy", ["simple", "covering", "merging"])
 def test_routing_table_sizes_per_strategy(benchmark, strategy):
     """Routing-table size and admin traffic for each routing strategy."""
     stats = benchmark(_build_and_subscribe, strategy)

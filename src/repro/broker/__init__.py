@@ -1,8 +1,9 @@
 """The Rebeca-style broker network.
 
 * :class:`~repro.broker.base.Broker` — a broker process: routing tables,
-  subscription forwarding, advertisement handling, client registrations,
-  and the message handlers of both mobility protocols.
+  the notification path, client registrations, and one component each
+  for subscription forwarding (:mod:`repro.broker.forwarding`), both
+  mobility protocols and reliability.
 * :class:`~repro.broker.client.Client` — the client library (which, as in
   the paper, plays the role of the *local broker*): the ``pub`` / ``sub``
   / ``unsub`` / ``notify`` interface, plus physical roaming

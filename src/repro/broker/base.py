@@ -8,22 +8,17 @@ A :class:`Broker` owns
   filters are forwarded to which neighbours,
 * outgoing links to its neighbour brokers,
 * registrations of locally attached clients (making it a *border broker*
-  for those clients) and their relocation buffers, and
-* three components, each beside the state it owns and declaring its rows
-  of :attr:`Broker._MESSAGE_TABLE`: :class:`~repro.core.physical.
-  PhysicalMobility` (Section 4), :class:`~repro.core.logical.
-  LogicalMobility` (Section 5) and :class:`~repro.broker.recovery.
-  Reliability` (journal, retention window, heartbeats).
-
-Subscription forwarding is organised around a single primitive,
-:meth:`Broker.refresh_forwarding`: for a neighbour ``N`` the broker
-computes the *desired* set of (filter, subject) pairs that should be
-registered at ``N`` — the strategy reduces the filters, advertisements
-restrict the directions — and then emits exactly the ``Subscribe`` /
-``Unsubscribe`` messages needed to move from the currently forwarded set
-to the desired set.  Plain subscriptions, unsubscriptions, client
-attach/detach and the relocation protocol all reuse this primitive, which
-keeps the broker's behaviour consistent across all of them.
+  for those clients) and their relocation buffers,
+* the notification path: the dispatch plan matches each notification
+  once, and the matched rows say where it is forwarded and to whom it is
+  delivered, and
+* four components, each beside the state it owns and declaring its rows
+  of :attr:`Broker._MESSAGE_TABLE`: :class:`~repro.broker.forwarding.
+  SubscriptionForwarding` (Section 2.2's subscription and advertisement
+  forwarding), :class:`~repro.core.physical.PhysicalMobility`
+  (Section 4), :class:`~repro.core.logical.LogicalMobility` (Section 5)
+  and :class:`~repro.broker.recovery.Reliability` (journal, retention
+  window, heartbeats).
 """
 
 from __future__ import annotations
@@ -32,11 +27,11 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.location_filter import LocationDependentUnsubscribe
-from repro.broker.forwarding import NeighbourForwardingState
+from repro.broker.forwarding import SubscriptionForwarding
 from repro.core.logical import LogicalMobility, LogicalSubscriptionState
 from repro.dispatch.plan import DispatchPlan
 from repro.core.physical import PhysicalMobility, RelocationBuffer
-from repro.filters.filter import Filter, MatchNone
+from repro.filters.filter import Filter
 from repro.filters.merging import FilterCaches
 from repro.broker.recovery import RecoveryStore, Reliability
 from repro.messages.admin import Advertise, Subscribe, Unadvertise, Unsubscribe
@@ -49,49 +44,6 @@ from repro.runtime.protocols import Channel, Clock
 from repro.runtime.trace import TraceRecorder
 from repro.telemetry.events import HOP_DELIVER, HOP_DISPATCH, HOP_FORWARD, trace_id_of
 from repro.telemetry.registry import MetricRegistry
-
-
-# ---------------------------------------------------------------------------
-# Deterministic ordering of (filter key, subject) pairs
-# ---------------------------------------------------------------------------
-#
-# ``refresh_forwarding`` sorts the Subscribe/Unsubscribe diff so message
-# emission is deterministic.  Filter keys are nested tuples mixing value
-# types (strings, numbers, booleans, tuples), which do not compare across
-# types, so a total order needs type tagging.  Sorting by ``repr`` of the
-# whole key worked but allocated a string per entry per refresh; instead we
-# map each key once to a comparable type-ranked token and memoise it on the
-# (immutable) filter, since the same filters recur on every refresh.
-
-
-def _sortable_token(value: Any) -> Any:
-    """A totally ordered, cheap-to-compare stand-in for a filter-key part."""
-    if isinstance(value, tuple):
-        return (3, tuple(_sortable_token(part) for part in value))
-    if isinstance(value, bool):  # before int: bool is an int subclass
-        return (0, 1 if value else 0)
-    if isinstance(value, (int, float)):
-        return (1, value)
-    if isinstance(value, str):
-        return (2, value)
-    return (4, repr(value))
-
-
-def _forwarding_sort_key(item: Tuple[Tuple[Any, str], Filter]) -> Tuple[Any, str]:
-    (_, subject), filter_ = item
-    token = filter_._sort_token
-    if token is None:
-        token = filter_._sort_token = _sortable_token(filter_.key())
-    return (token, subject)
-
-
-def _in_emission_order(diff: Dict[Tuple[Any, str], Filter]) -> List[Tuple[Tuple[Any, str], Filter]]:
-    """The items of a forwarding diff in their deterministic emission order."""
-    if len(diff) < 2:
-        # Nothing to order (the norm for a pending-pair diff): do not build
-        # and memoise a sort token for the filter.
-        return list(diff.items())
-    return sorted(diff.items(), key=_forwarding_sort_key)
 
 
 def _entry_sort_key(entry: Any) -> Tuple[str, int]:
@@ -239,8 +191,8 @@ class Broker:
         """(Re)create every piece of volatile routing state.
 
         Called once from ``__init__`` and again by :meth:`crash`: the
-        routing tables, forwarded bookkeeping, derived caches, client
-        registrations and the three components are exactly what a process
+        routing tables, the dispatch plan, client registrations and the
+        four components are exactly what a process
         crash destroys, so building them anew *is* the crash.  Existing
         links survive (they model the network's wiring, re-established on
         restart) and get fresh empty per-neighbour state.
@@ -251,29 +203,8 @@ class Broker:
         self.physical = PhysicalMobility(self)
         self.logical = LogicalMobility(self)
         self.reliability = Reliability(self)
-        # neighbour -> {(filter key, subject): Filter} already forwarded there
-        self._forwarded_subscriptions: Dict[str, Dict[Tuple[Any, str], Filter]] = {}
-        self._forwarded_advertisements: Dict[str, Dict[Tuple[Any, str], Filter]] = {}
-
-        # Desired forwarding sets: one NeighbourForwardingState per
-        # neighbour, fed by the subscription table's row-level deltas.  A
-        # subscription row of destination D contributes to the state of
-        # every neighbour except D; an advertisement row of destination D
-        # only gates what is forwarded *to* D.
-        self._forwarding_states: Dict[str, NeighbourForwardingState] = {}
-        # neighbour -> (advertisement-table epoch for that neighbour,
-        #               {filter key: overlap verdict}) — see _may_forward.
-        self._advertised_via_cache: Dict[str, Tuple[int, Dict[Any, bool]]] = {}
-        # Bound for each neighbour's verdict dict: it is cleared (not
-        # evicted entry-wise) when it grows past this, the same policy the
-        # CoveringCache uses.
-        self._memo_limit = 65536
-        self.advertisement_table.add_listener(self._on_advertisement_rows_changed)
-        if not self.strategy.floods_notifications:
-            # A flooding broker forwards no subscription, so its states
-            # never receive a contribution: every refresh reconciles the
-            # forwarded set with an empty desired set.
-            self.subscription_table.add_delta_listener(self)
+        # Fresh empty per-neighbour state, also for links that already exist.
+        self.forwarding = SubscriptionForwarding(self)
         # Compiled notification data plane: a counting index over the
         # subscription table plus per-neighbour advertisement overlap
         # indexes, maintained from both tables' row-level deltas (see
@@ -282,15 +213,6 @@ class Broker:
         self._dispatch_plan = DispatchPlan(
             self.subscription_table, self.advertisement_table, self.metrics.dispatch
         )
-        # Fresh empty per-neighbour state for links that already exist
-        # (no-op on first init, where no link is registered yet).
-        for neighbour in self._links:
-            self._forwarded_subscriptions[neighbour] = {}
-            self._forwarded_advertisements[neighbour] = {}
-            self._forwarding_states[neighbour] = self._new_forwarding_state()
-
-    def _new_forwarding_state(self) -> NeighbourForwardingState:
-        return NeighbourForwardingState(self.filter_caches, self.strategy.delta_reduction)
 
     # ------------------------------------------------------------------
     # Wiring
@@ -302,10 +224,7 @@ class Broker:
                 "link source {} does not match broker {}".format(link.source, self.name)
             )
         self._links[link.target] = link
-        self._forwarded_subscriptions.setdefault(link.target, {})
-        self._forwarded_advertisements.setdefault(link.target, {})
-        if link.target not in self._forwarding_states:
-            self._forwarding_states[link.target] = self._new_forwarding_state()
+        self.forwarding.add_neighbour(link.target)
 
     def attach_telemetry(self, telemetry: Optional[Any]) -> None:
         """Attach (or with ``None``, detach) the per-broker event emitter.
@@ -414,7 +333,7 @@ class Broker:
             raise ValueError("broker {} is not down".format(self.name))
         self._crashed = False
         replayed = self.reliability.recover()
-        self._invalidate_forwarding_states()
+        self.forwarding.invalidate()
         if self._telemetry is not None:
             self._telemetry.log(
                 "info", "broker restarted ({} log records replayed)".format(replayed)
@@ -486,7 +405,7 @@ class Broker:
             return
         message = LocationDependentUnsubscribe(client_id=client_id, subscription_id=subscription_id)
         self._apply(message, client_id)
-        self._refresh_all_forwarding(exclude=client_id)
+        self.forwarding.refresh_all(exclude=client_id)
 
     def client_advertise(self, client_id: str, advertisement_id: str, filter_: Filter) -> None:
         """Register a local client's advertisement and flood it to neighbours."""
@@ -630,212 +549,9 @@ class Broker:
             )
         registration.client.deliver(record.subscription_id, notification, sequence, row)
 
-    # ------------------------------------------------------------------
-    # Plain subscription / advertisement handling
-    # ------------------------------------------------------------------
-    def _handle_subscribe(self, message: Subscribe, from_destination: str) -> None:
-        self.subscription_table.add(message.filter, from_destination, message.subject)
-        self._refresh_all_forwarding(exclude=from_destination)
-
-    def _handle_unsubscribe(self, message: Unsubscribe, from_destination: str) -> None:
-        self.subscription_table.remove(message.filter, from_destination, message.subject)
-        self._refresh_all_forwarding(exclude=from_destination)
-
-    def _handle_advertise(self, message: Advertise, from_destination: str) -> None:
-        self.advertisement_table.add(message.filter, from_destination, message.subject)
-        self._forward_advertisement(message, from_destination, withdraw=False)
-        if from_destination in self._links:
-            # Subscriptions may now become forwardable toward the advertiser.
-            self.refresh_forwarding(from_destination)
-            self.logical.reforward_subscriptions(toward=from_destination)
-
-    def _handle_unadvertise(self, message: Unadvertise, from_destination: str) -> None:
-        self.advertisement_table.remove(message.filter, from_destination, message.subject)
-        self._forward_advertisement(message, from_destination, withdraw=True)
-        if from_destination in self._links:
-            self.refresh_forwarding(from_destination)
-
-    def _forward_advertisement(self, message: Any, exclude: str, withdraw: bool) -> None:
-        """Pass an (un)advertisement on to every neighbour but *exclude* that lacks (holds) it."""
-        filter_ = message.filter
-        key = (filter_.key(), message.subject)
-        for neighbour in self.neighbours():
-            forwarded = self._forwarded_advertisements[neighbour]
-            if neighbour == exclude or (key in forwarded) != withdraw:
-                continue
-            if withdraw:
-                del forwarded[key]
-            else:
-                forwarded[key] = filter_
-            self._links[neighbour].send(
-                type(message)(filter_, subject=self.name, subscription_id=message.subject)
-            )
-
-    # ------------------------------------------------------------------
-    # Subscription forwarding (the strategy-driven refresh primitive)
-    # ------------------------------------------------------------------
-    def _on_advertisement_rows_changed(self, destination: Optional[str]) -> None:
-        """Advertisement delta: rows of *destination* changed.
-
-        Advertisements received from ``N`` gate which filters enter the
-        input of ``N``'s forwarding state, and the per-filter verdicts may
-        flip wholesale, so that state is rebuilt from the table on its
-        next refresh.
-        """
-        if destination is None:
-            self._invalidate_forwarding_states()
-            return
-        state = self._forwarding_states.get(destination)
-        if state is not None:
-            state.valid = False
-
-    def _invalidate_forwarding_states(self) -> None:
-        """Have every neighbour's state rebuilt from the table on its next refresh."""
-        for state in self._forwarding_states.values():
-            state.valid = False
-
-    # ------------------------------------------------------------------
-    # Routing-table delta listener (see RoutingTable.add_delta_listener):
-    # applies row-level changes directly to the cached per-neighbour
-    # desired sets, making routing changes O(affected entries).
-    # ------------------------------------------------------------------
-    def row_subject_added(self, row, subject: str, created_row: bool) -> None:
-        if isinstance(row.filter, MatchNone) or self.logical.is_logical_row(row, subject):
-            return
-        filter_ = row.filter
-        destination = row.destination
-        for neighbour, state in self._forwarding_states.items():
-            if neighbour == destination or not state.valid:
-                continue
-            if self._may_forward(neighbour, filter_):
-                state.add_contribution(filter_, subject, row.seq)
-
-    def row_subjects_removed(self, row, subjects: Sequence[str], removed_row: bool) -> None:
-        if isinstance(row.filter, MatchNone):
-            return
-        is_logical_row = self.logical.is_logical_row
-        plain = [subject for subject in subjects if not is_logical_row(row, subject)]
-        if not plain:
-            return
-        filter_ = row.filter
-        filter_key = filter_.key()
-        destination = row.destination
-        for neighbour, state in self._forwarding_states.items():
-            if neighbour == destination or not state.valid:
-                continue
-            if not self._may_forward(neighbour, filter_):
-                continue
-            for subject in plain:
-                state.remove_contribution(filter_key, subject, row.seq)
-
-    def table_reset(self) -> None:
-        self._invalidate_forwarding_states()
-
-    def _refresh_all_forwarding(self, exclude: Optional[str] = None) -> None:
-        for neighbour in self.neighbours():
-            if neighbour == exclude:
-                continue
-            self.refresh_forwarding(neighbour)
-
     def refresh_forwarding(self, neighbour: str) -> None:
-        """Bring the subscriptions forwarded to *neighbour* in line with the tables."""
-        if neighbour not in self._links:
-            # Not a neighbour (e.g. a locally attached client named as the
-            # source of a replayed log entry): nothing is forwarded there.
-            return
-        state = self._forwarding_states[neighbour]
-        if state.settled():
-            return
-        if not state.valid:
-            self._rebuild_forwarding_state(neighbour, state)
-        elif state.order_dirty:
-            # Canonical input positions shifted (a filter's first
-            # contributing row died while later rows survived) or a
-            # merging state's input filters changed structurally:
-            # re-reduce from the maintained entries — no table scan.
-            state.rebuild_reduction()
-        forwarded = self._forwarded_subscriptions[neighbour]
-        to_add, to_remove = state.diff_against(forwarded)
-        self._emit_forwarding_diff(neighbour, forwarded, to_add, to_remove)
-
-    def _emit_forwarding_diff(
-        self,
-        neighbour: str,
-        forwarded: Dict[Tuple[Any, str], Filter],
-        to_add: Dict[Tuple[Any, str], Filter],
-        to_remove: Dict[Tuple[Any, str], Filter],
-    ) -> None:
-        link = self._links[neighbour]
-        # Subscribe before unsubscribing so covering replacements never
-        # leave a gap in which matching notifications would not be routed.
-        for (filter_key, subject), filter_ in _in_emission_order(to_add):
-            forwarded[(filter_key, subject)] = filter_
-            link.send(Subscribe(filter_, subject=subject))
-        for (filter_key, subject), filter_ in _in_emission_order(to_remove):
-            del forwarded[(filter_key, subject)]
-            link.send(Unsubscribe(filter_, subject=subject))
-
-    def _rebuild_forwarding_state(self, neighbour: str, state: NeighbourForwardingState) -> None:
-        """Rebuild a neighbour's state from one subscription-table scan.
-
-        The gating here is the one :meth:`row_subject_added` /
-        :meth:`row_subjects_removed` apply row by row: a ``MatchNone``
-        filter accepts nothing, so forwarding it would only cost
-        administrative traffic; the rows of location-dependent
-        subscriptions are propagated by their own protocol
-        (``LocationDependentSubscribe`` / ``LocationUpdate``); and a filter
-        only travels toward a neighbour that advertised something
-        overlapping it.
-        """
-        logical = self.logical
-        no_logical = not logical.states
-
-        def plain_subjects(row):
-            if row.destination == neighbour or isinstance(row.filter, MatchNone):
-                return None
-            if no_logical:
-                subjects = row.subjects
-            else:
-                subjects = [
-                    subject for subject in row.subjects if not logical.is_logical_row(row, subject)
-                ]
-                if not subjects:
-                    return None
-            return subjects if self._may_forward(neighbour, row.filter) else None
-
-        # A flooding broker forwards no subscription: no row contributes.
-        rows = () if self.strategy.floods_notifications else self.subscription_table.entries()
-        state.rebuild_from_rows(rows, plain_subjects)
-
-    def _may_forward(self, neighbour: str, filter_: Filter) -> bool:
-        """Whether *filter_* may travel toward *neighbour*.
-
-        Without advertisements it always may; with them, only toward a
-        neighbour an overlapping advertisement was received from.  That
-        verdict is memoised per (neighbour, filter key); the memo for a
-        neighbour is discarded wholesale whenever that neighbour's
-        advertisement rows change (tracked by the table's per-destination
-        epoch), so it can never go stale.  Memo misses are answered by
-        the dispatch plan's per-neighbour overlap index.
-        """
-        if not self.config.use_advertisements:
-            return True
-        epoch = self.advertisement_table.destination_epoch(neighbour)
-        cached = self._advertised_via_cache.get(neighbour)
-        if cached is None or cached[0] != epoch:
-            cached = (epoch, {})
-            self._advertised_via_cache[neighbour] = cached
-        verdicts = cached[1]
-        key = filter_.key()
-        verdict = verdicts.get(key)
-        if verdict is None:
-            self.counters["advert_gate_misses"] += 1
-            if len(verdicts) >= self._memo_limit:
-                verdicts.clear()
-            verdict = verdicts[key] = self._dispatch_plan.advertised_via(neighbour, filter_)
-        else:
-            self.counters["advert_gate_hits"] += 1
-        return verdict
+        """``SubscriptionForwarding.refresh``; every refresh enters here."""
+        self.forwarding.refresh(neighbour)
 
     # ------------------------------------------------------------------
     # Introspection helpers used by tests, experiments and benchmarks
@@ -843,10 +559,6 @@ class Broker:
     def routing_table_size(self) -> int:
         """Number of rows in the subscription routing table."""
         return len(self.subscription_table)
-
-    def forwarded_subscription_count(self, neighbour: str) -> int:
-        """Number of (filter, subject) pairs currently forwarded to *neighbour*."""
-        return len(self._forwarded_subscriptions.get(neighbour, {}))
 
     def _require_client(self, client_id: str) -> _ClientRegistration:
         registration = self._clients.get(client_id)
@@ -875,10 +587,7 @@ class Broker:
     #: (liveness and retention windows are volatile by design).
     _MESSAGE_TABLE: Dict[type, Tuple[str, bool, bool, Optional[str], Callable[..., Any]]] = {
         Notification: ("notifications_received", False, False, None, _handle_notification),
-        Subscribe: ("admin_received", True, True, None, _handle_subscribe),
-        Unsubscribe: ("admin_received", True, True, None, _handle_unsubscribe),
-        Advertise: ("admin_received", True, True, None, _handle_advertise),
-        Unadvertise: ("admin_received", True, True, None, _handle_unadvertise),
+        **SubscriptionForwarding.MESSAGES,
         **PhysicalMobility.MESSAGES,
         **LogicalMobility.MESSAGES,
         **Reliability.MESSAGES,

@@ -39,6 +39,14 @@ class ClientError(RuntimeError):
     """Raised for invalid client operations (e.g. publishing while detached)."""
 
 
+class FloodingRelocationError(ClientError):
+    """:meth:`Client.move_to` would relocate a subscription on a flooding network.
+
+    Section 4's relocation finds its junction along routed rows, which a
+    flooding network never builds: the relocation could never complete.
+    """
+
+
 class Client:
     """A pub/sub client that may roam physically and/or logically."""
 
@@ -136,14 +144,24 @@ class Client:
         If still attached somewhere, the client first detaches (it may also
         have detached long ago).  At the new broker every subscription is
         re-issued together with its last received sequence number, which
-        triggers the relocation protocol of Section 4.
+        triggers the relocation protocol of Section 4.  On a flooding
+        network that protocol has no routed rows to follow, so relocating
+        a subscription raises :class:`FloodingRelocationError` and leaves
+        the client as it was; a first attachment is no relocation.
         """
         if self._broker is broker:
             return
-        if self._broker is not None:
-            self.detach()
         # A subscription never registered has no old location: a plain
         # subscription suffices for it.
+        relocated = self._registered_once.intersection(self._subscriptions)
+        if relocated and broker.strategy.floods_notifications:
+            raise FloodingRelocationError(
+                "client {} cannot relocate subscriptions {} on a flooding network".format(
+                    self.client_id, sorted(relocated)
+                )
+            )
+        if self._broker is not None:
+            self.detach()
         moved = partial(broker.client_moved_subscribe, self.client_id)
         self._register_at(broker, moved, set(self._registered_once))
 

@@ -1,9 +1,11 @@
-"""Delta-maintained desired forwarding sets.
+"""Subscription and advertisement forwarding (Section 2.2), one record per neighbour.
 
-:meth:`repro.broker.base.Broker.refresh_forwarding` needs, per neighbour,
-the *desired* set of (filter, subject) pairs that should be registered
-there.  Each neighbour keeps a :class:`NeighbourForwardingState` that
-applies the routing table's row-level deltas (see
+:class:`SubscriptionForwarding` is the broker component that decides what
+each neighbour is sent.  A refresh needs, per neighbour, the *desired*
+set of (filter, subject) pairs that should be registered there.  The
+neighbour's :class:`NeighbourForwardingState` — also the record of what
+was sent there and of which filters may travel there — applies the
+routing table's row-level deltas (see
 :meth:`repro.routing.table.RoutingTable.add_delta_listener`) directly to
 a cached desired dict, so a routing change costs O(affected entries), not
 O(table).  What the state must hold after any sequence of deltas is
@@ -75,8 +77,9 @@ from bisect import bisect_left, insort
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.filters.covering_cache import CoveringIndex, minimal_cover_set_cached
-from repro.filters.filter import Filter
+from repro.filters.filter import Filter, MatchNone
 from repro.filters.merging import FilterCaches, MergePairCache, merge_filters
+from repro.messages.admin import Advertise, Subscribe, Unadvertise, Unsubscribe
 
 
 class _InputEntry:
@@ -120,6 +123,9 @@ class NeighbourForwardingState:
         "desired",
         "pair_refs",
         "pending",
+        "forwarded",
+        "advertised",
+        "verdicts",
         "_max_pos",
         "_index",
         "_key_at",
@@ -164,6 +170,15 @@ class NeighbourForwardingState:
         #: Pairs whose membership in desired or forwarded may have changed
         #: since the last flush; the refresh only needs to look at these.
         self.pending: Set[Tuple[Any, str]] = set()
+        #: What the neighbour holds from this broker, ``{(filter key,
+        #: subject): filter}``: the Subscribes (``forwarded``) and the
+        #: Advertises (``advertised``) sent there and not withdrawn since.
+        self.forwarded: Dict[Tuple[Any, str], Filter] = {}
+        self.advertised: Dict[Tuple[Any, str], Filter] = {}
+        #: The advertisement gate's memo, filter key -> whether the
+        #: neighbour advertised something overlapping the filter.  Cleared
+        #: whenever the neighbour's advertisement rows change.
+        self.verdicts: Dict[Any, bool] = {}
         self._max_pos = 0
         #: CoveringIndex over the input entries (by canonical position),
         #: so every covering question the selection maintenance asks —
@@ -605,16 +620,15 @@ class NeighbourForwardingState:
         """Nothing changed since the last flush: forwarded equals desired."""
         return self.valid and not (self.order_dirty or self.full_diff or self.pending)
 
-    def diff_against(
-        self, forwarded: Dict[Tuple[Any, str], Filter]
-    ) -> Tuple[Dict[Tuple[Any, str], Filter], Dict[Tuple[Any, str], Filter]]:
-        """(to_add, to_remove) closing the gap from *forwarded* to desired.
+    def diff(self) -> Tuple[Dict[Tuple[Any, str], Filter], Dict[Tuple[Any, str], Filter]]:
+        """(to_add, to_remove) closing the gap from forwarded to desired.
 
-        Looks at the pending pairs only — a writer of the forwarded dict
-        other than the flushes adds the pair it wrote to them — except
+        Looks at the pending pairs only — a writer of :attr:`forwarded`
+        other than the flushes goes through :meth:`sent_behind` — except
         after a rebuild, which diffs in full.
         """
         desired = self.desired
+        forwarded = self.forwarded
         if self.full_diff:
             to_add = {pair: filt for pair, filt in desired.items() if pair not in forwarded}
             to_remove = {
@@ -632,3 +646,318 @@ class NeighbourForwardingState:
                     to_remove[pair] = forwarded[pair]
         self.pending.clear()
         return to_add, to_remove
+
+    def sent_behind(self, filter_: Filter, subject: str) -> None:
+        """The neighbour was sent *filter_* for *subject* outside a flush.
+
+        The next diff looks at the pair: an Unsubscribe follows if it is
+        not desired.
+        """
+        pair = (filter_.key(), subject)
+        self.forwarded[pair] = filter_
+        self.pending.add(pair)
+
+
+# A forwarding diff is emitted sorted, so message emission is deterministic.
+# Filter keys are nested tuples mixing value types, which do not compare
+# across types, so each key is mapped once to a type-ranked token, memoised
+# on the (immutable) filter since the same filters recur on every refresh.
+
+
+def _sortable_token(value: Any) -> Any:
+    """A totally ordered, cheap-to-compare stand-in for a filter-key part."""
+    if isinstance(value, tuple):
+        return (3, tuple(_sortable_token(part) for part in value))
+    if isinstance(value, bool):  # before int: bool is an int subclass
+        return (0, 1 if value else 0)
+    if isinstance(value, (int, float)):
+        return (1, value)
+    if isinstance(value, str):
+        return (2, value)
+    return (4, repr(value))
+
+
+def _forwarding_sort_key(item: Tuple[Tuple[Any, str], Filter]) -> Tuple[Any, str]:
+    (_, subject), filter_ = item
+    token = filter_._sort_token
+    if token is None:
+        token = filter_._sort_token = _sortable_token(filter_.key())
+    return (token, subject)
+
+
+def _in_emission_order(diff: Dict[Tuple[Any, str], Filter]) -> List[Tuple[Tuple[Any, str], Filter]]:
+    """The items of a forwarding diff in their deterministic emission order."""
+    if len(diff) < 2:
+        # Nothing to order (the norm for a pending-pair diff): do not build
+        # and memoise a sort token for the filter.
+        return list(diff.items())
+    return sorted(diff.items(), key=_forwarding_sort_key)
+
+
+#: neighbour -> the (filter, subject) pairs of the messages it was sent.
+_SentPairs = Dict[str, List[Tuple[Filter, str]]]
+
+
+class SubscriptionForwarding:
+    """One broker's subscription and advertisement forwarding (Section 2.2).
+
+    ``states`` maps each neighbour ``N`` to its
+    :class:`NeighbourForwardingState`, the one record of what ``N`` was
+    sent (``forwarded``, ``advertised``), what it should hold (``desired``:
+    the plain subscriptions of every other destination, gated by ``N``'s
+    advertisements, reduced by the strategy) and which filters may travel
+    there (``verdicts``).  :meth:`refresh` emits exactly the ``Subscribe`` /
+    ``Unsubscribe`` messages that close the gap; plain subscriptions,
+    client attach / detach and the relocation protocol all reuse it, each
+    through :meth:`~repro.broker.base.Broker.refresh_forwarding`.
+    """
+
+    #: Bound for each neighbour's verdict dict: it is cleared (not evicted
+    #: entry-wise) when it grows past this, the policy the CoveringCache uses.
+    _memo_limit = 65536
+
+    def __init__(self, broker: Any) -> None:
+        self.broker = broker
+        self.states: Dict[str, NeighbourForwardingState] = {}
+        broker.advertisement_table.add_listener(self.advertisement_rows_changed)
+        if not broker.strategy.floods_notifications:
+            # A flooding broker forwards no subscription, so its states
+            # never receive a contribution: every refresh reconciles the
+            # forwarded set with an empty desired set.
+            broker.subscription_table.add_delta_listener(self)
+        for neighbour in broker._links:
+            self.add_neighbour(neighbour)
+
+    def add_neighbour(self, neighbour: str) -> None:
+        """Give *neighbour* an empty state, unless it has one."""
+        if neighbour not in self.states:
+            broker = self.broker
+            self.states[neighbour] = NeighbourForwardingState(
+                broker.filter_caches, broker.strategy.delta_reduction
+            )
+
+    def handle_subscribe(self, message: Subscribe, from_destination: str) -> None:
+        self.broker.subscription_table.add(message.filter, from_destination, message.subject)
+        self.refresh_all(exclude=from_destination)
+
+    def handle_unsubscribe(self, message: Unsubscribe, from_destination: str) -> None:
+        self.broker.subscription_table.remove(message.filter, from_destination, message.subject)
+        self.refresh_all(exclude=from_destination)
+
+    def handle_advertise(self, message: Advertise, from_destination: str) -> None:
+        broker = self.broker
+        broker.advertisement_table.add(message.filter, from_destination, message.subject)
+        self._flood_advertisement(message, from_destination, withdraw=False)
+        if from_destination in broker._links:
+            # Subscriptions may now become forwardable toward the advertiser.
+            broker.refresh_forwarding(from_destination)
+            broker.logical.reforward_subscriptions(toward=from_destination)
+
+    def handle_unadvertise(self, message: Unadvertise, from_destination: str) -> None:
+        broker = self.broker
+        broker.advertisement_table.remove(message.filter, from_destination, message.subject)
+        self._flood_advertisement(message, from_destination, withdraw=True)
+        if from_destination in broker._links:
+            broker.refresh_forwarding(from_destination)
+
+    def _flood_advertisement(self, message: Any, exclude: str, withdraw: bool) -> None:
+        """Pass an (un)advertisement on to every neighbour but *exclude* that lacks (holds) it."""
+        broker = self.broker
+        filter_ = message.filter
+        key = (filter_.key(), message.subject)
+        for neighbour in broker.neighbours():
+            advertised = self.states[neighbour].advertised
+            if neighbour == exclude or (key in advertised) != withdraw:
+                continue
+            if withdraw:
+                del advertised[key]
+            else:
+                advertised[key] = filter_
+            broker._links[neighbour].send(
+                type(message)(filter_, subject=broker.name, subscription_id=message.subject)
+            )
+
+    # ------------------------------------------------------------------
+    # Table listeners
+    # ------------------------------------------------------------------
+    def advertisement_rows_changed(self, destination: Optional[str]) -> None:
+        """Advertisement rows of *destination* (``None``: of every one) changed.
+
+        Advertisements received from ``N`` gate which filters enter the
+        input of ``N``'s state, and the per-filter verdicts may flip
+        wholesale, so the verdicts are forgotten and the state is rebuilt
+        from the table on its next refresh.
+        """
+        for neighbour, state in self.states.items():
+            if destination is None or neighbour == destination:
+                state.valid = False
+                state.verdicts.clear()
+
+    def invalidate(self) -> None:
+        """Have every neighbour's state rebuilt from the table on its next refresh."""
+        for state in self.states.values():
+            state.valid = False
+
+    # Subscription-table delta listener (see RoutingTable.add_delta_listener):
+    # applies row-level changes directly to the per-neighbour desired sets,
+    # making routing changes O(affected entries).
+    def row_subject_added(self, row: Any, subject: str, created_row: bool) -> None:
+        if isinstance(row.filter, MatchNone) or self.broker.logical.is_logical_row(row, subject):
+            return
+        filter_ = row.filter
+        destination = row.destination
+        for neighbour, state in self.states.items():
+            if neighbour == destination or not state.valid:
+                continue
+            if self.may_forward(neighbour, filter_):
+                state.add_contribution(filter_, subject, row.seq)
+
+    def row_subjects_removed(self, row: Any, subjects: Sequence[str], removed_row: bool) -> None:
+        if isinstance(row.filter, MatchNone):
+            return
+        is_logical_row = self.broker.logical.is_logical_row
+        plain = [subject for subject in subjects if not is_logical_row(row, subject)]
+        if not plain:
+            return
+        filter_ = row.filter
+        filter_key = filter_.key()
+        destination = row.destination
+        for neighbour, state in self.states.items():
+            if neighbour == destination or not state.valid:
+                continue
+            if not self.may_forward(neighbour, filter_):
+                continue
+            for subject in plain:
+                state.remove_contribution(filter_key, subject, row.seq)
+
+    #: Delta listener: the whole subscription table changed at once.
+    table_reset = invalidate
+
+    # ------------------------------------------------------------------
+    # The refresh primitive
+    # ------------------------------------------------------------------
+    def refresh_all(self, exclude: Optional[str] = None) -> None:
+        """Refresh every neighbour but *exclude*, each through ``Broker.refresh_forwarding``."""
+        broker = self.broker
+        for neighbour in broker.neighbours():
+            if neighbour != exclude:
+                broker.refresh_forwarding(neighbour)
+
+    def refresh(self, neighbour: str) -> None:
+        """Bring the subscriptions forwarded to *neighbour* in line with the tables."""
+        if neighbour not in self.broker._links:
+            # Not a neighbour (e.g. a locally attached client named as the
+            # source of a replayed log entry): nothing is forwarded there.
+            return
+        state = self.states[neighbour]
+        if state.settled():
+            return
+        if not state.valid:
+            self.rebuild(neighbour)
+        elif state.order_dirty:
+            # Canonical input positions shifted (a filter's first
+            # contributing row died while later rows survived) or a
+            # merging state's input filters changed structurally:
+            # re-reduce from the maintained entries — no table scan.
+            state.rebuild_reduction()
+        self.emit(neighbour, *state.diff())
+
+    def emit(
+        self,
+        neighbour: str,
+        to_add: Dict[Tuple[Any, str], Filter],
+        to_remove: Dict[Tuple[Any, str], Filter],
+    ) -> None:
+        """Send *neighbour* the Subscribes of *to_add* and the Unsubscribes of *to_remove*."""
+        link = self.broker._links[neighbour]
+        forwarded = self.states[neighbour].forwarded
+        # Subscribe before unsubscribing so covering replacements never
+        # leave a gap in which matching notifications would not be routed.
+        for (filter_key, subject), filter_ in _in_emission_order(to_add):
+            forwarded[(filter_key, subject)] = filter_
+            link.send(Subscribe(filter_, subject=subject))
+        for (filter_key, subject), filter_ in _in_emission_order(to_remove):
+            del forwarded[(filter_key, subject)]
+            link.send(Unsubscribe(filter_, subject=subject))
+
+    def rebuild(self, neighbour: str) -> None:
+        """Rebuild a neighbour's state from one subscription-table scan.
+
+        The gating here is the one :meth:`row_subject_added` /
+        :meth:`row_subjects_removed` apply row by row: a ``MatchNone``
+        filter accepts nothing, so forwarding it would only cost
+        administrative traffic; the rows of location-dependent
+        subscriptions are propagated by their own protocol
+        (``LocationDependentSubscribe`` / ``LocationUpdate``); and a filter
+        only travels toward a neighbour that advertised something
+        overlapping it.
+        """
+        broker = self.broker
+        logical = broker.logical
+        no_logical = not logical.states
+
+        def plain_subjects(row: Any) -> Optional[Iterable[str]]:
+            if row.destination == neighbour or isinstance(row.filter, MatchNone):
+                return None
+            if no_logical:
+                subjects = row.subjects
+            else:
+                subjects = [
+                    subject for subject in row.subjects if not logical.is_logical_row(row, subject)
+                ]
+                if not subjects:
+                    return None
+            return subjects if self.may_forward(neighbour, row.filter) else None
+
+        # A flooding broker forwards no subscription: no row contributes.
+        rows = () if broker.strategy.floods_notifications else broker.subscription_table.entries()
+        self.states[neighbour].rebuild_from_rows(rows, plain_subjects)
+
+    def may_forward(self, neighbour: str, filter_: Filter) -> bool:
+        """Whether *filter_* may travel toward *neighbour*.
+
+        Without advertisements it always may; with them, only toward a
+        neighbour an overlapping advertisement was received from.  That
+        verdict is memoised in the neighbour's ``verdicts``, which
+        :meth:`advertisement_rows_changed` clears whenever the neighbour's
+        advertisement rows change, so it can never go stale.  Memo misses
+        are answered by the dispatch plan's per-neighbour overlap index.
+        """
+        broker = self.broker
+        if not broker.config.use_advertisements:
+            return True
+        verdicts = self.states[neighbour].verdicts
+        key = filter_.key()
+        verdict = verdicts.get(key)
+        if verdict is None:
+            broker.counters["advert_gate_misses"] += 1
+            if len(verdicts) >= self._memo_limit:
+                verdicts.clear()
+            verdict = verdicts[key] = broker._dispatch_plan.advertised_via(neighbour, filter_)
+        else:
+            broker.counters["advert_gate_hits"] += 1
+        return verdict
+
+    def snapshot(self) -> Tuple[_SentPairs, _SentPairs]:
+        """Per neighbour, the (filter, subject) pairs of its Subscribes and its Advertises."""
+        states = self.states.items()
+        return (
+            {name: [(f, s) for (_, s), f in state.forwarded.items()] for name, state in states},
+            {name: [(f, s) for (_, s), f in state.advertised.items()] for name, state in states},
+        )
+
+    def restore(self, subscriptions: _SentPairs, advertisements: _SentPairs) -> None:
+        """Undo :meth:`snapshot`; every decoded filter gives way to the network's live one."""
+        intern = self.broker.filter_caches.intern
+        for neighbour, pairs in subscriptions.items():
+            self.states[neighbour].forwarded = {(f.key(), s): intern(f) for f, s in pairs}
+        for neighbour, pairs in advertisements.items():
+            self.states[neighbour].advertised = {(f.key(), s): intern(f) for f, s in pairs}
+
+    #: This component's rows of ``Broker._MESSAGE_TABLE`` (see there).
+    MESSAGES = {
+        Subscribe: ("admin_received", True, True, "forwarding", handle_subscribe),
+        Unsubscribe: ("admin_received", True, True, "forwarding", handle_unsubscribe),
+        Advertise: ("admin_received", True, True, "forwarding", handle_advertise),
+        Unadvertise: ("admin_received", True, True, "forwarding", handle_unadvertise),
+    }

@@ -637,6 +637,7 @@ class Reliability:
         broker = self.broker
         if broker.recovery is None:
             raise ValueError("broker {} has no recovery store".format(broker.name))
+        forwarded_subscriptions, forwarded_advertisements = broker.forwarding.snapshot()
         snapshot = RoutingSnapshot(
             broker=broker.name,
             taken_at=broker.clock.now,
@@ -645,14 +646,8 @@ class Reliability:
             subscription_row_seq=broker.subscription_table.row_seq,
             advertisement_rows=table_rows(broker.advertisement_table),
             advertisement_row_seq=broker.advertisement_table.row_seq,
-            forwarded_subscriptions={
-                neighbour: [(filter_, subject) for (_, subject), filter_ in mapping.items()]
-                for neighbour, mapping in broker._forwarded_subscriptions.items()
-            },
-            forwarded_advertisements={
-                neighbour: [(filter_, subject) for (_, subject), filter_ in mapping.items()]
-                for neighbour, mapping in broker._forwarded_advertisements.items()
-            },
+            forwarded_subscriptions=forwarded_subscriptions,
+            forwarded_advertisements=forwarded_advertisements,
             logical_states=broker.logical.snapshot_entries(),
         )
         broker.recovery.install_snapshot(snapshot)
@@ -711,16 +706,9 @@ class Reliability:
         for filter_, destination, subjects, seq in snapshot.advertisement_rows:
             broker.advertisement_table.restore_row(intern(filter_), destination, subjects, seq)
         broker.advertisement_table.advance_row_seq(snapshot.advertisement_row_seq)
-        for neighbour, pairs in snapshot.forwarded_subscriptions.items():
-            mapping = broker._forwarded_subscriptions.setdefault(neighbour, {})
-            mapping.clear()
-            for filter_, subject in pairs:
-                mapping[(filter_.key(), subject)] = intern(filter_)
-        for neighbour, pairs in snapshot.forwarded_advertisements.items():
-            mapping = broker._forwarded_advertisements.setdefault(neighbour, {})
-            mapping.clear()
-            for filter_, subject in pairs:
-                mapping[(filter_.key(), subject)] = intern(filter_)
+        broker.forwarding.restore(
+            snapshot.forwarded_subscriptions, snapshot.forwarded_advertisements
+        )
 
     # ------------------------------------------------------------------
     # In-flight retention (config.forward_retention)

@@ -323,7 +323,7 @@ class LogicalMobility:
                 # Sending it back where it came from would replace the
                 # state it came from; sending it twice would do nothing.
                 continue
-            if broker._may_forward(toward, state.location_filter.base_filter):
+            if broker.forwarding.may_forward(toward, state.location_filter.base_filter):
                 state.forwarded_to += (toward,)
                 broker._links[toward].send(state.subscribe_message(state.hop_index + 1))
 
@@ -391,8 +391,9 @@ class LogicalMobility:
         # filtering at the border broker (Figure 3b).
         if not broker.strategy.floods_notifications:
             base_filter = state.location_filter.base_filter
+            may_forward = broker.forwarding.may_forward
             for neighbour in broker.neighbours():
-                if neighbour != from_destination and broker._may_forward(neighbour, base_filter):
+                if neighbour != from_destination and may_forward(neighbour, base_filter):
                     state.forwarded_to += (neighbour,)
                     broker._links[neighbour].send(forward)
         return state

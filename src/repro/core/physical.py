@@ -104,12 +104,6 @@ class VirtualCounterpart:
         """
         return [s for s in self._buffer if s.sequence > last_sequence]
 
-    def drain(self) -> List[SequencedNotification]:
-        """Remove and return everything buffered (used at garbage collection)."""
-        drained = list(self._buffer)
-        self._buffer.clear()
-        return drained
-
     def describe(self) -> str:
         """Human-readable state summary used by traces."""
         return "VirtualCounterpart(token={}, buffered={}, next_seq={}, overflowed={})".format(
@@ -120,13 +114,11 @@ class VirtualCounterpart:
 class RelocationBuffer:
     """Buffer at the new border broker while a relocation is in progress."""
 
-    def __init__(self, client_id: str, subscription_id: str, last_sequence: int) -> None:
+    def __init__(self, client_id: str, subscription_id: str) -> None:
         self.client_id = client_id
         self.subscription_id = subscription_id
-        self.last_sequence = int(last_sequence)
         self._pending: List[Notification] = []
         self._replayed: List[SequencedNotification] = []
-        self.replay_received = False
         self.complete = False
 
     @property
@@ -139,15 +131,10 @@ class RelocationBuffer:
         """Buffer a notification that arrived over the new path during relocation."""
         self._pending.append(notification)
 
-    def pending_count(self) -> int:
-        """Number of new-path notifications currently held back."""
-        return len(self._pending)
-
     # -- replay handling ------------------------------------------------------------
     def accept_replay(self, notifications: Sequence[SequencedNotification]) -> None:
         """Record the replayed notifications received from the old border broker."""
         self._replayed.extend(notifications)
-        self.replay_received = True
 
     def flush(self) -> Tuple[List[SequencedNotification], List[Notification]]:
         """Produce the final delivery order and clear the buffer.
@@ -174,10 +161,8 @@ class RelocationBuffer:
 
     def describe(self) -> str:
         """Human-readable state summary used by traces."""
-        return (
-            "RelocationBuffer(token={}, pending={}, replayed={}, replay_received={})".format(
-                self.token, len(self._pending), len(self._replayed), self.replay_received
-            )
+        return "RelocationBuffer(token={}, pending={}, replayed={})".format(
+            self.token, len(self._pending), len(self._replayed)
         )
 
 
@@ -291,7 +276,7 @@ class PhysicalMobility:
         # Normal case: buffer new-path notifications until the replay
         # arrives, then register the subscription and look for the
         # junction starting at this broker.
-        record.relocation_buffer = RelocationBuffer(client_id, subscription_id, last_sequence)
+        record.relocation_buffer = RelocationBuffer(client_id, subscription_id)
         moved = MovedSubscribe(
             client_id=client_id,
             subscription_id=subscription_id,
@@ -367,7 +352,7 @@ class PhysicalMobility:
                 replayed=replayed,
             )
         )
-        broker._refresh_all_forwarding(exclude=client_id)
+        broker.forwarding.refresh_all(exclude=client_id)
 
     def _token_rows(self, token: str, exclude: str) -> List[Any]:
         """The first routing row of *token* per destination but *exclude*, by destination."""
@@ -399,13 +384,9 @@ class PhysicalMobility:
         token = subscription_token(message.client_id, message.subscription_id)
         count = 0
         for neighbour in broker.neighbours():
-            if neighbour == exclude or not broker._may_forward(neighbour, message.filter):
+            if neighbour == exclude or not broker.forwarding.may_forward(neighbour, message.filter):
                 continue
-            pair = (message.filter.key(), token)
-            broker._forwarded_subscriptions[neighbour][pair] = message.filter
-            # Written behind refresh_forwarding's back: have its next diff
-            # look at the pair (an Unsubscribe if it is not desired).
-            broker._forwarding_states[neighbour].pending.add(pair)
+            broker.forwarding.states[neighbour].sent_behind(message.filter, token)
             broker._links[neighbour].send(message)
             count += 1
         return count
@@ -437,7 +418,7 @@ class PhysicalMobility:
                     new_border=message.new_border,
                 )
             under_way = self._forward_moved_subscribe(message, exclude=from_destination) > 0
-        broker._refresh_all_forwarding(exclude=from_destination)
+        broker.forwarding.refresh_all(exclude=from_destination)
         return under_way
 
     def _act_as_junction(self, message: MovedSubscribe, token: str, rows: Sequence[Any]) -> None:
@@ -481,7 +462,7 @@ class PhysicalMobility:
             # new location, then replay the buffered notifications.
             self._divert(token, rows, message.filter, from_destination)
             self._replay_counterpart(token, message.last_sequence, toward=from_destination)
-            broker._refresh_all_forwarding(exclude=from_destination)
+            broker.forwarding.refresh_all(exclude=from_destination)
             return
         if all(row.destination == from_destination for row in rows):
             # Nothing known about this subscription (already cleaned up, or
@@ -506,7 +487,7 @@ class PhysicalMobility:
             # requester's relocation buffer flushes instead of waiting
             # forever.  The local client rows are left untouched.
             self._send_replay(message, [], from_destination)
-        broker._refresh_all_forwarding(exclude=from_destination)
+        broker.forwarding.refresh_all(exclude=from_destination)
 
     def _replay_counterpart(self, token: str, last_sequence: int, toward: Optional[str]) -> None:
         """Ship the buffered suffix back toward the new location and clean up."""

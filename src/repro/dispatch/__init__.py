@@ -11,7 +11,7 @@ through indexed, incrementally maintained structures:
 * :class:`~repro.dispatch.plan.DispatchPlan` — the per-broker plan wiring
   both to the routing tables' row-level deltas, plus the per-neighbour
   :class:`~repro.dispatch.plan.AdvertisementOverlapIndex` behind the
-  ``Broker._may_forward`` gate.
+  advertisement gate (``SubscriptionForwarding.may_forward``).
 
 This is the only matcher the routing tables have; its specification is
 the brute force in ``tests/oracles/matching.py``.

@@ -58,7 +58,7 @@ class Filter:
         # Memos of three renderings of an immutable filter: ``repr``, the
         # wire payload (owned by :func:`repro.filters.wire.filter_to_wire`)
         # and the forwarding emission-order token (owned by
-        # :func:`repro.broker.base._forwarding_sort_key`).
+        # :func:`repro.broker.forwarding._forwarding_sort_key`).
         self._repr: Optional[str] = None
         self._wire: Optional[Dict[str, Any]] = None
         self._sort_token: Any = None

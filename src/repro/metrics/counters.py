@@ -92,8 +92,9 @@ def data_plane_breakdown(brokers: Iterable[Any]) -> Dict[str, int]:
     * ``notifications_delivered`` — the denominator for per-delivery
       views of the counters above;
     * ``advert_gate_hits`` / ``advert_gate_misses`` /
-      ``advert_gate_cached_verdicts`` — per-broker
-      ``_advertised_via_cache`` memo accounting.
+      ``advert_gate_cached_verdicts`` — the advertisement gate's memo
+      accounting (each neighbour's ``verdicts``, see
+      :class:`~repro.broker.forwarding.SubscriptionForwarding`).
 
     Every count comes from the brokers' own registries, so two networks
     in one process never read each other's work.
@@ -106,8 +107,8 @@ def data_plane_breakdown(brokers: Iterable[Any]) -> Dict[str, int]:
             out["dispatch_" + name] += value
         for name in broker_counters:
             out[name] += broker.counters.get(name, 0)
-        for _, verdicts in broker._advertised_via_cache.values():
-            out["advert_gate_cached_verdicts"] += len(verdicts)
+        for state in broker.forwarding.states.values():
+            out["advert_gate_cached_verdicts"] += len(state.verdicts)
     out["constraint_evals"] = out["dispatch_constraint_evals"]
     return out
 

@@ -14,8 +14,9 @@ differently:
 
 * **flooding** — notifications are forwarded everywhere, subscriptions are
   never forwarded;
-* **simple** — every subscription is forwarded unchanged;
-* **identity** — duplicate (identical) filters are forwarded only once;
+* **simple** — every distinct subscription is forwarded unchanged
+  (identical filters are forwarded once: the paper's identity-based
+  routing);
 * **covering** — a filter is not forwarded when an already forwarded
   filter covers it, and newly forwarded covers replace the filters they
   cover;
@@ -27,7 +28,6 @@ from repro.routing.table import RoutingTable, RoutingEntry
 from repro.routing.strategies import (
     CoveringStrategy,
     FloodingStrategy,
-    IdentityStrategy,
     MergingStrategy,
     RoutingStrategy,
     SimpleStrategy,
@@ -40,7 +40,6 @@ __all__ = [
     "RoutingStrategy",
     "FloodingStrategy",
     "SimpleStrategy",
-    "IdentityStrategy",
     "CoveringStrategy",
     "MergingStrategy",
     "make_strategy",

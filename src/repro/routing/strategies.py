@@ -23,9 +23,9 @@ The strategies correspond to Section 2.2 of the paper:
   subscription is ever forwarded (the desired set is always empty).
 * :class:`SimpleStrategy` — "active filters are simply added to the
   routing tables"; every filter is forwarded (duplicates collapse because
-  the desired set is a set of canonical filters).
-* :class:`IdentityStrategy` — equal filters are combined, i.e. forwarded
-  once; for canonical filters this coincides with :class:`SimpleStrategy`.
+  the desired set is a set of canonical filters).  Over canonical filters
+  simple routing *is* the paper's identity-based routing ("check and
+  combine filters that are equal"), so there is no second strategy for it.
 * :class:`CoveringStrategy` — filters covered by another filter in the set
   are not forwarded.
 * :class:`MergingStrategy` — filters are perfectly merged before the
@@ -101,18 +101,6 @@ class SimpleStrategy(RoutingStrategy):
         return self._canonicalise(filters)
 
 
-class IdentityStrategy(RoutingStrategy):
-    """Forward each distinct filter exactly once (combine equal filters)."""
-
-    name = "identity"
-
-    def desired_forwarding_set(self, filters: Sequence[Filter]) -> List[Filter]:
-        # Canonicalisation already collapses identical filters; the class
-        # exists to mirror the paper's terminology ("a first improvement is
-        # to check and combine filters that are equal").
-        return self._canonicalise(filters)
-
-
 class CoveringStrategy(RoutingStrategy):
     """Do not forward filters that are covered by another forwarded filter."""
 
@@ -139,7 +127,6 @@ _STRATEGIES: Dict[str, type] = {
     for cls in (
         FloodingStrategy,
         SimpleStrategy,
-        IdentityStrategy,
         CoveringStrategy,
         MergingStrategy,
     )
@@ -149,8 +136,7 @@ _STRATEGIES: Dict[str, type] = {
 def make_strategy(name: str) -> RoutingStrategy:
     """Instantiate a routing strategy by name.
 
-    Valid names: ``flooding``, ``simple``, ``identity``, ``covering``,
-    ``merging``.
+    Valid names: ``flooding``, ``simple``, ``covering``, ``merging``.
     """
     try:
         return _STRATEGIES[name]()

@@ -59,10 +59,10 @@ class RoutingTable:
     ``tests/oracles/matching.py``.
 
     The table publishes its changes so dependents can maintain incremental
-    state: every observable mutation bumps :attr:`epoch` and invokes the
-    registered change listeners with the affected destination (``None``
-    for whole-table operations such as :meth:`clear`), and row-level delta
-    listeners receive the exact mutation.  Brokers listen coarsely on the
+    state: every observable mutation invokes the registered change
+    listeners with the affected destination (``None`` for whole-table
+    operations such as :meth:`clear`), and row-level delta listeners
+    receive the exact mutation.  Brokers listen coarsely on the
     advertisement table (a change to the rows of destination ``D`` re-gates
     what is forwarded to ``D``) and row by row on the subscription table
     (each row feeds the forwarding state of every neighbour but its own
@@ -75,8 +75,6 @@ class RoutingTable:
         # destination -> number of rows pointing at it
         self._row_counts: Dict[str, int] = {}
         # change publication
-        self._epoch = 0
-        self._destination_epochs: Dict[str, int] = {}
         self._listeners: List[Any] = []
         self._delta_listeners: List[Any] = []
         self._row_seq = 0
@@ -98,15 +96,6 @@ class RoutingTable:
             del self._row_counts[entry.destination]
 
     # -- change publication ------------------------------------------------
-    @property
-    def epoch(self) -> int:
-        """Monotonic counter bumped by every observable mutation."""
-        return self._epoch
-
-    def destination_epoch(self, destination: str) -> int:
-        """Epoch of the last change affecting rows of *destination* (0 if none)."""
-        return self._destination_epochs.get(destination, 0)
-
     @property
     def row_seq(self) -> int:
         """The highest row creation sequence number ever assigned."""
@@ -155,13 +144,6 @@ class RoutingTable:
         self._delta_listeners.append(listener)
 
     def _notify(self, destination: Optional[str]) -> None:
-        self._epoch += 1
-        if destination is not None:
-            self._destination_epochs[destination] = self._epoch
-        else:
-            # Whole-table change: every destination's rows may have changed.
-            for known in self._destination_epochs:
-                self._destination_epochs[known] = self._epoch
         for listener in self._listeners:
             listener(destination)
 

@@ -54,8 +54,8 @@ class TestAdvertisementRestrictedForwarding:
         # The hub must forward the subscription toward B1 (the advertiser)
         # but not toward B3 (no matching advertisement from there).
         hub = network.broker("hub")
-        assert hub.forwarded_subscription_count("B1") == 1
-        assert hub.forwarded_subscription_count(bystander_broker) == 0
+        assert len(hub.forwarding.states["B1"].forwarded) == 1
+        assert len(hub.forwarding.states[bystander_broker].forwarded) == 0
 
     def test_without_advertisements_subscriptions_flood(self):
         config = BrokerConfig(use_advertisements=False)
@@ -66,8 +66,8 @@ class TestAdvertisementRestrictedForwarding:
         consumer.subscribe({"topic": "news"})
         network.settle()
         hub = network.broker("hub")
-        assert hub.forwarded_subscription_count("B1") == 1
-        assert hub.forwarded_subscription_count("B3") == 1
+        assert len(hub.forwarding.states["B1"].forwarded) == 1
+        assert len(hub.forwarding.states["B3"].forwarded) == 1
 
     def test_delivery_works_without_advertisements(self):
         config = BrokerConfig(use_advertisements=False)
@@ -88,4 +88,4 @@ class TestAdvertisementRestrictedForwarding:
         consumer.subscribe({"topic": "news"})
         network.settle()
         hub = network.broker("hub")
-        assert hub.forwarded_subscription_count("B3") == 0
+        assert len(hub.forwarding.states["B3"].forwarded) == 0

@@ -8,7 +8,7 @@ from repro.metrics.counters import MessageCounter
 from repro.metrics.qos import check_completeness, check_fifo, check_no_duplicates
 from repro.topology.builders import balanced_tree_topology, line_topology, star_topology
 
-STRATEGIES = ["simple", "identity", "covering", "merging", "flooding"]
+STRATEGIES = ["simple", "covering", "merging", "flooding"]
 
 
 def build_line(strategy):

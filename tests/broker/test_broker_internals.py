@@ -6,7 +6,7 @@ import itertools
 
 import pytest
 
-from repro.broker import base
+from repro.broker import base, forwarding
 from repro.broker.network import PubSubNetwork
 from repro.broker.recovery import Reliability
 from repro.core.logical import LogicalMobility
@@ -55,10 +55,10 @@ class TestForwardingRefresh:
         consumer = network.add_client("C", "B1")
         consumer.subscribe({"topic": "news"})
         network.settle()
-        forwarded_before = network.broker("B1").forwarded_subscription_count("B2")
+        forwarded_before = len(network.broker("B1").forwarding.states["B2"].forwarded)
         consumer.subscribe({"topic": "news", "priority": (">", 5)})
         network.settle()
-        forwarded_after = network.broker("B1").forwarded_subscription_count("B2")
+        forwarded_after = len(network.broker("B1").forwarding.states["B2"].forwarded)
         # The wider filter covers the narrower one, so the narrower
         # subscription is forwarded under the covering filter: one pair per
         # subject, but both map to the same (covering) filter.
@@ -101,7 +101,7 @@ class TestForwardingRefresh:
 
 
 class TestForwardingDiffEmission:
-    """``_emit_forwarding_diff`` sends a diff in one deterministic order:
+    """``SubscriptionForwarding.emit`` sends a diff in one deterministic order:
     Subscribes before Unsubscribes, each by type-ranked filter key, then
     subject — whatever order the diff dicts were filled in, and without
     paying for sort keys when there is nothing to order."""
@@ -117,9 +117,10 @@ class TestForwardingDiffEmission:
         broker = PubSubNetwork(line_topology(2), strategy="covering", latency=0.01).broker("B1")
         link = broker._links["B2"] = self._RecordingLink()
         to_add, to_remove = dict(to_add), dict(to_remove)
-        forwarded = dict(to_remove)
-        broker._emit_forwarding_diff("B2", forwarded, to_add, to_remove)
-        assert forwarded == to_add
+        state = broker.forwarding.states["B2"]
+        state.forwarded = dict(to_remove)
+        broker.forwarding.emit("B2", to_add, to_remove)
+        assert state.forwarded == to_add
         return link.sent
 
     @staticmethod
@@ -127,7 +128,7 @@ class TestForwardingDiffEmission:
         # The pre-change emission order: always sorted(), always keyed.
         return [
             (message_type, filter_key, subject)
-            for (filter_key, subject), _ in sorted(diff, key=base._forwarding_sort_key)
+            for (filter_key, subject), _ in sorted(diff, key=forwarding._forwarding_sort_key)
         ]
 
     def test_multi_element_diff_is_emitted_in_sorted_order(self):
@@ -303,8 +304,12 @@ class TestMessageTable:
         MessageKind.CONTROL: "control_received",
     }
     #: The component whose state a message type's handler works on; the
-    #: other rows (routing and notifications) are the broker's own.
+    #: notification row is the broker's own.
     OWNERS = {
+        "Subscribe": forwarding.SubscriptionForwarding,
+        "Unsubscribe": forwarding.SubscriptionForwarding,
+        "Advertise": forwarding.SubscriptionForwarding,
+        "Unadvertise": forwarding.SubscriptionForwarding,
         "MovedSubscribe": PhysicalMobility,
         "FetchRequest": PhysicalMobility,
         "Replay": PhysicalMobility,

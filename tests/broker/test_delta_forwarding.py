@@ -54,9 +54,9 @@ def _make_broker(strategy="covering", neighbours=("N1", "N2"), use_advertisement
 
 def _delta_desired(broker, neighbour):
     """The maintained desired dict, rebuilding exactly when a refresh would."""
-    state = broker._forwarding_states[neighbour]
+    state = broker.forwarding.states[neighbour]
     if not state.valid:
-        broker._rebuild_forwarding_state(neighbour, state)
+        broker.forwarding.rebuild(neighbour)
     elif state.order_dirty:
         state.rebuild_reduction()
     return state.desired
@@ -113,7 +113,7 @@ class TestCoverReassignment:
         table.add(mid, "c1", "s2")
         _assert_in_sync(broker)
         # ``mid`` covers ``narrow``: only mid is forwarded.
-        state = broker._forwarding_states["N1"]
+        state = broker.forwarding.states["N1"]
         assert [key for _, key in state.selection] == [mid.key()]
         # A broader filter evicts mid and adopts both members.
         broad = _loc_filter("a", "b", "c")
@@ -133,7 +133,7 @@ class TestCoverReassignment:
         table.add(other, "c1", "s2")
         table.add(broad, "c2", "s3")
         _assert_in_sync(broker)
-        state = broker._forwarding_states["N1"]
+        state = broker.forwarding.states["N1"]
         assert narrow.key() not in state.selected
         # Removing the cover resurrects the member at its original position.
         table.remove(broad, "c2", "s3")
@@ -155,7 +155,7 @@ class TestCoverReassignment:
         table.add(x, "c1", "s3")
         table.add(f, "c2", "s4")
         _assert_in_sync(broker)
-        state = broker._forwarding_states["N1"]
+        state = broker.forwarding.states["N1"]
         assert [key for _, key in state.selection] == [c.key(), f.key()]
         assert state.assigned[x.key()] == c.key()
         table.remove(f, "c2", "s4")
@@ -180,7 +180,7 @@ class TestCoverReassignment:
         _assert_in_sync(broker)
         table.remove_subject("tok")  # removes both rows of ``shared``
         _assert_in_sync(broker)
-        assert shared.key() not in broker._forwarding_states["N1"].entries
+        assert shared.key() not in broker.forwarding.states["N1"].entries
 
     def test_matchnone_rows_are_skipped_in_every_mode(self):
         """MatchNone subscriptions are forwarded by no mode (equivalence)."""
@@ -205,7 +205,7 @@ class TestCoverReassignment:
         # Killing the *first* contributing row of ``shared`` moves its
         # canonical position behind the other filter.
         table.remove(shared, "c1", "s1")
-        state = broker._forwarding_states["N1"]
+        state = broker.forwarding.states["N1"]
         assert state.order_dirty
         _assert_in_sync(broker)
         assert not state.order_dirty
@@ -218,14 +218,14 @@ class TestModesAndFlags:
         table.add(_loc_filter("a"), "c1", "s1")
         table.add(_loc_filter("a", "b"), "c1", "s2")
         _assert_in_sync(broker)
-        state = broker._forwarding_states["N1"]
+        state = broker.forwarding.states["N1"]
         assert len(state.selection) == 2
 
     def test_merging_strategy_uses_delta_mode(self):
         broker, _ = _make_broker(strategy="merging")
         pair_cache = broker.filter_caches.merge_pairs
         assert all(
-            state.merge_pairs is pair_cache for state in broker._forwarding_states.values()
+            state.merge_pairs is pair_cache for state in broker.forwarding.states.values()
         )
 
     def test_flooding_states_receive_no_contribution(self):
@@ -233,33 +233,33 @@ class TestModesAndFlags:
         broker.subscription_table.add(_loc_filter("a"), "c1", "s1")
         broker.subscription_table.add(_loc_filter("b"), "N2", "s2")
         _assert_in_sync(broker)
-        broker._refresh_all_forwarding()
+        broker.forwarding.refresh_all()
         broker.clock.run()
-        assert all(state.entries == {} for state in broker._forwarding_states.values())
+        assert all(state.entries == {} for state in broker.forwarding.states.values())
         assert sink == []
         # A pair the relocation protocol wrote behind the refresh's back
         # is reconciled away by the next refresh: one Unsubscribe.
         moved = _loc_filter("c")
-        broker._forwarded_subscriptions["N1"][(moved.key(), "tok")] = moved
-        broker._forwarding_states["N1"].full_diff = True
-        broker._refresh_all_forwarding()
+        broker.forwarding.states["N1"].forwarded[(moved.key(), "tok")] = moved
+        broker.forwarding.states["N1"].full_diff = True
+        broker.forwarding.refresh_all()
         broker.clock.run()
         assert [(type(message), message.filter, message.subject) for message in sink] == [
             (Unsubscribe, moved, "tok")
         ]
-        assert broker._forwarded_subscriptions["N1"] == {}
+        assert broker.forwarding.states["N1"].forwarded == {}
 
     def test_refresh_applies_deltas_without_table_scan(self):
         broker, _ = _make_broker()
         broker.subscription_table.add(_loc_filter("a"), "c1", "s1")
-        broker._refresh_all_forwarding()
+        broker.forwarding.refresh_all()
         calls = []
         original = broker.subscription_table.entries
         broker.subscription_table.entries = lambda: calls.append(1) or original()
         broker.subscription_table.add(_loc_filter("b"), "c1", "s2")
-        broker._refresh_all_forwarding()
+        broker.forwarding.refresh_all()
         assert calls == []
-        assert broker.forwarded_subscription_count("N1") == 2
+        assert len(broker.forwarding.states["N1"].forwarded) == 2
 
     def test_subject_refcounts_across_destinations(self):
         broker, _ = _make_broker()
@@ -272,10 +272,10 @@ class TestModesAndFlags:
         _assert_in_sync(broker)
         table.remove(shared, "c1", "tok")
         _assert_in_sync(broker)
-        assert (shared.key(), "tok") in broker._forwarding_states["N1"].desired
+        assert (shared.key(), "tok") in broker.forwarding.states["N1"].desired
         table.remove(shared, "c2", "tok")
         _assert_in_sync(broker)
-        assert broker._forwarding_states["N1"].desired == {}
+        assert broker.forwarding.states["N1"].desired == {}
 
 
 class TestMergingDeltaState:
@@ -327,14 +327,14 @@ class TestMergingDeltaState:
         table = broker.subscription_table
         table.add(_loc_filter("a"), "c1", "s1")
         table.add(_loc_filter("b"), "c2", "s2")
-        broker._refresh_all_forwarding()
-        state = broker._forwarding_states["N1"]
+        broker.forwarding.refresh_all()
+        state = broker.forwarding.states["N1"]
         pair_cache = state.merge_pairs
         lookups_before = pair_cache.hits + pair_cache.misses
         # A second subject on an existing filter must not re-merge.
         table.add(_loc_filter("a"), "c1", "s3")
         assert not state.order_dirty
-        broker._refresh_all_forwarding()
+        broker.forwarding.refresh_all()
         assert pair_cache.hits + pair_cache.misses == lookups_before
         _assert_in_sync(broker)
         merged = _loc_filter("a", "b")
@@ -346,13 +346,13 @@ class TestMergingDeltaState:
         for index, location in enumerate("abc"):
             table.add(_loc_filter(location), "c1", "s{}".format(index))
         table.add(Filter({"service": "fuel"}), "c2", "s3")
-        broker._refresh_all_forwarding()
-        state = broker._forwarding_states["N1"]
+        broker.forwarding.refresh_all()
+        state = broker.forwarding.states["N1"]
         desired = dict(state.desired)
         misses = state.merge_pairs.misses
         # A wholesale rebuild over the same inputs: every pair, the merge
         # products included, is answered from the network's pair cache.
-        broker._invalidate_forwarding_states()
+        broker.forwarding.invalidate()
         assert _delta_desired(broker, "N1") == desired
         assert state.merge_pairs.misses == misses
 
@@ -388,24 +388,24 @@ class TestMergingDeltaState:
                 else:
                     table.remove(filter_, *rows[filter_.key()].pop(0))
             _assert_in_sync(broker)
-        state = broker._forwarding_states["N1"]
+        state = broker.forwarding.states["N1"]
         assert [key for _, key in state.selection] == [filter_.key() for filter_ in covers]
         assert {key for key, _ in state.desired} == {filter_.key() for filter_ in covers}
 
     def test_merging_refresh_applies_deltas_without_table_scan(self):
         broker, _ = _make_broker(strategy="merging")
         broker.subscription_table.add(_loc_filter("a"), "c1", "s1")
-        broker._refresh_all_forwarding()
+        broker.forwarding.refresh_all()
         calls = []
         original = broker.subscription_table.entries
         broker.subscription_table.entries = lambda: calls.append(1) or original()
         broker.subscription_table.add(_loc_filter("b"), "c1", "s2")
-        broker._refresh_all_forwarding()
+        broker.forwarding.refresh_all()
         assert calls == []
         # Both filters merged into one forwarded cover carrying two pairs.
-        assert broker.forwarded_subscription_count("N1") == 2
+        assert len(broker.forwarding.states["N1"].forwarded) == 2
         merged = _loc_filter("a", "b")
-        assert all(key == merged.key() for key, _ in broker._forwarded_subscriptions["N1"])
+        assert all(key == merged.key() for key, _ in broker.forwarding.states["N1"].forwarded)
 
 
 @pytest.mark.parametrize("strategy", ["covering", "simple", "merging"])
@@ -475,7 +475,7 @@ def _roaming_chain_churn(mode, seed, strategy="merging"):
         network.settle()
         if mode == "rebuild":
             for broker in network.brokers.values():
-                broker._invalidate_forwarding_states()
+                broker.forwarding.invalidate()
 
     topology = balanced_tree_topology(depth=2, fanout=2)
     network = PubSubNetwork(topology, strategy=strategy, latency=0.01)
@@ -522,8 +522,8 @@ def _roaming_chain_churn(mode, seed, strategy="merging"):
     breakdown = counter.breakdown()
     forwarded = {
         name: {
-            neighbour: sorted(map(repr, keys))
-            for neighbour, keys in broker._forwarded_subscriptions.items()
+            neighbour: sorted(map(repr, state.forwarded))
+            for neighbour, state in broker.forwarding.states.items()
         }
         for name, broker in network.brokers.items()
     }
@@ -566,7 +566,7 @@ def _assert_state_is_from_scratch(broker):
     delta state equal ``minimal_cover_set`` + the oracle's ``first_cover``
     run from scratch over the state's inputs in canonical order."""
     _assert_in_sync(broker)  # also performs the rebuilds a refresh would
-    for state in broker._forwarding_states.values():
+    for state in broker.forwarding.states.values():
         ordered = sorted(state.entries.values(), key=lambda entry: entry.pos)
         selection = minimal_cover_set([entry.filter for entry in ordered])
         assert [key for _, key in state.selection] == [f.key() for f in selection]
@@ -591,7 +591,7 @@ class TestIndexPruning:
     def test_index_tracks_input_membership(self):
         broker, _ = _make_broker(neighbours=("N1",))
         table = broker.subscription_table
-        state = broker._forwarding_states["N1"]
+        state = broker.forwarding.states["N1"]
         narrow = _loc_filter("a")
         broad = _loc_filter("a", "b")
         table.add(narrow, "c1", "s1")
@@ -616,7 +616,7 @@ class TestIndexPruning:
         two; the stolen member has to be found among the inputs."""
         broker, _ = _make_broker(neighbours=("N1",))
         table = broker.subscription_table
-        state = broker._forwarding_states["N1"]
+        state = broker.forwarding.states["N1"]
         kept = Filter({"location": "a"})
         cover = Filter({"service": "parking"})
         wide = Filter({"location": ("in", ("a", "b"))})
@@ -640,7 +640,7 @@ class TestIndexPruning:
         rng = random.Random(seed)
         broker, _ = _make_broker(neighbours=("N1",))
         table = broker.subscription_table
-        state = broker._forwarding_states["N1"]
+        state = broker.forwarding.states["N1"]
         locations = ["l{}".format(index) for index in range(8)]
         services = ["svc{}".format(index) for index in range(12)]
         live = []
@@ -763,7 +763,7 @@ def test_eviction_heavy_schedules_match_from_scratch(narrow, wide, late, removal
     removal_order.shuffle(remaining)
     for row in remaining:
         remove(row)
-    assert broker._forwarding_states["N1"].entries == {}
+    assert broker.forwarding.states["N1"].entries == {}
 
 
 # ---------------------------------------------------------------------------
@@ -884,14 +884,15 @@ def test_logical_registration_takes_over_a_plain_row_of_its_token(table_scan_cal
     stored = _GATED_TEMPLATE.instantiate(_GATED_GRAPH.reachable_within("a", 1))
     table.add(stored, "N1", "k/s0")
     table.add(_loc_filter("e", "f"), "N1", "k/s0")
-    broker._refresh_all_forwarding()
+    broker.forwarding.refresh_all()
     settled = dict(table_scan_calls)
     _logical_step(broker, ("toggle_logical", "k/s0", "N1", "a", 1))
     assert broker.logical.states["k/s0"].owns(table.find_entry(stored, "N1"))
     for neighbour in ("N2", "N3"):
         broker.refresh_forwarding(neighbour)
-        assert broker._forwarded_subscriptions[neighbour] == desired_forwarding(broker, neighbour)
-        assert [subject for _, subject in broker._forwarded_subscriptions[neighbour]] == ["k/s0"]
+        forwarded = broker.forwarding.states[neighbour].forwarded
+        assert forwarded == desired_forwarding(broker, neighbour)
+        assert [subject for _, subject in forwarded] == ["k/s0"]
     _logical_step(broker, ("toggle_logical", "k/s0"))
     assert table.find_entry(stored, "N1") is None
     _assert_in_sync(broker)
@@ -927,13 +928,14 @@ def test_gated_states_match_from_scratch(strategy, advertisers, schedule, check_
             # An empty draw refreshes every neighbour.
             for neighbour in sorted(operation[1]) or _GATED_NEIGHBOURS:
                 broker.refresh_forwarding(neighbour)
-                assert broker._forwarded_subscriptions[neighbour] == desired_forwarding(
+                assert broker.forwarding.states[neighbour].forwarded == desired_forwarding(
                     broker, neighbour
                 )
         if check_every_step:
             # Performs the rebuilds a refresh would; without it the states
             # stay invalid or dirty across steps, as they do in production.
             _assert_in_sync(broker)
-    broker._refresh_all_forwarding()
+    broker.forwarding.refresh_all()
     for neighbour in _GATED_NEIGHBOURS:
-        assert broker._forwarded_subscriptions[neighbour] == desired_forwarding(broker, neighbour)
+        forwarded = broker.forwarding.states[neighbour].forwarded
+        assert forwarded == desired_forwarding(broker, neighbour)

@@ -92,7 +92,9 @@ def _run_churn(mode, seed, strategy="covering"):
             if ids:
                 client.unsubscribe(ids.pop(rng.randint(0, len(ids) - 1)))
         elif action == "move":
-            client.move_to(network.broker(rng.choice(leaves)))
+            # A flooding network refuses relocation (FloodingRelocationError).
+            if strategy != "flooding":
+                client.move_to(network.broker(rng.choice(leaves)))
         else:
             producer = rng.choice(producers)
             existing = advert_ids.pop(producer.client_id, None)
@@ -110,8 +112,8 @@ def _run_churn(mode, seed, strategy="covering"):
     breakdown = counter.breakdown()
     forwarded = {
         name: {
-            neighbour: sorted(map(repr, keys))
-            for neighbour, keys in broker._forwarded_subscriptions.items()
+            neighbour: sorted(map(repr, state.forwarded))
+            for neighbour, state in broker.forwarding.states.items()
         }
         for name, broker in network.brokers.items()
     }
@@ -179,7 +181,7 @@ def test_advert_gate_counters_account_hits_and_misses():
     )
     broker.advertisement_table.add(Filter({"service": "parking"}), "N1", "a1")
     filter_ = Filter({"service": "parking", "location": "a"})
-    assert broker._may_forward("N1", filter_) is True
+    assert broker.forwarding.may_forward("N1", filter_) is True
     assert broker.counters["advert_gate_misses"] == 1
-    assert broker._may_forward("N1", filter_) is True
+    assert broker.forwarding.may_forward("N1", filter_) is True
     assert broker.counters["advert_gate_hits"] == 1

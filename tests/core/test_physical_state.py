@@ -44,13 +44,6 @@ class TestVirtualCounterpart:
         replayed = counterpart.replay_after(0)
         assert [s.sequence for s in replayed] == [3, 4]
 
-    def test_drain(self):
-        counterpart = VirtualCounterpart("C", "sub", Filter({}), next_sequence=1)
-        counterpart.buffer(make_notification(1))
-        drained = counterpart.drain()
-        assert len(drained) == 1
-        assert counterpart.buffered_count() == 0
-
     def test_describe(self):
         counterpart = VirtualCounterpart("C", "sub", Filter({}), next_sequence=3)
         assert "C/sub" in counterpart.describe()
@@ -58,7 +51,7 @@ class TestVirtualCounterpart:
 
 class TestRelocationBuffer:
     def test_flush_orders_replay_before_fresh(self):
-        buffer_ = RelocationBuffer("C", "sub", last_sequence=2)
+        buffer_ = RelocationBuffer("C", "sub")
         fresh = make_notification(10)
         buffer_.hold(fresh)
         counterpart = VirtualCounterpart("C", "sub", Filter({}), next_sequence=3)
@@ -70,7 +63,7 @@ class TestRelocationBuffer:
         assert buffer_.complete
 
     def test_flush_deduplicates_by_identity(self):
-        buffer_ = RelocationBuffer("C", "sub", last_sequence=0)
+        buffer_ = RelocationBuffer("C", "sub")
         shared = make_notification(5)
         buffer_.hold(shared)
         counterpart = VirtualCounterpart("C", "sub", Filter({}), next_sequence=1)
@@ -80,7 +73,7 @@ class TestRelocationBuffer:
         assert fresh_out == []
 
     def test_flush_deduplicates_repeated_fresh(self):
-        buffer_ = RelocationBuffer("C", "sub", last_sequence=0)
+        buffer_ = RelocationBuffer("C", "sub")
         repeated = make_notification(1)
         buffer_.hold(repeated)
         buffer_.hold(repeated)
@@ -89,7 +82,7 @@ class TestRelocationBuffer:
         assert len(fresh_out) == 1
 
     def test_replay_sorted_even_if_received_out_of_order(self):
-        buffer_ = RelocationBuffer("C", "sub", last_sequence=0)
+        buffer_ = RelocationBuffer("C", "sub")
         counterpart = VirtualCounterpart("C", "sub", Filter({}), next_sequence=1)
         first = counterpart.buffer(make_notification(1))
         second = counterpart.buffer(make_notification(2))
@@ -97,10 +90,9 @@ class TestRelocationBuffer:
         replayed, _ = buffer_.flush()
         assert [s.sequence for s in replayed] == [1, 2]
 
-    def test_pending_count_and_token(self):
-        buffer_ = RelocationBuffer("C", "sub", last_sequence=0)
+    def test_token_and_describe(self):
+        buffer_ = RelocationBuffer("C", "sub")
         buffer_.hold(make_notification(1))
-        assert buffer_.pending_count() == 1
         assert buffer_.token == "C/sub"
         assert "pending=1" in buffer_.describe()
 

@@ -306,10 +306,11 @@ class TestCrashRecovery:
             networks.append(network)
         oracle, crashed = (network.broker("B2") for network in networks)
         assert encode_table(crashed.subscription_table) == encode_table(oracle.subscription_table)
-        assert crashed._forwarded_subscriptions == oracle._forwarded_subscriptions == {
-            "B1": {},
-            "B3": {},
-        }
+        forwarded = [
+            {neighbour: state.forwarded for neighbour, state in broker.forwarding.states.items()}
+            for broker in (crashed, oracle)
+        ]
+        assert forwarded[0] == forwarded[1] == {"B1": {}, "B3": {}}
 
 
 class TestSharedMovementGraph:

@@ -8,6 +8,7 @@ garbage collection of the old location's resources.
 import pytest
 
 from repro.broker.base import BrokerConfig
+from repro.broker.client import Client, FloodingRelocationError
 from repro.broker.network import PubSubNetwork
 from repro.filters.filter import Filter
 from repro.metrics.qos import check_completeness, check_fifo, check_no_duplicates
@@ -129,30 +130,35 @@ class TestBasicRelocation:
         assert len(consumer.received) == 6
         assert_guarantees(network)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="known gap: under flooding no routed row exists, so MovedSubscribe "
-        "finds no junction, the relocation buffer at the new border is never "
-        "released and the old counterpart is never collected (delivers [1]); "
-        "a protocol decision for its own issue, see ROADMAP",
-    )
-    def test_flooding_subscriber_completes_relocation(self):
+    def test_flooding_network_refuses_relocation(self):
+        """Under flooding no routed row exists for a MovedSubscribe to find a
+        junction along, so ``move_to`` refuses to relocate a registered
+        subscription rather than strand it in a relocation buffer that is
+        never released.  A first attachment is no relocation."""
         network = build(line_topology(4), strategy="flooding")
         producer = network.add_client("P", "B4")
         producer.advertise(WATCHED)
         consumer = network.add_client("C", "B1")
-        consumer.subscribe(WATCHED)
+        subscription = consumer.subscribe(WATCHED)
         network.settle()
         producer.publish({"topic": "news", "index": 1})
         network.settle()
         consumer.detach()
         producer.publish({"topic": "news", "index": 2})
         network.settle()
-        consumer.move_to(network.broker("B2"))
+        with pytest.raises(FloodingRelocationError, match="client C cannot relocate"):
+            consumer.move_to(network.broker("B2"))
+        assert not consumer.attached
+        assert not network.broker("B2").attached_clients()
+        # The old border still buffers the subscription for its client.
+        counterpart = network.broker("B1").physical.counterpart_for("C", subscription)
+        assert counterpart.buffered_count() == 1
+        newcomer = Client("N")
+        newcomer.subscribe(WATCHED)
+        newcomer.move_to(network.broker("B2"))
         producer.publish({"topic": "news", "index": 3})
         network.settle()
-        assert [record.notification.get("index") for record in consumer.received] == [1, 2, 3]
-        assert not network.broker("B1").physical.counterparts
+        assert [record.notification.get("index") for record in newcomer.received] == [3]
 
 
 class TestFigure5Scenarios:

@@ -43,8 +43,8 @@ def test_breakdown_exposes_advert_gate_cache():
     broker = _make_broker()
     broker.advertisement_table.add(Filter({"service": "parking"}), "N1", "a1")
     query = Filter({"service": "parking", "location": "a"})
-    assert broker._may_forward("N1", query) is True
-    assert broker._may_forward("N1", query) is True
+    assert broker.forwarding.may_forward("N1", query) is True
+    assert broker.forwarding.may_forward("N1", query) is True
     stats = data_plane_breakdown([broker])
     assert stats["advert_gate_misses"] == 1
     assert stats["advert_gate_hits"] == 1

@@ -91,10 +91,10 @@ def _scratch_refresh(broker, neighbour, work):
     if neighbour not in broker._links:
         return
     desired = desired_forwarding(broker, neighbour, work)
-    forwarded = broker._forwarded_subscriptions[neighbour]
+    forwarded = broker.forwarding.states[neighbour].forwarded
     to_add = {pair: filt for pair, filt in desired.items() if pair not in forwarded}
     to_remove = {pair: filt for pair, filt in forwarded.items() if pair not in desired}
-    broker._emit_forwarding_diff(neighbour, forwarded, to_add, to_remove)
+    broker.forwarding.emit(neighbour, to_add, to_remove)
 
 
 @contextmanager

@@ -6,7 +6,6 @@ from repro.filters.filter import Filter, MatchNone
 from repro.routing.strategies import (
     CoveringStrategy,
     FloodingStrategy,
-    IdentityStrategy,
     MergingStrategy,
     SimpleStrategy,
     available_strategies,
@@ -43,9 +42,11 @@ class TestForwardingSets:
         assert len(selected) == 2
         assert F(a=1) in selected and F(b=2) in selected
 
-    def test_identity_collapses_duplicates(self):
+    def test_identity_routing_is_simple_routing(self):
         filters = [F(a=1), F(a=1), F(a=1)]
-        assert IdentityStrategy().desired_forwarding_set(filters) == [F(a=1)]
+        assert SimpleStrategy().desired_forwarding_set(filters) == [F(a=1)]
+        with pytest.raises(ValueError, match="unknown routing strategy"):
+            make_strategy("identity")
 
     def test_covering_drops_covered_filters(self):
         filters = [F(cost=("<", 3)), F(cost=("<", 10)), F(service="parking")]
@@ -97,7 +98,7 @@ class TestForwardingSets:
             {"location": "z"},
             {},
         ]
-        for name in ("simple", "identity", "covering", "merging"):
+        for name in ("simple", "covering", "merging"):
             selected = make_strategy(name).desired_forwarding_set(filters)
             for sample in samples:
                 expected = any(f.matches(sample) for f in filters)

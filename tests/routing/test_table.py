@@ -120,15 +120,13 @@ class TestQueries:
         assert len(list(iter(table))) == 1
 
 
-def test_routing_table_epoch_and_listener():
+def test_routing_table_change_listener():
     table = RoutingTable()
     events = []
     table.add_listener(events.append)
     filter_ = Filter({"a": 1})
     table.add(filter_, "west", "s1")
     assert events == ["west"]
-    first_epoch = table.epoch
-    assert table.destination_epoch("west") == first_epoch
     # Subject-only growth on an existing row is an observable change.
     table.add(filter_, "west", "s2")
     assert len(events) == 2
@@ -143,10 +141,8 @@ def test_routing_table_epoch_and_listener():
     assert len(events) == 3
     table.remove(filter_, "west", "s2")
     assert len(events) == 4
-    assert table.epoch > first_epoch
     assert "west" not in table.destinations()
     # clear() publishes a whole-table change as destination None.
     table.add(filter_, "east", "s1")
     table.clear()
     assert events[-1] is None
-    assert table.destination_epoch("east") == table.epoch
