@@ -2,13 +2,14 @@
 """Alternating parent/change pairs of the end-to-end benchmark, with verdicts.
 
     python3 benchmarks/pairs.py --base REF [--change REF] [--workload W ...]
-                                [--pairs 10] [--seconds 8] [--seed 1]
+                                [--pairs 10] [--seed 1]
 
 Each side is the committed tree of a git ref, unpacked with ``git archive``
 into a temporary directory (``--change`` defaults to the working tree the
 script runs from).  Pair ``i`` runs ``benchmarks/e2e/run.py --workload W
---seed SEED+i --trace 0`` once on each side, the base first on even ``i``
-and the change first on odd ``i``, each child pinned to one core.  The
+--seed SEED+i --trace 0`` once on each side, for the ``run_seconds`` that
+``BENCHMARK.json`` fixes, the base first on even ``i`` and the change
+first on odd ``i``, each child pinned to one core.  The
 script reads the result line and the wall-clock block of each run, plus
 the child's user CPU seconds, and prints per metric the per-seed values,
 both medians, the base's interquartile range, the change's wins and a
@@ -24,9 +25,10 @@ verdict:
   than its bound;
 * ``unresolved`` — everything else.
 
-The exit code is non-zero when a run fails its delivery oracle.  Run it
-with the same ref on both sides (an A/A run) before trusting a claim: it
-must report no ``claim met``.
+The exit code is non-zero when a run fails its delivery oracle; a run
+that crashes stops the script with the tail of its standard error.
+Run it with the same ref on both sides (an A/A run) before trusting a
+claim: it must report no ``claim met``.
 """
 
 import argparse
@@ -43,14 +45,11 @@ ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 #: Reported, not gated: the wall-clock block on standard error, then CPU time.
-REPORTED = (
-    ("deliveries_per_s", "higher"),
-    ("deliver_p50_ms", "lower"),
-    ("deliver_p99_ms", "lower"),
-    ("control_p50_ms", "lower"),
-    ("control_p90_ms", "lower"),
-    ("cpu_user_s", "lower"),
-)
+REPORTED = tuple(
+    (entry["name"][len("e2e.") :], entry["better"])
+    for entry in SPEC["per_layer"]
+    if entry["name"].startswith("e2e.")
+) + (("cpu_user_s", "lower"),)
 
 
 def checkout(ref, into):
@@ -79,8 +78,12 @@ def parse_run(stdout, stderr):
     return values, result["failed"]
 
 
-def run(tree, workload, seed, seconds, core):
-    """One untraced run of *workload* from *tree*, pinned to *core*."""
+class RunFailed(RuntimeError):
+    """A ``run.py`` child printed no result line, or exited non-zero with none failed."""
+
+
+def run(side, tree, workload, seed, core):
+    """One untraced run of *workload* from *side*'s *tree*, pinned to *core*."""
 
     def pin():
         if core is not None:
@@ -88,7 +91,7 @@ def run(tree, workload, seed, seconds, core):
 
     script = Path(tree) / "benchmarks" / "e2e" / "run.py"
     command = [sys.executable, str(script), "--workload", workload, "--seed", str(seed)]
-    command += ["--seconds", str(seconds), "--trace", "0"]
+    command += ["--seconds", str(SPEC["run_seconds"]), "--trace", "0"]
     before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_utime
     done = subprocess.run(
         command,
@@ -98,7 +101,19 @@ def run(tree, workload, seed, seconds, core):
         preexec_fn=pin,
         timeout=900,
     )
-    values, failed = parse_run(done.stdout.decode(), done.stderr.decode())
+    stdout, stderr = done.stdout.decode(), done.stderr.decode()
+    try:
+        values, failed = parse_run(stdout, stderr)
+    except (IndexError, KeyError, ValueError):
+        values, failed = None, 0
+    # run.py exits 1 when its delivery oracle failed; any other exit is a crash.
+    if values is None or (done.returncode != 0 and not failed):
+        tail = "\n".join(stderr.splitlines()[-20:])
+        raise RunFailed(
+            "{} seed {} on the {} side exited {}:\n{}".format(
+                workload, seed, side, done.returncode, tail
+            )
+        )
     values["cpu_user_s"] = resource.getrusage(resource.RUSAGE_CHILDREN).ru_utime - before
     return values, failed
 
@@ -150,7 +165,6 @@ def main(argv):
     names = [entry["name"] for entry in SPEC["workloads"]]
     parser.add_argument("--workload", action="append", choices=names)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=SPEC["run_seconds"])
     parser.add_argument("--seed", type=int, default=1)
     default_core = max(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None
     parser.add_argument("--core", type=int, default=default_core)
@@ -168,7 +182,7 @@ def main(argv):
             for index, seed in enumerate(seeds):
                 order = ("base", "change") if index % 2 == 0 else ("change", "base")
                 for side in order:
-                    values, run_failed = run(trees[side], workload, seed, args.seconds, args.core)
+                    values, run_failed = run(side, trees[side], workload, seed, args.core)
                     runs[side].append(values)
                     failed += run_failed
             report(workload, seeds, runs)

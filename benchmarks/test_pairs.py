@@ -46,6 +46,25 @@ def test_parse_run_reads_the_result_line_and_the_wall_clock_block():
     }
 
 
+def test_a_crashed_run_names_its_workload_seed_and_side(tmp_path):
+    script = tmp_path / "benchmarks" / "e2e" / "run.py"
+    script.parent.mkdir(parents=True)
+    script.write_text("import sys\nsys.stderr.write('boom\\n')\nsys.exit(3)\n")
+    expected = "churn_mixed seed 4 on the change side exited 3:\nboom"
+    with pytest.raises(pairs.RunFailed, match=expected):
+        pairs.run("change", tmp_path, "churn_mixed", 4, None)
+
+
+def test_a_run_whose_oracle_failed_is_counted_not_raised(tmp_path):
+    script = tmp_path / "benchmarks" / "e2e" / "run.py"
+    script.parent.mkdir(parents=True)
+    printed = RUN_STDOUT.replace('"failed": 0', '"failed": 2')
+    script.write_text("import sys\nprint({!r})\nsys.exit(1)\n".format(printed.strip()))
+    values, failed = pairs.run("base", tmp_path, "roam_logical", 1, None)
+    assert failed == 2
+    assert values["link_msgs_per_delivery"] == 2.8
+
+
 def test_a_over_a_rarely_meets_a_claim():
     rng = random.Random(7)
     trials = 2000

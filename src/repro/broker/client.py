@@ -61,6 +61,7 @@ class Client:
         self.client_id = client_id
         self._notify_callback = notify
         self._broker: Optional[Any] = None  # the current border Broker
+        self._left_at: Optional[Any] = None  # the broker last detached from
 
         # Subscription bookkeeping (survives detach / re-attach).
         self._subscriptions: Dict[str, Filter] = {}
@@ -136,6 +137,7 @@ class Client:
         if self._broker is None:
             return
         self._broker.detach_client(self.client_id)
+        self._left_at = self._broker
         self._broker = None
 
     def move_to(self, broker: Any) -> None:
@@ -145,16 +147,16 @@ class Client:
         have detached long ago).  At the new broker every subscription is
         re-issued together with its last received sequence number, which
         triggers the relocation protocol of Section 4.  On a flooding
-        network that protocol has no routed rows to follow, so relocating
-        a subscription raises :class:`FloodingRelocationError` and leaves
-        the client as it was; a first attachment is no relocation.
+        network that protocol has no routed rows to follow, so moving a
+        registered subscription to a broker other than the one it left
+        raises :class:`FloodingRelocationError` and changes nothing.
         """
         if self._broker is broker:
             return
         # A subscription never registered has no old location: a plain
         # subscription suffices for it.
         relocated = self._registered_once.intersection(self._subscriptions)
-        if relocated and broker.strategy.floods_notifications:
+        if relocated and broker is not self._left_at and broker.strategy.floods_notifications:
             raise FloodingRelocationError(
                 "client {} cannot relocate subscriptions {} on a flooding network".format(
                     self.client_id, sorted(relocated)
@@ -215,6 +217,7 @@ class Client:
         scratch (combining both mobility forms is future work in the paper).
         """
         self._broker = broker
+        self._left_at = None
         self._hold_shared_filters()
         broker.attach_client(self)
         for advertisement_id, filter_ in self._advertisements.items():

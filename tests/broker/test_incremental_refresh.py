@@ -18,7 +18,7 @@ from repro.routing.strategies import available_strategies
 from repro.sim.rng import DeterministicRandom
 from repro.topology.builders import balanced_tree_topology, line_topology
 
-from tests.oracles.forwarding import desired_forwarding, scratch_forwarding
+from tests.oracles.forwarding import desired_forwarding, move_attached, scratch_forwarding
 
 LOCATIONS = ["loc-{}".format(index) for index in range(8)]
 
@@ -73,9 +73,7 @@ def _random_churn(seed: int, strategy: str):
             )
             client.unsubscribe(subscription_id)
         elif action == "move":
-            # A flooding network refuses relocation (FloodingRelocationError).
-            if strategy != "flooding":
-                client.move_to(network.broker(rng.choice(leaves)))
+            move_attached(client, network.broker(rng.choice(leaves)))
         elif action == "publish":
             producer.publish(
                 {

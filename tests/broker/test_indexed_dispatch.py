@@ -30,7 +30,7 @@ from repro.sim.network import Link
 from repro.sim.rng import DeterministicRandom
 from repro.topology.builders import balanced_tree_topology
 
-from tests.oracles.forwarding import scratch_forwarding
+from tests.oracles.forwarding import move_attached, scratch_forwarding
 from tests.oracles.matching import oracle_dispatch
 
 LOCATIONS = ["loc-{:02d}".format(index) for index in range(12)]
@@ -92,9 +92,7 @@ def _run_churn(mode, seed, strategy="covering"):
             if ids:
                 client.unsubscribe(ids.pop(rng.randint(0, len(ids) - 1)))
         elif action == "move":
-            # A flooding network refuses relocation (FloodingRelocationError).
-            if strategy != "flooding":
-                client.move_to(network.broker(rng.choice(leaves)))
+            move_attached(client, network.broker(rng.choice(leaves)))
         else:
             producer = rng.choice(producers)
             existing = advert_ids.pop(producer.client_id, None)

@@ -161,6 +161,24 @@ class TestBasicRelocation:
         assert [record.notification.get("index") for record in newcomer.received] == [3]
 
 
+    def test_flooding_network_lets_a_client_return_to_its_old_border(self):
+        """Coming back to the broker it detached from needs no routed rows:
+        the local counterpart replays what it buffered."""
+        network = build(line_topology(4), strategy="flooding")
+        producer = network.add_client("P", "B4")
+        producer.advertise(WATCHED)
+        consumer = network.add_client("C", "B1")
+        consumer.subscribe(WATCHED)
+        network.settle()
+        consumer.detach()
+        for index in (1, 2):
+            producer.publish({"topic": "news", "index": index})
+        network.settle()
+        consumer.move_to(network.broker("B1"))
+        network.settle()
+        assert [record.notification.get("index") for record in consumer.received] == [1, 2]
+        assert not network.broker("B1").physical.counterparts
+
 class TestFigure5Scenarios:
     def test_single_producer_walkthrough(self):
         network = build(figure5_topology())

@@ -23,7 +23,10 @@ counted its covering tests and pair merges in.
 
 from contextlib import contextmanager
 
+import pytest
+
 from repro.broker.base import Broker
+from repro.broker.client import FloodingRelocationError
 from repro.filters.covering import filter_covers
 from repro.filters.filter import MatchNone
 
@@ -85,6 +88,25 @@ def desired_forwarding(broker, neighbour, work=None):
         for subject in subjects:
             desired[(cover.key(), subject)] = cover
     return desired
+
+
+def move_attached(client, target):
+    """``client.move_to(target)`` for an attached *client*, expecting the refusal.
+
+    A flooding network builds no routed rows for Section 4's relocation
+    to follow, so moving a client that holds subscriptions to another
+    broker there must raise :class:`FloodingRelocationError`.
+    """
+    refused = (
+        target.strategy.floods_notifications
+        and target is not client.border_broker
+        and client.subscription_ids()
+    )
+    if refused:
+        with pytest.raises(FloodingRelocationError):
+            client.move_to(target)
+    else:
+        client.move_to(target)
 
 
 def _scratch_refresh(broker, neighbour, work):
