@@ -15,46 +15,44 @@ first-cover assignment — in ``tests/oracles/forwarding.py``.
 The state maintains, per neighbour:
 
 * the gated *input entries* — one per distinct filter key, aggregating the
-  plain (non-logical) subjects of every contributing table row, ordered by
-  the first contributing row's ``seq`` (which equals the canonical input
+  plain (non-logical) subjects of every contributing table row, each at
+  the canonical position of its first contributing row's ``seq`` (the
   order a scan of the table sees);
-* the *selection* — exactly ``minimal_cover_set`` over the ordered input
-  filters (or the identity for non-reducing strategies);
+* the *selection* — exactly ``minimal_cover_set`` over the inputs in
+  canonical order (or every input for non-reducing strategies);
 * the *cover assignment* — for every input filter, the first selected
-  filter (in input order) that covers it;
+  filter (in canonical order) that covers it;
 * the *desired dict* ``{(cover key, subject): cover filter}`` with
   refcounts, plus the set of pairs that changed since the last flush so
   the refresh emits messages in O(changes).
 
-Selection maintenance follows the input-based semantics of
+In the covering mode two steps keep selection and assignment equal to
+the specification, following the input-based semantics of
 :func:`repro.filters.covering.minimal_cover_set` (a filter is dropped iff
 another input filter strictly covers it, or an *earlier* equivalent one
 does):
 
-* **append** — a new filter (inputs always grow at the end of the
-  canonical order) is dropped iff some selected filter covers it; if not,
-  it joins the selection and evicts the selected filters it strictly
-  covers, whose members are reassigned to their next cover;
-* **remove, non-selected** — nothing can resurrect (covering is
-  transitive: the remaining cover chain still stands);
-* **remove, selected** — only the removed cover's members can resurrect;
-  members still covered by the remaining selection are reassigned, the
-  rest are reduced among themselves (pairwise, position-ordered) and the
-  survivors re-enter the selection at their canonical positions, stealing
-  members from later covers they also cover.
+* **place** an input at its position, wherever that is — it is dropped
+  under its first selected cover if that cover strictly covers it or
+  comes earlier; otherwise it joins the selection, evicts the selected
+  filters it covers and takes over every dropped input whose first cover
+  it now is;
+* **unplace** an input — a dropped one just leaves its cover; a selected
+  one leaves the selection and its members are placed again, in
+  canonical order.
 
-Each step finds the filters it has to test — who covers this one, whom
-does it cover — through a two-way
+A filter that joins the input is placed, one that leaves it is unplaced,
+and one whose position moves — its first contributing row died while
+later rows survive, as on every broker of a Section 4.1 relocation path,
+or an old row gained its first plain subject — is unplaced and placed
+again at the new position.  A rebuild places every entry in canonical
+order.  Each step finds the filters it has to test — who covers this
+one, whom does it cover — through a two-way
 :class:`~repro.filters.covering_cache.CoveringIndex` over the input
 entries, so its cost follows the structurally comparable entries, not the
-size of the selection.
-
-Events that would perturb the canonical *order* (a filter's first
-contributing row disappearing while later rows survive) are rare and are
-handled by re-running the reduction over the maintained entries — still
-no table scan.  Advertisement changes and logical-mobility changes can
-flip the per-filter gating wholesale, so they invalidate the state and
-the next refresh rebuilds it from one table scan.
+size of the selection.  Advertisement changes and logical-mobility
+changes can flip the per-filter gating wholesale, so they invalidate the
+state and the next refresh rebuilds it from one table scan.
 
 **Merging strategies** reduce with the specification itself:
 :func:`~repro.filters.merging.merge_filters` over the canonical input
@@ -63,17 +61,17 @@ order, run through the network's
 selection over the *merged* filters; each input is assigned the selected
 filter equal to it, else the first one covering it.  Because greedy
 merging is order-dependent and non-local (one changed input can
-repartition several groups), any structural input change marks the
-reduction dirty and the next refresh re-reduces from the maintained
-entries — no table scan, and thanks to the merge-pair/covering caches
-only pairs involving changed filters (or the new merge products they
-create) are evaluated raw.  Subject-only changes keep the assignment and
-update the desired pairs in O(1) exactly like the covering mode.
+repartition several groups), any structural input change or position
+shift marks the state for a re-merge and the next refresh re-reduces from
+the maintained entries — no table scan, and thanks to the
+merge-pair/covering caches only pairs involving changed filters (or the
+new merge products they create) are evaluated raw.  Subject-only changes
+keep the assignment and update the desired pairs in O(1) exactly like
+the covering mode.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.filters.covering_cache import CoveringIndex, minimal_cover_set_cached
@@ -113,10 +111,9 @@ class NeighbourForwardingState:
         "merge_pairs",
         "cover_filters",
         "valid",
-        "order_dirty",
+        "remerge",
         "full_diff",
         "entries",
-        "selection",
         "selected",
         "assigned",
         "members",
@@ -126,7 +123,6 @@ class NeighbourForwardingState:
         "forwarded",
         "advertised",
         "verdicts",
-        "_max_pos",
         "_index",
         "_key_at",
     )
@@ -145,21 +141,20 @@ class NeighbourForwardingState:
             caches.merge_pairs if reduction == "merging" else None
         )
         #: cover filter key -> cover filter, for covers that are *merged*
-        #: filters (not entries).  Empty in non-merging modes.
+        #: filters (not entries), in selection order.  Empty in
+        #: non-merging modes.
         self.cover_filters: Dict[Any, Filter] = {}
         #: ``False`` -> the gating inputs may have changed wholesale; the
         #: next refresh must rebuild from a table scan.
         self.valid = False
-        #: Canonical positions shifted; re-reduce from the kept entries.
-        self.order_dirty = False
+        #: Merging only: the input filters or their order changed, so the
+        #: next refresh re-merges from the kept entries.
+        self.remerge = False
         #: The next flush must diff desired against forwarded completely
         #: (after rebuilds).
         self.full_diff = True
         self.entries: Dict[Any, _InputEntry] = {}
-        #: Selected covers as (pos, filter key), sorted by pos.  Positions
-        #: are unique (each table row contributes to exactly one entry),
-        #: so tuple comparison never reaches the — unorderable — keys.
-        self.selection: List[Tuple[int, Any]] = []
+        #: Keys of the selected covers; their entries' positions order them.
         self.selected: Set[Any] = set()
         #: input filter key -> filter key of its assigned cover.
         self.assigned: Dict[Any, Any] = {}
@@ -179,15 +174,13 @@ class NeighbourForwardingState:
         #: neighbour advertised something overlapping the filter.  Cleared
         #: whenever the neighbour's advertisement rows change.
         self.verdicts: Dict[Any, bool] = {}
-        self._max_pos = 0
         #: CoveringIndex over the input entries (by canonical position),
-        #: so every covering question the selection maintenance asks —
-        #: who covers this filter, whom does it cover — only tests the
-        #: structurally comparable entries.  It spans *all* inputs, not
-        #: just the selection, because a resurrected filter steals dropped
+        #: so every covering question placing an entry asks — who covers
+        #: this filter, whom does it cover — only tests the structurally
+        #: comparable entries.  It spans *all* inputs, not just the
+        #: selection, because a newly selected filter takes over dropped
         #: members of other covers, which a selection index cannot see.
-        #: Maintained in the covering mode only; merging selections hold
-        #: synthesised filters and are rebuilt wholesale anyway.
+        #: Maintained in the covering mode only.
         self._index: Optional[CoveringIndex] = CoveringIndex() if reduction == "covering" else None
         #: canonical position -> input filter key, mirrored with the index
         #: so candidate positions resolve back to entries.
@@ -214,14 +207,21 @@ class NeighbourForwardingState:
             del self.desired[pair]
             self.pending.add(pair)
 
-    def _move_pairs(self, member_key: Any, old_cover: Any, new_cover: Any) -> None:
-        if old_cover == new_cover:
-            return
-        entry = self.entries[member_key]
-        cover_filter = self.entries[new_cover].filter
-        for subject in entry.subjects:
-            self._pair_remove(old_cover, subject)
-            self._pair_add(new_cover, subject, cover_filter)
+    def _assign(self, member_key: Any, cover_key: Any) -> None:
+        """Assign the unassigned input *member_key* to *cover_key*, pairs included."""
+        self.assigned[member_key] = cover_key
+        self.members[cover_key].add(member_key)
+        cover = self.entries[cover_key].filter
+        for subject in self.entries[member_key].subjects:
+            self._pair_add(cover_key, subject, cover)
+
+    def _unassign(self, member_key: Any) -> Any:
+        """Detach *member_key* from its cover, pairs included; return the cover's key."""
+        cover_key = self.assigned.pop(member_key)
+        self.members[cover_key].discard(member_key)
+        for subject in self.entries[member_key].subjects:
+            self._pair_remove(cover_key, subject)
+        return cover_key
 
     def _cover_filter(self, cover_key: Any) -> Filter:
         """The filter forwarded for *cover_key* (an entry, or a merged filter)."""
@@ -237,36 +237,19 @@ class NeighbourForwardingState:
         key = filter_.key()
         entry = self.entries.get(key)
         if entry is None:
-            entry = _InputEntry(filter_, key, seq)
-            self.entries[key] = entry
-            if seq < self._max_pos:
-                # A filter entered the input through an *old* row (its
-                # earlier subjects were all logical): it belongs before
-                # already-present entries, so the reduction order changed.
-                self.order_dirty = True
-            else:
-                self._max_pos = seq
-            if self.merge_pairs is not None:
-                # A new input filter can repartition the greedy merge in
-                # non-local ways; re-reduce from the entries at the next
-                # refresh (the merge-pair cache keeps it O(changed pairs)).
-                self.order_dirty = True
-            else:
-                self._filter_added(entry)
+            entry = self.entries[key] = _InputEntry(filter_, key, seq)
+            self._enter(entry)
         elif seq < entry.pos:
-            # The canonical position moved earlier.  Do NOT touch
-            # entry.pos here: the selection stores (pos, key) tuples that
-            # must stay consistent for later removals; the rebuild
-            # triggered by order_dirty recomputes every position.
-            self.order_dirty = True
+            # An old row gained its first plain subject: the filter moves
+            # to that row's position.
+            self._shift(entry, seq)
         entry.rows[seq] = entry.rows.get(seq, 0) + 1
         count = entry.subjects.get(subject, 0)
         entry.subjects[subject] = count + 1
-        if count == 0 and not (self.merge_pairs is not None and self.order_dirty):
-            # A pending merge re-reduction rebuilds the desired pairs
-            # wholesale (and the assignment may not know this key yet), so
-            # eager pair maintenance only runs while the assignment is
-            # current.
+        if count == 0 and not self.remerge:
+            # A pending re-merge rebuilds the desired pairs wholesale (and
+            # the assignment may not know this key yet), so eager pair
+            # maintenance only runs while the assignment is current.
             cover_key = self.assigned[key]
             self._pair_add(cover_key, subject, self._cover_filter(cover_key))
 
@@ -281,7 +264,7 @@ class NeighbourForwardingState:
         count = entry.subjects.get(subject, 0)
         if count <= 1:
             entry.subjects.pop(subject, None)
-            if count == 1 and not (self.merge_pairs is not None and self.order_dirty):
+            if count == 1 and not self.remerge:
                 self._pair_remove(self.assigned[filter_key], subject)
         else:
             entry.subjects[subject] = count - 1
@@ -290,23 +273,45 @@ class NeighbourForwardingState:
             entry.rows[seq] = rows_left
             return
         del entry.rows[seq]
-        if entry.rows:
-            if seq == entry.pos:
-                # The first contributing row died while later rows
-                # survive: the canonical position shifts.  Keep the stale
-                # pos (the selection's (pos, key) tuples reference it and
-                # dead seqs are never reused, so it stays unique) and let
-                # the order_dirty rebuild recompute every position.
-                self.order_dirty = True
-            return
+        if not entry.rows:
+            self._leave(entry)
+            del self.entries[filter_key]
+        elif seq == entry.pos:
+            # The first contributing row died while later rows survive.
+            self._shift(entry, min(entry.rows))
+
+    def _enter(self, entry: _InputEntry) -> None:
+        """*entry* joined the input: index and place it."""
         if self.merge_pairs is not None:
-            # Losing an input filter can resurrect or repartition merge
-            # groups; re-reduce from the remaining entries at the next
-            # refresh.
-            self.order_dirty = True
-        else:
-            self._filter_removed(entry)
-        del self.entries[filter_key]
+            # A new input filter can repartition the greedy merge in
+            # non-local ways; re-merge from the entries at the next
+            # refresh (the merge-pair cache keeps it O(changed pairs)).
+            self.remerge = True
+            return
+        if self._index is not None:
+            self._index.add(entry.pos, entry.filter)
+            self._key_at[entry.pos] = entry.key
+        self._place(entry)
+
+    def _leave(self, entry: _InputEntry) -> None:
+        """*entry* is leaving the input: unplace and unindex it."""
+        if self.merge_pairs is not None:
+            self.remerge = True
+            return
+        self._unplace(entry)
+        if self._index is not None:
+            self._index.remove(entry.pos)
+            del self._key_at[entry.pos]
+
+    def _shift(self, entry: _InputEntry, pos: int) -> None:
+        """Move *entry* to canonical position *pos*."""
+        if self.covers is None:
+            # Every input is selected, wherever it stands.
+            entry.pos = pos
+            return
+        self._leave(entry)
+        entry.pos = pos
+        self._enter(entry)
 
     # ------------------------------------------------------------------
     # Selection maintenance
@@ -320,7 +325,7 @@ class NeighbourForwardingState:
         return [key_at[pos] for pos in sorted(key_at if positions is None else positions)]
 
     def _first_cover(self, filter_: Filter) -> Optional[Any]:
-        """Key of the first selected filter (input order) covering *filter_*.
+        """Key of the first selected filter (canonical order) covering *filter_*.
 
         Only the structurally comparable inputs are tested (a sound
         superset of the real coverers, see
@@ -329,8 +334,6 @@ class NeighbourForwardingState:
         exactly what a scan of the selection would.  Covering mode only.
         """
         covers = self.covers
-        if covers is None:
-            return None
         entries = self.entries
         selected = self.selected
         for key in self._candidate_keys(self._index.candidate_positions(filter_)):
@@ -338,146 +341,83 @@ class NeighbourForwardingState:
                 return key
         return None
 
-    def _select(self, entry: _InputEntry) -> None:
-        insort(self.selection, (entry.pos, entry.key))
-        self.selected.add(entry.key)
-        self.assigned[entry.key] = entry.key
-        self.members[entry.key] = {entry.key}
+    def _place(self, entry: _InputEntry) -> None:
+        """Put the indexed, unassigned input *entry* at its canonical position.
 
-    def _deselect(self, pos: int, key: Any) -> None:
-        """Remove ``(pos, key)`` from the selection."""
-        # (pos,) sorts immediately before (pos, key) and positions are
-        # unique, so the bisection never compares keys.
-        del self.selection[bisect_left(self.selection, (pos,))]
-        self.selected.discard(key)
-
-    def _filter_added(self, entry: _InputEntry) -> None:
-        """A filter appended at the end of the canonical input order."""
-        covers = self.covers
-        evicted: List[Any] = []
-        if covers is not None:
-            self._index.add(entry.pos, entry.filter)
-            self._key_at[entry.pos] = entry.key
-            cover_key = self._first_cover(entry.filter)
-            if cover_key is not None:
-                # Covered by (or equivalent to) an earlier selected filter:
-                # the selection is unchanged.
-                self.assigned[entry.key] = cover_key
-                self.members[cover_key].add(entry.key)
-                return
-            # Nothing selected covers it: it joins the selection and evicts
-            # the selected filters it (strictly, by the check above) covers.
-            entries = self.entries
-            selected = self.selected
-            evicted = [
-                key
-                for key in self._candidate_keys(
-                    self._index.covered_candidate_positions(entry.filter)
-                )
-                if key in selected and covers(entry.filter, entries[key].filter)
-            ]
-        for evicted_key in evicted:
-            self._deselect(self.entries[evicted_key].pos, evicted_key)
-        self._select(entry)
-        for evicted_key in evicted:
-            # Every orphan is covered by the new filter (covering is
-            # transitive), so a cover always exists; from-scratch
-            # assignment picks the first selected cover in input order.
-            for orphan_key in self.members.pop(evicted_key):
-                new_cover = self._first_cover(self.entries[orphan_key].filter)
-                self.assigned[orphan_key] = new_cover
-                self.members[new_cover].add(orphan_key)
-                self._move_pairs(orphan_key, evicted_key, new_cover)
-
-    def _filter_removed(self, entry: _InputEntry) -> None:
-        """A filter left the input (its last contributing row died)."""
-        key = entry.key
-        index = self._index
-        if index is not None:
-            index.remove(entry.pos)
-            del self._key_at[entry.pos]
-        if key not in self.selected:
-            # Dropped filters cannot resurrect anything: whoever covered
-            # them still stands.
-            cover_key = self.assigned.pop(key)
-            self.members[cover_key].discard(key)
-            return
-        self._deselect(entry.pos, key)
-        self.assigned.pop(key)
-        own_members = self.members.pop(key)
-        own_members.discard(key)
-        if not own_members:
-            return
-        covers = self.covers
-        entries = self.entries
-        by_pos = sorted(own_members, key=lambda member: entries[member].pos)
-        # Members still covered by the remaining selection stay dropped;
-        # the rest are resurrection candidates.
-        candidates = [
-            member for member in by_pos if self._first_cover(entries[member].filter) is None
-        ]
-        candidate_set = set(candidates)
-        # Reduce the candidates among themselves with minimal_cover_set
-        # semantics: dropped iff another candidate strictly covers it, or
-        # an earlier equivalent one does.  (Non-candidate inputs cannot
-        # drop a candidate: their own cover would cover it transitively.)
-        resurrected: List[Any] = []
-        for candidate in candidates:
-            candidate_filter = entries[candidate].filter
-            candidate_pos = entries[candidate].pos
-            dropped = False
-            for other in self._candidate_keys(index.candidate_positions(candidate_filter)):
-                if other == candidate or other not in candidate_set:
-                    continue
-                other_filter = entries[other].filter
-                if covers(other_filter, candidate_filter) and (
-                    not covers(candidate_filter, other_filter)
-                    or entries[other].pos < candidate_pos
-                ):
-                    dropped = True
-                    break
-            if not dropped:
-                resurrected.append(candidate)
-        for kept in resurrected:
-            self._select(entries[kept])
-            self._move_pairs(kept, key, kept)
-        for member in by_pos:
-            if member in self.selected:
-                continue
-            new_cover = self._first_cover(entries[member].filter)
-            self.assigned[member] = new_cover
-            self.members[new_cover].add(member)
-            self._move_pairs(member, key, new_cover)
-        self._steal_members(resurrected)
-
-    def _steal_members(self, resurrected: Sequence[Any]) -> None:
-        """Reassign members of later covers that a resurrected filter covers.
-
-        A resurrected filter re-enters the selection at its canonical
-        position; any dropped input currently assigned to a cover *after*
-        that position whose filter it covers now has an earlier first
-        cover.  *resurrected* is in canonical order, so an input covered
-        by several of them ends up with the earliest.
+        Inputs that are indexed but not assigned (the members an
+        :meth:`_unplace` has yet to place again) are not there yet for
+        this step.  Positions are compared before a covering question is
+        asked, so an append — the entry behind every other input — asks
+        no more than "who covers it" and "whom does it evict".
         """
-        entries = self.entries
+        key = entry.key
         covers = self.covers
-        assigned = self.assigned
+        if covers is None:
+            self.selected.add(key)
+            self.members[key] = set()
+            self._assign(key, key)
+            return
+        entries = self.entries
+        pos = entry.pos
+        filter_ = entry.filter
+        cover_key = self._first_cover(filter_)
+        if cover_key is not None:
+            cover = entries[cover_key]
+            if cover.pos < pos or not covers(filter_, cover.filter):
+                # Strictly covered, or an earlier equivalent is selected.
+                self._assign(key, cover_key)
+                return
+        # Selected: it evicts the selected filters it covers (strictly, or
+        # later equivalents) and takes over every dropped input it covers
+        # whose first cover comes after it.
         selected = self.selected
-        for kept in resurrected:
-            kept_entry = entries[kept]
-            for member in self._candidate_keys(
-                self._index.covered_candidate_positions(kept_entry.filter)
-            ):
-                if member in selected:
-                    continue
-                cover_key = assigned[member]
-                if entries[cover_key].pos > kept_entry.pos and covers(
-                    kept_entry.filter, entries[member].filter
-                ):
-                    self.members[cover_key].discard(member)
-                    assigned[member] = kept
-                    self.members[kept].add(member)
-                    self._move_pairs(member, cover_key, kept)
+        assigned = self.assigned
+        evicted: List[Any] = []
+        taken: List[Any] = []
+        for other in self._candidate_keys(self._index.covered_candidate_positions(filter_)):
+            if other in selected:
+                if covers(filter_, entries[other].filter):
+                    evicted.append(other)
+            elif other in assigned and entries[assigned[other]].pos > pos:
+                if covers(filter_, entries[other].filter):
+                    taken.append(other)
+        selected.difference_update(evicted)
+        selected.add(key)
+        self.members[key] = set()
+        self._assign(key, key)
+        for member in taken:
+            self._unassign(member)
+            self._assign(member, key)
+        for other in evicted:
+            # An evicted cover's members are covered by this filter
+            # (covering is transitive).  Of a cover behind it only the
+            # cover itself is left (the take-over moved the rest); a
+            # member of one ahead of it may have an earlier first cover.
+            orphans = list(self.members[other])
+            later = entries[other].pos > pos
+            for member in orphans:
+                self._unassign(member)
+                self._assign(member, key if later else self._first_cover(entries[member].filter))
+            del self.members[other]
+
+    def _unplace(self, entry: _InputEntry) -> None:
+        """Take *entry* out of the selection and assignment, pairs included.
+
+        A dropped entry only leaves its cover: whoever covered it still
+        stands, so nothing else changes.  A selected entry's members are
+        placed again, in canonical order.
+        """
+        key = entry.key
+        if self._unassign(key) != key:
+            return
+        self.selected.discard(key)
+        entries = self.entries
+        orphans = sorted(self.members[key], key=lambda member: entries[member].pos)
+        for member in orphans:
+            self._unassign(member)
+        del self.members[key]
+        for member in orphans:
+            self._place(entries[member])
 
     # ------------------------------------------------------------------
     # Rebuilds
@@ -487,91 +427,58 @@ class NeighbourForwardingState:
         rows: Iterable[Any],
         plain_subjects: Callable[[Any], Optional[Iterable[str]]],
     ) -> None:
-        """Rebuild the gated input from a table scan, then re-reduce.
+        """Rebuild the gated input from a table scan, then reduce it.
 
         *rows* are :class:`~repro.routing.table.RoutingEntry` objects in
         table (seq) order; *plain_subjects* returns the contributing
         subjects of a row, or a false value when the row is excluded
         (wrong destination, gated out, MatchNone, all-logical).
         """
-        self.entries = {}
-        self._max_pos = 0
+        entries: Dict[Any, _InputEntry] = {}
         for row in rows:
             subjects = plain_subjects(row)
             if not subjects:
                 continue
             key = row.filter.key()
-            entry = self.entries.get(key)
+            entry = entries.get(key)
             if entry is None:
-                entry = _InputEntry(row.filter, key, row.seq)
-                self.entries[key] = entry
-                self._max_pos = row.seq
+                entry = entries[key] = _InputEntry(row.filter, key, row.seq)
             contributed = 0
             for subject in subjects:
                 contributed += 1
                 entry.subjects[subject] = entry.subjects.get(subject, 0) + 1
             entry.rows[row.seq] = contributed
-        self.rebuild_reduction()
+        self.entries = entries
         self.valid = True
+        if self.merge_pairs is not None:
+            self.rebuild_reduction()
+            return
+        self._reset()
+        if self._index is not None:
+            self._index = CoveringIndex()
+            self._key_at = {}
+        # Rows come in seq order, so the entries are in canonical order:
+        # each is placed behind all the others.
+        for entry in entries.values():
+            self._enter(entry)
+        self.pending.clear()
 
-    def rebuild_reduction(self) -> None:
-        """Re-run selection, assignment and desired pairs over the entries."""
-        for entry in self.entries.values():
-            # Positions may be stale after an order perturbation (see
-            # add/remove_contribution); the true canonical position is
-            # the smallest surviving contributing row.
-            entry.pos = min(entry.rows)
-        ordered = sorted(self.entries.values(), key=lambda entry: entry.pos)
-        self.selection = []
+    def _reset(self) -> None:
+        """Forget selection, assignment and desired pairs; the next diff is in full."""
         self.selected = set()
         self.assigned = {}
         self.members = {}
         self.cover_filters = {}
         self.desired = {}
         self.pair_refs = {}
-        self.pending.clear()
-        if self._index is not None:
-            self._index = CoveringIndex()
-            self._key_at = {}
-            for entry in ordered:
-                self._index.add(entry.pos, entry.filter)
-                self._key_at[entry.pos] = entry.key
-        if self.merge_pairs is not None:
-            self._rebuild_merging_reduction(ordered)
-            self.order_dirty = False
-            self.full_diff = True
-            self.pending.clear()
-            return
-        if self.covers is None:
-            selected_filters = [entry.filter for entry in ordered]
-        else:
-            selected_filters = minimal_cover_set_cached(
-                [entry.filter for entry in ordered], self.cache
-            )
-        for filter_ in selected_filters:
-            entry = self.entries[filter_.key()]
-            self.selection.append((entry.pos, entry.key))
-            self.selected.add(entry.key)
-            self.assigned[entry.key] = entry.key
-            self.members[entry.key] = {entry.key}
-        for entry in ordered:
-            if entry.key in self.selected:
-                cover_key = entry.key
-            else:
-                cover_key = self._first_cover(entry.filter)
-                if cover_key is None:
-                    # The reduction should always produce a cover; fall
-                    # back to the filter itself to stay correct.
-                    cover_key = entry.key
-                    self.members.setdefault(cover_key, set())
-                self.assigned[entry.key] = cover_key
-                self.members[cover_key].add(entry.key)
-            cover = self.entries[cover_key].filter
-            for subject in entry.subjects:
-                self._pair_add(cover_key, subject, cover)
-        self.order_dirty = False
         self.full_diff = True
+
+    def rebuild_reduction(self) -> None:
+        """Re-run the merging reduction over the kept entries."""
+        self._reset()
+        self._rebuild_merging_reduction(sorted(self.entries.values(), key=lambda e: e.pos))
         self.pending.clear()
+        self.remerge = False
 
     def _rebuild_merging_reduction(self, ordered: Sequence[_InputEntry]) -> None:
         """Merging-mode reduction: greedy merge → covering → assignment.
@@ -587,9 +494,8 @@ class NeighbourForwardingState:
         )
         selected = minimal_cover_set_cached(merged, self.cache)
         covers = self.covers
-        for position, filter_ in enumerate(selected):
+        for filter_ in selected:
             key = filter_.key()
-            self.selection.append((position, key))
             self.selected.add(key)
             self.cover_filters[key] = filter_
         for entry in ordered:
@@ -618,7 +524,7 @@ class NeighbourForwardingState:
     # ------------------------------------------------------------------
     def settled(self) -> bool:
         """Nothing changed since the last flush: forwarded equals desired."""
-        return self.valid and not (self.order_dirty or self.full_diff or self.pending)
+        return self.valid and not (self.remerge or self.full_diff or self.pending)
 
     def diff(self) -> Tuple[Dict[Tuple[Any, str], Filter], Dict[Tuple[Any, str], Filter]]:
         """(to_add, to_remove) closing the gap from forwarded to desired.
@@ -854,11 +760,9 @@ class SubscriptionForwarding:
             return
         if not state.valid:
             self.rebuild(neighbour)
-        elif state.order_dirty:
-            # Canonical input positions shifted (a filter's first
-            # contributing row died while later rows survived) or a
-            # merging state's input filters changed structurally:
-            # re-reduce from the maintained entries — no table scan.
+        elif state.remerge:
+            # A merging state's input filters or their order changed:
+            # re-merge from the maintained entries — no table scan.
             state.rebuild_reduction()
         self.emit(neighbour, *state.diff())
 

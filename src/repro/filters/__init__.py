@@ -40,7 +40,7 @@ from repro.filters.constraints import (
     constraint_from_tuple,
 )
 from repro.filters.filter import Filter, MatchAll, MatchNone
-from repro.filters.covering import constraint_covers, filter_covers, filters_identical
+from repro.filters.covering import constraint_covers, filter_covers
 from repro.filters.merging import merge_filters, try_merge_pair
 
 __all__ = [
@@ -65,7 +65,6 @@ __all__ = [
     "MatchNone",
     "constraint_covers",
     "filter_covers",
-    "filters_identical",
     "merge_filters",
     "try_merge_pair",
 ]

@@ -17,7 +17,7 @@ Siena.
 
 from __future__ import annotations
 
-from typing import Any, FrozenSet, Iterable, Tuple
+from typing import Any, Iterable, Tuple
 
 from repro.filters.attributes import (
     TYPE_NUMBER,
@@ -414,10 +414,6 @@ class InSet(Constraint):
     def union(self, other: "InSet") -> "InSet":
         """Return an :class:`InSet` accepting the union of both value sets."""
         return InSet(tuple(self.values) + tuple(other.values))
-
-    def as_frozenset(self) -> FrozenSet[Tuple[str, Any]]:
-        """Canonical keys of the member values (for set algebra in tests)."""
-        return frozenset(self._by_key)
 
 
 class Prefix(Constraint):

@@ -17,7 +17,7 @@ the completeness of the pairwise constraint tests.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.filters.constraints import Constraint, Equals, InSet
 from repro.filters.filter import Filter, MatchAll, MatchNone
@@ -56,13 +56,6 @@ def filter_covers(covering: Filter, covered: Filter) -> bool:
         if not covering_constraint.covers(covered_constraint):
             return False
     return True
-
-
-def filters_identical(left: Filter, right: Filter) -> bool:
-    """Exact structural identity of two filters (same canonical key)."""
-    return left.key() == right.key() and isinstance(left, MatchNone) == isinstance(
-        right, MatchNone
-    )
 
 
 def filters_overlap_hint(left: Filter, right: Filter) -> bool:
@@ -104,29 +97,6 @@ def filters_overlap_hint(left: Filter, right: Filter) -> bool:
                 if not any(key in large._by_key for key in small._by_key):
                     return False
     return True
-
-
-def find_cover(candidates: Iterable[Filter], target: Filter) -> Optional[Filter]:
-    """Return the first filter in *candidates* that covers *target*, if any."""
-    for candidate in candidates:
-        if filter_covers(candidate, target):
-            return candidate
-    return None
-
-
-def covered_by_any(candidates: Iterable[Filter], target: Filter) -> bool:
-    """``True`` when some filter in *candidates* covers *target*."""
-    return find_cover(candidates, target) is not None
-
-
-def remove_covered(filters: Sequence[Filter], cover: Filter) -> List[Filter]:
-    """Return *filters* with every filter covered by *cover* removed.
-
-    This is the routing-table maintenance primitive of covering-based
-    routing: when a new (covering) subscription arrives, existing entries
-    it covers on the same link become redundant.
-    """
-    return [f for f in filters if not filter_covers(cover, f)]
 
 
 def minimal_cover_set(filters: Sequence[Filter]) -> List[Filter]:

@@ -72,8 +72,6 @@ class RoutingTable:
     def __init__(self) -> None:
         # row key (see _row_key) -> entry
         self._entries: Dict[Tuple[bool, Any, str], RoutingEntry] = {}
-        # destination -> number of rows pointing at it
-        self._row_counts: Dict[str, int] = {}
         # change publication
         self._listeners: List[Any] = []
         self._delta_listeners: List[Any] = []
@@ -82,18 +80,6 @@ class RoutingTable:
     @staticmethod
     def _row_key(filter_: Filter, destination: str) -> Tuple[bool, Any, str]:
         return (type(filter_).__name__ == "MatchNone", filter_.key(), destination)
-
-    def _insert(self, key: Tuple[bool, Any, str], entry: RoutingEntry) -> None:
-        self._entries[key] = entry
-        self._row_counts[entry.destination] = self._row_counts.get(entry.destination, 0) + 1
-
-    def _forget(self, key: Tuple[bool, Any, str], entry: RoutingEntry) -> None:
-        del self._entries[key]
-        remaining = self._row_counts[entry.destination] - 1
-        if remaining:
-            self._row_counts[entry.destination] = remaining
-        else:
-            del self._row_counts[entry.destination]
 
     # -- change publication ------------------------------------------------
     @property
@@ -166,7 +152,7 @@ class RoutingTable:
         entry = RoutingEntry(
             filter=filter_, destination=destination, subjects={subject}, seq=self._row_seq
         )
-        self._insert(key, entry)
+        self._entries[key] = entry
         for listener in self._delta_listeners:
             listener.row_subject_added(entry, subject, True)
         self._notify(destination)
@@ -196,7 +182,7 @@ class RoutingTable:
         else:
             dying_subjects = tuple(entry.subjects)
             entry.subjects.clear()
-        self._forget(key, entry)
+        del self._entries[key]
         for listener in self._delta_listeners:
             listener.row_subjects_removed(entry, dying_subjects, True)
         self._notify(destination)
@@ -212,7 +198,7 @@ class RoutingTable:
                 row_removed = not entry.subjects
                 if row_removed:
                     removed.append(entry)
-                    self._forget(key, entry)
+                    del self._entries[key]
                 for listener in self._delta_listeners:
                     listener.row_subjects_removed(entry, (subject,), row_removed)
                 self._notify(entry.destination)
@@ -228,7 +214,6 @@ class RoutingTable:
                 del self._entries[key]
                 for listener in self._delta_listeners:
                     listener.row_subjects_removed(entry, tuple(entry.subjects), True)
-        self._row_counts.pop(destination, None)
         if removed:
             self._notify(destination)
         return removed
@@ -258,7 +243,7 @@ class RoutingTable:
         entry = RoutingEntry(
             filter=filter_, destination=destination, subjects=set(), seq=int(seq)
         )
-        self._insert(key, entry)
+        self._entries[key] = entry
         self._row_seq = max(self._row_seq, entry.seq)
         created = True
         for subject in subjects:
@@ -273,7 +258,6 @@ class RoutingTable:
         """Remove every row."""
         had_entries = bool(self._entries)
         self._entries.clear()
-        self._row_counts.clear()
         if had_entries:
             for listener in self._delta_listeners:
                 listener.table_reset()
@@ -284,21 +268,9 @@ class RoutingTable:
         """All rows (copy of the list, entries shared)."""
         return list(self._entries.values())
 
-    def entries_for_destination(self, destination: str) -> List[RoutingEntry]:
-        """All rows whose destination is *destination*."""
-        return [e for e in self._entries.values() if e.destination == destination]
-
     def entries_for_subject(self, subject: str) -> List[RoutingEntry]:
         """All rows registered on behalf of *subject*."""
         return [e for e in self._entries.values() if subject in e.subjects]
-
-    def destinations(self) -> List[str]:
-        """All destinations that have at least one row, sorted."""
-        return sorted(self._row_counts)
-
-    def has_entry(self, filter_: Filter, destination: str) -> bool:
-        """``True`` when an exact (filter, destination) row exists."""
-        return self._row_key(filter_, destination) in self._entries
 
     def find_entry(self, filter_: Filter, destination: str) -> Optional[RoutingEntry]:
         """The exact (filter, destination) row, or ``None``."""
@@ -309,7 +281,3 @@ class RoutingTable:
 
     def __iter__(self) -> Iterator[RoutingEntry]:
         return iter(list(self._entries.values()))
-
-    def size_by_destination(self) -> Dict[str, int]:
-        """Number of rows per destination (used by the routing ablation bench)."""
-        return dict(self._row_counts)

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.broker.base import Broker, BrokerConfig
+from repro.broker.forwarding import NeighbourForwardingState
 from repro.core.adaptivity import UncertaintyPlan
 from repro.core.location_filter import (
     MYLOC,
@@ -57,9 +58,14 @@ def _delta_desired(broker, neighbour):
     state = broker.forwarding.states[neighbour]
     if not state.valid:
         broker.forwarding.rebuild(neighbour)
-    elif state.order_dirty:
+    elif state.remerge:
         state.rebuild_reduction()
     return state.desired
+
+
+def _selection(state):
+    """The selected cover keys of a covering or simple state, in canonical order."""
+    return sorted(state.selected, key=lambda key: state.entries[key].pos)
 
 
 def _assert_in_sync(broker):
@@ -114,12 +120,12 @@ class TestCoverReassignment:
         _assert_in_sync(broker)
         # ``mid`` covers ``narrow``: only mid is forwarded.
         state = broker.forwarding.states["N1"]
-        assert [key for _, key in state.selection] == [mid.key()]
+        assert _selection(state) == [mid.key()]
         # A broader filter evicts mid and adopts both members.
         broad = _loc_filter("a", "b", "c")
         table.add(broad, "c2", "s3")
         _assert_in_sync(broker)
-        assert [key for _, key in state.selection] == [broad.key()]
+        assert _selection(state) == [broad.key()]
         assert state.assigned[narrow.key()] == broad.key()
         assert state.assigned[mid.key()] == broad.key()
 
@@ -138,7 +144,7 @@ class TestCoverReassignment:
         # Removing the cover resurrects the member at its original position.
         table.remove(broad, "c2", "s3")
         _assert_in_sync(broker)
-        assert [key for _, key in state.selection] == [narrow.key(), other.key()]
+        assert _selection(state) == [narrow.key(), other.key()]
 
     def test_resurrected_filter_steals_members_of_later_covers(self):
         broker, _ = _make_broker()
@@ -156,11 +162,11 @@ class TestCoverReassignment:
         table.add(f, "c2", "s4")
         _assert_in_sync(broker)
         state = broker.forwarding.states["N1"]
-        assert [key for _, key in state.selection] == [c.key(), f.key()]
+        assert _selection(state) == [c.key(), f.key()]
         assert state.assigned[x.key()] == c.key()
         table.remove(f, "c2", "s4")
         _assert_in_sync(broker)
-        assert [key for _, key in state.selection] == [r.key(), c.key()]
+        assert _selection(state) == [r.key(), c.key()]
         assert state.assigned[x.key()] == r.key()
 
     def test_order_perturbation_then_removal_in_one_operation(self):
@@ -168,8 +174,8 @@ class TestCoverReassignment:
 
         ``remove_subject`` kills the filter's first contributing row (an
         order perturbation) and then its last row before any refresh;
-        the selection's (pos, key) tuple must stay consistent so the
-        second removal does not crash.
+        the shift must leave the state consistent so the second removal
+        does not crash.
         """
         broker, _ = _make_broker()
         table = broker.subscription_table
@@ -194,7 +200,7 @@ class TestCoverReassignment:
         table.remove(MatchNone(), "c1", "s1")
         _assert_in_sync(broker)
 
-    def test_order_perturbation_triggers_local_rebuild(self):
+    def test_order_perturbation_shifts_in_place(self, monkeypatch):
         broker, _ = _make_broker()
         table = broker.subscription_table
         shared = _loc_filter("a", "b")
@@ -202,13 +208,19 @@ class TestCoverReassignment:
         table.add(_loc_filter("c"), "c1", "s2")
         table.add(shared, "c2", "s3")
         _assert_in_sync(broker)
+        rebuilds = []
+        for name in ("rebuild_from_rows", "rebuild_reduction"):
+            monkeypatch.setattr(
+                NeighbourForwardingState, name, lambda *args, _name=name: rebuilds.append(_name)
+            )
         # Killing the *first* contributing row of ``shared`` moves its
-        # canonical position behind the other filter.
+        # canonical position behind the other filter, at once.
         table.remove(shared, "c1", "s1")
         state = broker.forwarding.states["N1"]
-        assert state.order_dirty
-        _assert_in_sync(broker)
-        assert not state.order_dirty
+        assert state.entries[shared.key()].pos == table.find_entry(shared, "c2").seq
+        assert _selection(state) == [_loc_filter("c").key(), shared.key()]
+        _assert_state_is_from_scratch(broker)
+        assert rebuilds == []
 
 
 class TestModesAndFlags:
@@ -219,7 +231,7 @@ class TestModesAndFlags:
         table.add(_loc_filter("a", "b"), "c1", "s2")
         _assert_in_sync(broker)
         state = broker.forwarding.states["N1"]
-        assert len(state.selection) == 2
+        assert len(state.selected) == 2
 
     def test_merging_strategy_uses_delta_mode(self):
         broker, _ = _make_broker(strategy="merging")
@@ -333,7 +345,7 @@ class TestMergingDeltaState:
         lookups_before = pair_cache.hits + pair_cache.misses
         # A second subject on an existing filter must not re-merge.
         table.add(_loc_filter("a"), "c1", "s3")
-        assert not state.order_dirty
+        assert not state.remerge
         broker.forwarding.refresh_all()
         assert pair_cache.hits + pair_cache.misses == lookups_before
         _assert_in_sync(broker)
@@ -389,7 +401,7 @@ class TestMergingDeltaState:
                     table.remove(filter_, *rows[filter_.key()].pop(0))
             _assert_in_sync(broker)
         state = broker.forwarding.states["N1"]
-        assert [key for _, key in state.selection] == [filter_.key() for filter_ in covers]
+        assert list(state.cover_filters) == [filter_.key() for filter_ in covers]
         assert {key for key, _ in state.desired} == {filter_.key() for filter_ in covers}
 
     def test_merging_refresh_applies_deltas_without_table_scan(self):
@@ -555,7 +567,7 @@ def test_roaming_chain_three_mode_equivalence(seed):
 def _scan_first_cover(state, filter_):
     """The unpruned reference: walk the whole selection in order."""
     covers = state.covers
-    for _, selected_key in state.selection:
+    for selected_key in _selection(state):
         if covers(state.entries[selected_key].filter, filter_):
             return selected_key
     return None
@@ -569,7 +581,7 @@ def _assert_state_is_from_scratch(broker):
     for state in broker.forwarding.states.values():
         ordered = sorted(state.entries.values(), key=lambda entry: entry.pos)
         selection = minimal_cover_set([entry.filter for entry in ordered])
-        assert [key for _, key in state.selection] == [f.key() for f in selection]
+        assert _selection(state) == [f.key() for f in selection]
         assert state.selected == {f.key() for f in selection}
         assigned = {
             entry.key: first_cover(selection, entry.filter).key() for entry in ordered
@@ -803,7 +815,9 @@ def _gated_filters():
 def _gated_operations():
     """Steps of the gating property.  ``add`` / ``remove`` / ``remove_subject``
     have the shapes ``tests/dispatch/test_plan_oracle.mutate`` applies; the
-    ``advertise`` / ``unadvertise`` pair is the same on the other table."""
+    ``advertise`` / ``unadvertise`` pair is the same on the other table.
+    ``shift`` and ``plain_subject`` move a filter's canonical position (see
+    :func:`_position_step`)."""
     neighbour = st.sampled_from(_GATED_NEIGHBOURS)
     destination = st.sampled_from(_GATED_NEIGHBOURS + ("c1", "c2"))
     subject = st.sampled_from(_GATED_SUBJECTS)
@@ -818,6 +832,7 @@ def _gated_operations():
     token = st.sampled_from(_GATED_SUBJECTS[:2])
     location = st.sampled_from(_EVICTION_LOCATIONS[:3])
     move = st.tuples(st.just("move_logical"), token, location)
+    plain_subject = st.sampled_from(_GATED_SUBJECTS[2:])
     return st.one_of(
         add,
         add,
@@ -834,7 +849,37 @@ def _gated_operations():
         move,
         move,
         st.tuples(st.just("twin_logical"), token, location),
+        st.tuples(st.just("shift"), position, destination, subject),
+        st.tuples(st.just("plain_subject"), position, destination, plain_subject),
     )
+
+
+def _position_step(broker, operation):
+    """Move the canonical position of a filter, the two ways it can move.
+
+    ``shift`` gives the filter of some row a row at *destination* (a
+    later one, unless the filter has a row there), then removes the
+    filter's first row, as a relocation does at every broker on its new
+    path.  ``plain_subject`` does the same to a row that contributes
+    nothing (all its subjects travel by the Section 5 protocol), then
+    gives that old row its first plain subject: the filter moves to the
+    old row's position, in front of newer filters.
+    """
+    _, position, destination, subject = operation
+    table = broker.subscription_table
+    rows = table.entries()
+    if operation[0] == "plain_subject":
+        is_logical_row = broker.logical.is_logical_row
+        rows = [row for row in rows if all(is_logical_row(row, s) for s in row.subjects)]
+    if not rows:
+        return
+    row = rows[position % len(rows)]
+    table.add(row.filter, destination, subject)
+    if operation[0] == "plain_subject":
+        table.add(row.filter, row.destination, subject)
+    else:
+        first = next(other for other in table.entries() if other.filter.key() == row.filter.key())
+        table.remove(first.filter, first.destination)
 
 
 def _logical_step(broker, operation):
@@ -924,6 +969,12 @@ def test_gated_states_match_from_scratch(strategy, advertisers, schedule, check_
             mutate(broker.advertisement_table, ("remove", operation[1], True))
         elif kind.endswith("_logical"):
             _logical_step(broker, operation)
+        elif kind in ("shift", "plain_subject"):
+            _position_step(broker, operation)
+            if strategy == "covering":
+                _assert_state_is_from_scratch(broker)
+            else:
+                _assert_in_sync(broker)
         else:
             # An empty draw refreshes every neighbour.
             for neighbour in sorted(operation[1]) or _GATED_NEIGHBOURS:

@@ -123,7 +123,7 @@ def test_clean_neighbours_are_skipped(monkeypatch):
 
 def test_table_change_marks_other_neighbours_dirty():
     _, middle = _settled_line()
-    (row,) = middle.subscription_table.entries_for_destination("B3")
+    (row,) = [row for row in middle.subscription_table.entries() if row.destination == "B3"]
     # A change to rows of destination B3 affects the desired set of every
     # neighbour except B3 itself.
     middle.subscription_table.add(row.filter, "B3", "C/extra")

@@ -97,7 +97,7 @@ def mutate(table, operation):
         table.clear()
     elif kind == "restore_row":
         _, filter_, destination, subjects = operation
-        if not table.has_entry(filter_, destination):
+        if table.find_entry(filter_, destination) is None:
             table.restore_row(filter_, destination, sorted(subjects), table.row_seq + 2)
 
 

@@ -1,14 +1,6 @@
 """Unit tests for the filter-level covering relation."""
 
-from repro.filters.covering import (
-    covered_by_any,
-    filter_covers,
-    filters_identical,
-    filters_overlap_hint,
-    find_cover,
-    minimal_cover_set,
-    remove_covered,
-)
+from repro.filters.covering import filter_covers, filters_overlap_hint, minimal_cover_set
 from repro.filters.filter import Filter, MatchAll, MatchNone
 
 
@@ -22,7 +14,7 @@ class TestFilterCovers:
         right = F(a=1, b=("<", 3))
         assert filter_covers(left, right)
         assert filter_covers(right, left)
-        assert filters_identical(left, right)
+        assert left.key() == right.key()
 
     def test_fewer_constraints_cover_more(self):
         general = F(service="parking")
@@ -70,17 +62,6 @@ class TestFilterCovers:
 
 
 class TestSetHelpers:
-    def test_find_cover(self):
-        candidates = [F(a=1), F(b=("<", 10))]
-        assert find_cover(candidates, F(b=("<", 3))) == F(b=("<", 10))
-        assert find_cover(candidates, F(c=1)) is None
-        assert covered_by_any(candidates, F(a=1, extra=2))
-
-    def test_remove_covered(self):
-        filters = [F(cost=("<", 3)), F(cost=("<", 5)), F(other=1)]
-        remaining = remove_covered(filters, F(cost=("<", 10)))
-        assert remaining == [F(other=1)]
-
     def test_minimal_cover_set_drops_redundant(self):
         filters = [F(cost=("<", 3)), F(cost=("<", 10)), F(service="parking")]
         minimal = minimal_cover_set(filters)

@@ -143,8 +143,8 @@ class TestIndexedAndScanned:
     def test_contains_and_iteration(self):
         matcher = Matcher()
         matcher.add(F(a=1), "x")
-        assert matcher.table.has_entry(F(a=1), "x")
-        assert not matcher.table.has_entry(F(a=2), "x")
+        assert matcher.table.find_entry(F(a=1), "x") is not None
+        assert matcher.table.find_entry(F(a=2), "x") is None
         assert [row.destination for row in matcher.table] == ["x"]
 
     def test_payloads_for(self):

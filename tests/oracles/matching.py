@@ -36,7 +36,8 @@ def advertised_via(table, neighbour, filter_):
     """Whether an advertisement row received from *neighbour* may overlap *filter_*."""
     return any(
         filters_overlap_hint(row.filter, filter_)
-        for row in table.entries_for_destination(neighbour)
+        for row in table.entries()
+        if row.destination == neighbour
     )
 
 

@@ -75,7 +75,7 @@ class TestAddRemove:
         table.add(F(c=3), "link-2", "s")
         removed = table.remove_destination("link-1")
         assert len(removed) == 2
-        assert table.destinations() == ["link-2"]
+        assert [row.destination for row in table.entries()] == ["link-2"]
 
     def test_clear(self):
         table = RoutingTable()
@@ -103,20 +103,13 @@ class TestQueries:
         table.add(F(a=1), "link-1", "c/s")
         table.add(F(b=2), "link-2", "c/s")
         assert len(table.entries_for_subject("c/s")) == 2
-        assert len(table.entries_for_destination("link-1")) == 1
+        assert len([row for row in table.entries() if row.destination == "link-1"]) == 1
 
-    def test_size_by_destination(self):
+    def test_find_entry_and_iteration(self):
         table = RoutingTable()
         table.add(F(a=1), "link-1", "s1")
-        table.add(F(b=2), "link-1", "s2")
-        table.add(F(c=3), "link-2", "s3")
-        assert table.size_by_destination() == {"link-1": 2, "link-2": 1}
-
-    def test_has_entry_and_iteration(self):
-        table = RoutingTable()
-        table.add(F(a=1), "link-1", "s1")
-        assert table.has_entry(F(a=1), "link-1")
-        assert not table.has_entry(F(a=1), "link-2")
+        assert table.find_entry(F(a=1), "link-1") is not None
+        assert table.find_entry(F(a=1), "link-2") is None
         assert len(list(iter(table))) == 1
 
 
@@ -141,7 +134,7 @@ def test_routing_table_change_listener():
     assert len(events) == 3
     table.remove(filter_, "west", "s2")
     assert len(events) == 4
-    assert "west" not in table.destinations()
+    assert all(row.destination != "west" for row in table.entries())
     # clear() publishes a whole-table change as destination None.
     table.add(filter_, "east", "s1")
     table.clear()
