@@ -38,14 +38,15 @@ does):
   filters it covers and takes over every dropped input whose first cover
   it now is;
 * **unplace** an input — a dropped one just leaves its cover; a selected
-  one leaves the selection and its members are placed again, in
+  one leaves the selection with its members, which are placed again, in
   canonical order.
 
 A filter that joins the input is placed, one that leaves it is unplaced,
 and one whose position moves — its first contributing row died while
 later rows survive, as on every broker of a Section 4.1 relocation path,
 or an old row gained its first plain subject — is unplaced and placed
-again at the new position.  A rebuild places every entry in canonical
+again at the new position, ahead of its members (it still covers them,
+so most fall back under it).  A rebuild places every entry in canonical
 order.  Each step finds the filters it has to test — who covers this
 one, whom does it cover — through a two-way
 :class:`~repro.filters.covering_cache.CoveringIndex` over the input
@@ -72,6 +73,7 @@ the covering mode.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.filters.covering_cache import CoveringIndex, minimal_cover_set_cached
@@ -294,24 +296,30 @@ class NeighbourForwardingState:
         self._place(entry)
 
     def _leave(self, entry: _InputEntry) -> None:
-        """*entry* is leaving the input: unplace and unindex it."""
+        """*entry* left the input: unplace it and place its members again."""
         if self.merge_pairs is not None:
             self.remerge = True
             return
-        self._unplace(entry)
-        if self._index is not None:
-            self._index.remove(entry.pos)
-            del self._key_at[entry.pos]
+        for member in self._unplace(entry):
+            self._place(member)
 
     def _shift(self, entry: _InputEntry, pos: int) -> None:
         """Move *entry* to canonical position *pos*."""
-        if self.covers is None:
-            # Every input is selected, wherever it stands.
+        if self._index is None:
+            # Simple routing selects every input wherever it stands;
+            # greedy merging is order-dependent, so it re-merges.
             entry.pos = pos
+            if self.merge_pairs is not None:
+                self.remerge = True
             return
-        self._leave(entry)
+        members = self._unplace(entry)
         entry.pos = pos
         self._enter(entry)
+        # The entry still covers each of its members, so it is placed
+        # first and most of them fall back under it; placing them first
+        # would select the ones it leaves uncovered only to evict them.
+        for member in members:
+            self._place(member)
 
     # ------------------------------------------------------------------
     # Selection maintenance
@@ -400,24 +408,29 @@ class NeighbourForwardingState:
                 self._assign(member, key if later else self._first_cover(entries[member].filter))
             del self.members[other]
 
-    def _unplace(self, entry: _InputEntry) -> None:
-        """Take *entry* out of the selection and assignment, pairs included.
+    def _unplace(self, entry: _InputEntry) -> List[_InputEntry]:
+        """Take *entry* out of the index, selection and assignment, pairs included.
 
         A dropped entry only leaves its cover: whoever covered it still
-        stands, so nothing else changes.  A selected entry's members are
-        placed again, in canonical order.
+        stands, so nothing else changes.  A selected entry leaves the
+        selection and takes its members with it; they are returned, in
+        canonical order, for the caller to :meth:`_place` again.
         """
         key = entry.key
+        if self._index is not None:
+            self._index.remove(entry.pos)
+            del self._key_at[entry.pos]
         if self._unassign(key) != key:
-            return
+            return []
         self.selected.discard(key)
         entries = self.entries
-        orphans = sorted(self.members[key], key=lambda member: entries[member].pos)
-        for member in orphans:
-            self._unassign(member)
-        del self.members[key]
-        for member in orphans:
-            self._place(entries[member])
+        members = [entries[member] for member in self.members.pop(key)]
+        members.sort(key=attrgetter("pos"))
+        for member in members:
+            cover_key = self.assigned.pop(member.key)
+            for subject in member.subjects:
+                self._pair_remove(cover_key, subject)
+        return members
 
     # ------------------------------------------------------------------
     # Rebuilds
@@ -476,7 +489,7 @@ class NeighbourForwardingState:
     def rebuild_reduction(self) -> None:
         """Re-run the merging reduction over the kept entries."""
         self._reset()
-        self._rebuild_merging_reduction(sorted(self.entries.values(), key=lambda e: e.pos))
+        self._rebuild_merging_reduction(sorted(self.entries.values(), key=attrgetter("pos")))
         self.pending.clear()
         self.remerge = False
 
