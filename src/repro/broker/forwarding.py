@@ -424,12 +424,10 @@ class NeighbourForwardingState:
             return []
         self.selected.discard(key)
         entries = self.entries
-        members = [entries[member] for member in self.members.pop(key)]
-        members.sort(key=attrgetter("pos"))
+        members = sorted((entries[member] for member in self.members[key]), key=attrgetter("pos"))
         for member in members:
-            cover_key = self.assigned.pop(member.key)
-            for subject in member.subjects:
-                self._pair_remove(cover_key, subject)
+            self._unassign(member.key)
+        del self.members[key]
         return members
 
     # ------------------------------------------------------------------
@@ -467,9 +465,6 @@ class NeighbourForwardingState:
             self.rebuild_reduction()
             return
         self._reset()
-        if self._index is not None:
-            self._index = CoveringIndex()
-            self._key_at = {}
         # Rows come in seq order, so the entries are in canonical order:
         # each is placed behind all the others.
         for entry in entries.values():
@@ -477,7 +472,10 @@ class NeighbourForwardingState:
         self.pending.clear()
 
     def _reset(self) -> None:
-        """Forget selection, assignment and desired pairs; the next diff is in full."""
+        """Forget index, selection, assignment and desired pairs; the next diff is in full."""
+        if self._index is not None:
+            self._index = CoveringIndex()
+            self._key_at = {}
         self.selected = set()
         self.assigned = {}
         self.members = {}
