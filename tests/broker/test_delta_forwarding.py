@@ -222,6 +222,51 @@ class TestCoverReassignment:
         _assert_state_is_from_scratch(broker)
         assert rebuilds == []
 
+    def test_shift_behind_a_later_equivalent_hands_it_the_selection(self, monkeypatch):
+        """Two filters with different keys cover each other: the earlier
+        one is selected.  When its position moves behind the other's, the
+        other becomes the earlier equivalent and takes its place."""
+        broker, _ = _make_broker()
+        table = broker.subscription_table
+        listed = Filter({"location": ("in", ("a",))})
+        equal = Filter({"location": "a"})
+        assert listed.key() != equal.key()
+        table.add(listed, "c1", "s1")
+        table.add(equal, "c1", "s2")
+        table.add(listed, "c2", "s3")
+        _assert_state_is_from_scratch(broker)
+        state = broker.forwarding.states["N1"]
+        assert _selection(state) == [listed.key()]
+        assert state.assigned[equal.key()] == listed.key()
+        rebuilds = []
+        for name in ("rebuild_from_rows", "rebuild_reduction"):
+            monkeypatch.setattr(
+                NeighbourForwardingState, name, lambda *args, _name=name: rebuilds.append(_name)
+            )
+        table.remove(listed, "c1", "s1")
+        assert _selection(state) == [equal.key()]
+        assert state.assigned[listed.key()] == equal.key()
+        _assert_state_is_from_scratch(broker)
+        assert rebuilds == []
+
+    def test_unknown_contribution_rebuilds_from_the_table(self):
+        """A removal the state never saw (it was rebuilt around the
+        event) invalidates it; the next refresh rebuilds it from the table."""
+        broker, _ = _make_broker()
+        table = broker.subscription_table
+        kept = _loc_filter("a")
+        table.add(kept, "c1", "s1")
+        _assert_in_sync(broker)
+        state = broker.forwarding.states["N1"]
+        state.remove_contribution(_loc_filter("b").key(), "s2", 99)
+        assert not state.valid
+        state = broker.forwarding.states["N2"]
+        state.remove_contribution(kept.key(), "s1", 99)  # a row it does not hold
+        assert not state.valid
+        _assert_state_is_from_scratch(broker)
+        assert all(state.valid for state in broker.forwarding.states.values())
+        assert set(broker.forwarding.states["N1"].desired) == {(kept.key(), "s1")}
+
 
 class TestModesAndFlags:
     def test_simple_strategy_forwards_every_filter(self):
@@ -232,6 +277,29 @@ class TestModesAndFlags:
         _assert_in_sync(broker)
         state = broker.forwarding.states["N1"]
         assert len(state.selected) == 2
+
+    def test_simple_strategy_shift_rewrites_only_the_position(self, monkeypatch):
+        broker, _ = _make_broker(strategy="simple")
+        table = broker.subscription_table
+        shared = _loc_filter("a", "b")
+        narrow = _loc_filter("a")
+        table.add(shared, "c1", "s1")
+        table.add(narrow, "c1", "s2")
+        table.add(shared, "c2", "s3")
+        _assert_in_sync(broker)
+        state = broker.forwarding.states["N1"]
+        rebuilds = []
+        for name in ("rebuild_from_rows", "rebuild_reduction"):
+            monkeypatch.setattr(
+                NeighbourForwardingState, name, lambda *args, _name=name: rebuilds.append(_name)
+            )
+        table.remove(shared, "c1", "s1")
+        assert state.entries[shared.key()].pos == table.find_entry(shared, "c2").seq
+        assert _selection(state) == [narrow.key(), shared.key()]
+        assert state.assigned == {narrow.key(): narrow.key(), shared.key(): shared.key()}
+        assert state.valid and not state.remerge
+        _assert_in_sync(broker)
+        assert rebuilds == []
 
     def test_merging_strategy_uses_delta_mode(self):
         broker, _ = _make_broker(strategy="merging")
