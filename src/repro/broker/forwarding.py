@@ -41,17 +41,18 @@ does):
   one leaves the selection with its members, which are placed again, in
   canonical order.
 
-A filter that joins the input is placed, one that leaves it is unplaced,
-and one whose position moves — its first contributing row died while
-later rows survive, as on every broker of a Section 4.1 relocation path,
-or an old row gained its first plain subject — is unplaced and placed
-again at the new position, ahead of its members (it still covers them,
-so most fall back under it).  A rebuild places every entry in canonical
-order.  Each step finds the filters it has to test — who covers this
-one, whom does it cover — through a two-way
+A filter that joins the input is placed, one that leaves it unplaced.
+One whose position moves — its first contributing row died while later
+rows survive, as on every broker of a Section 4.1 relocation path, or an
+old row gained its first plain subject — is marked *shifted*: the state
+stays the specification of its inputs at their old positions (a dead
+row's ``seq`` is never reused), and the next refresh unplaces it and
+places it again, ahead of its members.  A rebuild places every entry in
+canonical order.  Each step finds the filters it has to test — who
+covers this one, whom does it cover — through a two-way
 :class:`~repro.filters.covering_cache.CoveringIndex` over the input
-entries, so its cost follows the structurally comparable entries, not the
-size of the selection.  Advertisement changes and logical-mobility
+entries, so its cost follows the structurally comparable entries, not
+the size of the selection.  Advertisement changes and logical-mobility
 changes can flip the per-filter gating wholesale, so they invalidate the
 state and the next refresh rebuilds it from one table scan.
 
@@ -114,6 +115,7 @@ class NeighbourForwardingState:
         "cover_filters",
         "valid",
         "remerge",
+        "shifted",
         "full_diff",
         "entries",
         "selected",
@@ -152,6 +154,10 @@ class NeighbourForwardingState:
         #: Merging only: the input filters or their order changed, so the
         #: next refresh re-merges from the kept entries.
         self.remerge = False
+        #: Covering only: the entries whose first contributing row changed
+        #: since they were placed, by key, in the order they shifted; the
+        #: next refresh places each again at its new position.
+        self.shifted: Dict[Any, _InputEntry] = {}
         #: The next flush must diff desired against forwarded completely
         #: (after rebuilds).
         self.full_diff = True
@@ -300,26 +306,39 @@ class NeighbourForwardingState:
         if self.merge_pairs is not None:
             self.remerge = True
             return
+        self.shifted.pop(entry.key, None)
         for member in self._unplace(entry):
             self._place(member)
 
     def _shift(self, entry: _InputEntry, pos: int) -> None:
-        """Move *entry* to canonical position *pos*."""
-        if self._index is None:
-            # Simple routing selects every input wherever it stands;
-            # greedy merging is order-dependent, so it re-merges.
-            entry.pos = pos
-            if self.merge_pairs is not None:
-                self.remerge = True
+        """*entry*'s canonical position moved to *pos* (covering: at the next refresh)."""
+        if self._index is not None:
+            self.shifted[entry.key] = entry
             return
-        members = self._unplace(entry)
+        # Simple routing selects every input wherever it stands; greedy
+        # merging is order-dependent, so it re-merges.
         entry.pos = pos
-        self._enter(entry)
-        # The entry still covers each of its members, so it is placed
-        # first and most of them fall back under it; placing them first
-        # would select the ones it leaves uncovered only to evict them.
-        for member in members:
-            self._place(member)
+        if self.merge_pairs is not None:
+            self.remerge = True
+
+    def place_shifted(self) -> None:
+        """Unplace each shifted entry and place it at its new position, then its members.
+
+        It still covers them, so most fall back under it; placed first, the
+        ones it leaves uncovered would be selected only to be evicted.
+        """
+        for entry in self.shifted.values():
+            pos = min(entry.rows)
+            if pos == entry.pos:
+                continue
+            members = self._unplace(entry)
+            entry.pos = pos
+            self._index.add(pos, entry.filter)
+            self._key_at[pos] = entry.key
+            self._place(entry)
+            for member in members:
+                self._place(member)
+        self.shifted = {}
 
     # ------------------------------------------------------------------
     # Selection maintenance
@@ -472,10 +491,11 @@ class NeighbourForwardingState:
         self.pending.clear()
 
     def _reset(self) -> None:
-        """Forget index, selection, assignment and desired pairs; the next diff is in full."""
+        """Forget index, shifts, selection, assignment and pairs; the next diff is in full."""
         if self._index is not None:
             self._index = CoveringIndex()
             self._key_at = {}
+        self.shifted = {}
         self.selected = set()
         self.assigned = {}
         self.members = {}
@@ -535,7 +555,7 @@ class NeighbourForwardingState:
     # ------------------------------------------------------------------
     def settled(self) -> bool:
         """Nothing changed since the last flush: forwarded equals desired."""
-        return self.valid and not (self.remerge or self.full_diff or self.pending)
+        return self.valid and not (self.remerge or self.shifted or self.full_diff or self.pending)
 
     def diff(self) -> Tuple[Dict[Tuple[Any, str], Filter], Dict[Tuple[Any, str], Filter]]:
         """(to_add, to_remove) closing the gap from forwarded to desired.
@@ -775,6 +795,9 @@ class SubscriptionForwarding:
             # A merging state's input filters or their order changed:
             # re-merge from the maintained entries — no table scan.
             state.rebuild_reduction()
+        elif state.shifted:
+            # Covering inputs moved: each is placed again — no re-reduction.
+            state.place_shifted()
         self.emit(neighbour, *state.diff())
 
     def emit(

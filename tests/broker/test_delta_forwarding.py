@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.broker.base import Broker, BrokerConfig
-from repro.broker.forwarding import NeighbourForwardingState
 from repro.core.adaptivity import UncertaintyPlan
 from repro.core.location_filter import (
     MYLOC,
@@ -60,6 +59,8 @@ def _delta_desired(broker, neighbour):
         broker.forwarding.rebuild(neighbour)
     elif state.remerge:
         state.rebuild_reduction()
+    elif state.shifted:
+        state.place_shifted()
     return state.desired
 
 
@@ -200,7 +201,7 @@ class TestCoverReassignment:
         table.remove(MatchNone(), "c1", "s1")
         _assert_in_sync(broker)
 
-    def test_order_perturbation_shifts_in_place(self, monkeypatch):
+    def test_order_perturbation_shifts_in_place(self, table_scan_calls):
         broker, _ = _make_broker()
         table = broker.subscription_table
         shared = _loc_filter("a", "b")
@@ -208,21 +209,20 @@ class TestCoverReassignment:
         table.add(_loc_filter("c"), "c1", "s2")
         table.add(shared, "c2", "s3")
         _assert_in_sync(broker)
-        rebuilds = []
-        for name in ("rebuild_from_rows", "rebuild_reduction"):
-            monkeypatch.setattr(
-                NeighbourForwardingState, name, lambda *args, _name=name: rebuilds.append(_name)
-            )
+        built = dict(table_scan_calls)
         # Killing the *first* contributing row of ``shared`` moves its
-        # canonical position behind the other filter, at once.
+        # canonical position behind the other filter; the next refresh
+        # places it there.
         table.remove(shared, "c1", "s1")
         state = broker.forwarding.states["N1"]
+        assert list(state.shifted) == [shared.key()]
+        _assert_state_is_from_scratch(broker)
+        assert not state.shifted
         assert state.entries[shared.key()].pos == table.find_entry(shared, "c2").seq
         assert _selection(state) == [_loc_filter("c").key(), shared.key()]
-        _assert_state_is_from_scratch(broker)
-        assert rebuilds == []
+        assert table_scan_calls == built
 
-    def test_shift_behind_a_later_equivalent_hands_it_the_selection(self, monkeypatch):
+    def test_shift_behind_a_later_equivalent_hands_it_the_selection(self, table_scan_calls):
         """Two filters with different keys cover each other: the earlier
         one is selected.  When its position moves behind the other's, the
         other becomes the earlier equivalent and takes its place."""
@@ -238,16 +238,33 @@ class TestCoverReassignment:
         state = broker.forwarding.states["N1"]
         assert _selection(state) == [listed.key()]
         assert state.assigned[equal.key()] == listed.key()
-        rebuilds = []
-        for name in ("rebuild_from_rows", "rebuild_reduction"):
-            monkeypatch.setattr(
-                NeighbourForwardingState, name, lambda *args, _name=name: rebuilds.append(_name)
-            )
+        built = dict(table_scan_calls)
         table.remove(listed, "c1", "s1")
+        _assert_state_is_from_scratch(broker)
         assert _selection(state) == [equal.key()]
         assert state.assigned[listed.key()] == equal.key()
-        _assert_state_is_from_scratch(broker)
-        assert rebuilds == []
+        assert table_scan_calls == built
+
+    def test_a_shift_that_changes_no_subject_is_still_sent(self):
+        """``wide``'s first row dies, but a later row carries the same
+        subject: no desired pair is touched until the shift is placed,
+        which hands ``narrow`` to the filter now ahead of ``wide``."""
+        broker, _ = _make_broker()
+        table = broker.subscription_table
+        wide = _loc_filter("a", "b")
+        narrow = _loc_filter("a")
+        table.add(wide, "c1", "s1")
+        table.add(narrow, "c1", "s2")
+        table.add(_loc_filter("a", "c"), "c1", "s3")
+        table.add(wide, "c2", "s1")
+        broker.forwarding.refresh_all()
+        table.remove(wide, "c1", "s1")
+        state = broker.forwarding.states["N1"]
+        assert not state.pending and not state.settled()
+        broker.forwarding.refresh_all()
+        assert state.forwarded == desired_forwarding(broker, "N1")
+        assert (wide.key(), "s2") not in state.forwarded
+        assert state.assigned[narrow.key()] == _loc_filter("a", "c").key()
 
     def test_unknown_contribution_rebuilds_from_the_table(self):
         """A removal the state never saw (it was rebuilt around the
@@ -278,7 +295,7 @@ class TestModesAndFlags:
         state = broker.forwarding.states["N1"]
         assert len(state.selected) == 2
 
-    def test_simple_strategy_shift_rewrites_only_the_position(self, monkeypatch):
+    def test_simple_strategy_shift_rewrites_only_the_position(self, table_scan_calls):
         broker, _ = _make_broker(strategy="simple")
         table = broker.subscription_table
         shared = _loc_filter("a", "b")
@@ -288,18 +305,14 @@ class TestModesAndFlags:
         table.add(shared, "c2", "s3")
         _assert_in_sync(broker)
         state = broker.forwarding.states["N1"]
-        rebuilds = []
-        for name in ("rebuild_from_rows", "rebuild_reduction"):
-            monkeypatch.setattr(
-                NeighbourForwardingState, name, lambda *args, _name=name: rebuilds.append(_name)
-            )
+        built = dict(table_scan_calls)
         table.remove(shared, "c1", "s1")
         assert state.entries[shared.key()].pos == table.find_entry(shared, "c2").seq
         assert _selection(state) == [narrow.key(), shared.key()]
         assert state.assigned == {narrow.key(): narrow.key(), shared.key(): shared.key()}
-        assert state.valid and not state.remerge
+        assert state.valid and not (state.remerge or state.shifted)
         _assert_in_sync(broker)
-        assert rebuilds == []
+        assert table_scan_calls == built
 
     def test_merging_strategy_uses_delta_mode(self):
         broker, _ = _make_broker(strategy="merging")
