@@ -7,24 +7,26 @@ neighbour's :class:`NeighbourForwardingState` — also the record of what
 was sent there and of which filters may travel there — applies the
 routing table's row-level deltas (see
 :meth:`repro.routing.table.RoutingTable.add_delta_listener`) directly to
-a cached desired dict, so a routing change costs O(affected entries), not
-O(table).  What the state must hold after any sequence of deltas is
+refcounted desired pairs, so a routing change costs O(affected entries),
+not O(table).  What the state must hold after any sequence of deltas is
 written down from scratch — table scan, gating, Section 2.2 reduction,
 first-cover assignment — in ``tests/oracles/forwarding.py``.
 
-The state maintains, per neighbour:
+The state stores each fact once.  Per neighbour it keeps:
 
-* the gated *input entries* — one per distinct filter key, aggregating the
-  plain (non-logical) subjects of every contributing table row, each at
+* the gated *input entries* — one per distinct filter key, holding the
+  (row ``seq``, plain subject) of every contribution of a table row, at
   the canonical position of its first contributing row's ``seq`` (the
-  order a scan of the table sees);
-* the *selection* — exactly ``minimal_cover_set`` over the inputs in
-  canonical order (or every input for non-reducing strategies);
-* the *cover assignment* — for every input filter, the first selected
-  filter (in canonical order) that covers it;
-* the *desired dict* ``{(cover key, subject): cover filter}`` with
-  refcounts, plus the set of pairs that changed since the last flush so
-  the refresh emits messages in O(changes).
+  order a scan of the table sees), and the key of its *cover*: for every
+  input, the first selected filter (in canonical order) that covers it.
+  A selected input is its own cover, so the selection — exactly
+  ``minimal_cover_set`` over the inputs in canonical order, or every input
+  for non-reducing strategies — is no separate record;
+* the dropped members of each cover that has any;
+* the desired pairs ``(cover key, subject)``, each counted once per
+  contribution carrying it, plus the set of pairs that changed since the
+  last flush so the refresh emits messages in O(changes).  A pair's
+  filter is read from its cover key when the diff runs.
 
 In the covering mode two steps keep selection and assignment equal to
 the specification, following the input-based semantics of
@@ -51,10 +53,11 @@ places it again, ahead of its members.  A rebuild places every entry in
 canonical order.  Each step finds the filters it has to test — who
 covers this one, whom does it cover — through a two-way
 :class:`~repro.filters.covering_cache.CoveringIndex` over the input
-entries, so its cost follows the structurally comparable entries, not
-the size of the selection.  Advertisement changes and logical-mobility
-changes can flip the per-filter gating wholesale, so they invalidate the
-state and the next refresh rebuilds it from one table scan.
+entries, the one record of which input stands at which position, so its
+cost follows the structurally comparable entries, not the size of the
+selection.  Advertisement changes and logical-mobility changes can flip
+the per-filter gating wholesale, so they invalidate the state and the
+next refresh rebuilds it from one table scan.
 
 **Merging strategies** reduce with the specification itself:
 :func:`~repro.filters.merging.merge_filters` over the canonical input
@@ -84,19 +87,23 @@ from repro.messages.admin import Advertise, Subscribe, Unadvertise, Unsubscribe
 
 
 class _InputEntry:
-    """One distinct input filter with its contributing rows and subjects."""
+    """One distinct input filter: its contributions and its cover."""
 
-    __slots__ = ("filter", "key", "pos", "rows", "subjects")
+    __slots__ = ("filter", "key", "pos", "cover", "rows", "subjects")
 
-    def __init__(self, filter_: Filter, key: Any, pos: int) -> None:
+    def __init__(self, filter_: Filter, key: Any, rows: List[int], subjects: List[str]) -> None:
         self.filter = filter_
         self.key = key
         #: Canonical position: the smallest ``seq`` of a contributing row.
-        self.pos = pos
-        #: row seq -> number of plain subjects that row contributes.
-        self.rows: Dict[int, int] = {}
-        #: subject -> number of contributing rows carrying it.
-        self.subjects: Dict[str, int] = {}
+        self.pos = min(rows)
+        #: Key of the assigned cover — the entry's own key when it is
+        #: selected — or ``None`` while it is not assigned.
+        self.cover: Any = None
+        #: The row ``seq`` and the plain subject of each contribution, as
+        #: two multisets: a row contributes once per plain subject, and a
+        #: subject once per row carrying it.
+        self.rows = rows
+        self.subjects = subjects
 
 
 class NeighbourForwardingState:
@@ -118,17 +125,13 @@ class NeighbourForwardingState:
         "shifted",
         "full_diff",
         "entries",
-        "selected",
-        "assigned",
         "members",
-        "desired",
         "pair_refs",
         "pending",
         "forwarded",
         "advertised",
         "verdicts",
         "_index",
-        "_key_at",
     )
 
     def __init__(self, caches: FilterCaches, reduction: str) -> None:
@@ -144,9 +147,8 @@ class NeighbourForwardingState:
         self.merge_pairs: Optional[MergePairCache] = (
             caches.merge_pairs if reduction == "merging" else None
         )
-        #: cover filter key -> cover filter, for covers that are *merged*
-        #: filters (not entries), in selection order.  Empty in
-        #: non-merging modes.
+        #: Merging only: cover filter key -> cover filter (a merged filter,
+        #: or an input left without a cover), in selection order.
         self.cover_filters: Dict[Any, Filter] = {}
         #: ``False`` -> the gating inputs may have changed wholesale; the
         #: next refresh must rebuild from a table scan.
@@ -162,13 +164,11 @@ class NeighbourForwardingState:
         #: (after rebuilds).
         self.full_diff = True
         self.entries: Dict[Any, _InputEntry] = {}
-        #: Keys of the selected covers; their entries' positions order them.
-        self.selected: Set[Any] = set()
-        #: input filter key -> filter key of its assigned cover.
-        self.assigned: Dict[Any, Any] = {}
-        #: cover filter key -> keys of the inputs assigned to it (incl. itself).
+        #: Covering only: selected cover key -> keys of the inputs dropped
+        #: under it, for the covers that have any.
         self.members: Dict[Any, Set[Any]] = {}
-        self.desired: Dict[Tuple[Any, str], Filter] = {}
+        #: Desired pair ``(cover key, subject)`` -> number of contributions
+        #: carrying it; the pairs the neighbour should hold.
         self.pair_refs: Dict[Tuple[Any, str], int] = {}
         #: Pairs whose membership in desired or forwarded may have changed
         #: since the last flush; the refresh only needs to look at these.
@@ -182,27 +182,35 @@ class NeighbourForwardingState:
         #: neighbour advertised something overlapping the filter.  Cleared
         #: whenever the neighbour's advertisement rows change.
         self.verdicts: Dict[Any, bool] = {}
-        #: CoveringIndex over the input entries (by canonical position),
-        #: so every covering question placing an entry asks — who covers
-        #: this filter, whom does it cover — only tests the structurally
+        #: CoveringIndex over the input entries, by canonical position, so
+        #: every covering question placing an entry asks — who covers this
+        #: filter, whom does it cover — only tests the structurally
         #: comparable entries.  It spans *all* inputs, not just the
         #: selection, because a newly selected filter takes over dropped
         #: members of other covers, which a selection index cannot see.
         #: Maintained in the covering mode only.
         self._index: Optional[CoveringIndex] = CoveringIndex() if reduction == "covering" else None
-        #: canonical position -> input filter key, mirrored with the index
-        #: so candidate positions resolve back to entries.
-        self._key_at: Dict[int, Any] = {}
 
     # ------------------------------------------------------------------
     # Desired-pair bookkeeping
     # ------------------------------------------------------------------
-    def _pair_add(self, cover_key: Any, subject: str, cover: Filter) -> None:
+    @property
+    def desired(self) -> Dict[Tuple[Any, str], Filter]:
+        """``{(cover key, subject): cover filter}``: what the neighbour should hold."""
+        cover_filter = self._cover_filter
+        return {pair: cover_filter(pair[0]) for pair in self.pair_refs}
+
+    def _cover_filter(self, cover_key: Any) -> Filter:
+        """The filter forwarded for *cover_key* (an entry, or a merged filter)."""
+        if self.merge_pairs is not None:
+            return self.cover_filters[cover_key]
+        return self.entries[cover_key].filter
+
+    def _pair_add(self, cover_key: Any, subject: str) -> None:
         pair = (cover_key, subject)
         count = self.pair_refs.get(pair, 0)
         self.pair_refs[pair] = count + 1
         if count == 0:
-            self.desired[pair] = cover
             self.pending.add(pair)
 
     def _pair_remove(self, cover_key: Any, subject: str) -> None:
@@ -212,30 +220,32 @@ class NeighbourForwardingState:
             self.pair_refs[pair] = count
         else:
             del self.pair_refs[pair]
-            del self.desired[pair]
             self.pending.add(pair)
 
-    def _assign(self, member_key: Any, cover_key: Any) -> None:
-        """Assign the unassigned input *member_key* to *cover_key*, pairs included."""
-        self.assigned[member_key] = cover_key
-        self.members[cover_key].add(member_key)
-        cover = self.entries[cover_key].filter
-        for subject in self.entries[member_key].subjects:
-            self._pair_add(cover_key, subject, cover)
+    def _assign(self, entry: _InputEntry, cover_key: Any) -> None:
+        """Assign the unassigned *entry* to *cover_key*, pairs included."""
+        entry.cover = cover_key
+        if cover_key is not entry.key:
+            dropped = self.members.get(cover_key)
+            if dropped is None:
+                self.members[cover_key] = {entry.key}
+            else:
+                dropped.add(entry.key)
+        for subject in entry.subjects:
+            self._pair_add(cover_key, subject)
 
-    def _unassign(self, member_key: Any) -> Any:
-        """Detach *member_key* from its cover, pairs included; return the cover's key."""
-        cover_key = self.assigned.pop(member_key)
-        self.members[cover_key].discard(member_key)
-        for subject in self.entries[member_key].subjects:
+    def _unassign(self, entry: _InputEntry) -> Any:
+        """Detach *entry* from its cover, pairs included; return the cover's key."""
+        cover_key = entry.cover
+        entry.cover = None
+        if cover_key is not entry.key:
+            dropped = self.members[cover_key]
+            dropped.discard(entry.key)
+            if not dropped:
+                del self.members[cover_key]
+        for subject in entry.subjects:
             self._pair_remove(cover_key, subject)
         return cover_key
-
-    def _cover_filter(self, cover_key: Any) -> Filter:
-        """The filter forwarded for *cover_key* (an entry, or a merged filter)."""
-        if self.merge_pairs is not None:
-            return self.cover_filters[cover_key]
-        return self.entries[cover_key].filter
 
     # ------------------------------------------------------------------
     # Delta application (the O(change) hot path)
@@ -245,48 +255,41 @@ class NeighbourForwardingState:
         key = filter_.key()
         entry = self.entries.get(key)
         if entry is None:
-            entry = self.entries[key] = _InputEntry(filter_, key, seq)
+            # Placed with its one contribution, pairs included.
+            self.entries[key] = entry = _InputEntry(filter_, key, [seq], [subject])
             self._enter(entry)
-        elif seq < entry.pos:
+            return
+        if seq < entry.pos:
             # An old row gained its first plain subject: the filter moves
             # to that row's position.
             self._shift(entry, seq)
-        entry.rows[seq] = entry.rows.get(seq, 0) + 1
-        count = entry.subjects.get(subject, 0)
-        entry.subjects[subject] = count + 1
-        if count == 0 and not self.remerge:
+        entry.rows.append(seq)
+        entry.subjects.append(subject)
+        if not self.remerge:
             # A pending re-merge rebuilds the desired pairs wholesale (and
-            # the assignment may not know this key yet), so eager pair
+            # the assignment may not know this entry yet), so eager pair
             # maintenance only runs while the assignment is current.
-            cover_key = self.assigned[key]
-            self._pair_add(cover_key, subject, self._cover_filter(cover_key))
+            self._pair_add(entry.cover, subject)
 
     def remove_contribution(self, filter_key: Any, subject: str, seq: int) -> None:
         """One plain subject of a table row was removed."""
         entry = self.entries.get(filter_key)
-        if entry is None or seq not in entry.rows:
+        if entry is None or seq not in entry.rows or subject not in entry.subjects:
             # Contribution unknown (state was rebuilt around this event);
             # play safe and rebuild from the table.
             self.valid = False
             return
-        count = entry.subjects.get(subject, 0)
-        if count <= 1:
-            entry.subjects.pop(subject, None)
-            if count == 1 and not self.remerge:
-                self._pair_remove(self.assigned[filter_key], subject)
-        else:
-            entry.subjects[subject] = count - 1
-        rows_left = entry.rows[seq] - 1
-        if rows_left:
-            entry.rows[seq] = rows_left
-            return
-        del entry.rows[seq]
-        if not entry.rows:
+        entry.subjects.remove(subject)
+        if not self.remerge:
+            self._pair_remove(entry.cover, subject)
+        rows = entry.rows
+        rows.remove(seq)
+        if not rows:
             self._leave(entry)
             del self.entries[filter_key]
-        elif seq == entry.pos:
+        elif seq == entry.pos and seq not in rows:
             # The first contributing row died while later rows survive.
-            self._shift(entry, min(entry.rows))
+            self._shift(entry, min(rows))
 
     def _enter(self, entry: _InputEntry) -> None:
         """*entry* joined the input: index and place it."""
@@ -298,7 +301,6 @@ class NeighbourForwardingState:
             return
         if self._index is not None:
             self._index.add(entry.pos, entry.filter)
-            self._key_at[entry.pos] = entry.key
         self._place(entry)
 
     def _leave(self, entry: _InputEntry) -> None:
@@ -334,7 +336,6 @@ class NeighbourForwardingState:
             members = self._unplace(entry)
             entry.pos = pos
             self._index.add(pos, entry.filter)
-            self._key_at[pos] = entry.key
             self._place(entry)
             for member in members:
                 self._place(member)
@@ -343,13 +344,11 @@ class NeighbourForwardingState:
     # ------------------------------------------------------------------
     # Selection maintenance
     # ------------------------------------------------------------------
-    def _candidate_keys(self, positions: Optional[List[int]]) -> List[Any]:
-        """Input keys at the index's candidate *positions*, in canonical order.
-
-        ``None`` is the index's "cannot prune" answer: every input.
-        """
-        key_at = self._key_at
-        return [key_at[pos] for pos in sorted(key_at if positions is None else positions)]
+    def _candidates(self, positions: List[int]) -> List[_InputEntry]:
+        """The input entries at the index's candidate *positions*, in canonical order."""
+        filter_at = self._index.filter_at
+        entries = self.entries
+        return [entries[filter_at(pos).key()] for pos in sorted(positions)]
 
     def _first_cover(self, filter_: Filter) -> Optional[Any]:
         """Key of the first selected filter (canonical order) covering *filter_*.
@@ -361,11 +360,9 @@ class NeighbourForwardingState:
         exactly what a scan of the selection would.  Covering mode only.
         """
         covers = self.covers
-        entries = self.entries
-        selected = self.selected
-        for key in self._candidate_keys(self._index.candidate_positions(filter_)):
-            if key in selected and covers(entries[key].filter, filter_):
-                return key
+        for candidate in self._candidates(self._index.candidate_positions(filter_)):
+            if candidate.cover is candidate.key and covers(candidate.filter, filter_):
+                return candidate.key
         return None
 
     def _place(self, entry: _InputEntry) -> None:
@@ -380,9 +377,7 @@ class NeighbourForwardingState:
         key = entry.key
         covers = self.covers
         if covers is None:
-            self.selected.add(key)
-            self.members[key] = set()
-            self._assign(key, key)
+            self._assign(entry, key)
             return
         entries = self.entries
         pos = entry.pos
@@ -392,40 +387,39 @@ class NeighbourForwardingState:
             cover = entries[cover_key]
             if cover.pos < pos or not covers(filter_, cover.filter):
                 # Strictly covered, or an earlier equivalent is selected.
-                self._assign(key, cover_key)
+                self._assign(entry, cover_key)
                 return
         # Selected: it evicts the selected filters it covers (strictly, or
         # later equivalents) and takes over every dropped input it covers
         # whose first cover comes after it.
-        selected = self.selected
-        assigned = self.assigned
-        evicted: List[Any] = []
-        taken: List[Any] = []
-        for other in self._candidate_keys(self._index.covered_candidate_positions(filter_)):
-            if other in selected:
-                if covers(filter_, entries[other].filter):
+        evicted: List[_InputEntry] = []
+        taken: List[_InputEntry] = []
+        for other in self._candidates(self._index.covered_candidate_positions(filter_)):
+            if other.cover is other.key:
+                if covers(filter_, other.filter):
                     evicted.append(other)
-            elif other in assigned and entries[assigned[other]].pos > pos:
-                if covers(filter_, entries[other].filter):
+            elif other.cover is not None and entries[other.cover].pos > pos:
+                if covers(filter_, other.filter):
                     taken.append(other)
-        selected.difference_update(evicted)
-        selected.add(key)
-        self.members[key] = set()
-        self._assign(key, key)
+        for other in evicted:
+            self._unassign(other)
+        self._assign(entry, key)
         for member in taken:
             self._unassign(member)
             self._assign(member, key)
+        members = self.members
         for other in evicted:
-            # An evicted cover's members are covered by this filter
+            # An evicted cover and its members are covered by this filter
             # (covering is transitive).  Of a cover behind it only the
             # cover itself is left (the take-over moved the rest); a
             # member of one ahead of it may have an earlier first cover.
-            orphans = list(self.members[other])
-            later = entries[other].pos > pos
+            later = other.pos > pos
+            orphans = [entries[member] for member in members.get(other.key, ())]
+            orphans.append(other)
             for member in orphans:
-                self._unassign(member)
-                self._assign(member, key if later else self._first_cover(entries[member].filter))
-            del self.members[other]
+                if member is not other:
+                    self._unassign(member)
+                self._assign(member, key if later else self._first_cover(member.filter))
 
     def _unplace(self, entry: _InputEntry) -> List[_InputEntry]:
         """Take *entry* out of the index, selection and assignment, pairs included.
@@ -438,15 +432,14 @@ class NeighbourForwardingState:
         key = entry.key
         if self._index is not None:
             self._index.remove(entry.pos)
-            del self._key_at[entry.pos]
-        if self._unassign(key) != key:
+        if self._unassign(entry) is not key:
             return []
-        self.selected.discard(key)
         entries = self.entries
-        members = sorted((entries[member] for member in self.members[key]), key=attrgetter("pos"))
+        members = sorted(
+            (entries[member] for member in self.members.get(key, ())), key=attrgetter("pos")
+        )
         for member in members:
-            self._unassign(member.key)
-        del self.members[key]
+            self._unassign(member)
         return members
 
     # ------------------------------------------------------------------
@@ -469,15 +462,15 @@ class NeighbourForwardingState:
             subjects = plain_subjects(row)
             if not subjects:
                 continue
+            subjects = list(subjects)
+            seqs = [row.seq] * len(subjects)
             key = row.filter.key()
             entry = entries.get(key)
             if entry is None:
-                entry = entries[key] = _InputEntry(row.filter, key, row.seq)
-            contributed = 0
-            for subject in subjects:
-                contributed += 1
-                entry.subjects[subject] = entry.subjects.get(subject, 0) + 1
-            entry.rows[row.seq] = contributed
+                entries[key] = _InputEntry(row.filter, key, seqs, subjects)
+            else:
+                entry.rows += seqs
+                entry.subjects += subjects
         self.entries = entries
         self.valid = True
         if self.merge_pairs is not None:
@@ -494,13 +487,9 @@ class NeighbourForwardingState:
         """Forget index, shifts, selection, assignment and pairs; the next diff is in full."""
         if self._index is not None:
             self._index = CoveringIndex()
-            self._key_at = {}
         self.shifted = {}
-        self.selected = set()
-        self.assigned = {}
         self.members = {}
         self.cover_filters = {}
-        self.desired = {}
         self.pair_refs = {}
         self.full_diff = True
 
@@ -525,30 +514,26 @@ class NeighbourForwardingState:
         )
         selected = minimal_cover_set_cached(merged, self.cache)
         covers = self.covers
+        cover_filters = self.cover_filters
         for filter_ in selected:
-            key = filter_.key()
-            self.selected.add(key)
-            self.cover_filters[key] = filter_
+            cover_filters[filter_.key()] = filter_
         for entry in ordered:
-            if entry.key in self.selected:
-                cover = self.cover_filters[entry.key]
-            else:
-                cover = None
+            # Before this loop adds any, cover_filters is the selection.
+            cover = cover_filters.get(entry.key)
+            if cover is None:
                 for candidate in selected:
                     if covers(candidate, entry.filter):
                         cover = candidate
                         break
-                if cover is None:
+                else:
                     # The reduction should always produce a cover (merged
                     # roots cover their members and the covering reduction
                     # keeps a coverer for everything it drops); fall back
                     # to the filter itself to stay correct.
-                    cover = entry.filter
-                    self.cover_filters.setdefault(cover.key(), cover)
-            cover_key = cover.key()
-            self.assigned[entry.key] = cover_key
+                    cover = cover_filters[entry.key] = entry.filter
+            cover_key = entry.cover = cover.key()
             for subject in entry.subjects:
-                self._pair_add(cover_key, subject, cover)
+                self._pair_add(cover_key, subject)
 
     # ------------------------------------------------------------------
     # Flush support
@@ -564,21 +549,24 @@ class NeighbourForwardingState:
         other than the flushes goes through :meth:`sent_behind` — except
         after a rebuild, which diffs in full.
         """
-        desired = self.desired
+        pair_refs = self.pair_refs
         forwarded = self.forwarded
+        cover_filter = self._cover_filter
         if self.full_diff:
-            to_add = {pair: filt for pair, filt in desired.items() if pair not in forwarded}
+            to_add = {
+                pair: cover_filter(pair[0]) for pair in pair_refs if pair not in forwarded
+            }
             to_remove = {
-                pair: filt for pair, filt in forwarded.items() if pair not in desired
+                pair: filt for pair, filt in forwarded.items() if pair not in pair_refs
             }
             self.full_diff = False
         else:
             to_add = {}
             to_remove = {}
             for pair in self.pending:
-                if pair in desired:
+                if pair in pair_refs:
                     if pair not in forwarded:
-                        to_add[pair] = desired[pair]
+                        to_add[pair] = cover_filter(pair[0])
                 elif pair in forwarded:
                     to_remove[pair] = forwarded[pair]
         self.pending.clear()
@@ -811,12 +799,12 @@ class SubscriptionForwarding:
         forwarded = self.states[neighbour].forwarded
         # Subscribe before unsubscribing so covering replacements never
         # leave a gap in which matching notifications would not be routed.
-        for (filter_key, subject), filter_ in _in_emission_order(to_add):
-            forwarded[(filter_key, subject)] = filter_
-            link.send(Subscribe(filter_, subject=subject))
-        for (filter_key, subject), filter_ in _in_emission_order(to_remove):
-            del forwarded[(filter_key, subject)]
-            link.send(Unsubscribe(filter_, subject=subject))
+        for pair, filter_ in _in_emission_order(to_add):
+            forwarded[pair] = filter_
+            link.send(Subscribe(filter_, subject=pair[1]))
+        for pair, filter_ in _in_emission_order(to_remove):
+            del forwarded[pair]
+            link.send(Unsubscribe(filter_, subject=pair[1]))
 
     def rebuild(self, neighbour: str) -> None:
         """Rebuild a neighbour's state from one subscription-table scan.

@@ -1,12 +1,12 @@
-"""Memoised covering tests and candidate-pruned cover-set reduction.
+"""Memoised covering tests and candidate-pruned covering questions.
 
-The broker hot path (:meth:`repro.broker.base.Broker.refresh_forwarding`)
-reduces the registered filters of every neighbour with
-:func:`~repro.filters.covering.minimal_cover_set`, an O(n²) sweep of
-:func:`~repro.filters.covering.filter_covers` tests.  Routing changes
-re-run that sweep over almost exactly the same filters, so nearly all of
-the work is recomputation.  This module removes it in two independent
-ways:
+Section 2.2's covering-based routing asks the same question over and over:
+does one filter cover another?  Each neighbour's delta forwarding state
+(:class:`repro.broker.forwarding.NeighbourForwardingState`) asks who
+covers a filter and whom it covers every time it places or unplaces an
+input; only a merging state still reduces a whole filter list, its merge
+products, with :func:`minimal_cover_set_cached`.  This module keeps that
+work down in two independent ways:
 
 * :class:`CoveringCache` memoises ``filter_covers`` results keyed by the
   two filters' canonical :meth:`~repro.filters.filter.Filter.key` tuples.
@@ -18,8 +18,8 @@ ways:
   raw covering tests that network performed.
 * :class:`CoveringIndex` buckets potential covering filters by their most
   selective constraint (equality/set values first, then attribute names),
-  so that :func:`minimal_cover_set_cached` only tests pairs that could
-  possibly be related and skips provably incomparable ones.  It answers
+  so that a covering question only tests the filters that could possibly
+  cover the given one and skips provably incomparable ones.  It answers
   the opposite question too — which indexed filters can a given filter
   cover — for the delta forwarding state's eviction and stealing steps.
 
@@ -31,7 +31,7 @@ same order, same equivalence tie-breaking); the property tests in
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.filters.covering import filter_covers
 from repro.filters.filter import Filter, MatchNone
@@ -97,8 +97,8 @@ class CoveringIndex:
     the emptiest value buckets so one equality shared by every filter
     (``service=parking``) stops defeating the pruning — with one bucket
     per accepted value, falling back to its first strict attribute name,
-    falling back to a universal list for filters with no strict constraint
-    (which may cover anything).
+    falling back to the ``None`` attribute bucket for filters with no
+    strict constraint (which may cover anything).
 
     For a target filter ``F``, :meth:`candidate_positions` returns a
     **sound superset** of the indexed filters that can cover ``F``:
@@ -121,53 +121,39 @@ class CoveringIndex:
     Any one strict constraint is a necessary condition, so picking the
     emptiest is sound; only an ``F`` without strict constraints (it covers
     everything) still means "all positions".
+
+    Per position the index keeps only the filter and its anchor attribute
+    (the one load-dependent choice); :meth:`remove` recomputes every bucket
+    key from them.
     """
 
-    __slots__ = ("_universal", "_by_attr", "_by_value", "_covered", "_placements")
+    __slots__ = ("_by_attr", "_by_value", "_covered", "_filed")
 
     def __init__(self) -> None:
-        self._universal: List[int] = []
-        self._by_attr: Dict[str, List[int]] = {}
+        # The coverer-side buckets: fallback attribute name (``None``: no
+        # strict constraint) -> filters, (anchor attribute, value key) ->
+        # filters accepting that value there.
+        self._by_attr: Dict[Optional[str], List[int]] = {}
         self._by_value: Dict[Tuple[str, Any], List[int]] = {}
         # The covered-side buckets: attribute name -> filters constraining
         # it, (attribute, value key) -> filters whose finite constraint
         # there starts with that value, ``None`` -> MatchNone filters
         # (covered by everything, so part of every answer).
         self._covered: Dict[Any, List[int]] = {}
-        # position -> (coverer placement, covered bucket keys), so `remove`
-        # can undo `add` even though the anchor choice was load-dependent.
-        self._placements: Dict[int, Tuple[Tuple[Any, ...], List[Any]]] = {}
+        #: position -> (anchor attribute, or ``None`` when not value-anchored; filter).
+        self._filed: Dict[int, Tuple[Optional[str], Filter]] = {}
 
     def add(self, position: int, filter_: Filter) -> None:
         """Index *filter_* under *position*, for both queries."""
-        covered_keys: List[Any] = [None] if isinstance(filter_, MatchNone) else []
-        for name, constraint in filter_.constraint_items():
-            covered_keys.append(name)
-            values = finite_value_keys(constraint)
-            if values:
-                covered_keys.append((name, values[0]))
-        for key in covered_keys:
-            self._covered.setdefault(key, []).append(position)
-        self._placements[position] = (self._add_coverer(position, filter_), covered_keys)
-
-    def _add_coverer(self, position: int, filter_: Filter) -> Tuple[Any, ...]:
         anchor = pick_anchor(filter_, self._bucket_load)
-        if anchor is not None:
-            anchor_attr, anchor_values = anchor
-            for value in anchor_values:
-                self._by_value.setdefault((anchor_attr, value), []).append(position)
-            return ("value", anchor_attr, anchor_values)
-        fallback_attr: Optional[str] = None
-        for name, constraint in filter_.constraint_items():
-            if constraint.matches_absent():
-                continue
-            fallback_attr = name
-            break
-        if fallback_attr is not None:
-            self._by_attr.setdefault(fallback_attr, []).append(position)
-            return ("attr", fallback_attr)
-        self._universal.append(position)
-        return ("universal",)
+        anchor_attr = None if anchor is None else anchor[0]
+        for buckets, key in self._buckets(filter_, anchor_attr):
+            bucket = buckets.get(key)
+            if bucket is None:
+                buckets[key] = [position]
+            else:
+                bucket.append(position)
+        self._filed[position] = (anchor_attr, filter_)
 
     def remove(self, position: int) -> None:
         """Unindex a previously added *position* (no-op when unknown).
@@ -176,45 +162,55 @@ class CoveringIndex:
         removes; long-lived indexes over a churning set — the delta
         forwarding state's input index — do.
         """
-        placed = self._placements.pop(position, None)
-        if placed is None:
+        filed = self._filed.pop(position, None)
+        if filed is None:
             return
-        placement, covered_keys = placed
-        for key in covered_keys:
-            bucket = self._covered[key]
+        anchor_attr, filter_ = filed
+        for buckets, key in self._buckets(filter_, anchor_attr):
+            bucket = buckets[key]
             bucket.remove(position)
             if not bucket:
-                del self._covered[key]
-        if placement[0] == "value":
-            _, anchor_attr, anchor_values = placement
-            for value in anchor_values:
-                bucket = self._by_value[(anchor_attr, value)]
-                bucket.remove(position)
-                if not bucket:
-                    del self._by_value[(anchor_attr, value)]
-        elif placement[0] == "attr":
-            bucket = self._by_attr[placement[1]]
-            bucket.remove(position)
-            if not bucket:
-                del self._by_attr[placement[1]]
-        else:
-            self._universal.remove(position)
+                del buckets[key]
+
+    def _buckets(
+        self, filter_: Filter, anchor_attr: Optional[str]
+    ) -> Iterator[Tuple[Dict[Any, List[int]], Any]]:
+        """Every (bucket dict, key) *filter_* is filed under when anchored at *anchor_attr*."""
+        covered = self._covered
+        if isinstance(filter_, MatchNone):
+            yield covered, None
+        fallback_attr: Optional[str] = None
+        for name, constraint in filter_.constraint_items():
+            yield covered, name
+            values = finite_value_keys(constraint)
+            if values:
+                yield covered, (name, values[0])
+                if name == anchor_attr:
+                    for value in values:
+                        yield self._by_value, (name, value)
+            if fallback_attr is None and not constraint.matches_absent():
+                fallback_attr = name
+        if anchor_attr is None:
+            yield self._by_attr, fallback_attr
 
     def _bucket_load(self, name: str, value: Any) -> int:
         bucket = self._by_value.get((name, value))
         return len(bucket) if bucket else 0
 
-    def candidate_positions(self, filter_: Filter) -> Optional[List[int]]:
+    def filter_at(self, position: int) -> Filter:
+        """The filter indexed under *position*."""
+        return self._filed[position][1]
+
+    def candidate_positions(self, filter_: Filter) -> List[int]:
         """Positions of indexed filters that might cover *filter_*.
 
-        Returns ``None`` when every indexed filter must be considered
-        (``MatchNone`` is covered by everything).
+        Every position when *filter_* is ``MatchNone`` (covered by everything).
         """
         if isinstance(filter_, MatchNone):
-            return None
-        out = list(self._universal)
+            return list(self._filed)
         by_attr = self._by_attr
         by_value = self._by_value
+        out = list(by_attr.get(None, ()))
         for name, constraint in filter_.constraint_items():
             bucket = by_attr.get(name)
             if bucket:
@@ -226,11 +222,11 @@ class CoveringIndex:
                     out.extend(value_bucket)
         return out
 
-    def covered_candidate_positions(self, filter_: Filter) -> Optional[List[int]]:
+    def covered_candidate_positions(self, filter_: Filter) -> List[int]:
         """Positions of indexed filters that *filter_* might cover.
 
-        Returns ``None`` when every indexed filter must be considered
-        (*filter_* has no strict constraint: it covers everything).
+        Every position when *filter_* has no strict constraint (it covers
+        everything).
         """
         covered = self._covered
         best: Optional[List[List[int]]] = None
@@ -245,7 +241,7 @@ class CoveringIndex:
             if best is None or load < best_load:
                 best, best_load = buckets, load
         if best is None:
-            return None
+            return list(self._filed)
         out = list(covered.get(None, ()))
         for bucket in best:
             out.extend(bucket)
@@ -262,20 +258,16 @@ def minimal_cover_set_cached(filters: Sequence[Filter], cache: CoveringCache) ->
     structurally comparable pairs — per :class:`CoveringIndex` — are
     tested at all.
     """
-    count = len(filters)
-    if count <= 1:
+    if len(filters) <= 1:
         return list(filters)
     index = CoveringIndex()
     for position, filter_ in enumerate(filters):
         index.add(position, filter_)
     covers = cache.covers
     kept: List[Filter] = []
-    everything = range(count)
     for position, candidate in enumerate(filters):
-        candidates = index.candidate_positions(candidate)
-        positions: Iterable[int] = everything if candidates is None else candidates
         redundant = False
-        for other_position in positions:
+        for other_position in index.candidate_positions(candidate):
             if other_position == position:
                 continue
             if covers(filters[other_position], candidate):

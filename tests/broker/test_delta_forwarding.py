@@ -65,8 +65,20 @@ def _delta_desired(broker, neighbour):
 
 
 def _selection(state):
-    """The selected cover keys of a covering or simple state, in canonical order."""
-    return sorted(state.selected, key=lambda key: state.entries[key].pos)
+    """The selected cover keys of a covering or simple state, in canonical order:
+    the inputs that are their own cover."""
+    ordered = sorted(state.entries.values(), key=lambda entry: entry.pos)
+    return [entry.key for entry in ordered if entry.cover == entry.key]
+
+
+def _assignment(state):
+    """Input filter key -> key of its assigned cover."""
+    return {key: entry.cover for key, entry in state.entries.items()}
+
+
+def _indexed(state):
+    """Canonical position -> key of the input the covering index holds there."""
+    return {pos: filter_.key() for pos, (_, filter_) in state._index._filed.items()}
 
 
 def _assert_in_sync(broker):
@@ -127,8 +139,8 @@ class TestCoverReassignment:
         table.add(broad, "c2", "s3")
         _assert_in_sync(broker)
         assert _selection(state) == [broad.key()]
-        assert state.assigned[narrow.key()] == broad.key()
-        assert state.assigned[mid.key()] == broad.key()
+        assert _assignment(state)[narrow.key()] == broad.key()
+        assert _assignment(state)[mid.key()] == broad.key()
 
     def test_removing_selected_cover_resurrects_members(self):
         broker, _ = _make_broker()
@@ -141,7 +153,7 @@ class TestCoverReassignment:
         table.add(broad, "c2", "s3")
         _assert_in_sync(broker)
         state = broker.forwarding.states["N1"]
-        assert narrow.key() not in state.selected
+        assert narrow.key() not in _selection(state)
         # Removing the cover resurrects the member at its original position.
         table.remove(broad, "c2", "s3")
         _assert_in_sync(broker)
@@ -164,11 +176,11 @@ class TestCoverReassignment:
         _assert_in_sync(broker)
         state = broker.forwarding.states["N1"]
         assert _selection(state) == [c.key(), f.key()]
-        assert state.assigned[x.key()] == c.key()
+        assert _assignment(state)[x.key()] == c.key()
         table.remove(f, "c2", "s4")
         _assert_in_sync(broker)
         assert _selection(state) == [r.key(), c.key()]
-        assert state.assigned[x.key()] == r.key()
+        assert _assignment(state)[x.key()] == r.key()
 
     def test_order_perturbation_then_removal_in_one_operation(self):
         """Regression: removing both rows of a selected filter in one call.
@@ -237,12 +249,12 @@ class TestCoverReassignment:
         _assert_state_is_from_scratch(broker)
         state = broker.forwarding.states["N1"]
         assert _selection(state) == [listed.key()]
-        assert state.assigned[equal.key()] == listed.key()
+        assert _assignment(state)[equal.key()] == listed.key()
         built = dict(table_scan_calls)
         table.remove(listed, "c1", "s1")
         _assert_state_is_from_scratch(broker)
         assert _selection(state) == [equal.key()]
-        assert state.assigned[listed.key()] == equal.key()
+        assert _assignment(state)[listed.key()] == equal.key()
         assert table_scan_calls == built
 
     def test_a_shift_that_changes_no_subject_is_still_sent(self):
@@ -264,7 +276,7 @@ class TestCoverReassignment:
         broker.forwarding.refresh_all()
         assert state.forwarded == desired_forwarding(broker, "N1")
         assert (wide.key(), "s2") not in state.forwarded
-        assert state.assigned[narrow.key()] == _loc_filter("a", "c").key()
+        assert _assignment(state)[narrow.key()] == _loc_filter("a", "c").key()
 
     def test_unknown_contribution_rebuilds_from_the_table(self):
         """A removal the state never saw (it was rebuilt around the
@@ -293,7 +305,7 @@ class TestModesAndFlags:
         table.add(_loc_filter("a", "b"), "c1", "s2")
         _assert_in_sync(broker)
         state = broker.forwarding.states["N1"]
-        assert len(state.selected) == 2
+        assert len(_selection(state)) == 2
 
     def test_simple_strategy_shift_rewrites_only_the_position(self, table_scan_calls):
         broker, _ = _make_broker(strategy="simple")
@@ -309,7 +321,7 @@ class TestModesAndFlags:
         table.remove(shared, "c1", "s1")
         assert state.entries[shared.key()].pos == table.find_entry(shared, "c2").seq
         assert _selection(state) == [narrow.key(), shared.key()]
-        assert state.assigned == {narrow.key(): narrow.key(), shared.key(): shared.key()}
+        assert _assignment(state) == {narrow.key(): narrow.key(), shared.key(): shared.key()}
         assert state.valid and not (state.remerge or state.shifted)
         _assert_in_sync(broker)
         assert table_scan_calls == built
@@ -655,29 +667,30 @@ def _scan_first_cover(state, filter_):
 
 
 def _assert_state_is_from_scratch(broker):
-    """Selection, assignment, members and desired pairs of every covering
-    delta state equal ``minimal_cover_set`` + the oracle's ``first_cover``
-    run from scratch over the state's inputs in canonical order."""
+    """Selection, assignment, dropped members, desired pairs and index of
+    every covering delta state equal ``minimal_cover_set`` + the oracle's
+    ``first_cover`` run from scratch over the state's inputs in canonical
+    order."""
     _assert_in_sync(broker)  # also performs the rebuilds a refresh would
     for state in broker.forwarding.states.values():
         ordered = sorted(state.entries.values(), key=lambda entry: entry.pos)
         selection = minimal_cover_set([entry.filter for entry in ordered])
         assert _selection(state) == [f.key() for f in selection]
-        assert state.selected == {f.key() for f in selection}
         assigned = {
             entry.key: first_cover(selection, entry.filter).key() for entry in ordered
         }
-        assert state.assigned == assigned
+        assert _assignment(state) == assigned
         members = {}
         desired = {}
         for entry in ordered:
             cover_key = assigned[entry.key]
-            members.setdefault(cover_key, set()).add(entry.key)
+            if cover_key != entry.key:
+                members.setdefault(cover_key, set()).add(entry.key)
             for subject in entry.subjects:
                 desired[(cover_key, subject)] = state.entries[cover_key].filter
         assert state.members == members
         assert state.desired == desired
-        assert state._key_at == {entry.pos: entry.key for entry in ordered}
+        assert _indexed(state) == {entry.pos: entry.key for entry in ordered}
 
 
 class TestIndexPruning:
@@ -693,14 +706,14 @@ class TestIndexPruning:
         # both stay indexed: a later resurrection must find the narrow one.
         table.add(broad, "c2", "s2")
         _assert_state_is_from_scratch(broker)
-        assert state.selected == {broad.key()}
-        assert set(state._key_at.values()) == {narrow.key(), broad.key()}
+        assert _selection(state) == [broad.key()]
+        assert set(_indexed(state).values()) == {narrow.key(), broad.key()}
         table.remove(broad, "c2", "s2")
         _assert_state_is_from_scratch(broker)
-        assert state.selected == {narrow.key()}
+        assert _selection(state) == [narrow.key()]
         table.remove(narrow, "c1", "s1")
         _assert_state_is_from_scratch(broker)
-        assert state._key_at == {}
+        assert _indexed(state) == {}
         assert state._index.candidate_positions(narrow) == []
 
     def test_resurrected_filter_steals_from_a_structurally_unrelated_cover(self):
@@ -719,10 +732,10 @@ class TestIndexPruning:
         table.add(wide, "c1", "s3")  # evicts ``kept``
         table.add(member, "c1", "s4")  # first cover in input order: ``cover``
         _assert_state_is_from_scratch(broker)
-        assert state.assigned[member.key()] == cover.key()
+        assert _assignment(state)[member.key()] == cover.key()
         table.remove(wide, "c1", "s3")
         _assert_state_is_from_scratch(broker)
-        assert state.assigned[member.key()] == kept.key()
+        assert _assignment(state)[member.key()] == kept.key()
 
     @pytest.mark.parametrize("seed", [3, 19, 77])
     def test_randomized_first_cover_equals_unpruned_scan(self, seed):
@@ -774,7 +787,7 @@ class TestIndexPruning:
                     state._index.candidate_positions(probe),
                     state._index.covered_candidate_positions(probe),
                 ):
-                    if candidates is not None and len(candidates) < len(state.entries):
+                    if len(candidates) < len(state.entries):
                         pruned_at_least_once = True
         # The workload must actually exercise the pruning, not just agree
         # vacuously on tiny selections.
