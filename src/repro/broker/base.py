@@ -239,14 +239,6 @@ class Broker:
         """Names of neighbouring brokers, sorted."""
         return sorted(self._links)
 
-    def link_to(self, neighbour: str) -> Channel:
-        """The outgoing link to *neighbour* (raises ``KeyError`` if absent)."""
-        return self._links[neighbour]
-
-    def is_border_broker(self) -> bool:
-        """``True`` when at least one client is (or was) attached here."""
-        return bool(self._clients or self.physical.counterparts)
-
     # ------------------------------------------------------------------
     # Message entry points
     # ------------------------------------------------------------------

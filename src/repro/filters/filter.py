@@ -80,11 +80,6 @@ class Filter:
         updated[name] = constraint_from_tuple(spec)
         return Filter(updated)
 
-    def without_attribute(self, name: str) -> "Filter":
-        """Return a copy of this filter with the constraint on *name* removed."""
-        remaining = {k: v for k, v in self._constraints.items() if k != name}
-        return Filter(remaining)
-
     # -- inspection -----------------------------------------------------------
     @property
     def constraints(self) -> Mapping[str, Constraint]:

@@ -274,11 +274,12 @@ class TestBrokerGuards:
             "forward_retention",
         ]
 
-    def test_is_border_broker(self):
+    def test_a_client_attaches_at_its_border_broker_only(self):
         network = PubSubNetwork(line_topology(3), strategy="covering", latency=0.01)
-        network.add_client("C", "B1")
-        assert network.broker("B1").is_border_broker()
-        assert not network.broker("B2").is_border_broker()
+        client = network.add_client("C", "B1")
+        assert client.border_broker is network.broker("B1")
+        assert network.broker("B1").attached_clients() == [client]
+        assert network.broker("B2").attached_clients() == []
 
 
 class TestMessageTable:

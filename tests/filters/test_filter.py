@@ -76,11 +76,12 @@ class TestConstructionAndIdentity:
         assert updated.matches({"a": 1, "b": "x"})
         assert not updated.matches({"a": 1, "b": "y"})
 
-    def test_without_attribute(self):
+    def test_constraints_view_builds_a_reduced_filter(self):
         base = Filter({"a": 1, "b": 2})
-        reduced = base.without_attribute("b")
+        reduced = Filter({name: c for name, c in base.constraints.items() if name != "b"})
         assert reduced.attribute_names() == ("a",)
         assert reduced.matches({"a": 1})
+        assert base.attribute_names() == ("a", "b")
 
     def test_attribute_names_sorted(self):
         assert Filter({"z": 1, "a": 2}).attribute_names() == ("a", "z")

@@ -93,10 +93,10 @@ def test_settle_caps_runaway_message_loops():
         right = network.broker("B2")
 
         def bounce_right(message, channel):
-            right.link_to("B1").send(message)
+            network.links[("B2", "B1")].send(message)
 
         def bounce_left(message, channel):
-            left.link_to("B2").send(message)
+            network.links[("B1", "B2")].send(message)
 
         # Rewire the delivery callbacks into an infinite relay.
         network.links[("B1", "B2")]._deliver = bounce_right
