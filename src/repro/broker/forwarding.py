@@ -402,6 +402,7 @@ class NeighbourForwardingState:
                 if covers(filter_, other.filter):
                     taken.append(other)
         for other in evicted:
+            # Out of the selection before any first cover is looked up.
             self._unassign(other)
         self._assign(entry, key)
         for member in taken:
@@ -415,10 +416,10 @@ class NeighbourForwardingState:
             # member of one ahead of it may have an earlier first cover.
             later = other.pos > pos
             orphans = [entries[member] for member in members.get(other.key, ())]
+            for member in orphans:
+                self._unassign(member)
             orphans.append(other)
             for member in orphans:
-                if member is not other:
-                    self._unassign(member)
                 self._assign(member, key if later else self._first_cover(member.filter))
 
     def _unplace(self, entry: _InputEntry) -> List[_InputEntry]:
@@ -549,24 +550,22 @@ class NeighbourForwardingState:
         other than the flushes goes through :meth:`sent_behind` — except
         after a rebuild, which diffs in full.
         """
-        pair_refs = self.pair_refs
         forwarded = self.forwarded
-        cover_filter = self._cover_filter
         if self.full_diff:
-            to_add = {
-                pair: cover_filter(pair[0]) for pair in pair_refs if pair not in forwarded
-            }
+            desired = self.desired
+            to_add = {pair: filt for pair, filt in desired.items() if pair not in forwarded}
             to_remove = {
-                pair: filt for pair, filt in forwarded.items() if pair not in pair_refs
+                pair: filt for pair, filt in forwarded.items() if pair not in desired
             }
             self.full_diff = False
         else:
+            pair_refs = self.pair_refs
             to_add = {}
             to_remove = {}
             for pair in self.pending:
                 if pair in pair_refs:
                     if pair not in forwarded:
-                        to_add[pair] = cover_filter(pair[0])
+                        to_add[pair] = self._cover_filter(pair[0])
                 elif pair in forwarded:
                     to_remove[pair] = forwarded[pair]
         self.pending.clear()
