@@ -300,7 +300,7 @@ class NeighbourForwardingState:
             self.remerge = True
             return
         if self._index is not None:
-            self._index.add(entry.pos, entry.filter)
+            self._index.add(entry.pos, entry.filter, entry)
         self._place(entry)
 
     def _leave(self, entry: _InputEntry) -> None:
@@ -335,7 +335,7 @@ class NeighbourForwardingState:
                 continue
             members = self._unplace(entry)
             entry.pos = pos
-            self._index.add(pos, entry.filter)
+            self._index.add(pos, entry.filter, entry)
             self._place(entry)
             for member in members:
                 self._place(member)
@@ -344,12 +344,6 @@ class NeighbourForwardingState:
     # ------------------------------------------------------------------
     # Selection maintenance
     # ------------------------------------------------------------------
-    def _candidates(self, positions: List[int]) -> List[_InputEntry]:
-        """The input entries at the index's candidate *positions*, in canonical order."""
-        filter_at = self._index.filter_at
-        entries = self.entries
-        return [entries[filter_at(pos).key()] for pos in sorted(positions)]
-
     def _first_cover(self, filter_: Filter) -> Optional[Any]:
         """Key of the first selected filter (canonical order) covering *filter_*.
 
@@ -360,7 +354,8 @@ class NeighbourForwardingState:
         exactly what a scan of the selection would.  Covering mode only.
         """
         covers = self.covers
-        for candidate in self._candidates(self._index.candidate_positions(filter_)):
+        index = self._index
+        for candidate in index.items_at(index.candidate_positions(filter_)):
             if candidate.cover is candidate.key and covers(candidate.filter, filter_):
                 return candidate.key
         return None
@@ -394,7 +389,8 @@ class NeighbourForwardingState:
         # whose first cover comes after it.
         evicted: List[_InputEntry] = []
         taken: List[_InputEntry] = []
-        for other in self._candidates(self._index.covered_candidate_positions(filter_)):
+        index = self._index
+        for other in index.items_at(index.covered_candidate_positions(filter_)):
             if other.cover is other.key:
                 if covers(filter_, other.filter):
                     evicted.append(other)

@@ -19,7 +19,7 @@ which is also the filter's reference count, and a match extends the
 answer from those tuples directly.  :meth:`DispatchPlan.advertised_via`
 answers the subscription-forwarding gate with a value-bucketed
 disjointness test that returns the **same verdict** as a linear
-:func:`~repro.filters.covering.filters_overlap_hint` loop over the
+:func:`~tests.oracles.matching.filters_overlap_hint` loop over the
 neighbour's advertisement rows (the hint only proves disjointness through
 incompatible equality/set constraints on a shared attribute, which is
 exactly what the buckets can decide).  Both specifications live in
@@ -58,7 +58,7 @@ class AdvertisementOverlapIndex:
 
     ``any_overlap(F)`` returns whether at least one indexed advertisement
     overlaps ``F`` according to
-    :func:`repro.filters.covering.filters_overlap_hint`: an advertisement
+    :func:`tests.oracles.matching.filters_overlap_hint`: an advertisement
     is *disjoint* from ``F`` exactly when the two place equality/set
     constraints on a shared attribute with no common accepted value.
     """

@@ -40,7 +40,7 @@ from repro.filters.constraints import (
     constraint_from_tuple,
 )
 from repro.filters.filter import Filter, MatchAll, MatchNone
-from repro.filters.covering import constraint_covers, filter_covers
+from repro.filters.covering import filter_covers
 from repro.filters.merging import merge_filters, try_merge_pair
 
 __all__ = [
@@ -63,7 +63,6 @@ __all__ = [
     "Filter",
     "MatchAll",
     "MatchNone",
-    "constraint_covers",
     "filter_covers",
     "merge_filters",
     "try_merge_pair",

@@ -19,13 +19,8 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from repro.filters.constraints import Constraint, Equals, InSet
+from repro.filters.constraints import InSet
 from repro.filters.filter import Filter, MatchAll, MatchNone
-
-
-def constraint_covers(covering: Constraint, covered: Constraint) -> bool:
-    """Constraint-level covering: does *covering* accept a superset of *covered*?"""
-    return covering.covers(covered)
 
 
 def filter_covers(covering: Filter, covered: Filter) -> bool:
@@ -53,49 +48,13 @@ def filter_covers(covering: Filter, covered: Filter) -> bool:
             if not covering_constraint.matches_absent():
                 return False
             continue
-        if not covering_constraint.covers(covered_constraint):
+        if type(covering_constraint) is InSet and type(covered_constraint) is InSet:
+            # The common ploc / location-set case, without a method call:
+            # compare the canonical-key views both constraints hold.
+            if not covered_constraint._by_key.keys() <= covering_constraint._by_key.keys():
+                return False
+        elif not covering_constraint.covers(covered_constraint):
             return False
-    return True
-
-
-def filters_overlap_hint(left: Filter, right: Filter) -> bool:
-    """A cheap, *incomplete* overlap test.
-
-    Returns ``False`` only when the two filters provably cannot both match
-    any notification (because they place incompatible equality/set
-    constraints on a shared attribute).  Returns ``True`` otherwise.  Used
-    by merging heuristics and diagnostics; never relied on for
-    correctness.
-    """
-    if isinstance(left, MatchNone) or isinstance(right, MatchNone):
-        return False
-    for name, left_constraint in left.constraint_items():
-        right_constraint = right.constraint_for(name)
-        if right_constraint is None:
-            continue
-        # Work on the constraint objects directly: ``key()`` rebuilds a
-        # sorted tuple (and the ``in`` branches used to build fresh sets)
-        # on every call, which made the hint allocate on the hot eq/eq
-        # path.  ``Constraint.matches`` reuses each InSet's canonical key
-        # dictionary, so every branch below is allocation-free.
-        left_is_eq = isinstance(left_constraint, Equals)
-        right_is_eq = isinstance(right_constraint, Equals)
-        if left_is_eq and right_is_eq:
-            if not right_constraint.matches(left_constraint.value):
-                return False
-        elif left_is_eq and isinstance(right_constraint, InSet):
-            if not right_constraint.matches(left_constraint.value):
-                return False
-        elif isinstance(left_constraint, InSet):
-            if right_is_eq:
-                if not left_constraint.matches(right_constraint.value):
-                    return False
-            elif isinstance(right_constraint, InSet):
-                small, large = left_constraint, right_constraint
-                if len(small._by_key) > len(large._by_key):
-                    small, large = large, small
-                if not any(key in large._by_key for key in small._by_key):
-                    return False
     return True
 
 

@@ -16,12 +16,12 @@ work down in two independent ways:
   :class:`~repro.broker.network.PubSubNetwork` owns one, see
   :class:`~repro.filters.merging.FilterCaches`); its ``misses`` are the
   raw covering tests that network performed.
-* :class:`CoveringIndex` buckets potential covering filters by their most
-  selective constraint (equality/set values first, then attribute names),
-  so that a covering question only tests the filters that could possibly
-  cover the given one and skips provably incomparable ones.  It answers
-  the opposite question too — which indexed filters can a given filter
-  cover — for the delta forwarding state's eviction and stealing steps.
+* :class:`CoveringIndex` buckets potential covering filters by the one
+  strict constraint the fewest covering questions look at, so that a
+  question only tests the filters that could really cover the given one
+  and skips provably incomparable ones.  It answers the opposite question
+  too — which indexed filters can a given filter cover — for the delta
+  forwarding state's eviction and take-over steps.
 
 :func:`minimal_cover_set_cached` is result-identical to
 :func:`~repro.filters.covering.minimal_cover_set` (same kept filters,
@@ -35,7 +35,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tupl
 
 from repro.filters.covering import filter_covers
 from repro.filters.filter import Filter, MatchNone
-from repro.filters.selectivity import finite_value_keys, pick_anchor
+from repro.filters.selectivity import Profile, covering_profile
 
 
 class CoveringCache:
@@ -90,25 +90,33 @@ class CoveringCache:
 class CoveringIndex:
     """Two-way candidate-pruning index over a set of filters.
 
-    **Who covers F?**  Each
-    indexed filter is anchored, as a potential *coverer*, under its **most
-    selective** finite-valued strict constraint — chosen by the shared
-    :func:`~repro.filters.selectivity.pick_anchor` policy, which prefers
-    the emptiest value buckets so one equality shared by every filter
-    (``service=parking``) stops defeating the pruning — with one bucket
-    per accepted value, falling back to its first strict attribute name,
-    falling back to the ``None`` attribute bucket for filters with no
-    strict constraint (which may cover anything).
+    Both queries rest on two facts about conjunctive filters: ``C`` covers
+    ``F`` only if (1) ``F`` constrains every *strict* attribute of ``C``
+    (one an absent attribute does not satisfy), and (2) where ``C``'s
+    constraint is finite, ``F``'s is finite too and accepts a subset of its
+    values (see :mod:`repro.filters.selectivity`, whose memoised
+    :func:`~repro.filters.selectivity.covering_profile` every step reads).
 
-    For a target filter ``F``, :meth:`candidate_positions` returns a
-    **sound superset** of the indexed filters that can cover ``F``:
+    **Who covers F?**  Each indexed filter is anchored, as a potential
+    *coverer*, under one of its strict constraints: a finite one in one
+    value bucket per accepted value, any other in its attribute's bucket;
+    a filter with no strict constraint (it may cover anything) sits in the
+    ``None`` attribute bucket.  For a target ``F``,
+    :meth:`candidate_positions` returns a **sound superset** of the
+    indexed filters that can cover it: the ``None`` bucket, the attribute
+    bucket of every attribute ``F`` constrains and, per finite constraint
+    of ``F``, the smallest of the value buckets of all its values — a
+    coverer anchored there accepts every one of them, so it sits in each
+    of those buckets, and an empty one means there is none.
 
-    * a coverer's strict attributes must all be constrained by ``F``, so
-      anchoring on a strict attribute never hides a real coverer;
-    * a coverer anchored on value buckets accepts a finite value set on
-      that attribute, so it can only cover an ``F`` whose constraint there
-      is also finite and value-wise contained — in particular ``F``'s
-      first accepted value must be in the coverer's bucket.
+    The anchor is the strict constraint whose buckets the fewest targets
+    look at: the one whose *covered-side* buckets (below) are smallest,
+    a finite constraint ranked by the largest of its values' buckets, any
+    other by its attribute's bucket.  A ``service = parking`` equality
+    shared by the whole population is looked at by every query, so once
+    the population grows no filter anchors there, and a query tests only
+    the filters that could really answer yes.  Ties go to a finite
+    constraint, then to fewer values, then to the smaller attribute name.
 
     **Whom does F cover?**  The same two facts read the other way round:
     ``F`` covers ``G`` only if ``G`` constrains every strict attribute of
@@ -122,17 +130,17 @@ class CoveringIndex:
     emptiest is sound; only an ``F`` without strict constraints (it covers
     everything) still means "all positions".
 
-    Per position the index keeps only the filter and its anchor attribute
-    (the one load-dependent choice); :meth:`remove` recomputes every bucket
-    key from them.
+    Per position the index keeps the anchor attribute (the one
+    load-dependent choice), the filter and the caller's item for it;
+    :meth:`remove` recomputes every bucket key from the first two.
     """
 
     __slots__ = ("_by_attr", "_by_value", "_covered", "_filed")
 
     def __init__(self) -> None:
-        # The coverer-side buckets: fallback attribute name (``None``: no
-        # strict constraint) -> filters, (anchor attribute, value key) ->
-        # filters accepting that value there.
+        # The coverer-side buckets: anchor attribute of a non-finite
+        # anchor (``None``: no strict constraint) -> filters, (anchor
+        # attribute, value key) -> filters accepting that value there.
         self._by_attr: Dict[Optional[str], List[int]] = {}
         self._by_value: Dict[Tuple[str, Any], List[int]] = {}
         # The covered-side buckets: attribute name -> filters constraining
@@ -140,20 +148,24 @@ class CoveringIndex:
         # there starts with that value, ``None`` -> MatchNone filters
         # (covered by everything, so part of every answer).
         self._covered: Dict[Any, List[int]] = {}
-        #: position -> (anchor attribute, or ``None`` when not value-anchored; filter).
-        self._filed: Dict[int, Tuple[Optional[str], Filter]] = {}
+        #: position -> (anchor attribute or ``None``, filter, item).
+        self._filed: Dict[int, Tuple[Optional[str], Filter, Any]] = {}
 
-    def add(self, position: int, filter_: Filter) -> None:
-        """Index *filter_* under *position*, for both queries."""
-        anchor = pick_anchor(filter_, self._bucket_load)
-        anchor_attr = None if anchor is None else anchor[0]
-        for buckets, key in self._buckets(filter_, anchor_attr):
+    def add(self, position: int, filter_: Filter, item: Any = None) -> None:
+        """Index *filter_* under *position*, for both queries.
+
+        *item* (default: the filter) is what :meth:`items_at` returns for
+        the position.
+        """
+        profile = covering_profile(filter_)
+        anchor = self._anchor(profile)
+        for buckets, key in self._buckets(filter_, profile, anchor):
             bucket = buckets.get(key)
             if bucket is None:
                 buckets[key] = [position]
             else:
                 bucket.append(position)
-        self._filed[position] = (anchor_attr, filter_)
+        self._filed[position] = (anchor, filter_, filter_ if item is None else item)
 
     def remove(self, position: int) -> None:
         """Unindex a previously added *position* (no-op when unknown).
@@ -165,41 +177,60 @@ class CoveringIndex:
         filed = self._filed.pop(position, None)
         if filed is None:
             return
-        anchor_attr, filter_ = filed
-        for buckets, key in self._buckets(filter_, anchor_attr):
+        anchor, filter_, _ = filed
+        for buckets, key in self._buckets(filter_, covering_profile(filter_), anchor):
             bucket = buckets[key]
             bucket.remove(position)
             if not bucket:
                 del buckets[key]
 
+    def _anchor(self, profile: Profile) -> Optional[str]:
+        """The attribute of the strict constraint whose covered-side buckets are smallest."""
+        covered = self._covered
+        best: Optional[str] = None
+        best_rank: Optional[Tuple[int, int, int, str]] = None
+        for name, values, strict in profile:
+            if not strict:
+                continue
+            if values:
+                load = 0
+                for value in values:
+                    bucket = covered.get((name, value))
+                    if bucket and len(bucket) > load:
+                        load = len(bucket)
+                rank = (load, 0, len(values), name)
+            else:
+                rank = (len(covered.get(name, ())), 1, 0, name)
+            if best_rank is None or rank < best_rank:
+                best, best_rank = name, rank
+        return best
+
     def _buckets(
-        self, filter_: Filter, anchor_attr: Optional[str]
+        self, filter_: Filter, profile: Profile, anchor: Optional[str]
     ) -> Iterator[Tuple[Dict[Any, List[int]], Any]]:
-        """Every (bucket dict, key) *filter_* is filed under when anchored at *anchor_attr*."""
+        """Every (bucket dict, key) *filter_* is filed under when anchored at *anchor*."""
         covered = self._covered
         if isinstance(filter_, MatchNone):
             yield covered, None
-        fallback_attr: Optional[str] = None
-        for name, constraint in filter_.constraint_items():
+        for name, values, _ in profile:
             yield covered, name
-            values = finite_value_keys(constraint)
             if values:
                 yield covered, (name, values[0])
-                if name == anchor_attr:
+            if name == anchor:
+                if values:
                     for value in values:
                         yield self._by_value, (name, value)
-            if fallback_attr is None and not constraint.matches_absent():
-                fallback_attr = name
-        if anchor_attr is None:
-            yield self._by_attr, fallback_attr
+                else:
+                    yield self._by_attr, name
+        if anchor is None:
+            yield self._by_attr, None
 
-    def _bucket_load(self, name: str, value: Any) -> int:
-        bucket = self._by_value.get((name, value))
-        return len(bucket) if bucket else 0
-
-    def filter_at(self, position: int) -> Filter:
-        """The filter indexed under *position*."""
-        return self._filed[position][1]
+    def items_at(self, positions: List[int]) -> List[Any]:
+        """The items indexed under *positions*, in ascending position."""
+        filed = self._filed
+        if len(positions) > 1:
+            positions = sorted(positions)
+        return [filed[position][2] for position in positions]
 
     def candidate_positions(self, filter_: Filter) -> List[int]:
         """Positions of indexed filters that might cover *filter_*.
@@ -211,15 +242,22 @@ class CoveringIndex:
         by_attr = self._by_attr
         by_value = self._by_value
         out = list(by_attr.get(None, ()))
-        for name, constraint in filter_.constraint_items():
+        for name, values, _ in covering_profile(filter_):
             bucket = by_attr.get(name)
             if bucket:
                 out.extend(bucket)
-            values = finite_value_keys(constraint)
             if values:
-                value_bucket = by_value.get((name, values[0]))
-                if value_bucket:
-                    out.extend(value_bucket)
+                # A coverer anchored here sits in the bucket of every value.
+                smallest = None
+                for value in values:
+                    bucket = by_value.get((name, value))
+                    if not bucket:
+                        smallest = None
+                        break
+                    if smallest is None or len(bucket) < len(smallest):
+                        smallest = bucket
+                if smallest:
+                    out.extend(smallest)
         return out
 
     def covered_candidate_positions(self, filter_: Filter) -> List[int]:
@@ -231,10 +269,9 @@ class CoveringIndex:
         covered = self._covered
         best: Optional[List[List[int]]] = None
         best_load = 0
-        for name, constraint in filter_.constraint_items():
-            if constraint.matches_absent():
+        for name, values, strict in covering_profile(filter_):
+            if not strict:
                 continue
-            values = finite_value_keys(constraint)
             keys: Iterable[Any] = [(name, value) for value in values] if values else (name,)
             buckets = [covered[key] for key in keys if key in covered]
             load = sum(map(len, buckets))

@@ -38,7 +38,16 @@ class Filter:
 
     # ``__weakref__``: the network's live-filter table holds its values
     # weakly (see repro.filters.merging.FilterCaches).
-    __slots__ = ("_constraints", "_key", "_hash", "_repr", "_wire", "_sort_token", "__weakref__")
+    __slots__ = (
+        "_constraints",
+        "_key",
+        "_hash",
+        "_repr",
+        "_wire",
+        "_sort_token",
+        "_profile",
+        "__weakref__",
+    )
 
     def __init__(self, constraints: Optional[Mapping[str, Any]] = None, **kwargs: Any) -> None:
         merged: Dict[str, Any] = {}
@@ -55,13 +64,16 @@ class Filter:
             sorted((name, c.key()) for name, c in built.items())
         )
         self._hash = hash(self._key)
-        # Memos of three renderings of an immutable filter: ``repr``, the
-        # wire payload (owned by :func:`repro.filters.wire.filter_to_wire`)
-        # and the forwarding emission-order token (owned by
-        # :func:`repro.broker.forwarding._forwarding_sort_key`).
+        # Memos of four renderings of an immutable filter: ``repr``, the
+        # wire payload (owned by :func:`repro.filters.wire.filter_to_wire`),
+        # the forwarding emission-order token (owned by
+        # :func:`repro.broker.forwarding._forwarding_sort_key`) and the
+        # covering index's profile (owned by
+        # :func:`repro.filters.selectivity.covering_profile`).
         self._repr: Optional[str] = None
         self._wire: Optional[Dict[str, Any]] = None
         self._sort_token: Any = None
+        self._profile: Any = None
 
     # -- construction helpers -----------------------------------------------
     @classmethod

@@ -1,32 +1,33 @@
-"""Shared anchor-selection policy for the filter indexes.
+"""What the covering index needs to know about a filter's constraints.
 
-Two structures bucket filters by the values a constraint accepts so that
-a query only touches structurally compatible candidates:
+:class:`~repro.filters.covering_cache.CoveringIndex` files filters by the
+values their constraints accept, so that a covering question only tests
+structurally comparable filters.  Two facts per constraint decide where a
+filter goes and where a query looks:
 
-* :class:`~repro.filters.covering_cache.CoveringIndex` (covering-candidate
-  pruning),
-* the counting :class:`~repro.dispatch.predicate_index.PredicateIndex`
-  (which indexes *every* constraint and therefore needs no anchor, but
-  reuses :func:`finite_value_keys` for its equality buckets).
+* whether the constraint is *strict* — an absent attribute does not
+  satisfy it, so a filter covered by this one must constrain the
+  attribute too;
+* whether it accepts a *finite* set of values (:func:`finite_value_keys`),
+  so a constraint it covers is finite as well and accepts a subset.
 
-The first must pick **one** constraint per filter to bucket it under.
-Picking the first (or the lexicographically smallest) attribute defeats
-the index on workloads dominated by one shared equality — every
-``service=parking`` filter lands in the same bucket and the scan is back.
-:func:`pick_anchor` instead picks the *most selective* anchor: the
-finite-valued constraint whose current buckets hold the fewest existing
-filters, breaking ties toward fewer accepted values and then the smaller
-attribute name (so the policy stays deterministic and, on empty indexes,
-identical to the old lexicographic rule for pure-equality filters).
+:func:`covering_profile` computes both once per filter and memoises them
+on the immutable :class:`~repro.filters.filter.Filter`, so adding,
+removing and querying never classify a constraint twice.  Which of a
+filter's strict constraints anchors it is the index's one load-dependent
+choice and lives with the index.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 from repro.filters.attributes import canonical_key, try_compare
 from repro.filters.constraints import Between, Constraint, Equals, InSet
 from repro.filters.filter import Filter
+
+#: Per constraint: ``(attribute, finite value keys or None, strict)``.
+Profile = Tuple[Tuple[str, Optional[Tuple[Any, ...]], bool], ...]
 
 
 def finite_value_keys(constraint: Constraint) -> Optional[Tuple[Any, ...]]:
@@ -57,34 +58,16 @@ def finite_value_keys(constraint: Constraint) -> Optional[Tuple[Any, ...]]:
     return None
 
 
-def pick_anchor(
-    filter_: Filter, bucket_load: Callable[[str, Any], int]
-) -> Optional[Tuple[str, Tuple[Any, ...]]]:
-    """Choose the most selective finite-valued constraint to index *filter_* under.
+def covering_profile(filter_: Filter) -> Profile:
+    """``(attribute, finite value keys or None, strict)`` per constraint of *filter_*.
 
-    ``bucket_load(attribute, value_key)`` must return how many filters the
-    index currently holds in that value bucket.  Returns ``(attribute,
-    value_keys)`` for the chosen anchor, or ``None`` when the filter has no
-    finite-valued, presence-requiring constraint (callers fall back to an
-    attribute bucket or a scan list).
-
-    Ranking: smallest current bucket occupancy first (a bucket shared by
-    every filter prunes nothing), then fewest accepted values, then the
-    lexicographically smallest attribute name for determinism.
+    Computed on first use and kept on the filter; a finite constraint is
+    always strict.
     """
-    best_rank: Optional[Tuple[int, int, str]] = None
-    best: Optional[Tuple[str, Tuple[Any, ...]]] = None
-    for name, constraint in filter_.constraint_items():
-        if constraint.matches_absent():
-            continue
-        values = finite_value_keys(constraint)
-        if not values:
-            continue
-        load = 0
-        for value in values:
-            load += bucket_load(name, value)
-        rank = (load, len(values), name)
-        if best_rank is None or rank < best_rank:
-            best_rank = rank
-            best = (name, values)
-    return best
+    profile = filter_._profile
+    if profile is None:
+        profile = filter_._profile = tuple(
+            (name, finite_value_keys(constraint), not constraint.matches_absent())
+            for name, constraint in filter_.constraint_items()
+        )
+    return profile

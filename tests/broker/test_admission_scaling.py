@@ -5,9 +5,12 @@ its path: who covers the new filter, and whom does it cover.  Both are
 answered from the two-way :class:`~repro.filters.covering_cache.CoveringIndex`
 of the neighbour's delta state, so the number of raw covering tests per
 admission follows the number of *comparable* filters, not the size of the
-selection.  The test pins that on a deterministic counter: with the
+selection.  The tests pin that on deterministic counters: with the
 eviction question answered by a scan of the selection, quadrupling an
-all-distinct population multiplied the raw covering tests by 15.
+all-distinct population multiplied the raw covering tests by 15; with
+every filter that shares ``service = parking`` free to anchor on that
+equality, each routing row cost more than six covering questions, and
+more the larger the population.
 """
 
 import random
@@ -56,3 +59,29 @@ def test_covering_tests_grow_with_the_population_not_its_square():
     # Few enough distinct pairs that the network's cache never had to
     # clear itself and re-evaluate from cold.
     assert large["evictions"] == 0
+
+
+def _questions_per_routing_row(count):
+    """Covering questions (the network memo's hits + misses) asked while
+    settling :func:`distinct_population`, per subscription routing row."""
+    network = distinct_population(count)
+    stats = network.filter_caches.covering.stats()
+    rows = sum(network.routing_table_sizes().values())
+    return (stats["hits"] + stats["misses"]) / rows
+
+
+def test_covering_questions_per_routing_row_stay_flat():
+    """A covering question only goes to a filter that could answer yes.
+
+    Anchored by how many coverers already sat in a value bucket, about half
+    the population ended up in the one ``service = parking`` bucket every
+    query reads: 6.54 questions per routing row at 420 subscriptions and
+    8.05 at 1,680 (1.23×).  Anchored where the fewest queries look, and
+    queried at the smallest of a target's value buckets, it reads 1.88 and
+    1.95 (1.03×).
+    """
+    small = _questions_per_routing_row(420)
+    large = _questions_per_routing_row(1680)
+    assert small <= 3
+    assert large <= 3
+    assert large <= 1.2 * small

@@ -78,7 +78,11 @@ def _assignment(state):
 
 def _indexed(state):
     """Canonical position -> key of the input the covering index holds there."""
-    return {pos: filter_.key() for pos, (_, filter_) in state._index._filed.items()}
+    indexed = {}
+    for pos, (_, filter_, entry) in state._index._filed.items():
+        assert entry.filter is filter_
+        indexed[pos] = entry.key
+    return indexed
 
 
 def _assert_in_sync(broker):

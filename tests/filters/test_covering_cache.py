@@ -107,25 +107,56 @@ class TestCoveringIndex:
         assert 1 not in candidates
 
     def test_shared_equality_does_not_defeat_pruning(self):
-        # Every filter shares service=parking; with the old first-finite
-        # anchor they all landed in one bucket and every pair was tested.
-        # The selectivity policy spreads later filters over their location
-        # buckets, so provably disjoint coverers are pruned.
+        # Every filter shares service=parking, so every query looks at that
+        # equality's bucket.  Only the first filter, on an empty index,
+        # anchors there; each later one finds the equality's covered-side
+        # bucket fuller than its location buckets and anchors on those, so
+        # provably disjoint coverers are pruned.
         coverers = [
             F(service="parking", location=("in", ["a", "b"])),
             F(service="parking", location=("in", ["c", "d"])),
             F(service="parking", location=("in", ["e", "f"])),
             F(service="parking", location=("in", ["g", "h"])),
         ]
+        index = CoveringIndex()
+        for position, coverer in enumerate(coverers):
+            index.add(position, coverer)
+        anchors = [index._filed[position][0] for position in range(len(coverers))]
+        assert anchors == ["service", "location", "location", "location"]
         target = F(service="parking", location=("in", ["e"]))
-        candidates = self._candidates(coverers, target)
-        assert 2 in candidates  # the only possible coverer
-        # At most the bucket-loaded first filter rides along; the other
-        # disjoint ones are pruned.
-        assert len(candidates) <= 2
+        # The only possible coverer, and the first filter from the shared
+        # bucket; the other disjoint ones are pruned.
+        assert set(index.candidate_positions(target)) == {0, 2}
         for position, coverer in enumerate(coverers):
             if filter_covers(coverer, target):
-                assert position in candidates
+                assert position in index.candidate_positions(target)
+
+    def test_a_coverer_is_looked_up_in_the_smallest_bucket_of_all_values(self):
+        # A coverer accepts every value the target accepts there, so the
+        # query reads the smallest of the target's value buckets, and none
+        # at all when one of them is empty.
+        coverers = [
+            F(location=("in", ["a", "b"])),
+            F(location=("in", ["a", "b", "c"])),
+            F(location=("in", ["a", "x"])),
+            F(location=("in", ["a", "y"])),
+        ]
+        assert self._candidates(coverers, F(location=("in", ["a", "b"]))) == {0, 1}
+        assert self._candidates(coverers, F(location=("in", ["b", "c"]))) == {1}
+        assert self._candidates(coverers, F(location=("in", ["a", "z"]))) == set()
+        assert self._candidates(coverers, F(location="a")) == {0, 1, 2, 3}
+
+    def test_a_strict_range_anchors_where_fewer_targets_look(self):
+        # `cost < 5` next to the shared equality: every target looks at the
+        # equality's bucket, only the cost-constraining ones at cost's.
+        index = CoveringIndex()
+        for position in range(3):
+            index.add(position, F(service="parking", location="loc-{}".format(position)))
+        index.add(3, F(service="parking", cost=("<", 5)))
+        assert index._filed[3][0] == "cost"
+        assert index._by_attr == {"cost": [3]}
+        assert 3 not in index.candidate_positions(F(service="parking", location="loc-1"))
+        assert 3 in index.candidate_positions(F(service="parking", cost=("<", 2)))
 
     def test_equal_filters_are_placed_alike_however_their_values_were_listed(self):
         # An `in` constraint's anchor bucket is its first canonical key, not
@@ -286,8 +317,27 @@ def random_filter():
     return st.one_of(single, st.just(MatchNone()), st.just(MatchAll()))
 
 
+def shared_equality_filter():
+    """One filter of a population that all shares ``service = parking``,
+    next to strict constraints that are finite (``=``, ``in``) or not
+    (``<``, ``between``): the shape on which the anchor must leave the
+    shared equality once its bucket fills."""
+    constraint = st.one_of(
+        st.sampled_from(LOCATIONS),
+        st.tuples(st.just("in"), st.lists(st.sampled_from(LOCATIONS), min_size=1, max_size=3)),
+        st.tuples(st.just("<"), st.integers(min_value=1, max_value=9)),
+        st.tuples(st.just("between"), st.integers(0, 4), st.integers(4, 9)),
+    )
+    return st.dictionaries(st.sampled_from(["location", "cost"]), constraint, max_size=2).map(
+        lambda extra: Filter(dict(extra, service="parking"))
+    )
+
+
 def random_filters():
-    return st.lists(random_filter(), max_size=12)
+    return st.one_of(
+        st.lists(random_filter(), max_size=12),
+        st.lists(st.one_of(shared_equality_filter(), random_filter()), max_size=12),
+    )
 
 
 @given(random_filters())
@@ -319,12 +369,15 @@ def test_cache_agrees_with_filter_covers(filters):
 @settings(max_examples=300, deadline=None)
 def test_both_candidate_queries_are_sound(filters):
     """Brute force is the oracle: neither query may hide a covering pair,
-    including after a removal re-shuffled the buckets."""
+    including after a removal re-shuffled the buckets and on populations
+    that all share one equality; every anchor is a strict constraint of
+    its filter, and removing the survivors empties every bucket."""
     index = CoveringIndex()
     for position, filter_ in enumerate(filters):
         index.add(position, filter_)
     live = dict(enumerate(filters))
     for _ in range(2):
+        _assert_anchors_strict(index)
         for probe in filters:
             coverers = index.candidate_positions(probe)
             covered = index.covered_candidate_positions(probe)
@@ -338,6 +391,18 @@ def test_both_candidate_queries_are_sound(filters):
         for position in list(live)[::2]:
             index.remove(position)
             del live[position]
+    for position in live:
+        index.remove(position)
+    for name in CoveringIndex.__slots__:
+        assert not getattr(index, name), name
+
+
+def _assert_anchors_strict(index):
+    """Every filter is anchored on one of its strict constraints, or on
+    ``None`` when it has none."""
+    for anchor, filter_, _ in index._filed.values():
+        strict = [name for name, c in filter_.constraint_items() if not c.matches_absent()]
+        assert anchor in strict if strict else anchor is None
 
 
 def _assert_queries_sound(index, live):
@@ -359,7 +424,7 @@ def _assert_queries_sound(index, live):
 @given(
     st.lists(
         st.one_of(
-            st.tuples(st.just("add"), random_filter()),
+            st.tuples(st.just("add"), st.one_of(random_filter(), shared_equality_filter())),
             st.tuples(st.just("remove"), st.integers(0, 20)),
         ),
         max_size=30,
@@ -370,9 +435,11 @@ def test_add_remove_interleavings_round_trip(steps):
     """``remove`` files a filter out of the buckets it recomputes from the
     filter and its anchor attribute.  The anchor was picked by the bucket
     loads at ``add`` time, which later adds and removes change, so it has
-    to be the recorded one: after any interleaving of adds and removes,
-    and then the removal of every survivor, every slot is empty, and both
-    queries are sound at every step."""
+    to be the recorded one: after any interleaving of adds and removes —
+    also of filters that all share one equality next to ``<`` and
+    ``between`` constraints — and then the removal of every survivor,
+    every slot is empty; at every step both queries are sound and every
+    anchor is one of its filter's strict constraints."""
     index = CoveringIndex()
     live = {}
     for position, (kind, argument) in enumerate(steps):
@@ -383,6 +450,7 @@ def test_add_remove_interleavings_round_trip(steps):
             removed = sorted(live)[argument % len(live)]
             index.remove(removed)
             del live[removed]
+        _assert_anchors_strict(index)
         _assert_queries_sound(index, live)
     for position in list(live):
         index.remove(position)

@@ -6,14 +6,12 @@ matcher — a ``RoutingTable`` with its ``DispatchPlan`` attached, as a
 broker wires them — and every answer is also held against the brute
 force of ``tests/oracles/matching.py``.  The bookkeeping cases look at
 the structures behind it: the plan's ``PredicateIndex`` buckets and the
-anchor policy of ``repro.filters.selectivity``.
+anchor policy of ``repro.filters.covering_cache.CoveringIndex``.
 """
 
-from collections import Counter
-
 from repro.dispatch.plan import DispatchPlan
+from repro.filters.covering_cache import CoveringIndex
 from repro.filters.filter import Filter, MatchNone
-from repro.filters.selectivity import pick_anchor
 from repro.routing.table import RoutingTable
 
 from tests.oracles.matching import checked_match
@@ -208,29 +206,30 @@ class TestRemovalAndIndexPositions:
         assert matcher.index._residual == {}
 
     def test_index_position_tie_breaks_lexicographically(self):
-        # With every bucket equally (un)loaded the shared selectivity
-        # policy falls back to the lexicographically smallest attribute.
-        anchor = pick_anchor(F(zebra="z", alpha="a", cost=("<", 3)), lambda name, value: 0)
-        assert anchor == ("alpha", (("string", "a"),))
+        # With every bucket equally (un)loaded the covering index's anchor
+        # policy prefers a finite constraint, then the lexicographically
+        # smallest attribute.
+        index = CoveringIndex()
+        index.add(0, F(zebra="z", alpha="a", cost=("<", 3)))
+        assert index._filed[0][0] == "alpha"
+        assert index._by_value == {("alpha", ("string", "a")): [0]}
 
     def test_shared_equality_stops_attracting_anchors(self):
-        # A value bucket shared by every filter prunes nothing; once it
-        # fills up, later filters must anchor on their more selective
-        # constraint instead.
-        load = Counter()
+        # A value bucket every filter's query looks at prunes nothing; once
+        # the shared equality's covered-side bucket fills up, later filters
+        # must anchor on their more selective constraint instead.
+        index = CoveringIndex()
 
-        def anchor(filter_):
-            name, values = pick_anchor(filter_, lambda name, value: load[(name, value)])
-            for value in values:
-                load[(name, value)] += 1
-            return name
+        def anchor(position, filter_):
+            index.add(position, filter_)
+            return index._filed[position][0]
 
         # "area" sorts before "zone", so the first filter anchors on the
-        # shared equality; every later one finds that bucket occupied and
-        # anchors on its distinct zone value instead.
-        assert anchor(F(area="center", zone="a")) == "area"
-        for zone in ("b", "c", "d"):
-            assert anchor(F(area="center", zone=zone)) == "zone"
+        # shared equality; every later one finds that bucket looked at by
+        # the filters before it and anchors on its distinct zone value.
+        assert anchor(0, F(area="center", zone="a")) == "area"
+        for position, zone in enumerate("bcd", 1):
+            assert anchor(position, F(area="center", zone=zone)) == "zone"
 
     def test_in_set_anchor_registers_one_bucket_per_value(self):
         matcher = Matcher()

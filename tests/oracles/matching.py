@@ -18,7 +18,8 @@ counted its constraint evaluations in.
 from contextlib import contextmanager
 
 from repro.dispatch.plan import DispatchPlan
-from repro.filters.covering import filters_overlap_hint
+from repro.filters.constraints import Equals, InSet
+from repro.filters.filter import MatchNone
 
 from tests.oracles.counting import RawWork
 
@@ -30,6 +31,42 @@ def matching_rows(table, attributes, work=None):
     """
     matches = (RawWork() if work is None else work).matches
     return [row for row in table.entries() if matches(row.filter, attributes)]
+
+
+def filters_overlap_hint(left, right):
+    """A cheap, *incomplete* overlap test: the advertisement gate's specification.
+
+    Returns ``False`` only when the two filters provably cannot both match
+    any notification (because they place incompatible equality/set
+    constraints on a shared attribute).  Returns ``True`` otherwise.
+    :meth:`~repro.dispatch.plan.DispatchPlan.advertised_via` must return
+    the verdict of this test over a neighbour's advertisement rows.
+    """
+    if isinstance(left, MatchNone) or isinstance(right, MatchNone):
+        return False
+    for name, left_constraint in left.constraint_items():
+        right_constraint = right.constraint_for(name)
+        if right_constraint is None:
+            continue
+        left_is_eq = isinstance(left_constraint, Equals)
+        right_is_eq = isinstance(right_constraint, Equals)
+        if left_is_eq and right_is_eq:
+            if not right_constraint.matches(left_constraint.value):
+                return False
+        elif left_is_eq and isinstance(right_constraint, InSet):
+            if not right_constraint.matches(left_constraint.value):
+                return False
+        elif isinstance(left_constraint, InSet):
+            if right_is_eq:
+                if not left_constraint.matches(right_constraint.value):
+                    return False
+            elif isinstance(right_constraint, InSet):
+                small, large = left_constraint, right_constraint
+                if len(small._by_key) > len(large._by_key):
+                    small, large = large, small
+                if not any(key in large._by_key for key in small._by_key):
+                    return False
+    return True
 
 
 def advertised_via(table, neighbour, filter_):
