@@ -38,7 +38,7 @@ from repro.filters.filter import Filter, MatchNone
 
 
 def _overlap_value_keys(constraint: Constraint) -> Optional[Tuple[Any, ...]]:
-    """The finite value keys :func:`filters_overlap_hint` reasons about.
+    """The finite value keys :func:`tests.oracles.matching.filters_overlap_hint` reasons about.
 
     Deliberately narrower than
     :func:`repro.filters.selectivity.finite_value_keys`: the overlap hint

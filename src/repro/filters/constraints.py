@@ -403,7 +403,8 @@ class InSet(Constraint):
         if isinstance(other, Equals):
             return self.matches(other.value)
         if isinstance(other, InSet):
-            return all(k in self._by_key for k in other._by_key)
+            # Compare the canonical-key views both sets already hold.
+            return other._by_key.keys() <= self._by_key.keys()
         if isinstance(other, Between):
             return other.is_degenerate() and self.matches(other.low)
         return False

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from repro.filters.constraints import InSet
 from repro.filters.filter import Filter, MatchAll, MatchNone
 
 
@@ -48,12 +47,7 @@ def filter_covers(covering: Filter, covered: Filter) -> bool:
             if not covering_constraint.matches_absent():
                 return False
             continue
-        if type(covering_constraint) is InSet and type(covered_constraint) is InSet:
-            # The common ploc / location-set case, without a method call:
-            # compare the canonical-key views both constraints hold.
-            if not covered_constraint._by_key.keys() <= covering_constraint._by_key.keys():
-                return False
-        elif not covering_constraint.covers(covered_constraint):
+        if not covering_constraint.covers(covered_constraint):
             return False
     return True
 

@@ -154,8 +154,7 @@ class CoveringIndex:
     def add(self, position: int, filter_: Filter, item: Any = None) -> None:
         """Index *filter_* under *position*, for both queries.
 
-        *item* (default: the filter) is what :meth:`items_at` returns for
-        the position.
+        *item* is what :meth:`items_at` returns for the position.
         """
         profile = covering_profile(filter_)
         anchor = self._anchor(profile)
@@ -165,7 +164,7 @@ class CoveringIndex:
                 buckets[key] = [position]
             else:
                 bucket.append(position)
-        self._filed[position] = (anchor, filter_, filter_ if item is None else item)
+        self._filed[position] = (anchor, filter_, item)
 
     def remove(self, position: int) -> None:
         """Unindex a previously added *position* (no-op when unknown).
