@@ -19,9 +19,9 @@ The state stores each fact once.  Per neighbour it keeps:
   the canonical position of its first contributing row's ``seq`` (the
   order a scan of the table sees), and the key of its *cover*: for every
   input, the first selected filter (in canonical order) that covers it.
-  A selected input is its own cover, so the selection — exactly
-  ``minimal_cover_set`` over the inputs in canonical order, or every input
-  for non-reducing strategies — is no separate record;
+  A selected input is its own cover, so the selection — exactly the
+  specification's minimal cover set of the inputs in canonical order, or
+  every input for non-reducing strategies — is no separate record;
 * the dropped members of each cover that has any;
 * the desired pairs ``(cover key, subject)``, each counted once per
   contribution carrying it, plus the set of pairs that changed since the
@@ -29,10 +29,9 @@ The state stores each fact once.  Per neighbour it keeps:
   filter is read from its cover key when the diff runs.
 
 In the covering mode two steps keep selection and assignment equal to
-the specification, following the input-based semantics of
-:func:`repro.filters.covering.minimal_cover_set` (a filter is dropped iff
-another input filter strictly covers it, or an *earlier* equivalent one
-does):
+the specification, following the input-based semantics of its minimal
+cover set (a filter is dropped iff another input filter strictly covers
+it, or an *earlier* equivalent one does):
 
 * **place** an input at its position, wherever that is — it is dropped
   under its first selected cover if that cover strictly covers it or
@@ -59,20 +58,21 @@ selection.  Advertisement changes and logical-mobility changes can flip
 the per-filter gating wholesale, so they invalidate the state and the
 next refresh rebuilds it from one table scan.
 
-**Merging strategies** reduce with the specification itself:
+**Merging strategies** reduce with the specification's greedy merge:
 :func:`~repro.filters.merging.merge_filters` over the canonical input
-order, run through the network's
-:class:`~repro.filters.merging.MergePairCache`, then the covering
-selection over the *merged* filters; each input is assigned the selected
+order, run through the network's pair-merge memo
+(:class:`~repro.filters.merging.FilterCaches`).  Its products are the
+selection — the specification's covering pass over them keeps every one,
+since no product covers another — and each input is assigned the selected
 filter equal to it, else the first one covering it.  Because greedy
 merging is order-dependent and non-local (one changed input can
 repartition several groups), any structural input change or position
 shift marks the state for a re-merge and the next refresh re-reduces from
-the maintained entries — no table scan, and thanks to the
-merge-pair/covering caches only pairs involving changed filters (or the
-new merge products they create) are evaluated raw.  Subject-only changes
-keep the assignment and update the desired pairs in O(1) exactly like
-the covering mode.
+the maintained entries — no table scan, and thanks to the pair-merge and
+covering memos only pairs involving changed filters (or the new merge
+products they create) are evaluated raw.  Subject-only changes keep the
+assignment and update the desired pairs in O(1) exactly like the covering
+mode.
 """
 
 from __future__ import annotations
@@ -80,9 +80,9 @@ from __future__ import annotations
 from operator import attrgetter
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.filters.covering_cache import CoveringIndex, minimal_cover_set_cached
+from repro.filters.covering_cache import CoveringIndex
 from repro.filters.filter import Filter, MatchNone
-from repro.filters.merging import FilterCaches, MergePairCache, merge_filters
+from repro.filters.merging import FilterCaches, PairMemo, merge_filters
 from repro.messages.admin import Advertise, Subscribe, Unadvertise, Unsubscribe
 
 
@@ -112,11 +112,10 @@ class NeighbourForwardingState:
     *reduction* is the strategy's
     :attr:`~repro.routing.strategies.RoutingStrategy.delta_reduction`;
     the reducing modes run their covering (and merge-pair) tests through
-    the broker's shared *caches*.
+    the network's shared memos, *caches*.
     """
 
     __slots__ = (
-        "cache",
         "covers",
         "merge_pairs",
         "cover_filters",
@@ -135,16 +134,16 @@ class NeighbourForwardingState:
     )
 
     def __init__(self, caches: FilterCaches, reduction: str) -> None:
-        self.cache = caches.covering
-        #: The cached covering test ``covers(covering, covered)``, or
-        #: ``None`` for strategies that forward every filter.
+        #: The memoised covering test ``covers(covering, covered)``, or
+        #: ``None`` for strategies that forward every filter.  The bound
+        #: method: calling it skips the instance-call slot on a hot path.
         self.covers: Optional[Callable[[Filter, Filter], bool]] = (
-            None if reduction == "none" else caches.covering.covers
+            None if reduction == "none" else caches.covering.__call__
         )
         #: The network's pair-merge memo (merging strategies only); the
-        #: selection is then computed over the merged filters and covers
-        #: may be synthesised filters that are not input entries.
-        self.merge_pairs: Optional[MergePairCache] = (
+        #: selection is then the merged filters, and covers may be
+        #: synthesised filters that are not input entries.
+        self.merge_pairs: Optional[PairMemo] = (
             caches.merge_pairs if reduction == "merging" else None
         )
         #: Merging only: cover filter key -> cover filter (a merged filter,
@@ -498,18 +497,18 @@ class NeighbourForwardingState:
         self.remerge = False
 
     def _rebuild_merging_reduction(self, ordered: Sequence[_InputEntry]) -> None:
-        """Merging-mode reduction: greedy merge → covering → assignment.
+        """Merging-mode reduction: greedy merge → assignment.
 
-        The specification verbatim:
-        ``minimal_cover_set(merge_filters(inputs))`` for the selection and,
-        for the per-input cover, key equality over the whole selection
-        first, then the first covering filter in selection order — with
-        both tests run through the network's caches.
+        The merge products are the specification's selection: its
+        covering pass over them keeps every one, since no product covers
+        another (see :func:`~repro.filters.merging.merge_filters`).  The
+        per-input cover is key equality over the whole selection first,
+        then the first covering filter in selection order — with both
+        tests run through the network's memos.
         """
-        merged = merge_filters(
-            [entry.filter for entry in ordered], pair_merge=self.merge_pairs.merge
+        selected = merge_filters(
+            [entry.filter for entry in ordered], pair_merge=self.merge_pairs.__call__
         )
-        selected = minimal_cover_set_cached(merged, self.cache)
         covers = self.covers
         cover_filters = self.cover_filters
         for filter_ in selected:
@@ -523,10 +522,10 @@ class NeighbourForwardingState:
                         cover = candidate
                         break
                 else:
-                    # The reduction should always produce a cover (merged
-                    # roots cover their members and the covering reduction
-                    # keeps a coverer for everything it drops); fall back
-                    # to the filter itself to stay correct.
+                    # The reduction should always produce a cover (each
+                    # input is a merge product or was merged into one,
+                    # which covers it); fall back to the filter itself to
+                    # stay correct.
                     cover = cover_filters[entry.key] = entry.filter
             cover_key = entry.cover = cover.key()
             for subject in entry.subjects:
@@ -633,7 +632,8 @@ class SubscriptionForwarding:
     """
 
     #: Bound for each neighbour's verdict dict: it is cleared (not evicted
-    #: entry-wise) when it grows past this, the policy the CoveringCache uses.
+    #: entry-wise) when it grows past this, the policy of the network's
+    #: covering and pair-merge memos (:class:`~repro.filters.merging.PairMemo`).
     _memo_limit = 65536
 
     def __init__(self, broker: Any) -> None:

@@ -75,11 +75,8 @@ class PubSubNetwork:
         self.clock: Clock = runtime.clock
         self.trace: TraceRecorder = runtime.trace
         self.config = config or BrokerConfig()
-        if isinstance(strategy, str):
-            strategy_factory: Callable[[], RoutingStrategy] = lambda: make_strategy(strategy)
-        else:
-            strategy_name = strategy.name
-            strategy_factory = lambda: make_strategy(strategy_name)
+        # Every broker reads the name table's one record of the strategy.
+        strategy = make_strategy(strategy if isinstance(strategy, str) else strategy.name)
 
         # One covering cache and one merge-pair cache for the whole
         # network: every broker tests the same filters along a path, and a
@@ -90,7 +87,7 @@ class PubSubNetwork:
             self.brokers[name] = Broker(
                 name=name,
                 clock=self.clock,
-                strategy=strategy_factory(),
+                strategy=strategy,
                 trace=self.trace,
                 config=self.config,
                 filter_caches=self.filter_caches,

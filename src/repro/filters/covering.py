@@ -17,8 +17,6 @@ the completeness of the pairwise constraint tests.
 
 from __future__ import annotations
 
-from typing import List, Sequence
-
 from repro.filters.filter import Filter, MatchAll, MatchNone
 
 
@@ -51,27 +49,3 @@ def filter_covers(covering: Filter, covered: Filter) -> bool:
             return False
     return True
 
-
-def minimal_cover_set(filters: Sequence[Filter]) -> List[Filter]:
-    """Reduce a set of filters to a minimal subset with the same union.
-
-    A filter is dropped when another (distinct) filter in the set covers
-    it.  When two filters cover each other (they are equivalent), the one
-    appearing first is kept.  The result preserves input order.
-    """
-    kept: List[Filter] = []
-    for index, candidate in enumerate(filters):
-        redundant = False
-        for other_index, other in enumerate(filters):
-            if other_index == index:
-                continue
-            if filter_covers(other, candidate):
-                mutual = filter_covers(candidate, other)
-                if mutual and other_index > index:
-                    # Equivalent filters: keep the earlier one (candidate).
-                    continue
-                redundant = True
-                break
-        if not redundant:
-            kept.append(candidate)
-    return kept

@@ -1,90 +1,25 @@
-"""Memoised covering tests and candidate-pruned covering questions.
+"""Candidate-pruned covering questions.
 
 Section 2.2's covering-based routing asks the same question over and over:
 does one filter cover another?  Each neighbour's delta forwarding state
 (:class:`repro.broker.forwarding.NeighbourForwardingState`) asks who
 covers a filter and whom it covers every time it places or unplaces an
-input; only a merging state still reduces a whole filter list, its merge
-products, with :func:`minimal_cover_set_cached`.  This module keeps that
-work down in two independent ways:
-
-* :class:`CoveringCache` memoises ``filter_covers`` results keyed by the
-  two filters' canonical :meth:`~repro.filters.filter.Filter.key` tuples.
-  Covering is a pure function of filter structure, so cached results
-  **never need invalidation** — the cache survives arbitrary routing-table
-  churn and is safely shared by every broker of a network (each
-  :class:`~repro.broker.network.PubSubNetwork` owns one, see
-  :class:`~repro.filters.merging.FilterCaches`); its ``misses`` are the
-  raw covering tests that network performed.
-* :class:`CoveringIndex` buckets potential covering filters by the one
-  strict constraint the fewest covering questions look at, so that a
-  question only tests the filters that could really cover the given one
-  and skips provably incomparable ones.  It answers the opposite question
-  too — which indexed filters can a given filter cover — for the delta
-  forwarding state's eviction and take-over steps.
-
-:func:`minimal_cover_set_cached` is result-identical to
-:func:`~repro.filters.covering.minimal_cover_set` (same kept filters,
-same order, same equivalence tie-breaking); the property tests in
-``tests/filters/test_covering_cache.py`` enforce this.
+input.  :class:`CoveringIndex` buckets the inputs by the one strict
+constraint the fewest covering questions look at, so that a question only
+tests the filters that could really cover the given one and skips provably
+incomparable ones.  It answers the opposite question too — which indexed
+filters can a given filter cover — for the delta forwarding state's
+eviction and take-over steps.  The state asks the covering test of its
+answers through the network's memo
+(:class:`~repro.filters.merging.FilterCaches`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from repro.filters.covering import filter_covers
 from repro.filters.filter import Filter, MatchNone
 from repro.filters.selectivity import Profile, covering_profile
-
-
-class CoveringCache:
-    """Memoise :func:`filter_covers` keyed by canonical filter-key pairs.
-
-    Covering depends only on the two filters' structure, and
-    ``Filter.key()`` is a canonical representation of that structure
-    (``MatchNone`` has a dedicated key; ``MatchAll`` and the empty filter
-    share one and also share covering behaviour).  The cache therefore
-    never requires invalidation.  A size cap bounds memory: when the cap
-    is reached the cache is simply cleared, trading a one-off warm-up for
-    a hard memory ceiling.
-    """
-
-    __slots__ = ("_results", "hits", "misses", "evictions", "max_entries")
-
-    def __init__(self, max_entries: int = 1_000_000) -> None:
-        self._results: Dict[Tuple[Any, Any], bool] = {}
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.max_entries = max_entries
-
-    def covers(self, covering: Filter, covered: Filter) -> bool:
-        """Cached equivalent of ``filter_covers(covering, covered)``."""
-        key = (covering.key(), covered.key())
-        cached = self._results.get(key)
-        if cached is not None:
-            self.hits += 1
-            return cached
-        result = filter_covers(covering, covered)
-        if len(self._results) >= self.max_entries:
-            self._results.clear()
-            self.evictions += 1
-        self._results[key] = result
-        self.misses += 1
-        return result
-
-    def stats(self) -> Dict[str, int]:
-        """Hit/miss accounting (used by benchmarks and tests)."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "entries": len(self._results),
-        }
-
-    def __len__(self) -> int:
-        return len(self._results)
 
 
 class CoveringIndex:
@@ -167,12 +102,7 @@ class CoveringIndex:
         self._filed[position] = (anchor, filter_, item)
 
     def remove(self, position: int) -> None:
-        """Unindex a previously added *position* (no-op when unknown).
-
-        The one-shot reduction (:func:`minimal_cover_set_cached`) never
-        removes; long-lived indexes over a churning set — the delta
-        forwarding state's input index — do.
-        """
+        """Unindex a previously added *position* (no-op when unknown)."""
         filed = self._filed.pop(position, None)
         if filed is None:
             return
@@ -283,35 +213,3 @@ class CoveringIndex:
             out.extend(bucket)
         return out
 
-
-def minimal_cover_set_cached(filters: Sequence[Filter], cache: CoveringCache) -> List[Filter]:
-    """Result-identical, cached and candidate-pruned ``minimal_cover_set``.
-
-    Same semantics as :func:`repro.filters.covering.minimal_cover_set`: a
-    filter is dropped when another (distinct) filter in the set covers it;
-    of two equivalent filters the one appearing first is kept; input
-    order is preserved.  Covering tests go through *cache* and only
-    structurally comparable pairs — per :class:`CoveringIndex` — are
-    tested at all.
-    """
-    if len(filters) <= 1:
-        return list(filters)
-    index = CoveringIndex()
-    for position, filter_ in enumerate(filters):
-        index.add(position, filter_)
-    covers = cache.covers
-    kept: List[Filter] = []
-    for position, candidate in enumerate(filters):
-        redundant = False
-        for other_position in index.candidate_positions(candidate):
-            if other_position == position:
-                continue
-            if covers(filters[other_position], candidate):
-                if other_position > position and covers(candidate, filters[other_position]):
-                    # Equivalent filters: keep the earlier one (candidate).
-                    continue
-                redundant = True
-                break
-        if not redundant:
-            kept.append(candidate)
-    return kept

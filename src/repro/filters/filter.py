@@ -170,15 +170,6 @@ class Filter:
             self._repr = "Filter({})".format(parts)
         return self._repr
 
-    # -- serialisation (used by traces and debugging tools) ---------------------
-    def to_dict(self) -> Dict[str, Any]:
-        """A JSON-friendly representation of the filter."""
-        out: Dict[str, Any] = {}
-        for name, constraint in self._constraints.items():
-            key = constraint.key()
-            out[name] = {"op": key[0], "operands": list(key[1:])}
-        return out
-
 
 class MatchAll(Filter):
     """The filter that accepts every notification (used by flooding)."""

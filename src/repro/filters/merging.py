@@ -14,22 +14,23 @@ subscriptions, whose per-hop filters differ only in the ``location ∈
 ploc(x, q)`` constraint.
 
 Brokers re-run :func:`merge_filters` over almost the same filters after
-every routing change, so they pass it a :class:`MergePairCache`: a pair
-merge is a pure function of the two filters' structure, so its results
-(failed merges included) never need invalidation, and the intermediate
-filters a greedy run creates recur between runs and hit the cache too.
-Each :class:`~repro.broker.network.PubSubNetwork` owns one, inside its
-:class:`FilterCaches`.
+every routing change, so they run it through a :class:`PairMemo` of
+:func:`try_merge_pair`: a pair merge is a pure function of the two
+filters' structure, so its results (failed merges included) never need
+invalidation, and the intermediate filters a greedy run creates recur
+between runs and hit the memo too.  Each
+:class:`~repro.broker.network.PubSubNetwork` owns one, inside its
+:class:`FilterCaches`, beside the memo of the covering test.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from weakref import WeakValueDictionary
 
 from repro.filters.constraints import Between, Constraint, Equals, InSet
 from repro.filters.covering import filter_covers
-from repro.filters.covering_cache import CoveringCache
 from repro.filters.filter import Filter, MatchNone
 from repro.filters.attributes import try_compare
 
@@ -114,9 +115,8 @@ def try_merge_pair(left: Filter, right: Filter, covers=filter_covers) -> Optiona
       single-constraint union.
 
     Returns ``None`` when no perfect merge is found.  *covers* lets
-    callers substitute a memoised covering test (see
-    :class:`repro.filters.covering_cache.CoveringCache`) without changing
-    semantics.
+    callers substitute a memoised covering test (see :class:`FilterCaches`)
+    without changing semantics.
     """
     if isinstance(left, MatchNone):
         return right
@@ -160,7 +160,12 @@ def merge_filters(
     filters.  Input order is preserved as far as possible so that routing
     tables stay stable.  *pair_merge* replaces :func:`try_merge_pair`
     (looked up at call time when omitted) with a result-identical one,
-    such as :meth:`MergePairCache.merge`.
+    such as the network's ``FilterCaches.merge_pairs``.
+
+    The loop ends only after a full pass in which no pair merged, and
+    :func:`try_merge_pair` merges every pair one side of which covers the
+    other.  So no filter of the result covers another: a covering
+    reduction of the result would keep all of it.
     """
     if pair_merge is None:
         pair_merge = try_merge_pair
@@ -189,42 +194,41 @@ def merge_filters(
     return working
 
 
-#: Cache slot marker distinguishing "merge failed (cached ``None``)" from
+#: Memo slot marker distinguishing "merge failed (cached ``None``)" from
 #: "pair never evaluated".
 _ABSENT = object()
 
 
-class MergePairCache:
-    """Memoise :func:`try_merge_pair` keyed by canonical filter-key pairs.
+class PairMemo:
+    """Memoise a pure function of two filters, keyed by their canonical keys.
 
-    The merged filter (or ``None`` for unmergeable pairs) depends only on
-    the two filters' structure, so the cache never requires invalidation.
-    A size cap bounds memory: when the cap is reached the cache is simply
-    cleared, trading a one-off warm-up for a hard memory ceiling — the
-    same policy as :class:`~repro.filters.covering_cache.CoveringCache`.
-    ``misses`` counts the raw ``try_merge_pair`` runs.  Covering tests
-    inside a merge run against *covering*, which is result-identical to
-    the raw test.
+    ``Filter.key()`` is a canonical representation of a filter's structure
+    (``MatchNone`` has a dedicated key; ``MatchAll`` and the empty filter
+    share one and also behave alike), so a result never needs
+    invalidation.  A size cap bounds memory: when the cap is reached the
+    memo is simply cleared, trading a one-off warm-up for a hard memory
+    ceiling.  ``misses`` counts the raw runs of *fn*; both directions of a
+    pair are distinct keys.
     """
 
-    __slots__ = ("covering", "_results", "hits", "misses", "evictions", "max_entries")
+    __slots__ = ("_fn", "_results", "hits", "misses", "evictions", "max_entries")
 
-    def __init__(self, covering: CoveringCache, max_entries: int = 500_000) -> None:
-        self.covering = covering
-        self._results: Dict[Tuple[Any, Any], Optional[Filter]] = {}
+    def __init__(self, fn: Callable[[Filter, Filter], Any], max_entries: int) -> None:
+        self._fn = fn
+        self._results: Dict[Tuple[Any, Any], Any] = {}
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         self.max_entries = max_entries
 
-    def merge(self, left: Filter, right: Filter) -> Optional[Filter]:
-        """Cached equivalent of ``try_merge_pair(left, right)``."""
+    def __call__(self, left: Filter, right: Filter) -> Any:
+        """Memoised equivalent of ``fn(left, right)``."""
         key = (left.key(), right.key())
         cached = self._results.get(key, _ABSENT)
         if cached is not _ABSENT:
             self.hits += 1
-            return cached  # type: ignore[return-value]
-        result = try_merge_pair(left, right, covers=self.covering.covers)
+            return cached
+        result = self._fn(left, right)
         if len(self._results) >= self.max_entries:
             self._results.clear()
             self.evictions += 1
@@ -246,12 +250,15 @@ class MergePairCache:
 
 
 class FilterCaches:
-    """The covering and merge-pair caches and the live-filter table one network shares.
+    """The covering and merge-pair memos and the live-filter table one network shares.
 
-    Both caches memoise pure functions of two filters, so every broker of
-    a :class:`~repro.broker.network.PubSubNetwork` can share one pair —
-    brokers on a path test the same filters — while a second network
-    starts cold and its caches' ``misses`` count only its own raw work.
+    ``covering`` memoises :func:`~repro.filters.covering.filter_covers`
+    and ``merge_pairs`` :func:`try_merge_pair`, whose covering tests go
+    through ``covering``; their ``misses`` are the raw covering tests and
+    pair merges the network performed.  Both memoise pure functions of two
+    filters, so every broker of a
+    :class:`~repro.broker.network.PubSubNetwork` can share them — brokers
+    on a path test the same filters — while a second network starts cold.
 
     ``live`` is the network's one copy of each filter: every way a filter
     enters a broker or a client goes through :meth:`intern`, so rows,
@@ -266,8 +273,8 @@ class FilterCaches:
     __slots__ = ("covering", "merge_pairs", "live")
 
     def __init__(self) -> None:
-        self.covering = CoveringCache()
-        self.merge_pairs = MergePairCache(self.covering)
+        self.covering = PairMemo(filter_covers, 1_000_000)
+        self.merge_pairs = PairMemo(partial(try_merge_pair, covers=self.covering), 500_000)
         self.live: "WeakValueDictionary[Any, Any]" = WeakValueDictionary()
 
     def intern(self, filter_: Any) -> Any:

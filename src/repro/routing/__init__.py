@@ -15,8 +15,8 @@ differently:
 * **flooding** — notifications are forwarded everywhere, subscriptions are
   never forwarded;
 * **simple** — every distinct subscription is forwarded unchanged
-  (identical filters are forwarded once: the paper's identity-based
-  routing);
+  (identical filters are forwarded once: that is the paper's
+  identity-based routing, so there is no second strategy for it);
 * **covering** — a filter is not forwarded when an already forwarded
   filter covers it, and newly forwarded covers replace the filters they
   cover;
@@ -25,22 +25,11 @@ differently:
 """
 
 from repro.routing.table import RoutingTable, RoutingEntry
-from repro.routing.strategies import (
-    CoveringStrategy,
-    FloodingStrategy,
-    MergingStrategy,
-    RoutingStrategy,
-    SimpleStrategy,
-    make_strategy,
-)
+from repro.routing.strategies import RoutingStrategy, make_strategy
 
 __all__ = [
     "RoutingTable",
     "RoutingEntry",
     "RoutingStrategy",
-    "FloodingStrategy",
-    "SimpleStrategy",
-    "CoveringStrategy",
-    "MergingStrategy",
     "make_strategy",
 ]

@@ -21,7 +21,6 @@ from repro.core.location_filter import (
     LocationDependentUnsubscribe,
 )
 from repro.core.ploc import MovementGraph
-from repro.filters.covering import minimal_cover_set
 from repro.filters.filter import Filter, MatchAll, MatchNone
 from repro.messages.admin import Unsubscribe
 from repro.messages.mobility import LocationUpdate
@@ -31,7 +30,12 @@ from repro.sim.engine import Simulator
 from repro.sim.network import Link
 
 from tests.dispatch.test_plan_oracle import mutate
-from tests.oracles.forwarding import desired_forwarding, first_cover, scratch_forwarding
+from tests.oracles.forwarding import (
+    desired_forwarding,
+    first_cover,
+    minimal_cover_set,
+    scratch_forwarding,
+)
 
 
 def _make_broker(strategy="covering", neighbours=("N1", "N2"), use_advertisements=False):

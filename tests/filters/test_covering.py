@@ -1,8 +1,9 @@
 """Unit tests for the filter-level covering relation."""
 
-from repro.filters.covering import filter_covers, minimal_cover_set
+from repro.filters.covering import filter_covers
 from repro.filters.filter import Filter, MatchAll, MatchNone
 
+from tests.oracles.forwarding import minimal_cover_set
 from tests.oracles.matching import filters_overlap_hint
 
 

@@ -1,74 +1,22 @@
-"""Unit and property tests for the covering cache and the pruned reduction.
+"""Unit and property tests for the covering index.
 
-The load-bearing invariant: :func:`minimal_cover_set_cached` must be
-**result-identical** to :func:`minimal_cover_set` — same kept filters,
-same order, same tie-breaking between equivalent filters — because the
-broker's incremental refresh relies on it to produce byte-identical
-routing behaviour.
+The load-bearing invariant: both of :class:`CoveringIndex`'s candidate
+queries are **sound supersets** — they never hide a covering pair, after
+any interleaving of adds and removes — because the broker's covering
+mode asks its covering questions of their answers only, and must stay
+equal to the from-scratch specification.
 """
 
 from hypothesis import given, settings, strategies as st
 
-import repro.filters.covering_cache as covering_cache
-from repro.filters.covering import filter_covers, minimal_cover_set
-from repro.filters.covering_cache import CoveringCache, CoveringIndex, minimal_cover_set_cached
+from repro.filters.covering import filter_covers
+from repro.filters.covering_cache import CoveringIndex
 from repro.filters.filter import Filter, MatchAll, MatchNone
+from repro.filters.merging import FilterCaches
 
 
 def F(**kwargs):
     return Filter(kwargs)
-
-
-class TestCoveringCache:
-    def test_hit_miss_accounting(self):
-        cache = CoveringCache()
-        wide = F(location=("in", ["a", "b", "c"]))
-        narrow = F(location="a")
-        assert cache.covers(wide, narrow) is True
-        assert cache.stats() == {"hits": 0, "misses": 1, "evictions": 0, "entries": 1}
-        assert cache.covers(wide, narrow) is True
-        assert cache.stats()["hits"] == 1
-        assert cache.stats()["misses"] == 1
-        # The reverse direction is a distinct key pair.
-        assert cache.covers(narrow, wide) is False
-        assert cache.stats()["misses"] == 2
-
-    def test_cached_result_skips_recomputation(self, monkeypatch):
-        cache = CoveringCache()
-        left, right = F(a=1, b=2), F(a=1)
-        cache.covers(left, right)
-        raw_tests = []
-        monkeypatch.setattr(covering_cache, "filter_covers", lambda *pair: raw_tests.append(pair))
-        assert cache.covers(left, right) is False
-        assert raw_tests == []
-
-    def test_equal_keys_share_cache_entries(self):
-        cache = CoveringCache()
-        cache.covers(F(a=1), F(a=1, b=2))
-        # A structurally identical pair must hit, not miss.
-        assert cache.covers(F(a=1), F(b=2, a=1)) is True
-        assert cache.stats()["hits"] == 1
-
-    def test_eviction_clears_but_stays_correct(self):
-        cache = CoveringCache(max_entries=2)
-        filters = [F(a=index) for index in range(4)]
-        for filter_ in filters:
-            assert cache.covers(F(a=0), filter_) == filter_covers(F(a=0), filter_)
-        assert cache.evictions >= 1
-        assert len(cache) <= 2
-
-    def test_false_results_are_cached(self):
-        cache = CoveringCache()
-        assert cache.covers(F(a=1), F(a=2)) is False
-        assert cache.covers(F(a=1), F(a=2)) is False
-        assert cache.stats()["hits"] == 1
-
-    def test_special_filters(self):
-        cache = CoveringCache()
-        assert cache.covers(MatchAll(), F(a=1)) is True
-        assert cache.covers(MatchNone(), F(a=1)) is False
-        assert cache.covers(F(a=1), MatchNone()) is True
-        assert cache.covers(F(a=1), MatchAll()) is False
 
 
 class TestCoveringIndex:
@@ -192,17 +140,15 @@ class TestCoveringIndex:
     def test_half_open_degenerate_interval_not_pruned(self):
         # A closed [5, 5] covers the half-open [5, 5) (which accepts
         # nothing); the index must classify both as finite so the value
-        # bucket is consulted.  Regression test: the cached reduction used
-        # to keep the half-open filter that the reference drops.
+        # bucket is consulted.  Regression test: a pruned covering
+        # reduction used to keep the half-open filter that the
+        # specification drops.
         from repro.filters.constraints import Between
 
         closed = Filter({"a": Between(5, 5)})
         half_open = Filter({"a": Between(5, 5, low_inclusive=False)})
         assert filter_covers(closed, half_open)
         assert 0 in self._candidates([closed], half_open)
-        expected = minimal_cover_set([closed, half_open])
-        cached = minimal_cover_set_cached([closed, half_open], CoveringCache())
-        assert [f.key() for f in cached] == [f.key() for f in expected]
 
 
 class TestCoveredCandidates:
@@ -342,27 +288,11 @@ def random_filters():
 
 @given(random_filters())
 @settings(max_examples=200, deadline=None)
-def test_minimal_cover_set_cached_is_result_identical(filters):
-    """Cached + pruned reduction ≡ the reference implementation, verbatim."""
-    expected = minimal_cover_set(filters)
-    fresh_cache = minimal_cover_set_cached(filters, CoveringCache())
-    # Warmed by the reduction of the same filters in another order.
-    cache = CoveringCache()
-    minimal_cover_set_cached(filters[::-1], cache)
-    warm_cache = minimal_cover_set_cached(filters, cache)
-    assert [f.key() for f in fresh_cache] == [f.key() for f in expected]
-    assert [f.key() for f in warm_cache] == [f.key() for f in expected]
-    # Same object identity discipline: results are picked from the input.
-    assert all(any(kept is original for original in filters) for kept in fresh_cache)
-
-
-@given(random_filters())
-@settings(max_examples=200, deadline=None)
 def test_cache_agrees_with_filter_covers(filters):
-    cache = CoveringCache()
+    covers = FilterCaches().covering
     for left in filters:
         for right in filters:
-            assert cache.covers(left, right) == filter_covers(left, right)
+            assert covers(left, right) == filter_covers(left, right)
 
 
 @given(random_filters())

@@ -96,11 +96,6 @@ class TestConstructionAndIdentity:
         assert names == ["a", "b"]
         assert len(filter_) == 2
 
-    def test_to_dict_roundtrip_shape(self):
-        data = Filter({"a": 1, "b": ("in", ["x", "y"])}).to_dict()
-        assert data["a"]["op"] == "eq"
-        assert data["b"]["op"] == "in"
-
     def test_repr_is_informative(self):
         rendered = repr(Filter({"service": "parking"}))
         assert "service" in rendered and "parking" in rendered

@@ -1,19 +1,21 @@
-"""Unit tests for filter merging and the pair-merge cache.
+"""Unit tests for filter merging and the network's pair memos.
 
-:class:`~repro.filters.merging.MergePairCache` must be a transparent,
-bounded memo of ``try_merge_pair`` (hit/miss accounting, bound respected,
-results identical after eviction): the broker's merging mode runs
-``merge_filters`` through it and must stay result-identical to the
-uncached definition.
+:class:`~repro.filters.merging.PairMemo` must be a transparent, bounded
+memo (hit/miss accounting, cached ``False`` and ``None``, bound respected,
+results identical after eviction): the broker's covering and merging modes
+run ``filter_covers`` and ``try_merge_pair`` through the two memos of
+:class:`~repro.filters.merging.FilterCaches` and must stay result-identical
+to the raw definitions.
 """
 
 import random
+from typing import Callable, NamedTuple
 
-import repro.filters.merging as merging
+import pytest
+
 from repro.filters.covering import filter_covers
-from repro.filters.covering_cache import CoveringCache
-from repro.filters.filter import Filter, MatchNone
-from repro.filters.merging import MergePairCache, merge_filters, try_merge_pair
+from repro.filters.filter import Filter, MatchAll, MatchNone
+from repro.filters.merging import FilterCaches, PairMemo, merge_filters, try_merge_pair
 
 
 def F(**kwargs):
@@ -106,108 +108,147 @@ class TestSetMerging:
                 f.matches(sample) for f in merged
             )
 
+    def test_a_later_product_absorbs_an_earlier_result(self):
+        # first merges with neither of the others, but their product covers
+        # it: only the second pass merges it away, so no result covers another.
+        first = F(x=("in", (1, 2)), y=("in", (1, 2)))
+        others = [F(x=("in", (1, 2, 3)), y=1), F(x=("in", (1, 2, 3)), y=2)]
+        assert [try_merge_pair(first, other) for other in others] == [None, None]
+        product = F(x=("in", (1, 2, 3)), y=("in", (1, 2)))
+        assert filter_covers(product, first)
+        assert merge_filters([first] + others) == [product]
+
     def test_merge_filters_empty_input(self):
         assert merge_filters([]) == []
         assert merge_filters([MatchNone()]) == []
-
-
-def _pair_cache(**kwargs):
-    return MergePairCache(CoveringCache(), **kwargs)
-
-
-def _count_raw_merges(monkeypatch):
-    """Record every raw ``try_merge_pair`` a merge-pair cache runs from now on."""
-    raw_merges = []
-
-    def counted(left, right, covers):
-        raw_merges.append((left, right))
-        return try_merge_pair(left, right, covers)
-
-    monkeypatch.setattr(merging, "try_merge_pair", counted)
-    return raw_merges
 
 
 def _loc(*locations):
     return Filter({"service": "parking", "location": ("in", tuple(locations))})
 
 
-class TestMergePairCache:
-    def test_hit_miss_accounting(self):
-        cache = _pair_cache()
-        left, right = _loc("a"), _loc("b")
-        merged = cache.merge(left, right)
-        assert merged == _loc("a", "b")
-        assert cache.stats() == {"hits": 0, "misses": 1, "evictions": 0, "entries": 1}
-        assert cache.merge(left, right) == merged
-        assert cache.stats()["hits"] == 1
+def _recorded(fn):
+    """*fn*, and the list of the argument pairs it is called with."""
+    calls = []
+
+    def recorded(left, right):
+        calls.append((left, right))
+        return fn(left, right)
+
+    return recorded, calls
+
+
+class MemoCase(NamedTuple):
+    """A function ``FilterCaches`` memoises, with pairs to exercise it on."""
+
+    fn: Callable
+    pair: tuple  # answered positively
+    same_pair: tuple  # *pair* built in another constraint order
+    negative_pair: tuple  # answered ``False`` / ``None``
+    shared_left: list  # four pairs with one left filter, for eviction
+
+
+MEMO_CASES = {
+    "covering": MemoCase(
+        filter_covers,
+        (F(a=1), F(a=1, b=2)),
+        (F(a=1), F(b=2, a=1)),
+        (F(a=1), F(a=2)),
+        [(F(a=0), F(a=index)) for index in range(4)],
+    ),
+    "merge": MemoCase(
+        try_merge_pair,
+        (F(a=1, b=2), F(a=2, b=2)),
+        (F(b=2, a=1), F(b=2, a=2)),
+        (F(a=1), F(b=2)),
+        [(_loc("a"), _loc(chr(ord("b") + index))) for index in range(4)],
+    ),
+}
+
+
+@pytest.fixture(params=sorted(MEMO_CASES))
+def case(request):
+    return MEMO_CASES[request.param]
+
+
+class TestPairMemo:
+    def test_hit_miss_accounting(self, case):
+        memo = PairMemo(case.fn, 10)
+        left, right = case.pair
+        assert memo(left, right) == case.fn(left, right)
+        assert memo.stats() == {"hits": 0, "misses": 1, "evictions": 0, "entries": 1}
+        assert memo(left, right) == case.fn(left, right)
+        assert memo.stats() == {"hits": 1, "misses": 1, "evictions": 0, "entries": 1}
         # The reverse direction is a distinct key pair.
-        assert cache.merge(right, left) == merged
-        assert cache.stats()["misses"] == 2
+        assert memo(right, left) == case.fn(right, left)
+        assert memo.stats()["misses"] == 2
+        assert len(memo) == 2
 
-    def test_failed_merges_are_cached(self, monkeypatch):
-        cache = _pair_cache()
-        left, right = F(a=1), F(b=2)
-        assert cache.merge(left, right) is None
-        raw_merges = _count_raw_merges(monkeypatch)
-        assert cache.merge(left, right) is None
-        assert raw_merges == []
-        assert cache.stats()["hits"] == 1
+    def test_cached_false_and_none_skip_recomputation(self, case):
+        left, right = case.negative_pair
+        result = case.fn(left, right)
+        assert result is (False if case.fn is filter_covers else None)
+        recorded, calls = _recorded(case.fn)
+        memo = PairMemo(recorded, 10)
+        assert memo(left, right) is result
+        assert memo(left, right) is result
+        assert calls == [(left, right)]
+        assert (memo.hits, memo.misses) == (1, 1)
 
-    def test_cached_result_skips_recomputation(self, monkeypatch):
-        cache = _pair_cache()
-        left, right = _loc("a"), _loc("b")
-        cache.merge(left, right)
-        raw_merges = _count_raw_merges(monkeypatch)
-        cache.merge(left, right)
-        assert raw_merges == []
-
-    def test_equal_keys_share_cache_entries(self):
-        cache = _pair_cache()
-        cache.merge(F(a=1, b=2), F(a=2, b=2))
+    def test_equal_keys_share_an_entry(self, case):
+        memo = PairMemo(case.fn, 10)
+        memo(*case.pair)
         # A structurally identical pair must hit, not miss.
-        assert cache.merge(F(b=2, a=1), F(b=2, a=2)) == F(a=("in", (1, 2)), b=2)
-        assert cache.stats()["hits"] == 1
+        assert memo(*case.same_pair) == case.fn(*case.same_pair) == case.fn(*case.pair)
+        assert (memo.hits, memo.misses, len(memo)) == (1, 1, 1)
 
-    def test_eviction_respects_bound_and_stays_correct(self):
-        cache = _pair_cache(max_entries=2)
-        pairs = [(_loc("a"), _loc(chr(ord("b") + index))) for index in range(4)]
-        for left, right in pairs:
-            expected = try_merge_pair(left, right)
-            assert cache.merge(left, right) == expected
-        assert cache.evictions >= 1
-        assert len(cache) <= 2
+    def test_eviction_at_the_bound_stays_correct(self, case):
+        memo = PairMemo(case.fn, max_entries=2)
+        for left, right in case.shared_left:
+            assert memo(left, right) == case.fn(left, right)
+            assert len(memo) <= 2
+        assert memo.evictions == 1
         # Results after an eviction are identical to the raw computation.
-        for left, right in pairs:
-            assert cache.merge(left, right) == try_merge_pair(left, right)
+        for left, right in case.shared_left:
+            assert memo(left, right) == case.fn(left, right)
 
-    def test_covering_tests_inside_a_merge_use_its_covering_cache(self):
-        covering = CoveringCache()
-        cache = MergePairCache(covering)
+
+class TestFilterCaches:
+    def test_special_filters_through_the_covering_memo(self):
+        covers = FilterCaches().covering
+        assert covers(MatchAll(), F(a=1)) is True
+        assert covers(MatchNone(), F(a=1)) is False
+        assert covers(F(a=1), MatchNone()) is True
+        assert covers(F(a=1), MatchAll()) is False
+
+    def test_covering_tests_inside_a_merge_use_the_covering_memo(self):
+        caches = FilterCaches()
         # Neither direction is known yet: both covering tests run raw, once.
-        assert cache.merge(_loc("a"), _loc("a", "b")) == _loc("a", "b")
-        assert covering.stats()["misses"] == 2
+        assert caches.merge_pairs(_loc("a"), _loc("a", "b")) == _loc("a", "b")
+        assert caches.covering.misses == 2
         # A new pair whose covering tests are already cached runs none.
-        assert cache.merge(_loc("a", "b"), _loc("a")) == _loc("a", "b")
-        assert covering.stats()["misses"] == 2
+        assert caches.merge_pairs(_loc("a", "b"), _loc("a")) == _loc("a", "b")
+        assert caches.covering.misses == 2
+        assert caches.merge_pairs.misses == 2
 
-    def test_match_none_is_neutral_through_the_cache(self):
-        cache = _pair_cache()
-        assert cache.merge(MatchNone(), F(a=1)) == F(a=1)
-        assert cache.merge(F(a=1), MatchNone()) == F(a=1)
+    def test_match_none_is_neutral_through_the_merge_memo(self):
+        merge = FilterCaches().merge_pairs
+        assert merge(MatchNone(), F(a=1)) == F(a=1)
+        assert merge(F(a=1), MatchNone()) == F(a=1)
 
-    def test_merge_filters_through_the_cache_equals_the_uncached_result(self):
+    def test_merge_filters_through_the_memo_equals_the_unmemoised_result(self):
         inputs = [_loc("a"), _loc("b"), F(service="fuel"), _loc("c")]
-        cached = merge_filters(inputs, pair_merge=_pair_cache().merge)
-        assert cached == merge_filters(inputs) == [_loc("a", "b", "c"), F(service="fuel")]
+        memoised = merge_filters(inputs, pair_merge=FilterCaches().merge_pairs)
+        assert memoised == merge_filters(inputs) == [_loc("a", "b", "c"), F(service="fuel")]
 
-    def test_repeated_reduction_runs_no_raw_merge(self, monkeypatch):
-        cache = _pair_cache()
+    def test_repeated_reduction_runs_no_raw_merge(self):
+        caches = FilterCaches()
         inputs = [_loc("a"), _loc("b"), F(service="fuel"), _loc("c")]
-        first = merge_filters(inputs, pair_merge=cache.merge)
-        raw_merges = _count_raw_merges(monkeypatch)
-        # Input pairs and merge products alike are answered from the cache.
-        assert merge_filters(list(inputs), pair_merge=cache.merge) == first
-        assert raw_merges == []
+        first = merge_filters(inputs, pair_merge=caches.merge_pairs)
+        misses = caches.merge_pairs.misses, caches.covering.misses
+        # Input pairs and merge products alike are answered from the memos.
+        assert merge_filters(list(inputs), pair_merge=caches.merge_pairs) == first
+        assert (caches.merge_pairs.misses, caches.covering.misses) == misses
 
 
 LOCATIONS = ["l{}".format(index) for index in range(8)]
@@ -230,7 +271,7 @@ def test_cached_merge_under_churn_is_result_identical():
     """One cache kept across add/remove churn never changes a merge result."""
     for seed in (3, 17, 99):
         rng = random.Random(seed)
-        cache = _pair_cache()
+        cache = FilterCaches().merge_pairs
         inputs = []
         seen = set()
         for _ in range(160):
@@ -243,7 +284,7 @@ def test_cached_merge_under_churn_is_result_identical():
                     continue
                 seen.add(candidate.key())
                 inputs.append(candidate)
-            cached = merge_filters(inputs, pair_merge=cache.merge)
+            cached = merge_filters(inputs, pair_merge=cache)
             assert [f.key() for f in cached] == [f.key() for f in merge_filters(inputs)]
         # Recurring pairs (intermediates included) were answered from the cache.
         assert cache.hits > cache.misses

@@ -6,7 +6,8 @@ would silently widen routing tables (extra traffic), under-acceptance
 would drop notifications (a correctness bug).  These properties pin that
 at the constraint level (:func:`repro.filters.merging._merge_constraints`),
 the filter level (:func:`repro.filters.merging.try_merge_pair`) and the
-set level (:func:`repro.filters.merging.merge_filters`).
+set level (:func:`repro.filters.merging.merge_filters`), where no two
+results may cover each other either.
 
 Greedy set merging is **order-dependent** in which partition it picks
 (documented and pinned below) but never in the accepted union.
@@ -27,8 +28,9 @@ from repro.filters.constraints import (
     NotEquals,
     Prefix,
 )
+from repro.filters.covering import filter_covers
 from repro.filters.filter import Filter, MatchAll, MatchNone
-from repro.filters.merging import _merge_constraints, merge_filters, try_merge_pair
+from repro.filters.merging import FilterCaches, _merge_constraints, merge_filters, try_merge_pair
 
 # ---------------------------------------------------------------------------
 # Generators: constraints, filters, and the sample values/events used to
@@ -130,19 +132,25 @@ def test_try_merge_pair_accepts_exactly_the_union(left, right, samples):
 @given(st.lists(filters(), max_size=10), st.lists(events(), min_size=1, max_size=20))
 @settings(max_examples=200, deadline=None)
 def test_merge_filters_preserves_the_union(filter_list, samples):
-    """The greedy set merge accepts exactly what the inputs accept."""
-    merged = merge_filters(filter_list)
-    for sample in samples:
-        expected = any(f.matches(sample) for f in filter_list)
-        assert any(f.matches(sample) for f in merged) == expected
-    # And every input is covered by some merged filter (routing soundness):
-    # a notification matched by an input must reach the merged cover.
-    for original in filter_list:
-        if isinstance(original, MatchNone):
-            continue
-        from repro.filters.covering import filter_covers
-
-        assert any(filter_covers(kept, original) for kept in merged)
+    """The greedy set merge accepts exactly what the inputs accept, and no
+    two of its results cover each other — run on the raw pair merge and
+    through a network's pair memo."""
+    for pair_merge in (try_merge_pair, FilterCaches().merge_pairs):
+        merged = merge_filters(filter_list, pair_merge)
+        for sample in samples:
+            expected = any(f.matches(sample) for f in filter_list)
+            assert any(f.matches(sample) for f in merged) == expected
+        # And every input is covered by some merged filter (routing soundness):
+        # a notification matched by an input must reach the merged cover.
+        for original in filter_list:
+            if isinstance(original, MatchNone):
+                continue
+            assert any(filter_covers(kept, original) for kept in merged)
+        # So a covering reduction of the result keeps all of it: the broker's
+        # merging mode forwards the merge products as they are.
+        for index, kept in enumerate(merged):
+            for other in merged[index + 1 :]:
+                assert not filter_covers(kept, other) and not filter_covers(other, kept)
 
 
 # ---------------------------------------------------------------------------

@@ -16,11 +16,12 @@ correctness:
 from hypothesis import given, settings, strategies as st
 
 from repro.dispatch.plan import DispatchPlan
-from repro.filters.covering import filter_covers, minimal_cover_set
+from repro.filters.covering import filter_covers
 from repro.filters.filter import Filter
 from repro.filters.merging import merge_filters, try_merge_pair
 from repro.routing.table import RoutingTable
 
+from tests.oracles.forwarding import minimal_cover_set
 from tests.oracles.matching import checked_match
 
 ATTRIBUTES = ["service", "location", "cost", "floor"]

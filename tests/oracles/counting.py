@@ -1,17 +1,13 @@
 """How much raw work a specification does.
 
 Production needs no counters of its own for the Section 2.2 tests: a
-covering or merge-pair cache miss *is* one raw test, and the dispatch
+covering or merge-pair memo miss *is* one raw test, and the dispatch
 plane counts its residual constraint evaluations in its broker's
-registry.  The brute-force specifications have neither caches nor
-registries, so they count with a :class:`RawWork` — the numbers the
-benchmarks set against production's.
+registry.  The brute-force specifications have neither memos nor
+registries, so they take the counted tests of a :class:`RawWork` as
+arguments — the numbers the benchmarks set against production's.
 """
 
-from contextlib import contextmanager
-
-import repro.filters.covering as covering_module
-import repro.filters.merging as merging_module
 from repro.filters.covering import filter_covers
 from repro.filters.filter import Filter
 from repro.filters.merging import try_merge_pair
@@ -30,7 +26,7 @@ class RawWork:
         self.covering_calls += 1
         return filter_covers(covering, covered)
 
-    def merge(self, left, right, covers=None):
+    def merge(self, left, right):
         """:func:`try_merge_pair`, counted, with its covering tests counted too."""
         self.merge_calls += 1
         return try_merge_pair(left, right, covers=self.covers)
@@ -50,19 +46,3 @@ class RawWork:
                 return False
         return True
 
-    @contextmanager
-    def counting_library_reductions(self):
-        """Count the tests the library's from-scratch reductions make.
-
-        ``minimal_cover_set`` and ``merge_filters`` — the strategies'
-        definitions — call ``filter_covers`` / ``try_merge_pair`` through
-        their modules' globals; inside the block those calls go through
-        this counter.
-        """
-        saved = covering_module.filter_covers, merging_module.try_merge_pair
-        covering_module.filter_covers = self.covers
-        merging_module.try_merge_pair = self.merge
-        try:
-            yield
-        finally:
-            covering_module.filter_covers, merging_module.try_merge_pair = saved

@@ -11,7 +11,10 @@ possible, over nothing but the tables' rows:
   same token is an ordinary subscription) and filters the neighbour
   advertised nothing for;
 * reduce the surviving filters with the strategy's Section 2.2 definition
-  (:meth:`~repro.routing.strategies.RoutingStrategy.desired_forwarding_set`);
+  (:data:`DEFINITIONS`: identity for simple, :func:`minimal_cover_set` for
+  covering, :func:`minimal_cover_set` of
+  :func:`~repro.filters.merging.merge_filters` for merging, nothing for
+  flooding);
 * register every subject under the first selected filter covering its own.
 
 :func:`scratch_forwarding` swaps this in for every
@@ -29,8 +32,110 @@ from repro.broker.base import Broker
 from repro.broker.client import FloodingRelocationError
 from repro.filters.covering import filter_covers
 from repro.filters.filter import MatchNone
+from repro.filters.merging import merge_filters, try_merge_pair
 
 from tests.oracles.counting import RawWork
+
+
+def minimal_cover_set(filters, covers=filter_covers):
+    """Reduce a set of filters to a minimal subset with the same union.
+
+    A filter is dropped when another (distinct) filter in the set covers
+    it.  When two filters cover each other (they are equivalent), the one
+    appearing first is kept.  The result preserves input order.
+    """
+    kept = []
+    for index, candidate in enumerate(filters):
+        redundant = False
+        for other_index, other in enumerate(filters):
+            if other_index == index:
+                continue
+            if covers(other, candidate):
+                mutual = covers(candidate, other)
+                if mutual and other_index > index:
+                    # Equivalent filters: keep the earlier one (candidate).
+                    continue
+                redundant = True
+                break
+        if not redundant:
+            kept.append(candidate)
+    return kept
+
+
+class RoutingDefinition:
+    """Section 2.2's definition of one routing strategy, from scratch.
+
+    :meth:`desired_forwarding_set` answers which of the filters registered
+    from every direction but a neighbour's should be forwarded there; the
+    covering test and the pair merge it runs are *covers* and
+    *pair_merge*, so a :class:`~tests.oracles.counting.RawWork` can count
+    them.
+    """
+
+    name = "base"
+
+    def desired_forwarding_set(self, filters, covers=filter_covers, pair_merge=try_merge_pair):
+        """The filters that should be forwarded, given registered *filters*."""
+        raise NotImplementedError
+
+    @staticmethod
+    def _canonicalise(filters):
+        """Drop MatchNone filters and collapse exact duplicates, keeping order."""
+        seen = set()
+        out = []
+        for filter_ in filters:
+            if isinstance(filter_, MatchNone):
+                continue
+            key = filter_.key()
+            if key in seen:
+                continue
+            seen.add(key)
+            out.append(filter_)
+        return out
+
+
+class FloodingStrategy(RoutingDefinition):
+    """Flood notifications; never forward subscriptions."""
+
+    name = "flooding"
+
+    def desired_forwarding_set(self, filters, covers=filter_covers, pair_merge=try_merge_pair):
+        return []
+
+
+class SimpleStrategy(RoutingDefinition):
+    """Forward every registered filter unchanged."""
+
+    name = "simple"
+
+    def desired_forwarding_set(self, filters, covers=filter_covers, pair_merge=try_merge_pair):
+        return self._canonicalise(filters)
+
+
+class CoveringStrategy(RoutingDefinition):
+    """Do not forward filters that are covered by another forwarded filter."""
+
+    name = "covering"
+
+    def desired_forwarding_set(self, filters, covers=filter_covers, pair_merge=try_merge_pair):
+        return minimal_cover_set(self._canonicalise(filters), covers)
+
+
+class MergingStrategy(RoutingDefinition):
+    """Merge filters into covers before forwarding (plus covering reduction)."""
+
+    name = "merging"
+
+    def desired_forwarding_set(self, filters, covers=filter_covers, pair_merge=try_merge_pair):
+        merged = merge_filters(self._canonicalise(filters), pair_merge)
+        return minimal_cover_set(merged, covers)
+
+
+#: Each routing strategy's definition, by name.
+DEFINITIONS = {
+    definition.name: definition
+    for definition in (FloodingStrategy(), SimpleStrategy(), CoveringStrategy(), MergingStrategy())
+}
 
 
 def first_cover(selected, filter_, covers=filter_covers):
@@ -80,8 +185,9 @@ def desired_forwarding(broker, neighbour, work=None):
         if gated and not broker._dispatch_plan.advertised_via(neighbour, row.filter):
             continue
         entries.append((row.filter, subjects))
-    with work.counting_library_reductions():
-        selected = broker.strategy.desired_forwarding_set([filter_ for filter_, _ in entries])
+    selected = DEFINITIONS[broker.strategy.name].desired_forwarding_set(
+        [filter_ for filter_, _ in entries], covers=work.covers, pair_merge=work.merge
+    )
     desired = {}
     for filter_, subjects in entries:
         cover = first_cover(selected, filter_, work.covers)

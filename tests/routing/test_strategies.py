@@ -1,15 +1,18 @@
-"""Unit tests for the routing strategies' forwarding-set computation."""
+"""Unit tests for the strategy records and Section 2.2's forwarding-set definitions."""
 
 import pytest
 
+from repro.broker.network import PubSubNetwork
 from repro.filters.filter import Filter, MatchNone
-from repro.routing.strategies import (
+from repro.routing.strategies import available_strategies, make_strategy
+from repro.topology.builders import line_topology
+
+from tests.oracles.forwarding import (
+    DEFINITIONS,
     CoveringStrategy,
     FloodingStrategy,
     MergingStrategy,
     SimpleStrategy,
-    available_strategies,
-    make_strategy,
 )
 
 
@@ -30,6 +33,26 @@ class TestFactory:
     def test_flooding_flag(self):
         assert make_strategy("flooding").floods_notifications
         assert not make_strategy("covering").floods_notifications
+
+    def test_every_strategy_has_a_definition(self):
+        assert sorted(DEFINITIONS) == available_strategies()
+
+    def test_a_strategy_is_one_shared_frozen_record(self):
+        covering = make_strategy("covering")
+        assert covering is make_strategy("covering")
+        assert (covering.delta_reduction, make_strategy("merging").delta_reduction) == (
+            "covering",
+            "merging",
+        )
+        with pytest.raises(AttributeError):
+            covering.floods_notifications = True
+
+
+@pytest.mark.parametrize("given", ["name", "record"])
+def test_every_broker_of_a_network_reads_the_table_record(given):
+    merging = make_strategy("merging")
+    network = PubSubNetwork(line_topology(3), strategy=merging.name if given == "name" else merging)
+    assert all(broker.strategy is merging for broker in network.brokers.values())
 
 
 class TestForwardingSets:
@@ -78,9 +101,8 @@ class TestForwardingSets:
             assert merged[0].matches({"service": "parking", "location": loc})
 
     def test_match_none_is_dropped_everywhere(self):
-        for name in available_strategies():
-            strategy = make_strategy(name)
-            assert MatchNone() not in strategy.desired_forwarding_set([MatchNone(), F(a=1)])
+        for definition in DEFINITIONS.values():
+            assert MatchNone() not in definition.desired_forwarding_set([MatchNone(), F(a=1)])
 
     def test_union_preserved_by_all_strategies(self):
         """Every non-flooding strategy's output accepts exactly the union."""
@@ -99,7 +121,7 @@ class TestForwardingSets:
             {},
         ]
         for name in ("simple", "covering", "merging"):
-            selected = make_strategy(name).desired_forwarding_set(filters)
+            selected = DEFINITIONS[name].desired_forwarding_set(filters)
             for sample in samples:
                 expected = any(f.matches(sample) for f in filters)
                 actual = any(f.matches(sample) for f in selected)

@@ -6,6 +6,7 @@ import pytest
 
 from repro.broker.base import Broker
 from repro.broker.network import PubSubNetwork
+from repro.filters.filter import Filter
 from repro.routing.strategies import make_strategy
 from repro.sim.engine import Simulator
 from repro.telemetry.registry import Histogram, MetricRegistry
@@ -130,6 +131,18 @@ def _observe(network):
     }
 
 
+def _assert_merges_count_covering_misses(caches):
+    """Covering questions asked inside a merge are the caches' own covering misses."""
+    narrow = Filter({"service": "parking", "location": "x"})
+    wide = Filter({"service": "parking", "location": ("in", ("x", "y"))})
+    misses = caches.covering.misses
+    assert caches.merge_pairs(narrow, wide) == wide
+    assert caches.covering.misses == misses + 2
+    # The reverse pair is a new merge, but its covering test hits.
+    assert caches.merge_pairs(wide, narrow) == wide
+    assert caches.covering.misses == misses + 2
+
+
 def _network(strategy):
     return PubSubNetwork(balanced_tree_topology(depth=2, fanout=2), strategy=strategy, latency=0.01)
 
@@ -159,7 +172,7 @@ class TestPerNetworkScoping:
         network = PubSubNetwork(line_topology(3), strategy="merging", latency=0.01)
         caches = network.filter_caches
         assert all(broker.filter_caches is caches for broker in network.brokers.values())
-        assert caches.merge_pairs.covering is caches.covering
+        _assert_merges_count_covering_misses(caches)
         other = PubSubNetwork(line_topology(3), strategy="merging", latency=0.01)
         assert other.filter_caches is not caches
 
@@ -168,7 +181,8 @@ class TestPerNetworkScoping:
         first = Broker("B1", clock, make_strategy("covering"))
         second = Broker("B2", clock, make_strategy("covering"))
         assert first.filter_caches is not second.filter_caches
-        assert first.filter_caches.merge_pairs.covering is first.filter_caches.covering
+        _assert_merges_count_covering_misses(first.filter_caches)
+        assert second.filter_caches.covering.misses == 0
 
     def test_two_concurrent_networks_do_not_bleed(self):
         """Regression: two live PubSubNetworks used to share one process-
