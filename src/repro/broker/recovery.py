@@ -44,15 +44,17 @@ from typing import Any, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.core.location_filter import LocationDependentSubscribe
 from repro.filters.filter import Filter
 from repro.filters.wire import filter_from_wire, filter_to_wire
-from repro.messages.base import CANONICAL_JSON, Message, MessageKind
+from repro.messages.base import Message, MessageKind
 from repro.messages.control import ForwardAck, Heartbeat, SequencedForward
 from repro.messages.notification import Notification
 from repro.messages.wire import (
+    CANONICAL_JSON,
     FRAME_HEADER_SIZE,
     WireError,
     decode_frame_payload,
     decode_message,
     encode_message,
+    journal_record,
     message_from_payload,
     parse_payload,
 )
@@ -263,8 +265,8 @@ class AdminLogRecord(Message):
         )
 
     def encode(self) -> bytes:
-        payload = [self.sequence, self.logged_at, self.origin, self.entry.to_wire()]
-        return CANONICAL_JSON.encode(payload).encode("utf-8")
+        """The record's journal frame payload (:func:`~repro.messages.wire.journal_record`)."""
+        return journal_record(self.sequence, self.logged_at, self.origin, self.entry)
 
     @classmethod
     def decode(cls, data: bytes) -> "AdminLogRecord":
@@ -337,12 +339,16 @@ class RecoveryStore:
         return self._next_sequence - 1
 
     def append(self, origin: str, entry: Message, logged_at: float) -> AdminLogRecord:
-        """Append one admin message to the log and return its record."""
+        """Append one admin message to the log and return its record.
+
+        A record over the frame cap raises :class:`WireError` before
+        anything is written: its frame would read as torn and take every
+        later record with it.
+        """
         record = AdminLogRecord(origin, self._next_sequence, logged_at, entry)
-        self._next_sequence += 1
         data = record.encode()
-        self._frames += len(data).to_bytes(FRAME_HEADER_SIZE, "big")
-        self._frames += data
+        self._next_sequence += 1
+        self._frames += len(data).to_bytes(FRAME_HEADER_SIZE, "big") + data
         self._persist_record(data)
         return record
 

@@ -44,6 +44,7 @@ class Filter:
         "_hash",
         "_repr",
         "_wire",
+        "_json",
         "_sort_token",
         "_profile",
         "__weakref__",
@@ -64,14 +65,17 @@ class Filter:
             sorted((name, c.key()) for name, c in built.items())
         )
         self._hash = hash(self._key)
-        # Memos of four renderings of an immutable filter: ``repr``, the
+        # Memos of five renderings of an immutable filter: ``repr``, the
         # wire payload (owned by :func:`repro.filters.wire.filter_to_wire`),
-        # the forwarding emission-order token (owned by
+        # that payload's canonical JSON text (owned by
+        # :func:`repro.messages.wire._filter_json`), the forwarding
+        # emission-order token (owned by
         # :func:`repro.broker.forwarding._forwarding_sort_key`) and the
         # covering index's profile (owned by
         # :func:`repro.filters.selectivity.covering_profile`).
         self._repr: Optional[str] = None
         self._wire: Optional[Dict[str, Any]] = None
+        self._json: Optional[str] = None
         self._sort_token: Any = None
         self._profile: Any = None
 

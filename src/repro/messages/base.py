@@ -4,17 +4,12 @@ from __future__ import annotations
 
 import enum
 import itertools
-import json
 from types import MappingProxyType
 from typing import Any, Dict, Mapping, Optional
 
 #: The ``meta`` of every message built without one: shared and read-only,
 #: so an empty ``meta`` costs no dict per message.
 EMPTY_META: Mapping[str, Any] = MappingProxyType({})
-
-#: The canonical JSON encoder of the codec, the journal and the table encoding;
-#: stateless, so built once (``json.dumps`` with these settings builds one per call).
-CANONICAL_JSON = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
 
 
 class MessageKind(enum.Enum):

@@ -3,11 +3,19 @@
 The simulator backend passes message *objects* between brokers; the
 asyncio backend (:mod:`repro.runtime.aio`) sends *bytes* over framed
 streams, so every concrete :class:`~repro.messages.base.Message` type is
-serialisable: :func:`encode_message` produces a canonical JSON payload
-(via the message's ``to_wire``), :func:`decode_message` dispatches on the
-``type`` field and rebuilds an equal message via the class's
-``from_wire``.  Filters and constraints travel as their canonical keys
-(:mod:`repro.filters.wire`), so routing-table identity survives the wire.
+serialisable: :func:`encode_message` produces a canonical JSON payload,
+:func:`decode_message` dispatches on the ``type`` field and rebuilds an
+equal message via the class's ``from_wire``.  Filters and constraints
+travel as their canonical keys (:mod:`repro.filters.wire`), so
+routing-table identity survives the wire.
+
+The canonical format — :data:`CANONICAL_JSON` over a message's
+``to_wire`` payload — is rendered here and nowhere else:
+:func:`message_json` renders a message, :func:`journal_record` a
+recovery-journal record.  The four admin messages, and the records that
+journal them, are formatted in one pass around their filter's memoised
+JSON text; everything else goes through the encoder.  Either way the
+bytes are the encoder's.
 
 Frame format — the classic length-prefixed layout TCP needs to recover
 message boundaries from a byte stream::
@@ -20,15 +28,25 @@ message boundaries from a byte stream::
 :func:`encode_frame` wraps a message into one frame;
 :func:`decode_frame_payload` validates and decodes one extracted payload.
 Readers pull the 4-byte header, then exactly that many payload bytes.
+The recovery journal stores its records in the same frames.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
+from math import inf
 from typing import Any, Dict, Type
 
-from repro.filters.wire import WireError
-from repro.messages.base import CANONICAL_JSON, Message
+from repro.filters.filter import Filter
+from repro.filters.wire import WireError, filter_to_wire
+from repro.messages.admin import Advertise, Subscribe, Unadvertise, Unsubscribe
+from repro.messages.base import Message
+
+#: The canonical JSON encoder of the codec, the journal and the table
+#: encoding; stateless, so built once (``json.dumps`` with these settings
+#: builds one per call).
+CANONICAL_JSON = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
 
 #: Upper bound on one frame's payload (a defensive cap, not a protocol
 #: constant): a corrupted length prefix must not trigger a giant read.
@@ -50,7 +68,6 @@ def _message_types() -> Dict[str, Type[Message]]:
         LocationDependentSubscribe,
         LocationDependentUnsubscribe,
     )
-    from repro.messages.admin import Advertise, Subscribe, Unadvertise, Unsubscribe
     from repro.messages.control import ForwardAck, Heartbeat, SequencedForward
     from repro.messages.mobility import (
         FetchRequest,
@@ -116,9 +133,79 @@ def message_type_registry() -> Dict[str, Type[Message]]:
     return _REGISTRY
 
 
+#: The messages :func:`message_json` formats around their filter's text.
+_ADMIN_TYPES = (Subscribe, Unsubscribe, Advertise, Unadvertise)
+
+
+def _filter_json(filter_: Filter) -> str:
+    """``CANONICAL_JSON.encode(filter_to_wire(filter_))``, memoised on the filter.
+
+    The text lives in ``Filter._json`` and dies with the filter, so a
+    filter is rendered once however many hops and journals carry it.
+    """
+    text = filter_._json
+    if text is None:
+        text = filter_._json = CANONICAL_JSON.encode(filter_to_wire(filter_))
+    return text
+
+
+def message_json(message: Message) -> str:
+    """The canonical JSON text of *message*: ``CANONICAL_JSON.encode(message.to_wire())``.
+
+    An admin message with no ``meta`` and string identifiers is formatted
+    directly: its keys are already in sorted order, its strings are
+    escaped by the function the encoder itself uses, and its filter is
+    :func:`_filter_json`'s text.  Everything else goes through the encoder.
+    """
+    message_type = type(message)
+    if message_type in _ADMIN_TYPES and not message.meta:
+        subject = message.subject
+        subscription_id = message.subscription_id
+        if type(subject) is str and (subscription_id is None or type(subscription_id) is str):
+            return '{"filter":%s,"id":%d,"subject":%s,"subscription_id":%s,"type":"%s"}' % (
+                _filter_json(message.filter),
+                message.message_id,
+                encode_basestring_ascii(subject),
+                "null" if subscription_id is None else encode_basestring_ascii(subscription_id),
+                message_type.__name__,
+            )
+    return CANONICAL_JSON.encode(message.to_wire())
+
+
+def _capped(payload: bytes) -> bytes:
+    """*payload*, or :class:`WireError` when it is over the frame cap."""
+    if len(payload) > MAX_FRAME_PAYLOAD:
+        raise WireError("payload of {} bytes exceeds the frame cap".format(len(payload)))
+    return payload
+
+
 def encode_message(message: Message) -> bytes:
     """Serialise *message* to canonical UTF-8 JSON bytes."""
-    return CANONICAL_JSON.encode(message.to_wire()).encode("utf-8")
+    return message_json(message).encode("utf-8")
+
+
+def journal_record(sequence: int, logged_at: float, origin: str, entry: Message) -> bytes:
+    """One recovery-journal frame payload: canonical JSON ``[sequence, logged_at, origin, entry]``.
+
+    *sequence* is an ``int``, *logged_at* a ``float`` and *origin* a
+    ``str``, as :class:`~repro.broker.recovery.AdminLogRecord` holds them
+    (its decoder refuses any other record).  *entry* is rendered by
+    :func:`message_json` and a finite *logged_at* by ``float.__repr__``
+    (the encoder writes ``Infinity`` and ``NaN`` where ``repr`` writes
+    ``inf`` and ``nan``, so those take the encoder).  A payload over the
+    frame cap raises :class:`WireError`: the journal's reader would take
+    its frame for a torn one.
+    """
+    if -inf < logged_at < inf:
+        text = "[%d,%r,%s,%s]" % (
+            sequence,
+            logged_at,
+            encode_basestring_ascii(origin),
+            message_json(entry),
+        )
+    else:
+        text = CANONICAL_JSON.encode([sequence, logged_at, origin, entry.to_wire()])
+    return _capped(text.encode("utf-8"))
 
 
 def parse_payload(data: bytes) -> Any:
@@ -156,11 +243,7 @@ def message_from_payload(payload: Any) -> Message:
 
 def encode_frame(message: Message) -> bytes:
     """One length-prefixed frame carrying *message*."""
-    payload = encode_message(message)
-    if len(payload) > MAX_FRAME_PAYLOAD:
-        raise WireError(
-            "message payload of {} bytes exceeds the frame cap".format(len(payload))
-        )
+    payload = _capped(encode_message(message))
     return len(payload).to_bytes(FRAME_HEADER_SIZE, "big") + payload
 
 

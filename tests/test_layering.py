@@ -147,7 +147,7 @@ MODULE_STATE_ALLOWED = {
     "repro.filters.merging._ABSENT",
     # Stateless and built once, at import: the canonical JSON encoder
     # (one instance instead of one per json.dumps call).
-    "repro.messages.base.CANONICAL_JSON",
+    "repro.messages.wire.CANONICAL_JSON",
     # By design: the wire codec's and the strategies' name registries
     # (filled once, at import) and the enable_telemetry() default.
     "repro.messages.wire._REGISTRY",
