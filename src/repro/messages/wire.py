@@ -190,21 +190,14 @@ def journal_record(sequence: int, logged_at: float, origin: str, entry: Message)
     *sequence* is an ``int``, *logged_at* a ``float`` and *origin* a
     ``str``, as :class:`~repro.broker.recovery.AdminLogRecord` holds them
     (its decoder refuses any other record).  *entry* is rendered by
-    :func:`message_json` and a finite *logged_at* by ``float.__repr__``
+    :func:`message_json`, and a finite *logged_at* by ``float.__repr__``
     (the encoder writes ``Infinity`` and ``NaN`` where ``repr`` writes
     ``inf`` and ``nan``, so those take the encoder).  A payload over the
     frame cap raises :class:`WireError`: the journal's reader would take
     its frame for a torn one.
     """
-    if -inf < logged_at < inf:
-        text = "[%d,%r,%s,%s]" % (
-            sequence,
-            logged_at,
-            encode_basestring_ascii(origin),
-            message_json(entry),
-        )
-    else:
-        text = CANONICAL_JSON.encode([sequence, logged_at, origin, entry.to_wire()])
+    stamp = repr(logged_at) if -inf < logged_at < inf else CANONICAL_JSON.encode(logged_at)
+    text = "[%d,%s,%s,%s]" % (sequence, stamp, encode_basestring_ascii(origin), message_json(entry))
     return _capped(text.encode("utf-8"))
 
 
