@@ -27,7 +27,7 @@ from repro.broker.network import PubSubNetwork
 from repro.metrics.counters import MessageCounter
 from repro.sim.rng import DeterministicRandom
 from repro.telemetry import RingBufferSink, TelemetryConfig
-from repro.telemetry.events import MetricSnapshotEvent, SpanEvent, TelemetryEvent
+from repro.telemetry.events import MetricSnapshotEvent, SpanEvent
 from repro.topology.builders import balanced_tree_topology
 
 LOCATIONS = ["loc-{:02d}".format(index) for index in range(24)]
@@ -38,7 +38,6 @@ PUBLISHES = 120
 
 def _run_publish_workload(telemetry: bool):
     """The dispatch suite's workload shape, scaled down, with/without a sink."""
-    TelemetryEvent.reset_id_counter()
     sink = RingBufferSink()
     config = TelemetryConfig(sink_factory=lambda: sink) if telemetry else None
     topology = balanced_tree_topology(depth=3, fanout=2)

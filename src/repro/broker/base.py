@@ -35,7 +35,7 @@ from repro.filters.filter import Filter
 from repro.filters.merging import FilterCaches
 from repro.broker.recovery import RecoveryStore, Reliability
 from repro.messages.admin import Advertise, Subscribe, Unadvertise, Unsubscribe
-from repro.messages.base import Message
+from repro.messages.base import Message, MessageIds
 from repro.messages.mobility import subscription_token
 from repro.messages.notification import Notification
 from repro.routing.strategies import RoutingStrategy
@@ -130,6 +130,7 @@ class Broker:
         trace: Optional[TraceRecorder] = None,
         config: Optional[BrokerConfig] = None,
         filter_caches: Optional[FilterCaches] = None,
+        ids: Optional[MessageIds] = None,
     ) -> None:
         self.name = name
         self.clock = clock
@@ -140,6 +141,10 @@ class Broker:
         # network's, shared by all of its brokers; a broker built on its
         # own gets its own.
         self.filter_caches = filter_caches if filter_caches is not None else FilterCaches()
+        # The message-id source every message this broker, its components
+        # and its clients build is stamped from: the network's, shared by
+        # all of its brokers; a broker built on its own gets its own.
+        self.ids = ids if ids is not None else MessageIds()
 
         # Observability: every broker owns one metric registry (the
         # single home for its instrumentation); ``counters`` below is the
@@ -383,7 +388,7 @@ class Broker:
     ) -> None:
         """Register a plain (location-independent) subscription for a local client."""
         record = self._add_subscription(client_id, subscription_id, filter_)
-        self._apply(Subscribe(filter_, subject=record.token), client_id)
+        self._apply(self.ids.stamp(Subscribe(filter_, subject=record.token)), client_id)
 
     def client_unsubscribe(self, client_id: str, subscription_id: str) -> None:
         """Withdraw a local client's subscription and propagate the change."""
@@ -393,10 +398,10 @@ class Broker:
         if record is None:
             return
         if record.logical is None:
-            self._apply(Unsubscribe(record.filter, subject=token), client_id)
+            self._apply(self.ids.stamp(Unsubscribe(record.filter, subject=token)), client_id)
             return
         message = LocationDependentUnsubscribe(client_id=client_id, subscription_id=subscription_id)
-        self._apply(message, client_id)
+        self._apply(self.ids.stamp(message), client_id)
         self.forwarding.refresh_all(exclude=client_id)
 
     def client_advertise(self, client_id: str, advertisement_id: str, filter_: Filter) -> None:
@@ -404,7 +409,7 @@ class Broker:
         registration = self._require_client(client_id)
         registration.advertisements[advertisement_id] = filter_
         subject = subscription_token(client_id, advertisement_id)
-        self._apply(Advertise(filter_, subject=subject), client_id)
+        self._apply(self.ids.stamp(Advertise(filter_, subject=subject)), client_id)
 
     def client_unadvertise(self, client_id: str, advertisement_id: str) -> None:
         """Withdraw a local client's advertisement."""
@@ -413,7 +418,7 @@ class Broker:
         if filter_ is None:
             return
         subject = subscription_token(client_id, advertisement_id)
-        self._apply(Unadvertise(filter_, subject=subject), client_id)
+        self._apply(self.ids.stamp(Unadvertise(filter_, subject=subject)), client_id)
 
     def client_publish(self, client_id: str, notification: Notification) -> None:
         """Inject a notification published by a locally attached client."""
@@ -503,7 +508,7 @@ class Broker:
             for token in sorted(entry.subjects):
                 counterpart = counterparts.get(token)
                 if counterpart is not None:
-                    counterpart.buffer(notification)
+                    self.ids.stamp(counterpart.buffer(notification))
                     self.counters["notifications_buffered_counterpart"] += 1
                     continue
                 if registration is None or not registration.attached:

@@ -307,11 +307,13 @@ class Client:
         if self._broker is None:
             raise ClientError("client {} cannot publish while detached".format(self.client_id))
         self._publish_seq += 1
-        notification = Notification(
-            attributes=attributes,
-            publisher=self.client_id,
-            publisher_seq=self._publish_seq,
-            publish_time=self._broker.clock.now,
+        notification = self._broker.ids.stamp(
+            Notification(
+                attributes=attributes,
+                publisher=self.client_id,
+                publisher_seq=self._publish_seq,
+                publish_time=self._broker.clock.now,
+            )
         )
         self._broker.client_publish(self.client_id, notification)
         return notification

@@ -693,9 +693,8 @@ class SubscriptionForwarding:
                 del advertised[key]
             else:
                 advertised[key] = filter_
-            broker._links[neighbour].send(
-                type(message)(filter_, subject=broker.name, subscription_id=message.subject)
-            )
+            flooded = type(message)(filter_, subject=broker.name, subscription_id=message.subject)
+            broker._links[neighbour].send(broker.ids.stamp(flooded))
 
     # ------------------------------------------------------------------
     # Table listeners
@@ -791,15 +790,16 @@ class SubscriptionForwarding:
     ) -> None:
         """Send *neighbour* the Subscribes of *to_add* and the Unsubscribes of *to_remove*."""
         link = self.broker._links[neighbour]
+        stamp = self.broker.ids.stamp
         forwarded = self.states[neighbour].forwarded
         # Subscribe before unsubscribing so covering replacements never
         # leave a gap in which matching notifications would not be routed.
         for pair, filter_ in _in_emission_order(to_add):
             forwarded[pair] = filter_
-            link.send(Subscribe(filter_, subject=pair[1]))
+            link.send(stamp(Subscribe(filter_, subject=pair[1])))
         for pair, filter_ in _in_emission_order(to_remove):
             del forwarded[pair]
-            link.send(Unsubscribe(filter_, subject=pair[1]))
+            link.send(stamp(Unsubscribe(filter_, subject=pair[1])))
 
     def rebuild(self, neighbour: str) -> None:
         """Rebuild a neighbour's state from one subscription-table scan.

@@ -24,6 +24,7 @@ from repro.broker.base import Broker, BrokerConfig
 from repro.broker.client import Client
 from repro.broker.recovery import RecoveryStore
 from repro.filters.merging import FilterCaches
+from repro.messages.base import MessageIds
 from repro.metrics.counters import data_plane_breakdown
 from repro.routing.strategies import RoutingStrategy, make_strategy
 from repro.runtime.protocols import Clock, Runtime
@@ -82,6 +83,9 @@ class PubSubNetwork:
         # network: every broker tests the same filters along a path, and a
         # second network in the process starts cold.
         self.filter_caches = FilterCaches()
+        # One message-id source for the whole network, for the same
+        # reason: a run's ids depend on this network alone.
+        self.ids = MessageIds()
         self.brokers: Dict[str, Broker] = {}
         for name in graph.brokers():
             self.brokers[name] = Broker(
@@ -91,6 +95,7 @@ class PubSubNetwork:
                 trace=self.trace,
                 config=self.config,
                 filter_caches=self.filter_caches,
+                ids=self.ids,
             )
         self.links: Dict[Tuple[str, str], Any] = {}
         for left, right in graph.edges():
@@ -111,10 +116,13 @@ class PubSubNetwork:
         telemetry = telemetry if telemetry is not None else active_telemetry_config()
         if telemetry is not None:
             self.telemetry_sink = telemetry.make_sink()
+            # Events are numbered apart from messages (see
+            # repro.telemetry.events), by one count for the network.
+            event_ids = MessageIds()
             for name in sorted(self.brokers):
                 broker = self.brokers[name]
                 broker.attach_telemetry(
-                    BrokerTelemetry(self.telemetry_sink, name, self.clock)
+                    BrokerTelemetry(self.telemetry_sink, name, self.clock, event_ids)
                 )
             for (source, target), link in sorted(self.links.items()):
                 link.depth_probe = self.brokers[source].metrics.queue_depth_probe(

@@ -611,9 +611,11 @@ class Reliability:
 
     def journal(self, origin: str, message: Message) -> None:
         """Append a routing-state change to the recovery log (not while replaying it)."""
-        store = self.broker.recovery
+        broker = self.broker
+        store = broker.recovery
         if store is not None and not self.replaying:
-            store.append(origin, message, self.broker.clock.now)
+            # The record is a message this broker builds: it takes an id.
+            broker.ids.stamp(store.append(origin, message, broker.clock.now))
 
     def enable_recovery(self, store: Optional[RecoveryStore] = None) -> RecoveryStore:
         """Attach a recovery store; admin traffic is journaled from now on.
@@ -644,17 +646,19 @@ class Reliability:
         if broker.recovery is None:
             raise ValueError("broker {} has no recovery store".format(broker.name))
         forwarded_subscriptions, forwarded_advertisements = broker.forwarding.snapshot()
-        snapshot = RoutingSnapshot(
-            broker=broker.name,
-            taken_at=broker.clock.now,
-            log_index=broker.recovery.log_index,
-            subscription_rows=table_rows(broker.subscription_table),
-            subscription_row_seq=broker.subscription_table.row_seq,
-            advertisement_rows=table_rows(broker.advertisement_table),
-            advertisement_row_seq=broker.advertisement_table.row_seq,
-            forwarded_subscriptions=forwarded_subscriptions,
-            forwarded_advertisements=forwarded_advertisements,
-            logical_states=broker.logical.snapshot_entries(),
+        snapshot = broker.ids.stamp(
+            RoutingSnapshot(
+                broker=broker.name,
+                taken_at=broker.clock.now,
+                log_index=broker.recovery.log_index,
+                subscription_rows=table_rows(broker.subscription_table),
+                subscription_row_seq=broker.subscription_table.row_seq,
+                advertisement_rows=table_rows(broker.advertisement_table),
+                advertisement_row_seq=broker.advertisement_table.row_seq,
+                forwarded_subscriptions=forwarded_subscriptions,
+                forwarded_advertisements=forwarded_advertisements,
+                logical_states=broker.logical.snapshot_entries(),
+            )
         )
         broker.recovery.install_snapshot(snapshot)
         return snapshot
@@ -739,7 +743,7 @@ class Reliability:
             buffer.popleft()
             broker.counters["retention_evicted"] += 1
         broker._links[neighbour].send(
-            SequencedForward(notification, sender=broker.name, link_seq=sequence)
+            broker.ids.stamp(SequencedForward(notification, sender=broker.name, link_seq=sequence))
         )
 
     def handle_forward(
@@ -752,12 +756,11 @@ class Reliability:
             self._forward_recv_seq[from_destination] = max(previous, message.link_seq)
         broker._handle_notification(message.notification, from_destination)
         if from_destination in broker._links and not self.replaying:
-            broker._links[from_destination].send(
-                ForwardAck(
-                    sender=broker.name,
-                    upto=self._forward_recv_seq.get(from_destination, message.link_seq),
-                )
+            ack = ForwardAck(
+                sender=broker.name,
+                upto=self._forward_recv_seq.get(from_destination, message.link_seq),
             )
+            broker._links[from_destination].send(broker.ids.stamp(ack))
 
     def handle_forward_ack(self, message: ForwardAck, from_destination: Optional[str]) -> None:
         buffer = self._retained_forwards.get(from_destination)
@@ -782,7 +785,8 @@ class Reliability:
         now = broker.clock.now
         for neighbour in broker.neighbours():
             broker.counters["heartbeats_sent"] += 1
-            broker._links[neighbour].send(Heartbeat(sender=broker.name, sent_at=now))
+            heartbeat = Heartbeat(sender=broker.name, sent_at=now)
+            broker._links[neighbour].send(broker.ids.stamp(heartbeat))
 
     def handle_heartbeat(self, message: Heartbeat, from_destination: Optional[str]) -> None:
         if from_destination is not None:

@@ -26,9 +26,9 @@ The worked example (Δ = 100 ms, δ = 120, 50, 50, 20 ms) yields levels
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List, Sequence
+from typing import List, Sequence
 
-from repro.core.ploc import Location, MovementGraph, PlocFunction
+from repro.core.ploc import MovementGraph
 
 
 class AdaptivityError(ValueError):
@@ -169,20 +169,6 @@ class UncertaintyPlan:
         if hop < len(self.levels):
             return self.levels[hop]
         return self.levels[-1]
-
-    def max_hop(self) -> int:
-        """The largest hop index with an explicitly specified level."""
-        return len(self.levels) - 1
-
-    def location_sets(
-        self, ploc: PlocFunction, location: Location, hops: int
-    ) -> List[FrozenSet[Location]]:
-        """The concrete ``ploc`` sets for hops 0..hops at *location*.
-
-        This is what Table 2 / Table 4 of the paper tabulate (for the
-        static and adaptive plans respectively).
-        """
-        return [ploc(location, self.level_for_hop(hop)) for hop in range(hops + 1)]
 
     def describe(self) -> str:
         """Short human-readable description used in experiment output."""

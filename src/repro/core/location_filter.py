@@ -91,21 +91,18 @@ def location_filter_from_wire(payload: Dict[str, Any]) -> "LocationDependentFilt
 
 
 class _MyLocMarker:
-    """Singleton marker object representing the ``myloc`` placeholder."""
-
-    _instance: Optional["_MyLocMarker"] = None
+    """The type of :data:`MYLOC`, the ``myloc`` placeholder: building one
+    (a copy does too) returns that one marker."""
 
     def __new__(cls) -> "_MyLocMarker":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+        return MYLOC
 
     def __repr__(self) -> str:
         return "myloc"
 
 
 #: The ``myloc`` marker users put into subscription templates.
-MYLOC = _MyLocMarker()
+MYLOC: _MyLocMarker = object.__new__(_MyLocMarker)
 
 
 class LocationDependentFilter:
@@ -168,14 +165,6 @@ class LocationDependentFilter:
         return self.base_filter.with_constraint(
             self.location_attribute, InSet(location_list)
         )
-
-    def instantiate_single(self, location: Location) -> Filter:
-        """Shortcut for the exact client-side filter ``F0`` (``myloc = {x}``)."""
-        return self.instantiate([location])
-
-    def matches_at(self, attributes: Mapping[str, Any], locations: Iterable[Location]) -> bool:
-        """Evaluate the filter for a client whose ``myloc`` set is *locations*."""
-        return self.instantiate(locations).matches(attributes)
 
     # -- identity --------------------------------------------------------------
     def key(self) -> Tuple[Any, ...]:

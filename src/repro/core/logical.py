@@ -325,7 +325,8 @@ class LogicalMobility:
                 continue
             if broker.forwarding.may_forward(toward, state.location_filter.base_filter):
                 state.forwarded_to += (toward,)
-                broker._links[toward].send(state.subscribe_message(state.hop_index + 1))
+                message = state.subscribe_message(state.hop_index + 1)
+                broker._links[toward].send(broker.ids.stamp(message))
 
     def client_location_dependent_subscribe(
         self,
@@ -347,7 +348,7 @@ class LogicalMobility:
             current_location=initial_location,
             hop_index=0,
         )
-        state = self.broker._apply(message, client_id)
+        state = self.broker._apply(self.broker.ids.stamp(message), client_id)
         record = self.broker._add_subscription(client_id, subscription_id, state.stored_filter)
         record.logical = state
 
@@ -364,7 +365,7 @@ class LogicalMobility:
                 new_location=new_location,
                 hop_index=record.logical.hop_index,
             )
-            broker._apply(message, client_id)
+            broker._apply(broker.ids.stamp(message), client_id)
 
     def handle_subscribe(
         self, message: LocationDependentSubscribe, from_destination: str
@@ -385,7 +386,7 @@ class LogicalMobility:
         # Registered before its row is written, so the row is never plain.
         self.states[state.token] = state
         self._store_row(state, state.current_filter())
-        forward = message.for_next_hop()
+        forward = broker.ids.stamp(message.for_next_hop())
         # Under flooding, notifications reach every broker anyway; the
         # location-dependent part degenerates to pure client-side
         # filtering at the border broker (Figure 3b).
@@ -410,6 +411,7 @@ class LogicalMobility:
         forward = LocationDependentUnsubscribe(
             client_id=state.client_id, subscription_id=state.subscription_id
         )
+        self.broker.ids.stamp(forward)
         links = self.broker._links
         for neighbour in state.forwarded_to:
             if neighbour in links:
@@ -446,6 +448,7 @@ class LogicalMobility:
             new_location=new_location,
             hop_index=state.hop_index + 1,
         )
+        broker.ids.stamp(update)
         for neighbour in state.forwarded_to:
             if neighbour != from_destination and neighbour in broker._links:
                 broker._links[neighbour].send(update)
@@ -453,8 +456,9 @@ class LogicalMobility:
     def snapshot_entries(self) -> List[Tuple[LocationDependentSubscribe, Tuple[str, ...]]]:
         """The logical half of a routing snapshot: each state's subscription
         and the neighbours it went to (its row is in the table's half)."""
+        stamp = self.broker.ids.stamp
         return [
-            (state.subscribe_message(state.hop_index), state.forwarded_to)
+            (stamp(state.subscribe_message(state.hop_index)), state.forwarded_to)
             for state in self.states.values()
         ]
 
@@ -489,27 +493,6 @@ class LogicalMobility:
             (LocationUpdate, handle_update),
         )
     }
-
-def filter_chain(
-    location_filter: LocationDependentFilter,
-    movement_graph: MovementGraph,
-    plan: UncertaintyPlan,
-    location: Location,
-    hops: int,
-) -> List[Filter]:
-    """The concrete filters F0 .. F_hops for a client at *location*.
-
-    This is the pure-function view of the scheme used by the Table 2 /
-    Table 4 experiments and by the property tests of the set-inclusion
-    chain; the broker network computes the same filters incrementally.
-    """
-    ploc = PlocFunction(movement_graph)
-    filters: List[Filter] = []
-    for hop in range(hops + 1):
-        steps = plan.level_for_hop(hop) + location_filter.vicinity
-        filters.append(location_filter.instantiate(ploc(location, steps)))
-    return filters
-
 
 def location_sets_chain(
     movement_graph: MovementGraph,

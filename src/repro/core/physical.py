@@ -261,7 +261,7 @@ class PhysicalMobility:
             # Subscribe: replaying a MovedSubscribe against a recovered
             # table without the counterpart would forward it upstream,
             # which the original execution never did.
-            subscribe = Subscribe(filter_, subject=token)
+            subscribe = broker.ids.stamp(Subscribe(filter_, subject=token))
             started.old_border = broker.name
             replayed = local_counterpart.replay_after(last_sequence)
             for sequenced in replayed:
@@ -284,7 +284,7 @@ class PhysicalMobility:
             last_sequence=last_sequence,
             new_border=broker.name,
         )
-        if not broker._apply(moved, client_id):
+        if not broker._apply(broker.ids.stamp(moved), client_id):
             # No direction could possibly lead to the old location (an
             # isolated broker, or no matching advertisements at all):
             # complete the relocation immediately with an empty replay so
@@ -369,10 +369,11 @@ class PhysicalMobility:
         to.  The caller refreshes the forwarding once, when it is done.
         """
         broker = self.broker
+        journal, stamp = broker.reliability.journal, broker.ids.stamp
         for row in rows:
-            broker.reliability.journal(row.destination, Unsubscribe(row.filter, subject=token))
+            journal(row.destination, stamp(Unsubscribe(row.filter, subject=token)))
             broker.subscription_table.remove(row.filter, row.destination, token)
-        broker.reliability.journal(destination, Subscribe(filter_, subject=token))
+        journal(destination, stamp(Subscribe(filter_, subject=token)))
         broker.subscription_table.add(filter_, destination, token)
 
     def _forward_moved_subscribe(self, message: MovedSubscribe, exclude: str) -> int:
@@ -410,12 +411,14 @@ class PhysicalMobility:
             if from_destination in broker._clients:
                 # A roaming client's own message is its journal record;
                 # the one that travels on is the broker's.
-                message = MovedSubscribe(
-                    client_id=message.client_id,
-                    subscription_id=message.subscription_id,
-                    filter_=message.filter,
-                    last_sequence=message.last_sequence,
-                    new_border=message.new_border,
+                message = broker.ids.stamp(
+                    MovedSubscribe(
+                        client_id=message.client_id,
+                        subscription_id=message.subscription_id,
+                        filter_=message.filter,
+                        last_sequence=message.last_sequence,
+                        new_border=message.new_border,
+                    )
                 )
             under_way = self._forward_moved_subscribe(message, exclude=from_destination) > 0
         broker.forwarding.refresh_all(exclude=from_destination)
@@ -440,16 +443,15 @@ class PhysicalMobility:
                 self._replay_counterpart(token, message.last_sequence, toward=None)
                 continue
             broker.counters["fetch_requests_sent"] += 1
-            broker._links[destination].send(
-                FetchRequest(
-                    client_id=message.client_id,
-                    subscription_id=message.subscription_id,
-                    filter_=message.filter,
-                    last_sequence=message.last_sequence,
-                    junction=broker.name,
-                    new_border=broker.name,
-                )
+            fetch = FetchRequest(
+                client_id=message.client_id,
+                subscription_id=message.subscription_id,
+                filter_=message.filter,
+                last_sequence=message.last_sequence,
+                junction=broker.name,
+                new_border=broker.name,
             )
+            broker._links[destination].send(broker.ids.stamp(fetch))
 
     def handle_fetch_request(self, message: FetchRequest, from_destination: str) -> None:
         broker = self.broker
@@ -513,8 +515,9 @@ class PhysicalMobility:
         broker = self.broker
         broker.counters["replays_sent"] += 1
         client_id, subscription_id = fetched.client_id, fetched.subscription_id
-        replay = Replay(client_id, subscription_id, replayed, origin_border=broker.name)
-        complete = RelocationComplete(client_id, subscription_id, origin_border=broker.name)
+        stamp = broker.ids.stamp
+        replay = stamp(Replay(client_id, subscription_id, replayed, origin_border=broker.name))
+        complete = stamp(RelocationComplete(client_id, subscription_id, origin_border=broker.name))
         for message in (replay, complete):
             if toward in broker._links:
                 broker._links[toward].send(message)

@@ -241,10 +241,6 @@ class PlocFunction:
         """``ploc(location, steps)`` as a frozen set of locations."""
         return self.graph.reachable_within(location, steps)
 
-    def saturation_level(self) -> int:
-        """The smallest q with ``ploc(x, q)`` equal for all connected x (the diameter)."""
-        return self.graph.diameter()
-
     def table(self, max_steps: int) -> Dict[int, Dict[Location, FrozenSet[Location]]]:
         """``ploc(x, t)`` for all locations and ``t = 0 .. max_steps``.
 
@@ -257,17 +253,6 @@ class PlocFunction:
                 location: self(location, steps) for location in self.graph.locations()
             }
         return out
-
-    def is_monotone(self, max_steps: int) -> bool:
-        """Check Equation 1 (``ploc(x, q) ⊆ ploc(x, q+1)``) up to *max_steps*."""
-        for location in self.graph.locations():
-            previous: FrozenSet[Location] = frozenset()
-            for steps in range(max_steps + 1):
-                current = self(location, steps)
-                if not previous <= current:
-                    return False
-                previous = current
-        return True
 
 
 def format_ploc_table(

@@ -5,7 +5,7 @@ from __future__ import annotations
 import enum
 import itertools
 from types import MappingProxyType
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, Mapping, Optional, TypeVar
 
 #: The ``meta`` of every message built without one: shared and read-only,
 #: so an empty ``meta`` costs no dict per message.
@@ -36,10 +36,14 @@ class MessageKind(enum.Enum):
 class Message:
     """Base class of everything that is transported over a link.
 
-    Every message carries a globally unique ``message_id`` (assigned from
-    a process-wide counter; the simulation is single-process so this is
-    also deterministic) and an optional free-form ``meta`` dictionary used
-    by traces and tests (without one, the read-only :data:`EMPTY_META`).
+    Every message carries a ``message_id`` and an optional free-form
+    ``meta`` dictionary used by traces and tests (without one, the
+    read-only :data:`EMPTY_META`).  Construction draws no id: a message
+    built outside any network carries id ``0``.  A network's brokers
+    stamp the messages they build from the network's one
+    :class:`MessageIds`, so ids are unique within a network and a run's
+    ids depend only on that network, never on what else ran in the
+    process.
 
     Every concrete message type is wire-codable: :meth:`to_wire` returns
     a JSON-friendly payload (type name, message id, meta, plus the
@@ -53,12 +57,10 @@ class Message:
 
     kind: MessageKind = MessageKind.ADMIN
 
-    _id_counter = itertools.count(1)
-
     __slots__ = ("message_id", "meta")
 
     def __init__(self, meta: Optional[Dict[str, Any]] = None) -> None:
-        self.message_id: int = next(Message._id_counter)
+        self.message_id: int = 0
         self.meta: Mapping[str, Any] = dict(meta) if meta else EMPTY_META
 
     def describe(self) -> str:
@@ -67,11 +69,6 @@ class Message:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return self.describe()
-
-    @classmethod
-    def reset_id_counter(cls) -> None:
-        """Reset the global id counter (used by tests for reproducibility)."""
-        cls._id_counter = itertools.count(1)
 
     # ------------------------------------------------------------------
     # Wire codec
@@ -95,8 +92,7 @@ class Message:
         """Rebuild a message of this concrete type from its wire payload.
 
         The message id crosses the wire too, so a decoded message keeps
-        the identity the sender assigned (the receiving process's counter
-        still advances independently for locally created messages).
+        the identity the sender assigned; decoding draws no id.
         """
         message = cls._from_wire_body(payload)
         message.message_id = int(payload["id"])
@@ -136,3 +132,25 @@ class Message:
             return NotImplemented
 
     __hash__ = object.__hash__
+
+
+M = TypeVar("M", bound=Message)
+
+
+class MessageIds:
+    """A network's message-id source: ids 1, 2, 3 ... in stamping order.
+
+    A network owns one and hands it to every broker it builds; a broker
+    built on its own makes its own.  Each construction site stamps the
+    message it builds, ``ids.stamp(Subscribe(...))``.
+    """
+
+    __slots__ = ("_next",)
+
+    def __init__(self) -> None:
+        self._next = itertools.count(1).__next__
+
+    def stamp(self, message: M) -> M:
+        """Give *message* the next id and return it."""
+        message.message_id = self._next()
+        return message

@@ -54,20 +54,6 @@ class BlackoutReport:
             return None
         return max(0.0, self.first_delivery_time - self.subscribe_time)
 
-    @property
-    def last_missed_publish_offset(self) -> Optional[float]:
-        """Offset (from the subscribe time) of the last missed publication.
-
-        Under simple routing this approaches ``+t_d`` (anything published
-        less than one propagation delay after subscribing is still lost);
-        under flooding it is negative or ``None`` (nothing published after
-        ``t_sub - t_d`` is lost).
-        """
-        offsets = [t - self.subscribe_time for t, identity in self.missed]
-        if not offsets:
-            return None
-        return max(offsets)
-
 
 @dataclass
 class NodeLossBlackout:

@@ -86,12 +86,3 @@ class ItineraryDriver:
         # subscriptions) and genuine relocations (moved subscriptions).
         self.client.move_to(broker)
         self.realised_attachments.append((self.network.clock.now, broker_name))
-
-    # -- results ------------------------------------------------------------------
-    def location_timeline(self) -> List[Tuple[float, str]]:
-        """The realised ``(time, location)`` change points."""
-        return list(self.realised_locations)
-
-    def attachment_timeline(self) -> List[Tuple[float, Optional[str]]]:
-        """The realised ``(time, broker_or_None)`` attachment change points."""
-        return list(self.realised_attachments)

@@ -80,10 +80,6 @@ class LogicalItinerary:
         """The time of the last step."""
         return self.steps[-1].time
 
-    def location_changes(self) -> List[LogicalStep]:
-        """Steps after the first one (the actual ``set_location`` calls)."""
-        return self.steps[1:]
-
     def timeline_pairs(self) -> List[Tuple[float, str]]:
         """``(time, location)`` pairs for the QoS epoch checker."""
         return [(step.time, step.location) for step in self.steps]

@@ -12,7 +12,7 @@ which holds the maintained result to them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,3 @@ def make_strategy(name: str) -> RoutingStrategy:
             "unknown routing strategy {!r}; valid: {}".format(name, sorted(_STRATEGIES))
         ) from None
 
-
-def available_strategies() -> List[str]:
-    """Names of all registered routing strategies."""
-    return sorted(_STRATEGIES)

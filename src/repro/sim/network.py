@@ -141,9 +141,5 @@ class Link:
         else:
             self._flush_scheduled = False
 
-    def pending_count(self) -> int:
-        """Number of messages currently on the wire."""
-        return len(self._pending)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "Link({})".format(self.name)

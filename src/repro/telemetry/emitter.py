@@ -2,16 +2,18 @@
 
 :class:`BrokerTelemetry` is the thin object a broker holds when
 telemetry is enabled (``broker._telemetry``).  It knows the broker's
-name, the run's clock (virtual-time safe) and the network's sink, and
-turns instrumentation calls into typed events.  When telemetry is
-disabled the broker holds ``None`` instead and every hook site is a
-single ``is not None`` check — the zero-cost-off guarantee.
+name, the run's clock (virtual-time safe), the network's sink and its
+event-id source, and turns instrumentation calls into typed, numbered
+events.  When telemetry is disabled the broker holds ``None`` instead
+and every hook site is a single ``is not None`` check — the
+zero-cost-off guarantee.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
+from repro.messages.base import MessageIds
 from repro.telemetry.events import LogEvent, MetricSnapshotEvent, SpanEvent
 from repro.telemetry.registry import MetricRegistry
 from repro.telemetry.sinks import TelemetrySink
@@ -20,12 +22,13 @@ from repro.telemetry.sinks import TelemetrySink
 class BrokerTelemetry:
     """Emits one broker's telemetry events into the network's sink."""
 
-    __slots__ = ("sink", "broker", "clock")
+    __slots__ = ("sink", "broker", "clock", "ids")
 
-    def __init__(self, sink: TelemetrySink, broker: str, clock: Any) -> None:
+    def __init__(self, sink: TelemetrySink, broker: str, clock: Any, ids: MessageIds) -> None:
         self.sink = sink
         self.broker = broker
         self.clock = clock
+        self.ids = ids
 
     def span(
         self,
@@ -35,31 +38,28 @@ class BrokerTelemetry:
         attrs: Optional[Dict[str, Any]] = None,
     ) -> None:
         """Record one hop of a notification's journey at ``clock.now()``."""
-        self.sink.emit(
-            SpanEvent(
-                trace_id=trace_id,
-                broker=self.broker,
-                hop=hop,
-                time=self.clock.now,
-                peer=peer,
-                attrs=attrs,
-            )
+        span = SpanEvent(
+            trace_id=trace_id,
+            broker=self.broker,
+            hop=hop,
+            time=self.clock.now,
+            peer=peer,
+            attrs=attrs,
         )
+        self.sink.emit(self.ids.stamp(span))
 
     def log(self, level: str, text: str) -> None:
         """Record a levelled text event at ``clock.now()``."""
-        self.sink.emit(
-            LogEvent(broker=self.broker, time=self.clock.now, level=level, text=text)
-        )
+        event = LogEvent(broker=self.broker, time=self.clock.now, level=level, text=text)
+        self.sink.emit(self.ids.stamp(event))
 
     def snapshot(self, registry: MetricRegistry) -> None:
         """Emit the registry's full state as a metric snapshot event."""
-        self.sink.emit(
-            MetricSnapshotEvent(
-                broker=self.broker,
-                time=self.clock.now,
-                counters=registry.counter_snapshot(),
-                gauges=registry.gauge_snapshot(),
-                histograms=registry.histogram_snapshot(),
-            )
+        snapshot = MetricSnapshotEvent(
+            broker=self.broker,
+            time=self.clock.now,
+            counters=registry.counter_snapshot(),
+            gauges=registry.gauge_snapshot(),
+            histograms=registry.histogram_snapshot(),
         )
+        self.sink.emit(self.ids.stamp(snapshot))

@@ -16,10 +16,11 @@ Three event families stream out of an instrumented run:
   restart, failure detection ...).
 
 Events subclass :class:`~repro.messages.base.Message` so the existing
-wire codec (:mod:`repro.messages.wire`) frames them, but they draw their
-ids from a **separate** counter: creating telemetry events must never
-perturb the process-wide message id stream, or enabling telemetry would
-change the ids (and with them the traces) of the actual run.
+wire codec (:mod:`repro.messages.wire`) frames them.  Their ids come from
+a :class:`~repro.messages.base.MessageIds` of the network's telemetry,
+apart from the one its brokers stamp messages from: emitting events
+never shifts a message id, so enabling telemetry leaves the ids (and
+with them the traces) of the actual run as they were.
 
 All timestamps are ``clock.now()`` readings — virtual-time safe and
 therefore identical across the ``sim``, ``aio-memory`` and ``aio-tcp``
@@ -28,10 +29,9 @@ backends.
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Dict, Optional
 
-from repro.messages.base import EMPTY_META, Message, MessageKind
+from repro.messages.base import Message, MessageKind
 
 #: Span hop kinds, in causal order within one broker.
 HOP_DISPATCH = "dispatch"  #: a broker dequeued + matched the notification
@@ -50,20 +50,6 @@ class TelemetryEvent(Message):
     kind = MessageKind.TELEMETRY
 
     __slots__ = ()
-
-    _event_id_counter = itertools.count(1)
-
-    def __init__(self, meta: Optional[Dict[str, Any]] = None) -> None:
-        # Deliberately NOT Message.__init__: telemetry ids come from
-        # their own counter so an instrumented run assigns exactly the
-        # same message ids as an uninstrumented one.
-        self.message_id = next(TelemetryEvent._event_id_counter)
-        self.meta = dict(meta) if meta else EMPTY_META
-
-    @classmethod
-    def reset_id_counter(cls) -> None:
-        """Reset the telemetry-local id counter (tests only)."""
-        TelemetryEvent._event_id_counter = itertools.count(1)
 
 
 class MetricSnapshotEvent(TelemetryEvent):

@@ -14,11 +14,15 @@ import pytest
 from repro.broker.forwarding import NeighbourForwardingState
 from repro.broker.network import PubSubNetwork
 from repro.metrics.counters import MessageCounter
-from repro.routing.strategies import available_strategies
 from repro.sim.rng import DeterministicRandom
 from repro.topology.builders import balanced_tree_topology, line_topology
 
-from tests.oracles.forwarding import desired_forwarding, move_attached, scratch_forwarding
+from tests.oracles.forwarding import (
+    DEFINITIONS,
+    desired_forwarding,
+    move_attached,
+    scratch_forwarding,
+)
 
 LOCATIONS = ["loc-{}".format(index) for index in range(8)]
 
@@ -86,7 +90,7 @@ def _random_churn(seed: int, strategy: str):
     return _snapshot(network, clients)
 
 
-@pytest.mark.parametrize("strategy", available_strategies())
+@pytest.mark.parametrize("strategy", sorted(DEFINITIONS))
 @pytest.mark.parametrize("seed", [3, 17, 99])
 def test_randomized_churn_equivalence(strategy, seed):
     """The production refresh is behaviourally identical to the specification."""

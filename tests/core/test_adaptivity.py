@@ -10,7 +10,8 @@ from repro.core.adaptivity import (
     static_levels,
     trivial_levels,
 )
-from repro.core.ploc import MovementGraph, PlocFunction
+from repro.core.logical import location_sets_chain
+from repro.core.ploc import MovementGraph
 
 
 class TestLevelFunctions:
@@ -71,7 +72,6 @@ class TestUncertaintyPlan:
         assert plan.level_for_hop(0) == 0
         assert plan.level_for_hop(2) == 2
         assert plan.level_for_hop(10) == 2  # beyond the explicit list
-        assert plan.max_hop() == 2
 
     def test_negative_hop_rejected(self):
         with pytest.raises(AdaptivityError):
@@ -89,9 +89,8 @@ class TestUncertaintyPlan:
 
     def test_location_sets_follow_levels(self):
         graph = MovementGraph.paper_example()
-        ploc = PlocFunction(graph)
         plan = UncertaintyPlan.adaptive(100.0, [120, 50, 50, 20])
-        sets = plan.location_sets(ploc, "a", hops=3)
+        sets = location_sets_chain(graph, plan, "a", hops=3)
         assert sets[0] == frozenset({"a"})
         assert sets[1] == frozenset({"a", "b", "c"})
         assert sets[2] == frozenset({"a", "b", "c"})
@@ -100,7 +99,6 @@ class TestUncertaintyPlan:
     def test_location_sets_are_nested(self):
         """The filter chain's set-inclusion property holds for every plan."""
         graph = MovementGraph.grid(3, 3)
-        ploc = PlocFunction(graph)
         for plan in (
             UncertaintyPlan.static(5),
             UncertaintyPlan.trivial(5),
@@ -108,7 +106,7 @@ class TestUncertaintyPlan:
             UncertaintyPlan.adaptive(1.0, [0.4, 0.4, 0.4, 0.4, 0.4]),
         ):
             for location in graph.locations():
-                sets = plan.location_sets(ploc, location, hops=5)
+                sets = location_sets_chain(graph, plan, location, hops=5)
                 for smaller, larger in zip(sets, sets[1:]):
                     assert smaller <= larger
 

@@ -48,20 +48,9 @@ class TestInstantiation:
         assert not concrete.matches({"service": "parking", "location": "c"})
         assert not concrete.matches({"service": "fuel", "location": "a"})
 
-    def test_instantiate_single(self):
-        ld = LocationDependentFilter({"location": MYLOC})
-        concrete = ld.instantiate_single("room-1")
-        assert concrete.matches({"location": "room-1"})
-        assert not concrete.matches({"location": "room-2"})
-
     def test_empty_location_set_matches_nothing(self):
         ld = LocationDependentFilter({"location": MYLOC})
         assert isinstance(ld.instantiate([]), MatchNone)
-
-    def test_matches_at(self):
-        ld = LocationDependentFilter({"service": "parking", "location": MYLOC})
-        assert ld.matches_at({"service": "parking", "location": "x"}, ["x", "y"])
-        assert not ld.matches_at({"service": "parking", "location": "z"}, ["x", "y"])
 
     def test_notification_without_location_never_matches(self):
         ld = LocationDependentFilter({"service": "parking", "location": MYLOC})

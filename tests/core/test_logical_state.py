@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.adaptivity import UncertaintyPlan
 from repro.core.location_filter import MYLOC, LocationDependentFilter
-from repro.core.logical import LogicalSubscriptionState, filter_chain, location_sets_chain
+from repro.core.logical import LogicalSubscriptionState, location_sets_chain
 from repro.core.ploc import MovementGraph
 
 
@@ -100,10 +100,8 @@ class TestChainConsistency:
         assert upstream.chain_is_consistent(downstream)
 
     def test_filter_chain_set_inclusion(self):
-        graph = MovementGraph.paper_example()
-        ld = LocationDependentFilter({"service": "parking", "location": MYLOC})
         for plan in (UncertaintyPlan.static(3), UncertaintyPlan.trivial(3)):
-            chain = filter_chain(ld, graph, plan, "a", hops=3)
+            chain = [make_state(hop, plan=plan).filter_at("a") for hop in range(4)]
             notifications = [{"service": "parking", "location": loc} for loc in "abcd"]
             for narrower, wider in zip(chain, chain[1:]):
                 for notification in notifications:

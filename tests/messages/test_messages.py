@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.broker.network import PubSubNetwork
 from repro.core.adaptivity import UncertaintyPlan
 from repro.core.location_filter import LocationDependentFilter, LocationDependentSubscribe, MYLOC
 from repro.core.ploc import MovementGraph
@@ -17,6 +18,7 @@ from repro.messages.mobility import (
 )
 from repro.messages.notification import Notification, SequencedNotification
 from repro.telemetry.events import LogEvent
+from repro.topology.builders import line_topology
 
 
 class TestNotification:
@@ -35,9 +37,25 @@ class TestNotification:
             Notification({"": 1}, publisher="p", publisher_seq=1)
 
     def test_message_ids_are_unique_and_increasing(self):
-        first = Notification({"a": 1}, publisher="p", publisher_seq=1)
-        second = Notification({"a": 1}, publisher="p", publisher_seq=2)
-        assert second.message_id > first.message_id
+        """A bare message carries id 0.  A network numbers the messages it
+        builds 1, 2, 3 ... in build order, whatever ran before it."""
+        assert Notification({"a": 1}, publisher="p", publisher_seq=1).message_id == 0
+
+        def run():
+            network = PubSubNetwork(line_topology(3), latency=0.05)
+            producer = network.add_client("P", "B1")
+            producer.advertise({"a": 1})
+            network.add_client("C", "B3").subscribe({"a": 1})
+            network.settle()
+            first, second = producer.publish({"a": 1}), producer.publish({"a": 1})
+            network.settle()
+            sent = {id(record.message): record.message_id for record in network.trace.link_records}
+            return first.message_id, second.message_id, sorted(sent.values())
+
+        first, second, sent = run()
+        assert 0 < first < second
+        assert len(set(sent)) == len(sent) and 0 not in sent
+        assert run() == (first, second, sent)
 
     def test_kind(self):
         assert Notification({"a": 1}, "p", 1).kind == MessageKind.NOTIFICATION

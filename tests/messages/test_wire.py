@@ -133,13 +133,27 @@ identifiers = st.text(
 #: Subjects and subscription ids of admin messages: any text, non-ASCII too.
 subjects = st.one_of(identifiers, st.text(max_size=6))
 
-notifications = st.builds(
-    Notification,
-    attributes=attribute_maps,
-    publisher=identifiers,
-    publisher_seq=st.integers(1, 10_000),
-    publish_time=st.floats(0, 1e6, allow_nan=False),
-    meta=metas,
+
+def _stamped(message, message_id):
+    message.message_id = message_id
+    return message
+
+
+def identified(messages):
+    """*messages* with a drawn non-zero id, as a network stamps them (a
+    bare message carries 0), so the id's round trip is tested too."""
+    return st.builds(_stamped, messages, st.integers(1, 2**53))
+
+
+notifications = identified(
+    st.builds(
+        Notification,
+        attributes=attribute_maps,
+        publisher=identifiers,
+        publisher_seq=st.integers(1, 10_000),
+        publish_time=st.floats(0, 1e6, allow_nan=False),
+        meta=metas,
+    )
 )
 
 sequenced_notifications = st.builds(
@@ -248,83 +262,85 @@ def routing_snapshots(draw):
     )
 
 
-messages = st.one_of(
-    notifications,
-    sequenced_notifications,
-    routing_snapshots(),
-    _admin(Subscribe),
-    _admin(Unsubscribe),
-    _admin(Advertise),
-    _admin(Unadvertise),
-    st.builds(
-        MovedSubscribe,
-        client_id=identifiers,
-        subscription_id=identifiers,
-        filter_=filters,
-        last_sequence=st.integers(0, 10_000),
-        new_border=identifiers,
-        meta=metas,
-    ),
-    st.builds(
-        FetchRequest,
-        client_id=identifiers,
-        subscription_id=identifiers,
-        filter_=filters,
-        last_sequence=st.integers(0, 10_000),
-        junction=identifiers,
-        new_border=identifiers,
-        meta=metas,
-    ),
-    st.builds(
-        Replay,
-        client_id=identifiers,
-        subscription_id=identifiers,
-        notifications=st.lists(sequenced_notifications, max_size=3),
-        origin_border=identifiers,
-        meta=metas,
-    ),
-    st.builds(
-        RelocationComplete,
-        client_id=identifiers,
-        subscription_id=identifiers,
-        origin_border=identifiers,
-        meta=metas,
-    ),
-    st.builds(
-        LocationUpdate,
-        client_id=identifiers,
-        subscription_id=identifiers,
-        old_location=st.one_of(st.none(), st.sampled_from(LOCATIONS)),
-        new_location=st.sampled_from(LOCATIONS),
-        hop_index=st.integers(0, 5),
-        meta=metas,
-    ),
-    location_dependent_subscribes(),
-    st.builds(
-        LocationDependentUnsubscribe,
-        client_id=identifiers,
-        subscription_id=identifiers,
-        meta=metas,
-    ),
-    st.builds(
-        Heartbeat,
-        sender=identifiers,
-        sent_at=st.floats(0, 1e6, allow_nan=False),
-        meta=metas,
-    ),
-    st.builds(
-        SequencedForward,
-        notification=notifications,
-        sender=identifiers,
-        link_seq=st.integers(1, 100_000),
-        meta=metas,
-    ),
-    st.builds(
-        ForwardAck,
-        sender=identifiers,
-        upto=st.integers(0, 100_000),
-        meta=metas,
-    ),
+messages = identified(
+    st.one_of(
+        notifications,
+        sequenced_notifications,
+        routing_snapshots(),
+        _admin(Subscribe),
+        _admin(Unsubscribe),
+        _admin(Advertise),
+        _admin(Unadvertise),
+        st.builds(
+            MovedSubscribe,
+            client_id=identifiers,
+            subscription_id=identifiers,
+            filter_=filters,
+            last_sequence=st.integers(0, 10_000),
+            new_border=identifiers,
+            meta=metas,
+        ),
+        st.builds(
+            FetchRequest,
+            client_id=identifiers,
+            subscription_id=identifiers,
+            filter_=filters,
+            last_sequence=st.integers(0, 10_000),
+            junction=identifiers,
+            new_border=identifiers,
+            meta=metas,
+        ),
+        st.builds(
+            Replay,
+            client_id=identifiers,
+            subscription_id=identifiers,
+            notifications=st.lists(sequenced_notifications, max_size=3),
+            origin_border=identifiers,
+            meta=metas,
+        ),
+        st.builds(
+            RelocationComplete,
+            client_id=identifiers,
+            subscription_id=identifiers,
+            origin_border=identifiers,
+            meta=metas,
+        ),
+        st.builds(
+            LocationUpdate,
+            client_id=identifiers,
+            subscription_id=identifiers,
+            old_location=st.one_of(st.none(), st.sampled_from(LOCATIONS)),
+            new_location=st.sampled_from(LOCATIONS),
+            hop_index=st.integers(0, 5),
+            meta=metas,
+        ),
+        location_dependent_subscribes(),
+        st.builds(
+            LocationDependentUnsubscribe,
+            client_id=identifiers,
+            subscription_id=identifiers,
+            meta=metas,
+        ),
+        st.builds(
+            Heartbeat,
+            sender=identifiers,
+            sent_at=st.floats(0, 1e6, allow_nan=False),
+            meta=metas,
+        ),
+        st.builds(
+            SequencedForward,
+            notification=notifications,
+            sender=identifiers,
+            link_seq=st.integers(1, 100_000),
+            meta=metas,
+        ),
+        st.builds(
+            ForwardAck,
+            sender=identifiers,
+            upto=st.integers(0, 100_000),
+            meta=metas,
+        ),
+    )
 )
 
 

@@ -31,7 +31,7 @@ class TestLogicalDriving:
         assert consumer.current_location == "b"
         network.run_until(11.0)
         assert consumer.current_location == "d"
-        assert [loc for _, loc in driver.location_timeline()] == ["a", "b", "d"]
+        assert [loc for _, loc in driver.realised_locations] == ["a", "b", "d"]
 
     def test_repeated_location_is_not_resent(self):
         graph = MovementGraph.paper_example()
@@ -47,7 +47,7 @@ class TestLogicalDriving:
         driver.schedule_logical(LogicalItinerary.from_pairs([(0.0, "a"), (1.0, "a"), (2.0, "b")]))
         network.settle()
         assert consumer.current_location == "b"
-        assert len(driver.location_timeline()) == 3
+        assert len(driver.realised_locations) == 3
 
 
 class TestRoamingDriving:
@@ -79,7 +79,7 @@ class TestRoamingDriving:
 
         assert check_completeness(network.trace, "C", Filter({"topic": "news"})).complete
         assert check_no_duplicates(network.trace, "C").clean
-        assert [broker for _, broker in driver.attachment_timeline() if broker] == [
+        assert [broker for _, broker in driver.realised_attachments if broker] == [
             "B1",
             "B2",
             "B3",
@@ -96,7 +96,7 @@ class TestRoamingDriving:
             RoamingItinerary.from_visits([(0.0, 2.0, "B1"), (3.0, float("inf"), "B2")])
         )
         network.run_until(5.0)
-        timeline = driver.attachment_timeline()
+        timeline = driver.realised_attachments
         assert timeline[0][1] == "B1"
         assert timeline[1][1] is None
         assert timeline[2][1] == "B2"

@@ -20,7 +20,7 @@ class TestLogicalItinerary:
 
     def test_from_pairs_and_uniform(self):
         itinerary = LogicalItinerary.from_pairs([(0, "a"), (1, "b")])
-        assert itinerary.location_changes()[0].location == "b"
+        assert itinerary.steps[1].location == "b"
         uniform = LogicalItinerary.uniform(["x", "y", "z"], dwell_time=2.0)
         assert uniform.timeline_pairs() == [(0.0, "x"), (2.0, "y"), (4.0, "z")]
 

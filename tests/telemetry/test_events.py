@@ -3,7 +3,9 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.broker.network import PubSubNetwork
 from repro.messages.wire import decode_message, encode_frame, encode_message
+from repro.telemetry import RingBufferSink, TelemetryConfig
 from repro.telemetry.events import (
     EVENT_TYPES,
     HOP_DELIVER,
@@ -12,8 +14,8 @@ from repro.telemetry.events import (
     LogEvent,
     MetricSnapshotEvent,
     SpanEvent,
-    TelemetryEvent,
 )
+from repro.topology.builders import line_topology
 
 names = st.text(
     st.characters(min_codepoint=33, max_codepoint=126), min_size=1, max_size=12
@@ -95,26 +97,35 @@ def test_every_event_type_covered_by_strategy():
     assert set(EVENT_TYPES) == {MetricSnapshotEvent, SpanEvent, LogEvent}
 
 
+def _published_ids(telemetry):
+    """``(link message ids, event ids)`` of one publish on a fresh 3-broker line."""
+    sink = RingBufferSink()
+    config = TelemetryConfig(sink_factory=lambda: sink) if telemetry else None
+    network = PubSubNetwork(line_topology(3), latency=0.05, telemetry=config)
+    producer = network.add_client("P", "B1")
+    producer.advertise({"topic": "news"})
+    network.add_client("C", "B3").subscribe({"topic": "news"})
+    network.settle()
+    producer.publish({"topic": "news"})
+    network.settle()
+    network.close()
+    links = [record.message_id for record in network.trace.link_records]
+    return links, [event.message_id for event in sink.events()]
+
+
 def test_event_ids_do_not_perturb_message_ids():
-    """Telemetry events draw ids from their own counter: creating them
-    must not advance the process-wide message id stream (otherwise
-    enabling telemetry would shift every real message id and break
-    byte-identical traces)."""
-    from repro.filters.filter import Filter
-    from repro.messages.admin import Subscribe
-
-    first = Subscribe(Filter({"a": 1}), subject="s")
-    SpanEvent("t#1", "B", HOP_DISPATCH, 0.0)
-    LogEvent("B", 0.0, "info", "x")
-    MetricSnapshotEvent("B", 0.0, {})
-    second = Subscribe(Filter({"a": 1}), subject="s")
-    assert second.message_id == first.message_id + 1
+    """A traced network numbers its events apart from its messages: the
+    messages carry the ids an untraced network gives them."""
+    traced, events = _published_ids(telemetry=True)
+    untraced, no_events = _published_ids(telemetry=False)
+    assert traced == untraced
+    assert events and not no_events
 
 
-def test_event_ids_are_sequential_and_resettable():
-    TelemetryEvent.reset_id_counter()
-    a = LogEvent("B", 0.0, "info", "x")
-    b = SpanEvent("t#1", "B", HOP_FORWARD, 0.0)
-    assert (a.message_id, b.message_id) == (1, 2)
-    TelemetryEvent.reset_id_counter()
-    assert LogEvent("B", 0.0, "info", "y").message_id == 1
+def test_event_ids_are_sequential_per_network():
+    """Each traced network numbers its events 1, 2, 3 ... in emission
+    order, whatever ran before it; an event built outside a network carries 0."""
+    _, events = _published_ids(telemetry=True)
+    assert events == list(range(1, len(events) + 1))
+    assert _published_ids(telemetry=True)[1] == events
+    assert LogEvent("B", 0.0, "info", "x").message_id == 0

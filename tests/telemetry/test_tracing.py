@@ -1,9 +1,8 @@
 """Causal notification tracing: span trees, determinism, zero-cost-off."""
 
 from repro.broker.network import PubSubNetwork
-from repro.messages.base import Message
 from repro.telemetry import RingBufferSink, TelemetryConfig
-from repro.telemetry.events import SpanEvent, TelemetryEvent
+from repro.telemetry.events import SpanEvent
 from repro.telemetry.tracing import build_span_tree, render_span_tree, trace_ids
 from repro.topology.builders import line_topology
 
@@ -72,7 +71,6 @@ def test_span_trees_identical_across_backends():
 
     renders = {}
     for backend in ("sim", "aio-memory"):
-        TelemetryEvent.reset_id_counter()
         runtime = None if backend == "sim" else runtime_factory(backend)(latency=0.05)
         network, sink = _traced_network(runtime=runtime)
         _publish_once(network)
@@ -87,8 +85,6 @@ def test_telemetry_off_runs_are_byte_identical():
     out-of-band."""
 
     def run(telemetry):
-        Message.reset_id_counter()
-        TelemetryEvent.reset_id_counter()
         config = TelemetryConfig(sink_factory=RingBufferSink) if telemetry else None
         network = PubSubNetwork(
             line_topology(4), strategy="covering", latency=0.05, telemetry=config

@@ -141,6 +141,7 @@ MODULE_STATE_ALLOWED = {
     "repro.filters.wire._SCALAR_OPS",
     "repro.messages.base.EMPTY_META",
     # Type variables.
+    "repro.messages.base.M",
     "repro.sim.rng.T",
     # Sentinels.
     "repro.core.location_filter.MYLOC",
@@ -167,6 +168,21 @@ _STATEFUL_VALUES = (
 )
 
 
+#: Class-level bindings allowed to hold a mutable object or a call's
+#: result, by ``module.Class.name``: the read-only message tables, built
+#: once at import.  Anything else bound in a class body to a dict / list /
+#: set display, a comprehension or a call (a dataclass ``field(...)``
+#: aside), and any assignment through ``cls.<name>`` or ``<Class>.<name>``,
+#: is state every instance in the process shares.
+CLASS_STATE_ALLOWED = {
+    "repro.broker.base.Broker._MESSAGE_TABLE",
+    "repro.broker.forwarding.SubscriptionForwarding.MESSAGES",
+    "repro.broker.recovery.Reliability.MESSAGES",
+    "repro.core.logical.LogicalMobility.MESSAGES",
+    "repro.core.physical.PhysicalMobility.MESSAGES",
+}
+
+
 def _module_level(statements):
     """Statements run at import (nested blocks included, ``__main__`` guards not)."""
     for node in statements:
@@ -179,10 +195,8 @@ def _module_level(statements):
             yield from _module_level(getattr(node, field, None) or [])
 
 
-def _module_state(path, module):
+def _module_state(tree, module):
     """``module.name`` of every global statement and stateful module-level binding."""
-    with open(path) as handle:
-        tree = ast.parse(handle.read(), filename=path)
     for node in ast.walk(tree):
         if isinstance(node, ast.Global):
             for name in node.names:
@@ -202,14 +216,114 @@ def _module_state(path, module):
                     yield "{}.{}".format(module, name.id)
 
 
-def test_no_new_process_global_state():
-    """AST check: module-level mutable state is an explicit, short list."""
-    found = set()
+def _assigned(node):
+    """``(flattened targets, value)`` of an assignment statement, else ``None``."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, (ast.AnnAssign, ast.AugAssign)) and node.value is not None:
+        targets = [node.target]
+    else:
+        return None
+    flat = []
+    while targets:
+        target = targets.pop()
+        if isinstance(target, (ast.Tuple, ast.List)):
+            targets.extend(target.elts)
+        else:
+            flat.append(target)
+    return flat, node.value
+
+
+def _class_state(tree, module, classes):
+    """``module.Class.name`` of every stateful class-body binding and of every
+    assignment through ``cls.<name>`` or ``<Class>.<name>``; *classes* maps
+    each class name in the package to its ``module.Class``."""
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                name = "{}.{}".format(owner or module, child.name)
+                for statement in child.body:
+                    assigned = _assigned(statement)
+                    if assigned is None or not isinstance(assigned[1], _STATEFUL_VALUES):
+                        continue
+                    value = assigned[1]
+                    if isinstance(value, ast.Call) and ast.unparse(value.func) == "field":
+                        continue
+                    for target in assigned[0]:
+                        if isinstance(target, ast.Name):
+                            yield "{}.{}".format(name, target.id)
+                yield from visit(child, name)
+                continue
+            for target in (_assigned(child) or ((), None))[0]:
+                while isinstance(target, ast.Subscript):
+                    target = target.value
+                if isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name):
+                    base = target.value.id
+                    if base == "cls" and owner is not None:
+                        yield "{}.{}".format(owner, target.attr)
+                    elif base in classes:
+                        yield "{}.{}".format(classes[base], target.attr)
+            yield from visit(child, owner)
+
+    yield from visit(tree, None)
+
+
+def _source_modules():
+    """``(path, module)`` of every source file of the package."""
     for dirpath, _, filenames in os.walk(os.path.join(SRC, "repro")):
-        for filename in filenames:
+        for filename in sorted(filenames):
             if filename.endswith(".py"):
                 path = os.path.join(dirpath, filename)
-                module = os.path.relpath(path, SRC)[: -len(".py")].replace(os.sep, ".")
-                found.update(_module_state(path, module))
-    unexpected = sorted(found - MODULE_STATE_ALLOWED)
+                yield path, os.path.relpath(path, SRC)[: -len(".py")].replace(os.sep, ".")
+
+
+def test_no_new_process_global_state():
+    """AST check: module- and class-level mutable state is an explicit, short list."""
+    found = set()
+    trees = {}
+    for path, module in _source_modules():
+        with open(path) as handle:
+            trees[module] = ast.parse(handle.read(), filename=path)
+        found.update(_module_state(trees[module], module))
+    classes = {
+        node.name: "{}.{}".format(module, node.name)
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+    }
+    for module, tree in trees.items():
+        found.update(_class_state(tree, module, classes))
+    unexpected = sorted(found - MODULE_STATE_ALLOWED - CLASS_STATE_ALLOWED)
     assert not unexpected, "process-global state in src/repro: {}".format(unexpected)
+
+
+def test_class_state_check_sees_counters_and_class_assignments():
+    """The class-level half of the check flags a class-body counter or
+    table and any write through ``cls`` or a class name; a dataclass
+    field, a constant and an instance attribute pass."""
+    source = """
+@dataclass
+class Record:
+    rows: list = field(default_factory=list)
+    LIMIT = 4
+
+    def __init__(self):
+        self.seen = set()
+
+
+class Counted:
+    _ids = itertools.count(1)
+    TABLE = {}
+
+    @classmethod
+    def reset(cls):
+        cls._ids = itertools.count(1)
+
+    def grow(self):
+        Record.LIMIT += 1
+        Counted.TABLE["key"] = self
+"""
+    classes = {"Record": "m.Record", "Counted": "m.Counted"}
+    found = set(_class_state(ast.parse(source), "m", classes))
+    assert found == {"m.Counted._ids", "m.Counted.TABLE", "m.Record.LIMIT"}
