@@ -230,13 +230,11 @@ class RecordingFactory:
 
 
 def _trace_fingerprint(trace):
-    """Everything a trace records in record order, timestamps included.
+    """Everything a trace records in record order, timestamps and message ids included.
 
-    ``message_id`` is a process-global counter (it differs by how many
-    messages earlier runs in the same process created) and is the only
-    field excluded.  Every backend that models time runs the same
-    ``Link``, so even the append order of link and drop records is the
-    same — except on :data:`LINK_ORDER_EXEMPT`.
+    Every backend that models time runs the same ``Link``, so even the
+    append order of link and drop records is the same — except on
+    :data:`LINK_ORDER_EXEMPT`.
     """
     deliveries = [
         (
@@ -257,6 +255,7 @@ def _trace_fingerprint(trace):
             record.target,
             record.kind.name,
             record.message_type,
+            record.message_id,
             record.description,
         )
         for record in trace.link_records
@@ -268,6 +267,7 @@ def _trace_fingerprint(trace):
             record.target,
             record.kind.name,
             record.message_type,
+            record.message_id,
             record.reason,
         )
         for record in trace.drop_records

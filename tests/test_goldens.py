@@ -10,9 +10,8 @@ the simulator to its own committed past:
   ``--disk-store``;
 * ``parity_digests.json`` — per experiment of the parity suite, a SHA-256
   over its rendered report and, for every network it built, the trace in
-  record order: deliveries, link traversals and drops, timestamps
-  included and message ids excluded (ids come from a process-wide
-  counter);
+  record order: deliveries, link traversals and drops, timestamps and
+  message ids included (each network numbers its own messages);
 * ``e2e_counts.json`` — every count-unit metric of the end-to-end
   benchmark's traced run (``run.run_traced(name, 1, 1, 1, scale=0.02)``)
   on the five simulator workloads, computed in a fresh interpreter with
