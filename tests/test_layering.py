@@ -217,13 +217,13 @@ def _module_state(tree, module):
 
 
 def _assigned(node):
-    """``(flattened targets, value)`` of an assignment statement, else ``None``."""
+    """``(flattened targets, value)`` of an assignment statement, else ``((), None)``."""
     if isinstance(node, ast.Assign):
-        targets = node.targets
+        targets = list(node.targets)
     elif isinstance(node, (ast.AnnAssign, ast.AugAssign)) and node.value is not None:
         targets = [node.target]
     else:
-        return None
+        return (), None
     flat = []
     while targets:
         target = targets.pop()
@@ -244,18 +244,15 @@ def _class_state(tree, module, classes):
             if isinstance(child, ast.ClassDef):
                 name = "{}.{}".format(owner or module, child.name)
                 for statement in child.body:
-                    assigned = _assigned(statement)
-                    if assigned is None or not isinstance(assigned[1], _STATEFUL_VALUES):
-                        continue
-                    value = assigned[1]
-                    if isinstance(value, ast.Call) and ast.unparse(value.func) == "field":
-                        continue
-                    for target in assigned[0]:
-                        if isinstance(target, ast.Name):
-                            yield "{}.{}".format(name, target.id)
+                    targets, value = _assigned(statement)
+                    field_call = isinstance(value, ast.Call) and ast.unparse(value.func) == "field"
+                    if isinstance(value, _STATEFUL_VALUES) and not field_call:
+                        for target in targets:
+                            if isinstance(target, ast.Name):
+                                yield "{}.{}".format(name, target.id)
                 yield from visit(child, name)
                 continue
-            for target in (_assigned(child) or ((), None))[0]:
+            for target in _assigned(child)[0]:
                 while isinstance(target, ast.Subscript):
                     target = target.value
                 if isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name):
@@ -269,23 +266,18 @@ def _class_state(tree, module, classes):
     yield from visit(tree, None)
 
 
-def _source_modules():
-    """``(path, module)`` of every source file of the package."""
-    for dirpath, _, filenames in os.walk(os.path.join(SRC, "repro")):
-        for filename in sorted(filenames):
-            if filename.endswith(".py"):
-                path = os.path.join(dirpath, filename)
-                yield path, os.path.relpath(path, SRC)[: -len(".py")].replace(os.sep, ".")
-
-
 def test_no_new_process_global_state():
     """AST check: module- and class-level mutable state is an explicit, short list."""
     found = set()
     trees = {}
-    for path, module in _source_modules():
-        with open(path) as handle:
-            trees[module] = ast.parse(handle.read(), filename=path)
-        found.update(_module_state(trees[module], module))
+    for dirpath, _, filenames in os.walk(os.path.join(SRC, "repro")):
+        for filename in filenames:
+            if filename.endswith(".py"):
+                path = os.path.join(dirpath, filename)
+                module = os.path.relpath(path, SRC)[: -len(".py")].replace(os.sep, ".")
+                with open(path) as handle:
+                    trees[module] = ast.parse(handle.read(), filename=path)
+                found.update(_module_state(trees[module], module))
     classes = {
         node.name: "{}.{}".format(module, node.name)
         for module, tree in trees.items()
