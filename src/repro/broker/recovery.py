@@ -2,8 +2,8 @@
 
 A broker's volatile routing state is a deterministic function of the
 administrative traffic it has processed, so crash recovery needs exactly
-two persistent artifacts (both stored wire-encoded, the same canonical
-JSON the asyncio backend puts on real links):
+two persistent artifacts (both stored as canonical JSON, the encoding the
+asyncio backend puts on real links, though neither is a link message):
 
 * a :class:`RoutingSnapshot` — the subscription and advertisement tables
   row by row (filter, destination, subjects, pinned creation ``seq``)
@@ -39,12 +39,12 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from typing import Any, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Deque, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.location_filter import LocationDependentSubscribe
 from repro.filters.filter import Filter
 from repro.filters.wire import filter_from_wire, filter_to_wire
-from repro.messages.base import Message, MessageKind
+from repro.messages.base import Message
 from repro.messages.control import ForwardAck, Heartbeat, SequencedForward
 from repro.messages.notification import Notification
 from repro.messages.wire import (
@@ -52,8 +52,6 @@ from repro.messages.wire import (
     FRAME_HEADER_SIZE,
     WireError,
     decode_frame_payload,
-    decode_message,
-    encode_message,
     journal_record,
     message_from_payload,
     parse_payload,
@@ -103,8 +101,8 @@ def _pairs_from_wire(payload: Sequence[Dict[str, Any]]) -> Tuple[ForwardedPair, 
     )
 
 
-class RoutingSnapshot(Message):
-    """A broker's complete routing state at one instant, wire-codable.
+class RoutingSnapshot:
+    """A broker's complete routing state at one instant.
 
     Rows keep their table insertion order (restore order matters: the
     row dict's iteration order is part of the state delta consumers
@@ -113,9 +111,10 @@ class RoutingSnapshot(Message):
     are not handed out again after a restore.  ``log_index`` is the
     sequence number of the last :class:`AdminLogRecord` the snapshot
     already covers — replay starts right after it.
-    """
 
-    kind = MessageKind.ADMIN
+    A snapshot never travels over a link: its one encoding is the
+    canonical JSON of its body (:meth:`encode` / :meth:`decode`).
+    """
 
     __slots__ = (
         "broker",
@@ -142,9 +141,7 @@ class RoutingSnapshot(Message):
         forwarded_subscriptions: Dict[str, Sequence[ForwardedPair]],
         forwarded_advertisements: Dict[str, Sequence[ForwardedPair]],
         logical_states: Sequence[LogicalEntry] = (),
-        meta: Optional[Dict[str, Any]] = None,
     ) -> None:
-        super().__init__(meta)
         self.broker = broker
         self.taken_at = float(taken_at)
         self.log_index = int(log_index)
@@ -165,16 +162,9 @@ class RoutingSnapshot(Message):
             for subscribe, forwarded_to in logical_states
         )
 
-    def describe(self) -> str:
-        return "RoutingSnapshot#{}({}, {} sub rows, {} adv rows)".format(
-            self.message_id,
-            self.broker,
-            len(self.subscription_rows),
-            len(self.advertisement_rows),
-        )
-
-    def _wire_body(self) -> Dict[str, Any]:
-        return {
+    def encode(self) -> bytes:
+        """The snapshot's stored bytes: canonical JSON of its body."""
+        body = {
             "broker": self.broker,
             "taken_at": self.taken_at,
             "log_index": self.log_index,
@@ -199,85 +189,74 @@ class RoutingSnapshot(Message):
                 for subscribe, forwarded_to in self.logical_states
             ],
         }
+        return CANONICAL_JSON.encode(body).encode("utf-8")
 
     @classmethod
-    def _from_wire_body(cls, payload: Dict[str, Any]) -> "RoutingSnapshot":
-        return cls(
-            broker=payload["broker"],
-            taken_at=float(payload["taken_at"]),
-            log_index=int(payload["log_index"]),
-            subscription_rows=[
-                _row_from_wire(row) for row in payload["subscription"]["rows"]
-            ],
-            subscription_row_seq=int(payload["subscription"]["row_seq"]),
-            advertisement_rows=[
-                _row_from_wire(row) for row in payload["advertisement"]["rows"]
-            ],
-            advertisement_row_seq=int(payload["advertisement"]["row_seq"]),
-            forwarded_subscriptions={
-                neighbour: _pairs_from_wire(pairs)
-                for neighbour, pairs in payload["forwarded_subscriptions"].items()
-            },
-            forwarded_advertisements={
-                neighbour: _pairs_from_wire(pairs)
-                for neighbour, pairs in payload["forwarded_advertisements"].items()
-            },
-            logical_states=[
-                (
-                    message_from_payload(item["subscribe"]),
-                    tuple(item["forwarded_to"]),
-                )
-                for item in payload.get("logical", [])
-            ],
-        )
+    def decode(cls, data: bytes) -> "RoutingSnapshot":
+        """Rebuild a snapshot from :meth:`encode` output; malformed bytes
+        (not JSON, a missing or mistyped field) raise :class:`WireError`."""
+        payload = parse_payload(data)
+        try:
+            return cls(
+                broker=payload["broker"],
+                taken_at=float(payload["taken_at"]),
+                log_index=int(payload["log_index"]),
+                subscription_rows=[
+                    _row_from_wire(row) for row in payload["subscription"]["rows"]
+                ],
+                subscription_row_seq=int(payload["subscription"]["row_seq"]),
+                advertisement_rows=[
+                    _row_from_wire(row) for row in payload["advertisement"]["rows"]
+                ],
+                advertisement_row_seq=int(payload["advertisement"]["row_seq"]),
+                forwarded_subscriptions={
+                    neighbour: _pairs_from_wire(pairs)
+                    for neighbour, pairs in payload["forwarded_subscriptions"].items()
+                },
+                forwarded_advertisements={
+                    neighbour: _pairs_from_wire(pairs)
+                    for neighbour, pairs in payload["forwarded_advertisements"].items()
+                },
+                logical_states=[
+                    (message_from_payload(item["subscribe"]), tuple(item["forwarded_to"]))
+                    for item in payload["logical"]
+                ],
+            )
+        except (LookupError, TypeError, ValueError, AttributeError) as error:
+            raise WireError("malformed routing snapshot: {!r}".format(error)) from error
 
 
-class AdminLogRecord(Message):
-    """One logged admin/mobility message, wrapped with its provenance.
+class AdminLogRecord(NamedTuple):
+    """One logged admin/mobility message, with its place in the log and its provenance.
 
+    *sequence* numbers the log (1-based, contiguous per broker);
+    *logged_at* is the clock reading when the entry was appended.
     *origin* is the origin the broker applied the entry with — a
     neighbour broker name for link traffic, a client id for operations
     of locally attached clients.  Replaying the entry through
     ``Broker._apply(entry, origin)`` reproduces the original state
-    transition.  *sequence* numbers the log (1-based,
-    contiguous per broker); *logged_at* is the clock reading when the
-    entry was appended.
+    transition.
 
     A record never travels over a link: its one encoding is the journal
-    frame payload, canonical JSON ``[sequence, logged_at, origin, entry]``
-    (:meth:`encode` / :meth:`decode`).
+    frame payload :func:`~repro.messages.wire.journal_record` writes,
+    canonical JSON ``[sequence, logged_at, origin, entry]``.
     """
 
-    kind = MessageKind.ADMIN
-
-    __slots__ = ("origin", "sequence", "logged_at", "entry")
-
-    def __init__(self, origin: str, sequence: int, logged_at: float, entry: Message) -> None:
-        super().__init__()
-        self.origin = origin
-        self.sequence = int(sequence)
-        self.logged_at = float(logged_at)
-        self.entry = entry
-
-    def describe(self) -> str:
-        return "AdminLogRecord#{}(seq={} entry={})".format(
-            self.message_id, self.sequence, self.entry.describe()
-        )
-
-    def encode(self) -> bytes:
-        """The record's journal frame payload (:func:`~repro.messages.wire.journal_record`)."""
-        return journal_record(self.sequence, self.logged_at, self.origin, self.entry)
+    sequence: int
+    logged_at: float
+    origin: str
+    entry: Message
 
     @classmethod
     def decode(cls, data: bytes) -> "AdminLogRecord":
-        """Rebuild a record from :meth:`encode` output; a malformed one
+        """Rebuild a record from a journal frame payload; a malformed one
         (bytes, shape, field types or entry) raises :class:`WireError`."""
         record = parse_payload(data)
         types = tuple(map(type, record)) if type(record) is list else ()
         if len(types) != 4 or types[:3] != (int, float, str):
             raise WireError("journal record is not [sequence, logged_at, origin, entry]")
         sequence, logged_at, origin, entry = record
-        return cls(origin, sequence, logged_at, message_from_payload(entry))
+        return cls(sequence, logged_at, origin, message_from_payload(entry))
 
 
 def _scan_frames(frames: bytes) -> Tuple[List[Tuple[int, AdminLogRecord]], bool]:
@@ -306,8 +285,8 @@ class RecoveryStore:
     """Persistent-state stand-in: snapshot bytes plus an append-only log.
 
     Everything is stored encoded and decoded on demand, so recovery
-    always exercises the full wire round trip: the snapshot as
-    :func:`~repro.messages.wire.encode_message` bytes, the log as one
+    always exercises the full round trip: the snapshot as
+    :meth:`RoutingSnapshot.encode` bytes, the log as one
     buffer of length-prefixed frames — the bytes
     :class:`DiskRecoveryStore` writes to its journal.  Sequences are
     contiguous, so the buffer plus the first retained sequence number is
@@ -338,19 +317,19 @@ class RecoveryStore:
         """Sequence number of the most recently appended log record."""
         return self._next_sequence - 1
 
-    def append(self, origin: str, entry: Message, logged_at: float) -> AdminLogRecord:
-        """Append one admin message to the log and return its record.
+    def append(self, origin: str, entry: Message, logged_at: float) -> int:
+        """Append one admin message to the log and return its sequence number.
 
         A record over the frame cap raises :class:`WireError` before
         anything is written: its frame would read as torn and take every
         later record with it.
         """
-        record = AdminLogRecord(origin, self._next_sequence, logged_at, entry)
-        data = record.encode()
-        self._next_sequence += 1
+        sequence = self._next_sequence
+        data = journal_record(sequence, float(logged_at), origin, entry)
+        self._next_sequence = sequence + 1
         self._frames += len(data).to_bytes(FRAME_HEADER_SIZE, "big") + data
         self._persist_record(data)
-        return record
+        return sequence
 
     def install_snapshot(self, snapshot: RoutingSnapshot) -> None:
         """Store *snapshot* and drop the log prefix it covers.
@@ -358,7 +337,7 @@ class RecoveryStore:
         The covered records are a prefix of the buffer; walking their
         frame headers finds where it ends without decoding a record.
         """
-        data = encode_message(snapshot)
+        data = snapshot.encode()
         self._snapshot_bytes = data
         frames = self._frames
         cut = 0
@@ -373,10 +352,7 @@ class RecoveryStore:
         """Decode and return the stored snapshot, or ``None``."""
         if self._snapshot_bytes is None:
             return None
-        decoded = decode_message(self._snapshot_bytes)
-        if not isinstance(decoded, RoutingSnapshot):
-            raise TypeError("recovery store holds a non-snapshot message")
-        return decoded
+        return RoutingSnapshot.decode(self._snapshot_bytes)
 
     def log_tail(self) -> List[AdminLogRecord]:
         """Decode the retained log records, in append order."""
@@ -408,7 +384,7 @@ class DiskRecoveryStore(RecoveryStore):
 
     Layout, under ``<root>/<broker_name>/``:
 
-    * ``snapshot.bin`` — the wire-encoded :class:`RoutingSnapshot`,
+    * ``snapshot.bin`` — the encoded :class:`RoutingSnapshot`,
       replaced atomically (write to ``snapshot.bin.tmp``, flush+fsync,
       :func:`os.replace`) so a crash mid-write leaves either the old or
       the new snapshot, never a torn one.  A torn/undecodable snapshot
@@ -462,9 +438,7 @@ class DiskRecoveryStore(RecoveryStore):
         with open(self._snapshot_path, "rb") as handle:
             data = handle.read()
         try:
-            decoded = decode_message(data)
-            if not isinstance(decoded, RoutingSnapshot):
-                raise WireError("snapshot file holds a non-snapshot message")
+            decoded = RoutingSnapshot.decode(data)
             if decoded.broker != self.broker_name:
                 raise WireError("snapshot file belongs to another broker")
         except WireError:
@@ -614,8 +588,7 @@ class Reliability:
         broker = self.broker
         store = broker.recovery
         if store is not None and not self.replaying:
-            # The record is a message this broker builds: it takes an id.
-            broker.ids.stamp(store.append(origin, message, broker.clock.now))
+            store.append(origin, message, broker.clock.now)
 
     def enable_recovery(self, store: Optional[RecoveryStore] = None) -> RecoveryStore:
         """Attach a recovery store; admin traffic is journaled from now on.
@@ -646,19 +619,17 @@ class Reliability:
         if broker.recovery is None:
             raise ValueError("broker {} has no recovery store".format(broker.name))
         forwarded_subscriptions, forwarded_advertisements = broker.forwarding.snapshot()
-        snapshot = broker.ids.stamp(
-            RoutingSnapshot(
-                broker=broker.name,
-                taken_at=broker.clock.now,
-                log_index=broker.recovery.log_index,
-                subscription_rows=table_rows(broker.subscription_table),
-                subscription_row_seq=broker.subscription_table.row_seq,
-                advertisement_rows=table_rows(broker.advertisement_table),
-                advertisement_row_seq=broker.advertisement_table.row_seq,
-                forwarded_subscriptions=forwarded_subscriptions,
-                forwarded_advertisements=forwarded_advertisements,
-                logical_states=broker.logical.snapshot_entries(),
-            )
+        snapshot = RoutingSnapshot(
+            broker=broker.name,
+            taken_at=broker.clock.now,
+            log_index=broker.recovery.log_index,
+            subscription_rows=table_rows(broker.subscription_table),
+            subscription_row_seq=broker.subscription_table.row_seq,
+            advertisement_rows=table_rows(broker.advertisement_table),
+            advertisement_row_seq=broker.advertisement_table.row_seq,
+            forwarded_subscriptions=forwarded_subscriptions,
+            forwarded_advertisements=forwarded_advertisements,
+            logical_states=broker.logical.snapshot_entries(),
         )
         broker.recovery.install_snapshot(snapshot)
         return snapshot

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from repro.filters.filter import Filter, MatchNone
+from repro.filters.filter import Filter
 from repro.filters.selectivity import Profile, covering_profile
 
 
@@ -68,6 +68,10 @@ class CoveringIndex:
     Per position the index keeps the anchor attribute (the one
     load-dependent choice), the filter and the caller's item for it;
     :meth:`remove` recomputes every bucket key from the first two.
+
+    ``MatchNone`` is neither indexed nor asked about: it would be covered
+    by everything, and the forwarding state, the index's one caller,
+    leaves its rows out of every input.
     """
 
     __slots__ = ("_by_attr", "_by_value", "_covered", "_filed")
@@ -80,8 +84,7 @@ class CoveringIndex:
         self._by_value: Dict[Tuple[str, Any], List[int]] = {}
         # The covered-side buckets: attribute name -> filters constraining
         # it, (attribute, value key) -> filters whose finite constraint
-        # there starts with that value, ``None`` -> MatchNone filters
-        # (covered by everything, so part of every answer).
+        # there starts with that value.
         self._covered: Dict[Any, List[int]] = {}
         #: position -> (anchor attribute or ``None``, filter, item).
         self._filed: Dict[int, Tuple[Optional[str], Filter, Any]] = {}
@@ -139,8 +142,6 @@ class CoveringIndex:
     ) -> Iterator[Tuple[Dict[Any, List[int]], Any]]:
         """Every (bucket dict, key) *filter_* is filed under when anchored at *anchor*."""
         covered = self._covered
-        if isinstance(filter_, MatchNone):
-            yield covered, None
         for name, values, _ in profile:
             yield covered, name
             if values:
@@ -162,12 +163,7 @@ class CoveringIndex:
         return [filed[position][2] for position in positions]
 
     def candidate_positions(self, filter_: Filter) -> List[int]:
-        """Positions of indexed filters that might cover *filter_*.
-
-        Every position when *filter_* is ``MatchNone`` (covered by everything).
-        """
-        if isinstance(filter_, MatchNone):
-            return list(self._filed)
+        """Positions of indexed filters that might cover *filter_*."""
         by_attr = self._by_attr
         by_value = self._by_value
         out = list(by_attr.get(None, ()))
@@ -208,7 +204,7 @@ class CoveringIndex:
                 best, best_load = buckets, load
         if best is None:
             return list(self._filed)
-        out = list(covered.get(None, ()))
+        out: List[int] = []
         for bucket in best:
             out.extend(bucket)
         return out

@@ -34,7 +34,7 @@ class MessageKind(enum.Enum):
 
 
 class Message:
-    """Base class of everything that is transported over a link.
+    """Base class of the messages brokers exchange, and of telemetry events.
 
     Every message carries a ``message_id`` and an optional free-form
     ``meta`` dictionary used by traces and tests (without one, the
@@ -49,10 +49,11 @@ class Message:
     a JSON-friendly payload (type name, message id, meta, plus the
     subclass body from :meth:`_wire_body`) and :meth:`from_wire` rebuilds
     an equal message from it.  ``meta`` must therefore hold only
-    JSON-representable values.  The asyncio backend serialises every
-    message through this codec (see :mod:`repro.messages.wire`).  The
-    recovery log's records never cross a link and encode as journal
-    frames instead (:class:`~repro.broker.recovery.AdminLogRecord`).
+    JSON-representable values.  A link decodes only the types a broker
+    handles (:func:`~repro.messages.wire.message_type_registry`); a
+    sequenced notification travels inside a ``Replay``, and telemetry
+    events are decoded by the collector's own table.  The recovery
+    journal's records and routing snapshots are not messages at all.
     """
 
     kind: MessageKind = MessageKind.ADMIN

@@ -1,13 +1,18 @@
-"""Wire codec and frame format for messages.
+"""Wire codec and frame format for link messages.
 
 The simulator backend passes message *objects* between brokers; the
 asyncio backend (:mod:`repro.runtime.aio`) sends *bytes* over framed
-streams, so every concrete :class:`~repro.messages.base.Message` type is
-serialisable: :func:`encode_message` produces a canonical JSON payload,
-:func:`decode_message` dispatches on the ``type`` field and rebuilds an
-equal message via the class's ``from_wire``.  Filters and constraints
-travel as their canonical keys (:mod:`repro.filters.wire`), so
-routing-table identity survives the wire.
+streams.  A link carries exactly the message types a broker handles
+(one row each in ``Broker._MESSAGE_TABLE``), and
+:func:`message_type_registry` lists exactly those: :func:`encode_message`
+produces a canonical JSON payload, :func:`decode_message` dispatches on
+the ``type`` field and rebuilds an equal message via the class's
+``from_wire``, and a payload of any other type — well-formed or not —
+raises :class:`WireError`, so a reader counts and drops it.  Filters and
+constraints travel as their canonical keys (:mod:`repro.filters.wire`),
+so routing-table identity survives the wire.  The telemetry collector
+decodes its events through a table of its own (:func:`build_registry`);
+the recovery journal's records and routing snapshots are not messages.
 
 The canonical format — :data:`CANONICAL_JSON` over a message's
 ``to_wire`` payload — is rendered here and nowhere else:
@@ -36,7 +41,7 @@ from __future__ import annotations
 import json
 from json.encoder import encode_basestring_ascii
 from math import inf
-from typing import Any, Dict, Type
+from typing import Any, Dict, Mapping, Optional, Type
 
 from repro.filters.filter import Filter
 from repro.filters.wire import WireError, filter_to_wire
@@ -57,13 +62,12 @@ FRAME_HEADER_SIZE = 4
 
 
 def _message_types() -> Dict[str, Type[Message]]:
-    """Name -> class for every wire-codable message type.
+    """Name -> class for every message type a link carries.
 
     Imported lazily: :mod:`repro.core.location_filter` imports
     :mod:`repro.messages.base`, so importing it at module scope would
     make the codec's import order load-bearing.
     """
-    from repro.broker.recovery import RoutingSnapshot
     from repro.core.location_filter import (
         LocationDependentSubscribe,
         LocationDependentUnsubscribe,
@@ -76,8 +80,7 @@ def _message_types() -> Dict[str, Type[Message]]:
         RelocationComplete,
         Replay,
     )
-    from repro.messages.notification import Notification, SequencedNotification
-    from repro.telemetry.events import LogEvent, MetricSnapshotEvent, SpanEvent
+    from repro.messages.notification import Notification
 
     types = (
         Subscribe,
@@ -85,7 +88,6 @@ def _message_types() -> Dict[str, Type[Message]]:
         Advertise,
         Unadvertise,
         Notification,
-        SequencedNotification,
         MovedSubscribe,
         FetchRequest,
         Replay,
@@ -93,23 +95,18 @@ def _message_types() -> Dict[str, Type[Message]]:
         LocationUpdate,
         LocationDependentSubscribe,
         LocationDependentUnsubscribe,
-        RoutingSnapshot,
         Heartbeat,
         SequencedForward,
         ForwardAck,
-        MetricSnapshotEvent,
-        SpanEvent,
-        LogEvent,
     )
-    return _build_registry(types)
+    return build_registry(types)
 
 
-def _build_registry(types) -> Dict[str, Type[Message]]:
-    """Build the name -> class map, refusing name collisions.
+def build_registry(types) -> Dict[str, Type[Message]]:
+    """Build a name -> class decode table, refusing name collisions.
 
     The class name is the wire dispatch key: two classes sharing a name
-    would silently shadow each other on decode, so a collision (e.g. a
-    new telemetry event type reusing an existing message name) is a hard
+    would silently shadow each other on decode, so a collision is a hard
     error, not a last-one-wins overwrite.
     """
     registry: Dict[str, Type[Message]] = {}
@@ -127,7 +124,7 @@ _REGISTRY: Dict[str, Type[Message]] = {}
 
 
 def message_type_registry() -> Dict[str, Type[Message]]:
-    """The (cached) name -> class registry of wire-codable messages."""
+    """The (cached) name -> class registry of the messages a link carries."""
     if not _REGISTRY:
         _REGISTRY.update(_message_types())
     return _REGISTRY
@@ -214,18 +211,22 @@ def decode_message(data: bytes) -> Message:
     return message_from_payload(parse_payload(data))
 
 
-def message_from_payload(payload: Any) -> Message:
+def message_from_payload(
+    payload: Any, registry: Optional[Mapping[str, Type[Message]]] = None
+) -> Message:
     """Rebuild a message from an already-parsed wire payload.
 
-    Every malformed payload — not an object, no string ``type``, an
-    unknown type, a missing or mistyped field — raises :class:`WireError`.
+    The ``type`` field is looked up in *registry*, by default
+    :func:`message_type_registry`.  Every malformed payload — not an
+    object, no string ``type``, a type the registry does not list, a
+    missing or mistyped field — raises :class:`WireError`.
     """
     type_name = payload.get("type") if isinstance(payload, dict) else None
     if not isinstance(type_name, str):
         raise WireError(
             "wire payload is not an object with a string type: {}".format(type(payload).__name__)
         )
-    message_type = message_type_registry().get(type_name)
+    message_type = (registry or message_type_registry()).get(type_name)
     if message_type is None:
         raise WireError("unknown message type on the wire: {!r}".format(type_name))
     try:

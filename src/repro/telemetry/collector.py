@@ -4,8 +4,10 @@ The collector runs its own asyncio loop on a daemon thread, so it can
 serve N experiment processes (or N brokers of one in-process run using
 :class:`~repro.telemetry.sinks.TcpSink`) without touching the run's own
 event loop.  Each connection is a stream of length-prefixed frames in
-the standard wire format (:mod:`repro.messages.wire`); each decoded
-event lands in a lock-guarded :class:`CollectorAggregate`.
+the standard wire format (:mod:`repro.messages.wire`), decoded by
+:func:`~repro.telemetry.events.decode_event` (a frame that is not an
+event is skipped); each decoded event lands in a lock-guarded
+:class:`CollectorAggregate`.
 
 Aggregation rules:
 
@@ -26,13 +28,8 @@ import asyncio
 import threading
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.messages.wire import (
-    FRAME_HEADER_SIZE,
-    WireError,
-    decode_frame_payload,
-    decode_message,
-)
-from repro.telemetry.events import LogEvent, MetricSnapshotEvent, SpanEvent
+from repro.messages.wire import FRAME_HEADER_SIZE, WireError, decode_frame_payload
+from repro.telemetry.events import LogEvent, MetricSnapshotEvent, SpanEvent, decode_event
 
 
 class CollectorAggregate:
@@ -245,7 +242,7 @@ class TelemetryCollector:
                     self.aggregate.torn_frames += 1
                     break
                 try:
-                    event = decode_message(payload)
+                    event = decode_event(payload)
                 except WireError:
                     continue
                 self.aggregate.ingest(event, source=connection_id)

@@ -1,4 +1,4 @@
-"""Typed telemetry event records, wire-codable like every other message.
+"""Typed telemetry event records, framed like link messages but decoded apart.
 
 Three event families stream out of an instrumented run:
 
@@ -15,8 +15,10 @@ Three event families stream out of an instrumented run:
 * :class:`LogEvent` — a timestamped, levelled text record (crash,
   restart, failure detection ...).
 
-Events subclass :class:`~repro.messages.base.Message` so the existing
-wire codec (:mod:`repro.messages.wire`) frames them.  Their ids come from
+Events subclass :class:`~repro.messages.base.Message`, so the wire
+codec (:mod:`repro.messages.wire`) frames them like any message, but no
+broker link decodes one: the collector decodes them through a table of
+their own (:func:`decode_event`).  Their ids come from
 a :class:`~repro.messages.base.MessageIds` of the network's telemetry,
 apart from the one its brokers stamp messages from: emitting events
 never shifts a message id, so enabling telemetry leaves the ids (and
@@ -32,6 +34,7 @@ from __future__ import annotations
 from typing import Any, Dict, Optional
 
 from repro.messages.base import Message, MessageKind
+from repro.messages.wire import build_registry, message_from_payload, parse_payload
 
 #: Span hop kinds, in causal order within one broker.
 HOP_DISPATCH = "dispatch"  #: a broker dequeued + matched the notification
@@ -197,5 +200,14 @@ class LogEvent(TelemetryEvent):
         )
 
 
-#: Every concrete telemetry event type, in wire-registry order.
+#: Every concrete telemetry event type.
 EVENT_TYPES = (MetricSnapshotEvent, SpanEvent, LogEvent)
+
+#: The collector's decode table: type name -> event class.
+EVENT_REGISTRY = build_registry(EVENT_TYPES)
+
+
+def decode_event(data: bytes) -> TelemetryEvent:
+    """Rebuild an event from its frame payload; anything but a well-formed
+    event (a link message included) raises :class:`~repro.filters.wire.WireError`."""
+    return message_from_payload(parse_payload(data), EVENT_REGISTRY)

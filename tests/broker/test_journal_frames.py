@@ -31,7 +31,7 @@ from repro.messages import admin as admin_messages
 from repro.messages import wire as message_wire
 from repro.messages.admin import Advertise, Subscribe, Unadvertise, Unsubscribe
 from repro.messages.mobility import MovedSubscribe
-from repro.messages.wire import WireError, decode_message, encode_message
+from repro.messages.wire import WireError, decode_message, journal_record
 
 from tests.messages.test_wire import (
     RETYPED_VALUES,
@@ -113,13 +113,13 @@ def test_the_log_is_the_records_past_the_last_snapshot(disk, operations):
             for operation in operations:
                 if operation[0] == "append":
                     _, origin, logged_at, entry = operation
-                    record = store.append(origin, entry, logged_at)
-                    appended.append((record.sequence, origin, logged_at, entry.to_wire()))
+                    sequence = store.append(origin, entry, logged_at)
+                    appended.append((sequence, origin, logged_at, entry.to_wire()))
                 elif operation[0] == "snapshot":
                     covered += round(operation[1] * (store.log_index - covered))
                     snapshot = _snapshot(covered)
                     store.install_snapshot(snapshot)
-                    snapshot_bytes = len(encode_message(snapshot))
+                    snapshot_bytes = len(snapshot.encode())
                 elif disk:
                     store.close()
                     store = DiskRecoveryStore("B1", root)
@@ -243,7 +243,7 @@ RECORD_TYPES = (int, float, str, dict)
 @st.composite
 def torn_record_payloads(draw):
     """A journal record payload that is truncated, garbage or of the wrong shape."""
-    good = AdminLogRecord("B2", 1, 0.5, draw(log_entries)).encode()
+    good = journal_record(1, 0.5, "B2", draw(log_entries))
     kind = draw(st.sampled_from(["truncated", "garbage", "drop", "extra", "retype", "not a list"]))
     if kind == "truncated":
         return good[: draw(st.integers(0, len(good) - 1))]
@@ -270,7 +270,7 @@ def test_a_malformed_record_reads_as_torn(bad, entry):
     frame scan stops there: the records before it survive, torn is reported."""
     with pytest.raises(WireError):
         AdminLogRecord.decode(bad)
-    good = AdminLogRecord("B2", 1, 0.5, entry).encode()
+    good = journal_record(1, 0.5, "B2", entry)
     records, torn = _scan_frames(_frame(good) + _frame(bad) + _frame(good))
     assert torn
     assert [record.sequence for _, record in records] == [1]

@@ -131,12 +131,6 @@ class TestCoveringIndex:
                 second.covered_candidate_positions(probe)
             )
 
-    def test_match_none_target_scans_everything(self):
-        index = CoveringIndex()
-        index.add(0, F(a=1))
-        index.add(1, F(b=2))
-        assert index.candidate_positions(MatchNone()) == [0, 1]
-
     def test_half_open_degenerate_interval_not_pruned(self):
         # A closed [5, 5] covers the half-open [5, 5) (which accepts
         # nothing); the index must classify both as finite so the value
@@ -176,15 +170,15 @@ class TestCoveredCandidates:
             assert self._candidates(indexed, coverer) == {0, 1}
 
     def test_special_filters_on_either_side(self):
-        indexed = [F(a=1), MatchNone(), MatchAll(), Filter({}), F(b=2)]
+        indexed = [F(a=1), MatchAll(), Filter({}), F(b=2)]
         everything = set(range(len(indexed)))
         # No strict constraint: covers everything, nothing can be pruned.
-        for coverer in (MatchAll(), Filter({}), F(a=("any",)), MatchNone()):
+        for coverer in (MatchAll(), Filter({}), F(a=("any",))):
             assert self._candidates(indexed, coverer) == everything
-        # MatchNone is covered by every filter; the universal filters only
-        # by coverers without strict constraints.
-        assert self._candidates(indexed, F(a=1)) == {0, 1}
-        assert self._candidates(indexed, F(zzz=1)) == {1}
+        # The universal filters are covered only by coverers without
+        # strict constraints.
+        assert self._candidates(indexed, F(a=1)) == {0}
+        assert self._candidates(indexed, F(zzz=1)) == set()
 
     def test_bare_range_filter_uses_the_emptier_attribute_bucket(self):
         # `cost between` has no finite constraint besides the service
@@ -211,7 +205,6 @@ class TestCoveredCandidates:
             F(service="parking", location=("in", ["a", "b"]), cost=("<", 5)),
             F(cost=("between", 1, 5)),
             Filter({"a": Between(5, 5, high_inclusive=False), "b": ("any",)}),
-            MatchNone(),
             MatchAll(),
         ]
         for position, filter_ in enumerate(filters):
@@ -239,7 +232,8 @@ LOCATIONS = ["a", "b", "c", "d", "e"]
 def random_filter():
     """One filter over three attributes sharing one value pool, so that a
     filter often has several finite constraints and its anchor depends on
-    the bucket loads when it is added."""
+    the bucket loads when it is added.  No ``MatchNone``: the index never
+    holds or answers for one."""
     from repro.filters.constraints import Between
 
     constraint = st.one_of(
@@ -260,7 +254,7 @@ def random_filter():
     single = st.dictionaries(st.sampled_from(ATTRIBUTES), constraint, min_size=0, max_size=3).map(
         Filter
     )
-    return st.one_of(single, st.just(MatchNone()), st.just(MatchAll()))
+    return st.one_of(single, st.just(MatchAll()))
 
 
 def shared_equality_filter():
@@ -286,7 +280,7 @@ def random_filters():
     )
 
 
-@given(random_filters())
+@given(st.lists(st.one_of(random_filter(), st.just(MatchNone())), max_size=12))
 @settings(max_examples=200, deadline=None)
 def test_cache_agrees_with_filter_covers(filters):
     covers = FilterCaches().covering
@@ -338,7 +332,7 @@ def _assert_anchors_strict(index):
 def _assert_queries_sound(index, live):
     """Neither query hides a covering pair among the *live* filters, and
     both answer live positions only, each once."""
-    for probe in list(live.values()) + [MatchNone(), MatchAll(), F(service="a", location="b")]:
+    for probe in list(live.values()) + [MatchAll(), F(service="a", location="b")]:
         coverers = index.candidate_positions(probe)
         covered = index.covered_candidate_positions(probe)
         for positions in (coverers, covered):

@@ -1,10 +1,11 @@
 """Wire-codec round-trip properties.
 
 The asyncio backend serialises every message crossing a channel, so the
-codec must be lossless for *every* message type in :mod:`repro.messages`
-(plus the logical-mobility messages defined next to their payload types
-in :mod:`repro.core.location_filter`) and for filters built from every
-constraint operator.  The property is exact::
+codec must be lossless for *every* message type a broker link carries
+(those of :mod:`repro.messages` plus the logical-mobility messages
+defined next to their payload types in :mod:`repro.core.location_filter`)
+and for filters built from every constraint operator, and must refuse
+every other type.  The property is exact::
 
     from_wire(to_wire(m)) == m          # via the JSON wire payload
     decode_message(encode_message(m)) == m   # via the byte form
@@ -41,7 +42,7 @@ from repro.filters.constraints import (
     NotEquals,
     Prefix,
 )
-from repro.broker.recovery import RoutingSnapshot
+from repro.broker.base import Broker
 from repro.filters.filter import Filter, MatchAll, MatchNone
 from repro.filters.wire import constraint_from_wire, filter_from_wire, filter_to_wire
 from repro.messages.admin import Advertise, Subscribe, Unadvertise, Unsubscribe
@@ -56,11 +57,14 @@ from repro.messages.mobility import (
 from repro.messages.notification import Notification, SequencedNotification
 from repro.messages.wire import (
     WireError,
+    build_registry,
     decode_message,
     encode_frame,
     encode_message,
     message_type_registry,
 )
+
+from tests.telemetry.test_events import events
 
 # ---------------------------------------------------------------------------
 # Strategies
@@ -221,52 +225,9 @@ def location_dependent_subscribes(draw):
     )
 
 
-#: Snapshot rows: (filter, destination, subjects, seq).
-snapshot_rows = st.tuples(
-    filters,
-    identifiers,
-    st.lists(identifiers, min_size=1, max_size=3, unique=True).map(tuple),
-    st.integers(1, 10_000),
-)
-
-#: Forwarded (filter, subject) pairs for one neighbour.
-forwarded_pairs = st.lists(st.tuples(filters, identifiers), max_size=3)
-
-
-@st.composite
-def routing_snapshots(draw):
-    return RoutingSnapshot(
-        broker=draw(identifiers),
-        taken_at=draw(st.floats(0, 1e6, allow_nan=False)),
-        log_index=draw(st.integers(0, 10_000)),
-        subscription_rows=draw(st.lists(snapshot_rows, max_size=4)),
-        subscription_row_seq=draw(st.integers(0, 20_000)),
-        advertisement_rows=draw(st.lists(snapshot_rows, max_size=4)),
-        advertisement_row_seq=draw(st.integers(0, 20_000)),
-        forwarded_subscriptions=draw(
-            st.dictionaries(identifiers, forwarded_pairs, max_size=3)
-        ),
-        forwarded_advertisements=draw(
-            st.dictionaries(identifiers, forwarded_pairs, max_size=3)
-        ),
-        logical_states=draw(
-            st.lists(
-                st.tuples(
-                    location_dependent_subscribes(),
-                    st.lists(identifiers, max_size=3, unique=True).map(tuple),
-                ),
-                max_size=2,
-            )
-        ),
-        meta=draw(metas),
-    )
-
-
 messages = identified(
     st.one_of(
         notifications,
-        sequenced_notifications,
-        routing_snapshots(),
         _admin(Subscribe),
         _admin(Unsubscribe),
         _admin(Advertise),
@@ -499,52 +460,36 @@ def test_filter_decoders_raise_the_message_codecs_wire_error(decode, payload):
 
 
 def test_registry_covers_every_concrete_message_type():
-    """Every transportable message type is registered for decoding."""
+    """A link decodes exactly the message types a broker handles."""
     registry = message_type_registry()
-    expected = {
-        "Subscribe",
-        "Unsubscribe",
-        "Advertise",
-        "Unadvertise",
-        "Notification",
-        "SequencedNotification",
-        "MovedSubscribe",
-        "FetchRequest",
-        "Replay",
-        "RelocationComplete",
-        "LocationUpdate",
-        "LocationDependentSubscribe",
-        "LocationDependentUnsubscribe",
-        "RoutingSnapshot",
-        "Heartbeat",
-        "SequencedForward",
-        "ForwardAck",
-        "MetricSnapshotEvent",
-        "SpanEvent",
-        "LogEvent",
-    }
-    assert expected == set(registry)
+    assert set(registry.values()) == set(Broker._MESSAGE_TABLE)
     for name, message_type in registry.items():
         assert message_type.__name__ == name
+
+
+@settings(max_examples=100, deadline=None)
+@given(message=st.one_of(sequenced_notifications, events))
+def test_a_message_no_link_carries_is_a_wire_error(message):
+    """A well-formed payload of a type no broker handles — a bare sequenced
+    notification (it travels inside a ``Replay``), a telemetry event — is
+    refused like a malformed one."""
+    with pytest.raises(WireError, match="unknown message type"):
+        decode_message(encode_message(message))
 
 
 def test_registry_rejects_name_collisions():
     """Wire type names are the dispatch key: two classes sharing a name
     would silently shadow each other on decode, so the registry builder
-    refuses duplicates (a new telemetry/event type cannot collide with an
-    existing wire name)."""
-    import pytest
-
-    import repro.messages.wire as wire
+    refuses duplicates."""
 
     class Heartbeat:  # same __name__ as the control-plane Heartbeat
         pass
 
-    existing = tuple(wire.message_type_registry().values())
-    with pytest.raises(wire.WireError, match="Heartbeat"):
-        wire._build_registry(existing + (Heartbeat,))
+    existing = tuple(message_type_registry().values())
+    with pytest.raises(WireError, match="Heartbeat"):
+        build_registry(existing + (Heartbeat,))
     # The real type set itself is collision-free.
-    assert set(wire._build_registry(existing)) == set(wire.message_type_registry())
+    assert set(build_registry(existing)) == set(message_type_registry())
 
 
 def test_equality_stays_total_without_a_codec():

@@ -9,7 +9,7 @@ loudly.  Also the codec sharing: a message object framed once, a
 payload decoded once while the runtime remembers them, and one live
 filter per type and key — and either way the same bytes and messages as
 a fresh encode or decode.  And a reader that drops a malformed payload
-and reads on.
+— or a well-formed one of a type no broker handles — and reads on.
 """
 
 import gc
@@ -19,10 +19,13 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.broker.base import Broker
 from repro.broker.network import PubSubNetwork
+from repro.broker.recovery import RoutingSnapshot
 from repro.filters.filter import Filter, MatchAll, MatchNone
 from repro.filters.wire import filter_to_wire
-from repro.messages.notification import Notification
+from repro.messages.control import Heartbeat
+from repro.messages.notification import Notification, SequencedNotification
 from repro.messages.wire import (
     FRAME_HEADER_SIZE,
     MAX_FRAME_PAYLOAD,
@@ -40,7 +43,10 @@ from repro.runtime.trace import TraceRecorder
 from repro.sim.engine import Simulator
 from repro.sim.rng import DeterministicRandom
 from repro.topology.builders import line_topology
-from tests.messages.test_wire import messages, mutated_payloads
+from repro.telemetry.events import LogEvent, MetricSnapshotEvent, SpanEvent
+from tests.broker.test_snapshot_codec import routing_snapshots
+from tests.telemetry.test_events import events
+from tests.messages.test_wire import messages, mutated_payloads, sequenced_notifications
 from tests.runtime.test_backend_parity import (
     AIO_BACKENDS,
     EXPERIMENTS,
@@ -311,16 +317,41 @@ def test_a_payload_that_raised_raises_again(backend):
         runtime.close()
 
 
+#: Well-formed payloads of what no broker link carries: a routing snapshot
+#: (stable storage), a telemetry event (sinks and collectors) and a bare
+#: sequenced notification (it travels inside a ``Replay``).
+not_link_messages = st.one_of(
+    routing_snapshots().map(RoutingSnapshot.encode),
+    st.one_of(events, sequenced_notifications).map(encode_message),
+)
+
+
 @st.composite
 def _bad_payloads(draw):
-    """Truncated, garbage or wrong-shape payload bytes."""
-    kind = draw(st.sampled_from(["truncated", "garbage", "wrong shape"]))
+    """Truncated, garbage or wrong-shape payload bytes, or well-formed ones
+    of something that is not a link message."""
+    kind = draw(st.sampled_from(["truncated", "garbage", "wrong shape", "not a link message"]))
     if kind == "truncated":
         payload = encode_message(draw(messages))
         return payload[: draw(st.integers(0, len(payload) - 1))]
     if kind == "garbage":
         return draw(st.binary(max_size=64))
+    if kind == "not a link message":
+        return draw(not_link_messages)
     return draw(mutated_payloads())
+
+
+def _broker_end(received):
+    """A channel's receiving end that takes what a broker takes: like
+    ``Broker._apply``, it raises ``TypeError`` on a message its table has
+    no row for."""
+
+    def deliver(message, channel):
+        if type(message) not in Broker._MESSAGE_TABLE:
+            raise TypeError("no broker handles {!r}".format(message))
+        received.append(message)
+
+    return deliver
 
 
 @pytest.mark.parametrize("backend", AIO_BACKENDS)
@@ -337,7 +368,7 @@ def test_reader_drops_malformed_payloads_and_keeps_reading(backend, first, bad, 
     runtime = make_runtime(backend)
     received = []
     try:
-        runtime.connect("A", "B", lambda message, channel: received.append(message))
+        runtime.connect("A", "B", _broker_end(received))
         (transport,) = runtime._channels
         for payload in payloads:
             transport._feed(_frame_of(payload))
@@ -348,6 +379,43 @@ def test_reader_drops_malformed_payloads_and_keeps_reading(backend, first, bad, 
         runtime.close()
     assert transport.malformed_count == transport.dropped_count == malformed
     assert [message.to_wire() for message in received] == expected
+
+
+#: One well-formed frame payload of each thing no broker link carries.
+NOT_LINK_MESSAGES = {
+    "RoutingSnapshot": RoutingSnapshot("B2", 0.0, 0, (), 0, (), 0, {}, {}).encode(),
+    "SpanEvent": encode_message(SpanEvent("B2#1", "B2", "forward", 0.0, peer="B1")),
+    "LogEvent": encode_message(LogEvent("B2", 0.0, "info", "up")),
+    "MetricSnapshotEvent": encode_message(MetricSnapshotEvent("B2", 0.0, {"n": 1})),
+    "SequencedNotification": encode_message(
+        SequencedNotification(Notification({"n": 1}, "p", 1), "c", "s", 1)
+    ),
+}
+
+
+@pytest.mark.parametrize("backend", AIO_BACKENDS)
+@pytest.mark.parametrize("kind", sorted(NOT_LINK_MESSAGES))
+def test_a_broker_link_drops_what_no_broker_handles(backend, kind):
+    """Fed into the B2 -> B1 channel of a network, a well-formed frame of
+    something that is not a link message is counted malformed and dropped;
+    the heartbeat behind it reaches B1 and ``settle`` returns."""
+    network = PubSubNetwork(line_topology(2), runtime=make_runtime(backend))
+    try:
+        network.settle()
+        (transport,) = [
+            channel
+            for channel in network.runtime._channels
+            if (channel.source, channel.target) == ("B2", "B1")
+        ]
+        transport._feed(_frame_of(NOT_LINK_MESSAGES[kind]))
+        transport._feed(encode_frame(Heartbeat("B2", sent_at=0.0)))
+        network.settle()
+    except OSError as error:  # pragma: no cover - sandboxed environments
+        pytest.skip("loopback sockets unavailable: {}".format(error))
+    finally:
+        network.close()
+    assert (transport.malformed_count, transport.dropped_count) == (1, 1)
+    assert "B2" in network.broker("B1").reliability.heartbeat_last_heard
 
 
 #: Makers of the filters the sharing property draws from: ``MatchAll`` and

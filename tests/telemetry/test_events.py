@@ -1,12 +1,15 @@
-"""Wire round trips for every telemetry event type (Hypothesis)."""
+"""Round trips for every telemetry event type through the collector's decoder (Hypothesis)."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.broker.network import PubSubNetwork
-from repro.messages.wire import decode_message, encode_frame, encode_message
+from repro.messages.notification import Notification
+from repro.messages.wire import WireError, encode_frame, encode_message
 from repro.telemetry import RingBufferSink, TelemetryConfig
 from repro.telemetry.events import (
+    EVENT_REGISTRY,
     EVENT_TYPES,
     HOP_DELIVER,
     HOP_DISPATCH,
@@ -14,6 +17,7 @@ from repro.telemetry.events import (
     LogEvent,
     MetricSnapshotEvent,
     SpanEvent,
+    decode_event,
 )
 from repro.topology.builders import line_topology
 
@@ -79,9 +83,9 @@ events = st.one_of(snapshot_events, span_events, log_events)
 @settings(max_examples=150, deadline=None)
 @given(event=events)
 def test_event_wire_round_trip(event):
-    """Every telemetry event survives the message codec losslessly."""
+    """Every telemetry event survives the frame codec and :func:`decode_event` losslessly."""
     encoded = encode_message(event)
-    decoded = decode_message(encoded)
+    decoded = decode_event(encoded)
     assert type(decoded) is type(event)
     assert decoded == event
     # Canonical: re-encoding yields identical bytes.
@@ -93,8 +97,15 @@ def test_event_wire_round_trip(event):
 
 
 def test_every_event_type_covered_by_strategy():
-    """EVENT_TYPES and the strategies above must stay in sync."""
+    """EVENT_TYPES, the decoder's table and the strategies above must stay in sync."""
     assert set(EVENT_TYPES) == {MetricSnapshotEvent, SpanEvent, LogEvent}
+    assert set(EVENT_REGISTRY.values()) == set(EVENT_TYPES)
+
+
+def test_the_event_decoder_refuses_link_messages():
+    """A link message is well-formed JSON to the collector, but not an event."""
+    with pytest.raises(WireError, match="unknown message type"):
+        decode_event(encode_message(Notification({"n": 1}, "p", 1)))
 
 
 def _published_ids(telemetry):

@@ -16,6 +16,10 @@ core transport-agnostic: ``repro.broker``, ``repro.routing`` and
   imported lazily, only when a caller asks for it) — nor may a
   wall-clock asyncio runtime, whose virtual-time twin runs on the
   simulator's event queue.
+
+The link codec sits below the broker and telemetry: no module of
+``repro.messages`` imports from ``repro.broker`` or ``repro.telemetry``,
+at module scope or inside a function.
 """
 
 import ast
@@ -32,8 +36,8 @@ CORE_PACKAGES = ("broker", "routing", "dispatch")
 FORBIDDEN_PREFIX = "repro.sim"
 
 
-def _core_source_files():
-    for package in CORE_PACKAGES:
+def _source_files(packages):
+    for package in packages:
         root = os.path.join(SRC, "repro", package)
         assert os.path.isdir(root), root
         for dirpath, _, filenames in os.walk(root):
@@ -44,28 +48,44 @@ def _core_source_files():
                     yield os.path.join(dirpath, filename)
 
 
-def _forbidden(module_name):
-    return module_name == FORBIDDEN_PREFIX or module_name.startswith(
-        FORBIDDEN_PREFIX + "."
-    )
+def _core_source_files():
+    return _source_files(CORE_PACKAGES)
 
 
-def test_core_packages_never_import_the_simulator():
-    """AST check: no import statement targets the simulator package."""
+def _under(module_name, prefixes):
+    return any(module_name == prefix or module_name.startswith(prefix + ".") for prefix in prefixes)
+
+
+def _imports_of(paths, prefixes):
+    """``path:line imports [from] module`` for every import statement in
+    *paths* — module or function scope — that targets one of *prefixes*."""
     offenders = []
-    for path in _core_source_files():
+    for path in paths:
         with open(path) as handle:
             tree = ast.parse(handle.read(), filename=path)
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
-                    if _forbidden(alias.name):
+                    if _under(alias.name, prefixes):
                         offenders.append("{}:{} imports {}".format(path, node.lineno, alias.name))
             elif isinstance(node, ast.ImportFrom):
                 module = node.module or ""
-                if node.level == 0 and _forbidden(module):
+                if node.level == 0 and _under(module, prefixes):
                     offenders.append("{}:{} imports from {}".format(path, node.lineno, module))
+    return offenders
+
+
+def test_core_packages_never_import_the_simulator():
+    """AST check: no import statement targets the simulator package."""
+    offenders = _imports_of(_core_source_files(), (FORBIDDEN_PREFIX,))
     assert not offenders, "core imports the simulator backend:\n" + "\n".join(offenders)
+
+
+def test_messages_never_import_the_broker_or_telemetry():
+    """AST check: the link codec decodes the messages a broker handles, but
+    knows neither the broker (its snapshots) nor telemetry (its events)."""
+    offenders = _imports_of(_source_files(("messages",)), ("repro.broker", "repro.telemetry"))
+    assert not offenders, "repro.messages imports upward:\n" + "\n".join(offenders)
 
 
 def test_core_sources_do_not_mention_the_simulator_package():
@@ -149,9 +169,11 @@ MODULE_STATE_ALLOWED = {
     # Stateless and built once, at import: the canonical JSON encoder
     # (one instance instead of one per json.dumps call).
     "repro.messages.wire.CANONICAL_JSON",
-    # By design: the wire codec's and the strategies' name registries
-    # (filled once, at import) and the enable_telemetry() default.
+    # By design: the wire codec's, the telemetry events' and the
+    # strategies' name registries (filled once, at import) and the
+    # enable_telemetry() default.
     "repro.messages.wire._REGISTRY",
+    "repro.telemetry.events.EVENT_REGISTRY",
     "repro.routing.strategies._STRATEGIES",
     "repro.telemetry.__init__._ACTIVE_CONFIG",
 }
