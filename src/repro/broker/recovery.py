@@ -218,7 +218,10 @@ class RoutingSnapshot:
                     for neighbour, pairs in payload["forwarded_advertisements"].items()
                 },
                 logical_states=[
-                    (message_from_payload(item["subscribe"]), tuple(item["forwarded_to"]))
+                    (
+                        LocationDependentSubscribe.from_wire(item["subscribe"]),
+                        tuple(item["forwarded_to"]),
+                    )
                     for item in payload["logical"]
                 ],
             )

@@ -2,9 +2,9 @@
 
 A :class:`~repro.broker.recovery.RoutingSnapshot` is stored, never sent
 over a link, so it is not a message: its bytes are the canonical JSON of
-its body (no ``type``, no ``id``), :meth:`RoutingSnapshot.decode` reads
-them back losslessly and raises ``WireError`` — the one error the disk
-store catches — on anything malformed, and the link codec refuses them.
+its body (no ``type``, no ``id``), and :meth:`RoutingSnapshot.decode`
+reads them back losslessly and raises ``WireError`` — the one error the
+disk store catches — on anything malformed.
 """
 
 import json
@@ -14,7 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.broker.recovery import RoutingSnapshot
-from repro.messages.wire import WireError, decode_message
+from repro.filters.filter import Filter
+from repro.messages.admin import Subscribe
+from repro.messages.wire import WireError
 
 from tests.messages.test_wire import (
     RETYPED_VALUES,
@@ -76,31 +78,19 @@ BODY_KEYS = {
 @settings(max_examples=200, deadline=None)
 @given(snapshot=routing_snapshots())
 def test_snapshot_round_trip(snapshot):
-    """Decoding gives back every field, and re-encoding the same bytes."""
+    """The bytes are the body's canonical JSON, with no message envelope, as
+    ``json.dumps`` writes them; decoding gives back every field, and
+    re-encoding the same bytes."""
     data = snapshot.encode()
+    body = json.loads(data)
+    assert set(body) == BODY_KEYS
+    assert data == canonical(body).encode("utf-8")
     decoded = RoutingSnapshot.decode(data)
     assert decoded.encode() == data
     for name in RoutingSnapshot.__slots__:
         assert getattr(decoded, name) == getattr(snapshot, name), name
     for (subscribe, _), (original, _) in zip(decoded.logical_states, snapshot.logical_states):
         assert (subscribe.message_id, subscribe.meta) == (original.message_id, original.meta)
-
-
-@settings(max_examples=100, deadline=None)
-@given(snapshot=routing_snapshots())
-def test_snapshot_bytes_are_the_canonical_json_of_its_body(snapshot):
-    """No message envelope: the body's keys only, as ``json.dumps`` writes them."""
-    data = snapshot.encode()
-    body = json.loads(data)
-    assert set(body) == BODY_KEYS
-    assert data == canonical(body).encode("utf-8")
-
-
-@settings(max_examples=50, deadline=None)
-@given(snapshot=routing_snapshots())
-def test_a_snapshot_is_not_a_link_message(snapshot):
-    with pytest.raises(WireError):
-        decode_message(snapshot.encode())
 
 
 @st.composite
@@ -134,3 +124,22 @@ def test_malformed_snapshot_bytes_raise_wire_error_only(data):
     except WireError:
         return
     assert decoded.encode() == RoutingSnapshot.decode(data).encode()
+
+
+def test_a_logical_entry_of_another_message_type_is_a_wire_error():
+    """A logical state is restored from its ``LocationDependentSubscribe``;
+    a snapshot holding any other message there is malformed."""
+    body = {
+        "broker": "B1",
+        "taken_at": 0.0,
+        "log_index": 0,
+        "subscription": {"rows": [], "row_seq": 0},
+        "advertisement": {"rows": [], "row_seq": 0},
+        "forwarded_subscriptions": {},
+        "forwarded_advertisements": {},
+        "logical": [
+            {"subscribe": Subscribe(Filter({"a": 1}), subject="c/s").to_wire(), "forwarded_to": []}
+        ],
+    }
+    with pytest.raises(WireError, match="malformed routing snapshot"):
+        RoutingSnapshot.decode(canonical(body).encode("utf-8"))
