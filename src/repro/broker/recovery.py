@@ -218,15 +218,20 @@ class RoutingSnapshot:
                     for neighbour, pairs in payload["forwarded_advertisements"].items()
                 },
                 logical_states=[
-                    (
-                        LocationDependentSubscribe.from_wire(item["subscribe"]),
-                        tuple(item["forwarded_to"]),
-                    )
+                    (_logical_subscribe_from_wire(item["subscribe"]), tuple(item["forwarded_to"]))
                     for item in payload["logical"]
                 ],
             )
         except (LookupError, TypeError, ValueError, AttributeError) as error:
             raise WireError("malformed routing snapshot: {!r}".format(error)) from error
+
+
+def _logical_subscribe_from_wire(payload: Dict[str, Any]) -> LocationDependentSubscribe:
+    """A logical state's subscription; a payload naming another message
+    type is malformed even where its fields would fit."""
+    if payload["type"] != "LocationDependentSubscribe":
+        raise ValueError("logical state holds a {!r}".format(payload["type"]))
+    return LocationDependentSubscribe.from_wire(payload)
 
 
 class AdminLogRecord(NamedTuple):

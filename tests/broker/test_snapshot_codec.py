@@ -126,9 +126,8 @@ def test_malformed_snapshot_bytes_raise_wire_error_only(data):
     assert decoded.encode() == RoutingSnapshot.decode(data).encode()
 
 
-def test_a_logical_entry_of_another_message_type_is_a_wire_error():
-    """A logical state is restored from its ``LocationDependentSubscribe``;
-    a snapshot holding any other message there is malformed."""
+def _snapshot_holding(subscribe_payload):
+    """A snapshot's bytes whose one logical state is *subscribe_payload*."""
     body = {
         "broker": "B1",
         "taken_at": 0.0,
@@ -137,9 +136,29 @@ def test_a_logical_entry_of_another_message_type_is_a_wire_error():
         "advertisement": {"rows": [], "row_seq": 0},
         "forwarded_subscriptions": {},
         "forwarded_advertisements": {},
-        "logical": [
-            {"subscribe": Subscribe(Filter({"a": 1}), subject="c/s").to_wire(), "forwarded_to": []}
-        ],
+        "logical": [{"subscribe": subscribe_payload, "forwarded_to": []}],
     }
+    return canonical(body).encode("utf-8")
+
+
+@given(
+    location_dependent_subscribes(),
+    st.sampled_from([None, "Subscribe", "LocationDependentUnsubscribe", "LocationUpdate"]),
+)
+@settings(max_examples=40, deadline=None)
+def test_a_logical_entry_of_another_message_type_is_a_wire_error(subscribe, retype):
+    """A logical state is restored from its ``LocationDependentSubscribe``;
+    a snapshot holding any other message there is malformed, whether its
+    fields differ (a ``Subscribe``) or would fit (a retyped payload)."""
     with pytest.raises(WireError, match="malformed routing snapshot"):
-        RoutingSnapshot.decode(canonical(body).encode("utf-8"))
+        RoutingSnapshot.decode(
+            _snapshot_holding(Subscribe(Filter({"a": 1}), subject="c/s").to_wire())
+        )
+    payload = subscribe.to_wire()
+    if retype is None:
+        (restored, _), = RoutingSnapshot.decode(_snapshot_holding(payload)).logical_states
+        assert restored.to_wire() == payload
+        return
+    payload["type"] = retype
+    with pytest.raises(WireError, match="malformed routing snapshot"):
+        RoutingSnapshot.decode(_snapshot_holding(payload))
