@@ -280,9 +280,20 @@ def random_filters():
     )
 
 
-@given(st.lists(st.one_of(random_filter(), st.just(MatchNone())), max_size=12))
+@given(
+    st.one_of(
+        st.lists(st.one_of(random_filter(), st.just(MatchNone())), max_size=12),
+        st.lists(
+            st.one_of(shared_equality_filter(), random_filter(), st.just(MatchNone())),
+            max_size=12,
+        ),
+    )
+)
 @settings(max_examples=200, deadline=None)
 def test_cache_agrees_with_filter_covers(filters):
+    """The covering memo agrees with ``Filter.covers`` on both populations
+    the index properties draw, with ``MatchNone`` mixed in: the index
+    never holds one, but the memo still answers for it."""
     covers = FilterCaches().covering
     for left in filters:
         for right in filters:
