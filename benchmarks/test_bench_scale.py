@@ -70,7 +70,7 @@ def _run_scale_workload(
     network.settle()
 
     started = time.perf_counter()
-    events_before = network.simulator.processed_events
+    events_before = network.clock.processed_events
     links = network.links.values()
     flushes_before = sum(link.flush_count for link in links)
     deliveries_before = sum(link.delivered_count for link in links)
@@ -103,7 +103,7 @@ def _run_scale_workload(
         client.move_to(network.broker(leaves[4 + (index % 3)]))
     network.settle()
     settle_seconds = time.perf_counter() - started
-    settle_events = network.simulator.processed_events - events_before
+    settle_events = network.clock.processed_events - events_before
     flushes = sum(link.flush_count for link in links) - flushes_before
     deliveries = sum(link.delivered_count for link in links) - deliveries_before
 

@@ -27,9 +27,10 @@ from repro.filters.merging import FilterCaches
 from repro.messages.base import MessageIds
 from repro.metrics.counters import data_plane_breakdown
 from repro.routing.strategies import RoutingStrategy, make_strategy
+from repro.runtime.factory import make_runtime
 from repro.runtime.protocols import Clock, Runtime
 from repro.runtime.trace import TraceRecorder
-from repro.telemetry import TelemetryConfig, active_telemetry_config
+from repro.telemetry import TelemetryConfig
 from repro.telemetry.emitter import BrokerTelemetry
 from repro.topology.graph import BrokerGraph
 
@@ -42,8 +43,6 @@ class PubSubNetwork:
         graph: BrokerGraph,
         strategy: "str | RoutingStrategy" = "covering",
         latency: Any = None,
-        simulator: Optional[Clock] = None,
-        trace: Optional[TraceRecorder] = None,
         config: Optional[BrokerConfig] = None,
         runtime: Optional[Runtime] = None,
         telemetry: Optional[TelemetryConfig] = None,
@@ -52,26 +51,18 @@ class PubSubNetwork:
         self.graph = graph
         if runtime is None:
             # The default backend is the discrete-event simulator.  The
-            # import is deliberately local: the broker layer itself stays
-            # free of any simulator dependency (tests/test_layering.py
-            # enforces this); the sim backend is only pulled in when a
-            # caller actually asks for the default runtime.
-            from repro.runtime.sim import SimRuntime
-
-            sim_kwargs = {} if latency is None else {"latency": latency}
-            runtime = SimRuntime(simulator=simulator, trace=trace, **sim_kwargs)
-        else:
-            # The three sim-backend parameters configure the *default*
-            # runtime; combining them with an explicit one would silently
-            # drop them, so reject the conflict loudly.
-            passed = {"latency": latency, "simulator": simulator, "trace": trace}
-            conflicting = [name for name, value in passed.items() if value is not None]
-            if conflicting:
-                raise ValueError(
-                    "PubSubNetwork got both an explicit runtime and the "
-                    "sim-backend parameter(s) {}; configure the runtime "
-                    "instead".format(", ".join(conflicting))
-                )
+            # broker layer itself stays free of any simulator dependency
+            # (tests/test_layering.py enforces this): make_runtime pulls
+            # the sim backend in only when it is asked for.
+            runtime = make_runtime("sim", latency)
+        elif latency is not None:
+            # *latency* configures the *default* runtime; combining it
+            # with an explicit one would silently drop it, so reject the
+            # conflict loudly.
+            raise ValueError(
+                "PubSubNetwork got both an explicit runtime and a latency; "
+                "configure the runtime's latency instead"
+            )
         self.runtime = runtime
         self.clock: Clock = runtime.clock
         self.trace: TraceRecorder = runtime.trace
@@ -107,13 +98,11 @@ class PubSubNetwork:
         self._orphans: Dict[str, List[Client]] = {}
         self.failure_detector: Optional[FailureDetector] = None
 
-        # Telemetry: explicit config wins, otherwise the process-wide
-        # default installed with repro.telemetry.enable_telemetry().
-        # When neither is set the network runs dark — no sink, no
-        # emitters, no probes; every broker hook site stays a single
-        # ``is not None`` check (the zero-cost-off guarantee).
+        # Telemetry reaches this network only through *telemetry*.
+        # Without it the network runs dark — no sink, no emitters, no
+        # probes; every broker hook site stays a single ``is not None``
+        # check (the zero-cost-off guarantee).
         self.telemetry_sink = None
-        telemetry = telemetry if telemetry is not None else active_telemetry_config()
         if telemetry is not None:
             self.telemetry_sink = telemetry.make_sink()
             # Events are numbered apart from messages (see
@@ -132,12 +121,6 @@ class PubSubNetwork:
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------
-    @property
-    def simulator(self) -> Clock:
-        """Historical alias for :attr:`clock` (the sim backend's clock is
-        the ``Simulator`` instance itself)."""
-        return self.clock
-
     def _connect(self, left: str, right: str) -> None:
         left_broker = self.brokers[left]
         right_broker = self.brokers[right]

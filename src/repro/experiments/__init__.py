@@ -19,28 +19,7 @@ runs everything and produces the content of ``EXPERIMENTS.md``.
 Beyond the paper, :mod:`repro.experiments.failure_schedule` exercises the
 robustness layer (broker crash/restart, durable subscriptions, scheduled
 partitions) that the failure-free paper model has no counterpart for.
+
+The package imports none of them: ``python -m repro.experiments.<name>``
+then runs the one module it names, not a second copy of it.
 """
-
-from repro.experiments import (
-    failure_schedule,
-    fig2_naive_roaming,
-    fig3_blackout,
-    fig5_relocation,
-    fig9_message_counts,
-    table1_ploc,
-    table2_filters,
-    table3_endpoints,
-    table4_adaptive,
-)
-
-__all__ = [
-    "table1_ploc",
-    "table2_filters",
-    "table3_endpoints",
-    "table4_adaptive",
-    "fig2_naive_roaming",
-    "fig3_blackout",
-    "fig5_relocation",
-    "fig9_message_counts",
-    "failure_schedule",
-]

@@ -1,45 +1,58 @@
 """Backend threading for the experiment suite.
 
-Every experiment module accepts an optional ``runtime_factory`` (see
-:func:`repro.runtime.factory.runtime_factory`): ``None`` keeps the
-historical default — the discrete-event simulator — while a factory runs
-the *same* experiment on whatever backend it produces, e.g. the
-virtual-time asyncio runtime.  The backend-parity CI gate relies on this
-to execute the full experiment set on every backend and compare traces.
+Every experiment that builds a network takes one :class:`Backend` value:
+the runtime its networks run on, by name (see
+:func:`repro.runtime.factory.make_runtime`), and the telemetry they
+stream, if any.  The default, ``Backend()``, is the discrete-event
+simulator with telemetry off.  The backend-parity CI gate runs the
+*same* experiments with ``Backend("aio-memory")`` and
+``Backend("aio-tcp")`` and compares traces.
 
-:func:`build_network` is the one place the choice is made, so the
+:func:`build_network` is the one place the value is read, so the
 experiments themselves stay backend-agnostic: they describe topology,
 strategy and latency, and get a wired :class:`PubSubNetwork` back.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.broker.base import BrokerConfig
 from repro.broker.network import PubSubNetwork
-from repro.runtime.factory import RuntimeFactory
+from repro.runtime.factory import make_runtime
+from repro.telemetry import TelemetryConfig
 from repro.topology.graph import BrokerGraph
+
+
+@dataclass(frozen=True)
+class Backend:
+    """Where an experiment's networks run and where their telemetry goes.
+
+    *name* is one of :data:`~repro.runtime.factory.BACKENDS`.  With
+    *telemetry* set, every network the experiment builds streams through
+    its own sink from that config; with ``None`` the networks run dark.
+    """
+
+    name: str = "sim"
+    telemetry: Optional[TelemetryConfig] = None
 
 
 def build_network(
     graph: BrokerGraph,
+    backend: Backend,
     strategy: str = "covering",
     latency: Any = None,
-    runtime_factory: Optional[RuntimeFactory] = None,
     config: Optional[BrokerConfig] = None,
 ) -> PubSubNetwork:
-    """A :class:`PubSubNetwork` on the chosen backend.
+    """A :class:`PubSubNetwork` on a fresh runtime of *backend*.
 
-    With ``runtime_factory=None`` this is exactly
-    ``PubSubNetwork(graph, strategy=strategy, latency=latency, ...)`` —
-    the simulator default every experiment has always used.  Otherwise
-    the factory is called once with the experiment's latency model and
-    the resulting runtime is handed to the network.
+    ``latency=None`` is the backend's default link latency.
     """
-    if runtime_factory is None:
-        kwargs = {} if latency is None else {"latency": latency}
-        return PubSubNetwork(graph, strategy=strategy, config=config, **kwargs)
     return PubSubNetwork(
-        graph, strategy=strategy, config=config, runtime=runtime_factory(latency=latency)
+        graph,
+        strategy=strategy,
+        config=config,
+        runtime=make_runtime(backend.name, latency),
+        telemetry=backend.telemetry,
     )

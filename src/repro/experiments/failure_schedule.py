@@ -35,18 +35,20 @@ Two scenarios:
 
 from __future__ import annotations
 
+import argparse
+import tempfile
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.broker.base import BrokerConfig
 from repro.broker.recovery import DiskRecoveryStore, RecoveryStore, encode_table
-from repro.experiments.backends import build_network
+from repro.experiments.backends import Backend, build_network
 from repro.filters.filter import Filter
 from repro.messages.base import MessageKind
 from repro.metrics.blackout import measure_node_loss_blackout
 from repro.metrics.qos import check_completeness, check_fifo, check_no_duplicates
 from repro.metrics.recovery import RecoveryReport, dropped_by_reason, recovery_report
-from repro.runtime.factory import RuntimeFactory
+from repro.runtime.factory import BACKENDS
 from repro.runtime.faults import FaultModel
 from repro.sim.rng import DeterministicRandom
 from repro.topology.builders import line_topology
@@ -190,7 +192,7 @@ class FailureScheduleResult:
 
 def run_crash_restart(
     config: FailureScheduleConfig = FailureScheduleConfig(),
-    runtime_factory: Optional[RuntimeFactory] = None,
+    backend: Backend = Backend(),
 ) -> CrashRestartResult:
     """Crash a border broker mid-workload; detect, fail over, restart, re-home."""
     edge = "B{}".format(config.brokers)
@@ -198,7 +200,7 @@ def run_crash_restart(
         line_topology(config.brokers),
         strategy="covering",
         latency=config.latency,
-        runtime_factory=runtime_factory,
+        backend=backend,
         config=BrokerConfig(forward_retention=config.retention_window),
     )
     store_factory: Optional[Callable[[str], RecoveryStore]] = None
@@ -325,14 +327,14 @@ def run_crash_restart(
 
 def run_partition(
     config: FailureScheduleConfig = FailureScheduleConfig(),
-    runtime_factory: Optional[RuntimeFactory] = None,
+    backend: Backend = Backend(),
 ) -> PartitionResult:
     """Drop notifications to a plain subscriber inside a scheduled window."""
     network = build_network(
         line_topology(3),
         strategy="covering",
         latency=config.latency,
-        runtime_factory=runtime_factory,
+        backend=backend,
     )
     fault = FaultModel(DeterministicRandom(config.seed))
     for link in network.links.values():
@@ -377,28 +379,22 @@ def run_partition(
 
 def run(
     config: FailureScheduleConfig = FailureScheduleConfig(),
-    runtime_factory: Optional[RuntimeFactory] = None,
+    backend: Backend = Backend(),
 ) -> FailureScheduleResult:
     """Execute the whole scenario family."""
     return FailureScheduleResult(
-        crash_restart=run_crash_restart(config, runtime_factory),
-        partition=run_partition(config, runtime_factory),
+        crash_restart=run_crash_restart(config, backend),
+        partition=run_partition(config, backend),
     )
 
 
-if __name__ == "__main__":  # pragma: no cover - manual / CI invocation helper
-    import argparse
-    import sys
-    import tempfile
-
-    from repro.runtime.factory import BACKENDS
-    from repro.runtime.factory import runtime_factory as _factory_for
-
+def main(argv: Optional[List[str]] = None) -> int:
+    """Command-line entry point: run the family and print its report."""
     parser = argparse.ArgumentParser(description="Run the failure-schedule family.")
     parser.add_argument(
         "--backend",
         choices=sorted(BACKENDS),
-        default=None,
+        default="sim",
         help="runtime backend (default: the simulator)",
     )
     parser.add_argument(
@@ -412,33 +408,35 @@ if __name__ == "__main__":  # pragma: no cover - manual / CI invocation helper
         help="stream metric snapshots/spans/logs to a live collector "
         "and print its aggregate summary after the report",
     )
-    arguments = parser.parse_args()
-    factory = None if arguments.backend is None else _factory_for(arguments.backend)
+    arguments = parser.parse_args(argv)
 
-    def _execute():
-        if arguments.disk_store:
-            with tempfile.TemporaryDirectory() as tmpdir:
-                return run(FailureScheduleConfig(storage_dir=tmpdir), factory)
-        return run(runtime_factory=factory)
-
+    collector = None
+    telemetry = None
     if arguments.telemetry:
-        from repro.telemetry import TcpSink, TelemetryConfig, telemetry_enabled
+        from repro.telemetry import TcpSink, TelemetryConfig
         from repro.telemetry.collector import TelemetryCollector
 
         collector = TelemetryCollector()
         host, port = collector.start()
-        try:
-            config = TelemetryConfig(sink_factory=lambda: TcpSink(host, port))
-            with telemetry_enabled(config):
-                result = _execute()
-        finally:
+        telemetry = TelemetryConfig(sink_factory=lambda: TcpSink(host, port))
+    backend = Backend(arguments.backend, telemetry)
+    try:
+        if arguments.disk_store:
+            with tempfile.TemporaryDirectory() as tmpdir:
+                result = run(FailureScheduleConfig(storage_dir=tmpdir), backend)
+        else:
+            result = run(backend=backend)
+    finally:
+        if collector is not None:
             collector.stop()
-        print(result.format_text())
+    print(result.format_text())
+    if collector is not None:
         print()
         print(collector.aggregate.summary())
         for log in collector.aggregate.log_list():
             print("  [{}] {}@{:.3f}: {}".format(log.level, log.broker, log.time, log.text))
-    else:
-        result = _execute()
-        print(result.format_text())
-    sys.exit(0 if result.passed else 1)
+    return 0 if result.passed else 1
+
+
+if __name__ == "__main__":  # pragma: no cover - manual / CI invocation helper
+    raise SystemExit(main())

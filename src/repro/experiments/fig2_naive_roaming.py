@@ -22,12 +22,11 @@ delivers the event exactly once in both cases.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.baselines.naive_roaming import NaiveRoamingClient
 from repro.broker.client import Client
-from repro.experiments.backends import build_network
-from repro.runtime.factory import RuntimeFactory
+from repro.experiments.backends import Backend, build_network
 from repro.topology.builders import line_topology
 
 #: Filter used by the roaming consumer in all cases.
@@ -99,14 +98,14 @@ def _run_naive(
     case: str,
     brokers: int,
     latency: float,
-    runtime_factory: Optional[RuntimeFactory] = None,
+    backend: Backend,
 ) -> CaseResult:
     """The naive baseline under flooding for one timing."""
     network = build_network(
         line_topology(brokers),
         strategy="flooding",
         latency=latency,
-        runtime_factory=runtime_factory,
+        backend=backend,
     )
     producer = network.add_client("producer", "B1")
     roamer = NaiveRoamingClient("roamer", EVENT_FILTER, variant=NaiveRoamingClient.ABRUPT)
@@ -142,14 +141,14 @@ def _run_relocation(
     case: str,
     brokers: int,
     latency: float,
-    runtime_factory: Optional[RuntimeFactory] = None,
+    backend: Backend,
 ) -> CaseResult:
     """The same timings with the Section 4 relocation protocol."""
     network = build_network(
         line_topology(brokers),
         strategy="covering",
         latency=latency,
-        runtime_factory=runtime_factory,
+        backend=backend,
     )
     producer = network.add_client("producer", "B1")
     producer.advertise(EVENT_FILTER)
@@ -191,13 +190,13 @@ def _run_relocation(
 def run(
     brokers: int = 6,
     latency: float = 0.2,
-    runtime_factory: Optional[RuntimeFactory] = None,
+    backend: Backend = Backend(),
 ) -> Fig2Result:
     """Reproduce the Figure 2 anomalies and their fix."""
     cases: List[CaseResult] = []
     for case in ("duplicate-timing", "miss-timing"):
-        cases.append(_run_naive(case, brokers, latency, runtime_factory))
-        cases.append(_run_relocation(case, brokers, latency, runtime_factory))
+        cases.append(_run_naive(case, brokers, latency, backend))
+        cases.append(_run_relocation(case, brokers, latency, backend))
     return Fig2Result(cases=cases)
 
 

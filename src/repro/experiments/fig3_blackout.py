@@ -19,17 +19,15 @@ instant were delivered.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.baselines.flooding_client_filter import FloodingLocationConsumer
 from repro.baselines.resubscribe import ResubscribingLocationConsumer
 from repro.broker.network import PubSubNetwork
 from repro.core.ploc import MovementGraph
-from repro.experiments.backends import build_network
+from repro.experiments.backends import Backend, build_network
 from repro.filters.constraints import Equals
 from repro.filters.filter import Filter
 from repro.metrics.blackout import BlackoutReport, measure_blackout
-from repro.runtime.factory import RuntimeFactory
 from repro.topology.builders import line_topology
 
 
@@ -96,11 +94,11 @@ def _steady_publisher(
     network: PubSubNetwork, producer, location: str, interval: float, end: float
 ) -> None:
     """Schedule a steady stream of matching notifications from time 0 to *end*."""
-    simulator = network.simulator
+    clock = network.clock
     time = 0.0
     index = 0
     while time <= end:
-        simulator.schedule_at(
+        clock.schedule_at(
             time,
             producer.publish,
             {"service": "demo", "location": location, "index": index},
@@ -115,7 +113,7 @@ def run(
     latency: float = 0.5,
     publish_interval: float = 0.1,
     horizon: float = 12.0,
-    runtime_factory: Optional[RuntimeFactory] = None,
+    backend: Backend = Backend(),
 ) -> Fig3Result:
     """Measure the blackout of both mechanisms on a line of *brokers* brokers."""
     propagation_delay = (brokers - 1) * latency
@@ -127,7 +125,7 @@ def run(
         line_topology(brokers),
         strategy="simple",
         latency=latency,
-        runtime_factory=runtime_factory,
+        backend=backend,
     )
     routed_producer = routed_network.add_client("producer", "B{}".format(brokers))
     routed_producer.advertise({"service": "demo"})
@@ -155,7 +153,7 @@ def run(
         line_topology(brokers),
         strategy="flooding",
         latency=latency,
-        runtime_factory=runtime_factory,
+        backend=backend,
     )
     flooding_producer = flooding_network.add_client("producer", "B{}".format(brokers))
     rooms = MovementGraph.line(["room-0", "room-1", "room-2"])

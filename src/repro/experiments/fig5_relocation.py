@@ -19,10 +19,9 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.broker.client import Client
-from repro.experiments.backends import build_network
+from repro.experiments.backends import Backend, build_network
 from repro.filters.filter import Filter
 from repro.metrics.qos import check_completeness, check_fifo, check_no_duplicates
-from repro.runtime.factory import RuntimeFactory
 from repro.topology.graph import BrokerGraph
 
 
@@ -97,7 +96,7 @@ def run(
     producers: int = 1,
     latency: float = 0.05,
     notifications_per_phase: int = 5,
-    runtime_factory: Optional[RuntimeFactory] = None,
+    backend: Backend = Backend(),
 ) -> Fig5Result:
     """Execute the Figure 5 walk-through with one or two producers."""
     if producers not in (1, 2):
@@ -105,9 +104,7 @@ def run(
     graph = figure5_topology()
     if producers == 2:
         graph.add_edge("B3", "B9")
-    network = build_network(
-        graph, strategy="covering", latency=latency, runtime_factory=runtime_factory
-    )
+    network = build_network(graph, strategy="covering", latency=latency, backend=backend)
 
     producer_clients: List[Client] = []
     attachments = [("P1", "B3")] if producers == 1 else [("P1", "B3"), ("P2", "B9")]

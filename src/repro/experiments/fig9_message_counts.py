@@ -29,12 +29,11 @@ from repro.broker.network import PubSubNetwork
 from repro.core.adaptivity import UncertaintyPlan
 from repro.core.location_filter import MYLOC
 from repro.core.ploc import MovementGraph
-from repro.experiments.backends import build_network
+from repro.experiments.backends import Backend, build_network
 from repro.metrics.counters import cumulative_message_series
 from repro.metrics.qos import check_no_duplicates
 from repro.mobility.driver import ItineraryDriver
 from repro.mobility.models import random_walk
-from repro.runtime.factory import RuntimeFactory
 from repro.sim.rng import DeterministicRandom
 from repro.topology.builders import balanced_tree_topology
 from repro.workload.generators import UniformLocationPublisher
@@ -122,7 +121,7 @@ def _location_names(count: int) -> List[str]:
 def _build_network(
     config: Fig9Config,
     strategy: str,
-    runtime_factory: Optional[RuntimeFactory] = None,
+    backend: Backend,
 ) -> Tuple[PubSubNetwork, List[str]]:
     """The broker tree with producers spread over the leaf (border) brokers."""
     topology = balanced_tree_topology(depth=config.tree_depth, fanout=config.tree_fanout)
@@ -130,7 +129,7 @@ def _build_network(
         topology,
         strategy=strategy,
         latency=config.link_latency,
-        runtime_factory=runtime_factory,
+        backend=backend,
     )
     leaves = topology.leaves()
     return network, leaves
@@ -141,13 +140,13 @@ def _run_case(
     strategy: str,
     dwell_time: Optional[float],
     label: str,
-    runtime_factory: Optional[RuntimeFactory] = None,
+    backend: Backend,
 ) -> Fig9Series:
     """Run one curve: either flooding or the new algorithm with a given Δ."""
     rng = DeterministicRandom(config.seed)
     locations = _location_names(config.locations)
     movement = MovementGraph.line(locations)
-    network, leaves = _build_network(config, strategy, runtime_factory)
+    network, leaves = _build_network(config, strategy, backend)
 
     # Producers on the last leaves; the consumer on the first leaf.
     consumer_broker = leaves[0]
@@ -222,7 +221,7 @@ def _run_case(
 
 def run(
     config: Optional[Fig9Config] = None,
-    runtime_factory: Optional[RuntimeFactory] = None,
+    backend: Backend = Backend(),
 ) -> Fig9Result:
     """Reproduce the three curves of Figure 9."""
     config = config or Fig9Config()
@@ -232,7 +231,7 @@ def run(
             strategy="flooding",
             dwell_time=min(config.dwell_times),
             label="flooding",
-            runtime_factory=runtime_factory,
+            backend=backend,
         )
     ]
     for dwell_time in sorted(config.dwell_times):
@@ -242,7 +241,7 @@ def run(
                 strategy="covering",
                 dwell_time=dwell_time,
                 label="new alg. Delta={:g}".format(dwell_time),
-                runtime_factory=runtime_factory,
+                backend=backend,
             )
         )
     return Fig9Result(config=config, series=series)

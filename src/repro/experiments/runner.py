@@ -35,7 +35,8 @@ from repro.experiments import (
     table3_endpoints,
     table4_adaptive,
 )
-from repro.runtime.factory import BACKENDS, RuntimeFactory, runtime_factory
+from repro.experiments.backends import Backend
+from repro.runtime.factory import BACKENDS
 
 
 @dataclass
@@ -47,19 +48,18 @@ class ExperimentOutcome:
     text: str
 
 
-def run_all(quick: bool = False, backend: str = "sim") -> List[ExperimentOutcome]:
+def run_all(quick: bool = False, backend: Backend = Backend()) -> List[ExperimentOutcome]:
     """Execute all experiments; *quick* shrinks the Figure 9 horizon.
 
-    *backend* selects the runtime every experiment runs on; ``"sim"``
-    keeps the historical default code path (no factory threaded at all).
+    Every experiment that builds a network runs it on *backend*; the
+    tables are pure computation and take none.
     """
-    factory: Optional[RuntimeFactory] = None if backend == "sim" else runtime_factory(backend)
     outcomes: List[ExperimentOutcome] = []
 
-    t1 = table1_ploc.run(runtime_factory=factory)
+    t1 = table1_ploc.run()
     outcomes.append(ExperimentOutcome("Table 1 (ploc values)", t1.matches_paper, t1.format_text()))
 
-    t2 = table2_filters.run(runtime_factory=factory)
+    t2 = table2_filters.run(backend=backend)
     outcomes.append(
         ExperimentOutcome(
             "Table 2 (per-hop filters, a -> b -> d)",
@@ -68,21 +68,21 @@ def run_all(quick: bool = False, backend: str = "sim") -> List[ExperimentOutcome
         )
     )
 
-    t3 = table3_endpoints.run(runtime_factory=factory)
+    t3 = table3_endpoints.run()
     outcomes.append(
         ExperimentOutcome(
             "Table 3 (trivial / flooding end points)", t3.matches_paper, t3.format_text()
         )
     )
 
-    t4 = table4_adaptive.run(runtime_factory=factory)
+    t4 = table4_adaptive.run()
     outcomes.append(
         ExperimentOutcome(
             "Table 4 / Figure 8 (adaptive levels)", t4.matches_paper, t4.format_text()
         )
     )
 
-    f2 = fig2_naive_roaming.run(runtime_factory=factory)
+    f2 = fig2_naive_roaming.run(backend=backend)
     outcomes.append(
         ExperimentOutcome(
             "Figure 2 (naive roaming anomalies)",
@@ -91,13 +91,13 @@ def run_all(quick: bool = False, backend: str = "sim") -> List[ExperimentOutcome
         )
     )
 
-    f3 = fig3_blackout.run(runtime_factory=factory)
+    f3 = fig3_blackout.run(backend=backend)
     outcomes.append(
         ExperimentOutcome("Figure 3 (blackout periods)", f3.shows_expected_shape, f3.format_text())
     )
 
-    f5_single = fig5_relocation.run(producers=1, runtime_factory=factory)
-    f5_multi = fig5_relocation.run(producers=2, runtime_factory=factory)
+    f5_single = fig5_relocation.run(producers=1, backend=backend)
+    f5_multi = fig5_relocation.run(producers=2, backend=backend)
     outcomes.append(
         ExperimentOutcome(
             "Figure 5 (relocation walk-through)",
@@ -109,14 +109,14 @@ def run_all(quick: bool = False, backend: str = "sim") -> List[ExperimentOutcome
     config = (
         fig9_message_counts.Fig9Config(horizon=30.0) if quick else fig9_message_counts.Fig9Config()
     )
-    f9 = fig9_message_counts.run(config, runtime_factory=factory)
+    f9 = fig9_message_counts.run(config, backend=backend)
     outcomes.append(
         ExperimentOutcome(
             "Figure 9 (total message counts)", f9.shows_expected_shape, f9.format_text()
         )
     )
 
-    fs = failure_schedule.run(runtime_factory=factory)
+    fs = failure_schedule.run(backend=backend)
     outcomes.append(
         ExperimentOutcome(
             "Failure schedule (crash/restart + partition)", fs.passed, fs.format_text()
@@ -143,7 +143,7 @@ def format_report(outcomes: List[ExperimentOutcome]) -> str:
 
 def _run_with_telemetry(quick: bool, backend: str) -> List[ExperimentOutcome]:
     """Run everything with a live collector attached; print its findings."""
-    from repro.telemetry import TcpSink, TelemetryConfig, telemetry_enabled
+    from repro.telemetry import TcpSink, TelemetryConfig
     from repro.telemetry.collector import TelemetryCollector
     from repro.telemetry.tracing import render_span_tree, trace_ids
 
@@ -151,8 +151,7 @@ def _run_with_telemetry(quick: bool, backend: str) -> List[ExperimentOutcome]:
     host, port = collector.start()
     try:
         config = TelemetryConfig(sink_factory=lambda: TcpSink(host, port))
-        with telemetry_enabled(config):
-            outcomes = run_all(quick=quick, backend=backend)
+        outcomes = run_all(quick=quick, backend=Backend(backend, config))
     finally:
         collector.stop()
     print(collector.aggregate.summary())
@@ -185,7 +184,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if telemetry:
         outcomes = _run_with_telemetry(quick=quick, backend=backend)
     else:
-        outcomes = run_all(quick=quick, backend=backend)
+        outcomes = run_all(quick=quick, backend=Backend(backend))
     print(format_report(outcomes))
     return 0 if all(outcome.passed for outcome in outcomes) else 1
 

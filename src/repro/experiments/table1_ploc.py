@@ -70,14 +70,8 @@ class Table1Result:
 def run(
     max_steps: int = 3,
     graph: Optional[MovementGraph] = None,
-    runtime_factory: object = None,
 ) -> Table1Result:
-    """Regenerate Table 1 (optionally for a different movement graph).
-
-    *runtime_factory* is accepted for signature uniformity with the
-    network-driven experiments and ignored: the table is pure
-    computation, identical on every backend.
-    """
+    """Regenerate Table 1 (optionally for a different movement graph)."""
     graph = graph or MovementGraph.paper_example()
     ploc = PlocFunction(graph)
     computed = ploc.table(max_steps)

@@ -27,8 +27,7 @@ from repro.core.adaptivity import UncertaintyPlan
 from repro.core.location_filter import MYLOC
 from repro.core.logical import location_sets_chain
 from repro.core.ploc import MovementGraph
-from repro.experiments.backends import build_network
-from repro.runtime.factory import RuntimeFactory
+from repro.experiments.backends import Backend, build_network
 from repro.topology.builders import line_topology
 
 #: The values printed in the paper's Table 2 (keyed by time step, then hop).
@@ -77,14 +76,14 @@ def _operational_chain(
     plan: UncertaintyPlan,
     itinerary: Sequence[str],
     hops: int,
-    runtime_factory: Optional[RuntimeFactory] = None,
+    backend: Backend,
 ) -> Dict[int, List[FrozenSet[str]]]:
     """Read the concrete per-hop location sets out of a running broker network."""
     network = build_network(
         line_topology(hops + 1),
         strategy="covering",
         latency=0.001,
-        runtime_factory=runtime_factory,
+        backend=backend,
     )
     producer = network.add_client("producer", "B{}".format(hops + 1))
     producer.advertise({"service": "demo"})
@@ -116,7 +115,7 @@ def run(
     graph: Optional[MovementGraph] = None,
     itinerary: Sequence[str] = PAPER_ITINERARY,
     hops: int = 3,
-    runtime_factory: Optional[RuntimeFactory] = None,
+    backend: Backend = Backend(),
 ) -> Table2Result:
     """Regenerate Table 2 both analytically and from the broker network."""
     graph = graph or MovementGraph.paper_example()
@@ -125,7 +124,7 @@ def run(
         step: location_sets_chain(graph, plan, location, hops)
         for step, location in enumerate(itinerary)
     }
-    operational = _operational_chain(graph, plan, itinerary, hops, runtime_factory)
+    operational = _operational_chain(graph, plan, itinerary, hops, backend)
     return Table2Result(analytical=analytical, operational=operational, reference=PAPER_TABLE_2)
 
 

@@ -80,17 +80,12 @@ class Table3Result:
 def run(
     max_hops: int = 3,
     graph: Optional[MovementGraph] = None,
-    runtime_factory: object = None,
 ) -> Table3Result:
     """Regenerate Table 3 from the end-point uncertainty plans.
 
     The table's row index *t* is the hop index of the filter chain: row
     ``t`` shows the location set a broker at hop ``t`` subscribes to for a
     client at location ``x``.
-
-    *runtime_factory* is accepted for signature uniformity with the
-    network-driven experiments and ignored: the table is pure
-    computation, identical on every backend.
     """
     graph = graph or MovementGraph.paper_example()
     ploc = PlocFunction(graph)

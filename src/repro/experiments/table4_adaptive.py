@@ -89,14 +89,8 @@ def run(
     hop_delays: Sequence[float] = PAPER_HOP_DELAYS,
     graph: Optional[MovementGraph] = None,
     table_hops: int = 3,
-    runtime_factory: object = None,
 ) -> Table4Result:
-    """Regenerate Figure 8's level assignment and Table 4's ploc values.
-
-    *runtime_factory* is accepted for signature uniformity with the
-    network-driven experiments and ignored: the table is pure
-    computation, identical on every backend.
-    """
+    """Regenerate Figure 8's level assignment and Table 4's ploc values."""
     graph = graph or MovementGraph.paper_example()
     levels = adaptive_levels(dwell_time, hop_delays)
     plan = UncertaintyPlan(levels=levels, name="adaptive")

@@ -25,7 +25,7 @@ See ``docs/architecture.md`` for the layering rules (notably: no
 or ``repro.dispatch``; ``tests/test_layering.py`` enforces this).
 """
 
-from repro.runtime.factory import BACKENDS, RuntimeFactory, make_runtime, runtime_factory
+from repro.runtime.factory import BACKENDS, make_runtime
 from repro.runtime.faults import FaultModel
 from repro.runtime.latency import (
     DEFAULT_LINK_LATENCY,
@@ -56,11 +56,9 @@ __all__ = [
     "LinkRecord",
     "PublishRecord",
     "Runtime",
-    "RuntimeFactory",
     "ScheduledCall",
     "TraceRecorder",
     "UniformLatency",
     "make_runtime",
     "resolve_latency",
-    "runtime_factory",
 ]

@@ -17,16 +17,15 @@ fast-forwarded, modelled latency).  Code that wants the wall-clock
 asyncio backend constructs :class:`~repro.runtime.aio.AioRuntime`
 directly.
 
-:func:`runtime_factory` returns a zero-configuration callable so a
-backend choice can be threaded through experiment code as a value: each
-experiment calls it once per network it builds, with the latency model
-that network needs.
+:func:`make_runtime` is the one way a runtime is built by name: the
+default runtime of a :class:`~repro.broker.network.PubSubNetwork` and
+every network of an experiment (:mod:`repro.experiments.backends`) come
+from it.
 """
 
 from __future__ import annotations
 
-import functools
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.runtime.latency import LatencySpec
 from repro.runtime.protocols import Runtime
@@ -34,10 +33,6 @@ from repro.runtime.trace import TraceRecorder
 
 #: The backend names accepted by :func:`make_runtime` (and the CLI).
 BACKENDS = ("sim", "aio-memory", "aio-tcp")
-
-#: A callable producing a fresh runtime per network, pre-bound to a
-#: backend; experiments call it as ``factory(latency=...)``.
-RuntimeFactory = Callable[..., Runtime]
 
 
 def make_runtime(
@@ -53,8 +48,7 @@ def make_runtime(
     if backend == "sim":
         from repro.runtime.sim import SimRuntime
 
-        kwargs = {} if latency is None else {"latency": latency}
-        return SimRuntime(trace=trace, **kwargs)
+        return SimRuntime(trace=trace, latency=latency)
     if backend in ("aio-memory", "aio-tcp"):
         from repro.runtime.aio import AioRuntime
 
@@ -68,15 +62,3 @@ def make_runtime(
         "unknown backend {!r}; expected one of {}".format(backend, ", ".join(BACKENDS))
     )
 
-
-def runtime_factory(backend: str) -> RuntimeFactory:
-    """A :data:`RuntimeFactory` pre-bound to *backend*.
-
-    Validates the name eagerly so a typo fails at CLI-parse time, not
-    in the middle of an experiment.
-    """
-    if backend not in BACKENDS:
-        raise ValueError(
-            "unknown backend {!r}; expected one of {}".format(backend, ", ".join(BACKENDS))
-        )
-    return functools.partial(make_runtime, backend)

@@ -12,7 +12,8 @@ The virtual-time asyncio backend runs the same :class:`Link` on its own
 simulator (see :mod:`repro.runtime.aio`), and the latency specification
 accepted here (a constant, a per-edge mapping, or a factory — see
 :mod:`repro.runtime.latency`) means the same delays on both, so delivery
-times line up run for run.
+times line up run for run.  ``latency=None`` is the default link latency
+(:data:`~repro.runtime.latency.DEFAULT_LINK_LATENCY`) on both.
 """
 
 from __future__ import annotations
@@ -37,13 +38,12 @@ class SimRuntime:
 
     def __init__(
         self,
-        simulator: Optional[Simulator] = None,
         trace: Optional[TraceRecorder] = None,
-        latency: LatencySpec = DEFAULT_LINK_LATENCY,
+        latency: Optional[LatencySpec] = None,
     ) -> None:
-        self.simulator = simulator or Simulator()
+        self.simulator = Simulator()
         self._trace = trace or TraceRecorder()
-        self._latency_spec = latency
+        self._latency_spec = latency if latency is not None else DEFAULT_LINK_LATENCY
 
     # ------------------------------------------------------------------
     # Runtime protocol

@@ -14,20 +14,20 @@ The package is organised around four pieces (see
   (imported lazily; importing this package must stay cheap and
   thread-free).
 
-Telemetry is **opt-in and zero-cost when off**: the network only emits
-events when a :class:`TelemetryConfig` is active (passed to
-``PubSubNetwork`` or installed process-wide with
-:func:`enable_telemetry`), and every broker hook site is a single
-``is not None`` check.  All event timestamps come from the run's clock,
-so under virtual time an instrumented run is deterministic and the
-backend-parity gate stays byte-identical.
+Telemetry is **opt-in and zero-cost when off**: a network only emits
+events when it is built with a :class:`TelemetryConfig`
+(``PubSubNetwork(..., telemetry=config)``, or an experiment's
+``Backend(..., telemetry=config)``); nothing process-wide turns it on.
+Every broker hook site is a single ``is not None`` check.  All event
+timestamps come from the run's clock, so under virtual time an
+instrumented run is deterministic and the backend-parity gate stays
+byte-identical.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.telemetry.events import (
     HOP_DELIVER,
@@ -62,15 +62,11 @@ __all__ = [
     "TelemetryConfig",
     "TelemetryEvent",
     "TelemetrySink",
-    "active_telemetry_config",
-    "disable_telemetry",
-    "enable_telemetry",
-    "telemetry_enabled",
     "trace_id_of",
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class TelemetryConfig:
     """How a network should stream telemetry.
 
@@ -84,36 +80,3 @@ class TelemetryConfig:
     def make_sink(self) -> TelemetrySink:
         return self.sink_factory()
 
-
-_ACTIVE_CONFIG: Optional[TelemetryConfig] = None
-
-
-def enable_telemetry(config: TelemetryConfig) -> None:
-    """Install *config* as the process-wide default for new networks."""
-    global _ACTIVE_CONFIG
-    _ACTIVE_CONFIG = config
-
-
-def disable_telemetry() -> None:
-    """Remove the process-wide default (new networks run dark again)."""
-    global _ACTIVE_CONFIG
-    _ACTIVE_CONFIG = None
-
-
-def active_telemetry_config() -> Optional[TelemetryConfig]:
-    """The process-wide default config, or ``None`` when telemetry is off."""
-    return _ACTIVE_CONFIG
-
-
-@contextmanager
-def telemetry_enabled(config: TelemetryConfig):
-    """Scope the process-wide default to a ``with`` block (tests/CLIs)."""
-    previous = _ACTIVE_CONFIG
-    enable_telemetry(config)
-    try:
-        yield config
-    finally:
-        if previous is None:
-            disable_telemetry()
-        else:
-            enable_telemetry(previous)

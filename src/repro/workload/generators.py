@@ -33,13 +33,13 @@ class ScheduledPublication:
 def publish_schedule(
     network: PubSubNetwork, client: Client, schedule: Sequence[ScheduledPublication]
 ) -> None:
-    """Schedule the publications of *schedule* on the network's simulator."""
-    simulator = network.simulator
+    """Schedule the publications of *schedule* on the network's clock."""
+    clock = network.clock
     for item in schedule:
-        if item.time <= simulator.now:
+        if item.time <= clock.now:
             client.publish(item.as_dict())
         else:
-            simulator.schedule_at(
+            clock.schedule_at(
                 item.time,
                 client.publish,
                 item.as_dict(),

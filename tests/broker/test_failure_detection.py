@@ -14,21 +14,19 @@ import pytest
 
 from repro.broker.base import BrokerConfig
 from repro.broker.client import Client
-from repro.broker.network import PubSubNetwork
-from repro.experiments.backends import build_network
+from repro.experiments.backends import Backend, build_network
 from repro.messages.notification import Notification
 from repro.metrics.qos import check_completeness, check_fifo, check_no_duplicates
 from repro.filters.filter import Filter
-from repro.runtime.factory import runtime_factory
 from repro.topology.builders import line_topology
 
 
-def _network(brokers=3, retention=None, factory=None):
+def _network(brokers=3, retention=None, backend=Backend()):
     network = build_network(
         line_topology(brokers),
         strategy="covering",
         latency=0.05,
-        runtime_factory=factory,
+        backend=backend,
         config=BrokerConfig(forward_retention=retention),
     )
     network.enable_recovery()
@@ -110,8 +108,8 @@ class TestFailureDetection:
 
     def test_detection_time_is_backend_identical(self):
         results = []
-        for factory in (None, runtime_factory("aio-memory")):
-            network, _, _ = _network(retention=8, factory=factory)
+        for backend in (Backend("sim"), Backend("aio-memory")):
+            network, _, _ = _network(retention=8, backend=backend)
             detector = network.enable_failure_detection(
                 heartbeat_interval=0.5, lease_timeout=1.2, until=network.now + 2.0
             )

@@ -1,6 +1,13 @@
 """The failure-schedule scenario family meets its acceptance bars."""
 
+import os
+import subprocess
+import sys
+
 from repro.experiments import failure_schedule
+
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+SRC = os.path.join(ROOT, "src")
 
 
 def test_crash_restart_scenario_holds_durable_guarantees():
@@ -57,3 +64,25 @@ def test_report_to_dict_is_json_friendly():
     result = failure_schedule.run_crash_restart()
     payload = json.dumps(result.report.to_dict())
     assert "durable_zero_loss" in payload
+
+
+def test_module_entry_point_runs_one_copy_of_the_module():
+    """``python -m repro.experiments.failure_schedule`` imports the package
+    first.  If the package imported the module too, runpy would warn and
+    execute a second copy of it; here that warning is an error."""
+    done = subprocess.run(
+        [
+            sys.executable,
+            "-W",
+            "error::RuntimeWarning:runpy",
+            "-m",
+            "repro.experiments.failure_schedule",
+            "--help",
+        ],
+        env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "--backend" in done.stdout

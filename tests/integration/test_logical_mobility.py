@@ -169,7 +169,7 @@ class TestEpochSemantics:
         # Publications spread over the run, at every location.
         start = network.now
         for step in range(40):
-            network.simulator.schedule_at(
+            network.clock.schedule_at(
                 start + 0.2 * step,
                 producer.publish,
                 {"service": "parking", "location": "abcd"[step % 4]},

@@ -265,7 +265,7 @@ class TestRepeatedRoaming:
         # Publish continuously while the client roams, without settling.
         start = network.now
         for index in range(20):
-            network.simulator.schedule_at(
+            network.clock.schedule_at(
                 start + 0.05 * index, producer.publish, {"topic": "news", "index": index}
             )
         network.run_until(start + 0.3)

@@ -71,7 +71,7 @@ class TestRoamingDriving:
         # legitimately undeliverable and not part of the completeness claim.
         start = network.now + 0.5
         for index in range(30):
-            network.simulator.schedule_at(
+            network.clock.schedule_at(
                 start + 0.33 * index, producer.publish, {"topic": "news", "index": index}
             )
         network.run_until(start + 12.0)

@@ -21,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.broker.network import PubSubNetwork
 from repro.broker.recovery import RoutingSnapshot
+from repro.experiments.backends import Backend
 from repro.filters.filter import Filter, MatchAll, MatchNone
 from repro.filters.wire import filter_to_wire
 from repro.messages.control import Heartbeat
@@ -38,8 +39,6 @@ from repro.runtime.aio import AioRuntime
 from repro.runtime.factory import make_runtime
 from repro.runtime.faults import FaultModel
 from repro.runtime.latency import FixedLatency
-from repro.runtime.trace import TraceRecorder
-from repro.sim.engine import Simulator
 from repro.sim.rng import DeterministicRandom
 from repro.topology.builders import line_topology
 from repro.telemetry.events import LogEvent, MetricSnapshotEvent, SpanEvent
@@ -49,7 +48,6 @@ from tests.messages.test_wire import messages, mutated_payloads, sequenced_notif
 from tests.runtime.test_backend_parity import (
     AIO_BACKENDS,
     EXPERIMENTS,
-    RecordingFactory,
     _trace_fingerprint,
 )
 
@@ -116,16 +114,12 @@ def test_settle_caps_runaway_message_loops():
 
 
 def test_sim_parameters_conflict_with_explicit_runtime():
-    """latency/simulator/trace configure the *default* runtime only;
-    passing them alongside an explicit runtime is rejected."""
+    """latency configures the *default* runtime only; passing it
+    alongside an explicit runtime is rejected."""
     runtime = AioRuntime()
     try:
         with pytest.raises(ValueError, match="latency"):
             PubSubNetwork(line_topology(2), latency=0.2, runtime=runtime)
-        with pytest.raises(ValueError, match="simulator"):
-            PubSubNetwork(line_topology(2), simulator=Simulator(), runtime=runtime)
-        with pytest.raises(ValueError, match="trace"):
-            PubSubNetwork(line_topology(2), trace=TraceRecorder(), runtime=runtime)
     finally:
         runtime.close()
 
@@ -251,7 +245,7 @@ def test_parity_experiments_encode_and_decode_once_per_message(backend):
     try:
         with mock.patch.multiple(aio, encode_frame=encode, decode_message=decode):
             for name in sorted(EXPERIMENTS):
-                EXPERIMENTS[name](RecordingFactory(backend))
+                EXPERIMENTS[name](Backend(backend))
     except OSError as error:  # pragma: no cover - sandboxed environments
         pytest.skip("loopback sockets unavailable: {}".format(error))
     assert 0 < encode.call_count <= PARITY_ENCODES

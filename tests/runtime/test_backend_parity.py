@@ -18,10 +18,14 @@ assertion:
   backend-parity gate.
 """
 
+from contextlib import contextmanager
+from unittest import mock
+
 import pytest
 
 from repro.broker.network import PubSubNetwork
 from repro.experiments import (
+    backends,
     failure_schedule,
     fig2_naive_roaming,
     fig3_blackout,
@@ -32,8 +36,9 @@ from repro.experiments import (
     table3_endpoints,
     table4_adaptive,
 )
+from repro.experiments.backends import Backend
 from repro.runtime.aio import AioRuntime
-from repro.runtime.factory import runtime_factory
+from repro.runtime.factory import make_runtime
 from repro.topology.builders import line_topology
 
 
@@ -206,27 +211,32 @@ def test_quickstart_parity_tcp_transport():
 AIO_BACKENDS = ("aio-memory", "aio-tcp")
 
 
-class RecordingFactory:
-    """A runtime factory that remembers every runtime it created.
+@contextmanager
+def recorded_runtimes(make=make_runtime):
+    """Every runtime ``build_network`` makes inside the block, in order.
 
-    Experiments build their networks internally; wrapping the factory is
-    how the parity tests get hold of each network's trace recorder after
-    the experiment returns (closing a runtime only stops its transport,
-    the trace stays readable).
+    Experiments build their networks internally; swapping the runtime
+    constructor ``build_network`` calls (for *make*, which defaults to
+    :func:`make_runtime`) is how the parity tests get hold of each
+    network's trace recorder after the experiment returns (closing a
+    runtime only stops its transport, the trace stays readable).
     """
+    runtimes = []
 
-    def __init__(self, backend):
-        self.backend = backend
-        self._factory = runtime_factory(backend)
-        self.runtimes = []
-
-    def __call__(self, **kwargs):
-        runtime = self._factory(**kwargs)
-        self.runtimes.append(runtime)
+    def recording(name, latency=None):
+        runtime = make(name, latency)
+        runtimes.append(runtime)
         return runtime
 
-    def fingerprints(self):
-        return [_trace_fingerprint(runtime.trace) for runtime in self.runtimes]
+    with mock.patch.object(backends, "make_runtime", recording):
+        yield runtimes
+
+
+def run_recorded(name, backend):
+    """Run experiment *name* on *backend*: its result and one fingerprint per network."""
+    with recorded_runtimes() as runtimes:
+        result = EXPERIMENTS[name](Backend(backend))
+    return result, [_trace_fingerprint(runtime.trace) for runtime in runtimes]
 
 
 def _trace_fingerprint(trace):
@@ -294,20 +304,19 @@ def _quick_fig9_config():
 #: drops and every timestamp still agree.
 LINK_ORDER_EXEMPT = {"fig5-multi"}
 
-#: name -> callable(factory) running one experiment on that backend.
+#: name -> callable(Backend) running one experiment on that backend.  The
+#: tables are pure computation and take none.
 EXPERIMENTS = {
-    "table1": lambda factory: table1_ploc.run(runtime_factory=factory),
-    "table2": lambda factory: table2_filters.run(runtime_factory=factory),
-    "table3": lambda factory: table3_endpoints.run(runtime_factory=factory),
-    "table4": lambda factory: table4_adaptive.run(runtime_factory=factory),
-    "fig2": lambda factory: fig2_naive_roaming.run(runtime_factory=factory),
-    "fig3": lambda factory: fig3_blackout.run(runtime_factory=factory),
-    "fig5-single": lambda factory: fig5_relocation.run(producers=1, runtime_factory=factory),
-    "fig5-multi": lambda factory: fig5_relocation.run(producers=2, runtime_factory=factory),
-    "fig9": lambda factory: fig9_message_counts.run(
-        _quick_fig9_config(), runtime_factory=factory
-    ),
-    "failure-schedule": lambda factory: failure_schedule.run(runtime_factory=factory),
+    "table1": lambda backend: table1_ploc.run(),
+    "table2": lambda backend: table2_filters.run(backend=backend),
+    "table3": lambda backend: table3_endpoints.run(),
+    "table4": lambda backend: table4_adaptive.run(),
+    "fig2": lambda backend: fig2_naive_roaming.run(backend=backend),
+    "fig3": lambda backend: fig3_blackout.run(backend=backend),
+    "fig5-single": lambda backend: fig5_relocation.run(producers=1, backend=backend),
+    "fig5-multi": lambda backend: fig5_relocation.run(producers=2, backend=backend),
+    "fig9": lambda backend: fig9_message_counts.run(_quick_fig9_config(), backend=backend),
+    "failure-schedule": lambda backend: failure_schedule.run(backend=backend),
 }
 
 
@@ -318,9 +327,8 @@ def sim_baseline():
 
     def get(name):
         if name not in cache:
-            factory = RecordingFactory("sim")
-            result = EXPERIMENTS[name](factory)
-            cache[name] = (result.format_text(), factory.fingerprints())
+            result, fingerprints = run_recorded(name, "sim")
+            cache[name] = (result.format_text(), fingerprints)
         return cache[name]
 
     return get
@@ -331,9 +339,8 @@ def sim_baseline():
 def test_experiment_parity(name, backend, sim_baseline):
     """The full experiment agrees with the simulator, timestamps included."""
     sim_text, sim_fingerprints = sim_baseline(name)
-    factory = RecordingFactory(backend)
     try:
-        result = EXPERIMENTS[name](factory)
+        result, aio_fingerprints = run_recorded(name, backend)
     except OSError as error:  # pragma: no cover - sandboxed environments
         pytest.skip("loopback sockets unavailable: {}".format(error))
     # Every rendered number (message counts, blackout durations,
@@ -343,7 +350,6 @@ def test_experiment_parity(name, backend, sim_baseline):
     # produced the identical trace: deliveries in identical order with
     # identical virtual timestamps, the same link traversals (admin
     # messages included), the same drops and publishes.
-    aio_fingerprints = factory.fingerprints()
     assert len(aio_fingerprints) == len(sim_fingerprints)
     order = sorted if name in LINK_ORDER_EXEMPT else list
     for aio_fp, sim_fp in zip(aio_fingerprints, sim_fingerprints):

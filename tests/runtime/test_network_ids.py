@@ -14,7 +14,7 @@ from repro.broker.network import PubSubNetwork
 from repro.core.adaptivity import UncertaintyPlan
 from repro.core.ploc import MovementGraph
 from repro.messages.wire import encode_frame
-from repro.runtime.factory import BACKENDS, runtime_factory
+from repro.runtime.factory import BACKENDS, make_runtime
 from repro.sim.rng import DeterministicRandom
 from repro.telemetry import RingBufferSink, TelemetryConfig
 from repro.topology.builders import line_topology
@@ -37,7 +37,7 @@ def _run(backend, seed):
     network = PubSubNetwork(
         line_topology(5),
         strategy="covering",
-        runtime=runtime_factory(backend)(latency=0.05),
+        runtime=make_runtime(backend, latency=0.05),
         telemetry=TelemetryConfig(sink_factory=lambda: sink),
     )
     try:

@@ -19,6 +19,7 @@ import weakref
 import pytest
 
 from repro.broker.network import PubSubNetwork
+from repro.experiments.backends import Backend
 from repro.filters.filter import Filter
 from repro.messages.admin import Subscribe
 from repro.messages.base import MessageKind
@@ -32,7 +33,7 @@ from repro.runtime.trace import (
     TraceRecorder,
 )
 from repro.topology.builders import line_topology
-from tests.runtime.test_backend_parity import EXPERIMENTS
+from tests.runtime.test_backend_parity import EXPERIMENTS, recorded_runtimes
 
 BACKENDS = ("sim", "aio-memory", "aio-tcp")
 
@@ -89,32 +90,25 @@ class SnapshottingRecorder(TraceRecorder):
         assert [read_notification(r) for r in self.delivery_records] == self.delivery_snapshots
 
 
-class SnapshottingFactory:
-    """A runtime factory whose every runtime records into a snapshotting recorder."""
-
-    def __init__(self, backend):
-        self.backend = backend
-        self.recorders = []
-
-    def __call__(self, **kwargs):
-        recorder = SnapshottingRecorder()
-        self.recorders.append(recorder)
-        return make_runtime(self.backend, trace=recorder, **kwargs)
+def _snapshotting_runtime(backend, latency=None):
+    """A runtime of *backend* recording into a snapshotting recorder."""
+    return make_runtime(backend, latency, trace=SnapshottingRecorder())
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
 def test_lazy_rendering_equals_rendering_at_record_time(name, backend):
-    factory = SnapshottingFactory(backend)
     try:
-        EXPERIMENTS[name](factory)
+        with recorded_runtimes(_snapshotting_runtime) as runtimes:
+            EXPERIMENTS[name](Backend(backend))
     except OSError as error:  # pragma: no cover - sandboxed environments
         pytest.skip("loopback sockets unavailable: {}".format(error))
-    for recorder in factory.recorders:
+    recorders = [runtime.trace for runtime in runtimes]
+    for recorder in recorders:
         recorder.assert_nothing_changed_since_recording()
     if name.startswith(("fig", "failure")):
         # (The table experiments are computed without a network.)
-        assert sum(len(recorder.link_records) for recorder in factory.recorders) > 0
+        assert sum(len(recorder.link_records) for recorder in recorders) > 0
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ import time
 
 from repro.broker.network import PubSubNetwork
 from repro.messages.wire import encode_frame
-from repro.runtime.factory import runtime_factory
-from repro.telemetry import TcpSink, TelemetryConfig, telemetry_enabled
+from repro.runtime.factory import make_runtime
+from repro.telemetry import TcpSink, TelemetryConfig
 from repro.telemetry.collector import TelemetryCollector
 from repro.telemetry.events import LogEvent
 from repro.topology.builders import line_topology
@@ -29,26 +29,26 @@ def test_collector_aggregate_equals_end_of_run_counters_aio_tcp():
     with TelemetryCollector() as collector:
         host, port = collector.address
         config = TelemetryConfig(sink_factory=lambda: TcpSink(host, port))
-        with telemetry_enabled(config):
-            network = PubSubNetwork(
-                line_topology(3),
-                strategy="covering",
-                runtime=runtime_factory("aio-tcp")(latency=0.05),
-            )
-            producer = network.add_client("P", "B3")
-            producer.advertise({"topic": "news"})
-            consumer = network.add_client("C", "B1")
-            consumer.subscribe({"topic": "news", "grade": "a"})
-            network.settle()
-            for index in range(7):
-                producer.publish({"topic": "news", "grade": "a", "seq": index})
-            network.settle()
-            expected = {
-                name: broker.metrics.counter_snapshot()
-                for name, broker in network.brokers.items()
-            }
-            scoped = network.data_plane_breakdown()
-            network.close()
+        network = PubSubNetwork(
+            line_topology(3),
+            strategy="covering",
+            runtime=make_runtime("aio-tcp", latency=0.05),
+            telemetry=config,
+        )
+        producer = network.add_client("P", "B3")
+        producer.advertise({"topic": "news"})
+        consumer = network.add_client("C", "B1")
+        consumer.subscribe({"topic": "news", "grade": "a"})
+        network.settle()
+        for index in range(7):
+            producer.publish({"topic": "news", "grade": "a", "seq": index})
+        network.settle()
+        expected = {
+            name: broker.metrics.counter_snapshot()
+            for name, broker in network.brokers.items()
+        }
+        scoped = network.data_plane_breakdown()
+        network.close()
 
         assert len(consumer.received) == 7
         assert _wait_until(

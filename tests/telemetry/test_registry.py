@@ -6,9 +6,12 @@ import pytest
 
 from repro.broker.base import Broker
 from repro.broker.network import PubSubNetwork
+from repro.experiments import fig5_relocation
+from repro.experiments.backends import Backend
 from repro.filters.filter import Filter
 from repro.routing.strategies import make_strategy
 from repro.sim.engine import Simulator
+from repro.telemetry import RingBufferSink, TelemetryConfig
 from repro.telemetry.registry import Histogram, MetricRegistry
 from repro.topology.builders import balanced_tree_topology, line_topology
 
@@ -201,6 +204,26 @@ class TestPerNetworkScoping:
         assert network_a.data_plane_breakdown() == breakdown_a
         breakdown_b = network_b.data_plane_breakdown()
         assert breakdown_b["dispatch_matches"] > breakdown_a["dispatch_matches"]
+
+    def test_telemetry_stays_with_its_network(self):
+        """A telemetry config reaches only the network, or the experiment,
+        it is handed to: a network built after a traced one runs dark."""
+        traced = PubSubNetwork(line_topology(3), telemetry=TelemetryConfig(RingBufferSink))
+        dark = PubSubNetwork(line_topology(3))
+        assert traced.telemetry_sink is not None
+        assert all(broker._telemetry is not None for broker in traced.brokers.values())
+        assert dark.telemetry_sink is None
+        assert all(broker._telemetry is None for broker in dark.brokers.values())
+        assert all(link.depth_probe is None for link in dark.links.values())
+        traced.close()
+        dark.close()
+
+        sink = RingBufferSink()
+        fig5_relocation.run(backend=Backend("sim", telemetry=TelemetryConfig(lambda: sink)))
+        filled = sink.emitted
+        assert filled > 0
+        fig5_relocation.run(backend=Backend())
+        assert sink.emitted == filled
 
     def test_broker_counter_snapshot_reconciles_with_breakdown(self):
         network = PubSubNetwork(line_topology(3), strategy="covering", latency=0.01)

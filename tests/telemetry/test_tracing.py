@@ -67,12 +67,11 @@ def test_span_tree_has_per_hop_timing():
 def test_span_trees_identical_across_backends():
     """Virtual time makes the span tree byte-identical on the simulator
     and the asyncio backends."""
-    from repro.runtime.factory import runtime_factory
+    from repro.runtime.factory import make_runtime
 
     renders = {}
     for backend in ("sim", "aio-memory"):
-        runtime = None if backend == "sim" else runtime_factory(backend)(latency=0.05)
-        network, sink = _traced_network(runtime=runtime)
+        network, sink = _traced_network(runtime=make_runtime(backend, latency=0.05))
         _publish_once(network)
         renders[backend] = render_span_tree(_spans(sink), "P#1")
         network.close()

@@ -35,7 +35,7 @@ import subprocess
 import sys
 
 from repro.experiments import failure_schedule, runner
-from tests.runtime.test_backend_parity import EXPERIMENTS, RecordingFactory, _trace_fingerprint
+from tests.runtime.test_backend_parity import EXPERIMENTS, run_recorded
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GOLDEN = os.path.join(ROOT, "tests", "golden")
@@ -70,10 +70,9 @@ def test_failure_schedule_disk_store_report(request, tmp_path):
 
 
 def _digest(name):
-    factory = RecordingFactory("sim")
-    hasher = hashlib.sha256(EXPERIMENTS[name](factory).format_text().encode())
-    for runtime in factory.runtimes:
-        fingerprint = _trace_fingerprint(runtime.trace)
+    result, fingerprints = run_recorded(name, "sim")
+    hasher = hashlib.sha256(result.format_text().encode())
+    for fingerprint in fingerprints:
         for section in ("deliveries", "links", "drops"):
             hasher.update(repr(fingerprint[section]).encode())
     return hasher.hexdigest()

@@ -170,12 +170,10 @@ MODULE_STATE_ALLOWED = {
     # (one instance instead of one per json.dumps call).
     "repro.messages.wire.CANONICAL_JSON",
     # By design: the wire codec's, the telemetry events' and the
-    # strategies' name registries (filled once, at import) and the
-    # enable_telemetry() default.
+    # strategies' name registries (filled once, at import).
     "repro.messages.wire._REGISTRY",
     "repro.telemetry.events.EVENT_REGISTRY",
     "repro.routing.strategies._STRATEGIES",
-    "repro.telemetry.__init__._ACTIVE_CONFIG",
 }
 
 _STATEFUL_VALUES = (
