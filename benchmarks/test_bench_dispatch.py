@@ -30,9 +30,10 @@ import time
 
 from repro.broker.network import PubSubNetwork
 from repro.experiments import fig9_message_counts
-from repro.metrics.counters import MessageCounter, data_plane_breakdown
+from repro.metrics.counters import MessageCounter
 from repro.runtime.factory import make_runtime
 from repro.sim.rng import DeterministicRandom
+from repro.telemetry.registry import data_plane_breakdown
 from repro.topology.builders import balanced_tree_topology
 
 from tests.oracles.matching import oracle_dispatch

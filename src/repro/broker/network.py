@@ -25,13 +25,13 @@ from repro.broker.client import Client
 from repro.broker.recovery import RecoveryStore
 from repro.filters.merging import FilterCaches
 from repro.messages.base import MessageIds
-from repro.metrics.counters import data_plane_breakdown
 from repro.routing.strategies import RoutingStrategy, make_strategy
 from repro.runtime.factory import make_runtime
 from repro.runtime.protocols import Clock, Runtime
 from repro.runtime.trace import TraceRecorder
 from repro.telemetry import TelemetryConfig
 from repro.telemetry.emitter import BrokerTelemetry
+from repro.telemetry.registry import data_plane_breakdown
 from repro.topology.graph import BrokerGraph
 
 
@@ -330,7 +330,7 @@ class PubSubNetwork:
 
     def data_plane_breakdown(self) -> Dict[str, int]:
         """Matching/dispatch work of this network's brokers (see
-        :func:`repro.metrics.counters.data_plane_breakdown`)."""
+        :func:`repro.telemetry.registry.data_plane_breakdown`)."""
         return data_plane_breakdown(self.brokers[name] for name in sorted(self.brokers))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

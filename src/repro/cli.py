@@ -1,127 +1,128 @@
-"""Command-line entry points.
+"""The command line: ``python -m repro.cli <command>``.
 
-``python -m repro.cli <command>`` provides quick access to the
-reproduction artefacts without writing any code:
+Both commands read the one experiment table,
+:data:`repro.experiments.runner.EXPERIMENTS`:
 
-* ``experiments`` — run every table/figure reproduction and print the
-  report (``--quick`` shrinks the Figure 9 horizon);
-* ``table 1|2|3|4`` — print a single regenerated table;
-* ``figure 2|3|5|9`` — run a single figure experiment and print its data;
-* ``demo`` — run the quickstart scenario (a producer, a roaming consumer)
-  and print the delivery log.
+* ``experiments`` — run every experiment and print the report, one
+  section per table / figure with its verdict, ending in
+  ``N / 9 experiments match the paper``;
+* ``run NAME`` — run the experiment the table names *NAME* (``table1`` …
+  ``table4``, ``fig2``, ``fig3``, ``fig5-single``, ``fig5-multi``,
+  ``fig9``, ``failure-schedule``) and print its text.
+
+Both take ``--backend {sim,aio-memory,aio-tcp}`` (the discrete-event
+simulator, or the virtual-time asyncio runtime over in-memory pipes /
+loopback TCP; the output is identical on all three), ``--quick`` (the
+30 s Figure 9 horizon instead of the paper's 100 s) and ``--telemetry``
+(stream every network's metric snapshots, spans and logs to a live
+collector over loopback TCP; the collector's findings are printed after
+the unchanged output).  ``run`` also takes ``--disk-store``: recovery
+stores on disk in a temporary directory, for the experiments that keep
+them.
+
+The exit code is 0 when every verdict holds, 1 when one fails and 2 on a
+usage error.
 """
 
 from __future__ import annotations
 
 import argparse
-from typing import List, Optional
+import tempfile
+from contextlib import contextmanager
+from typing import Any, Iterator, List, Optional
 
-from repro.experiments import (
-    fig2_naive_roaming,
-    fig3_blackout,
-    fig5_relocation,
-    fig9_message_counts,
-    runner,
-    table1_ploc,
-    table2_filters,
-    table3_endpoints,
-    table4_adaptive,
-)
-
-_TABLES = {
-    "1": table1_ploc,
-    "2": table2_filters,
-    "3": table3_endpoints,
-    "4": table4_adaptive,
-}
-
-_FIGURES = {
-    "2": fig2_naive_roaming,
-    "3": fig3_blackout,
-    "9": fig9_message_counts,
-}
-
-
-def _run_demo() -> int:
-    """A tiny end-to-end demo of physical mobility (the quickstart scenario)."""
-    from repro import PubSubNetwork, line_topology
-
-    network = PubSubNetwork(line_topology(4), strategy="covering", latency=0.05)
-    producer = network.add_client("ticker", "B4")
-    producer.advertise({"type": "quote"})
-    consumer = network.add_client("dashboard", "B1")
-    consumer.subscribe({"type": "quote"})
-    network.settle()
-    for price in (101.5, 102.0):
-        producer.publish({"type": "quote", "price": price})
-    network.settle()
-    consumer.detach()
-    producer.publish({"type": "quote", "price": 99.0})
-    network.settle()
-    consumer.move_to(network.broker("B3"))
-    network.settle()
-    print("delivered {} notifications:".format(len(consumer.received)))
-    for record in consumer.received:
-        print(
-            "  t={:6.3f} seq={} {}".format(
-                record.time, record.sequence, dict(record.notification.attributes)
-            )
-        )
-    return 0
+from repro.experiments.backends import Backend
+from repro.experiments.runner import EXPERIMENTS, format_report, run_all
+from repro.runtime.factory import BACKENDS
+from repro.telemetry import TcpSink, TelemetryConfig
 
 
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser (exposed for tests)."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument(
+        "--backend", choices=BACKENDS, default="sim", help="runtime backend (default: sim)"
+    )
+    common.add_argument("--quick", action="store_true", help="shrink the Figure 9 horizon")
+    common.add_argument(
+        "--telemetry",
+        action="store_true",
+        help="stream to a live collector and print its findings after the output",
+    )
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduction of 'Supporting Mobility in Content-Based "
         "Publish/Subscribe Middleware' (Middleware 2003)",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-
-    experiments = subparsers.add_parser("experiments", help="run all table/figure reproductions")
-    experiments.add_argument("--quick", action="store_true", help="shrink the Figure 9 horizon")
-
-    table = subparsers.add_parser("table", help="print one regenerated table")
-    table.add_argument("number", choices=sorted(_TABLES))
-
-    figure = subparsers.add_parser("figure", help="run one figure experiment")
-    figure.add_argument("number", choices=sorted(_FIGURES) + ["5"])
-
-    subparsers.add_parser("demo", help="run the quickstart demo")
+    subparsers.add_parser("experiments", parents=[common], help="run every experiment")
+    run = subparsers.add_parser("run", parents=[common], help="run one experiment")
+    run.add_argument("name", choices=list(EXPERIMENTS))
+    run.add_argument(
+        "--disk-store",
+        action="store_true",
+        help="disk-backed recovery stores in a temporary directory",
+    )
     return parser
+
+
+@contextmanager
+def _backend(name: str, telemetry: bool) -> Iterator[Backend]:
+    """The backend *name*; with *telemetry*, it streams to a live collector
+    whose findings are printed when the block ends."""
+    if not telemetry:
+        yield Backend(name)
+        return
+    from repro.telemetry.collector import TelemetryCollector
+
+    collector = TelemetryCollector()
+    host, port = collector.start()
+    try:
+        yield Backend(name, TelemetryConfig(sink_factory=lambda: TcpSink(host, port)))
+    finally:
+        collector.stop()
+    _print_findings(collector.aggregate)
+
+
+def _print_findings(aggregate: Any) -> None:
+    """The collector's summary, one sample notification trace and every log."""
+    from repro.telemetry.tracing import render_span_tree, trace_ids
+
+    print()
+    print(aggregate.summary())
+    sources = aggregate.span_sources()
+    if sources:
+        spans = aggregate.span_list(sources[0])
+        traced = trace_ids(spans)
+        if traced:
+            print()
+            print("sample notification trace (1 of {} in the first stream):".format(len(traced)))
+            print(render_span_tree(spans, traced[0]))
+    for log in aggregate.log_list():
+        print("  [{}] {}@{:.3f}: {}".format(log.level, log.broker, log.time, log.text))
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
-    args = build_parser().parse_args(argv)
-    if args.command == "experiments":
-        outcomes = runner.run_all(quick=args.quick)
-        print(runner.format_report(outcomes))
-        return 0 if all(outcome.passed for outcome in outcomes) else 1
-    if args.command == "table":
-        result = _TABLES[args.number].run()
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "run":
+        experiment = EXPERIMENTS[args.name]
+        if args.disk_store and experiment.on_disk is None:
+            parser.error("--disk-store: {} keeps no recovery store".format(args.name))
+    with _backend(args.backend, args.telemetry) as backend:
+        if args.command == "experiments":
+            outcomes = run_all(quick=args.quick, backend=backend)
+            print(format_report(outcomes))
+            return 0 if all(outcome.passed for outcome in outcomes) else 1
+        if args.disk_store:
+            with tempfile.TemporaryDirectory() as directory:
+                result = experiment.on_disk(backend, directory)
+        else:
+            result = experiment.run(backend, args.quick)
         print(result.format_text())
-        return 0 if result.matches_paper else 1
-    if args.command == "figure":
-        if args.number == "5":
-            for producers in (1, 2):
-                result = fig5_relocation.run(producers=producers)
-                print(result.format_text())
-                print()
-                if not result.all_guarantees_hold:
-                    return 1
-            return 0
-        result = _FIGURES[args.number].run()
-        print(result.format_text())
-        ok = getattr(result, "shows_expected_shape", None)
-        if ok is None:
-            ok = result.naive_shows_anomalies and result.protocol_exactly_once
-        return 0 if ok else 1
-    if args.command == "demo":
-        return _run_demo()
-    return 2
+        return 0 if experiment.verdict(result) else 1
 
 
-if __name__ == "__main__":  # pragma: no cover - manual invocation helper
+if __name__ == "__main__":  # pragma: no cover - manual / CI invocation helper
     raise SystemExit(main())

@@ -2,8 +2,10 @@
 
 Each module exposes a ``run(...)`` function returning a small result
 object with the regenerated rows / series and a ``format_text()`` helper
-that renders them the way the paper prints them.  ``repro.experiments.runner``
-runs everything and produces the content of ``EXPERIMENTS.md``.
+that renders them the way the paper prints them.
+:data:`repro.experiments.runner.EXPERIMENTS` is the one table of them
+(name, report section, how it runs on a backend, its verdict);
+``python -m repro.cli`` runs it.
 
 | Paper artefact | Module |
 |----------------|--------|
@@ -20,6 +22,6 @@ Beyond the paper, :mod:`repro.experiments.failure_schedule` exercises the
 robustness layer (broker crash/restart, durable subscriptions, scheduled
 partitions) that the failure-free paper model has no counterpart for.
 
-The package imports none of them: ``python -m repro.experiments.<name>``
-then runs the one module it names, not a second copy of it.
+The package imports none of them: importing one experiment does not
+load the others.
 """

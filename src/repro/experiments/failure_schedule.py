@@ -35,10 +35,8 @@ Two scenarios:
 
 from __future__ import annotations
 
-import argparse
-import tempfile
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.broker.base import BrokerConfig
 from repro.broker.recovery import DiskRecoveryStore, RecoveryStore, encode_table
@@ -48,7 +46,6 @@ from repro.messages.base import MessageKind
 from repro.metrics.blackout import measure_node_loss_blackout
 from repro.metrics.qos import check_completeness, check_fifo, check_no_duplicates
 from repro.metrics.recovery import RecoveryReport, dropped_by_reason, recovery_report
-from repro.runtime.factory import BACKENDS
 from repro.runtime.faults import FaultModel
 from repro.sim.rng import DeterministicRandom
 from repro.topology.builders import line_topology
@@ -387,56 +384,3 @@ def run(
         partition=run_partition(config, backend),
     )
 
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """Command-line entry point: run the family and print its report."""
-    parser = argparse.ArgumentParser(description="Run the failure-schedule family.")
-    parser.add_argument(
-        "--backend",
-        choices=sorted(BACKENDS),
-        default="sim",
-        help="runtime backend (default: the simulator)",
-    )
-    parser.add_argument(
-        "--disk-store",
-        action="store_true",
-        help="use disk-backed recovery stores in a temporary directory",
-    )
-    parser.add_argument(
-        "--telemetry",
-        action="store_true",
-        help="stream metric snapshots/spans/logs to a live collector "
-        "and print its aggregate summary after the report",
-    )
-    arguments = parser.parse_args(argv)
-
-    collector = None
-    telemetry = None
-    if arguments.telemetry:
-        from repro.telemetry import TcpSink, TelemetryConfig
-        from repro.telemetry.collector import TelemetryCollector
-
-        collector = TelemetryCollector()
-        host, port = collector.start()
-        telemetry = TelemetryConfig(sink_factory=lambda: TcpSink(host, port))
-    backend = Backend(arguments.backend, telemetry)
-    try:
-        if arguments.disk_store:
-            with tempfile.TemporaryDirectory() as tmpdir:
-                result = run(FailureScheduleConfig(storage_dir=tmpdir), backend)
-        else:
-            result = run(backend=backend)
-    finally:
-        if collector is not None:
-            collector.stop()
-    print(result.format_text())
-    if collector is not None:
-        print()
-        print(collector.aggregate.summary())
-        for log in collector.aggregate.log_list():
-            print("  [{}] {}@{:.3f}: {}".format(log.level, log.broker, log.time, log.text))
-    return 0 if result.passed else 1
-
-
-if __name__ == "__main__":  # pragma: no cover - manual / CI invocation helper
-    raise SystemExit(main())

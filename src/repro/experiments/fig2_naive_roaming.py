@@ -198,10 +198,3 @@ def run(
         cases.append(_run_naive(case, brokers, latency, backend))
         cases.append(_run_relocation(case, brokers, latency, backend))
     return Fig2Result(cases=cases)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual invocation helper
-    result = run()
-    print(result.format_text())
-    print("naive shows anomalies:", result.naive_shows_anomalies)
-    print("relocation exactly once:", result.protocol_exactly_once)

@@ -183,9 +183,3 @@ def run(
         propagation_delay=propagation_delay,
         publish_interval=publish_interval,
     )
-
-
-if __name__ == "__main__":  # pragma: no cover - manual invocation helper
-    result = run()
-    print(result.format_text())
-    print("shows expected shape:", result.shows_expected_shape)

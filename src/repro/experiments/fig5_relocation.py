@@ -161,10 +161,3 @@ def run(
         fifo=fifo.ordered,
         counterpart_garbage_collected=counterparts_collected,
     )
-
-
-if __name__ == "__main__":  # pragma: no cover - manual invocation helper
-    for count in (1, 2):
-        result = run(producers=count)
-        print(result.format_text())
-        print()

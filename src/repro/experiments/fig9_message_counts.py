@@ -245,9 +245,3 @@ def run(
             )
         )
     return Fig9Result(config=config, series=series)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual invocation helper
-    result = run()
-    print(result.format_text())
-    print("shows expected shape:", result.shows_expected_shape)

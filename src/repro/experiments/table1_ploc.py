@@ -76,9 +76,3 @@ def run(
     ploc = PlocFunction(graph)
     computed = ploc.table(max_steps)
     return Table1Result(computed=computed, reference=PAPER_TABLE_1)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual invocation helper
-    result = run()
-    print(result.format_text())
-    print("matches paper:", result.matches_paper)

@@ -126,10 +126,3 @@ def run(
     }
     operational = _operational_chain(graph, plan, itinerary, hops, backend)
     return Table2Result(analytical=analytical, operational=operational, reference=PAPER_TABLE_2)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual invocation helper
-    result = run()
-    print(result.format_text())
-    print("matches paper:", result.matches_paper)
-    print("implementation agrees:", result.implementation_agrees)

@@ -103,9 +103,3 @@ def run(
             for location in graph.locations()
         }
     return Table3Result(trivial=trivial, flooding=flooding)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual invocation helper
-    result = run()
-    print(result.format_text())
-    print("matches paper:", result.matches_paper)

@@ -108,9 +108,3 @@ def run(
     return Table4Result(
         levels=levels, cumulative_delays=cumulative, dwell_time=dwell_time, table=table
     )
-
-
-if __name__ == "__main__":  # pragma: no cover - manual invocation helper
-    result = run()
-    print(result.format_text())
-    print("matches paper:", result.matches_paper)

@@ -16,7 +16,6 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.dispatch.stats import DispatchStats
 from repro.messages.base import MessageKind
 from repro.runtime.trace import TraceRecorder
 
@@ -72,45 +71,6 @@ class MessageCounter:
         messages = self.trace.link_columns.messages
         rows = self.trace.link_rows(until=until)
         return dict(Counter(type(messages[row]).__name__ for row in rows))
-
-
-def data_plane_breakdown(brokers: Iterable[Any]) -> Dict[str, int]:
-    """Counters describing per-message *data-plane* work, summed over *brokers*.
-
-    The control-plane benchmarks gate covering-call and admin-message
-    counts; this breakdown reports what each notification (and each
-    advertisement-gate query) actually cost:
-
-    * ``constraint_evals`` — raw constraint evaluations the dispatch plane
-      could not answer from its buckets (the count the brute-force
-      oracle's evaluations compare against; equal to
-      ``dispatch_constraint_evals``);
-    * ``dispatch_*`` — the bitset engine's own accounting (passes,
-      satisfied predicates, mask operations, shared-predicate skips,
-      residual evaluations, filters matched; see
-      :mod:`repro.dispatch.stats`);
-    * ``notifications_delivered`` — the denominator for per-delivery
-      views of the counters above;
-    * ``advert_gate_hits`` / ``advert_gate_misses`` /
-      ``advert_gate_cached_verdicts`` — the advertisement gate's memo
-      accounting (each neighbour's ``verdicts``, see
-      :class:`~repro.broker.forwarding.SubscriptionForwarding`).
-
-    Every count comes from the brokers' own registries, so two networks
-    in one process never read each other's work.
-    """
-    broker_counters = ("advert_gate_hits", "advert_gate_misses", "notifications_delivered")
-    out = dict.fromkeys(["dispatch_" + name for name in DispatchStats.__slots__], 0)
-    out.update(dict.fromkeys(broker_counters + ("advert_gate_cached_verdicts",), 0))
-    for broker in brokers:
-        for name, value in broker.metrics.dispatch.snapshot().items():
-            out["dispatch_" + name] += value
-        for name in broker_counters:
-            out[name] += broker.counters.get(name, 0)
-        for state in broker.forwarding.states.values():
-            out["advert_gate_cached_verdicts"] += len(state.verdicts)
-    out["constraint_evals"] = out["dispatch_constraint_evals"]
-    return out
 
 
 def delivery_dedup_breakdown(clients: Iterable[Any]) -> Dict[str, int]:

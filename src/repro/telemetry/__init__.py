@@ -8,8 +8,8 @@ The package is organised around four pieces (see
   counters, the dispatch stats sink, gauges and histograms.
 * :mod:`repro.telemetry.events` — typed, wire-codable event records
   (metric snapshots, spans, logs).
-* :mod:`repro.telemetry.sinks` — where events go (ring buffer, framed
-  file, TCP stream to a live collector).
+* :mod:`repro.telemetry.sinks` — where events go (ring buffer, TCP
+  stream to a live collector).
 * :mod:`repro.telemetry.collector` — the live aggregating server
   (imported lazily; importing this package must stay cheap and
   thread-free).
@@ -41,7 +41,6 @@ from repro.telemetry.events import (
 )
 from repro.telemetry.registry import Histogram, MetricRegistry
 from repro.telemetry.sinks import (
-    FramedFileSink,
     RingBufferSink,
     TcpSink,
     TelemetrySink,
@@ -56,7 +55,6 @@ __all__ = [
     "MetricRegistry",
     "MetricSnapshotEvent",
     "RingBufferSink",
-    "FramedFileSink",
     "SpanEvent",
     "TcpSink",
     "TelemetryConfig",

@@ -17,7 +17,7 @@ does the work, into the registry of the broker that owns it.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 from repro.dispatch.stats import DispatchStats
 
@@ -119,7 +119,7 @@ class MetricRegistry:
 
         The dispatch sink is folded in under its breakdown names
         (``constraint_evals``, ``dispatch_*``), so one flat dict
-        reconciles against :func:`repro.metrics.counters.data_plane_breakdown`.
+        reconciles against :func:`data_plane_breakdown`.
         """
         out: Dict[str, int] = dict(self.counters)
         out["constraint_evals"] = self.dispatch.constraint_evals
@@ -146,3 +146,42 @@ class MetricRegistry:
         self.gauges.clear()
         for histogram in self.histograms.values():
             histogram.reset()
+
+
+def data_plane_breakdown(brokers: Iterable[Any]) -> Dict[str, int]:
+    """Counters describing per-message *data-plane* work, summed over *brokers*.
+
+    The control-plane benchmarks gate covering-call and admin-message
+    counts; this breakdown reports what each notification (and each
+    advertisement-gate query) actually cost:
+
+    * ``constraint_evals`` — raw constraint evaluations the dispatch plane
+      could not answer from its buckets (the count the brute-force
+      oracle's evaluations compare against; equal to
+      ``dispatch_constraint_evals``);
+    * ``dispatch_*`` — the bitset engine's own accounting (passes,
+      satisfied predicates, mask operations, shared-predicate skips,
+      residual evaluations, filters matched; see
+      :mod:`repro.dispatch.stats`);
+    * ``notifications_delivered`` — the denominator for per-delivery
+      views of the counters above;
+    * ``advert_gate_hits`` / ``advert_gate_misses`` /
+      ``advert_gate_cached_verdicts`` — the advertisement gate's memo
+      accounting (each neighbour's ``verdicts``, see
+      :class:`~repro.broker.forwarding.SubscriptionForwarding`).
+
+    Every count comes from the brokers' own registries, so two networks
+    in one process never read each other's work.
+    """
+    broker_counters = ("advert_gate_hits", "advert_gate_misses", "notifications_delivered")
+    out = dict.fromkeys(["dispatch_" + name for name in DispatchStats.__slots__], 0)
+    out.update(dict.fromkeys(broker_counters + ("advert_gate_cached_verdicts",), 0))
+    for broker in brokers:
+        for name, value in broker.metrics.dispatch.snapshot().items():
+            out["dispatch_" + name] += value
+        for name in broker_counters:
+            out[name] += broker.counters.get(name, 0)
+        for state in broker.forwarding.states.values():
+            out["advert_gate_cached_verdicts"] += len(state.verdicts)
+    out["constraint_evals"] = out["dispatch_constraint_evals"]
+    return out

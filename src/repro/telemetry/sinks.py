@@ -2,14 +2,12 @@
 
 A sink accepts :class:`~repro.telemetry.events.TelemetryEvent` objects
 one at a time and is the *only* boundary between an instrumented run and
-the outside world.  Three implementations:
+the outside world.  Two implementations:
 
 * :class:`RingBufferSink` — in-process, bounded; the default for tests
   and benchmarks (no I/O, no serialisation unless asked).
-* :class:`FramedFileSink` — appends length-prefixed frames (the exact
-  wire format of :func:`repro.messages.wire.encode_frame`) to a binary
-  file; a collector or offline tool can replay it later.
-* :class:`TcpSink` — streams the same frames over a **blocking** TCP
+* :class:`TcpSink` — streams length-prefixed frames (the exact wire
+  format of :func:`repro.messages.wire.encode_frame`) over a **blocking** TCP
   socket to a live collector.  Blocking on purpose: the sink never
   touches the run's event loop, so enabling telemetry cannot reorder the
   run itself (determinism is preserved; only wall-clock slows down).
@@ -53,25 +51,6 @@ class RingBufferSink(TelemetrySink):
     def events(self) -> List[TelemetryEvent]:
         """The retained events, oldest first."""
         return list(self._buffer)
-
-
-class FramedFileSink(TelemetrySink):
-    """Appends each event as one length-prefixed frame to *path*."""
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-        self._file = open(path, "ab")
-        self.emitted = 0
-
-    def emit(self, event: TelemetryEvent) -> None:
-        self._file.write(encode_frame(event))
-        self.emitted += 1
-
-    def close(self) -> None:
-        if self._file is not None:
-            self._file.flush()
-            self._file.close()
-            self._file = None
 
 
 class TcpSink(TelemetrySink):

@@ -22,12 +22,13 @@ from repro.broker.base import Broker, BrokerConfig
 from repro.broker.network import PubSubNetwork
 from repro.filters.filter import Filter
 from repro.messages.notification import Notification
-from repro.metrics.counters import MessageCounter, data_plane_breakdown
+from repro.metrics.counters import MessageCounter
 from repro.routing.strategies import make_strategy
 from repro.runtime.latency import FixedLatency
 from repro.sim.engine import Simulator
 from repro.sim.network import Link
 from repro.sim.rng import DeterministicRandom
+from repro.telemetry.registry import data_plane_breakdown
 from repro.topology.builders import balanced_tree_topology
 
 from tests.oracles.forwarding import move_attached, scratch_forwarding

@@ -67,22 +67,15 @@ def test_report_to_dict_is_json_friendly():
 
 
 def test_module_entry_point_runs_one_copy_of_the_module():
-    """``python -m repro.experiments.failure_schedule`` imports the package
-    first.  If the package imported the module too, runpy would warn and
-    execute a second copy of it; here that warning is an error."""
+    """``python -m repro.cli`` imports the ``repro`` package first.  If the
+    package imported the module too, runpy would warn and execute a second
+    copy of it; here that warning is an error."""
     done = subprocess.run(
-        [
-            sys.executable,
-            "-W",
-            "error::RuntimeWarning:runpy",
-            "-m",
-            "repro.experiments.failure_schedule",
-            "--help",
-        ],
+        [sys.executable, "-W", "error::RuntimeWarning:runpy", "-m", "repro.cli", "--help"],
         env=dict(os.environ, PYTHONPATH=SRC),
         capture_output=True,
         text=True,
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    assert "--backend" in done.stdout
+    assert "experiments" in done.stdout

@@ -3,11 +3,11 @@
 from repro.broker.base import Broker, BrokerConfig
 from repro.filters.filter import Filter
 from repro.messages.notification import Notification
-from repro.metrics.counters import data_plane_breakdown
 from repro.routing.strategies import make_strategy
 from repro.runtime.latency import FixedLatency
 from repro.sim.engine import Simulator
 from repro.sim.network import Link
+from repro.telemetry.registry import data_plane_breakdown
 
 
 def _make_broker():

@@ -22,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 from repro.broker.network import PubSubNetwork
 from repro.broker.recovery import RoutingSnapshot
 from repro.experiments.backends import Backend
+from repro.experiments.runner import EXPERIMENTS
 from repro.filters.filter import Filter, MatchAll, MatchNone
 from repro.filters.wire import filter_to_wire
 from repro.messages.control import Heartbeat
@@ -45,11 +46,7 @@ from repro.telemetry.events import LogEvent, MetricSnapshotEvent, SpanEvent
 from tests.broker.test_snapshot_codec import routing_snapshots
 from tests.telemetry.test_events import events
 from tests.messages.test_wire import messages, mutated_payloads, sequenced_notifications
-from tests.runtime.test_backend_parity import (
-    AIO_BACKENDS,
-    EXPERIMENTS,
-    _trace_fingerprint,
-)
+from tests.runtime.test_backend_parity import AIO_BACKENDS, _trace_fingerprint
 
 
 def _exploding_network(error):
@@ -245,7 +242,7 @@ def test_parity_experiments_encode_and_decode_once_per_message(backend):
     try:
         with mock.patch.multiple(aio, encode_frame=encode, decode_message=decode):
             for name in sorted(EXPERIMENTS):
-                EXPERIMENTS[name](Backend(backend))
+                EXPERIMENTS[name].run(Backend(backend), quick=True)
     except OSError as error:  # pragma: no cover - sandboxed environments
         pytest.skip("loopback sockets unavailable: {}".format(error))
     assert 0 < encode.call_count <= PARITY_ENCODES

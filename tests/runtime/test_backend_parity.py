@@ -24,19 +24,9 @@ from unittest import mock
 import pytest
 
 from repro.broker.network import PubSubNetwork
-from repro.experiments import (
-    backends,
-    failure_schedule,
-    fig2_naive_roaming,
-    fig3_blackout,
-    fig5_relocation,
-    fig9_message_counts,
-    table1_ploc,
-    table2_filters,
-    table3_endpoints,
-    table4_adaptive,
-)
+from repro.experiments import backends
 from repro.experiments.backends import Backend
+from repro.experiments.runner import EXPERIMENTS
 from repro.runtime.aio import AioRuntime
 from repro.runtime.factory import make_runtime
 from repro.topology.builders import line_topology
@@ -233,9 +223,9 @@ def recorded_runtimes(make=make_runtime):
 
 
 def run_recorded(name, backend):
-    """Run experiment *name* on *backend*: its result and one fingerprint per network."""
+    """Run experiment *name* (quick) on *backend*: its result and one fingerprint per network."""
     with recorded_runtimes() as runtimes:
-        result = EXPERIMENTS[name](Backend(backend))
+        result = EXPERIMENTS[name].run(Backend(backend), quick=True)
     return result, [_trace_fingerprint(runtime.trace) for runtime in runtimes]
 
 
@@ -289,10 +279,6 @@ def _trace_fingerprint(trace):
     return {"deliveries": deliveries, "links": links, "drops": drops, "publishes": publishes}
 
 
-def _quick_fig9_config():
-    return fig9_message_counts.Fig9Config(horizon=30.0)
-
-
 #: Experiments whose link records agree only as multisets.  A flush whose
 #: link still holds later messages re-arms itself once its run is
 #: delivered.  On the simulator the receiver handles the run inside the
@@ -303,22 +289,6 @@ def _quick_fig9_config():
 #: when B4->B5 flushes too) that swaps two same-time flushes; deliveries,
 #: drops and every timestamp still agree.
 LINK_ORDER_EXEMPT = {"fig5-multi"}
-
-#: name -> callable(Backend) running one experiment on that backend.  The
-#: tables are pure computation and take none.
-EXPERIMENTS = {
-    "table1": lambda backend: table1_ploc.run(),
-    "table2": lambda backend: table2_filters.run(backend=backend),
-    "table3": lambda backend: table3_endpoints.run(),
-    "table4": lambda backend: table4_adaptive.run(),
-    "fig2": lambda backend: fig2_naive_roaming.run(backend=backend),
-    "fig3": lambda backend: fig3_blackout.run(backend=backend),
-    "fig5-single": lambda backend: fig5_relocation.run(producers=1, backend=backend),
-    "fig5-multi": lambda backend: fig5_relocation.run(producers=2, backend=backend),
-    "fig9": lambda backend: fig9_message_counts.run(_quick_fig9_config(), backend=backend),
-    "failure-schedule": lambda backend: failure_schedule.run(backend=backend),
-}
-
 
 @pytest.fixture(scope="module")
 def sim_baseline():

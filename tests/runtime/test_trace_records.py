@@ -20,6 +20,7 @@ import pytest
 
 from repro.broker.network import PubSubNetwork
 from repro.experiments.backends import Backend
+from repro.experiments.runner import EXPERIMENTS
 from repro.filters.filter import Filter
 from repro.messages.admin import Subscribe
 from repro.messages.base import MessageKind
@@ -33,7 +34,7 @@ from repro.runtime.trace import (
     TraceRecorder,
 )
 from repro.topology.builders import line_topology
-from tests.runtime.test_backend_parity import EXPERIMENTS, recorded_runtimes
+from tests.runtime.test_backend_parity import recorded_runtimes
 
 BACKENDS = ("sim", "aio-memory", "aio-tcp")
 
@@ -100,7 +101,7 @@ def _snapshotting_runtime(backend, latency=None):
 def test_lazy_rendering_equals_rendering_at_record_time(name, backend):
     try:
         with recorded_runtimes(_snapshotting_runtime) as runtimes:
-            EXPERIMENTS[name](Backend(backend))
+            EXPERIMENTS[name].run(Backend(backend), quick=True)
     except OSError as error:  # pragma: no cover - sandboxed environments
         pytest.skip("loopback sockets unavailable: {}".format(error))
     recorders = [runtime.trace for runtime in runtimes]

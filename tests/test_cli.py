@@ -1,34 +1,80 @@
-"""Tests for the command-line interface."""
+"""Tests for the command line, ``python -m repro.cli``."""
+
+import dataclasses
+import os
+import subprocess
+import sys
 
 import pytest
 
 from repro import cli
+from repro.experiments.backends import Backend
+from repro.experiments.runner import EXPERIMENTS
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+GOLDEN = os.path.join(ROOT, "tests", "golden")
 
 
-class TestCli:
-    def test_table_commands(self, capsys):
-        for number in ("1", "3", "4"):
-            assert cli.main(["table", number]) == 0
-            assert capsys.readouterr().out.strip()
+def _cli(*argv):
+    """``python -m repro.cli *argv`` in a fresh interpreter, with a timeout."""
+    return subprocess.run(
+        [sys.executable, "-m", "repro.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
 
-    def test_figure2_command(self, capsys):
-        assert cli.main(["figure", "2"]) == 0
-        assert "naive" in capsys.readouterr().out
 
-    def test_figure5_command(self, capsys):
-        assert cli.main(["figure", "5"]) == 0
-        assert "producers" in capsys.readouterr().out
+class TestRun:
+    @pytest.mark.parametrize("name", ["table1", "table3", "table4", "fig2", "fig5-single"])
+    def test_prints_the_experiment_and_passes(self, name, capsys):
+        assert cli.main(["run", name]) == 0
+        expected = EXPERIMENTS[name].run(Backend(), False).format_text()
+        assert capsys.readouterr().out == expected + "\n"
 
-    def test_demo_command(self, capsys):
-        assert cli.main(["demo"]) == 0
-        assert "delivered 3 notifications" in capsys.readouterr().out
+    def test_backend_changes_nothing_printed(self, capsys):
+        assert cli.main(["run", "fig5-multi"]) == 0
+        sim = capsys.readouterr().out
+        assert cli.main(["run", "fig5-multi", "--backend", "aio-tcp"]) == 0
+        assert capsys.readouterr().out == sim
 
-    def test_unknown_command_rejected(self):
-        with pytest.raises(SystemExit):
-            cli.main(["teleport"])
+    def test_telemetry_prints_the_findings_after_the_unchanged_output(self, capsys):
+        argv = ["run", "failure-schedule", "--backend", "aio-tcp", "--telemetry"]
+        assert cli.main(argv) == 0
+        printed = capsys.readouterr().out
+        with open(os.path.join(GOLDEN, "failure_schedule.txt")) as handle:
+            golden = handle.read()
+        assert printed.startswith(golden + "\ncollector: ")
+        assert "suspected B1 dead" in printed[len(golden) :]
 
-    def test_parser_help_lists_commands(self):
-        parser = cli.build_parser()
-        rendered = parser.format_help()
-        for command in ("experiments", "table", "figure", "demo"):
-            assert command in rendered
+    def test_a_failed_verdict_exits_one(self, monkeypatch):
+        failing = dataclasses.replace(EXPERIMENTS["table1"], verdict=lambda result: False)
+        monkeypatch.setitem(EXPERIMENTS, "table1", failing)
+        assert cli.main(["run", "table1"]) == 1
+
+
+class TestUsage:
+    @pytest.mark.parametrize("argv", [["--help"], ["experiments", "--help"], ["run", "--help"]])
+    def test_help_prints_usage_and_runs_nothing(self, argv):
+        done = _cli(*argv)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("usage: repro")
+        assert "experiments match the paper" not in done.stdout
+
+    @pytest.mark.parametrize(
+        "argv, complaint",
+        [
+            (["experiments", "--quik"], "unrecognized arguments: --quik"),
+            (["run", "fig10"], "invalid choice: 'fig10'"),
+            (["run", "fig2", "--backend", "aio"], "invalid choice: 'aio'"),
+            (["run", "table1", "--disk-store"], "table1 keeps no recovery store"),
+            (["experiments", "--disk-store"], "unrecognized arguments: --disk-store"),
+            (["teleport"], "invalid choice: 'teleport'"),
+        ],
+    )
+    def test_a_usage_error_exits_two_and_runs_nothing(self, argv, complaint):
+        done = _cli(*argv)
+        assert done.returncode == 2, (done.stdout, done.stderr)
+        assert complaint in done.stderr
+        assert done.stdout == ""

@@ -4,9 +4,9 @@ The backend-parity suite ties the asyncio backends to the simulator, so
 a change that moves every backend alike passes it.  These goldens tie
 the simulator to its own committed past:
 
-* ``runner_quick.txt`` — ``python -m repro.experiments.runner --quick``;
+* ``runner_quick.txt`` — ``python -m repro.cli experiments --quick``;
 * ``failure_schedule.txt`` / ``failure_schedule_disk_store.txt`` —
-  ``python -m repro.experiments.failure_schedule`` without and with
+  ``python -m repro.cli run failure-schedule`` without and with
   ``--disk-store``;
 * ``parity_digests.json`` — per experiment of the parity suite, a SHA-256
   over its rendered report and, for every network it built, the trace in
@@ -34,8 +34,9 @@ import os
 import subprocess
 import sys
 
-from repro.experiments import failure_schedule, runner
-from tests.runtime.test_backend_parity import EXPERIMENTS, run_recorded
+from repro import cli
+from repro.experiments.runner import EXPERIMENTS
+from tests.runtime.test_backend_parity import run_recorded
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GOLDEN = os.path.join(ROOT, "tests", "golden")
@@ -53,20 +54,23 @@ def _compare(request, name, text):
     assert text == golden, "{} differs from its golden (see the module docstring)".format(name)
 
 
-def test_runner_quick_report(request):
-    report = runner.format_report(runner.run_all(quick=True))
-    _compare(request, "runner_quick.txt", report + "\n")
+def _printed(capsys, *argv):
+    """What ``python -m repro.cli *argv`` prints; its exit code must be 0."""
+    assert cli.main(list(argv)) == 0
+    return capsys.readouterr().out
 
 
-def test_failure_schedule_report(request):
-    result = failure_schedule.run()
-    _compare(request, "failure_schedule.txt", result.format_text() + "\n")
+def test_runner_quick_report(request, capsys):
+    _compare(request, "runner_quick.txt", _printed(capsys, "experiments", "--quick"))
 
 
-def test_failure_schedule_disk_store_report(request, tmp_path):
-    config = failure_schedule.FailureScheduleConfig(storage_dir=str(tmp_path))
-    result = failure_schedule.run(config)
-    _compare(request, "failure_schedule_disk_store.txt", result.format_text() + "\n")
+def test_failure_schedule_report(request, capsys):
+    _compare(request, "failure_schedule.txt", _printed(capsys, "run", "failure-schedule"))
+
+
+def test_failure_schedule_disk_store_report(request, capsys):
+    printed = _printed(capsys, "run", "failure-schedule", "--disk-store")
+    _compare(request, "failure_schedule_disk_store.txt", printed)
 
 
 def _digest(name):

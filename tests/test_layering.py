@@ -100,13 +100,13 @@ def test_core_sources_do_not_mention_the_simulator_package():
     assert not offenders, "core sources mention the simulator package:\n" + "\n".join(offenders)
 
 
-def _assert_loads_no_simulator(statements):
-    """Run *statements* in a fresh interpreter; no simulator module may load."""
+def _assert_loads_none(package, statements):
+    """Run *statements* in a fresh interpreter; no module of *package* may load."""
     program = (
         "import sys\n"
         + statements
-        + "loaded = sorted(m for m in sys.modules if m.startswith('repro.' + 'sim'))\n"
-        "sys.exit('simulator modules loaded: {}'.format(loaded) if loaded else 0)\n"
+        + "loaded = sorted(m for m in sys.modules if m.startswith({!r}))\n".format(package)
+        + "sys.exit('{} modules loaded: {{}}'.format(loaded) if loaded else 0)\n".format(package)
     )
     environment = dict(os.environ)
     environment["PYTHONPATH"] = SRC + os.pathsep + environment.get("PYTHONPATH", "")
@@ -115,24 +115,46 @@ def _assert_loads_no_simulator(statements):
         capture_output=True,
         text=True,
         env=environment,
+        timeout=60,
     )
     assert result.returncode == 0, result.stderr or result.stdout
 
 
 def test_importing_the_core_does_not_load_the_simulator():
     """Runtime check: the core's import graph is simulator-free."""
-    _assert_loads_no_simulator(
+    _assert_loads_none(
+        "repro." + "sim",
         "import repro.broker, repro.routing, repro.dispatch\n"
         "import repro.broker.base, repro.broker.network, repro.broker.client\n"
-        "import repro.broker.forwarding\n"
+        "import repro.broker.forwarding\n",
     )
 
 
 def test_wall_clock_aio_runtime_does_not_load_the_simulator():
     """Only the virtual-time branch imports the simulator it runs on."""
-    _assert_loads_no_simulator(
-        "from repro.runtime.aio import AioRuntime\n"
-        "AioRuntime().close()\n"
+    _assert_loads_none(
+        "repro." + "sim",
+        "from repro.runtime.aio import AioRuntime\nAioRuntime().close()\n",
+    )
+
+
+def test_a_running_network_does_not_load_the_metrics_package():
+    """The trace analyses of ``repro.metrics`` are the experiments' business:
+    building a network, routing one notification and reading its data-plane
+    breakdown load none of them."""
+    _assert_loads_none(
+        "repro.metrics",
+        "from repro import PubSubNetwork, line_topology\n"
+        "network = PubSubNetwork(line_topology(3))\n"
+        "producer = network.add_client('producer', 'B3')\n"
+        "producer.advertise({'topic': 'news'})\n"
+        "consumer = network.add_client('consumer', 'B1')\n"
+        "consumer.subscribe({'topic': 'news'})\n"
+        "network.settle()\n"
+        "producer.publish({'topic': 'news'})\n"
+        "network.settle()\n"
+        "assert len(consumer.received) == 1\n"
+        "assert network.data_plane_breakdown()['notifications_delivered'] == 1\n",
     )
 
 
@@ -147,10 +169,9 @@ def test_wall_clock_aio_runtime_does_not_load_the_simulator():
 #: same process would inherit; give it an owner instead.
 MODULE_STATE_ALLOWED = {
     # Read-only lookup tables.
-    "repro.cli._FIGURES",
-    "repro.cli._TABLES",
     "repro.dispatch.predicate_index._CMP_OPS",
     "repro.experiments.fig2_naive_roaming.EVENT_FILTER",
+    "repro.experiments.runner.EXPERIMENTS",
     "repro.experiments.table1_ploc.PAPER_TABLE_1",
     "repro.experiments.table2_filters.PAPER_TABLE_2",
     "repro.experiments.table3_endpoints.ALL_LOCATIONS",
