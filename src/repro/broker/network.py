@@ -92,9 +92,9 @@ class PubSubNetwork:
         for left, right in graph.edges():
             self._connect(left, right)
         self.clients: Dict[str, Client] = {}
-        # Clients orphaned by a crash with no scripted takeover; the
-        # failure detector adopts them when a neighbour observes the
-        # missed lease (see ``failover_orphans``).
+        # Clients orphaned by a crash; the failure detector adopts them
+        # when a neighbour observes the missed lease (see
+        # ``failover_orphans``).
         self._orphans: Dict[str, List[Client]] = {}
         self.failure_detector: Optional[FailureDetector] = None
 
@@ -180,36 +180,23 @@ class PubSubNetwork:
         """Checkpoint *name*'s routing state, truncating its journal."""
         return self.brokers[name].reliability.take_snapshot()
 
-    def crash_broker(self, name: str, takeover: Optional[str] = None) -> int:
-        """Crash broker *name*, failing its clients over to *takeover*.
+    def crash_broker(self, name: str) -> int:
+        """Crash broker *name*, orphaning its clients.
 
         The broker's volatile routing state is wiped (its
         :class:`~repro.broker.recovery.RecoveryStore`, standing in for
-        stable storage, survives).  Attached clients drop their
-        connections; when *takeover* names a neighbour broker they
-        immediately fail over to it — durable subscriptions are adopted
-        via the takeover path, plain ones re-subscribe fresh.  With
-        ``takeover=None`` the clients stay disconnected (their border
-        broker may restart later).  Returns the number of clients that
-        were attached at crash time.
+        stable storage, survives) and its intake gate drops whatever
+        reaches it until it restarts.  Attached clients drop their
+        connections and wait, disconnected, for :meth:`failover_orphans`
+        to move them to a neighbour (or for the broker to restart).
+        Returns the number of clients that were attached at crash time.
         """
         broker = self.brokers[name]
         orphans = broker.attached_clients()
         broker.crash()
-        # Runtime-level teardown, where the backend supports it: the
-        # asyncio runtime tears the channels *into* the dead broker so
-        # in-flight frames are dropped (and attributed) at the transport
-        # layer instead of reaching a dead process.  The simulator's
-        # links need no teardown — the broker-side intake gate drops at
-        # delivery time with identical trace records.
-        teardown = getattr(self.runtime, "teardown_broker", None)
-        if teardown is not None:
-            teardown(name)
         for client in orphans:
             client.drop_connection()
-            if takeover is not None:
-                client.failover_to(self.brokers[takeover], name)
-        if takeover is None and orphans:
+        if orphans:
             self._orphans[name] = list(orphans)
         return len(orphans)
 
@@ -217,8 +204,8 @@ class PubSubNetwork:
         """Fail the clients orphaned by *dead*'s crash over to *adopter*.
 
         Called by the failure detector when a missed lease is observed;
-        returns the number of clients adopted (0 when the crash already
-        had a scripted takeover or the stash was consumed).
+        returns the number of clients adopted (0 when the stash was
+        already consumed).
         """
         orphans = self._orphans.pop(dead, [])
         for client in orphans:
@@ -232,9 +219,6 @@ class PubSubNetwork:
         re-attach automatically — a recovered border broker is just a
         broker again; move clients back with ``client.move_to(...)``.
         """
-        restore = getattr(self.runtime, "restore_broker", None)
-        if restore is not None:
-            restore(name)
         self._orphans.pop(name, None)
         if self.failure_detector is not None:
             self.failure_detector.broker_restarted(name)

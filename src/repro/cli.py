@@ -20,13 +20,16 @@ the unchanged output).  ``run`` also takes ``--disk-store``: recovery
 stores on disk in a temporary directory, for the experiments that keep
 them.
 
-The exit code is 0 when every verdict holds, 1 when one fails and 2 on a
-usage error.
+The exit code is 0 when every verdict holds, 1 when one fails or the
+reader closes the pipe before the output is written (``| head``), and 2
+on a usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
+import sys
 import tempfile
 from contextlib import contextmanager
 from typing import Any, Iterator, List, Optional
@@ -106,22 +109,35 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "run":
-        experiment = EXPERIMENTS[args.name]
-        if args.disk_store and experiment.on_disk is None:
-            parser.error("--disk-store: {} keeps no recovery store".format(args.name))
-    with _backend(args.backend, args.telemetry) as backend:
-        if args.command == "experiments":
-            outcomes = run_all(quick=args.quick, backend=backend)
-            print(format_report(outcomes))
-            return 0 if all(outcome.passed for outcome in outcomes) else 1
-        if args.disk_store:
-            with tempfile.TemporaryDirectory() as directory:
-                result = experiment.on_disk(backend, directory)
-        else:
-            result = experiment.run(backend, args.quick)
-        print(result.format_text())
-        return 0 if experiment.verdict(result) else 1
+    if args.command == "run" and args.disk_store and EXPERIMENTS[args.name].on_disk is None:
+        parser.error("--disk-store: {} keeps no recovery store".format(args.name))
+    try:
+        with _backend(args.backend, args.telemetry) as backend:
+            passed = _run(args, backend)
+        # A closed pipe surfaces here, not in the flush at exit.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader left early: send what is still buffered to the null
+        # device, so the flush at exit has nothing to fail on.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return 0 if passed else 1
+
+
+def _run(args: argparse.Namespace, backend: Backend) -> bool:
+    """Run and print what *args* name on *backend*; whether every verdict holds."""
+    if args.command == "experiments":
+        outcomes = run_all(quick=args.quick, backend=backend)
+        print(format_report(outcomes))
+        return all(outcome.passed for outcome in outcomes)
+    experiment = EXPERIMENTS[args.name]
+    if args.disk_store:
+        with tempfile.TemporaryDirectory() as directory:
+            result = experiment.on_disk(backend, directory)
+    else:
+        result = experiment.run(backend, args.quick)
+    print(result.format_text())
+    return experiment.verdict(result)
 
 
 if __name__ == "__main__":  # pragma: no cover - manual / CI invocation helper

@@ -143,14 +143,10 @@ def recovery_report(
     )
     gap_ranges: Dict[str, List[Tuple[int, int]]] = {}
     for client in clients:
-        collector = getattr(client, "unfilled_gap_ranges", None)
-        if collector is None:
-            continue
         for subscription_id in client.subscription_ids():
-            unfilled = collector(subscription_id)
+            unfilled = client.unfilled_gap_ranges(subscription_id)
             if unfilled:
                 gap_ranges[subscription_id] = unfilled
-    store = getattr(broker, "recovery", None)
     return RecoveryReport(
         broker=broker.name,
         crash_time=crash_time,
@@ -168,5 +164,6 @@ def recovery_report(
             if retention_replayed is None
             else retention_replayed
         ),
-        store_counters=dict(getattr(store, "counters", {}) or {}),
+        # Only a disk store counts its I/O.
+        store_counters=dict(getattr(broker.recovery, "counters", {})),
     )

@@ -38,6 +38,9 @@ the simulator's ``drain``.  An in-flight counter is incremented when a
 frame enters the transport and decremented after the receiving broker
 finished processing the message — including any frames that processing
 sent, so quiescence means the whole causal cascade has completed.
+A crashed broker keeps its channels and their readers: a frame into it
+is decoded and dropped by the broker's own intake gate
+(:meth:`~repro.broker.base.Broker.receive`), as on the simulator.
 
 Two clock modes:
 
@@ -214,8 +217,6 @@ class AioChannel:
         "sent_count",
         "delivered_count",
         "dropped_count",
-        "malformed_count",
-        "torn",
         "_started",
         "depth_probe",
         "_pipe",
@@ -239,14 +240,9 @@ class AioChannel:
         self._deliver = deliver
         self.sent_count = 0
         self.delivered_count = 0
+        #: Frames whose payload did not decode: the one way a frame on
+        #: the transport is lost.
         self.dropped_count = 0
-        #: Frames whose payload did not decode (also counted as dropped).
-        self.malformed_count = 0
-        #: When ``True`` (the *target* broker crashed, see
-        #: :meth:`AioRuntime.teardown_broker`) the transport is torn down
-        #: and messages reaching it are dropped, as the simulator's
-        #: crashed broker drops them on receipt.
-        self.torn = False
         self._started = False
         # Telemetry hook: called with the channel's in-flight depth after
         # each send.  Wired by the network only when telemetry is
@@ -275,21 +271,11 @@ class AioChannel:
         self.carry(message)
 
     def carry(self, message: Message, link: Any = None) -> None:
-        """Put *message* on the transport, or drop it if the channel is torn.
+        """Frame *message* and put it on the transport (it is now in flight).
 
         Under virtual time the channel's :class:`~repro.sim.network.Link`
         calls this (passing itself as *link*) when the message is due.
         """
-        if self.torn:
-            # The receiving broker is down and its transport gone: the
-            # message dies here, before the in-flight counter ever
-            # increments (so `settle` still terminates).
-            self.dropped_count += 1
-            runtime = self.runtime
-            runtime.trace.record_drop(
-                runtime.clock.now, self.source, self.target, message, "broker-down"
-            )
-            return
         self._feed(self.runtime._frame(message))
 
     def _feed(self, frame: bytes) -> None:
@@ -350,7 +336,6 @@ class AioChannel:
             try:
                 message = runtime._decode(payload)
             except WireError:
-                self.malformed_count += 1
                 self.dropped_count += 1
                 runtime._message_done()
                 continue
@@ -362,24 +347,6 @@ class AioChannel:
             # Yield between messages so channels drain round-robin
             # rather than one channel starving the others.
             await asyncio.sleep(0)
-
-    async def _tear_down(self) -> None:
-        """Crash teardown: kill the transport, future frames drop on arrival.
-
-        The read task, writer and server are closed and the memory pipe
-        replaced, so nothing half-read survives; ``_started`` resets so a
-        later :meth:`AioRuntime.restore_broker` re-establishes the
-        transport (fresh pipe, or a brand-new TCP connection) on the next
-        settle.  Under virtual time the channel's link — latency, FIFO
-        clamp, pending messages — is untouched: link timing, as on the
-        simulator, is a property of the wire, not of the endpoint's
-        lifecycle.
-        """
-        self.torn = True
-        await self._close()
-        self._started = False
-        self._pipe = _BytePipe()
-        self._backlog = []
 
     async def _close(self) -> None:
         if self._read_task is not None:
@@ -492,41 +459,6 @@ class AioRuntime:
         latency = resolve_latency(self._latency_spec, source, target)
         return Link(self._clock, source, target, channel.carry, latency, trace=self._trace)
 
-    def teardown_broker(self, name: str) -> int:
-        """Crash teardown: tear the channels *into* broker *name*.
-
-        The dead broker's reading ends are closed, and every message that
-        reaches them — including messages already on the wire when the
-        crash happened — is dropped with reason ``"broker-down"``: the
-        trace records the simulator's crashed broker writes on receipt.
-        Channels *out* of the dead broker stay up: messages it sent before
-        dying deliver normally, exactly as on the simulator.  Returns the
-        number of channels torn.
-        """
-        torn = 0
-        for channel in self._channels:
-            if channel.target == name and not channel.torn:
-                if not self.loop.is_closed():
-                    self.loop.run_until_complete(channel._tear_down())
-                else:
-                    channel.torn = True
-                torn += 1
-        return torn
-
-    def restore_broker(self, name: str) -> int:
-        """Restart's inverse of :meth:`teardown_broker`.
-
-        Re-establishes the torn channels into *name* (lazily: the
-        transport reconnects on the next settle, like the initial lazy
-        connection).  Returns the number of channels restored.
-        """
-        restored = 0
-        for channel in self._channels:
-            if channel.target == name and channel.torn:
-                channel.torn = False
-                restored += 1
-        return restored
-
     def settle(self, max_events: int = 1_000_000) -> int:
         """Run until no work remains.
 
@@ -611,10 +543,6 @@ class AioRuntime:
 
     async def _start_channels(self) -> None:
         for channel in self._channels:
-            if channel.torn:
-                # A torn channel has no live endpoint to connect to; it
-                # re-establishes on the first settle after restore_broker.
-                continue
             await channel._start()
 
     def _raise_reader_failure(self) -> None:

@@ -30,12 +30,13 @@ class FaultModel:
       per message from the seeded RNG.
     * **scheduled faults** — deterministic windows driven by the
       backend's clock: :meth:`partition` declares a directed link down
-      during ``[t_from, t_to)``, :meth:`broker_down` declares every link
-      into *and* out of a broker down during the interval.  Messages sent
-      into a downed link are dropped (and recorded in the trace with
-      reason ``"partition"`` / ``"broker-down"``) without consuming any
-      RNG draw, so a failure schedule never perturbs the iid fault
-      stream.
+      during ``[t_from, t_to)``; cutting a broker off is a partition on
+      each of its links, in both directions.  Messages sent into a downed
+      link are dropped (and recorded in the trace with reason
+      ``"partition"``) without consuming any RNG draw, so a failure
+      schedule never perturbs the iid fault stream.  A *crashed* broker
+      is not a fault window: its own intake gate drops what reaches it
+      (reason ``"broker-down"``).
 
     The default pub/sub and mobility experiments never use faults (the
     paper's model is error-free); only the dedicated failure-injection
@@ -55,8 +56,6 @@ class FaultModel:
         self.duplicate_probability = duplicate_probability
         # (source, target) -> [(t_from, t_to)] scheduled link-down windows.
         self._partitions: Dict[Tuple[str, str], List[Tuple[float, float]]] = {}
-        # broker name -> [(t_from, t_to)] scheduled down intervals.
-        self._broker_downtimes: Dict[str, List[Tuple[float, float]]] = {}
 
     def should_drop(self) -> bool:
         """Decide whether the next message is lost (iid fault)."""
@@ -71,11 +70,11 @@ class FaultModel:
     def decide(self, source: str, target: str, now: float) -> Tuple[Optional[str], int]:
         """The fate of one message sent on *source* -> *target* at *now*.
 
-        Returns ``(drop_reason, copies)``: a reason (``"partition"``,
-        ``"broker-down"`` or ``"loss"``) and no copies when the message
-        is dropped, else ``None`` and 1 or 2 (duplicated) copies.
-        Scheduled windows are checked first and consume no RNG draw; the
-        duplicate decision is drawn only for messages that were not lost.
+        Returns ``(drop_reason, copies)``: a reason (``"partition"`` or
+        ``"loss"``) and no copies when the message is dropped, else
+        ``None`` and 1 or 2 (duplicated) copies.  Scheduled windows are
+        checked first and consume no RNG draw; the duplicate decision is
+        drawn only for messages that were not lost.
         """
         down_reason = self.link_down_reason(source, target, now)
         if down_reason is not None:
@@ -96,30 +95,12 @@ class FaultModel:
         window = self._check_window(t_from, t_to)
         self._partitions.setdefault((source, target), []).append(window)
 
-    def broker_down(self, broker: str, t_from: float, t_to: float) -> None:
-        """Declare *broker* crashed in ``[t_from, t_to)``: all its links drop."""
-        window = self._check_window(t_from, t_to)
-        self._broker_downtimes.setdefault(broker, []).append(window)
-
-    @staticmethod
-    def _in_window(windows: Optional[List[Tuple[float, float]]], now: float) -> bool:
-        if not windows:
-            return False
-        return any(t_from <= now < t_to for t_from, t_to in windows)
-
-    def is_broker_down(self, broker: str, now: float) -> bool:
-        """Whether *broker* is inside one of its scheduled down intervals."""
-        return self._in_window(self._broker_downtimes.get(broker), now)
-
     def link_down_reason(self, source: str, target: str, now: float) -> Optional[str]:
-        """The scheduled fault downing the link at *now*, or ``None``.
+        """``"partition"`` if a window downs *source* -> *target* at *now*, else ``None``.
 
-        Returns ``"partition"`` for a link-down window, ``"broker-down"``
-        when either endpoint is inside a broker down interval — the
-        reason recorded against every message dropped by the fault.
+        The reason is recorded against every message dropped by the fault.
         """
-        if self._in_window(self._partitions.get((source, target)), now):
+        windows = self._partitions.get((source, target), ())
+        if any(t_from <= now < t_to for t_from, t_to in windows):
             return "partition"
-        if self.is_broker_down(source, now) or self.is_broker_down(target, now):
-            return "broker-down"
         return None

@@ -5,8 +5,8 @@ TCP connections, that are error-free, a common assumption that can be
 relieved later" (Section 2.1).  :class:`Link` implements exactly that —
 a unidirectional FIFO channel with a latency model — plus an optional
 :class:`~repro.runtime.faults.FaultModel` used by robustness tests to
-"relieve" the error-free assumption (drops, duplicates, scheduled
-partitions and broker-down windows).
+"relieve" the error-free assumption (drops, duplicates and scheduled
+partitions).
 
 It is the one link of every backend that models time: the simulator
 runtime's links deliver straight into a broker, the virtual-time asyncio

@@ -215,7 +215,8 @@ class TestDurableSubscriptions:
         producer.publish({"topic": "news", "n": 1})
         network.settle()
 
-        assert network.crash_broker("B1", takeover="B2") == 1
+        assert network.crash_broker("B1") == 1
+        assert network.failover_orphans("B1", adopter="B2") == 1
         network.settle()
         assert consumer.border_broker is network.broker("B2")
         producer.publish({"topic": "news", "n": 2})
@@ -236,7 +237,8 @@ class TestDurableSubscriptions:
         consumer = network.add_client("consumer", "B1")
         consumer.subscribe({"topic": "news"}, subscription_id="s1", durable=True)
         network.settle()
-        network.crash_broker("B1", takeover="B2")
+        network.crash_broker("B1")
+        network.failover_orphans("B1", adopter="B2")
         network.settle()
         producer.publish({"topic": "news", "n": 1})
         network.settle()

@@ -1,4 +1,4 @@
-"""Downed and crashed brokers on the asyncio backend must not hang ``settle``.
+"""Cut-off and crashed brokers on the asyncio backend must not hang ``settle``.
 
 Regression battery for the in-flight accounting: a message dropped before
 it reaches the transport must never count as in flight — with no reader
@@ -6,10 +6,12 @@ ever consuming it, ``settle`` would wait forever for a quiescence that
 cannot come.  The asyncio backend drops on the two paths the simulator
 has:
 
-* at send time, inside a :meth:`~repro.runtime.faults.FaultModel.broker_down`
-  window — decided by the link, the same ``Link`` on both backends;
+* at send time, inside a :meth:`~repro.runtime.faults.FaultModel.partition`
+  window on each of a broker's links — decided by the link, the same
+  ``Link`` on both backends, so the message is never in flight;
 * at delivery time, into a broker ``network.crash_broker`` took down —
-  its incoming channels are torn, and a message reaching one dies there.
+  the frame crosses the transport and the broker's own intake gate drops
+  and counts it, as on the simulator.
 """
 
 import pytest
@@ -42,21 +44,28 @@ def _network(backend, recovery=False):
     return network, faults, producer, consumer
 
 
+def _cut_off(network, faults, broker, t_from, t_to):
+    """Partition every link into and out of *broker* during ``[t_from, t_to)``."""
+    for source, target in network.links:
+        if broker in (source, target):
+            faults.partition(source, target, t_from, t_to)
+
+
 def _received(client):
     return [record.notification.get("n") for record in client.received]
 
 
 @pytest.mark.parametrize("backend", AIO_BACKENDS)
-class TestBrokerDownWindow:
+class TestCutOffWindow:
     def test_settle_returns_and_drops_are_attributed(self, backend):
         network, faults, producer, consumer = _network(backend)
         try:
             start = network.now
-            faults.broker_down("B2", start, start + 1.0)
+            _cut_off(network, faults, "B2", start, start + 1.0)
             producer.publish({"topic": "news", "n": 1})
             network.settle(max_events=10_000)
             assert consumer.received == []
-            drops = network.trace.drops(reason="broker-down")
+            drops = network.trace.drops(reason="partition")
             assert [(d.source, d.target, d.time) for d in drops] == [("B3", "B2", start)]
             assert network.links[("B3", "B2")].dropped_count == 1
         finally:
@@ -66,7 +75,7 @@ class TestBrokerDownWindow:
         network, faults, producer, consumer = _network(backend)
         try:
             start = network.now
-            faults.broker_down("B2", start, start + 1.0)
+            _cut_off(network, faults, "B2", start, start + 1.0)
             producer.publish({"topic": "news", "n": 1})
             network.clock.schedule(1.0, producer.publish, {"topic": "news", "n": 2})
             network.settle(max_events=10_000)
@@ -74,10 +83,10 @@ class TestBrokerDownWindow:
         finally:
             network.close()
 
-    def test_the_window_is_per_broker(self, backend):
+    def test_the_window_cuts_off_one_broker(self, backend):
         network, faults, producer, consumer = _network(backend)
         try:
-            faults.broker_down("B2", network.now, network.now + 1.0)
+            _cut_off(network, faults, "B2", network.now, network.now + 1.0)
             # Links not touching B2 keep flowing: a subscriber local to
             # the producer's broker still gets its deliveries.
             local = network.add_client("local", "B3")
@@ -95,7 +104,7 @@ class TestBrokerDownWindow:
         network, faults, producer, consumer = _network(backend)
         try:
             producer.publish({"topic": "news", "n": 1})  # on the wire for 50 ms per hop
-            faults.broker_down("B1", network.now + 0.06, network.now + 1.0)
+            _cut_off(network, faults, "B1", network.now + 0.06, network.now + 1.0)
             network.settle(max_events=10_000)
             assert _received(consumer) == [1]
             assert network.trace.drops() == []
@@ -117,9 +126,7 @@ class TestCrashedBroker:
             drops = network.trace.drops(reason="broker-down")
             assert [(drop.source, drop.target) for drop in drops] == [("B3", "B2")]
             assert drops[0].time > sent_at  # at delivery time, not at send time
-            torn = [channel for channel in network.runtime._channels if channel.torn]
-            assert sorted(channel.source for channel in torn) == ["B1", "B3"]
-            assert sum(channel.dropped_count for channel in torn) == 1
+            assert network.broker("B2").counters["messages_dropped_down"] == 1
 
             network.restart_broker("B2")
             producer.publish({"topic": "news", "n": 2})

@@ -14,8 +14,8 @@ assertion:
   the simulator and on the virtual-time asyncio backend (memory and TCP
   transports) and must agree on everything **including timestamps**:
   delivery records, link traversals (admin messages included), drop
-  records, publish records, and every rendered metric.  This is the CI
-  backend-parity gate.
+  records, publish records, every rendered metric and every broker's
+  counters.  This is the CI backend-parity gate.
 """
 
 from contextlib import contextmanager
@@ -222,11 +222,31 @@ def recorded_runtimes(make=make_runtime):
         yield runtimes
 
 
+@contextmanager
+def recorded_networks():
+    """Every network ``build_network`` builds inside the block, in order."""
+    networks = []
+
+    def recording(*args, **kwargs):
+        network = PubSubNetwork(*args, **kwargs)
+        networks.append(network)
+        return network
+
+    with mock.patch.object(backends, "PubSubNetwork", recording):
+        yield networks
+
+
 def run_recorded(name, backend):
     """Run experiment *name* (quick) on *backend*: its result and one fingerprint per network."""
-    with recorded_runtimes() as runtimes:
+    with recorded_networks() as networks:
         result = EXPERIMENTS[name].run(Backend(backend), quick=True)
-    return result, [_trace_fingerprint(runtime.trace) for runtime in runtimes]
+    return result, [_fingerprint(network) for network in networks]
+
+
+def _fingerprint(network):
+    """The network's trace fingerprint plus every broker's counters."""
+    counters = {name: dict(broker.counters) for name, broker in sorted(network.brokers.items())}
+    return {**_trace_fingerprint(network.trace), "counters": counters}
 
 
 def _trace_fingerprint(trace):
@@ -290,32 +310,34 @@ def _trace_fingerprint(trace):
 #: drops and every timestamp still agree.
 LINK_ORDER_EXEMPT = {"fig5-multi"}
 
+
 @pytest.fixture(scope="module")
-def sim_baseline():
-    """Lazily computed per-experiment simulator baseline, shared per module."""
+def recorded():
+    """Lazily computed ``(report text, fingerprints)`` per experiment and
+    backend, shared per module."""
     cache = {}
 
-    def get(name):
-        if name not in cache:
-            result, fingerprints = run_recorded(name, "sim")
-            cache[name] = (result.format_text(), fingerprints)
-        return cache[name]
+    def get(name, backend):
+        if (name, backend) not in cache:
+            try:
+                result, fingerprints = run_recorded(name, backend)
+            except OSError as error:  # pragma: no cover - sandboxed environments
+                pytest.skip("loopback sockets unavailable: {}".format(error))
+            cache[name, backend] = (result.format_text(), fingerprints)
+        return cache[name, backend]
 
     return get
 
 
 @pytest.mark.parametrize("backend", AIO_BACKENDS)
 @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
-def test_experiment_parity(name, backend, sim_baseline):
+def test_experiment_parity(name, backend, recorded):
     """The full experiment agrees with the simulator, timestamps included."""
-    sim_text, sim_fingerprints = sim_baseline(name)
-    try:
-        result, aio_fingerprints = run_recorded(name, backend)
-    except OSError as error:  # pragma: no cover - sandboxed environments
-        pytest.skip("loopback sockets unavailable: {}".format(error))
+    sim_text, sim_fingerprints = recorded(name, "sim")
+    aio_text, aio_fingerprints = recorded(name, backend)
     # Every rendered number (message counts, blackout durations,
     # relocation latencies, recovery reports) is byte-identical.
-    assert result.format_text() == sim_text
+    assert aio_text == sim_text
     # The experiment built the same number of networks, and each one
     # produced the identical trace: deliveries in identical order with
     # identical virtual timestamps, the same link traversals (admin
@@ -327,3 +349,15 @@ def test_experiment_parity(name, backend, sim_baseline):
         assert order(aio_fp["links"]) == order(sim_fp["links"])
         assert aio_fp["drops"] == sim_fp["drops"]
         assert aio_fp["publishes"] == sim_fp["publishes"]
+
+
+@pytest.mark.parametrize("backend", AIO_BACKENDS)
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_experiment_broker_counters_agree(name, backend, recorded):
+    """Every broker of every network the experiment builds ends with the
+    simulator's counters: a message is dropped, counted and traced by the
+    same component on every backend."""
+    _, sim_fingerprints = recorded(name, "sim")
+    _, aio_fingerprints = recorded(name, backend)
+    sim_counters = [fingerprint["counters"] for fingerprint in sim_fingerprints]
+    assert [fingerprint["counters"] for fingerprint in aio_fingerprints] == sim_counters

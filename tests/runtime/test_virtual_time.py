@@ -8,7 +8,7 @@ the simulator — every scenario runs on both and compares the observable
 outcome — plus the edge cases
 the drive loop has to get right: a timer at exactly ``now``, cascades
 where timers enqueue frames that schedule further timers, and a timer
-firing inside a broker-down window.
+firing while a broker is cut off by partitions.
 """
 
 import pytest
@@ -211,17 +211,17 @@ def test_cascade_quiescence_matches_simulator(backend):
 
 
 # ---------------------------------------------------------------------------
-# Broker down while a timer is pending
+# A broker cut off while a timer is pending
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("backend", ["aio-memory", "aio-tcp"])
-def test_broker_down_window_during_pending_timer(backend):
-    """A publish timer fires inside a broker-down window: dropped, attributed.
+def test_partition_window_during_pending_timer(backend):
+    """A publish timer fires while B1 is cut off: dropped, attributed.
 
     The timer itself still runs (time advances through the window); the
-    message it sends towards the downed broker is dropped at send time
-    with reason ``"broker-down"``, and traffic flows again once the
+    message it sends towards the cut-off broker is dropped at send time
+    with reason ``"partition"``, and traffic flows again once the
     window closes.  (``tests/runtime/test_aio_broker_down.py`` covers
     the rest of the window semantics.)
     """
@@ -238,11 +238,12 @@ def test_broker_down_window_during_pending_timer(backend):
 
         settled_at = network.now
         network.clock.schedule(1.0, producer.publish, {"topic": "news", "phase": "down"})
-        faults.broker_down("B1", settled_at, settled_at + 2.0)
+        for source, target in network.links:  # both directions of B1 - B2
+            faults.partition(source, target, settled_at, settled_at + 2.0)
         network.settle()
         assert network.clock.now == settled_at + 1.0  # the timer ran...
         assert len(consumer.received) == 0  # ...but nothing got through
-        drops = network.trace.drops(reason="broker-down")
+        drops = network.trace.drops(reason="partition")
         assert [(drop.source, drop.target) for drop in drops] == [("B2", "B1")]
 
         network.clock.schedule(1.5, producer.publish, {"topic": "news", "phase": "up"})

@@ -1,4 +1,4 @@
-"""Scheduled fault windows (partitions, broker downtime) and drop attribution."""
+"""Scheduled fault windows (partitions) and drop attribution."""
 
 import pytest
 
@@ -34,21 +34,6 @@ class TestFaultModelSchedule:
         # The reverse direction is unaffected.
         assert fault.link_down_reason("B", "A", 1.5) is None
 
-    def test_broker_down_affects_links_in_both_directions(self):
-        fault = make_fault()
-        fault.broker_down("B", 1.0, 2.0)
-        assert fault.is_broker_down("B", 1.5)
-        assert not fault.is_broker_down("B", 2.0)
-        assert fault.link_down_reason("A", "B", 1.5) == "broker-down"
-        assert fault.link_down_reason("B", "C", 1.5) == "broker-down"
-        assert fault.link_down_reason("A", "C", 1.5) is None
-
-    def test_partition_reason_wins_over_broker_down(self):
-        fault = make_fault()
-        fault.partition("A", "B", 0.0, 5.0)
-        fault.broker_down("B", 0.0, 5.0)
-        assert fault.link_down_reason("A", "B", 1.0) == "partition"
-
     def test_multiple_windows_per_link(self):
         fault = make_fault()
         fault.partition("A", "B", 1.0, 2.0)
@@ -64,15 +49,16 @@ class TestFaultModelSchedule:
         with pytest.raises(ValueError):
             fault.partition("A", "B", 1.0, 1.0)
         with pytest.raises(ValueError):
-            fault.broker_down("B", -1.0, 1.0)
+            fault.partition("A", "B", -1.0, 1.0)
 
     def test_scheduled_faults_consume_no_rng_draws(self):
         """A failure schedule must not perturb the iid fault stream."""
         fault = make_fault(drop_probability=0.5)
         fault.partition("A", "B", 1.0, 2.0)
+        fault.partition("B", "A", 1.0, 2.0)
         for now in (0.0, 1.5, 2.5):
             fault.link_down_reason("A", "B", now)
-            fault.is_broker_down("A", now)
+            fault.link_down_reason("B", "A", now)
         baseline = DeterministicRandom(7)
         assert fault.should_drop() == (baseline.random() < 0.5)
 
@@ -147,17 +133,19 @@ class TestNetworkFaultSchedules:
         network.settle()
         return network, fault, producer, consumer
 
-    def test_broker_down_window_blacks_out_deliveries(self):
+    def test_partitioning_every_link_of_a_broker_blacks_out_deliveries(self):
         network, fault, producer, consumer = self._network_with_fault()
         t0 = network.now
-        fault.broker_down("B2", t0 + 0.5, t0 + 1.5)
+        for source, target in network.links:
+            if "B2" in (source, target):
+                fault.partition(source, target, t0 + 0.5, t0 + 1.5)
         for offset in (0.0, 1.0, 2.0):
             network.run_until(t0 + offset)
             producer.publish({"topic": "news", "offset": offset})
         network.settle()
         offsets = [record.notification.get("offset") for record in consumer.received]
         assert offsets == [0.0, 2.0]
-        assert dropped_by_reason(network.trace) == {"broker-down": 1}
+        assert dropped_by_reason(network.trace) == {"partition": 1}
 
     def test_partition_loss_is_attributed_in_the_trace(self):
         network, fault, producer, consumer = self._network_with_fault()

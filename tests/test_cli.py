@@ -11,6 +11,11 @@ from repro import cli
 from repro.experiments.backends import Backend
 from repro.experiments.runner import EXPERIMENTS
 
+try:
+    import fcntl
+except ImportError:  # pragma: no cover - not a POSIX system
+    fcntl = None
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GOLDEN = os.path.join(ROOT, "tests", "golden")
 
@@ -78,3 +83,32 @@ class TestUsage:
         assert done.returncode == 2, (done.stdout, done.stderr)
         assert complaint in done.stderr
         assert done.stdout == ""
+
+
+#: The smallest pipe Linux makes: the quick report does not fit in it.
+SMALL_PIPE = 4096
+
+
+@pytest.mark.skipif(not hasattr(fcntl, "F_SETPIPE_SZ"), reason="needs a resizable pipe")
+def test_a_reader_leaving_after_one_line_gets_no_traceback():
+    """``repro.cli experiments --quick | head -n 1``: the command is still
+    writing the report when its reader goes, and ends quietly with exit 1."""
+    read_end, write_end = os.pipe()
+    fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, SMALL_PIPE)
+    child = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "experiments", "--quick"],
+        env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"), PYTHONUNBUFFERED="1"),
+        stdout=write_end,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    os.close(write_end)
+    line = b""
+    while not line.endswith(b"\n"):
+        byte = os.read(read_end, 1)
+        assert byte, "the command printed no whole line"
+        line += byte
+    os.close(read_end)
+    _, stderr = child.communicate(timeout=60)
+    assert "Traceback" not in stderr and "BrokenPipeError" not in stderr, stderr
+    assert child.returncode == 1
