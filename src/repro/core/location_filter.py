@@ -36,7 +36,8 @@ from repro.messages.base import Message, MessageKind
 #
 # A LocationDependentSubscribe carries everything a broker needs to join
 # the scheme — the filter template, the movement graph and the
-# uncertainty plan — so each of those needs a JSON-friendly wire form.
+# uncertainty plan — so each of those has an (encode, decode) pair for
+# the message's ``wire_fields``.
 
 
 def movement_graph_to_wire(graph: MovementGraph) -> Dict[str, Any]:
@@ -88,6 +89,11 @@ def location_filter_from_wire(payload: Dict[str, Any]) -> "LocationDependentFilt
         location_attribute=payload["location_attribute"],
         vicinity=payload["vicinity"],
     )
+
+
+MOVEMENT_GRAPH = (movement_graph_to_wire, movement_graph_from_wire)
+UNCERTAINTY_PLAN = (plan_to_wire, plan_from_wire)
+LOCATION_FILTER = (location_filter_to_wire, location_filter_from_wire)
 
 
 class _MyLocMarker:
@@ -197,6 +203,16 @@ class LocationDependentSubscribe(Message):
 
     kind = MessageKind.MOBILITY
 
+    wire_fields = (
+        "client_id",
+        "subscription_id",
+        ("location_filter", LOCATION_FILTER),
+        ("movement_graph", MOVEMENT_GRAPH),
+        ("plan", UNCERTAINTY_PLAN),
+        "current_location",
+        "hop_index",
+    )
+
     __slots__ = (
         "client_id",
         "subscription_id",
@@ -253,34 +269,13 @@ class LocationDependentSubscribe(Message):
             self.plan.name,
         )
 
-    def _wire_body(self) -> Dict[str, Any]:
-        return {
-            "client_id": self.client_id,
-            "subscription_id": self.subscription_id,
-            "location_filter": location_filter_to_wire(self.location_filter),
-            "movement_graph": movement_graph_to_wire(self.movement_graph),
-            "plan": plan_to_wire(self.plan),
-            "current_location": self.current_location,
-            "hop_index": self.hop_index,
-        }
-
-    @classmethod
-    def _from_wire_body(cls, payload: Dict[str, Any]) -> "LocationDependentSubscribe":
-        return cls(
-            client_id=payload["client_id"],
-            subscription_id=payload["subscription_id"],
-            location_filter=location_filter_from_wire(payload["location_filter"]),
-            movement_graph=movement_graph_from_wire(payload["movement_graph"]),
-            plan=plan_from_wire(payload["plan"]),
-            current_location=payload["current_location"],
-            hop_index=payload["hop_index"],
-        )
-
 
 class LocationDependentUnsubscribe(Message):
     """Withdraw a location-dependent subscription."""
 
     kind = MessageKind.MOBILITY
+
+    wire_fields = ("client_id", "subscription_id")
 
     __slots__ = ("client_id", "subscription_id")
 
@@ -297,13 +292,4 @@ class LocationDependentUnsubscribe(Message):
     def describe(self) -> str:
         return "LocationDependentUnsubscribe(client={}, sub={})".format(
             self.client_id, self.subscription_id
-        )
-
-    def _wire_body(self) -> Dict[str, Any]:
-        return {"client_id": self.client_id, "subscription_id": self.subscription_id}
-
-    @classmethod
-    def _from_wire_body(cls, payload: Dict[str, Any]) -> "LocationDependentUnsubscribe":
-        return cls(
-            client_id=payload["client_id"], subscription_id=payload["subscription_id"]
         )

@@ -156,3 +156,7 @@ def filter_from_wire(payload: Dict[str, Any]) -> Filter:
         name, spec = item
         constraints[name] = constraint_from_wire(spec)
     return Filter(constraints)
+
+
+#: The wire pair of a filter-valued message field (see ``Message.wire_fields``).
+FILTER = (filter_to_wire, filter_from_wire)

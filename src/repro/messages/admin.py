@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Any, Dict, Optional
 
 from repro.filters.filter import Filter
-from repro.filters.wire import filter_from_wire, filter_to_wire
+from repro.filters.wire import FILTER
 from repro.messages.base import Message, MessageKind
 
 
@@ -20,6 +20,8 @@ class _FilterAdminMessage(Message):
     """Common base of the four admin message types."""
 
     kind = MessageKind.ADMIN
+
+    wire_fields = (("filter", FILTER), "subject", "subscription_id")
 
     __slots__ = ("filter", "subject", "subscription_id")
 
@@ -40,21 +42,6 @@ class _FilterAdminMessage(Message):
     def describe(self) -> str:
         return "{}(subject={}, sub_id={}, {})".format(
             type(self).__name__, self.subject, self.subscription_id, self.filter
-        )
-
-    def _wire_body(self) -> Dict[str, Any]:
-        return {
-            "filter": filter_to_wire(self.filter),
-            "subject": self.subject,
-            "subscription_id": self.subscription_id,
-        }
-
-    @classmethod
-    def _from_wire_body(cls, payload: Dict[str, Any]) -> "_FilterAdminMessage":
-        return cls(
-            filter_from_wire(payload["filter"]),
-            subject=payload["subject"],
-            subscription_id=payload.get("subscription_id"),
         )
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import enum
 import itertools
 from types import MappingProxyType
-from typing import Any, Dict, Mapping, Optional, TypeVar
+from typing import Any, Dict, Mapping, Optional, Tuple, TypeVar
 
 #: The ``meta`` of every message built without one: shared and read-only,
 #: so an empty ``meta`` costs no dict per message.
@@ -45,18 +45,24 @@ class Message:
     ids depend only on that network, never on what else ran in the
     process.
 
-    Every concrete message type is wire-codable: :meth:`to_wire` returns
-    a JSON-friendly payload (type name, message id, meta, plus the
-    subclass body from :meth:`_wire_body`) and :meth:`from_wire` rebuilds
-    an equal message from it.  ``meta`` must therefore hold only
-    JSON-representable values.  A link decodes only the types a broker
-    handles (:func:`~repro.messages.wire.message_type_registry`); a
-    sequenced notification travels inside a ``Replay``, and telemetry
+    Every concrete message type is wire-codable through the one codec
+    here: it declares its :attr:`wire_fields`, and :meth:`to_wire` /
+    :meth:`from_wire` build and read its payload (type name, message id,
+    meta, one entry per field) from that declaration.  ``meta`` must
+    hold only JSON-representable values.  A link decodes only the types
+    a broker handles (:func:`~repro.messages.wire.message_type_registry`);
+    a sequenced notification travels inside a ``Replay``, and telemetry
     events are decoded by the collector's own table.  The recovery
     journal's records and routing snapshots are not messages at all.
     """
 
     kind: MessageKind = MessageKind.ADMIN
+
+    #: The wire fields of a concrete type, once each, in constructor order:
+    #: an attribute name whose value is JSON-friendly as it is, or
+    #: ``(name, (encode, decode))`` with the pair its value type declares
+    #: (``repro.filters.wire.FILTER``, for one).  ``None``: no codec.
+    wire_fields: Optional[Tuple[Any, ...]] = None
 
     __slots__ = ("message_id", "meta")
 
@@ -75,38 +81,50 @@ class Message:
     # Wire codec
     # ------------------------------------------------------------------
     def to_wire(self) -> Dict[str, Any]:
-        """The complete JSON-friendly wire payload of this message."""
+        """The complete JSON-friendly wire payload of this message.
+
+        A plain field's value goes in as it is (shared, not copied:
+        callers encode the payload and must not change it).
+        """
+        fields = self.wire_fields
+        if fields is None:
+            raise NotImplementedError("{} declares no wire fields".format(type(self).__name__))
         payload: Dict[str, Any] = {"type": type(self).__name__, "id": self.message_id}
         if self.meta:
             payload["meta"] = dict(self.meta)
-        payload.update(self._wire_body())
+        for field in fields:
+            if isinstance(field, str):
+                payload[field] = getattr(self, field)
+            else:
+                name, (encode, _) = field
+                payload[name] = encode(getattr(self, name))
         return payload
-
-    def _wire_body(self) -> Dict[str, Any]:
-        """Subclass-specific payload fields (overridden by every subclass)."""
-        raise NotImplementedError(
-            "{} does not implement the wire codec".format(type(self).__name__)
-        )
 
     @classmethod
     def from_wire(cls, payload: Dict[str, Any]) -> "Message":
         """Rebuild a message of this concrete type from its wire payload.
 
+        The declared fields are passed to the constructor in order, so it
+        validates and coerces them; a missing field raises ``KeyError``.
         The message id crosses the wire too, so a decoded message keeps
         the identity the sender assigned; decoding draws no id.
         """
-        message = cls._from_wire_body(payload)
+        fields = cls.wire_fields
+        if fields is None:
+            raise NotImplementedError("{} declares no wire fields".format(cls.__name__))
+        values = []
+        for field in fields:
+            if isinstance(field, str):
+                values.append(payload[field])
+            else:
+                name, (_, decode) = field
+                values.append(decode(payload[name]))
+        message = cls(*values)
         message.message_id = int(payload["id"])
         meta = payload.get("meta")
         if meta:
             message.meta = dict(meta)
         return message
-
-    @classmethod
-    def _from_wire_body(cls, payload: Dict[str, Any]) -> "Message":
-        raise NotImplementedError(
-            "{} does not implement the wire codec".format(cls.__name__)
-        )
 
     # ------------------------------------------------------------------
     # Equality

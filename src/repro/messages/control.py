@@ -25,13 +25,15 @@ from __future__ import annotations
 from typing import Any, Dict, Optional
 
 from repro.messages.base import Message, MessageKind
-from repro.messages.notification import Notification
+from repro.messages.notification import NOTIFICATION, Notification
 
 
 class Heartbeat(Message):
     """One liveness beacon from *sender* to a directly connected neighbour."""
 
     kind = MessageKind.CONTROL
+
+    wire_fields = ("sender", "sent_at")
 
     __slots__ = ("sender", "sent_at")
 
@@ -48,13 +50,6 @@ class Heartbeat(Message):
     def describe(self) -> str:
         return "Heartbeat({} @ {})".format(self.sender, self.sent_at)
 
-    def _wire_body(self) -> Dict[str, Any]:
-        return {"sender": self.sender, "sent_at": self.sent_at}
-
-    @classmethod
-    def _from_wire_body(cls, payload: Dict[str, Any]) -> "Heartbeat":
-        return cls(sender=payload["sender"], sent_at=payload["sent_at"])
-
 
 class SequencedForward(Message):
     """A broker→broker notification forward with a per-link sequence number.
@@ -68,6 +63,8 @@ class SequencedForward(Message):
     """
 
     kind = MessageKind.NOTIFICATION
+
+    wire_fields = (("notification", NOTIFICATION), "sender", "link_seq")
 
     __slots__ = ("notification", "sender", "link_seq")
 
@@ -88,21 +85,6 @@ class SequencedForward(Message):
             self.sender, self.link_seq, self.notification.describe()
         )
 
-    def _wire_body(self) -> Dict[str, Any]:
-        return {
-            "notification": self.notification.to_wire(),
-            "sender": self.sender,
-            "link_seq": self.link_seq,
-        }
-
-    @classmethod
-    def _from_wire_body(cls, payload: Dict[str, Any]) -> "SequencedForward":
-        return cls(
-            notification=Notification.from_wire(payload["notification"]),
-            sender=payload["sender"],
-            link_seq=payload["link_seq"],
-        )
-
 
 class ForwardAck(Message):
     """Cumulative ack: every forward with ``link_seq <= upto`` is processed.
@@ -113,6 +95,8 @@ class ForwardAck(Message):
     """
 
     kind = MessageKind.CONTROL
+
+    wire_fields = ("sender", "upto")
 
     __slots__ = ("sender", "upto")
 
@@ -129,9 +113,3 @@ class ForwardAck(Message):
     def describe(self) -> str:
         return "ForwardAck({} upto={})".format(self.sender, self.upto)
 
-    def _wire_body(self) -> Dict[str, Any]:
-        return {"sender": self.sender, "upto": self.upto}
-
-    @classmethod
-    def _from_wire_body(cls, payload: Dict[str, Any]) -> "ForwardAck":
-        return cls(sender=payload["sender"], upto=payload["upto"])

@@ -29,9 +29,9 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.filters.filter import Filter
-from repro.filters.wire import filter_from_wire, filter_to_wire
+from repro.filters.wire import FILTER
 from repro.messages.base import Message, MessageKind
-from repro.messages.notification import SequencedNotification
+from repro.messages.notification import SEQUENCED_NOTIFICATIONS, SequencedNotification
 
 
 def subscription_token(client_id: str, subscription_id: str) -> str:
@@ -46,6 +46,14 @@ class MovedSubscribe(Message):
     """Re-issued subscription of a relocated client: ``(C, F, last_seq)``."""
 
     kind = MessageKind.MOBILITY
+
+    wire_fields = (
+        "client_id",
+        "subscription_id",
+        ("filter", FILTER),
+        "last_sequence",
+        "new_border",
+    )
 
     __slots__ = ("client_id", "subscription_id", "filter", "last_sequence", "new_border")
 
@@ -70,30 +78,20 @@ class MovedSubscribe(Message):
             self.client_id, self.subscription_id, self.last_sequence, self.new_border
         )
 
-    def _wire_body(self) -> Dict[str, Any]:
-        return {
-            "client_id": self.client_id,
-            "subscription_id": self.subscription_id,
-            "filter": filter_to_wire(self.filter),
-            "last_sequence": self.last_sequence,
-            "new_border": self.new_border,
-        }
-
-    @classmethod
-    def _from_wire_body(cls, payload: Dict[str, Any]) -> "MovedSubscribe":
-        return cls(
-            client_id=payload["client_id"],
-            subscription_id=payload["subscription_id"],
-            filter_=filter_from_wire(payload["filter"]),
-            last_sequence=payload["last_sequence"],
-            new_border=payload["new_border"],
-        )
-
 
 class FetchRequest(Message):
     """Fetch request ``(C, F, last_seq, junction)`` sent along the old path."""
 
     kind = MessageKind.MOBILITY
+
+    wire_fields = (
+        "client_id",
+        "subscription_id",
+        ("filter", FILTER),
+        "last_sequence",
+        "junction",
+        "new_border",
+    )
 
     __slots__ = (
         "client_id",
@@ -127,27 +125,6 @@ class FetchRequest(Message):
             self.client_id, self.subscription_id, self.last_sequence, self.junction
         )
 
-    def _wire_body(self) -> Dict[str, Any]:
-        return {
-            "client_id": self.client_id,
-            "subscription_id": self.subscription_id,
-            "filter": filter_to_wire(self.filter),
-            "last_sequence": self.last_sequence,
-            "junction": self.junction,
-            "new_border": self.new_border,
-        }
-
-    @classmethod
-    def _from_wire_body(cls, payload: Dict[str, Any]) -> "FetchRequest":
-        return cls(
-            client_id=payload["client_id"],
-            subscription_id=payload["subscription_id"],
-            filter_=filter_from_wire(payload["filter"]),
-            last_sequence=payload["last_sequence"],
-            junction=payload["junction"],
-            new_border=payload["new_border"],
-        )
-
 
 class Replay(Message):
     """Replay of buffered notifications from the virtual counterpart.
@@ -159,6 +136,13 @@ class Replay(Message):
     """
 
     kind = MessageKind.MOBILITY
+
+    wire_fields = (
+        "client_id",
+        "subscription_id",
+        ("notifications", SEQUENCED_NOTIFICATIONS),
+        "origin_border",
+    )
 
     __slots__ = ("client_id", "subscription_id", "notifications", "origin_border")
 
@@ -181,25 +165,6 @@ class Replay(Message):
             self.client_id, self.subscription_id, len(self.notifications), self.origin_border
         )
 
-    def _wire_body(self) -> Dict[str, Any]:
-        return {
-            "client_id": self.client_id,
-            "subscription_id": self.subscription_id,
-            "notifications": [sequenced.to_wire() for sequenced in self.notifications],
-            "origin_border": self.origin_border,
-        }
-
-    @classmethod
-    def _from_wire_body(cls, payload: Dict[str, Any]) -> "Replay":
-        return cls(
-            client_id=payload["client_id"],
-            subscription_id=payload["subscription_id"],
-            notifications=[
-                SequencedNotification.from_wire(item) for item in payload["notifications"]
-            ],
-            origin_border=payload["origin_border"],
-        )
-
 
 class RelocationComplete(Message):
     """End-of-replay marker that also authorises garbage collection.
@@ -211,6 +176,8 @@ class RelocationComplete(Message):
     """
 
     kind = MessageKind.MOBILITY
+
+    wire_fields = ("client_id", "subscription_id", "origin_border")
 
     __slots__ = ("client_id", "subscription_id", "origin_border")
 
@@ -231,21 +198,6 @@ class RelocationComplete(Message):
             self.client_id, self.subscription_id, self.origin_border
         )
 
-    def _wire_body(self) -> Dict[str, Any]:
-        return {
-            "client_id": self.client_id,
-            "subscription_id": self.subscription_id,
-            "origin_border": self.origin_border,
-        }
-
-    @classmethod
-    def _from_wire_body(cls, payload: Dict[str, Any]) -> "RelocationComplete":
-        return cls(
-            client_id=payload["client_id"],
-            subscription_id=payload["subscription_id"],
-            origin_border=payload["origin_border"],
-        )
-
 
 class LocationUpdate(Message):
     """Location-change control message of the logical-mobility scheme.
@@ -260,6 +212,8 @@ class LocationUpdate(Message):
     """
 
     kind = MessageKind.MOBILITY
+
+    wire_fields = ("client_id", "subscription_id", "old_location", "new_location", "hop_index")
 
     __slots__ = ("client_id", "subscription_id", "old_location", "new_location", "hop_index")
 
@@ -278,25 +232,6 @@ class LocationUpdate(Message):
         self.old_location = old_location
         self.new_location = new_location
         self.hop_index = int(hop_index)
-
-    def _wire_body(self) -> Dict[str, Any]:
-        return {
-            "client_id": self.client_id,
-            "subscription_id": self.subscription_id,
-            "old_location": self.old_location,
-            "new_location": self.new_location,
-            "hop_index": self.hop_index,
-        }
-
-    @classmethod
-    def _from_wire_body(cls, payload: Dict[str, Any]) -> "LocationUpdate":
-        return cls(
-            client_id=payload["client_id"],
-            subscription_id=payload["subscription_id"],
-            old_location=payload["old_location"],
-            new_location=payload["new_location"],
-            hop_index=payload["hop_index"],
-        )
 
     def describe(self) -> str:
         return "LocationUpdate(client={}, sub={}, {} -> {}, hop={})".format(

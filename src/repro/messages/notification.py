@@ -15,7 +15,7 @@ example).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.filters.attributes import coerce_value
 from repro.messages.base import Message, MessageKind
@@ -25,6 +25,8 @@ class Notification(Message):
     """An event notification published into the system."""
 
     kind = MessageKind.NOTIFICATION
+
+    wire_fields = ("attributes", "publisher", "publisher_seq", "publish_time")
 
     __slots__ = ("attributes", "publisher", "publisher_seq", "publish_time", "identity")
 
@@ -66,22 +68,10 @@ class Notification(Message):
             self.publisher, self.publisher_seq, self.attributes
         )
 
-    def _wire_body(self) -> Dict[str, Any]:
-        return {
-            "attributes": dict(self.attributes),
-            "publisher": self.publisher,
-            "publisher_seq": self.publisher_seq,
-            "publish_time": self.publish_time,
-        }
 
-    @classmethod
-    def _from_wire_body(cls, payload: Dict[str, Any]) -> "Notification":
-        return cls(
-            attributes=payload["attributes"],
-            publisher=payload["publisher"],
-            publisher_seq=payload["publisher_seq"],
-            publish_time=payload["publish_time"],
-        )
+#: The wire pair of a nested notification (a ``SequencedNotification``'s
+#: or a ``SequencedForward``'s payload).
+NOTIFICATION = (Notification.to_wire, Notification.from_wire)
 
 
 class SequencedNotification(Message):
@@ -95,6 +85,8 @@ class SequencedNotification(Message):
     """
 
     kind = MessageKind.NOTIFICATION
+
+    wire_fields = (("notification", NOTIFICATION), "client_id", "subscription_id", "sequence")
 
     __slots__ = ("notification", "client_id", "subscription_id", "sequence")
 
@@ -120,19 +112,14 @@ class SequencedNotification(Message):
             self.notification.describe(),
         )
 
-    def _wire_body(self) -> Dict[str, Any]:
-        return {
-            "notification": self.notification.to_wire(),
-            "client_id": self.client_id,
-            "subscription_id": self.subscription_id,
-            "sequence": self.sequence,
-        }
 
-    @classmethod
-    def _from_wire_body(cls, payload: Dict[str, Any]) -> "SequencedNotification":
-        return cls(
-            notification=Notification.from_wire(payload["notification"]),
-            client_id=payload["client_id"],
-            subscription_id=payload["subscription_id"],
-            sequence=payload["sequence"],
-        )
+def _sequenced_to_wire(items: Sequence[SequencedNotification]) -> List[Dict[str, Any]]:
+    return [item.to_wire() for item in items]
+
+
+def _sequenced_from_wire(payload: Sequence[Dict[str, Any]]) -> List[SequencedNotification]:
+    return [SequencedNotification.from_wire(item) for item in payload]
+
+
+#: The wire pair of a list of sequenced notifications (a ``Replay``'s payload).
+SEQUENCED_NOTIFICATIONS = (_sequenced_to_wire, _sequenced_from_wire)

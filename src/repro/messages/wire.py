@@ -2,17 +2,22 @@
 
 The simulator backend passes message *objects* between brokers; the
 asyncio backend (:mod:`repro.runtime.aio`) sends *bytes* over framed
-streams.  A link carries exactly the message types a broker handles
-(one row each in ``Broker._MESSAGE_TABLE``), and
+streams.  What a message's payload holds is decided in one place,
+:class:`~repro.messages.base.Message`: every concrete type declares its
+``wire_fields`` and ``Message.to_wire`` / ``from_wire`` build and read
+the payload from that declaration.  This module renders payloads to
+bytes and back.  A link carries exactly the message types a broker
+handles (one row each in ``Broker._MESSAGE_TABLE``), and
 :func:`message_type_registry` lists exactly those: :func:`encode_message`
 produces a canonical JSON payload, :func:`decode_message` dispatches on
 the ``type`` field and rebuilds an equal message via the class's
-``from_wire``, and a payload of any other type — well-formed or not —
-raises :class:`WireError`, so a reader counts and drops it.  Filters and
-constraints travel as their canonical keys (:mod:`repro.filters.wire`),
-so routing-table identity survives the wire.  The telemetry collector
-decodes its events through a table of its own (:func:`build_registry`);
-the recovery journal's records and routing snapshots are not messages.
+``from_wire``, and a payload of any other type, or of a listed type with
+a field missing or mistyped, raises :class:`WireError`, so a reader
+counts and drops it.  Filters and constraints travel as their canonical
+keys (:mod:`repro.filters.wire`), so routing-table identity survives the
+wire.  The telemetry collector decodes its events through a table of its
+own (:func:`build_registry`); the recovery journal's records and routing
+snapshots are not messages.
 
 The canonical format — :data:`CANONICAL_JSON` over a message's
 ``to_wire`` payload — is rendered here and nowhere else:

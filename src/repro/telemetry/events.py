@@ -58,6 +58,8 @@ class TelemetryEvent(Message):
 class MetricSnapshotEvent(TelemetryEvent):
     """One broker's full registry state at time *time*."""
 
+    wire_fields = ("broker", "time", "counters", "gauges", "histograms")
+
     __slots__ = ("broker", "time", "counters", "gauges", "histograms")
 
     def __init__(
@@ -81,25 +83,6 @@ class MetricSnapshotEvent(TelemetryEvent):
             self.broker, self.time, len(self.counters)
         )
 
-    def _wire_body(self) -> Dict[str, Any]:
-        return {
-            "broker": self.broker,
-            "time": self.time,
-            "counters": dict(sorted(self.counters.items())),
-            "gauges": dict(sorted(self.gauges.items())),
-            "histograms": dict(sorted(self.histograms.items())),
-        }
-
-    @classmethod
-    def _from_wire_body(cls, payload: Dict[str, Any]) -> "MetricSnapshotEvent":
-        return cls(
-            broker=payload["broker"],
-            time=payload["time"],
-            counters=payload["counters"],
-            gauges=payload.get("gauges"),
-            histograms=payload.get("histograms"),
-        )
-
 
 class SpanEvent(TelemetryEvent):
     """One hop of one notification's journey (see module docstring).
@@ -110,6 +93,8 @@ class SpanEvent(TelemetryEvent):
     for a forward, the client for a delivery).  ``attrs`` carries
     JSON-friendly extras (matched-row counts, delivery sequence ...).
     """
+
+    wire_fields = ("trace_id", "broker", "hop", "time", "peer", "attrs")
 
     __slots__ = ("trace_id", "broker", "hop", "peer", "time", "attrs")
 
@@ -136,32 +121,11 @@ class SpanEvent(TelemetryEvent):
             self.trace_id, self.broker, self.time, self.hop, self.peer
         )
 
-    def _wire_body(self) -> Dict[str, Any]:
-        body: Dict[str, Any] = {
-            "trace_id": self.trace_id,
-            "broker": self.broker,
-            "hop": self.hop,
-            "time": self.time,
-            "attrs": dict(sorted(self.attrs.items())),
-        }
-        if self.peer is not None:
-            body["peer"] = self.peer
-        return body
-
-    @classmethod
-    def _from_wire_body(cls, payload: Dict[str, Any]) -> "SpanEvent":
-        return cls(
-            trace_id=payload["trace_id"],
-            broker=payload["broker"],
-            hop=payload["hop"],
-            time=payload["time"],
-            peer=payload.get("peer"),
-            attrs=payload.get("attrs"),
-        )
-
 
 class LogEvent(TelemetryEvent):
     """A timestamped, levelled text record from one broker (or the harness)."""
+
+    wire_fields = ("broker", "time", "level", "text")
 
     __slots__ = ("broker", "time", "level", "text")
 
@@ -181,23 +145,6 @@ class LogEvent(TelemetryEvent):
 
     def describe(self) -> str:
         return "Log({}@{:.3f} [{}] {})".format(self.broker, self.time, self.level, self.text)
-
-    def _wire_body(self) -> Dict[str, Any]:
-        return {
-            "broker": self.broker,
-            "time": self.time,
-            "level": self.level,
-            "text": self.text,
-        }
-
-    @classmethod
-    def _from_wire_body(cls, payload: Dict[str, Any]) -> "LogEvent":
-        return cls(
-            broker=payload["broker"],
-            time=payload["time"],
-            level=payload["level"],
-            text=payload["text"],
-        )
 
 
 #: Every concrete telemetry event type.

@@ -27,7 +27,6 @@ from repro.broker.recovery import (
 )
 from repro.filters import wire as filter_wire
 from repro.filters.filter import Filter
-from repro.messages import admin as admin_messages
 from repro.messages import wire as message_wire
 from repro.messages.admin import Advertise, Subscribe, Unadvertise, Unsubscribe
 from repro.messages.mobility import MovedSubscribe
@@ -183,16 +182,16 @@ def test_admin_appends_encode_each_filter_once():
     encoder per call), and each filter's constraints are put in wire form
     once, when its payload is first memoised.  Each filter object's text is
     rendered from that payload once too: ``filter_to_wire`` runs 10 times,
-    not once per append."""
+    not once per append.  An admin record's filter is put in wire form by
+    the canonical renderer's call in :mod:`repro.messages.wire`, so that
+    is the call counted."""
     kinds = (Subscribe, Unsubscribe, Advertise, Unadvertise)
     shared = [Filter({"topic": "t{}".format(index)}) for index in range(10)]
     store = RecoveryStore("B1")
     to_wire = mock.Mock(wraps=filter_wire.filter_to_wire)
     with mock.patch("json.dumps", wraps=json.dumps) as dumps, mock.patch.object(
         filter_wire, "constraint_to_wire", wraps=filter_wire.constraint_to_wire
-    ) as constraint_to_wire, mock.patch.object(
-        admin_messages, "filter_to_wire", to_wire
-    ), mock.patch.object(message_wire, "filter_to_wire", to_wire):
+    ) as constraint_to_wire, mock.patch.object(message_wire, "filter_to_wire", to_wire):
         for index in range(1000):
             entry = kinds[index % 4](shared[index % 10], subject="client/s{}".format(index))
             store.append("client-{}".format(index % 7), entry, float(index))

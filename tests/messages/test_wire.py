@@ -17,6 +17,7 @@ keys, nested sequenced notifications, movement graphs and uncertainty
 plans.
 """
 
+import inspect
 import json
 
 import pytest
@@ -63,7 +64,7 @@ from repro.messages.wire import (
     encode_message,
     message_type_registry,
 )
-from repro.telemetry.events import LogEvent
+from repro.telemetry.events import EVENT_REGISTRY, LogEvent, MetricSnapshotEvent, decode_event
 
 # ---------------------------------------------------------------------------
 # Strategies
@@ -421,20 +422,37 @@ def test_malformed_payloads_raise_wire_error_only(data):
     assert decoded.to_wire() == decode_message(data).to_wire()
 
 
+def _without(message, field):
+    """*message*'s encoded payload with *field* dropped."""
+    payload = json.loads(encode_message(message))
+    del payload[field]
+    return json.dumps(payload).encode("utf-8")
+
+
 @pytest.mark.parametrize(
-    "data",
+    "data, decode",
     [
-        b"[1,2]",
-        b'"s"',
-        b"null",
-        b'{"type":[1]}',
-        b'{"type":"Notification"}',
-        b'{"type":"Notification","id":1,"attributes":{},"publisher":"p",'
-        b'"publisher_seq":"x","publish_time":0}',
+        (b"[1,2]", decode_message),
+        (b'"s"', decode_message),
+        (b"null", decode_message),
+        (b'{"type":[1]}', decode_message),
+        (b'{"type":"Notification"}', decode_message),
+        (
+            b'{"type":"Notification","id":1,"attributes":{},"publisher":"p",'
+            b'"publisher_seq":"x","publish_time":0}',
+            decode_message,
+        ),
         # Well-formed, but no broker handles it: a sequenced notification
         # travels inside a Replay, an event to the telemetry collector.
-        encode_message(SequencedNotification(Notification({"n": 1}, "p", 1), "c", "s", 1)),
-        encode_message(LogEvent("B1", 0.0, "info", "up")),
+        (
+            encode_message(SequencedNotification(Notification({"n": 1}, "p", 1), "c", "s", 1)),
+            decode_message,
+        ),
+        (encode_message(LogEvent("B1", 0.0, "info", "up")), decode_message),
+        # Every declared field is required, optional constructor arguments
+        # included: the encoder always writes them.
+        (_without(Subscribe(Filter({"a": 1}), "c/s", "s"), "subscription_id"), decode_message),
+        (_without(MetricSnapshotEvent("B1", 0.0, {"n": 1}), "gauges"), decode_event),
     ],
     ids=[
         "list",
@@ -445,11 +463,32 @@ def test_malformed_payloads_raise_wire_error_only(data):
         "mistyped-field",
         "sequenced-notification",
         "telemetry-event",
+        "subscribe-without-subscription-id",
+        "snapshot-without-gauges",
     ],
 )
-def test_valid_json_of_the_wrong_shape_is_a_wire_error(data):
+def test_valid_json_of_the_wrong_shape_is_a_wire_error(data, decode):
     with pytest.raises(WireError):
-        decode_message(data)
+        decode(data)
+
+
+@pytest.mark.parametrize(
+    "message_type",
+    [*message_type_registry().values(), *EVENT_REGISTRY.values()],
+    ids=lambda message_type: message_type.__name__,
+)
+def test_wire_fields_name_the_constructor_parameters_in_order(message_type):
+    """``from_wire`` passes the declared fields to the constructor by
+    position, so a declaration must name exactly its positional parameters
+    (all but ``meta``), in order.  A parameter's trailing underscore
+    (``filter_``, kept off the builtin) is not part of the field name."""
+    parameters = [
+        name.rstrip("_")
+        for name, parameter in inspect.signature(message_type).parameters.items()
+        if parameter.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD and name != "meta"
+    ]
+    fields = [field if isinstance(field, str) else field[0] for field in message_type.wire_fields]
+    assert fields == parameters
 
 
 @pytest.mark.parametrize(
