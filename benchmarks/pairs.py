@@ -5,8 +5,10 @@
                                 [--pairs 10] [--seed 1]
 
 Each side is the committed tree of a git ref, unpacked with ``git archive``
-into a temporary directory (``--change`` defaults to the working tree the
-script runs from).  Pair ``i`` runs ``benchmarks/e2e/run.py --workload W
+into a temporary directory.  ``--change`` defaults to the working tree the
+script runs from, copied into the temporary directory alike: its tracked
+files that still exist plus its untracked, unignored ones.  So neither
+side runs from the repository itself.  Pair ``i`` runs ``benchmarks/e2e/run.py --workload W
 --seed SEED+i --trace 0`` once on each side, for the ``run_seconds`` that
 ``BENCHMARK.json`` fixes, the base first on even ``i`` and the change
 first on odd ``i``, each child pinned to one core.  The
@@ -35,6 +37,7 @@ import argparse
 import json
 import os
 import resource
+import shutil
 import statistics
 import subprocess
 import sys
@@ -53,16 +56,27 @@ REPORTED = tuple(
 
 
 def checkout(ref, into):
-    """A directory holding *ref*'s committed tree (``None``: this working tree)."""
+    """A directory under *into* holding *ref*'s committed tree (``None``: this working tree)."""
+    target = Path(into) / (ref or "working-tree").replace("/", "_")
+    target.mkdir()
     if ref is None:
-        return ROOT
+        listed = subprocess.run(
+            ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+            cwd=ROOT,
+            stdout=subprocess.PIPE,
+            check=True,
+        )
+        for name in sorted(set(listed.stdout.decode().split("\0")) - {""}):
+            source = ROOT / name
+            if source.is_file():  # a tracked file deleted from the working tree is not
+                (target / name).parent.mkdir(parents=True, exist_ok=True)
+                shutil.copy2(source, target / name)
+        return target
     archive = subprocess.run(
         ["git", "-C", str(ROOT), "archive", "--format=tar", ref],
         stdout=subprocess.PIPE,
         check=True,
     )
-    target = Path(into) / ref.replace("/", "_")
-    target.mkdir()
     subprocess.run(["tar", "-x", "-C", str(target)], input=archive.stdout, check=True)
     return target
 

@@ -516,7 +516,7 @@ class Broker:
                 record = registration.subscriptions.get(token)
                 if record is None:
                     continue
-                if record.relocation_buffer is not None and not record.relocation_buffer.complete:
+                if record.relocation_buffer is not None:
                     record.relocation_buffer.hold(notification)
                     self.counters["notifications_buffered_relocation"] += 1
                     continue

@@ -34,7 +34,6 @@ from repro.messages.admin import Subscribe, Unsubscribe
 from repro.messages.mobility import (
     FetchRequest,
     MovedSubscribe,
-    RelocationComplete,
     Replay,
     subscription_token,
 )
@@ -112,42 +111,39 @@ class VirtualCounterpart:
 
 
 class RelocationBuffer:
-    """Buffer at the new border broker while a relocation is in progress."""
+    """Buffer at the new border broker while a relocation is in progress.
 
-    def __init__(self, client_id: str, subscription_id: str) -> None:
-        self.client_id = client_id
-        self.subscription_id = subscription_id
+    It holds the notifications that arrive over the new path until the
+    :class:`~repro.messages.mobility.Replay` does.  *relocation* is the
+    open record of this move, which the replay's arrival completes.
+    """
+
+    def __init__(self, relocation: RelocationRecord) -> None:
+        self.relocation = relocation
         self._pending: List[Notification] = []
-        self._replayed: List[SequencedNotification] = []
-        self.complete = False
 
     @property
     def token(self) -> str:
         """The subscription token ``client/subscription``."""
-        return subscription_token(self.client_id, self.subscription_id)
+        return subscription_token(self.relocation.client_id, self.relocation.subscription_id)
 
-    # -- new-path notifications --------------------------------------------------
     def hold(self, notification: Notification) -> None:
         """Buffer a notification that arrived over the new path during relocation."""
         self._pending.append(notification)
 
-    # -- replay handling ------------------------------------------------------------
-    def accept_replay(self, notifications: Sequence[SequencedNotification]) -> None:
-        """Record the replayed notifications received from the old border broker."""
-        self._replayed.extend(notifications)
-
-    def flush(self) -> Tuple[List[SequencedNotification], List[Notification]]:
-        """Produce the final delivery order and clear the buffer.
+    def flush(
+        self, replayed: Sequence[SequencedNotification]
+    ) -> Tuple[List[SequencedNotification], List[Notification]]:
+        """The final delivery order of the *replayed* and the held notifications.
 
         Returns ``(replayed, fresh)`` where *replayed* are the old-path
         notifications in their original sequence order and *fresh* are the
-        buffered new-path notifications with any duplicates of the replayed
+        held new-path notifications with any duplicates of the replayed
         ones removed ("delivers the old messages from B6 first before
         delivering the 'new' messages from its own buffer to guarantee the
         correct delivery order", Section 4.1).
         """
-        self.complete = True
-        replayed = sorted(self._replayed, key=lambda s: s.sequence)
+        replayed = sorted(replayed, key=lambda s: s.sequence)
         seen: Set[Tuple[str, int]] = {s.notification.identity for s in replayed}
         fresh: List[Notification] = []
         for notification in self._pending:
@@ -156,14 +152,11 @@ class RelocationBuffer:
             seen.add(notification.identity)
             fresh.append(notification)
         self._pending.clear()
-        self._replayed.clear()
         return replayed, fresh
 
     def describe(self) -> str:
         """Human-readable state summary used by traces."""
-        return "RelocationBuffer(token={}, pending={}, replayed={})".format(
-            self.token, len(self._pending), len(self._replayed)
-        )
+        return "RelocationBuffer(token={}, pending={})".format(self.token, len(self._pending))
 
 
 @dataclass
@@ -276,7 +269,7 @@ class PhysicalMobility:
         # Normal case: buffer new-path notifications until the replay
         # arrives, then register the subscription and look for the
         # junction starting at this broker.
-        record.relocation_buffer = RelocationBuffer(client_id, subscription_id)
+        record.relocation_buffer = RelocationBuffer(started)
         moved = MovedSubscribe(
             client_id=client_id,
             subscription_id=subscription_id,
@@ -449,7 +442,6 @@ class PhysicalMobility:
                 filter_=message.filter,
                 last_sequence=message.last_sequence,
                 junction=broker.name,
-                new_border=broker.name,
             )
             broker._links[destination].send(broker.ids.stamp(fetch))
 
@@ -506,29 +498,27 @@ class PhysicalMobility:
                 clients.pop(counterpart.client_id, None)
 
     def _send_replay(self, fetched: Any, replayed: Sequence[Any], toward: Optional[str]) -> None:
-        """Answer a fetch: a Replay of the *replayed* notifications, then RelocationComplete.
+        """Answer a fetch with one Replay of the *replayed* notifications.
 
         *fetched* (a counterpart or a fetch request) names the subscription.
-        Both go to the neighbour *toward*; without one (the junction is
-        this broker itself) they are routed along the token's rows.
+        The Replay goes to the neighbour *toward*; without one (the junction
+        is this broker itself) it is routed along the token's rows.
         """
         broker = self.broker
         broker.counters["replays_sent"] += 1
-        client_id, subscription_id = fetched.client_id, fetched.subscription_id
-        stamp = broker.ids.stamp
-        replay = stamp(Replay(client_id, subscription_id, replayed, origin_border=broker.name))
-        complete = stamp(RelocationComplete(client_id, subscription_id, origin_border=broker.name))
-        for message in (replay, complete):
-            if toward in broker._links:
-                broker._links[toward].send(message)
-            else:
-                self.handle_replay(message, None)
+        replay = broker.ids.stamp(
+            Replay(fetched.client_id, fetched.subscription_id, replayed, origin_border=broker.name)
+        )
+        if toward in broker._links:
+            broker._links[toward].send(replay)
+        else:
+            self.handle_replay(replay, None)
 
-    def handle_replay(self, message: Any, from_destination: Optional[str]) -> None:
-        """Route a Replay / RelocationComplete on along its token's rows.
+    def handle_replay(self, message: Replay, from_destination: Optional[str]) -> None:
+        """Route a Replay on along its token's rows.
 
         A row toward a local client ends the path: this is the new border
-        broker, and the message feeds the client's relocation buffer.
+        broker, and the replay completes the client's relocation.
         """
         links = self.broker._links
         token = subscription_token(message.client_id, message.subscription_id)
@@ -541,8 +531,12 @@ class PhysicalMobility:
             else:
                 self._relocation_message_arrived(message, token)
 
-    def _relocation_message_arrived(self, message: Any, token: str) -> None:
-        """A Replay fills the relocation buffer; a RelocationComplete flushes it."""
+    def _relocation_message_arrived(self, message: Replay, token: str) -> None:
+        """Complete the relocation: the replayed notifications first, then the held ones.
+
+        The buffer is taken off the subscription before anything is
+        delivered, so a delivery made from inside the flush is not held.
+        """
         broker = self.broker
         registration = broker._clients.get(message.client_id)
         if registration is None:
@@ -550,10 +544,8 @@ class PhysicalMobility:
         record = registration.subscriptions.get(token)
         if record is None or record.relocation_buffer is None:
             return
-        if type(message) is Replay:
-            record.relocation_buffer.accept_replay(message.notifications)
-            return
-        replayed, fresh = record.relocation_buffer.flush()
+        buffer_, record.relocation_buffer = record.relocation_buffer, None
+        replayed, fresh = buffer_.flush(message.notifications)
         for sequenced in replayed:
             broker._deliver_to_client(record, sequenced.notification, sequenced.sequence)
         if replayed:
@@ -562,28 +554,19 @@ class PhysicalMobility:
             sequence = record.next_sequence
             record.next_sequence += 1
             broker._deliver_to_client(record, notification, sequence)
-        record.relocation_buffer = None
-        for relocation in reversed(self.relocation_records):
-            if (
-                relocation.client_id == record.client_id
-                and relocation.subscription_id == record.subscription_id
-                and relocation.completed_at is None
-            ):
-                relocation.completed_at = broker.clock.now
-                relocation.old_border = message.origin_border
-                relocation.replayed = len(replayed)
-                relocation.fresh = len(fresh)
-                break
+        relocation = buffer_.relocation
+        relocation.completed_at = broker.clock.now
+        relocation.old_border = message.origin_border
+        relocation.replayed = len(replayed)
+        relocation.fresh = len(fresh)
 
     #: This component's rows of ``Broker._MESSAGE_TABLE`` (see there).  A
     #: FetchRequest's table effect depends on volatile state (is there a
     #: counterpart here?), so its handler journals the Unsubscribe /
-    #: Subscribe writes of the branch it took.  Replay and
-    #: RelocationComplete change no routing state: they fill relocation
-    #: buffers, which a crash discards.
+    #: Subscribe writes of the branch it took.  A Replay changes no routing
+    #: state: it empties a relocation buffer, which a crash discards.
     MESSAGES = {
         MovedSubscribe: ("mobility_received", True, True, "physical", handle_moved_subscribe),
         FetchRequest: ("mobility_received", False, True, "physical", handle_fetch_request),
         Replay: ("mobility_received", False, False, "physical", handle_replay),
-        RelocationComplete: ("mobility_received", False, False, "physical", handle_replay),
     }

@@ -10,8 +10,8 @@ is a :class:`~repro.messages.base.Message`.  The module distinguishes:
   (Section 2.2).
 * **Mobility control messages** — the messages of the physical-mobility
   relocation protocol of Section 4 (moved subscription, fetch request,
-  replay, relocation complete) and the location-change messages of the
-  logical-mobility scheme of Section 5.
+  replay) and the location-change messages of the logical-mobility
+  scheme of Section 5.
 """
 
 from repro.messages.base import Message, MessageKind
@@ -26,7 +26,6 @@ from repro.messages.mobility import (
     FetchRequest,
     LocationUpdate,
     MovedSubscribe,
-    RelocationComplete,
     Replay,
 )
 
@@ -42,6 +41,5 @@ __all__ = [
     "MovedSubscribe",
     "FetchRequest",
     "Replay",
-    "RelocationComplete",
     "LocationUpdate",
 ]

@@ -1,6 +1,6 @@
 """Control messages of the two mobility protocols.
 
-Physical mobility (Section 4) uses four message types:
+Physical mobility (Section 4) uses three message types:
 
 * :class:`MovedSubscribe` — the re-issued subscription ``(C, F, last_seq)``
   a reconnecting client hands to its new border broker; brokers forward it
@@ -11,11 +11,9 @@ Physical mobility (Section 4) uses four message types:
   their routing entries for (C, F) toward the junction.
 * :class:`Replay` — the old border broker's virtual counterpart ships the
   buffered notifications (those with sequence numbers greater than
-  ``last_seq``) back along the updated path.
-* :class:`RelocationComplete` — an end-of-replay marker that lets the new
-  border broker flush its own buffer of "new-path" notifications in the
-  correct order and lets intermediate brokers and the old border broker
-  garbage-collect state.
+  ``last_seq``) back along the updated path.  Its arrival completes the
+  relocation: the new border broker delivers the replayed notifications,
+  then its own buffer of "new-path" ones.
 
 Logical mobility (Section 5) uses a single additional control message,
 :class:`LocationUpdate`, which replaces the plain sub/unsub administrative
@@ -84,23 +82,9 @@ class FetchRequest(Message):
 
     kind = MessageKind.MOBILITY
 
-    wire_fields = (
-        "client_id",
-        "subscription_id",
-        ("filter", FILTER),
-        "last_sequence",
-        "junction",
-        "new_border",
-    )
+    wire_fields = ("client_id", "subscription_id", ("filter", FILTER), "last_sequence", "junction")
 
-    __slots__ = (
-        "client_id",
-        "subscription_id",
-        "filter",
-        "last_sequence",
-        "junction",
-        "new_border",
-    )
+    __slots__ = ("client_id", "subscription_id", "filter", "last_sequence", "junction")
 
     def __init__(
         self,
@@ -109,7 +93,6 @@ class FetchRequest(Message):
         filter_: Filter,
         last_sequence: int,
         junction: str,
-        new_border: str,
         meta: Optional[Dict[str, Any]] = None,
     ) -> None:
         super().__init__(meta)
@@ -118,7 +101,6 @@ class FetchRequest(Message):
         self.filter = filter_
         self.last_sequence = int(last_sequence)
         self.junction = junction
-        self.new_border = new_border
 
     def describe(self) -> str:
         return "FetchRequest(client={}, sub={}, last_seq={}, junction={})".format(
@@ -132,7 +114,8 @@ class Replay(Message):
     Carries the sequenced notifications buffered for the relocated client
     whose sequence numbers exceed the client's ``last_sequence``.  The
     replay travels along the (already diverted) path from the old border
-    broker via the junction to the new border broker.
+    broker via the junction to the new border broker, where it completes
+    the relocation: one message carries the whole suffix.
     """
 
     kind = MessageKind.MOBILITY
@@ -163,39 +146,6 @@ class Replay(Message):
     def describe(self) -> str:
         return "Replay(client={}, sub={}, count={}, origin={})".format(
             self.client_id, self.subscription_id, len(self.notifications), self.origin_border
-        )
-
-
-class RelocationComplete(Message):
-    """End-of-replay marker that also authorises garbage collection.
-
-    Sent by the old border broker immediately after the :class:`Replay`
-    message; brokers on the old path drop any leftover state for the
-    relocated (client, subscription) pair, and the new border broker
-    switches from "buffer new-path notifications" to normal delivery.
-    """
-
-    kind = MessageKind.MOBILITY
-
-    wire_fields = ("client_id", "subscription_id", "origin_border")
-
-    __slots__ = ("client_id", "subscription_id", "origin_border")
-
-    def __init__(
-        self,
-        client_id: str,
-        subscription_id: str,
-        origin_border: str,
-        meta: Optional[Dict[str, Any]] = None,
-    ) -> None:
-        super().__init__(meta)
-        self.client_id = client_id
-        self.subscription_id = subscription_id
-        self.origin_border = origin_border
-
-    def describe(self) -> str:
-        return "RelocationComplete(client={}, sub={}, origin={})".format(
-            self.client_id, self.subscription_id, self.origin_border
         )
 
 

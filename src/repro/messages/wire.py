@@ -82,7 +82,6 @@ def _message_types() -> Dict[str, Type[Message]]:
         FetchRequest,
         LocationUpdate,
         MovedSubscribe,
-        RelocationComplete,
         Replay,
     )
     from repro.messages.notification import Notification
@@ -96,7 +95,6 @@ def _message_types() -> Dict[str, Type[Message]]:
         MovedSubscribe,
         FetchRequest,
         Replay,
-        RelocationComplete,
         LocationUpdate,
         LocationDependentSubscribe,
         LocationDependentUnsubscribe,

@@ -311,7 +311,6 @@ class TestMessageTable:
         "MovedSubscribe": PhysicalMobility,
         "FetchRequest": PhysicalMobility,
         "Replay": PhysicalMobility,
-        "RelocationComplete": PhysicalMobility,
         "LocationDependentSubscribe": LogicalMobility,
         "LocationDependentUnsubscribe": LogicalMobility,
         "LocationUpdate": LogicalMobility,

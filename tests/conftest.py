@@ -1,6 +1,7 @@
 """Shared fixtures for the test suite."""
 
 import pytest
+from hypothesis import settings
 
 from repro.broker.forwarding import NeighbourForwardingState
 from repro.broker.network import PubSubNetwork
@@ -8,6 +9,11 @@ from repro.core.ploc import MovementGraph
 from repro.sim.rng import DeterministicRandom
 from repro.routing.table import RoutingTable
 from repro.topology.builders import line_topology
+
+#: The model test's long run (tests/integration/test_network_model.py):
+#: ``pytest --hypothesis-profile=model-long``.  Tier-1 keeps hypothesis's
+#: default profile.
+settings.register_profile("model-long", max_examples=500, stateful_step_count=40)
 
 
 @pytest.fixture

@@ -49,49 +49,50 @@ class TestVirtualCounterpart:
         assert "C/sub" in counterpart.describe()
 
 
+def open_buffer():
+    """The relocation buffer of a move of ``C/sub`` to ``B1``, not yet replayed."""
+    return RelocationBuffer(RelocationRecord("C", "sub", None, "B1", started_at=0.0))
+
+
 class TestRelocationBuffer:
     def test_flush_orders_replay_before_fresh(self):
-        buffer_ = RelocationBuffer("C", "sub")
+        buffer_ = open_buffer()
         fresh = make_notification(10)
         buffer_.hold(fresh)
         counterpart = VirtualCounterpart("C", "sub", Filter({}), next_sequence=3)
         replay = [counterpart.buffer(make_notification(seq)) for seq in (3, 4)]
-        buffer_.accept_replay(replay)
-        replayed, fresh_out = buffer_.flush()
+        replayed, fresh_out = buffer_.flush(replay)
         assert [s.sequence for s in replayed] == [3, 4]
         assert [n.publisher_seq for n in fresh_out] == [10]
-        assert buffer_.complete
 
     def test_flush_deduplicates_by_identity(self):
-        buffer_ = RelocationBuffer("C", "sub")
+        buffer_ = open_buffer()
         shared = make_notification(5)
         buffer_.hold(shared)
         counterpart = VirtualCounterpart("C", "sub", Filter({}), next_sequence=1)
-        buffer_.accept_replay([counterpart.buffer(shared)])
-        replayed, fresh_out = buffer_.flush()
+        replayed, fresh_out = buffer_.flush([counterpart.buffer(shared)])
         assert len(replayed) == 1
         assert fresh_out == []
 
     def test_flush_deduplicates_repeated_fresh(self):
-        buffer_ = RelocationBuffer("C", "sub")
+        buffer_ = open_buffer()
         repeated = make_notification(1)
         buffer_.hold(repeated)
         buffer_.hold(repeated)
-        replayed, fresh_out = buffer_.flush()
+        replayed, fresh_out = buffer_.flush([])
         assert replayed == []
         assert len(fresh_out) == 1
 
     def test_replay_sorted_even_if_received_out_of_order(self):
-        buffer_ = RelocationBuffer("C", "sub")
+        buffer_ = open_buffer()
         counterpart = VirtualCounterpart("C", "sub", Filter({}), next_sequence=1)
         first = counterpart.buffer(make_notification(1))
         second = counterpart.buffer(make_notification(2))
-        buffer_.accept_replay([second, first])
-        replayed, _ = buffer_.flush()
+        replayed, _ = buffer_.flush([second, first])
         assert [s.sequence for s in replayed] == [1, 2]
 
     def test_token_and_describe(self):
-        buffer_ = RelocationBuffer("C", "sub")
+        buffer_ = open_buffer()
         buffer_.hold(make_notification(1))
         assert buffer_.token == "C/sub"
         assert "pending=1" in buffer_.describe()

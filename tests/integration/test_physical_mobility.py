@@ -11,6 +11,8 @@ from repro.broker.base import BrokerConfig
 from repro.broker.client import Client, FloodingRelocationError
 from repro.broker.network import PubSubNetwork
 from repro.filters.filter import Filter
+from repro.messages.base import MessageKind
+from repro.messages.wire import message_type_registry
 from repro.metrics.qos import check_completeness, check_fifo, check_no_duplicates
 from repro.topology.builders import balanced_tree_topology, line_topology
 from repro.experiments.fig5_relocation import figure5_topology
@@ -222,6 +224,96 @@ class TestFigure5Scenarios:
         network.settle()
         assert len(consumer.received) == 12
         assert_guarantees(network)
+
+
+class TestRelocationEndsWithItsReplay:
+    """One Replay carries the buffered suffix and completes the relocation (Section 4.1)."""
+
+    def _line(self, notify=None):
+        network = build(line_topology(3), latency=0.01)
+        publishers = []
+        for broker in ("B1", "B2", "B3"):
+            publisher = network.add_client("p" + broker, broker)
+            publisher.advertise({"service": "parking"})
+            publishers.append(publisher)
+        subscriber = network.add_client("s0", "B1", notify=notify)
+        subscriber.subscribe({"service": "parking"})
+        network.settle()
+        return network, publishers, subscriber
+
+    def test_no_relocation_message_follows_the_replay(self):
+        network, publishers, subscriber = self._line()
+        subscriber.detach()
+        for publisher in publishers:
+            publisher.publish({"service": "parking"})
+        network.settle()
+        before = len(network.trace.link_records)
+        subscriber.move_to(network.broker("B3"))
+        network.settle()
+        records = network.trace.link_records[before:]
+        mobility = [r.message_type for r in records if r.kind is MessageKind.MOBILITY]
+        assert set(mobility) <= {"MovedSubscribe", "FetchRequest", "Replay"}
+        assert "FetchRequest" in mobility and "Replay" in mobility
+        assert records[-1].message_type == "Replay"
+        assert len(subscriber.received) == 3
+        assert len(message_type_registry()) == 14
+
+    def test_the_replay_completes_the_relocation_record(self):
+        network, publishers, subscriber = self._line()
+        subscriber.detach()
+        publishers[0].publish({"service": "parking"})
+        network.settle()
+        subscriber.move_to(network.broker("B3"))
+        publishers[2].publish({"service": "parking"})
+        network.settle()
+        (relocation,) = network.broker("B3").physical.relocation_records
+        assert relocation.completed_at is not None and relocation.latency > 0
+        assert (relocation.old_border, relocation.replayed, relocation.fresh) == ("B1", 1, 1)
+        assert [r.notification.publisher for r in subscriber.received] == ["pB1", "pB3"]
+        assert network.broker("B3")._clients["s0"].subscriptions
+        record = next(iter(network.broker("B3")._clients["s0"].subscriptions.values()))
+        assert record.relocation_buffer is None
+
+    def test_a_replay_arriving_twice_is_delivered_once(self):
+        """A token with two rows toward one neighbour gets its Replay routed twice.
+
+        At ``B2`` the diverted row of ``s0``'s narrower subscription and the
+        row of the covering filter it was forwarded under both point to
+        ``B3``.  The first Replay completes the relocation; the second
+        finds no relocation buffer and delivers nothing.
+        """
+        network, publishers, subscriber = self._line()
+        subscriber.subscribe({"service": "parking", "price": ("<", 5)})
+        network.settle()
+        subscriber.detach()
+        network.settle()
+        publishers[0].publish({"service": "parking", "price": 1})
+        network.settle()
+        subscriber.move_to(network.broker("B3"))
+        network.settle()
+        delivered = [(r.subscription_id, r.notification.identity) for r in subscriber.received]
+        assert sorted(delivered) == sorted(
+            [(subscription_id, ("pB1", 1)) for subscription_id in subscriber.subscription_ids()]
+        )
+
+    def test_a_publication_made_during_the_flush_is_delivered(self):
+        """The flush detaches the buffer first, so a delivery it causes is not held."""
+        answered = []
+
+        def answer(subscription_id, notification, sequence):
+            # The first replayed delivery makes B3's publisher publish at once.
+            if not answered:
+                answered.append(notification)
+                publishers[2].publish({"service": "parking"})
+
+        network, publishers, subscriber = self._line(notify=answer)
+        subscriber.detach()
+        publishers[0].publish({"service": "parking"})
+        network.settle()
+        subscriber.move_to(network.broker("B3"))
+        network.settle()
+        assert answered
+        assert [r.notification.publisher for r in subscriber.received] == ["pB1", "pB3"]
 
 
 class TestRepeatedRoaming:

@@ -13,7 +13,6 @@ from repro.messages.mobility import (
     FetchRequest,
     LocationUpdate,
     MovedSubscribe,
-    RelocationComplete,
     Replay,
 )
 from repro.messages.notification import Notification, SequencedNotification
@@ -114,7 +113,7 @@ class TestMobilityMessages:
         assert "123" in message.describe()
 
     def test_fetch_request_fields(self):
-        message = FetchRequest("C", "sub-1", Filter({"a": 1}), 123, junction="B4", new_border="B1")
+        message = FetchRequest("C", "sub-1", Filter({"a": 1}), 123, junction="B4")
         assert message.junction == "B4"
 
     def test_replay_holds_notifications(self):
@@ -123,10 +122,6 @@ class TestMobilityMessages:
         replay = Replay("C", "sub-1", [sequenced], origin_border="B6")
         assert len(replay.notifications) == 1
         assert "count=1" in replay.describe()
-
-    def test_relocation_complete(self):
-        message = RelocationComplete("C", "sub-1", origin_border="B6")
-        assert "B6" in message.describe()
 
     def test_location_update(self):
         message = LocationUpdate("C", "sub-1", old_location="a", new_location="b", hop_index=2)

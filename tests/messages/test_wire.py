@@ -52,7 +52,6 @@ from repro.messages.mobility import (
     FetchRequest,
     LocationUpdate,
     MovedSubscribe,
-    RelocationComplete,
     Replay,
 )
 from repro.messages.notification import Notification, SequencedNotification
@@ -248,7 +247,6 @@ messages = identified(
             filter_=filters,
             last_sequence=st.integers(0, 10_000),
             junction=identifiers,
-            new_border=identifiers,
             meta=metas,
         ),
         st.builds(
@@ -256,13 +254,6 @@ messages = identified(
             client_id=identifiers,
             subscription_id=identifiers,
             notifications=st.lists(sequenced_notifications, max_size=3),
-            origin_border=identifiers,
-            meta=metas,
-        ),
-        st.builds(
-            RelocationComplete,
-            client_id=identifiers,
-            subscription_id=identifiers,
             origin_border=identifiers,
             meta=metas,
         ),
