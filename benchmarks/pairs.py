@@ -8,11 +8,11 @@ Each side is the committed tree of a git ref, unpacked with ``git archive``
 into a temporary directory.  ``--change`` defaults to the working tree the
 script runs from, copied into the temporary directory alike: its tracked
 files that still exist plus its untracked, unignored ones.  So neither
-side runs from the repository itself.  Pair ``i`` runs ``benchmarks/e2e/run.py --workload W
---seed SEED+i --trace 0`` once on each side, for the ``run_seconds`` that
-``BENCHMARK.json`` fixes, the base first on even ``i`` and the change
-first on odd ``i``, each child pinned to one core.  The
-script reads the result line and the wall-clock block of each run, plus
+side runs from the repository itself.  Pair ``i`` runs
+``benchmarks/e2e/run.py --workload W --seed SEED+i --trace 0`` once on
+each side, for the ``run_seconds`` that ``BENCHMARK.json`` fixes, the
+base first on even ``i`` and the change first on odd ``i``, each child
+pinned to one core.  The script reads the result line and the wall-clock block of each run, plus
 the child's user CPU seconds, and prints per metric the per-seed values,
 both medians, the base's interquartile range, the change's wins and a
 verdict:

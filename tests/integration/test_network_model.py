@@ -108,7 +108,6 @@ class SettledMobility(RuleBasedStateMachine):
     def subscribe(self, client_id, template):
         subscription_id = self.clients[client_id].subscribe(template)
         self.spec.subscribe(client_id, subscription_id, template)
-        self._report_deliveries()
 
     @precondition(lambda self: any(self.clients[c].subscription_ids() for c in SUBSCRIBERS))
     @rule(data=st.data())
@@ -117,7 +116,6 @@ class SettledMobility(RuleBasedStateMachine):
         client_id, subscription_id = data.draw(st.sampled_from(held), label="subscription")
         self.clients[client_id].unsubscribe(subscription_id)
         self.spec.unsubscribe(client_id, subscription_id)
-        self._report_deliveries()
 
     @rule(client_id=publishers, attributes=notifications)
     def publish(self, client_id, attributes):
@@ -144,7 +142,6 @@ class SettledMobility(RuleBasedStateMachine):
         self._settle()
         self.clients[client_id].move_to(self.network.broker(broker))
         self.spec.attach(client_id)
-        self._report_deliveries()
         self._settle()
 
     @rule()

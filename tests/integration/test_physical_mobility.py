@@ -270,8 +270,7 @@ class TestRelocationEndsWithItsReplay:
         assert relocation.completed_at is not None and relocation.latency > 0
         assert (relocation.old_border, relocation.replayed, relocation.fresh) == ("B1", 1, 1)
         assert [r.notification.publisher for r in subscriber.received] == ["pB1", "pB3"]
-        assert network.broker("B3")._clients["s0"].subscriptions
-        record = next(iter(network.broker("B3")._clients["s0"].subscriptions.values()))
+        (record,) = network.broker("B3")._clients["s0"].subscriptions.values()
         assert record.relocation_buffer is None
 
     def test_a_replay_arriving_twice_is_delivered_once(self):
