@@ -20,12 +20,16 @@ verdict:
 * ``claim met`` — the change won at least 9 of every 10 pairs (ties count
   for neither side) and its median is better by more than the base's
   interquartile range;
+* ``unresolved`` — a gated metric's base runs spread wider than its
+  ``BENCHMARK.json`` bound (their IQR exceeds the bound times their
+  median), so a shift of the median cannot be told from noise; unless
+  every change run is worse than every base run (``regressed``) or
+  better (``within bound``);
 * ``regressed`` — a gated metric's median is worse by more than its
-  ``BENCHMARK.json`` bound, or the base meets the claim rule on a
-  reported one;
+  bound, or the base meets the claim rule on a reported one;
 * ``within bound`` — a gated metric neither regressed nor spread wider
   than its bound;
-* ``unresolved`` — everything else.
+* ``unresolved`` — a reported metric, otherwise.
 
 The exit code is non-zero when a run fails its delivery oracle; a run
 that crashes stops the script with the tail of its standard error.
@@ -143,16 +147,21 @@ def judge(base, change, better, bound):
     first, _, third = statistics.quantiles(base, n=4)
     iqr, middle, after = third - first, statistics.median(base), statistics.median(change)
     gain = sign * (middle - after)
-    every_run_better = all(sign * (b - c) > 0 for b in base for c in change)
     if wins >= 0.9 * len(base) and gain > iqr:
         verdict = "claim met"
     elif bound is None:
         regressed = losses >= 0.9 * len(base) and -gain > iqr
         verdict = "regressed" if regressed else "unresolved"
+    elif iqr > bound * abs(middle):
+        # Too noisy to judge a shift; only a complete separation tells.
+        if all(sign * (c - b) > 0 for b in base for c in change):
+            verdict = "regressed"
+        elif all(sign * (b - c) > 0 for b in base for c in change):
+            verdict = "within bound"
+        else:
+            verdict = "unresolved"
     elif -gain > bound * abs(middle):
         verdict = "regressed"
-    elif iqr > bound * abs(middle) and not every_run_better:
-        verdict = "unresolved"
     else:
         verdict = "within bound"
     return middle, after, iqr, wins, verdict

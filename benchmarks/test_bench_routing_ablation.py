@@ -76,7 +76,7 @@ def test_covering_and_merging_shrink_tables(benchmark):
 def test_matching_engine_throughput(benchmark):
     """Microbenchmark: matching a notification against 1000 routing rows."""
     table = RoutingTable()
-    plan = DispatchPlan(table, RoutingTable())
+    plan = DispatchPlan(table)
     rng = DeterministicRandom(5)
     for index in range(1000):
         location = LOCATIONS[rng.randint(0, len(LOCATIONS) - 1)]

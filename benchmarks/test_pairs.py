@@ -98,3 +98,20 @@ def test_a_spread_wider_than_the_bound_is_unresolved_not_unchanged():
     assert pairs.judge(base, change, "lower", 0.05)[4] == "unresolved"
     # Unless every run of the change reads better than every run of the parent.
     assert pairs.judge(base, [70.0] * 6, "lower", 0.05)[4] == "within bound"
+
+
+def test_a_spread_wider_than_the_bound_is_unresolved_before_a_shift_is_judged():
+    """An A/A ``setup_s`` run of identical code: the median moved by more than the bound."""
+    base = [0.170, 0.2107, 0.226, 0.240, 0.290, 0.300]
+    change = [0.160, 0.280, 0.285, 0.299, 0.320, 0.350]
+    middle, after, iqr, wins, verdict = pairs.judge(base, change, "lower", 0.25)
+    assert (round(middle, 3), round(after, 3), round(iqr, 3), wins) == (0.233, 0.292, 0.092, 1)
+    assert iqr > 0.25 * middle and after - middle > 0.25 * middle
+    assert verdict == "unresolved"
+
+
+def test_a_spread_wider_than_the_bound_still_flags_a_complete_separation():
+    base = [80.0, 120.0, 90.0, 110.0, 100.0, 85.0]
+    assert pairs.judge(base, [130.0] * 6, "lower", 0.05)[4] == "regressed"
+    assert pairs.judge(base, [70.0] * 6, "higher", 0.05)[4] == "regressed"
+    assert pairs.judge(base, [121.0] * 6, "higher", 0.05)[4] == "within bound"

@@ -211,13 +211,10 @@ class Broker:
         # Fresh empty per-neighbour state, also for links that already exist.
         self.forwarding = SubscriptionForwarding(self)
         # Compiled notification data plane: a counting index over the
-        # subscription table plus per-neighbour advertisement overlap
-        # indexes, maintained from both tables' row-level deltas (see
+        # subscription table, maintained from its row-level deltas (see
         # repro.dispatch).  It counts its work in the broker's registry,
         # the same sink across crashes.
-        self._dispatch_plan = DispatchPlan(
-            self.subscription_table, self.advertisement_table, self.metrics.dispatch
-        )
+        self._dispatch_plan = DispatchPlan(self.subscription_table, self.metrics.dispatch)
 
     # ------------------------------------------------------------------
     # Wiring

@@ -58,6 +58,11 @@ selection.  Advertisement changes and logical-mobility changes can flip
 the per-filter gating wholesale, so they invalidate the state and the
 next refresh rebuilds it from one table scan.
 
+The advertisement gate lives here too.  Each state holds the
+:class:`~repro.dispatch.overlap.AdvertisementOverlapIndex` of the
+advertisement rows received from its neighbour, beside the memo of its
+verdicts; one advertisement-table delta listener keeps both current.
+
 **Merging strategies** reduce with the specification's greedy merge:
 :func:`~repro.filters.merging.merge_filters` over the canonical input
 order, run through the network's pair-merge memo
@@ -80,6 +85,7 @@ from __future__ import annotations
 from operator import attrgetter
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from repro.dispatch.overlap import AdvertisementOverlapIndex
 from repro.filters.covering_cache import CoveringIndex
 from repro.filters.filter import Filter, MatchNone
 from repro.filters.merging import FilterCaches, PairMemo, merge_filters
@@ -129,6 +135,7 @@ class NeighbourForwardingState:
         "pending",
         "forwarded",
         "advertised",
+        "received_adverts",
         "verdicts",
         "_index",
     )
@@ -177,6 +184,12 @@ class NeighbourForwardingState:
         #: Advertises (``advertised``) sent there and not withdrawn since.
         self.forwarded: Dict[Tuple[Any, str], Filter] = {}
         self.advertised: Dict[Tuple[Any, str], Filter] = {}
+        #: The other direction: the filters of the advertisement rows
+        #: received from the neighbour, indexed for the advertisement gate.
+        #: Fed from this state's creation, which precedes every row (links
+        #: are wired when the network is built, and a crash builds the
+        #: states anew over empty tables), so it sees every row.
+        self.received_adverts = AdvertisementOverlapIndex()
         #: The advertisement gate's memo, filter key -> whether the
         #: neighbour advertised something overlapping the filter.  Cleared
         #: whenever the neighbour's advertisement rows change.
@@ -617,6 +630,38 @@ def _in_emission_order(diff: Dict[Tuple[Any, str], Filter]) -> List[Tuple[Tuple[
 _SentPairs = Dict[str, List[Tuple[Filter, str]]]
 
 
+class _ReceivedAdvertisements:
+    """Advertisement-table delta listener: each row feeds its neighbour's gate.
+
+    A created row's filter enters the ``received_adverts`` of the state of
+    its destination, a removed row's leaves it.  Any change to a
+    neighbour's rows may flip the gating wholesale, so that state also
+    forgets its verdicts and is rebuilt from the table on its next
+    refresh.  The rows of a local client have no state and gate nothing.
+    """
+
+    __slots__ = ("states",)
+
+    def __init__(self, states: Dict[str, NeighbourForwardingState]) -> None:
+        self.states = states
+
+    def row_subject_added(self, row: Any, subject: str, created_row: bool) -> None:
+        state = self.states.get(row.destination)
+        if state is not None:
+            if created_row:
+                state.received_adverts.add(row.filter)
+            state.valid = False
+            state.verdicts.clear()
+
+    def row_subjects_removed(self, row: Any, subjects: Sequence[str], removed_row: bool) -> None:
+        state = self.states.get(row.destination)
+        if state is not None:
+            if removed_row:
+                state.received_adverts.remove(row.filter)
+            state.valid = False
+            state.verdicts.clear()
+
+
 class SubscriptionForwarding:
     """One broker's subscription and advertisement forwarding (Section 2.2).
 
@@ -625,8 +670,9 @@ class SubscriptionForwarding:
     sent (``forwarded``, ``advertised``), what it should hold (``desired``:
     the plain subscriptions of every other destination, gated by ``N``'s
     advertisements, reduced by the strategy) and which filters may travel
-    there (``verdicts``).  :meth:`refresh` emits exactly the ``Subscribe`` /
-    ``Unsubscribe`` messages that close the gap; plain subscriptions,
+    there (``received_adverts``, memoised in ``verdicts``).  :meth:`refresh`
+    emits exactly the ``Subscribe`` / ``Unsubscribe`` messages that close
+    the gap; plain subscriptions,
     client attach / detach and the relocation protocol all reuse it, each
     through :meth:`~repro.broker.base.Broker.refresh_forwarding`.
     """
@@ -639,7 +685,7 @@ class SubscriptionForwarding:
     def __init__(self, broker: Any) -> None:
         self.broker = broker
         self.states: Dict[str, NeighbourForwardingState] = {}
-        broker.advertisement_table.add_listener(self.advertisement_rows_changed)
+        broker.advertisement_table.add_delta_listener(_ReceivedAdvertisements(self.states))
         if not broker.strategy.floods_notifications:
             # A flooding broker forwards no subscription, so its states
             # never receive a contribution: every refresh reconciles the
@@ -699,19 +745,6 @@ class SubscriptionForwarding:
     # ------------------------------------------------------------------
     # Table listeners
     # ------------------------------------------------------------------
-    def advertisement_rows_changed(self, destination: Optional[str]) -> None:
-        """Advertisement rows of *destination* (``None``: of every one) changed.
-
-        Advertisements received from ``N`` gate which filters enter the
-        input of ``N``'s state, and the per-filter verdicts may flip
-        wholesale, so the verdicts are forgotten and the state is rebuilt
-        from the table on its next refresh.
-        """
-        for neighbour, state in self.states.items():
-            if destination is None or neighbour == destination:
-                state.valid = False
-                state.verdicts.clear()
-
     def invalidate(self) -> None:
         """Have every neighbour's state rebuilt from the table on its next refresh."""
         for state in self.states.values():
@@ -748,9 +781,6 @@ class SubscriptionForwarding:
                 continue
             for subject in plain:
                 state.remove_contribution(filter_key, subject, row.seq)
-
-    #: Delta listener: the whole subscription table changed at once.
-    table_reset = invalidate
 
     # ------------------------------------------------------------------
     # The refresh primitive
@@ -839,22 +869,23 @@ class SubscriptionForwarding:
 
         Without advertisements it always may; with them, only toward a
         neighbour an overlapping advertisement was received from.  That
-        verdict is memoised in the neighbour's ``verdicts``, which
-        :meth:`advertisement_rows_changed` clears whenever the neighbour's
-        advertisement rows change, so it can never go stale.  Memo misses
-        are answered by the dispatch plan's per-neighbour overlap index.
+        verdict is memoised in the neighbour's ``verdicts``, which the
+        advertisement table's delta listener clears whenever the
+        neighbour's advertisement rows change, so it can never go stale.
+        Memo misses are answered by the neighbour's ``received_adverts``.
         """
         broker = self.broker
         if not broker.config.use_advertisements:
             return True
-        verdicts = self.states[neighbour].verdicts
+        state = self.states[neighbour]
+        verdicts = state.verdicts
         key = filter_.key()
         verdict = verdicts.get(key)
         if verdict is None:
             broker.counters["advert_gate_misses"] += 1
             if len(verdicts) >= self._memo_limit:
                 verdicts.clear()
-            verdict = verdicts[key] = broker._dispatch_plan.advertised_via(neighbour, filter_)
+            verdict = verdicts[key] = state.received_adverts.any_overlap(filter_)
         else:
             broker.counters["advert_gate_hits"] += 1
         return verdict

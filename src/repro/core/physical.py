@@ -347,7 +347,7 @@ class PhysicalMobility:
         )
         broker.forwarding.refresh_all(exclude=client_id)
 
-    def _token_rows(self, token: str, exclude: str) -> List[Any]:
+    def _token_rows(self, token: str, exclude: Optional[str]) -> List[Any]:
         """The first routing row of *token* per destination but *exclude*, by destination."""
         rows: Dict[str, Any] = {}
         for row in self.rows(token):
@@ -515,17 +515,19 @@ class PhysicalMobility:
             self.handle_replay(replay, None)
 
     def handle_replay(self, message: Replay, from_destination: Optional[str]) -> None:
-        """Route a Replay on along its token's rows.
+        """Route a Replay on along its token's rows, once per destination.
 
-        A row toward a local client ends the path: this is the new border
-        broker, and the replay completes the client's relocation.
+        A token can hold two rows toward one neighbour (the row
+        :meth:`_divert` adds for a passing fetch, and the row of the
+        covering filter it was forwarded under); the Replay crosses that
+        link once.  A row toward a local client ends the path: this is the
+        new border broker, and the replay completes the client's
+        relocation.
         """
         links = self.broker._links
         token = subscription_token(message.client_id, message.subscription_id)
-        for row in self.rows(token):
+        for row in self._token_rows(token, exclude=from_destination):
             destination = row.destination
-            if destination == from_destination:
-                continue
             if destination in links:
                 links[destination].send(message)
             else:

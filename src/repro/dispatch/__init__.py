@@ -9,16 +9,19 @@ through indexed, incrementally maintained structures:
 * :class:`~repro.dispatch.counting.BitsetMatcher` — the bit-sliced
   counting pass mapping satisfied predicates back to matching filters;
 * :class:`~repro.dispatch.plan.DispatchPlan` — the per-broker plan wiring
-  both to the routing tables' row-level deltas, plus the per-neighbour
-  :class:`~repro.dispatch.plan.AdvertisementOverlapIndex` behind the
-  advertisement gate (``SubscriptionForwarding.may_forward``).
+  both to the subscription table's row-level deltas;
+* :class:`~repro.dispatch.overlap.AdvertisementOverlapIndex` — the
+  advertisements received from one neighbour, indexed for the
+  advertisement gate; each forwarding state holds one
+  (``SubscriptionForwarding.may_forward``).
 
 This is the only matcher the routing tables have; its specification is
 the brute force in ``tests/oracles/matching.py``.
 """
 
 from repro.dispatch.counting import BitsetMatcher
-from repro.dispatch.plan import AdvertisementOverlapIndex, DispatchPlan
+from repro.dispatch.overlap import AdvertisementOverlapIndex
+from repro.dispatch.plan import DispatchPlan
 from repro.dispatch.predicate_index import PredicateIndex
 from repro.dispatch.stats import DispatchStats
 

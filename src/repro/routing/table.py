@@ -58,22 +58,17 @@ class RoutingTable:
     plan is checked against is the brute force over :meth:`entries` in
     ``tests/oracles/matching.py``.
 
-    The table publishes its changes so dependents can maintain incremental
-    state: every observable mutation invokes the registered change
-    listeners with the affected destination (``None`` for whole-table
-    operations such as :meth:`clear`), and row-level delta listeners
-    receive the exact mutation.  Brokers listen coarsely on the
-    advertisement table (a change to the rows of destination ``D`` re-gates
-    what is forwarded to ``D``) and row by row on the subscription table
-    (each row feeds the forwarding state of every neighbour but its own
-    destination).
+    The table publishes its changes one way, row by row, to its delta
+    listeners, so dependents can maintain incremental state.  On the
+    subscription table each row feeds the dispatch plan and the forwarding
+    state of every neighbour but its own destination; on the advertisement
+    table a row of destination ``D`` feeds ``D``'s advertisement gate.
     """
 
     def __init__(self) -> None:
         # row key (see _row_key) -> entry
         self._entries: Dict[Tuple[bool, Any, str], RoutingEntry] = {}
         # change publication
-        self._listeners: List[Any] = []
         self._delta_listeners: List[Any] = []
         self._row_seq = 0
 
@@ -98,25 +93,15 @@ class RoutingTable:
         """
         self._row_seq = max(self._row_seq, int(row_seq))
 
-    def add_listener(self, listener) -> None:
-        """Register ``listener(destination)`` to be called on every change.
-
-        *destination* is the destination whose rows changed, or ``None``
-        when the whole table changed at once (:meth:`clear`).
-        """
-        self._listeners.append(listener)
-
     def add_delta_listener(self, listener) -> None:
-        """Register a row-level delta listener.
+        """Register a row-level delta listener, the table's one change channel.
 
-        Unlike the coarse :meth:`add_listener` callbacks (which only learn
-        the affected destination), delta listeners receive the exact row
-        mutation and can maintain derived state in O(change).  Both broker
-        tables publish these deltas: the subscription table feeds the
-        per-neighbour forwarding states (:mod:`repro.broker.forwarding`)
-        *and* the dispatch plan's predicate index, the advertisement table
-        feeds the plan's per-neighbour overlap indexes (see
-        :mod:`repro.dispatch.plan`).
+        Delta listeners receive the exact row mutation and can maintain
+        derived state in O(change).  Both broker tables publish these
+        deltas: the subscription table feeds the per-neighbour forwarding
+        states (:mod:`repro.broker.forwarding`) *and* the dispatch plan's
+        predicate index (:mod:`repro.dispatch.plan`), the advertisement
+        table feeds each neighbour's advertisement gate.
 
         * ``listener.row_subject_added(entry, subject, created_row)`` —
           *subject* was registered on *entry*; ``created_row`` is ``True``
@@ -124,14 +109,8 @@ class RoutingTable:
         * ``listener.row_subjects_removed(entry, subjects, removed_row)``
           — the given *subjects* were dropped from *entry*;
           ``removed_row`` is ``True`` when the row disappeared entirely.
-        * ``listener.table_reset()`` — the whole table changed at once
-          (:meth:`clear`); derived state must be rebuilt.
         """
         self._delta_listeners.append(listener)
-
-    def _notify(self, destination: Optional[str]) -> None:
-        for listener in self._listeners:
-            listener(destination)
 
     # -- mutation ---------------------------------------------------------
     def add(self, filter_: Filter, destination: str, subject: str) -> bool:
@@ -146,7 +125,6 @@ class RoutingTable:
                 entry.subjects.add(subject)
                 for listener in self._delta_listeners:
                     listener.row_subject_added(entry, subject, False)
-                self._notify(destination)
             return False
         self._row_seq += 1
         entry = RoutingEntry(
@@ -155,7 +133,6 @@ class RoutingTable:
         self._entries[key] = entry
         for listener in self._delta_listeners:
             listener.row_subject_added(entry, subject, True)
-        self._notify(destination)
         return True
 
     def remove(self, filter_: Filter, destination: str, subject: Optional[str] = None) -> bool:
@@ -176,7 +153,6 @@ class RoutingTable:
             if entry.subjects:
                 for listener in self._delta_listeners:
                     listener.row_subjects_removed(entry, (subject,), False)
-                self._notify(destination)
                 return False
             dying_subjects: Tuple[str, ...] = (subject,)
         else:
@@ -185,7 +161,6 @@ class RoutingTable:
         del self._entries[key]
         for listener in self._delta_listeners:
             listener.row_subjects_removed(entry, dying_subjects, True)
-        self._notify(destination)
         return True
 
     def remove_subject(self, subject: str) -> List[RoutingEntry]:
@@ -201,7 +176,6 @@ class RoutingTable:
                     del self._entries[key]
                 for listener in self._delta_listeners:
                     listener.row_subjects_removed(entry, (subject,), row_removed)
-                self._notify(entry.destination)
         return removed
 
     def remove_destination(self, destination: str) -> List[RoutingEntry]:
@@ -214,8 +188,6 @@ class RoutingTable:
                 del self._entries[key]
                 for listener in self._delta_listeners:
                     listener.row_subjects_removed(entry, tuple(entry.subjects), True)
-        if removed:
-            self._notify(destination)
         return removed
 
     def restore_row(
@@ -251,17 +223,7 @@ class RoutingTable:
             for listener in self._delta_listeners:
                 listener.row_subject_added(entry, subject, created)
             created = False
-        self._notify(destination)
         return entry
-
-    def clear(self) -> None:
-        """Remove every row."""
-        had_entries = bool(self._entries)
-        self._entries.clear()
-        if had_entries:
-            for listener in self._delta_listeners:
-                listener.table_reset()
-            self._notify(None)
 
     # -- queries -----------------------------------------------------------
     def entries(self) -> List[RoutingEntry]:

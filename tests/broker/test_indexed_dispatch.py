@@ -1,19 +1,20 @@
-"""The dispatch plan against its specification on a churning network.
+"""The dispatch plan and the advertisement gate against their specification.
 
-Every broker matches notifications and gates subscription forwarding
-through its ``DispatchPlan``.  On identical workloads the plan must be
-indistinguishable from the brute-force specification in
-``tests/oracles/matching.py``: byte-identical deliveries, admin traffic,
-routing tables and forwarded sets.  Four ways of running the same
-schedule are compared:
+Every broker matches notifications through its ``DispatchPlan`` and gates
+subscription forwarding through each neighbour's overlap index.  On
+identical workloads both must be indistinguishable from the brute-force
+specification in ``tests/oracles/matching.py``: byte-identical
+deliveries, admin traffic, routing tables and forwarded sets.  Four ways
+of running the same schedule are compared:
 
 * ``incremental`` — the production path, plan maintained from row deltas;
-* ``rebuild`` — every broker's plan is invalidated after each settle, so
-  the lazy rebuild path is exercised as heavily as delta maintenance;
+* ``rebuild`` — every broker's plan is rebuilt from its table after each
+  settle, so the rebuild path is exercised as heavily as delta
+  maintenance;
 * ``unmemoised`` — forwarding refreshed from its own specification
-  (``tests/oracles/forwarding.py``), which sends every advertisement-gate
-  query of a refresh to the plan instead of the per-neighbour memo;
-* ``oracle`` — both plan queries answered by the specification.
+  (``tests/oracles/forwarding.py``), which asks the flat gate instead of
+  the per-neighbour memo and index;
+* ``oracle`` — every match and every gate answered by the specification.
 """
 
 import pytest
@@ -37,9 +38,9 @@ from tests.oracles.matching import oracle_dispatch
 LOCATIONS = ["loc-{:02d}".format(index) for index in range(12)]
 
 
-def _invalidate_plans(network):
+def _rebuild_plans(network):
     for broker in network.brokers.values():
-        broker._dispatch_plan.invalidate()
+        broker._dispatch_plan.rebuild()
 
 
 def _window(rng):
@@ -69,7 +70,7 @@ def _run_churn(mode, seed, strategy="covering"):
         clients.append(client)
     network.settle()
     if mode == "rebuild":
-        _invalidate_plans(network)
+        _rebuild_plans(network)
 
     advert_ids = {}
     for _ in range(60):
@@ -105,7 +106,7 @@ def _run_churn(mode, seed, strategy="covering"):
                 )
         network.settle()
         if mode == "rebuild":
-            _invalidate_plans(network)
+            _rebuild_plans(network)
 
     counter = MessageCounter(network.trace)
     breakdown = counter.breakdown()

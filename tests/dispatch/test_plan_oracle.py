@@ -2,15 +2,15 @@
 
 A random interleaving of every ``RoutingTable`` mutation — ``add``,
 ``remove`` (one subject or the whole row), ``remove_subject``,
-``remove_destination``, ``clear``, ``restore_row`` — and of forced plan
-rebuilds is applied to a subscription table and an advertisement table
-watched by one ``DispatchPlan``.  Between the mutations, notifications
-and gate queries (generated ones, and a fixed set of probes after every
-mutation) are answered by the plan and by ``tests/oracles/matching.py``;
-the answers must be the same rows and the same verdicts.  Filters cover ``MatchNone`` / ``MatchAll``, equality,
-``in``, one-sided comparisons, ``between``, ``!=``, prefixes and presence
-tests; notifications leave attributes out and carry values no constraint
-can compare (a list, ``None``).
+``remove_destination``, ``restore_row`` — and of forced plan rebuilds is
+applied to a subscription table watched by one ``DispatchPlan``.  Between
+the mutations, notifications are answered by the plan and by
+``tests/oracles/matching.py``; the answers must be the same rows.
+Filters cover ``MatchNone`` / ``MatchAll``, equality, ``in``, one-sided
+comparisons, ``between``, ``!=``, prefixes and presence tests;
+notifications leave attributes out and carry values no constraint can
+compare (a list, ``None``).  The same mutations drive the advertisement
+gate in ``tests/broker/test_advert_gate.py``.
 
 The oracle is *undefined* where ``Filter.matches`` refuses to compare
 such a value (it raises ``AttributeTypeError``, a ``TypeError``).  There
@@ -33,20 +33,12 @@ from tests.dispatch.test_predicate_index import (
     NUMBER_VALUES,
     STRING_VALUES,
     any_filters,
-    plain_filters,
 )
-from tests.oracles.matching import advertised_via, matching_rows, row_ids
+from tests.oracles.matching import matching_rows, row_ids
 
 DESTINATIONS = ["N1", "N2", "c1"]
 SUBJECTS = ["s0", "s1", "s2", "s3"]
 UNCOMPARABLE = [["a", "list"], None]
-#: Gate queries asked after every mutation (besides the generated ones).
-PROBES = [
-    Filter({"service": "parking"}),
-    Filter({"service": "fuel", "location": ("in", ["a", "b"])}),
-    Filter({"location": "c", "cost": ("<", 3)}),
-    MatchAll(),
-]
 
 
 def notifications():
@@ -59,7 +51,8 @@ def notifications():
     return st.dictionaries(st.sampled_from(ATTRIBUTES), values, max_size=4)
 
 
-def operations():
+def mutations():
+    """Every ``RoutingTable`` mutation, as an operation :func:`mutate` applies."""
     destination = st.sampled_from(DESTINATIONS)
     subject = st.sampled_from(SUBJECTS)
     position = st.integers(min_value=0, max_value=31)
@@ -69,12 +62,16 @@ def operations():
         st.tuples(st.just("remove"), position, st.booleans()),
         st.tuples(st.just("remove_subject"), subject),
         st.tuples(st.just("remove_destination"), destination),
-        st.tuples(st.just("clear")),
         st.tuples(st.just("restore_row"), any_filters(), destination, st.sets(subject, min_size=1)),
-        st.tuples(st.just("invalidate")),
+    )
+
+
+def operations():
+    return st.one_of(
+        mutations(),
+        st.tuples(st.just("rebuild")),
         st.tuples(st.just("notify"), notifications()),
         st.tuples(st.just("notify"), notifications()),
-        st.tuples(st.just("gate"), plain_filters()),
     )
 
 
@@ -93,8 +90,6 @@ def mutate(table, operation):
         table.remove_subject(operation[1])
     elif kind == "remove_destination":
         table.remove_destination(operation[1])
-    elif kind == "clear":
-        table.clear()
     elif kind == "restore_row":
         _, filter_, destination, subjects = operation
         if table.find_entry(filter_, destination) is None:
@@ -111,14 +106,6 @@ def defined_matches(table, attributes):
         except TypeError:
             pass
     return rows
-
-
-def check_gate(plan, table, filters):
-    for neighbour in DESTINATIONS:
-        for filter_ in filters:
-            assert plan.advertised_via(neighbour, filter_) == advertised_via(
-                table, neighbour, filter_
-            ), (neighbour, filter_)
 
 
 def check_notification(plan, table, attributes):
@@ -140,25 +127,19 @@ def check_notification(plan, table, attributes):
 @given(schedule=st.lists(operations(), min_size=1, max_size=40), early_use=st.booleans())
 def test_plan_equals_oracle_under_arbitrary_table_churn(schedule, early_use):
     subscriptions = RoutingTable()
-    advertisements = RoutingTable()
-    plan = DispatchPlan(subscriptions, advertisements)
+    plan = DispatchPlan(subscriptions)
     if early_use:
-        # Build both sides now, so everything below arrives as row deltas;
-        # otherwise the first query builds them from one table scan.
+        # Build the plan now, so everything below arrives as row deltas;
+        # otherwise the first query builds it from one table scan.
         plan.match({})
-        plan.advertised_via("N1", Filter({"service": "parking"}))
     for operation in schedule:
         kind = operation[0]
         if kind == "notify":
             check_notification(plan, subscriptions, operation[1])
-        elif kind == "gate":
-            check_gate(plan, advertisements, [operation[1]])
-        elif kind == "invalidate":
-            plan.invalidate()
+        elif kind == "rebuild":
+            plan.rebuild()
         else:
             mutate(subscriptions, operation)
-            mutate(advertisements, operation)
-            check_gate(plan, advertisements, PROBES)
     # A final sweep: whatever the schedule left behind still matches.
     for attributes in ({}, {"service": "parking", "cost": 2}, {"location": "a", "floor": 1}):
         check_notification(plan, subscriptions, attributes)
@@ -192,7 +173,7 @@ def memo_operations():
         st.tuples(st.just("add"), filters, destination, subject),
         st.tuples(st.just("add"), filters, destination, subject),
         st.tuples(st.just("remove"), st.integers(min_value=0, max_value=31), st.booleans()),
-        st.tuples(st.just("clear")),
+        st.tuples(st.just("remove_destination"), destination),
         st.tuples(st.just("probe"), st.lists(st.sampled_from(LOOKALIKES), min_size=1, max_size=4)),
     )
 
@@ -201,7 +182,7 @@ def memo_operations():
 @given(schedule=st.lists(memo_operations(), min_size=1, max_size=30))
 def test_repeated_probes_never_see_a_stale_match(schedule):
     subscriptions = RoutingTable()
-    plan = DispatchPlan(subscriptions, RoutingTable())
+    plan = DispatchPlan(subscriptions)
     last = LOOKALIKES[-1]
     for operation in schedule:
         if operation[0] == "probe":
@@ -227,7 +208,7 @@ class _TagCount(Filter):
 
 def test_a_probe_with_a_mutable_value_is_not_remembered():
     subscriptions = RoutingTable()
-    plan = DispatchPlan(subscriptions, RoutingTable())
+    plan = DispatchPlan(subscriptions)
     subscriptions.add(_TagCount({"service": "parking"}), "c1", "s0")
     tags = ["a"]
     attributes = {"service": "parking", "tags": tags}
@@ -275,7 +256,7 @@ def compact_operations():
         st.tuples(st.just("add"), every_filter_kind(), destination, st.sampled_from(SUBJECTS)),
         st.tuples(st.just("add"), every_filter_kind(), destination, st.sampled_from(SUBJECTS)),
         st.tuples(st.just("remove"), st.integers(min_value=0, max_value=31), st.booleans()),
-        st.tuples(st.just("invalidate")),
+        st.tuples(st.just("rebuild")),
         st.tuples(st.just("notify"), notifications()),
     )
 
@@ -316,10 +297,10 @@ def check_compact(plan, table):
 @given(schedule=st.lists(compact_operations(), min_size=1, max_size=40))
 def test_the_compact_plane_stores_each_fact_once(schedule):
     subscriptions = RoutingTable()
-    plan = DispatchPlan(subscriptions, RoutingTable())
+    plan = DispatchPlan(subscriptions)
     for operation in schedule:
-        if operation[0] == "invalidate":
-            plan.invalidate()
+        if operation[0] == "rebuild":
+            plan.rebuild()
         elif operation[0] == "notify":
             try:
                 plan.match(operation[1])

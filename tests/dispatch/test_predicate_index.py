@@ -141,7 +141,7 @@ class TestEdgeCases:
     def test_match_none_is_rejected(self):
         # The plan keeps a MatchNone row out of its index: it can never match.
         table = RoutingTable()
-        plan = DispatchPlan(table, RoutingTable())
+        plan = DispatchPlan(table)
         table.add(MatchNone(), "N1", "s1")
         assert plan.match({"a": 1}) == ()
         assert len(plan.index) == 0
@@ -176,7 +176,7 @@ class TestRefcountingAndRemoval:
         # The plan's rows are the reference count: a filter stays indexed,
         # once, while any of its rows lives.
         table = RoutingTable()
-        plan = DispatchPlan(table, RoutingTable())
+        plan = DispatchPlan(table)
         plan.rebuild()
         filter_ = F(service="parking")
         table.add(filter_, "N1", "s1")

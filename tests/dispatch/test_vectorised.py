@@ -178,7 +178,7 @@ class TestEdgeCases:
     def test_match_none_is_rejected_by_the_index(self):
         # The plan never hands a MatchNone row's filter to its index.
         table = RoutingTable()
-        plan = DispatchPlan(table, RoutingTable())
+        plan = DispatchPlan(table)
         plan.rebuild()  # from here on the plan lives on row deltas
         table.add(MatchNone(), "N1", "s1")
         table.add(MatchAll(), "N2", "s2")

@@ -26,7 +26,7 @@ class Matcher:
 
     def __init__(self):
         self.table = RoutingTable()
-        self.plan = DispatchPlan(self.table, RoutingTable())
+        self.plan = DispatchPlan(self.table)
         self.plan.rebuild()  # from here on the plan lives on row deltas
         self.index = self.plan.index
 
@@ -94,15 +94,6 @@ class TestAddRemove:
         assert len(matcher.index) == 0  # ... but nothing can ever match it
         assert matcher.matching_payloads({"a": 1}) == set()
         assert matcher.remove(MatchNone(), "x")
-
-    def test_clear(self):
-        matcher = Matcher()
-        matcher.add(F(a=1), "x")
-        matcher.add(F(b=("<", 3)), "y")
-        matcher.table.clear()
-        assert not matcher.plan.valid
-        assert matcher.matching_payloads({"a": 1}) == set()
-        assert len(matcher.index) == 0
 
 
 class TestIndexedAndScanned:

@@ -107,7 +107,7 @@ def test_minimal_cover_set_preserves_union(filter_list, notification):
 @given(filter_list=st.lists(filters(), min_size=0, max_size=8), notification=notifications())
 def test_matching_engine_agrees_with_bruteforce(filter_list, notification):
     table = RoutingTable()
-    plan = DispatchPlan(table, RoutingTable())
+    plan = DispatchPlan(table)
     for index, filter_ in enumerate(filter_list):
         table.add(filter_, "link-{}".format(index), "s")
     expected = {index for index, filter_ in enumerate(filter_list) if filter_.matches(notification)}

@@ -6,6 +6,17 @@ and reports every delivery, as the client's ``notify`` callback sees it,
 to :class:`tests.oracles.network.NetworkSpec`.  That specification says
 which notifications each subscription must and may receive; see there.
 
+After every settle each broker's forwarding and matching are also held
+against their specifications: a neighbour's state with nothing left to
+flush (``settled()``) has forwarded exactly
+:func:`tests.oracles.forwarding.desired_forwarding`; a state that is
+current (valid, no re-merge or position shift waiting) desires exactly
+that; and the dispatch plan matches each of the :data:`NOTIFICATIONS`
+to exactly the rows of ``tests/oracles/matching.py``.  A state with
+pairs still pending may lag: a refresh skips the neighbour a change came
+from (``TestRefreshTowardTheSender`` in
+``tests/integration/test_physical_mobility.py``).
+
 This is the settled profile: the network settles before and after every
 detach and ``move_to``, so one relocation completes before the next
 begins.  A move may detach first and let the publishers go on, so that
@@ -25,6 +36,8 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, precondition,
 from repro.broker.network import PubSubNetwork
 from repro.topology.builders import balanced_tree_topology, line_topology
 
+from tests.oracles.forwarding import desired_forwarding
+from tests.oracles.matching import matching_rows, row_ids
 from tests.oracles.network import NetworkSpec
 
 ADVERTISED = {"service": ("in", ("parking", "fuel"))}
@@ -68,6 +81,8 @@ class SettledMobility(RuleBasedStateMachine):
         self.network = PubSubNetwork(graph, strategy=self.strategy, latency=0.01)
         self.brokers = sorted(self.network.brokers)
         self.spec = NetworkSpec()
+        #: broker -> the (row seq, size) of its subscription table at its last plan check.
+        self.matched_rows = {}
         self.notified = []
         self.clients = {}
         for client_id in SUBSCRIBERS + PUBLISHERS:
@@ -98,6 +113,33 @@ class SettledMobility(RuleBasedStateMachine):
         self.network.settle()
         self._report_deliveries()
         self.spec.settle()
+        for broker in self.network.brokers.values():
+            self._check_broker(broker)
+
+    def _check_broker(self, broker):
+        """Forwarding states and dispatch plan against their specifications."""
+        for neighbour, state in broker.forwarding.states.items():
+            # Otherwise rebuilt, re-merged or re-placed by the next refresh.
+            current = state.valid and not (state.remerge or state.shifted)
+            settled = state.settled()
+            if not (current or settled):
+                continue
+            expected = desired_forwarding(broker, neighbour)
+            if current:
+                assert state.desired == expected, (broker.name, neighbour)
+            if settled:
+                assert state.forwarded == expected, (broker.name, neighbour)
+        table = broker.subscription_table
+        # Rows are created with a new seq and removed by shrinking the
+        # table, so an unchanged (seq, size) is an unchanged set of rows.
+        rows = (table.row_seq, len(table))
+        if self.matched_rows.get(broker.name) == rows:
+            return
+        self.matched_rows[broker.name] = rows
+        for attributes in NOTIFICATIONS:
+            assert row_ids(broker._dispatch_plan.match(attributes)) == row_ids(
+                matching_rows(table, attributes)
+            ), (broker.name, attributes)
 
     def teardown(self):
         network = getattr(self, "network", None)

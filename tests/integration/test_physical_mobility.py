@@ -17,6 +17,8 @@ from repro.metrics.qos import check_completeness, check_fifo, check_no_duplicate
 from repro.topology.builders import balanced_tree_topology, line_topology
 from repro.experiments.fig5_relocation import figure5_topology
 
+from tests.oracles.forwarding import desired_forwarding
+
 WATCHED = {"topic": "news"}
 
 
@@ -273,13 +275,11 @@ class TestRelocationEndsWithItsReplay:
         (record,) = network.broker("B3")._clients["s0"].subscriptions.values()
         assert record.relocation_buffer is None
 
-    def test_a_replay_arriving_twice_is_delivered_once(self):
-        """A token with two rows toward one neighbour gets its Replay routed twice.
+    def _two_rows_toward_b3(self):
+        """Relocate ``s0`` so that at ``B2`` a token has two rows toward ``B3``.
 
-        At ``B2`` the diverted row of ``s0``'s narrower subscription and the
-        row of the covering filter it was forwarded under both point to
-        ``B3``.  The first Replay completes the relocation; the second
-        finds no relocation buffer and delivers nothing.
+        They are the diverted row of ``s0``'s narrower subscription and the
+        row of the covering filter it was forwarded under.
         """
         network, publishers, subscriber = self._line()
         subscriber.subscribe({"service": "parking", "price": ("<", 5)})
@@ -290,10 +290,28 @@ class TestRelocationEndsWithItsReplay:
         network.settle()
         subscriber.move_to(network.broker("B3"))
         network.settle()
+        return network, subscriber
+
+    def test_a_replay_with_two_rows_toward_a_neighbour_is_delivered_once(self):
+        network, subscriber = self._two_rows_toward_b3()
         delivered = [(r.subscription_id, r.notification.identity) for r in subscriber.received]
         assert sorted(delivered) == sorted(
             [(subscription_id, ("pB1", 1)) for subscription_id in subscriber.subscription_ids()]
         )
+
+    def test_a_replay_crosses_each_link_once(self):
+        network, _ = self._two_rows_toward_b3()
+        replays = [
+            (record.source, record.target, record.message.subscription_id)
+            for record in network.trace.link_records
+            if record.message_type == "Replay"
+        ]
+        assert sorted(replays) == [
+            ("B1", "B2", "s0-sub-1"),
+            ("B1", "B2", "s0-sub-2"),
+            ("B2", "B3", "s0-sub-1"),
+            ("B2", "B3", "s0-sub-2"),
+        ]
 
     def test_a_publication_made_during_the_flush_is_delivered(self):
         """The flush detaches the buffer first, so a delivery it causes is not held."""
@@ -391,3 +409,42 @@ class TestBufferLimits:
         # Only the 3 newest survived the bounded buffer; no duplicates though.
         assert len(consumer.received) == 3
         assert check_no_duplicates(network.trace, "C").clean
+
+
+class TestRefreshTowardTheSender:
+    @pytest.mark.xfail(
+        strict=True,
+        reason="handlers refresh with refresh_all(exclude=from_destination): a mobility "
+        "message from N can change what N should hold, and nothing refreshes N afterwards",
+    )
+    def test_a_move_back_leaves_the_sender_its_desired_set(self):
+        """``s0`` moves ``B1 -> B2 -> B1``; ``B2`` must then withdraw what it sent ``B1`` for it.
+
+        Without the refresh, ``B2``'s state toward ``B1`` keeps ``s0``'s two
+        subscriptions and ``s1``'s under ``service in {fuel, parking}``
+        where the specification wants only ``s1``'s under ``service =
+        parking``, so a ``fuel`` publish at ``B1`` crosses ``B1 -> B2`` for
+        nobody.
+        """
+        network = build(line_topology(3), latency=0.01)
+        clients = {name: network.add_client(name, "B1") for name in ("p0", "p1", "s0", "s1", "s2")}
+        for publisher in ("p0", "p1"):
+            clients[publisher].advertise({"service": ("in", ("parking", "fuel"))})
+        for subscriber in ("s0", "s1", "s2"):
+            clients[subscriber].subscribe({"service": "parking"})
+        network.settle()
+        clients["s1"].move_to(network.broker("B2"))
+        network.settle()
+        clients["s0"].subscribe({"service": ("in", ("parking", "fuel"))})
+        network.settle()
+        clients["s0"].move_to(network.broker("B2"))
+        network.settle()
+        clients["s0"].move_to(network.broker("B1"))
+        network.settle()
+        b2 = network.broker("B2")
+        state = b2.forwarding.states["B1"]
+        assert state.forwarded == desired_forwarding(b2, "B1")
+        before = len(network.trace.link_records)
+        clients["p0"].publish({"service": "fuel"})
+        network.settle()
+        assert network.trace.link_records[before:] == []

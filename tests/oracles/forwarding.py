@@ -35,6 +35,7 @@ from repro.filters.filter import MatchNone
 from repro.filters.merging import merge_filters, try_merge_pair
 
 from tests.oracles.counting import RawWork
+from tests.oracles.matching import advertised_via
 
 
 def minimal_cover_set(filters, covers=filter_covers):
@@ -180,9 +181,9 @@ def desired_forwarding(broker, neighbour, work=None):
         subjects = [s for s in row.subjects if not stored_by_logical_protocol(broker, row, s)]
         if not subjects:
             continue
-        # Asked of the plan, not of the broker's memo, so that production
-        # (memoised) is also checked against an unmemoised gate.
-        if gated and not broker._dispatch_plan.advertised_via(neighbour, row.filter):
+        # Asked of the flat gate over the advertisement rows, so that the
+        # production gate (memo and index) is checked too.
+        if gated and not advertised_via(broker.advertisement_table, neighbour, row.filter):
             continue
         entries.append((row.filter, subjects))
     selected = DEFINITIONS[broker.strategy.name].desired_forwarding_set(

@@ -9,7 +9,8 @@ nothing but the tables' rows:
   one of its advertisement rows may overlap that filter.
 
 :func:`oracle_dispatch` swaps the specification in for every
-:class:`~repro.dispatch.plan.DispatchPlan` in the process, so whole
+:class:`~repro.dispatch.plan.DispatchPlan` match and every advertisement
+gate (``SubscriptionForwarding.may_forward``) in the process, so whole
 networks can be run on it and compared with the production path; it
 yields the :class:`~tests.oracles.counting.RawWork` the specification
 counted its constraint evaluations in.
@@ -17,6 +18,7 @@ counted its constraint evaluations in.
 
 from contextlib import contextmanager
 
+from repro.broker.forwarding import SubscriptionForwarding
 from repro.dispatch.plan import DispatchPlan
 from repro.filters.constraints import Equals, InSet
 from repro.filters.filter import MatchNone
@@ -39,8 +41,8 @@ def filters_overlap_hint(left, right):
     Returns ``False`` only when the two filters provably cannot both match
     any notification (because they place incompatible equality/set
     constraints on a shared attribute).  Returns ``True`` otherwise.
-    :meth:`~repro.dispatch.plan.DispatchPlan.advertised_via` must return
-    the verdict of this test over a neighbour's advertisement rows.
+    :meth:`~repro.dispatch.overlap.AdvertisementOverlapIndex.any_overlap`
+    must return the verdict of this test over the filters it indexes.
     """
     if isinstance(left, MatchNone) or isinstance(right, MatchNone):
         return False
@@ -90,18 +92,24 @@ def checked_match(plan, table, attributes):
     return rows
 
 
+def flat_gate(forwarding, neighbour, filter_):
+    """``SubscriptionForwarding.may_forward``, unmemoised, over the advertisement rows."""
+    broker = forwarding.broker
+    if not broker.config.use_advertisements:
+        return True
+    return advertised_via(broker.advertisement_table, neighbour, filter_)
+
+
 @contextmanager
 def oracle_dispatch():
-    """Answer every plan query in the process from the specification."""
+    """Answer every match and every advertisement gate in the process from the specification."""
     work = RawWork()
-    production = (DispatchPlan.match, DispatchPlan.advertised_via)
+    production = (DispatchPlan.match, SubscriptionForwarding.may_forward)
     DispatchPlan.match = lambda plan, attributes: matching_rows(
         plan._subscription_table, attributes, work
     )
-    DispatchPlan.advertised_via = lambda plan, neighbour, filter_: advertised_via(
-        plan._advertisement_table, neighbour, filter_
-    )
+    SubscriptionForwarding.may_forward = flat_gate
     try:
         yield work
     finally:
-        DispatchPlan.match, DispatchPlan.advertised_via = production
+        DispatchPlan.match, SubscriptionForwarding.may_forward = production

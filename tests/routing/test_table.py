@@ -24,7 +24,7 @@ def matched_destinations(table, plan, attributes):
 class TestAddRemove:
     def test_add_and_match_destinations(self):
         table = RoutingTable()
-        plan = DispatchPlan(table, RoutingTable())
+        plan = DispatchPlan(table)
         assert table.add(F(a=1), "link-1", "client/sub")
         assert matched_destinations(table, plan, {"a": 1}) == {"link-1"}
         assert matched_destinations(table, plan, {"a": 2}) == set()
@@ -59,7 +59,7 @@ class TestAddRemove:
 
     def test_remove_subject_across_rows(self):
         table = RoutingTable()
-        plan = DispatchPlan(table, RoutingTable())
+        plan = DispatchPlan(table)
         table.add(F(a=1), "link-1", "c1/s1")
         table.add(F(b=2), "link-2", "c1/s1")
         table.add(F(b=2), "link-2", "c2/s2")
@@ -77,20 +77,11 @@ class TestAddRemove:
         assert len(removed) == 2
         assert [row.destination for row in table.entries()] == ["link-2"]
 
-    def test_clear(self):
-        table = RoutingTable()
-        plan = DispatchPlan(table, RoutingTable())
-        table.add(F(a=1), "link-1", "s")
-        assert matched_destinations(table, plan, {"a": 1}) == {"link-1"}
-        table.clear()
-        assert len(table) == 0
-        assert matched_destinations(table, plan, {"a": 1}) == set()
-
 
 class TestQueries:
     def test_matching_entries(self):
         table = RoutingTable()
-        plan = DispatchPlan(table, RoutingTable())
+        plan = DispatchPlan(table)
         table.add(F(a=1), "link-1", "s1")
         table.add(F(a=1), "link-2", "s2")
         table.add(F(b=2), "link-1", "s3")
@@ -113,29 +104,45 @@ class TestQueries:
         assert len(list(iter(table))) == 1
 
 
-def test_routing_table_change_listener():
+class _Deltas:
+    """A delta listener recording ``(kind, destination, subjects, whole row)``."""
+
+    def __init__(self):
+        self.events = []
+
+    def row_subject_added(self, row, subject, created_row):
+        self.events.append(("added", row.destination, (subject,), created_row))
+
+    def row_subjects_removed(self, row, subjects, removed_row):
+        self.events.append(("removed", row.destination, tuple(subjects), removed_row))
+
+
+def test_routing_table_delta_listener():
     table = RoutingTable()
-    events = []
-    table.add_listener(events.append)
+    deltas = _Deltas()
+    table.add_delta_listener(deltas)
+    events = deltas.events
     filter_ = Filter({"a": 1})
     table.add(filter_, "west", "s1")
-    assert events == ["west"]
+    assert events == [("added", "west", ("s1",), True)]
     # Subject-only growth on an existing row is an observable change.
     table.add(filter_, "west", "s2")
-    assert len(events) == 2
+    assert events[-1] == ("added", "west", ("s2",), False)
     # Re-adding an existing subject is not.
     table.add(filter_, "west", "s2")
     assert len(events) == 2
-    # Subject removal that keeps the row alive still notifies.
+    # Subject removal that keeps the row alive still publishes.
     table.remove(filter_, "west", "s1")
-    assert len(events) == 3
+    assert events[-1] == ("removed", "west", ("s1",), False)
     # Removing an absent subject does not.
     table.remove(filter_, "west", "missing")
     assert len(events) == 3
     table.remove(filter_, "west", "s2")
-    assert len(events) == 4
+    assert events[-1] == ("removed", "west", ("s2",), True)
     assert all(row.destination != "west" for row in table.entries())
-    # clear() publishes a whole-table change as destination None.
+    # Bulk removals publish one delta per affected row.
     table.add(filter_, "east", "s1")
-    table.clear()
-    assert events[-1] is None
+    table.add(Filter({"b": 2}), "east", "s1")
+    del events[:]
+    assert len(table.remove_destination("east")) == 2
+    assert events == [("removed", "east", ("s1",), True)] * 2

@@ -50,7 +50,7 @@ def _run_workload(backend, rebuild=False):
     for round_ in range(6):
         if rebuild:
             for broker in network.brokers.values():
-                broker._dispatch_plan.invalidate()
+                broker._dispatch_plan.rebuild()
         # An identical-attribute burst at one instant: every broker
         # answers the repeats from the dispatch plan's last match.
         for _ in range(3):
