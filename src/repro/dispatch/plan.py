@@ -30,23 +30,6 @@ from repro.dispatch.stats import DispatchStats
 from repro.filters.filter import MatchNone
 
 
-class _SubscriptionDeltaListener:
-    """Row-delta adapter feeding the plan's predicate index."""
-
-    __slots__ = ("plan",)
-
-    def __init__(self, plan: "DispatchPlan") -> None:
-        self.plan = plan
-
-    def row_subject_added(self, row, subject: str, created_row: bool) -> None:
-        if created_row:
-            self.plan._subscription_row_added(row)
-
-    def row_subjects_removed(self, row, subjects, removed_row: bool) -> None:
-        if removed_row:
-            self.plan._subscription_row_removed(row)
-
-
 class DispatchPlan:
     """Compiled, delta-maintained matching state for one broker.
 
@@ -66,7 +49,7 @@ class DispatchPlan:
         self._last_match: Optional[Tuple[Any, Tuple[Any, ...]]] = None
         #: ``False`` until the first (lazy) build from the table.
         self.valid = False
-        subscription_table.add_delta_listener(_SubscriptionDeltaListener(self))
+        subscription_table.add_delta_listener(self)
 
     # ------------------------------------------------------------------
     # Notification matching
@@ -104,24 +87,17 @@ class DispatchPlan:
         self._last_match = None
         self.valid = True
         for row in self._subscription_table.entries():
-            self._subscription_row_added(row)
+            self._add_row(row)
 
     # ------------------------------------------------------------------
-    # Delta application
+    # Subscription-table delta listener (see RoutingTable.add_delta_listener)
     # ------------------------------------------------------------------
-    def _subscription_row_added(self, row) -> None:
-        if not self.valid or isinstance(row.filter, MatchNone):
-            return
-        self._last_match = None
-        fid = self.index.fid_of(row.filter)
-        if fid is None:
-            fid = self.index.add(row.filter)
-            if fid == len(self.fid_rows):
-                self.fid_rows.append(())
-        self.fid_rows[fid] += (row,)
+    def row_subject_added(self, row, subject: str, created_row: bool) -> None:
+        if created_row and self.valid:
+            self._add_row(row)
 
-    def _subscription_row_removed(self, row) -> None:
-        if not self.valid or isinstance(row.filter, MatchNone):
+    def row_subjects_removed(self, row, subjects, removed_row: bool) -> None:
+        if not (removed_row and self.valid) or isinstance(row.filter, MatchNone):
             return
         fid = self.index.fid_of(row.filter)
         if fid is None:
@@ -134,3 +110,14 @@ class DispatchPlan:
         self.fid_rows[fid] = kept
         if not kept:
             self.index.remove(fid)
+
+    def _add_row(self, row) -> None:
+        if isinstance(row.filter, MatchNone):
+            return
+        self._last_match = None
+        fid = self.index.fid_of(row.filter)
+        if fid is None:
+            fid = self.index.add(row.filter)
+            if fid == len(self.fid_rows):
+                self.fid_rows.append(())
+        self.fid_rows[fid] += (row,)
