@@ -58,10 +58,13 @@ selection.  Advertisement changes and logical-mobility changes can flip
 the per-filter gating wholesale, so they invalidate the state and the
 next refresh rebuilds it from one table scan.
 
-The advertisement gate lives here too.  Each state holds the
-:class:`~repro.dispatch.overlap.AdvertisementOverlapIndex` of the
-advertisement rows received from its neighbour, beside the memo of its
-verdicts; one advertisement-table delta listener keeps both current.
+The advertisement gate lives here too.  Each state memoises its
+verdicts; a miss scans the advertisement table's rows received from the
+neighbour with :func:`~repro.filters.covering.filters_may_overlap`, and
+one advertisement-table delta listener clears the memo whenever those
+rows change.  The table is the one record of what a neighbour
+advertised, and a neighbour has few rows to scan: at most one in every
+end-to-end benchmark workload.
 
 **Merging strategies** reduce with the specification's greedy merge:
 :func:`~repro.filters.merging.merge_filters` over the canonical input
@@ -85,7 +88,7 @@ from __future__ import annotations
 from operator import attrgetter
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.dispatch.overlap import AdvertisementOverlapIndex
+from repro.filters.covering import filters_may_overlap
 from repro.filters.covering_cache import CoveringIndex
 from repro.filters.filter import Filter, MatchNone
 from repro.filters.merging import FilterCaches, PairMemo, merge_filters
@@ -135,7 +138,6 @@ class NeighbourForwardingState:
         "pending",
         "forwarded",
         "advertised",
-        "received_adverts",
         "verdicts",
         "_index",
     )
@@ -184,12 +186,6 @@ class NeighbourForwardingState:
         #: Advertises (``advertised``) sent there and not withdrawn since.
         self.forwarded: Dict[Tuple[Any, str], Filter] = {}
         self.advertised: Dict[Tuple[Any, str], Filter] = {}
-        #: The other direction: the filters of the advertisement rows
-        #: received from the neighbour, indexed for the advertisement gate.
-        #: Fed from this state's creation, which precedes every row (links
-        #: are wired when the network is built, and a crash builds the
-        #: states anew over empty tables), so it sees every row.
-        self.received_adverts = AdvertisementOverlapIndex()
         #: The advertisement gate's memo, filter key -> whether the
         #: neighbour advertised something overlapping the filter.  Cleared
         #: whenever the neighbour's advertisement rows change.
@@ -631,13 +627,12 @@ _SentPairs = Dict[str, List[Tuple[Filter, str]]]
 
 
 class _ReceivedAdvertisements:
-    """Advertisement-table delta listener: each row feeds its neighbour's gate.
+    """Advertisement-table delta listener: a change to a neighbour's rows resets its gate.
 
-    A created row's filter enters the ``received_adverts`` of the state of
-    its destination, a removed row's leaves it.  Any change to a
-    neighbour's rows may flip the gating wholesale, so that state also
-    forgets its verdicts and is rebuilt from the table on its next
-    refresh.  The rows of a local client have no state and gate nothing.
+    Any change to the rows received from a neighbour may flip the gating
+    wholesale, so that neighbour's state forgets its verdicts and is
+    rebuilt from the table on its next refresh.  The rows of a local
+    client have no state and gate nothing.
     """
 
     __slots__ = ("states",)
@@ -645,21 +640,17 @@ class _ReceivedAdvertisements:
     def __init__(self, states: Dict[str, NeighbourForwardingState]) -> None:
         self.states = states
 
-    def row_subject_added(self, row: Any, subject: str, created_row: bool) -> None:
+    def _changed(self, row: Any) -> None:
         state = self.states.get(row.destination)
         if state is not None:
-            if created_row:
-                state.received_adverts.add(row.filter)
             state.valid = False
             state.verdicts.clear()
 
+    def row_subject_added(self, row: Any, subject: str, created_row: bool) -> None:
+        self._changed(row)
+
     def row_subjects_removed(self, row: Any, subjects: Sequence[str], removed_row: bool) -> None:
-        state = self.states.get(row.destination)
-        if state is not None:
-            if removed_row:
-                state.received_adverts.remove(row.filter)
-            state.valid = False
-            state.verdicts.clear()
+        self._changed(row)
 
 
 class SubscriptionForwarding:
@@ -670,7 +661,7 @@ class SubscriptionForwarding:
     sent (``forwarded``, ``advertised``), what it should hold (``desired``:
     the plain subscriptions of every other destination, gated by ``N``'s
     advertisements, reduced by the strategy) and which filters may travel
-    there (``received_adverts``, memoised in ``verdicts``).  :meth:`refresh`
+    there (its advertisement rows, memoised in ``verdicts``).  :meth:`refresh`
     emits exactly the ``Subscribe`` / ``Unsubscribe`` messages that close
     the gap; plain subscriptions,
     client attach / detach and the relocation protocol all reuse it, each
@@ -727,16 +718,24 @@ class SubscriptionForwarding:
             broker.refresh_forwarding(from_destination)
 
     def _flood_advertisement(self, message: Any, exclude: str, withdraw: bool) -> None:
-        """Pass an (un)advertisement on to every neighbour but *exclude* that lacks (holds) it."""
+        """Pass an (un)advertisement on to every neighbour but *exclude* that lacks (holds) it.
+
+        The neighbour files the advertisements of every source under one
+        subject, this broker's name, so a filter is withdrawn there only
+        with its last source.
+        """
         broker = self.broker
         filter_ = message.filter
-        key = (filter_.key(), message.subject)
+        filter_key = filter_.key()
+        key = (filter_key, message.subject)
         for neighbour in broker.neighbours():
             advertised = self.states[neighbour].advertised
             if neighbour == exclude or (key in advertised) != withdraw:
                 continue
             if withdraw:
                 del advertised[key]
+                if any(held == filter_key for held, _ in advertised):
+                    continue
             else:
                 advertised[key] = filter_
             flooded = type(message)(filter_, subject=broker.name, subscription_id=message.subject)
@@ -872,7 +871,7 @@ class SubscriptionForwarding:
         verdict is memoised in the neighbour's ``verdicts``, which the
         advertisement table's delta listener clears whenever the
         neighbour's advertisement rows change, so it can never go stale.
-        Memo misses are answered by the neighbour's ``received_adverts``.
+        A memo miss scans the neighbour's advertisement rows.
         """
         broker = self.broker
         if not broker.config.use_advertisements:
@@ -885,7 +884,10 @@ class SubscriptionForwarding:
             broker.counters["advert_gate_misses"] += 1
             if len(verdicts) >= self._memo_limit:
                 verdicts.clear()
-            verdict = verdicts[key] = state.received_adverts.any_overlap(filter_)
+            verdict = verdicts[key] = any(
+                row.destination == neighbour and filters_may_overlap(row.filter, filter_)
+                for row in broker.advertisement_table
+            )
         else:
             broker.counters["advert_gate_hits"] += 1
         return verdict

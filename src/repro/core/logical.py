@@ -245,18 +245,6 @@ class LogicalSubscriptionState:
             return True  # an update is still in flight; nothing to check yet
         return self.location_set() >= downstream.location_set()
 
-    def describe(self) -> str:
-        """Human-readable rendering used by traces and experiment output."""
-        return (
-            "LogicalSubscriptionState(token={}, hop={}, level={}, loc={}, set={})".format(
-                self.token,
-                self.hop_index,
-                self.plan.level_for_hop(self.hop_index),
-                self.current_location,
-                sorted(self.location_set()),
-            )
-        )
-
 
 class LogicalMobility:
     """One broker's side of location-dependent subscriptions (Section 5).

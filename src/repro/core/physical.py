@@ -103,12 +103,6 @@ class VirtualCounterpart:
         """
         return [s for s in self._buffer if s.sequence > last_sequence]
 
-    def describe(self) -> str:
-        """Human-readable state summary used by traces."""
-        return "VirtualCounterpart(token={}, buffered={}, next_seq={}, overflowed={})".format(
-            self.token, len(self._buffer), self._next_sequence, self.overflowed
-        )
-
 
 class RelocationBuffer:
     """Buffer at the new border broker while a relocation is in progress.
@@ -153,10 +147,6 @@ class RelocationBuffer:
             fresh.append(notification)
         self._pending.clear()
         return replayed, fresh
-
-    def describe(self) -> str:
-        """Human-readable state summary used by traces."""
-        return "RelocationBuffer(token={}, pending={})".format(self.token, len(self._pending))
 
 
 @dataclass

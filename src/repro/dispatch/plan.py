@@ -17,7 +17,8 @@ a fid; the plan keeps the filter's rows as one tuple, ``fid_rows[fid]``,
 which is also the filter's reference count, and a match extends the
 answer from those tuples directly.  The specification is the brute force
 in ``tests/oracles/matching.py``.  The advertisement gate is not the
-plan's: see :mod:`repro.dispatch.overlap`.
+plan's: see ``SubscriptionForwarding.may_forward`` in
+:mod:`repro.broker.forwarding`.
 """
 
 from __future__ import annotations

@@ -2,11 +2,11 @@
 
 ``SubscriptionForwarding.may_forward`` lets a filter travel toward a
 neighbour only when that neighbour advertised something overlapping it
-(Section 2.2).  Each neighbour's state holds ``received_adverts``, the
-overlap index of the advertisement rows received from it, and memoises
-its verdicts in ``verdicts``; one advertisement-table delta listener
-feeds the index and clears the memo whenever the neighbour's rows change.
-Nothing versions the memo.  Every verdict is held against the flat gate
+(Section 2.2).  Each neighbour's state memoises its verdicts in
+``verdicts``; a miss scans the advertisement rows received from the
+neighbour with :func:`~repro.filters.covering.filters_may_overlap`, and
+one advertisement-table delta listener clears the memo whenever the
+neighbour's rows change.  Nothing versions the memo.  Every verdict is held against the flat gate
 of ``tests/oracles/matching.py`` (``advertised_via``, a linear overlap
 hint over the neighbour's advertisement rows):
 
@@ -17,7 +17,8 @@ hint over the neighbour's advertisement rows):
   on a small network, where whenever a neighbour's advertisement rows
   change, its memo is also empty right after the component has heard of
   it;
-* and the index on its own.
+* and the pairwise predicate on its own, which equals the flat overlap
+  hint on random filter pairs.
 """
 
 import random
@@ -26,7 +27,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.broker.base import Broker, BrokerConfig
 from repro.broker.network import PubSubNetwork
-from repro.dispatch import AdvertisementOverlapIndex
+from repro.filters.covering import filters_may_overlap
 from repro.filters.filter import Filter, MatchAll, MatchNone
 from repro.routing.strategies import make_strategy
 from repro.runtime.latency import FixedLatency
@@ -36,7 +37,7 @@ from repro.topology.builders import line_topology
 
 from tests.dispatch.test_plan_oracle import mutate, mutations
 from tests.dispatch.test_predicate_index import plain_filters
-from tests.oracles.matching import advertised_via
+from tests.oracles.matching import advertised_via, filters_overlap_hint
 
 
 def F(**constraints):
@@ -159,19 +160,72 @@ def test_gate_equals_oracle_under_arbitrary_table_churn(schedule):
             check_gate(broker, PROBES)
 
 
-class TestOverlapIndexDirect:
+class TestOverlapPredicate:
     def test_multi_attribute_disjointness(self):
-        index = AdvertisementOverlapIndex()
-        index.add(F(service="parking", location="a"))
+        advert = F(service="parking", location="a")
         # Shares the service value but not the location value: disjoint.
-        assert index.any_overlap(F(service="parking", location="b")) is False
+        assert filters_may_overlap(advert, F(service="parking", location="b")) is False
+        assert filters_may_overlap(F(service="parking", location="b"), advert) is False
         # Constrains only an attribute the ad does not: overlaps.
-        assert index.any_overlap(F(floor=3)) is True
+        assert filters_may_overlap(advert, F(floor=3)) is True
 
     def test_non_finite_constraints_never_prove_disjointness(self):
-        index = AdvertisementOverlapIndex()
-        index.add(F(cost=("<", 3)))
-        assert index.any_overlap(F(cost=5)) is True  # mirrors the hint's blind spot
+        # Mirrors the hint's blind spot: ``cost < 3`` and ``cost = 5`` are disjoint.
+        assert filters_may_overlap(F(cost=("<", 3)), F(cost=5)) is True
+        assert filters_may_overlap(F(cost=5), F(cost=("<", 3))) is True
+
+    def test_sets_and_equalities_compare_typed_values(self):
+        assert filters_may_overlap(F(flag=True), F(flag=1)) is False
+        assert filters_may_overlap(F(level=1), F(level=1.0)) is True
+        assert filters_may_overlap(F(flag=("in", [True, "a"])), F(flag=("in", [1, "a"]))) is True
+        assert filters_may_overlap(F(flag=("in", [True, 0])), F(flag=("in", [1, False]))) is False
+
+    def test_match_none_overlaps_nothing(self):
+        assert filters_may_overlap(MatchNone(), MatchAll()) is False
+        assert filters_may_overlap(MatchAll(), MatchNone()) is False
+        assert filters_may_overlap(MatchAll(), F(service="parking")) is True
+
+
+class TestGateOnPredicateCases:
+    def test_multi_attribute_disjointness(self):
+        broker, adverts = gated_broker()
+        gate = broker.forwarding.may_forward
+        adverts.add(F(service="parking", location="a"), "N1", "a1")
+        assert gate("N1", F(service="parking", location="b")) is False
+        assert gate("N1", F(floor=3)) is True
+        # One overlapping row among disjoint ones opens the gate.
+        adverts.add(F(service="parking", location="b"), "N1", "a2")
+        assert gate("N1", F(service="parking", location="b")) is True
+
+    def test_non_finite_constraints_never_prove_disjointness(self):
+        broker, adverts = gated_broker()
+        adverts.add(F(cost=("<", 3)), "N1", "a1")
+        assert broker.forwarding.may_forward("N1", F(cost=5)) is True
+
+
+#: Values whose canonical keys differ although Python calls them equal (``True == 1``).
+TYPED_VALUES = [True, False, 1, 0, 1.0, "a", "b"]
+
+
+def typed_filters():
+    """Filters over two attributes: equalities, sets, a bound and the trivial ones."""
+    spec = st.one_of(
+        st.sampled_from(TYPED_VALUES),
+        st.tuples(st.just("in"), st.lists(st.sampled_from(TYPED_VALUES), min_size=1, max_size=3)),
+        st.tuples(st.just("<"), st.sampled_from([0, 1, 2])),
+        st.just(("exists",)),
+    )
+    return st.one_of(
+        st.dictionaries(st.sampled_from(["x", "y"]), spec, max_size=2).map(Filter),
+        st.just(MatchNone()),
+        st.just(MatchAll()),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(left=typed_filters(), right=typed_filters())
+def test_predicate_equals_the_overlap_hint(left, right):
+    assert filters_may_overlap(left, right) == filters_overlap_hint(left, right)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,24 @@ class TestAdvertisementPropagation:
         for name in ("B2", "B3"):
             assert len(network.broker(name).advertisement_table) == 0
 
+    def test_unadvertise_keeps_another_source_of_the_same_filter(self):
+        """A neighbour holds one row per filter for every source behind a
+        broker; withdrawing one source must not withdraw that row."""
+        network = PubSubNetwork(line_topology(3), strategy="covering", latency=0.01)
+        far = network.add_client("far", "B3")
+        near = network.add_client("near", "B2")
+        far.advertise({"topic": "news"})
+        advertisement = near.advertise({"topic": "news"})
+        consumer = network.add_client("consumer", "B1")
+        consumer.subscribe({"topic": "news"})
+        network.settle()
+        near.unadvertise(advertisement)
+        network.settle()
+        assert len(network.broker("B1").advertisement_table) == 1
+        far.publish({"topic": "news"})
+        network.settle()
+        assert len(consumer.received) == 1
+
     def test_subscription_issued_before_advertisement_still_connects(self):
         """Late advertisements trigger forwarding of already-registered subscriptions."""
         network = PubSubNetwork(line_topology(4), strategy="covering", latency=0.05)

@@ -117,6 +117,3 @@ class TestChainConsistency:
             frozenset({"a", "b", "c", "d"}),
             frozenset({"a", "b", "c", "d"}),
         ]
-
-    def test_describe(self):
-        assert "hop=1" in make_state(1).describe()

@@ -44,10 +44,6 @@ class TestVirtualCounterpart:
         replayed = counterpart.replay_after(0)
         assert [s.sequence for s in replayed] == [3, 4]
 
-    def test_describe(self):
-        counterpart = VirtualCounterpart("C", "sub", Filter({}), next_sequence=3)
-        assert "C/sub" in counterpart.describe()
-
 
 def open_buffer():
     """The relocation buffer of a move of ``C/sub`` to ``B1``, not yet replayed."""
@@ -91,11 +87,12 @@ class TestRelocationBuffer:
         replayed, _ = buffer_.flush([second, first])
         assert [s.sequence for s in replayed] == [1, 2]
 
-    def test_token_and_describe(self):
+    def test_token_and_held(self):
         buffer_ = open_buffer()
-        buffer_.hold(make_notification(1))
+        held = make_notification(1)
+        buffer_.hold(held)
         assert buffer_.token == "C/sub"
-        assert "pending=1" in buffer_.describe()
+        assert buffer_.flush([]) == ([], [held])
 
 
 class TestRelocationRecord:

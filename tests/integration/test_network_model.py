@@ -1,9 +1,10 @@
 """The model test: random operations on a network, checked against a flat specification.
 
 A hypothesis state machine drives three subscribers and two publishers
-through subscribe, unsubscribe, publish, detach, ``move_to`` and settle,
-and reports every delivery, as the client's ``notify`` callback sees it,
-to :class:`tests.oracles.network.NetworkSpec`.  That specification says
+through subscribe, unsubscribe, publish, unadvertise, readvertise,
+detach, ``move_to`` and settle, and reports every delivery, as the
+client's ``notify`` callback sees it, to
+:class:`tests.oracles.network.NetworkSpec`.  That specification says
 which notifications each subscription must and may receive; see there.
 
 After every settle each broker's forwarding and matching are also held
@@ -24,6 +25,15 @@ its relocation has notifications to replay.  It runs covering, simple
 and merging routing on a line of 3 to 6 brokers, and covering on a
 balanced binary tree of depth 2.
 
+An example either roams its subscribers (detach, ``move_to``) or churns
+the advertisements (unadvertise, readvertise, each publisher advertising
+one of :data:`ADVERTISEMENTS`).  A roaming example keeps every publisher
+advertising :data:`ADVERTISED`, which overlaps every template: a
+relocation whose subscription no advertisement lets travel strands the
+old counterpart, a fault pinned by
+``TestRelocationWithoutAnAdvertisedPath`` in
+``tests/integration/test_physical_mobility.py``.
+
 Tier-1 runs hypothesis's default profile (100 examples of up to 50
 steps); CI's fault-injection job runs the long profile registered in
 ``tests/conftest.py`` (``--hypothesis-profile=model-long``).
@@ -41,6 +51,9 @@ from tests.oracles.matching import matching_rows, row_ids
 from tests.oracles.network import NetworkSpec
 
 ADVERTISED = {"service": ("in", ("parking", "fuel"))}
+
+#: What a publisher advertises: everything it publishes, or one service of it.
+ADVERTISEMENTS = (ADVERTISED, {"service": "parking"}, {"service": "fuel"})
 
 #: Subscription templates; several cover others (1 covers 4 and 5, 2 covers 1, 3 and 4).
 TEMPLATES = (
@@ -81,10 +94,13 @@ class SettledMobility(RuleBasedStateMachine):
         self.network = PubSubNetwork(graph, strategy=self.strategy, latency=0.01)
         self.brokers = sorted(self.network.brokers)
         self.spec = NetworkSpec()
+        self.roaming = data.draw(st.booleans(), label="roaming")
         #: broker -> the (row seq, size) of its subscription table at its last plan check.
         self.matched_rows = {}
         self.notified = []
         self.clients = {}
+        #: publisher -> the id of its advertisement, while it has one.
+        self.advertisements = {}
         for client_id in SUBSCRIBERS + PUBLISHERS:
             broker = data.draw(st.sampled_from(self.brokers), label=client_id)
             self.clients[client_id] = self.network.add_client(
@@ -92,11 +108,18 @@ class SettledMobility(RuleBasedStateMachine):
             )
             self.spec.attach(client_id)
         for client_id in PUBLISHERS:
-            self.clients[client_id].advertise(ADVERTISED)
+            if self.roaming:
+                self._advertise(client_id, ADVERTISED)
+            else:
+                self._advertise(client_id, data.draw(st.sampled_from(ADVERTISEMENTS), label="ad"))
         # Each subscriber starts with one subscription, established below.
         for client_id in SUBSCRIBERS:
             self.subscribe(client_id, data.draw(st.sampled_from(TEMPLATES), label="template"))
         self._settle()
+
+    def _advertise(self, client_id, template):
+        self.advertisements[client_id] = self.clients[client_id].advertise(template)
+        self.spec.advertise(client_id, template)
 
     def _notify_for(self, client_id):
         def notify(subscription_id, notification, sequence):
@@ -165,6 +188,20 @@ class SettledMobility(RuleBasedStateMachine):
         self.spec.publish(notification.identity, attributes)
         self._report_deliveries()
 
+    @precondition(lambda self: not self.roaming and self.advertisements)
+    @rule(data=st.data())
+    def unadvertise(self, data):
+        client_id = data.draw(st.sampled_from(sorted(self.advertisements)), label="publisher")
+        self.clients[client_id].unadvertise(self.advertisements.pop(client_id))
+        self.spec.unadvertise(client_id)
+
+    @precondition(lambda self: not self.roaming and len(self.advertisements) < len(PUBLISHERS))
+    @rule(data=st.data(), template=st.sampled_from(ADVERTISEMENTS))
+    def readvertise(self, data, template):
+        silent = [c for c in PUBLISHERS if c not in self.advertisements]
+        self._advertise(data.draw(st.sampled_from(silent), label="publisher"), template)
+
+    @precondition(lambda self: self.roaming)
     @rule(client_id=st.sampled_from(SUBSCRIBERS))
     def detach(self, client_id):
         self._settle()
@@ -172,6 +209,7 @@ class SettledMobility(RuleBasedStateMachine):
         self.spec.detach(client_id)
         self._settle()
 
+    @precondition(lambda self: self.roaming)
     @rule(client_id=st.sampled_from(SUBSCRIBERS), data=st.data())
     def move_to(self, client_id, data):
         """Roam to a drawn broker; what is published on the way is missed and replayed."""

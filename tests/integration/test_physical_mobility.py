@@ -448,3 +448,40 @@ class TestRefreshTowardTheSender:
         clients["p0"].publish({"service": "fuel"})
         network.settle()
         assert network.trace.link_records[before:] == []
+
+
+class TestRelocationWithoutAnAdvertisedPath:
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="a MovedSubscribe the advertisement gate lets through nowhere completes at "
+        "once and leaves the old border's counterpart buffering; a later return there "
+        "replays what the client already has",
+    )
+    def test_a_return_after_an_unrouted_relocation_delivers_nothing_twice(self):
+        """``s0`` leaves ``B1`` while nothing is advertised, so its relocation cannot travel.
+
+        ``p0`` at ``B1`` then publishes once unadvertised and once
+        advertised; the second reaches ``s0`` at ``B2``.  Back at ``B1``
+        the counterpart left there replays it again.
+        """
+        network = build(line_topology(2), latency=0.01)
+        publisher = network.add_client("p0", "B1")
+        consumer = network.add_client("s0", "B1")
+        consumer.subscribe({"service": "fuel"})
+        network.settle()
+        consumer.move_to(network.broker("B2"))
+        network.settle()
+        publisher.publish({"service": "fuel", "n": 1})
+        publisher.advertise({"service": "fuel"})
+        network.settle()
+        consumer.detach()
+        network.settle()
+        publisher.publish({"service": "fuel", "n": 2})
+        network.settle()
+        consumer.move_to(network.broker("B2"))
+        network.settle()
+        consumer.move_to(network.broker("B1"))
+        network.settle()
+        identities = [notification.identity for notification in consumer.received]
+        assert len(identities) == len(set(identities)), identities

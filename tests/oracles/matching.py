@@ -41,8 +41,8 @@ def filters_overlap_hint(left, right):
     Returns ``False`` only when the two filters provably cannot both match
     any notification (because they place incompatible equality/set
     constraints on a shared attribute).  Returns ``True`` otherwise.
-    :meth:`~repro.dispatch.overlap.AdvertisementOverlapIndex.any_overlap`
-    must return the verdict of this test over the filters it indexes.
+    :func:`~repro.filters.covering.filters_may_overlap` must return the
+    verdict of this test on every pair of filters.
     """
     if isinstance(left, MatchNone) or isinstance(right, MatchNone):
         return False

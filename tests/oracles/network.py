@@ -1,19 +1,23 @@
 """Flat specification of what a pub/sub network delivers (Sections 2, 3.2, 4.1).
 
 It knows nothing of brokers, routing tables or relocation: only clients,
-their subscriptions (plain template dicts), the notifications published
-and the moments the network settled.  From those it keeps, per
-subscription, the notifications it **must** and the ones it **may**
-deliver:
+their subscriptions and advertisements (plain template dicts), the
+notifications published and the moments the network settled.  From
+those it keeps, per subscription, the notifications it **must** and the
+ones it **may** deliver:
 
 * a subscription is *established* at the first settle at which its
-  client is attached;
-* a matching notification published while the subscription is
-  established is a must;
-* it is a may if the subscription was not yet established, or if it was
-  published before the subscribe but was still in flight (no settle
-  since);
-* on unsubscribe, the subscription's outstanding musts become mays.
+  client is attached; a publisher's advertisement is established at the
+  first settle after it was issued, until it is withdrawn;
+* a matching notification is a must if, when it is published, the
+  subscription is established and so is an advertisement of its
+  publisher that matches it (Section 2.2 routes subscriptions only
+  toward advertisers);
+* any other matching notification is a may if it was published while
+  the subscription existed, or before the subscribe but still in flight
+  (no settle since);
+* on unsubscribe, the subscription's outstanding musts become mays; on
+  unadvertise, so do the outstanding musts of that publisher.
 
 Every delivery is checked at once: nothing twice, nothing outside
 must ∪ may, and per publisher in publication order (the sender-FIFO of
@@ -53,6 +57,9 @@ class NetworkSpec:
     def __init__(self):
         self.attached = set()
         self.templates = {}
+        #: publisher -> its advertisement, issued / established at the last settle.
+        self.advertised = {}
+        self.established_adverts = {}
         self.established = set()
         self.published = {}
         self.in_flight = set()
@@ -66,6 +73,17 @@ class NetworkSpec:
 
     def detach(self, client):
         self.attached.discard(client)
+
+    def advertise(self, publisher, template):
+        self.advertised[publisher] = dict(template)
+
+    def unadvertise(self, publisher):
+        del self.advertised[publisher]
+        self.established_adverts.pop(publisher, None)
+        for key, must in self.must.items():
+            outstanding = {i for i in must - self.delivered[key] if i[0] == publisher}
+            must -= outstanding
+            self.may[key] |= outstanding
 
     def subscribe(self, client, subscription, template):
         key = (client, subscription)
@@ -86,9 +104,12 @@ class NetworkSpec:
     def publish(self, identity, attributes):
         self.published[identity] = dict(attributes)
         self.in_flight.add(identity)
+        advert = self.established_adverts.get(identity[0])
+        advertised = advert is not None and matches(advert, attributes)
         for key, template in self.templates.items():
             if matches(template, attributes):
-                (self.must if key in self.established else self.may)[key].add(identity)
+                must = advertised and key in self.established
+                (self.must if must else self.may)[key].add(identity)
 
     def deliver(self, client, subscription, identity):
         """Check one delivery the moment the client is notified."""
@@ -110,6 +131,7 @@ class NetworkSpec:
                 missing = must - self.delivered[key]
                 assert not missing, "{}/{} never received {}".format(*key, sorted(missing))
         self.in_flight.clear()
+        self.established_adverts = dict(self.advertised)
         for key in self.templates:
             if key[0] in self.attached:
                 self.established.add(key)

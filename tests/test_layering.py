@@ -100,22 +100,26 @@ def test_core_sources_do_not_mention_the_simulator_package():
     assert not offenders, "core sources mention the simulator package:\n" + "\n".join(offenders)
 
 
-def _assert_loads_none(package, statements):
-    """Run *statements* in a fresh interpreter; no module of *package* may load."""
-    program = (
-        "import sys\n"
-        + statements
-        + "loaded = sorted(m for m in sys.modules if m.startswith({!r}))\n".format(package)
-        + "sys.exit('{} modules loaded: {{}}'.format(loaded) if loaded else 0)\n".format(package)
-    )
+def _run(program):
+    """Run *program* in a fresh interpreter on the source tree; its completed process."""
     environment = dict(os.environ)
     environment["PYTHONPATH"] = SRC + os.pathsep + environment.get("PYTHONPATH", "")
-    result = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", program],
         capture_output=True,
         text=True,
         env=environment,
         timeout=60,
+    )
+
+
+def _assert_loads_none(package, statements):
+    """Run *statements* in a fresh interpreter; no module of *package* may load."""
+    result = _run(
+        "import sys\n"
+        + statements
+        + "loaded = sorted(m for m in sys.modules if m.startswith({!r}))\n".format(package)
+        + "sys.exit('{} modules loaded: {{}}'.format(loaded) if loaded else 0)\n".format(package)
     )
     assert result.returncode == 0, result.stderr or result.stdout
 
@@ -138,24 +142,47 @@ def test_wall_clock_aio_runtime_does_not_load_the_simulator():
     )
 
 
+#: A three-broker network routing one advertised notification.
+ONE_NOTIFICATION = (
+    "from repro import PubSubNetwork, line_topology\n"
+    "network = PubSubNetwork(line_topology(3))\n"
+    "producer = network.add_client('producer', 'B3')\n"
+    "producer.advertise({'topic': 'news'})\n"
+    "consumer = network.add_client('consumer', 'B1')\n"
+    "consumer.subscribe({'topic': 'news'})\n"
+    "network.settle()\n"
+    "producer.publish({'topic': 'news'})\n"
+    "network.settle()\n"
+    "assert len(consumer.received) == 1\n"
+)
+
+#: The most ``repro`` modules (packages included) that :data:`ONE_NOTIFICATION`
+#: may load.  Lower it when a change loads fewer; a change that must load
+#: more raises it and says why.
+RUNNING_NETWORK_MODULES = 56
+
+
 def test_a_running_network_does_not_load_the_metrics_package():
     """The trace analyses of ``repro.metrics`` are the experiments' business:
     building a network, routing one notification and reading its data-plane
     breakdown load none of them."""
     _assert_loads_none(
         "repro.metrics",
-        "from repro import PubSubNetwork, line_topology\n"
-        "network = PubSubNetwork(line_topology(3))\n"
-        "producer = network.add_client('producer', 'B3')\n"
-        "producer.advertise({'topic': 'news'})\n"
-        "consumer = network.add_client('consumer', 'B1')\n"
-        "consumer.subscribe({'topic': 'news'})\n"
-        "network.settle()\n"
-        "producer.publish({'topic': 'news'})\n"
-        "network.settle()\n"
-        "assert len(consumer.received) == 1\n"
-        "assert network.data_plane_breakdown()['notifications_delivered'] == 1\n",
+        ONE_NOTIFICATION
+        + "assert network.data_plane_breakdown()['notifications_delivered'] == 1\n",
     )
+
+
+def test_a_running_network_loads_at_most_its_committed_modules():
+    """A cold-start tripwire: routing one notification loads a bounded set of modules."""
+    result = _run(
+        "import sys\n"
+        + ONE_NOTIFICATION
+        + "print('\\n'.join(sorted(m for m in sys.modules if m.split('.')[0] == 'repro')))\n"
+    )
+    assert result.returncode == 0, result.stderr
+    loaded = result.stdout.split()
+    assert len(loaded) <= RUNNING_NETWORK_MODULES, loaded
 
 
 # ---------------------------------------------------------------------------
