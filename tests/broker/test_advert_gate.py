@@ -6,9 +6,10 @@ neighbour only when that neighbour advertised something overlapping it
 ``verdicts``; a miss scans the advertisement rows received from the
 neighbour with :func:`~repro.filters.covering.filters_may_overlap`, and
 one advertisement-table delta listener clears the memo whenever the
-neighbour's rows change.  Nothing versions the memo.  Every verdict is held against the flat gate
-of ``tests/oracles/matching.py`` (``advertised_via``, a linear overlap
-hint over the neighbour's advertisement rows):
+neighbour's rows change.  Nothing versions the memo.  Every verdict is
+held against the flat gate of ``tests/oracles/matching.py``
+(``advertised_via``, a linear overlap hint over the neighbour's
+advertisement rows):
 
 * case by case, and under arbitrary table churn (the mutations of
   ``tests/dispatch/test_plan_oracle.py``), on a bare broker whose
@@ -180,11 +181,6 @@ class TestOverlapPredicate:
         assert filters_may_overlap(F(flag=("in", [True, "a"])), F(flag=("in", [1, "a"]))) is True
         assert filters_may_overlap(F(flag=("in", [True, 0])), F(flag=("in", [1, False]))) is False
 
-    def test_match_none_overlaps_nothing(self):
-        assert filters_may_overlap(MatchNone(), MatchAll()) is False
-        assert filters_may_overlap(MatchAll(), MatchNone()) is False
-        assert filters_may_overlap(MatchAll(), F(service="parking")) is True
-
 
 class TestGateOnPredicateCases:
     def test_multi_attribute_disjointness(self):
@@ -203,7 +199,7 @@ class TestGateOnPredicateCases:
         assert broker.forwarding.may_forward("N1", F(cost=5)) is True
 
 
-#: Values whose canonical keys differ although Python calls them equal (``True == 1``).
+#: Values Python calls equal across types (``True == 1 == 1.0``); only 1 and 1.0 may overlap.
 TYPED_VALUES = [True, False, 1, 0, 1.0, "a", "b"]
 
 
