@@ -59,12 +59,13 @@ the per-filter gating wholesale, so they invalidate the state and the
 next refresh rebuilds it from one table scan.
 
 The advertisement gate lives here too.  Each state memoises its
-verdicts; a miss scans the advertisement table's rows received from the
-neighbour with :func:`~repro.filters.covering.filters_may_overlap`, and
-one advertisement-table delta listener clears the memo whenever those
-rows change.  The table is the one record of what a neighbour
-advertised, and a neighbour has few rows to scan: at most one in every
-end-to-end benchmark workload.
+verdicts; a miss walks the advertisement table and tests the rows
+received from the neighbour with
+:func:`~repro.filters.covering.filters_may_overlap`, and one
+advertisement-table delta listener clears the memo whenever those rows
+change.  The table is the one record of what a neighbour advertised,
+and it is short: at most two rows per broker in every end-to-end
+benchmark workload.
 
 **Merging strategies** reduce with the specification's greedy merge:
 :func:`~repro.filters.merging.merge_filters` over the canonical input
@@ -871,7 +872,7 @@ class SubscriptionForwarding:
         verdict is memoised in the neighbour's ``verdicts``, which the
         advertisement table's delta listener clears whenever the
         neighbour's advertisement rows change, so it can never go stale.
-        A memo miss scans the neighbour's advertisement rows.
+        A memo miss walks the advertisement table for the neighbour's rows.
         """
         broker = self.broker
         if not broker.config.use_advertisements:

@@ -94,6 +94,21 @@ class TestGateCases:
         assert gate("N1", F(service="parking", location="a")) is True
         assert gate("N1", F(service="parking", location="c")) is False
 
+    def test_multi_attribute_disjointness(self):
+        broker, adverts = gated_broker()
+        gate = broker.forwarding.may_forward
+        adverts.add(F(service="parking", location="a"), "N1", "a1")
+        assert gate("N1", F(service="parking", location="b")) is False
+        assert gate("N1", F(floor=3)) is True
+        # One overlapping row among disjoint ones opens the gate.
+        adverts.add(F(service="parking", location="b"), "N1", "a2")
+        assert gate("N1", F(service="parking", location="b")) is True
+
+    def test_non_finite_constraints_never_prove_disjointness(self):
+        broker, adverts = gated_broker()
+        adverts.add(F(cost=("<", 3)), "N1", "a1")
+        assert broker.forwarding.may_forward("N1", F(cost=5)) is True
+
     def test_unconstrained_advert_overlaps_everything(self):
         broker, adverts = gated_broker()
         gate = broker.forwarding.may_forward
@@ -180,23 +195,6 @@ class TestOverlapPredicate:
         assert filters_may_overlap(F(level=1), F(level=1.0)) is True
         assert filters_may_overlap(F(flag=("in", [True, "a"])), F(flag=("in", [1, "a"]))) is True
         assert filters_may_overlap(F(flag=("in", [True, 0])), F(flag=("in", [1, False]))) is False
-
-
-class TestGateOnPredicateCases:
-    def test_multi_attribute_disjointness(self):
-        broker, adverts = gated_broker()
-        gate = broker.forwarding.may_forward
-        adverts.add(F(service="parking", location="a"), "N1", "a1")
-        assert gate("N1", F(service="parking", location="b")) is False
-        assert gate("N1", F(floor=3)) is True
-        # One overlapping row among disjoint ones opens the gate.
-        adverts.add(F(service="parking", location="b"), "N1", "a2")
-        assert gate("N1", F(service="parking", location="b")) is True
-
-    def test_non_finite_constraints_never_prove_disjointness(self):
-        broker, adverts = gated_broker()
-        adverts.add(F(cost=("<", 3)), "N1", "a1")
-        assert broker.forwarding.may_forward("N1", F(cost=5)) is True
 
 
 #: Values Python calls equal across types (``True == 1 == 1.0``); only 1 and 1.0 may overlap.

@@ -1,9 +1,8 @@
 """The model test: random operations on a network, checked against a flat specification.
 
 A hypothesis state machine drives three subscribers and two publishers
-through subscribe, unsubscribe, publish, unadvertise, readvertise,
-detach, ``move_to`` and settle, and reports every delivery, as the
-client's ``notify`` callback sees it, to
+through subscribe, unsubscribe, publish and settle, and reports every
+delivery, as the client's ``notify`` callback sees it, to
 :class:`tests.oracles.network.NetworkSpec`.  That specification says
 which notifications each subscription must and may receive; see there.
 
@@ -18,21 +17,23 @@ pairs still pending may lag: a refresh skips the neighbour a change came
 from (``TestRefreshTowardTheSender`` in
 ``tests/integration/test_physical_mobility.py``).
 
-This is the settled profile: the network settles before and after every
-detach and ``move_to``, so one relocation completes before the next
-begins.  A move may detach first and let the publishers go on, so that
-its relocation has notifications to replay.  It runs covering, simple
-and merging routing on a line of 3 to 6 brokers, and covering on a
-balanced binary tree of depth 2.
-
-An example either roams its subscribers (detach, ``move_to``) or churns
-the advertisements (unadvertise, readvertise, each publisher advertising
-one of :data:`ADVERTISEMENTS`).  A roaming example keeps every publisher
-advertising :data:`ADVERTISED`, which overlaps every template: a
-relocation whose subscription no advertisement lets travel strands the
-old counterpart, a fault pinned by
+Two machines add their own rules to that.  :class:`SettledMobility`
+roams the subscribers (detach, ``move_to``) in the settled profile: the
+network settles before and after every detach and ``move_to``, so one
+relocation completes before the next begins.  A move may detach first
+and let the publishers go on, so that its relocation has notifications
+to replay.  It runs covering, simple and merging routing on a line of 3
+to 6 brokers, and covering on a balanced binary tree of depth 2.  Every
+publisher advertises :data:`ADVERTISED`, which overlaps every template:
+a relocation whose subscription no advertisement lets travel strands
+the old counterpart, a fault pinned by
 ``TestRelocationWithoutAnAdvertisedPath`` in
 ``tests/integration/test_physical_mobility.py``.
+
+:class:`AdvertisementChurn` keeps the subscribers in place and churns
+the advertisements instead (unadvertise, readvertise, each publisher
+advertising one of :data:`ADVERTISEMENTS`), with covering routing on a
+line and on the tree, a quarter of the profile's examples each.
 
 Tier-1 runs hypothesis's default profile (100 examples of up to 50
 steps); CI's fault-injection job runs the long profile registered in
@@ -79,7 +80,7 @@ publishers = st.sampled_from(PUBLISHERS)
 notifications = st.sampled_from(NOTIFICATIONS)
 
 
-class SettledMobility(RuleBasedStateMachine):
+class SettledClients(RuleBasedStateMachine):
     """One network under random client operations; the topology and strategy are fixed per run."""
 
     strategy = "covering"
@@ -94,7 +95,6 @@ class SettledMobility(RuleBasedStateMachine):
         self.network = PubSubNetwork(graph, strategy=self.strategy, latency=0.01)
         self.brokers = sorted(self.network.brokers)
         self.spec = NetworkSpec()
-        self.roaming = data.draw(st.booleans(), label="roaming")
         #: broker -> the (row seq, size) of its subscription table at its last plan check.
         self.matched_rows = {}
         self.notified = []
@@ -108,14 +108,15 @@ class SettledMobility(RuleBasedStateMachine):
             )
             self.spec.attach(client_id)
         for client_id in PUBLISHERS:
-            if self.roaming:
-                self._advertise(client_id, ADVERTISED)
-            else:
-                self._advertise(client_id, data.draw(st.sampled_from(ADVERTISEMENTS), label="ad"))
+            self._advertise(client_id, self.first_advertisement(data))
         # Each subscriber starts with one subscription, established below.
         for client_id in SUBSCRIBERS:
             self.subscribe(client_id, data.draw(st.sampled_from(TEMPLATES), label="template"))
         self._settle()
+
+    def first_advertisement(self, data):
+        """What a publisher advertises when the network is built."""
+        return ADVERTISED
 
     def _advertise(self, client_id, template):
         self.advertisements[client_id] = self.clients[client_id].advertise(template)
@@ -188,20 +189,14 @@ class SettledMobility(RuleBasedStateMachine):
         self.spec.publish(notification.identity, attributes)
         self._report_deliveries()
 
-    @precondition(lambda self: not self.roaming and self.advertisements)
-    @rule(data=st.data())
-    def unadvertise(self, data):
-        client_id = data.draw(st.sampled_from(sorted(self.advertisements)), label="publisher")
-        self.clients[client_id].unadvertise(self.advertisements.pop(client_id))
-        self.spec.unadvertise(client_id)
+    @rule()
+    def settle(self):
+        self._settle()
 
-    @precondition(lambda self: not self.roaming and len(self.advertisements) < len(PUBLISHERS))
-    @rule(data=st.data(), template=st.sampled_from(ADVERTISEMENTS))
-    def readvertise(self, data, template):
-        silent = [c for c in PUBLISHERS if c not in self.advertisements]
-        self._advertise(data.draw(st.sampled_from(silent), label="publisher"), template)
 
-    @precondition(lambda self: self.roaming)
+class SettledMobility(SettledClients):
+    """Subscribers roam; every publisher advertises :data:`ADVERTISED`."""
+
     @rule(client_id=st.sampled_from(SUBSCRIBERS))
     def detach(self, client_id):
         self._settle()
@@ -209,7 +204,6 @@ class SettledMobility(RuleBasedStateMachine):
         self.spec.detach(client_id)
         self._settle()
 
-    @precondition(lambda self: self.roaming)
     @rule(client_id=st.sampled_from(SUBSCRIBERS), data=st.data())
     def move_to(self, client_id, data):
         """Roam to a drawn broker; what is published on the way is missed and replayed."""
@@ -224,26 +218,47 @@ class SettledMobility(RuleBasedStateMachine):
         self.spec.attach(client_id)
         self._settle()
 
-    @rule()
-    def settle(self):
-        self._settle()
+
+class AdvertisementChurn(SettledClients):
+    """Subscribers stay; publishers withdraw and issue advertisements."""
+
+    def first_advertisement(self, data):
+        return data.draw(st.sampled_from(ADVERTISEMENTS), label="advertisement")
+
+    @precondition(lambda self: self.advertisements)
+    @rule(data=st.data())
+    def unadvertise(self, data):
+        client_id = data.draw(st.sampled_from(sorted(self.advertisements)), label="publisher")
+        self.clients[client_id].unadvertise(self.advertisements.pop(client_id))
+        self.spec.unadvertise(client_id)
+
+    @precondition(lambda self: len(self.advertisements) < len(PUBLISHERS))
+    @rule(data=st.data(), template=st.sampled_from(ADVERTISEMENTS))
+    def readvertise(self, data, template):
+        silent = [c for c in PUBLISHERS if c not in self.advertisements]
+        self._advertise(data.draw(st.sampled_from(silent), label="publisher"), template)
 
 
-def _machine(strategy, tree=False):
+def _machine(base, strategy, tree=False, share=1):
     machine = type(
-        "SettledMobility_{}{}".format(strategy, "_tree" if tree else ""),
-        (SettledMobility,),
+        "{}_{}{}".format(base.__name__, strategy, "_tree" if tree else ""),
+        (base,),
         {"strategy": strategy, "tree": tree},
     )
-    # Steps settle whole networks: no per-example deadline.  The example
-    # count and step count come from the loaded profile.
+    # Steps settle whole networks: no per-example deadline.  The step
+    # count comes from the loaded profile, the example count is *share*
+    # of the profile's.
     machine.TestCase.settings = settings(
-        deadline=None, suppress_health_check=[HealthCheck.too_slow]
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+        max_examples=max(1, int(settings.default.max_examples * share)),
     )
     return machine.TestCase
 
 
-TestCoveringLine = _machine("covering")
-TestSimpleLine = _machine("simple")
-TestMergingLine = _machine("merging")
-TestCoveringTree = _machine("covering", tree=True)
+TestCoveringLine = _machine(SettledMobility, "covering")
+TestSimpleLine = _machine(SettledMobility, "simple")
+TestMergingLine = _machine(SettledMobility, "merging")
+TestCoveringTree = _machine(SettledMobility, "covering", tree=True)
+TestAdvertisementChurnLine = _machine(AdvertisementChurn, "covering", share=0.25)
+TestAdvertisementChurnTree = _machine(AdvertisementChurn, "covering", tree=True, share=0.25)
