@@ -722,8 +722,8 @@ class SubscriptionForwarding:
         """Pass an (un)advertisement on to every neighbour but *exclude* that lacks (holds) it.
 
         The neighbour files the advertisements of every source under one
-        subject, this broker's name, so a filter is withdrawn there only
-        with its last source.
+        subject, this broker's name, so a filter is sent there only with
+        its first source and withdrawn only with its last.
         """
         broker = self.broker
         filter_ = message.filter
@@ -735,10 +735,11 @@ class SubscriptionForwarding:
                 continue
             if withdraw:
                 del advertised[key]
-                if any(held == filter_key for held, _ in advertised):
-                    continue
-            else:
+            other_source = any(held == filter_key for held, _ in advertised)
+            if not withdraw:
                 advertised[key] = filter_
+            if other_source:
+                continue
             flooded = type(message)(filter_, subject=broker.name, subscription_id=message.subject)
             broker._links[neighbour].send(broker.ids.stamp(flooded))
 

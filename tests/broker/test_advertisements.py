@@ -43,6 +43,34 @@ class TestAdvertisementPropagation:
         network.settle()
         assert len(consumer.received) == 1
 
+    def test_a_filter_goes_to_a_neighbour_once_whatever_its_sources(self):
+        """Five publishers behind B3 advertise one filter.  B2 files every
+        source under B3, so B3 sends it one Advertise, and one Unadvertise
+        with the last source."""
+        network = PubSubNetwork(line_topology(3), strategy="covering", latency=0.01)
+        publishers = [network.add_client("P{}".format(index), "B3") for index in range(5)]
+        advertisements = [publisher.advertise({"topic": "news"}) for publisher in publishers]
+        network.settle()
+
+        def sent(message_type):
+            return [
+                record
+                for record in network.trace.link_records
+                if (record.source, record.target, record.message_type)
+                == ("B3", "B2", message_type)
+            ]
+
+        assert len(sent("Advertise")) == 1
+        assert len(network.broker("B1").advertisement_table) == 1
+        for publisher, advertisement in zip(publishers[:4], advertisements):
+            publisher.unadvertise(advertisement)
+        network.settle()
+        assert sent("Unadvertise") == []
+        publishers[4].unadvertise(advertisements[4])
+        network.settle()
+        assert len(sent("Unadvertise")) == 1
+        assert len(network.broker("B1").advertisement_table) == 0
+
     def test_subscription_issued_before_advertisement_still_connects(self):
         """Late advertisements trigger forwarding of already-registered subscriptions."""
         network = PubSubNetwork(line_topology(4), strategy="covering", latency=0.05)
