@@ -68,7 +68,6 @@ def test_disk_cold_restart_recovers_journal(benchmark, tmp_path, records):
                 Filter({"topic": "t{:04d}".format(index)}),
                 subject="c/s{}".format(index),
             ),
-            float(index),
         )
     seed.close()
     store = benchmark.pedantic(

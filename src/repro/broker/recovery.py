@@ -29,7 +29,12 @@ The store keeps bytes, not objects — the log is one buffer of journal
 frames, and :meth:`RecoveryStore.snapshot` and
 :meth:`RecoveryStore.log_tail` decode on demand — which is what makes
 the crash-oracle test meaningful: everything a restart sees has survived
-a full encode/decode round trip.
+a full encode/decode round trip.  The journal writes each filter's text
+once: the first record that carries a filter defines a number for it,
+and later records write the number.  Numbers are never reused within a
+store and a snapshot does not reset them, so a retained record may name
+a filter that a dropped record defined; the store keeps every
+definition its journal has written.
 
 :class:`Reliability` is one broker's user of all this, and of the two
 volatile safeguards beside it: the retention window and heartbeats.
@@ -37,7 +42,10 @@ volatile safeguards beside it: the retention window and heartbeats.
 
 from __future__ import annotations
 
+import json
 import os
+from array import array
+from bisect import bisect_left
 from collections import deque
 from typing import Any, Deque, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -234,11 +242,16 @@ def _logical_subscribe_from_wire(payload: Dict[str, Any]) -> LocationDependentSu
     return LocationDependentSubscribe.from_wire(payload)
 
 
+#: A journal's filter definitions as a reader holds them, by number: the
+#: sequence of the record that defined the filter, and the filter's
+#: canonical JSON text.
+Definitions = List[Tuple[int, str]]
+
+
 class AdminLogRecord(NamedTuple):
     """One logged admin/mobility message, with its place in the log and its provenance.
 
-    *sequence* numbers the log (1-based, contiguous per broker);
-    *logged_at* is the clock reading when the entry was appended.
+    *sequence* numbers the log (1-based, contiguous per broker).
     *origin* is the origin the broker applied the entry with — a
     neighbour broker name for link traffic, a client id for operations
     of locally attached clients.  Replaying the entry through
@@ -247,31 +260,66 @@ class AdminLogRecord(NamedTuple):
 
     A record never travels over a link: its one encoding is the journal
     frame payload :func:`~repro.messages.wire.journal_record` writes,
-    canonical JSON ``[sequence, logged_at, origin, entry]``.
+    canonical JSON ``[sequence, origin, entry]`` whose entry holds its
+    filter as a number, or as ``[number, filter]`` where the record
+    defines that number.
     """
 
     sequence: int
-    logged_at: float
     origin: str
     entry: Message
 
     @classmethod
-    def decode(cls, data: bytes) -> "AdminLogRecord":
-        """Rebuild a record from a journal frame payload; a malformed one
-        (bytes, shape, field types or entry) raises :class:`WireError`."""
+    def decode(cls, data: bytes, filters: Optional[Definitions] = None) -> "AdminLogRecord":
+        """Rebuild a record from a journal frame payload.
+
+        *filters* holds the definitions the journal made before this
+        record (none by default); a record that defines the next number
+        appends its definition once the whole record has decoded.  A
+        malformed record (bytes, shape, field types or entry), a number
+        not defined before it, a number or a filter (its canonical text)
+        defined again and a definition out of turn raise
+        :class:`WireError`.
+        """
         record = parse_payload(data)
-        types = tuple(map(type, record)) if type(record) is list else ()
-        if len(types) != 4 or types[:3] != (int, float, str):
-            raise WireError("journal record is not [sequence, logged_at, origin, entry]")
-        sequence, logged_at, origin, entry = record
-        return cls(sequence, logged_at, origin, message_from_payload(entry))
+        if type(record) is not list or tuple(map(type, record)) != (int, str, dict):
+            raise WireError("journal record is not [sequence, origin, entry]")
+        sequence, origin, entry = record
+        if filters is None:
+            filters = []
+        defined = None
+        if "filter" in entry:
+            field = entry["filter"]
+            if type(field) is int and 0 <= field < len(filters):
+                entry["filter"] = json.loads(filters[field][1])
+            elif (
+                type(field) is list
+                and len(field) == 2
+                and type(field[0]) is int
+                and field[0] == len(filters)
+            ):
+                defined = CANONICAL_JSON.encode(field[1])
+                if any(defined == text for _, text in filters):
+                    raise WireError("journal record defines a filter again: {!r}".format(field))
+                entry["filter"] = field[1]
+            else:
+                raise WireError("journal record names no filter it may: {!r}".format(field))
+        message = message_from_payload(entry)
+        if defined is not None:
+            filters.append((sequence, defined))
+        return cls(sequence, origin, message)
 
 
-def _scan_frames(frames: bytes) -> Tuple[List[Tuple[int, AdminLogRecord]], bool]:
+def _scan_frames(
+    frames: bytes, filters: Definitions
+) -> Tuple[List[Tuple[int, AdminLogRecord]], bool]:
     """Decode a run of journal frames: ``([(end offset, record), ...], torn)``.
 
-    Stops at the first torn frame — short header, short payload or
-    undecodable bytes, what a crash in the middle of an append leaves.
+    *filters* holds the definitions made before *frames*; the scan
+    appends every definition it reads.  Stops at the first torn frame —
+    short header, short payload or undecodable bytes, what a crash in
+    the middle of an append leaves, or a record that names a filter
+    number it may not.
     """
     records = []
     offset = 0
@@ -281,7 +329,7 @@ def _scan_frames(frames: bytes) -> Tuple[List[Tuple[int, AdminLogRecord]], bool]
             end = start + decode_frame_payload(frames[offset:start])
             if end > len(frames):
                 raise WireError("journal frame payload is short")
-            record = AdminLogRecord.decode(frames[start:end])
+            record = AdminLogRecord.decode(frames[start:end], filters)
         except WireError:
             return records, True
         records.append((end, record))
@@ -301,6 +349,12 @@ class RecoveryStore:
     the whole log.  :meth:`install_snapshot` truncates the log prefix the
     snapshot covers — the paper's usual checkpoint-plus-tail layout.
 
+    Beside the buffer the store keeps the journal's filter table: the
+    canonical text of every filter a record defined, with its number and
+    the sequence of the defining record.  Truncation leaves it whole, so
+    a retained record that names a filter defined in the dropped prefix
+    still decodes.
+
     This in-memory implementation is the default test double; it doubles
     as the storage *interface*.  Durable backends
     (:class:`DiskRecoveryStore`) override the ``_persist_record`` /
@@ -318,6 +372,12 @@ class RecoveryStore:
         self._frames = bytearray()
         self._first_sequence = 1
         self._next_sequence = 1
+        #: Canonical text of every filter the journal defined -> its
+        #: number (insertion order is number order; never reused).
+        self._filter_numbers: Dict[str, int] = {}
+        #: By number, the sequence of the record that defined the filter
+        #: (ascending; machine integers, not an ``int`` object each).
+        self._defined_at = array("q")
         self.snapshot_count = 0
 
     @property
@@ -325,15 +385,19 @@ class RecoveryStore:
         """Sequence number of the most recently appended log record."""
         return self._next_sequence - 1
 
-    def append(self, origin: str, entry: Message, logged_at: float) -> int:
+    def append(self, origin: str, entry: Message) -> int:
         """Append one admin message to the log and return its sequence number.
 
         A record over the frame cap raises :class:`WireError` before
-        anything is written: its frame would read as torn and take every
-        later record with it.
+        anything is written or defined: its frame would read as torn and
+        take every later record with it.
         """
         sequence = self._next_sequence
-        data = journal_record(sequence, float(logged_at), origin, entry)
+        numbers = self._filter_numbers
+        known = len(numbers)
+        data = journal_record(sequence, origin, entry, numbers)
+        if len(numbers) > known:
+            self._defined_at.append(sequence)
         self._next_sequence = sequence + 1
         self._frames += len(data).to_bytes(FRAME_HEADER_SIZE, "big") + data
         self._persist_record(data)
@@ -363,8 +427,15 @@ class RecoveryStore:
         return RoutingSnapshot.decode(self._snapshot_bytes)
 
     def log_tail(self) -> List[AdminLogRecord]:
-        """Decode the retained log records, in append order."""
-        return [record for _, record in _scan_frames(self._frames)[0]]
+        """Decode the retained log records, in append order.
+
+        The buffer's records resolve their numbers against the filters
+        defined before it, read back from the table.
+        """
+        defined_at = self._defined_at
+        before = defined_at[: bisect_left(defined_at, self._first_sequence)]
+        filters = list(zip(before, self._filter_numbers))
+        return [record for _, record in _scan_frames(self._frames, filters)[0]]
 
     def log_size(self) -> int:
         """Number of retained (post-snapshot) log records."""
@@ -408,10 +479,11 @@ class DiskRecoveryStore(RecoveryStore):
 
     Opening a directory with existing files recovers from them: the
     journal is scanned frame by frame, a torn final record (short
-    header, short payload, or undecodable bytes) is discarded and the
-    file truncated back to the last complete record, and the in-memory
-    mirror (a slice of the file's bytes) and sequence counter resume
-    exactly where the last fsync landed.
+    header, short payload, undecodable bytes or a filter number it may
+    not name) is discarded and the file truncated back to the last
+    complete record, and the in-memory mirror (a slice of the file's
+    bytes), the filter table (every definition in the file) and the
+    sequence counter resume exactly where the last fsync landed.
     """
 
     SNAPSHOT_NAME = "snapshot.bin"
@@ -465,7 +537,8 @@ class DiskRecoveryStore(RecoveryStore):
         if os.path.exists(self._journal_path):
             with open(self._journal_path, "rb") as handle:
                 raw = handle.read()
-        records, torn = _scan_frames(raw)
+        filters: Definitions = []
+        records, torn = _scan_frames(raw, filters)
         self.counters["disk_records_recovered"] += len(records)
         self.counters["disk_torn_records"] += int(torn)
         start = valid_end = retained = 0
@@ -478,6 +551,8 @@ class DiskRecoveryStore(RecoveryStore):
             valid_end = end
             highest = max(highest, record.sequence)
         self._frames = bytearray(raw[start:valid_end])
+        self._filter_numbers = {text: number for number, (_, text) in enumerate(filters)}
+        self._defined_at = array("q", [sequence for sequence, _ in filters])
         self._next_sequence = highest + 1
         self._first_sequence = self._next_sequence - retained
         self._journal = open(self._journal_path, "ab")
@@ -596,7 +671,7 @@ class Reliability:
         broker = self.broker
         store = broker.recovery
         if store is not None and not self.replaying:
-            store.append(origin, message, broker.clock.now)
+            store.append(origin, message)
 
     def enable_recovery(self, store: Optional[RecoveryStore] = None) -> RecoveryStore:
         """Attach a recovery store; admin traffic is journaled from now on.

@@ -22,10 +22,16 @@ snapshots are not messages.
 The canonical format — :data:`CANONICAL_JSON` over a message's
 ``to_wire`` payload — is rendered here and nowhere else:
 :func:`message_json` renders a message, :func:`journal_record` a
-recovery-journal record.  The four admin messages, and the records that
-journal them, are formatted in one pass around their filter's memoised
-JSON text; everything else goes through the encoder.  Either way the
-bytes are the encoder's.
+recovery-journal record.  The four admin messages and ``MovedSubscribe``
+are formatted in one pass around their filter's memoised JSON text;
+everything else goes through the encoder.  Either way the bytes are the
+encoder's.
+
+A journal record is ``[sequence, origin, entry]``, and it writes each
+filter once: the first record that carries a filter defines a number
+for it, ``"filter": [number, filter]``, and every later record of the
+same journal writes ``"filter": number``.  Links always carry the
+filter itself.
 
 Frame format — the classic length-prefixed layout TCP needs to recover
 message boundaries from a byte stream::
@@ -45,13 +51,13 @@ from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii
-from math import inf
 from typing import Any, Dict, Mapping, Optional, Type
 
 from repro.filters.filter import Filter
-from repro.filters.wire import WireError, filter_to_wire
+from repro.filters.wire import FILTER, WireError, filter_to_wire
 from repro.messages.admin import Advertise, Subscribe, Unadvertise, Unsubscribe
 from repro.messages.base import Message
+from repro.messages.mobility import MovedSubscribe
 
 #: The canonical JSON encoder of the codec, the journal and the table
 #: encoding; stateless, so built once (``json.dumps`` with these settings
@@ -133,8 +139,17 @@ def message_type_registry() -> Dict[str, Type[Message]]:
     return _REGISTRY
 
 
-#: The messages :func:`message_json` formats around their filter's text.
-_ADMIN_TYPES = (Subscribe, Unsubscribe, Advertise, Unadvertise)
+#: The messages :func:`message_json` and :func:`journal_record` format in
+#: one pass around the text of their ``filter`` field.
+_FORMATTED = (Subscribe, Unsubscribe, Advertise, Unadvertise, MovedSubscribe)
+
+#: A ``wire_fields`` entry the journal writes as a filter number.
+_NUMBERED = ("filter", FILTER)
+
+_MOVED_SUBSCRIBE = (
+    '{"client_id":%s,"filter":%s,"id":%d,"last_sequence":%d,"new_border":%s,'
+    '"subscription_id":%s,"type":"MovedSubscribe"}'
+)
 
 
 def _filter_json(filter_: Filter) -> str:
@@ -149,26 +164,53 @@ def _filter_json(filter_: Filter) -> str:
     return text
 
 
+def _formatted(message: Message, filter_text: str) -> Optional[str]:
+    """The canonical JSON of a :data:`_FORMATTED` *message* with *filter_text*
+    standing in its ``filter`` field, or ``None`` where the format does not
+    take the message: a ``meta``, or an identifier that is not a ``str``.
+
+    The keys are written in sorted order and the strings escaped by the
+    function the encoder itself uses.
+    """
+    if message.meta:
+        return None
+    if type(message) is MovedSubscribe:
+        identifiers = (message.client_id, message.new_border, message.subscription_id)
+        if any(type(identifier) is not str for identifier in identifiers):
+            return None
+        client_id, new_border, subscription_id = map(encode_basestring_ascii, identifiers)
+        return _MOVED_SUBSCRIBE % (
+            client_id,
+            filter_text,
+            message.message_id,
+            message.last_sequence,
+            new_border,
+            subscription_id,
+        )
+    subject = message.subject
+    subscription_id = message.subscription_id
+    if type(subject) is str and (subscription_id is None or type(subscription_id) is str):
+        return '{"filter":%s,"id":%d,"subject":%s,"subscription_id":%s,"type":"%s"}' % (
+            filter_text,
+            message.message_id,
+            encode_basestring_ascii(subject),
+            "null" if subscription_id is None else encode_basestring_ascii(subscription_id),
+            type(message).__name__,
+        )
+    return None
+
+
 def message_json(message: Message) -> str:
     """The canonical JSON text of *message*: ``CANONICAL_JSON.encode(message.to_wire())``.
 
-    An admin message with no ``meta`` and string identifiers is formatted
-    directly: its keys are already in sorted order, its strings are
-    escaped by the function the encoder itself uses, and its filter is
-    :func:`_filter_json`'s text.  Everything else goes through the encoder.
+    The admin messages and ``MovedSubscribe`` are formatted directly
+    around :func:`_filter_json`'s text where :func:`_formatted` takes
+    them; everything else goes through the encoder.
     """
-    message_type = type(message)
-    if message_type in _ADMIN_TYPES and not message.meta:
-        subject = message.subject
-        subscription_id = message.subscription_id
-        if type(subject) is str and (subscription_id is None or type(subscription_id) is str):
-            return '{"filter":%s,"id":%d,"subject":%s,"subscription_id":%s,"type":"%s"}' % (
-                _filter_json(message.filter),
-                message.message_id,
-                encode_basestring_ascii(subject),
-                "null" if subscription_id is None else encode_basestring_ascii(subscription_id),
-                message_type.__name__,
-            )
+    if type(message) in _FORMATTED:
+        text = _formatted(message, _filter_json(message.filter))
+        if text is not None:
+            return text
     return CANONICAL_JSON.encode(message.to_wire())
 
 
@@ -184,21 +226,46 @@ def encode_message(message: Message) -> bytes:
     return message_json(message).encode("utf-8")
 
 
-def journal_record(sequence: int, logged_at: float, origin: str, entry: Message) -> bytes:
-    """One recovery-journal frame payload: canonical JSON ``[sequence, logged_at, origin, entry]``.
+def journal_record(sequence: int, origin: str, entry: Message, numbers: Dict[str, int]) -> bytes:
+    """One recovery-journal frame payload: canonical JSON ``[sequence, origin, entry]``.
 
-    *sequence* is an ``int``, *logged_at* a ``float`` and *origin* a
-    ``str``, as :class:`~repro.broker.recovery.AdminLogRecord` holds them
-    (its decoder refuses any other record).  *entry* is rendered by
-    :func:`message_json`, and a finite *logged_at* by ``float.__repr__``
-    (the encoder writes ``Infinity`` and ``NaN`` where ``repr`` writes
-    ``inf`` and ``nan``, so those take the encoder).  A payload over the
-    frame cap raises :class:`WireError`: the journal's reader would take
-    its frame for a torn one.
+    *sequence* is an ``int`` and *origin* a ``str``, as
+    :class:`~repro.broker.recovery.AdminLogRecord` holds them (its decoder
+    refuses any other record).  *entry* is its wire payload, except that
+    a field declared ``("filter", FILTER)`` holds a number: *numbers*
+    maps the canonical text of every filter the journal has defined to
+    its number.  A filter found there is written as its number; any
+    other is defined here, written ``[number, filter]`` with the next
+    number, ``len(numbers)``, and added to *numbers* once the record is
+    known to fit its frame.  A :data:`_FORMATTED` entry is formatted in
+    one pass around that field (a filter's text is rendered once, by
+    :func:`_filter_json`); every other goes through the encoder.
+
+    A payload over the frame cap raises :class:`WireError` and defines
+    nothing: the journal's reader would take its frame for a torn one.
     """
-    stamp = repr(logged_at) if -inf < logged_at < inf else CANONICAL_JSON.encode(logged_at)
-    text = "[%d,%s,%s,%s]" % (sequence, stamp, encode_basestring_ascii(origin), message_json(entry))
-    return _capped(text.encode("utf-8"))
+    defined = None
+    if _NUMBERED in entry.wire_fields:
+        text = _filter_json(entry.filter)
+        number = numbers.get(text)
+        if number is None:
+            defined, number = text, len(numbers)
+            field = "[%d,%s]" % (number, text)
+        else:
+            field = "%d" % number
+        rendered = _formatted(entry, field) if type(entry) in _FORMATTED else None
+        if rendered is None:
+            payload = entry.to_wire()
+            payload["filter"] = number if defined is None else [number, payload["filter"]]
+            rendered = CANONICAL_JSON.encode(payload)
+    else:
+        rendered = message_json(entry)
+    data = _capped(
+        ("[%d,%s,%s]" % (sequence, encode_basestring_ascii(origin), rendered)).encode("utf-8")
+    )
+    if defined is not None:
+        numbers[defined] = number
+    return data
 
 
 def parse_payload(data: bytes) -> Any:

@@ -30,7 +30,7 @@ def _subscribe(index):
 
 def _fill(store, count, start=1):
     for index in range(start, start + count):
-        store.append("client", _subscribe(index), float(index))
+        store.append("client", _subscribe(index))
 
 
 def _sequences(store):
@@ -52,7 +52,7 @@ class TestDiskStoreRoundTrip:
         assert reopened.counters["disk_records_recovered"] == 3
         assert reopened.counters["disk_torn_records"] == 0
         # Appends resume the sequence where the last fsync landed.
-        assert reopened.append("client", _subscribe(4), 4.0) == 4
+        assert reopened.append("client", _subscribe(4)) == 4
         reopened.close()
 
     def test_snapshot_survives_reopen_and_covers_prefix(self, tmp_path):
@@ -140,7 +140,7 @@ class TestTornFiles:
             assert os.path.getsize(
                 str(directory / DiskRecoveryStore.JOURNAL_NAME)
             ) == boundaries[complete]
-            assert store.append("client", _subscribe(99), 99.0) == complete + 1
+            assert store.append("client", _subscribe(99)) == complete + 1
             assert _sequences(store) == list(range(1, complete + 2))
             store.close()
 

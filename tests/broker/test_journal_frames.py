@@ -2,11 +2,13 @@
 
 A :class:`~repro.broker.recovery.RecoveryStore` keeps its retained log
 as the journal frames :class:`~repro.broker.recovery.DiskRecoveryStore`
-writes to ``journal.log`` — payload ``[sequence, logged_at, origin,
-entry]`` behind a 4-byte length — plus the first retained sequence
-number.  Whatever mix of appends, snapshots and (disk) reopens produced
-it, the log must hand back exactly the records past the last snapshot,
-and cost what it stores.
+writes to ``journal.log`` — payload ``[sequence, origin, entry]`` behind
+a 4-byte length — plus the first retained sequence number.  The entry's
+filter is a number: the first record that carries a filter defines it,
+``[number, filter]``, and later records write the number alone.
+Whatever mix of appends, snapshots and (disk) reopens produced it, the
+log must hand back exactly the records past the last snapshot, and cost
+what it stores.
 """
 
 import json
@@ -15,7 +17,7 @@ import tracemalloc
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.broker.recovery import (
@@ -43,8 +45,8 @@ from tests.messages.test_wire import (
     subjects,
 )
 
-#: Journaled entries: admin and state-changing mobility messages.
-log_entries = st.one_of(
+#: Journaled entries that carry a filter, which the journal numbers.
+filtered_entries = st.one_of(
     _admin(Subscribe),
     _admin(Unsubscribe),
     _admin(Advertise),
@@ -58,14 +60,14 @@ log_entries = st.one_of(
         new_border=identifiers,
         meta=metas,
     ),
-    location_dependent_subscribes(),
 )
+
+#: Journaled entries: admin and state-changing mobility messages.
+log_entries = st.one_of(filtered_entries, location_dependent_subscribes())
 
 operations = st.lists(
     st.one_of(
-        st.tuples(
-            st.just("append"), subjects, st.floats(0, 1e6, allow_nan=False), log_entries
-        ),
+        st.tuples(st.just("append"), subjects, log_entries),
         # Cover this fraction of the records appended since the last snapshot.
         st.tuples(st.just("snapshot"), st.floats(0, 1)),
         st.tuples(st.just("reopen")),
@@ -74,11 +76,25 @@ operations = st.lists(
 )
 
 
-def _payload(sequence, origin, logged_at, wire):
-    """The specification of a frame payload: ``json.dumps`` of the record."""
-    return json.dumps(
-        [sequence, logged_at, origin, wire], separators=(",", ":"), sort_keys=True
-    ).encode("utf-8")
+def _dumps(value):
+    return json.dumps(value, separators=(",", ":"), sort_keys=True)
+
+
+def _payload(sequence, origin, wire, numbers):
+    """The specification of a frame payload: ``json.dumps`` of the record
+    ``[sequence, origin, entry]``.  The entry is the message's wire payload
+    with its ``filter`` (if it has one) swapped for the filter's number in
+    *numbers* (filter text -> number), or, where the filter is new, for
+    ``[number, filter]`` with the next number, which is added."""
+    entry = dict(wire)
+    if "filter" in entry:
+        text = _dumps(entry["filter"])
+        if text in numbers:
+            entry["filter"] = numbers[text]
+        else:
+            numbers[text] = len(numbers)
+            entry["filter"] = [numbers[text], entry["filter"]]
+    return _dumps([sequence, origin, entry]).encode("utf-8")
 
 
 def _frame(payload):
@@ -105,15 +121,18 @@ def _snapshot(log_index):
 def test_the_log_is_the_records_past_the_last_snapshot(disk, operations):
     with tempfile.TemporaryDirectory() as root:
         store = DiskRecoveryStore("B1", root) if disk else RecoveryStore("B1")
-        appended = []  # (sequence, origin, logged_at, entry wire)
+        appended = []  # (sequence, origin, entry wire, frame payload)
+        numbers = {}
         covered = 0
         snapshot_bytes = 0
         try:
             for operation in operations:
                 if operation[0] == "append":
-                    _, origin, logged_at, entry = operation
-                    sequence = store.append(origin, entry, logged_at)
-                    appended.append((sequence, origin, logged_at, entry.to_wire()))
+                    _, origin, entry = operation
+                    sequence = store.append(origin, entry)
+                    wire = entry.to_wire()
+                    payload = _payload(sequence, origin, wire, numbers)
+                    appended.append((sequence, origin, wire, payload))
                 elif operation[0] == "snapshot":
                     covered += round(operation[1] * (store.log_index - covered))
                     snapshot = _snapshot(covered)
@@ -125,16 +144,16 @@ def test_the_log_is_the_records_past_the_last_snapshot(disk, operations):
 
                 expected = [item for item in appended if item[0] > covered]
                 tail = [
-                    (record.sequence, record.origin, record.logged_at, record.entry.to_wire())
+                    (record.sequence, record.origin, record.entry.to_wire())
                     for record in store.log_tail()
                 ]
-                assert tail == expected
+                assert tail == [item[:3] for item in expected]
                 assert store.log_index == len(appended)
                 assert store.log_size() == len(expected)
                 # The byte oracle: every retained frame is the canonical
                 # JSON of its record, as ``json.dumps`` writes it.
-                assert store._frames == b"".join(_frame(_payload(*item)) for item in expected)
-                payloads = sum(len(_payload(*item)) for item in expected)
+                assert store._frames == b"".join(_frame(item[3]) for item in expected)
+                payloads = sum(len(item[3]) for item in expected)
                 assert store.stored_bytes() == snapshot_bytes + payloads
                 if disk:
                     # The buffer mirrors journal.log: all of it until a
@@ -151,30 +170,59 @@ def test_the_log_is_the_records_past_the_last_snapshot(disk, operations):
 #: Live bytes of one retained record, everything under ``src/repro``
 #: counted.  With each record kept as its own canonical-JSON wire message
 #: in a list of ``(sequence, bytes)`` tuples, the population below cost
-#: about 420 B a record; as compact frames in one buffer it costs about
-#: 225 B, of which 215 B are payload (CPython 3.11).
+#: about 420 B a record; as compact frames in one buffer it cost about
+#: 225 B, of which 215 B were payload (CPython 3.11).  Every record here
+#: carries a filter of its own, so each defines one, and the filter table
+#: adds its number and slot: about 282 B.
 BYTES_PER_RECORD = 300
 RECORDS = 2000
 
+#: The same bound where 2,000 admin records share 50 filters, so all but
+#: 50 write a filter number: about 131 B a record.  A journal that wrote
+#: each record's filter in full cost 238 B.
+BYTES_PER_SHARED_RECORD = 150
+SHARED_FILTERS = 50
 
-def test_a_journal_record_costs_its_frame():
+
+def _live_bytes(entries):
+    """The store holding *entries*, and the live bytes under ``src/repro``."""
     tracemalloc.start()
     try:
         store = RecoveryStore("B1")
-        for index in range(RECORDS):
-            entry = Subscribe(
-                Filter({"topic": "t{:04d}".format(index), "price": ("<", index)}),
-                subject="client/s{}".format(index),
-            )
-            store.append("client-{}".format(index % 7), entry, float(index))
+        for index, entry in enumerate(entries):
+            store.append("client-{}".format(index % 7), entry)
         snapshot = tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()
-
-    assert store.log_size() == RECORDS
     ours = snapshot.filter_traces([tracemalloc.Filter(True, "*/src/repro/*")])
-    live = sum(statistic.size for statistic in ours.statistics("filename"))
+    return store, sum(statistic.size for statistic in ours.statistics("filename"))
+
+
+def test_a_journal_record_costs_its_frame():
+    store, live = _live_bytes(
+        Subscribe(
+            Filter({"topic": "t{:04d}".format(index), "price": ("<", index)}),
+            subject="client/s{}".format(index),
+        )
+        for index in range(RECORDS)
+    )
+    assert store.log_size() == RECORDS
     assert store.stored_bytes() <= live <= BYTES_PER_RECORD * RECORDS, live / RECORDS
+
+
+def test_a_record_of_a_journaled_filter_costs_its_number():
+    kinds = (Subscribe, Unsubscribe, Advertise, Unadvertise)
+    shared = [
+        Filter({"topic": "t{:04d}".format(index), "price": ("<", index)})
+        for index in range(SHARED_FILTERS)
+    ]
+    store, live = _live_bytes(
+        kinds[index % 4](shared[index % SHARED_FILTERS], subject="client/s{}".format(index))
+        for index in range(RECORDS)
+    )
+    assert store.log_size() == RECORDS
+    assert len(store._filter_numbers) == SHARED_FILTERS
+    assert store.stored_bytes() <= live <= BYTES_PER_SHARED_RECORD * RECORDS, live / RECORDS
 
 
 def test_admin_appends_encode_each_filter_once():
@@ -194,7 +242,7 @@ def test_admin_appends_encode_each_filter_once():
     ) as constraint_to_wire, mock.patch.object(message_wire, "filter_to_wire", to_wire):
         for index in range(1000):
             entry = kinds[index % 4](shared[index % 10], subject="client/s{}".format(index))
-            store.append("client-{}".format(index % 7), entry, float(index))
+            store.append("client-{}".format(index % 7), entry)
     assert dumps.call_count == 0
     assert constraint_to_wire.call_count <= 10
     assert to_wire.call_count == 10
@@ -204,24 +252,28 @@ def test_admin_appends_encode_each_filter_once():
 @pytest.mark.parametrize("disk", [False, True], ids=["memory", "disk"])
 def test_an_oversized_record_is_refused_and_the_log_kept(disk, monkeypatch):
     """A record over the frame cap raises ``WireError`` before anything is
-    written: the log, its sequence and the journal file are as before, and
-    the records appended after it survive ``log_tail`` and a reopen."""
+    written or defined: the log, its sequence, its filter table and the
+    journal file are as before, and the records appended after it survive
+    ``log_tail`` and a reopen."""
     monkeypatch.setattr(message_wire, "MAX_FRAME_PAYLOAD", 400)
     small = Subscribe(Filter({"topic": "t"}), subject="client/s")
+    other = Subscribe(Filter({"topic": "u"}), subject="client/s")
     big = Subscribe(Filter({"topic": "x" * 400}), subject="client/s")
     with tempfile.TemporaryDirectory() as root:
         store = DiskRecoveryStore("B1", root) if disk else RecoveryStore("B1")
         try:
-            store.append("c1", small, 1.0)
+            store.append("c1", small)
             frames = bytes(store._frames)
             with pytest.raises(WireError, match="frame cap"):
-                store.append("c1", big, 2.0)
+                store.append("c1", big)
             assert (store.log_index, store.log_size(), bytes(store._frames)) == (1, 1, frames)
+            assert len(store._filter_numbers) == 1
             if disk:
                 with open(store._journal_path, "rb") as handle:
                     assert handle.read() == frames
-            store.append("c1", small, 3.0)
-            store.append("c2", small, 4.0)
+            store.append("c1", other)
+            store.append("c2", small)
+            assert b'"filter":[1,' in store._frames and b'"filter":0,' in store._frames
             assert [record.sequence for record in store.log_tail()] == [1, 2, 3]
             assert store.log_size() == 3
             if disk:
@@ -229,48 +281,137 @@ def test_an_oversized_record_is_refused_and_the_log_kept(disk, monkeypatch):
                 store = DiskRecoveryStore("B1", root)
                 assert store.counters["disk_torn_records"] == 0
                 assert store.counters["disk_records_recovered"] == 3
-                assert [record.logged_at for record in store.log_tail()] == [1.0, 3.0, 4.0]
+                assert [
+                    (record.origin, record.entry) for record in store.log_tail()
+                ] == [("c1", small), ("c1", other), ("c2", small)]
                 assert store.log_index == 3
         finally:
             store.close()
 
 
+@pytest.mark.parametrize("disk", [False, True], ids=["memory", "disk"])
+def test_a_retained_record_names_a_filter_defined_before_the_snapshot(disk):
+    """A snapshot that covers only the record defining a filter cuts the
+    definition off the buffer, not off the table: the record past the cut
+    that names the filter by number still decodes, before and after a
+    reopen, and so does the next record of that filter."""
+    news = Subscribe(Filter({"topic": "news"}), subject="c/s1")
+    misc = Subscribe(Filter({"topic": "misc"}), subject="c/s2")
+    again = Unsubscribe(Filter({"topic": "news"}), subject="c/s1")
+    with tempfile.TemporaryDirectory() as root:
+        store = DiskRecoveryStore("B1", root) if disk else RecoveryStore("B1")
+        try:
+            for entry in (news, misc, again):
+                store.append("c", entry)
+            store.install_snapshot(_snapshot(1))
+            assert b'"filter":[0,' not in store._frames
+            assert b'"filter":0,' in store._frames
+            assert [record.entry for record in store.log_tail()] == [misc, again]
+            if disk:
+                store.close()
+                store = DiskRecoveryStore("B1", root)
+                assert store.counters["disk_torn_records"] == 0
+                assert [record.entry for record in store.log_tail()] == [misc, again]
+            store.append("c", news)
+            assert store._frames.endswith(
+                b'[4,"c",{"filter":0,"id":0,"subject":"c/s1",'
+                b'"subscription_id":null,"type":"Subscribe"}]'
+            )
+            assert [record.entry for record in store.log_tail()] == [misc, again, news]
+        finally:
+            store.close()
+
+
 #: A record field, by position, and the JSON type a valid record has there.
-RECORD_TYPES = (int, float, str, dict)
+RECORD_TYPES = (int, str, dict)
+
+#: The ways a record names a filter number it may not.
+NUMBER_KINDS = [
+    "undefined",
+    "defined twice",
+    "same filter again",
+    "out of turn",
+    "truncated definition",
+]
+
+#: A definition cut short: no filter, or a filter missing its operands.
+TRUNCATED_DEFINITIONS = [
+    [1],
+    [1, {}],
+    [1, {"kind": "filter", "constraints": [["a"]]}],
+    [1, {"kind": "filter", "constraints": [["a", ["eq"]]]}],
+]
 
 
 @st.composite
 def torn_record_payloads(draw):
-    """A journal record payload that is truncated, garbage or of the wrong shape."""
-    good = journal_record(1, 0.5, "B2", draw(log_entries))
-    kind = draw(st.sampled_from(["truncated", "garbage", "drop", "extra", "retype", "not a list"]))
+    """``(good, bad, after)``: record 1, which defines number 0 where its
+    entry has a filter; a record 2 that is truncated, garbage, of the wrong
+    shape or names a filter number it may not; and a record 3 that would be
+    valid right after record 1."""
+    shape_kinds = ["truncated", "garbage", "drop", "extra", "retype", "not a list"]
+    kind = draw(st.sampled_from(shape_kinds + NUMBER_KINDS))
+    numbers = {}
+    entry = draw(filtered_entries if kind in NUMBER_KINDS else log_entries)
+    good = journal_record(1, "B2", entry, numbers)
+    after = journal_record(3, "B2", draw(log_entries), dict(numbers))
+    bad = journal_record(2, "B2", draw(log_entries), dict(numbers))
     if kind == "truncated":
-        return good[: draw(st.integers(0, len(good) - 1))]
+        return good, bad[: draw(st.integers(0, len(bad) - 1))], after
     if kind == "garbage":
-        return draw(st.binary(max_size=40))
-    record = json.loads(good)
-    if kind == "drop":
-        del record[draw(st.integers(0, 3))]
+        return good, draw(st.binary(max_size=40)), after
+    record = json.loads(good if kind in NUMBER_KINDS else bad)
+    if kind in NUMBER_KINDS:
+        record[0] = 2
+        field = record[2]["filter"]
+        if kind == "undefined":
+            record[2]["filter"] = draw(st.sampled_from([1, 2, 1000, -1]))
+        elif kind == "defined twice":
+            record[2]["filter"] = [0, filter_wire.filter_to_wire(draw(filters))]
+        elif kind == "same filter again":
+            record[2]["filter"] = [1, field[1]]
+        elif kind == "out of turn":
+            record[2]["filter"] = [draw(st.sampled_from([2, 7, -1])), field[1]]
+        else:
+            record[2]["filter"] = draw(st.sampled_from(TRUNCATED_DEFINITIONS))
+    elif kind == "drop":
+        del record[draw(st.integers(0, 2))]
     elif kind == "extra":
         record.append(draw(st.sampled_from(RETYPED_VALUES)))
     elif kind == "retype":
-        index = draw(st.integers(0, 3))
+        index = draw(st.integers(0, 2))
         wrong = [value for value in RETYPED_VALUES if type(value) is not RECORD_TYPES[index]]
-        record[index] = draw(st.sampled_from(wrong + [{}, {"type": 1}] if index == 3 else wrong))
+        record[index] = draw(st.sampled_from(wrong + [{}, {"type": 1}] if index == 2 else wrong))
     else:
-        record = draw(st.sampled_from([{"record": record}, record[3], "record", None]))
-    return json.dumps(record).encode("utf-8")
+        record = draw(st.sampled_from([{"record": record}, record[2], "record", None]))
+    return good, json.dumps(record).encode("utf-8"), after
+
+
+#: Record 2 names filter -1, which a Python list would take for its last.
+NEGATIVE_NUMBER = (
+    b'[1,"B2",{"filter":[0,{"constraints":[],"kind":"filter"}],"id":0,"subject":"c/s",'
+    b'"subscription_id":null,"type":"Subscribe"}]',
+    b'[2,"B2",{"filter":-1,"id":0,"subject":"c/s","subscription_id":null,"type":"Subscribe"}]',
+    b'[3,"B2",{"filter":0,"id":0,"subject":"c/s","subscription_id":null,"type":"Subscribe"}]',
+)
 
 
 @settings(max_examples=300, deadline=None)
-@given(bad=torn_record_payloads(), entry=log_entries)
-def test_a_malformed_record_reads_as_torn(bad, entry):
-    """Decoding a bad record raises ``WireError`` and nothing else, and the
-    frame scan stops there: the records before it survive, torn is reported."""
+@given(case=torn_record_payloads())
+@example(case=NEGATIVE_NUMBER)
+def test_a_malformed_record_reads_as_torn(case):
+    """Decoding a bad record after a good one raises ``WireError`` and
+    nothing else, and leaves the filter table as it was; the frame scan
+    stops there: the records before it survive, torn is reported."""
+    good, bad, after = case
+    filters = []
+    AdminLogRecord.decode(good, filters)
+    defined = list(filters)
     with pytest.raises(WireError):
-        AdminLogRecord.decode(bad)
-    good = journal_record(1, 0.5, "B2", entry)
-    records, torn = _scan_frames(_frame(good) + _frame(bad) + _frame(good))
+        AdminLogRecord.decode(bad, filters)
+    assert filters == defined
+    assert AdminLogRecord.decode(after, filters).sequence == 3
+    records, torn = _scan_frames(_frame(good) + _frame(bad) + _frame(after), [])
     assert torn
     assert [record.sequence for _, record in records] == [1]
 
@@ -278,10 +419,14 @@ def test_a_malformed_record_reads_as_torn(bad, entry):
 @settings(max_examples=300, deadline=None)
 @given(data=mutated_payloads())
 def test_a_mutated_entry_decodes_or_raises_wire_error(data):
-    """An entry with a field dropped, retyped or wrapped either decodes, as
-    the message codec decodes it, or raises ``WireError`` — nothing else."""
+    """An entry with a field dropped, retyped or wrapped, its filter written
+    as the record's definition, either decodes, as the message codec decodes
+    it, or raises ``WireError`` — nothing else."""
+    entry = json.loads(data)
+    if isinstance(entry, dict) and "filter" in entry:
+        entry["filter"] = [0, entry["filter"]]
     try:
-        record = AdminLogRecord.decode(b'[1,0.5,"B2",' + data + b"]")
+        record = AdminLogRecord.decode(json.dumps([1, "B2", entry]).encode("utf-8"))
     except WireError:
         return
     assert record.entry.to_wire() == decode_message(data).to_wire()

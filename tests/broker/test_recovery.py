@@ -33,8 +33,8 @@ class TestRecoveryStore:
     def test_log_index_counts_appended_records(self):
         store = RecoveryStore("B1")
         assert store.log_index == 0
-        store.append("client", Subscribe(Filter({"topic": "news"}), subject="client/s1"), 1.0)
-        store.append("client", Subscribe(Filter({"topic": "misc"}), subject="client/s2"), 2.0)
+        store.append("client", Subscribe(Filter({"topic": "news"}), subject="client/s1"))
+        store.append("client", Subscribe(Filter({"topic": "misc"}), subject="client/s2"))
         assert store.log_index == 2
         tail = store.log_tail()
         assert [record.sequence for record in tail] == [1, 2]

@@ -10,7 +10,6 @@ decodes back to an equal message.
 """
 
 import json
-import math
 
 import pytest
 from hypothesis import given, settings
@@ -31,11 +30,13 @@ from repro.filters.constraints import (
     Prefix,
 )
 from repro.filters.filter import Filter, MatchAll, MatchNone
+from repro.filters.wire import filter_to_wire
 from repro.messages.admin import Advertise, Subscribe, Unadvertise, Unsubscribe
+from repro.messages.mobility import MovedSubscribe
 from repro.messages.wire import CANONICAL_JSON, decode_message, journal_record, message_json
 
 from tests.broker.test_journal_frames import log_entries
-from tests.messages.test_wire import _admin, canonical, subjects
+from tests.messages.test_wire import _admin, canonical, metas, subjects
 
 ADMIN_TYPES = (Subscribe, Unsubscribe, Advertise, Unadvertise)
 
@@ -94,28 +95,42 @@ def test_identifiers_the_format_does_not_take_go_through_the_encoder(message_typ
         assert message_json(message) == CANONICAL_JSON.encode(message.to_wire())
 
 
-logged_at = st.one_of(
-    st.floats(allow_nan=True, allow_infinity=True),
-    st.sampled_from([math.inf, -math.inf, math.nan, 0.0, -0.0, 1e-320, 1e22]),
+@settings(max_examples=200, deadline=None)
+@given(
+    client_id=st.one_of(subjects, st.none(), st.integers()),
+    subscription_id=st.one_of(subjects, st.none()),
+    filter_=st.sampled_from(EVERY_KIND),
+    last_sequence=st.integers(0, 2**62),
+    new_border=st.one_of(subjects, st.integers()),
+    meta=metas,
 )
+def test_a_moved_subscribe_renders_as_the_encoder_writes_it(
+    client_id, subscription_id, filter_, last_sequence, new_border, meta
+):
+    """Text identifiers are formatted directly; any other identifier, and
+    a ``meta``, takes the encoder."""
+    _check(MovedSubscribe(client_id, subscription_id, filter_, last_sequence, new_border, meta))
 
 
 @settings(max_examples=400, deadline=None)
 @given(
     sequence=st.integers(1, 2**62),
-    logged_at=logged_at,
     origin=subjects,
     entry=st.one_of(admin_messages, log_entries),
 )
-def test_a_journal_record_renders_as_the_encoder_writes_it(sequence, logged_at, origin, entry):
-    """Non-finite clock readings included: the encoder writes ``Infinity``
-    and ``NaN`` where ``repr`` writes ``inf`` and ``nan``."""
-    data = journal_record(sequence, logged_at, origin, entry)
-    payload = [sequence, logged_at, origin, entry.to_wire()]
-    assert data == CANONICAL_JSON.encode(payload).encode("utf-8")
-    assert data == json.dumps(payload, separators=(",", ":"), sort_keys=True).encode("utf-8")
-    decoded = AdminLogRecord.decode(data)
-    assert (decoded.sequence, decoded.origin, decoded.entry) == (sequence, origin, entry)
-    assert decoded.entry.meta == entry.meta
-    assert decoded.logged_at == logged_at or math.isnan(logged_at)
-    assert journal_record(*decoded) == data
+def test_a_journal_record_renders_as_the_encoder_writes_it(sequence, origin, entry):
+    """The record that defines its entry's filter writes ``[number, filter]``
+    in its place, and the next record of that filter writes the number."""
+    earlier = filter_to_wire(Filter({"earlier": Exists()}))
+    numbers = {CANONICAL_JSON.encode(earlier): 0}
+    filters = [(0, earlier)]
+    wire = entry.to_wire()
+    for field in ([1, wire["filter"]], 1) if "filter" in wire else (None,):
+        data = journal_record(sequence, origin, entry, numbers)
+        payload = [sequence, origin, dict(wire, filter=field) if field is not None else wire]
+        assert data == CANONICAL_JSON.encode(payload).encode("utf-8")
+        assert data == json.dumps(payload, separators=(",", ":"), sort_keys=True).encode("utf-8")
+        decoded = AdminLogRecord.decode(data, filters)
+        assert (decoded.sequence, decoded.origin, decoded.entry) == (sequence, origin, entry)
+        assert decoded.entry.meta == entry.meta
+    assert len(numbers) == len(filters) == (2 if "filter" in wire else 1)
