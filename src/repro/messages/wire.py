@@ -146,6 +146,7 @@ _FORMATTED = (Subscribe, Unsubscribe, Advertise, Unadvertise, MovedSubscribe)
 #: A ``wire_fields`` entry the journal writes as a filter number.
 _NUMBERED = ("filter", FILTER)
 
+#: ``MovedSubscribe``'s canonical JSON, keys in sorted order.
 _MOVED_SUBSCRIBE = (
     '{"client_id":%s,"filter":%s,"id":%d,"last_sequence":%d,"new_border":%s,'
     '"subscription_id":%s,"type":"MovedSubscribe"}'
@@ -155,8 +156,9 @@ _MOVED_SUBSCRIBE = (
 def _filter_json(filter_: Filter) -> str:
     """``CANONICAL_JSON.encode(filter_to_wire(filter_))``, memoised on the filter.
 
-    The text lives in ``Filter._json`` and dies with the filter, so a
-    filter is rendered once however many hops and journals carry it.
+    The text lives in ``Filter._json`` and dies with the filter (unless a
+    recovery journal's filter table keeps it), so a filter is rendered
+    once however many hops and journals carry it.
     """
     text = filter_._json
     if text is None:
