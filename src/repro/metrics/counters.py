@@ -45,15 +45,13 @@ class MessageCounter:
     ) -> MessageBreakdown:
         """Totals per message kind within a time window."""
         result = MessageBreakdown()
-        messages = self.trace.link_columns.messages
-        for row in self.trace.link_rows(until=until, since=since):
-            kind = messages[row].kind
-            if kind == MessageKind.NOTIFICATION:
-                result.notifications += 1
-            elif kind == MessageKind.ADMIN:
-                result.admin += 1
+        for message_class, count in self._per_class(until, since):
+            if message_class.kind == MessageKind.NOTIFICATION:
+                result.notifications += count
+            elif message_class.kind == MessageKind.ADMIN:
+                result.admin += count
             else:
-                result.mobility += 1
+                result.mobility += count
         return result
 
     def total(self, until: Optional[float] = None, since: Optional[float] = None) -> int:
@@ -68,9 +66,19 @@ class MessageCounter:
 
     def per_message_type(self, until: Optional[float] = None) -> Dict[str, int]:
         """Traversal counts per concrete message class name."""
-        messages = self.trace.link_columns.messages
-        rows = self.trace.link_rows(until=until)
-        return dict(Counter(type(messages[row]).__name__ for row in rows))
+        counts: Counter = Counter()
+        for message_class, count in self._per_class(until):
+            counts[message_class.__name__] += count
+        return dict(counts)
+
+    def _per_class(
+        self, until: Optional[float] = None, since: Optional[float] = None
+    ) -> List[Tuple[type, int]]:
+        """``(message class, traversals)`` within a time window, by first traversal."""
+        links = self.trace.link_columns
+        rows = self.trace.link_rows(until=until, since=since)
+        counts = Counter(links.class_ids[row] for row in rows)
+        return [(links.classes[class_id], count) for class_id, count in counts.items()]
 
 
 def delivery_dedup_breakdown(clients: Iterable[Any]) -> Dict[str, int]:

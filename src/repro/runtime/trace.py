@@ -11,11 +11,19 @@ simulator backend (:mod:`repro.runtime.sim`) and the asyncio backend
 (:mod:`repro.runtime.aio`) feed the same record types — which is what
 lets the backend-parity tests compare traces across backends directly.
 
-Records are **references, not copies**: each holds the time, the
-endpoints and the message (or notification) itself, and renders
-``description`` / ``attributes`` only when something reads them.  That is
-sound because no message changes after it has been sent — the contract
-``docs/observability.md`` ("Trace records") spells out and
+A **link row** is a time, an id into the recorder's interned
+``(source, target)`` pairs and a small id into its interned message
+*classes*: it keeps no message.  Every reader of link traffic — the
+Figure 9 counts, per kind, per link, per type and per time window —
+needs no more, because ``kind`` is a class attribute of every message
+type; so a message lives only as long as the brokers and clients that
+hold it, not for the rest of the run.
+
+Drop, publish and delivery records are **references, not copies**: each
+holds the time, the endpoints and the message (or notification) itself,
+and renders ``description`` / ``attributes`` only when something reads
+them.  That is sound because no message changes after it has been sent —
+the contract ``docs/observability.md`` ("Trace records") spells out and
 ``tests/runtime/test_trace_records.py`` checks on every experiment.
 
 Link traversals and deliveries, the two high-volume kinds, are kept as
@@ -37,6 +45,15 @@ from repro.messages.notification import Notification
 _NO_SEQUENCE = -(2**63)
 
 
+def _intern(ids: Dict[Any, int], values: List[Any], value: Any) -> int:
+    """The id of *value* in *values*, appended (and numbered in *ids*) when new."""
+    value_id = ids.get(value)
+    if value_id is None:
+        value_id = ids[value] = len(values)
+        values.append(value)
+    return value_id
+
+
 class _Record:
     """Value equality over the stored fields, the message by identity."""
 
@@ -51,27 +68,58 @@ class _Record:
         return hash(self._key())
 
 
-class _MessageRecord(_Record):
-    """A message seen on a link; everything about it is read through."""
+class LinkRecord(_Record):
+    """One message crossing one link (counted once per traversal), by its class."""
 
-    __slots__ = ("time", "source", "target", "message")
+    __slots__ = ("time", "source", "target", "message_class")
 
-    def __init__(self, time: float, source: str, target: str, message: Message) -> None:
+    def __init__(self, time: float, source: str, target: str, message_class: type) -> None:
         self.time = time
         self.source = source
         self.target = target
-        self.message = message
+        self.message_class = message_class
 
     def _key(self) -> Tuple[Any, ...]:
-        return (self.time, self.source, self.target, id(self.message))
+        return (self.time, self.source, self.target, self.message_class)
 
     @property
     def kind(self) -> MessageKind:
-        return self.message.kind
+        return self.message_class.kind
 
     @property
     def message_type(self) -> str:
-        return type(self.message).__name__
+        return self.message_class.__name__
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return "{}({}, {}->{}, {})".format(
+            type(self).__name__, self.time, self.source, self.target, self.message_type
+        )
+
+
+class DropRecord(LinkRecord):
+    """One message lost by fault injection, attributed to its cause.
+
+    *reason* names the fault that consumed the message: ``"loss"`` for
+    the iid drop model, ``"partition"`` for a scheduled link-down window,
+    ``"broker-down"`` for a message that reached a crashed broker.  The
+    recovery metrics (:mod:`repro.metrics.recovery`) split losses by
+    reason, which is how the failure experiments attribute missing
+    deliveries to the fault schedule instead of guessing.  Drops are few,
+    so a drop record keeps the message, and everything about it is read
+    through.
+    """
+
+    __slots__ = ("message", "reason")
+
+    def __init__(
+        self, time: float, source: str, target: str, message: Message, reason: str
+    ) -> None:
+        super().__init__(time, source, target, type(message))
+        self.message = message
+        self.reason = reason
+
+    def _key(self) -> Tuple[Any, ...]:
+        return super()._key() + (id(self.message), self.reason)
 
     @property
     def message_id(self) -> int:
@@ -83,38 +131,9 @@ class _MessageRecord(_Record):
         return self.message.describe()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "{}({}, {}->{}, {})".format(
-            type(self).__name__, self.time, self.source, self.target, self.description
+        return "{}({}, {}->{}, {}, {})".format(
+            type(self).__name__, self.time, self.source, self.target, self.description, self.reason
         )
-
-
-class LinkRecord(_MessageRecord):
-    """One message crossing one link (counted once per traversal)."""
-
-    __slots__ = ()
-
-
-class DropRecord(_MessageRecord):
-    """One message lost by fault injection, attributed to its cause.
-
-    *reason* names the fault that consumed the message: ``"loss"`` for
-    the iid drop model, ``"partition"`` for a scheduled link-down window,
-    ``"broker-down"`` for a message that reached a crashed broker.  The
-    recovery metrics (:mod:`repro.metrics.recovery`) split losses by
-    reason, which is how the failure experiments attribute missing
-    deliveries to the fault schedule instead of guessing.
-    """
-
-    __slots__ = ("reason",)
-
-    def __init__(
-        self, time: float, source: str, target: str, message: Message, reason: str
-    ) -> None:
-        super().__init__(time, source, target, message)
-        self.reason = reason
-
-    def _key(self) -> Tuple[Any, ...]:
-        return super()._key() + (self.reason,)
 
 
 class _NotificationRecord(_Record):
@@ -189,39 +208,49 @@ class DeliveryRecord(_NotificationRecord):
 class _Columns:
     """Observations of one kind as parallel columns, one row each.
 
-    A row is a time, an id into *pairs* — the recorder's interned table of
-    ``(source, target)`` and ``(client_id, subscription_id)`` pairs — and
-    the message (for a delivery: the notification) itself.
+    A row is a time and an id into *pairs* — the recorder's interned
+    table of ``(source, target)`` and ``(client_id, subscription_id)``
+    pairs — plus the kind's own columns.
     """
 
-    __slots__ = ("pairs", "times", "pair_ids", "messages")
+    __slots__ = ("pairs", "times", "pair_ids")
 
     def __init__(self, pairs: List[Tuple[str, str]]) -> None:
         self.pairs = pairs
         self.times = array("d")
         self.pair_ids = array("I")
-        self.messages: List[Message] = []
 
     def __len__(self) -> int:
         return len(self.times)
 
 
 class LinkColumns(_Columns):
-    """Link traversals: time, ``(source, target)`` id, message."""
+    """Link traversals: time, ``(source, target)`` id, id into *classes*.
 
-    __slots__ = ()
+    *classes* is the recorder's interned table of message classes, in
+    order of first traversal (fewer than 256, one byte a row).
+    """
+
+    __slots__ = ("classes", "class_ids")
+
+    def __init__(self, pairs: List[Tuple[str, str]], classes: List[type]) -> None:
+        super().__init__(pairs)
+        self.classes = classes
+        self.class_ids = array("B")
 
     def record(self, row: int) -> LinkRecord:
-        return LinkRecord(self.times[row], *self.pairs[self.pair_ids[row]], self.messages[row])
+        pair = self.pairs[self.pair_ids[row]]
+        return LinkRecord(self.times[row], *pair, self.classes[self.class_ids[row]])
 
 
 class DeliveryColumns(_Columns):
     """Deliveries: time, ``(client_id, subscription_id)`` id, notification, sequence."""
 
-    __slots__ = ("sequences",)
+    __slots__ = ("notifications", "sequences")
 
     def __init__(self, pairs: List[Tuple[str, str]]) -> None:
         super().__init__(pairs)
+        self.notifications: List[Notification] = []
         self.sequences = array("q")
 
     def record(self, row: int) -> DeliveryRecord:
@@ -229,7 +258,7 @@ class DeliveryColumns(_Columns):
         return DeliveryRecord(
             self.times[row],
             *self.pairs[self.pair_ids[row]],
-            self.messages[row],
+            self.notifications[row],
             None if sequence == _NO_SEQUENCE else sequence,
         )
 
@@ -321,26 +350,24 @@ class TraceRecorder:
         # keeps reading the old columns for as long as it lives.
         self._pair_ids: Dict[Tuple[str, str], int] = {}
         self._pairs: List[Tuple[str, str]] = []
-        self.link_columns = LinkColumns(self._pairs)
+        self._class_ids: Dict[type, int] = {}
+        self._classes: List[type] = []
+        self.link_columns = LinkColumns(self._pairs, self._classes)
         self.delivery_columns = DeliveryColumns(self._pairs)
         # Every link traversal / delivery, as records built on read.
         self.link_records = RecordView(self.link_columns)
         self.delivery_records = RecordView(self.delivery_columns)
 
     def _pair_id(self, pair: Tuple[str, str]) -> int:
-        pair_id = self._pair_ids.get(pair)
-        if pair_id is None:
-            pair_id = self._pair_ids[pair] = len(self._pairs)
-            self._pairs.append(pair)
-        return pair_id
+        return _intern(self._pair_ids, self._pairs, pair)
 
     # -- recording hooks ----------------------------------------------------
     def record_link(self, time: float, source: str, target: str, message: Message) -> None:
-        """Record that *message* crossed the link from *source* to *target*."""
+        """Record that a message of *message*'s class crossed from *source* to *target*."""
         links = self.link_columns
         links.times.append(time)
         links.pair_ids.append(self._pair_id((source, target)))
-        links.messages.append(message)
+        links.class_ids.append(_intern(self._class_ids, self._classes, type(message)))
 
     def record_drop(
         self, time: float, source: str, target: str, message: Message, reason: str
@@ -365,7 +392,7 @@ class TraceRecorder:
         row = len(deliveries.times)
         deliveries.times.append(time)
         deliveries.pair_ids.append(self._pair_id((client_id, subscription_id)))
-        deliveries.messages.append(notification)
+        deliveries.notifications.append(notification)
         deliveries.sequences.append(_NO_SEQUENCE if sequence is None else sequence)
         return row
 
@@ -391,8 +418,9 @@ class TraceRecorder:
             high = float("inf") if until is None else until
             rows = [row for row, time in enumerate(links.times) if low <= time <= high]
         if kind is not None:
-            messages = links.messages
-            rows = [row for row in rows if messages[row].kind == kind]
+            wanted = {i for i, cls in enumerate(links.classes) if cls.kind == kind}
+            class_ids = links.class_ids
+            rows = [row for row in rows if class_ids[row] in wanted]
         return rows
 
     def link_messages(

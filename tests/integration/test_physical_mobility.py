@@ -18,6 +18,7 @@ from repro.topology.builders import balanced_tree_topology, line_topology
 from repro.experiments.fig5_relocation import figure5_topology
 
 from tests.oracles.forwarding import desired_forwarding
+from tests.oracles.trace import message_keeping_runtime
 
 WATCHED = {"topic": "news"}
 
@@ -232,7 +233,9 @@ class TestRelocationEndsWithItsReplay:
     """One Replay carries the buffered suffix and completes the relocation (Section 4.1)."""
 
     def _line(self, notify=None):
-        network = build(line_topology(3), latency=0.01)
+        # Keeps each link message, for the Replays' subscription ids.
+        runtime = message_keeping_runtime(latency=0.01)
+        network = PubSubNetwork(line_topology(3), strategy="covering", runtime=runtime)
         publishers = []
         for broker in ("B1", "B2", "B3"):
             publisher = network.add_client("p" + broker, broker)
@@ -302,8 +305,8 @@ class TestRelocationEndsWithItsReplay:
     def test_a_replay_crosses_each_link_once(self):
         network, _ = self._two_rows_toward_b3()
         replays = [
-            (record.source, record.target, record.message.subscription_id)
-            for record in network.trace.link_records
+            (record.source, record.target, message.subscription_id)
+            for record, message in network.trace.sent_records()
             if record.message_type == "Replay"
         ]
         assert sorted(replays) == [

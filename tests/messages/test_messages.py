@@ -18,6 +18,7 @@ from repro.messages.mobility import (
 from repro.messages.notification import Notification, SequencedNotification
 from repro.telemetry.events import LogEvent
 from repro.topology.builders import line_topology
+from tests.oracles.trace import message_keeping_runtime
 
 
 class TestNotification:
@@ -41,14 +42,15 @@ class TestNotification:
         assert Notification({"a": 1}, publisher="p", publisher_seq=1).message_id == 0
 
         def run():
-            network = PubSubNetwork(line_topology(3), latency=0.05)
+            runtime = message_keeping_runtime(latency=0.05)
+            network = PubSubNetwork(line_topology(3), runtime=runtime)
             producer = network.add_client("P", "B1")
             producer.advertise({"a": 1})
             network.add_client("C", "B3").subscribe({"a": 1})
             network.settle()
             first, second = producer.publish({"a": 1}), producer.publish({"a": 1})
             network.settle()
-            sent = {id(record.message): record.message_id for record in network.trace.link_records}
+            sent = {id(message): message.message_id for message in network.trace.sent}
             return first.message_id, second.message_id, sorted(sent.values())
 
         first, second, sent = run()

@@ -1,4 +1,4 @@
-"""List-of-objects specification of the trace recorder.
+"""List-of-objects specification of the trace recorder, and a recorder that keeps messages.
 
 :class:`~repro.runtime.trace.TraceRecorder` keeps link traversals and
 deliveries as columns and builds records when read; what it must answer
@@ -6,12 +6,53 @@ is written down here the obvious way — one record object per
 observation, appended to a list, queries filtering those lists — together
 with the link-message aggregations of :mod:`repro.metrics.counters`
 computed from the records alone.
+
+A production link row names the message's class, not the message.  Tests
+that read more of a link message — its id, description, frame or object
+identity — record into a :class:`MessageKeepingRecorder`, through
+``make_runtime(..., trace=)`` or :func:`message_keeping_runtime`.
 """
 
 from collections import Counter
 
 from repro.messages.base import MessageKind
-from repro.runtime.trace import DeliveryRecord, DropRecord, LinkRecord, PublishRecord
+from repro.runtime.factory import make_runtime
+from repro.runtime.trace import (
+    DeliveryRecord,
+    DropRecord,
+    LinkRecord,
+    PublishRecord,
+    TraceRecorder,
+)
+
+
+class MessageKeepingRecorder(TraceRecorder):
+    """The production recorder, plus the message of every link row.
+
+    ``sent[row]`` is the message that ``link_columns`` row *row* counted.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.sent = []
+
+    def record_link(self, time, source, target, message):
+        super().record_link(time, source, target, message)
+        self.sent.append(message)
+
+    def sent_records(self):
+        """``(link record, message)`` for every link row, in record order."""
+        assert len(self.sent) == len(self.link_records)
+        return list(zip(self.link_records, self.sent))
+
+    def clear(self):
+        super().clear()
+        self.sent = []
+
+
+def message_keeping_runtime(name="sim", latency=None):
+    """A runtime of backend *name* recording into a :class:`MessageKeepingRecorder`."""
+    return make_runtime(name, latency, trace=MessageKeepingRecorder())
 
 
 class ReferenceRecorder:
@@ -24,7 +65,7 @@ class ReferenceRecorder:
         self.drop_records = []
 
     def record_link(self, time, source, target, message):
-        self.link_records.append(LinkRecord(time, source, target, message))
+        self.link_records.append(LinkRecord(time, source, target, type(message)))
 
     def record_drop(self, time, source, target, message, reason):
         self.drop_records.append(DropRecord(time, source, target, message, reason))

@@ -46,6 +46,7 @@ from repro.telemetry.events import LogEvent, MetricSnapshotEvent, SpanEvent
 from tests.broker.test_snapshot_codec import routing_snapshots
 from tests.telemetry.test_events import events
 from tests.messages.test_wire import messages, mutated_payloads, sequenced_notifications
+from tests.oracles.trace import message_keeping_runtime
 from tests.runtime.test_backend_parity import AIO_BACKENDS, _trace_fingerprint
 
 
@@ -504,8 +505,11 @@ def _faulty_run(network):
 def test_iid_faults_leave_virtual_time_parity_intact(backend):
     """Duplicated frames reuse a decoded object; drops and duplicates still
     land exactly where the simulator puts them, timestamps included."""
-    expected = _faulty_run(PubSubNetwork(line_topology(4), strategy="covering"))
-    network = PubSubNetwork(line_topology(4), strategy="covering", runtime=make_runtime(backend))
+    expected = _faulty_run(
+        PubSubNetwork(line_topology(4), strategy="covering", runtime=message_keeping_runtime())
+    )
+    runtime = message_keeping_runtime(backend)
+    network = PubSubNetwork(line_topology(4), strategy="covering", runtime=runtime)
     try:
         assert _faulty_run(network) == expected
     except OSError as error:  # pragma: no cover - sandboxed environments

@@ -30,6 +30,7 @@ from repro.experiments.runner import EXPERIMENTS
 from repro.runtime.aio import AioRuntime
 from repro.runtime.factory import make_runtime
 from repro.topology.builders import line_topology
+from tests.oracles.trace import message_keeping_runtime
 
 
 def _delivery_trace(network):
@@ -238,7 +239,7 @@ def recorded_networks():
 
 def run_recorded(name, backend):
     """Run experiment *name* (quick) on *backend*: its result and one fingerprint per network."""
-    with recorded_networks() as networks:
+    with recorded_runtimes(message_keeping_runtime), recorded_networks() as networks:
         result = EXPERIMENTS[name].run(Backend(backend), quick=True)
     return result, [_fingerprint(network) for network in networks]
 
@@ -252,9 +253,11 @@ def _fingerprint(network):
 def _trace_fingerprint(trace):
     """Everything a trace records in record order, timestamps and message ids included.
 
-    Every backend that models time runs the same ``Link``, so even the
-    append order of link and drop records is the same — except on
-    :data:`LINK_ORDER_EXEMPT`.
+    *trace* is a ``MessageKeepingRecorder``: a link row names only the
+    message's class, the recorder keeps the message for its id and
+    description.  Every backend that models time runs the same ``Link``,
+    so even the append order of link and drop records is the same —
+    except on :data:`LINK_ORDER_EXEMPT`.
     """
     deliveries = [
         (
@@ -275,10 +278,10 @@ def _trace_fingerprint(trace):
             record.target,
             record.kind.name,
             record.message_type,
-            record.message_id,
-            record.description,
+            message.message_id,
+            message.describe(),
         )
-        for record in trace.link_records
+        for record, message in trace.sent_records()
     ]
     drops = [
         (

@@ -17,11 +17,12 @@ on trial.
 import pytest
 
 from repro.broker.network import PubSubNetwork
-from repro.runtime.factory import BACKENDS, make_runtime
+from repro.runtime.factory import BACKENDS
 from repro.sim.rng import DeterministicRandom
 from repro.topology.builders import balanced_tree_topology
 
 from tests.oracles.matching import oracle_dispatch
+from tests.oracles.trace import message_keeping_runtime
 from tests.runtime.test_backend_parity import _trace_fingerprint
 
 
@@ -29,7 +30,7 @@ def _run_workload(backend, rebuild=False):
     network = PubSubNetwork(
         balanced_tree_topology(depth=2, fanout=2),
         strategy="covering",
-        runtime=make_runtime(backend, latency=0.01),
+        runtime=message_keeping_runtime(backend, latency=0.01),
     )
     leaves = network.graph.leaves()
     rng = DeterministicRandom(29)

@@ -14,10 +14,11 @@ from repro.broker.network import PubSubNetwork
 from repro.core.adaptivity import UncertaintyPlan
 from repro.core.ploc import MovementGraph
 from repro.messages.wire import encode_frame
-from repro.runtime.factory import BACKENDS, make_runtime
+from repro.runtime.factory import BACKENDS
 from repro.sim.rng import DeterministicRandom
 from repro.telemetry import RingBufferSink, TelemetryConfig
 from repro.topology.builders import line_topology
+from tests.oracles.trace import message_keeping_runtime
 from tests.runtime.test_backend_parity import _trace_fingerprint
 
 #: Where the consumers live and roam; B3 hosts no client, so it can crash.
@@ -37,7 +38,7 @@ def _run(backend, seed):
     network = PubSubNetwork(
         line_topology(5),
         strategy="covering",
-        runtime=make_runtime(backend, latency=0.05),
+        runtime=message_keeping_runtime(backend, latency=0.05),
         telemetry=TelemetryConfig(sink_factory=lambda: sink),
     )
     try:
@@ -78,9 +79,7 @@ def _run(backend, seed):
         network.settle()
     finally:
         network.close()
-    links = [
-        (record.message_id, encode_frame(record.message)) for record in network.trace.link_records
-    ]
+    links = [(message.message_id, encode_frame(message)) for message in network.trace.sent]
     events = [event.message_id for event in sink.events()]
     return _trace_fingerprint(network.trace), links, events
 

@@ -1,18 +1,24 @@
 """Tripwires: what observing one delivery or one link traversal keeps in memory.
 
-The trace stores deliveries and link traversals as columns — a time, an
-id into the recorder's interned endpoint pairs, the message reference
-and, for a delivery, its sequence number — and ``Client.received`` keeps
-one row number per delivery, shared with the trace.  That is about 34
-bytes per delivery (trace and client) and about 23 per link traversal.
-One ``__slots__`` record per observation, referenced from lists, cost
-about 89 and 75; each bound sits between.
+The trace stores deliveries and link traversals as columns — a time and
+an id into the recorder's interned endpoint pairs, plus, for a delivery,
+the notification reference and its sequence number, and for a link
+traversal a one-byte id into the recorder's interned message classes —
+and ``Client.received`` keeps one row number per delivery, shared with
+the trace.  That is about 34 bytes per delivery (trace and client) and
+about 16 per link traversal: 13 of columns (an 8-byte time, a 4-byte pair
+id, a 1-byte class id) and about 3 of the one ``PublishRecord`` per
+publish.  A link row that kept the message reference cost about 23, and
+one ``__slots__`` record per observation, referenced from lists, about 89
+and 75.  A link row keeps no message, so a bare network keeps none of
+the messages its links carried once they are handled.
 
-On the asyncio runtime a traversal's message is a decoded copy, and the
-trace keeps it alive.  The runtime decodes each distinct payload once, so
-a notification flooded down a line is two objects — the publisher's and
-one decoded — about 160 bytes of decoder output and notification per
-traversal; decoding at every hop kept five objects, about 500 bytes.
+On the asyncio runtime a traversal's message is a decoded copy, which a
+recorder keeping the link messages (the test's) keeps alive.  The runtime
+decodes each distinct payload once, so a notification flooded down a
+line is two objects — the publisher's and one decoded — about 160 bytes
+of decoder output and notification per traversal; decoding at every hop
+kept five objects, about 500 bytes.
 
 A forwarded subscription's filter is a decoded copy too, and every row,
 forwarding state and dispatch plan on its path keeps it.  Each network
@@ -34,8 +40,11 @@ from repro.core.adaptivity import UncertaintyPlan
 from repro.core.location_filter import MYLOC, LocationDependentFilter
 from repro.core.ploc import MovementGraph
 from repro.filters.filter import Filter, MatchAll
+from repro.messages.admin import Subscribe
+from repro.messages.base import Message, MessageKind
 from repro.runtime.factory import BACKENDS, make_runtime
 from repro.topology.builders import balanced_tree_topology, line_topology
+from tests.oracles.trace import message_keeping_runtime
 
 SUBSCRIBERS = 150
 PUBLISHES = 200
@@ -43,7 +52,7 @@ BYTES_PER_DELIVERY = 48
 
 HOPS = 20
 LINK_PUBLISHES = 500
-BYTES_PER_LINK_TRAVERSAL = 32
+BYTES_PER_LINK_TRAVERSAL = 18
 
 WIRE_HOPS = 5
 WIRE_PUBLISHES = 200
@@ -113,16 +122,55 @@ def test_observing_a_link_traversal_stays_small():
     assert 0 < live <= BYTES_PER_LINK_TRAVERSAL * traversals, live / traversals
 
 
+def _reachable(root):
+    """Every object reachable from *root* through ``gc.get_referents``.
+
+    A class is reached but not walked: through its module it would reach
+    the whole process.
+    """
+    seen, stack = {id(root): root}, [root]
+    while stack:
+        for referent in gc.get_referents(stack.pop()):
+            if id(referent) not in seen:
+                seen[id(referent)] = referent
+                if not isinstance(referent, type):
+                    stack.append(referent)
+    return list(seen.values())
+
+
+def test_a_bare_network_keeps_no_link_message():
+    # Kept alive, so no Subscribe made here can reuse the id of an earlier one.
+    earlier = [obj for obj in gc.get_objects() if isinstance(obj, Subscribe)]
+    earlier_ids = {id(obj) for obj in earlier}
+    network = PubSubNetwork(line_topology(3), strategy="covering", latency=0.01)
+    producer = network.add_client("producer", "B1")
+    producer.advertise({"topic": "news"})
+    consumer = network.add_client("consumer", "B3")
+    consumer.subscribe({"topic": "news"})
+    network.settle()
+    producer.publish({"topic": "news", "n": 1})
+    network.settle()
+
+    assert len(consumer.received) == 1
+    counts = {kind: network.trace.count_link_messages(kind) for kind in MessageKind}
+    assert counts[MessageKind.ADMIN] >= 4 and counts[MessageKind.NOTIFICATION] == 2, counts
+    gc.collect()
+    live = [obj for obj in gc.get_objects() if isinstance(obj, Subscribe)]
+    assert [obj for obj in live if id(obj) not in earlier_ids] == []
+    reached = _reachable(network.trace.link_columns)
+    assert [obj for obj in reached if isinstance(obj, Message)] == []
+
+
 @pytest.mark.parametrize("backend", ["aio-memory", "aio-tcp"])
 def test_forwarded_notifications_share_one_decoded_object(backend):
     network = PubSubNetwork(
-        line_topology(WIRE_HOPS + 1), strategy="flooding", runtime=make_runtime(backend)
+        line_topology(WIRE_HOPS + 1), strategy="flooding", runtime=message_keeping_runtime(backend)
     )
     try:
         producer = network.add_client("producer", "B1")
         producer.advertise({"topic": "news"})
         network.settle()
-        before = len(network.trace.link_columns)
+        before = len(network.trace.sent)
 
         # Paced, like a live publisher: a burst wider than the runtime's
         # decoded-payload bound would push each payload out before its next hop.
@@ -132,7 +180,7 @@ def test_forwarded_notifications_share_one_decoded_object(backend):
     finally:
         network.close()
 
-    messages = network.trace.link_columns.messages[before:]
+    messages = network.trace.sent[before:]
     assert len(messages) == WIRE_HOPS * WIRE_PUBLISHES
     # The publisher's object on the first hop, one decoded object on every later hop.
     assert len({id(message) for message in messages}) <= 2 * WIRE_PUBLISHES

@@ -1,16 +1,20 @@
 """Trace records are references to the messages, rendered when read.
 
-Two things make that safe and are pinned here:
+A link record names the message's class instead: its kind and type name
+are read off the class.  Drop, publish and delivery records keep the
+message (or notification) itself.  Two things make that safe and are
+pinned here:
 
 * **Nothing changes a message after it was sent.**  A test-only recorder
   renders every message at record time — what the recorder used to store
-  — and at the end of every experiment of the backend-parity suite, on
-  all three backends, the lazily rendered properties must still say the
-  same.
+  — and keeps the link messages; at the end of every experiment of the
+  backend-parity suite, on all three backends, the kept messages and the
+  lazily rendered properties must still say the same.
 * **The read API is unchanged**: the four record types answer the same
-  attribute names with the same values as the eager records did,
-  ``Client.received`` holds rows of the trace and builds records equal
-  to the trace's, and ``clear()`` lets go of the messages.
+  attribute names with the same values as the eager records did (a link
+  record its time, endpoints, kind and type name), ``Client.received``
+  holds rows of the trace and builds records equal to the trace's, and
+  ``clear()`` lets go of the messages.
 """
 
 import gc
@@ -34,6 +38,7 @@ from repro.runtime.trace import (
     TraceRecorder,
 )
 from repro.topology.builders import line_topology
+from tests.oracles.trace import MessageKeepingRecorder
 from tests.runtime.test_backend_parity import recorded_runtimes
 
 BACKENDS = ("sim", "aio-memory", "aio-tcp")
@@ -51,7 +56,7 @@ def _rendered_notification(notification):
     )
 
 
-class SnapshottingRecorder(TraceRecorder):
+class SnapshottingRecorder(MessageKeepingRecorder):
     """Keeps, beside each record, what an eager recorder would have copied."""
 
     def __init__(self):
@@ -85,7 +90,9 @@ class SnapshottingRecorder(TraceRecorder):
         def read_notification(record):
             return (record.publisher, record.publisher_seq, record.attributes)
 
-        assert [read_message(r) for r in self.link_records] == self.link_snapshots
+        assert [_rendered_message(message) for message in self.sent] == self.link_snapshots
+        links = [(r.kind, r.message_type) for r in self.link_records]
+        assert links == [snapshot[:2] for snapshot in self.link_snapshots]
         assert [read_message(r) for r in self.drop_records] == self.drop_snapshots
         assert [read_notification(r) for r in self.publish_records] == self.publish_snapshots
         assert [read_notification(r) for r in self.delivery_records] == self.delivery_snapshots
@@ -121,21 +128,31 @@ def _notification(seq=7, **attributes):
     return Notification(attributes or {"b": 2, "a": 1}, publisher="p", publisher_seq=seq)
 
 
-def test_link_and_drop_records_read_through_to_the_message():
+def test_a_link_record_reads_kind_and_type_off_the_message_class():
     trace = TraceRecorder()
     subscribe = Subscribe(Filter({"a": 1}), subject="s")
     trace.record_link(1.0, "A", "B", subscribe)
+    (link,) = trace.link_records
+    assert isinstance(link, LinkRecord)
+    assert (link.time, link.source, link.target, link.message_class) == (1.0, "A", "B", Subscribe)
+    assert link.kind is MessageKind.ADMIN
+    assert link.message_type == "Subscribe"
+    assert link == LinkRecord(1.0, "A", "B", Subscribe)
+    assert not hasattr(link, "message")
+
+
+def test_a_drop_record_reads_through_to_the_message():
+    trace = TraceRecorder()
+    subscribe = Subscribe(Filter({"a": 1}), subject="s")
     trace.record_drop(2.0, "B", "C", subscribe, "partition")
-    (link,), (drop,) = trace.link_records, trace.drop_records
-    assert isinstance(link, LinkRecord) and isinstance(drop, DropRecord)
-    assert (link.time, link.source, link.target) == (1.0, "A", "B")
+    (drop,) = trace.drop_records
+    assert isinstance(drop, DropRecord)
     assert (drop.time, drop.source, drop.target, drop.reason) == (2.0, "B", "C", "partition")
-    for record in (link, drop):
-        assert record.message is subscribe
-        assert record.kind is MessageKind.ADMIN
-        assert record.message_type == "Subscribe"
-        assert record.message_id == subscribe.message_id
-        assert record.description == subscribe.describe()
+    assert drop.message is subscribe
+    assert drop.kind is MessageKind.ADMIN
+    assert drop.message_type == "Subscribe"
+    assert drop.message_id == subscribe.message_id
+    assert drop.description == subscribe.describe()
 
 
 def test_publish_and_delivery_records_read_through_to_the_notification():

@@ -20,6 +20,7 @@ from repro.telemetry.events import (
     decode_event,
 )
 from repro.topology.builders import line_topology
+from tests.oracles.trace import message_keeping_runtime
 
 names = st.text(
     st.characters(min_codepoint=33, max_codepoint=126), min_size=1, max_size=12
@@ -112,7 +113,8 @@ def _published_ids(telemetry):
     """``(link message ids, event ids)`` of one publish on a fresh 3-broker line."""
     sink = RingBufferSink()
     config = TelemetryConfig(sink_factory=lambda: sink) if telemetry else None
-    network = PubSubNetwork(line_topology(3), latency=0.05, telemetry=config)
+    runtime = message_keeping_runtime(latency=0.05)
+    network = PubSubNetwork(line_topology(3), runtime=runtime, telemetry=config)
     producer = network.add_client("P", "B1")
     producer.advertise({"topic": "news"})
     network.add_client("C", "B3").subscribe({"topic": "news"})
@@ -120,7 +122,7 @@ def _published_ids(telemetry):
     producer.publish({"topic": "news"})
     network.settle()
     network.close()
-    links = [record.message_id for record in network.trace.link_records]
+    links = [message.message_id for message in network.trace.sent]
     return links, [event.message_id for event in sink.events()]
 
 

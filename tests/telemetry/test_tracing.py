@@ -5,6 +5,7 @@ from repro.telemetry import RingBufferSink, TelemetryConfig
 from repro.telemetry.events import SpanEvent
 from repro.telemetry.tracing import build_span_tree, render_span_tree, trace_ids
 from repro.topology.builders import line_topology
+from tests.oracles.trace import message_keeping_runtime
 
 
 def _traced_network(runtime=None, latency=0.05):
@@ -85,13 +86,14 @@ def test_telemetry_off_runs_are_byte_identical():
 
     def run(telemetry):
         config = TelemetryConfig(sink_factory=RingBufferSink) if telemetry else None
+        runtime = message_keeping_runtime(latency=0.05)
         network = PubSubNetwork(
-            line_topology(4), strategy="covering", latency=0.05, telemetry=config
+            line_topology(4), strategy="covering", runtime=runtime, telemetry=config
         )
         _publish_once(network)
         links = [
-            (r.time, r.source, r.target, r.message_type, r.message_id)
-            for r in network.trace.link_records
+            (r.time, r.source, r.target, r.message_type, message.message_id)
+            for r, message in network.trace.sent_records()
         ]
         deliveries = [
             (r.time, r.client_id, r.publisher, r.publisher_seq, r.sequence)
