@@ -11,8 +11,10 @@ regressed beyond tolerance:
 
 * *cost counters* (``covering_calls*``, ``merge_evals*``,
   ``admin_messages``, ``settle_events*``, ``cache_misses*``,
-  ``constraint_evals*``) must not **increase** by more than
-  ``--counter-tolerance`` (default 5%);
+  ``constraint_evals*``, ``mask_ops``, ``bitset_rebuilds``,
+  ``fig9_total_messages`` and the recovery counters) must not
+  **increase** by more than ``--counter-tolerance`` (default 5%); under
+  ``--exact`` they must not move at all, in either direction;
 * *cost ratios* against the from-scratch specification
   (``covering_call_ratio``, ``merge_eval_ratio``,
   ``constraint_eval_ratio``) or the unbatched run (``event_ratio``) must
@@ -72,6 +74,10 @@ COUNTER_FIELDS = (
     # creeping up means the bitset plane (or its shared-predicate
     # skipping) stopped doing its job.
     "mask_ops",
+    # Predicate masks written per filter indexed: plan builds and churn.
+    "bitset_rebuilds",
+    # Figure 9's link-message total, counted from the trace's link rows.
+    "fig9_total_messages",
 )
 #: extra_info fields where a *decrease* is a lost speedup.
 RATIO_FIELDS = (

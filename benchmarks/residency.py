@@ -2,6 +2,7 @@
 """Residency census: what each ``repro`` module keeps alive per routing row.
 
     python3 benchmarks/residency.py --workload churn_mixed [--seed 1] [--scale 1.0] [--lines N]
+        [--holders]
 
 Runs the set-up and the warm-up cycle of one end-to-end workload (the
 fixed amount of work after which ``benchmarks/e2e`` reads ``peak_rss_mb``)
@@ -14,13 +15,30 @@ just the modules.  ``tracemalloc`` keeps its own
 bookkeeping, so ``ru_maxrss`` here reads higher than in an untraced run;
 compare it only with other census runs.  The workloads and the harness
 are imported from ``benchmarks/e2e`` and used as they are.
+
+An allocation site names the line that built an object, not what keeps
+it alive.  ``--holders`` names the holder: among the objects the network
+holds after the warm-up (``sys.getsizeof`` each), for
+the ten types with the most bytes and for every ``Message`` instance, it
+prints the bytes per owner — the trace's link columns, its delivery
+columns, the routing tables, the forwarding states, the journals and the
+clients — and the bytes no owner holds ("none").  Each object goes to
+the owner nearest to it: the one a walk up its referrers meets first,
+found as one breadth-first walk down from every owner at once.  That walk
+passes none of the network's own parts (the network, its trace, runtime,
+brokers and links), since those hold every owner; a second walk from
+those parts finds the rest.  No walk passes a class, module, function
+or frame.
 """
 
 import argparse
+import gc
 import os
 import resource
 import sys
 import tracemalloc
+import types
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -32,13 +50,119 @@ from workloads import WORKLOADS, make_workload  # noqa: E402
 
 # Imported before the census starts, so module set-up is not counted.
 import repro  # noqa: E402, F401
+from repro.messages.base import Message  # noqa: E402
+
+#: The named owners ``--holders`` attributes objects to, in tie-break order.
+OWNERS = (
+    "trace links",
+    "trace deliveries",
+    "routing table",
+    "forwarding",
+    "journal",
+    "client",
+)
+#: Objects a holder walk never passes: each leads to the whole process.
+_OPAQUE = (
+    type,
+    types.ModuleType,
+    types.FunctionType,
+    types.BuiltinFunctionType,
+    types.MethodType,
+    types.FrameType,
+    types.CodeType,
+)
 
 
-def census(name, seed, scale):
+def _owner_roots(network):
+    """The objects each owner is, per name of :data:`OWNERS`."""
+    brokers = list(network.brokers.values())
+    return {
+        "trace links": [network.trace.link_columns],
+        "trace deliveries": [network.trace.delivery_columns],
+        "routing table": [
+            table for b in brokers for table in (b.subscription_table, b.advertisement_table)
+        ],
+        "forwarding": [broker.forwarding for broker in brokers],
+        "journal": [broker.recovery for broker in brokers if broker.recovery is not None],
+        "client": list(network.clients.values()),
+    }
+
+
+def _network_parts(network):
+    """The network, its trace and runtime, its brokers, their parts and its links."""
+    parts = [network, network.trace, *vars(network).values(), *network.links.values()]
+    for broker in network.brokers.values():
+        parts += [broker, *vars(broker).values()]
+    return parts
+
+
+def _walk(held, frontier, barrier):
+    """Label everything *frontier* reaches with its holder's label, breadth first.
+
+    *held* maps ``id(object)`` to ``(label, object)``.
+    """
+    while frontier:
+        reached = []
+        for holder in frontier:
+            name = held[id(holder)][0]
+            for referent in gc.get_referents(holder):
+                key = id(referent)
+                if key in held or key in barrier or isinstance(referent, _OPAQUE):
+                    continue
+                held[key] = (name, referent)
+                reached.append(referent)
+        frontier = reached
+
+
+def _nearest_owners(network):
+    """``(owner, object)`` for every object the network holds; ``"none"`` if no owner does."""
+    held, frontier = {}, []
+    for name, roots in _owner_roots(network).items():
+        for root in roots:
+            if id(root) not in held:
+                held[id(root)] = (name, root)
+                frontier.append(root)
+    parts = _network_parts(network)
+    _walk(held, frontier, {id(part) for part in parts})
+    parts = [part for part in parts if id(part) not in held]
+    held.update((id(part), ("none", part)) for part in parts)
+    _walk(held, parts, ())
+    return held.values()
+
+
+def holders(network, top=10):
+    """``[(label, objects, bytes, bytes per owner)]``: the *top* types by bytes, then messages."""
+    per_type = {}
+    messages = [0, 0, Counter()]
+    for owner, obj in _nearest_owners(network):
+        size = sys.getsizeof(obj)
+        rows = [per_type.setdefault(type(obj), [0, 0, Counter()])]
+        if isinstance(obj, Message):
+            rows.append(messages)
+        for row in rows:
+            row[0] += 1
+            row[1] += size
+            row[2][owner] += size
+    largest = sorted(per_type.items(), key=lambda item: -item[1][1])[:top]
+    table = [(kind.__qualname__, *row) for kind, row in largest]
+    return table + [("Message (every class)", *messages)]
+
+
+def _print_holders(table):
+    columns = OWNERS + ("none",)
+    print("{:<28} {:>9} {:>11}".format("type", "objects", "bytes"), end="")
+    print("".join(" {:>16}".format(column) for column in columns))
+    for label, objects, size, owners in table:
+        print("{:<28} {:>9,} {:>11,}".format(label[:28], objects, size), end="")
+        print("".join(" {:>16,}".format(owners[column]) for column in columns))
+
+
+def census(name, seed, scale, with_holders=False):
     """Live ``repro`` allocations after set-up plus warm-up, and the row count.
 
     Returns the per-module byte totals, the per-line statistics (largest
-    first) and the number of subscription routing rows.
+    first), the number of subscription routing rows and, *with_holders*,
+    the :func:`holders` table (else ``None``).
     """
     tracemalloc.start()
     try:
@@ -48,6 +172,7 @@ def census(name, seed, scale):
     finally:
         tracemalloc.stop()
     rows = sum(driver.network.routing_table_sizes().values())
+    held = holders(driver.network) if with_holders else None
     driver.close()
     ours = snapshot.filter_traces([tracemalloc.Filter(True, "*/repro/*")])
     modules = {}
@@ -55,7 +180,7 @@ def census(name, seed, scale):
         path = statistic.traceback[0].filename
         module = path[path.rindex("repro" + os.sep) :]
         modules[module] = modules.get(module, 0) + statistic.size
-    return modules, ours.statistics("lineno"), rows
+    return modules, ours.statistics("lineno"), rows, held
 
 
 def _site(frame):
@@ -72,11 +197,16 @@ def main(argv):
     parser.add_argument(
         "--lines", type=int, default=0, metavar="N", help="also list the N largest allocation sites"
     )
+    parser.add_argument(
+        "--holders",
+        action="store_true",
+        help="also attribute the largest live object types to the structures that hold them",
+    )
     args = parser.parse_args(argv)
     if os.environ.get("PYTHONHASHSEED") != "0":
         # Same pinning as benchmarks/e2e/run.py: set and dict orders repeat.
         os.execve(sys.executable, [sys.executable] + sys.argv, dict(os.environ, PYTHONHASHSEED="0"))
-    modules, lines, rows = census(args.workload, args.seed, args.scale)
+    modules, lines, rows, held = census(args.workload, args.seed, args.scale, args.holders)
     total = sum(modules.values())
     print(
         "{} seed {} scale {}: {:,} routing rows".format(args.workload, args.seed, args.scale, rows)
@@ -97,6 +227,9 @@ def main(argv):
                     statistic.size / max(rows, 1),
                 )
             )
+    if held is not None:
+        print()
+        _print_holders(held)
     maxrss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     print("ru_maxrss (tracemalloc on) {:.1f} MB".format(maxrss_mb))
     return 0
