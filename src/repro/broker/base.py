@@ -287,7 +287,8 @@ class Broker:
             self.reliability.journal(origin, message)
         if interns:
             # A decoded or replayed copy gives way to the live filter, on
-            # the message too, since a trace keeps the message.
+            # the message itself: the handler reads it there, and a decoded
+            # message is shared with every later reader of equal bytes.
             message.filter = self.filter_caches.intern(message.filter)
         return handler(self if component is None else getattr(self, component), message, origin)
 
