@@ -18,11 +18,11 @@ are imported from ``benchmarks/e2e`` and used as they are.
 
 An allocation site names the line that built an object, not what keeps
 it alive.  ``--holders`` names the holder: among the objects the network
-holds after the warm-up (``sys.getsizeof`` each), for
-the ten types with the most bytes and for every ``Message`` instance, it
-prints the bytes per owner — the trace's link columns, its delivery
-columns, the routing tables, the forwarding states, the journals and the
-clients — and the bytes no owner holds ("none").  Each object goes to
+holds after the warm-up (``sys.getsizeof`` each), for the ten types with
+the most bytes and for every ``Message`` instance, it prints the bytes
+per owner — the trace's link columns, its delivery columns, the routing
+tables, the forwarding states, the journals and the clients — and the
+bytes no owner holds ("none").  Each object goes to
 the owner nearest to it: the one a walk up its referrers meets first,
 found as one breadth-first walk down from every owner at once.  That walk
 passes none of the network's own parts (the network, its trace, runtime,
@@ -89,8 +89,8 @@ def _owner_roots(network):
 
 
 def _network_parts(network):
-    """The network, its trace and runtime, its brokers, their parts and its links."""
-    parts = [network, network.trace, *vars(network).values(), *network.links.values()]
+    """The network, its attributes (trace, runtime ...), brokers, their parts and links."""
+    parts = [network, *vars(network).values(), *network.links.values()]
     for broker in network.brokers.values():
         parts += [broker, *vars(broker).values()]
     return parts
