@@ -5,6 +5,7 @@ import pytest
 from repro.broker.client import Client, ClientError
 from repro.broker.network import PubSubNetwork
 from repro.filters.filter import Filter
+from repro.messages.notification import Notification
 from repro.topology.builders import line_topology
 
 
@@ -135,3 +136,68 @@ class TestSequencesAndBookkeeping:
         assert "B1" in repr(consumer)
         consumer.detach()
         assert "detached" in repr(consumer)
+
+
+def _notification(n):
+    return Notification(attributes={"topic": "news", "n": n}, publisher="p", publisher_seq=n)
+
+
+class TestWithdrawnSubscriptions:
+    """What a client keeps of a subscription once it is withdrawn."""
+
+    def test_withdrawing_a_durable_subscription_with_a_gap(self):
+        client = Client("c")
+        subscription = client.subscribe({"topic": "news"}, durable=True)
+        client.deliver(subscription, _notification(1), 1)
+        client.deliver(subscription, _notification(3), 3)
+        assert client.unfilled_gap_ranges() == [(2, 2)]
+        client.unsubscribe(subscription)
+        assert client.unfilled_gap_ranges() == [(2, 2)]
+        assert client.unfilled_gap_ranges(subscription) == [(2, 2)]
+
+    def test_a_late_delivery_to_a_withdrawn_id(self):
+        seen = []
+        client = Client("c", notify=lambda sub, notification, seq: seen.append((sub, seq)))
+        subscription = client.subscribe({"topic": "news"})
+        client.deliver(subscription, _notification(1), 1)
+        client.unsubscribe(subscription)
+        assert client.last_sequence(subscription) == 0
+        client.deliver(subscription, _notification(5), 5)
+        assert client.last_sequence(subscription) == 5
+        assert seen == [(subscription, 1), (subscription, 5)]
+        assert [r.sequence for r in client.received] == [1, 5]
+        assert client.subscription_ids() == []
+
+    @pytest.mark.parametrize(
+        "withdrawn_detached, arrived",
+        [(False, [(1, 1)]), (True, [(1, 1), (2, 2), (3, 3), (4, 4)])],
+        ids=["withdrawn-attached", "withdrawn-detached"],
+    )
+    def test_reusing_a_withdrawn_id_while_detached_then_moving(
+        self, network, withdrawn_detached, arrived
+    ):
+        producer = network.add_client("producer", "B3")
+        producer.advertise({"topic": "news"})
+        consumer = network.add_client("consumer", "B1")
+        consumer.subscribe({"topic": "news"}, subscription_id="s")
+        network.settle()
+        producer.publish({"topic": "news", "n": 1})
+        network.settle()
+        if withdrawn_detached:
+            consumer.detach()
+            consumer.unsubscribe("s")
+        else:
+            consumer.unsubscribe("s")
+            network.settle()
+            consumer.detach()
+        producer.publish({"topic": "news", "n": 2})
+        network.settle()
+        consumer.subscribe({"topic": "news"}, subscription_id="s")
+        producer.publish({"topic": "news", "n": 3})
+        network.settle()
+        consumer.move_to(network.broker("B2"))
+        network.settle()
+        producer.publish({"topic": "news", "n": 4})
+        network.settle()
+        received = [(r.notification.attributes["n"], r.sequence) for r in consumer.received]
+        assert received == arrived
