@@ -298,7 +298,9 @@ class Client:
         self._subscriptions.pop(subscription_id, None)
         self._logical_subscriptions.pop(subscription_id, None)
         self._last_sequence.pop(subscription_id, None)
+        self._registered_once.discard(subscription_id)
         self._durable.discard(subscription_id)
+        self._gap_ranges.pop(subscription_id, None)
         if self._broker is not None:
             self._broker.client_unsubscribe(self.client_id, subscription_id)
 
@@ -356,8 +358,8 @@ class Client:
             self.received.add_unrecorded(
                 DeliveryRecord(time, self.client_id, subscription_id, notification, sequence)
             )
-        previous = self._last_sequence.get(subscription_id, 0)
-        if sequence > previous:
+        previous = self._last_sequence.get(subscription_id)
+        if previous is not None and sequence > previous:
             self._last_sequence[subscription_id] = sequence
         if self._notify_callback is not None:
             self._notify_callback(subscription_id, notification, sequence)
