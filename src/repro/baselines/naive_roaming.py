@@ -72,11 +72,12 @@ class NaiveRoamingClient:
         # the polite variant, has already dropped) the subscription, and
         # whatever it tries to deliver while the client is away is lost.
         broker.detach_client(self.client.client_id, keep_counterpart=False)
-        self.client._broker = None  # the client library forgets its local broker
+        # The client library forgets its local broker without a handshake ...
+        self.client.drop_connection()
         if self._current_subscription is not None:
-            # The client-side library also forgets the subscription so the
-            # next arrival registers a fresh one, as the naive scheme does.
-            self.client._subscriptions.pop(self._current_subscription, None)
+            # ... and the subscription, while detached, so the next arrival
+            # registers a fresh one, as the naive scheme does.
+            self.client.unsubscribe(self._current_subscription)
             self._current_subscription = None
 
     # -- results ---------------------------------------------------------------
