@@ -23,7 +23,7 @@ A :class:`Broker` owns
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.location_filter import LocationDependentUnsubscribe
@@ -92,31 +92,42 @@ class BrokerConfig:
     forward_retention: Optional[int] = None
 
 
-@dataclass
 class _SubscriptionRecord:
     """Border-broker bookkeeping for one locally attached subscription."""
 
-    client_id: str
-    subscription_id: str
-    filter: Filter
-    next_sequence: int = 1
-    relocation_buffer: Optional[RelocationBuffer] = None
-    logical: Optional[LogicalSubscriptionState] = None
-    token: str = field(init=False)
+    __slots__ = (
+        "client_id",
+        "subscription_id",
+        "filter",
+        "next_sequence",
+        "relocation_buffer",
+        "logical",
+        "token",
+    )
 
-    def __post_init__(self) -> None:
-        self.token = subscription_token(self.client_id, self.subscription_id)
+    def __init__(
+        self, client_id: str, subscription_id: str, filter_: Filter, next_sequence: int = 1
+    ) -> None:
+        self.client_id = client_id
+        self.subscription_id = subscription_id
+        self.filter = filter_
+        self.next_sequence = next_sequence
+        self.relocation_buffer: Optional[RelocationBuffer] = None
+        self.logical: Optional[LogicalSubscriptionState] = None
+        self.token = subscription_token(client_id, subscription_id)
 
 
-@dataclass
 class _ClientRegistration:
     """A locally attached (or recently detached) client."""
 
-    client: Any
-    attached: bool = True
-    #: token -> record
-    subscriptions: Dict[str, _SubscriptionRecord] = field(default_factory=dict)
-    advertisements: Dict[str, Filter] = field(default_factory=dict)
+    __slots__ = ("client", "attached", "subscriptions", "advertisements")
+
+    def __init__(self, client: Any) -> None:
+        self.client = client
+        self.attached = True
+        #: token -> record
+        self.subscriptions: Dict[str, _SubscriptionRecord] = {}
+        self.advertisements: Dict[str, Filter] = {}
 
 
 class Broker:

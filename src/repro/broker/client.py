@@ -14,6 +14,15 @@ mobility-facing operations this reproduction adds on top:
   application-level location so that its location-dependent subscriptions
   (Section 5) adapt automatically.
 
+The client keeps one record per subscription (plain or
+location-dependent): its filter — or for a location-dependent one, the
+location filter, movement graph, plan and location — whether it is
+durable, whether some border broker has registered it, the last
+sequence number delivered for it and, once a gap is seen, the gaps not
+yet filled.  That is all the relocation protocol of Section 4 needs to
+move it, and all the duplicate and gap checks of a durable subscription
+read.
+
 The client keeps every delivered notification as a row of the border
 broker's trace: ``Client.received`` is a view that builds a
 :class:`~repro.runtime.trace.DeliveryRecord` (delivery time, subscription,
@@ -24,7 +33,7 @@ checkers and experiments consume.
 from __future__ import annotations
 
 from functools import partial
-from typing import AbstractSet, Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.adaptivity import UncertaintyPlan
 from repro.core.location_filter import LocationDependentFilter
@@ -47,8 +56,79 @@ class FloodingRelocationError(ClientError):
     """
 
 
+class _Subscription:
+    """What a client keeps of one plain subscription."""
+
+    __slots__ = ("filter", "durable", "registered", "last_sequence", "gaps")
+
+    def __init__(self, filter_: Any, durable: bool = False) -> None:
+        self.filter = filter_
+        # Durable subscriptions: at-least-once delivery with client-side
+        # duplicate suppression (see ``Client.deliver``); plain ones keep
+        # the at-most-once pass-through behaviour.
+        self.durable = durable
+        # Registered with some border broker at least once: only then
+        # does ``move_to`` need the relocation protocol for it.
+        self.registered = False
+        self.last_sequence = 0
+        # ``None`` until a gap is seen.  Each detected gap records the
+        # inclusive range [previous + 1, sequence - 1] of sequence numbers
+        # that were skipped; a later redelivery that falls inside a range
+        # *fills* it (shrinking or splitting it), so what is left is what
+        # is still actually missing.
+        self.gaps: Optional[List[Tuple[int, int]]] = None
+
+    def fill_gap(self, sequence: int) -> None:
+        """A redelivery arrived for *sequence*: fill it out of any gap range."""
+        if not self.gaps:
+            return
+        filled: List[Tuple[int, int]] = []
+        for low, high in self.gaps:
+            if sequence < low or sequence > high:
+                filled.append((low, high))
+                continue
+            if low < sequence:
+                filled.append((low, sequence - 1))
+            if sequence < high:
+                filled.append((sequence + 1, high))
+        self.gaps = filled
+
+
+class _LocationSubscription(_Subscription):
+    """A location-dependent subscription: its filter is a location filter."""
+
+    __slots__ = ("graph", "plan", "location")
+
+    def __init__(
+        self,
+        filter_: LocationDependentFilter,
+        graph: MovementGraph,
+        plan: UncertaintyPlan,
+        location: str,
+    ) -> None:
+        super().__init__(filter_)
+        self.graph = graph
+        self.plan = plan
+        self.location = location
+
+
 class Client:
     """A pub/sub client that may roam physically and/or logically."""
+
+    __slots__ = (
+        "client_id",
+        "_notify_callback",
+        "_broker",
+        "_left_at",
+        "_subscriptions",
+        "_advertisements",
+        "duplicates_suppressed",
+        "gaps_detected",
+        "_publish_seq",
+        "received",
+        "current_location",
+        "_id_counter",
+    )
 
     def __init__(
         self,
@@ -63,34 +143,15 @@ class Client:
         self._broker: Optional[Any] = None  # the current border Broker
         self._left_at: Optional[Any] = None  # the broker last detached from
 
-        # Subscription bookkeeping (survives detach / re-attach).
-        self._subscriptions: Dict[str, Filter] = {}
-        self._logical_subscriptions: Dict[str, Dict[str, Any]] = {}
+        # Subscription bookkeeping (survives detach / re-attach): one
+        # record per subscription, plain or location-dependent.
+        self._subscriptions: Dict[str, _Subscription] = {}
         self._advertisements: Dict[str, Filter] = {}
-        self._last_sequence: Dict[str, int] = {}
-        # Subscriptions that have been registered with some border broker at
-        # least once; only those need the relocation protocol on move_to.
-        self._registered_once: set = set()
-        # Durable subscriptions: at-least-once delivery with client-side
-        # duplicate suppression (see ``deliver``); plain subscriptions
-        # keep the at-most-once pass-through behaviour.
-        self._durable: set = set()
 
-        # Delivery-quality counters, read by metrics/counters.py:
-        # duplicates suppressed and sequence gaps observed on durable
-        # subscriptions.
-        self.counters: Dict[str, int] = {
-            "duplicates_suppressed": 0,
-            "gaps_detected": 0,
-        }
-        # Per-subscription gap ranges: each detected gap records the
-        # half-open-on-nothing inclusive range [previous + 1, sequence - 1]
-        # of sequence numbers that were skipped.  A later redelivery that
-        # falls inside a recorded range *fills* it (shrinking or
-        # splitting), so ``unfilled_gap_ranges`` reports what is still
-        # actually missing — the observable the in-flight-window fix is
-        # verified against.
-        self._gap_ranges: Dict[str, List[Tuple[int, int]]] = {}
+        # Delivery-quality counters, read through ``counters``: duplicates
+        # suppressed and sequence gaps observed on durable subscriptions.
+        self.duplicates_suppressed = 0
+        self.gaps_detected = 0
 
         # Publishing state.
         self._publish_seq = 0
@@ -155,7 +216,11 @@ class Client:
             return
         # A subscription never registered has no old location: a plain
         # subscription suffices for it.
-        relocated = self._registered_once.intersection(self._subscriptions)
+        relocated = [
+            subscription_id
+            for subscription_id, record in self._subscriptions.items()
+            if record.registered and not isinstance(record, _LocationSubscription)
+        ]
         if relocated and broker is not self._left_at and broker.strategy.floods_notifications:
             raise FloodingRelocationError(
                 "client {} cannot relocate subscriptions {} on a flooding network".format(
@@ -164,8 +229,7 @@ class Client:
             )
         if self._broker is not None:
             self.detach()
-        moved = partial(broker.client_moved_subscribe, self.client_id)
-        self._register_at(broker, moved, set(self._registered_once))
+        self._register_at(broker, partial(broker.client_moved_subscribe, self.client_id))
 
     def drop_connection(self) -> None:
         """Sever the link to a crashed border broker (no detach handshake).
@@ -201,20 +265,22 @@ class Client:
                 self.client_id, subscription_id, filter_, last_sequence, dead_border, seen
             )
 
-        self._register_at(broker, takeover, self._durable & self._registered_once)
+        self._register_at(broker, takeover, durable_only=True)
 
     def _register_at(
         self,
         broker: Any,
         resume: Optional[Callable[[str, Filter, int], None]] = None,
-        resumable: AbstractSet[str] = frozenset(),
+        durable_only: bool = False,
     ) -> None:
         """Attach to *broker* and register everything this client holds there.
 
-        A subscription in *resumable* is handed to *resume* with its last
-        received sequence number, every other one is registered as a plain
-        subscription.  Location-dependent subscriptions re-register from
-        scratch (combining both mobility forms is future work in the paper).
+        With *resume*, a plain subscription registered before (and with
+        *durable_only*, only a durable one) is handed to *resume* with its
+        last received sequence number; every other one is registered as a
+        plain subscription.  Location-dependent subscriptions re-register
+        from scratch (combining both mobility forms is future work in the
+        paper).
         """
         self._broker = broker
         self._left_at = None
@@ -222,22 +288,42 @@ class Client:
         broker.attach_client(self)
         for advertisement_id, filter_ in self._advertisements.items():
             broker.client_advertise(self.client_id, advertisement_id, filter_)
-        for subscription_id, filter_ in self._subscriptions.items():
-            if subscription_id in resumable:
-                resume(subscription_id, filter_, self._last_sequence.get(subscription_id, 0))
+        for subscription_id, record in self._in_registration_order():
+            if isinstance(record, _LocationSubscription):
+                broker.client_location_dependent_subscribe(
+                    self.client_id,
+                    subscription_id,
+                    record.filter,
+                    record.graph,
+                    record.plan,
+                    record.location,
+                )
+            elif resume is not None and record.registered and (record.durable or not durable_only):
+                resume(subscription_id, record.filter, record.last_sequence)
             else:
-                broker.client_subscribe(self.client_id, subscription_id, filter_)
-                self._registered_once.add(subscription_id)
-        for subscription_id, spec in self._logical_subscriptions.items():
-            broker.client_location_dependent_subscribe(
-                self.client_id,
-                subscription_id,
-                spec["filter"],
-                spec["graph"],
-                spec["plan"],
-                spec["location"],
-            )
-            self._registered_once.add(subscription_id)
+                broker.client_subscribe(self.client_id, subscription_id, record.filter)
+            record.registered = True
+
+    def _in_registration_order(self) -> List[Tuple[str, _Subscription]]:
+        """Every subscription: the plain ones, then the location-dependent ones."""
+        return sorted(
+            self._subscriptions.items(),
+            key=lambda item: isinstance(item[1], _LocationSubscription),
+        )
+
+    def _hold(self, subscription_id: str, record: _Subscription) -> None:
+        """Keep *record* under *subscription_id*.
+
+        An id already held keeps what was delivered for it: its durability,
+        registration, last sequence number and gaps carry over.
+        """
+        previous = self._subscriptions.get(subscription_id)
+        if previous is not None:
+            record.durable = record.durable or previous.durable
+            record.registered = previous.registered
+            record.last_sequence = previous.last_sequence
+            record.gaps = previous.gaps
+        self._subscriptions[subscription_id] = record
 
     def _shared(self, filter_: Filter) -> Filter:
         """*filter_*, or while attached the network's live equal one."""
@@ -252,12 +338,14 @@ class Client:
         hold too (see :class:`~repro.filters.merging.FilterCaches`).
         """
         caches = self._broker.filter_caches
-        for held in (self._advertisements, self._subscriptions):
-            for key, filter_ in held.items():
-                held[key] = caches.intern(filter_)
-        for spec in self._logical_subscriptions.values():
-            spec["filter"] = shared_location_filter(caches, spec["filter"])
-            spec["graph"] = shared_graph(caches, spec["graph"])
+        for key, filter_ in self._advertisements.items():
+            self._advertisements[key] = caches.intern(filter_)
+        for _, record in self._in_registration_order():
+            if isinstance(record, _LocationSubscription):
+                record.filter = shared_location_filter(caches, record.filter)
+                record.graph = shared_graph(caches, record.graph)
+            else:
+                record.filter = caches.intern(record.filter)
 
     # ------------------------------------------------------------------
     # The four pub/sub primitives
@@ -284,23 +372,16 @@ class Client:
         """
         resolved = self._shared(filter_ if isinstance(filter_, Filter) else Filter(filter_))
         subscription_id = subscription_id or self._next_id("sub")
-        self._subscriptions[subscription_id] = resolved
-        self._last_sequence.setdefault(subscription_id, 0)
-        if durable:
-            self._durable.add(subscription_id)
+        record = _Subscription(resolved, durable)
+        self._hold(subscription_id, record)
         if self._broker is not None:
             self._broker.client_subscribe(self.client_id, subscription_id, resolved)
-            self._registered_once.add(subscription_id)
+            record.registered = True
         return subscription_id
 
     def unsubscribe(self, subscription_id: str) -> None:
         """``unsub``: withdraw a subscription (plain or location-dependent)."""
         self._subscriptions.pop(subscription_id, None)
-        self._logical_subscriptions.pop(subscription_id, None)
-        self._last_sequence.pop(subscription_id, None)
-        self._registered_once.discard(subscription_id)
-        self._durable.discard(subscription_id)
-        self._gap_ranges.pop(subscription_id, None)
         if self._broker is not None:
             self._broker.client_unsubscribe(self.client_id, subscription_id)
 
@@ -342,25 +423,25 @@ class Client:
         still delivered — gaps are a diagnostic, not a reason to drop
         data).  Plain subscriptions pass everything through verbatim.
         """
-        if subscription_id in self._durable:
-            previous = self._last_sequence.get(subscription_id, 0)
+        record = self._subscriptions.get(subscription_id)
+        if record is not None and record.durable:
+            previous = record.last_sequence
             if sequence <= previous:
-                self.counters["duplicates_suppressed"] += 1
-                self._fill_gap(subscription_id, sequence)
+                self.duplicates_suppressed += 1
+                record.fill_gap(sequence)
                 return
             if sequence > previous + 1:
-                self.counters["gaps_detected"] += 1
-                self._gap_ranges.setdefault(subscription_id, []).append(
-                    (previous + 1, sequence - 1)
-                )
+                self.gaps_detected += 1
+                if record.gaps is None:
+                    record.gaps = []
+                record.gaps.append((previous + 1, sequence - 1))
         if row is None or not self.received.add(self._broker.trace, row):
             time = self._broker.clock.now if self._broker is not None else 0.0
             self.received.add_unrecorded(
                 DeliveryRecord(time, self.client_id, subscription_id, notification, sequence)
             )
-        previous = self._last_sequence.get(subscription_id)
-        if previous is not None and sequence > previous:
-            self._last_sequence[subscription_id] = sequence
+        if record is not None and sequence > record.last_sequence:
+            record.last_sequence = sequence
         if self._notify_callback is not None:
             self._notify_callback(subscription_id, notification, sequence)
 
@@ -409,16 +490,11 @@ class Client:
             location_filter = shared_location_filter(caches, location_filter)
             movement_graph = shared_graph(caches, movement_graph)
         subscription_id = subscription_id or self._next_id("locsub")
-        self._logical_subscriptions[subscription_id] = {
-            "filter": location_filter,
-            "graph": movement_graph,
-            "plan": plan,
-            "location": initial_location,
-        }
-        self._last_sequence.setdefault(subscription_id, 0)
+        record = _LocationSubscription(location_filter, movement_graph, plan, initial_location)
+        self._hold(subscription_id, record)
         self.current_location = initial_location
         if self._broker is not None:
-            self._registered_once.add(subscription_id)
+            record.registered = True
             self._broker.client_location_dependent_subscribe(
                 self.client_id,
                 subscription_id,
@@ -432,33 +508,29 @@ class Client:
     def set_location(self, location: str) -> None:
         """Declare a new application-level location (logical mobility)."""
         self.current_location = location
-        for spec in self._logical_subscriptions.values():
-            spec["location"] = location
-        if self._broker is not None and self._logical_subscriptions:
+        located = False
+        for record in self._subscriptions.values():
+            if isinstance(record, _LocationSubscription):
+                record.location = location
+                located = True
+        if self._broker is not None and located:
             self._broker.client_set_location(self.client_id, location)
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
+    @property
+    def counters(self) -> Dict[str, int]:
+        """The delivery-quality counters by name (read by ``metrics/counters.py``)."""
+        return {
+            "duplicates_suppressed": self.duplicates_suppressed,
+            "gaps_detected": self.gaps_detected,
+        }
+
     def last_sequence(self, subscription_id: str) -> int:
         """The highest delivery sequence number seen for a subscription."""
-        return self._last_sequence.get(subscription_id, 0)
-
-    def _fill_gap(self, subscription_id: str, sequence: int) -> None:
-        """A redelivery arrived for *sequence*: fill it out of any gap range."""
-        ranges = self._gap_ranges.get(subscription_id)
-        if not ranges:
-            return
-        filled: List[Tuple[int, int]] = []
-        for low, high in ranges:
-            if sequence < low or sequence > high:
-                filled.append((low, high))
-                continue
-            if low < sequence:
-                filled.append((low, sequence - 1))
-            if sequence < high:
-                filled.append((sequence + 1, high))
-        self._gap_ranges[subscription_id] = filled
+        record = self._subscriptions.get(subscription_id)
+        return 0 if record is None else record.last_sequence
 
     def unfilled_gap_ranges(self, subscription_id: Optional[str] = None) -> List[Tuple[int, int]]:
         """Sequence ranges detected as gaps and never filled by a redelivery.
@@ -467,12 +539,11 @@ class Client:
         the union across subscriptions, sorted.  An empty list after an
         outage is the durable-subscriber zero-loss witness.
         """
-        if subscription_id is not None:
-            return sorted(self._gap_ranges.get(subscription_id, []))
-        collected: List[Tuple[int, int]] = []
-        for ranges in self._gap_ranges.values():
-            collected.extend(ranges)
-        return sorted(collected)
+        if subscription_id is None:
+            records = list(self._subscriptions.values())
+        else:
+            records = [self._subscriptions.get(subscription_id)]
+        return sorted(gap for record in records if record is not None for gap in record.gaps or ())
 
     def received_identities(self, subscription_id: Optional[str] = None) -> List[Tuple[str, int]]:
         """Identities of all received notifications (optionally one subscription)."""
@@ -484,7 +555,7 @@ class Client:
 
     def subscription_ids(self) -> List[str]:
         """All active subscription identifiers (plain and location-dependent)."""
-        return sorted(list(self._subscriptions) + list(self._logical_subscriptions))
+        return sorted(self._subscriptions)
 
     def _next_id(self, prefix: str) -> str:
         self._id_counter += 1
@@ -495,6 +566,6 @@ class Client:
         return "Client({} @ {}, subs={}, received={})".format(
             self.client_id,
             where,
-            len(self._subscriptions) + len(self._logical_subscriptions),
+            len(self._subscriptions),
             len(self.received),
         )

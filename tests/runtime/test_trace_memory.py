@@ -346,7 +346,7 @@ def test_one_live_filter_per_distinct_filter(backend):
         _assert_one_object_per_key(earlier_ids)
         # MatchAll and Filter() share a key: each client keeps the type it gave.
         for client, subscription_id, kind in made:
-            assert type(client._subscriptions[subscription_id]) is kind
+            assert type(client._subscriptions[subscription_id].filter) is kind
         assert all(network.clients[name].received for name in ("C0", "C1", "C2", "car0"))
 
         for client, subscription_ids, advertisement_ids in held:
