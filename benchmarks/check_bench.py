@@ -15,6 +15,10 @@ regressed beyond tolerance:
   ``fig9_total_messages`` and the recovery counters) must not
   **increase** by more than ``--counter-tolerance`` (default 5%); under
   ``--exact`` they must not move at all, in either direction;
+* *tallies* (``advert_gate_hits``, ``advert_gate_misses``,
+  ``dispatch_matches``, ``predicates_skipped_shared``, ``cache_hits*``,
+  ``redelivered``) are deterministic but not costs — more hits is no
+  regression — so only ``--exact`` gates them: they must not move;
 * *cost ratios* against the from-scratch specification
   (``covering_call_ratio``, ``merge_eval_ratio``,
   ``constraint_eval_ratio``) or the unbatched run (``event_ratio``) must
@@ -79,6 +83,20 @@ COUNTER_FIELDS = (
     # Figure 9's link-message total, counted from the trace's link rows.
     "fig9_total_messages",
 )
+#: Deterministic extra_info fields that are no cost (a hit rate, a match
+#: count): gated only under ``--exact``, which requires them unchanged.
+TALLY_FIELDS = (
+    # The advertisement gate's memo.
+    "advert_gate_hits",
+    "advert_gate_misses",
+    # The dispatch plan: rows matched and predicates a shared mask skipped.
+    "dispatch_matches",
+    "predicates_skipped_shared",
+    # Covering and merge-pair memo hits (``cache_hits_merge_pair`` too).
+    "cache_hits",
+    # Notifications a durable subscriber got again after a crash.
+    "redelivered",
+)
 #: extra_info fields where a *decrease* is a lost speedup.
 RATIO_FIELDS = (
     "covering_call_ratio",
@@ -116,6 +134,9 @@ def _classify(field: str) -> str:
     for prefix in COUNTER_FIELDS:
         if field == prefix or field.startswith(prefix + "_"):
             return "counter"
+    for prefix in TALLY_FIELDS:
+        if field == prefix or field.startswith(prefix + "_"):
+            return "tally"
     return "ignore"
 
 
@@ -185,7 +206,7 @@ def compare(name, old, new, counter_tolerance, ratio_tolerance, exact=False):
         new_info = new_record.get("extra_info", {})
         for field, old_value in sorted(old_info.items()):
             kind = _classify(field)
-            if kind == "ignore":
+            if kind == "ignore" or (kind == "tally" and not exact):
                 continue
             # Workload descriptors are compared exactly whatever their
             # type (``backend`` is a string); the numeric tolerances
@@ -206,7 +227,7 @@ def compare(name, old, new, counter_tolerance, ratio_tolerance, exact=False):
                             name, bench, field, old_value, new_value, name
                         )
                     )
-            elif kind == "counter":
+            elif kind in ("counter", "tally"):
                 if exact:
                     if new_value != old_value:
                         failures.append(
@@ -258,7 +279,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--exact",
         action="store_true",
-        help="cost counters must match the committed values byte for byte "
+        help="cost counters and tallies must match the committed values byte for byte "
         "(the telemetry-off no-perturbation gate); ratios keep their tolerance",
     )
     parser.add_argument(
