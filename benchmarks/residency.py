@@ -8,13 +8,18 @@ Runs the set-up and the warm-up cycle of one end-to-end workload (the
 fixed amount of work after which ``benchmarks/e2e`` reads ``peak_rss_mb``)
 under ``tracemalloc``, then prints the live bytes allocated by each
 ``repro`` module, in total and per subscription routing row over all
-brokers, and the process's ``ru_maxrss``.  ``--lines N`` adds the N
-largest ``repro`` allocation sites (file:line, live bytes, live blocks,
-bytes per routing row), so a memory claim can name the structures, not
-just the modules.  ``tracemalloc`` keeps its own
-bookkeeping, so ``ru_maxrss`` here reads higher than in an untraced run;
-compare it only with other census runs.  The workloads and the harness
-are imported from ``benchmarks/e2e`` and used as they are.
+brokers, and the process's ``ru_maxrss``.  An allocation counts under
+the innermost frame of its traceback (``tracemalloc`` keeps
+:data:`FRAMES` of them) that is not the standard library's, if that frame
+runs ``repro`` code: what a ``repro`` call has the standard library build
+— the ``json`` encoder's texts, say — counts under that call's module,
+and what a callback of the harness builds counts nowhere.  ``--lines N`` adds the N largest ``repro`` allocation
+sites (file:line, live bytes, live blocks, bytes per routing row), so a
+memory claim can name the structures, not just the modules.
+``tracemalloc`` keeps its own bookkeeping, so ``ru_maxrss`` here reads
+higher than in an untraced run; compare it only with other census runs.
+The workloads and the harness are imported from ``benchmarks/e2e`` and
+used as they are.
 
 An allocation site names the line that built an object, not what keeps
 it alive.  ``--holders`` names the holder: among the objects the network
@@ -36,6 +41,7 @@ import gc
 import os
 import resource
 import sys
+import sysconfig
 import tracemalloc
 import types
 from collections import Counter
@@ -49,8 +55,16 @@ import harness  # noqa: E402
 from workloads import WORKLOADS, make_workload  # noqa: E402
 
 # Imported before the census starts, so module set-up is not counted.
-import repro  # noqa: E402, F401
+import repro  # noqa: E402
 from repro.messages.base import Message  # noqa: E402
+
+#: Frames ``tracemalloc`` keeps per allocation: enough to reach the
+#: ``repro`` call behind what the standard library allocates for it.
+FRAMES = 10
+_REPRO = os.path.dirname(repro.__file__) + os.sep
+#: Where standard-library frames live (``<frozen ...>`` too).
+_STDLIB = tuple({sysconfig.get_path(name) + os.sep for name in ("stdlib", "platstdlib")}) + ("<",)
+_IMPORTING = "<frozen importlib"
 
 #: The named owners ``--holders`` attributes objects to, in tie-break order.
 OWNERS = (
@@ -157,14 +171,29 @@ def _print_holders(table):
         print("".join(" {:>16,}".format(owners[column]) for column in columns))
 
 
+def _repro_frame(traceback):
+    """The innermost frame of *traceback* outside the standard library, if in ``repro``.
+
+    ``None`` too for an allocation made while a module is imported: a
+    backend the harness imports on first use is module set-up, not state.
+    """
+    if any(frame.filename.startswith(_IMPORTING) for frame in traceback):
+        return None
+    for frame in reversed(traceback):
+        if not frame.filename.startswith(_STDLIB):
+            return frame if frame.filename.startswith(_REPRO) else None
+    return None
+
+
 def census(name, seed, scale, with_holders=False):
     """Live ``repro`` allocations after set-up plus warm-up, and the row count.
 
-    Returns the per-module byte totals, the per-line statistics (largest
-    first), the number of subscription routing rows and, *with_holders*,
-    the :func:`holders` table (else ``None``).
+    Returns the live bytes per module, ``[(site, bytes, blocks)]`` per
+    allocation site (largest first), the number of subscription routing
+    rows and, *with_holders*, the :func:`holders` table (else ``None``).
+    A module or site is ``repro/<path>`` of the frame :func:`_repro_frame` names.
     """
-    tracemalloc.start()
+    tracemalloc.start(FRAMES)
     try:
         driver, _ = harness.set_up(make_workload(name, seed, scale))
         harness.warm_up(driver)
@@ -174,19 +203,20 @@ def census(name, seed, scale, with_holders=False):
     rows = sum(driver.network.routing_table_sizes().values())
     held = holders(driver.network) if with_holders else None
     driver.close()
-    ours = snapshot.filter_traces([tracemalloc.Filter(True, "*/repro/*")])
-    modules = {}
-    for statistic in ours.statistics("filename"):
-        path = statistic.traceback[0].filename
-        module = path[path.rindex("repro" + os.sep) :]
-        modules[module] = modules.get(module, 0) + statistic.size
-    return modules, ours.statistics("lineno"), rows, held
-
-
-def _site(frame):
-    """``repro/<path>:<line>`` of an allocation site."""
-    path = frame.filename
-    return "{}:{}".format(path[path.rindex("repro" + os.sep) :], frame.lineno)
+    modules, sites = Counter(), {}
+    for trace in snapshot.traces:
+        frame = _repro_frame(trace.traceback)
+        if frame is None:
+            continue
+        module = "repro" + os.sep + frame.filename[len(_REPRO) :]
+        modules[module] += trace.size
+        site = sites.setdefault("{}:{}".format(module, frame.lineno), [0, 0])
+        site[0] += trace.size
+        site[1] += 1
+    lines = sorted(
+        ((site, size, blocks) for site, (size, blocks) in sites.items()), key=lambda line: -line[1]
+    )
+    return modules, lines, rows, held
 
 
 def main(argv):
@@ -218,14 +248,9 @@ def main(argv):
     if args.lines > 0:
         print()
         print("{:<52} {:>12} {:>8} {:>8}".format("allocation site", "bytes", "blocks", "B/row"))
-        for statistic in lines[: args.lines]:
+        for site, size, blocks in lines[: args.lines]:
             print(
-                "{:<52} {:>12,} {:>8,} {:>8,.0f}".format(
-                    _site(statistic.traceback[0]),
-                    statistic.size,
-                    statistic.count,
-                    statistic.size / max(rows, 1),
-                )
+                "{:<52} {:>12,} {:>8,} {:>8,.0f}".format(site, size, blocks, size / max(rows, 1))
             )
     if held is not None:
         print()
