@@ -21,7 +21,8 @@ durable, whether some border broker has registered it, the last
 sequence number delivered for it and, once a gap is seen, the gaps not
 yet filled.  That is all the relocation protocol of Section 4 needs to
 move it, and all the duplicate and gap checks of a durable subscription
-read.
+read.  ``unsubscribe`` drops the record: a withdrawn id leaves nothing
+behind, and reusing it makes a new subscription.
 
 The client keeps every delivered notification as a row of the border
 broker's trace: ``Client.received`` is a view that builds a
@@ -541,9 +542,11 @@ class Client:
         """
         if subscription_id is None:
             records = list(self._subscriptions.values())
+        elif subscription_id in self._subscriptions:
+            records = [self._subscriptions[subscription_id]]
         else:
-            records = [self._subscriptions.get(subscription_id)]
-        return sorted(gap for record in records if record is not None for gap in record.gaps or ())
+            records = []
+        return sorted(gap for record in records for gap in record.gaps or ())
 
     def received_identities(self, subscription_id: Optional[str] = None) -> List[Tuple[str, int]]:
         """Identities of all received notifications (optionally one subscription)."""
