@@ -121,7 +121,12 @@ class Link:
                 )
 
     def _on_flush(self) -> None:
-        """Deliver every pending message whose time has come, then re-arm."""
+        """Re-arm for the next pending message, then deliver every one that is due.
+
+        Re-arming first is the asyncio backend's order, where the receiver
+        handles the run only after the flush returned: a next flush for the
+        same instant as the receiver's sends runs before them on both.
+        """
         self.flush_count += 1
         now = self.simulator.now
         pending = self._pending
@@ -131,15 +136,15 @@ class Link:
         due: List[Message] = []
         while pending and pending[0][0] <= now:
             due.append(pending.popleft()[1])
-        self.delivered_count += len(due)
-        for message in due:
-            self._deliver(message, self)
         if pending:
             self.simulator.schedule_at(
                 pending[0][0], self._on_flush, label="flush {}".format(self.name)
             )
         else:
             self._flush_scheduled = False
+        self.delivered_count += len(due)
+        for message in due:
+            self._deliver(message, self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "Link({})".format(self.name)

@@ -256,8 +256,7 @@ def _trace_fingerprint(trace):
     *trace* is a ``MessageKeepingRecorder``: a link row names only the
     message's class, the recorder keeps the message for its id and
     description.  Every backend that models time runs the same ``Link``,
-    so even the append order of link and drop records is the same —
-    except on :data:`LINK_ORDER_EXEMPT`.
+    so even the append order of link and drop records is the same.
     """
     deliveries = [
         (
@@ -302,18 +301,6 @@ def _trace_fingerprint(trace):
     return {"deliveries": deliveries, "links": links, "drops": drops, "publishes": publishes}
 
 
-#: Experiments whose link records agree only as multisets.  A flush whose
-#: link still holds later messages re-arms itself once its run is
-#: delivered.  On the simulator the receiver handles the run inside the
-#: flush, so the sends it makes are queued before the re-arm; on the
-#: asyncio backend it handles the frames after the flush returned, so a
-#: re-arm for the same instant as those sends runs first.  On
-#: ``fig5-multi`` (B3->B4 carries a run at 0.85 s and re-arms for 0.9 s,
-#: when B4->B5 flushes too) that swaps two same-time flushes; deliveries,
-#: drops and every timestamp still agree.
-LINK_ORDER_EXEMPT = {"fig5-multi"}
-
-
 @pytest.fixture(scope="module")
 def recorded():
     """Lazily computed ``(report text, fingerprints)`` per experiment and
@@ -346,10 +333,9 @@ def test_experiment_parity(name, backend, recorded):
     # identical virtual timestamps, the same link traversals (admin
     # messages included), the same drops and publishes.
     assert len(aio_fingerprints) == len(sim_fingerprints)
-    order = sorted if name in LINK_ORDER_EXEMPT else list
     for aio_fp, sim_fp in zip(aio_fingerprints, sim_fingerprints):
         assert aio_fp["deliveries"] == sim_fp["deliveries"]
-        assert order(aio_fp["links"]) == order(sim_fp["links"])
+        assert aio_fp["links"] == sim_fp["links"]
         assert aio_fp["drops"] == sim_fp["drops"]
         assert aio_fp["publishes"] == sim_fp["publishes"]
 
