@@ -287,6 +287,12 @@ class Broker:
         whether it carries a filter to swap for the network's live one;
         its handler does the rest, and what the handler returns is
         returned.  With *received* the row's counter counts it.
+
+        The rows that are journaled or intern a filter are exactly the
+        messages that write routing state, so after one of them every
+        neighbour is refreshed, *origin* included: a change that came from
+        a neighbour can change what that neighbour should hold.  A
+        refresh of a settled state returns at once.
         """
         row = self._MESSAGE_TABLE.get(type(message))
         if row is None:
@@ -301,7 +307,10 @@ class Broker:
             # the message itself: the handler reads it there, and a decoded
             # message is shared with every later reader of equal bytes.
             message.filter = self.filter_caches.intern(message.filter)
-        return handler(self if component is None else getattr(self, component), message, origin)
+        result = handler(self if component is None else getattr(self, component), message, origin)
+        if journaled or interns:
+            self.forwarding.refresh_all()
+        return result
 
     # ------------------------------------------------------------------
     # Crash / restart lifecycle
@@ -407,11 +416,12 @@ class Broker:
         if record is None:
             return
         if record.logical is None:
-            self._apply(self.ids.stamp(Unsubscribe(record.filter, subject=token)), client_id)
-            return
-        message = LocationDependentUnsubscribe(client_id=client_id, subscription_id=subscription_id)
+            message = Unsubscribe(record.filter, subject=token)
+        else:
+            message = LocationDependentUnsubscribe(
+                client_id=client_id, subscription_id=subscription_id
+            )
         self._apply(self.ids.stamp(message), client_id)
-        self.forwarding.refresh_all(exclude=client_id)
 
     def client_advertise(self, client_id: str, advertisement_id: str, filter_: Filter) -> None:
         """Register a local client's advertisement and flood it to neighbours."""

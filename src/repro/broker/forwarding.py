@@ -696,27 +696,23 @@ class SubscriptionForwarding:
 
     def handle_subscribe(self, message: Subscribe, from_destination: str) -> None:
         self.broker.subscription_table.add(message.filter, from_destination, message.subject)
-        self.refresh_all(exclude=from_destination)
 
     def handle_unsubscribe(self, message: Unsubscribe, from_destination: str) -> None:
         self.broker.subscription_table.remove(message.filter, from_destination, message.subject)
-        self.refresh_all(exclude=from_destination)
 
     def handle_advertise(self, message: Advertise, from_destination: str) -> None:
         broker = self.broker
         broker.advertisement_table.add(message.filter, from_destination, message.subject)
         self._flood_advertisement(message, from_destination, withdraw=False)
         if from_destination in broker._links:
-            # Subscriptions may now become forwardable toward the advertiser.
-            broker.refresh_forwarding(from_destination)
+            # Location-dependent subscriptions may now travel toward the
+            # advertiser (plain ones follow with the refresh).
             broker.logical.reforward_subscriptions(toward=from_destination)
 
     def handle_unadvertise(self, message: Unadvertise, from_destination: str) -> None:
         broker = self.broker
         broker.advertisement_table.remove(message.filter, from_destination, message.subject)
         self._flood_advertisement(message, from_destination, withdraw=True)
-        if from_destination in broker._links:
-            broker.refresh_forwarding(from_destination)
 
     def _flood_advertisement(self, message: Any, exclude: str, withdraw: bool) -> None:
         """Pass an (un)advertisement on to every neighbour but *exclude* that lacks (holds) it.
@@ -786,19 +782,14 @@ class SubscriptionForwarding:
     # ------------------------------------------------------------------
     # The refresh primitive
     # ------------------------------------------------------------------
-    def refresh_all(self, exclude: Optional[str] = None) -> None:
-        """Refresh every neighbour but *exclude*, each through ``Broker.refresh_forwarding``."""
+    def refresh_all(self) -> None:
+        """Refresh every neighbour, each through ``Broker.refresh_forwarding``."""
         broker = self.broker
         for neighbour in broker.neighbours():
-            if neighbour != exclude:
-                broker.refresh_forwarding(neighbour)
+            broker.refresh_forwarding(neighbour)
 
     def refresh(self, neighbour: str) -> None:
         """Bring the subscriptions forwarded to *neighbour* in line with the tables."""
-        if neighbour not in self.broker._links:
-            # Not a neighbour (e.g. a locally attached client named as the
-            # source of a replayed log entry): nothing is forwarded there.
-            return
         state = self.states[neighbour]
         if state.settled():
             return

@@ -335,7 +335,7 @@ class PhysicalMobility:
                 replayed=replayed,
             )
         )
-        broker.forwarding.refresh_all(exclude=client_id)
+        broker.forwarding.refresh_all()
 
     def _token_rows(self, token: str, exclude: Optional[str]) -> List[Any]:
         """The first routing row of *token* per destination but *exclude*, by destination."""
@@ -349,7 +349,7 @@ class PhysicalMobility:
         """Move *token* off *rows* onto one row of *filter_* toward *destination*.
 
         Each write is journaled as the Unsubscribe / Subscribe it amounts
-        to.  The caller refreshes the forwarding once, when it is done.
+        to.  The forwarding is refreshed once, when the caller is done.
         """
         broker = self.broker
         journal, stamp = broker.reliability.journal, broker.ids.stamp
@@ -389,23 +389,20 @@ class PhysicalMobility:
             # This broker already lies on the old delivery path: it is the
             # junction itself.
             self._act_as_junction(message, token, old_rows)
-            under_way = True
-        else:
-            if from_destination in broker._clients:
-                # A roaming client's own message is its journal record;
-                # the one that travels on is the broker's.
-                message = broker.ids.stamp(
-                    MovedSubscribe(
-                        client_id=message.client_id,
-                        subscription_id=message.subscription_id,
-                        filter_=message.filter,
-                        last_sequence=message.last_sequence,
-                        new_border=message.new_border,
-                    )
+            return True
+        if from_destination in broker._clients:
+            # A roaming client's own message is its journal record; the one
+            # that travels on is the broker's.
+            message = broker.ids.stamp(
+                MovedSubscribe(
+                    client_id=message.client_id,
+                    subscription_id=message.subscription_id,
+                    filter_=message.filter,
+                    last_sequence=message.last_sequence,
+                    new_border=message.new_border,
                 )
-            under_way = self._forward_moved_subscribe(message, exclude=from_destination) > 0
-        broker.forwarding.refresh_all(exclude=from_destination)
-        return under_way
+            )
+        return self._forward_moved_subscribe(message, exclude=from_destination) > 0
 
     def _act_as_junction(self, message: MovedSubscribe, token: str, rows: Sequence[Any]) -> None:
         """Junction behaviour: divert the old path and request the replay.
@@ -446,7 +443,6 @@ class PhysicalMobility:
             # new location, then replay the buffered notifications.
             self._divert(token, rows, message.filter, from_destination)
             self._replay_counterpart(token, message.last_sequence, toward=from_destination)
-            broker.forwarding.refresh_all(exclude=from_destination)
             return
         if all(row.destination == from_destination for row in rows):
             # Nothing known about this subscription (already cleaned up, or
@@ -471,7 +467,6 @@ class PhysicalMobility:
             # requester's relocation buffer flushes instead of waiting
             # forever.  The local client rows are left untouched.
             self._send_replay(message, [], from_destination)
-        broker.forwarding.refresh_all(exclude=from_destination)
 
     def _replay_counterpart(self, token: str, last_sequence: int, toward: Optional[str]) -> None:
         """Ship the buffered suffix back toward the new location and clean up."""

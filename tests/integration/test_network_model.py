@@ -7,15 +7,12 @@ delivery, as the client's ``notify`` callback sees it, to
 which notifications each subscription must and may receive; see there.
 
 After every settle each broker's forwarding and matching are also held
-against their specifications: a neighbour's state with nothing left to
-flush (``settled()``) has forwarded exactly
-:func:`tests.oracles.forwarding.desired_forwarding`; a state that is
-current (valid, no re-merge or position shift waiting) desires exactly
-that; and the dispatch plan matches each of the :data:`NOTIFICATIONS`
-to exactly the rows of ``tests/oracles/matching.py``.  A state with
-pairs still pending may lag: a refresh skips the neighbour a change came
-from (``TestRefreshTowardTheSender`` in
-``tests/integration/test_physical_mobility.py``).
+against their specifications: every neighbour's state is settled (a
+broker refreshes every neighbour after each routing change, so nothing
+is left to flush) and both desires and has forwarded exactly
+:func:`tests.oracles.forwarding.desired_forwarding`; and the dispatch
+plan matches each of the :data:`NOTIFICATIONS` to exactly the rows of
+``tests/oracles/matching.py``.
 
 Two machines add their own rules to that.  :class:`SettledMobility`
 roams the subscribers (detach, ``move_to``) in the settled profile: the
@@ -143,16 +140,10 @@ class SettledClients(RuleBasedStateMachine):
     def _check_broker(self, broker):
         """Forwarding states and dispatch plan against their specifications."""
         for neighbour, state in broker.forwarding.states.items():
-            # Otherwise rebuilt, re-merged or re-placed by the next refresh.
-            current = state.valid and not (state.remerge or state.shifted)
-            settled = state.settled()
-            if not (current or settled):
-                continue
+            assert state.settled(), (broker.name, neighbour, "unsettled after settle")
             expected = desired_forwarding(broker, neighbour)
-            if current:
-                assert state.desired == expected, (broker.name, neighbour)
-            if settled:
-                assert state.forwarded == expected, (broker.name, neighbour)
+            assert state.desired == expected, (broker.name, neighbour)
+            assert state.forwarded == expected, (broker.name, neighbour)
         table = broker.subscription_table
         # Rows are created with a new seq and removed by shrinking the
         # table, so an unchanged (seq, size) is an unchanged set of rows.

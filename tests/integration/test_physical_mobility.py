@@ -415,11 +415,6 @@ class TestBufferLimits:
 
 
 class TestRefreshTowardTheSender:
-    @pytest.mark.xfail(
-        strict=True,
-        reason="handlers refresh with refresh_all(exclude=from_destination): a mobility "
-        "message from N can change what N should hold, and nothing refreshes N afterwards",
-    )
     def test_a_move_back_leaves_the_sender_its_desired_set(self):
         """``s0`` moves ``B1 -> B2 -> B1``; ``B2`` must then withdraw what it sent ``B1`` for it.
 
