@@ -404,9 +404,19 @@ class Broker:
     def client_subscribe(
         self, client_id: str, subscription_id: str, filter_: Filter
     ) -> None:
-        """Register a plain (location-independent) subscription for a local client."""
-        record = self._add_subscription(client_id, subscription_id, filter_)
-        self._apply(self.ids.stamp(Subscribe(filter_, subject=record.token)), client_id)
+        """Register a plain (location-independent) subscription for a local client.
+
+        An id the client holds here is replaced: its numbering goes on
+        (the client suppresses a sequence number it has seen), and a
+        different old filter is withdrawn once the new one is in.
+        """
+        token = subscription_token(client_id, subscription_id)
+        held = self._require_client(client_id).subscriptions.get(token)
+        next_sequence = 1 if held is None else held.next_sequence
+        self._add_subscription(client_id, subscription_id, filter_, next_sequence)
+        self._apply(self.ids.stamp(Subscribe(filter_, subject=token)), client_id)
+        if held is not None and held.filter.key() != filter_.key():
+            self._apply(self.ids.stamp(Unsubscribe(held.filter, subject=token)), client_id)
 
     def client_unsubscribe(self, client_id: str, subscription_id: str) -> None:
         """Withdraw a local client's subscription and propagate the change."""

@@ -201,3 +201,44 @@ class TestWithdrawnSubscriptions:
         network.settle()
         received = [(r.notification.attributes["n"], r.sequence) for r in consumer.received]
         assert received == [(1, 1), (4, 1)]
+
+
+class TestResubscribingAHeldId:
+    """Subscribing again with an id the client holds, while attached, replaces it."""
+
+    def test_a_durable_resubscribe_keeps_the_numbering(self):
+        # The border numbers on from where it was; restarting at 1 would
+        # have the client suppress the next notifications as duplicates.
+        network = PubSubNetwork(line_topology(2), strategy="covering", latency=0.01)
+        producer = network.add_client("p", "B2")
+        producer.advertise({"topic": "news"})
+        consumer = network.add_client("c", "B1")
+        consumer.subscribe({"topic": "news"}, subscription_id="s", durable=True)
+        network.settle()
+        for n in (1, 2, 3):
+            producer.publish({"topic": "news", "n": n})
+        network.settle()
+        consumer.subscribe({"topic": "news"}, subscription_id="s", durable=True)
+        for n in (4, 5, 6):
+            producer.publish({"topic": "news", "n": n})
+        network.settle()
+        received = [(r.notification.attributes["n"], r.sequence) for r in consumer.received]
+        assert received == [(n, n) for n in range(1, 7)]
+        assert consumer.counters["duplicates_suppressed"] == 0
+
+    def test_a_new_filter_withdraws_the_old_one(self):
+        network = PubSubNetwork(line_topology(2), strategy="covering", latency=0.01)
+        producer = network.add_client("p", "B2")
+        producer.advertise({"service": ("in", ("parking", "fuel"))})
+        consumer = network.add_client("d", "B1")
+        consumer.subscribe({"service": "parking"}, subscription_id="s")
+        network.settle()
+        consumer.subscribe({"service": "fuel"}, subscription_id="s")
+        network.settle()
+        for service in ("parking", "fuel"):
+            producer.publish({"service": service})
+        network.settle()
+        assert [r.notification.attributes["service"] for r in consumer.received] == ["fuel"]
+        for broker in network.brokers.values():
+            rows = broker.subscription_table.entries_for_subject("d/s")
+            assert [row.filter for row in rows] == [Filter({"service": "fuel"})], broker.name
