@@ -286,13 +286,10 @@ class Broker:
         come here.  The row says whether the message is journaled and
         whether it carries a filter to swap for the network's live one;
         its handler does the rest, and what the handler returns is
-        returned.  With *received* the row's counter counts it.
-
-        The rows that are journaled or intern a filter are exactly the
-        messages that write routing state, so after one of them every
-        neighbour is refreshed, *origin* included: a change that came from
-        a neighbour can change what that neighbour should hold.  A
-        refresh of a settled state returns at once.
+        returned.  With *received* the row's counter counts it.  Such a
+        row writes routing state, so every neighbour is refreshed after
+        it, *origin* too: a change from a neighbour can change what it
+        should hold.  A refresh of a settled state returns at once.
         """
         row = self._MESSAGE_TABLE.get(type(message))
         if row is None:
@@ -404,11 +401,9 @@ class Broker:
     def client_subscribe(
         self, client_id: str, subscription_id: str, filter_: Filter
     ) -> None:
-        """Register a plain (location-independent) subscription for a local client.
+        """Register a plain subscription for a local client; one it holds here is replaced.
 
-        An id the client holds here is replaced: its numbering goes on
-        (the client suppresses a sequence number it has seen), and a
-        different old filter is withdrawn once the new one is in.
+        The replacement numbers on, and withdraws a different old filter.
         """
         token = subscription_token(client_id, subscription_id)
         held = self._require_client(client_id).subscriptions.get(token)
@@ -426,11 +421,9 @@ class Broker:
         if record is None:
             return
         if record.logical is None:
-            message = Unsubscribe(record.filter, subject=token)
-        else:
-            message = LocationDependentUnsubscribe(
-                client_id=client_id, subscription_id=subscription_id
-            )
+            self._apply(self.ids.stamp(Unsubscribe(record.filter, subject=token)), client_id)
+            return
+        message = LocationDependentUnsubscribe(client_id=client_id, subscription_id=subscription_id)
         self._apply(self.ids.stamp(message), client_id)
 
     def client_advertise(self, client_id: str, advertisement_id: str, filter_: Filter) -> None:

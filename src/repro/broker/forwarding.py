@@ -705,8 +705,7 @@ class SubscriptionForwarding:
         broker.advertisement_table.add(message.filter, from_destination, message.subject)
         self._flood_advertisement(message, from_destination, withdraw=False)
         if from_destination in broker._links:
-            # Location-dependent subscriptions may now travel toward the
-            # advertiser (plain ones follow with the refresh).
+            # Location-dependent subscriptions may now travel toward the advertiser.
             broker.logical.reforward_subscriptions(toward=from_destination)
 
     def handle_unadvertise(self, message: Unadvertise, from_destination: str) -> None:

@@ -348,8 +348,7 @@ class PhysicalMobility:
     def _divert(self, token: str, rows: Sequence[Any], filter_: Filter, destination: str) -> None:
         """Move *token* off *rows* onto one row of *filter_* toward *destination*.
 
-        Each write is journaled as the Unsubscribe / Subscribe it amounts
-        to.  The forwarding is refreshed once, when the caller is done.
+        Each write is journaled as the Unsubscribe / Subscribe it amounts to.
         """
         broker = self.broker
         journal, stamp = broker.reliability.journal, broker.ids.stamp

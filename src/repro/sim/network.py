@@ -121,12 +121,7 @@ class Link:
                 )
 
     def _on_flush(self) -> None:
-        """Re-arm for the next pending message, then deliver every one that is due.
-
-        Re-arming first is the asyncio backend's order, where the receiver
-        handles the run only after the flush returned: a next flush for the
-        same instant as the receiver's sends runs before them on both.
-        """
+        """Re-arm for the next pending message, then deliver the due run (the asyncio order)."""
         self.flush_count += 1
         now = self.simulator.now
         pending = self._pending
