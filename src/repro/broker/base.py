@@ -17,14 +17,13 @@ A :class:`Broker` owns
   SubscriptionForwarding` (Section 2.2's subscription and advertisement
   forwarding), :class:`~repro.core.physical.PhysicalMobility`
   (Section 4), :class:`~repro.core.logical.LogicalMobility` (Section 5)
-  and :class:`~repro.broker.recovery.Reliability` (journal, retention
+  and :class:`~repro.broker.reliability.Reliability` (journal, retention
   window, heartbeats).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.location_filter import LocationDependentUnsubscribe
 from repro.broker.forwarding import SubscriptionForwarding
@@ -33,7 +32,7 @@ from repro.dispatch.plan import DispatchPlan
 from repro.core.physical import PhysicalMobility, RelocationBuffer
 from repro.filters.filter import Filter
 from repro.filters.merging import FilterCaches
-from repro.broker.recovery import RecoveryStore, Reliability
+from repro.broker.reliability import Reliability
 from repro.messages.admin import Advertise, Subscribe, Unadvertise, Unsubscribe
 from repro.messages.base import Message, MessageIds
 from repro.messages.mobility import subscription_token
@@ -42,8 +41,10 @@ from repro.routing.strategies import RoutingStrategy
 from repro.routing.table import RoutingTable
 from repro.runtime.protocols import Channel, Clock
 from repro.runtime.trace import TraceRecorder
-from repro.telemetry.events import HOP_DELIVER, HOP_DISPATCH, HOP_FORWARD, trace_id_of
 from repro.telemetry.registry import MetricRegistry
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.broker.recovery import RecoveryStore
 
 
 def _entry_sort_key(entry: Any) -> Tuple[str, int]:
@@ -51,8 +52,7 @@ def _entry_sort_key(entry: Any) -> Tuple[str, int]:
     return (entry.destination, entry.seq)
 
 
-@dataclass
-class BrokerConfig:
+class BrokerConfig(NamedTuple):
     """Tunable broker behaviour.
 
     Parameters
@@ -243,8 +243,8 @@ class Broker:
         """Attach (or with ``None``, detach) the per-broker event emitter.
 
         *telemetry* is a :class:`repro.telemetry.emitter.BrokerTelemetry`
-        (duck-typed here to keep the broker's imports lean); while
-        attached, the broker emits span/log events through it.
+        (duck-typed here: a broker without telemetry loads none of it);
+        while attached, the broker emits span/log events through it.
         """
         self._telemetry = telemetry
 
@@ -337,7 +337,7 @@ class Broker:
         """Bring a crashed broker back, recovering routing state.
 
         The recovery store's snapshot and log tail rebuild the tables
-        (:meth:`~repro.broker.recovery.Reliability.recover`); derived
+        (:meth:`~repro.broker.reliability.Reliability.recover`); derived
         structures are invalidated and rebuilt lazily from them.  Returns
         the number of log records replayed.
         """
@@ -487,11 +487,10 @@ class Broker:
             forward_to.discard(from_destination)
         telemetry = self._telemetry
         if telemetry is not None:
-            telemetry.span(
-                trace_id_of(notification),
-                HOP_DISPATCH,
-                peer=from_destination,
-                attrs={
+            telemetry.dispatched(
+                notification,
+                from_destination,
+                {
                     "matched": len(matched_entries),
                     "forwards": len(forward_to),
                     "local_origin": from_destination not in self._links,
@@ -502,7 +501,7 @@ class Broker:
         for neighbour in sorted(forward_to):
             self.counters["notifications_forwarded"] += 1
             if telemetry is not None:
-                telemetry.span(trace_id_of(notification), HOP_FORWARD, peer=neighbour)
+                telemetry.forwarded(notification, neighbour)
             if retention is None:
                 self._links[neighbour].send(notification)
             else:
@@ -554,12 +553,7 @@ class Broker:
             return
         self.counters["notifications_delivered"] += 1
         if self._telemetry is not None:
-            self._telemetry.span(
-                trace_id_of(notification),
-                HOP_DELIVER,
-                peer=record.client_id,
-                attrs={"sequence": sequence},
-            )
+            self._telemetry.delivered(notification, record.client_id, {"sequence": sequence})
         # One trace row per delivery; the client's ``received`` keeps its number.
         row = None
         if self.trace is not None:

@@ -18,21 +18,22 @@ package — the backend choice is the runtime's business.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.broker.base import Broker, BrokerConfig
 from repro.broker.client import Client
-from repro.broker.recovery import RecoveryStore
 from repro.filters.merging import FilterCaches
 from repro.messages.base import MessageIds
 from repro.routing.strategies import RoutingStrategy, make_strategy
 from repro.runtime.factory import make_runtime
 from repro.runtime.protocols import Clock, Runtime
 from repro.runtime.trace import TraceRecorder
-from repro.telemetry import TelemetryConfig
-from repro.telemetry.emitter import BrokerTelemetry
 from repro.telemetry.registry import data_plane_breakdown
 from repro.topology.graph import BrokerGraph
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.broker.recovery import RecoveryStore
+    from repro.telemetry import TelemetryConfig
 
 
 class PubSubNetwork:
@@ -104,6 +105,8 @@ class PubSubNetwork:
         # check (the zero-cost-off guarantee).
         self.telemetry_sink = None
         if telemetry is not None:
+            from repro.telemetry.emitter import BrokerTelemetry
+
             self.telemetry_sink = telemetry.make_sink()
             # Events are numbered apart from messages (see
             # repro.telemetry.events), by one count for the network.

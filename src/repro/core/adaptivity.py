@@ -25,7 +25,6 @@ The worked example (Δ = 100 ms, δ = 120, 50, 50, 20 ms) yields levels
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Sequence
 
 from repro.core.ploc import MovementGraph
@@ -105,7 +104,6 @@ def adaptive_levels(dwell_time: float, hop_delays: Sequence[float]) -> List[int]
     return levels
 
 
-@dataclass
 class UncertaintyPlan:
     """A concrete assignment of uncertainty levels to hops for one subscription.
 
@@ -124,21 +122,30 @@ class UncertaintyPlan:
         "trivial", "flooding").
     """
 
-    levels: List[int]
-    name: str = "static"
+    __slots__ = ("levels", "name")
 
-    def __post_init__(self) -> None:
-        if not self.levels:
+    def __init__(self, levels: List[int], name: str = "static") -> None:
+        if not levels:
             raise AdaptivityError("an uncertainty plan needs at least the hop-0 level")
-        if any(level < 0 for level in self.levels):
+        if any(level < 0 for level in levels):
             raise AdaptivityError("levels must be non-negative")
-        if self.levels[0] != 0:
+        if levels[0] != 0:
             raise AdaptivityError("hop 0 must use level 0 (exact client-side filtering)")
-        for earlier, later in zip(self.levels, self.levels[1:]):
+        for earlier, later in zip(levels, levels[1:]):
             if later < earlier:
                 raise AdaptivityError(
-                    "levels must be non-decreasing along the path (got {})".format(self.levels)
+                    "levels must be non-decreasing along the path (got {})".format(levels)
                 )
+        self.levels = levels
+        self.name = name
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.levels, self.name) == (other.levels, other.name)
+
+    def __repr__(self) -> str:
+        return "UncertaintyPlan(levels={!r}, name={!r})".format(self.levels, self.name)
 
     # -- constructors ---------------------------------------------------------
     @classmethod

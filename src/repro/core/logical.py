@@ -33,8 +33,7 @@ neighbours it was ``forwarded_to``, in forwarding order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.adaptivity import UncertaintyPlan
 from repro.core.location_filter import (
@@ -67,8 +66,7 @@ def shared_location_filter(
     return live
 
 
-@dataclass
-class LocationChangeDelta:
+class LocationChangeDelta(NamedTuple):
     """The effect of a location change at one hop.
 
     ``added`` / ``removed`` are the location-set differences (what the

@@ -26,7 +26,6 @@ and the overflow counters let experiments quantify exactly that boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.filters.filter import Filter
@@ -149,7 +148,6 @@ class RelocationBuffer:
         return replayed, fresh
 
 
-@dataclass
 class RelocationRecord:
     """Bookkeeping entry describing one completed (or ongoing) relocation.
 
@@ -159,14 +157,36 @@ class RelocationRecord:
     back.
     """
 
-    client_id: str
-    subscription_id: str
-    old_border: Optional[str]
-    new_border: str
-    started_at: float
-    completed_at: Optional[float] = None
-    replayed: int = 0
-    fresh: int = 0
+    __slots__ = (
+        "client_id",
+        "subscription_id",
+        "old_border",
+        "new_border",
+        "started_at",
+        "completed_at",
+        "replayed",
+        "fresh",
+    )
+
+    def __init__(
+        self,
+        client_id: str,
+        subscription_id: str,
+        old_border: Optional[str],
+        new_border: str,
+        started_at: float,
+        completed_at: Optional[float] = None,
+        replayed: int = 0,
+        fresh: int = 0,
+    ) -> None:
+        self.client_id = client_id
+        self.subscription_id = subscription_id
+        self.old_border = old_border
+        self.new_border = new_border
+        self.started_at = started_at
+        self.completed_at = completed_at
+        self.replayed = replayed
+        self.fresh = fresh
 
     @property
     def latency(self) -> Optional[float]:

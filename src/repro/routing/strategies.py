@@ -11,12 +11,10 @@ which holds the maintained result to them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, NamedTuple
 
 
-@dataclass(frozen=True)
-class RoutingStrategy:
+class RoutingStrategy(NamedTuple):
     """What a broker reads of its routing strategy."""
 
     #: Short name used in configuration, traces and benchmark labels.

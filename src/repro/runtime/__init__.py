@@ -25,40 +25,36 @@ See ``docs/architecture.md`` for the layering rules (notably: no
 or ``repro.dispatch``; ``tests/test_layering.py`` enforces this).
 """
 
-from repro.runtime.factory import BACKENDS, make_runtime
-from repro.runtime.faults import FaultModel
-from repro.runtime.latency import (
-    DEFAULT_LINK_LATENCY,
-    FixedLatency,
-    LatencyModel,
-    LatencySpec,
-    UniformLatency,
-    resolve_latency,
-)
-from repro.runtime.protocols import Channel, Clock, Runtime, ScheduledCall
-from repro.runtime.trace import (
-    DeliveryRecord,
-    LinkRecord,
-    PublishRecord,
-    TraceRecorder,
-)
+#: Where each lazily re-exported name lives (PEP 562): a network loads
+#: the runtime modules it uses, and not the fault model.
+_EXPORTS = {
+    "BACKENDS": "repro.runtime.factory",
+    "make_runtime": "repro.runtime.factory",
+    "FaultModel": "repro.runtime.faults",
+    "DEFAULT_LINK_LATENCY": "repro.runtime.latency",
+    "FixedLatency": "repro.runtime.latency",
+    "LatencyModel": "repro.runtime.latency",
+    "LatencySpec": "repro.runtime.latency",
+    "UniformLatency": "repro.runtime.latency",
+    "resolve_latency": "repro.runtime.latency",
+    "Channel": "repro.runtime.protocols",
+    "Clock": "repro.runtime.protocols",
+    "Runtime": "repro.runtime.protocols",
+    "ScheduledCall": "repro.runtime.protocols",
+    "DeliveryRecord": "repro.runtime.trace",
+    "LinkRecord": "repro.runtime.trace",
+    "PublishRecord": "repro.runtime.trace",
+    "TraceRecorder": "repro.runtime.trace",
+}
 
-__all__ = [
-    "BACKENDS",
-    "Channel",
-    "Clock",
-    "DEFAULT_LINK_LATENCY",
-    "DeliveryRecord",
-    "FaultModel",
-    "FixedLatency",
-    "LatencyModel",
-    "LatencySpec",
-    "LinkRecord",
-    "PublishRecord",
-    "Runtime",
-    "ScheduledCall",
-    "TraceRecorder",
-    "UniformLatency",
-    "make_runtime",
-    "resolve_latency",
-]
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    """Load a re-exported name from its module on first use (PEP 562)."""
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError("module {!r} has no attribute {!r}".format(__name__, name))
+    from importlib import import_module
+
+    return getattr(import_module(module), name)

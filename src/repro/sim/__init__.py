@@ -16,8 +16,23 @@ Latency models, fault models and the trace recorder are backend-neutral
 and live in :mod:`repro.runtime`.
 """
 
-from repro.sim.engine import Event, Simulator
-from repro.sim.network import Link
-from repro.sim.rng import DeterministicRandom
+#: Where each lazily re-exported name lives (PEP 562): the simulator
+#: runtime loads its engine and links, and not the seeded RNG.
+_EXPORTS = {
+    "Simulator": "repro.sim.engine",
+    "Event": "repro.sim.engine",
+    "Link": "repro.sim.network",
+    "DeterministicRandom": "repro.sim.rng",
+}
 
 __all__ = ["Simulator", "Event", "Link", "DeterministicRandom"]
+
+
+def __getattr__(name):
+    """Load a re-exported name from its module on first use (PEP 562)."""
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError("module {!r} has no attribute {!r}".format(__name__, name))
+    from importlib import import_module
+
+    return getattr(import_module(module), name)

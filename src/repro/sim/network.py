@@ -21,13 +21,15 @@ to be at least the delivery time of the link's previous message.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Deque, List, Optional, Tuple
 
 from repro.messages.base import Message
-from repro.runtime.faults import FaultModel
 from repro.runtime.latency import LatencyModel
 from repro.runtime.trace import TraceRecorder
 from repro.sim.engine import Simulator
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.runtime.faults import FaultModel
 
 
 class Link:

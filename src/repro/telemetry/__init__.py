@@ -26,46 +26,43 @@ byte-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from repro.telemetry.events import (
-    HOP_DELIVER,
-    HOP_DISPATCH,
-    HOP_FORWARD,
-    LogEvent,
-    MetricSnapshotEvent,
-    SpanEvent,
-    TelemetryEvent,
-    trace_id_of,
-)
-from repro.telemetry.registry import Histogram, MetricRegistry
-from repro.telemetry.sinks import (
-    RingBufferSink,
-    TcpSink,
-    TelemetrySink,
-)
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.telemetry.sinks import TelemetrySink
 
-__all__ = [
-    "HOP_DELIVER",
-    "HOP_DISPATCH",
-    "HOP_FORWARD",
-    "Histogram",
-    "LogEvent",
-    "MetricRegistry",
-    "MetricSnapshotEvent",
-    "RingBufferSink",
-    "SpanEvent",
-    "TcpSink",
-    "TelemetryConfig",
-    "TelemetryEvent",
-    "TelemetrySink",
-    "trace_id_of",
-]
+#: Where each lazily re-exported name lives (PEP 562): a network built
+#: without telemetry loads neither the events nor the sinks.
+_EXPORTS = {
+    "HOP_DELIVER": "repro.telemetry.events",
+    "HOP_DISPATCH": "repro.telemetry.events",
+    "HOP_FORWARD": "repro.telemetry.events",
+    "LogEvent": "repro.telemetry.events",
+    "MetricSnapshotEvent": "repro.telemetry.events",
+    "SpanEvent": "repro.telemetry.events",
+    "TelemetryEvent": "repro.telemetry.events",
+    "trace_id_of": "repro.telemetry.events",
+    "Histogram": "repro.telemetry.registry",
+    "MetricRegistry": "repro.telemetry.registry",
+    "RingBufferSink": "repro.telemetry.sinks",
+    "TcpSink": "repro.telemetry.sinks",
+    "TelemetrySink": "repro.telemetry.sinks",
+}
+
+__all__ = sorted([*_EXPORTS, "TelemetryConfig"])
 
 
-@dataclass(frozen=True)
-class TelemetryConfig:
+def __getattr__(name):
+    """Load a re-exported name from its module on first use (PEP 562)."""
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError("module {!r} has no attribute {!r}".format(__name__, name))
+    from importlib import import_module
+
+    return getattr(import_module(module), name)
+
+
+class TelemetryConfig(NamedTuple):
     """How a network should stream telemetry.
 
     ``sink_factory`` is called once per network; the returned sink is
@@ -77,4 +74,3 @@ class TelemetryConfig:
 
     def make_sink(self) -> TelemetrySink:
         return self.sink_factory()
-

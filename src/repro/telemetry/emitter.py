@@ -14,7 +14,15 @@ from __future__ import annotations
 from typing import Any, Dict, Optional
 
 from repro.messages.base import MessageIds
-from repro.telemetry.events import LogEvent, MetricSnapshotEvent, SpanEvent
+from repro.telemetry.events import (
+    HOP_DELIVER,
+    HOP_DISPATCH,
+    HOP_FORWARD,
+    LogEvent,
+    MetricSnapshotEvent,
+    SpanEvent,
+    trace_id_of,
+)
 from repro.telemetry.registry import MetricRegistry
 from repro.telemetry.sinks import TelemetrySink
 
@@ -47,6 +55,20 @@ class BrokerTelemetry:
             attrs=attrs,
         )
         self.sink.emit(self.ids.stamp(span))
+
+    def dispatched(
+        self, notification: Any, peer: Optional[str], attrs: Dict[str, Any]
+    ) -> None:
+        """The broker matched *notification*, which came from *peer*."""
+        self.span(trace_id_of(notification), HOP_DISPATCH, peer, attrs)
+
+    def forwarded(self, notification: Any, peer: str) -> None:
+        """The broker sent *notification* on toward the neighbour *peer*."""
+        self.span(trace_id_of(notification), HOP_FORWARD, peer)
+
+    def delivered(self, notification: Any, peer: str, attrs: Dict[str, Any]) -> None:
+        """The broker handed *notification* to its local client *peer*."""
+        self.span(trace_id_of(notification), HOP_DELIVER, peer, attrs)
 
     def log(self, level: str, text: str) -> None:
         """Record a levelled text event at ``clock.now()``."""

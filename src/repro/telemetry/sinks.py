@@ -19,7 +19,6 @@ count drops instead of failing the experiment.
 
 from __future__ import annotations
 
-import socket
 from collections import deque
 from typing import Deque, List, Optional
 
@@ -61,6 +60,9 @@ class TcpSink(TelemetrySink):
     """
 
     def __init__(self, host: str, port: int, connect_timeout: float = 5.0) -> None:
+        # Imported here: a run that streams nowhere never loads ``socket``.
+        import socket
+
         self._socket: Optional[socket.socket] = socket.create_connection(
             (host, port), timeout=connect_timeout
         )
@@ -81,6 +83,8 @@ class TcpSink(TelemetrySink):
 
     def close(self) -> None:
         if self._socket is not None:
+            import socket
+
             try:
                 self._socket.shutdown(socket.SHUT_WR)
             except OSError:
