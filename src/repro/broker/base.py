@@ -398,33 +398,47 @@ class Broker:
         registration.subscriptions[record.token] = record
         return record
 
+    def _held_subscription(
+        self, client_id: str, subscription_id: str
+    ) -> Optional[_SubscriptionRecord]:
+        """The record of a subscription the attached client *client_id* holds here."""
+        token = subscription_token(client_id, subscription_id)
+        return self._require_client(client_id).subscriptions.get(token)
+
+    def _withdraw(self, record: _SubscriptionRecord) -> None:
+        """Propagate the withdrawal of *record*'s subscription, of either kind."""
+        if record.logical is None:
+            message = Unsubscribe(record.filter, subject=record.token)
+        else:
+            message = LocationDependentUnsubscribe(
+                client_id=record.client_id, subscription_id=record.subscription_id
+            )
+        self._apply(self.ids.stamp(message), record.client_id)
+
     def client_subscribe(
         self, client_id: str, subscription_id: str, filter_: Filter
     ) -> None:
         """Register a plain subscription for a local client; one it holds here is replaced.
 
-        The replacement numbers on, and withdraws a different old filter.
+        The replacement numbers on.  A held location-dependent one is
+        withdrawn first; a held plain one with a different filter after.
         """
-        token = subscription_token(client_id, subscription_id)
-        held = self._require_client(client_id).subscriptions.get(token)
+        held = self._held_subscription(client_id, subscription_id)
         next_sequence = 1 if held is None else held.next_sequence
-        self._add_subscription(client_id, subscription_id, filter_, next_sequence)
-        self._apply(self.ids.stamp(Subscribe(filter_, subject=token)), client_id)
+        if held is not None and held.logical is not None:
+            self._withdraw(held)
+            held = None
+        record = self._add_subscription(client_id, subscription_id, filter_, next_sequence)
+        self._apply(self.ids.stamp(Subscribe(filter_, subject=record.token)), client_id)
         if held is not None and held.filter.key() != filter_.key():
-            self._apply(self.ids.stamp(Unsubscribe(held.filter, subject=token)), client_id)
+            self._withdraw(held)
 
     def client_unsubscribe(self, client_id: str, subscription_id: str) -> None:
         """Withdraw a local client's subscription and propagate the change."""
-        registration = self._require_client(client_id)
         token = subscription_token(client_id, subscription_id)
-        record = registration.subscriptions.pop(token, None)
-        if record is None:
-            return
-        if record.logical is None:
-            self._apply(self.ids.stamp(Unsubscribe(record.filter, subject=token)), client_id)
-            return
-        message = LocationDependentUnsubscribe(client_id=client_id, subscription_id=subscription_id)
-        self._apply(self.ids.stamp(message), client_id)
+        record = self._require_client(client_id).subscriptions.pop(token, None)
+        if record is not None:
+            self._withdraw(record)
 
     def client_advertise(self, client_id: str, advertisement_id: str, filter_: Filter) -> None:
         """Register a local client's advertisement and flood it to neighbours."""

@@ -323,8 +323,15 @@ class LogicalMobility:
         plan: Any,
         initial_location: str,
     ) -> None:
-        """Register a location-dependent subscription for a local client."""
-        self.broker._require_client(client_id)
+        """Register a location-dependent subscription for a local client.
+
+        One it holds here is replaced and numbers on; a held plain one is
+        withdrawn first.
+        """
+        broker = self.broker
+        held = broker._held_subscription(client_id, subscription_id)
+        if held is not None and held.logical is None:
+            broker._withdraw(held)
         message = LocationDependentSubscribe(
             client_id=client_id,
             subscription_id=subscription_id,
@@ -334,8 +341,11 @@ class LogicalMobility:
             current_location=initial_location,
             hop_index=0,
         )
-        state = self.broker._apply(self.broker.ids.stamp(message), client_id)
-        record = self.broker._add_subscription(client_id, subscription_id, state.stored_filter)
+        state = broker._apply(broker.ids.stamp(message), client_id)
+        next_sequence = 1 if held is None else held.next_sequence
+        record = broker._add_subscription(
+            client_id, subscription_id, state.stored_filter, next_sequence
+        )
         record.logical = state
 
     def client_set_location(self, client_id: str, new_location: str) -> None:

@@ -4,6 +4,8 @@ import pytest
 
 from repro.broker.client import Client, ClientError
 from repro.broker.network import PubSubNetwork
+from repro.core.adaptivity import UncertaintyPlan
+from repro.core.ploc import MovementGraph
 from repro.filters.filter import Filter
 from repro.messages.notification import Notification
 from repro.topology.builders import line_topology
@@ -242,3 +244,67 @@ class TestResubscribingAHeldId:
         for broker in network.brokers.values():
             rows = broker.subscription_table.entries_for_subject("d/s")
             assert [row.filter for row in rows] == [Filter({"service": "fuel"})], broker.name
+
+    @staticmethod
+    def _news():
+        """``p`` at B2 advertises the news; ``c`` at B1 will subscribe."""
+        network = PubSubNetwork(line_topology(2), strategy="covering", latency=0.01)
+        producer = network.add_client("p", "B2")
+        producer.advertise({"topic": "news"})
+        consumer = network.add_client("c", "B1")
+        return network, producer, consumer
+
+    @staticmethod
+    def _subscribe_near(consumer, location):
+        consumer.subscribe_location_dependent(
+            {"topic": "news"},
+            MovementGraph.line(["a", "b", "c"]),
+            UncertaintyPlan.static(2),
+            location,
+            subscription_id="s",
+        )
+
+    @staticmethod
+    def _held(network):
+        """What each broker holds of ``c/s``: its logical state, its rows."""
+        return {
+            name: (
+                "c/s" in broker.logical.states,
+                sorted(
+                    row.filter.key()
+                    for row in broker.subscription_table.entries_for_subject("c/s")
+                ),
+            )
+            for name, broker in network.brokers.items()
+        }
+
+    def test_a_plain_resubscribe_withdraws_the_location_dependent_one(self):
+        network, producer, consumer = self._news()
+        self._subscribe_near(consumer, "a")
+        network.settle()
+        consumer.subscribe({"topic": "news"}, subscription_id="s")
+        network.settle()
+        plain = [Filter({"topic": "news"}).key()]
+        assert self._held(network) == {"B1": (False, plain), "B2": (False, plain)}
+        consumer.unsubscribe("s")
+        network.settle()
+        assert self._held(network) == {"B1": (False, []), "B2": (False, [])}
+        producer.publish({"topic": "news", "location": "b"})
+        network.settle()
+        assert network.broker("B2").counters["notifications_forwarded"] == 0
+        assert consumer.received == []
+
+    def test_a_location_dependent_resubscribe_withdraws_the_plain_one(self):
+        network, producer, consumer = self._news()
+        consumer.subscribe({"topic": "news"}, subscription_id="s")
+        network.settle()
+        self._subscribe_near(consumer, "a")
+        network.settle()
+        for location in ("c", "a"):
+            producer.publish({"topic": "news", "location": location})
+        network.settle()
+        assert [r.notification.attributes["location"] for r in consumer.received] == ["a"]
+        assert [held for held, _ in self._held(network).values()] == [True, True]
+        consumer.unsubscribe("s")
+        network.settle()
+        assert self._held(network) == {"B1": (False, []), "B2": (False, [])}
