@@ -13,22 +13,28 @@ the innermost frame of its traceback (``tracemalloc`` keeps
 :data:`FRAMES` of them) that is not the standard library's, if that frame
 runs ``repro`` code: what a ``repro`` call has the standard library build
 — the ``json`` encoder's texts, say — counts under that call's module,
-and what a callback of the harness builds counts nowhere.  ``--lines N`` adds the N largest ``repro`` allocation
-sites (file:line, live bytes, live blocks, bytes per routing row), so a
-memory claim can name the structures, not just the modules.
+and what a callback of the harness builds counts nowhere.  ``--lines N``
+adds the N largest ``repro`` allocation sites (file:line, live bytes,
+live blocks, bytes per routing row), so a memory claim can name the
+structures, not just the modules.
 ``tracemalloc`` keeps its own bookkeeping, so ``ru_maxrss`` here reads
 higher than in an untraced run; compare it only with other census runs.
 The workloads and the harness are imported from ``benchmarks/e2e`` and
 used as they are.
 
-An allocation site names the line that built an object, not what keeps
-it alive.  ``--holders`` names the holder: among the objects the network
-holds after the warm-up (``sys.getsizeof`` each), for the ten types with
-the most bytes and for every ``Message`` instance, it prints the bytes
-per owner — the trace's link columns, its delivery columns, the routing
-tables, the forwarding states, the journals and the clients — and the
-bytes no owner holds ("none").  Each object goes to
-the owner nearest to it: the one a walk up its referrers meets first,
+An allocation site is the first allocator of a block: not what keeps
+the block alive, and not always the line that built the object in it.
+CPython's dict free lists hand a freed dict's memory on to a dict built
+later, and ``tracemalloc`` keeps the site of the first: on roam_physical
+``filters/filter.py:56``, a dict that never outlives ``Filter.__init__``,
+reads one live block per client.  A module total moves with such a site.
+``--holders`` names what keeps the memory alive: among the objects the
+network holds after the warm-up (``sys.getsizeof`` each), for the ten
+types with the most bytes and for every ``Message`` instance, it prints
+the bytes per owner — the trace's link columns, its delivery columns,
+the routing tables, the forwarding states, the journals and the clients
+— and the bytes no owner holds ("none").  Each object goes to the owner
+nearest to it: the one a walk up its referrers meets first,
 found as one breadth-first walk down from every owner at once.  That walk
 passes none of the network's own parts (the network, its trace, runtime,
 brokers and links), since those hold every owner; a second walk from
@@ -247,6 +253,8 @@ def main(argv):
     print("{:<40} {:>12,} {:>10,.0f}".format("total repro", total, total / max(rows, 1)))
     if args.lines > 0:
         print()
+        print("a site is the first allocator of a block; dict free lists hand reused memory on")
+        print("to later dicts, so a site may hold what another line built (see --holders)")
         print("{:<52} {:>12} {:>8} {:>8}".format("allocation site", "bytes", "blocks", "B/row"))
         for site, size, blocks in lines[: args.lines]:
             print(

@@ -13,10 +13,18 @@ its own row.  The wrappers cost time themselves, so the traced wall time
 reads higher than an untraced ``setup_s``; compare tables only with each
 other.  The workloads, the harness and the recorder are imported from
 ``benchmarks/e2e`` and used as they are.
+
+The recorder imports ``repro`` before the table starts, so the import
+that ``Driver.__init__`` runs first inside the ``setup_s`` clock shows in
+no row.  A line before the table gives it instead, measured in a fresh
+interpreter: its seconds, the ``repro`` modules it loads, the RSS it
+adds, and whether that interpreter writes bytecode (without cached
+bytecode, ``repro`` compiles from source on every run).
 """
 
 import argparse
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -27,6 +35,38 @@ sys.path.insert(0, str(ROOT / "src"))
 import harness  # noqa: E402
 import spans  # noqa: E402
 from workloads import WORKLOADS, make_workload  # noqa: E402
+
+
+#: What a fresh interpreter runs to time ``Driver.__init__``'s import of ``repro``.
+COLD_IMPORT = """
+import resource, sys, time
+def resident():
+    with open("/proc/self/statm") as statm:
+        return int(statm.read().split()[1]) * resource.getpagesize()
+before = resident()
+started = time.perf_counter()
+from repro import MYLOC, MovementGraph, PubSubNetwork, UncertaintyPlan
+from repro import balanced_tree_topology
+seconds = time.perf_counter() - started
+grown = resident() - before
+modules = sum(1 for name in sys.modules if name.split(".")[0] == "repro")
+print(seconds, modules, grown / 2**20, int(sys.dont_write_bytecode))
+"""
+
+
+def cold_import():
+    """``(seconds, repro modules, RSS grown in MB, dont_write_bytecode)`` of the
+    ``Driver``'s import of ``repro`` in a fresh interpreter."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", COLD_IMPORT],
+        env=dict(os.environ, PYTHONPATH=path),
+        stdout=subprocess.PIPE,
+        timeout=60,
+        check=True,
+    )
+    seconds, modules, grown_mb, no_bytecode = done.stdout.split()
+    return float(seconds), int(modules), float(grown_mb), no_bytecode == b"1"
 
 
 def layer_table(name, seed, scale):
@@ -61,6 +101,13 @@ def main(argv):
     if os.environ.get("PYTHONHASHSEED") != "0":
         # Same pinning as benchmarks/e2e/run.py: set and dict orders repeat.
         os.execve(sys.executable, [sys.executable] + sys.argv, dict(os.environ, PYTHONHASHSEED="0"))
+    seconds, modules, grown_mb, no_bytecode = cold_import()
+    print(
+        "cold import of repro (fresh interpreter, PYTHONDONTWRITEBYTECODE={}): "
+        "{:.3f} s, {} repro modules, RSS +{:.2f} MB".format(
+            int(no_bytecode), seconds, modules, grown_mb
+        )
+    )
     rows, wall_s, unresolved = layer_table(args.workload, args.seed, args.scale)
     print(
         "{} seed {} scale {}: traced set-up {:.3f} s".format(
