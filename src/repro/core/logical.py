@@ -33,7 +33,7 @@ neighbours it was ``forwarded_to``, in forwarding order.
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.adaptivity import UncertaintyPlan
 from repro.core.location_filter import (
@@ -66,7 +66,7 @@ def shared_location_filter(
     return live
 
 
-class LocationChangeDelta(NamedTuple):
+class LocationChangeDelta:
     """The effect of a location change at one hop.
 
     ``added`` / ``removed`` are the location-set differences (what the
@@ -77,10 +77,19 @@ class LocationChangeDelta(NamedTuple):
     not to propagate the update any further.
     """
 
-    old_filter: Filter
-    new_filter: Filter
-    added: FrozenSet[Location]
-    removed: FrozenSet[Location]
+    __slots__ = ("old_filter", "new_filter", "added", "removed")
+
+    def __init__(
+        self,
+        old_filter: Filter,
+        new_filter: Filter,
+        added: FrozenSet[Location],
+        removed: FrozenSet[Location],
+    ) -> None:
+        self.old_filter = old_filter
+        self.new_filter = new_filter
+        self.added = added
+        self.removed = removed
 
     @property
     def changed(self) -> bool:
