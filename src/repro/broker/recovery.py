@@ -18,10 +18,10 @@ Restart decodes the snapshot (:meth:`~repro.broker.reliability.
 Reliability.recover` recreates each row with its original ``seq`` via
 :meth:`~repro.routing.table.RoutingTable.restore_row`, so every delta
 consumer observes the rows exactly as the live mutations produced
-them), then replays the log tail through the
-broker's normal dispatch with its outgoing links swapped for
-:class:`ReplaySink` stubs — the replay must mutate local state
-identically to the first execution without re-emitting a single message.
+them), then replays the log tail through the broker's normal dispatch
+with its outgoing links swapped for :class:`ReplaySink` stubs — the
+replay must mutate local state identically to the first execution
+without re-emitting a single message.
 The derived structures (``DispatchPlan``, ``NeighbourForwardingState``)
 are *not* snapshotted: they are rebuilt lazily from the recovered tables
 the first time they are consulted.
@@ -38,8 +38,9 @@ a filter that a dropped record defined; the store keeps every
 definition its journal has written.
 
 :class:`~repro.broker.reliability.Reliability` is one broker's user of
-all this; it imports this module only when recovery is first enabled,
-so a broker that never journals never loads the store or its codec.
+all this.  It imports this module when it first needs it (recovery
+enabled without a store, a snapshot taken, a restart with a store), so
+a broker that never journals never loads the store or its codec.
 """
 
 from __future__ import annotations

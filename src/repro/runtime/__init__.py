@@ -25,6 +25,8 @@ See ``docs/architecture.md`` for the layering rules (notably: no
 or ``repro.dispatch``; ``tests/test_layering.py`` enforces this).
 """
 
+from importlib import import_module
+
 #: Where each lazily re-exported name lives (PEP 562): a network loads
 #: the runtime modules it uses, and not the fault model.
 _EXPORTS = {
@@ -55,6 +57,4 @@ def __getattr__(name):
     module = _EXPORTS.get(name)
     if module is None:
         raise AttributeError("module {!r} has no attribute {!r}".format(__name__, name))
-    from importlib import import_module
-
     return getattr(import_module(module), name)

@@ -16,6 +16,8 @@ Latency models, fault models and the trace recorder are backend-neutral
 and live in :mod:`repro.runtime`.
 """
 
+from importlib import import_module
+
 #: Where each lazily re-exported name lives (PEP 562): the simulator
 #: runtime loads its engine and links, and not the seeded RNG.
 _EXPORTS = {
@@ -33,6 +35,4 @@ def __getattr__(name):
     module = _EXPORTS.get(name)
     if module is None:
         raise AttributeError("module {!r} has no attribute {!r}".format(__name__, name))
-    from importlib import import_module
-
     return getattr(import_module(module), name)

@@ -26,6 +26,7 @@ byte-identical.
 
 from __future__ import annotations
 
+from importlib import import_module
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -57,8 +58,6 @@ def __getattr__(name):
     module = _EXPORTS.get(name)
     if module is None:
         raise AttributeError("module {!r} has no attribute {!r}".format(__name__, name))
-    from importlib import import_module
-
     return getattr(import_module(module), name)
 
 

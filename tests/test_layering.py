@@ -200,6 +200,16 @@ def test_a_running_network_loads_only_what_it_runs():
     _assert_loads_none(NOT_LOADED_BY_A_RUNNING_NETWORK, ONE_NOTIFICATION)
 
 
+def test_lazy_packages_resolve_every_exported_name():
+    """The packages that re-export lazily still export every name of their ``__all__``."""
+    import importlib
+
+    for package in ("repro.runtime", "repro.sim", "repro.telemetry"):
+        module = importlib.import_module(package)
+        for name in module.__all__:
+            assert getattr(module, name) is not None, (package, name)
+
+
 def test_a_running_network_loads_at_most_its_committed_modules():
     """A cold-start tripwire: routing one notification loads a bounded set of modules."""
     result = _run(
