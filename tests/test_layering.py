@@ -23,6 +23,7 @@ at module scope or inside a function.
 """
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -168,14 +169,15 @@ RUNNING_NETWORK_MODULES = 50
 
 #: What a running network without telemetry or recovery has no use for:
 #: the dataclass machinery and ``inspect`` (which it imports), sockets,
-#: the telemetry sinks and emitter, the link codec, fault injection, the
-#: seeded RNG and the recovery store.
+#: the telemetry sinks, emitter and events, the link codec, fault
+#: injection, the seeded RNG and the recovery store.
 NOT_LOADED_BY_A_RUNNING_NETWORK = (
     "dataclasses",
     "inspect",
     "socket",
     "repro.telemetry.sinks",
     "repro.telemetry.emitter",
+    "repro.telemetry.events",
     "repro.messages.wire",
     "repro.runtime.faults",
     "repro.sim.rng",
@@ -202,8 +204,6 @@ def test_a_running_network_loads_only_what_it_runs():
 
 def test_lazy_packages_resolve_every_exported_name():
     """The packages that re-export lazily still export every name of their ``__all__``."""
-    import importlib
-
     for package in ("repro.runtime", "repro.sim", "repro.telemetry"):
         module = importlib.import_module(package)
         for name in module.__all__:
