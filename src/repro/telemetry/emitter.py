@@ -56,9 +56,7 @@ class BrokerTelemetry:
         )
         self.sink.emit(self.ids.stamp(span))
 
-    def dispatched(
-        self, notification: Any, peer: Optional[str], attrs: Dict[str, Any]
-    ) -> None:
+    def dispatched(self, notification: Any, peer: Optional[str], attrs: Dict[str, Any]) -> None:
         """The broker matched *notification*, which came from *peer*."""
         self.span(trace_id_of(notification), HOP_DISPATCH, peer, attrs)
 
